@@ -39,7 +39,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..network.events import EventLog
 from ..network.ring import RingTopology
 from ..network.stats import TrafficStats
 from .kernel import (
@@ -421,12 +420,16 @@ class _BatchLog(_LazyKernelLog):
         passes = self._passes_cache
         if passes is None:
             passes = self._passes_cache = self._builder()
+            # The builder closes over the whole group's arrays; let them go
+            # once every trial of the group has been read.
+            self._builder = None
         return passes
 
     def __reduce__(self):
         # The builder closes over the whole group's state; pickling (the
-        # process-pool result path) ships the materialized log instead.
-        return (EventLog.from_observations, (list(self._observations),))
+        # process-pool result path) ships this trial's pass records, so the
+        # receiving side scores LoP from passes too.
+        return (_LazyKernelLog, (self._passes, self._query))
 
 
 # -- lazy traffic stats -------------------------------------------------------

@@ -137,11 +137,15 @@ class _LazyKernelLog(EventLog):
     The kernel's hot loop records each ring pass as one compact tuple
     ``(kind, round, walk order, vectors)`` instead of building a frozen
     dataclass per hop.  Most figure workloads (precision, rounds,
-    communication cost) never read the log at all, so the per-observation
+    communication cost) never read the log at all, and LoP scoring —
+    ``token_outputs``/``rounds``, every executed query on the serving
+    path — reads the pass records directly.  The per-observation
     construction — and the process-global message-id draws — happen only
-    when an adversary view, ``inputs_of``, or serialization first touches
-    it.  Once materialized, the observations are cached and bit-identical
-    to what the transport-backed path records (message ids aside).
+    when something needs the messages themselves: an adversary view,
+    ``inputs_of``/``outputs_of``, iteration, or serialization.  Once
+    materialized, the observations are cached and bit-identical to what
+    the transport-backed path records (message ids aside).  A kernel log
+    is a finished run's record; nothing appends to it.
     """
 
     def __init__(
@@ -159,6 +163,21 @@ class _LazyKernelLog(EventLog):
         if cache is None:
             cache = self._cache = self._materialize()
         return cache
+
+    def token_outputs(self):
+        for kind, round_number, order, vectors in self._passes:
+            if kind == "token":
+                for sender, vector in zip(order, vectors):
+                    yield round_number, sender, vector
+
+    def rounds(self) -> list[int]:
+        return sorted(
+            {
+                round_number
+                for kind, round_number, _order, _vectors in self._passes
+                if kind == "token" and round_number > 0
+            }
+        )
 
     def _materialize(self) -> list[Observation]:
         obs_list: list[Observation] = []

@@ -48,6 +48,15 @@ class ProtocolResult:
     #: metadata (every party must know it), which is why adversary models
     #: may read it when computing posteriors.
     schedule: object | None = None
+    #: Memo of :func:`repro.privacy.lop.exposure_profile`.  A result is
+    #: never mutated after its run, so the profile is built once, on first
+    #: read; it takes no part in equality and does not travel with pickles.
+    _exposure: object | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_exposure": None}
 
     @property
     def n_nodes(self) -> int:

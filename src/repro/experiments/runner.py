@@ -41,7 +41,7 @@ from ..database.query import TopKQuery
 from ..observability.metrics import MetricsRegistry
 from ..observability.runtime import current_tracer
 from ..privacy.adversary import coalition_lop
-from ..privacy.lop import node_lop, node_round_lop
+from ..privacy.lop import node_lop, per_round_average_lop
 from . import telemetry
 from .config import TrialSetup
 from .telemetry import PointTelemetry, TrialTiming
@@ -492,12 +492,12 @@ def mean_lop_by_round(
     """
     if not results:
         raise ValueError("no results to aggregate")
+    per_round = [per_round_average_lop(res) for res in results]
     points = []
     for r in range(1, rounds + 1):
         total = 0.0
-        for res in results:
-            nodes = res.ring_order
-            total += sum(node_round_lop(res, node, r) for node in nodes) / len(nodes)
+        for means in per_round:
+            total += means.get(r, 0.0)
         points.append((float(r), total / len(results)))
     return points
 

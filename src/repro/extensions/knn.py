@@ -13,9 +13,17 @@ the two primitives this library already provides:
    realized one of those k global nearest distances, per class label, and
    the per-label counts are aggregated with the additive-masking secure sum.
 
-The prediction is the label with the largest private tally.  Distance ties
-at the k-th neighbour can yield a few extra votes (documented behaviour of
-threshold-based kNN), which affects neither party's data exposure.
+The prediction is the label with the largest private tally.
+
+**Vote contract.**  A vote is cast only for a neighbour distance some party
+actually holds.  The probabilistic protocol may, with the residual
+probability of Eq. 3, return randomised values no party holds; those cast no
+vote, so ``sum(votes) <= k`` in general and ``sum(votes) == k`` whenever the
+protocol is exact (``p0 = 0``, the naive reduction, or enough rounds).  The
+one exception: when two *parties* hold exactly the same returned distance,
+each counts its own point (neither can see the other's), which yields extra
+votes — the documented behaviour of threshold-based kNN; it affects neither
+party's data exposure.
 """
 
 from __future__ import annotations
@@ -77,7 +85,10 @@ class KNNPrediction:
     """Classification outcome plus the protocol artifacts behind it."""
 
     label: str
+    #: Per-label tally; sums to at most k (see the module's vote contract).
     votes: dict[str, int]
+    #: The k returned distances, ascending — residual randomised values
+    #: included, though they cast no vote.
     neighbour_distances: list[float]
     messages_total: int
 

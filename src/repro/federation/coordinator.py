@@ -718,6 +718,10 @@ class Federation:
         # other refusal.  Cache hits skip planning entirely: a free,
         # already-public answer satisfies any declared objective.
         planned: set[CacheKey] = set()
+        # Every answer this batch serves from cache, captured here and as
+        # the batch stores its own: a bounded cache may evict either kind
+        # before its statement's turn in the serving loop.
+        answers: dict[CacheKey, CachedAnswer] = {}
         ranking_indices: list[int] = []
         ranking_configs: dict[int, RunConfig] = {}
         ranking_plans: dict[int, Plan] = {}
@@ -725,7 +729,11 @@ class Federation:
         for index, (statement, key) in enumerate(zip(parsed, keys)):
             if statement is None or key is None:
                 continue  # refused at parse/policy time; never plans
-            if key in planned or self.cache.peek(key) is not None:
+            if key in planned or key in answers:
+                continue
+            cached = self.cache.peek(key)
+            if cached is not None:
+                answers[key] = cached
                 continue
             plan = plans[index] if plans is not None else None
             spec = specs[index]
@@ -823,36 +831,34 @@ class Federation:
                     )
                     continue
                 self.cache.misses += 1
-                self.cache.store(
-                    key,
-                    CachedAnswer(values=outcome.values, protocol=outcome.protocol),
+                answers[key] = CachedAnswer(
+                    values=outcome.values, protocol=outcome.protocol
                 )
+                self.cache.store(key, answers[key])
             elif index in additive_seeds:
                 sum_seed, count_seed = additive_seeds[index]
                 outcome = self._run_additive(
                     statement, issuer, sum_seed=sum_seed, count_seed=count_seed
                 )
                 self.cache.misses += 1
-                self.cache.store(
-                    key,
-                    CachedAnswer(values=outcome.values, protocol=outcome.protocol),
+                answers[key] = CachedAnswer(
+                    values=outcome.values, protocol=outcome.protocol
                 )
+                self.cache.store(key, answers[key])
             else:
-                answer = self.cache.lookup(key)
+                answer = answers.get(key)
                 if answer is None:
                     # A duplicate of a statement whose execution was refused
-                    # in this very batch: settle it with the same error.
-                    if settle and key in refused_keys:
-                        outcomes.append(
-                            QueryRefused(
-                                statement=statements[index],
-                                error=refused_keys[key],
-                            )
+                    # in this very batch (only a settling batch gets this
+                    # far): settle it with the same error.
+                    self.cache.misses += 1
+                    outcomes.append(
+                        QueryRefused(
+                            statement=statements[index], error=refused_keys[key]
                         )
-                        continue
-                    raise FederationError(  # pragma: no cover - planning guarantees it
-                        f"cache entry vanished mid-batch for {statement.text!r}"
                     )
+                    continue
+                self.cache.hits += 1
                 outcome = self._serve_cached(statement, issuer, answer)
             outcomes.append(outcome)
         return outcomes

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .message import Message, MessageType
 
@@ -48,8 +49,23 @@ class Observation:
         )
 
 
+#: node -> round -> token vector.
+_VectorsByNode = dict[str, dict[int, tuple[float, ...]]]
+
+
+class _TokenIndex(NamedTuple):
+    """What ``outputs_of`` / ``inputs_of`` / ``rounds`` answer from."""
+
+    outputs: _VectorsByNode
+    inputs: _VectorsByNode
+    rounds: list[int]
+
+
 class EventLog:
     """Ordered record of all token/result deliveries in one protocol run."""
+
+    #: Lazily built; dropped whenever the log grows.
+    _index: _TokenIndex | None = None
 
     def __init__(self) -> None:
         self._observations: list[Observation] = []
@@ -63,17 +79,45 @@ class EventLog:
     def record(self, message: Message) -> None:
         if message.type in (MessageType.TOKEN, MessageType.RESULT):
             self._observations.append(Observation.from_message(message))
+            self._index = None
 
     def observe(self, observation: Observation) -> None:
-        """Append a pre-built observation (the message-free kernel's path)."""
+        """Append a pre-built observation."""
         self._observations.append(observation)
+        self._index = None
 
-    @classmethod
-    def from_observations(cls, observations: list[Observation]) -> "EventLog":
-        """Adopt a pre-built observation list (ownership transfers)."""
-        log = cls()
-        log._observations = observations
-        return log
+    # -- token index ---------------------------------------------------------
+
+    def token_outputs(self) -> Iterator[tuple[int, str, tuple[float, ...]]]:
+        """``(round, sender, vector)`` of every token hop, in log order.
+
+        The one feed of the privacy estimators (:mod:`repro.privacy.lop`):
+        the message-free kernels answer it from their compact pass records
+        without building a single :class:`Observation`.
+        """
+        return (
+            (o.round, o.sender, o.vector)
+            for o in self._observations
+            if o.kind == "token"
+        )
+
+    def _token_index(self) -> _TokenIndex:
+        index = self._index
+        if index is None:
+            outputs: _VectorsByNode = {}
+            inputs: _VectorsByNode = {}
+            rounds: set[int] = set()
+            for o in self._observations:
+                if o.kind == "token":
+                    # A re-sent token (failure recovery) overwrites: the
+                    # last vector a node passed on in a round is the one
+                    # its successor acted on.
+                    outputs.setdefault(o.sender, {})[o.round] = o.vector
+                    inputs.setdefault(o.receiver, {})[o.round] = o.vector
+                    if o.round > 0:
+                        rounds.add(o.round)
+            index = self._index = _TokenIndex(outputs, inputs, sorted(rounds))
+        return index
 
     # -- adversary views -----------------------------------------------------
 
@@ -91,25 +135,15 @@ class EventLog:
         This is the quantity `g_i(r)` / `G_i(r)` the privacy analysis of
         Section 4.3 reasons about.  Result-broadcast traffic is excluded.
         """
-        return {
-            o.round: o.vector
-            for o in self._observations
-            if o.sender == node and o.kind == "token"
-        }
+        return dict(self._token_index().outputs.get(node, ()))
 
     def inputs_of(self, node: str) -> dict[int, tuple[float, ...]]:
         """Map round -> token vector that ``node`` received from its predecessor."""
-        return {
-            o.round: o.vector
-            for o in self._observations
-            if o.receiver == node and o.kind == "token"
-        }
+        return dict(self._token_index().inputs.get(node, ()))
 
     def rounds(self) -> list[int]:
         """Protocol rounds with token traffic (result broadcast excluded)."""
-        return sorted(
-            {o.round for o in self._observations if o.round > 0 and o.kind == "token"}
-        )
+        return list(self._token_index().rounds)
 
     def coalition_view(self, members: set[str]) -> list[Observation]:
         """Union of views of a colluding group (Section 4.3 collusion analysis).

@@ -23,7 +23,9 @@ from .groups import (
     is_m_anonymous,
 )
 from .lop import (
+    ExposureProfile,
     average_lop,
+    exposure_profile,
     item_round_lop,
     node_lop,
     node_round_lop,
@@ -62,6 +64,7 @@ __all__ = [
     "DpGate",
     "DpPolicy",
     "ExposureLedger",
+    "ExposureProfile",
     "GeometricMechanism",
     "LaplaceMechanism",
     "PrivacyAccountant",
@@ -89,6 +92,7 @@ __all__ = [
     "coalition_posterior",
     "coalition_round_lop",
     "entropy_reduction_by_round",
+    "exposure_profile",
     "group_lop",
     "group_round_lop",
     "is_m_anonymous",

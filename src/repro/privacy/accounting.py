@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..core.results import ProtocolResult
-from .lop import node_lop
+from .lop import exposure_profile
 
 
 class BudgetExceededError(RuntimeError):
@@ -51,9 +51,7 @@ class ExposureLedger:
         if the charge would push any party past the budget, so a refused
         query leaves the ledger unchanged.
         """
-        increments = {
-            node: node_lop(result, node) for node in result.ring_order
-        }
+        increments = dict(exposure_profile(result).peak)
         if self.budget is not None:
             over = [
                 node

@@ -49,11 +49,13 @@ def group_round_lop(
     items = [v for m in members for v in result.local_vectors[m]]
     if not items:
         return 0.0
-    emitted: set[float] = set()
-    for member in members:
-        output = result.event_log.outputs_of(member).get(round_number)
-        if output is not None:
-            emitted.update(output)
+    # Keyed by sender so a re-sent token overwrites, like ``outputs_of``.
+    outputs = {
+        sender: output
+        for token_round, sender, output in result.event_log.token_outputs()
+        if token_round == round_number and sender in members
+    }
+    emitted = {v for output in outputs.values() for v in output}
     final = set(result.final_vector)
     exposed = sum(1 for v in items if v not in final and v in emitted)
     return exposed / len(items)
@@ -78,13 +80,12 @@ def anonymity_set(result: ProtocolResult, value: float) -> set[str]:
     """
     if value in result.final_vector:
         return set(result.ring_order)
-    candidates: set[str] = set()
-    for node in result.ring_order:
-        for output in result.event_log.outputs_of(node).values():
-            if value in output:
-                candidates.add(node)
-                break
-    return candidates
+    # Keyed by (round, sender) so a re-sent token overwrites, as above.
+    outputs = {
+        (token_round, sender): output
+        for token_round, sender, output in result.event_log.token_outputs()
+    }
+    return {sender for (_, sender), output in outputs.items() if value in output}
 
 
 def anonymity_size(result: ProtocolResult, value: float) -> int:

@@ -5,10 +5,17 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.core.driver import RunConfig
 from repro.core.params import ProtocolParams
 from repro.database.query import Domain, TopKQuery
+
+# CI's tier-1 job selects this (``--hypothesis-profile=ci``): every property
+# test draws the same examples on every run, so a red build is reproducible.
+# The default profile stays randomised — locally and in the nightly chaos
+# workflow, which uploads ``.hypothesis/`` when it finds a new counterexample.
+settings.register_profile("ci", derandomize=True)
 
 
 @pytest.fixture

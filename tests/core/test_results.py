@@ -103,3 +103,30 @@ class TestAnswer:
         )
         assert result.answer() == [5.0, 30.0]
         assert result.final_vector == [-5.0, -30.0]
+
+
+class TestExposureMemo:
+    """The LoP profile memo rides on the result without being part of it."""
+
+    def run(self) -> ProtocolResult:
+        query = TopKQuery(table="t", attribute="a", k=1, domain=Domain(1, 100))
+        vectors = {"a": [10.0], "b": [40.0], "c": [70.0], "d": [20.0]}
+        return run_protocol_on_vectors(
+            vectors, query, RunConfig(params=ProtocolParams.paper_defaults(), seed=5)
+        )
+
+    def test_memo_takes_no_part_in_equality_or_pickles(self):
+        import copy
+        import pickle
+
+        from repro.privacy.lop import average_lop, exposure_profile
+
+        scored = self.run()
+        unscored = copy.copy(scored)
+        profile = exposure_profile(scored)
+        assert exposure_profile(scored) is profile  # second read is the memo
+        assert unscored._exposure is None
+        assert scored == unscored
+        shipped = pickle.loads(pickle.dumps(scored))
+        assert shipped._exposure is None
+        assert average_lop(shipped) == average_lop(scored)

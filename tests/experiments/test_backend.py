@@ -10,14 +10,18 @@ backends, composition with the process pool, and the ``--backend`` CLI flag.
 import pytest
 
 from repro.core.driver import KERNEL, SESSION
+from repro.core.kernel import _LazyKernelLog
 from repro.core.params import ProtocolParams
+from repro.experiments import run_experiment, write_csv
 from repro.experiments.config import TrialSetup
 from repro.experiments.runner import (
+    aggregate_node_lop,
     resolve_backend,
     run_single_trial,
     run_trials,
     run_trials_many,
     using_backend,
+    using_pool_policy,
 )
 from repro.experiments.telemetry import PointTelemetry
 
@@ -101,11 +105,28 @@ class TestHarnessParity:
         for a, b in zip(by_session, by_kernel):
             assert_results_identical(a, b)
 
-    def test_backend_composes_with_jobs(self):
+    def test_backend_composes_with_jobs(self, tmp_path):
         setup = small_setup()
         serial = run_trials(setup, jobs=1, backend=KERNEL)
-        pooled = run_trials(setup, jobs=2, backend=KERNEL)
+        # "always": the auto gate would keep a workload this small in-process.
+        with using_pool_policy("always"):
+            pooled = run_trials(setup, jobs=2, backend=KERNEL)
+            by_jobs = {
+                jobs: run_experiment("fig7", trials=6, jobs=jobs, backend=KERNEL)
+                for jobs in (1, 2)
+            }
         assert_results_identical(serial, pooled)
+        # Workers ship the kernels' compact pass records, never a
+        # materialized log, and the parent scores LoP straight from them.
+        assert aggregate_node_lop(serial) == aggregate_node_lop(pooled)
+        for result in pooled:
+            assert isinstance(result.event_log, _LazyKernelLog)
+            assert result.event_log._cache is None
+        csv_bytes = {
+            jobs: write_csv(panels, tmp_path / f"fig7-jobs{jobs}.csv").read_bytes()
+            for jobs, panels in by_jobs.items()
+        }
+        assert csv_bytes[1] == csv_bytes[2]
 
     def test_telemetry_records_the_backend(self):
         point = PointTelemetry(

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.params import ProtocolParams
@@ -83,27 +83,43 @@ def test_property_avg_consistency(sums, seed):
     )
 
 
+KNN_LABELS = ("alpha", "beta")
+
+
+def _classify_random_query(seed, k, params=None):
+    rng = random.Random(seed)
+    parties = []
+    for i in range(3):
+        party = PrivateParty(f"org{i}")
+        for _ in range(8):
+            label = rng.choice(KNN_LABELS)
+            centre = 0.0 if label == "alpha" else 5.0
+            party.add((rng.gauss(centre, 1.0), rng.gauss(centre, 1.0)), label)
+        parties.append(party)
+    classifier = PrivateKNNClassifier(parties, k=k, params=params, seed=seed)
+    return classifier.classify((rng.uniform(-1, 6), rng.uniform(-1, 6)))
+
+
 @given(
     seed=st.integers(min_value=0, max_value=2**31),
     k=st.integers(min_value=1, max_value=9),
 )
+@example(seed=669, k=5)  # two of the five returned distances are residual noise
 @settings(max_examples=15, deadline=None)
 def test_property_knn_prediction_well_formed(seed, k):
-    rng = random.Random(seed)
-    parties = []
-    labels = {"alpha", "beta"}
-    for i in range(3):
-        party = PrivateParty(f"org{i}")
-        for _ in range(8):
-            label = rng.choice(sorted(labels))
-            centre = 0.0 if label == "alpha" else 5.0
-            party.add((rng.gauss(centre, 1.0), rng.gauss(centre, 1.0)), label)
-        parties.append(party)
-    classifier = PrivateKNNClassifier(parties, k=k, seed=seed)
-    prediction = classifier.classify((rng.uniform(-1, 6), rng.uniform(-1, 6)))
+    prediction = _classify_random_query(seed, k)
     # Structural invariants regardless of where the query lands:
-    assert prediction.label in labels
+    assert prediction.label in KNN_LABELS
     assert prediction.neighbour_distances == sorted(prediction.neighbour_distances)
     assert len(prediction.neighbour_distances) == k
-    assert sum(prediction.votes.values()) >= k
+    # Only distances some party holds cast a vote; the probabilistic protocol
+    # may return residual randomised values (Eq. 3), which cast none.
+    assert 0 <= sum(prediction.votes.values()) <= k
     assert all(count >= 0 for count in prediction.votes.values())
+
+
+@pytest.mark.parametrize("k", [1, 5, 9])
+def test_knn_exact_protocol_casts_exactly_k_votes(k):
+    exact = ProtocolParams(schedule=ExponentialSchedule(p0=0.0), rounds=3)
+    prediction = _classify_random_query(669, k, params=exact)
+    assert sum(prediction.votes.values()) == k

@@ -155,6 +155,35 @@ class TestDedupeAndCache:
         assert outcomes[1].cached
         assert outcomes[1].values == outcomes[0].values
 
+    def test_batch_evicting_its_own_cached_entry_still_serves_it(self):
+        """Bench finding 11, shrunk: the batch's stores evict what planning
+        counted on.  Used to raise "cache entry vanished mid-batch"."""
+        fed = fresh_federation(cache_entries=2)
+        (first,) = fed.execute_many_settled(["SELECT MAX(value) FROM data"])
+        outcomes = fed.execute_many_settled(
+            [
+                "SELECT TOP 2 value FROM data",  # store: cache full
+                "SELECT SUM(value) FROM data",  # store: evicts MAX
+                "SELECT MAX(value) FROM data",  # cached at planning time
+            ]
+        )
+        assert [o.cached for o in outcomes] == [False, False, True]
+        assert outcomes[2].values == first.values
+        assert (fed.cache.hits, fed.cache.misses) == (1, 3)
+
+    def test_batch_evicting_its_own_fresh_entry_still_serves_duplicates(self):
+        fed = fresh_federation(cache_entries=1)
+        outcomes = fed.execute_many_settled(
+            [
+                "SELECT TOP 2 value FROM data",
+                "SELECT MIN(value) FROM data",  # store: evicts TOP 2
+                "SELECT TOP 2 value FROM data",  # duplicate of the first
+            ]
+        )
+        assert [o.cached for o in outcomes] == [False, False, True]
+        assert outcomes[2].values == outcomes[0].values
+        assert fed.ledger.runs_charged == 2
+
 
 class TestCacheInvalidation:
     def test_membership_change_invalidates(self, federation):

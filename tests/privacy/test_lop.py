@@ -1,9 +1,26 @@
 """Unit and behavioural tests for the LoP estimator (repro.privacy.lop)."""
 
-from repro.core.driver import NAIVE, RunConfig, run_protocol_on_vectors
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.driver import (
+    KERNEL,
+    NAIVE,
+    SESSION,
+    RunConfig,
+    run_many_on_vectors,
+    run_protocol_on_vectors,
+)
+from repro.core.kernel import _LazyKernelLog
 from repro.core.params import ProtocolParams
+from repro.database.database import database_from_values
+from repro.database.query import PAPER_DOMAIN, TopKQuery
+from repro.federation import Federation
+from repro.network.failures import FailureInjector
 from repro.privacy.lop import (
     average_lop,
+    exposure_profile,
     item_round_lop,
     node_lop,
     node_round_lop,
@@ -153,3 +170,129 @@ class TestProbabilisticLop:
             rounds = result.event_log.rounds()
             peak = max(node_round_lop(result, node, r) for r in rounds)
             assert node_lop(result, node) == peak
+
+
+# -- the exposure profile against the estimator it replaced --------------------
+
+
+def reference_lop(result):
+    """The pre-profile estimator, verbatim: one ``outputs_of`` read per
+    (node, round), ``item_round_lop`` per item, peak over ``rounds()``."""
+    log, final = result.event_log, result.final_vector
+    rounds = log.rounds()
+    by_round, peak = {}, {}
+    for node in result.ring_order:
+        items = result.local_vectors[node]
+        for r in rounds:
+            output = log.outputs_of(node).get(r)
+            if not items or output is None:
+                by_round[node, r] = 0.0
+            else:
+                by_round[node, r] = sum(
+                    item_round_lop(v, output, final) for v in items
+                ) / len(items)
+        peak[node] = max((by_round[node, r] for r in rounds), default=0.0)
+    return rounds, by_round, peak
+
+
+def run_on(executor, vectors, query, config):
+    if executor == "batch":
+        (result,) = run_many_on_vectors([(vectors, query, config)], backend=KERNEL)
+        return result
+    backend = SESSION if executor == "session" else KERNEL
+    return run_protocol_on_vectors(vectors, query, config, backend=backend)
+
+
+@given(
+    executor=st.sampled_from(["session", "kernel", "batch"]),
+    smallest=st.booleans(),
+    k=st.integers(1, 5),
+    values=st.lists(
+        st.lists(st.integers(1, 10_000).map(float), min_size=1, max_size=6),
+        min_size=3,
+        max_size=12,
+    ),
+    insert_once=st.booleans(),
+    remap=st.booleans(),
+    crash=st.none() | st.tuples(st.integers(0, 10), st.integers(1, 40)),
+    seed=st.integers(0, 2**31),
+)
+@settings(max_examples=120, deadline=None)
+def test_property_profile_equals_the_old_estimator(
+    executor, smallest, k, values, insert_once, remap, crash, seed
+):
+    vectors = {f"node{i:02d}": vs for i, vs in enumerate(values)}
+    query = TopKQuery(
+        table="t", attribute="a", k=k, domain=PAPER_DOMAIN, smallest=smallest
+    )
+    params = ProtocolParams.paper_defaults(
+        rounds=4, insert_once=insert_once, remap_each_round=remap
+    )
+    config = RunConfig(params=params, seed=seed)
+    if crash is not None and executor == "session" and len(vectors) > 3:
+        # Crash a non-starter mid-run (the same seed picks the same starter;
+        # a repaired ring still needs three members): the victim's later
+        # rounds forward nothing, and ring repair replays tokens.
+        victim_index, after_messages = crash
+        starter = run_on(executor, vectors, query, config).starter
+        survivors = sorted(set(vectors) - {starter})
+        failures = FailureInjector()
+        failures.schedule_crash(
+            survivors[victim_index % len(survivors)], after_messages
+        )
+        config = RunConfig(params=params, seed=seed, failures=failures)
+    result = run_on(executor, vectors, query, config)
+
+    # Profile first: on a kernel log it must not need a single Observation.
+    profile = exposure_profile(result)
+    if isinstance(result.event_log, _LazyKernelLog):
+        assert result.event_log._cache is None
+    rounds, by_round, peak = reference_lop(result)
+
+    nodes = result.ring_order
+    assert list(profile.rounds) == rounds
+    assert profile.peak == peak
+    for (node, r), expected in by_round.items():
+        assert node_round_lop(result, node, r) == expected
+    assert {n: node_lop(result, n) for n in nodes} == peak
+    assert average_lop(result) == sum(peak[n] for n in nodes) / len(nodes)
+    assert worst_case_lop(result) == max(peak[n] for n in nodes)
+    assert per_round_average_lop(result) == {
+        r: sum(by_round[n, r] for n in nodes) / len(nodes) for r in rounds
+    }
+
+
+class TestServingPath:
+    """An executed ranking query is charged and audited from the kernels'
+    pass records alone: no ``Observation`` is ever built for it."""
+
+    def test_ranking_miss_never_materializes_the_log(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the serving path materialized an event log")
+
+        monkeypatch.setattr(_LazyKernelLog, "_materialize", refuse)
+        federation = Federation(domain=PAPER_DOMAIN, seed=7)
+        for owner, values in {
+            "acme": [100, 900, 250],
+            "bravo": [9000, 40],
+            "corex": [7000, 6500, 3],
+            "delta": [5],
+        }.items():
+            federation.register(database_from_values(owner, values))
+
+        outcome = federation.execute("SELECT TOP 2 value FROM data")
+        batch = federation.execute_many_settled(
+            ["SELECT BOTTOM 2 value FROM data", "SELECT MAX(value) FROM data"]
+        )
+
+        # ``execute`` alone runs the transport session (a plain log, nothing
+        # lazy to guard); batches run the kernels.
+        for executed in batch:
+            assert isinstance(executed.trace.event_log, _LazyKernelLog)
+        assert federation.ledger.runs_charged == 3
+        assert set(federation.ledger.charges) == set(federation.members)
+        audited = [entry.average_lop for entry in federation.audit.entries]
+        assert audited == [average_lop(o.trace) for o in (outcome, *batch)]
+        assert all(0.0 <= lop <= 1.0 for lop in audited)
+        with pytest.raises(AssertionError, match="materialized"):
+            list(batch[0].trace.event_log)
