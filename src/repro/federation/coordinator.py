@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import random
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from ..core.driver import AUTO, SESSION, RunConfig, run_topk_queries, run_topk_query
 from ..core.results import ProtocolResult
@@ -45,61 +45,14 @@ from ..planner.plan import Plan
 from ..planner.planner import QueryPlanner
 from ..planner.spec import QuerySpec, parse_spec
 from ..privacy.accounting import BudgetExceededError, ExposureLedger
-from ..privacy.dp import BudgetExhausted, DpError, DpGate, DpPolicy, build_request
+from ..privacy.dp import BudgetExhausted, DpGate, DpPolicy
 from ..privacy.lop import average_lop
 from .audit import AuditEntry, AuditLog
 from .cache import CachedAnswer, CacheKey, ResultCache, canonical_statement
+from .dp_release import DpReleasePath
+from .outcomes import FederationError, QueryOutcome, QueryRefused
 from .policy import AccessPolicy, PolicyViolation
 from .sql import FederatedStatement, SqlError, parse, validate_identifier
-
-
-class FederationError(RuntimeError):
-    """Raised for invalid federation state or unanswerable queries."""
-
-
-@dataclass(frozen=True)
-class QueryOutcome:
-    """Public outcome of one federated query."""
-
-    statement: str
-    values: tuple[float, ...]
-    protocol: str
-    rounds: int
-    messages: int
-    #: Full protocol trace for ranking queries (None for additive ones and
-    #: for cache hits — a hit re-serves the public answer, not the trace).
-    trace: ProtocolResult | None = None
-    #: True when the answer was served from the result cache: no protocol
-    #: ran and no new exposure was charged.
-    cached: bool = False
-    #: Simulated network time this query's protocol occupied (0.0 for cache
-    #: hits and additive aggregates).
-    simulated_seconds: float = 0.0
-
-    @property
-    def scalar(self) -> float:
-        """The value of a single-valued query (MAX/MIN/SUM/COUNT/AVG)."""
-        if len(self.values) != 1:
-            raise FederationError(
-                f"query returned {len(self.values)} values; use .values"
-            )
-        return self.values[0]
-
-
-@dataclass(frozen=True)
-class QueryRefused:
-    """One statement's refusal on the settled batch path.
-
-    :meth:`Federation.execute_many_settled` returns this in place of a
-    :class:`QueryOutcome` when a statement is individually unservable — a
-    parse error, a policy violation, or a privacy-budget refusal — so a
-    multi-tenant batch (the query service's continuous batches) degrades
-    per-statement instead of aborting whole batches.  ``error`` carries the
-    original typed exception.
-    """
-
-    statement: str
-    error: Exception
 
 
 class Federation:
@@ -171,6 +124,7 @@ class Federation:
             )
         self._secure_segments = secure_sum_segments
         self.dp_gate = DpGate(dp)
+        self._dp = DpReleasePath(self.dp_gate, self.domain_for)
 
     # -- domains ------------------------------------------------------------
 
@@ -267,10 +221,8 @@ class Federation:
         :class:`~repro.planner.errors.PlanInfeasible` when no
         configuration can satisfy it.
         """
-        if use_cache:
-            return self.execute_many([statement_text], issuer=issuer)[0]
         spec = parse_spec(statement_text)
-        if spec.slo.has_dp:
+        if use_cache or spec.slo.has_dp:
             # DP releases are defined over the batch machinery (release
             # counters, cached re-serves); a single statement is a batch
             # of one.  A cache-valid repeat re-serves the same noisy
@@ -306,9 +258,15 @@ class Federation:
         is re-served, spending zero budget.
         """
         spec = parse_spec(statement_text)
-        if spec.slo.has_dp:
-            return self._try_cached_dp(spec, issuer)
         statement = spec.statement
+        if spec.slo.has_dp:
+            def authorize(answers: list) -> None:
+                if self.policy is not None:
+                    self.policy.check(issuer, statement)
+                self.cache.hits += len(answers)
+
+            released = self._dp.try_cached(spec, self._peek_inner, authorize)
+            return None if released is None else self._audited(issuer, released)
         answer = self.cache.peek(self._cache_key(statement))
         if answer is None:
             return None
@@ -316,6 +274,10 @@ class Federation:
             self.policy.check(issuer, statement)
         self.cache.hits += 1
         return self._serve_cached(statement, issuer, answer)
+
+    def _peek_inner(self, inner_text: str) -> CachedAnswer | None:
+        """A DP statement's inner answer, if cache-valid (never executes)."""
+        return self.cache.peek(self._cache_key(parse_spec(inner_text).statement))
 
     def execute_many(
         self,
@@ -400,264 +362,47 @@ class Federation:
         """Serve a batch, expanding DP statements around the exact core.
 
         Statements carrying ``dp_epsilon`` are rewritten to their *inner*
-        (exact) statements — in place, preserving statement order so seed
-        draws match a sequential session issuing the inner forms — and the
-        noisy releases are assembled from the inner answers afterwards.
-        Batches without DP statements take the exact path untouched.
+        (exact) statements by the shared release path
+        (:mod:`repro.federation.dp_release`) and run *in place* — preserving
+        statement order, so seed draws match a sequential session issuing
+        the inner forms — and the noisy releases are assembled from the
+        inner answers afterwards.  Malformed statements settle there too;
+        everything else reaches the exact path untouched.
         """
-        prep = self._prepare_dp(statements, issuer, settle, traces, plans)
-        if prep is None:
-            return self._serve_batch(statements, issuer, settle, traces, plans)
-        inner_results = self._serve_batch(
-            prep.texts, issuer, settle, prep.traces, prep.plans
-        )
-        return self._assemble_dp(prep, inner_results, settle)
 
-    def _prepare_dp(
-        self,
-        statements: list[str],
-        issuer: str,
-        settle: bool,
-        traces: "Sequence[TraceContext | None] | None",
-        plans: "Sequence[Plan | None] | None",
-    ) -> "_DpBatchPrep | None":
-        """Expand DP statements into inner texts; ``None`` when none carry DP.
-
-        DP-specific refusals — a missing domain, a degenerate (zero-noise)
-        mechanism, an exhausted (epsilon, delta) budget — are decided
-        *here*, before any seed draw or inner dispatch, so refused DP
-        statements perturb nothing downstream (the same refusal-parity rule
-        the planner follows).  The budget precheck is optimistic on reuse:
-        a key that has already released is admitted without headroom, and
-        ``finalize`` still enforces the budget if the inner cache turns out
-        to have been invalidated — or re-populated over mutated data, which
-        must settle as a fresh charged release, never a noise replay.
-        """
-        specs: list[QuerySpec | None] = []
-        has_dp = False
-        for text in statements:
-            try:
-                spec = parse_spec(text)
-            except SqlError:
-                spec = None  # the exact path reports the parse error
-            specs.append(spec)
-            if spec is not None and spec.slo.has_dp:
-                has_dp = True
-        if not has_dp:
+        def precheck(_position: int, spec: QuerySpec) -> "PolicyViolation | None":
+            # Policy gates the *original* DP statement; the inner forms are
+            # re-checked by the exact path (an AVG decomposition thus needs
+            # SUM and COUNT permission too), as is every plain statement.
+            if spec.slo.has_dp and self.policy is not None:
+                try:
+                    self.policy.check(issuer, spec.statement)
+                except PolicyViolation as exc:
+                    return exc
             return None
-        pending = self.dp_gate.new_pending()
-        texts: list[str] = []
-        new_traces: list[TraceContext | None] = []
-        new_plans: list[Plan | None] = []
-        slots: list[tuple] = []
-        for index, text in enumerate(statements):
-            spec = specs[index]
-            trace = traces[index] if traces is not None else None
-            plan = plans[index] if plans is not None else None
-            if spec is None or not spec.slo.has_dp:
-                slots.append(("pass", len(texts)))
-                texts.append(text)
-                new_traces.append(trace)
-                new_plans.append(plan)
-                continue
-            statement = spec.statement
-            try:
-                # Policy gates the *original* statement; the inner forms are
-                # re-checked by the exact path (an AVG decomposition thus
-                # needs SUM and COUNT permission too).
-                if self.policy is not None:
-                    self.policy.check(issuer, statement)
-                request = build_request(
-                    spec, self.domain_for(statement.table, statement.attribute)
-                )
-            except (PolicyViolation, DpError) as exc:
-                if not settle:
-                    raise
-                slots.append(("refused", exc))
-                continue
-            assert request is not None  # spec.slo.has_dp
-            reason = self.dp_gate.admit(request, pending)
-            if reason is not None:
-                refusal = BudgetExhausted(reason, statement=text)
-                if not settle:
-                    raise refusal
-                slots.append(("refused", refusal))
-                continue
-            inner_indices: list[int] = []
-            for j, inner_text in enumerate(request.inner_texts):
-                inner_indices.append(len(texts))
-                texts.append(inner_text)
-                new_traces.append(trace if j == 0 else None)
-                # A pre-resolved plan transfers only when the inner form is
-                # the statement it was planned for (not a decomposition).
-                new_plans.append(plan if j == 0 and len(request.inner) == 1 else None)
-            slots.append(("dp", request, inner_indices, statement.text))
-        return _DpBatchPrep(
-            statements=statements,
-            texts=texts,
-            traces=new_traces if traces is not None else None,
-            plans=new_plans if plans is not None else None,
-            slots=slots,
+
+        batch = self._dp.expand(
+            statements, traces, plans, issuer=issuer, settle=settle, precheck=precheck
         )
-
-    def _assemble_dp(
-        self,
-        prep: "_DpBatchPrep",
-        inner_results: "list[QueryOutcome | QueryRefused]",
-        settle: bool,
-    ) -> "list[QueryOutcome | QueryRefused]":
-        """Assemble noisy releases from inner answers, in statement order.
-
-        Accountant charges land here, one per *fresh* release; a DP
-        statement whose inner answers are all cached re-serves its latest
-        release byte-identically and charges nothing.
-        """
-        outcomes: list[QueryOutcome | QueryRefused] = []
-        for index, slot in enumerate(prep.slots):
-            kind = slot[0]
-            if kind == "refused":
-                outcomes.append(
-                    QueryRefused(statement=prep.statements[index], error=slot[1])
-                )
-                continue
-            if kind == "pass":
-                outcomes.append(inner_results[slot[1]])
-                continue
-            _, request, inner_indices, bare_text = slot
-            inner = [inner_results[i] for i in inner_indices]
-            refused = next(
-                (r for r in inner if isinstance(r, QueryRefused)), None
-            )
-            if refused is not None:
-                outcomes.append(
-                    QueryRefused(
-                        statement=prep.statements[index], error=refused.error
-                    )
-                )
-                continue
-            inner_cached = all(o.cached for o in inner)  # type: ignore[union-attr]
-            try:
-                values, charged = self.dp_gate.finalize(
-                    request,
-                    [o.values for o in inner],  # type: ignore[union-attr]
-                    inner_cached=inner_cached,
-                )
-            except BudgetExhausted as exc:
-                if not settle:
-                    raise
-                outcomes.append(
-                    QueryRefused(statement=prep.statements[index], error=exc)
-                )
-                continue
-            first = inner[0]
-            outcomes.append(
-                QueryOutcome(
-                    statement=bare_text,
-                    values=values,
-                    protocol=f"{first.protocol}+dp",  # type: ignore[union-attr]
-                    rounds=max(o.rounds for o in inner),  # type: ignore[union-attr]
-                    messages=sum(o.messages for o in inner),  # type: ignore[union-attr]
-                    trace=None,
-                    cached=not charged,
-                    simulated_seconds=max(
-                        o.simulated_seconds for o in inner  # type: ignore[union-attr]
-                    ),
-                )
-            )
-        return outcomes
-
-    def _try_cached_dp(
-        self, spec: QuerySpec, issuer: str
-    ) -> QueryOutcome | None:
-        """Admission fast path for DP statements: free re-serve or ``None``.
-
-        Serves only when a release already exists for the key, every inner
-        answer is still cache-valid, *and* those answers are the ones the
-        release perturbed (a cache re-populated over mutated data must not
-        replay old noise — that would disclose the exact data delta); the
-        re-served values are byte-identical to that release and spend zero
-        budget.  Anything else returns ``None`` so the batch path settles
-        the statement as a fresh, charged release.
-        """
-        statement = spec.statement
-        try:
-            request = build_request(
-                spec, self.domain_for(statement.table, statement.attribute)
-            )
-        except DpError:
-            return None  # the batch path will raise the typed refusal
-        assert request is not None
-        if not self.dp_gate.reusable(request):
-            return None
-        answers = []
-        for inner_text in request.inner_texts:
-            inner_statement = parse_spec(inner_text).statement
-            answer = self.cache.peek(self._cache_key(inner_statement))
-            if answer is None:
-                return None
-            answers.append(answer)
-        inner_values = [a.values for a in answers]
-        if not self.dp_gate.replayable(request, inner_values):
-            return None  # the data changed under the release; must re-charge
-        if self.policy is not None:
-            self.policy.check(issuer, statement)
-        values, _charged = self.dp_gate.finalize(
-            request, inner_values, inner_cached=True
+        order = [p for position, _, _ in batch.admitted for p in batch.runs(position)]
+        served = self._serve_batch(
+            [batch.texts[p] for p in order],
+            issuer,
+            settle,
+            [batch.traces[p] for p in order] if batch.traces is not None else None,
+            [batch.plans[p] for p in order] if batch.plans is not None else None,
         )
-        self.cache.hits += len(answers)
-        protocol = f"{answers[0].protocol}+dp"
-        outcome = QueryOutcome(
-            statement=statement.text,
-            values=values,
-            protocol=protocol,
-            rounds=0,
-            messages=0,
-            trace=None,
-            cached=True,
-        )
-        self.audit.record(
-            AuditEntry.for_query(
-                issuer=issuer,
-                statement=statement.text,
-                protocol=protocol,
-                participants=self.members,
-                rounds=0,
-                messages=0,
-                result_public=values,
-                average_lop=None,
-                cached=True,
-            )
-        )
-        return outcome
+        for p, result in zip(order, served):
+            batch.results[p] = result
+        return self._dp.assemble(batch)
 
-    def dp_admission_check(
-        self, spec: QuerySpec, *, issuer: str = "anonymous"
-    ) -> None:
+    def dp_admission_check(self, spec: QuerySpec, *, issuer: str = "anonymous") -> None:
         """Gateway hook: refuse a DP statement that can neither reuse nor pay.
 
-        Raises :class:`~repro.privacy.dp.DpError` for unresolvable requests
-        (missing domain, zero-noise calibration) and
-        :class:`~repro.privacy.dp.BudgetExhausted` when no release exists
-        and the composed budget has no headroom.  Duck-typed by
-        :class:`~repro.service.gateway.QueryService` at admission so DP
-        refusals happen before a queue slot is consumed.
+        :meth:`DpReleasePath.admission_check` with no tenant meters: the
+        flat federation has one shared accountant, whoever the issuer is.
         """
-        del issuer  # the flat federation has a single shared accountant
-        if not spec.slo.has_dp:
-            return
-        statement = spec.statement
-        request = build_request(
-            spec, self.domain_for(statement.table, statement.attribute)
-        )
-        assert request is not None
-        if self.dp_gate.reusable(request):
-            return
-        reason = self.dp_gate.accountant.headroom_reason(
-            request.epsilon, request.delta
-        )
-        if reason is not None:
-            self.dp_gate.accountant.note_refusal()
-            raise BudgetExhausted(reason, statement=spec.text)
+        self._dp.admission_check(spec, issuer=issuer)
 
     def _serve_batch(
         self,
@@ -669,39 +414,22 @@ class Federation:
     ) -> "list[QueryOutcome | QueryRefused]":
         if not statements:
             return []
-        if traces is not None and len(traces) != len(statements):
-            raise FederationError(
-                f"got {len(statements)} statements but {len(traces)} "
-                "trace contexts"
-            )
-        if plans is not None and len(plans) != len(statements):
-            raise FederationError(
-                f"got {len(statements)} statements but {len(plans)} plans"
-            )
+        # Every statement here is well-formed: the release path settles
+        # malformed ones before the exact path runs.
         refusals: dict[int, Exception] = {}
-        parsed: list[FederatedStatement | None]
-        specs: list[QuerySpec | None]
-        if settle:
-            parsed = []
-            specs = []
-            for index, text in enumerate(statements):
-                spec: QuerySpec | None
+        specs: list[QuerySpec | None] = []
+        for index, text in enumerate(statements):
+            spec: QuerySpec | None = parse_spec(text)
+            if self.policy is not None:
                 try:
-                    spec = parse_spec(text)
-                    if self.policy is not None:
-                        self.policy.check(issuer, spec.statement)
-                except (SqlError, PolicyViolation) as exc:
+                    self.policy.check(issuer, spec.statement)
+                except PolicyViolation as exc:
+                    if not settle:
+                        raise
                     refusals[index] = exc
                     spec = None
-                specs.append(spec)
-                parsed.append(spec.statement if spec is not None else None)
-        else:
-            specs = [parse_spec(text) for text in statements]
-            parsed = [spec.statement for spec in specs]  # type: ignore[union-attr]
-            if self.policy is not None:
-                for checked in parsed:
-                    assert checked is not None
-                    self.policy.check(issuer, checked)
+            specs.append(spec)
+        parsed = [spec.statement if spec is not None else None for spec in specs]
         databases = self._require_quorum()
         data_versions = self._data_versions()
         keys = [
@@ -986,19 +714,7 @@ class Federation:
             trace=result,
             simulated_seconds=result.simulated_seconds,
         )
-        self.audit.record(
-            AuditEntry.for_query(
-                issuer=issuer,
-                statement=statement.text,
-                protocol=result.protocol,
-                participants=self.members,
-                rounds=outcome.rounds,
-                messages=outcome.messages,
-                result_public=outcome.values,
-                average_lop=average_lop(result),
-            )
-        )
-        return outcome
+        return self._audited(issuer, outcome, lop=average_lop(result))
 
     def _serve_cached(
         self, statement: FederatedStatement, issuer: str, answer: CachedAnswer
@@ -1013,17 +729,23 @@ class Federation:
             trace=None,
             cached=True,
         )
+        return self._audited(issuer, outcome)
+
+    def _audited(
+        self, issuer: str, outcome: QueryOutcome, lop: float | None = None
+    ) -> QueryOutcome:
+        """Record ``outcome`` in the audit log and hand it back."""
         self.audit.record(
             AuditEntry.for_query(
                 issuer=issuer,
-                statement=statement.text,
-                protocol=answer.protocol,
+                statement=outcome.statement,
+                protocol=outcome.protocol,
                 participants=self.members,
-                rounds=0,
-                messages=0,
-                result_public=answer.values,
-                average_lop=None,
-                cached=True,
+                rounds=outcome.rounds,
+                messages=outcome.messages,
+                result_public=outcome.values,
+                average_lop=lop,
+                cached=outcome.cached,
             )
         )
         return outcome
@@ -1119,35 +841,7 @@ class Federation:
             rounds=rounds,
             messages=messages,
         )
-        self.audit.record(
-            AuditEntry.for_query(
-                issuer=issuer,
-                statement=statement.text,
-                protocol=protocol,
-                participants=self.members,
-                rounds=rounds,
-                messages=messages,
-                result_public=outcome.values,
-            )
-        )
-        return outcome
-
-
-@dataclass
-class _DpBatchPrep:
-    """One batch's DP expansion: inner texts plus the reassembly map.
-
-    ``slots`` has one entry per original statement:
-    ``("pass", inner_index)`` for non-DP passthrough,
-    ``("dp", DpRequest, inner_indices, bare_text)`` for an admitted DP
-    statement, ``("refused", exception)`` for a precheck refusal.
-    """
-
-    statements: list[str]
-    texts: list[str]
-    traces: "list[TraceContext | None] | None"
-    plans: "list[Plan | None] | None"
-    slots: list[tuple]
+        return self._audited(issuer, outcome)
 
 
 def replace_operation(

@@ -51,7 +51,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 if TYPE_CHECKING:  # typing only: keeps privacy <- federation import edges acyclic
     from ..database.query import Domain
@@ -479,10 +479,9 @@ class DpGate:
     """Per-federation DP release engine.
 
     Owns the accountant, the per-key release counters, and the
-    deterministic noise derivation.  Both :class:`~repro.federation.coordinator.Federation`
-    and :class:`~repro.sharding.federation.ShardedFederation` drive their
-    DP paths through one gate so flat and sharded executions share ledger
-    and noise byte-for-byte.
+    deterministic noise derivation.  Flat and sharded federations drive it
+    through the one release path (:mod:`repro.federation.dp_release`), so
+    both share ledger and noise byte-for-byte.
     """
 
     def __init__(self, policy: DpPolicy | None = None):
@@ -529,13 +528,23 @@ class DpGate:
     def new_pending(self) -> _PendingBudget:
         return _PendingBudget()
 
-    def admit(self, request: DpRequest, pending: _PendingBudget) -> str | None:
+    def admit(
+        self,
+        request: DpRequest,
+        pending: _PendingBudget,
+        tenant_headroom: "Callable[..., str | None] | None" = None,
+    ) -> str | None:
         """Batch-time precheck, *before* any seed draw or inner dispatch.
 
         Optimistic on reuse: a key that has released before is admitted
         without headroom (the repeat is usually a free cached re-serve);
         if the inner cache turns out to be invalidated, ``finalize`` still
         enforces the budget and the statement settles as refused.
+
+        ``tenant_headroom`` is a second meter the release must also fit,
+        called like :meth:`PrivacyAccountant.headroom_reason`.  A batch's
+        fresh releases are pending on both meters, so one ``pending`` serves
+        both and admission does not depend on how a workload was batched.
         """
         if self.reusable(request) or request.key in pending.keys:
             return None
@@ -548,6 +557,15 @@ class DpGate:
         if reason is not None:
             self.accountant.note_refusal()
             return reason
+        if tenant_headroom is not None:
+            reason = tenant_headroom(
+                request.epsilon,
+                request.delta,
+                pending_epsilon=pending.epsilon,
+                pending_delta=pending.delta,
+            )
+            if reason is not None:
+                return reason
         pending.epsilon += request.epsilon
         pending.delta += request.delta
         pending.keys.add(request.key)

@@ -30,16 +30,17 @@ from __future__ import annotations
 import asyncio
 import itertools
 from collections.abc import Iterable, Sequence
+from typing import Protocol
 
-from ..federation.coordinator import Federation, QueryOutcome, QueryRefused
+from ..federation.coordinator import QueryOutcome, QueryRefused
 from ..observability.metrics import MetricsRegistry
 from ..observability.trace import TraceContext, Tracer
 from ..planner.accuracy import PredictionLedger
 from ..planner.errors import PlanInfeasible
-from ..planner.plan import ECONOMY, QUALITY, Plan
+from ..planner.plan import ECONOMY, Plan
 from ..planner.planner import QueryPlanner
 from ..planner.spec import QuerySpec, parse_spec
-from ..privacy.dp import BudgetExhausted, DpError
+from ..privacy.dp import BudgetExhausted, DpError, DpGate
 from ..privacy.lop import average_lop
 from .clock import Clock, SimulatedClock
 from .errors import (
@@ -54,14 +55,64 @@ from .metrics import ServiceMetrics
 from .scheduler import AdmissionQueue, QueuedRequest, TokenBucket
 
 
+class CacheStats(Protocol):
+    """The result-cache statistics the metrics snapshot reads."""
+
+    @property
+    def hits(self) -> int: ...
+
+    @property
+    def misses(self) -> int: ...
+
+    @property
+    def hit_rate(self) -> float: ...
+
+
+class FederationBackend(Protocol):
+    """The surface :class:`QueryService` drives, flat or sharded.
+
+    A sharded backend may also offer ``shard_snapshot()`` and
+    ``export_shard_metrics(registry)``; those stay optional and are probed
+    where they are used.
+    """
+
+    planner: QueryPlanner
+    dp_gate: DpGate
+
+    @property
+    def members(self) -> tuple[str, ...]: ...
+
+    @property
+    def cache(self) -> CacheStats: ...
+
+    def try_cached(
+        self, statement_text: str, *, issuer: str = "anonymous"
+    ) -> QueryOutcome | None: ...
+
+    def execute_many_settled(
+        self,
+        statements: Iterable[str],
+        *,
+        issuer: str = "anonymous",
+        traces: "Sequence[TraceContext | None] | None" = None,
+        plans: "Sequence[Plan | None] | None" = None,
+    ) -> "list[QueryOutcome | QueryRefused]": ...
+
+    def dp_admission_check(
+        self, spec: QuerySpec, *, issuer: str = "anonymous"
+    ) -> None: ...
+
+
 class QueryService:
     """Async gateway serving a continuous stream of federated queries.
 
     Parameters
     ----------
     federation:
-        The registered :class:`~repro.federation.coordinator.Federation`
-        that executes the queries.
+        The registered :class:`FederationBackend` — a flat
+        :class:`~repro.federation.coordinator.Federation` or a
+        :class:`~repro.sharding.federation.ShardedFederation` — that
+        executes the queries.
     max_queue:
         Admission-queue bound; a full queue rejects new requests with
         :class:`~repro.service.errors.Overloaded`.
@@ -105,7 +156,7 @@ class QueryService:
 
     def __init__(
         self,
-        federation: Federation,
+        federation: FederationBackend,
         *,
         max_queue: int = 256,
         max_batch: int = 16,
@@ -201,9 +252,7 @@ class QueryService:
         shard_snapshot = getattr(self.federation, "shard_snapshot", None)
         if shard_snapshot is not None:
             snapshot["sharding"] = shard_snapshot()
-        dp_gate = getattr(self.federation, "dp_gate", None)
-        if dp_gate is not None:
-            snapshot["dp"] = dp_gate.snapshot()
+        snapshot["dp"] = self.federation.dp_gate.snapshot()
         return snapshot
 
     def export_metrics(
@@ -229,9 +278,7 @@ class QueryService:
         export_shards = getattr(self.federation, "export_shard_metrics", None)
         if export_shards is not None:
             export_shards(registry)
-        dp_gate = getattr(self.federation, "dp_gate", None)
-        if dp_gate is not None:
-            registry.absorb_dp(dp_gate.snapshot())
+        registry.absorb_dp(self.federation.dp_gate.snapshot())
         return registry
 
     # -- tracing ---------------------------------------------------------------
@@ -408,14 +455,12 @@ class QueryService:
         # typed — BudgetExhausted, permanent like PlanInfeasible, unlike
         # Overloaded's retry-later — before it occupies a queue slot.
         if spec.slo.has_dp:
-            dp_check = getattr(self.federation, "dp_admission_check", None)
-            if dp_check is not None:
-                try:
-                    dp_check(spec, issuer=issuer)
-                except (BudgetExhausted, DpError):
-                    self.metrics.refused += 1
-                    self._trace_shed(query_ctx, "budget-exhausted", now)
-                    raise
+            try:
+                self.federation.dp_admission_check(spec, issuer=issuer)
+            except (BudgetExhausted, DpError):
+                self.metrics.refused += 1
+                self._trace_shed(query_ctx, "budget-exhausted", now)
+                raise
         request = QueuedRequest(
             statement=statement,
             issuer=issuer,

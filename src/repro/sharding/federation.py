@@ -29,20 +29,21 @@ spending a protocol round.
 from __future__ import annotations
 
 import time
+from collections import Counter, defaultdict
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from ..database.query import Domain
-from ..federation.coordinator import FederationError, QueryOutcome, QueryRefused
-from ..federation.sql import SqlError
+from ..federation.dp_release import DpBatch, DpReleasePath
+from ..federation.outcomes import FederationError, QueryOutcome, QueryRefused
 from ..observability.metrics import MetricsRegistry
 from ..observability.trace import TraceContext
 from ..planner.errors import PlanInfeasible
 from ..planner.plan import Plan
 from ..planner.planner import QueryPlanner
-from ..planner.spec import QuerySpec, SloError, parse_spec
-from ..privacy.dp import BudgetExhausted, DpError, DpGate, DpPolicy, build_request
+from ..planner.spec import QuerySpec, parse_spec
+from ..privacy.dp import DpGate, DpPolicy
 from .errors import ShardError, ShardUnavailable, TenantBudgetExceeded
 from .router import ALL_SHARDS, ShardRouter, TenantPolicy
 
@@ -148,16 +149,17 @@ class ShardedFederation:
         self._members: tuple[str, ...] | None = None
         #: Per-shard serving counters (statements dispatched, refusals,
         #: unavailable refusals, simulated seconds), for metrics export.
-        self.shard_queries: dict[int, int] = {}
-        self.shard_refusals: dict[int, int] = {}
-        self.shard_unavailable: dict[int, int] = {}
+        self.shard_queries: Counter[int] = Counter()
+        self.shard_refusals: Counter[int] = Counter()
+        self.shard_unavailable: Counter[int] = Counter()
         self.fanout_statements = 0
         self.domain = domain
         self._attribute_domains: dict[tuple[str, str], Domain] = {}
         self.dp_gate = DpGate(dp)
+        self._dp = DpReleasePath(self.dp_gate, self.domain_for, meters=self.router)
         #: Fresh-release epsilon attributed to the shard whose data backed
         #: it ("all" for fan-outs over partitioned tables).
-        self.dp_spend_by_shard: dict[str, float] = {}
+        self.dp_spend_by_shard: defaultdict[str, float] = defaultdict(float)
 
     # -- domains -------------------------------------------------------------
 
@@ -218,8 +220,7 @@ class ShardedFederation:
         use_cache: bool = False,
     ) -> QueryOutcome:
         del use_cache  # repeats always flow through the shard caches
-        outcome = self.execute_many([statement_text], issuer=issuer)[0]
-        return outcome
+        return self.execute_many([statement_text], issuer=issuer)[0]
 
     def execute_many(
         self,
@@ -232,12 +233,10 @@ class ShardedFederation:
         settled = self.execute_many_settled(
             statements, issuer=issuer, traces=traces, plans=plans
         )
-        outcomes: list[QueryOutcome] = []
         for result in settled:
             if isinstance(result, QueryRefused):
                 raise result.error
-            outcomes.append(result)
-        return outcomes
+        return settled  # type: ignore[return-value]  # no refusal left
 
     def try_cached(
         self, statement_text: str, *, issuer: str = "anonymous"
@@ -249,16 +248,22 @@ class ShardedFederation:
         which is exactly what makes cross-shard epoch invalidation work:
         one shard's membership/data change misses there and forces a fresh
         fan-out.  An unreachable shard reads as a miss, so the admission
-        fast path never throws; the statement is refused typed when it
-        actually executes.
+        fast path never throws for that; the statement is refused typed when
+        it actually executes.  A malformed statement raises its
+        :class:`~repro.federation.sql.SqlError`, like the flat federation.
+
+        A DP statement hits only when the shared release path finds a sound
+        free re-serve (see :meth:`DpReleasePath.try_cached`): every inner
+        answer still cache-valid on its shard(s) and the very one the
+        release perturbed.  It spends zero budget, federation and tenant both.
         """
-        try:
-            spec = parse_spec(statement_text)
-        except (SqlError, SloError):
-            return None
-        if spec.slo.has_dp:
-            return self._try_cached_dp(spec, issuer)
-        return self._try_cached_plain(spec, statement_text, issuer)
+        spec = parse_spec(statement_text)
+        if not spec.slo.has_dp:
+            return self._try_cached_plain(spec, statement_text, issuer)
+        return self._dp.try_cached(
+            spec,
+            lambda inner: self._try_cached_plain(parse_spec(inner), inner, issuer),
+        )
 
     def _try_cached_plain(
         self, spec: QuerySpec, statement_text: str, issuer: str
@@ -283,83 +288,13 @@ class ShardedFederation:
             return None
         return _merge_fanout(statement, statement_text, partials)
 
-    def _try_cached_dp(self, spec: QuerySpec, issuer: str) -> QueryOutcome | None:
-        """DP admission fast path: free re-serve of an existing release.
-
-        Mirrors the flat federation: serves only when the release key has
-        released before, *every* inner answer is still cache-valid on its
-        shard(s), and those answers are the very ones the release perturbed
-        (a shard cache re-populated over mutated data must not replay old
-        noise); the re-served values are byte-identical to that release and
-        spend zero budget (federation and tenant both).
-        """
-        statement = spec.statement
-        try:
-            request = build_request(
-                spec, self.domain_for(statement.table, statement.attribute)
-            )
-        except DpError:
-            return None  # the batch path raises the typed refusal
-        assert request is not None
-        if not self.dp_gate.reusable(request):
-            return None
-        answers = []
-        for inner_text in request.inner_texts:
-            try:
-                inner_spec = parse_spec(inner_text)
-            except (SqlError, SloError):  # pragma: no cover - inner is well-formed
-                return None
-            hit = self._try_cached_plain(inner_spec, inner_text, issuer)
-            if hit is None:
-                return None
-            answers.append(hit)
-        inner_values = [a.values for a in answers]
-        if not self.dp_gate.replayable(request, inner_values):
-            return None  # the data changed under the release; must re-charge
-        values, _charged = self.dp_gate.finalize(
-            request, inner_values, inner_cached=True
-        )
-        return QueryOutcome(
-            statement=statement.text,
-            values=values,
-            protocol=f"{answers[0].protocol}+dp",
-            rounds=0,
-            messages=0,
-            trace=None,
-            cached=True,
-        )
-
-    def dp_admission_check(
-        self, spec: QuerySpec, *, issuer: str = "anonymous"
-    ) -> None:
+    def dp_admission_check(self, spec: QuerySpec, *, issuer: str = "anonymous") -> None:
         """Gateway hook: refuse a DP statement that can neither reuse nor pay.
 
-        Checks the federation-wide accountant *and* the tenant's DP meters;
-        raises :class:`~repro.privacy.dp.BudgetExhausted` (or
-        :class:`~repro.privacy.dp.DpError` for unresolvable requests)
-        before the statement consumes a queue slot.
+        :meth:`DpReleasePath.admission_check` against the federation-wide
+        accountant *and* the tenant's DP meters.
         """
-        if not spec.slo.has_dp:
-            return
-        statement = spec.statement
-        request = build_request(
-            spec, self.domain_for(statement.table, statement.attribute)
-        )
-        assert request is not None
-        if self.dp_gate.reusable(request):
-            return
-        reason = self.dp_gate.accountant.headroom_reason(
-            request.epsilon, request.delta
-        )
-        if reason is not None:
-            self.dp_gate.accountant.note_refusal()
-            raise BudgetExhausted(reason, statement=spec.text)
-        tenant_reason = self.router.dp_headroom(
-            issuer, request.epsilon, request.delta
-        )
-        if tenant_reason is not None:
-            self.router.note_refusal(issuer)
-            raise BudgetExhausted(tenant_reason, statement=spec.text)
+        self._dp.admission_check(spec, issuer=issuer)
 
     def execute_many_settled(
         self,
@@ -371,130 +306,78 @@ class ShardedFederation:
     ) -> "list[QueryOutcome | QueryRefused]":
         """Serve a batch across shards; every refusal settles per statement.
 
-        Per statement, in order: parse → tenant token bucket → tenant LoP
-        feasibility → route.  Routed statements dispatch to their shard as
-        one sub-batch (preserving statement order, so each shard's seed
-        draws and dedupe behave exactly like an unsharded batch of that
+        Per statement, in order: parse → tenant token bucket → route →
+        tenant LoP feasibility → DP admission (the shared release path, with
+        this federation's precheck).  Routed statements dispatch to their
+        shard as one sub-batch (preserving statement order, so each shard's
+        seed draws and dedupe behave exactly like an unsharded batch of that
         sub-stream); fan-out statements dispatch to every shard and merge.
-        A shard that fails — unreachable process, poisoned batch — refuses
-        exactly the statements routed to it, typed, while the rest of the
-        batch is served normally.
+        A DP statement's inner statements ride the same dispatch from
+        synthetic positions past ``len(statements)``: in statement order
+        within a routed sub-batch, after every plain statement within a
+        fan-out sub-batch.  A shard that fails — unreachable process,
+        poisoned batch — refuses exactly the statements routed to it, typed,
+        while the rest of the batch is served normally.
         """
         texts = list(statements)
         if not texts:
             return []
-        if traces is not None and len(traces) != len(texts):
-            raise FederationError(
-                f"got {len(texts)} statements but {len(traces)} trace contexts"
-            )
-        if plans is not None and len(plans) != len(texts):
-            raise FederationError(
-                f"got {len(texts)} statements but {len(plans)} plans"
-            )
-        results: "list[QueryOutcome | QueryRefused | None]" = [None] * len(texts)
-        #: shard index -> (statement positions, texts, traces, plans)
-        routed: dict[int, list[tuple[int, str]]] = {}
-        #: fan-out bookkeeping: position -> parsed statement
-        fanouts: dict[int, QuerySpec] = {}
         pending_lop: dict[int, float] = {}
-        #: DP expansion: original position -> (request, inner synthetic
-        #: positions, routing target, bare statement text).  Inner texts
-        #: occupy synthetic positions past ``len(texts)`` so they ride the
-        #: ordinary routed/fan-out dispatch untouched.
-        dp_slots: dict[int, tuple] = {}
-        extra_texts: list[str] = []
-        dp_pending = self.dp_gate.new_pending()
-        tenant_pending = {"epsilon": 0.0, "delta": 0.0}
         now = self._clock()
 
-        for position, text in enumerate(texts):
-            try:
-                spec = parse_spec(text)
-            except (SqlError, SloError) as exc:
-                results[position] = QueryRefused(statement=text, error=exc)
-                continue
-            statement = spec.statement
+        def precheck(position: int, spec: QuerySpec) -> "int | Exception":
             try:
                 self.router.admit(issuer, now)
             except ShardError as exc:
-                results[position] = QueryRefused(statement=text, error=exc)
-                continue
-            target = self.router.route(statement.table)
-            parties = self._parties_for(target)
+                return exc
+            target = self.router.route(spec.statement.table)
             try:
-                charge = self._tenant_feasibility(spec, issuer, parties)
+                charge = self._tenant_feasibility(
+                    spec, issuer, self._parties_for(target)
+                )
             except (TenantBudgetExceeded, PlanInfeasible) as exc:
                 self.router.note_refusal(issuer)
-                results[position] = QueryRefused(statement=text, error=exc)
-                continue
+                return exc
             if charge is not None:
                 pending_lop[position] = charge
-            self._trace_route(traces, position, target, statement.table)
-            if spec.slo.has_dp:
-                self._admit_dp(
-                    position,
-                    spec,
-                    text,
-                    issuer,
-                    target,
-                    results,
-                    routed,
-                    fanouts,
-                    dp_slots,
-                    extra_texts,
-                    dp_pending,
-                    tenant_pending,
-                    base=len(texts),
-                )
-                continue
+            self._trace_route(traces, position, target, spec.statement.table)
+            return target
+
+        batch = self._dp.expand(
+            texts, traces, plans, issuer=issuer, settle=True, precheck=precheck
+        )
+        #: shard index -> positions to run there, in statement order
+        routed: dict[int, list[int]] = {}
+        #: fan-out bookkeeping: position -> parsed statement
+        fanouts: dict[int, QuerySpec] = {}
+        for position, spec, target in batch.admitted:
+            plain = position not in batch.slots
             if target == ALL_SHARDS:
-                fanouts[position] = spec
                 self.fanout_statements += 1
+                for p in batch.runs(position):
+                    fanouts[p] = spec if plain else parse_spec(batch.texts[p])
             else:
-                routed.setdefault(target, []).append((position, text))
+                routed.setdefault(target, []).extend(batch.runs(position))
+        self._dispatch_routed(routed, batch)
+        self._dispatch_fanouts(fanouts, batch)
+        results = self._dp.assemble(batch)
 
-        texts_ext: list[str] = texts
-        traces_ext: "Sequence[TraceContext | None] | None" = traces
-        plans_ext: "Sequence[Plan | None] | None" = plans
-        if dp_slots:
-            results.extend([None] * len(extra_texts))
-            texts_ext = texts + extra_texts
-            if traces is not None:
-                traces_ext = list(traces) + [None] * len(extra_texts)
-            if plans is not None:
-                plans_ext = list(plans) + [None] * len(extra_texts)
-            for position, (request, inner_positions, _target, _bare) in dp_slots.items():
-                # The original statement's trace follows its first inner
-                # form; a pre-resolved plan transfers only when the inner
-                # form is the statement it was planned for.
-                if traces is not None:
-                    traces_ext[position] = None  # type: ignore[index]
-                    traces_ext[inner_positions[0]] = traces[position]  # type: ignore[index]
-                if plans is not None and len(inner_positions) == 1:
-                    plans_ext[inner_positions[0]] = plans[position]  # type: ignore[index]
-
-        self._dispatch_routed(routed, results, texts_ext, issuer, traces_ext, plans_ext)
-        self._dispatch_fanouts(fanouts, results, texts_ext, issuer)
-        #: DP positions whose inner statements actually ran a protocol
-        #: (LoP exposure happened); cached inner answers expose nothing.
-        dp_executed: dict[int, bool] = {}
-        if dp_slots:
-            self._assemble_dp(dp_slots, results, texts, issuer, dp_executed)
-
-        # Tenant LoP charges land only for statements that actually ran a
-        # protocol: cache hits and refusals spend nothing.  For DP
-        # statements that is decided by the *inner* executions — a fresh
-        # noisy release over still-cached inner answers runs no protocol.
-        for position, charge in pending_lop.items():
+        for position, _spec, target in batch.admitted:
+            slot = batch.slots.get(position)
+            if slot is not None and slot.charged:
+                # Fresh-release epsilon lands on the shard owning the data.
+                shard_key = "all" if target == ALL_SHARDS else str(target)
+                self.dp_spend_by_shard[shard_key] += slot.request.epsilon
+            # Tenant LoP charges land only for statements that actually ran
+            # a protocol: cache hits and refusals spend nothing.  For DP
+            # statements that is decided by the *inner* executions — a fresh
+            # noisy release over still-cached inner answers runs no protocol.
             outcome = results[position]
-            if not isinstance(outcome, QueryOutcome):
-                continue
-            if position in dp_slots:
-                if dp_executed.get(position, False):
-                    self.router.charge_lop(issuer, charge)
-            elif not outcome.cached:
-                self.router.charge_lop(issuer, charge)
-        return results[: len(texts)]  # type: ignore[return-value]  # slots filled
+            if position in pending_lop and isinstance(outcome, QueryOutcome):
+                ran = slot.executed if slot is not None else not outcome.cached
+                if ran:
+                    self.router.charge_lop(issuer, pending_lop[position])
+        return results
 
     # -- tenant admission ----------------------------------------------------
 
@@ -556,171 +439,6 @@ class ShardedFederation:
             ) from exc
         return plan.estimate.expected_lop
 
-    # -- differential privacy ------------------------------------------------
-
-    def _admit_dp(
-        self,
-        position: int,
-        spec: QuerySpec,
-        text: str,
-        issuer: str,
-        target: int,
-        results: "list[QueryOutcome | QueryRefused | None]",
-        routed: dict[int, list[tuple[int, str]]],
-        fanouts: dict[int, QuerySpec],
-        dp_slots: dict[int, tuple],
-        extra_texts: list[str],
-        dp_pending,
-        tenant_pending: dict[str, float],
-        *,
-        base: int,
-    ) -> None:
-        """Admit one DP statement and enqueue its inner statements.
-
-        Mirrors the flat federation's admission: the release gate refuses
-        over-budget *fresh* releases up front, optimistically admitting
-        keys that have released before (finalize settles those if their
-        inner answers turn out invalidated).  The tenant's DP meters are
-        checked with the same batch-pending accounting, so admission does
-        not depend on how a workload was split into batches.
-        """
-        gate = self.dp_gate
-        statement = spec.statement
-        try:
-            request = build_request(
-                spec, self.domain_for(statement.table, statement.attribute)
-            )
-        except DpError as exc:
-            self.router.note_refusal(issuer)
-            results[position] = QueryRefused(statement=text, error=exc)
-            return
-        assert request is not None
-        fresh = not (gate.reusable(request) or request.key in dp_pending.keys)
-        if fresh:
-            reason = gate.accountant.headroom_reason(
-                request.epsilon,
-                request.delta,
-                pending_epsilon=dp_pending.epsilon,
-                pending_delta=dp_pending.delta,
-            )
-            if reason is not None:
-                gate.accountant.note_refusal()
-                self.router.note_refusal(issuer)
-                results[position] = QueryRefused(
-                    statement=text,
-                    error=BudgetExhausted(reason, statement=text),
-                )
-                return
-            tenant_reason = self.router.dp_headroom(
-                issuer,
-                request.epsilon,
-                request.delta,
-                pending_epsilon=tenant_pending["epsilon"],
-                pending_delta=tenant_pending["delta"],
-            )
-            if tenant_reason is not None:
-                self.router.note_refusal(issuer)
-                results[position] = QueryRefused(
-                    statement=text,
-                    error=BudgetExhausted(tenant_reason, statement=text),
-                )
-                return
-            dp_pending.epsilon += request.epsilon
-            dp_pending.delta += request.delta
-            dp_pending.keys.add(request.key)
-            tenant_pending["epsilon"] += request.epsilon
-            tenant_pending["delta"] += request.delta
-        inner_positions: list[int] = []
-        for inner_text in request.inner_texts:
-            synthetic = base + len(extra_texts)
-            extra_texts.append(inner_text)
-            inner_positions.append(synthetic)
-            if target == ALL_SHARDS:
-                fanouts[synthetic] = parse_spec(inner_text)
-            else:
-                routed.setdefault(target, []).append((synthetic, inner_text))
-        if target == ALL_SHARDS:
-            self.fanout_statements += 1
-        dp_slots[position] = (request, inner_positions, target, statement.text)
-
-    def _assemble_dp(
-        self,
-        dp_slots: dict[int, tuple],
-        results: "list[QueryOutcome | QueryRefused | None]",
-        texts: list[str],
-        issuer: str,
-        dp_executed: dict[int, bool],
-    ) -> None:
-        """Settle each admitted DP statement from its inner outcomes.
-
-        Statements settle in batch order, so federation and tenant charges
-        land in exactly the order a flat federation would record them —
-        that is what keeps the two ledgers byte-identical per seed.
-        """
-        for position in sorted(dp_slots):
-            request, inner_positions, target, bare_text = dp_slots[position]
-            inner = [results[p] for p in inner_positions]
-            refused = next(
-                (r for r in inner if isinstance(r, QueryRefused)), None
-            )
-            if refused is not None:
-                results[position] = QueryRefused(
-                    statement=texts[position], error=refused.error
-                )
-                continue
-            inner_cached = all(o.cached for o in inner)  # type: ignore[union-attr]
-            inner_values = [o.values for o in inner]  # type: ignore[union-attr]
-            if self.dp_gate.would_charge(request, inner_cached, inner_values):
-                # Optimistic reuse admissions skipped the tenant headroom
-                # check; settle it before the gate records the charge.
-                tenant_reason = self.router.dp_headroom(
-                    issuer, request.epsilon, request.delta
-                )
-                if tenant_reason is not None:
-                    self.router.note_refusal(issuer)
-                    results[position] = QueryRefused(
-                        statement=texts[position],
-                        error=BudgetExhausted(
-                            tenant_reason, statement=texts[position]
-                        ),
-                    )
-                    continue
-            try:
-                values, charged = self.dp_gate.finalize(
-                    request,
-                    inner_values,
-                    inner_cached=inner_cached,
-                )
-            except BudgetExhausted as exc:
-                self.router.note_refusal(issuer)
-                results[position] = QueryRefused(
-                    statement=texts[position], error=exc
-                )
-                continue
-            first = inner[0]
-            dp_executed[position] = not inner_cached
-            results[position] = QueryOutcome(
-                statement=bare_text,
-                values=values,
-                protocol=f"{first.protocol}+dp",  # type: ignore[union-attr]
-                rounds=max(o.rounds for o in inner),  # type: ignore[union-attr]
-                messages=sum(o.messages for o in inner),  # type: ignore[union-attr]
-                trace=None,
-                cached=not charged,
-                simulated_seconds=max(o.simulated_seconds for o in inner),  # type: ignore[union-attr]
-            )
-            if charged:
-                self.router.charge_dp(
-                    issuer,
-                    request.epsilon,
-                    request.delta,
-                    statement=request.label,
-                )
-                shard_key = "all" if target == ALL_SHARDS else str(target)
-                self.dp_spend_by_shard[shard_key] = (
-                    self.dp_spend_by_shard.get(shard_key, 0.0) + request.epsilon
-                )
-
     # -- dispatch ------------------------------------------------------------
 
     def _trace_route(
@@ -749,86 +467,57 @@ class ShardedFederation:
     def _settle_shard(
         self,
         index: int,
-        jobs: list[tuple[int, str]],
+        sub_texts: list[str],
         issuer: str,
-        traces: "Sequence[TraceContext | None] | None",
-        plans: "Sequence[Plan | None] | None",
+        traces: "Sequence[TraceContext | None] | None" = None,
+        plans: "Sequence[Plan | None] | None" = None,
     ) -> "list[QueryOutcome | QueryRefused]":
-        shard = self.shards[index]
-        self.shard_queries[index] = self.shard_queries.get(index, 0) + len(jobs)
-        sub_texts = [text for _pos, text in jobs]
-        sub_traces = (
-            [traces[pos] for pos, _text in jobs] if traces is not None else None
-        )
-        sub_plans = (
-            [plans[pos] for pos, _text in jobs] if plans is not None else None
-        )
+        """One shard's sub-batch; its failure refuses exactly these statements."""
+        self.shard_queries[index] += len(sub_texts)
         try:
-            return shard.execute_many_settled(
-                sub_texts, issuer=issuer, traces=sub_traces, plans=sub_plans
+            return self.shards[index].execute_many_settled(
+                sub_texts, issuer=issuer, traces=traces, plans=plans
             )
         except ShardUnavailable as exc:
-            self.shard_unavailable[index] = (
-                self.shard_unavailable.get(index, 0) + len(jobs)
-            )
-            return [
-                QueryRefused(statement=text, error=exc) for text in sub_texts
-            ]
+            self.shard_unavailable[index] += len(sub_texts)
+            error: Exception = exc
         except Exception as exc:  # noqa: BLE001 — shard failure stays local
             error = ShardError(
                 f"shard {index} failed its batch: {type(exc).__name__}: {exc}"
             )
             error.__cause__ = exc
-            return [
-                QueryRefused(statement=text, error=error) for text in sub_texts
-            ]
+        return [QueryRefused(statement=text, error=error) for text in sub_texts]
 
-    def _dispatch_routed(
-        self,
-        routed: dict[int, list[tuple[int, str]]],
-        results: "list[QueryOutcome | QueryRefused | None]",
-        texts: list[str],
-        issuer: str,
-        traces: "Sequence[TraceContext | None] | None",
-        plans: "Sequence[Plan | None] | None",
-    ) -> None:
-        if not routed:
-            return
-        ordered = sorted(routed.items())
-        concurrent = len(ordered) > 1 and all(
-            getattr(self.shards[index], "concurrent", False)
-            for index, _jobs in ordered
-        )
-        if concurrent:
-            with ThreadPoolExecutor(max_workers=len(ordered)) as pool:
-                settled_lists = list(
-                    pool.map(
-                        lambda item: self._settle_shard(
-                            item[0], item[1], issuer, traces, plans
-                        ),
-                        ordered,
-                    )
-                )
-        else:
-            settled_lists = [
-                self._settle_shard(index, jobs, issuer, traces, plans)
-                for index, jobs in ordered
-            ]
-        for (index, jobs), settled in zip(ordered, settled_lists):
-            for (position, _text), result in zip(jobs, settled):
+    def _on_shards(self, indices: Sequence[int], run: Callable[[int], list]) -> list:
+        """``run(index)`` per shard, in ``indices`` order: on pool threads iff
+        every involved shard is ``concurrent`` (see ``LocalShard.concurrent``).
+        """
+        if len(indices) > 1 and all(
+            getattr(self.shards[index], "concurrent", False) for index in indices
+        ):
+            with ThreadPoolExecutor(max_workers=len(indices)) as pool:
+                return list(pool.map(run, indices))
+        return [run(index) for index in indices]
+
+    def _dispatch_routed(self, routed: dict[int, list[int]], batch: DpBatch) -> None:
+        def run_shard(index: int) -> "list[QueryOutcome | QueryRefused]":
+            jobs = routed[index]
+            return self._settle_shard(
+                index,
+                [batch.texts[p] for p in jobs],
+                batch.issuer,
+                [batch.traces[p] for p in jobs] if batch.traces is not None else None,
+                [batch.plans[p] for p in jobs] if batch.plans is not None else None,
+            )
+
+        indices = sorted(routed)
+        for index, settled in zip(indices, self._on_shards(indices, run_shard)):
+            for position, result in zip(routed[index], settled):
                 if isinstance(result, QueryRefused):
-                    self.shard_refusals[index] = (
-                        self.shard_refusals.get(index, 0) + 1
-                    )
-                results[position] = result
+                    self.shard_refusals[index] += 1
+                batch.results[position] = result
 
-    def _dispatch_fanouts(
-        self,
-        fanouts: dict[int, QuerySpec],
-        results: "list[QueryOutcome | QueryRefused | None]",
-        texts: list[str],
-        issuer: str,
-    ) -> None:
+    def _dispatch_fanouts(self, fanouts: dict[int, QuerySpec], batch: DpBatch) -> None:
         """Fan each partitioned-table statement out to every shard and merge.
 
         Fan-out sub-batches keep the fan-out statements' relative order per
@@ -844,21 +533,12 @@ class ShardedFederation:
             slices.append((position, len(sub)))
             per_shard_texts.extend(sub)
 
-        def run_shard(index: int) -> "list[QueryOutcome | QueryRefused]":
-            self.shard_queries[index] = (
-                self.shard_queries.get(index, 0) + len(per_shard_texts)
-            )
-            return self._settle_shard_texts(index, per_shard_texts, issuer)
-
         indices = range(len(self.shards))
-        concurrent = len(self.shards) > 1 and all(
-            getattr(shard, "concurrent", False) for shard in self.shards
+        shard_settled = self._on_shards(
+            indices,
+            lambda index: self._settle_shard(index, per_shard_texts, batch.issuer),
         )
-        if concurrent:
-            with ThreadPoolExecutor(max_workers=len(self.shards)) as pool:
-                shard_settled = list(pool.map(run_shard, indices))
-        else:
-            shard_settled = [run_shard(index) for index in indices]
+        results, texts = batch.results, batch.texts
 
         cursor = 0
         for position, width in slices:
@@ -870,9 +550,7 @@ class ShardedFederation:
                     (r for r in window if isinstance(r, QueryRefused)), None
                 )
                 if refused is not None:
-                    self.shard_refusals[index] = (
-                        self.shard_refusals.get(index, 0) + 1
-                    )
+                    self.shard_refusals[index] += 1
                     if refusal is None:
                         refusal = QueryRefused(
                             statement=texts[position], error=refused.error
@@ -891,29 +569,6 @@ class ShardedFederation:
                         statement=texts[position], error=exc
                     )
             cursor += width
-
-    def _settle_shard_texts(
-        self, index: int, sub_texts: list[str], issuer: str
-    ) -> "list[QueryOutcome | QueryRefused]":
-        try:
-            return self.shards[index].execute_many_settled(
-                sub_texts, issuer=issuer
-            )
-        except ShardUnavailable as exc:
-            self.shard_unavailable[index] = (
-                self.shard_unavailable.get(index, 0) + len(sub_texts)
-            )
-            return [
-                QueryRefused(statement=text, error=exc) for text in sub_texts
-            ]
-        except Exception as exc:  # noqa: BLE001 — shard failure stays local
-            error = ShardError(
-                f"shard {index} failed its batch: {type(exc).__name__}: {exc}"
-            )
-            error.__cause__ = exc
-            return [
-                QueryRefused(statement=text, error=error) for text in sub_texts
-            ]
 
     # -- metrics -------------------------------------------------------------
 

@@ -73,84 +73,9 @@ class TestReleases:
 
 
 class TestReuse:
-    def test_repeat_is_cached_byte_identical_and_free(self):
-        fed = fresh_federation(dp=DpPolicy(seed=2))
-        text = "SELECT MAX(value) FROM data WITH SLO(dp_epsilon=1.5)"
-        first = fed.execute(text)
-        spent = fed.dp_gate.accountant.epsilon_spent
-        again = fed.execute(text)
-        assert again.values == first.values
-        assert again.cached and again.rounds == 0 and again.messages == 0
-        assert fed.dp_gate.accountant.epsilon_spent == spent
-        assert fed.dp_gate.accountant.free_serves == 1
-
-    def test_try_cached_serves_an_existing_release(self):
-        fed = fresh_federation(dp=DpPolicy(seed=2))
-        text = "SELECT SUM(value) FROM data WITH SLO(dp_epsilon=1.0)"
-        assert fed.try_cached(text) is None  # no release yet
-        first = fed.execute(text)
-        hit = fed.try_cached(text)
-        assert hit is not None and hit.cached
-        assert hit.values == first.values
-        assert fed.dp_gate.accountant.releases == 1
-
-    def test_mutated_data_recached_by_a_plain_query_is_not_a_free_replay(self):
-        # The uncharged-disclosure regression: release a DP COUNT, mutate a
-        # party's table, then re-cache the exact inner answer at the new
-        # data version via a plain (non-DP) query of the same inner text.
-        # The DP repeat's inner is now cache-valid, but over *different*
-        # data — serving it as a free replay of the old noise would let an
-        # observer subtract the two releases and learn the exact row delta
-        # with zero epsilon charged.  It must settle as a fresh release.
-        fed = Federation(domain=PAPER_DOMAIN, seed=7, dp=DpPolicy(seed=2))
-        parties = {
-            owner: database_from_values(owner, values)
-            for owner, values in DATASETS.items()
-        }
-        for db in parties.values():
-            fed.register(db)
-        text = "SELECT COUNT(value) FROM data WITH SLO(dp_epsilon=0.5)"
-        first = fed.execute(text)
-        assert fed.dp_gate.accountant.releases == 1
-
-        parties["acme"].insert("data", {"value": 123})
-        fed.execute("SELECT COUNT(value) FROM data", use_cache=True)
-        # The admission fast path declines: no free serve over changed data.
-        assert fed.try_cached(text) is None
-        second = fed.execute(text)
-        assert not second.cached
-        assert fed.dp_gate.accountant.releases == 2
-        assert fed.dp_gate.accountant.epsilon_spent == pytest.approx(1.0)
-        assert fed.dp_gate.accountant.free_serves == 0
-        # Fresh noise: the release difference does not equal the row delta.
-        assert second.values[0] - first.values[0] != 1.0
-
-    def test_mutated_data_with_exhausted_budget_refuses_instead_of_leaking(self):
-        fed = Federation(
-            domain=PAPER_DOMAIN,
-            seed=7,
-            dp=DpPolicy(epsilon_budget=0.5, seed=2),
-        )
-        parties = {
-            owner: database_from_values(owner, values)
-            for owner, values in DATASETS.items()
-        }
-        for db in parties.values():
-            fed.register(db)
-        text = "SELECT COUNT(value) FROM data WITH SLO(dp_epsilon=0.5)"
-        first = fed.execute(text)  # spends the whole budget
-        repeat = fed.execute(text)  # unchanged data: free byte-identical
-        assert repeat.cached and repeat.values == first.values
-
-        parties["acme"].insert("data", {"value": 123})
-        fed.execute("SELECT COUNT(value) FROM data", use_cache=True)
-        assert fed.try_cached(text) is None
-        with pytest.raises(BudgetExhausted):
-            fed.execute(text)
-        settled = fed.execute_many_settled([text])
-        assert isinstance(settled[0], QueryRefused)
-        assert isinstance(settled[0].error, BudgetExhausted)
-        assert fed.dp_gate.accountant.releases == 1
+    # The reuse rules that hold on every topology — repeat is free, try_cached
+    # never charges, mutated data is a fresh release, an exhausted budget
+    # refuses — live in test_dp_release_rules.py, run flat and sharded.
 
     def test_cache_invalidation_buys_fresh_noise_and_a_fresh_charge(self):
         fed = fresh_federation(dp=DpPolicy(seed=2))

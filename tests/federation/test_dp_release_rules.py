@@ -1,0 +1,147 @@
+"""The DP release rules, each stated once and run on both topologies.
+
+The release path is one module (:mod:`repro.federation.dp_release`) under a
+flat and a sharded federation; a privacy rule it enforces is therefore one
+test here, parameterised over a ``backend`` — so the next fix of the
+subtraction-attack class lands with one test that runs twice.
+"""
+
+from dataclasses import dataclass
+
+import pytest
+
+from repro.database.database import PrivateDatabase, database_from_values
+from repro.database.query import PAPER_DOMAIN
+from repro.federation import Federation, SqlError
+from repro.federation.coordinator import QueryRefused
+from repro.privacy.dp import BudgetExhausted, DpPolicy
+from repro.sharding import build_topology, sharded_federation
+
+DATASETS = {
+    "acme": [100, 900, 250],
+    "bravo": [9000, 40],
+    "corex": [7000, 6500, 3],
+    "delta": [5],
+}
+
+
+@dataclass
+class Backend:
+    """A federation, a table it serves, and one party holding that table."""
+
+    federation: object
+    table: str
+    party: PrivateDatabase
+
+    @property
+    def accountant(self):
+        return self.federation.dp_gate.accountant
+
+    def mutate_then_recache(self, inner_text: str) -> None:
+        """Change the table, then re-cache ``inner_text`` by a plain query."""
+        self.party.insert(self.table, {"value": 123})
+        self.federation.execute_many_settled([inner_text])
+
+
+def _flat(dp: DpPolicy) -> Backend:
+    federation = Federation(domain=PAPER_DOMAIN, seed=7, dp=dp)
+    parties = {
+        owner: database_from_values(owner, values)
+        for owner, values in DATASETS.items()
+    }
+    for database in parties.values():
+        federation.register(database)
+    return Backend(federation, "data", parties["acme"])
+
+
+def _sharded_local(dp: DpPolicy) -> Backend:
+    topology = build_topology(shards=3, seed=7)
+    federation = sharded_federation(topology, dp=dp)
+    table = next(t for t in topology.tables if t not in topology.partitioned)
+    owner = federation.shards[federation.router.route(table)].federation
+    return Backend(federation, table, next(iter(owner._parties.values())))
+
+
+@pytest.fixture(params=[_flat, _sharded_local], ids=["flat", "sharded-local"])
+def backend(request):
+    """``backend(dp_policy)`` builds the federation under test."""
+    return request.param
+
+
+def test_repeat_is_free_and_byte_identical(backend):
+    b = backend(DpPolicy(seed=2))
+    text = f"SELECT MAX(value) FROM {b.table} WITH SLO(dp_epsilon=1.5)"
+    first = b.federation.execute(text)
+    spent = b.accountant.epsilon_spent
+    again = b.federation.execute(text)
+    assert again.values == first.values
+    assert again.cached and again.rounds == 0 and again.messages == 0
+    assert b.accountant.epsilon_spent == spent
+    assert b.accountant.free_serves == 1
+
+
+def test_try_cached_reserves_and_never_charges(backend):
+    b = backend(DpPolicy(seed=2))
+    text = f"SELECT SUM(value) FROM {b.table} WITH SLO(dp_epsilon=1.0)"
+    assert b.federation.try_cached(text) is None  # no release yet
+    assert b.accountant.releases == 0
+    first = b.federation.execute(text)
+    hit = b.federation.try_cached(text)
+    assert hit is not None and hit.cached
+    assert hit.values == first.values
+    assert b.accountant.releases == 1
+    assert b.accountant.epsilon_spent == 1.0
+
+
+def test_recached_mutated_data_is_a_fresh_release(backend):
+    # The uncharged-disclosure regression: release a DP COUNT, mutate a
+    # party's table, then re-cache the exact inner answer at the new data
+    # version via a plain (non-DP) query of the same inner text.  The DP
+    # repeat's inner is now cache-valid, but over *different* data — serving
+    # it as a free replay of the old noise would let an observer subtract the
+    # two releases and learn the exact row delta with zero epsilon charged.
+    # It must settle as a fresh release.
+    b = backend(DpPolicy(seed=2))
+    inner = f"SELECT COUNT(value) FROM {b.table}"
+    text = f"{inner} WITH SLO(dp_epsilon=0.5)"
+    first = b.federation.execute(text)
+    assert b.accountant.releases == 1
+
+    b.mutate_then_recache(inner)
+    # The admission fast path declines: no free serve over changed data.
+    assert b.federation.try_cached(text) is None
+    second = b.federation.execute(text)
+    assert not second.cached
+    assert b.accountant.releases == 2
+    assert b.accountant.epsilon_spent == pytest.approx(1.0)
+    assert b.accountant.free_serves == 0
+    # Fresh noise: the release difference does not equal the row delta.
+    assert second.values[0] - first.values[0] != 1.0
+
+
+def test_exhausted_budget_refuses_not_leaks(backend):
+    b = backend(DpPolicy(epsilon_budget=0.5, seed=2))
+    inner = f"SELECT COUNT(value) FROM {b.table}"
+    text = f"{inner} WITH SLO(dp_epsilon=0.5)"
+    first = b.federation.execute(text)  # spends the whole budget
+    repeat = b.federation.execute(text)  # unchanged data: free byte-identical
+    assert repeat.cached and repeat.values == first.values
+
+    b.mutate_then_recache(inner)
+    assert b.federation.try_cached(text) is None
+    with pytest.raises(BudgetExhausted):
+        b.federation.execute(text)
+    settled = b.federation.execute_many_settled([text])
+    assert isinstance(settled[0], QueryRefused)
+    assert isinstance(settled[0].error, BudgetExhausted)
+    assert b.accountant.releases == 1
+
+
+def test_try_cached_raises_on_malformed(backend):
+    # One contract on both topologies: a malformed statement is an error the
+    # caller sees, not a cache miss (the gateway parses first either way).
+    b = backend(DpPolicy(seed=2))
+    with pytest.raises(SqlError):
+        b.federation.try_cached("SELECT FROM nowhere")
+    with pytest.raises(SqlError):
+        b.federation.try_cached(f"SELECT MAX(value) FROM {b.table} WITH SLO(dp_epsilon=)")

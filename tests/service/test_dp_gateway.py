@@ -6,7 +6,7 @@ import pytest
 
 from repro.privacy.dp import BudgetExhausted, DpPolicy
 from repro.service import QueryService
-from repro.sharding import build_topology, sharded_federation
+from repro.sharding import TenantPolicy, build_topology, sharded_federation
 
 from .conftest import fresh_federation
 
@@ -76,6 +76,34 @@ class TestSubmission:
         federation, outcome = asyncio.run(scenario())
         assert outcome.protocol.endswith("+dp")
         assert federation.dp_gate.accountant.epsilon_spent == 2.0
+
+    def test_tenant_dp_budget_refuses_at_admission_on_a_sharded_backend(self):
+        # The gateway calls dp_admission_check on whichever backend it is
+        # handed; behind shards that check also covers the tenant's meters.
+        async def scenario():
+            topology = build_topology(shards=3, seed=7)
+            federation = sharded_federation(topology, dp=DpPolicy(seed=11))
+            federation.set_tenant("acme", TenantPolicy(dp_epsilon_budget=1.0))
+            routed = next(
+                t for t in topology.tables if t not in topology.partitioned
+            )
+            async with QueryService(federation) as service:
+                await service.submit(
+                    f"SELECT MAX(value) FROM {routed} WITH SLO(dp_epsilon=0.8)",
+                    issuer="acme",
+                )
+                with pytest.raises(BudgetExhausted, match="tenant 'acme'"):
+                    await service.submit(
+                        f"SELECT MIN(value) FROM {routed} WITH SLO(dp_epsilon=0.8)",
+                        issuer="acme",
+                    )
+                return federation, service.metrics
+
+        federation, metrics = asyncio.run(scenario())
+        assert metrics.refused == 1
+        tenant = federation.router.tenant_snapshot()["acme"]
+        assert tenant["dp_epsilon_spent"] == 0.8 and tenant["refusals"] == 1
+        assert federation.dp_gate.accountant.refusals == 0
 
 
 class TestMetrics:

@@ -134,39 +134,12 @@ class TestTenantBudgets:
         assert shard.router.tenant_snapshot()["acme"]["dp_epsilon_spent"] == 2.0
 
 
-class TestDataMutationBinding:
-    """A release replays free only over the data its noise perturbed."""
-
-    def test_shard_mutation_recached_by_plain_query_charges_fresh(self):
-        topology, _, shard = topology_twins(DpPolicy(seed=11))
-        routed = next(t for t in topology.tables if t not in topology.partitioned)
-        dp_text = f"SELECT COUNT(value) FROM {routed} WITH SLO(dp_epsilon=1.0)"
-        first = shard.execute_many_settled([dp_text])[0]
-        assert isinstance(first, QueryOutcome)
-        assert shard.dp_gate.accountant.releases == 1
-
-        # Mutate a party on the owning shard, then re-cache the exact inner
-        # answer at the new data version with a plain query of its text.
-        owner = shard.router.route(routed)
-        backend = shard.shards[owner].federation
-        db = next(iter(backend._parties.values()))
-        db.insert(routed, {"value": 500})
-        shard.execute_many_settled([f"SELECT COUNT(value) FROM {routed}"])
-
-        # No free replay of the old noise against the new answer: the fast
-        # path declines and the batch path settles a fresh charged release.
-        assert shard.try_cached(dp_text) is None
-        second = shard.execute_many_settled([dp_text])[0]
-        assert isinstance(second, QueryOutcome)
-        assert not second.cached
-        assert shard.dp_gate.accountant.releases == 2
-        assert shard.dp_gate.accountant.epsilon_spent == pytest.approx(2.0)
-        assert shard.dp_gate.accountant.free_serves == 0
-        assert second.values[0] - first.values[0] != 1.0
-
-
 class TestUnifiedAccounting:
-    """LoP and DP spend through one surface: cache hits are free on both."""
+    """LoP and DP spend through one surface: cache hits are free on both.
+
+    The tenant half of the release rules; the topology-independent half (and
+    the data-mutation binding) is tests/federation/test_dp_release_rules.py.
+    """
 
     def test_cached_dp_repeat_charges_neither_lop_nor_epsilon(self):
         topology, _, shard = topology_twins(DpPolicy(seed=11))
