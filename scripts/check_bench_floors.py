@@ -62,13 +62,21 @@ def _get(doc: dict, *path):
 
 
 def _point_floor_checks(doc: dict) -> list[Check]:
-    """The ``{"floor": {"at_n"/"at_rows": X, "min_speedup": Y}}`` shape."""
+    """The ``{"floor": {"at_n"/"at_rows": X, "min_<key>": Y, ...}}`` shape:
+    each ``min_<key>`` bounds ``points[X][<key>]`` from below."""
     floor = doc.get("floor", {})
     at_key = "at_n" if "at_n" in floor else "at_rows"
     at = floor.get(at_key)
-    min_speedup = floor.get("min_speedup")
-    value = _get(doc, "points", str(at), "speedup")
-    return [Check(f"points[{at}].speedup", ">=", min_speedup, value)]
+    return [
+        Check(
+            f"points[{at}].{name[len('min_'):]}",
+            ">=",
+            bound,
+            _get(doc, "points", str(at), name[len("min_"):]),
+        )
+        for name, bound in sorted(floor.items())
+        if name.startswith("min_")
+    ]
 
 
 def _band_floor_checks(doc: dict) -> list[Check]:

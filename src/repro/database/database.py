@@ -14,7 +14,7 @@ from collections.abc import Callable, Iterable
 from .engines import StorageEngine
 from .query import QueryError, TopKQuery
 from .schema import Schema, SchemaError
-from .table import Row, Table
+from .table import Row, Table, VersionCounter
 
 EngineSpec = "str | Callable[[Schema], StorageEngine] | None"
 
@@ -39,7 +39,7 @@ class PrivateDatabase:
         self.owner = owner
         self.engine = engine
         self._tables: dict[str, Table] = {}
-        self._ddl_version = 0
+        self._data_version = VersionCounter()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"PrivateDatabase(owner={self.owner!r}, tables={sorted(self._tables)})"
@@ -56,18 +56,19 @@ class PrivateDatabase:
         if name in self._tables:
             raise SchemaError(f"table {name!r} already exists in {self.owner}'s database")
         table = Table(name, schema, engine=engine if engine is not None else self.engine)
+        table._database_version = self._data_version
         self._tables[name] = table
-        self._ddl_version += 1
+        self._data_version.value += 1
         return table
 
     def drop_table(self, name: str) -> None:
         if name not in self._tables:
             raise SchemaError(f"no such table: {name!r}")
-        # Absorb the dropped table's row-version into the DDL counter so the
-        # database-wide version stays monotone (a drop must not *decrease*
-        # it, or a recreate could replay a previously seen version).
-        self._ddl_version += self._tables[name].version + 1
-        del self._tables[name]
+        # The dropped table's mutations stay counted (the database-wide
+        # version must not *decrease*, or a recreate could replay a
+        # previously seen version); what it does from now on is not ours.
+        self._tables.pop(name)._database_version = None
+        self._data_version.value += 1
 
     @property
     def data_version(self) -> int:
@@ -75,9 +76,12 @@ class PrivateDatabase:
 
         Any insert, create or drop strictly increases it, which is what the
         federation's query-result cache keys on to invalidate answers after
-        the underlying private data changes.
+        the underlying private data changes.  One counter, bumped by
+        create, by drop and by each owned table beside its own
+        :attr:`~repro.database.table.Table.version`: the result cache reads
+        this once per key, so it must not cost a pass over the tables.
         """
-        return self._ddl_version + sum(t.version for t in self._tables.values())
+        return self._data_version.value
 
     def table(self, name: str) -> Table:
         try:

@@ -14,15 +14,25 @@ module makes the storage layout a pluggable choice behind one
     the other engines are tested against.
 
 ``columnar`` (the default)
-    Numeric columns live in chunked contiguous numpy arrays; ``top_k`` /
-    ``bottom_k`` / ``numeric_values`` / ``aggregate`` / range checks run as
-    ``np.partition``/reduction kernels.  Results are *bit-identical* to the
-    row store: same values, same descending order, same tie behavior.  A
-    column whose values cannot be represented losslessly in its typed array
-    (an INTEGER outside int64, a non-finite or integer-typed value in a
-    REAL column) **spills** the whole column to exact object storage and
-    answers through the scalar path — the engine never trades correctness
-    for speed, it only accelerates when acceleration is exact.
+    Numeric columns live in chunked contiguous numpy arrays.  The
+    predicate-free reads the serving path makes of a column — ``top_k`` /
+    ``bottom_k`` (``k`` up to :data:`SUMMARY_ROWS`), ``aggregate`` and the
+    range check — are answered from one *write-maintained summary* per
+    column: its largest and smallest :data:`SUMMARY_ROWS` values, its
+    non-null count and its running sum.  The summary is built by one scan
+    on the column's first read; tables only append, so after an insert it
+    is folded forward over just the new rows on the next read (no chunk is
+    sealed for them and the column is never copied), and a spill drops it.
+    A larger ``k``, ``numeric_values`` and every ``where=`` path run as
+    ``np.partition``/reduction kernels over the whole column.  Results are
+    *bit-identical* to the row store: same values, same descending order,
+    same tie behavior, same float rounding (the running sum follows
+    Python's left-to-right ``sum``).  A column whose values cannot be
+    represented losslessly in its typed array (an INTEGER outside int64,
+    a non-finite, negative-zero or integer-typed value in a REAL column)
+    **spills** the whole column to exact object storage and answers
+    through the scalar path — the engine never trades correctness for
+    speed, it only accelerates when acceleration is exact.
 
 ``duckdb`` (optional)
     Rows live in an in-memory DuckDB table; extraction and aggregation are
@@ -52,7 +62,7 @@ from __future__ import annotations
 import heapq
 import math
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -93,6 +103,15 @@ DEFAULT_ENGINE = COLUMNAR
 #: a contiguous array.  Large enough to amortize array construction, small
 #: enough that a half-full tail never holds megabytes of boxed values.
 CHUNK_ROWS = 1 << 18
+
+#: How many of a numeric column's largest and of its smallest values the
+#: write-maintained summary keeps: ``top_k``/``bottom_k`` with ``k`` up to
+#: this are read from the summary, a larger ``k`` scans the column.
+SUMMARY_ROWS = 64
+
+#: Rows a summary folds per step.  Bounds every temporary of a fold to a
+#: cache-sized block, however long the chunk being folded is.
+_FOLD_BLOCK = 1 << 14
 
 
 class StorageUnavailable(RuntimeError):
@@ -301,6 +320,122 @@ class _ObjectColumn:
         return list(self.values)
 
 
+def _largest(values: np.ndarray, k: int) -> np.ndarray:
+    """The largest ``k`` of ``values`` as a fresh array, ascending."""
+    if k < values.size:
+        values = np.partition(values, values.size - k)[values.size - k :]
+    return np.sort(values)
+
+
+def _smallest(values: np.ndarray, k: int) -> np.ndarray:
+    """The smallest ``k`` of ``values`` as a fresh array, ascending."""
+    if k < values.size:
+        values = np.partition(values, k - 1)[:k]
+    return np.sort(values)
+
+
+def _int_sum(values: np.ndarray) -> int:
+    """The exact sum of a non-empty int64 array, as a Python int.
+
+    An int64 reduction equals the arbitrary-precision sum whenever it
+    cannot wrap, which the magnitude guard proves; otherwise the values
+    are summed as Python ints.
+    """
+    bound = max(abs(int(values.max())), abs(int(values.min())))
+    if bound and values.size > (2**62) // bound:
+        return sum(values.tolist())
+    return int(values.sum(dtype=np.int64))
+
+
+def _reals_representable(values: np.ndarray) -> bool:
+    """:meth:`_NumericColumn._representable` for a whole float64 array.
+
+    ``-0.0`` is the one double whose bit pattern reads as the smallest
+    int64, so the signed-zero test is a single integer compare.
+    """
+    return bool(np.isfinite(values).all()) and not bool(
+        (values.view(np.int64) == np.iinfo(np.int64).min).any()
+    )
+
+
+class _ColumnSummary:
+    """What the predicate-free reads ask of a vectorized column, kept exact.
+
+    ``largest`` and ``smallest`` hold the (up to) :data:`SUMMARY_ROWS` most
+    extreme non-null values, both ascending, and ``count`` the non-null
+    rows.  ``total`` is their sum under the row store's own recurrence — an
+    exact Python int for int64, and for float64 the left-to-right running
+    sum Python's ``sum`` computes, which ``np.cumsum`` reproduces bit for
+    bit when each block's accumulation starts from the total carried in.
+    That recurrence is serial (about twice the cost of everything else
+    here), so ``total`` stays ``None`` until a SUM or AVG first asks for
+    it and is carried forward from then on.  Tables only append, so
+    folding new rows in is all it takes to keep every field equal to what
+    a full scan would compute.
+    """
+
+    __slots__ = ("count", "largest", "smallest", "total")
+
+    def __init__(self, dtype: "np.dtype") -> None:
+        self.count = 0
+        self.total: int | float | None = None
+        self.largest = self.smallest = np.empty(0, dtype=dtype)
+
+    def fold(self, block: np.ndarray) -> None:
+        """Fold in the next non-null values, in insertion order."""
+        if self.total is not None:
+            self._add(block)
+        # Once SUMMARY_ROWS values are held, only a value beyond the
+        # current cut-off can change either end (a tie cannot).
+        full = self.count >= SUMMARY_ROWS
+        above = block[block > self.largest[0]] if full else block
+        if above.size:
+            self.largest = _largest(
+                np.concatenate((self.largest, above)), SUMMARY_ROWS
+            )
+        below = block[block < self.smallest[-1]] if full else block
+        if below.size:
+            self.smallest = _smallest(
+                np.concatenate((self.smallest, below)), SUMMARY_ROWS
+            )
+        self.count += block.size
+
+    def start_total(self, blocks: "Iterable[np.ndarray]") -> None:
+        """Sum every value folded so far, handed over again in order."""
+        self.total = 0 if self.largest.dtype.kind == "i" else 0.0
+        for block in blocks:
+            self._add(block)
+
+    def _add(self, block: np.ndarray) -> None:
+        if block.dtype.kind == "i":
+            self.total += _int_sum(block)
+        else:
+            self.total = float(
+                np.cumsum(np.concatenate(([self.total], block)))[-1]
+            )
+
+    def aggregate(self, func: str) -> float | None:
+        """:meth:`ColumnarEngine.aggregate_array` of the summarized values."""
+        if func == "count":
+            return float(self.count)
+        if self.count == 0:
+            return None
+        if func == "max":
+            return self.largest[-1].item()
+        if func == "min":
+            return self.smallest[0].item()
+        if func in ("sum", "avg"):
+            total = float(self.total)
+            return total if func == "sum" else total / self.count
+        raise ValueError(f"unknown aggregate function: {func!r}")
+
+    def within(self, low: float, high: float) -> bool:
+        """True when every summarized value lies in ``[low, high]``."""
+        return self.count == 0 or (
+            low <= self.smallest[0].item() and self.largest[-1].item() <= high
+        )
+
+
 class _NumericColumn:
     """One numeric column: chunked typed arrays with an exactness escape.
 
@@ -308,10 +443,20 @@ class _NumericColumn:
     contiguous ``dtype`` chunks (int64 for INTEGER, float64 for REAL) with
     parallel validity masks once nulls appear.  If any value cannot be
     represented losslessly — an INTEGER outside int64, a REAL column fed a
-    non-finite float or a Python ``int`` (whose *type* the row store would
-    preserve) — the entire column spills to ``exact`` object storage and
-    every query takes the scalar path.  Spilling is one-way and loses no
-    data: correctness never depends on the fast path being available.
+    non-finite float, ``-0.0``, or a Python ``int`` (whose *type* the row
+    store would preserve) — the entire column spills to ``exact`` object
+    storage and every query takes the scalar path.  Spilling is one-way and
+    loses no data: correctness never depends on the fast path being
+    available.
+
+    A vectorized column answers its predicate-free reads from one
+    :class:`_ColumnSummary`.  :meth:`summary` builds it with a single scan
+    on the column's first such read and from then on folds forward only
+    the rows appended since (``_folded`` is the cursor), reading a row
+    still in the ``pending`` tail where it lies: a read after an insert
+    seals no chunk and copies no column.  Sealing and consolidation move
+    rows between containers without reordering them, so the cursor
+    survives both; a spill drops the summary with the arrays.
     """
 
     def __init__(self, dtype: "np.dtype") -> None:
@@ -323,6 +468,11 @@ class _NumericColumn:
         #: Exact object storage after a spill (None while vectorized).
         self.exact: list[object] | None = None
         self._cache: tuple[np.ndarray, np.ndarray | None] | None = None
+        #: Rows held in ``chunks``.
+        self._sealed = 0
+        self._summary: _ColumnSummary | None = None
+        #: Leading rows (chunks first, then ``pending``) ``_summary`` covers.
+        self._folded = 0
 
     # -- ingestion --
 
@@ -331,9 +481,15 @@ class _NumericColumn:
             return -(2**63) <= value <= 2**63 - 1  # type: ignore[operator]
         # float64 column: Python floats are IEEE doubles, so any finite
         # float round-trips exactly; ints would come back as floats (a
-        # type change the row store would not make) and non-finite values
-        # would change sort order under np.sort (NaN sorts last).
-        return isinstance(value, float) and math.isfinite(value)
+        # type change the row store would not make), non-finite values
+        # would change sort order under np.sort (NaN sorts last), and
+        # -0.0 == 0.0 lets a sort or a min pick the other zero than the
+        # row store's first-seen one (and 0 + -0.0 is 0.0 in Python's sum).
+        return (
+            isinstance(value, float)
+            and math.isfinite(value)
+            and (value != 0.0 or math.copysign(1.0, value) > 0.0)
+        )
 
     def append(self, values: Sequence[object]) -> None:
         if self.exact is not None:
@@ -346,12 +502,14 @@ class _NumericColumn:
 
     def append_array(self, values: np.ndarray) -> None:
         """Fast bulk path: a canonical-dtype, null-free array chunk."""
+        if self.exact is None:
+            self._cache = None
+            self._flush()  # sealing the pending tail may itself spill
         if self.exact is not None:
             self.exact.extend(values.tolist())
             return
-        self._cache = None
-        self._flush()
         self.chunks.append(values)
+        self._sealed += len(values)
         if self.masks is not None:
             self.masks.append(np.ones(len(values), dtype=bool))
 
@@ -375,6 +533,7 @@ class _NumericColumn:
         else:
             values = np.array(batch, dtype=self.dtype)
         self.chunks.append(values)
+        self._sealed += len(values)
         if self.masks is not None:
             self.masks.append(np.array([v is not None for v in batch], dtype=bool))
 
@@ -393,23 +552,73 @@ class _NumericColumn:
         self.chunks = []
         self.masks = None
         self._cache = None
+        self._summary = None
 
     # -- access --
 
     def __len__(self) -> int:
         if self.exact is not None:
             return len(self.exact)
-        return sum(len(c) for c in self.chunks) + len(self.pending)
+        return self._sealed + len(self.pending)
 
     def storage(self) -> list[object] | None:
         """Settle the pending tail; the exact list if spilled, else None.
 
-        Query paths call this first: the spill decision is made lazily at
-        flush time, so only after flushing is ``exact`` authoritative.
+        The scan paths call this first: the spill decision is made lazily
+        at flush time, so only after flushing is ``exact`` authoritative.
+        (:meth:`summary` settles it without flushing.)
         """
         if self.exact is None and self.pending:
             self._flush()
         return self.exact
+
+    def summary(self, with_total: bool = False) -> _ColumnSummary | None:
+        """The summary, current to the last appended row; None once spilled.
+
+        The spill decision for rows still pending is made here, value by
+        value, exactly as sealing them would make it.
+        """
+        if self.exact is not None:
+            return None
+        if self._summary is None:
+            self._summary = _ColumnSummary(self.dtype)
+        summary = self._summary
+        if self._folded < len(self):
+            tail = self.pending[max(self._folded - self._sealed, 0) :]
+            if not all(v is None or self._representable(v) for v in tail):
+                self._flush()  # spills the column and, with it, the summary
+                return None
+            for block in self._blocks_from(self._folded):
+                summary.fold(block)
+            self._folded = len(self)
+        if with_total and summary.total is None:
+            summary.start_total(self._blocks_from(0))
+        return summary
+
+    def _blocks_from(self, start: int) -> Iterator[np.ndarray]:
+        """Non-null values of rows ``start``.. in insertion order, in blocks.
+
+        Sealed rows come at most :data:`_FOLD_BLOCK` at a time, so no
+        temporary of a fold grows with the chunk; the caller has checked
+        that the pending rows among them are representable.
+        """
+        tail_start = max(start - self._sealed, 0)
+        if start < self._sealed:
+            for index, chunk in enumerate(self.chunks):
+                if start >= len(chunk):
+                    start -= len(chunk)
+                    continue
+                valid = self.masks[index] if self.masks is not None else None
+                for low in range(start, len(chunk), _FOLD_BLOCK):
+                    block = chunk[low : low + _FOLD_BLOCK]
+                    if valid is not None:
+                        block = block[valid[low : low + _FOLD_BLOCK]]
+                    if block.size:
+                        yield block
+                start = 0
+        present = [v for v in self.pending[tail_start:] if v is not None]
+        if present:
+            yield np.array(present, dtype=self.dtype)
 
     def materialize(self) -> tuple[np.ndarray, np.ndarray | None]:
         """One contiguous (values, validity-mask-or-None) view.
@@ -457,7 +666,8 @@ class _NumericColumn:
 
 
 class ColumnarEngine(StorageEngine):
-    """Chunked numpy columns; extraction as partition/reduction kernels."""
+    """Chunked numpy columns; predicate-free reads from column summaries,
+    everything else as partition/reduction kernels."""
 
     name = "columnar"
 
@@ -527,6 +737,9 @@ class ColumnarEngine(StorageEngine):
 
     def top_k(self, name: str, k: int) -> list:
         column = self._numeric(name)
+        summary = column.summary() if k <= SUMMARY_ROWS else None
+        if summary is not None:
+            return self._to_list(summary.largest[::-1][:k])
         exact = column.storage()
         if exact is not None:
             return heapq.nlargest(k, [v for v in exact if v is not None])
@@ -534,6 +747,9 @@ class ColumnarEngine(StorageEngine):
 
     def bottom_k(self, name: str, k: int) -> list:
         column = self._numeric(name)
+        summary = column.summary() if k <= SUMMARY_ROWS else None
+        if summary is not None:
+            return self._to_list(summary.smallest[:k])
         exact = column.storage()
         if exact is not None:
             return heapq.nsmallest(k, [v for v in exact if v is not None])
@@ -541,28 +757,22 @@ class ColumnarEngine(StorageEngine):
 
     def aggregate(self, name: str, func: str) -> float | None:
         column = self._numeric(name)
-        exact = column.storage()
-        if exact is not None:
-            return _scalar_aggregate([v for v in exact if v is not None], func)
-        return self.aggregate_array(column.valid_values(), func)
+        summary = column.summary(with_total=func in ("sum", "avg"))
+        if summary is not None:
+            return summary.aggregate(func)
+        return _scalar_aggregate(
+            [v for v in column.exact if v is not None], func
+        )
 
     # -- array kernels (shared by the no-predicate and masked paths) --
 
     def top_k_array(self, values: np.ndarray, k: int) -> list:
         """Largest ``k`` of an already-extracted value array, descending."""
-        if values.size == 0:
-            return []
-        if k < values.size:
-            values = np.partition(values, values.size - k)[values.size - k :]
-        return self._to_list(np.sort(values)[::-1])
+        return self._to_list(_largest(values, k)[::-1])
 
     def bottom_k_array(self, values: np.ndarray, k: int) -> list:
         """Smallest ``k`` of an already-extracted value array, ascending."""
-        if values.size == 0:
-            return []
-        if k < values.size:
-            values = np.partition(values, k - 1)[:k]
-        return self._to_list(np.sort(values))
+        return self._to_list(_smallest(values, k))
 
     def aggregate_array(self, values: np.ndarray, func: str) -> float | None:
         """Aggregate an already-extracted value array, row-store semantics.
@@ -598,29 +808,24 @@ class ColumnarEngine(StorageEngine):
     def _exact_sum(self, values: np.ndarray) -> float:
         """``float(sum(values))`` of the row store, bit for bit.
 
-        int64: the Python sum is exact arbitrary-precision; an int64
-        reduction matches it whenever it cannot wrap, which the magnitude
-        guard proves; otherwise fall back to the exact Python sum.
-        float64: Python's ``sum`` adds sequentially, while ``np.sum`` is
-        pairwise (different rounding); ``np.cumsum`` is defined by the
-        sequential recurrence, so its last element reproduces the row
-        store's rounding exactly.
+        int64: the Python sum is exact arbitrary-precision, and so is
+        :func:`_int_sum`.  float64: Python's ``sum`` adds sequentially,
+        while ``np.sum`` is pairwise (different rounding); ``np.cumsum`` is
+        defined by the sequential recurrence, so its last element
+        reproduces the row store's rounding exactly.
         """
         if values.dtype.kind == "i":
-            bound = max(abs(int(values.max())), abs(int(values.min())))
-            if bound and values.size > (2**62) // bound:
-                return float(sum(values.tolist()))
-            return float(int(values.sum(dtype=np.int64)))
+            return float(_int_sum(values))
         return float(np.cumsum(values)[-1])
 
     def all_in_range(self, name: str, low: float, high: float) -> bool:
         column = self._numeric(name)
-        exact = column.storage()
-        if exact is not None:
-            return _scalar_in_range(
-                [v for v in exact if v is not None], low, high
-            )
-        return self.in_range_array(column.valid_values(), low, high)
+        summary = column.summary()
+        if summary is not None:
+            return summary.within(low, high)
+        return _scalar_in_range(
+            [v for v in column.exact if v is not None], low, high
+        )
 
     # -- structured-predicate support --
 

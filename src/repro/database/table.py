@@ -24,6 +24,7 @@ import numpy as np
 from .engines import (
     ExtractionSample,
     StorageEngine,
+    _reals_representable,
     _scalar_aggregate,
     extraction_sink,
     make_engine,
@@ -38,6 +39,20 @@ Row = dict[str, object]
 #: vectorized filtered-query path on the columnar engine.
 Predicate = Callable[[Row], bool]
 EngineSpec = "str | Callable[[Schema], StorageEngine] | None"
+
+
+class VersionCounter:
+    """A mutation count that a database and the tables it owns share.
+
+    A cell rather than a callback into the database: a table must not
+    point back at its owner, or dropping a database would leave its
+    (large) column arrays to the cycle collector instead of freeing them.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value = 0
 
 
 class Table:
@@ -61,6 +76,8 @@ class Table:
         self.schema = schema
         self._engine = make_engine(engine, schema)
         self._version = 0
+        #: The owning database's counter, bumped beside ``version``.
+        self._database_version: VersionCounter | None = None
 
     @property
     def engine_name(self) -> str:
@@ -89,7 +106,7 @@ class Table:
         self.schema.validate_row(row)
         # Store a copy so later caller-side mutation cannot corrupt the table.
         self._engine.append_rows([self._normalize(row)])
-        self._version += 1
+        self._mutated()
 
     def insert_many(self, rows: Iterable[Row]) -> int:
         """Insert rows, returning how many were inserted.
@@ -102,7 +119,7 @@ class Table:
             staged.append(self._normalize(row))
         self._engine.append_rows(staged)
         if staged:
-            self._version += 1
+            self._mutated()
         return len(staged)
 
     def insert_arrays(self, columns: dict[str, "Sequence | np.ndarray"]) -> int:
@@ -113,9 +130,9 @@ class Table:
         and land in columnar storage without ever being boxed.  Arrays are
         canonicalized *before* any engine sees them — INTEGER to int64,
         REAL to float64 — so every engine stores identical values; a REAL
-        array containing non-finite values, or any plain-list input, takes
-        the validated scalar path instead.  Counts as one mutation batch
-        (one ``version`` bump), like :meth:`insert_many`.
+        array containing non-finite values or ``-0.0``, or any plain-list
+        input, takes the validated scalar path instead.  Counts as one
+        mutation batch (one ``version`` bump), like :meth:`insert_many`.
         """
         unknown = set(columns) - set(self.schema.names)
         if unknown:
@@ -140,7 +157,7 @@ class Table:
                 array is not None
                 and column.type == "REAL"
                 and array.dtype.kind == "f"
-                and bool(np.isfinite(array).all())
+                and _reals_representable(array.astype(np.float64, copy=False))
             ):
                 canonical[column.name] = array.astype(np.float64, copy=False)
             else:
@@ -149,8 +166,13 @@ class Table:
                     column.validate(value)
                 canonical[column.name] = listed
         self._engine.append_columns(canonical, count)
-        self._version += 1
+        self._mutated()
         return count
+
+    def _mutated(self) -> None:
+        self._version += 1
+        if self._database_version is not None:
+            self._database_version.value += 1
 
     @property
     def version(self) -> int:

@@ -45,6 +45,67 @@ class TestDDL:
         assert db.table_names == ("aaa", "sales")
 
 
+class TestDataVersion:
+    def test_counter_follows_the_summed_formula(self):
+        """``data_version`` is one counter now; its values are still those of
+        ``ddl + sum(table.version)`` with a drop absorbing ``version + 1``."""
+        database = PrivateDatabase("acme")
+        schema = Schema.of(("amount", "INTEGER"))
+        ddl = 0
+        seen = [database.data_version]
+
+        def check():
+            live = [database.table(name) for name in database.table_names]
+            assert database.data_version == ddl + sum(t.version for t in live)
+            assert database.data_version > seen[-1]
+            seen.append(database.data_version)
+
+        sales = database.create_table("sales", schema)
+        ddl += 1
+        check()
+        sales.insert({"amount": 1})
+        check()
+        database.insert_many("sales", [{"amount": 2}, {"amount": 3}])
+        check()
+        other = database.create_table("other", schema)
+        ddl += 1
+        check()
+        other.insert_arrays({"amount": [4, 5]})
+        check()
+        assert sales.insert_many([]) == 0  # no rows, no bump
+        assert database.data_version == seen[-1]
+        ddl += sales.version + 1
+        database.drop_table("sales")
+        check()
+        # A handle to the dropped table no longer moves the database.
+        sales.insert({"amount": 6})
+        assert database.data_version == seen[-1]
+        recreated = database.create_table("sales", schema)
+        ddl += 1
+        check()
+        recreated.insert({"amount": 7})
+        other.insert({"amount": 8})
+        check()
+
+
+    def test_tables_do_not_point_back_at_their_database(self):
+        """No reference cycle: dropping the last handle frees the column
+        arrays at once, without waiting for the cycle collector."""
+        import gc
+        import weakref
+
+        database = PrivateDatabase("acme")
+        table = database.create_table("sales", Schema.of(("amount", "INTEGER")))
+        table.insert({"amount": 1})
+        engine = weakref.ref(table._engine)
+        gc.disable()
+        try:
+            del table, database
+            assert engine() is None
+        finally:
+            gc.enable()
+
+
 class TestLocalTopK:
     def test_local_topk(self, db: PrivateDatabase):
         query = TopKQuery(table="sales", attribute="amount", k=2)

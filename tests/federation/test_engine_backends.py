@@ -105,6 +105,50 @@ def test_cache_invalidation_tracks_data_version_on_both_engines():
         assert refreshed.values[0] == 9_999.0
 
 
+def test_inserts_between_statements_bit_identical_across_engines():
+    """Writes landing between ``execute`` calls: the columnar parties answer
+    from summaries folded forward row by row, the row-store parties rescan,
+    and every outcome — and every cache decision — is the same."""
+    statements = [
+        "SELECT TOP 3 value FROM data",
+        "SELECT BOTTOM 2 value FROM data",
+        "SELECT MAX(value) FROM data",
+        "SELECT MIN(value) FROM data",
+        "SELECT SUM(value) FROM data",
+        "SELECT AVG(value) FROM data",
+        "SELECT COUNT(value) FROM data",
+    ]
+    rng = random.Random(21)
+    writes = [(rng.choice(sorted(DATASETS)), rng.randint(1, 10_000)) for _ in range(12)]
+    transcripts = {}
+    for engine in ("row", "columnar"):
+        fed = Federation(domain=PAPER_DOMAIN, seed=7)
+        databases = {
+            owner: database_from_values(owner, values, engine=engine)
+            for owner, values in DATASETS.items()
+        }
+        for db in databases.values():
+            fed.register(db)
+        transcript = []
+        for owner, value in writes:
+            before = databases[owner].data_version
+            databases[owner].insert("data", {"value": value})
+            assert databases[owner].data_version == before + 1
+            for statement in statements:
+                fresh = fed.execute(statement, use_cache=True)
+                again = fed.execute(statement, use_cache=True)
+                # The version bump invalidated what the last round cached;
+                # nothing has been written since, so the repeat is a hit.
+                assert not fresh.cached and again.cached
+                assert again.values == fresh.values
+                transcript.append(outcome_key(fresh))
+        transcripts[engine] = transcript
+    assert transcripts["row"] == transcripts["columnar"]
+    # The last statement is COUNT, which is exact: every write is counted.
+    held = sum(len(values) for values in DATASETS.values()) + len(writes)
+    assert transcripts["columnar"][-1][0] == (float(held),)
+
+
 def test_generated_workload_parity():
     gen_row = DataGenerator(rng=random.Random(5))
     gen_col = DataGenerator(rng=random.Random(5))
