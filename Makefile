@@ -46,7 +46,7 @@ bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # Kernel-vs-session speedup sweep; writes results/BENCH_kernel_speedup.json
-# and fails below the 5x floor at n=50.
+# and fails below the 26x floor at n=50.
 bench-kernel:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_kernel.py -q -s
 

@@ -124,10 +124,6 @@ RULES = {
     "BENCH_planner.json": lambda doc: [
         Check("throughput_win", ">=", 2.0, doc.get("throughput_win"))
     ],
-    "BENCH_federation_throughput.json": lambda doc: [
-        Check("speedup_vs_sequential", ">=", 2.0, doc.get("speedup_vs_sequential")),
-        Check("cache_hit_rate", ">=", 0.9, doc.get("cache_hit_rate")),
-    ],
     "BENCH_service_throughput.json": lambda doc: [
         Check(
             "speedup_vs_one_at_a_time",

@@ -179,20 +179,23 @@ def _export_trace(recorder, args: argparse.Namespace) -> None:
         print(f"wrote {recorder.write_chrome(args.chrome)}")
 
 
-def _trace_query(args: argparse.Namespace, recorder) -> int:
-    from .core.serialization import save_result
-    from .observability import tracing
-
+def _synthetic_job(args: argparse.Namespace):
+    """The one seeded ``(local_vectors, query, config)`` job behind the
+    ``query``, ``trace`` and ``metrics`` commands."""
     generator = DataGenerator(rng=random.Random(args.seed))
     datasets = generator.node_datasets(args.nodes, args.values_per_node)
     vectors = {f"node{i}": [float(v) for v in vs] for i, vs in enumerate(datasets)}
     query = TopKQuery(table="data", attribute="value", k=args.k)
+    return vectors, query, RunConfig(protocol=args.protocol, seed=args.seed)
+
+
+def _trace_query(args: argparse.Namespace, recorder) -> int:
+    from .core.serialization import save_result
+    from .observability import tracing
+
     with tracing(recorder):
         result = run_protocol_on_vectors(
-            vectors,
-            query,
-            RunConfig(protocol=args.protocol, seed=args.seed),
-            backend=args.backend or "session",
+            *_synthetic_job(args), backend=args.backend
         )
     path = save_result(result, args.out)
     print(f"result: {result.answer()}")
@@ -286,28 +289,15 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     _serve_workload(service, statements, args)
     service.export_metrics(registry)
 
-    # Protocol slice: one transport-simulated query's traffic accounting.
-    generator = DataGenerator(rng=random.Random(args.seed))
-    datasets = generator.node_datasets(args.nodes, args.values_per_node)
-    vectors = {f"node{i}": [float(v) for v in vs] for i, vs in enumerate(datasets)}
-    query = TopKQuery(table="data", attribute="value", k=args.k)
-    result = run_protocol_on_vectors(
-        vectors, query, RunConfig(protocol=args.protocol, seed=args.seed)
-    )
+    # Protocol slice: one query's traffic accounting and, since the
+    # executor rule runs it on the kernel, its phase profile.
+    with telemetry.profile_phases() as phases:
+        result = run_protocol_on_vectors(*_synthetic_job(args))
     registry.absorb_traffic(
         result.stats,
         rounds=result.rounds_executed,
         labels={"protocol": result.protocol},
     )
-
-    # Kernel slice: the same query on the fast path, phase-profiled.
-    with telemetry.profile_phases() as phases:
-        run_protocol_on_vectors(
-            vectors,
-            query,
-            RunConfig(protocol=args.protocol, seed=args.seed),
-            backend="kernel",
-        )
     registry.absorb_phases(phases)
 
     print(registry.to_prometheus(), end="")
@@ -339,12 +329,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if args.protocol not in PROTOCOLS:
         print(f"unknown protocol {args.protocol!r}; one of {PROTOCOLS}", file=sys.stderr)
         return 2
-    generator = DataGenerator(rng=random.Random(args.seed))
-    datasets = generator.node_datasets(args.nodes, args.values_per_node)
-    vectors = {f"node{i}": [float(v) for v in vs] for i, vs in enumerate(datasets)}
-    query = TopKQuery(table="data", attribute="value", k=args.k)
-    config = RunConfig(protocol=args.protocol, seed=args.seed)
-    result = run_protocol_on_vectors(vectors, query, config)
+    result = run_protocol_on_vectors(*_synthetic_job(args))
     print(f"protocol          : {result.protocol}")
     print(f"nodes             : {result.n_nodes}")
     print(f"rounds executed   : {result.rounds_executed}")
@@ -872,9 +857,9 @@ def build_parser() -> argparse.ArgumentParser:
         "metrics",
         help="collect unified metrics across service, protocol, and kernel",
         description=(
-            "Run a service workload, a transport-simulated query, and a "
-            "kernel-profiled query, publish everything into one "
-            "MetricsRegistry, and print the Prometheus text exposition."
+            "Run a service workload and one phase-profiled protocol query, "
+            "publish everything into one MetricsRegistry, and print the "
+            "Prometheus text exposition."
         ),
     )
     metrics.add_argument("--nodes", type=int, default=10)

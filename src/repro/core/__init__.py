@@ -18,7 +18,7 @@ from .driver import (
     run_topk_query,
     with_protocol,
 )
-from .kernel import KernelRun, kernel_refusal, run_kernel_on_vectors
+from .kernel import KernelRun, kernel_refusal
 from .session import PreparedQuery, ProtocolSession, prepare_query_vectors
 from .max_protocol import ProbabilisticMaxAlgorithm
 from .naive import NaiveMaxAlgorithm, NaiveTopKAlgorithm
@@ -101,7 +101,6 @@ __all__ = [
     "random_value_in",
     "result_from_dict",
     "result_to_dict",
-    "run_kernel_on_vectors",
     "run_many_on_vectors",
     "run_protocol_on_vectors",
     "run_topk_queries",

@@ -20,51 +20,59 @@ session under the same seed: final vector, snapshots, ring history, traffic
 stats, simulated clock, and every event-log observation (message ids aside,
 which are process-global).
 
-Jobs the vectorized engine cannot replay exactly fall back *per item* to the
-scalar kernel (same results, scalar speed): non-probabilistic protocols,
+This module is also where the second half of the executor rule lives (the
+first half — transport obligations run the session — is
+:mod:`repro.core.driver`'s): :func:`execute_many` is the kernel path's one
+entry, it forms the shape groups, and a group runs here only when it has at
+least :data:`VECTOR_CROSSOVER` members.  Smaller groups run one by one on
+the scalar kernel (same results, and faster at that size), as does every
+job the engine cannot replay exactly: non-probabilistic protocols,
 re-insertion mode, custom noise strategies, custom rings, seeded initial
 vectors, and data/domain shapes whose byte accounting or draw replay has
 scalar-only edge cases (domains spanning zero, non-integer data on integral
-domains, values below the domain floor).  Config-level refusals (encryption,
-latency, failures) are the driver's job — it routes those to the session
-backend or raises :class:`~repro.core.kernel.KernelUnsupported`.
+domains, values below the domain floor).
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
+import time
 from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..network.ring import RingTopology
 from ..network.stats import TrafficStats
 from .kernel import (
     _FIXED,
+    _LATENCY,
     _RESULT_LEN,
     _TOKEN_LEN,
+    KernelPhaseSample,
     _LazyKernelLog,
     _id_len,
-    _synthesize_trace,
+    _stats_counters,
     execute as execute_scalar,
     kernel_refusal,
+    phase_sink,
+    synthesize_trace,
 )
 from .noise import HighBiasedNoise, LowBiasedNoise, UniformNoise, draw_noise_batch
 from .results import ProtocolResult
 from .sampling import MAX_HARVEST_WORDS, WordPool, words_to_unit_floats
-from .session import PROBABILISTIC, prepare_query_vectors
+from .session import PROBABILISTIC, PreparedQuery, prepare_query_vectors
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (driver imports us)
-    from ..database.query import TopKQuery
-    from ..observability.trace import TraceContext
     from .driver import RunConfig
 
-__all__ = ["execute_many"]
+__all__ = ["VECTOR_CROSSOVER", "execute_many"]
 
-#: The transport's constant link delay; see ``kernel._LATENCY``.
-_LATENCY = 0.001
+#: Smallest shape group the vectorized engine runs.  Measured, not chosen:
+#: below it the scalar kernel is faster per run, at it and above the engine
+#: is (``scripts/size_executor_crossover.py``; table, methodology and
+#: environment in DESIGN.md, "Which executor runs").  A constant on purpose:
+#: nothing a caller can set reaches it.
+VECTOR_CROSSOVER = 16
 
 _NOISE_KINDS = {UniformNoise: "uniform", HighBiasedNoise: "high", LowBiasedNoise: "low"}
 
@@ -399,39 +407,6 @@ def _bulk_prepare(n, width, entries, groups, scalar_jobs) -> None:
                 _slow_classify(index, vectors, query, config, groups, scalar_jobs)
 
 
-# -- lazy event log -----------------------------------------------------------
-
-class _BatchLog(_LazyKernelLog):
-    """Kernel-style lazy log whose pass records are themselves built lazily.
-
-    The batch engine keeps per-*cell* event blocks shared across the whole
-    group; reconstructing one trial's per-hop vectors only happens if its
-    log is ever read.
-    """
-
-    def __init__(self, builder, query_id: str = ""):
-        self._builder = builder
-        self._query = query_id
-        self._cache = None
-        self._passes_cache = None
-
-    @property
-    def _passes(self):
-        passes = self._passes_cache
-        if passes is None:
-            passes = self._passes_cache = self._builder()
-            # The builder closes over the whole group's arrays; let them go
-            # once every trial of the group has been read.
-            self._builder = None
-        return passes
-
-    def __reduce__(self):
-        # The builder closes over the whole group's state; pickling (the
-        # process-pool result path) ships this trial's pass records, so the
-        # receiving side scores LoP from passes too.
-        return (_LazyKernelLog, (self._passes, self._query))
-
-
 # -- lazy traffic stats -------------------------------------------------------
 
 class _BatchStats(TrafficStats):
@@ -482,43 +457,6 @@ class _BatchStats(TrafficStats):
                 self.per_query,
             ),
         )
-
-
-def _stats_counters(
-    ring_lists,
-    single_ring,
-    rounds,
-    per_round_template,
-    per_type_template,
-    qid,
-    messages_total,
-):
-    """Build one trial's per-key traffic counters (the lazy-stats payload).
-
-    ``Counter(mapping)`` on construction defers to ``dict.update`` (C
-    speed), as does ``Counter(pair_list)`` via ``_count_elements``.
-    """
-    link_pairs = []
-    for members in ring_lists:
-        receivers = members[1:]
-        receivers.append(members[0])
-        link_pairs.append(list(zip(members, receivers)))
-    if single_ring:
-        # Every pass reuses the one ring, and its directed links are
-        # distinct, so the counts come straight from a dict.
-        per_link = Counter(dict.fromkeys(link_pairs[0], rounds + 1))
-    else:
-        # One token pass per remapped ring; the final ring also carries
-        # the result broadcast.
-        per_link = Counter(
-            [pair for pairs in link_pairs for pair in pairs] + link_pairs[-1]
-        )
-    return {
-        "per_link": per_link,
-        "per_round": per_round_template.copy(),
-        "per_type": per_type_template.copy(),
-        "per_query": Counter({qid: messages_total}),
-    }
 
 
 # -- the group engine ---------------------------------------------------------
@@ -911,17 +849,11 @@ class _Group:
 
     # -- finalize -------------------------------------------------------------
 
-    def finalize(self, traces, results) -> None:
+    def finalize(self, results) -> None:
         n, k, rounds, count = self.n, self.k, self.rounds, self.count
-        # ``Counter(mapping)`` on an empty counter defers to ``dict.update``
-        # (C speed), as does ``Counter(pair_list)`` via ``_count_elements``;
-        # both avoid per-key python loops in this per-trial section.
-        per_round_template = Counter({r: n for r in range(1, rounds + 2)})
-        per_type_template = Counter({"token": n * rounds, "result": n})
         messages_total = n * (rounds + 1)
         clock = _simulated_seconds(n, rounds)
         snapshot_rounds = range(1, rounds + 1)
-        single_ring = len(self.ring_orders) == 1
         # Ring member names: one object-array gather per ring when every
         # member shares the same ids list (the common bulk case).
         ids0 = self.node_ids[0]
@@ -948,33 +880,13 @@ class _Group:
                 messages_total,
                 int(self.bytes_total[t]),
                 lambda lists=ring_lists, qid=self.query_ids[t]: (
-                    _stats_counters(
-                        lists,
-                        single_ring,
-                        rounds,
-                        per_round_template,
-                        per_type_template,
-                        qid,
-                        messages_total,
-                    )
+                    _stats_counters(lists, rounds, qid)
                 ),
             )
             snaps = all_snaps[t]
-            log = _BatchLog(
+            log = _LazyKernelLog(
                 (lambda trial=t: self._build_passes(trial)), self.query_ids[t]
             )
-            trace = traces[index]
-            if trace is not None:
-                _synthesize_trace(
-                    trace,
-                    protocol=PROBABILISTIC,
-                    total_rounds=rounds,
-                    starter=ids[starters[t]],
-                    k=k,
-                    initial_ring=RingTopology(ring_ids[0]),
-                    n=n,
-                    log_passes=log._passes,
-                )
             result = ProtocolResult(
                 query=prepared.query,
                 protocol=PROBABILISTIC,
@@ -998,7 +910,9 @@ class _Group:
             result.original_query = prepared.original_query
             results[index] = result
 
-    def execute(self, traces, query_ids, results) -> None:
+    def execute(self, query_ids, results) -> None:
+        sink = phase_sink()
+        t0 = time.perf_counter() if sink is not None else 0.0
         self.node_ids = [
             prepared.ids
             if type(prepared) is _FastItem
@@ -1009,8 +923,20 @@ class _Group:
         self.V = np.stack([matrix for (_, _, _, matrix) in self.members])
         self.Vfirst = np.ascontiguousarray(self.V[:, :, 0])
         self.replay_run_rngs()
+        t1 = time.perf_counter() if sink is not None else 0.0
         self.run_rounds()
-        self.finalize(traces, results)
+        t2 = time.perf_counter() if sink is not None else 0.0
+        self.finalize(results)
+        if sink is not None:
+            sink(
+                KernelPhaseSample(
+                    setup_seconds=t1 - t0,
+                    round_loop_seconds=t2 - t1,
+                    finalize_seconds=time.perf_counter() - t2,
+                    rounds=self.rounds * self.count,
+                    runs=self.count,
+                )
+            )
 
 
 # -- entry point --------------------------------------------------------------
@@ -1021,14 +947,18 @@ def execute_many(
     traces=None,
     query_ids=None,
 ) -> list[ProtocolResult]:
-    """Run a batch of ``(local_vectors, query, config)`` jobs vectorized.
+    """Run ``(local_vectors, query, config)`` jobs on the message-free kernels.
 
-    Jobs with the same protocol shape (n, k, rounds, schedule, delta, noise,
-    domain) execute as one numpy batch; the rest run one-by-one on the
-    scalar kernel.  ``query_ids`` defaults to the transport batch's
+    The kernel path's single entry.  Jobs with the same protocol shape (n,
+    k, rounds, schedule, delta, noise, domain) form a group; a group of at
+    least :data:`VECTOR_CROSSOVER` executes as one numpy batch, and every
+    other job — smaller groups, shapes the engine cannot replay — runs on
+    the scalar kernel.  ``query_ids`` defaults to the transport batch's
     ``q{index}`` tagging; pass explicit ids (or ``""`` for untagged
     single-query accounting) to control the per-message tag.  Results come
-    back in job order and are bit-identical to the session backend per job.
+    back in job order and are bit-identical to the session backend per job,
+    whichever kernel ran them; traced jobs get their spans synthesized in
+    job order.
 
     A failing job aborts the whole batch with that job's exception; when
     several jobs would fail, which exception surfaces first may differ from
@@ -1042,27 +972,43 @@ def execute_many(
     results: list[ProtocolResult | None] = [None] * len(jobs)
     groups: dict[tuple, list] = {}
     scalar_jobs: list[tuple[int, object, "RunConfig"]] = []
-    bulk_shapes: dict[tuple[int, int], list] = {}
-    probe_cache: dict = {}
-    id_cache: dict = {}
-    for index, (vectors, query, config) in enumerate(jobs):
-        fast = _fast_probe(vectors, query, config, probe_cache, id_cache)
-        if fast is None:
-            _slow_classify(index, vectors, query, config, groups, scalar_jobs)
-        else:
-            key, ids, width = fast
-            bulk_shapes.setdefault((key[0], width), []).append(
-                (index, vectors, query, config, key, ids)
-            )
-    for (n, width), entries in bulk_shapes.items():
-        _bulk_prepare(n, width, entries, groups, scalar_jobs)
-    # Scalar fallbacks first, in job order: they are the only jobs that can
+    if len(jobs) < VECTOR_CROSSOVER:
+        # No group can reach the crossover, so nothing needs classifying.
+        scalar_jobs = [
+            (index, prepare_query_vectors(vectors, query), config)
+            for index, (vectors, query, config) in enumerate(jobs)
+        ]
+    else:
+        bulk_shapes: dict[tuple[int, int], list] = {}
+        probe_cache: dict = {}
+        id_cache: dict = {}
+        for index, (vectors, query, config) in enumerate(jobs):
+            fast = _fast_probe(vectors, query, config, probe_cache, id_cache)
+            if fast is None:
+                _slow_classify(index, vectors, query, config, groups, scalar_jobs)
+            else:
+                key, ids, width = fast
+                bulk_shapes.setdefault((key[0], width), []).append(
+                    (index, vectors, query, config, key, ids)
+                )
+        for (n, width), entries in bulk_shapes.items():
+            _bulk_prepare(n, width, entries, groups, scalar_jobs)
+        for key in [k for k, m in groups.items() if len(m) < VECTOR_CROSSOVER]:
+            for index, prepared, config, _matrix in groups.pop(key):
+                if not isinstance(prepared, PreparedQuery):
+                    # Bulk-converted: the scalar kernel wants python prep.
+                    prepared = prepare_query_vectors(*jobs[index][:2])
+                scalar_jobs.append((index, prepared, config))
+    # Scalar jobs first, in job order: they are the only jobs that can
     # raise mid-protocol, and grouped jobs are error-free by construction.
     scalar_jobs.sort(key=lambda job: job[0])
     for index, prepared, config in scalar_jobs:
         results[index] = execute_scalar(
-            prepared, config, trace=traces[index], query_id=query_ids[index]
+            prepared, config, query_id=query_ids[index]
         ).result
     for key, members in groups.items():
-        _Group(key, members).execute(traces, query_ids, results)
+        _Group(key, members).execute(query_ids, results)
+    for trace, result in zip(traces, results):
+        if trace is not None:
+            synthesize_trace(trace, result)
     return results

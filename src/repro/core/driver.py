@@ -5,14 +5,19 @@ the node-to-successor communication scheme, the per-node local computation
 module, and the initialization module that picks the starting node and the
 randomization parameters.
 
-The round loop itself lives in :mod:`repro.core.session` as a resumable
-:class:`~repro.core.session.ProtocolSession`, so that many independent
-queries can interleave their tokens on one shared transport (the multi-query
-pipelining path used by ``Federation.execute_many``).  The single-query entry
-points below run one session on a dedicated transport and are bit-identical
-to the pre-session driver: given a seeded RNG a run produces a bit-identical
-result, which is what the experiment harness and the property-based tests
-rely on.
+**Which executor runs a job is decided here and in one other place.**  A
+config with transport obligations (encryption, a latency model, a failure
+injector — :func:`~repro.core.kernel.kernel_refusal`) needs real messages
+and runs the :class:`~repro.core.session.ProtocolSession`; every other job
+goes to :func:`repro.core.batch.execute_many`, the message-free kernels'
+single entry, which runs a shape group of at least
+:data:`~repro.core.batch.VECTOR_CROSSOVER` jobs vectorized and everything
+smaller on the scalar kernel.  Both entry points below default to that rule
+and every executor returns bit-identical results under the same seed
+(message ids aside), which is what the experiment harness, the goldens and
+the property-based tests rely on.  :data:`SESSION` and :data:`KERNEL` exist
+as explicit pins for the reference, the parity suites and the byte-accounting
+experiments.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from ..network.transport import (
 from ..observability.runtime import current_tracer
 from ..observability.trace import TraceContext
 from .batch import execute_many as execute_batch
-from .kernel import KernelUnsupported, kernel_refusal, run_kernel_on_vectors
+from .kernel import KernelUnsupported, kernel_refusal
 from .params import ParamError, ProtocolParams
 from .results import ProtocolResult
 from .session import (
@@ -49,7 +54,6 @@ from .session import (
 
 __all__ = [
     "ANONYMOUS_NAIVE",
-    "AUTO",
     "BACKENDS",
     "KERNEL",
     "NAIVE",
@@ -60,6 +64,7 @@ __all__ = [
     "KernelUnsupported",
     "RingBuilder",
     "RunConfig",
+    "ambient_traces",
     "derived_rounds",
     "run_many_on_vectors",
     "run_protocol_on_vectors",
@@ -68,16 +73,15 @@ __all__ = [
     "with_protocol",
 ]
 
-#: Execution backends for single-query runs.  ``SESSION`` is the transport-
-#: backed simulation (encryption, latency, failures, full accounting);
-#: ``KERNEL`` is the message-free fast path (:mod:`repro.core.kernel`),
-#: bit-identical on the configs it accepts and refusing the rest.
+#: Explicit executor pins; ``backend=None`` (the default everywhere) is the
+#: rule in the module docstring.  ``SESSION`` is the transport-backed
+#: simulation (encryption, latency, failures, full accounting) — the
+#: reference.  ``KERNEL`` is a message-free kernel, bit-identical on the
+#: configs it accepts and refusing the rest; *which* kernel is still decided
+#: by group size.
 SESSION = "session"
 KERNEL = "kernel"
 BACKENDS = (SESSION, KERNEL)
-#: Batch-entry-point default: the vectorized kernel when every config is
-#: transport-free, the session path otherwise (see :func:`run_many_on_vectors`).
-AUTO = "auto"
 
 
 @dataclass(frozen=True)
@@ -133,14 +137,23 @@ def run_topk_query(
     precondition, extracts each node's local top-k vector, and delegates to
     :func:`run_protocol_on_vectors`.
     """
-    config = config or RunConfig()
-    common_query(databases, query)
+    local_vectors = _extract(databases, query, trace)
+    return run_protocol_on_vectors(local_vectors, query, config, trace=trace)
+
+
+def _extract(
+    databases: Sequence[PrivateDatabase],
+    query: TopKQuery,
+    trace: "TraceContext | None",
+) -> dict[str, list[float]]:
+    """Check the schema precondition and pull every party's local top-k."""
     owners = [db.owner for db in databases]
     if len(set(owners)) != len(owners):
         raise DriverError(f"duplicate database owners: {owners}")
+    common_query(databases, query)
     local_vectors = {db.owner: db.local_topk(query) for db in databases}
     _record_extraction(databases, query, trace)
-    return run_protocol_on_vectors(local_vectors, query, config, trace=trace)
+    return local_vectors
 
 
 def _record_extraction(
@@ -195,12 +208,22 @@ def _trace_for_query(
     )
 
 
+def ambient_traces(
+    jobs: Sequence[tuple[dict[str, list[float]], TopKQuery, RunConfig]],
+) -> "list[TraceContext | None]":
+    """One new trace per job, in job order (all ``None`` when tracing is off)."""
+    return [
+        _trace_for_query(query, config, len(vectors))
+        for vectors, query, config in jobs
+    ]
+
+
 def run_protocol_on_vectors(
     local_vectors: dict[str, list[float]],
     query: TopKQuery,
     config: RunConfig | None = None,
     *,
-    backend: str = SESSION,
+    backend: str | None = None,
     trace: "TraceContext | None" = None,
 ) -> ProtocolResult:
     """Run the protocol when each party's local top-k vector is already known.
@@ -212,45 +235,34 @@ def run_protocol_on_vectors(
     experiment harness uses this entry point directly with synthetic
     workloads.
 
-    ``backend`` selects the execution substrate: :data:`SESSION` (default)
-    simulates the full transport; :data:`KERNEL` runs the message-free fast
-    path, bit-identical under the same seed but refusing configs it cannot
-    honor exactly (encryption, latency models, failure injectors).
+    ``backend=None`` (default) applies the executor rule: the session when
+    the config has transport obligations, a message-free kernel otherwise.
+    :data:`SESSION` / :data:`KERNEL` pin one; a pinned kernel refuses
+    configs it cannot honor exactly
+    (:class:`~repro.core.kernel.KernelUnsupported`).
     """
-    if backend not in BACKENDS:
-        raise DriverError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     config = config or RunConfig()
     if trace is None:
         trace = _trace_for_query(query, config, len(local_vectors))
-    if backend == KERNEL:
-        return run_kernel_on_vectors(local_vectors, query, config, trace=trace)
-    prepared = prepare_query_vectors(local_vectors, query)
-    transport = _transport_for(config)
-    session = ProtocolSession(prepared, config, transport, trace=trace)
-    session.start()
-    transport.run_until_idle()
-    session.recover()
-    return session.finalize()
+    # Untagged: a solo run carries no per-message query field.
+    return _run([(local_vectors, query, config)], [trace], [""], backend)[0]
 
 
 def run_many_on_vectors(
     jobs: Sequence[tuple[dict[str, list[float]], TopKQuery, RunConfig]],
     *,
     traces: "Sequence[TraceContext | None] | None" = None,
-    backend: str = AUTO,
+    backend: str | None = None,
 ) -> list[ProtocolResult]:
     """Run many independent queries as one batch.
 
-    Each job is ``(local_vectors, query, config)``.  ``backend`` selects the
-    execution substrate:
+    Each job is ``(local_vectors, query, config)``.  ``backend=None``
+    (default) applies the executor rule of the module docstring to the
+    batch; the pins override it:
 
-    * :data:`AUTO` (default) — the vectorized batch kernel
-      (:mod:`repro.core.batch`) whenever every config is free of transport
-      obligations (no encryption, latency model, or failure injector);
-      otherwise the shared-transport session path.
-    * :data:`KERNEL` — the vectorized batch kernel unconditionally; configs
-      it cannot honor exactly raise
-      :class:`~repro.core.kernel.KernelUnsupported`.
+    * :data:`KERNEL` — the message-free kernels unconditionally (each shape
+      group on the kernel its size selects); configs they cannot honor
+      exactly raise :class:`~repro.core.kernel.KernelUnsupported`.
     * :data:`SESSION` — the transport simulation: all sessions start at
       simulated time zero and interleave their tokens by delivery timestamp,
       so the batch completes in simulated time close to the slowest query
@@ -259,16 +271,12 @@ def run_many_on_vectors(
     Every query draws its randomness from its *own* config's seed, in the
     same order the single-query path does, so each result is bit-identical
     to running that query alone with the same config — values, rounds and
-    privacy exposure included, on either substrate.  (Byte accounting
+    privacy exposure included, on every executor.  (Byte accounting
     differs from solo runs by the few bytes of the per-message query tag.)
 
     Transport-level settings (``encrypt``, ``latency``, ``failures``) must
     be shared across the batch, since one transport carries all queries.
     """
-    if backend not in (AUTO, *BACKENDS):
-        raise DriverError(
-            f"unknown backend {backend!r}; expected one of {(AUTO, *BACKENDS)}"
-        )
     jobs = list(jobs)
     if not jobs:
         return []
@@ -276,11 +284,6 @@ def run_many_on_vectors(
         raise DriverError(
             f"got {len(jobs)} jobs but {len(traces)} trace contexts"
         )
-    if traces is None:
-        traces = [
-            _trace_for_query(query, config, len(vectors))
-            for vectors, query, config in jobs
-        ]
     base = jobs[0][2]
     for _vectors, _query, config in jobs:
         if (
@@ -292,22 +295,44 @@ def run_many_on_vectors(
                 "batched queries must share transport settings "
                 "(encrypt, latency, failures)"
             )
-    if backend == AUTO:
-        # Transport settings are shared (validated above), so one refusal
-        # check covers the batch.
-        backend = SESSION if kernel_refusal(base) else KERNEL
-    if backend == KERNEL:
-        return execute_batch(jobs, traces=traces)
+    if traces is None:
+        traces = ambient_traces(jobs)
+    return _run(jobs, traces, [f"q{index}" for index in range(len(jobs))], backend)
+
+
+def _run(
+    jobs: list[tuple[dict[str, list[float]], TopKQuery, RunConfig]],
+    traces: "Sequence[TraceContext | None]",
+    query_ids: list[str],
+    backend: str | None,
+) -> list[ProtocolResult]:
+    """Pick the executor for ``jobs`` and run them: both entry points end here.
+
+    The rule's first half — does this config need real messages?  Transport
+    settings are shared across a batch, so the first config answers for all.
+    (The second half, scalar or vectorized, is ``execute_batch``'s.)
+    """
+    base = jobs[0][2]
+    if backend is None:
+        on_session = kernel_refusal(base) is not None
+    elif backend in BACKENDS:
+        on_session = backend == SESSION
+    else:
+        raise DriverError(
+            f"unknown backend {backend!r}; expected None or one of {BACKENDS}"
+        )
+    if not on_session:
+        return execute_batch(jobs, traces=traces, query_ids=query_ids)
     transport = _transport_for(base)
     sessions = [
         ProtocolSession(
             prepare_query_vectors(vectors, query),
             config,
             transport,
-            query_id=f"q{index}",
-            trace=traces[index],
+            query_id=query_id,
+            trace=trace,
         )
-        for index, (vectors, query, config) in enumerate(jobs)
+        for (vectors, query, config), trace, query_id in zip(jobs, traces, query_ids)
     ]
     for session in sessions:
         session.start()
@@ -329,13 +354,13 @@ def run_topk_queries(
     configs: Sequence[RunConfig],
     *,
     traces: "Sequence[TraceContext | None] | None" = None,
-    backend: str = AUTO,
+    backend: str | None = None,
 ) -> list[ProtocolResult]:
     """Batch counterpart of :func:`run_topk_query`: one config per query.
 
     Validates the schema precondition per query, extracts local vectors, and
-    pipelines all runs on one shared transport via
-    :func:`run_many_on_vectors`; ``backend`` is forwarded there.
+    runs them as one batch via :func:`run_many_on_vectors`; ``backend`` is
+    forwarded there.
     """
     if len(queries) != len(configs):
         raise DriverError(
@@ -345,17 +370,11 @@ def run_topk_queries(
         raise DriverError(
             f"got {len(queries)} jobs but {len(traces)} trace contexts"
         )
-    owners = [db.owner for db in databases]
-    if len(set(owners)) != len(owners):
-        raise DriverError(f"duplicate database owners: {owners}")
-    jobs = []
-    for index, (query, config) in enumerate(zip(queries, configs)):
-        common_query(databases, query)
-        jobs.append(
-            ({db.owner: db.local_topk(query) for db in databases}, query, config)
-        )
-        if traces is not None:
-            _record_extraction(databases, query, traces[index])
+    extraction_traces = traces if traces is not None else [None] * len(queries)
+    jobs = [
+        (_extract(databases, query, trace), query, config)
+        for query, config, trace in zip(queries, configs, extraction_traces)
+    ]
     return run_many_on_vectors(jobs, traces=traces, backend=backend)
 
 

@@ -24,7 +24,13 @@ every event-log observation (message ids aside, which are process-global).
 
 Configs the kernel cannot honor exactly are refused loudly
 (:class:`KernelUnsupported`): encryption, custom latency models, and any
-real failure injector.  Callers that need those pin ``backend="session"``.
+real failure injector.  The driver's executor rule sends those to the
+session (:func:`kernel_refusal` is the test it applies); only an explicit
+``backend="kernel"`` pin ever sees the refusal.
+
+Callers do not pick this module: :func:`repro.core.batch.execute_many` is
+the kernel path's one entry and runs a job here when its shape group is
+below the measured crossover or the vectorized engine cannot replay it.
 """
 
 from __future__ import annotations
@@ -39,22 +45,18 @@ from typing import TYPE_CHECKING
 from ..network.events import EventLog, Observation
 from ..network.failures import NullFailureInjector
 from ..network.message import next_message_id
-from ..network.ring import RingTopology
 from ..network.stats import TrafficStats
 from ..observability.trace import TraceContext
 from .results import ProtocolResult
 from .session import (
-    NAIVE,
     PROBABILISTIC,
     DriverError,
     PreparedQuery,
-    build_algorithm,
-    prepare_query_vectors,
+    initialize_run,
+    start_vector,
 )
-from .vectors import validate_vector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (driver imports us)
-    from ..database.query import TopKQuery
     from .driver import RunConfig
 
 __all__ = [
@@ -63,8 +65,8 @@ __all__ = [
     "KernelUnsupported",
     "execute",
     "kernel_refusal",
-    "run_kernel_on_vectors",
     "set_phase_sink",
+    "synthesize_trace",
 ]
 
 
@@ -148,14 +150,26 @@ class _LazyKernelLog(EventLog):
     is a finished run's record; nothing appends to it.
     """
 
-    def __init__(
-        self,
-        passes: list[tuple[str, int, tuple[str, ...], object]],
-        query_id: str = "",
-    ):
-        self._passes = passes
+    def __init__(self, passes, query_id: str = ""):
+        #: The pass records, or a zero-argument builder of them: the
+        #: vectorized engine reconstructs one trial's records from its
+        #: group's shared arrays only if that trial's log is ever read.
+        self._source = passes
         self._query = query_id
         self._cache: list[Observation] | None = None
+
+    @property
+    def _passes(self) -> list[tuple[str, int, tuple[str, ...], object]]:
+        source = self._source
+        if callable(source):
+            # The builder closes over the whole group's state; let it go.
+            source = self._source = source()
+        return source
+
+    def __reduce__(self):
+        # Ship the pass records (never a builder closure, never built
+        # observations): the receiving side scores LoP from passes too.
+        return (_LazyKernelLog, (self._passes, self._query))
 
     @property
     def _observations(self) -> list[Observation]:
@@ -208,6 +222,42 @@ class _LazyKernelLog(EventLog):
         return obs_list
 
 
+# -- traffic breakdown ----------------------------------------------------------
+
+def _stats_counters(ring_lists: list[list[str]], rounds: int, qid: str) -> dict:
+    """One run's per-key traffic counters, from the rings it used.
+
+    ``ring_lists`` holds the one ring every pass used, or (per-round remaps)
+    one ring per token pass.  Shared by both kernels; the vectorized engine
+    defers the call (its lazy-stats payload).
+
+    ``Counter(mapping)`` on construction defers to ``dict.update`` (C
+    speed), as does ``Counter(pair_list)`` via ``_count_elements``.
+    """
+    n = len(ring_lists[0])
+    link_pairs = []
+    for members in ring_lists:
+        receivers = members[1:]
+        receivers.append(members[0])
+        link_pairs.append(list(zip(members, receivers)))
+    if len(ring_lists) == 1:
+        # Every pass reuses the one ring, and its directed links are
+        # distinct, so the counts come straight from a dict.
+        per_link = Counter(dict.fromkeys(link_pairs[0], rounds + 1))
+    else:
+        # One token pass per remapped ring; the final ring also carries
+        # the result broadcast.
+        per_link = Counter(
+            [pair for pairs in link_pairs for pair in pairs] + link_pairs[-1]
+        )
+    return {
+        "per_link": per_link,
+        "per_round": Counter({r: n for r in range(1, rounds + 2)}),
+        "per_type": Counter({"token": n * rounds, "result": n}),
+        "per_query": Counter({qid: n * (rounds + 1)}),
+    }
+
+
 # -- per-phase profiling ------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -215,11 +265,12 @@ class KernelPhaseSample:
     """Where one kernel run spent its time (``--timing`` observability)."""
 
     setup_seconds: float
-    ring_seconds: float
     round_loop_seconds: float
     finalize_seconds: float
     rounds: int
-    nodes: int
+    #: Runs the sample covers: 1 from this kernel, a whole shape group from
+    #: the vectorized engine (``rounds`` is then the group's total).
+    runs: int = 1
 
 
 #: When set, every kernel run reports a :class:`KernelPhaseSample` here.
@@ -238,12 +289,7 @@ def set_phase_sink(
 
 
 def phase_sink() -> Callable[[KernelPhaseSample], None] | None:
-    """The installed phase sink, if any.
-
-    The trial runner checks this: per-phase profiling is a property of the
-    *scalar* kernel's run structure, so profiled chunks stay on the solo
-    path instead of the batch engine.
-    """
+    """The installed phase sink, if any (the vectorized engine reports here too)."""
     return _phase_sink
 
 
@@ -278,28 +324,21 @@ def kernel_refusal(config: "RunConfig") -> str | None:
     return None
 
 
-def _synthesize_trace(
-    trace: TraceContext,
-    *,
-    protocol: str,
-    total_rounds: int,
-    starter: str,
-    k: int,
-    initial_ring: RingTopology,
-    n: int,
-    log_passes: list[tuple[str, int, tuple[str, ...], object]],
-) -> None:
+def synthesize_trace(trace: TraceContext, result: ProtocolResult) -> None:
     """Emit the spans a traced :class:`ProtocolSession` run would record.
 
-    The kernel never delivers a message, so spans are reconstructed after
-    the fact from the per-pass log: one protocol span, one span per round,
-    one hop event per (synthetic) delivery, and a broadcast span for the
-    result circulation.  Open/close order and the ``clock += _LATENCY``
+    The kernels never deliver a message, so spans are reconstructed after
+    the fact from the result's per-pass log: one protocol span, one span per
+    round, one hop event per (synthetic) delivery, and a broadcast span for
+    the result circulation.  Open/close order and the ``clock += _LATENCY``
     float-addition chain both replicate the transport-backed path exactly,
     so under the same seed the two backends export byte-identical JSONL.
     """
     tracer = trace.tracer
     capture = tracer.capture_values
+    log_passes = result.event_log._passes
+    total_rounds = len(log_passes) - 1  # every pass but the result broadcast
+    n = len(result.ring_order)
     t = 0.0
     protocol_ctx = tracer.open_span(
         trace,
@@ -307,12 +346,12 @@ def _synthesize_trace(
         at=t,
         kind="protocol",
         attrs={
-            "protocol": protocol,
+            "protocol": result.protocol,
             "nodes": n,
             "rounds": total_rounds,
-            "starter": starter,
-            "k": k,
-            "ring": list(initial_ring.members),
+            "starter": result.starter,
+            "k": result.query.k,
+            "ring": list(result.ring_order),
         },
     )
     round_ctx = tracer.open_span(
@@ -360,7 +399,6 @@ def execute(
     prepared: PreparedQuery,
     config: "RunConfig",
     *,
-    trace: TraceContext | None = None,
     query_id: str = "",
 ) -> KernelRun:
     """Run one protocol on the fast path; bit-identical to a session run.
@@ -374,59 +412,24 @@ def execute(
     if reason is not None:
         raise KernelUnsupported(
             f"kernel backend cannot honor this config exactly: {reason}; "
-            'use backend="session"'
+            'drop the backend="kernel" pin (or pin backend="session")'
         )
 
     sink = _phase_sink
     timed = sink is not None
     t0 = time.perf_counter() if timed else 0.0
 
-    # Setup, in the session's exact RNG draw order: run RNG, round count,
-    # then (ring, starter) and per-node algorithm streams below.
-    rng = config.rng()
+    # The session's own initialization module: same ring, starter and
+    # per-node streams, because it is the same function.
+    setup = initialize_run(prepared, config)
+    rng, node_ids, total_rounds = setup.rng, setup.node_ids, setup.total_rounds
+    ring = setup.ring
+    starter, algorithms = setup.starter, setup.algorithms
     params = config.params
     query = prepared.query
-    node_ids = sorted(prepared.vectors)
-    if config.protocol == PROBABILISTIC:
-        total_rounds = params.resolved_rounds()
-    else:
-        total_rounds = 1  # the naive protocols are single-round
+    first_input = start_vector(query, config)
 
     t1 = time.perf_counter() if timed else 0.0
-
-    if config.ring_builder is not None:
-        ring = config.ring_builder(list(node_ids), rng)
-        if sorted(ring.members) != node_ids:
-            raise DriverError(
-                "ring_builder must arrange exactly the participating nodes"
-            )
-    else:
-        ring = RingTopology.random(node_ids, rng)
-    initial_ring = ring
-    if config.protocol == NAIVE:
-        # Fixed starting scheme: the first node in canonical order starts.
-        starter = node_ids[0]
-    else:
-        # Randomized starting scheme (initialization module, Section 3.3).
-        starter = rng.choice(node_ids)
-
-    t2 = time.perf_counter() if timed else 0.0
-
-    algorithms = {
-        node_id: build_algorithm(
-            config.protocol, prepared.vectors[node_id], query, params, rng
-        )
-        for node_id in node_ids
-    }
-    if config.initial_vector is not None:
-        start_vector = [float(v) for v in config.initial_vector]
-        validate_vector(start_vector, query.k)
-        if any(v not in query.domain for v in start_vector):
-            raise DriverError("initial_vector contains out-of-domain values")
-    else:
-        start_vector = [float(v) for v in query.identity_vector()]
-
-    t3 = time.perf_counter() if timed else 0.0
 
     n = len(node_ids)
     # Every ring pass has each node send once and receive once, so the
@@ -444,9 +447,6 @@ def execute(
     snapshots: dict[int, list[float]] = {}
     ring_history: dict[int, tuple[str, ...]] = {1: ring.members}
     remap = params.remap_each_round
-    #: (ring members, passes made on that ring) — per-link counts fall out
-    #: of this at the end without touching a Counter on the hot path.
-    ring_passes: list[tuple[tuple[str, ...], int]] = [(ring.members, 0)]
     # Per-hop vector caches.  ``changed`` tracks whether any compute ran
     # since the last hop: when it did not, the vector object is untouched
     # and both the observation tuple and its encoded length carry over.
@@ -470,20 +470,19 @@ def execute(
     # (except the starter, who closes the round).  The starter's compute for
     # the *next* round happens after the end-of-round snapshot and remap,
     # exactly as the session's round hook sequences it.
-    vector = algorithms[starter].compute(list(start_vector), 1)
+    vector = algorithms[starter].compute(first_input, 1)
     for round_number in range(1, total_rounds + 1):
         order = ring.walk_from(starter)
-        ring_passes[-1] = (ring_passes[-1][0], ring_passes[-1][1] + 1)
         bytes_total += (
             n * (_FIXED + len(str(round_number)) + _TOKEN_LEN + query_extra)
             + ids_bytes
         )
         hop_vectors: list[tuple[float, ...]] = []
         record_hop = hop_vectors.append
-        # ``order`` starts at the starter, so hop j delivers to order[j+1];
-        # receivers order[1..n-1] compute, and the closing hop back to the
+        # ``order`` starts at the starter, so hop j delivers to order[j];
+        # receivers order[1..n-1] compute, and the closing hop n back to the
         # starter (who already computed this round) is delivery only.
-        for j in range(1, n):
+        for j in range(1, n + 1):
             clock += _LATENCY
             if changed:
                 sent = tuple(vector)
@@ -509,42 +508,17 @@ def execute(
             else:
                 bytes_total += prev_vec_bytes
                 record_hop(prev_tuple)
-            algorithm = algorithms[order[j]]
-            if not skip_inserted or not algorithm.has_inserted:
-                vector = algorithm.compute(vector, round_number)
-                changed = True
-        clock += _LATENCY
-        if changed:
-            sent = tuple(vector)
-            coerce = False
-            for v in sent:
-                if type(v) is not float:
-                    coerce = True
-                    break
-            if coerce or sent != prev_tuple or 0.0 in sent:
-                sent_bytes = _vector_bytes(sent)
-            else:
-                sent_bytes = prev_vec_bytes
-            bytes_total += sent_bytes
-            record_hop(sent)
-            if coerce:
-                vector = [float(v) for v in sent]
-                prev_tuple = tuple(vector)
-                prev_vec_bytes = _vector_bytes(prev_tuple)
-            else:
-                prev_tuple = sent
-                prev_vec_bytes = sent_bytes
-            changed = False
-        else:
-            bytes_total += prev_vec_bytes
-            record_hop(prev_tuple)
+            if j < n:
+                algorithm = algorithms[order[j]]
+                if not skip_inserted or not algorithm.has_inserted:
+                    vector = algorithm.compute(vector, round_number)
+                    changed = True
         log_pass(("token", round_number, order, hop_vectors))
         snapshots[round_number] = list(vector)
         if round_number < total_rounds:
             if remap:
                 ring = ring.remap(rng)
                 ring_history[round_number + 1] = ring.members
-                ring_passes.append((ring.members, 0))
             algorithm = algorithms[starter]
             if not skip_inserted or not algorithm.has_inserted:
                 vector = algorithm.compute(vector, round_number + 1)
@@ -560,45 +534,28 @@ def execute(
         + ids_bytes
         + n * _vector_bytes(final_tuple)
     )
-    ring_passes[-1] = (ring_passes[-1][0], ring_passes[-1][1] + 1)
     log_pass(("result", result_round, ring.walk_from(starter), final_tuple))
     for _ in range(n):
         clock += _LATENCY
 
-    t4 = time.perf_counter() if timed else 0.0
-
-    if trace is not None:
-        _synthesize_trace(
-            trace,
-            protocol=config.protocol,
-            total_rounds=total_rounds,
-            starter=starter,
-            k=query.k,
-            initial_ring=initial_ring,
-            n=n,
-            log_passes=log_passes,
-        )
+    t2 = time.perf_counter() if timed else 0.0
 
     event_log = _LazyKernelLog(log_passes, query_id)
 
-    per_link: Counter = Counter()
-    for members, passes in ring_passes:
-        if passes:
-            for i, sender in enumerate(members):
-                per_link[(sender, members[(i + 1) % n])] += passes
     stats = TrafficStats(
-        messages_total=n * (total_rounds + 1),
-        bytes_total=bytes_total,
-        per_link=per_link,
-        per_round=Counter({r: n for r in range(1, total_rounds + 2)}),
-        per_type=Counter({"token": n * total_rounds, "result": n}),
-        per_query=Counter({query_id: n * (total_rounds + 1)}),
+        n * (total_rounds + 1),
+        bytes_total,
+        **_stats_counters(
+            [list(members) for members in ring_history.values()],
+            total_rounds,
+            query_id,
+        ),
     )
     result = ProtocolResult(
         query=query,
         protocol=config.protocol,
         final_vector=final_vector,
-        ring_order=initial_ring.members,
+        ring_order=setup.ring.members,
         starter=starter,
         local_vectors={
             node: sorted(v, reverse=True) for node, v in prepared.vectors.items()
@@ -614,31 +571,12 @@ def execute(
     result.original_query = prepared.original_query
 
     if timed:
-        t5 = time.perf_counter()
         sink(
             KernelPhaseSample(
-                setup_seconds=(t1 - t0) + (t3 - t2),
-                ring_seconds=t2 - t1,
-                round_loop_seconds=t4 - t3,
-                finalize_seconds=t5 - t4,
+                setup_seconds=t1 - t0,
+                round_loop_seconds=t2 - t1,
+                finalize_seconds=time.perf_counter() - t2,
                 rounds=total_rounds,
-                nodes=n,
             )
         )
     return KernelRun(result=result, algorithms=algorithms)
-
-
-def run_kernel_on_vectors(
-    local_vectors: dict[str, list[float]],
-    query: "TopKQuery",
-    config: "RunConfig | None" = None,
-    *,
-    trace: TraceContext | None = None,
-) -> ProtocolResult:
-    """Fast-path counterpart of :func:`~repro.core.driver.run_protocol_on_vectors`."""
-    if config is None:
-        from .driver import RunConfig
-
-        config = RunConfig()
-    prepared = prepare_query_vectors(local_vectors, query)
-    return execute(prepared, config, trace=trace).result

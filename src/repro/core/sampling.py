@@ -186,25 +186,11 @@ def _mt_words_chunk(seeds: np.ndarray, words: int) -> np.ndarray:
 #: under 8 MB.
 _PREFIX_CACHE: "OrderedDict[int, np.ndarray]" = OrderedDict()
 PREFIX_CACHE_ENTRIES = 8192
-_prefix_hits = 0
-_prefix_misses = 0
-
-
-def prefix_cache_info() -> dict[str, int]:
-    """Hit/miss/size counters for the stream-prefix cache (for tests/benches)."""
-    return {
-        "hits": _prefix_hits,
-        "misses": _prefix_misses,
-        "entries": len(_PREFIX_CACHE),
-    }
 
 
 def prefix_cache_clear() -> None:
-    """Drop every cached prefix and zero the counters."""
-    global _prefix_hits, _prefix_misses
+    """Drop every cached prefix."""
     _PREFIX_CACHE.clear()
-    _prefix_hits = 0
-    _prefix_misses = 0
 
 
 def mt19937_words(seeds: "np.ndarray | list[int]", words: int) -> np.ndarray:
@@ -220,7 +206,6 @@ def mt19937_words(seeds: "np.ndarray | list[int]", words: int) -> np.ndarray:
     fresh seeds harvest exactly as before and populate it.  The cache holds
     copies, so callers may use the returned array freely.
     """
-    global _prefix_hits, _prefix_misses
     if not 0 < words <= MAX_HARVEST_WORDS:
         raise ValueError(
             f"words must be in [1, {MAX_HARVEST_WORDS}], got {words}"
@@ -235,10 +220,8 @@ def mt19937_words(seeds: "np.ndarray | list[int]", words: int) -> np.ndarray:
         if cached is not None and cached.shape[0] >= words:
             out[row] = cached[:words]
             cache.move_to_end(seed)
-            _prefix_hits += 1
         else:
             miss_rows.append(row)
-            _prefix_misses += 1
     if not miss_rows:
         return out
     miss = np.asarray(miss_rows, dtype=np.int64)

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 
 from ..database.query import Domain, TopKQuery
 from ..network.message import Message, MessageType, result_message, token_message
-from ..network.node import ProtocolNode
+from ..network.node import LocalAlgorithm, ProtocolNode
 from ..network.ring import RingError, RingTopology
 from ..network.transport import InMemoryTransport
 from ..observability.trace import TraceContext
@@ -120,6 +120,73 @@ def build_algorithm(
     return NaiveTopKAlgorithm(padded, query.k)
 
 
+@dataclass(frozen=True)
+class RunSetup:
+    """One run's initialization (Section 3.3), the same on every substrate.
+
+    ``vectors`` holds each node's local top-k, the data the algorithms were
+    built over; ``rng`` is the run RNG positioned just past set-up (per-round
+    ring remaps keep drawing from it).
+    """
+
+    vectors: dict[str, list[float]]
+    node_ids: list[str]
+    total_rounds: int
+    ring: RingTopology
+    starter: str
+    algorithms: dict[str, LocalAlgorithm]
+    rng: random.Random
+
+
+def initialize_run(prepared: PreparedQuery, config: "RunConfig") -> RunSetup:
+    """The initialization module: ring, starter, per-node algorithm streams.
+
+    The draw order is the determinism contract every substrate (simulator,
+    TCP threads, asyncio) shares and the kernels replay: ring layout, then
+    the starter, then one stream seed per node in canonical (sorted) order.
+    """
+    rng = config.rng()
+    node_ids = sorted(prepared.vectors)
+    if config.protocol == PROBABILISTIC:
+        total_rounds = config.params.resolved_rounds()
+    else:
+        total_rounds = 1  # the naive protocols are single-round
+    if config.ring_builder is not None:
+        ring = config.ring_builder(list(node_ids), rng)
+        if sorted(ring.members) != node_ids:
+            raise DriverError(
+                "ring_builder must arrange exactly the participating nodes"
+            )
+    else:
+        ring = RingTopology.random(node_ids, rng)
+    if config.protocol == NAIVE:
+        # Fixed starting scheme: the first node in canonical order starts.
+        starter = node_ids[0]
+    else:
+        # Randomized starting scheme (initialization module, Section 3.3).
+        starter = rng.choice(node_ids)
+    algorithms = {
+        node_id: build_algorithm(
+            config.protocol, prepared.vectors[node_id], prepared.query, config.params, rng
+        )
+        for node_id in node_ids
+    }
+    return RunSetup(
+        prepared.vectors, node_ids, total_rounds, ring, starter, algorithms, rng
+    )
+
+
+def start_vector(query: TopKQuery, config: "RunConfig") -> list[float]:
+    """The round-1 input: the domain identity, or the config's public seed."""
+    if config.initial_vector is None:
+        return [float(v) for v in query.identity_vector()]
+    vector = [float(v) for v in config.initial_vector]
+    validate_vector(vector, query.k)
+    if any(v not in query.domain for v in vector):
+        raise DriverError("initial_vector contains out-of-domain values")
+    return vector
+
+
 class ProtocolSession:
     """One query's resumable protocol run on a (possibly shared) transport.
 
@@ -157,48 +224,23 @@ class ProtocolSession:
         self._trace_round_ctx: TraceContext | None = None
         self._trace_broadcast_ctx: TraceContext | None = None
 
-        rng = config.rng()
-        self._rng = rng
-        params = config.params
-        node_ids = sorted(prepared.vectors)
-        self._node_ids = node_ids
-
-        if config.protocol == PROBABILISTIC:
-            self.total_rounds = params.resolved_rounds()
-        else:
-            self.total_rounds = 1  # the naive protocols are single-round
-
-        if config.ring_builder is not None:
-            ring = config.ring_builder(list(node_ids), rng)
-            if sorted(ring.members) != node_ids:
-                raise DriverError(
-                    "ring_builder must arrange exactly the participating nodes"
-                )
-        else:
-            ring = RingTopology.random(node_ids, rng)
-        self.ring = ring
-        self._initial_ring = ring
-
-        if config.protocol == NAIVE:
-            # Fixed starting scheme: the first node in canonical order starts.
-            self.starter = node_ids[0]
-        else:
-            # Randomized starting scheme (initialization module, Section 3.3).
-            self.starter = rng.choice(node_ids)
-
+        setup = initialize_run(prepared, config)
+        self._rng = setup.rng
+        self._node_ids = setup.node_ids
+        self.total_rounds = setup.total_rounds
+        self.ring = self._initial_ring = ring = setup.ring
+        self.starter = setup.starter
         self.nodes: dict[str, ProtocolNode] = {}
-        for node_id in node_ids:
-            algorithm = build_algorithm(
-                config.protocol, prepared.vectors[node_id], self.query, params, rng
-            )
-            self.nodes[node_id] = ProtocolNode(
+        for node_id, algorithm in setup.algorithms.items():
+            node = self.nodes[node_id] = ProtocolNode(
                 node_id,
                 algorithm,
-                transport,
+                transport.send,
                 is_starter=(node_id == self.starter),
                 total_rounds=self.total_rounds,
                 query_id=query_id,
             )
+            transport.register(node_id, node.handle, channel=query_id)
         self._apply_ring(ring)
 
         self.snapshots: dict[int, list[float]] = {}
@@ -287,13 +329,7 @@ class ProtocolSession:
             raise DriverError("session already started")
         self._started = True
         config = self.config
-        if config.initial_vector is not None:
-            start_vector = [float(v) for v in config.initial_vector]
-            validate_vector(start_vector, self.query.k)
-            if any(v not in self.query.domain for v in start_vector):
-                raise DriverError("initial_vector contains out-of-domain values")
-        else:
-            start_vector = [float(v) for v in self.query.identity_vector()]
+        first_input = start_vector(self.query, config)
         if self.trace is not None:
             tracer = self.trace.tracer
             now = self.transport.now
@@ -319,7 +355,7 @@ class ProtocolSession:
                 attrs={"round": 1},
             )
             self.accounting.on_delivery = self._trace_delivery
-        self.nodes[self.starter].start(start_vector)
+        self.nodes[self.starter].start(first_input)
 
     @property
     def finished(self) -> bool:

@@ -11,35 +11,45 @@ the same inputs (see ``tests/deploy/test_async_run.py``).
 from __future__ import annotations
 
 import asyncio
-import random
-from dataclasses import dataclass, field
 
-from ..core.session import build_algorithm  # deliberate reuse of the factory
 from ..core.params import ProtocolParams
+from ..core.session import RunSetup
 from ..database.query import TopKQuery
-from ..network.message import Message, MessageType, result_message, token_message
-from ..network.node import LocalAlgorithm
-from ..network.ring import RingTopology
-from .runner import DeployError
+from ..network.message import Message
+from ..network.node import LocalAlgorithm, ProtocolNode
+from .runner import DeployError, TcpRunResult, assemble_result, initialize_deployment
 from .wire import MAX_FRAME_BYTES, PREFIX_BYTES
 
 
-@dataclass
 class _AsyncParty:
-    """Per-party state inside the event loop."""
+    """One party inside the event loop: a stream server around a hosted node.
 
-    node_id: str
-    algorithm: LocalAlgorithm
-    is_starter: bool
-    total_rounds: int
-    successor: "_AsyncParty | None" = None
-    final_result: list[float] | None = None
-    finished: asyncio.Event = field(default_factory=asyncio.Event)
-    observations: list[tuple[int, str, tuple[float, ...]]] = field(
-        default_factory=list
-    )
-    server: asyncio.AbstractServer | None = None
-    address: tuple[str, int] | None = None
+    The :class:`~repro.network.node.ProtocolNode` decides what to do with
+    each message; its ``send`` only queues, and :meth:`on_message` awaits
+    the queued sends — the node is synchronous, the sockets are not.
+    """
+
+    def __init__(
+        self,
+        node_id: str,
+        algorithm: LocalAlgorithm,
+        *,
+        is_starter: bool,
+        total_rounds: int,
+    ) -> None:
+        self._outbox: list[Message] = []
+        self.node = ProtocolNode(
+            node_id,
+            algorithm,
+            self._outbox.append,
+            is_starter=is_starter,
+            total_rounds=total_rounds,
+        )
+        self.successor_address: tuple[str, int] | None = None
+        self.finished = asyncio.Event()
+        self.observations: list[tuple[int, str, tuple[float, ...]]] = []
+        self.server: asyncio.AbstractServer | None = None
+        self.address: tuple[str, int] | None = None
 
     async def handle_connection(
         self, reader: asyncio.StreamReader, _writer: asyncio.StreamWriter
@@ -53,51 +63,31 @@ class _AsyncParty:
         await self.on_message(Message.decode(body))
 
     async def on_message(self, message: Message) -> None:
-        vector = [float(v) for v in message.payload["vector"]]
-        self.observations.append(
-            (message.round, message.type.value, tuple(vector))
-        )
-        if message.type is MessageType.RESULT:
-            if self.is_starter:
-                return  # result came full circle
-            self.final_result = vector
-            await self.send(
-                result_message(self.node_id, self._succ().node_id, message.round, vector)
-            )
-            self.finished.set()
-            return
-        round_number = message.round
-        if self.is_starter:
-            if round_number >= self.total_rounds:
-                self.final_result = vector
-                await self.send(
-                    result_message(
-                        self.node_id, self._succ().node_id, round_number + 1, vector
-                    )
-                )
-                self.finished.set()
-                return
-            output = self.algorithm.compute(vector, round_number + 1)
-            await self.send(
-                token_message(
-                    self.node_id, self._succ().node_id, round_number + 1, output
-                )
-            )
-        else:
-            output = self.algorithm.compute(vector, round_number)
-            await self.send(
-                token_message(self.node_id, self._succ().node_id, round_number, output)
-            )
+        vector = tuple(float(v) for v in message.payload["vector"])
+        self.observations.append((message.round, message.type.value, vector))
+        self._require_successor()
+        self.node.handle(message)
+        await self.flush()
 
-    def _succ(self) -> "_AsyncParty":
-        if self.successor is None:
-            raise DeployError(f"{self.node_id} has no successor configured")
-        return self.successor
+    async def kick_off(self, identity_vector: list[float]) -> None:
+        self._require_successor()
+        self.node.start(identity_vector)
+        await self.flush()
+
+    async def flush(self) -> None:
+        """Deliver what the node just emitted, then signal once it is done."""
+        while self._outbox:
+            await self.send(self._outbox.pop(0))
+        if self.node.final_result is not None:
+            self.finished.set()
+
+    def _require_successor(self) -> None:
+        # Checked here so a mis-wired party fails with this substrate's error.
+        if self.node.successor is None or self.successor_address is None:
+            raise DeployError(f"{self.node.node_id} has no successor configured")
 
     async def send(self, message: Message) -> None:
-        successor = self._succ()
-        assert successor.address is not None
-        _reader, writer = await asyncio.open_connection(*successor.address)
+        _reader, writer = await asyncio.open_connection(*self.successor_address)
         body = message.encode()
         writer.write(len(body).to_bytes(PREFIX_BYTES, "big") + body)
         await writer.drain()
@@ -105,34 +95,20 @@ class _AsyncParty:
 
 
 async def _run_async(
-    local_vectors: dict[str, list[float]],
+    setup: RunSetup,
     query: TopKQuery,
-    params: ProtocolParams,
-    protocol: str,
-    seed: int | None,
     host: str,
     timeout: float,
-):
-    rng = random.Random(seed)
-    rounds = params.resolved_rounds() if protocol == "probabilistic" else 1
-    node_ids = sorted(local_vectors)
-    ring = RingTopology.random(node_ids, rng)
-    starter = rng.choice(node_ids)
-    truncated = {
-        n: sorted((float(v) for v in vs), reverse=True)[: query.k]
-        for n, vs in local_vectors.items()
-    }
-
+) -> TcpRunResult:
+    node_ids, ring, starter = setup.node_ids, setup.ring, setup.starter
     parties = {
         node_id: _AsyncParty(
-            node_id=node_id,
-            algorithm=build_algorithm(
-                protocol, truncated[node_id], query, params, rng
-            ),
+            node_id,
+            algorithm,
             is_starter=(node_id == starter),
-            total_rounds=rounds,
+            total_rounds=setup.total_rounds,
         )
-        for node_id in node_ids
+        for node_id, algorithm in setup.algorithms.items()
     }
     try:
         for party in parties.values():
@@ -141,14 +117,12 @@ async def _run_async(
             )
             party.address = party.server.sockets[0].getsockname()[:2]
         for node_id in node_ids:
-            parties[node_id].successor = parties[ring.successor(node_id)]
+            successor = ring.successor(node_id)
+            parties[node_id].node.successor = successor
+            parties[node_id].successor_address = parties[successor].address
 
-        starter_party = parties[starter]
-        output = starter_party.algorithm.compute(
-            [float(v) for v in query.identity_vector()], 1
-        )
-        await starter_party.send(
-            token_message(starter, ring.successor(starter), 1, output)
+        await parties[starter].kick_off(
+            [float(v) for v in query.identity_vector()]
         )
         await asyncio.wait_for(
             asyncio.gather(*(p.finished.wait() for p in parties.values())),
@@ -160,23 +134,10 @@ async def _run_async(
                 party.server.close()
                 await party.server.wait_closed()
 
-    final = parties[starter].final_result
-    if final is None:
-        raise DeployError("starter finished without a result")
-    disagreeing = [
-        n for n, p in parties.items() if p.final_result != final
-    ]
-    if disagreeing:
-        raise DeployError(f"parties disagree on the result: {disagreeing}")
-    from .runner import TcpRunResult
-
-    return TcpRunResult(
-        final_vector=list(final),
-        ring_order=ring.members,
-        starter=starter,
+    return assemble_result(
+        setup,
         addresses={n: parties[n].address for n in node_ids},
-        per_party_results={n: list(parties[n].final_result or []) for n in node_ids},
-        local_vectors=truncated,
+        finals={n: parties[n].node.final_result for n in node_ids},
         observations={n: list(parties[n].observations) for n in node_ids},
     )
 
@@ -190,19 +151,11 @@ def run_async_topk(
     seed: int | None = None,
     host: str = "127.0.0.1",
     timeout: float = 30.0,
-):
+) -> TcpRunResult:
     """Run one top-k query with every party as an asyncio stream server.
 
     Same contract and result type as :func:`repro.deploy.run_tcp_topk`
     (encryption is thread-runner-only for now).
     """
-    if query.smallest:
-        raise DeployError("run_async_topk expects a plain top-k query; negate first")
-    if len(local_vectors) < 3:
-        raise DeployError(
-            f"the protocol requires n >= 3 parties, got {len(local_vectors)}"
-        )
-    params = params or ProtocolParams.paper_defaults()
-    return asyncio.run(
-        _run_async(local_vectors, query, params, protocol, seed, host, timeout)
-    )
+    setup = initialize_deployment(local_vectors, query, params, protocol, seed)
+    return asyncio.run(_run_async(setup, query, host, timeout))

@@ -11,15 +11,14 @@ remains the tool for measured experiments (it can account for every byte).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
-from ..core.session import build_algorithm  # deliberate reuse of the factory
+from ..core.driver import RunConfig
 from ..core.params import ProtocolParams
+from ..core.session import RunSetup, initialize_run, prepare_query_vectors
 from ..core.vectors import merge_topk
 from ..database.query import TopKQuery
 from ..network.crypto import Keyring
-from ..network.ring import RingTopology
 from .tcp_node import TcpNodeError, TcpParty
 
 
@@ -54,6 +53,57 @@ class TcpRunResult:
         return self.final_vector == truth
 
 
+def initialize_deployment(
+    local_vectors: dict[str, list[float]],
+    query: TopKQuery,
+    params: ProtocolParams | None,
+    protocol: str,
+    seed: int | None,
+) -> RunSetup:
+    """Validate a deployment's inputs and run the shared initialization module.
+
+    Returns the simulator's own :func:`~repro.core.session.initialize_run`
+    set-up, so a socket run and a simulated run with the same inputs and
+    seed are the same run.
+    """
+    if query.smallest:
+        raise DeployError("deployments expect a plain top-k query; negate first")
+    if len(local_vectors) < 3:
+        raise DeployError(f"the protocol requires n >= 3 parties, got {len(local_vectors)}")
+    prepared = prepare_query_vectors(local_vectors, query)
+    config = RunConfig(
+        protocol=protocol,
+        params=params or ProtocolParams.paper_defaults(),
+        seed=seed,
+    )
+    return initialize_run(prepared, config)
+
+
+def assemble_result(
+    setup: RunSetup,
+    *,
+    addresses: dict[str, tuple[str, int]],
+    finals: dict[str, list[float] | None],
+    observations: dict[str, list[tuple[int, str, tuple[float, ...]]]],
+) -> TcpRunResult:
+    """Check every party ended on the starter's result and package the run."""
+    final = finals[setup.starter]
+    if final is None:
+        raise DeployError("starter finished without a result")
+    disagreeing = [n for n, vec in finals.items() if vec != final]
+    if disagreeing:
+        raise DeployError(f"parties disagree on the result: {disagreeing}")
+    return TcpRunResult(
+        final_vector=list(final),
+        ring_order=setup.ring.members,
+        starter=setup.starter,
+        addresses=addresses,
+        per_party_results={n: list(vec) for n, vec in finals.items()},
+        local_vectors=setup.vectors,
+        observations=observations,
+    )
+
+
 def run_tcp_topk(
     local_vectors: dict[str, list[float]],
     query: TopKQuery,
@@ -72,36 +122,19 @@ def run_tcp_topk(
     Only plain (non-negated) top-k queries are supported here; min/bottom-k
     callers should negate values as :mod:`repro.core.driver` does.
     """
-    if query.smallest:
-        raise DeployError("run_tcp_topk expects a plain top-k query; negate first")
-    if len(local_vectors) < 3:
-        raise DeployError(f"the protocol requires n >= 3 parties, got {len(local_vectors)}")
-    params = params or ProtocolParams.paper_defaults()
-    rng = random.Random(seed)
-    rounds = params.resolved_rounds() if protocol == "probabilistic" else 1
-
-    node_ids = sorted(local_vectors)
-    ring = RingTopology.random(node_ids, rng)
-    starter = rng.choice(node_ids)
+    setup = initialize_deployment(local_vectors, query, params, protocol, seed)
+    node_ids, ring, starter = setup.node_ids, setup.ring, setup.starter
     keyring = Keyring() if encrypt else None
-
-    truncated = {
-        n: sorted((float(v) for v in vs), reverse=True)[: query.k]
-        for n, vs in local_vectors.items()
-    }
 
     parties: dict[str, TcpParty] = {}
     try:
-        for node_id in node_ids:
-            algorithm = build_algorithm(
-                protocol, truncated[node_id], query, params, rng
-            )
+        for node_id, algorithm in setup.algorithms.items():
             parties[node_id] = TcpParty(
                 node_id,
                 algorithm,
                 host=host,
                 is_starter=(node_id == starter),
-                total_rounds=rounds,
+                total_rounds=setup.total_rounds,
                 keyring=keyring,
                 connect_timeout=connect_timeout,
                 connect_retries=connect_retries,
@@ -131,22 +164,10 @@ def run_tcp_topk(
         for party in parties.values():
             party.shutdown()
 
-    final = parties[starter].final_result
-    if final is None:
-        raise DeployError("starter finished without a result")
-    per_party = {
-        n: list(parties[n].final_result or []) for n in node_ids
-    }
-    disagreeing = [n for n, vec in per_party.items() if vec != final]
-    if disagreeing:
-        raise DeployError(f"parties disagree on the result: {disagreeing}")
-    return TcpRunResult(
-        final_vector=list(final),
-        ring_order=ring.members,
-        starter=starter,
+    return assemble_result(
+        setup,
         addresses={n: parties[n].address for n in node_ids},
-        per_party_results=per_party,
-        local_vectors=truncated,
+        finals={n: parties[n].final_result for n in node_ids},
         observations={n: list(parties[n].observations) for n in node_ids},
     )
 

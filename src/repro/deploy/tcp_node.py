@@ -1,10 +1,13 @@
 """One protocol party as a real TCP server thread.
 
 Each party listens on its own localhost port, accepts one framed message per
-connection, runs its local computation module, and forwards the output to
-its successor's port — exactly the node-to-successor communication scheme of
-Section 3.2, but over an actual network stack with real concurrency instead
-of the in-memory simulator.
+connection, and hands it to the :class:`~repro.network.node.ProtocolNode` it
+hosts — the same token/result state machine the simulator runs — whose
+output goes to the successor's port: exactly the node-to-successor
+communication scheme of Section 3.2, but over an actual network stack with
+real concurrency.  What lives here is what only a socket substrate has:
+framing, threads, seal/open, connect retry, the received-message log and the
+``finished`` signal.
 
 Channel protection: when a shared :class:`~repro.network.crypto.Keyring` is
 supplied, every frame body is sealed for the (sender, receiver) link and
@@ -19,8 +22,8 @@ import threading
 import time
 
 from ..network.crypto import Keyring
-from ..network.message import Message, MessageType, result_message, token_message
-from ..network.node import LocalAlgorithm
+from ..network.message import Message
+from ..network.node import LocalAlgorithm, ProtocolNode
 from .wire import WireError, recv_frame, send_frame
 
 
@@ -63,9 +66,13 @@ class TcpParty:
                 "retry delays must satisfy 0 < retry_base_delay <= retry_max_delay"
             )
         self.node_id = node_id
-        self.algorithm = algorithm
-        self.is_starter = is_starter
-        self.total_rounds = total_rounds
+        self.node = ProtocolNode(
+            node_id,
+            algorithm,
+            self._send,
+            is_starter=is_starter,
+            total_rounds=total_rounds,
+        )
         self.keyring = keyring
         self.connect_timeout = connect_timeout
         self.connect_retries = connect_retries
@@ -73,11 +80,9 @@ class TcpParty:
         self.retry_max_delay = retry_max_delay
         self._retry_rng = retry_rng if retry_rng is not None else random.Random()
         self.successor_address: tuple[str, int] | None = None
-        #: Logical ids of the ring neighbours; set by the runner when the
+        #: Logical id of the ring predecessor; set by the runner when the
         #: ring is wired.  Needed for per-link channel keys.
-        self.successor_id: str | None = None
         self.predecessor_id: str | None = None
-        self.final_result: list[float] | None = None
         self.finished = threading.Event()
         self.error: Exception | None = None
         #: Local passive log: every (round, kind, vector) this party received
@@ -96,6 +101,19 @@ class TcpParty:
     @property
     def address(self) -> tuple[str, int]:
         return self._address
+
+    @property
+    def successor_id(self) -> str | None:
+        """Logical id of the ring successor; set by the runner."""
+        return self.node.successor
+
+    @successor_id.setter
+    def successor_id(self, node_id: str | None) -> None:
+        self.node.successor = node_id
+
+    @property
+    def final_result(self) -> list[float] | None:
+        return self.node.final_result
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -147,15 +165,15 @@ class TcpParty:
 
     def kick_off(self, identity_vector: list[float]) -> None:
         """Starter only: compute and send the round-1 token."""
-        if not self.is_starter:
+        if not self.node.is_starter:
             raise TcpNodeError(f"{self.node_id} is not the starting party")
-        output = self.algorithm.compute(list(identity_vector), 1)
-        self._send(token_message(self.node_id, self._successor(), 1, output))
+        self._require_successor()
+        self.node.start(identity_vector)
 
-    def _successor(self) -> str:
+    def _require_successor(self) -> None:
+        # Checked here so a mis-wired party fails with this substrate's error.
         if self.successor_id is None:
             raise TcpNodeError(f"{self.node_id} has no successor configured")
-        return self.successor_id
 
     def _handle_raw(self, body: bytes) -> None:
         if self.keyring is not None:
@@ -165,51 +183,17 @@ class TcpParty:
         message = Message.decode(body)
         vector = tuple(float(v) for v in message.payload.get("vector", ()))
         self.observations.append((message.round, message.type.value, vector))
-        if message.type is MessageType.RESULT:
-            self._handle_result(message)
-        elif message.type is MessageType.TOKEN:
-            self._handle_token(message)
-
-    def _handle_token(self, message: Message) -> None:
-        vector = [float(v) for v in message.payload["vector"]]
-        round_number = message.round
-        if self.is_starter:
-            if round_number >= self.total_rounds:
-                self.final_result = vector
-                self._send(
-                    result_message(
-                        self.node_id, self._successor(), round_number + 1, vector
-                    )
-                )
-                self.finished.set()
-                return
-            next_round = round_number + 1
-            output = self.algorithm.compute(vector, next_round)
-            self._send(
-                token_message(self.node_id, self._successor(), next_round, output)
-            )
-        else:
-            output = self.algorithm.compute(vector, round_number)
-            self._send(
-                token_message(self.node_id, self._successor(), round_number, output)
-            )
-
-    def _handle_result(self, message: Message) -> None:
-        if self.is_starter:
-            return  # result came full circle
-        vector = [float(v) for v in message.payload["vector"]]
-        self.final_result = vector
-        self._send(
-            result_message(self.node_id, self._successor(), message.round, vector)
-        )
-        self.finished.set()
+        self._require_successor()
+        self.node.handle(message)
+        if self.final_result is not None:
+            self.finished.set()
 
     def _send(self, message: Message) -> None:
         if self.successor_address is None:
             raise TcpNodeError(f"{self.node_id} has no successor address")
         body = message.encode()
         if self.keyring is not None:
-            body = self.keyring.seal(self.node_id, self._successor(), body)
+            body = self.keyring.seal(self.node_id, message.receiver, body)
         with self._connect_successor() as sock:
             send_frame(sock, body)
 

@@ -20,9 +20,6 @@ MAX_FRAME_BYTES = 1 << 20
 #: by one cannot be read by the other.
 PREFIX_BYTES = 4
 
-# Backwards-compatible private alias (pre-1.1 internal name).
-_PREFIX_BYTES = PREFIX_BYTES
-
 
 class WireError(RuntimeError):
     """Raised on framing violations or truncated streams."""
@@ -32,7 +29,7 @@ def send_frame(sock: socket.socket, body: bytes) -> None:
     """Send one framed message."""
     if len(body) > MAX_FRAME_BYTES:
         raise WireError(f"frame of {len(body)} bytes exceeds {MAX_FRAME_BYTES}")
-    sock.sendall(len(body).to_bytes(_PREFIX_BYTES, "big") + body)
+    sock.sendall(len(body).to_bytes(PREFIX_BYTES, "big") + body)
 
 
 def recv_exact(sock: socket.socket, count: int) -> bytes:
@@ -50,7 +47,7 @@ def recv_exact(sock: socket.socket, count: int) -> bytes:
 
 def recv_frame(sock: socket.socket) -> bytes:
     """Receive one framed message."""
-    prefix = recv_exact(sock, _PREFIX_BYTES)
+    prefix = recv_exact(sock, PREFIX_BYTES)
     length = int.from_bytes(prefix, "big")
     if length > MAX_FRAME_BYTES:
         raise WireError(f"declared frame of {length} bytes exceeds {MAX_FRAME_BYTES}")

@@ -33,13 +33,17 @@ from contextlib import contextmanager
 from pickle import PicklingError
 
 from ..core.batch import execute_many as _execute_batch
-from ..core.driver import BACKENDS, KERNEL, RunConfig, run_protocol_on_vectors
-from ..core.kernel import phase_sink
+from ..core.driver import (
+    BACKENDS,
+    KERNEL,
+    RunConfig,
+    ambient_traces,
+    run_protocol_on_vectors,
+)
 from ..core.results import ProtocolResult
 from ..database.generator import DataGenerator
 from ..database.query import TopKQuery
 from ..observability.metrics import MetricsRegistry
-from ..observability.runtime import current_tracer
 from ..privacy.adversary import coalition_lop
 from ..privacy.lop import node_lop, per_round_average_lop
 from . import telemetry
@@ -270,10 +274,11 @@ def _setup_label(setup: TrialSetup) -> str:
 def _run_chunk_batched(
     setup: TrialSetup, indices: Sequence[int]
 ) -> list[tuple[int, ProtocolResult | None, BaseException | None, float, int]] | None:
-    """One vectorized batch for a block of kernel-backend trials.
+    """One ``execute_many`` call for a block of kernel-backend trials.
 
-    Untagged query ids keep each result bit-identical to its solo
-    ``backend="kernel"`` run (no per-message query tag in the byte
+    Which kernel runs them is the executor rule's business, not the
+    runner's.  Untagged query ids keep each result bit-identical to its
+    solo ``backend="kernel"`` run (no per-message query tag in the byte
     accounting).  Returns ``None`` on any failure: the per-trial path
     re-runs the block so the failing trial index is attributed exactly.
     """
@@ -281,7 +286,9 @@ def _run_chunk_batched(
     start = time.perf_counter()
     try:
         jobs = [trial_job(setup, trial_index) for trial_index in indices]
-        results = _execute_batch(jobs, query_ids=[""] * len(jobs))
+        results = _execute_batch(
+            jobs, traces=ambient_traces(jobs), query_ids=[""] * len(jobs)
+        )
     except Exception:
         return None
     # Per-trial wall time is not observable inside the batch; amortize it.
@@ -303,16 +310,10 @@ def _run_chunk(
     bad trial cannot poison the pool; the parent re-raises after accounting
     for them.
 
-    Kernel-backend blocks run through the vectorized batch engine (traced
-    and phase-profiled runs excepted — span construction and per-phase
-    timing belong to the solo path; a *disabled* tracer records nothing,
-    so it keeps the batch path); anything that fails there falls back to
-    the per-trial loop below.
+    Kernel-backend blocks go to the kernel path's one entry as a block;
+    anything that fails there falls back to the per-trial loop below.
     """
-    tracer = current_tracer()
-    if backend == KERNEL and len(indices) > 1 and phase_sink() is None and (
-        tracer is None or not tracer.enabled
-    ):
+    if backend == KERNEL:
         rows = _run_chunk_batched(setup, indices)
         if rows is not None:
             return rows

@@ -145,19 +145,20 @@ class TelemetryCollector:
 
 
 class PhaseProfiler:
-    """Aggregates the kernel's per-run phase samples (``--timing`` output).
+    """Aggregates the kernels' phase samples (``--timing`` output).
 
-    The fast-path kernel (:mod:`repro.core.kernel`) reports where each run
-    spent its time — setup (RNG, params, algorithm construction), ring
-    build, the round loop, and result finalization — whenever a sink is
-    installed.  :func:`profile_phases` installs this profiler as that sink
-    for a scope; the CLI shows the resulting table next to the trial-level
-    timing one.  Session-backend runs report nothing here (the profiler
+    The message-free kernels report where their time went — setup (the
+    initialization module: ring, starter, per-node streams), the round
+    loop, and result finalization — whenever a sink is installed: the scalar
+    kernel one sample per run, the vectorized engine one per shape group
+    (``sample.runs`` of them).  :func:`profile_phases` installs this
+    profiler as that sink for a scope; the CLI shows the resulting table
+    next to the trial-level timing one.  Session-backend runs report nothing here (the profiler
     stays empty), so the table doubles as confirmation of which backend
     actually executed.
     """
 
-    _PHASES = ("setup", "ring", "round_loop", "finalize")
+    _PHASES = ("setup", "round_loop", "finalize")
 
     def __init__(self) -> None:
         self.runs = 0
@@ -166,11 +167,10 @@ class PhaseProfiler:
 
     def record(self, sample: object) -> None:
         """Sink for :func:`repro.core.kernel.set_phase_sink`."""
-        self.runs += 1
+        self.runs += sample.runs
         self.rounds += sample.rounds
         totals = self._totals
         totals["setup"] += sample.setup_seconds
-        totals["ring"] += sample.ring_seconds
         totals["round_loop"] += sample.round_loop_seconds
         totals["finalize"] += sample.finalize_seconds
 

@@ -29,11 +29,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..network.node import ProtocolNode
 from ..network.ring import RingTopology
 from ..network.stats import TrafficStats
-from ..network.transport import InMemoryTransport
-from .securesum import SecureSumError, _AddValueAlgorithm
+from .securesum import SecureSumError, masked_ring_pass
 
 #: Segment shares for integral inputs are drawn in this symmetric range;
 #: with masks below ``mask_scale`` every partial stays far below 2**53.
@@ -108,32 +106,19 @@ def run_k_secure_sum(
     mask_high = int(mask_scale)
     for segment in range(segments):
         ring = RingTopology.random(node_ids, rng)  # fresh shuffle per pass
-        transport = InMemoryTransport()
         starter = rng.choice(node_ids)
         # Integer mask: keeps integral-share passes exact (see module doc).
         mask = float(rng.randint(mask_low, mask_high))
-        nodes = {}
-        for node_id in node_ids:
-            algorithm = _AddValueAlgorithm(
-                shares[node_id][segment],
-                mask=mask if node_id == starter else 0.0,
-            )
-            nodes[node_id] = ProtocolNode(
-                node_id,
-                algorithm,
-                transport,
-                is_starter=(node_id == starter),
-                total_rounds=1,
-            )
-            nodes[node_id].successor = ring.successor(node_id)
-        nodes[starter].start([0.0])
-        transport.run_until_idle()
-        blinded = nodes[starter].final_result
-        if blinded is None:
+        round_total, pass_stats = masked_ring_pass(
+            {node_id: shares[node_id][segment] for node_id in node_ids},
+            ring,
+            starter,
+            mask,
+        )
+        if round_total is None:
             raise SecureSumError(f"k-secure-sum pass {segment} did not terminate")
-        round_total = blinded[0] - mask
         grand_total += round_total
-        stats.merge(transport.stats)
+        stats.merge(pass_stats)
         rounds.append(
             KSecureSumRound(
                 ring_order=ring.members,

@@ -57,6 +57,31 @@ class _AddValueAlgorithm:
         return [incoming[0] + self.value + self.mask]
 
 
+def masked_ring_pass(
+    values: dict[str, float], ring: RingTopology, starter: str, mask: float
+) -> tuple[float | None, TrafficStats]:
+    """One pass of ``values`` around ``ring``: ``(sum, traffic)``.
+
+    The starter blinds the running total with ``mask`` and unblinds it when
+    the token returns; the sum is ``None`` if the pass never terminated.
+    """
+    transport = InMemoryTransport()
+    nodes = {}
+    for node_id in ring.members:
+        algorithm = _AddValueAlgorithm(
+            values[node_id], mask=mask if node_id == starter else 0.0
+        )
+        node = nodes[node_id] = ProtocolNode(
+            node_id, algorithm, transport.send, is_starter=(node_id == starter)
+        )
+        transport.register(node_id, node.handle)
+        node.successor = ring.successor(node_id)
+    nodes[starter].start([0.0])
+    transport.run_until_idle()
+    blinded = nodes[starter].final_result
+    return (None if blinded is None else blinded[0] - mask), transport.stats
+
+
 def run_secure_sum(
     values: dict[str, float],
     *,
@@ -76,30 +101,15 @@ def run_secure_sum(
     rng = random.Random(seed)
     node_ids = sorted(values)
     ring = RingTopology.random(node_ids, rng)
-    transport = InMemoryTransport()
     starter = rng.choice(node_ids)
     mask = rng.uniform(mask_scale / 2, mask_scale)
-
-    nodes = {}
-    for node_id in node_ids:
-        algorithm = _AddValueAlgorithm(
-            values[node_id], mask=mask if node_id == starter else 0.0
-        )
-        nodes[node_id] = ProtocolNode(
-            node_id, algorithm, transport, is_starter=(node_id == starter),
-            total_rounds=1,
-        )
-        nodes[node_id].successor = ring.successor(node_id)
-
-    nodes[starter].start([0.0])
-    transport.run_until_idle()
-    blinded = nodes[starter].final_result
-    if blinded is None:
+    total, stats = masked_ring_pass(values, ring, starter, mask)
+    if total is None:
         raise SecureSumError("secure sum did not terminate")
     return SecureSumResult(
-        total=blinded[0] - mask,
+        total=total,
         ring_order=ring.members,
         starter=starter,
-        stats=transport.stats,
+        stats=stats,
         mask=mask,
     )

@@ -7,17 +7,20 @@ queries (top-k/bottom-k/max/min) run the paper's probabilistic protocol;
 additive aggregates (sum/count/avg) run the additive-masking secure sum.
 Every execution is recorded in the audit log.
 
-Throughput paths: :meth:`Federation.execute` runs one statement on a
-dedicated transport; :meth:`Federation.execute_many` serves a *batch* —
-statements are parsed and policy-checked up front, duplicates are deduped,
-repeats of already-answered statements are served from the result cache
+Throughput paths: :meth:`Federation.execute` runs one statement;
+:meth:`Federation.execute_many` serves a *batch* — statements are parsed
+and policy-checked up front, duplicates are deduped, repeats of
+already-answered statements are served from the result cache
 (:mod:`repro.federation.cache`; zero protocol rounds, zero new exposure),
 and the remaining ranking queries run as one batch through
-:func:`repro.core.driver.run_many_on_vectors` — the vectorized batch kernel
-when every config is transport-free, otherwise *pipelined* on one shared
-transport, interleaving ring tokens so the batch completes in simulated
-time close to the slowest query rather than the sum.  Either substrate is
-bit-identical per statement, so the choice is invisible above this module.
+:func:`repro.core.driver.run_many_on_vectors`.  Which executor runs them is
+the driver's rule, not this module's: a message-free kernel when the config
+is transport-free (the scalar one for the handful of misses a serving batch
+carries, the vectorized one from 16 same-shape queries up), otherwise
+*pipelined* sessions on one shared transport, interleaving ring tokens so
+the batch completes in simulated time close to the slowest query rather
+than the sum.  Every executor is bit-identical per statement, so the choice
+is invisible above this module.
 
 The coordinator holds no data.  It sequences protocol runs, validates the
 well-matched-schema precondition, and owns only public artifacts (results,
@@ -32,7 +35,7 @@ import random
 from collections.abc import Iterable, Sequence
 from dataclasses import replace
 
-from ..core.driver import AUTO, SESSION, RunConfig, run_topk_queries, run_topk_query
+from ..core.driver import SESSION, RunConfig, run_topk_queries, run_topk_query
 from ..core.results import ProtocolResult
 from ..database.database import PrivateDatabase, common_query
 from ..database.query import Domain, TopKQuery
@@ -299,13 +302,14 @@ class Federation:
            and data versions — are served from the result cache: zero
            protocol rounds, zero messages, zero new ledger exposure.  Hits
            are audit-logged with the ``cached`` flag.
-        3. All remaining ranking queries run as one batch — through the
-           vectorized batch kernel when the configs carry no transport
-           obligations (the default federation setup), else *pipelined* on
-           one shared transport, interleaving tokens so the batch's
-           simulated completion time approaches the slowest query's rather
-           than the sum.  Both substrates are bit-identical per statement.
-           Additive aggregates run their secure sums.
+        3. All remaining ranking queries run as one batch on the executor
+           the driver's rule picks — a message-free kernel when the configs
+           carry no transport obligations (the default federation setup),
+           else sessions *pipelined* on one shared transport, interleaving
+           tokens so the batch's simulated completion time approaches the
+           slowest query's rather than the sum.  Every executor is
+           bit-identical per statement.  Additive aggregates run their
+           secure sums.
         4. Ledger charges, audit entries and cache population happen in
            statement order, so a batch is indistinguishable — values,
            rounds, exposure — from issuing the same statements one at a
@@ -515,8 +519,8 @@ class Federation:
                 ]
             else:
                 ranking_traces = None
-            # One substrate serves the whole batch (results are
-            # bit-identical on either); a single plan pinning the session
+            # The driver's rule picks the executor (results are
+            # bit-identical on every one); a single plan pinning the session
             # backend pins it for the batch.
             backend = (
                 SESSION
@@ -524,7 +528,7 @@ class Federation:
                     plan.backend == PLAN_SESSION
                     for plan in ranking_plans.values()
                 )
-                else AUTO
+                else None
             )
             results = run_topk_queries(
                 databases,

@@ -2,7 +2,7 @@
 
 from .crypto import ChannelKey, CryptoError, Keyring
 from .events import EventLog, Observation
-from .failures import FailureInjector, NodeFailedError
+from .failures import FailureInjector
 from .message import (
     Message,
     MessageError,
@@ -19,7 +19,6 @@ from .transport import (
     LatencyModel,
     TransportError,
     constant_latency,
-    jitter_latency,
 )
 from .trust import TrustError, TrustGraph, build_trusted_ring
 
@@ -37,7 +36,6 @@ __all__ = [
     "MessageError",
     "MessageType",
     "NodeError",
-    "NodeFailedError",
     "Observation",
     "ProtocolNode",
     "RingError",
@@ -48,7 +46,6 @@ __all__ = [
     "TrustGraph",
     "build_trusted_ring",
     "constant_latency",
-    "jitter_latency",
     "result_message",
     "token_message",
 ]

@@ -14,10 +14,6 @@ from dataclasses import dataclass, field
 from .message import Message
 
 
-class NodeFailedError(RuntimeError):
-    """Raised when a message is addressed to (or from) a crashed node."""
-
-
 @dataclass
 class FailureInjector:
     """Deterministic, scriptable failures.

@@ -3,8 +3,12 @@
 A :class:`ProtocolNode` owns one private database's local top-k vector and a
 pluggable *local computation module* (Section 3.2) — the only component that
 differs between the naive and probabilistic protocols.  Nodes are reactive:
-the transport calls :meth:`handle`, the node runs its local algorithm and
-forwards the token to its current successor.
+whatever carries the messages calls :meth:`handle`, the node runs its local
+algorithm and hands the outgoing token to its ``send`` callable — the one
+thing it needs from a transport.  The in-memory simulator
+(:class:`~repro.core.session.ProtocolSession`) and the socket substrates
+(:mod:`repro.deploy`) all host this class, so the token/result state machine
+of Algorithms 1-2 exists once.
 
 Round structure: the starting node emits the round-1 token; every other node
 processes and forwards it within the same round; when the token returns to
@@ -19,7 +23,6 @@ from collections.abc import Callable
 from typing import Protocol
 
 from .message import Message, MessageType, result_message, token_message
-from .transport import InMemoryTransport
 
 
 class LocalAlgorithm(Protocol):
@@ -40,6 +43,8 @@ class NodeError(RuntimeError):
 
 
 RoundHook = Callable[[int], None]
+#: Delivers one outgoing message towards ``message.receiver``.
+Send = Callable[[Message], None]
 
 
 class ProtocolNode:
@@ -49,7 +54,7 @@ class ProtocolNode:
         self,
         node_id: str,
         algorithm: LocalAlgorithm,
-        transport: InMemoryTransport,
+        send: Send,
         *,
         is_starter: bool = False,
         total_rounds: int = 1,
@@ -59,12 +64,12 @@ class ProtocolNode:
             raise NodeError("total_rounds must be >= 1")
         self.node_id = node_id
         self.algorithm = algorithm
-        self.transport = transport
+        self._send = send
         self.is_starter = is_starter
         self.total_rounds = total_rounds
         #: Which query's traffic this node instance handles.  One party
         #: participates in Q in-flight queries through Q node instances, each
-        #: registered on its own transport channel.
+        #: registered (by its host) on its own transport channel.
         self.query_id = query_id
         self.successor: str | None = None
         #: Final result vector, set once the RESULT token reaches this node.
@@ -78,7 +83,6 @@ class ProtocolNode:
         #: snapshot state or remap the ring between rounds).
         self.round_hook: RoundHook | None = None
         self._rounds_completed = 0
-        transport.register(node_id, self.handle, channel=query_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         role = "starter" if self.is_starter else "member"
@@ -94,7 +98,7 @@ class ProtocolNode:
         self._forward_token(1, output)
 
     def handle(self, message: Message) -> None:
-        """Transport delivery callback."""
+        """Delivery callback: the host calls this with each received message."""
         if message.type is MessageType.RESULT:
             self._handle_result(message)
         elif message.type is MessageType.TOKEN:
@@ -131,22 +135,18 @@ class ProtocolNode:
         self._forward_result(message.round, vector)
 
     def _forward_token(self, round_number: int, vector: list[float]) -> None:
-        if self.successor is None:
-            raise NodeError(f"{self.node_id} has no successor configured")
         self.last_sent_round = round_number
         self.last_sent_vector = list(vector)
-        self.transport.send(
-            token_message(
-                self.node_id, self.successor, round_number, vector,
-                query=self.query_id,
-            )
-        )
+        self._forward(token_message, round_number, vector)
 
     def _forward_result(self, round_number: int, vector: list[float]) -> None:
+        self._forward(result_message, round_number, vector)
+
+    def _forward(self, make_message, round_number: int, vector: list[float]) -> None:
         if self.successor is None:
             raise NodeError(f"{self.node_id} has no successor configured")
-        self.transport.send(
-            result_message(
+        self._send(
+            make_message(
                 self.node_id, self.successor, round_number, vector,
                 query=self.query_id,
             )

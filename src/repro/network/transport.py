@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -52,20 +51,6 @@ def constant_latency(seconds: float = 0.001) -> LatencyModel:
     if seconds < 0:
         raise ValueError("latency must be non-negative")
     return lambda _sender, _receiver: seconds
-
-
-def jitter_latency(
-    base_seconds: float, jitter_seconds: float, rng: "random.Random"
-) -> LatencyModel:
-    """Constant latency plus uniform per-message jitter.
-
-    Jitter does not reorder a ring protocol (there is one token in flight),
-    but it makes simulated wall-clock realistic and exercises timestamp
-    ordering in multi-query scenarios.
-    """
-    if base_seconds < 0 or jitter_seconds < 0:
-        raise ValueError("latency components must be non-negative")
-    return lambda _sender, _receiver: base_seconds + rng.uniform(0, jitter_seconds)
 
 
 @dataclass(frozen=True)

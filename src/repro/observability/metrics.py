@@ -478,33 +478,6 @@ class MetricsRegistry:
             "repro_kernel_rounds_total", "Ring rounds executed by the kernel."
         ).inc(profiler.rounds)
 
-    def absorb_extraction(self, profiler: Any) -> None:
-        """Publish an ``ExtractionProfiler``-shaped object (per-engine stats).
-
-        One counter triple per storage engine: node-local extraction calls,
-        rows scanned, and wall-clock seconds spent extracting.
-        """
-        calls = self.counter(
-            "repro_extraction_calls_total",
-            "Node-local top-k/bottom-k extractions by storage engine.",
-            ("engine",),
-        )
-        rows = self.counter(
-            "repro_extraction_rows_total",
-            "Rows held by tables at extraction time, by storage engine.",
-            ("engine",),
-        )
-        seconds = self.counter(
-            "repro_extraction_seconds_total",
-            "Wall-clock seconds spent in node-local extraction.",
-            ("engine",),
-        )
-        for engine, stats in sorted(profiler._engines.items()):
-            labels = {"engine": engine}
-            calls.inc(stats["calls"], labels=labels)
-            rows.inc(stats["rows"], labels=labels)
-            seconds.inc(stats["seconds"], labels=labels)
-
     def absorb_service(
         self, metrics: Any, *, queue_depth: int | None = None
     ) -> None:

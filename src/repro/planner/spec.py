@@ -27,7 +27,7 @@ Supported keys (all optional; a bare statement means "no objectives"):
     choose.
 ``backend``
     Force the execution substrate: ``session`` (full transport
-    simulation), ``kernel`` (vectorized batch kernel), or ``auto``.
+    simulation), ``kernel`` (the message-free kernels), or ``auto``.
 ``dp_epsilon``
     Differential-privacy budget for this statement's *release*: the
     answer is perturbed by a mechanism calibrated to ``dp_epsilon``

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import settings
 
+from repro.core import batch
 from repro.core.driver import RunConfig
 from repro.core.params import ProtocolParams
 from repro.database.query import Domain, TopKQuery
@@ -16,6 +18,29 @@ from repro.database.query import Domain, TopKQuery
 # The default profile stays randomised — locally and in the nightly chaos
 # workflow, which uploads ``.hypothesis/`` when it finds a new counterexample.
 settings.register_profile("ci", derandomize=True)
+
+
+@contextmanager
+def counting_engine(crossover: int | None = None):
+    """Yield the list of vectorized-engine calls made inside (one group size each).
+
+    The executor rule keeps groups below ``batch.VECTOR_CROSSOVER`` on the
+    scalar kernel, so a suite that means to compare the *engine* on small
+    batches passes ``crossover=1`` (every replayable group runs on it) and
+    asserts on the yielded list that it really did.
+    """
+    calls: list[int] = []
+    run_group = batch._Group.execute
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.count)
+        return run_group(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(batch._Group, "execute", counted)
+        if crossover is not None:
+            patch.setattr(batch, "VECTOR_CROSSOVER", crossover)
+        yield calls
 
 
 @pytest.fixture

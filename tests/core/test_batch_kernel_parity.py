@@ -13,16 +13,23 @@ vectorized across trials x rounds.  That claim has two independent oracles:
   (``query_ids=[""]``) must match solo runs exactly, which is what the
   experiment runner's batched chunks rely on.
 
-Alongside parity: the driver's AUTO routing (kernel when the shared config
-is transport-free, session otherwise), the loud refusal surface under
+Alongside parity: the driver's default routing (kernel when the shared
+config is transport-free, session otherwise), the loud refusal surface under
 ``backend="kernel"``, and pickling of the batch results' lazy stats/log
 objects (the process-pool result path).
+
+The executor rule sends groups below ``batch.VECTOR_CROSSOVER`` to the
+scalar kernel, which would turn most of this suite into scalar-vs-scalar.
+A module fixture lowers the constant to 1 — every group the engine can
+replay runs on it — and counts ``_Group.execute`` calls, and each case that
+claims to compare the engine asserts the count (:func:`engine_groups`).
 """
 
 from __future__ import annotations
 
 import pickle
 import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +37,6 @@ from hypothesis import strategies as st
 
 from repro.core.batch import execute_many
 from repro.core.driver import (
-    AUTO,
     KERNEL,
     NAIVE,
     SESSION,
@@ -49,6 +55,8 @@ from repro.core.session import prepare_query_vectors
 from repro.database.query import Domain, TopKQuery
 from repro.network.transport import constant_latency
 
+from ..conftest import counting_engine
+
 INTEGRAL_DOMAIN = Domain(1, 10_000)
 REAL_DOMAIN = Domain(1.0, 10_000.0, integral=False)
 
@@ -57,6 +65,34 @@ NOISES = {
     "high": HighBiasedNoise(order=3),
     "low": LowBiasedNoise(order=2),
 }
+
+#: One entry (the group's size) per ``_Group.execute`` call in this module.
+ENGINE_CALLS: list[int] = []
+
+
+@pytest.fixture(autouse=True, scope="module")
+def engine_at_every_group_size():
+    """Crossover 1 for this suite, and a call counter on the engine."""
+    global ENGINE_CALLS
+    with counting_engine(crossover=1) as ENGINE_CALLS:
+        yield
+
+
+@contextmanager
+def engine_groups(expected: int):
+    """Assert the vectorized engine ran exactly ``expected`` groups inside."""
+    before = len(ENGINE_CALLS)
+    yield
+    assert len(ENGINE_CALLS) - before == expected, ENGINE_CALLS[before:]
+
+
+def replayable_groups(jobs) -> int:
+    """Groups the engine must run for one ``batch_cases`` batch.
+
+    Every job of a case shares one shape and the generated data never hits a
+    data-level fallback, so the only scalar-only axis is re-insertion mode.
+    """
+    return int(jobs[0][2].params.insert_once)
 
 
 def assert_results_identical(expected, actual) -> None:
@@ -152,7 +188,8 @@ def batch_cases(draw):
 def test_batch_bit_identical_to_session_batch(jobs):
     """Tagged batch output == the shared-transport session batch, all fields."""
     expected = run_many_on_vectors(jobs, backend=SESSION)
-    actual = execute_many(jobs)
+    with engine_groups(replayable_groups(jobs)):
+        actual = execute_many(jobs)
     for want, got in zip(expected, actual):
         assert_results_identical(want, got)
 
@@ -161,7 +198,8 @@ def test_batch_bit_identical_to_session_batch(jobs):
 @settings(max_examples=25, deadline=None)
 def test_untagged_batch_bit_identical_to_solo_scalar_kernel(jobs):
     """query_ids="" batch output == each job run alone on the scalar kernel."""
-    actual = execute_many(jobs, query_ids=[""] * len(jobs))
+    with engine_groups(replayable_groups(jobs)):
+        actual = execute_many(jobs, query_ids=[""] * len(jobs))
     for (vectors, query, config), got in zip(jobs, actual):
         solo = execute_scalar(
             prepare_query_vectors(vectors, query), config
@@ -182,7 +220,8 @@ class TestNoiseEdges:
             for s in seeds
         ]
         expected = run_many_on_vectors(jobs, backend=SESSION)
-        actual = execute_many(jobs)
+        with engine_groups(1):
+            actual = execute_many(jobs)
         for want, got in zip(expected, actual):
             assert_results_identical(want, got)
         return actual
@@ -227,7 +266,9 @@ class TestNoiseEdges:
             for s in range(5)
         ]
         expected = run_many_on_vectors(jobs, backend=SESSION)
-        for want, got in zip(expected, execute_many(jobs)):
+        with engine_groups(1):
+            actual = execute_many(jobs)
+        for want, got in zip(expected, actual):
             assert_results_identical(want, got)
 
 
@@ -242,7 +283,9 @@ class TestScalarFallbacks:
             for s in range(3)
         ]
         expected = run_many_on_vectors(jobs, backend=SESSION)
-        for want, got in zip(expected, execute_many(jobs)):
+        with engine_groups(0):
+            actual = execute_many(jobs)
+        for want, got in zip(expected, actual):
             assert_results_identical(want, got)
 
     def test_mixed_shapes_in_one_batch(self):
@@ -256,7 +299,9 @@ class TestScalarFallbacks:
             vectors = {f"n{i}": [float(17 * (i + j + 1))] for i in range(n)}
             jobs.append((vectors, query(k), RunConfig(seed=100 + j)))
         expected = run_many_on_vectors(jobs, backend=SESSION)
-        for want, got in zip(expected, execute_many(jobs)):
+        with engine_groups(3):  # (3, 1) twice, (7, 3), (12, 2)
+            actual = execute_many(jobs)
+        for want, got in zip(expected, actual):
             assert_results_identical(want, got)
 
     def test_non_finite_data_matches_session_behaviour(self):
@@ -270,7 +315,9 @@ class TestScalarFallbacks:
         query = TopKQuery(table="t", attribute="v", k=1, domain=INTEGRAL_DOMAIN)
         jobs = [(vectors, query, RunConfig(seed=3))]
         expected = run_many_on_vectors(jobs, backend=SESSION)
-        for want, got in zip(expected, execute_many(jobs)):
+        with engine_groups(0):
+            actual = execute_many(jobs)
+        for want, got in zip(expected, actual):
             assert_results_identical(want, got)
 
     def test_below_minimum_ring_rejected_identically(self):
@@ -292,7 +339,9 @@ class TestScalarFallbacks:
         query = TopKQuery(table="t", attribute="v", k=2, domain=domain)
         jobs = [(vectors, query, RunConfig(seed=s)) for s in range(3)]
         expected = run_many_on_vectors(jobs, backend=SESSION)
-        for want, got in zip(expected, execute_many(jobs)):
+        with engine_groups(0):  # a domain spanning zero is scalar-only
+            actual = execute_many(jobs)
+        for want, got in zip(expected, actual):
             assert_results_identical(want, got)
 
 
@@ -307,17 +356,19 @@ class TestDriverRouting:
         ]
 
     def test_auto_routes_clean_configs_to_the_kernel(self):
-        # AUTO and an explicit KERNEL run the same substrate: identical
-        # results, including byte totals no session-ism could reproduce
-        # by accident.
-        auto = run_many_on_vectors(self.jobs())
+        # The default rule and an explicit KERNEL pin run the same
+        # substrate: identical results, including byte totals no
+        # session-ism could reproduce by accident.
+        with engine_groups(1):
+            auto = run_many_on_vectors(self.jobs())
         forced = run_many_on_vectors(self.jobs(), backend=KERNEL)
         for want, got in zip(forced, auto):
             assert_results_identical(want, got)
 
     def test_auto_falls_back_to_session_for_transport_configs(self):
         jobs = self.jobs(latency=constant_latency(0.002))
-        results = run_many_on_vectors(jobs)  # AUTO: must not refuse
+        with engine_groups(0):
+            results = run_many_on_vectors(jobs)  # the rule: must not refuse
         expected = run_many_on_vectors(jobs, backend=SESSION)
         for want, got in zip(expected, results):
             assert_results_identical(want, got)
@@ -337,21 +388,21 @@ class TestDriverRouting:
             run_many_on_vectors(self.jobs(count=3), traces=[None])
 
     def test_empty_batch_on_every_backend(self):
-        for backend in (AUTO, KERNEL, SESSION):
+        for backend in (None, KERNEL, SESSION):
             assert run_many_on_vectors([], backend=backend) == []
 
-    def test_solo_entry_point_still_defaults_to_session(self):
-        # The single-query path is unchanged by the batch work: explicit
-        # backends agree with it per the kernel's own parity suite.
-        result = run_protocol_on_vectors(
-            self.VECTORS, self.QUERY, RunConfig(seed=5)
+    def test_solo_entry_point_defaults_to_the_rule(self):
+        # A transport-free solo run takes the kernel path untagged, exactly
+        # like an explicit KERNEL pin; both equal the session reference.
+        job = (self.VECTORS, self.QUERY, RunConfig(seed=5))
+        default = run_protocol_on_vectors(*job)
+        assert default.stats.per_query == {"": default.stats.messages_total}
+        assert_results_identical(
+            run_protocol_on_vectors(*job, backend=KERNEL), default
         )
-        batch = run_many_on_vectors(
-            [(self.VECTORS, self.QUERY, RunConfig(seed=5))],
-            backend=KERNEL,
-        )[0]
-        assert batch.final_vector == result.final_vector
-        assert batch.ring_order == result.ring_order
+        assert_results_identical(
+            run_protocol_on_vectors(*job, backend=SESSION), default
+        )
 
 
 class TestPickling:
@@ -362,7 +413,8 @@ class TestPickling:
         vectors = {f"n{i}": [float(10 + i), 3.0] for i in range(5)}
         query = TopKQuery(table="t", attribute="v", k=2, domain=INTEGRAL_DOMAIN)
         jobs = [(vectors, query, RunConfig(seed=s)) for s in range(2)]
-        return execute_many(jobs)[0]
+        with engine_groups(1):
+            return execute_many(jobs)[0]
 
     def test_result_round_trips(self):
         result = self.batch_result()

@@ -38,7 +38,6 @@ from repro.core.kernel import (
     _vector_bytes,
     execute,
     kernel_refusal,
-    run_kernel_on_vectors,
 )
 from repro.core.params import ProtocolParams
 from repro.core.session import ProtocolSession, prepare_query_vectors
@@ -167,7 +166,7 @@ def test_driver_backend_dispatch_matches_manual_kernel(case):
     """``backend="kernel"`` through the public driver is the same fast path."""
     vectors, query, config = case
     via_driver = run_protocol_on_vectors(vectors, query, config, backend=KERNEL)
-    direct = run_kernel_on_vectors(vectors, query, config)
+    direct = execute(prepare_query_vectors(vectors, query), config).result
     assert via_driver.final_vector == direct.final_vector
     assert via_driver.round_snapshots == direct.round_snapshots
     assert via_driver.stats == direct.stats
@@ -184,22 +183,22 @@ class TestKernelRefusals:
         config = RunConfig(seed=7, encrypt=True)
         assert kernel_refusal(config) is not None
         with pytest.raises(KernelUnsupported, match="encryption"):
-            run_kernel_on_vectors(self.VECTORS, self.QUERY, config)
+            run_protocol_on_vectors(self.VECTORS, self.QUERY, config, backend=KERNEL)
 
     def test_refuses_latency_models(self):
         config = RunConfig(seed=7, latency=constant_latency(0.002))
         with pytest.raises(KernelUnsupported, match="latency"):
-            run_kernel_on_vectors(self.VECTORS, self.QUERY, config)
+            run_protocol_on_vectors(self.VECTORS, self.QUERY, config, backend=KERNEL)
 
     def test_refuses_real_failure_injectors(self):
         config = RunConfig(seed=7, failures=FailureInjector())
         with pytest.raises(KernelUnsupported, match="failure"):
-            run_kernel_on_vectors(self.VECTORS, self.QUERY, config)
+            run_protocol_on_vectors(self.VECTORS, self.QUERY, config, backend=KERNEL)
 
     def test_accepts_the_null_injector(self):
         config = RunConfig(seed=7, failures=NO_FAILURES)
         assert kernel_refusal(config) is None
-        result = run_kernel_on_vectors(self.VECTORS, self.QUERY, config)
+        result = run_protocol_on_vectors(self.VECTORS, self.QUERY, config, backend=KERNEL)
         baseline = run_protocol_on_vectors(
             self.VECTORS, self.QUERY, RunConfig(seed=7)
         )

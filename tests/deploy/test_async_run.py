@@ -1,12 +1,16 @@
 """Tests for the asyncio deployment substrate, including 3-way parity."""
 
+import asyncio
+
 import pytest
 
 from repro.core.driver import RunConfig, run_protocol_on_vectors
 from repro.core.params import ProtocolParams
 from repro.database.query import Domain, TopKQuery
 from repro.deploy import DeployError, run_tcp_topk
-from repro.deploy.async_runner import run_async_topk
+from repro.deploy.async_runner import _AsyncParty, run_async_topk
+from repro.network.message import token_message
+from repro.network.node import NodeError
 
 DOMAIN = Domain(1, 10_000)
 VECTORS = {
@@ -42,6 +46,26 @@ class TestAsyncRuns:
         )
         with pytest.raises(DeployError, match="negate first"):
             run_async_topk(VECTORS, query)
+
+
+class TestGuards:
+    """Mis-wired parties fail with the substrate's error, not the node's."""
+
+    class Echo:
+        def compute(self, incoming, round_number):
+            return incoming
+
+    def test_unwired_party_fails_typed(self):
+        async def drive():
+            party = _AsyncParty("solo", self.Echo(), is_starter=True, total_rounds=1)
+            with pytest.raises(DeployError, match="no successor") as failure:
+                await party.kick_off([1.0])
+            assert not isinstance(failure.value, NodeError)
+            with pytest.raises(DeployError, match="no successor"):
+                await party.on_message(token_message("pred", "solo", 1, [1.0]))
+            assert party.node.final_result is None and not party.finished.is_set()
+
+        asyncio.run(drive())
 
 
 class TestThreeWayParity:

@@ -9,10 +9,10 @@ own.
 
 import pytest
 
-from repro.core.driver import RunConfig, run_protocol_on_vectors
+from repro.core.driver import SESSION, RunConfig, run_protocol_on_vectors
 from repro.core.params import ProtocolParams
 from repro.database.query import Domain, TopKQuery
-from repro.deploy import run_tcp_topk
+from repro.deploy import run_async_topk, run_tcp_topk
 
 DOMAIN = Domain(1, 10_000)
 VECTORS = {
@@ -66,3 +66,36 @@ class TestParity:
                 if kind == "result"
             ]
             assert tcp_results == sim_results, party
+
+
+class TestEverySubstrateHostsTheSameNode:
+    """One ProtocolNode, one set-up: what each party receives is the same
+    message stream on the simulator, encrypted TCP threads and asyncio."""
+
+    @pytest.mark.parametrize("protocol", ["probabilistic", "naive"])
+    @pytest.mark.parametrize("seed", [2, 19])
+    def test_observations_equal_per_seed(self, protocol, seed):
+        query = TopKQuery(table="t", attribute="v", k=2, domain=DOMAIN)
+        params = ProtocolParams.paper_defaults(rounds=4)
+        sim = run_protocol_on_vectors(
+            VECTORS,
+            query,
+            RunConfig(protocol=protocol, params=params, seed=seed),
+            backend=SESSION,
+        )
+        threads = run_tcp_topk(
+            VECTORS, query, params=params, protocol=protocol, seed=seed, encrypt=True
+        )
+        loop = run_async_topk(
+            VECTORS, query, params=params, protocol=protocol, seed=seed
+        )
+        simulated = {
+            party: [
+                (o.round, o.kind, o.vector) for o in sim.event_log.received_by(party)
+            ]
+            for party in sim.ring_order
+        }
+        assert threads.observations == simulated
+        assert loop.observations == simulated
+        assert threads.starter == loop.starter == sim.starter
+        assert threads.ring_order == loop.ring_order == sim.ring_order

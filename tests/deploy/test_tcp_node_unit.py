@@ -10,6 +10,7 @@ import pytest
 from repro.deploy.tcp_node import TcpNodeError, TcpParty
 from repro.deploy.wire import recv_frame
 from repro.network.message import token_message
+from repro.network.node import NodeError
 
 
 class Echo:
@@ -36,6 +37,15 @@ class TestGuards:
                 starter.kick_off([1.0])
         finally:
             starter.shutdown()
+
+    def test_unwired_party_receiving_a_token_fails_typed(self, party):
+        # The hosted ProtocolNode would raise NodeError on the forward; the
+        # substrate checks first so its serve loop records its own error.
+        body = token_message("pred", "solo", 1, [1.0]).encode()
+        with pytest.raises(TcpNodeError, match="no successor") as failure:
+            party._handle_raw(body)
+        assert not isinstance(failure.value, NodeError)
+        assert party.final_result is None and not party.finished.is_set()
 
     def test_address_stable_after_shutdown(self, party):
         address = party.address

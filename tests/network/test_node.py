@@ -29,10 +29,11 @@ def build_ring(transport: InMemoryTransport, algorithms, total_rounds: int):
         nodes[node_id] = ProtocolNode(
             node_id,
             algorithm,
-            transport,
+            transport.send,
             is_starter=(node_id == "a"),
             total_rounds=total_rounds,
         )
+        transport.register(node_id, nodes[node_id].handle)
     nodes["a"].successor = "b"
     nodes["b"].successor = "c"
     nodes["c"].successor = "a"
@@ -42,17 +43,17 @@ def build_ring(transport: InMemoryTransport, algorithms, total_rounds: int):
 class TestValidation:
     def test_total_rounds_must_be_positive(self):
         with pytest.raises(NodeError, match="total_rounds"):
-            ProtocolNode("a", EchoAlgorithm(), InMemoryTransport(), total_rounds=0)
+            ProtocolNode("a", EchoAlgorithm(), InMemoryTransport().send, total_rounds=0)
 
     def test_only_starter_can_start(self):
         transport = InMemoryTransport()
-        node = ProtocolNode("a", EchoAlgorithm(), transport)
+        node = ProtocolNode("a", EchoAlgorithm(), transport.send)
         with pytest.raises(NodeError, match="not the starting node"):
             node.start([0.0])
 
     def test_missing_successor_detected(self):
         transport = InMemoryTransport()
-        node = ProtocolNode("a", EchoAlgorithm(), transport, is_starter=True)
+        node = ProtocolNode("a", EchoAlgorithm(), transport.send, is_starter=True)
         with pytest.raises(NodeError, match="no successor"):
             node.start([0.0])
 

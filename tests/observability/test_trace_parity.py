@@ -11,10 +11,12 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.driver import RunConfig, run_protocol_on_vectors
+from repro.core.driver import RunConfig, run_many_on_vectors, run_protocol_on_vectors
 from repro.core.params import ProtocolParams
 from repro.database.query import Domain, TopKQuery
 from repro.observability import TraceRecorder, tracing
+
+from ..conftest import counting_engine
 
 QUERY = TopKQuery(
     table="data", attribute="value", k=3, domain=Domain(1, 10_000)
@@ -79,6 +81,38 @@ class TestBackendParity:
         assert names.count("broadcast") == 1
         # One hop per node per pass: every round plus the result broadcast.
         assert names.count("hop") == result.n_nodes * (rounds + 1)
+
+
+class TestBatchParity:
+    """Traced batches: spans are synthesized per trace, in job order."""
+
+    @staticmethod
+    def _spans_by_trace(backend: str, jobs) -> dict[str, list[dict]]:
+        recorder = TraceRecorder(capture_values=True)
+        with tracing(recorder):
+            run_many_on_vectors(jobs, backend=backend)
+        assert recorder.open_spans() == []
+        # The shared transport interleaves the sessions' spans by delivery
+        # time; per trace, the records must be identical.
+        return {
+            trace_id: [span.to_dict() for span in recorder.spans_for(trace_id)]
+            for trace_id in recorder.trace_ids
+        }
+
+    @pytest.mark.parametrize("size, engine_calls", [(3, []), (16, [16])])
+    def test_each_trace_identical_on_either_side_of_the_crossover(
+        self, size, engine_calls
+    ):
+        jobs = [
+            (_vectors(seed=seed), QUERY, RunConfig(seed=seed))
+            for seed in range(size)
+        ]
+        session = self._spans_by_trace("session", jobs)
+        with counting_engine() as calls:
+            kernel = self._spans_by_trace("kernel", jobs)
+        assert calls == engine_calls
+        assert kernel == session
+        assert len(kernel) == size
 
 
 class TestDeterminism:

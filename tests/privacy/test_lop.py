@@ -29,7 +29,7 @@ from repro.privacy.lop import (
     worst_case_lop,
 )
 
-from ..conftest import make_vectors
+from ..conftest import counting_engine, make_vectors
 
 
 class TestTolerantMembership:
@@ -197,7 +197,14 @@ def reference_lop(result):
 
 def run_on(executor, vectors, query, config):
     if executor == "batch":
-        (result,) = run_many_on_vectors([(vectors, query, config)], backend=KERNEL)
+        # One job is far below the crossover: lower it, so the vectorized
+        # engine's lazily built pass records stay under this test — and
+        # check the engine really ran whatever it can replay.
+        with counting_engine(crossover=1) as engine_calls:
+            (result,) = run_many_on_vectors(
+                [(vectors, query, config)], backend=KERNEL
+            )
+        assert engine_calls == [1] * config.params.insert_once
         return result
     backend = SESSION if executor == "session" else KERNEL
     return run_protocol_on_vectors(vectors, query, config, backend=backend)
@@ -285,9 +292,8 @@ class TestServingPath:
             ["SELECT BOTTOM 2 value FROM data", "SELECT MAX(value) FROM data"]
         )
 
-        # ``execute`` alone runs the transport session (a plain log, nothing
-        # lazy to guard); batches run the kernels.
-        for executed in batch:
+        # Single statements and batches alike run the kernels.
+        for executed in (outcome, *batch):
             assert isinstance(executed.trace.event_log, _LazyKernelLog)
         assert federation.ledger.runs_charged == 3
         assert set(federation.ledger.charges) == set(federation.members)
