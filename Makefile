@@ -7,7 +7,7 @@ JOBS ?= 1
 
 .PHONY: install test lint typecheck cov bench bench-kernel \
 	bench-extraction bench-planner bench-gateway bench-dp \
-	check-dp check-floors figures report examples all clean
+	check-dp check-floors import-profile figures report examples all clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -83,6 +83,16 @@ check-dp:
 # Every committed results/BENCH_*.json against its regression floor.
 check-floors:
 	$(PYTHON) scripts/check_bench_floors.py
+
+# Where a fresh interpreter's start-up goes: the 20 most expensive imports
+# (cumulative microseconds, children included) on the two cold-start paths
+# the benchmark times -- a shard worker's boot and the figure registry.
+import-profile:
+	@for module in repro.sharding.worker repro.experiments.figures.registry; do \
+		echo "=== import $$module: self us | cumulative us | module"; \
+		PYTHONPATH=src $(PYTHON) -X importtime -c "import $$module" 2>&1 \
+			| grep '^import time:' | sort -t'|' -k2 -n | tail -20; \
+	done
 
 figures:
 	$(PYTHON) -m repro.cli all --trials 100 --no-plot --out results --jobs $(JOBS)

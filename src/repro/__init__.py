@@ -19,88 +19,56 @@ Quickstart::
     print(result.answer(), result.precision())
 """
 
-from .analysis import (
-    expected_lop_bound,
-    minimum_rounds,
-    naive_average_lop,
-    precision_lower_bound,
-)
-from .core import (
-    ANONYMOUS_NAIVE,
-    NAIVE,
-    PROBABILISTIC,
-    PROTOCOLS,
-    DriverError,
-    ExponentialSchedule,
-    ProtocolParams,
-    ProtocolResult,
-    ProtocolSession,
-    RunConfig,
-    run_many_on_vectors,
-    run_protocol_on_vectors,
-    run_topk_queries,
-    run_topk_query,
-)
-from .database import (
-    PAPER_DOMAIN,
-    DataGenerator,
-    Domain,
-    PrivateDatabase,
-    Schema,
-    Table,
-    TopKQuery,
-    database_from_values,
-    max_query,
-    min_query,
-)
-from .federation import Federation, QueryOutcome
-from .service import QueryService
-from .privacy import (
-    average_lop,
-    node_lop,
-    per_round_average_lop,
-    precision,
-    worst_case_lop,
-)
+from ._lazy import lazy_exports
+
+_EXPORTS = {
+    "analysis": (
+        "expected_lop_bound",
+        "minimum_rounds",
+        "naive_average_lop",
+        "precision_lower_bound",
+    ),
+    "core": (
+        "ANONYMOUS_NAIVE",
+        "DriverError",
+        "ExponentialSchedule",
+        "NAIVE",
+        "PROBABILISTIC",
+        "PROTOCOLS",
+        "ProtocolParams",
+        "ProtocolResult",
+        "ProtocolSession",
+        "RunConfig",
+        "run_many_on_vectors",
+        "run_protocol_on_vectors",
+        "run_topk_queries",
+        "run_topk_query",
+    ),
+    "database": (
+        "DataGenerator",
+        "Domain",
+        "PAPER_DOMAIN",
+        "PrivateDatabase",
+        "Schema",
+        "Table",
+        "TopKQuery",
+        "database_from_values",
+        "max_query",
+        "min_query",
+    ),
+    "federation": ("Federation", "QueryOutcome"),
+    "privacy": (
+        "average_lop",
+        "node_lop",
+        "per_round_average_lop",
+        "precision",
+        "worst_case_lop",
+    ),
+    "service": ("QueryService",),
+}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ANONYMOUS_NAIVE",
-    "DataGenerator",
-    "Domain",
-    "DriverError",
-    "ExponentialSchedule",
-    "Federation",
-    "NAIVE",
-    "PAPER_DOMAIN",
-    "PROBABILISTIC",
-    "PROTOCOLS",
-    "PrivateDatabase",
-    "ProtocolParams",
-    "ProtocolResult",
-    "ProtocolSession",
-    "QueryOutcome",
-    "QueryService",
-    "RunConfig",
-    "Schema",
-    "Table",
-    "TopKQuery",
-    "__version__",
-    "average_lop",
-    "database_from_values",
-    "expected_lop_bound",
-    "max_query",
-    "min_query",
-    "minimum_rounds",
-    "naive_average_lop",
-    "node_lop",
-    "per_round_average_lop",
-    "precision",
-    "precision_lower_bound",
-    "run_many_on_vectors",
-    "run_protocol_on_vectors",
-    "run_topk_queries",
-    "run_topk_query",
-    "worst_case_lop",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__, _EXPORTS, eager=("__version__",)
+)

@@ -1,58 +1,39 @@
 """Analytical models from Section 4: Equations 3 (correctness), 4 (efficiency),
 5 and 6 (privacy bounds)."""
 
-from .optimization import (
-    OptimizationError,
-    ParameterChoice,
-    evaluate,
-    optimal_parameters,
-    pareto_frontier,
-)
-from .correctness import (
-    precision_bound_series,
-    precision_lower_bound,
-    rounds_to_reach,
-)
-from .efficiency import (
-    grouped_total_messages,
-    minimum_rounds,
-    rmin_series,
-    sqrt_log_scaling_constant,
-    total_messages,
-)
-from .privacy_bounds import (
-    expected_lop_bound,
-    expected_lop_round_term,
-    expected_lop_series,
-    harmonic_number,
-    naive_average_lop,
-    naive_average_lop_bound,
-    naive_estimator_average,
-    naive_worst_case_lop,
-    peak_lop_round,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "OptimizationError",
-    "ParameterChoice",
-    "evaluate",
-    "expected_lop_bound",
-    "expected_lop_round_term",
-    "expected_lop_series",
-    "grouped_total_messages",
-    "harmonic_number",
-    "minimum_rounds",
-    "naive_average_lop",
-    "naive_average_lop_bound",
-    "naive_estimator_average",
-    "naive_worst_case_lop",
-    "optimal_parameters",
-    "pareto_frontier",
-    "peak_lop_round",
-    "precision_bound_series",
-    "precision_lower_bound",
-    "rmin_series",
-    "rounds_to_reach",
-    "sqrt_log_scaling_constant",
-    "total_messages",
-]
+_EXPORTS = {
+    "correctness": (
+        "precision_bound_series",
+        "precision_lower_bound",
+        "rounds_to_reach",
+    ),
+    "efficiency": (
+        "grouped_total_messages",
+        "minimum_rounds",
+        "rmin_series",
+        "sqrt_log_scaling_constant",
+        "total_messages",
+    ),
+    "optimization": (
+        "OptimizationError",
+        "ParameterChoice",
+        "evaluate",
+        "optimal_parameters",
+        "pareto_frontier",
+    ),
+    "privacy_bounds": (
+        "expected_lop_bound",
+        "expected_lop_round_term",
+        "expected_lop_series",
+        "harmonic_number",
+        "naive_average_lop",
+        "naive_average_lop_bound",
+        "naive_estimator_average",
+        "naive_worst_case_lop",
+        "peak_lop_round",
+    ),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -1,105 +1,56 @@
 """Private-database substrate: schemas, tables, queries, and data generators."""
 
-from .database import (
-    PrivateDatabase,
-    common_query,
-    database_from_values,
-)
-from .engines import (
-    COLUMNAR,
-    DEFAULT_ENGINE,
-    DUCKDB,
-    ENGINES,
-    ROW,
-    ColumnarEngine,
-    DuckDbEngine,
-    ExtractionSample,
-    RowStoreEngine,
-    StorageEngine,
-    StorageUnavailable,
-    duckdb_available,
-    make_engine,
-)
-from .io import (
-    TableIOError,
-    database_from_csv_dir,
-    load_csv_table,
-    save_csv_table,
-)
-from .generator import DISTRIBUTIONS, DataGenerator, datasets_with_known_topk
-from .predicates import (
-    And,
-    ColumnPredicate,
-    ColumnRef,
-    Comparison,
-    Not,
-    Or,
-    col,
-)
-from .query import PAPER_DOMAIN, Domain, QueryError, TopKQuery, max_query, min_query
-from .schema import COLUMN_TYPES, Column, Schema, SchemaError
-from .table import Table
-from .tpch import (
-    LINEITEM_ROWS_PER_SF,
-    LINEITEM_SCHEMA,
-    TPCH_ATTRIBUTE,
-    TPCH_PRICE_DOMAIN,
-    TPCH_TABLE,
-    lineitem_arrays,
-    lineitem_database,
-    lineitem_databases,
-    price_query,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "And",
-    "COLUMNAR",
-    "COLUMN_TYPES",
-    "Column",
-    "ColumnPredicate",
-    "ColumnRef",
-    "ColumnarEngine",
-    "Comparison",
-    "DEFAULT_ENGINE",
-    "DISTRIBUTIONS",
-    "DUCKDB",
-    "DataGenerator",
-    "Domain",
-    "DuckDbEngine",
-    "ENGINES",
-    "ExtractionSample",
-    "LINEITEM_ROWS_PER_SF",
-    "LINEITEM_SCHEMA",
-    "Not",
-    "Or",
-    "PAPER_DOMAIN",
-    "PrivateDatabase",
-    "QueryError",
-    "ROW",
-    "RowStoreEngine",
-    "Schema",
-    "SchemaError",
-    "StorageEngine",
-    "StorageUnavailable",
-    "TPCH_ATTRIBUTE",
-    "TPCH_PRICE_DOMAIN",
-    "TPCH_TABLE",
-    "Table",
-    "TableIOError",
-    "TopKQuery",
-    "col",
-    "common_query",
-    "database_from_csv_dir",
-    "database_from_values",
-    "datasets_with_known_topk",
-    "duckdb_available",
-    "lineitem_arrays",
-    "lineitem_database",
-    "lineitem_databases",
-    "load_csv_table",
-    "make_engine",
-    "max_query",
-    "min_query",
-    "price_query",
-    "save_csv_table",
-]
+_EXPORTS = {
+    "database": ("PrivateDatabase", "common_query", "database_from_values"),
+    "engines": (
+        "COLUMNAR",
+        "ColumnarEngine",
+        "DEFAULT_ENGINE",
+        "DUCKDB",
+        "DuckDbEngine",
+        "ENGINES",
+        "ExtractionSample",
+        "ROW",
+        "RowStoreEngine",
+        "StorageEngine",
+        "StorageUnavailable",
+        "duckdb_available",
+        "make_engine",
+    ),
+    "generator": ("DISTRIBUTIONS", "DataGenerator", "datasets_with_known_topk"),
+    "io": ("TableIOError", "database_from_csv_dir", "load_csv_table", "save_csv_table"),
+    "predicates": (
+        "And",
+        "ColumnPredicate",
+        "ColumnRef",
+        "Comparison",
+        "Not",
+        "Or",
+        "col",
+    ),
+    "query": (
+        "Domain",
+        "PAPER_DOMAIN",
+        "QueryError",
+        "TopKQuery",
+        "max_query",
+        "min_query",
+    ),
+    "schema": ("COLUMN_TYPES", "Column", "Schema", "SchemaError"),
+    "table": ("Table",),
+    "tpch": (
+        "LINEITEM_ROWS_PER_SF",
+        "LINEITEM_SCHEMA",
+        "TPCH_ATTRIBUTE",
+        "TPCH_PRICE_DOMAIN",
+        "TPCH_TABLE",
+        "lineitem_arrays",
+        "lineitem_database",
+        "lineitem_databases",
+        "price_query",
+    ),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

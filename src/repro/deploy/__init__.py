@@ -1,20 +1,18 @@
 """Deployment substrates: the protocol over real sockets (threads or asyncio)."""
 
-from .async_runner import run_async_topk
-from .runner import DeployError, TcpRunResult, run_tcp_topk
-from .tcp_node import TcpNodeError, TcpParty
-from .wire import MAX_FRAME_BYTES, PREFIX_BYTES, WireError, recv_frame, send_frame
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DeployError",
-    "MAX_FRAME_BYTES",
-    "PREFIX_BYTES",
-    "TcpNodeError",
-    "TcpParty",
-    "TcpRunResult",
-    "WireError",
-    "recv_frame",
-    "run_async_topk",
-    "run_tcp_topk",
-    "send_frame",
-]
+_EXPORTS = {
+    "async_runner": ("run_async_topk",),
+    "runner": ("DeployError", "TcpRunResult", "run_tcp_topk"),
+    "tcp_node": ("TcpNodeError", "TcpParty"),
+    "wire": (
+        "MAX_FRAME_BYTES",
+        "PREFIX_BYTES",
+        "WireError",
+        "recv_frame",
+        "send_frame",
+    ),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -1,83 +1,50 @@
 """Experiment harness: trial runners, aggregation, figure registry, reports."""
 
-from .config import PAPER_TRIALS, TrialSetup
-from .figures import EXPERIMENTS, Experiment, all_experiment_ids, run_experiment
-from .report import render_figure, render_table, render_timing, write_csv
-from .runner import (
-    TrialError,
-    aggregate_coalition_lop,
-    aggregate_node_lop,
-    mean_final_precision,
-    mean_lop_by_round,
-    mean_messages,
-    mean_precision_by_round,
-    resolve_backend,
-    resolve_jobs,
-    run_single_trial,
-    run_trials,
-    run_trials_many,
-    shutdown_pool,
-    using_backend,
-    using_jobs,
-)
-from .series import FigureData, Series
-from .summary import generate_report, write_report
-from .svg_plot import render_svg, write_all_svgs, write_svg
-from .telemetry import (
-    ExtractionProfiler,
-    PhaseProfiler,
-    PointTelemetry,
-    TelemetryCollector,
-    TrialTiming,
-    collect,
-    profile_extraction,
-    profile_phases,
-)
-from .validate import Check, render_scorecard, scorecard, validate_experiment
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Check",
-    "EXPERIMENTS",
-    "Experiment",
-    "ExtractionProfiler",
-    "FigureData",
-    "PAPER_TRIALS",
-    "PhaseProfiler",
-    "PointTelemetry",
-    "Series",
-    "TelemetryCollector",
-    "TrialError",
-    "TrialSetup",
-    "TrialTiming",
-    "aggregate_coalition_lop",
-    "generate_report",
-    "aggregate_node_lop",
-    "all_experiment_ids",
-    "collect",
-    "mean_final_precision",
-    "mean_lop_by_round",
-    "mean_messages",
-    "mean_precision_by_round",
-    "render_figure",
-    "render_scorecard",
-    "render_svg",
-    "render_table",
-    "render_timing",
-    "profile_extraction",
-    "profile_phases",
-    "resolve_backend",
-    "resolve_jobs",
-    "run_experiment",
-    "run_single_trial",
-    "run_trials",
-    "run_trials_many",
-    "scorecard",
-    "shutdown_pool",
-    "using_backend",
-    "using_jobs",
-    "validate_experiment",
-    "write_all_svgs",
-    "write_csv",
-    "write_report",
-    "write_svg",
-]
+# The one submodule loaded with the package: ``runner`` from-imports
+# ``execute_many``, ``run_protocol_on_vectors`` and ``node_lop``, and a span
+# recorder that patches those finds every holder by scanning the loaded
+# modules -- a runner first imported *while* they are patched would keep the
+# wrappers.  Every path to the experiments (the figure registry, and the
+# gateway through ``service.metrics -> experiments.telemetry``) passes here.
+from . import runner as runner
+
+_EXPORTS = {
+    "config": ("PAPER_TRIALS", "TrialSetup"),
+    "figures": ("EXPERIMENTS", "Experiment", "all_experiment_ids", "run_experiment"),
+    "report": ("render_figure", "render_table", "render_timing", "write_csv"),
+    "runner": (
+        "TrialError",
+        "aggregate_coalition_lop",
+        "aggregate_node_lop",
+        "mean_final_precision",
+        "mean_lop_by_round",
+        "mean_messages",
+        "mean_precision_by_round",
+        "resolve_backend",
+        "resolve_jobs",
+        "run_single_trial",
+        "run_trials",
+        "run_trials_many",
+        "shutdown_pool",
+        "using_backend",
+        "using_jobs",
+    ),
+    "series": ("FigureData", "Series"),
+    "summary": ("generate_report", "write_report"),
+    "svg_plot": ("render_svg", "write_all_svgs", "write_svg"),
+    "telemetry": (
+        "ExtractionProfiler",
+        "PhaseProfiler",
+        "PointTelemetry",
+        "TelemetryCollector",
+        "TrialTiming",
+        "collect",
+        "profile_extraction",
+        "profile_phases",
+    ),
+    "validate": ("Check", "render_scorecard", "scorecard", "validate_experiment"),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

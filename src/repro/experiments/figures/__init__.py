@@ -1,5 +1,9 @@
 """Per-figure experiment modules and the experiment registry."""
 
-from .registry import EXPERIMENTS, Experiment, all_experiment_ids, run_experiment
+from ..._lazy import lazy_exports
 
-__all__ = ["EXPERIMENTS", "Experiment", "all_experiment_ids", "run_experiment"]
+_EXPORTS = {
+    "registry": ("EXPERIMENTS", "Experiment", "all_experiment_ids", "run_experiment"),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -3,78 +3,42 @@
 (Section 7 future work) and malicious-model attack simulations
 (Section 2.1)."""
 
-from .attacks import (
-    AttackError,
-    AttackOutcome,
-    run_hiding_attack,
-    run_spoofing_attack,
-)
-from .groups import (
-    GroupedRunResult,
-    GroupError,
-    partition_into_groups,
-    run_grouped_max,
-    run_grouped_topk,
-)
-from .knn import (
-    KNNError,
-    KNNPrediction,
-    LabeledPoint,
-    PrivateKNNClassifier,
-    PrivateParty,
-    euclidean,
-)
-from .commitments import (
-    Commitment,
-    CommitmentError,
-    Opening,
-    audit_values,
-    commit,
-    verify_opening,
-)
-from .monitoring import ContinuousTopKMonitor, EpochOutcome, MonitorError
-from .kth_element import (
-    KthElementError,
-    KthElementResult,
-    kth_largest,
-    median,
-)
-from .ksecuresum import KSecureSumResult, KSecureSumRound, run_k_secure_sum
-from .securesum import SecureSumError, SecureSumResult, run_secure_sum
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AttackError",
-    "Commitment",
-    "CommitmentError",
-    "ContinuousTopKMonitor",
-    "EpochOutcome",
-    "AttackOutcome",
-    "GroupError",
-    "GroupedRunResult",
-    "KNNError",
-    "KNNPrediction",
-    "KSecureSumResult",
-    "KSecureSumRound",
-    "KthElementError",
-    "KthElementResult",
-    "LabeledPoint",
-    "MonitorError",
-    "PrivateKNNClassifier",
-    "PrivateParty",
-    "SecureSumError",
-    "SecureSumResult",
-    "Opening",
-    "audit_values",
-    "commit",
-    "euclidean",
-    "kth_largest",
-    "median",
-    "verify_opening",
-    "partition_into_groups",
-    "run_grouped_max",
-    "run_grouped_topk",
-    "run_hiding_attack",
-    "run_k_secure_sum",
-    "run_secure_sum",
-    "run_spoofing_attack",
-]
+_EXPORTS = {
+    "attacks": (
+        "AttackError",
+        "AttackOutcome",
+        "run_hiding_attack",
+        "run_spoofing_attack",
+    ),
+    "commitments": (
+        "Commitment",
+        "CommitmentError",
+        "Opening",
+        "audit_values",
+        "commit",
+        "verify_opening",
+    ),
+    "groups": (
+        "GroupError",
+        "GroupedRunResult",
+        "partition_into_groups",
+        "run_grouped_max",
+        "run_grouped_topk",
+    ),
+    "knn": (
+        "KNNError",
+        "KNNPrediction",
+        "LabeledPoint",
+        "PrivateKNNClassifier",
+        "PrivateParty",
+        "euclidean",
+    ),
+    "ksecuresum": ("KSecureSumResult", "KSecureSumRound", "run_k_secure_sum"),
+    "kth_element": ("KthElementError", "KthElementResult", "kth_largest", "median"),
+    "monitoring": ("ContinuousTopKMonitor", "EpochOutcome", "MonitorError"),
+    "securesum": ("SecureSumError", "SecureSumResult", "run_secure_sum"),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -6,58 +6,36 @@ protocol, additive aggregates run additive-masking secure sums, and every
 execution is auditable.
 """
 
-from .audit import AuditEntry, AuditLog
-from .cache import CachedAnswer, CacheKey, ResultCache, canonical_statement
-from .coordinator import (
-    Federation,
-    FederationError,
-    PlanInfeasible,
-    QueryOutcome,
-    QueryRefused,
-)
-from .policy import (
-    ADDITIVE,
-    ANY,
-    RANKING,
-    AccessPolicy,
-    PolicyError,
-    PolicyViolation,
-    Rule,
-    permissive_policy,
-)
-from .sql import (
-    ADDITIVE_AGGREGATES,
-    RANKING_AGGREGATES,
-    FederatedStatement,
-    SqlError,
-    parse,
-    validate_identifier,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ADDITIVE",
-    "ADDITIVE_AGGREGATES",
-    "ANY",
-    "AccessPolicy",
-    "AuditEntry",
-    "AuditLog",
-    "CacheKey",
-    "CachedAnswer",
-    "FederatedStatement",
-    "Federation",
-    "FederationError",
-    "PlanInfeasible",
-    "PolicyError",
-    "PolicyViolation",
-    "RANKING",
-    "QueryOutcome",
-    "QueryRefused",
-    "RANKING_AGGREGATES",
-    "ResultCache",
-    "Rule",
-    "SqlError",
-    "canonical_statement",
-    "parse",
-    "permissive_policy",
-    "validate_identifier",
-]
+_EXPORTS = {
+    "audit": ("AuditEntry", "AuditLog"),
+    "cache": ("CacheKey", "CachedAnswer", "ResultCache", "canonical_statement"),
+    "coordinator": (
+        "Federation",
+        "FederationError",
+        "PlanInfeasible",
+        "QueryOutcome",
+        "QueryRefused",
+    ),
+    "policy": (
+        "ADDITIVE",
+        "ANY",
+        "AccessPolicy",
+        "PolicyError",
+        "PolicyViolation",
+        "RANKING",
+        "Rule",
+        "permissive_policy",
+    ),
+    "sql": (
+        "ADDITIVE_AGGREGATES",
+        "FederatedStatement",
+        "RANKING_AGGREGATES",
+        "SqlError",
+        "parse",
+        "validate_identifier",
+    ),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -1,51 +1,29 @@
 """Simulated peer-to-peer network substrate: transport, ring, nodes, crypto."""
 
-from .crypto import ChannelKey, CryptoError, Keyring
-from .events import EventLog, Observation
-from .failures import FailureInjector
-from .message import (
-    Message,
-    MessageError,
-    MessageType,
-    result_message,
-    token_message,
-)
-from .node import LocalAlgorithm, NodeError, ProtocolNode
-from .ring import RingError, RingTopology
-from .stats import TrafficStats
-from .transport import (
-    BandwidthLatency,
-    InMemoryTransport,
-    LatencyModel,
-    TransportError,
-    constant_latency,
-)
-from .trust import TrustError, TrustGraph, build_trusted_ring
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BandwidthLatency",
-    "ChannelKey",
-    "CryptoError",
-    "EventLog",
-    "FailureInjector",
-    "InMemoryTransport",
-    "Keyring",
-    "LatencyModel",
-    "LocalAlgorithm",
-    "Message",
-    "MessageError",
-    "MessageType",
-    "NodeError",
-    "Observation",
-    "ProtocolNode",
-    "RingError",
-    "RingTopology",
-    "TrafficStats",
-    "TransportError",
-    "TrustError",
-    "TrustGraph",
-    "build_trusted_ring",
-    "constant_latency",
-    "result_message",
-    "token_message",
-]
+_EXPORTS = {
+    "crypto": ("ChannelKey", "CryptoError", "Keyring"),
+    "events": ("EventLog", "Observation"),
+    "failures": ("FailureInjector",),
+    "message": (
+        "Message",
+        "MessageError",
+        "MessageType",
+        "result_message",
+        "token_message",
+    ),
+    "node": ("LocalAlgorithm", "NodeError", "ProtocolNode"),
+    "ring": ("RingError", "RingTopology"),
+    "stats": ("TrafficStats",),
+    "transport": (
+        "BandwidthLatency",
+        "InMemoryTransport",
+        "LatencyModel",
+        "TransportError",
+        "constant_latency",
+    ),
+    "trust": ("TrustError", "TrustGraph", "build_trusted_ring"),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

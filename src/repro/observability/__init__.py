@@ -7,37 +7,19 @@ See :mod:`repro.observability.trace` for the span model and exporters,
 the paper's IR/LoP exposure accounting.
 """
 
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Summary,
-)
-from .runtime import activate, current_tracer, deactivate, tracing
-from .trace import (
-    NULL_CONTEXT,
-    NULL_TRACER,
-    Span,
-    TraceContext,
-    TraceRecorder,
-    Tracer,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "NULL_CONTEXT",
-    "NULL_TRACER",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "Span",
-    "Summary",
-    "TraceContext",
-    "TraceRecorder",
-    "Tracer",
-    "activate",
-    "current_tracer",
-    "deactivate",
-    "tracing",
-]
+_EXPORTS = {
+    "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry", "Summary"),
+    "runtime": ("activate", "current_tracer", "deactivate", "tracing"),
+    "trace": (
+        "NULL_CONTEXT",
+        "NULL_TRACER",
+        "Span",
+        "TraceContext",
+        "TraceRecorder",
+        "Tracer",
+    ),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -6,32 +6,22 @@ backend choices, using the paper's own analysis (Equations 4–6) composed
 with measured calibration constants.  See ``docs/PLANNER.md``.
 """
 
-from .accuracy import PredictionLedger
-from .cost import NAIVE, PROBABILISTIC, SECURE_SUM, Calibration, CostEstimate, CostModel
-from .errors import PlanInfeasible
-from .plan import BATCH_KERNEL, ECONOMY, MODES, QUALITY, SESSION, Plan
-from .planner import DEFAULT_EPSILON, QueryPlanner
-from .spec import QuerySpec, Slo, SloError, parse_spec
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BATCH_KERNEL",
-    "Calibration",
-    "CostEstimate",
-    "CostModel",
-    "DEFAULT_EPSILON",
-    "ECONOMY",
-    "MODES",
-    "NAIVE",
-    "PROBABILISTIC",
-    "Plan",
-    "PlanInfeasible",
-    "PredictionLedger",
-    "QUALITY",
-    "QuerySpec",
-    "QueryPlanner",
-    "SECURE_SUM",
-    "SESSION",
-    "Slo",
-    "SloError",
-    "parse_spec",
-]
+_EXPORTS = {
+    "accuracy": ("PredictionLedger",),
+    "cost": (
+        "Calibration",
+        "CostEstimate",
+        "CostModel",
+        "NAIVE",
+        "PROBABILISTIC",
+        "SECURE_SUM",
+    ),
+    "errors": ("PlanInfeasible",),
+    "plan": ("BATCH_KERNEL", "ECONOMY", "MODES", "Plan", "QUALITY", "SESSION"),
+    "planner": ("DEFAULT_EPSILON", "QueryPlanner"),
+    "spec": ("QuerySpec", "Slo", "SloError", "parse_spec"),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -16,32 +16,21 @@ time.  Entry points: ``python -m repro.cli serve`` (statements on stdin) and
 ``python -m repro.cli bench-serve`` (synthetic workload + metrics snapshot).
 """
 
-from .clock import Clock, SimulatedClock, SystemClock
-from .errors import (
-    DeadlineExceeded,
-    Overloaded,
-    QueryFailed,
-    RateLimited,
-    ServiceClosed,
-    ServiceError,
-)
-from .gateway import QueryService
-from .metrics import ServiceMetrics
-from .scheduler import AdmissionQueue, QueuedRequest, TokenBucket
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionQueue",
-    "Clock",
-    "DeadlineExceeded",
-    "Overloaded",
-    "QueryFailed",
-    "QueryService",
-    "QueuedRequest",
-    "RateLimited",
-    "ServiceClosed",
-    "ServiceError",
-    "ServiceMetrics",
-    "SimulatedClock",
-    "SystemClock",
-    "TokenBucket",
-]
+_EXPORTS = {
+    "clock": ("Clock", "SimulatedClock", "SystemClock"),
+    "errors": (
+        "DeadlineExceeded",
+        "Overloaded",
+        "QueryFailed",
+        "RateLimited",
+        "ServiceClosed",
+        "ServiceError",
+    ),
+    "gateway": ("QueryService",),
+    "metrics": ("ServiceMetrics",),
+    "scheduler": ("AdmissionQueue", "QueuedRequest", "TokenBucket"),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -7,46 +7,29 @@ subprocesses).  See docs/SHARDING.md for the routing and merge-exactness
 story.
 """
 
-from .errors import (
-    ShardError,
-    ShardUnavailable,
-    TenantBudgetExceeded,
-    TenantRateLimited,
-)
-from .federation import ShardedFederation
-from .router import ALL_SHARDS, ShardRouter, TenantPolicy, shard_index
-from .shards import LocalShard, ProcessShard
-from .topology import (
-    ShardTopology,
-    build_topology,
-    exact_config,
-    local_shards,
-    process_shards,
-    shard_spec,
-    sharded_federation,
-    single_federation,
-    topology_workload,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ALL_SHARDS",
-    "LocalShard",
-    "ProcessShard",
-    "ShardError",
-    "ShardRouter",
-    "ShardTopology",
-    "ShardUnavailable",
-    "ShardedFederation",
-    "TenantBudgetExceeded",
-    "TenantPolicy",
-    "TenantRateLimited",
-    "build_topology",
-    "exact_config",
-    "local_shards",
-    "process_shards",
-    "shard_spec",
-    "shard_index",
-    "sharded_federation",
-    "single_federation",
-    "topology_workload",
-]
+_EXPORTS = {
+    "errors": (
+        "ShardError",
+        "ShardUnavailable",
+        "TenantBudgetExceeded",
+        "TenantRateLimited",
+    ),
+    "federation": ("ShardedFederation",),
+    "router": ("ALL_SHARDS", "ShardRouter", "TenantPolicy", "shard_index"),
+    "shards": ("LocalShard", "ProcessShard"),
+    "topology": (
+        "ShardTopology",
+        "build_topology",
+        "exact_config",
+        "local_shards",
+        "process_shards",
+        "shard_spec",
+        "sharded_federation",
+        "single_federation",
+        "topology_workload",
+    ),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

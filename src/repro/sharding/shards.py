@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import json
 import os
-import signal
 import socket
 import subprocess
 import sys
+import tempfile
 import threading
 from collections.abc import Sequence
 from pathlib import Path
+from typing import IO
 
 from ..deploy.wire import WireError
 from ..federation.coordinator import Federation, QueryOutcome, QueryRefused
@@ -36,6 +37,10 @@ from ..observability.trace import TraceContext
 from ..planner.plan import Plan
 from .errors import ShardError, ShardUnavailable
 from .protocol import decode_outcome, decode_settled, recv_json, send_json
+
+
+#: How much of a worker's stderr a boot failure quotes (its last bytes).
+_STDERR_TAIL = 8192
 
 
 class LocalShard:
@@ -91,18 +96,18 @@ class ProcessShard:
 
     def __init__(
         self,
-        host: str,
-        port: int,
+        process: subprocess.Popen,
+        stderr: IO[bytes],
         *,
         index: int = 0,
         timeout: float = 10.0,
-        process: "subprocess.Popen | None" = None,
     ) -> None:
-        self.host = host
-        self.port = port
+        self.host = "127.0.0.1"
+        self.port = 0  # the worker announces it: see ``handshake``
         self.index = index
         self.timeout = timeout
         self.process = process
+        self._stderr = stderr
         self._sock: socket.socket | None = None
         self._lock = threading.Lock()
         self._members: tuple[str, ...] | None = None
@@ -110,58 +115,68 @@ class ProcessShard:
     # -- lifecycle ----------------------------------------------------------
 
     @classmethod
-    def spawn(
-        cls,
-        spec: dict,
-        *,
-        index: int = 0,
-        timeout: float = 10.0,
-        boot_timeout: float = 30.0,
+    def launch(
+        cls, spec: dict, *, index: int = 0, timeout: float = 10.0
     ) -> "ProcessShard":
-        """Launch a :mod:`repro.sharding.worker` subprocess for ``spec``.
+        """Start a :mod:`repro.sharding.worker` subprocess for ``spec``.
 
-        The worker receives its federation spec on stdin, binds an
-        OS-assigned port on localhost, and announces ``PORT <n>`` on stdout
-        once it is accepting — the one synchronization point, so spawning
-        never races the first request.
+        Returns as soon as the process exists, so a caller booting many
+        workers starts them all before it waits for any (:meth:`handshake`):
+        the spec is the worker's stdin as a file, not a pipe the parent would
+        block on until the worker has finished importing.  The worker's
+        stderr goes to an unlinked temporary file — nobody drains a pipe
+        while the worker lives, and a full one would block it mid-request.
         """
         src_dir = str(Path(__file__).resolve().parent.parent.parent)
         env = dict(os.environ)
         env["PYTHONPATH"] = src_dir + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
         )
-        process = subprocess.Popen(
-            [sys.executable, "-m", "repro.sharding.worker"],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=env,
-            text=True,
-        )
-        assert process.stdin is not None and process.stdout is not None
-        process.stdin.write(json.dumps(spec))
-        process.stdin.close()
-        # The worker prints exactly one line before serving; a worker that
-        # dies instead (bad spec, import failure) closes stdout, and the
-        # readline returns "" — surfaced with its stderr for diagnosis.
-        timer = threading.Timer(boot_timeout, process.kill)
+        stderr = tempfile.TemporaryFile()
+        try:
+            with tempfile.TemporaryFile("w+") as stdin:
+                json.dump(spec, stdin)
+                stdin.seek(0)
+                process = subprocess.Popen(
+                    [sys.executable, "-m", "repro.sharding.worker"],
+                    stdin=stdin,
+                    stdout=subprocess.PIPE,
+                    stderr=stderr,
+                    env=env,
+                    text=True,
+                )
+        except BaseException:
+            stderr.close()
+            raise
+        return cls(process, stderr, index=index, timeout=timeout)
+
+    def handshake(self, boot_timeout: float = 30.0) -> None:
+        """Wait for the worker's ``PORT <n>`` line, the one synchronization
+        point: once it is read the worker is accepting, so no request races
+        the boot.  A worker that dies instead (bad spec, import failure)
+        closes stdout and one still silent at ``boot_timeout`` is killed;
+        either way the read returns, the worker is reaped and
+        :class:`ShardError` carries the tail of its stderr.
+        """
+        assert self.process.stdout is not None
+        timer = threading.Timer(boot_timeout, self.process.kill)
         timer.start()
         try:
-            line = process.stdout.readline()
+            line = self.process.stdout.readline()
         finally:
             timer.cancel()
-        if not line.startswith("PORT "):
-            stderr = process.stderr.read() if process.stderr else ""
-            process.kill()
-            raise ShardError(
-                f"shard worker failed to start (got {line!r}): {stderr.strip()}"
-            )
-        return cls(
-            "127.0.0.1",
-            int(line.split()[1]),
-            index=index,
-            timeout=timeout,
-            process=process,
+        if line.startswith("PORT "):
+            self.port = int(line.split()[1])
+            return
+        self.process.kill()
+        self.process.wait()
+        size = self._stderr.seek(0, os.SEEK_END)
+        self._stderr.seek(max(0, size - _STDERR_TAIL))
+        stderr = self._stderr.read().decode(errors="replace")
+        self._close_pipes()
+        raise ShardError(
+            f"shard {self.index} worker failed to start (got {line!r}): "
+            f"{stderr.strip()}"
         )
 
     def close(self) -> None:
@@ -171,22 +186,24 @@ class ProcessShard:
         except ShardUnavailable:
             pass
         self._drop_socket()
-        if self.process is not None:
-            try:
-                self.process.wait(timeout=self.timeout)
-            except subprocess.TimeoutExpired:
-                self.process.kill()
-                self.process.wait()
+        try:
+            self.process.wait(timeout=self.timeout)
+        except subprocess.TimeoutExpired:
+            self.process.kill()
+            self.process.wait()
+        self._close_pipes()
 
     def kill(self) -> None:
         """SIGKILL the worker process (the chaos sweep's failure mode)."""
-        if self.process is not None:
-            try:
-                self.process.send_signal(signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            self.process.wait()
+        self.process.kill()
+        self.process.wait()
         self._drop_socket()
+        self._close_pipes()
+
+    def _close_pipes(self) -> None:
+        if self.process.stdout is not None:
+            self.process.stdout.close()
+        self._stderr.close()
 
     # -- wire ---------------------------------------------------------------
 

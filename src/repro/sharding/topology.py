@@ -255,21 +255,30 @@ def process_shards(
     timeout: float = 10.0,
     boot_timeout: float = 30.0,
 ) -> list[ProcessShard]:
-    """Spawn one worker process per shard; closes the spawned on failure."""
+    """One worker process per shard, booted concurrently.
+
+    Every worker is launched before any is waited for, so the boots
+    (interpreter + imports + build, each) overlap instead of adding up;
+    handshakes are then collected in shard order.  A worker that fails to
+    boot, or is still silent at ``boot_timeout``, raises :class:`ShardError`
+    with its stderr, and every worker launched so far is killed and reaped
+    first.
+    """
     shards: list[ProcessShard] = []
     try:
         for index in range(topology.shard_count):
             shards.append(
-                ProcessShard.spawn(
+                ProcessShard.launch(
                     shard_spec(topology, index, rounds=rounds, protocol=protocol),
                     index=index,
                     timeout=timeout,
-                    boot_timeout=boot_timeout,
                 )
             )
-    except Exception:
         for shard in shards:
-            shard.close()
+            shard.handshake(boot_timeout)
+    except BaseException:
+        for shard in shards:
+            shard.kill()
         raise
     return shards
 

@@ -1,6 +1,26 @@
 """The public API surface: everything documented in README must import."""
 
+import importlib
+
+import pytest
+
 import repro
+
+SUBPACKAGES = (
+    "analysis",
+    "core",
+    "database",
+    "deploy",
+    "experiments",
+    "extensions",
+    "federation",
+    "network",
+    "observability",
+    "planner",
+    "privacy",
+    "service",
+    "sharding",
+)
 
 
 class TestPublicSurface:
@@ -24,26 +44,45 @@ class TestPublicSurface:
         assert result.precision() == 1.0
 
     def test_subpackages_importable(self):
-        import repro.analysis
-        import repro.core
-        import repro.database
-        import repro.experiments
-        import repro.extensions
-        import repro.network
-        import repro.privacy
-
-        for module in (
-            repro.analysis,
-            repro.core,
-            repro.database,
-            repro.experiments,
-            repro.extensions,
-            repro.network,
-            repro.privacy,
-        ):
+        for package in SUBPACKAGES:
+            module = importlib.import_module(f"repro.{package}")
             assert module.__doc__, f"{module.__name__} lacks a docstring"
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.{name}"
+            assert set(module.__all__) <= set(dir(module))
+
+    def test_all_is_the_lazy_map_plus_the_eager_names(self):
+        """``__all__`` is derived from each package's one export map; the
+        only names bound eagerly are the two listed here."""
+        eager = {"repro": {"__version__"}, "repro.privacy": {"precision"}}
+        packages = ["repro", "repro.experiments.figures"]
+        packages += [f"repro.{package}" for package in SUBPACKAGES]
+        for package in packages:
+            module = importlib.import_module(package)
+            mapped = [n for names in module._EXPORTS.values() for n in names]
+            assert len(mapped) == len(set(mapped)), f"{package}: name mapped twice"
+            bound = eager.get(package, set())
+            assert not bound & set(mapped), package
+            assert sorted(module.__all__) == sorted(set(mapped) | bound), package
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
+            repro.core.nonesuch
+        with pytest.raises(ImportError):
+            from repro.core import nonesuch  # noqa: F401
+
+    def test_lazy_lookup_never_freezes_a_patched_name(self):
+        """A package answers from the defining module on every access, so a
+        name first touched under ``mock.patch`` does not outlive the patch."""
+        from unittest import mock
+
+        import repro.core.driver as driver
+
+        original = driver.derived_rounds
+        with mock.patch.object(driver, "derived_rounds", object()) as stand_in:
+            assert repro.core.derived_rounds is stand_in
+        assert repro.core.derived_rounds is original
+        assert "derived_rounds" not in vars(repro.core)
 
     def test_protocol_constants(self):
         assert repro.PROTOCOLS == ("probabilistic", "naive", "anonymous-naive")
