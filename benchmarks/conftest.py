@@ -17,6 +17,11 @@ import random
 
 import pytest
 
+# The one fixture that lets a small workload reach the runner's process pool
+# lives with the tier-1 suite; benches are run as ``python -m pytest`` from
+# the repository root, which is what makes ``tests`` importable here.
+from tests.conftest import ungated_pool  # noqa: F401
+
 #: Trials per measured point.  Small enough to keep the full harness quick,
 #: large enough that the qualitative shape assertions are stable.
 BENCH_TRIALS = 10

@@ -119,7 +119,7 @@ def test_bench_kernel_speedup():
         }
 
     # -- jobs composition: after the gating fix, --jobs never loses.  The
-    # runner's auto policy downgrades a pool request that cannot amortize
+    # runner's gate downgrades a pool request that cannot amortize
     # startup (this workload, on any core count) to the serial engine, so
     # the composed path is the serial path and the speedup is 1.0 by
     # construction; the measurement verifies that, and the gate firing is
@@ -145,7 +145,7 @@ def test_bench_kernel_speedup():
         gc.disable()
         try:
             start = time.perf_counter()
-            serial = run_trials(setup, jobs=1, backend=KERNEL)
+            serial = run_trials(setup, jobs=1)
             serial_times.append(time.perf_counter() - start)
         finally:
             gc.enable()
@@ -154,7 +154,7 @@ def test_bench_kernel_speedup():
             gc.disable()
             try:
                 start = time.perf_counter()
-                composed = run_trials(setup, jobs=JOBS, backend=KERNEL)
+                composed = run_trials(setup, jobs=JOBS)
                 composed_times.append(time.perf_counter() - start)
             finally:
                 gc.enable()

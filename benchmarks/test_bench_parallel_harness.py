@@ -6,8 +6,8 @@ cores — asserts the engine's reason to exist: >= 2x throughput with 4
 workers.  On smaller runners the speedup is reported but not asserted
 (forking four workers onto one core cannot beat the serial loop).
 
-The pool policy is pinned to ``"always"``: this bench measures the pool
-engine itself, and the runner's auto gate would (correctly, for real
+The ``ungated_pool`` fixture switches the runner's gate off: this bench
+measures the pool engine itself, and the gate would (correctly, for real
 workloads this small) downgrade the request to the serial engine.
 """
 
@@ -16,7 +16,7 @@ import time
 
 from repro.core.params import ProtocolParams
 from repro.experiments.config import TrialSetup
-from repro.experiments.runner import run_trials, shutdown_pool, using_pool_policy
+from repro.experiments.runner import run_trials, shutdown_pool
 
 from conftest import BENCH_SEED
 
@@ -37,21 +37,20 @@ def _point_setup() -> TrialSetup:
     )
 
 
-def test_bench_parallel_harness():
+def test_bench_parallel_harness(ungated_pool):
     setup = _point_setup()
 
     start = time.perf_counter()
     serial = run_trials(setup, jobs=1)
     serial_seconds = time.perf_counter() - start
 
-    with using_pool_policy("always"):
-        # Fork the pool before timing so startup cost isn't charged to the
-        # steady-state throughput (real figure runs reuse the pool across
-        # dozens of sweep points).
-        run_trials(setup.with_(trials=BENCH_JOBS), jobs=BENCH_JOBS)
-        start = time.perf_counter()
-        parallel = run_trials(setup, jobs=BENCH_JOBS)
-        parallel_seconds = time.perf_counter() - start
+    # Fork the pool before timing so startup cost isn't charged to the
+    # steady-state throughput (real figure runs reuse the pool across
+    # dozens of sweep points).
+    run_trials(setup.with_(trials=BENCH_JOBS), jobs=BENCH_JOBS)
+    start = time.perf_counter()
+    parallel = run_trials(setup, jobs=BENCH_JOBS)
+    parallel_seconds = time.perf_counter() - start
     shutdown_pool()
 
     # Bit-identity at benchmark scale: all 100 trials, field by field.

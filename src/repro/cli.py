@@ -45,7 +45,7 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 def _timing_scope(enabled: bool) -> Iterator:
     """Collect trial telemetry for ``--timing``; yields None when off.
 
-    Also profiles the kernel backend's execution phases (setup, ring
+    Also profiles the kernels' execution phases (setup, ring
     build, round loop, finalize) and the storage engines' node-local
     extraction timings, so ``--timing`` shows where the fast path and the
     data path spend their time alongside the per-sweep-point table.
@@ -85,7 +85,6 @@ def _run_one(experiment_id: str, args: argparse.Namespace) -> list:
         trials=args.trials,
         seed=args.seed,
         jobs=getattr(args, "jobs", None),
-        backend=getattr(args, "backend", None),
         timing=getattr(args, "timing", False),
     )
     if isinstance(outcome, str):
@@ -141,7 +140,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
             seed=args.seed,
             include_extensions=not args.paper_only,
             jobs=args.jobs,
-            backend=args.backend,
             timing=args.timing,
         )
     print(f"wrote {path}")
@@ -158,7 +156,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             seed=args.seed,
             experiment_ids=args.only,
             jobs=args.jobs,
-            backend=args.backend,
         )
     print(render_scorecard(checks))
     _print_timing(collector)
@@ -194,9 +191,7 @@ def _trace_query(args: argparse.Namespace, recorder) -> int:
     from .observability import tracing
 
     with tracing(recorder):
-        result = run_protocol_on_vectors(
-            *_synthetic_job(args), backend=args.backend
-        )
+        result = run_protocol_on_vectors(*_synthetic_job(args))
     path = save_result(result, args.out)
     print(f"result: {result.answer()}")
     print(f"wrote {path}")
@@ -233,7 +228,6 @@ def _trace_figure(args: argparse.Namespace, recorder) -> int:
             trials=args.trials,
             seed=args.seed if args.seed is not None else 0,
             jobs=1,
-            backend=args.backend,
         )
     if isinstance(outcome, str):
         print(outcome)
@@ -458,18 +452,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
                 print(f"REFUSED: {text}: {outcome.error}")
                 exit_code = 1
                 continue
-            if outcome.cached:
-                continue  # nothing ran; nothing to audit
-            measured = (
-                average_lop(outcome.trace) if outcome.trace is not None else None
-            )
-            ledger.record(
-                plan,
-                rounds=outcome.rounds,
-                messages=outcome.messages,
-                simulated_seconds=outcome.simulated_seconds,
-                measured_lop=measured,
-            )
+            ledger.record_outcome(plan, outcome)
         snapshot = ledger.snapshot()
         print(f"executed {ledger.recorded} planned statement(s); "
               "predicted vs actual:")
@@ -693,7 +676,7 @@ def _jobs_count(text: str) -> int:
 
 
 def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
-    """The ``--jobs``/``--backend``/``--timing`` trio of the experiment commands."""
+    """The ``--jobs``/``--timing`` pair of the experiment commands."""
     parser.add_argument(
         "--jobs",
         type=_jobs_count,
@@ -701,16 +684,6 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
         help=(
             "worker processes for trial execution (1 = serial, 0 = all "
             "cores); results are bit-identical for any value"
-        ),
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("session", "kernel"),
-        default=None,
-        help=(
-            "trial execution substrate: 'kernel' (default) runs the "
-            "message-free fast path, 'session' the full transport "
-            "simulation; results are bit-identical either way"
         ),
     )
     parser.add_argument(
@@ -819,12 +792,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--protocol", type=str, default="probabilistic")
     trace.add_argument("--seed", type=int, default=None)
     trace.add_argument("--out", type=str, default="results/traces/run.json")
-    trace.add_argument(
-        "--backend",
-        choices=("session", "kernel"),
-        default=None,
-        help="execution substrate; traces are bit-identical either way",
-    )
     trace.add_argument(
         "--trials", type=int, default=None, help="trials per point (figure mode)"
     )
@@ -970,7 +937,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     plan = sub.add_parser(
         "plan",
-        help="plan statements: protocol, parameters, backend, predicted cost",
+        help="plan statements: protocol, parameters, predicted cost",
         description=(
             "Resolve dialect statements (optionally carrying WITH SLO(...) "
             "clauses) into deterministic execution plans over a synthetic "
@@ -988,11 +955,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("quality", "economy"),
         default="quality",
         help="planner objective (economy = the gateway's downgrade mode)",
-    )
-    plan.add_argument(
-        "--explain",
-        action="store_true",
-        help="print the deterministic plan explain (the default behavior)",
     )
     plan.add_argument(
         "--execute",

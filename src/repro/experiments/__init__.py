@@ -22,13 +22,11 @@ _EXPORTS = {
         "mean_lop_by_round",
         "mean_messages",
         "mean_precision_by_round",
-        "resolve_backend",
         "resolve_jobs",
         "run_single_trial",
         "run_trials",
         "run_trials_many",
         "shutdown_pool",
-        "using_backend",
         "using_jobs",
     ),
     "series": ("FigureData", "Series"),

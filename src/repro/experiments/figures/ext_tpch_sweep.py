@@ -100,13 +100,7 @@ def run(trials: int | None = None, seed: int = 0) -> list[FigureData]:
                 "WITH SLO(deadline=5.0)"
             )
             plan = federation.planner.plan(parse_spec(text), parties=PARTIES)
-            outcome = federation.execute(text)
-            ledger.record(
-                plan,
-                rounds=outcome.rounds,
-                messages=outcome.messages,
-                simulated_seconds=outcome.simulated_seconds,
-            )
+            ledger.record_outcome(plan, federation.execute(text))
         for metric in POINT_METRICS:
             drift_points[metric].append((sf, ledger.drift(metric)))
 

@@ -8,11 +8,10 @@ returns rendered text.
 from __future__ import annotations
 
 from collections.abc import Callable
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 from .. import telemetry
-from ..runner import using_backend, using_jobs
+from ..runner import using_jobs
 from ..series import FigureData
 from . import (
     ext_bayes,
@@ -148,17 +147,13 @@ def run_experiment(
     trials: int | None = None,
     seed: int = 0,
     jobs: int | None = None,
-    backend: str | None = None,
     timing: bool = False,
 ) -> list[FigureData] | str:
     """Run one experiment by id; figures return panels, table1 returns text.
 
     ``jobs`` fans every sweep point's trials across that many worker
     processes (results stay bit-identical to serial; ``None`` keeps the
-    ambient default).  ``backend`` scopes the execution substrate for the
-    figure's trial runs (``None`` keeps the ambient default — the kernel
-    fast path; figures that must measure the transport pin ``session``
-    themselves regardless).  ``timing`` embeds the run's cost summary —
+    ambient default).  ``timing`` embeds the run's cost summary —
     wall clock, trial compute, worker utilization, failures — into each
     returned panel's ``metadata["timing"]`` so reports and SVG output can
     show what the panel cost.  Timing is opt-in because wall-clock values
@@ -171,9 +166,7 @@ def run_experiment(
         raise KeyError(f"unknown experiment {experiment_id!r}; known: {known}") from None
     if experiment.kind == "table":
         return experiment.runner()
-    jobs_scope = using_jobs(jobs) if jobs is not None else nullcontext()
-    backend_scope = using_backend(backend) if backend is not None else nullcontext()
-    with jobs_scope, backend_scope, telemetry.collect() as collector:
+    with using_jobs(jobs), telemetry.collect() as collector:
         panels = experiment.runner(trials=trials, seed=seed)
     if timing and collector.points:
         for panel in panels:

@@ -33,13 +33,7 @@ from contextlib import contextmanager
 from pickle import PicklingError
 
 from ..core.batch import execute_many as _execute_batch
-from ..core.driver import (
-    BACKENDS,
-    KERNEL,
-    RunConfig,
-    ambient_traces,
-    run_protocol_on_vectors,
-)
+from ..core.driver import RunConfig, ambient_traces, run_protocol_on_vectors
 from ..core.results import ProtocolResult
 from ..database.generator import DataGenerator
 from ..database.query import TopKQuery
@@ -87,20 +81,13 @@ def trial_job(
     return local_vectors, query, config
 
 
-def run_single_trial(
-    setup: TrialSetup, trial_index: int, *, backend: str | None = None
-) -> ProtocolResult:
+def run_single_trial(setup: TrialSetup, trial_index: int) -> ProtocolResult:
     """One protocol run on freshly drawn (per-trial-seeded) data.
 
-    ``backend`` selects the execution substrate (``None`` uses the scoped
-    default, see :func:`using_backend`).  Trial configs are always
-    failure-free, unencrypted and latency-free, so both backends produce
-    bit-identical results; the kernel is simply faster.
+    Trial configs are always failure-free, unencrypted and latency-free, so
+    the driver's executor rule runs them on a message-free kernel.
     """
-    local_vectors, query, config = trial_job(setup, trial_index)
-    return run_protocol_on_vectors(
-        local_vectors, query, config, backend=resolve_backend(backend)
-    )
+    return run_protocol_on_vectors(*trial_job(setup, trial_index))
 
 
 # -- the parallel trial-execution engine -------------------------------------
@@ -109,12 +96,6 @@ def run_single_trial(
 #: scope via :func:`using_jobs` so the CLI's ``--jobs`` reaches every
 #: ``run_trials`` call inside a figure without changing figure signatures.
 _DEFAULT_JOBS = 1
-
-#: ``backend`` default used when a call passes ``backend=None``.  The
-#: trial harness runs failure-free, unencrypted, latency-free configs, so
-#: the message-free kernel is safe (bit-identical) and much faster; the
-#: communication-cost figures pin ``backend=SESSION`` explicitly.
-_DEFAULT_BACKEND = KERNEL
 
 #: Chunks per worker: small enough to amortize dispatch overhead, large
 #: enough that an uneven chunk doesn't leave workers idle at the tail.
@@ -148,53 +129,15 @@ def resolve_jobs(jobs: int | None) -> int:
     return jobs
 
 
-@contextmanager
-def using_backend(backend: str | None) -> Iterator[None]:
-    """Scope the default execution backend for nested ``run_trials`` calls.
-
-    Used by the CLI's ``--backend`` flag and by figures that must pin a
-    substrate (e.g. the communication-cost experiments run on the session
-    path, whose transport does the byte accounting they measure).
-    """
-    global _DEFAULT_BACKEND
-    previous = _DEFAULT_BACKEND
-    _DEFAULT_BACKEND = resolve_backend(backend)
-    try:
-        yield
-    finally:
-        _DEFAULT_BACKEND = previous
-
-
-def resolve_backend(backend: str | None) -> str:
-    """Normalize a ``backend`` request: None -> scoped default."""
-    if backend is None:
-        return _DEFAULT_BACKEND
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
-    return backend
-
-
 # -- process-pool gating ------------------------------------------------------
 
-#: Pool policies: ``auto`` engages the pool only when it can plausibly win,
-#: ``always`` trusts the caller's ``jobs`` verbatim (the pre-gate behaviour),
-#: ``never`` keeps everything serial.
-POOL_POLICIES = ("auto", "always", "never")
-
-_POOL_POLICY = "auto"
-
-#: Rough per-trial cost floor per backend, used only to decide whether a
-#: parallel run could amortize pool startup — an order-of-magnitude guess
-#: is enough, since the gate only needs to catch runs that are off by 10x.
-_EST_TRIAL_SECONDS = {KERNEL: 0.0005, "session": 0.01}
-
-#: Forking workers, importing numpy in each, and pickling results costs a
-#: couple of seconds before the first parallel trial lands; shorter runs
-#: lose by construction (the measured jobs=2 regression in
-#: ``BENCH_kernel_speedup.json`` was exactly this).
-_MIN_POOL_SECONDS = 2.0
+#: Trials in a call below which the pool is not tried.  Forking is cheap
+#: (under 0.1 s measured); what a short run cannot amortize is pickling
+#: every result back and the workers sharing cores with the parent.
+#: Measured at ``jobs=2`` on 2 cores the pre-forked pool is 0.35-0.79x
+#: serial up to 1000 ten-node trials and first wins between 1000 and 4000
+#: fifty-node ones (DESIGN.md, "Options census").
+_MIN_POOL_TRIALS = 4000
 
 _SCHEDULER_METRICS = MetricsRegistry()
 _POOL_DECISIONS = _SCHEDULER_METRICS.counter(
@@ -209,37 +152,16 @@ def scheduler_metrics() -> MetricsRegistry:
     return _SCHEDULER_METRICS
 
 
-@contextmanager
-def using_pool_policy(policy: str) -> Iterator[None]:
-    """Scope the pool policy for nested ``run_trials`` calls."""
-    global _POOL_POLICY
-    if policy not in POOL_POLICIES:
-        raise ValueError(
-            f"unknown pool policy {policy!r}; expected one of {POOL_POLICIES}"
-        )
-    previous = _POOL_POLICY
-    _POOL_POLICY = policy
-    try:
-        yield
-    finally:
-        _POOL_POLICY = previous
-
-
-def _pool_gate_reason(
-    jobs: int, setups: Sequence[TrialSetup], backend: str
-) -> str | None:
+def _pool_gate_reason(jobs: int, setups: Sequence[TrialSetup]) -> str | None:
     """Why the pool cannot win for this workload, or None if it might.
 
     Two ways a pool loses: more workers than cores just adds context
-    switching on top of startup cost, and a workload whose whole serial
-    run costs less than pool startup pays the startup for nothing.
+    switching on top of startup cost, and a workload too short to amortize
+    the pool pays for it for nothing.
     """
-    cores = os.cpu_count() or 1
-    if jobs > cores:
+    if jobs > (os.cpu_count() or 1):
         return "jobs_exceed_cores"
-    total_trials = sum(setup.trials for setup in setups)
-    estimate = total_trials * _EST_TRIAL_SECONDS.get(backend, 0.01)
-    if estimate < _MIN_POOL_SECONDS:
+    if sum(setup.trials for setup in setups) < _MIN_POOL_TRIALS:
         return "work_below_pool_startup"
     return None
 
@@ -271,16 +193,18 @@ def _setup_label(setup: TrialSetup) -> str:
     )
 
 
-def _run_chunk_batched(
+def _run_chunk(
     setup: TrialSetup, indices: Sequence[int]
-) -> list[tuple[int, ProtocolResult | None, BaseException | None, float, int]] | None:
-    """One ``execute_many`` call for a block of kernel-backend trials.
+) -> list[tuple[int, ProtocolResult | None, BaseException | None, float, int]]:
+    """Worker body: run a contiguous block of trials, timing them.
 
-    Which kernel runs them is the executor rule's business, not the
-    runner's.  Untagged query ids keep each result bit-identical to its
-    solo ``backend="kernel"`` run (no per-message query tag in the byte
-    accounting).  Returns ``None`` on any failure: the per-trial path
-    re-runs the block so the failing trial index is attributed exactly.
+    The block goes to the kernel path's one entry as a block: which kernel
+    runs it is the executor rule's business, not the runner's.  Untagged
+    query ids keep each result bit-identical to its solo run (no per-message
+    query tag in the byte accounting).  If anything in the block fails, the
+    per-trial loop re-runs it so the failing trial index is attributed
+    exactly; failures are returned (not raised) so one bad trial cannot
+    poison the pool, and the parent re-raises after accounting for them.
     """
     pid = os.getpid()
     start = time.perf_counter()
@@ -290,41 +214,19 @@ def _run_chunk_batched(
             jobs, traces=ambient_traces(jobs), query_ids=[""] * len(jobs)
         )
     except Exception:
-        return None
-    # Per-trial wall time is not observable inside the batch; amortize it.
-    per_trial = (time.perf_counter() - start) / max(1, len(indices))
-    return [
-        (trial_index, result, None, per_trial, pid)
-        for trial_index, result in zip(indices, results)
-    ]
-
-
-def _run_chunk(
-    setup: TrialSetup, indices: Sequence[int], backend: str
-) -> list[tuple[int, ProtocolResult | None, BaseException | None, float, int]]:
-    """Worker body: run a contiguous block of trials, timing each one.
-
-    ``backend`` arrives pre-resolved: worker processes do not inherit the
-    parent's :func:`using_backend` scope, so the parent resolves the scoped
-    default before submitting.  Failures are returned (not raised) so one
-    bad trial cannot poison the pool; the parent re-raises after accounting
-    for them.
-
-    Kernel-backend blocks go to the kernel path's one entry as a block;
-    anything that fails there falls back to the per-trial loop below.
-    """
-    if backend == KERNEL:
-        rows = _run_chunk_batched(setup, indices)
-        if rows is not None:
-            return rows
+        pass  # not lost: the per-trial loop below meets it again, by index
+    else:
+        # Per-trial wall time is not observable inside the batch; amortize it.
+        per_trial = (time.perf_counter() - start) / max(1, len(indices))
+        return [
+            (trial_index, result, None, per_trial, pid)
+            for trial_index, result in zip(indices, results)
+        ]
     out = []
-    pid = os.getpid()
     for trial_index in indices:
         start = time.perf_counter()
         try:
-            result: ProtocolResult | None = run_single_trial(
-                setup, trial_index, backend=backend
-            )
+            result: ProtocolResult | None = run_single_trial(setup, trial_index)
             error: BaseException | None = None
         except Exception as exc:
             result, error = None, exc
@@ -341,7 +243,6 @@ def _finish_point(
     setup: TrialSetup,
     jobs: int,
     mode: str,
-    backend: str,
     wall_start: float,
     rows: list[tuple[int, ProtocolResult | None, BaseException | None, float, int]],
 ) -> list[ProtocolResult]:
@@ -363,7 +264,6 @@ def _finish_point(
             failures=len(failures),
             workers=tuple(sorted({t.worker for t in timings})),
             timings=timings,
-            backend=backend,
         )
     )
     if failures:
@@ -375,48 +275,34 @@ def _finish_point(
 
 
 def run_trials_many(
-    setups: Sequence[TrialSetup],
-    *,
-    jobs: int | None = None,
-    backend: str | None = None,
+    setups: Sequence[TrialSetup], *, jobs: int | None = None
 ) -> list[list[ProtocolResult]]:
     """Run several sweep points, fanning all their trials over one pool.
 
     The batched form keeps workers busy across sweep-point boundaries (the
     tail of one point overlaps the head of the next); results come back
     grouped per setup, in trial order — bit-identical to calling
-    :func:`run_trials` on each setup serially, on either backend.
+    :func:`run_trials` on each setup serially.
 
-    Under the default ``auto`` pool policy, a ``jobs > 1`` request is
-    downgraded to the serial engine (telemetry mode ``serial-gated``) when
-    the pool cannot win: more workers than cores, or estimated serial work
-    too small to amortize pool startup.  The decision lands on the
-    ``runner_pool_decisions_total`` counter (:func:`scheduler_metrics`);
-    :func:`using_pool_policy` overrides it.
+    A ``jobs > 1`` request is downgraded to the serial engine (telemetry
+    mode ``serial-gated``) when the pool cannot win: more workers than
+    cores, or too few trials in the call to amortize the pool
+    (:func:`_pool_gate_reason`).  The decision lands on the
+    ``runner_pool_decisions_total`` counter (:func:`scheduler_metrics`).
     """
     jobs = resolve_jobs(jobs)
-    backend = resolve_backend(backend)
-    if jobs > 1:
-        if _POOL_POLICY == "never":
-            gate = "policy_never"
-        elif _POOL_POLICY == "always":
-            gate = None
-        else:
-            gate = _pool_gate_reason(jobs, setups, backend)
-        if gate is not None:
-            _POOL_DECISIONS.inc(labels={"decision": "serial", "reason": gate})
-            return [
-                _run_serial(setup, jobs, backend, mode="serial-gated")
-                for setup in setups
-            ]
-        _POOL_DECISIONS.inc(labels={"decision": "pool", "reason": "amortized"})
     if jobs <= 1:
-        return [_run_serial(setup, jobs, backend) for setup in setups]
+        return [_run_serial(setup, jobs) for setup in setups]
+    gate = _pool_gate_reason(jobs, setups)
+    if gate is not None:
+        _POOL_DECISIONS.inc(labels={"decision": "serial", "reason": gate})
+        return [_run_serial(setup, jobs, mode="serial-gated") for setup in setups]
+    _POOL_DECISIONS.inc(labels={"decision": "pool", "reason": "amortized"})
     wall_start = time.perf_counter()
     try:
         pool = _shared_pool(jobs)
         pending = [
-            (i, pool.submit(_run_chunk, setup, list(chunk), backend))
+            (i, pool.submit(_run_chunk, setup, list(chunk)))
             for i, setup in enumerate(setups)
             for chunk in _chunk_indices(setup.trials, jobs)
         ]
@@ -424,8 +310,7 @@ def run_trials_many(
         # No usable pool on this platform/configuration: degrade politely.
         shutdown_pool()
         return [
-            _run_serial(setup, jobs, backend, mode="serial-fallback")
-            for setup in setups
+            _run_serial(setup, jobs, mode="serial-fallback") for setup in setups
         ]
     per_setup: dict[int, list] = {i: [] for i in range(len(setups))}
     try:
@@ -440,31 +325,28 @@ def run_trials_many(
     # several sweep points at once), so they sum to more than the batch
     # wall; each point's wall is "time until its results were ready".
     return [
-        _finish_point(setup, jobs, "parallel", backend, wall_start, per_setup[i])
+        _finish_point(setup, jobs, "parallel", wall_start, per_setup[i])
         for i, setup in enumerate(setups)
     ]
 
 
 def _run_serial(
-    setup: TrialSetup, jobs: int, backend: str, *, mode: str = "serial"
+    setup: TrialSetup, jobs: int, *, mode: str = "serial"
 ) -> list[ProtocolResult]:
     wall_start = time.perf_counter()
-    rows = _run_chunk(setup, range(setup.trials), backend)
-    return _finish_point(setup, jobs, mode, backend, wall_start, rows)
+    rows = _run_chunk(setup, range(setup.trials))
+    return _finish_point(setup, jobs, mode, wall_start, rows)
 
 
-def run_trials(
-    setup: TrialSetup, *, jobs: int | None = None, backend: str | None = None
-) -> list[ProtocolResult]:
+def run_trials(setup: TrialSetup, *, jobs: int | None = None) -> list[ProtocolResult]:
     """All trials of a setup, optionally fanned across worker processes.
 
     ``jobs=None`` uses the scoped default (see :func:`using_jobs`, serial
     unless the CLI's ``--jobs`` raised it), ``jobs=1`` forces the serial
-    path, ``jobs=0`` uses every core.  ``backend=None`` uses the scoped
-    default (see :func:`using_backend`; the kernel fast path unless pinned
-    otherwise).  Any combination returns bit-identical results.
+    path, ``jobs=0`` uses every core.  Any value returns bit-identical
+    results.
     """
-    return run_trials_many([setup], jobs=jobs, backend=backend)[0]
+    return run_trials_many([setup], jobs=jobs)[0]
 
 
 # -- aggregation -------------------------------------------------------------

@@ -37,15 +37,9 @@ def generate_report(
     seed: int = 0,
     include_extensions: bool = True,
     jobs: int | None = None,
-    backend: str | None = None,
     timing: bool = False,
 ) -> str:
-    """Run every registered experiment and render the markdown report.
-
-    ``backend`` scopes the trial-execution substrate (``None`` keeps the
-    ambient default — the kernel fast path); figures that measure the
-    transport itself stay pinned to the session path either way.
-    """
+    """Run every registered experiment and render the markdown report."""
     sections = [
         "# Reproduction report",
         "",
@@ -69,7 +63,6 @@ def generate_report(
             trials=trials,
             seed=seed,
             jobs=jobs,
-            backend=backend,
             timing=timing,
         )
         if isinstance(outcome, str):
@@ -87,7 +80,6 @@ def write_report(
     seed: int = 0,
     include_extensions: bool = True,
     jobs: int | None = None,
-    backend: str | None = None,
     timing: bool = False,
 ) -> Path:
     """Generate the report and write it to ``path``."""
@@ -99,7 +91,6 @@ def write_report(
             seed=seed,
             include_extensions=include_extensions,
             jobs=jobs,
-            backend=backend,
             timing=timing,
         )
     )

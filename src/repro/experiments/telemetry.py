@@ -49,7 +49,6 @@ class PointTelemetry:
     failures: int
     workers: tuple[int, ...]
     timings: tuple[TrialTiming, ...] = ()
-    backend: str = "session"  # execution substrate ("session" | "kernel")
 
     @property
     def utilization(self) -> float:
@@ -102,12 +101,10 @@ class TelemetryCollector:
             min(1.0, self.trial_seconds / capacity) if capacity > 0 else 1.0
         )
         wall = self.wall_seconds
-        backends = sorted({p.backend for p in self.points})
         return {
             "points": len(self.points),
             "trials": self.trials,
             "jobs": jobs,
-            "backend": "/".join(backends) if backends else "session",
             "wall_seconds": round(wall, 6),
             "trial_seconds": round(self.trial_seconds, 6),
             "trials_per_second": round(self.trials / wall, 2) if wall > 0 else 0.0,
@@ -134,8 +131,7 @@ class TelemetryCollector:
         lines.append(
             f"total: {summary['trials']} trials over {summary['points']} "
             f"sweep points in {summary['wall_seconds']:.3f}s wall "
-            f"({summary['trials_per_second']:.1f} trials/s on the "
-            f"{summary['backend']} backend, "
+            f"({summary['trials_per_second']:.1f} trials/s, "
             f"{summary['trial_seconds']:.3f}s of trial compute, "
             f"{summary['utilization']:.0%} utilization, "
             f"{summary['workers']} worker(s), "
@@ -153,9 +149,9 @@ class PhaseProfiler:
     kernel one sample per run, the vectorized engine one per shape group
     (``sample.runs`` of them).  :func:`profile_phases` installs this
     profiler as that sink for a scope; the CLI shows the resulting table
-    next to the trial-level timing one.  Session-backend runs report nothing here (the profiler
-    stays empty), so the table doubles as confirmation of which backend
-    actually executed.
+    next to the trial-level timing one.  Session runs report nothing here
+    (the profiler stays empty), so the table doubles as confirmation of
+    which executor the driver's rule chose.
     """
 
     _PHASES = ("setup", "round_loop", "finalize")
@@ -191,7 +187,7 @@ class PhaseProfiler:
     def render(self) -> str:
         """Human-readable phase breakdown for ``--timing`` output."""
         if not self.runs:
-            return "kernel phases: no kernel runs (session backend?)"
+            return "kernel phases: no kernel runs"
         total = self.total_seconds
         lines = [f"{'kernel phase':<12} {'total (s)':>10} {'share':>7} {'per run (us)':>13}"]
         lines.append("-" * len(lines[0]))

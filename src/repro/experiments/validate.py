@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-from .figures.registry import EXPERIMENTS, run_experiment
+from .figures.registry import run_experiment
 from .series import FigureData
 
 
@@ -180,7 +180,7 @@ VALIDATORS: dict[str, Callable[[Sequence[FigureData]], list[Check]]] = {
 
 def validate_experiment(
     experiment_id: str, *, trials: int | None = None, seed: int = 0,
-    jobs: int | None = None, backend: str | None = None,
+    jobs: int | None = None,
 ) -> list[Check]:
     """Run one experiment (optionally in parallel) and score its claims."""
     if experiment_id not in VALIDATORS:
@@ -188,9 +188,7 @@ def validate_experiment(
             f"no validator for {experiment_id!r}; scored artifacts: "
             f"{sorted(VALIDATORS)}"
         )
-    panels = run_experiment(
-        experiment_id, trials=trials, seed=seed, jobs=jobs, backend=backend
-    )
+    panels = run_experiment(experiment_id, trials=trials, seed=seed, jobs=jobs)
     assert not isinstance(panels, str)
     return VALIDATORS[experiment_id](panels)
 
@@ -198,7 +196,7 @@ def validate_experiment(
 def scorecard(
     *, trials: int | None = None, seed: int = 0,
     experiment_ids: Sequence[str] | None = None,
-    jobs: int | None = None, backend: str | None = None,
+    jobs: int | None = None,
 ) -> list[Check]:
     """Score every (or the selected) paper figures."""
     ids = list(experiment_ids) if experiment_ids else sorted(
@@ -207,9 +205,7 @@ def scorecard(
     checks: list[Check] = []
     for experiment_id in ids:
         checks.extend(
-            validate_experiment(
-                experiment_id, trials=trials, seed=seed, jobs=jobs, backend=backend
-            )
+            validate_experiment(experiment_id, trials=trials, seed=seed, jobs=jobs)
         )
     return checks
 

@@ -35,7 +35,7 @@ import random
 from collections.abc import Iterable, Sequence
 from dataclasses import replace
 
-from ..core.driver import SESSION, RunConfig, run_topk_queries, run_topk_query
+from ..core.driver import RunConfig, run_topk_queries, run_topk_query
 from ..core.results import ProtocolResult
 from ..database.database import PrivateDatabase, common_query
 from ..database.query import Domain, TopKQuery
@@ -43,7 +43,6 @@ from ..extensions.ksecuresum import run_k_secure_sum
 from ..extensions.securesum import run_secure_sum
 from ..observability.trace import TraceContext, Tracer
 from ..planner.errors import PlanInfeasible
-from ..planner.plan import SESSION as PLAN_SESSION
 from ..planner.plan import Plan
 from ..planner.planner import QueryPlanner
 from ..planner.spec import QuerySpec, parse_spec
@@ -86,8 +85,7 @@ class Federation:
         :mod:`repro.observability`); callers that already carry a trace —
         the query service's batch spans — pass per-statement contexts to
         the batch methods instead.  ``planner`` resolves statements carrying
-        ``WITH SLO(...)`` clauses (see :mod:`repro.planner`); the default
-        plans against this federation's base config.  ``dp`` configures
+        ``WITH SLO(...)`` clauses (see :mod:`repro.planner`).  ``dp`` configures
         the differential-privacy release layer (see
         :mod:`repro.privacy.dp`): statements carrying
         ``dp_epsilon``/``dp_delta`` SLO keys release calibrated-noise
@@ -116,11 +114,7 @@ class Federation:
         self.policy = policy
         self.cache = ResultCache(max_entries=cache_entries)
         self.tracer = tracer
-        self.planner = (
-            planner
-            if planner is not None
-            else QueryPlanner(base_config=self._base_config)
-        )
+        self.planner = planner if planner is not None else QueryPlanner()
         if secure_sum_segments < 1:
             raise FederationError(
                 f"secure_sum_segments must be >= 1, got {secure_sum_segments}"
@@ -456,7 +450,6 @@ class Federation:
         answers: dict[CacheKey, CachedAnswer] = {}
         ranking_indices: list[int] = []
         ranking_configs: dict[int, RunConfig] = {}
-        ranking_plans: dict[int, Plan] = {}
         additive_seeds: dict[int, tuple[int | None, int | None]] = {}
         for index, (statement, key) in enumerate(zip(parsed, keys)):
             if statement is None or key is None:
@@ -485,7 +478,6 @@ class Federation:
                     config = replace(
                         config, protocol=plan.protocol, params=plan.params
                     )
-                    ranking_plans[index] = plan
                 ranking_configs[index] = config
                 ranking_indices.append(index)
             else:
@@ -519,23 +511,11 @@ class Federation:
                 ]
             else:
                 ranking_traces = None
-            # The driver's rule picks the executor (results are
-            # bit-identical on every one); a single plan pinning the session
-            # backend pins it for the batch.
-            backend = (
-                SESSION
-                if any(
-                    plan.backend == PLAN_SESSION
-                    for plan in ranking_plans.values()
-                )
-                else None
-            )
             results = run_topk_queries(
                 databases,
                 [self._ranking_query(parsed[i]) for i in ranking_indices],
                 [ranking_configs[i] for i in ranking_indices],
                 traces=ranking_traces,
-                backend=backend,
             )
             ranking_results = dict(zip(ranking_indices, results))
 

@@ -1,9 +1,9 @@
 """Cost- and privacy-aware query planning (ISSUE 8).
 
 Turns declarative per-statement SLOs — ``... WITH SLO(epsilon=1e-4,
-max_lop=0.3, deadline=0.05)`` — into concrete protocol / parameter /
-backend choices, using the paper's own analysis (Equations 4–6) composed
-with measured calibration constants.  See ``docs/PLANNER.md``.
+max_lop=0.3, deadline=0.05)`` — into concrete protocol / parameter
+choices, using the paper's own analysis (Equations 4–6) composed with
+measured calibration constants.  See ``docs/PLANNER.md``.
 """
 
 from .._lazy import lazy_exports
@@ -19,7 +19,7 @@ _EXPORTS = {
         "SECURE_SUM",
     ),
     "errors": ("PlanInfeasible",),
-    "plan": ("BATCH_KERNEL", "ECONOMY", "MODES", "Plan", "QUALITY", "SESSION"),
+    "plan": ("ECONOMY", "MODES", "Plan", "QUALITY"),
     "planner": ("DEFAULT_EPSILON", "QueryPlanner"),
     "spec": ("QuerySpec", "Slo", "SloError", "parse_spec"),
 }

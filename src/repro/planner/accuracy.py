@@ -29,7 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
+from ..privacy.lop import average_lop
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
+    from ..federation.outcomes import QueryOutcome
     from .plan import Plan
 
 #: Metrics with point predictions (drift is meaningful for these).
@@ -99,6 +102,25 @@ class PredictionLedger:
             self.lop_checked += 1
             self.lop_measured_sum += measured_lop
             self.lop_bound_sum += est.expected_lop
+
+    def record_outcome(self, plan: "Plan", outcome: "QueryOutcome") -> bool:
+        """Record ``plan`` against the outcome it produced; False if nothing ran.
+
+        Cache hits are skipped (nothing ran, nothing to audit); measured
+        LoP comes from the protocol trace when the execution kept one.
+        """
+        if outcome.cached:
+            return False
+        self.record(
+            plan,
+            rounds=outcome.rounds,
+            messages=outcome.messages,
+            simulated_seconds=outcome.simulated_seconds,
+            measured_lop=(
+                average_lop(outcome.trace) if outcome.trace is not None else None
+            ),
+        )
+        return True
 
     def drift(self, metric: str) -> float:
         """Relative L1 error for one of :data:`POINT_METRICS`."""

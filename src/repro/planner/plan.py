@@ -1,8 +1,9 @@
 """The plan object: one chosen execution strategy, explainable and exact.
 
 A :class:`Plan` is what the planner returns and what the federation
-executes: protocol + parameters + backend + the :class:`CostEstimate` that
-justified the choice.  ``explain()`` renders it deterministically — same
+executes: protocol + parameters + the :class:`CostEstimate` that justified
+the choice.  Which executor replays the protocol is not part of it: the
+driver decides that from the run's config and batch size.  ``explain()`` renders it deterministically — same
 statement, SLO, federation size and calibration always produce the same
 bytes — which is what lets CI diff plans as golden artifacts.
 """
@@ -14,10 +15,6 @@ from dataclasses import dataclass
 from ..core.params import ProtocolParams
 from .cost import PROBABILISTIC, SECURE_SUM, CostEstimate
 from .spec import Slo
-
-#: Plan execution backends (the driver's substrates, from the plan's side).
-BATCH_KERNEL = "batch-kernel"
-SESSION = "session"
 
 #: Planner objectives: quality-first (default) or cost-first (the
 #: gateway's downgrade mode under cost pressure).
@@ -41,8 +38,6 @@ class Plan:
     operation: str
     #: ``probabilistic`` | ``naive`` | ``secure-sum``.
     protocol: str
-    #: ``batch-kernel`` | ``session``.
-    backend: str
     #: Protocol parameters for ranking plans; ``None`` on the additive path.
     params: ProtocolParams | None
     estimate: CostEstimate
@@ -75,7 +70,6 @@ class Plan:
             "statement": self.statement,
             "operation": self.operation,
             "protocol": self.protocol,
-            "backend": self.backend,
             "mode": self.mode,
             "p0": self.p0,
             "d": self.d,
@@ -99,7 +93,6 @@ class Plan:
             f"mode              : {self.mode}",
             f"parties           : {est.n_parties}",
             f"protocol          : {self.protocol}",
-            f"backend           : {self.backend}",
         ]
         if self.protocol == PROBABILISTIC and self.p0 is not None:
             lines.append(
@@ -116,4 +109,4 @@ class Plan:
         return "\n".join(lines)
 
 
-__all__ = ["BATCH_KERNEL", "ECONOMY", "MODES", "Plan", "QUALITY", "SESSION"]
+__all__ = ["ECONOMY", "MODES", "Plan", "QUALITY"]

@@ -34,13 +34,11 @@ from __future__ import annotations
 import math
 
 from ..analysis.optimization import OptimizationError, optimal_parameters
-from ..core.driver import RunConfig
-from ..core.kernel import kernel_refusal
 from ..core.params import ProtocolParams
 from ..federation.sql import ADDITIVE_AGGREGATES
 from .cost import NAIVE, PROBABILISTIC, Calibration, CostEstimate, CostModel
 from .errors import PlanInfeasible
-from .plan import BATCH_KERNEL, MODES, QUALITY, SESSION, Plan
+from .plan import MODES, QUALITY, Plan
 from .spec import QuerySpec, Slo, parse_spec
 
 #: The paper's default error bound, used when the SLO declares none.
@@ -53,28 +51,17 @@ D_GRID = (0.125, 0.25, 0.5, 0.75)
 
 
 class QueryPlanner:
-    """Choose protocol, parameters, and backend for dialect statements.
+    """Choose protocol and parameters for dialect statements.
 
     Parameters
     ----------
     calibration:
         Measured per-unit cost constants; defaults to the reference
         container's.  See ``docs/PLANNER.md`` for the refit workflow.
-    base_config:
-        The :class:`RunConfig` the executing federation will derive
-        per-query configs from.  The planner only inspects its transport
-        features (via :func:`kernel_refusal`) to decide whether the batch
-        kernel is available; a default config means "transport-free".
     """
 
-    def __init__(
-        self,
-        calibration: Calibration | None = None,
-        base_config: RunConfig | None = None,
-    ) -> None:
+    def __init__(self, calibration: Calibration | None = None) -> None:
         self.cost_model = CostModel(calibration)
-        self.base_config = base_config if base_config is not None else RunConfig()
-        self._kernel_refusal = kernel_refusal(self.base_config)
 
     # -- public API --------------------------------------------------------
 
@@ -116,8 +103,6 @@ class QueryPlanner:
             reasons.append(
                 "secure sums are exact; an epsilon target does not apply"
             )
-        if slo.backend == "kernel":
-            reasons.append("secure sums have no batch-kernel path")
         if reasons:
             raise PlanInfeasible(
                 f"no secure-sum plan satisfies the SLO for "
@@ -135,7 +120,6 @@ class QueryPlanner:
             statement=statement.text,
             operation=statement.operation,
             protocol=estimate.protocol,
-            backend=SESSION,
             params=None,
             estimate=estimate,
             slo=slo,
@@ -209,7 +193,6 @@ class QueryPlanner:
             statement=statement.text,
             operation=statement.operation,
             protocol=protocol,
-            backend=self._backend(slo, statement.text),
             params=params,
             estimate=estimate,
             slo=slo,
@@ -285,20 +268,6 @@ class QueryPlanner:
         if mode == QUALITY:
             return (estimate.expected_lop, estimate.messages, -p0, -d)
         return (estimate.messages, estimate.expected_lop, -p0, -d)
-
-    def _backend(self, slo: Slo, statement_text: str) -> str:
-        if slo.backend == "session":
-            return SESSION
-        if slo.backend == "kernel":
-            if self._kernel_refusal:
-                raise PlanInfeasible(
-                    f"the batch kernel cannot run this federation's "
-                    f"configuration: {self._kernel_refusal}",
-                    statement=statement_text,
-                    reasons=(f"backend=kernel: {self._kernel_refusal}",),
-                )
-            return BATCH_KERNEL
-        return SESSION if self._kernel_refusal else BATCH_KERNEL
 
 
 __all__ = ["DEFAULT_EPSILON", "D_GRID", "P0_GRID", "QueryPlanner"]

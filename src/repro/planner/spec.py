@@ -25,9 +25,6 @@ Supported keys (all optional; a bare statement means "no objectives"):
 ``protocol``
     Force ``probabilistic`` or ``naive`` instead of letting the planner
     choose.
-``backend``
-    Force the execution substrate: ``session`` (full transport
-    simulation), ``kernel`` (the message-free kernels), or ``auto``.
 ``dp_epsilon``
     Differential-privacy budget for this statement's *release*: the
     answer is perturbed by a mechanism calibrated to ``dp_epsilon``
@@ -61,7 +58,6 @@ _SLO_RE = re.compile(
 _CLAUSE_RE = re.compile(r"^\s*(?P<key>[A-Za-z_]+)\s*=\s*(?P<value>[^\s,]+)\s*$")
 
 PROTOCOL_CHOICES = ("probabilistic", "naive")
-BACKEND_CHOICES = ("auto", "session", "kernel")
 
 
 class SloError(SqlError):
@@ -77,7 +73,6 @@ class Slo:
     deadline: float | None = None
     max_rounds: int | None = None
     protocol: str | None = None
-    backend: str | None = None
     dp_epsilon: float | None = None
     dp_delta: float | None = None
 
@@ -94,11 +89,6 @@ class Slo:
             raise SloError(
                 f"SLO protocol must be one of {PROTOCOL_CHOICES}, "
                 f"got {self.protocol!r}"
-            )
-        if self.backend is not None and self.backend not in BACKEND_CHOICES:
-            raise SloError(
-                f"SLO backend must be one of {BACKEND_CHOICES}, "
-                f"got {self.backend!r}"
             )
         if self.dp_epsilon is not None and not (
             math.isfinite(self.dp_epsilon) and self.dp_epsilon > 0.0
@@ -148,6 +138,11 @@ class QuerySpec:
     text: str
 
 
+#: Every key the clause accepts: the objectives themselves, plus the
+#: ``precision`` spelling of ``epsilon``.
+_SLO_KEYS = frozenset(f.name for f in fields(Slo)) | {"precision"}
+
+
 def _parse_value(key: str, raw: str) -> object:
     if key == "max_rounds":
         try:
@@ -174,17 +169,7 @@ def parse_slo_clauses(clauses: str) -> Slo:
                 f"malformed SLO clause {part.strip()!r}; expected key=value"
             )
         key = match.group("key").lower()
-        if key not in (
-            "epsilon",
-            "precision",
-            "max_lop",
-            "deadline",
-            "max_rounds",
-            "protocol",
-            "backend",
-            "dp_epsilon",
-            "dp_delta",
-        ):
+        if key not in _SLO_KEYS:
             raise SloError(f"unknown SLO key {key!r}")
         if key in values or (key == "precision" and "epsilon" in values) or (
             key == "epsilon" and "precision" in values
@@ -235,7 +220,6 @@ def strip_dp(spec: QuerySpec) -> str:
 
 
 __all__ = [
-    "BACKEND_CHOICES",
     "DP_SLO_KEYS",
     "PROTOCOL_CHOICES",
     "QuerySpec",

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..core.results import ProtocolResult
+from .dp import SpendMeter
 from .lop import exposure_profile
 
 
@@ -49,14 +50,16 @@ class ExposureLedger:
 
         Raises :class:`BudgetExceededError` — *before* recording anything —
         if the charge would push any party past the budget, so a refused
-        query leaves the ledger unchanged.
+        query leaves the ledger unchanged.  Landing exactly on the budget is
+        admitted by the one rule every budget shares
+        (:meth:`SpendMeter.would_exceed`).
         """
         increments = dict(exposure_profile(result).peak)
         if self.budget is not None:
             over = [
                 node
                 for node, inc in increments.items()
-                if self.charges.get(node, 0.0) + inc > self.budget
+                if SpendMeter(self.budget, self.exposure(node)).would_exceed(inc)
             ]
             if over:
                 raise BudgetExceededError(

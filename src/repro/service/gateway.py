@@ -41,7 +41,6 @@ from ..planner.plan import ECONOMY, Plan
 from ..planner.planner import QueryPlanner
 from ..planner.spec import QuerySpec, parse_spec
 from ..privacy.dp import BudgetExhausted, DpError, DpGate
-from ..privacy.lop import average_lop
 from .clock import Clock, SimulatedClock
 from .errors import (
     DeadlineExceeded,
@@ -679,22 +678,13 @@ class QueryService:
     ) -> None:
         """Ledger one planned, executed statement's predicted-vs-actual.
 
-        Cache hits are skipped (nothing ran, nothing to audit); measured
-        LoP comes from the protocol trace when the execution kept one.
+        Cache hits are skipped (nothing ran, nothing to audit).
         """
         plan = request.plan
-        if not isinstance(plan, Plan) or outcome.cached:
+        if not isinstance(plan, Plan):
             return
-        measured_lop = (
-            average_lop(outcome.trace) if outcome.trace is not None else None
-        )
-        self.accuracy.record(
-            plan,
-            rounds=outcome.rounds,
-            messages=outcome.messages,
-            simulated_seconds=outcome.simulated_seconds,
-            measured_lop=measured_lop,
-        )
+        if not self.accuracy.record_outcome(plan, outcome):
+            return
         if request.batch_span is not None:
             est = plan.estimate
             self.tracer.event(

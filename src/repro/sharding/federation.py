@@ -103,7 +103,7 @@ class ShardedFederation:
         with no partitioned tables and no tenant policies.
     planner:
         Used for the tenant LoP feasibility filter; defaults to a planner
-        over the default run configuration (matching the workers').
+        with the reference calibration.
     clock:
         Time source for tenant token buckets (a ``() -> float`` callable).
         Defaults to ``time.monotonic``; deterministic deployments pass
@@ -213,13 +213,9 @@ class ShardedFederation:
     # -- query surface -------------------------------------------------------
 
     def execute(
-        self,
-        statement_text: str,
-        *,
-        issuer: str = "anonymous",
-        use_cache: bool = False,
+        self, statement_text: str, *, issuer: str = "anonymous"
     ) -> QueryOutcome:
-        del use_cache  # repeats always flow through the shard caches
+        """One statement as a batch of one: repeats hit the shard caches."""
         return self.execute_many([statement_text], issuer=issuer)[0]
 
     def execute_many(

@@ -14,14 +14,22 @@ trace across the process boundary (``trace=None``): traces are debugging
 artifacts of the executing process, while values/rounds/messages/simulated
 seconds — everything the gateway's merge, metrics and clock need — survive
 intact.
+
+The decoders read bytes another process wrote, so every way a value can
+have the wrong shape — not JSON, not an object, a missing key, a number
+where a list belongs — raises :class:`~repro.deploy.wire.WireError`, the
+one failure :class:`~repro.sharding.shards.ProcessShard` turns into
+:class:`~repro.sharding.errors.ShardUnavailable`.
 """
 
 from __future__ import annotations
 
 import json
 import socket
+from collections.abc import Iterator
+from contextlib import contextmanager
 
-from ..deploy.wire import recv_frame, send_frame
+from ..deploy.wire import WireError, recv_frame, send_frame
 from ..federation.coordinator import QueryOutcome, QueryRefused
 from ..federation.policy import PolicyViolation
 from ..federation.sql import SqlError
@@ -63,6 +71,29 @@ def decode_error(payload: dict) -> Exception:
     return cls(str(payload.get("message", "shard error")))
 
 
+def _expect(value: object, kind: type, what: str) -> None:
+    if not isinstance(value, kind):
+        raise WireError(
+            f"malformed {what}: expected {kind.__name__}, got {type(value).__name__}"
+        )
+
+
+@contextmanager
+def well_formed(what: str) -> Iterator[None]:
+    """Turn the coercion failures of a mis-shaped value into ``WireError``."""
+    try:
+        yield
+    except (
+        ArithmeticError,  # int(inf): JSON admits Infinity
+        AttributeError,
+        LookupError,
+        RecursionError,  # json.loads on deeply nested brackets
+        TypeError,
+        ValueError,
+    ) as exc:
+        raise WireError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
+
+
 def encode_outcome(outcome: QueryOutcome) -> dict:
     return {
         "statement": outcome.statement,
@@ -76,16 +107,18 @@ def encode_outcome(outcome: QueryOutcome) -> dict:
 
 
 def decode_outcome(payload: dict) -> QueryOutcome:
-    return QueryOutcome(
-        statement=str(payload["statement"]),
-        values=tuple(float(v) for v in payload["values"]),
-        protocol=str(payload["protocol"]),
-        rounds=int(payload["rounds"]),
-        messages=int(payload["messages"]),
-        trace=None,
-        cached=bool(payload["cached"]),
-        simulated_seconds=float(payload["simulated_seconds"]),
-    )
+    with well_formed("outcome"):
+        _expect(payload["values"], list, "outcome values")
+        return QueryOutcome(
+            statement=str(payload["statement"]),
+            values=tuple(float(v) for v in payload["values"]),
+            protocol=str(payload["protocol"]),
+            rounds=int(payload["rounds"]),
+            messages=int(payload["messages"]),
+            trace=None,
+            cached=bool(payload["cached"]),
+            simulated_seconds=float(payload["simulated_seconds"]),
+        )
 
 
 def encode_settled(results: "list[QueryOutcome | QueryRefused]") -> list[dict]:
@@ -102,16 +135,18 @@ def encode_settled(results: "list[QueryOutcome | QueryRefused]") -> list[dict]:
 
 def decode_settled(payload: list) -> "list[QueryOutcome | QueryRefused]":
     results: "list[QueryOutcome | QueryRefused]" = []
-    for entry in payload:
-        if entry.get("ok"):
-            results.append(decode_outcome(entry["outcome"]))
-        else:
-            results.append(
-                QueryRefused(
-                    statement=str(entry.get("statement", "")),
-                    error=decode_error(entry),
+    _expect(payload, list, "settled batch")
+    with well_formed("settled batch"):
+        for entry in payload:
+            if entry.get("ok"):
+                results.append(decode_outcome(entry["outcome"]))
+            else:
+                results.append(
+                    QueryRefused(
+                        statement=str(entry.get("statement", "")),
+                        error=decode_error(entry),
+                    )
                 )
-            )
     return results
 
 
@@ -120,7 +155,12 @@ def send_json(sock: socket.socket, payload: dict) -> None:
 
 
 def recv_json(sock: socket.socket) -> dict:
-    return json.loads(recv_frame(sock).decode())
+    """One framed JSON object; anything else on the wire is a ``WireError``."""
+    frame = recv_frame(sock)
+    with well_formed("frame"):
+        message = json.loads(frame.decode())
+    _expect(message, dict, "frame")
+    return message
 
 
 __all__ = [
@@ -132,4 +172,5 @@ __all__ = [
     "encode_settled",
     "recv_json",
     "send_json",
+    "well_formed",
 ]

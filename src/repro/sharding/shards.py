@@ -13,7 +13,8 @@ the same small surface (``members``, ``execute_many_settled``,
     A client to a :mod:`repro.sharding.worker` subprocess speaking framed
     JSON over TCP (the deploy layer's wire framing).  Every socket
     operation runs under a timeout and every transport failure — refused
-    connection, timeout, reset, truncated frame — surfaces as a typed
+    connection, timeout, reset, truncated frame, a reply that is not the
+    JSON shape the request calls for — surfaces as a typed
     :class:`~repro.sharding.errors.ShardUnavailable`, never a hang: a
     SIGKILLed worker degrades exactly the statements routed to it.
 """
@@ -27,17 +28,24 @@ import subprocess
 import sys
 import tempfile
 import threading
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from pathlib import Path
-from typing import IO
+from typing import IO, TypeVar
 
 from ..deploy.wire import WireError
 from ..federation.coordinator import Federation, QueryOutcome, QueryRefused
 from ..observability.trace import TraceContext
 from ..planner.plan import Plan
 from .errors import ShardError, ShardUnavailable
-from .protocol import decode_outcome, decode_settled, recv_json, send_json
+from .protocol import (
+    decode_outcome,
+    decode_settled,
+    recv_json,
+    send_json,
+    well_formed,
+)
 
+_T = TypeVar("_T")
 
 #: How much of a worker's stderr a boot failure quotes (its last bytes).
 _STDERR_TAIL = 8192
@@ -222,7 +230,9 @@ class ProcessShard:
         sock.settimeout(self.timeout)
         return sock
 
-    def _request(self, payload: dict) -> dict:
+    def _request(
+        self, payload: dict, decode: "Callable[[dict], _T]" = lambda reply: reply
+    ) -> _T:
         """One request/response exchange; typed failure on any wire error.
 
         The socket is persistent across requests; a stale socket (worker
@@ -230,7 +240,12 @@ class ProcessShard:
         failure *mid-exchange* does not retry — the worker may have half-
         executed the batch, and replaying it would double protocol runs and
         exposure.
+
+        ``decode`` reads the answer out of an accepted reply *inside* this
+        boundary, so a reply of the wrong shape is a wire failure like a
+        truncated one, not an ``AttributeError`` somewhere in the gateway.
         """
+        op = payload.get("op")
         with self._lock:
             fresh = self._sock is None
             try:
@@ -238,32 +253,31 @@ class ProcessShard:
                     self._sock = self._connect()
                 send_json(self._sock, payload)
                 response = recv_json(self._sock)
-            except (OSError, WireError, ValueError) as exc:
+                accepted = response.get("ok")
+                if accepted is True:
+                    with well_formed(f"{op!r} reply"):
+                        return decode(response)
+                if accepted is not False:
+                    raise WireError(f"malformed {op!r} reply: no boolean 'ok'")
+            except (OSError, WireError) as exc:
                 self._drop_socket()
-                if fresh:
-                    raise ShardUnavailable(
-                        f"shard {self.index} at {self.host}:{self.port} "
-                        f"unreachable: {exc}",
-                        shard=self.index,
-                    ) from exc
+                how = "unreachable" if fresh else "failed mid-request"
                 raise ShardUnavailable(
-                    f"shard {self.index} at {self.host}:{self.port} failed "
-                    f"mid-request: {exc}",
+                    f"shard {self.index} at {self.host}:{self.port} {how}: {exc}",
                     shard=self.index,
                 ) from exc
-        if not response.get("ok", False):
-            raise ShardError(
-                f"shard {self.index} rejected {payload.get('op')!r}: "
-                f"{response.get('message')}"
-            )
-        return response
+        raise ShardError(
+            f"shard {self.index} rejected {op!r}: {response.get('message')}"
+        )
 
     # -- shard surface -------------------------------------------------------
 
     def members(self) -> tuple[str, ...]:
         if self._members is None:
-            response = self._request({"op": "members"})
-            self._members = tuple(str(m) for m in response["members"])
+            self._members = self._request(
+                {"op": "members"},
+                lambda reply: tuple(str(m) for m in reply["members"]),
+            )
         return self._members
 
     def execute_many_settled(
@@ -278,27 +292,39 @@ class ProcessShard:
         # remote work are recorded by the sharded federation around this
         # call, and workers re-plan SLO'd statements themselves.
         del traces, plans
-        response = self._request(
+
+        def decode(reply: dict) -> "list[QueryOutcome | QueryRefused]":
+            settled = decode_settled(reply["results"])
+            if len(settled) != len(statements):
+                raise WireError(
+                    f"{len(settled)} results for {len(statements)} statements"
+                )
+            return settled
+
+        return self._request(
             {
                 "op": "execute_many_settled",
                 "statements": list(statements),
                 "issuer": issuer,
-            }
+            },
+            decode,
         )
-        return decode_settled(response["results"])
 
     def try_cached(
         self, statement: str, *, issuer: str = "anonymous"
     ) -> QueryOutcome | None:
-        response = self._request(
-            {"op": "try_cached", "statement": statement, "issuer": issuer}
+        return self._request(
+            {"op": "try_cached", "statement": statement, "issuer": issuer},
+            lambda reply: (
+                None if reply["outcome"] is None else decode_outcome(reply["outcome"])
+            ),
         )
-        payload = response.get("outcome")
-        return None if payload is None else decode_outcome(payload)
 
     def cache_stats(self) -> tuple[int, int]:
-        response = self._request({"op": "cache_stats"})
-        return int(response["hits"]), int(response["misses"])
+        return self._request(
+            {"op": "cache_stats"},
+            lambda reply: (int(reply["hits"]), int(reply["misses"])),
+        )
 
     def register(self, database) -> None:
         raise ShardError(

@@ -21,7 +21,7 @@ unchanged.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from ..core.driver import RunConfig
 from ..core.params import ProtocolParams
@@ -34,6 +34,7 @@ from .errors import ShardError
 from .federation import ShardedFederation
 from .router import ShardRouter, shard_index
 from .shards import LocalShard, ProcessShard
+from .worker import spec_config
 
 
 @dataclass(frozen=True)
@@ -213,18 +214,22 @@ def local_shards(
 
 
 def shard_spec(
-    topology: ShardTopology,
-    shard: int,
-    *,
-    rounds: int = 4,
-    protocol: str = "probabilistic",
-    p0: float = 0.0,
-    d: float = 0.5,
+    topology: ShardTopology, shard: int, config: RunConfig | None = None
 ) -> dict:
-    """The :mod:`repro.sharding.worker` stdin spec for one shard."""
+    """The :mod:`repro.sharding.worker` stdin spec for one shard.
+
+    ``config`` is the one :func:`local_shards` would receive
+    (:func:`exact_config` when ``None``), so process and local twins run
+    the same protocol.  The JSON spec names a protocol, a round count and
+    an exponential schedule, nothing else; a config the worker would not
+    rebuild equal (its per-query seed aside — shards derive those from the
+    topology's) is refused here rather than silently run differently.
+    """
+    config = config if config is not None else exact_config()
+    schedule = config.params.schedule
     assignment = topology.assignments[shard]
     tables = topology.shard_tables(shard)
-    return {
+    spec = {
         "shard": shard,
         "seed": topology.seed + shard,
         "domain": {
@@ -233,9 +238,12 @@ def shard_spec(
             "integral": topology.domain.integral,
         },
         "attribute": topology.attribute,
-        "schedule": {"p0": p0, "d": d},
-        "rounds": rounds,
-        "protocol": protocol,
+        "schedule": {
+            "p0": getattr(schedule, "p0", 1.0),
+            "d": getattr(schedule, "d", 0.5),
+        },
+        "rounds": config.params.rounds,
+        "protocol": config.protocol,
         "parties": [
             {
                 "owner": owner,
@@ -245,13 +253,20 @@ def shard_spec(
         ],
         "types": {t: "INTEGER" for t in tables},
     }
+    rebuilt = replace(spec_config(spec), seed=config.seed)
+    if rebuilt != config:
+        raise ShardError(
+            f"a process shard's JSON spec carries a protocol, a round count "
+            f"and an exponential (p0, d) schedule only: {config!r} would run "
+            f"as {rebuilt!r}; run these shards in-process"
+        )
+    return spec
 
 
 def process_shards(
     topology: ShardTopology,
     *,
-    rounds: int = 4,
-    protocol: str = "probabilistic",
+    config: RunConfig | None = None,
     timeout: float = 10.0,
     boot_timeout: float = 30.0,
 ) -> list[ProcessShard]:
@@ -264,16 +279,11 @@ def process_shards(
     with its stderr, and every worker launched so far is killed and reaped
     first.
     """
+    specs = [shard_spec(topology, i, config) for i in range(topology.shard_count)]
     shards: list[ProcessShard] = []
     try:
-        for index in range(topology.shard_count):
-            shards.append(
-                ProcessShard.launch(
-                    shard_spec(topology, index, rounds=rounds, protocol=protocol),
-                    index=index,
-                    timeout=timeout,
-                )
-            )
+        for index, spec in enumerate(specs):
+            shards.append(ProcessShard.launch(spec, index=index, timeout=timeout))
         for shard in shards:
             shard.handshake(boot_timeout)
     except BaseException:
@@ -298,13 +308,9 @@ def sharded_federation(
     topology's domain unless a ``domain=`` override is passed.
     """
     router = ShardRouter(topology.shard_count, partitioned=topology.partitioned)
-    backends = (
-        process_shards(topology)
-        if processes
-        else local_shards(topology, config=config)
-    )
+    build = process_shards if processes else local_shards
     kwargs.setdefault("domain", topology.domain)
-    return ShardedFederation(backends, router=router, **kwargs)
+    return ShardedFederation(build(topology, config=config), router=router, **kwargs)
 
 
 def topology_workload(

@@ -48,14 +48,8 @@ from ..federation.coordinator import Federation
 from .protocol import encode_outcome, encode_settled, recv_json, send_json
 
 
-def build_federation(spec: dict) -> Federation:
-    """Materialize the spec's federation (deterministic per spec)."""
-    domain_spec = spec.get("domain", {})
-    domain = Domain(
-        low=float(domain_spec.get("low", 1)),
-        high=float(domain_spec.get("high", 10_000)),
-        integral=bool(domain_spec.get("integral", True)),
-    )
+def spec_config(spec: dict) -> RunConfig:
+    """The run configuration a spec's ``schedule``/``rounds``/``protocol`` name."""
     schedule_spec = spec.get("schedule") or {}
     params = ProtocolParams(
         schedule=ExponentialSchedule(
@@ -64,12 +58,22 @@ def build_federation(spec: dict) -> Federation:
         ),
         rounds=spec.get("rounds"),
     )
-    config = RunConfig(
+    return RunConfig(
         protocol=str(spec.get("protocol", "probabilistic")), params=params
+    )
+
+
+def build_federation(spec: dict) -> Federation:
+    """Materialize the spec's federation (deterministic per spec)."""
+    domain_spec = spec.get("domain", {})
+    domain = Domain(
+        low=float(domain_spec.get("low", 1)),
+        high=float(domain_spec.get("high", 10_000)),
+        integral=bool(domain_spec.get("integral", True)),
     )
     federation = Federation(
         domain=domain,
-        config=config,
+        config=spec_config(spec),
         seed=int(spec.get("seed", 0)),
         privacy_budget=spec.get("privacy_budget"),
     )

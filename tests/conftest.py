@@ -12,6 +12,7 @@ from repro.core import batch
 from repro.core.driver import RunConfig
 from repro.core.params import ProtocolParams
 from repro.database.query import Domain, TopKQuery
+from repro.experiments import runner
 
 # CI's tier-1 job selects this (``--hypothesis-profile=ci``): every property
 # test draws the same examples on every run, so a red build is reproducible.
@@ -41,6 +42,20 @@ def counting_engine(crossover: int | None = None):
         if crossover is not None:
             patch.setattr(batch, "VECTOR_CROSSOVER", crossover)
         yield calls
+
+
+@pytest.fixture
+def ungated_pool(monkeypatch):
+    """Let ``jobs > 1`` reach the real process pool on a small workload.
+
+    The runner's gate (``runner._pool_gate_reason``) keeps any run too short
+    to amortize a pool, or asking for more workers than cores, on the serial
+    engine — which is every workload a test can afford.  Suites that mean
+    to exercise the pool itself switch the gate off here and assert the
+    ``parallel`` telemetry mode where it matters; the gate has its own
+    tests, which do not use this fixture.
+    """
+    monkeypatch.setattr(runner, "_pool_gate_reason", lambda jobs, setups: None)
 
 
 @pytest.fixture

@@ -9,7 +9,9 @@ same per-round snapshots, same aggregates.
 
 import pytest
 
+from repro.core.kernel import _LazyKernelLog
 from repro.core.params import ProtocolParams
+from repro.experiments import run_experiment, write_csv
 from repro.experiments import telemetry
 from repro.experiments.config import TrialSetup
 from repro.experiments.runner import (
@@ -22,19 +24,11 @@ from repro.experiments.runner import (
     scheduler_metrics,
     shutdown_pool,
     using_jobs,
-    using_pool_policy,
 )
 
-
-@pytest.fixture(autouse=True)
-def pool_always():
-    """Pin the pre-gate behaviour: these tests exercise the real pool.
-
-    The auto gate would (correctly) refuse the pool for workloads this
-    small; the gate itself is covered by ``TestPoolGating``.
-    """
-    with using_pool_policy("always"):
-        yield
+#: These classes exercise the real pool; the gate would (correctly) refuse
+#: it for workloads this small.  The gate itself is ``TestPoolGating``'s.
+real_pool = pytest.mark.usefixtures("ungated_pool")
 
 PROTOCOL_SETUPS = {
     "naive": dict(n=4, k=1, protocol="naive"),
@@ -66,6 +60,7 @@ def assert_results_identical(serial, parallel):
         assert a.stats.messages_total == b.stats.messages_total
 
 
+@real_pool
 class TestParity:
     @pytest.mark.parametrize("name", sorted(PROTOCOL_SETUPS))
     def test_bit_identical_across_protocols(self, name):
@@ -98,6 +93,28 @@ class TestParity:
         parallel = run_trials(setup, jobs=5)
         assert_results_identical(serial, parallel)
 
+    def test_pool_workers_ship_lazy_pass_records(self, tmp_path):
+        setup = small_setup(k=2, trials=6)
+        serial = run_trials(setup, jobs=1)
+        with telemetry.collect() as tel:
+            pooled = run_trials(setup, jobs=2)
+        assert tel.points[0].mode == "parallel"
+        assert_results_identical(serial, pooled)
+        # Workers ship the kernels' compact pass records, never a
+        # materialized log, and the parent scores LoP straight from them.
+        assert aggregate_node_lop(serial) == aggregate_node_lop(pooled)
+        for result in pooled:
+            assert isinstance(result.event_log, _LazyKernelLog)
+            assert result.event_log._cache is None
+        csv_bytes = {
+            jobs: write_csv(
+                run_experiment("fig7", trials=6, jobs=jobs),
+                tmp_path / f"fig7-jobs{jobs}.csv",
+            ).read_bytes()
+            for jobs in (1, 2)
+        }
+        assert csv_bytes[1] == csv_bytes[2]
+
 
 class TestJobsResolution:
     def test_default_is_serial(self):
@@ -125,6 +142,7 @@ class TestJobsResolution:
         assert_results_identical(serial, run_trials(setup, jobs=1))
 
 
+@real_pool
 class TestTelemetry:
     def test_serial_point_recorded(self):
         setup = small_setup(trials=5)
@@ -204,10 +222,9 @@ class TestPoolGating:
     def test_pool_never_auto_selected_when_it_loses(self, monkeypatch):
         # The jobs=2 speedup-0.62 regression: one core, tiny workload.
         monkeypatch.setattr("repro.experiments.runner.os.cpu_count", lambda: 1)
-        with using_pool_policy("auto"):
-            with telemetry.collect() as tel:
-                serial = run_trials(self.gated_setup(), jobs=1)
-                gated = run_trials(self.gated_setup(), jobs=2)
+        with telemetry.collect() as tel:
+            serial = run_trials(self.gated_setup(), jobs=1)
+            gated = run_trials(self.gated_setup(), jobs=2)
         assert_results_identical(serial, gated)
         modes = [point.mode for point in tel.points]
         assert modes == ["serial", "serial-gated"]
@@ -215,18 +232,21 @@ class TestPoolGating:
 
     def test_small_workload_gated_even_with_cores(self, monkeypatch):
         monkeypatch.setattr("repro.experiments.runner.os.cpu_count", lambda: 8)
-        with using_pool_policy("auto"):
-            with telemetry.collect() as tel:
-                run_trials(self.gated_setup(), jobs=2)
+        with telemetry.collect() as tel:
+            run_trials(self.gated_setup(), jobs=2)
         (point,) = tel.points
         assert point.mode == "serial-gated"
 
-    def test_policy_never_forces_serial(self):
-        with using_pool_policy("never"):
-            with telemetry.collect() as tel:
-                run_trials(self.gated_setup(), jobs=4)
+    def test_long_run_within_cores_reaches_the_pool(self, monkeypatch):
+        # The other side of the rule: enough estimated work, enough cores.
+        import repro.experiments.runner as runner_module
+
+        monkeypatch.setattr("repro.experiments.runner.os.cpu_count", lambda: 8)
+        monkeypatch.setattr(runner_module, "_MIN_POOL_TRIALS", 6)
+        with telemetry.collect() as tel:
+            run_trials(self.gated_setup(), jobs=2)
         (point,) = tel.points
-        assert point.mode == "serial-gated"
+        assert point.mode == "parallel"
 
     def test_decision_lands_on_metrics(self, monkeypatch):
         monkeypatch.setattr("repro.experiments.runner.os.cpu_count", lambda: 1)
@@ -235,16 +255,11 @@ class TestPoolGating:
         )
         labels = {"decision": "serial", "reason": "jobs_exceed_cores"}
         before = counter.value(labels=labels)
-        with using_pool_policy("auto"):
-            run_trials(self.gated_setup(), jobs=2)
+        run_trials(self.gated_setup(), jobs=2)
         assert counter.value(labels=labels) == before + 1
 
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="pool policy"):
-            with using_pool_policy("sometimes"):
-                pass
 
-
+@real_pool
 class TestPoolLifecycle:
     def test_shutdown_pool_idempotent(self):
         run_trials(small_setup(trials=2), jobs=2)

@@ -10,6 +10,7 @@ bug, not noise.  The expected-LoP column is a bound on the expectation
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +19,10 @@ from hypothesis import strategies as st
 from repro.analysis.privacy_bounds import expected_lop_bound, naive_average_lop
 from repro.core.driver import SESSION, RunConfig, run_protocol_on_vectors
 from repro.core.params import ProtocolParams, minimum_rounds
+from repro.database.database import database_from_values
 from repro.database.generator import DataGenerator
 from repro.database.query import PAPER_DOMAIN, TopKQuery
+from repro.federation import Federation
 from repro.planner import (
     NAIVE,
     PROBABILISTIC,
@@ -150,6 +153,48 @@ class TestLedgerLopScoping:
         self._record(ledger, single, measured_lop=1.0)
         assert ledger.lop_checked == 2
         assert ledger.lop_bound_exceeded
+
+
+class TestRecordOutcome:
+    """The one audit loop: skip cached, measured LoP from the trace, record."""
+
+    @staticmethod
+    def _federation():
+        federation = Federation(domain=PAPER_DOMAIN, seed=7)
+        for owner, values in _vectors(4, seed=3).items():
+            federation.register(database_from_values(owner, values))
+        return federation
+
+    def test_executed_outcome_is_recorded_with_lop_from_its_trace(self):
+        federation = self._federation()
+        text = "SELECT MAX(value) FROM data WITH SLO(deadline=5.0)"
+        plan = federation.planner.plan(text, parties=4)
+        outcome = federation.execute_many([text])[0]
+        ledger = PredictionLedger()
+        assert ledger.record_outcome(plan, outcome) is True
+        assert ledger.recorded == ledger.lop_checked == 1
+        assert ledger.lop_measured_sum == average_lop(outcome.trace)
+        assert all(ledger.drift(metric) == 0.0 for metric in ("rounds", "messages"))
+
+    def test_cached_outcome_is_skipped(self):
+        federation = self._federation()
+        text = "SELECT MAX(value) FROM data WITH SLO(deadline=5.0)"
+        plan = federation.planner.plan(text, parties=4)
+        federation.execute_many([text])
+        repeat = federation.execute_many([text])[0]
+        assert repeat.cached
+        ledger = PredictionLedger()
+        assert ledger.record_outcome(plan, repeat) is False
+        assert ledger.recorded == 0
+
+    def test_outcome_without_a_trace_audits_the_point_metrics_only(self):
+        federation = self._federation()
+        text = "SELECT MAX(value) FROM data WITH SLO(deadline=5.0)"
+        plan = federation.planner.plan(text, parties=4)
+        remote = replace(federation.execute_many([text])[0], trace=None)
+        ledger = PredictionLedger()
+        assert ledger.record_outcome(plan, remote) is True
+        assert (ledger.recorded, ledger.lop_checked) == (1, 0)
 
 
 class TestAdditiveParity:

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.driver import RunConfig
 from repro.planner import (
     ECONOMY,
     NAIVE,
@@ -89,40 +88,22 @@ class TestRankingSelection:
             )
 
 
-class TestBackendSelection:
-    def test_auto_prefers_batch_kernel_for_plain_config(self):
-        plan = plan_for("SELECT TOP 3 value FROM data WITH SLO(deadline=5.0)")
-        assert plan.backend == "batch-kernel"
-
-    def test_slo_can_pin_the_session_backend(self):
-        plan = plan_for(
-            "SELECT TOP 3 value FROM data "
-            "WITH SLO(deadline=5.0, backend=session)"
-        )
-        assert plan.backend == "session"
-
-    def test_kernel_request_with_kernel_refusing_config_is_infeasible(self):
-        planner = QueryPlanner(base_config=RunConfig(encrypt=True))
-        with pytest.raises(PlanInfeasible):
-            planner.plan(
-                "SELECT TOP 3 value FROM data "
-                "WITH SLO(deadline=5.0, backend=kernel)",
-                parties=5,
-            )
-
-    def test_auto_falls_back_to_session_when_kernel_refuses(self):
-        planner = QueryPlanner(base_config=RunConfig(encrypt=True))
-        plan = planner.plan(
-            "SELECT TOP 3 value FROM data WITH SLO(deadline=5.0)", parties=5
-        )
-        assert plan.backend == "session"
+class TestPlanStatesOnlyWhatThePlannerKnows:
+    def test_a_plan_names_no_executor(self):
+        # Which executor replays the protocol is the driver's decision, made
+        # from the run's config and batch size; a plan that printed one
+        # would be guessing (it printed "batch-kernel" for scalar-kernel runs).
+        for text in TestDeterminism.STATEMENTS:
+            plan = plan_for(text)
+            assert not hasattr(plan, "backend")
+            assert "backend" not in plan.to_dict()
+            assert "backend" not in plan.explain()
 
 
 class TestAdditivePlans:
     def test_sum_uses_secure_sum_on_session(self):
         plan = plan_for("SELECT SUM(value) FROM data WITH SLO(deadline=1.0)")
         assert plan.protocol == SECURE_SUM
-        assert plan.backend == "session"
         assert plan.estimate.expected_lop == 0.0
 
     def test_additive_rejects_ranking_only_clauses(self):

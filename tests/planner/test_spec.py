@@ -36,7 +36,7 @@ class TestClauses:
         spec = parse_spec(
             "SELECT TOP 3 value FROM data WITH SLO("
             "epsilon=0.01, max_lop=0.2, deadline=1.5, max_rounds=6, "
-            "protocol=probabilistic, backend=session)"
+            "protocol=probabilistic)"
         )
         slo = spec.slo
         assert slo.epsilon == 0.01
@@ -44,7 +44,6 @@ class TestClauses:
         assert slo.deadline == 1.5
         assert slo.max_rounds == 6
         assert slo.protocol == "probabilistic"
-        assert slo.backend == "session"
         assert not slo.is_trivial
 
     def test_precision_is_epsilon_sugar(self):
@@ -72,6 +71,9 @@ class TestClauses:
             "max_rounds=0",
             "protocol=quantum",
             "backend=gpu",
+            "backend=session",  # the retired key is unknown, whatever its value
+            "backend=kernel",
+            "backend=auto",
         ],
     )
     def test_invalid_clauses_raise_slo_error(self, clauses):

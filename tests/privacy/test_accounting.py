@@ -7,6 +7,7 @@ from repro.database.database import database_from_values
 from repro.database.query import Domain, PAPER_DOMAIN, TopKQuery
 from repro.federation import Federation
 from repro.privacy.accounting import BudgetExceededError, ExposureLedger
+from repro.privacy.dp import SpendMeter
 
 from ..conftest import make_vectors
 
@@ -44,6 +45,29 @@ class TestLedger:
             ledger.charge(naive_run(seed=1))  # would push starter to 2.0
         assert ledger.charges == before
         assert ledger.runs_charged == 1
+
+    def test_landing_exactly_on_the_budget_is_admitted_like_every_meter(
+        self, monkeypatch
+    ):
+        # 0.1 + 0.1 + 0.1 == 0.30000000000000004 > 0.3: exact exhaustion must
+        # not depend on float noise, and LoP must answer as epsilon does.
+        class Profile:
+            peak = {"node0": 0.1}
+
+        monkeypatch.setattr(
+            "repro.privacy.accounting.exposure_profile", lambda result: Profile
+        )
+        ledger, meter = ExposureLedger(budget=0.3), SpendMeter(budget=0.3)
+        for _ in range(3):
+            assert not meter.would_exceed(0.1)
+            meter.charge(0.1)
+            ledger.charge(None)
+        assert ledger.exposure("node0") == meter.spent > 0.3
+        assert ledger.remaining("node0") == meter.remaining() == 0.0
+        assert meter.would_exceed(0.1)
+        with pytest.raises(BudgetExceededError):
+            ledger.charge(None)
+        assert ledger.runs_charged == 3
 
     def test_remaining_headroom(self):
         ledger = ExposureLedger(budget=3.0)

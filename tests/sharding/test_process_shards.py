@@ -2,14 +2,21 @@
 
 import pytest
 
+from repro.core.driver import RunConfig
+from repro.core.params import ProtocolParams
+from repro.core.schedule import LinearSchedule
 from repro.federation.coordinator import QueryOutcome, QueryRefused
 from repro.federation.sql import SqlError
+from repro.network.failures import FailureInjector
+from repro.network.transport import constant_latency
 from repro.planner.errors import PlanInfeasible
 from repro.sharding import (
     ShardError,
     ShardUnavailable,
     TenantRateLimited,
     build_topology,
+    exact_config,
+    shard_spec,
     sharded_federation,
     single_federation,
     topology_workload,
@@ -140,3 +147,66 @@ def test_sigkilled_worker_degrades_typed_and_local_shards_survive():
             sharded.try_cached(statement, issuer="t")  # must not raise
     finally:
         sharded.close()
+
+
+# -- one config for local and process twins ------------------------------------
+
+
+@pytest.mark.parametrize(
+    "config, rounds",
+    [
+        pytest.param(exact_config(rounds=7), 7, id="exact-rounds-7"),
+        # Randomising (p0 = 1): equal values need the same seeds AND the same
+        # schedule on both sides.  Eq. 4 at the default epsilon gives 5 rounds.
+        pytest.param(
+            RunConfig(params=ProtocolParams.with_randomization(1.0, 0.5)),
+            5,
+            id="seeded-p0-1-d-half",
+        ),
+    ],
+)
+def test_local_and_process_twins_run_the_same_config(config, rounds):
+    topology = build_topology(
+        shards=2, parties_per_shard=3, tables=4, rows_per_table=12,
+        partitioned=1, seed=17,
+    )
+    statements = [
+        s for s in topology_workload(topology, 16, seed=4) if "TOP" in s or "MAX" in s
+    ]
+    local = sharded_federation(topology, config=config)
+    remote = sharded_federation(topology, processes=True, config=config)
+    try:
+        by_local = local.execute_many_settled(statements, issuer="t")
+        by_process = remote.execute_many_settled(statements, issuer="t")
+    finally:
+        remote.close()
+    assert any(not outcome.cached for outcome in by_local)
+    for here, there in zip(by_local, by_process):
+        assert here.values == there.values
+        assert here.rounds == there.rounds
+        if not here.cached and here.rounds:
+            assert here.rounds == rounds
+
+
+@pytest.mark.parametrize(
+    "config, lost",
+    [
+        (RunConfig(encrypt=True), "encrypt=True"),
+        (RunConfig(latency=constant_latency(0.01)), "latency=<"),
+        (RunConfig(failures=FailureInjector()), "failures=FailureInjector"),
+        (RunConfig(ring_builder=lambda ids, rng: None), "ring_builder=<"),
+        (RunConfig(initial_vector=(5.0,)), "initial_vector=(5.0,)"),
+        (RunConfig(params=ProtocolParams(schedule=LinearSchedule())), "LinearSchedule"),
+        (RunConfig(params=ProtocolParams(epsilon=0.01)), "epsilon=0.01"),
+    ],
+    ids=["encrypt", "latency", "failures", "ring_builder", "initial_vector",
+         "schedule", "epsilon"],
+)
+def test_a_config_the_spec_cannot_carry_is_refused_at_build(config, lost):
+    topology = build_topology(shards=2, parties_per_shard=3, tables=2, seed=3)
+    with pytest.raises(ShardError, match="would run as") as refusal:
+        shard_spec(topology, 0, config)
+    assert lost in str(refusal.value)
+    # Refused before any worker is launched.
+    with pytest.raises(ShardError, match="would run as"):
+        sharded_federation(topology, processes=True, config=config)

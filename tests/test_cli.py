@@ -198,3 +198,38 @@ class TestServeCommands:
         ) == 1
         err = capsys.readouterr().err
         assert "STRICT FAIL" in err and "shed" in err
+
+
+class TestPlanCommand:
+    PLANNED = "SELECT MAX(value) FROM data WITH SLO(deadline=5.0)"
+
+    def test_plan_execute_audits_predictions_and_writes_json(self, capsys, tmp_path):
+        import json
+
+        path = tmp_path / "plans.json"
+        argv = ["plan", self.PLANNED, "SELECT COUNT(value) FROM data", self.PLANNED]
+        assert main([*argv, "--execute", "--max-drift", "0.2", "--json", str(path)]) == 0
+        out = capsys.readouterr().out
+        # A plan states what the planner knows; the executor is not in it.
+        assert "protocol          : probabilistic" in out
+        assert "backend" not in out
+        # The repeat was served from cache: one ranking run + one secure sum.
+        assert "executed 2 planned statement(s)" in out
+        assert "over 1 single-extraction run(s)" in out
+        assert "drift checks passed" in out
+        document = json.loads(path.read_text())
+        assert len(document["plans"]) == 3
+        assert all("backend" not in plan for plan in document["plans"])
+        assert document["accuracy"]["recorded"] == 2
+
+    def test_a_retired_slo_key_exits_2(self, capsys):
+        retired = "SELECT MAX(value) FROM data WITH SLO(deadline=5.0, backend=session)"
+        assert main(["plan", retired]) == 2
+        assert "unknown SLO key 'backend'" in capsys.readouterr().err
+
+    def test_the_explain_flag_is_gone(self, capsys):
+        # Explaining was always what `plan` did; the flag changed nothing.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["plan", self.PLANNED, "--explain"])
+        assert exit_info.value.code == 2
+        assert "--explain" in capsys.readouterr().err

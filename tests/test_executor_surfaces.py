@@ -7,9 +7,16 @@ message-free kernel: no ``ProtocolSession`` is built, and the result equals
 the session's under the same seed (message ids aside).  The session twin is
 obtained without adding an option anywhere: the rule's refusal test is made
 to refuse everything, so the same default routes to the session.
+
+No surface above the driver takes an executor option: the statement
+language refuses the retired ``backend`` key before a queue slot, and a
+gateway batch of planned statements runs whatever the federation's config
+obliges — counted here by the same mechanism.
 """
 
 from __future__ import annotations
+
+import asyncio
 
 import pytest
 
@@ -23,9 +30,13 @@ from repro.extensions.attacks import run_hiding_attack, run_spoofing_attack
 from repro.extensions.groups import run_grouped_topk
 from repro.extensions.knn import PrivateKNNClassifier, PrivateParty
 from repro.extensions.monitoring import ContinuousTopKMonitor
+from repro.experiments.config import TrialSetup
+from repro.experiments.runner import run_trials
 from repro.federation import Federation
 from repro.network.failures import FailureInjector
 from repro.network.transport import constant_latency
+from repro.planner import SloError
+from repro.service import QueryService
 
 from .core.test_batch_kernel_parity import assert_results_identical
 
@@ -152,3 +163,60 @@ def test_transport_obligations_still_run_the_session(obligation, sessions_built)
     result = run_topk_query(databases, QUERY, RunConfig(seed=11, **obligation))
     assert len(sessions_built) == 1
     assert result.answer() == [9000.0, 8200.0]
+
+
+def test_trial_harness_builds_no_session(sessions_built):
+    results = run_trials(TrialSetup(n=4, k=2, trials=5, seed=3))
+    assert len(results) == 5
+    assert sessions_built == []
+
+
+#: Eight planned ranking statements: one gateway batch, eight executions.
+SLO_BATCH = [
+    f"SELECT TOP {k} value FROM data WITH SLO(deadline=5.0)" for k in range(1, 9)
+]
+
+
+def gateway_batch(statements, **federation_kwargs):
+    """Submit ``statements`` as one burst; (outcomes-or-errors, service)."""
+    federation = Federation(domain=DOMAIN, seed=7, **federation_kwargs)
+    for owner, values in VALUES.items():
+        federation.register(database_from_values(owner, values))
+
+    async def scenario():
+        async with QueryService(federation, max_batch=len(statements)) as service:
+            settled = await service.submit_many(statements, return_exceptions=True)
+            return settled, service
+
+    return asyncio.run(scenario())
+
+
+def test_gateway_batch_of_planned_statements_builds_no_session(sessions_built):
+    settled, service = gateway_batch(SLO_BATCH)
+    assert [outcome.values[0] for outcome in settled] == [9000.0] * 8
+    assert service.accuracy.recorded == 8
+    assert sessions_built == []
+
+
+def test_gateway_batch_on_an_encrypting_federation_builds_one_session_each(
+    sessions_built,
+):
+    plain, _ = gateway_batch(SLO_BATCH)
+    assert sessions_built == []
+    encrypted, _ = gateway_batch(SLO_BATCH, config=RunConfig(encrypt=True))
+    assert len(sessions_built) == len(SLO_BATCH)
+    assert [o.values for o in encrypted] == [o.values for o in plain]
+
+
+@pytest.mark.parametrize("value", ["session", "kernel", "auto"])
+def test_retired_backend_key_is_refused_before_a_queue_slot(value, sessions_built):
+    pinned = f"SELECT TOP 9 value FROM data WITH SLO(deadline=5.0, backend={value})"
+    settled, service = gateway_batch([*SLO_BATCH, pinned])
+    assert isinstance(settled[-1], SloError)
+    assert "unknown SLO key 'backend'" in str(settled[-1])
+    # The other issuers' statements are untouched by it: same answers, same
+    # executor, and the refused one never queued, planned or ran.
+    assert [outcome.values[0] for outcome in settled[:-1]] == [9000.0] * 8
+    assert sessions_built == []
+    assert service.metrics.admitted == len(SLO_BATCH)
+    assert service.accuracy.recorded == len(SLO_BATCH)
