@@ -5,9 +5,8 @@ PYTHON ?= python3
 # bit-identical at any value.
 JOBS ?= 1
 
-.PHONY: install test lint typecheck cov bench bench-kernel \
-	bench-extraction bench-planner bench-gateway bench-dp \
-	check-dp check-floors import-profile figures report examples all clean
+.PHONY: install test lint typecheck cov bench check-floors check-dp \
+	import-profile figures report examples all clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -42,47 +41,22 @@ cov:
 		--cov=repro --cov-report=term --cov-report=xml \
 		--cov-fail-under=$(COV_FLOOR)
 
+# The wall-clock floor benches (benchmarks/conftest.py says what belongs
+# there; bench/ is the end-to-end benchmark).  Each rewrites its
+# results/BENCH_*.json and fails if a floor on one of its own rows does not
+# hold -- the floors are stated in the benches and nowhere else.  ~4 min.
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src $(PYTHON) -m pytest -q -s benchmarks/
 
-# Kernel-vs-session speedup sweep; writes results/BENCH_kernel_speedup.json
-# and fails below the 26x floor at n=50.
-bench-kernel:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_kernel.py -q -s
-
-# Columnar-vs-row local extraction sweep (10k..2M rows/party); writes
-# results/BENCH_local_extraction.json and fails, at 1M rows, below 15x on
-# a fresh table's first extraction or below 20x (over that scan) on the
-# extraction after a one-row insert.
-bench-extraction:
-	PYTHONPATH=src $(PYTHON) -m pytest \
-		benchmarks/test_bench_local_extraction.py -q -s
-
-# Plan latency + cost-aware admission vs depth-only shedding; writes
-# results/BENCH_planner.json and fails below a 1.5x throughput win.
-bench-planner:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_planner.py -q -s
-
-# 100k-query gateway soak: 4 shards vs one flat federation, bit-identity
-# asserted before timing; writes results/BENCH_gateway_soak.json and
-# fails below a 3x simulated-throughput win.
-bench-gateway:
-	PYTHONPATH=src $(PYTHON) -m pytest \
-		benchmarks/test_bench_gateway_soak.py -q -s
-
-# DP release overhead + free re-serve throughput; writes
-# results/BENCH_dp_overhead.json with its floors embedded.
-bench-dp:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_dp.py -q -s
+# Every results/BENCH_*.json through the generic gate: known shape, no
+# floored sim/count row, a floored wall row, every floor holding.
+check-floors:
+	$(PYTHON) scripts/check_bench_floors.py
 
 # The (epsilon, delta) accountant against its golden ledger, flat ==
 # sharded; `make check-dp UPDATE=--update` regenerates the golden.
 check-dp:
 	PYTHONPATH=src $(PYTHON) scripts/check_dp_accounting.py $(UPDATE)
-
-# Every committed results/BENCH_*.json against its regression floor.
-check-floors:
-	$(PYTHON) scripts/check_bench_floors.py
 
 # Where a fresh interpreter's start-up goes: the 20 most expensive imports
 # (cumulative microseconds, children included) on the two cold-start paths

@@ -1,30 +1,30 @@
-"""Bench: federated query throughput — pipelined batches and the result cache.
+"""Bench: federated query throughput — a batch vs one statement at a time.
 
-The throughput engine's two claims, measured end to end through
-``Federation.execute_many``:
+Measured end to end through ``Federation.execute_many`` on the wall clock:
 
-* **Pipelining**: a batch of Q independent ranking queries interleaves its
-  ring tokens on one shared transport and completes in simulated time close
-  to the slowest query — asserted >= 2x faster than the sum of sequential
-  runs (measured: ~Q x, since same-shape queries take near-equal time).
-  That is the *model's* clock.  On the wall clock a batch of 8 is below the
-  vectorized engine's crossover, so both sides run the scalar kernel and the
-  expectation is parity within noise, not a win: ``wall_speedup_vs_
-  sequential`` is reported beside the simulated figure and floored at
-  ``MIN_WALL_SPEEDUP`` (the batch path must not cost more than serving the
-  statements one at a time, as it did when it paid for the engine at B=8).
+* **Batch vs sequential**: 8 distinct ranking statements served as one
+  batch against the same 8 served one ``execute`` at a time.  A batch of 8
+  is below the vectorized engine's crossover, so both sides run the scalar
+  kernel and the expectation is parity within noise, not a win; the floor
+  says the batch path must not cost more than serving the statements one
+  at a time (as it did when it paid for the engine at B=8).  The *cost
+  model* prices the same batch at one query's simulated seconds instead of
+  eight -- an identity of the model, recorded as a ``sim`` row and pinned
+  exactly by ``tests/service/test_gateway.py`` (``TestSimulatedTime``),
+  never floored here.
 * **Result cache**: repeats of an answered statement are O(1) lookups —
-  zero protocol rounds, zero messages, zero new ledger exposure.
+  zero protocol rounds, zero messages, zero new ledger exposure; the wall
+  rate of those hits is recorded beside the (exact) hit count.
 
-Emits ``results/BENCH_federation_throughput.json`` with queries/sec, both
-speedups vs sequential, the cache hit rate, and the regression floors
-embedded under ``"floors"`` (consumed by ``scripts/check_bench_floors.py``).
+Emits ``results/BENCH_federation_throughput.json`` (floor on the row,
+checked by ``scripts/check_bench_floors.py``).  ``bench/`` drives the
+gateway, which always batches; it has no workload that serves the same
+statements unbatched, so it cannot state this ratio.
 """
 
-import json
 import time
-from pathlib import Path
 
+from benchdoc import emit, row
 from repro.database.database import database_from_values
 from repro.database.query import PAPER_DOMAIN
 from repro.federation import Federation
@@ -38,12 +38,7 @@ CACHE_REPEATS = 25
 #: Wall-clock passes per side, interleaved, each on a fresh federation; the
 #: fastest pass of each side is compared (a batch of 8 takes a few ms).
 WALL_PASSES = 5
-MIN_SIMULATED_SPEEDUP = 2.0
 MIN_WALL_SPEEDUP = 0.8
-MIN_CACHE_HIT_RATE = 0.9
-RESULTS_PATH = (
-    Path(__file__).resolve().parent.parent / "results" / "BENCH_federation_throughput.json"
-)
 
 PARTIES = {
     "acme": [100, 900, 250, 4100, 66],
@@ -93,18 +88,6 @@ def test_bench_federation_throughput():
     for owner in PARTIES:
         assert batch_fed.ledger.exposure(owner) == seq_fed.ledger.exposure(owner)
 
-    speedup = seq_sim / batch_sim
-    assert speedup >= MIN_SIMULATED_SPEEDUP, (
-        f"pipelined batch of {BATCH_QUERIES} only {speedup:.2f}x faster than "
-        f"sequential in simulated time (expected >= {MIN_SIMULATED_SPEEDUP}x)"
-    )
-    wall_speedup = seq_wall / batch_wall
-    assert wall_speedup >= MIN_WALL_SPEEDUP, (
-        f"batch of {BATCH_QUERIES} took {batch_wall * 1e3:.1f} ms on the wall "
-        f"against {seq_wall * 1e3:.1f} ms one at a time ({wall_speedup:.2f}x; "
-        f"expected >= {MIN_WALL_SPEEDUP}x)"
-    )
-
     # -- cache: repeats are O(1), zero protocol, zero new exposure ---------
     cache_fed = fresh_federation()
     repeated = [STATEMENTS[0]] * CACHE_REPEATS
@@ -123,36 +106,31 @@ def test_bench_federation_throughput():
     repeat_wall = time.perf_counter() - start
     for owner in PARTIES:
         assert cache_fed.ledger.exposure(owner) == exposure_after_first[owner]
-    hit_rate = cache_fed.cache.hit_rate
     assert cache_fed.cache.hits == 2 * CACHE_REPEATS - 1
-    assert hit_rate >= MIN_CACHE_HIT_RATE
 
-    payload = {
-        "seed": BENCH_SEED,
-        "batch_queries": BATCH_QUERIES,
-        "sequential_simulated_seconds": seq_sim,
-        "batch_simulated_seconds": batch_sim,
-        "speedup_vs_sequential": speedup,
-        "sequential_wall_seconds": seq_wall,
-        "batch_wall_seconds": batch_wall,
-        "wall_speedup_vs_sequential": wall_speedup,
-        "wall_passes": WALL_PASSES,
-        "queries_per_second_wall": BATCH_QUERIES / batch_wall,
-        "cached_queries_per_second_wall": CACHE_REPEATS / repeat_wall,
-        "cache_hit_rate": hit_rate,
-        "cache_hits": cache_fed.cache.hits,
-        "cache_misses": cache_fed.cache.misses,
-        "floors": {
-            "min_speedup_vs_sequential": MIN_SIMULATED_SPEEDUP,
-            "min_wall_speedup_vs_sequential": MIN_WALL_SPEEDUP,
-            "min_cache_hit_rate": MIN_CACHE_HIT_RATE,
-        },
-    }
-    RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(
-        f"\nbatch of {BATCH_QUERIES}: simulated {batch_sim:.3f}s vs sequential "
-        f"{seq_sim:.3f}s ({speedup:.2f}x), wall {batch_wall * 1e3:.1f} ms vs "
-        f"{seq_wall * 1e3:.1f} ms ({wall_speedup:.2f}x); cache hit rate "
-        f"{hit_rate:.2%}; wrote {RESULTS_PATH.name}"
+    emit(
+        "federation_throughput",
+        f"{BATCH_QUERIES} distinct ranking statements over 5 parties: one "
+        "execute_many batch vs one execute() per statement, each pass on a "
+        f"fresh federation, {WALL_PASSES} passes per side interleaved in one "
+        "process, fastest pass of each; values, rounds and ledger exposure "
+        "asserted identical first.  Cache rows: one statement repeated "
+        f"{CACHE_REPEATS} times twice over; the second wave is timed.  The sim "
+        "rows are the cost model's seconds for the same two runs (max over the "
+        "batch vs sum over the sequence)",
+        [
+            row(
+                "batch_over_sequential",
+                seq_wall / batch_wall,
+                "x",
+                at_least=MIN_WALL_SPEEDUP,
+            ),
+            row("batch_queries_per_second", BATCH_QUERIES / batch_wall, "1/s"),
+            row("sequential_queries_per_second", BATCH_QUERIES / seq_wall, "1/s"),
+            row("cached_queries_per_second", CACHE_REPEATS / repeat_wall, "1/s"),
+            row("batch_simulated_seconds", batch_sim, "s", clock="sim"),
+            row("sequential_simulated_seconds", seq_sim, "s", clock="sim"),
+            row("cache_hits", cache_fed.cache.hits, "hits", clock="count"),
+            row("cache_misses", cache_fed.cache.misses, "misses", clock="count"),
+        ],
     )

@@ -7,7 +7,11 @@ throughput four ways — no tracer installed (baseline), a *disabled* tracer
 installed (the guard path the contract is about), tracing enabled, and
 tracing enabled with value capture — plus the same baseline/disabled pair
 on the vectorized batch path, and emits
-``results/BENCH_observability_overhead.json``.
+``results/BENCH_observability_overhead.json`` (floors on the rows, checked
+by ``scripts/check_bench_floors.py``).  ``bench/`` reports
+``observability.tracer_on_ratio`` for an *enabled* tracer on its gateway
+workloads; the disabled-tracer guard path on the kernels has no workload
+there.
 
 Corrected methodology (this bench used to *flatter* the disabled path:
 ``tracing_disabled`` measured 1.11x the baseline, which is impossible —
@@ -29,10 +33,9 @@ shift between blocks skewed the ratio):
 """
 
 import gc
-import json
 import time
-from pathlib import Path
 
+from benchdoc import emit, row
 from repro.core.driver import KERNEL, RunConfig, run_many_on_vectors, run_protocol_on_vectors
 from repro.database.query import Domain, TopKQuery
 from repro.observability import TraceRecorder, tracing
@@ -52,13 +55,10 @@ DOMAIN = Domain(1, 10_000)
 #: real throughput; above = the measurement itself is broken.
 BAND_LOW = 0.95
 BAND_HIGH = 1.05
-
-RESULTS_PATH = (
-    Path(__file__).resolve().parent.parent
-    / "results"
-    / "BENCH_observability_overhead.json"
-)
-KERNEL_BASELINE_PATH = RESULTS_PATH.parent / "BENCH_kernel_speedup.json"
+#: Enabled tracing is allowed to cost real time (it records every hop) but
+#: must not fall off a cliff.  ROADMAP's target for it is >= 0.85; the
+#: measured ~0.58 is recorded against that target, not floored by it.
+ENABLED_CLIFF = 0.2
 
 
 def _workloads() -> list[dict[str, list[float]]]:
@@ -166,14 +166,6 @@ def _interleaved_best(
     return {name: TRIALS / floor(name) for name in variants}
 
 
-def _stored_kernel_baseline() -> float | None:
-    try:
-        stored = json.loads(KERNEL_BASELINE_PATH.read_text())
-        return stored["points"][str(N)]["kernel_trials_per_second"]
-    except (OSError, KeyError, ValueError):
-        return None
-
-
 def test_bench_observability_overhead():
     query = TopKQuery(table="t", attribute="v", k=K, domain=DOMAIN)
     workloads = _workloads()
@@ -208,63 +200,47 @@ def test_bench_observability_overhead():
         ratio_pair=("tracing_disabled", "baseline_untraced"),
     )
 
-    disabled_ratio = solo["tracing_disabled"] / solo["baseline_untraced"]
-    batch_disabled_ratio = (
-        batch["tracing_disabled"] / batch["baseline_untraced"]
-    )
+    def over_baseline(variant: str, measured: dict = solo) -> float:
+        return measured[variant] / measured["baseline_untraced"]
 
-    document = {
-        "bench": "observability_overhead",
-        "config": {"n": N, "k": K, "trials": TRIALS, "reps": REPS},
-        "methodology": (
-            "disabled = installed Tracer with enabled=False (the guard "
-            "path); all variants warmed, many short reps interleaved in "
-            "one process, best-of per variant (throttle noise is "
-            "additive, so min converges on the unthrottled cost), "
-            "sequential extra reps up to a cap until the ratio converges"
+    band = {"at_least": BAND_LOW, "at_most": BAND_HIGH}
+    rows = [
+        row("disabled_over_baseline", over_baseline("tracing_disabled"), "x", **band),
+        row(
+            "batch_disabled_over_baseline",
+            over_baseline("tracing_disabled", batch),
+            "x",
+            **band,
         ),
-        "floor": {"disabled_over_baseline": [BAND_LOW, BAND_HIGH]},
-        "trials_per_second": {
-            name: round(tps, 1) for name, tps in solo.items()
-        },
-        "batch_trials_per_second": {
-            name: round(tps, 1) for name, tps in batch.items()
-        },
-        "ratios": {
-            "disabled_over_baseline": round(disabled_ratio, 4),
-            "batch_disabled_over_baseline": round(batch_disabled_ratio, 4),
-            "enabled_over_baseline": round(
-                solo["tracing_enabled"] / solo["baseline_untraced"], 4
-            ),
-            "capture_over_baseline": round(
-                solo["tracing_enabled_capture_values"]
-                / solo["baseline_untraced"],
-                4,
-            ),
-        },
-        "stored_kernel_trials_per_second": _stored_kernel_baseline(),
-    }
-    RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    RESULTS_PATH.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-
-    for label, ratio in (
-        ("solo", disabled_ratio),
-        ("batch", batch_disabled_ratio),
-    ):
-        assert BAND_LOW <= ratio <= BAND_HIGH, (
-            f"{label} disabled/baseline ratio {ratio:.4f} outside "
-            f"[{BAND_LOW}, {BAND_HIGH}]: "
-            + (
-                "disabled tracing costs real throughput"
-                if ratio < BAND_LOW
-                else "measurement artifact — disabled cannot beat untraced"
-            )
-            + f"; see {RESULTS_PATH}"
-        )
-    # Enabled tracing is allowed to cost real time (it records every hop),
-    # but it must not fall off a cliff.
-    assert solo["tracing_enabled"] > solo["baseline_untraced"] * 0.2, (
-        f"enabled tracing is anomalously slow: "
-        f"{solo['tracing_enabled']:.1f}/s vs "
-        f"{solo['baseline_untraced']:.1f}/s untraced"
+        row(
+            "enabled_over_baseline",
+            over_baseline("tracing_enabled"),
+            "x",
+            at_least=ENABLED_CLIFF,
+        ),
+        row(
+            "capture_over_baseline",
+            over_baseline("tracing_enabled_capture_values"),
+            "x",
+        ),
+    ]
+    rows += [row(f"{name}_trials_per_second", tps, "1/s") for name, tps in solo.items()]
+    rows += [
+        row(f"batch_{name}_trials_per_second", tps, "1/s")
+        for name, tps in batch.items()
+    ]
+    emit(
+        "observability_overhead",
+        f"n={N}, k={K}, {TRIALS} trials per pass; disabled = installed Tracer "
+        "with enabled=False (the guard path); all variants warmed, many short "
+        f"reps ({REPS} solo, {3 * REPS} batch) interleaved in one process in "
+        "alternating order, GC held out of the timed region, third-smallest "
+        "sample per variant (throttle noise is additive, so the low samples "
+        "converge on the unthrottled cost), sequential extra reps up to a cap "
+        "until the disabled/baseline ratio converges.  The band is symmetric: "
+        "below it disabled tracing costs real throughput, above it the "
+        "measurement is broken (disabled cannot beat untraced).  "
+        f"enabled_over_baseline is floored at a cliff guard of {ENABLED_CLIFF}; "
+        "the ROADMAP target for it is >= 0.85 (open)",
+        rows,
     )

@@ -1,205 +1,99 @@
 #!/usr/bin/env python
-"""CI bench-regression gate: every committed BENCH_*.json against its floor.
+"""Bench-floor gate: every benchmark document against the floors it carries.
 
-The perf-sensitive PRs in this repo ratchet their wins into committed
-benchmark documents (``results/BENCH_*.json``).  This script is the gate
-that keeps them ratcheted: it parses every benchmark document, asserts the
-floors — embedded ``floor``/``floors`` blocks where the bench declares its
-own, registry rules here otherwise — and fails with a per-bench diff table
-when any floor regresses.
-
-Stdlib-only, no repo imports: the gate must run on a bare checkout.
+A document (``benchmarks/benchdoc.py`` writes them) is ``bench``, ``env``,
+``methodology`` and ``rows``; a row is ``metric``, ``value``, ``unit``,
+``clock`` (``wall`` | ``sim`` | ``count``) and ``floor`` (``{"min": x}``,
+``{"max": x}``, both for a band, or ``null``).  The floor lives on the row
+that measures it and nowhere else, so this reader knows no bench by name.
+It fails on a floor that does not hold, a floored value that is missing, a
+floor on a ``sim``/``count`` row (a seed-deterministic number is a tier-1
+equality, not a benchmark), a document with no floored ``wall`` row, and any
+shape it does not know.  Stdlib only: it runs on a bare checkout.
 
 Usage::
 
-    python scripts/check_bench_floors.py [--results results/]
+    python scripts/check_bench_floors.py [DOCUMENT_OR_DIRECTORY ...]
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
+DOCUMENT_KEYS = {"bench", "env", "methodology", "rows"}
+ROW_KEYS = {"metric", "value", "unit", "clock", "floor"}
+CLOCKS = {"wall", "sim", "count"}
+HOLDS = {"min": lambda value, bound: value >= bound,
+         "max": lambda value, bound: value <= bound}
 
 
-class Check:
-    """One floor assertion over a benchmark document."""
+def check(document: object) -> tuple[list[str], list[str]]:
+    """``(report lines, problems)`` for one parsed document."""
+    if not (
+        isinstance(document, dict)
+        and set(document) == DOCUMENT_KEYS
+        and isinstance(document["rows"], list)
+    ):
+        return [], ["unknown document shape"]
+    lines: list[str] = []
+    problems: list[str] = []
+    floored_wall = False
+    for row in document["rows"]:
+        if not (
+            isinstance(row, dict) and set(row) == ROW_KEYS and row["clock"] in CLOCKS
+        ):
+            problems.append(f"unknown row shape: {row!r}")
+            continue
+        metric, value, floor = row["metric"], row["value"], row["floor"]
+        if floor is None:
+            continue
+        if not (isinstance(floor, dict) and floor and set(floor) <= set(HOLDS)):
+            problems.append(f"{metric}: unknown floor shape {floor!r}")
+        elif row["clock"] != "wall":
+            problems.append(
+                f"{metric}: a floor on a {row['clock']!r} row -- a seed-"
+                "deterministic number is a tier-1 equality, not a benchmark"
+            )
+        elif not isinstance(value, (int, float)):
+            problems.append(f"{metric}: floored but its value is missing")
+        else:
+            floored_wall = True
+            bounds = ", ".join(f"{key} {floor[key]:g}" for key in sorted(floor))
+            ok = all(HOLDS[key](value, bound) for key, bound in floor.items())
+            status = "OK" if ok else "REGRESSED"
+            lines.append(f"  {metric:<44}{bounds:<22}{value:<12g}{status}")
+            if not ok:
+                problems.append(f"{metric}: {value:g} does not hold {bounds}")
+    if not floored_wall:
+        problems.append("no floored wall-clock row holds a value")
+    return lines, problems
 
-    def __init__(self, label: str, relation: str, bound, value) -> None:
-        self.label = label
-        self.relation = relation  # ">=", "<=", "in"
-        self.bound = bound
-        self.value = value
 
-    @property
-    def ok(self) -> bool:
-        if self.value is None:
-            return False
-        if self.relation == ">=":
-            return self.value >= self.bound
-        if self.relation == "<=":
-            return self.value <= self.bound
-        low, high = self.bound
-        return low <= self.value <= high
-
-    @property
-    def bound_text(self) -> str:
-        if self.relation == "in":
-            low, high = self.bound
-            return f"in [{low:g}, {high:g}]"
-        return f"{self.relation} {self.bound:g}"
-
-
-def _get(doc: dict, *path):
-    for key in path:
-        if not isinstance(doc, dict) or key not in doc:
-            return None
-        doc = doc[key]
-    return doc
-
-
-def _point_floor_checks(doc: dict) -> list[Check]:
-    """The ``{"floor": {"at_n"/"at_rows": X, "min_<key>": Y, ...}}`` shape:
-    each ``min_<key>`` bounds ``points[X][<key>]`` from below."""
-    floor = doc.get("floor", {})
-    at_key = "at_n" if "at_n" in floor else "at_rows"
-    at = floor.get(at_key)
-    return [
-        Check(
-            f"points[{at}].{name[len('min_'):]}",
-            ">=",
-            bound,
-            _get(doc, "points", str(at), name[len("min_"):]),
-        )
-        for name, bound in sorted(floor.items())
-        if name.startswith("min_")
+def main(arguments: list[str]) -> int:
+    targets = [Path(argument) for argument in arguments] or [
+        Path(__file__).resolve().parent.parent / "results"
     ]
-
-
-def _band_floor_checks(doc: dict) -> list[Check]:
-    """Observability shape: ratio bands around 1.0."""
-    band = tuple(_get(doc, "floor", "disabled_over_baseline") or (0.95, 1.05))
-    return [
-        Check(f"ratios.{key}", "in", band, _get(doc, "ratios", key))
-        for key in ("disabled_over_baseline", "batch_disabled_over_baseline")
-    ]
-
-
-def _gateway_checks(doc: dict) -> list[Check]:
-    floor = doc.get("speedup_floor", 3.0)
-    return [
-        Check(
-            "speedup_sharded_vs_unsharded",
-            ">=",
-            floor,
-            doc.get("speedup_sharded_vs_unsharded"),
-        )
-    ]
-
-
-def _embedded_floors_checks(doc: dict) -> list[Check]:
-    """The ``{"floors": {"max_<key>": X, "min_<key>": Y}}`` shape."""
-    checks = []
-    for name, bound in sorted(doc.get("floors", {}).items()):
-        if name.startswith("max_"):
-            key = name[len("max_"):]
-            checks.append(Check(key, "<=", bound, doc.get(key)))
-        elif name.startswith("min_"):
-            key = name[len("min_"):]
-            checks.append(Check(key, ">=", bound, doc.get(key)))
-    return checks
-
-
-#: filename -> callable(doc) -> list[Check].  Benches that embed their own
-#: floors route through the generic handlers; fixed floors live here.
-RULES = {
-    "BENCH_kernel_speedup.json": _point_floor_checks,
-    "BENCH_local_extraction.json": _point_floor_checks,
-    "BENCH_observability_overhead.json": _band_floor_checks,
-    "BENCH_gateway_soak.json": _gateway_checks,
-    "BENCH_dp_overhead.json": _embedded_floors_checks,
-    "BENCH_planner.json": lambda doc: [
-        Check("throughput_win", ">=", 2.0, doc.get("throughput_win"))
-    ],
-    "BENCH_service_throughput.json": lambda doc: [
-        Check(
-            "speedup_vs_one_at_a_time",
-            ">=",
-            2.0,
-            doc.get("speedup_vs_one_at_a_time"),
-        )
-    ],
-}
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--results", default=str(REPO / "results"), help="benchmark directory"
+    documents = sorted(
+        path
+        for target in targets
+        for path in (target.glob("BENCH_*.json") if target.is_dir() else [target])
     )
-    args = parser.parse_args()
-    results = Path(args.results)
-
-    documents = sorted(results.glob("BENCH_*.json"))
-    if not documents:
-        print(f"no BENCH_*.json under {results}", file=sys.stderr)
-        return 1
-
-    rows: list[tuple[str, Check]] = []
-    warnings: list[str] = []
+    failures = 0
     for path in documents:
         try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            rows.append((path.name, Check("<valid json>", ">=", 1, None)))
-            warnings.append(f"{path.name}: unparseable: {exc}")
-            continue
-        rule = RULES.get(path.name)
-        if rule is None:
-            if "floors" in doc:
-                rule = _embedded_floors_checks
-            else:
-                warnings.append(
-                    f"{path.name}: no floor rules registered and no embedded "
-                    f"'floors' block — unchecked"
-                )
-                continue
-        rows.append((path.name, None))  # header row for the bench
-        for check in rule(doc):
-            rows.append((path.name, check))
-
-    name_width = max(len(name) for name, _ in rows) + 2
-    label_width = max(
-        (len(c.label) for _, c in rows if c is not None), default=20
-    ) + 2
-    failures = 0
-    print(
-        f"{'bench':<{name_width}}{'check':<{label_width}}"
-        f"{'floor':<18}{'observed':<14}status"
-    )
-    print("-" * (name_width + label_width + 40))
-    for name, check in rows:
-        if check is None:
-            continue
-        observed = "missing" if check.value is None else f"{check.value:g}"
-        status = "OK" if check.ok else "REGRESSED"
-        if not check.ok:
-            failures += 1
-        print(
-            f"{name:<{name_width}}{check.label:<{label_width}}"
-            f"{check.bound_text:<18}{observed:<14}{status}"
-        )
-    for warning in warnings:
-        print(f"note: {warning}")
-    if failures:
-        print(f"\n{failures} floor(s) regressed.")
+            lines, problems = check(json.loads(path.read_text()))
+        except (OSError, json.JSONDecodeError) as exc:
+            lines, problems = [], [f"unreadable: {exc}"]
+        print("\n".join([path.name, *lines, *(f"  FAIL {p}" for p in problems)]))
+        failures += len(problems)
+    if failures or not documents:
+        print(f"\n{failures} problem(s) across {len(documents)} document(s).")
         return 1
     print(f"\nall floors hold across {len(documents)} benchmark document(s).")
     return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))

@@ -11,8 +11,9 @@ smoke fails unless:
   (fan-outs and cache hits included),
 * nothing sheds, and
 * the sharded pass is faster on the simulated clock (3 shards of 3
-  parties vs one 9-party ring: the ratio must clear 2x; full-size soak
-  floors live in ``benchmarks/test_bench_gateway_soak.py``).
+  parties vs one 9-party ring: the ratio must clear 2x -- the cost model's
+  arithmetic, a sanity check that statements really ran on the small rings;
+  the wall-clock ratio is ``benchmarks/test_bench_gateway_soak.py``'s).
 
 A machine-readable summary (gateway metrics + shard snapshot) is always
 written for the CI artifact. Run from the repository root::

@@ -244,7 +244,7 @@ def _trace_serve(args: argparse.Namespace, recorder) -> int:
     if args.seed is None:
         args.seed = 0  # the workload and federation want a concrete seed
     statements = mixed_workload(args.queries, seed=args.seed)
-    service = _build_service(args, tracer=recorder)
+    service, _topology = _build_service(args, tracer=recorder)
     results = _serve_workload(service, statements, args)
     errors = sum(1 for r in results if isinstance(r, BaseException))
     print(f"served {len(results) - errors}/{len(results)} statements")
@@ -279,7 +279,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
     # Service slice: a mixed workload through the batching gateway.
     statements = mixed_workload(args.queries, seed=args.seed)
-    service = _build_service(args)
+    service, _topology = _build_service(args)
     _serve_workload(service, statements, args)
     service.export_metrics(registry)
 
@@ -549,6 +549,7 @@ def _print_service_summary(service, *, jsonl: str | None) -> dict:
 
 
 def _build_service(args: argparse.Namespace, tracer=None):
+    """The gateway the flags describe, and its topology (``None`` when flat)."""
     from .service import QueryService
 
     shards = getattr(args, "shards", 0) or 0
@@ -586,8 +587,7 @@ def _build_service(args: argparse.Namespace, tracer=None):
         rate_burst=getattr(args, "rate_burst", 8),
         tracer=tracer,
     )
-    service.cli_topology = topology
-    return service
+    return service, topology
 
 
 def _close_federation(service) -> None:
@@ -602,7 +602,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if not statements:
         print("no statements to serve (stdin was empty)", file=sys.stderr)
         return 2
-    service = _build_service(args)
+    service, _topology = _build_service(args)
     try:
         results = _serve_workload(service, statements, args)
         exit_code = 0
@@ -622,14 +622,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_bench_serve(args: argparse.Namespace) -> int:
     from .service.workload import mixed_workload
 
-    service = _build_service(args)
-    if service.cli_topology is not None:
+    service, topology = _build_service(args)
+    if topology is not None:
         # Sharded mode: draw statements over the topology's own tables so
         # the stream spreads across shards (and fans out where partitioned).
         from .sharding import topology_workload
 
         statements = topology_workload(
-            service.cli_topology,
+            topology,
             args.queries,
             seed=args.seed,
             repeat_fraction=args.repeat_fraction,

@@ -16,8 +16,8 @@ range ``[low, high)`` is exactly such a design axis:
   uninformative about the hider's value but slows the climb.
 
 All strategies draw from the half-open ``[low, high)`` and respect integral
-domains.  The ablation bench ``test_bench_ablation_noise`` measures the
-resulting precision/privacy tradeoff.
+domains.  ``tests/experiments/test_ablations.py`` measures the resulting
+precision/privacy tradeoff.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ The paper drives the protocol with an exponentially decaying randomization
 probability ``P_r(r) = p0 * d^(r-1)`` (Equation 2).  Section 7 notes that
 "given the probabilistic scheme, it is possible to design other forms of
 randomization probability"; the linear and constant-cutoff schedules here
-exist for exactly that ablation (benchmarked in ``benchmarks/``).
+exist for exactly that ablation (``tests/experiments/test_ablations.py``).
 
 All schedules map a 1-based round number to a probability in [0, 1] and must
 be (weakly) decreasing so that the protocol converges.

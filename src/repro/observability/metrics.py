@@ -128,6 +128,15 @@ class Counter(_Family):
         key = _labelset(self.label_names, labels)
         self._series[key] = self._series.get(key, 0.0) + amount
 
+    def set_total(
+        self, total: float, *, labels: Mapping[str, str] | None = None
+    ) -> None:
+        """Publish a holder's running total: exporting twice changes nothing.
+
+        A total below the published value is refused like a negative ``inc``.
+        """
+        self.inc(total - self.value(labels=labels), labels=labels)
+
     def value(self, *, labels: Mapping[str, str] | None = None) -> float:
         return float(self._series.get(_labelset(self.label_names, labels), 0.0))
 
@@ -416,7 +425,11 @@ class MetricsRegistry:
 
     # -- adapters over the existing accounting fragments ---------------------
     # Duck-typed attribute readers: no imports from repro.*, so this module
-    # stays at the bottom of the dependency graph.
+    # stays at the bottom of the dependency graph.  An adapter that reads a
+    # *holder* (a live object with running totals) publishes those totals --
+    # ``Counter.set_total``, ``Gauge.set`` -- so exporting the same holder
+    # again renders the same bytes; only ``absorb_traffic``, which adds one
+    # finished result to the sum, increments.
 
     def absorb_traffic(
         self,
@@ -454,13 +467,10 @@ class MetricsRegistry:
         *,
         name: str = "repro_latency_seconds",
         help_text: str = "Observed latencies (exact samples).",
-        labels: Mapping[str, str] | None = None,
     ) -> None:
         """Publish a ``LatencyHistogram``-shaped object (has ``.samples``)."""
-        label_names = tuple(sorted(labels or {}))
-        self.summary(name, help_text, label_names).observe_many(
-            histogram.samples, labels=labels
-        )
+        series = self.summary(name, help_text)._series_for(None)
+        series.samples = [float(sample) for sample in histogram.samples]
 
     def absorb_phases(self, profiler: Any) -> None:
         """Publish a ``PhaseProfiler``-shaped object (``._totals`` by phase)."""
@@ -473,10 +483,10 @@ class MetricsRegistry:
             family.set(seconds, labels={"phase": phase})
         self.counter(
             "repro_kernel_runs_total", "Kernel executions profiled."
-        ).inc(profiler.runs)
+        ).set_total(profiler.runs)
         self.counter(
             "repro_kernel_rounds_total", "Ring rounds executed by the kernel."
-        ).inc(profiler.rounds)
+        ).set_total(profiler.rounds)
 
     def absorb_service(
         self, metrics: Any, *, queue_depth: int | None = None
@@ -503,10 +513,10 @@ class MetricsRegistry:
             ("outcome",),
         )
         for outcome in outcomes:
-            family.inc(snapshot.get(outcome, 0), labels={"outcome": outcome})
+            family.set_total(snapshot.get(outcome, 0), labels={"outcome": outcome})
         self.counter(
             "repro_service_batches_total", "Protocol batches dispatched."
-        ).inc(snapshot.get("batches", 0))
+        ).set_total(snapshot.get("batches", 0))
         self.gauge(
             "repro_service_batch_occupancy",
             "Mean fraction of batch capacity used.",
@@ -552,11 +562,12 @@ class MetricsRegistry:
             "DP release decisions by outcome.",
             ("outcome",),
         )
-        events.inc(int(snapshot.get("releases", 0)), labels={"outcome": "released"})
-        events.inc(
-            int(snapshot.get("free_serves", 0)), labels={"outcome": "free-serve"}
-        )
-        events.inc(int(snapshot.get("refusals", 0)), labels={"outcome": "refused"})
+        for key, outcome in (
+            ("releases", "released"),
+            ("free_serves", "free-serve"),
+            ("refusals", "refused"),
+        ):
+            events.set_total(int(snapshot.get(key, 0)), labels={"outcome": outcome})
         self.gauge(
             "repro_dp_release_keys",
             "Distinct release keys the gate has answered.",

@@ -79,7 +79,6 @@ class PredictionLedger:
     lop_measured_sum: float = 0.0
     #: Sum of the predicted expected-LoP bounds across checked runs.
     lop_bound_sum: float = 0.0
-    _exported_recorded: int = 0
 
     def record(
         self,
@@ -159,15 +158,13 @@ class PredictionLedger:
     def export(self, registry: Any) -> None:
         """Publish the ledger through a MetricsRegistry (duck-typed).
 
-        Counters are incremented by the delta since the last export, so
-        repeated exports to the same registry stay truthful.
+        Running totals are published, not added, so repeated exports to the
+        same registry stay truthful.
         """
-        predictions = registry.counter(
+        registry.counter(
             "repro_planner_predictions_total",
             "Executed plans recorded against measured outcomes",
-        )
-        predictions.inc(self.recorded - self._exported_recorded)
-        self._exported_recorded = self.recorded
+        ).set_total(self.recorded)
         drift = registry.gauge(
             "repro_planner_drift",
             "Relative L1 error of planner predictions vs measured outcomes",

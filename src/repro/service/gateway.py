@@ -271,8 +271,8 @@ class QueryService:
             "Result-cache lookups by outcome.",
             ("event",),
         )
-        family.inc(cache.hits, labels={"event": "hit"})
-        family.inc(cache.misses, labels={"event": "miss"})
+        family.set_total(cache.hits, labels={"event": "hit"})
+        family.set_total(cache.misses, labels={"event": "miss"})
         self.accuracy.export(registry)
         export_shards = getattr(self.federation, "export_shard_metrics", None)
         if export_shards is not None:
@@ -322,7 +322,7 @@ class QueryService:
         return self._inflight_cost + sum(
             queued.plan.estimate.simulated_seconds
             for queued in self._queue.snapshot()
-            if isinstance(queued.plan, Plan)
+            if queued.plan is not None
         )
 
     def _admission_plan(
@@ -626,7 +626,7 @@ class QueryService:
         self._inflight_cost = sum(
             request.plan.estimate.simulated_seconds
             for request in batch
-            if isinstance(request.plan, Plan)
+            if request.plan is not None
         )
         try:
             try:
@@ -634,10 +634,7 @@ class QueryService:
                     [request.statement for request in batch],
                     issuer=issuer,
                     traces=traces,
-                    plans=[
-                        request.plan if isinstance(request.plan, Plan) else None
-                        for request in batch
-                    ],
+                    plans=[request.plan for request in batch],
                 )
             except Exception as exc:
                 # Batch-level failure (e.g. an unrecoverable ring crash):
@@ -681,9 +678,7 @@ class QueryService:
         Cache hits are skipped (nothing ran, nothing to audit).
         """
         plan = request.plan
-        if not isinstance(plan, Plan):
-            return
-        if not self.accuracy.record_outcome(plan, outcome):
+        if plan is None or not self.accuracy.record_outcome(plan, outcome):
             return
         if request.batch_span is not None:
             est = plan.estimate

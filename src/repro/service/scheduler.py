@@ -21,9 +21,13 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..observability.trace import TraceContext
 from .errors import Overloaded
+
+if TYPE_CHECKING:  # the queue itself never needs the planner at run time
+    from ..planner.plan import Plan
 
 
 @dataclass
@@ -46,7 +50,7 @@ class QueuedRequest:
     batch_span: "TraceContext | None" = None
     #: Resolved execution plan (cost-admission services); ``None`` when the
     #: service runs without a planner or the statement carries no SLO.
-    plan: "object | None" = None
+    plan: "Plan | None" = None
 
     @property
     def sort_key(self) -> tuple[int, int]:

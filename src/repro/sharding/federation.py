@@ -226,9 +226,20 @@ class ShardedFederation:
         traces: "Sequence[TraceContext | None] | None" = None,
         plans: "Sequence[Plan | None] | None" = None,
     ) -> list[QueryOutcome]:
-        settled = self.execute_many_settled(
-            statements, issuer=issuer, traces=traces, plans=plans
-        )
+        """Serve a batch, raising the first refusal instead of settling it.
+
+        Every refusal this federation decides itself — a malformed
+        statement, tenant admission, tenant LoP feasibility, DP admission —
+        raises *before* any shard is touched: nothing runs, nothing is
+        charged, nothing is cached (the flat federation's "a batch with an
+        unauthorized or malformed statement does not execute at all").
+        Refusals only a shard can decide (its access policy, its exposure
+        ledger, an unreachable worker), and a DP budget found exhausted once
+        the inner answers are in, surface after dispatch: the batch has run
+        and is fully accounted, and the first such refusal in statement
+        order is raised.
+        """
+        settled = self._run_batch(list(statements), issuer, traces, plans, settle=False)
         for result in settled:
             if isinstance(result, QueryRefused):
                 raise result.error
@@ -315,7 +326,18 @@ class ShardedFederation:
         poisoned batch — refuses exactly the statements routed to it, typed,
         while the rest of the batch is served normally.
         """
-        texts = list(statements)
+        return self._run_batch(list(statements), issuer, traces, plans, settle=True)
+
+    def _run_batch(
+        self,
+        texts: list[str],
+        issuer: str,
+        traces: "Sequence[TraceContext | None] | None",
+        plans: "Sequence[Plan | None] | None",
+        *,
+        settle: bool,
+    ) -> "list[QueryOutcome | QueryRefused]":
+        """The batch body; ``settle=False`` raises a pre-dispatch refusal."""
         if not texts:
             return []
         pending_lop: dict[int, float] = {}
@@ -340,8 +362,11 @@ class ShardedFederation:
             return target
 
         batch = self._dp.expand(
-            texts, traces, plans, issuer=issuer, settle=True, precheck=precheck
+            texts, traces, plans, issuer=issuer, settle=settle, precheck=precheck
         )
+        # From here shards run protocols and charge ledgers, so a later
+        # refusal settles: the accounting below must see the whole batch.
+        batch.settle = True
         #: shard index -> positions to run there, in statement order
         routed: dict[int, list[int]] = {}
         #: fan-out bookkeeping: position -> parsed statement
@@ -599,26 +624,26 @@ class ShardedFederation:
             ("shard",),
         )
         for index, count in sorted(self.shard_queries.items()):
-            queries.inc(count, labels={"shard": str(index)})
+            queries.set_total(count, labels={"shard": str(index)})
         refusals = registry.counter(
             "repro_shard_refusals_total",
             "Statements refused per shard (typed errors).",
             ("shard",),
         )
         for index, count in sorted(self.shard_refusals.items()):
-            refusals.inc(count, labels={"shard": str(index)})
+            refusals.set_total(count, labels={"shard": str(index)})
         unavailable = registry.counter(
             "repro_shard_unavailable_total",
             "Statements refused because the shard was unreachable.",
             ("shard",),
         )
         for index, count in sorted(self.shard_unavailable.items()):
-            unavailable.inc(count, labels={"shard": str(index)})
+            unavailable.set_total(count, labels={"shard": str(index)})
         fanout = registry.counter(
             "repro_shard_fanout_statements_total",
             "Statements fanned out to every shard (partitioned tables).",
         )
-        fanout.inc(self.fanout_statements)
+        fanout.set_total(self.fanout_statements)
         spent = registry.gauge(
             "repro_tenant_lop_spent",
             "Cumulative expected LoP charged per tenant.",

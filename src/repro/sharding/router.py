@@ -150,9 +150,6 @@ class ShardRouter:
         """Mark ``table`` as row-partitioned across every shard."""
         self._partitioned = self._partitioned | {table}
 
-    def is_partitioned(self, table: str) -> bool:
-        return table in self._partitioned
-
     @property
     def partitioned_tables(self) -> tuple[str, ...]:
         return tuple(sorted(self._partitioned))

@@ -75,9 +75,6 @@ class ShardTopology:
                 values.extend(tables.get(table, ()))
         return values
 
-    def party_names(self) -> list[str]:
-        return [name for shard in self.assignments for name in sorted(shard)]
-
 
 def build_topology(
     *,

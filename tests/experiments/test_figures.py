@@ -165,7 +165,8 @@ class TestFig9:
         # d controls the y axis: for fixed p0, smaller d costs fewer rounds.
         lop_half, rounds_half = figure.series_by_label("d=0.5").points[-1]
         lop_quarter, rounds_quarter = figure.series_by_label("d=0.25").points[-1]
-        assert rounds_quarter < rounds_half
+        rounds_slow = figure.series_by_label("d=0.75").points[-1][1]
+        assert rounds_quarter < rounds_half < rounds_slow
         # p0 controls the x axis: within a d-series, larger p0 lowers LoP.
         first = figure.series_by_label("d=0.5").points[0]
         last = figure.series_by_label("d=0.5").points[-1]
@@ -218,7 +219,7 @@ class TestFig11:
 class TestFig12:
     def test_probabilistic_below_naive_for_all_k(self, fig12_panels):
         panel_a = fig12_panels[0]
-        for k in (1.0, 4.0, 16.0):
+        for k in (1.0, 4.0, 8.0, 16.0):
             prob = panel_a.series_by_label("probabilistic").y_at(k)
             naive = panel_a.series_by_label("naive").y_at(k)
             assert prob < naive

@@ -15,7 +15,7 @@ from repro.database.query import PAPER_DOMAIN
 from repro.federation import Federation, SqlError
 from repro.federation.coordinator import QueryRefused
 from repro.privacy.dp import BudgetExhausted, DpPolicy
-from repro.sharding import build_topology, sharded_federation
+from repro.sharding import TenantPolicy, build_topology, sharded_federation
 
 DATASETS = {
     "acme": [100, 900, 250],
@@ -36,6 +36,14 @@ class Backend:
     @property
     def accountant(self):
         return self.federation.dp_gate.accountant
+
+    @property
+    def flat_federations(self) -> list:
+        """The exact federations underneath: itself, or one per shard."""
+        shards = getattr(self.federation, "shards", None)
+        if shards is None:
+            return [self.federation]
+        return [shard.federation for shard in shards]
 
     def mutate_then_recache(self, inner_text: str) -> None:
         """Change the table, then re-cache ``inner_text`` by a plain query."""
@@ -145,3 +153,38 @@ def test_try_cached_raises_on_malformed(backend):
         b.federation.try_cached("SELECT FROM nowhere")
     with pytest.raises(SqlError):
         b.federation.try_cached(f"SELECT MAX(value) FROM {b.table} WITH SLO(dp_epsilon=)")
+
+
+@pytest.mark.parametrize(
+    "refused, error",
+    [
+        ("SELECT NOPE", SqlError),
+        ("SELECT MAX(value) FROM {table} WITH SLO(dp_epsilon=9.0)", BudgetExhausted),
+    ],
+    ids=["malformed", "dp-admission"],
+)
+def test_raising_batch_refuses_before_it_spends(backend, refused, error):
+    # ``execute_many`` promises that a batch holding a statement the
+    # federation itself refuses does not execute at all.  The sharded batch
+    # used to settle first and raise afterwards: the good statements had run
+    # their protocols, charged their shard's ledger and filled its cache.
+    b = backend(DpPolicy(epsilon_budget=4.0, seed=2))
+    if hasattr(b.federation, "set_tenant"):
+        b.federation.set_tenant(
+            "t1", TenantPolicy(lop_budget=5.0, dp_epsilon_budget=4.0)
+        )
+    good = f"SELECT TOP 2 value FROM {b.table}"
+    good_dp = f"SELECT SUM(value) FROM {b.table} WITH SLO(dp_epsilon=1.0)"
+    with pytest.raises(error):
+        b.federation.execute_many(
+            [good, good_dp, refused.format(table=b.table)], issuer="t1"
+        )
+    assert b.federation.try_cached(good, issuer="t1") is None
+    assert b.federation.try_cached(good_dp, issuer="t1") is None
+    for federation in b.flat_federations:
+        assert len(federation.audit) == 0
+        assert federation.ledger.most_exposed() is None
+    assert b.accountant.releases == 0 and b.accountant.epsilon_spent == 0.0
+    if hasattr(b.federation, "set_tenant"):
+        account = b.federation.router.tenant_snapshot()["t1"]
+        assert account["lop_spent"] == 0.0 and account["dp_epsilon_spent"] == 0.0

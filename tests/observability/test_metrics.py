@@ -166,3 +166,64 @@ class TestAdapters:
         assert 'repro_service_queries_total{outcome="submitted"} 5' in text
         assert 'repro_service_queries_total{outcome="completed"} 4' in text
         assert "repro_service_queue_depth 2" in text
+
+
+class TestExportIsIdempotent:
+    """Exporting a live service twice renders what exporting it once does.
+
+    Every adapter that reads a holder publishes its running total; they used
+    to ``Counter.inc`` it, so a second ``export_metrics(registry)`` doubled
+    every service, cache, shard and DP counter.
+    """
+
+    @staticmethod
+    def _serve_then_export(federation, table: str, exports: int) -> str:
+        import asyncio
+
+        from repro.service import QueryService
+
+        statements = [
+            f"SELECT TOP 2 value FROM {table} WITH SLO(max_lop=0.9)",
+            f"SELECT MAX(value) FROM {table} WITH SLO(dp_epsilon=1.0)",
+            f"SELECT MAX(value) FROM {table} WITH SLO(dp_epsilon=1.0)",
+            f"SELECT TOP 2 value FROM {table} WITH SLO(max_lop=0.9)",
+        ]
+
+        async def scenario():
+            registry = MetricsRegistry()
+            async with QueryService(federation) as service:
+                for statement in statements:
+                    await service.submit(statement, issuer="t1")
+                for _ in range(exports):
+                    service.export_metrics(registry)
+            return registry.to_prometheus()
+
+        return asyncio.run(scenario())
+
+    @pytest.mark.parametrize("topology", ["flat", "sharded"])
+    def test_second_export_changes_no_byte(self, topology):
+        from repro.privacy.dp import DpPolicy
+        from repro.service.workload import synthetic_federation
+        from repro.sharding import TenantPolicy, build_topology, sharded_federation
+
+        def build():
+            if topology == "flat":
+                return synthetic_federation(dp=DpPolicy(seed=1)), "data"
+            layout = build_topology(shards=3, seed=7)
+            federation = sharded_federation(layout, dp=DpPolicy(seed=1))
+            federation.set_tenant("t1", TenantPolicy(lop_budget=5.0))
+            return federation, layout.tables[0]
+
+        once = self._serve_then_export(*build(), exports=1)
+        twice = self._serve_then_export(*build(), exports=2)
+        assert 'repro_service_queries_total{outcome="completed"} 4' in once
+        assert 'repro_dp_releases_total{outcome="released"} 1' in once
+        assert twice == once
+
+    def test_a_total_cannot_move_down(self):
+        counter = MetricsRegistry().counter("events_total", "Events.")
+        counter.set_total(3)
+        counter.set_total(3)
+        assert counter.value() == 3.0
+        with pytest.raises(ValueError):
+            counter.set_total(2)

@@ -87,6 +87,48 @@ class TestCostBudget:
         assert service.metrics.downgraded >= 1
         assert service.metrics.shed_cost == 0
 
+    def test_budgeted_burst_downgrades_every_statement_and_sheds_none(self):
+        # The retired planner bench's burst, pinned exactly instead of
+        # floored (">= 1.5x"): a budget below one quality plan's cost
+        # downgrades all 16 statements to economy, drops none, changes no
+        # answer, and the simulated clock shrinks by the two plans' cost
+        # ratio -- arithmetic of the cost model, not a measurement.
+        from repro.service.workload import synthetic_federation
+
+        burst = [
+            f"SELECT {op} {k} value FROM data WITH SLO(deadline=5.0, max_lop=0.9)"
+            for op in ("TOP", "BOTTOM")
+            for k in (2, 3, 4, 5, 6, 7, 8, 9)
+        ]
+
+        def serve(**service_kwargs):
+            service = QueryService(
+                synthetic_federation(parties=5, values_per_party=20, seed=2025),
+                max_batch=4,
+                **service_kwargs,
+            )
+
+            async def scenario():
+                outcomes = []
+                async with service:
+                    for wave in range(0, len(burst), 4):
+                        outcomes += await service.submit_many(burst[wave : wave + 4])
+                return outcomes
+
+            return service, [o.values for o in asyncio.run(scenario())]
+
+        depth_only, quality_values = serve()
+        budgeted, economy_values = serve(cost_budget_seconds=0.1)
+        assert depth_only.metrics.downgraded == 0
+        assert budgeted.metrics.downgraded == len(burst)
+        assert budgeted.metrics.shed_cost == budgeted.metrics.shed == 0
+        assert economy_values == quality_values
+        ledger = budgeted.accuracy.snapshot()
+        assert ledger["recorded"] == len(burst)
+        assert ledger["rounds_drift"] == ledger["messages_drift"] == 0.0
+        assert ledger["latency_drift"] < 1e-9
+        assert depth_only.clock.now() == pytest.approx(16 * budgeted.clock.now())
+
     def test_shed_when_even_economy_breaches_budget(self):
         # Budget below any feasible plan's cost: everything past the
         # backlog check sheds with a typed Overloaded.

@@ -188,6 +188,35 @@ class TestSimulatedTime:
         assert makespan > 0.0
         assert clock.now() == pytest.approx(makespan)
 
+    def test_same_shape_burst_costs_one_query_not_q(self):
+        # The cost model's batching identity, pinned exactly (the retired
+        # throughput benches floored it as ">= 2x"): Q same-shape ranking
+        # misses pipelined in one batch advance the clock by ONE query's
+        # seconds; served one per batch they advance it by Q of them.
+        burst = [f"SELECT TOP {k} value FROM data" for k in (1, 2, 3, 4)] + [
+            f"SELECT BOTTOM {k} value FROM data" for k in (1, 2, 3, 4)
+        ]
+
+        def clock_after(max_batch: int):
+            async def scenario():
+                service = QueryService(fresh_federation(), max_batch=max_batch)
+                async with service:
+                    outcomes = await service.submit_many(burst)
+                return service, outcomes
+
+            service, outcomes = asyncio.run(scenario())
+            return service.clock.now(), service.metrics.batches, outcomes
+
+        batched, batches, outcomes = clock_after(len(burst))
+        one_query = outcomes[0].simulated_seconds
+        assert one_query > 0.0
+        assert {o.simulated_seconds for o in outcomes} == {one_query}
+        assert (batches, batched) == (1, one_query)
+        one_at_a_time, batches, again = clock_after(1)
+        assert batches == len(burst)
+        assert [o.values for o in again] == [o.values for o in outcomes]
+        assert one_at_a_time == pytest.approx(len(burst) * one_query, rel=1e-12)
+
     def test_identical_runs_reproduce_bit_identically(self):
         async def scenario():
             service = QueryService(fresh_federation(seed=123))

@@ -145,3 +145,42 @@ def test_merged_outcome_bookkeeping():
     assert outcome.messages > 0
     again = sharded.execute_many_settled([statement], issuer="t")[0]
     assert again.cached and again.values == outcome.values
+
+
+def test_quarter_size_rings_cost_a_quarter_of_the_simulated_seconds():
+    """The cost model's sharding identity, pinned exactly.
+
+    Ring time is linear in ring size, so the soak topology's 4 x 3-party
+    shards spend exactly 1/4 of the 12-party federation's simulated seconds
+    on the same stream.  The gateway soak used to floor this ratio (">= 3x");
+    it is arithmetic of the model, not a measurement, so it lives here and
+    the bench floors the wall clock instead.
+    """
+    import asyncio
+
+    from repro.service import QueryService
+
+    topology = build_topology(
+        shards=4, parties_per_shard=3, tables=8, rows_per_table=40,
+        partitioned=1, seed=2025,
+    )
+    statements = topology_workload(topology, 2_000, seed=2025, repeat_fraction=0.9)
+
+    def serve(federation):
+        service = QueryService(federation, max_queue=512, max_batch=32)
+
+        async def scenario():
+            async with service:
+                results = []
+                for start in range(0, len(statements), 256):
+                    chunk = statements[start : start + 256]
+                    results += await service.submit_many(chunk)
+                return results
+
+        return [r.values for r in asyncio.run(scenario())], service.clock.now()
+
+    flat_values, flat_seconds = serve(single_federation(topology))
+    sharded_values, sharded_seconds = serve(sharded_federation(topology))
+    assert sharded_values == flat_values
+    assert sharded_seconds > 0.0
+    assert flat_seconds == pytest.approx(4 * sharded_seconds, rel=1e-12)
