@@ -17,21 +17,24 @@ test:
 
 # Static analysis, exactly as the CI lint job runs it.  Ruff checks the
 # whole tree at the critical-rule level (configured in pyproject.toml);
-# the format check covers the observability + service layers and the DP
-# release path, the surface the formatter has been adopted on so far.
+# the format check covers the observability + service layers, the DP
+# release path and the hit path's leaves (audit log, result cache), the
+# surface the formatter has been adopted on so far.
 DP_RELEASE = src/repro/federation/dp_release.py src/repro/federation/outcomes.py
+HIT_PATH = src/repro/federation/audit.py src/repro/federation/cache.py
 lint:
 	$(PYTHON) -m ruff check src tests benchmarks scripts
 	$(PYTHON) -m ruff format --check src/repro/observability src/repro/service \
-		$(DP_RELEASE)
+		$(DP_RELEASE) $(HIT_PATH)
 
-# Gradual typing: the observability, service and planner layers and the DP
-# release path are the typed frontier (the gateway's FederationBackend
-# protocol is what lets `service` check against flat and sharded backends);
-# widen the file list as more of the tree is annotated.
+# Gradual typing: the observability, service and planner layers, the DP
+# release path and the hit path's leaves are the typed frontier (the
+# gateway's FederationBackend protocol is what lets `service` check against
+# flat and sharded backends); widen the file list as more of the tree is
+# annotated.
 typecheck:
 	$(PYTHON) -m mypy src/repro/observability src/repro/service \
-		src/repro/planner $(DP_RELEASE)
+		src/repro/planner $(DP_RELEASE) $(HIT_PATH)
 
 # Coverage with a ratcheted floor — raise the threshold when coverage
 # rises, never lower it.

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 _entry_ids = itertools.count(1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditEntry:
     """One executed federated query."""
 

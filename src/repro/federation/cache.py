@@ -20,8 +20,12 @@ answers are unreachable by construction rather than by TTL guesswork.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .sql import FederatedStatement
+
+if TYPE_CHECKING:
+    from .outcomes import QueryOutcome
 
 
 def canonical_statement(statement: FederatedStatement) -> tuple:
@@ -50,6 +54,14 @@ class CachedAnswer:
 
     values: tuple[float, ...]
     protocol: str
+    #: The hit outcome of each spelling (bare statement text) served from this
+    #: entry: built on that spelling's first hit, the same frozen object on
+    #: every later one.  Held here so it is dropped with the answer it
+    #: re-publishes — FIFO eviction, ``clear()``, or a key that the membership
+    #: epoch or a data version has moved away from.
+    served: dict[str, QueryOutcome] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
 
 @dataclass

@@ -45,12 +45,12 @@ from ..observability.trace import TraceContext, Tracer
 from ..planner.errors import PlanInfeasible
 from ..planner.plan import Plan
 from ..planner.planner import QueryPlanner
-from ..planner.spec import QuerySpec, parse_spec
+from ..planner.spec import Prepared, QuerySpec, prepare
 from ..privacy.accounting import BudgetExceededError, ExposureLedger
 from ..privacy.dp import BudgetExhausted, DpGate, DpPolicy
 from ..privacy.lop import average_lop
 from .audit import AuditEntry, AuditLog
-from .cache import CachedAnswer, CacheKey, ResultCache, canonical_statement
+from .cache import CachedAnswer, CacheKey, ResultCache
 from .dp_release import DpReleasePath
 from .outcomes import FederationError, QueryOutcome, QueryRefused
 from .policy import AccessPolicy, PolicyViolation
@@ -109,6 +109,8 @@ class Federation:
         self._parties: dict[str, PrivateDatabase] = {}
         self._attribute_domains: dict[tuple[str, str], Domain] = {}
         self._membership_epoch = 0
+        #: Owners in ring order, computed once per membership epoch.
+        self._members: tuple[str, ...] | None = None
         self.audit = AuditLog()
         self.ledger = ExposureLedger(budget=privacy_budget)
         self.policy = policy
@@ -149,26 +151,31 @@ class Federation:
         if database.owner in self._parties:
             raise FederationError(f"party {database.owner!r} already registered")
         self._parties[database.owner] = database
-        self._membership_epoch += 1
-        self.cache.clear()
+        self._membership_changed()
 
     def deregister(self, owner: str) -> None:
         if owner not in self._parties:
             raise FederationError(f"no such party: {owner!r}")
         del self._parties[owner]
+        self._membership_changed()
+
+    def _membership_changed(self) -> None:
         self._membership_epoch += 1
+        self._members = None
         self.cache.clear()
 
     @property
     def members(self) -> tuple[str, ...]:
-        return tuple(sorted(self._parties))
+        if self._members is None:
+            self._members = tuple(sorted(self._parties))
+        return self._members
 
     def _require_quorum(self) -> list[PrivateDatabase]:
         if len(self._parties) < 3:
             raise FederationError(
                 f"the protocols require n >= 3 parties; have {len(self._parties)}"
             )
-        return [self._parties[name] for name in sorted(self._parties)]
+        return [self._parties[name] for name in self.members]
 
     # -- result cache --------------------------------------------------------
 
@@ -177,18 +184,16 @@ class Federation:
         self.cache.clear()
 
     def _data_versions(self) -> tuple[tuple[str, int], ...]:
-        return tuple(
-            (owner, self._parties[owner].data_version)
-            for owner in sorted(self._parties)
-        )
+        parties = self._parties
+        return tuple([(owner, parties[owner].data_version) for owner in self.members])
 
     def _cache_key(
         self,
-        statement: FederatedStatement,
+        prepared: Prepared,
         data_versions: tuple[tuple[str, int], ...] | None = None,
     ) -> CacheKey:
         return CacheKey(
-            statement=canonical_statement(statement),
+            statement=prepared.canonical,
             membership_epoch=self._membership_epoch,
             data_versions=(
                 data_versions if data_versions is not None else self._data_versions()
@@ -218,8 +223,9 @@ class Federation:
         :class:`~repro.planner.errors.PlanInfeasible` when no
         configuration can satisfy it.
         """
-        spec = parse_spec(statement_text)
-        if use_cache or spec.slo.has_dp:
+        prepared = prepare(statement_text)
+        spec = prepared.spec
+        if use_cache or prepared.has_dp:
             # DP releases are defined over the batch machinery (release
             # counters, cached re-serves); a single statement is a batch
             # of one.  A cache-valid repeat re-serves the same noisy
@@ -229,7 +235,7 @@ class Federation:
         if self.policy is not None:
             self.policy.check(issuer, statement)
         plan = None
-        if not spec.slo.is_trivial:
+        if not prepared.trivial:
             plan = self.planner.plan(spec, parties=len(self._parties))
         if statement.is_ranking:
             return self._run_ranking(statement, issuer, plan=plan)
@@ -254,17 +260,17 @@ class Federation:
         every inner answer is still cache-valid — the *same* noisy release
         is re-served, spending zero budget.
         """
-        spec = parse_spec(statement_text)
-        statement = spec.statement
-        if spec.slo.has_dp:
+        prepared = prepare(statement_text)
+        statement = prepared.spec.statement
+        if prepared.has_dp:
             def authorize(answers: list) -> None:
                 if self.policy is not None:
                     self.policy.check(issuer, statement)
                 self.cache.hits += len(answers)
 
-            released = self._dp.try_cached(spec, self._peek_inner, authorize)
+            released = self._dp.try_cached(prepared.spec, self._peek_inner, authorize)
             return None if released is None else self._audited(issuer, released)
-        answer = self.cache.peek(self._cache_key(statement))
+        answer = self.cache.peek(self._cache_key(prepared))
         if answer is None:
             return None
         if self.policy is not None:
@@ -274,7 +280,7 @@ class Federation:
 
     def _peek_inner(self, inner_text: str) -> CachedAnswer | None:
         """A DP statement's inner answer, if cache-valid (never executes)."""
-        return self.cache.peek(self._cache_key(parse_spec(inner_text).statement))
+        return self.cache.peek(self._cache_key(prepare(inner_text)))
 
     def execute_many(
         self,
@@ -415,24 +421,24 @@ class Federation:
         # Every statement here is well-formed: the release path settles
         # malformed ones before the exact path runs.
         refusals: dict[int, Exception] = {}
-        specs: list[QuerySpec | None] = []
+        forms: list[Prepared | None] = []
         for index, text in enumerate(statements):
-            spec: QuerySpec | None = parse_spec(text)
+            form: Prepared | None = prepare(text)
             if self.policy is not None:
                 try:
-                    self.policy.check(issuer, spec.statement)
+                    self.policy.check(issuer, form.spec.statement)
                 except PolicyViolation as exc:
                     if not settle:
                         raise
                     refusals[index] = exc
-                    spec = None
-            specs.append(spec)
-        parsed = [spec.statement if spec is not None else None for spec in specs]
+                    form = None
+            forms.append(form)
+        parsed = [form.spec.statement if form is not None else None for form in forms]
         databases = self._require_quorum()
         data_versions = self._data_versions()
         keys = [
-            self._cache_key(st, data_versions) if st is not None else None
-            for st in parsed
+            self._cache_key(form, data_versions) if form is not None else None
+            for form in forms
         ]
 
         # Plan: pick the statements that must actually execute (first
@@ -461,10 +467,10 @@ class Federation:
                 answers[key] = cached
                 continue
             plan = plans[index] if plans is not None else None
-            spec = specs[index]
-            if plan is None and spec is not None and not spec.slo.is_trivial:
+            form = forms[index]
+            if plan is None and form is not None and not form.trivial:
                 try:
-                    plan = self.planner.plan(spec, parties=len(databases))
+                    plan = self.planner.plan(form.spec, parties=len(databases))
                 except PlanInfeasible as exc:
                     if not settle:
                         raise
@@ -703,16 +709,22 @@ class Federation:
     def _serve_cached(
         self, statement: FederatedStatement, issuer: str, answer: CachedAnswer
     ) -> QueryOutcome:
-        """Re-publish an already-public answer: no protocol, no new exposure."""
-        outcome = QueryOutcome(
-            statement=statement.text,
-            values=answer.values,
-            protocol=answer.protocol,
-            rounds=0,
-            messages=0,
-            trace=None,
-            cached=True,
-        )
+        """Re-publish an already-public answer: no protocol, no new exposure.
+
+        Every hit is audited on its own; the frozen outcome is built on a
+        spelling's first hit and shared by the later ones.
+        """
+        outcome = answer.served.get(statement.text)
+        if outcome is None:
+            outcome = answer.served[statement.text] = QueryOutcome(
+                statement=statement.text,
+                values=answer.values,
+                protocol=answer.protocol,
+                rounds=0,
+                messages=0,
+                trace=None,
+                cached=True,
+            )
         return self._audited(issuer, outcome)
 
     def _audited(

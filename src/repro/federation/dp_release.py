@@ -31,7 +31,7 @@ from typing import Any, Protocol
 from ..database.query import Domain
 from ..observability.trace import TraceContext
 from ..planner.plan import Plan
-from ..planner.spec import QuerySpec, parse_spec
+from ..planner.spec import PREPARED_ENTRIES, QuerySpec, prepare
 from ..privacy.dp import BudgetExhausted, DpError, DpGate, DpRequest, build_request
 from .outcomes import FederationError, QueryOutcome, QueryRefused
 from .sql import SqlError
@@ -146,13 +146,27 @@ class DpReleasePath:
         self.gate = gate
         self._domain_for = domain_for
         self._meters = meters
+        #: (statement text, attribute domain) -> its resolved request.
+        self._requests: "dict[tuple[str, Domain | None], DpRequest]" = {}
 
     def _request(self, spec: QuerySpec) -> DpRequest:
+        """``spec``'s release request: resolved once per (statement, domain).
+
+        The admission check, ``expand`` and every free re-serve of one
+        statement share it; a domain registered later is a new key.  A spec
+        that cannot resolve raises its :class:`DpError` each time and is never
+        stored; the memo is bounded like the prepared forms it is keyed by.
+        """
         statement = spec.statement
-        request = build_request(
-            spec, self._domain_for(statement.table, statement.attribute)
-        )
-        assert request is not None  # callers only pass specs carrying DP keys
+        domain = self._domain_for(statement.table, statement.attribute)
+        key = (spec.text, domain)
+        request = self._requests.get(key)
+        if request is None:
+            request = build_request(spec, domain)
+            assert request is not None  # callers only pass specs carrying DP keys
+            if len(self._requests) >= PREPARED_ENTRIES:
+                del self._requests[next(iter(self._requests))]
+            self._requests[key] = request
         return request
 
     # -- expand ----------------------------------------------------------------
@@ -208,15 +222,16 @@ class DpReleasePath:
         headroom = partial(meters.dp_headroom, issuer) if meters is not None else None
         for position, text in enumerate(statements):
             try:
-                spec = parse_spec(text)
+                prepared = prepare(text)
             except SqlError as exc:
                 batch.refuse(position, exc)
                 continue
+            spec = prepared.spec
             context = precheck(position, spec)
             if isinstance(context, Exception):
                 batch.refuse(position, context)
                 continue
-            if spec.slo.has_dp:
+            if prepared.has_dp:
                 try:
                     request = self._request(spec)
                     reason = self.gate.admit(request, pending, headroom)

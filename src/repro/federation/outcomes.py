@@ -16,7 +16,7 @@ class FederationError(RuntimeError):
     """Raised for invalid federation state or unanswerable queries."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryOutcome:
     """Public outcome of one federated query."""
 

@@ -21,7 +21,15 @@ _EXPORTS = {
     "errors": ("PlanInfeasible",),
     "plan": ("ECONOMY", "MODES", "Plan", "QUALITY"),
     "planner": ("DEFAULT_EPSILON", "QueryPlanner"),
-    "spec": ("QuerySpec", "Slo", "SloError", "parse_spec"),
+    "spec": (
+        "Prepared",
+        "QuerySpec",
+        "Slo",
+        "SloError",
+        "parse_spec",
+        "prepare",
+        "prepared_clear",
+    ),
 }
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -33,13 +33,14 @@ from collections.abc import Iterable, Sequence
 from typing import Protocol
 
 from ..federation.coordinator import QueryOutcome, QueryRefused
+from ..federation.sql import SqlError
 from ..observability.metrics import MetricsRegistry
 from ..observability.trace import TraceContext, Tracer
 from ..planner.accuracy import PredictionLedger
 from ..planner.errors import PlanInfeasible
 from ..planner.plan import ECONOMY, Plan
 from ..planner.planner import QueryPlanner
-from ..planner.spec import QuerySpec, parse_spec
+from ..planner.spec import Prepared, QuerySpec, prepare
 from ..privacy.dp import BudgetExhausted, DpError, DpGate
 from .clock import Clock, SimulatedClock
 from .errors import (
@@ -283,16 +284,23 @@ class QueryService:
     # -- tracing ---------------------------------------------------------------
 
     def _trace_shed(
-        self, query_ctx: "TraceContext | None", outcome: str, now: float
+        self,
+        query_ctx: "TraceContext | None",
+        outcome: str,
+        now: float,
+        **closing: object,
     ) -> None:
-        """Record an admission rejection and close the query span."""
+        """Record an admission rejection and close the query span.
+
+        ``closing`` adds attributes to the closed span (a refusal's error type).
+        """
         if query_ctx is None:
             return
         self.tracer.event(
             query_ctx, "admission", at=now, kind="service",
             attrs={"outcome": outcome},
         )
-        self.tracer.close_span(query_ctx, at=now, attrs={"outcome": outcome})
+        self.tracer.close_span(query_ctx, at=now, attrs={"outcome": outcome, **closing})
 
     def _trace_finish(
         self, request: QueuedRequest, at: float, attrs: dict
@@ -326,7 +334,7 @@ class QueryService:
         )
 
     def _admission_plan(
-        self, spec: QuerySpec, query_ctx: "TraceContext | None", now: float
+        self, prepared: Prepared, query_ctx: "TraceContext | None", now: float
     ) -> "Plan | None":
         """Resolve the statement's plan and enforce the cost budget.
 
@@ -338,8 +346,9 @@ class QueryService:
         honoring its declared SLO) and shed with :class:`Overloaded` only
         when even the economy plan does not fit.
         """
-        if self._cost_budget is None and spec.slo.is_trivial:
+        if self._cost_budget is None and prepared.trivial:
             return None
+        spec = prepared.spec
         parties = len(self.federation.members)
         try:
             plan = self.planner.plan(spec, parties=parties)
@@ -408,7 +417,11 @@ class QueryService:
         if self.closed:
             raise ServiceClosed("service is closed to new queries")
         # Malformed statements (and SLO clauses) never reach the queue.
-        spec = parse_spec(statement)
+        try:
+            prepared = prepare(statement)
+        except SqlError:
+            self.metrics.refused += 1
+            raise
         now = self.clock.now()
         query_ctx: "TraceContext | None" = None
         if self._tracing:
@@ -433,7 +446,12 @@ class QueryService:
             )
         # Cache fast path: an already-public answer is re-served immediately
         # and never occupies a queue or batch slot.
-        cached = self.federation.try_cached(statement, issuer=issuer)
+        try:
+            cached = self.federation.try_cached(statement, issuer=issuer)
+        except Exception as refusal:  # the policy denies this issuer the hit
+            self.metrics.refused += 1
+            self._trace_shed(query_ctx, "refused", now, error=type(refusal).__name__)
+            raise
         if cached is not None:
             self.metrics.cache_fast_hits += 1
             self.metrics.completed += 1
@@ -448,14 +466,14 @@ class QueryService:
                     attrs={"outcome": "cache-hit", "cached": True},
                 )
             return cached
-        plan = self._admission_plan(spec, query_ctx, now)
+        plan = self._admission_plan(prepared, query_ctx, now)
         # DP admission: a statement whose release can neither reuse an
         # existing answer nor fit its remaining (ε, δ) budget is refused
         # typed — BudgetExhausted, permanent like PlanInfeasible, unlike
         # Overloaded's retry-later — before it occupies a queue slot.
-        if spec.slo.has_dp:
+        if prepared.has_dp:
             try:
-                self.federation.dp_admission_check(spec, issuer=issuer)
+                self.federation.dp_admission_check(prepared.spec, issuer=issuer)
             except (BudgetExhausted, DpError):
                 self.metrics.refused += 1
                 self._trace_shed(query_ctx, "budget-exhausted", now)

@@ -42,7 +42,7 @@ from ..observability.trace import TraceContext
 from ..planner.errors import PlanInfeasible
 from ..planner.plan import Plan
 from ..planner.planner import QueryPlanner
-from ..planner.spec import QuerySpec, parse_spec
+from ..planner.spec import QuerySpec, prepare
 from ..privacy.dp import DpGate, DpPolicy
 from .errors import ShardError, ShardUnavailable, TenantBudgetExceeded
 from .router import ALL_SHARDS, ShardRouter, TenantPolicy
@@ -264,18 +264,17 @@ class ShardedFederation:
         answer still cache-valid on its shard(s) and the very one the
         release perturbed.  It spends zero budget, federation and tenant both.
         """
-        spec = parse_spec(statement_text)
-        if not spec.slo.has_dp:
-            return self._try_cached_plain(spec, statement_text, issuer)
+        prepared = prepare(statement_text)
+        if not prepared.has_dp:
+            return self._try_cached_plain(statement_text, issuer)
         return self._dp.try_cached(
-            spec,
-            lambda inner: self._try_cached_plain(parse_spec(inner), inner, issuer),
+            prepared.spec, lambda inner: self._try_cached_plain(inner, issuer)
         )
 
     def _try_cached_plain(
-        self, spec: QuerySpec, statement_text: str, issuer: str
+        self, statement_text: str, issuer: str
     ) -> QueryOutcome | None:
-        statement = spec.statement
+        statement = prepare(statement_text).spec.statement
         target = self.router.route(statement.table)
         try:
             if target != ALL_SHARDS:
@@ -371,12 +370,11 @@ class ShardedFederation:
         routed: dict[int, list[int]] = {}
         #: fan-out bookkeeping: position -> parsed statement
         fanouts: dict[int, QuerySpec] = {}
-        for position, spec, target in batch.admitted:
-            plain = position not in batch.slots
+        for position, _spec, target in batch.admitted:
             if target == ALL_SHARDS:
                 self.fanout_statements += 1
                 for p in batch.runs(position):
-                    fanouts[p] = spec if plain else parse_spec(batch.texts[p])
+                    fanouts[p] = prepare(batch.texts[p]).spec
             else:
                 routed.setdefault(target, []).extend(batch.runs(position))
         self._dispatch_routed(routed, batch)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from contextlib import contextmanager
 
 import pytest
@@ -13,6 +14,8 @@ from repro.core.driver import RunConfig
 from repro.core.params import ProtocolParams
 from repro.database.query import Domain, TopKQuery
 from repro.experiments import runner
+from repro.federation import sql
+from repro.planner import spec as planner_spec
 
 # CI's tier-1 job selects this (``--hypothesis-profile=ci``): every property
 # test draws the same examples on every run, so a red build is reproducible.
@@ -42,6 +45,39 @@ def counting_engine(crossover: int | None = None):
         if crossover is not None:
             patch.setattr(batch, "VECTOR_CROSSOVER", crossover)
         yield calls
+
+
+@contextmanager
+def counting_compiles():
+    """Yield ``(compiled, parsed)``: how often each text is compiled inside.
+
+    ``compiled`` counts :func:`repro.planner.spec.parse_spec` calls per text,
+    ``parsed`` the dialect parser's (:func:`repro.federation.sql.parse`).
+    The process-wide prepared-form memo is emptied on entry, so the first
+    sight of a text inside the block is a first sight for the process, and
+    again on exit, so nothing compiled under the counters outlives them.
+    """
+    compiled: Counter[str] = Counter()
+    parsed: Counter[str] = Counter()
+    parse_spec, parse = planner_spec.parse_spec, sql.parse
+
+    def counted_parse_spec(text):
+        compiled[text] += 1
+        return parse_spec(text)
+
+    def counted_parse(text):
+        parsed[text] += 1
+        return parse(text)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(planner_spec, "parse_spec", counted_parse_spec)
+        patch.setattr(planner_spec, "parse", counted_parse)
+        patch.setattr(sql, "parse", counted_parse)
+        planner_spec.prepared_clear()
+        try:
+            yield compiled, parsed
+        finally:
+            planner_spec.prepared_clear()
 
 
 @pytest.fixture

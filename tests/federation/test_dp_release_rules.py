@@ -6,16 +6,21 @@ test here, parameterised over a ``backend`` — so the next fix of the
 subtraction-attack class lands with one test that runs twice.
 """
 
+import asyncio
 from dataclasses import dataclass
 
 import pytest
 
 from repro.database.database import PrivateDatabase, database_from_values
-from repro.database.query import PAPER_DOMAIN
-from repro.federation import Federation, SqlError
+from repro.database.query import PAPER_DOMAIN, Domain
+from repro.federation import Federation, SqlError, dp_release
 from repro.federation.coordinator import QueryRefused
+from repro.privacy import dp
 from repro.privacy.dp import BudgetExhausted, DpPolicy
+from repro.service import QueryService
 from repro.sharding import TenantPolicy, build_topology, sharded_federation
+
+from ..conftest import counting_compiles
 
 DATASETS = {
     "acme": [100, 900, 250],
@@ -188,3 +193,73 @@ def test_raising_batch_refuses_before_it_spends(backend, refused, error):
     if hasattr(b.federation, "set_tenant"):
         account = b.federation.router.tenant_snapshot()["t1"]
         assert account["lop_spent"] == 0.0 and account["dp_epsilon_spent"] == 0.0
+
+
+def test_a_statement_compiles_once_and_repeats_compile_nothing(backend, monkeypatch):
+    # Counted, not timed: gateway -> admission try_cached -> dequeue
+    # try_cached -> batch -> DP expand / inner peek -> shard route and
+    # fan-out all consume the one prepared form of a text (the parent
+    # compiled each statement 2-5 times along this path).
+    b = backend(DpPolicy(seed=2))
+    t = b.table
+    ranking = f"SELECT TOP 2 value FROM {t}"
+    additive = f"SELECT SUM(value) FROM {t}"
+    slo = f"SELECT MAX(value) FROM {t} WITH SLO(max_lop=0.9)"
+    dp_inner = f"SELECT COUNT(value) FROM {t}"
+    dp_text = f"{dp_inner} WITH SLO(dp_epsilon=0.5)"
+    router = getattr(b.federation, "router", None)
+    if router is None:
+        avg, avg_parts = f"SELECT AVG(value) FROM {t}", []
+    else:  # a fan-out: AVG recombines from every shard's SUM and COUNT
+        (part,) = router.partitioned_tables
+        avg = f"SELECT AVG(value) FROM {part}"
+        avg_parts = [
+            f"SELECT SUM(value) FROM {part}",
+            f"SELECT COUNT(value) FROM {part}",
+        ]
+    submitted = [ranking, additive, slo, dp_text, avg]
+
+    built: list[str] = []
+    calibrated: list[float] = []
+    build_request, calibrate = dp_release.build_request, dp.calibrate_mechanism
+    monkeypatch.setattr(
+        dp_release,
+        "build_request",
+        lambda spec, domain: built.append(spec.text) or build_request(spec, domain),
+    )
+    monkeypatch.setattr(
+        dp,
+        "calibrate_mechanism",
+        lambda sensitivity, epsilon, **kwargs: calibrated.append(epsilon)
+        or calibrate(sensitivity, epsilon, **kwargs),
+    )
+
+    async def scenario(compiled, parsed):
+        # ``max_batch=1``: of two queued copies the second is answered by the
+        # dequeue-time sweep of the next cycle.
+        async with QueryService(b.federation, max_batch=1) as service:
+            for text in submitted:
+                await service.submit(text)
+            first_sight = {*submitted, dp_inner, *avg_parts}
+            assert dict(compiled) == dict.fromkeys(first_sight, 1)
+            assert sum(parsed.values()) == len(first_sight)
+            assert built == [dp_text] and calibrated == [0.5]
+
+            compiled.clear()
+            hits = [await service.submit(text) for text in submitted]
+            assert all(hit.cached for hit in hits)  # incl. the DP free re-serve
+            for federation in b.flat_federations:
+                federation.invalidate_cache()
+            again = await service.submit_many([ranking, ranking, dp_text])
+            assert [o.cached for o in again] == [False, True, False]
+            assert service.metrics.cache_fast_hits == len(submitted) + 1
+            assert not compiled and built == [dp_text]
+
+            # A new public domain for the attribute is a new request.
+            b.federation.register_domain(t, "value", Domain(1, 20_000))
+            await service.submit(dp_text)
+            assert not compiled
+            assert built == [dp_text] * 2 and calibrated == [0.5] * 2
+
+    with counting_compiles() as (compiled, parsed):
+        asyncio.run(scenario(compiled, parsed))

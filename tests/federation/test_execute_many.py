@@ -216,6 +216,99 @@ class TestCacheInvalidation:
         assert not outcome.cached
 
 
+class TestSharedHitOutcome:
+    """A repeat hit re-serves one frozen outcome, held with its cache entry."""
+
+    STATEMENT = "SELECT TOP 2 value FROM data"
+
+    def hit(self, fed, text=STATEMENT, **kwargs):
+        outcome = fed.try_cached(text, **kwargs)
+        assert outcome is not None and outcome.cached
+        return outcome
+
+    def test_repeat_hits_are_one_object_audited_one_by_one(self, federation):
+        executed = federation.execute(self.STATEMENT, use_cache=True)
+        first = self.hit(federation, issuer="alice")
+        assert first is not executed and first.values == executed.values
+        assert self.hit(federation, issuer="bob") is first
+        (batched,) = federation.execute_many([self.STATEMENT], issuer="carol")
+        assert batched is first
+        entries = federation.audit.entries
+        assert [e.issuer for e in entries] == ["anonymous", "alice", "bob", "carol"]
+        assert [e.cached for e in entries] == [False, True, True, True]
+        assert len({e.entry_id for e in entries}) == 4
+        assert federation.cache.hits == 3
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda fed: fed._parties["delta"].insert("data", {"value": 9999}),
+            lambda fed: fed.register(database_from_values("echo", [8500])),
+            lambda fed: fed.deregister("bravo"),
+            lambda fed: fed.invalidate_cache(),
+        ],
+        ids=["insert", "register", "deregister", "invalidate"],
+    )
+    def test_any_invalidation_drops_the_outcome_with_the_answer(
+        self, federation, change
+    ):
+        federation.execute(self.STATEMENT, use_cache=True)
+        stale = self.hit(federation)
+        members = federation.members
+        change(federation)
+        assert federation.try_cached(self.STATEMENT) is None
+        fresh = federation.execute(self.STATEMENT, use_cache=True)
+        assert not fresh.cached and fresh.rounds > 0
+        renewed = self.hit(federation)
+        assert renewed is not stale and renewed.values == fresh.values
+        # Audit entries carry the membership of their own epoch.
+        before, *_, after = federation.audit.entries
+        assert before.participants == members
+        assert after.participants == federation.members == tuple(
+            sorted(federation._parties)
+        )
+
+    def test_fifo_eviction_drops_the_outcome_with_the_answer(self):
+        fed = fresh_federation(cache_entries=2)
+        fed.execute(self.STATEMENT, use_cache=True)
+        stale = self.hit(fed)
+        fed.execute_many(["SELECT MAX(value) FROM data", "SELECT MIN(value) FROM data"])
+        assert fed.try_cached(self.STATEMENT) is None  # evicted, first in
+        assert not fed.execute(self.STATEMENT, use_cache=True).cached
+        assert self.hit(fed) is not stale
+
+    def test_spellings_share_the_entry_and_keep_their_text(self, federation):
+        lower, upper = "select top 2 value from data", "SELECT TOP 2 value FROM data;"
+        federation.execute(lower, use_cache=True)
+        hits = [self.hit(federation, text) for text in (lower, upper, lower, upper)]
+        assert len(federation.cache) == 1
+        assert hits[0] is hits[2] and hits[1] is hits[3]
+        assert [h.statement for h in hits[:2]] == [lower, upper]
+        assert hits[0].values == hits[1].values
+        assert [e.statement for e in federation.audit.entries[1:]] == [
+            lower, upper, lower, upper,
+        ]
+
+    def test_a_denied_issuer_never_gets_the_shared_outcome(self):
+        policy = AccessPolicy(quota_per_issuer=3).allow("alice", "TOP").allow(
+            "bob", "TOP"
+        )
+        fed = fresh_federation(policy=policy)
+        fed.execute(self.STATEMENT, issuer="alice", use_cache=True)
+        self.hit(fed, issuer="alice")
+        self.hit(fed, issuer="bob")
+        audited = len(fed.audit)
+        for _ in range(2):
+            with pytest.raises(PolicyViolation, match="not permitted"):
+                fed.try_cached(self.STATEMENT, issuer="mallory")
+        assert policy.usage("mallory") == 0
+        self.hit(fed, issuer="alice")  # alice's third and last unit
+        with pytest.raises(PolicyViolation, match="quota"):
+            fed.try_cached(self.STATEMENT, issuer="alice")
+        assert (policy.usage("alice"), policy.usage("bob")) == (3, 1)
+        assert len(fed.audit) == audited + 1 and fed.cache.hits == 3
+
+
 class TestBatchGating:
     def test_policy_checked_before_anything_runs(self):
         policy = AccessPolicy().allow("analyst", "SUM")

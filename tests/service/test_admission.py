@@ -19,7 +19,7 @@ from repro.service import (
     TokenBucket,
 )
 
-from .conftest import fresh_federation
+from .conftest import fresh_federation, serve_every_way_out
 
 
 def request(seq, *, issuer="anonymous", priority=0, deadline=None):
@@ -203,6 +203,26 @@ class TestLoadShedding:
         shed = [r for r in results if isinstance(r, Overloaded)]
         assert len(served) + len(shed) == 8
         assert service.metrics.shed_overload == len(shed) > 0
+
+
+class TestEverySubmissionIsCounted:
+    def test_counters_account_for_every_way_out(self, policy_backend):
+        # A refusal on the admission-time fast path (a hit the policy denies,
+        # a hit past the quota) and a malformed statement used to propagate
+        # with ``submitted`` bumped and no other counter: 10 submitted,
+        # 2 + 1 + 1 + 1 accounted for.
+        metrics = serve_every_way_out(policy_backend).metrics
+        assert metrics.submitted == 10
+        assert (metrics.completed, metrics.cache_fast_hits) == (2, 1)
+        assert metrics.refused == 6  # 2 denied hits, 3 malformed, 1 denied miss
+        assert (metrics.plan_infeasible, metrics.shed, metrics.failed) == (1, 1, 0)
+        assert metrics.submitted == (
+            metrics.completed
+            + metrics.refused
+            + metrics.failed
+            + metrics.shed
+            + metrics.plan_infeasible
+        )
 
 
 class TestPriorities:

@@ -6,6 +6,8 @@ latencies, metric counters — deterministic.
 """
 
 import asyncio
+import gc
+import sys
 
 import pytest
 
@@ -172,6 +174,41 @@ class TestCacheFastPath:
         # The executed query took simulated protocol time; the hit took none.
         assert service.metrics.latency.percentile(0) == 0.0
         assert service.metrics.latency.max > 0.0
+
+    @pytest.mark.parametrize("keep", [False, True], ids=["dropped", "kept"])
+    def test_a_repeat_hit_retains_its_audit_entry_and_nothing_else(self, keep):
+        # What a hit leaves behind is the evidence it records: one slotted
+        # AuditEntry and its entry_id.  The parent retained 4.0 allocator
+        # blocks per hit (6.0 for a caller keeping its outcomes): a sorted
+        # members tuple and an entry __dict__ per audit entry, a fresh
+        # QueryOutcome and its __dict__ per hit.  Blocks, not bytes, are
+        # gated: they count the same on every CPython CI runs.
+        hits, statement = 20_000, "SELECT TOP 3 value FROM data"
+
+        async def scenario():
+            federation = fresh_federation()
+            async with QueryService(federation) as service:
+                for _ in range(2):  # the execution, then the first hit
+                    await service.submit(statement, issuer="alice")
+                logged, kept = len(federation.audit), []
+                gc.collect()
+                gc.disable()
+                try:
+                    before = sys.getallocatedblocks()
+                    for _ in range(hits):
+                        outcome = await service.submit(statement, issuer="alice")
+                        if keep:
+                            kept.append(outcome)
+                    retained = sys.getallocatedblocks() - before
+                finally:
+                    gc.enable()
+            return federation.audit.entries[logged:], retained
+
+        entries, retained = asyncio.run(scenario())
+        assert retained / hits <= 2.5, f"{retained / hits:.2f} blocks per hit"
+        assert len(entries) == hits
+        assert all(e.cached and e.issuer == "alice" for e in entries)
+        assert all(a.entry_id < b.entry_id for a, b in zip(entries, entries[1:]))
 
 
 class TestSimulatedTime:
