@@ -377,6 +377,16 @@ def _cmd_tpch(args: argparse.Namespace) -> int:
         f"built {args.parties} parties x {rows_per_party} lineitem rows "
         f"on the {args.engine or 'columnar'} engine in {build_seconds:.2f}s"
     )
+    tables = [database.table("lineitem") for database in databases]
+    if tables[0].nbytes:  # None from an engine that cannot say; 0 when empty
+        stored = sum(table.nbytes for table in tables)
+        encodings = tables[0]._engine.encodings()
+        print(
+            f"storage: {stored / 1e6:.1f} MB "
+            f"({stored / (args.parties * rows_per_party):.0f} B/row: "
+            + ", ".join(f"{name} {how}" for name, how in encodings.items())
+            + ")"
+        )
     query = price_query(args.k)
     config = RunConfig(protocol=args.protocol, seed=args.seed)
     with _timing_scope(args.timing) as scope:

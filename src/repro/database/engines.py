@@ -14,7 +14,11 @@ module makes the storage layout a pluggable choice behind one
     the other engines are tested against.
 
 ``columnar`` (the default)
-    Numeric columns live in chunked contiguous numpy arrays.  The
+    Numeric columns live in chunked contiguous numpy arrays, each sealed
+    chunk at the narrowest width that reads back exactly (an INTEGER run
+    at int8 / int16 / int32 when its range fits, a REAL run of exact
+    decimals as 8- or 16-bit codes over a power of ten, anything else at
+    int64 / float64) and decoded to int64 / float64 for every reader.  The
     predicate-free reads the serving path makes of a column — ``top_k`` /
     ``bottom_k`` (``k`` up to :data:`SUMMARY_ROWS`), ``aggregate`` and the
     range check — are answered from one *write-maintained summary* per
@@ -113,6 +117,22 @@ SUMMARY_ROWS = 64
 #: cache-sized block, however long the chunk being folded is.
 _FOLD_BLOCK = 1 << 14
 
+#: The decimal scales a sealed REAL run is tried at, smallest first: the run
+#: is kept as ``rint(v * scale)`` codes only when *every* value reads back
+#: ``code / scale == v`` bit for bit.
+_SCALES = (1.0, 10.0, 100.0, 1_000.0, 10_000.0)
+
+#: Values of a REAL run probed (strided) to pick its scale before the whole
+#: run is verified: a run that is not decimal costs this many values, not a
+#: pass.
+_PROBE_ROWS = 32
+
+#: The widths a REAL run's codes may take, narrowest first.  16 bits is
+#: where it stops: a >= 4x saving pays for the verification pass, the 2x
+#: saving of int32 codes measured as a net loss in set-up time
+#: (``scripts/size_chunk_encoding.py`` re-derives it).
+_CODE_DTYPES = (np.int8, np.int16)
+
 
 class StorageUnavailable(RuntimeError):
     """Raised when an optional engine's backing library is not installed."""
@@ -190,6 +210,14 @@ class StorageEngine(ABC):
 
     @abstractmethod
     def __len__(self) -> int: ...
+
+    @property
+    def nbytes(self) -> int | None:
+        """Bytes of array storage held for the rows — sealed chunks at the
+        width they are stored at, validity masks and summaries; boxed
+        Python values (a pending tail, TEXT, a spilled column) are not
+        counted — or ``None`` from an engine that cannot say."""
+        return None
 
     @abstractmethod
     def rows(self) -> list[Row]:
@@ -350,11 +378,16 @@ def _int_sum(values: np.ndarray) -> int:
 def _reals_representable(values: np.ndarray) -> bool:
     """:meth:`_NumericColumn._representable` for a whole float64 array.
 
-    ``-0.0`` is the one double whose bit pattern reads as the smallest
-    int64, so the signed-zero test is a single integer compare.
+    Three reductions and no temporary: ``min`` and ``max`` propagate a NaN
+    and surface an infinity, and ``-0.0`` is the one double whose bit
+    pattern reads as the smallest int64.
     """
-    return bool(np.isfinite(values).all()) and not bool(
-        (values.view(np.int64) == np.iinfo(np.int64).min).any()
+    if not values.size:
+        return True
+    return (
+        math.isfinite(values.min())
+        and math.isfinite(values.max())
+        and int(values.view(np.int64).min()) != np.iinfo(np.int64).min
     )
 
 
@@ -436,12 +469,137 @@ class _ColumnSummary:
         )
 
 
+class _SealedRun:
+    """A sealed run of one numeric column, at its narrowest exact width.
+
+    ``codes`` is an array the engine owns (C-contiguous, never aliased by
+    a caller who can still write to it).  With ``scale`` ``None`` the codes
+    *are* the values: an INTEGER run at the narrowest of int8 / int16 /
+    int32 / int64 that holds its minimum and maximum, or a REAL run as
+    float64.  Otherwise the run is REAL and its values are ``codes /
+    scale``, which :func:`_decimal_codes` has checked for every value.
+    The width is a function of the values alone; canonical width is simply
+    the widest encoding, and :meth:`decode` is the only way to read a run.
+    """
+
+    __slots__ = ("codes", "scale")
+
+    def __init__(self, codes: np.ndarray, scale: float | None = None) -> None:
+        self.codes = codes
+        self.scale = scale
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    @property
+    def encoding(self) -> str:
+        """``int8``, ``float64``, or ``int8/100`` for decimal codes."""
+        name = self.codes.dtype.name
+        return name if self.scale is None else f"{name}/{self.scale:g}"
+
+    def decode(self, low: int = 0, high: int | None = None) -> np.ndarray:
+        """Rows ``low:high`` in the column's canonical int64 / float64."""
+        codes = self.codes[low:high]
+        if self.scale is None:
+            canonical = np.int64 if codes.dtype.kind == "i" else np.float64
+            return codes.astype(canonical, copy=False)
+        values = codes.astype(np.float64)
+        values /= self.scale
+        return values
+
+
+def _narrowest(dtypes: Sequence[type], low: float, high: float) -> type | None:
+    """The first of ``dtypes`` (narrowest first) that holds ``[low, high]``."""
+    for dtype in dtypes:
+        if np.iinfo(dtype).min <= low and high <= np.iinfo(dtype).max:
+            return dtype
+    return None
+
+
+def _narrowed_ints(values: np.ndarray) -> _SealedRun | None:
+    """A non-empty int64 run in the narrowest dtype holding its range, or
+    ``None`` when only int64 does."""
+    width = _narrowest(
+        (np.int8, np.int16, np.int32), int(values.min()), int(values.max())
+    )
+    return None if width is None else _SealedRun(values.astype(width))
+
+
+def _decimal_codes(values: np.ndarray) -> _SealedRun | None:
+    """A non-empty float64 run as integer codes over a power of ten such
+    that ``codes / scale`` is the run bit for bit, or ``None`` when no scale
+    of the ladder gives codes of an allowed width that do.
+
+    The scale is picked on a strided probe and then verified on every value
+    of the run — no sampling stands in for that pass — in
+    :data:`_FOLD_BLOCK` blocks over preallocated scratch.  The values are
+    finite and never ``-0.0`` (the callers' representability checks), so
+    ``==`` is bit equality here.
+    """
+    limit = np.iinfo(_CODE_DTYPES[-1]).max
+    probe = values[:: -(-values.size // _PROBE_ROWS)]
+    if float(np.abs(probe).max()) > limit:
+        return None  # |code| >= |value| at every scale
+    for scale in _SCALES:
+        rounded = np.rint(probe * scale)
+        if (np.abs(rounded) <= limit).all() and (rounded / scale == probe).all():
+            break
+    else:
+        return None
+    codes = np.empty(values.size, dtype=_CODE_DTYPES[-1])
+    scratch = np.empty(min(values.size, _FOLD_BLOCK))
+    bound = 0.0
+    # A huge value outside the probe overflows the multiply to inf, which
+    # the range check then refuses like any other code that does not fit.
+    with np.errstate(over="ignore"):
+        for low in range(0, values.size, _FOLD_BLOCK):
+            block = values[low : low + _FOLD_BLOCK]
+            work = scratch[: block.size]
+            np.multiply(block, scale, out=work)
+            np.rint(work, out=work)
+            bound = max(bound, float(work.max()), -float(work.min()))
+            if bound > limit:
+                return None
+            codes[low : low + block.size] = work
+            # Dividing the float scratch, not the int codes: int / float
+            # is the slow ufunc loop.  Both hold the same integers (but for
+            # a -0.0, the code of a value in (-0.5 / scale, 0): no match).
+            np.divide(work, scale, out=work)
+            if not np.array_equal(work, block):
+                return None
+    width = _narrowest(_CODE_DTYPES, -bound, bound)
+    return _SealedRun(codes.astype(width, copy=False), scale)
+
+
+def _seal(values: np.ndarray) -> _SealedRun:
+    """Seal a canonical-dtype run into a chunk the engine owns.
+
+    A narrowed or coded run is a fresh array by construction.  A run kept
+    at canonical width is adopted when the array owns its data and is
+    C-contiguous — and marked read-only, so a later write through the
+    caller's reference raises instead of changing a stored row — and is
+    copied otherwise (a view would pin its base, a strided one would also
+    make every scan walk a non-contiguous array).
+    """
+    if values.size:
+        encode = _narrowed_ints if values.dtype.kind == "i" else _decimal_codes
+        run = encode(values)
+        if run is not None:
+            return run
+    if values.flags.owndata and values.flags.c_contiguous:
+        values.setflags(write=False)
+        return _SealedRun(values)
+    return _SealedRun(values.copy())
+
+
 class _NumericColumn:
     """One numeric column: chunked typed arrays with an exactness escape.
 
     Values accumulate in a Python ``pending`` tail and are sealed into
-    contiguous ``dtype`` chunks (int64 for INTEGER, float64 for REAL) with
-    parallel validity masks once nulls appear.  If any value cannot be
+    :class:`_SealedRun` chunks — stored at the narrowest width that reads
+    back exactly, decoded to ``dtype`` (int64 for INTEGER, float64 for
+    REAL) for every reader — with parallel validity masks once nulls
+    appear.  If any value cannot be
     represented losslessly — an INTEGER outside int64, a REAL column fed a
     non-finite float, ``-0.0``, or a Python ``int`` (whose *type* the row
     store would preserve) — the entire column spills to ``exact`` object
@@ -454,15 +612,15 @@ class _NumericColumn:
     on the column's first such read and from then on folds forward only
     the rows appended since (``_folded`` is the cursor), reading a row
     still in the ``pending`` tail where it lies: a read after an insert
-    seals no chunk and copies no column.  Sealing and consolidation move
-    rows between containers without reordering them, so the cursor
-    survives both; a spill drops the summary with the arrays.
+    seals no chunk and copies no column.  Sealing moves rows from the tail
+    into a chunk without reordering them, so the cursor survives it; a
+    spill drops the summary with the arrays.
     """
 
     def __init__(self, dtype: "np.dtype") -> None:
         self.dtype = np.dtype(dtype)
         self.pending: list[object] = []
-        self.chunks: list[np.ndarray] = []
+        self.chunks: list[_SealedRun] = []
         #: Parallel to ``chunks`` once any null has been seen, else None.
         self.masks: list[np.ndarray] | None = None
         #: Exact object storage after a spill (None while vectorized).
@@ -508,7 +666,7 @@ class _NumericColumn:
         if self.exact is not None:
             self.exact.extend(values.tolist())
             return
-        self.chunks.append(values)
+        self.chunks.append(_seal(values))
         self._sealed += len(values)
         if self.masks is not None:
             self.masks.append(np.ones(len(values), dtype=bool))
@@ -532,7 +690,7 @@ class _NumericColumn:
             )
         else:
             values = np.array(batch, dtype=self.dtype)
-        self.chunks.append(values)
+        self.chunks.append(_seal(values))
         self._sealed += len(values)
         if self.masks is not None:
             self.masks.append(np.array([v is not None for v in batch], dtype=bool))
@@ -540,7 +698,7 @@ class _NumericColumn:
     def _spill(self, tail: Sequence[object]) -> None:
         exact: list[object] = []
         for index, chunk in enumerate(self.chunks):
-            values = chunk.tolist()
+            values = chunk.decode().tolist()
             if self.masks is not None:
                 mask = self.masks[index]
                 values = [
@@ -560,6 +718,14 @@ class _NumericColumn:
         if self.exact is not None:
             return len(self.exact)
         return self._sealed + len(self.pending)
+
+    @property
+    def nbytes(self) -> int:
+        """Array bytes held: sealed codes, validity masks and the summary."""
+        arrays = [chunk.codes for chunk in self.chunks] + (self.masks or [])
+        if self._summary is not None:
+            arrays += [self._summary.largest, self._summary.smallest]
+        return sum(array.nbytes for array in arrays)
 
     def storage(self) -> list[object] | None:
         """Settle the pending tail; the exact list if spilled, else None.
@@ -610,7 +776,7 @@ class _NumericColumn:
                     continue
                 valid = self.masks[index] if self.masks is not None else None
                 for low in range(start, len(chunk), _FOLD_BLOCK):
-                    block = chunk[low : low + _FOLD_BLOCK]
+                    block = chunk.decode(low, low + _FOLD_BLOCK)
                     if valid is not None:
                         block = block[valid[low : low + _FOLD_BLOCK]]
                     if block.size:
@@ -621,10 +787,12 @@ class _NumericColumn:
             yield np.array(present, dtype=self.dtype)
 
     def materialize(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """One contiguous (values, validity-mask-or-None) view.
+        """One contiguous canonical-dtype (values, validity-mask-or-None).
 
-        Consolidates chunks on first use and caches the result; any append
-        invalidates the cache.  Callers must hold ``exact is None``.
+        Decodes the chunks on first use and caches the result; any append
+        invalidates the cache.  The chunks stay as sealed, so until then a
+        column that is not one float64 / int64 run holds its decoded copy
+        beside its codes.  Callers must hold ``exact is None``.
         """
         if self._cache is not None:
             return self._cache
@@ -635,16 +803,13 @@ class _NumericColumn:
             values = np.empty(0, dtype=self.dtype)
             mask = None
         elif len(self.chunks) == 1:
-            values = self.chunks[0]
+            values = self.chunks[0].decode()
             mask = self.masks[0] if self.masks is not None else None
         else:
-            values = np.concatenate(self.chunks)
+            values = np.concatenate([chunk.decode() for chunk in self.chunks])
             mask = (
                 np.concatenate(self.masks) if self.masks is not None else None
             )
-            self.chunks = [values]
-            if mask is not None:
-                self.masks = [mask]
         if mask is not None and bool(mask.all()):
             mask = None
         self._cache = (values, mask)
@@ -709,6 +874,24 @@ class ColumnarEngine(StorageEngine):
 
     def __len__(self) -> int:
         return self._count
+
+    @property
+    def nbytes(self) -> int:
+        return sum(
+            column.nbytes
+            for column in self._columns.values()
+            if isinstance(column, _NumericColumn)
+        )
+
+    def encodings(self) -> dict[str, str]:
+        """How each numeric column's sealed runs are stored, in first-seen
+        order: ``int32``, ``int8/100`` (decimal codes over their scale),
+        ``int8+int64`` for runs of different widths."""
+        return {
+            name: "+".join(dict.fromkeys(c.encoding for c in column.chunks))
+            for name, column in self._columns.items()
+            if isinstance(column, _NumericColumn)
+        }
 
     def rows(self) -> list[Row]:
         names = self.schema.names

@@ -87,6 +87,13 @@ class Table:
     def __len__(self) -> int:
         return len(self._engine)
 
+    @property
+    def nbytes(self) -> int | None:
+        """Bytes of array storage the engine holds for this table (sealed
+        column chunks at their stored width, validity masks, summaries), or
+        ``None`` from an engine that cannot say (``row``, ``duckdb``)."""
+        return self._engine.nbytes
+
     def __iter__(self) -> Iterator[Row]:
         return iter(self._engine.rows())
 
@@ -133,6 +140,17 @@ class Table:
         array containing non-finite values or ``-0.0``, or any plain-list
         input, takes the validated scalar path instead.  Counts as one
         mutation batch (one ``version`` bump), like :meth:`insert_many`.
+
+        The table owns what it stores.  Arrays must be 1-D.  A column the
+        engine keeps narrower than the input (most are) is a fresh array;
+        one kept at int64 / float64 is *adopted* when the array owns its
+        data and is C-contiguous — it becomes read-only, so a later write
+        through the caller's reference raises ``ValueError`` instead of
+        changing a stored row behind ``version`` — and copied otherwise (a
+        view, a strided slice).  Adopt-and-freeze rather than always copy
+        because a second canonical-width copy of a column is exactly the
+        footprint this path exists to avoid; do not keep a writable view
+        taken *before* the insert.
         """
         unknown = set(columns) - set(self.schema.names)
         if unknown:
@@ -140,6 +158,12 @@ class Table:
         missing = set(self.schema.names) - set(columns)
         if missing:
             raise SchemaError(f"missing columns in batch: {sorted(missing)}")
+        for name, values in columns.items():
+            if isinstance(values, np.ndarray) and values.ndim != 1:
+                raise SchemaError(
+                    f"column {name!r}: expected a 1-D array, got shape "
+                    f"{values.shape}"
+                )
         lengths = {len(values) for values in columns.values()}
         if len(lengths) > 1:
             raise SchemaError(f"ragged column batch: lengths {sorted(lengths)}")

@@ -98,16 +98,23 @@ def lineitem_arrays(
     quantity = rng.integers(
         _QUANTITY_LOW, _QUANTITY_HIGH + 1, size=rows, dtype=np.int64
     )
-    unit_price = rng.uniform(_UNIT_PRICE_LOW, _UNIT_PRICE_HIGH, size=rows)
+    # Drawn in this order from the one stream, then computed in place: a
+    # million-row party is six live arrays at its worst moment, not nine.
+    price = rng.uniform(_UNIT_PRICE_LOW, _UNIT_PRICE_HIGH, size=rows)
     factor = rng.uniform(1.0 - jitter, 1.0 + jitter, size=rows)
-    extendedprice = np.round(quantity * unit_price * factor, 2)
-    discount = np.round(rng.uniform(0.0, 0.10, size=rows), 2)
-    tax = np.round(rng.uniform(0.0, 0.08, size=rows), 2)
+    np.multiply(quantity, price, out=price)
+    np.multiply(price, factor, out=price)
+    del factor
+    np.round(price, 2, out=price)
+    discount = rng.uniform(0.0, 0.10, size=rows)
+    np.round(discount, 2, out=discount)
+    tax = rng.uniform(0.0, 0.08, size=rows)
+    np.round(tax, 2, out=tax)
     return {
         "l_orderkey": orderkey,
         "l_partkey": partkey,
         "l_quantity": quantity,
-        "l_extendedprice": extendedprice,
+        "l_extendedprice": price,
         "l_discount": discount,
         "l_tax": tax,
     }

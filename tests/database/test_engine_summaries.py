@@ -7,8 +7,11 @@ that inserts fold forward.  Three things are pinned here:
 * **parity** — a stateful machine interleaves every kind of write with
   every kind of read on a row-store and a columnar twin and requires each
   answer equal in value, type and zero-sign (``repr`` equality), across
-  nulls, ties at the cut-off, spills mid-stream and sums next to the int64
-  overflow guard;
+  nulls, ties at the cut-off, spills mid-stream, sums next to the int64
+  overflow guard, and runs the engine seals narrower than int64 / float64
+  (every integer width, every decimal scale, and their near-misses);
+* **the encoder** — each kind of sealed run decodes to the bits it was
+  given, whole and by slice, without a floating-point warning;
 * **the mechanism** — a read after a one-row insert passes a bounded
   number of elements through numpy, a count that repeats exactly and so can
   gate where a timing cannot;
@@ -28,7 +31,7 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
-from repro.database import COLUMNAR, ROW, Column, Schema, Table
+from repro.database import COLUMNAR, ROW, Column, Schema, Table, col
 from repro.database import engines
 
 AGG_FUNCS = ("max", "min", "sum", "avg", "count")
@@ -93,14 +96,71 @@ REALS = st.one_of(
 REAL_SPILLS = st.sampled_from([float("nan"), float("inf"), float("-inf"), 7, -0.0])
 
 
+
+# Runs the engine can seal narrower than int64 / float64.  A run is coded
+# only if *all* of it fits, so these are drawn a whole batch at a time:
+# integers capped one past a width boundary (values on both sides of it,
+# so the same strategy yields int8 and int16 runs, int16 and int32, ...)
+# and reals that are exact decimals at one scale of the ladder.
+INT_EDGES = [
+    edge
+    for top in (2**7, 2**15, 2**31)
+    for edge in (top - 1, top, -top, -top - 1)
+]
+
+
+def _int_run(cap):
+    edges = [edge for edge in INT_EDGES if abs(edge) <= cap]
+    return st.lists(st.one_of(st.integers(-3, 3), st.sampled_from(edges)), max_size=40)
+
+
+def _decimal_run(scale):
+    return st.lists(st.integers(-30000, 30000).map(lambda c: c / scale), max_size=40)
+
+
+INT_RUNS = st.sampled_from([2**7 + 1, 2**15 + 1, 2**31 + 1]).flatmap(_int_run)
+# Decimal-looking values that must stay float64: sums that are one ulp off
+# a decimal, a decimal nudged by 2**-40, codes that need 17 bits.
+NEAR_DECIMALS = st.one_of(
+    st.integers(-30000, 30000).map(lambda c: c / 100),
+    st.sampled_from([0.1 + 0.2, 1 / 3]),
+    st.integers(-300, 300).map(lambda c: c / 100 + 2**-40),
+    st.integers(2**15, 2**17).map(lambda c: c / 100),
+    st.integers(2**15, 2**17).map(lambda c: -c / 10),
+)
+REAL_RUNS = st.one_of(
+    st.sampled_from([1, 10, 100, 1000, 10000]).flatmap(_decimal_run),
+    st.lists(NEAR_DECIMALS, max_size=40),
+)
+# ``zip`` cuts the two runs to the shorter one.
+NARROW_ROWS = st.tuples(INT_RUNS, REAL_RUNS).map(lambda runs: list(zip(*runs)))
+
+
 def _rows(ints, reals):
     return st.lists(
         st.fixed_dictionaries({"i": ints, "x": reals}), min_size=0, max_size=40
     )
 
 
+def filtered(table: Table, where) -> dict[str, str]:
+    """Reads of both columns through one ``where=``, as ``repr`` strings."""
+    out = {}
+    for column in ("i", "x"):
+        out[f"{column}.values"] = repr(table.numeric_values(column, where))
+        out[f"{column}.top3"] = repr(table.top_k(column, 3, where))
+        out[f"{column}.bottom3"] = repr(table.bottom_k(column, 3, where))
+        for func in AGG_FUNCS:
+            out[f"{column}.{func}"] = repr(table.aggregate(column, func, where))
+        out[f"{column}.within"] = repr(table.values_within(column, -3, 3, where))
+    return out
+
+
 class SummaryParity(RuleBasedStateMachine):
     """Row store and columnar engine fed the same writes, read the same way."""
+
+    #: ``(column, encoding)`` of every chunk seen sealed after any step, so
+    #: the test can tell that its runs did reach coded chunks.
+    sealed: set = set()
 
     def __init__(self):
         super().__init__()
@@ -135,6 +195,23 @@ class SummaryParity(RuleBasedStateMachine):
         }
         self._both(lambda table: table.insert_arrays(batch))
 
+    @rule(rows=NARROW_ROWS)
+    def insert_arrays_narrow(self, rows):
+        batch = {
+            "i": np.array([i for i, _ in rows], dtype=np.int64),
+            "x": np.array([x for _, x in rows], dtype=np.float64),
+        }
+        self._both(lambda table: table.insert_arrays(batch))
+
+    @rule(rows=NARROW_ROWS, holes=st.sets(st.integers(0, 39), max_size=6))
+    def insert_many_narrow(self, rows, holes):
+        # Through the pending tail, with nulls: a coded chunk under a mask.
+        staged = [
+            {"i": None if n in holes else i, "x": None if n + 1 in holes else x}
+            for n, (i, x) in enumerate(rows)
+        ]
+        self._both(lambda table: table.insert_many(staged))
+
     @rule(rows=_rows(st.one_of(INTS, INT_SPILLS), st.one_of(REALS, REAL_SPILLS)))
     def insert_many_spilling(self, rows):
         self._both(lambda table: table.insert_many(rows))
@@ -159,9 +236,30 @@ class SummaryParity(RuleBasedStateMachine):
     def read(self):
         assert_twins_agree(self.row, self.col)
 
+    @rule(
+        t=st.one_of(st.integers(-3, 3), st.sampled_from(INT_EDGES)),
+        u=st.one_of(
+            st.integers(-300, 300).map(lambda c: c / 100), st.floats(-10.0, 10.0)
+        ),
+    )
+    def read_where(self, t, u):
+        # The filtered paths read ``materialize()``: every chunk decoded to
+        # int64 / float64 and joined, whatever width each was sealed at.
+        for where in (col("i") > t, col("x") <= u):
+            expected, actual = filtered(self.row, where), filtered(self.col, where)
+            assert actual == expected, (where, expected, actual)
+
     @invariant()
     def same_length(self):
         assert len(self.row) == len(self.col)
+
+    @invariant()
+    def note_encodings(self):
+        for name in ("i", "x"):
+            SummaryParity.sealed.update(
+                (name, chunk.encoding)
+                for chunk in self.col._engine._numeric(name).chunks
+            )
 
     def teardown(self):
         assert_twins_agree(self.row, self.col)
@@ -177,10 +275,16 @@ def test_summary_parity_stateful(monkeypatch, scaled_down):
         monkeypatch.setattr(engines, "SUMMARY_ROWS", 4)
         monkeypatch.setattr(engines, "CHUNK_ROWS", 16)
         monkeypatch.setattr(engines, "_FOLD_BLOCK", 5)
+    SummaryParity.sealed.clear()
     run_state_machine_as_test(
         SummaryParity,
         settings=settings(max_examples=60, stateful_step_count=25, deadline=None),
     )
+    # The runs sealed chunks on both sides of every encoding decision.
+    ints = {encoding for name, encoding in SummaryParity.sealed if name == "i"}
+    reals = {encoding for name, encoding in SummaryParity.sealed if name == "x"}
+    assert "int64" in ints and ints & {"int8", "int16", "int32"}, ints
+    assert "float64" in reals and any("/" in encoding for encoding in reals), reals
 
 
 def test_empty_table_reads():
@@ -284,6 +388,140 @@ def test_float_running_sum_is_the_sequential_sum():
             col.insert_arrays({"x": np.array(values[start:stop])})
         assert col.aggregate("x", "sum") == float(sum(values[:stop]))
     assert_twins_agree(row, col, columns=("x",))
+
+
+# -- the encoder: every kind of sealed run reads back bit for bit -------------
+
+
+def _cents(count, scale=100, low=-30000, high=30000, seed=7):
+    codes = np.random.default_rng(seed).integers(low, high + 1, count)
+    return codes / scale
+
+
+def _late_miss():
+    """Decimal at every probed position; the 10 000th value is not."""
+    values = _cents(20_000)
+    values[9_999] = 1 / 3
+    return values
+
+
+def _late_overflow():
+    """A value outside the probe whose scaled product overflows a double."""
+    values = _cents(1_000, scale=10_000)
+    values[7] = 1.7e308
+    return values
+
+
+INT_RUN_CASES = {
+    "empty": ([], "int64"),
+    "one": ([5], "int8"),
+    "all-equal": ([300] * 50, "int16"),
+    "int8-edges": ([-128, 127, 0], "int8"),
+    "past-int8-high": ([128, 0], "int16"),
+    "past-int8-low": ([-129, 0], "int16"),
+    "int16-edges": ([-(2**15), 2**15 - 1], "int16"),
+    "past-int16-high": ([2**15, 0], "int32"),
+    "past-int16-low": ([-(2**15) - 1, 0], "int32"),
+    "int32-edges": ([-(2**31), 2**31 - 1], "int32"),
+    "past-int32-high": ([2**31, 0], "int64"),
+    "past-int32-low": ([-(2**31) - 1, 0], "int64"),
+    "int64-edges": ([-(2**63), 2**63 - 1], "int64"),
+    "beyond-2^53": ([2**53 + 1, -(2**53) - 1, 2**53 + 3], "int64"),
+}
+REAL_RUN_CASES = {
+    "empty": ([], "float64"),
+    "one": ([0.25], "int8/100"),
+    "all-equal": ([17.5] * 50, "int16/10"),
+    "zero": ([0.0, 0.0], "int8/1"),
+    "scale-1": (_cents(500, scale=1), "int16/1"),
+    "scale-10": (_cents(500, scale=10), "int16/10"),
+    "scale-100": (_cents(500, scale=100), "int16/100"),
+    "scale-1000": (_cents(500, scale=1000), "int16/1000"),
+    "scale-10000": (_cents(500, scale=10_000), "int16/10000"),
+    "int8-codes": (_cents(500, low=-127, high=127), "int8/100"),
+    "past-int8-codes": ([1.28, -0.5], "int16/100"),
+    "int16-code-edges": ([327.67, -327.67], "int16/100"),
+    "17-bit-codes": ([327.68, 0.5], "float64"),
+    "scale-100000": ([0.00001, 0.5], "float64"),
+    "sum-of-decimals": ([0.1 + 0.2, 0.5], "float64"),
+    "third": ([1 / 3], "float64"),
+    "nudged": ([0.25 + 2**-40, 0.5], "float64"),
+    "tiny-negative": ([-1e-9, 0.5], "float64"),
+    "arbitrary": (np.random.default_rng(3).uniform(-1e9, 1e9, 1000), "float64"),
+    "late-miss": (_late_miss(), "float64"),
+    "integer-valued-1e300": ([1e300, 2.0, -1e300], "float64"),
+    "late-overflow": (_late_overflow(), "float64"),
+    "blocks-and-a-remainder": (_cents(3 * engines._FOLD_BLOCK + 11), "int16/100"),
+}
+
+
+def _assert_reads_back(values: np.ndarray, expected: str) -> None:
+    given = values.copy()  # a run kept at full width adopts (and freezes) its input
+    run = engines._seal(values)
+    assert run.encoding == expected
+    assert len(run) == len(given)
+    assert run.codes.flags.c_contiguous
+    cuts = sorted({0, 1, len(given) // 2, max(len(given) - 1, 0), len(given)})
+    for low, high in [(0, None)] + [(a, b) for a in cuts for b in cuts if a <= b]:
+        decoded = run.decode(low, high)
+        assert decoded.dtype == given.dtype
+        assert np.array_equal(decoded.view(np.int64), given[low:high].view(np.int64))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", INT_RUN_CASES)
+def test_sealed_integer_run_reads_back(case):
+    values, expected = INT_RUN_CASES[case]
+    _assert_reads_back(np.array(values, dtype=np.int64), expected)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", REAL_RUN_CASES)
+def test_sealed_real_run_reads_back(case):
+    values, expected = REAL_RUN_CASES[case]
+    _assert_reads_back(np.array(values, dtype=np.float64), expected)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_all_null_but_one_seals_through_the_pending_tail():
+    """``_flush`` codes a run with its null placeholders (zeros) in it."""
+    row, columnar = twins()
+    null = {"i": None, "x": None}
+    for table in (row, columnar):
+        table.insert_many([null] * 9 + [{"i": -129, "x": 0.25}] + [null] * 5)
+    assert repr(columnar.scan()) == repr(row.scan())  # seals the tail
+    for name, encoding, value in (("i", "int16", -129), ("x", "int8/100", 0.25)):
+        column = columnar._engine._numeric(name)
+        (chunk,), (mask,) = column.chunks, column.masks
+        assert chunk.encoding == encoding
+        assert mask.tolist() == [n == 9 for n in range(15)]
+        assert chunk.decode().tolist() == [value if ok else 0 for ok in mask]
+    assert_twins_agree(row, columnar)
+
+
+def test_one_column_holds_runs_of_different_widths():
+    """int8 then int64, decimal codes then raw doubles, in one column: every
+    read decodes each run to the canonical dtype before it meets another."""
+    row, columnar = twins()
+    batches = [
+        {"i": np.array([1, -2, 3]), "x": np.array([0.25, 0.5, -0.75])},
+        {"i": np.array([2**40, -(2**62)]), "x": np.array([1 / 3, 2**-30])},
+        {"i": np.array([300, -300, 7, 7]), "x": np.array([1.5, 2.5, 1.5, 1e6])},
+    ]
+    for batch in batches:
+        for table in (row, columnar):
+            table.insert_arrays(batch)
+        assert_twins_agree(row, columnar)
+    assert columnar._engine.encodings() == {
+        "i": "int8+int64+int16",
+        "x": "int8/100+float64",
+    }
+    for where in (col("i") > 2, col("x") <= 1.5):
+        assert filtered(columnar, where) == filtered(row, where)
+    assert repr(columnar.scan()) == repr(row.scan())
+    # Codes at their stored widths, plus two 9-value summary ends per column.
+    assert columnar.nbytes == 3 * (1 + 1) + 2 * (8 + 8) + 4 * (2 + 8) + 2 * 2 * 9 * 8
+    assert row.nbytes is None
 
 
 # -- the mechanism, counted ---------------------------------------------------

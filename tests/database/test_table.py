@@ -1,5 +1,6 @@
 """Unit tests for repro.database.table."""
 
+import numpy as np
 import pytest
 
 from repro.database.schema import Column, Schema, SchemaError
@@ -141,3 +142,82 @@ class TestAggregates:
         )
         assert table.aggregate("tag", "count") == 2.0
         assert table.aggregate("v", "count", lambda r: r["v"] > 1) == 2.0
+
+
+@pytest.mark.parametrize("engine", ["columnar", "row"])
+class TestInsertArraysOwnership:
+    """The table owns what ``insert_arrays`` stored: no caller-held buffer
+    can change a row behind ``version``, whatever dtype, stride or shape
+    the caller's arrays had."""
+
+    SCHEMA = Schema.of(("v", "INTEGER"), ("w", "REAL"))
+
+    @staticmethod
+    def _write(array, index, value):
+        """A caller scribbling on its own buffer after the insert; an
+        adopted (frozen) array refuses, any other is the caller's to write."""
+        try:
+            array[index] = value
+        except ValueError as exc:
+            assert "read-only" in str(exc)
+
+    @pytest.mark.parametrize(
+        "v, w, adopted",
+        [
+            # Narrow enough to be re-encoded: the table holds fresh arrays.
+            (np.arange(10, dtype=np.int64), np.arange(10) / 4.0, False),
+            # Full-width values stay int64 / float64: adopted and frozen.
+            (np.arange(10, dtype=np.int64) << 40, np.arange(10) / 3.0, True),
+            # The caller's dtype used to decide: these were always copied.
+            (np.arange(10, dtype=np.int32), np.arange(10, dtype=np.float32), False),
+        ],
+        ids=["narrow", "canonical", "int32-float32"],
+    )
+    def test_caller_writes_after_insert_do_not_reach_the_table(
+        self, engine, v, w, adopted
+    ):
+        v, w = v.copy(), w.copy()  # parametrized arrays are shared between runs
+        table = Table("t", self.SCHEMA, engine=engine)
+        table.insert_arrays({"v": v, "w": w})
+        frozen = adopted and engine == "columnar"
+        assert (v.flags.writeable, w.flags.writeable) == (not frozen, not frozen)
+        version = table.version
+        ints, reals = table.numeric_values("v"), table.numeric_values("w")
+        top = table.top_k("v", 2)  # builds the summary the bug left stale
+        self._write(v, 0, 10**6)
+        self._write(w, 3, float("nan"))
+        assert table.version == version
+        assert table.top_k("v", 2) == top
+        assert table.numeric_values("v") == ints
+        assert table.numeric_values("w") == reals
+        assert table.aggregate("w", "max") == max(reals)
+
+    def test_strided_view_is_stored_contiguous_and_frees_its_base(self, engine):
+        base_v = np.arange(2_000_000, dtype=np.int64) << 20
+        base_w = np.arange(2_000_000) / 7.0
+        table = Table("t", self.SCHEMA, engine=engine)
+        table.insert_arrays({"v": base_v[::1000], "w": base_w[::1000]})
+        expected = (base_v[::1000].tolist(), base_w[::1000].tolist())
+        base_v[:] = -1
+        base_w[:] = -1.0
+        assert table.numeric_values("v") == expected[0]
+        assert table.numeric_values("w") == expected[1]
+        if engine == "columnar":
+            for name in ("v", "w"):
+                (chunk,) = table._engine._numeric(name).chunks
+                assert chunk.codes.flags.c_contiguous
+                assert chunk.codes.base is None  # pins nobody's 16 MB
+
+    def test_two_dimensional_array_is_rejected_before_any_engine_sees_it(self, engine):
+        table = Table("t", self.SCHEMA, engine=engine)
+        table.insert_arrays({"v": np.arange(3), "w": np.arange(3) / 2.0})
+        version = table.version
+        with pytest.raises(SchemaError, match="1-D"):
+            table.insert_arrays(
+                {"v": np.arange(6).reshape(3, 2), "w": np.arange(3) / 2.0}
+            )
+        with pytest.raises(SchemaError, match="1-D"):
+            table.insert_arrays({"v": np.arange(3), "w": np.zeros((3, 1))})
+        assert table.version == version and len(table) == 3
+        assert table.top_k("v", 5) == [2, 1, 0]
+        assert table.scan()[0] == {"v": 0, "w": 0.0}

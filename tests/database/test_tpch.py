@@ -1,11 +1,16 @@
 """The TPC-H-like workload builder: determinism, perturbation, and scale."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.database import (
     LINEITEM_ROWS_PER_SF,
     LINEITEM_SCHEMA,
+    Schema,
+    Table,
     TPCH_ATTRIBUTE,
     TPCH_PRICE_DOMAIN,
     TPCH_TABLE,
@@ -14,6 +19,8 @@ from repro.database import (
     lineitem_databases,
     price_query,
 )
+
+REAL_COLUMNS = ("l_extendedprice", "l_discount", "l_tax")
 
 
 def test_arrays_are_deterministic_per_party_seed():
@@ -98,3 +105,91 @@ def test_engine_choice_does_not_change_data():
     col = lineitem_database("p0", seed=21, rows=5_000, engine="columnar")
     assert row.local_topk(q) == col.local_topk(q)
     assert row.table(TPCH_TABLE).scan()[:50] == col.table(TPCH_TABLE).scan()[:50]
+
+
+# -- space, counted -----------------------------------------------------------
+#
+# Bytes per row and peak traced memory repeat exactly for a given row count,
+# so they can be held to the numbers named beforehand where a timing cannot.
+
+COUNTED_ROWS = 200_000
+
+
+def _traced(build):
+    """(peak, kept) bytes of ``build()``, in units of one 8-byte column."""
+    lineitem_arrays(10, seed=0)  # lazy imports happen outside the trace
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        built = build()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del built
+    column = COUNTED_ROWS * 8
+    return (peak - base) / column, (kept - base) / column
+
+
+def test_lineitem_is_stored_at_nineteen_bytes_a_row():
+    table = lineitem_database("party0", seed=5, rows=COUNTED_ROWS).table(TPCH_TABLE)
+    engine = table._engine
+    widths = [
+        engine._numeric(name).chunks[0].codes.dtype.itemsize
+        for name in LINEITEM_SCHEMA.names
+    ]
+    assert widths == [4, 4, 1, 8, 1, 1]
+    assert engine.encodings() == {
+        "l_orderkey": "int32",
+        "l_partkey": "int32",
+        "l_quantity": "int8",
+        "l_extendedprice": "float64",
+        "l_discount": "int8/100",
+        "l_tax": "int8/100",
+    }
+    assert table.nbytes == 19 * COUNTED_ROWS  # parent: 48 B/row
+    # Reads build summaries (2 x 64 values a column): still under 20 B/row.
+    for name in LINEITEM_SCHEMA.names:
+        table.top_k(name, 5)
+    assert 19 * COUNTED_ROWS < table.nbytes <= 20 * COUNTED_ROWS
+    row_store = lineitem_database("p", seed=5, rows=100, engine="row")
+    assert row_store.table(TPCH_TABLE).nbytes is None
+
+
+def test_values_without_a_narrower_form_are_stored_as_before():
+    rng = np.random.default_rng(8)
+    table = Table("t", Schema.of(("i", "INTEGER"), ("x", "REAL")))
+    table.insert_arrays(
+        {
+            "i": rng.integers(-(2**63), 2**63 - 1, COUNTED_ROWS, dtype=np.int64),
+            "x": rng.uniform(-1e9, 1e9, COUNTED_ROWS),
+        }
+    )
+    assert table.nbytes == 16 * COUNTED_ROWS
+    assert table._engine.encodings() == {"i": "int64", "x": "float64"}
+
+
+def test_generator_holds_six_arrays_at_its_worst_moment():
+    peak, kept = _traced(lambda: lineitem_arrays(COUNTED_ROWS, seed=5))
+    assert kept == pytest.approx(6.0, abs=0.01)
+    assert peak <= 6.5  # parent: 9.0 (unit price, factor, products, round copies)
+
+
+def test_building_a_party_never_holds_a_second_full_width_copy():
+    peak, kept = _traced(lambda: lineitem_database("party0", seed=5, rows=COUNTED_ROWS))
+    # Six raw arrays, 11 B/row of codes and the block scratch at the peak;
+    # 19 B/row (2.375 columns) once the raw arrays are dropped.
+    assert peak <= 8.0  # parent: 9.0
+    assert kept <= 2.5  # parent: 6.0
+
+
+def test_generator_output_is_pinned_bit_for_bit():
+    """The six arrays for (seed 0, party0, 10 000 rows), hashed at the commit
+    before the generator started computing in place."""
+    arrays = lineitem_arrays(10_000, seed=0, party="party0")
+    digest = hashlib.sha256()
+    for name in LINEITEM_SCHEMA.names:
+        assert arrays[name].dtype == (np.float64 if name in REAL_COLUMNS else np.int64)
+        digest.update(arrays[name].tobytes())
+    assert digest.hexdigest() == (
+        "e7bfccaa9f360dd4c82b6659fd7bff9733781182516d6530f374e65ea9a7811b"
+    )

@@ -88,6 +88,18 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "precision" in out and "average LoP" in out
 
+    def test_tpch_reports_the_stored_footprint(self, capsys):
+        assert main(["tpch", "--parties", "3", "--rows", "500", "--k", "2"]) == 0
+        out = capsys.readouterr().out
+        assert (
+            "storage: 0.0 MB (19 B/row: l_orderkey int32, l_partkey int32, "
+            "l_quantity int8, l_extendedprice float64, l_discount int8/100, "
+            "l_tax int8/100)"
+        ) in out
+        # The row store cannot say how many bytes it holds: no line.
+        assert main(["tpch", "--parties", "3", "--rows", "50", "--engine", "row"]) == 0
+        assert "storage:" not in capsys.readouterr().out
+
     def test_query_rejects_unknown_protocol(self, capsys):
         assert main(["query", "--protocol", "magic"]) == 2
 
