@@ -195,7 +195,6 @@ def _config_eligible(config: "RunConfig") -> bool:
     return (
         config.protocol == PROBABILISTIC
         and config.ring_builder is None
-        and config.initial_vector is None
         and kernel_refusal(config) is None
     )
 

@@ -99,12 +99,6 @@ class RunConfig:
     #: ids and the run RNG; must return a ring over exactly those ids.
     #: ``None`` uses the paper's uniformly random mapping.
     ring_builder: "RingBuilder | None" = None
-    #: Seed for the global vector instead of the domain identity — must be
-    #: *public* information (e.g. a previous epoch's result, see
-    #: :mod:`repro.extensions.monitoring`).  Callers are responsible for the
-    #: seed's values actually being held by participants, or the final
-    #: result may contain stale entries nothing can displace.
-    initial_vector: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.protocol not in PROTOCOLS:

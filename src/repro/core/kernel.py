@@ -53,7 +53,6 @@ from .session import (
     DriverError,
     PreparedQuery,
     initialize_run,
-    start_vector,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (driver imports us)
@@ -427,7 +426,7 @@ def execute(
     starter, algorithms = setup.starter, setup.algorithms
     params = config.params
     query = prepared.query
-    first_input = start_vector(query, config)
+    first_input = [float(v) for v in query.identity_vector()]
 
     t1 = time.perf_counter() if timed else 0.0
 

@@ -36,7 +36,7 @@ from ..observability.trace import TraceContext
 from .naive import NaiveTopKAlgorithm
 from .results import ProtocolResult
 from .topk_protocol import ProbabilisticTopKAlgorithm
-from .vectors import pad_to_k, validate_vector
+from .vectors import pad_to_k
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (driver imports us)
     from .params import ProtocolParams
@@ -174,17 +174,6 @@ def initialize_run(prepared: PreparedQuery, config: "RunConfig") -> RunSetup:
     return RunSetup(
         prepared.vectors, node_ids, total_rounds, ring, starter, algorithms, rng
     )
-
-
-def start_vector(query: TopKQuery, config: "RunConfig") -> list[float]:
-    """The round-1 input: the domain identity, or the config's public seed."""
-    if config.initial_vector is None:
-        return [float(v) for v in query.identity_vector()]
-    vector = [float(v) for v in config.initial_vector]
-    validate_vector(vector, query.k)
-    if any(v not in query.domain for v in vector):
-        raise DriverError("initial_vector contains out-of-domain values")
-    return vector
 
 
 class ProtocolSession:
@@ -329,7 +318,7 @@ class ProtocolSession:
             raise DriverError("session already started")
         self._started = True
         config = self.config
-        first_input = start_vector(self.query, config)
+        first_input = [float(v) for v in self.query.identity_vector()]
         if self.trace is not None:
             tracer = self.trace.tracer
             now = self.transport.now

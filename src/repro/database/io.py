@@ -9,6 +9,7 @@ files — nothing here crosses the privacy boundary.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 from .database import PrivateDatabase
@@ -20,19 +21,22 @@ class TableIOError(ValueError):
     """Raised for unreadable or schema-violating CSV files."""
 
 
+_PARSERS = {"INTEGER": int, "REAL": float, "TEXT": str}
+
+
 def _parse_cell(raw: str, column_type: str, nullable: bool):
     if raw == "":
         if nullable:
             return None
         raise TableIOError(f"empty cell in non-nullable {column_type} column")
     try:
-        if column_type == "INTEGER":
-            return int(raw)
-        if column_type == "REAL":
-            return float(raw)
-        return raw
+        value = _PARSERS[column_type](raw)
     except ValueError as exc:
         raise TableIOError(f"cannot parse {raw!r} as {column_type}") from exc
+    # A NaN has no order: a ranking answer would depend on where its row sits.
+    if column_type == "REAL" and not math.isfinite(value):
+        raise TableIOError(f"non-finite value {raw!r} in REAL column")
+    return value
 
 
 def load_csv_table(
@@ -61,6 +65,11 @@ def load_csv_table(
                 )
             rows = []
             for line_number, raw_row in enumerate(reader, start=2):
+                if None in raw_row:  # DictReader files surplus cells under None
+                    raise TableIOError(
+                        f"{path}:{line_number}: {len(raw_row[None])} more "
+                        f"cell(s) than the header's {len(header)}"
+                    )
                 row = {}
                 for column in schema.columns:
                     raw = raw_row.get(column.name)
@@ -72,7 +81,7 @@ def load_csv_table(
                         raw, column.type, column.nullable
                     )
                 rows.append(row)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise TableIOError(f"cannot read {path}: {exc}") from exc
 
     table = database.create_table(name, schema)

@@ -24,7 +24,7 @@ N_SWEEP = (4, 8, 16, 32)
 ROUNDS = 8
 
 
-def _sandwich_rate(results, remap: bool) -> float:
+def _sandwich_rate(results) -> float:
     """Fraction of (trial, round) slots where a fixed pair sandwiches its victim.
 
     The colluders pick their victim from the round-1 layout (the best they
@@ -80,7 +80,7 @@ def run(trials: int | None = None, seed: int = 0) -> list[FigureData]:
                 seed=seed,
             )
             results = run_trials(setup)
-            rate_points[label].append((float(n), _sandwich_rate(results, remap)))
+            rate_points[label].append((float(n), _sandwich_rate(results)))
     sandwich_panel = FigureData(
         figure_id="ext-collusion-sandwich",
         title="How often a fixed colluding pair sandwiches its victim",

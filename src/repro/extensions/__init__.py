@@ -1,25 +1,10 @@
 """Extensions beyond the paper's core protocol: group-parallel scaling
-(Section 4.2), secure sum, the privacy-preserving kNN classifier
-(Section 7 future work) and malicious-model attack simulations
-(Section 2.1)."""
+(Section 4.2), secure sums, the secure kth-ranked element (related work) and
+the privacy-preserving kNN classifier (Section 7 future work)."""
 
 from .._lazy import lazy_exports
 
 _EXPORTS = {
-    "attacks": (
-        "AttackError",
-        "AttackOutcome",
-        "run_hiding_attack",
-        "run_spoofing_attack",
-    ),
-    "commitments": (
-        "Commitment",
-        "CommitmentError",
-        "Opening",
-        "audit_values",
-        "commit",
-        "verify_opening",
-    ),
     "groups": (
         "GroupError",
         "GroupedRunResult",
@@ -37,7 +22,6 @@ _EXPORTS = {
     ),
     "ksecuresum": ("KSecureSumResult", "KSecureSumRound", "run_k_secure_sum"),
     "kth_element": ("KthElementError", "KthElementResult", "kth_largest", "median"),
-    "monitoring": ("ContinuousTopKMonitor", "EpochOutcome", "MonitorError"),
     "securesum": ("SecureSumError", "SecureSumResult", "run_secure_sum"),
 }
 

@@ -134,7 +134,7 @@ class PrivateKNNClassifier:
         bound = max(1.0, largest * 2.0)
         return Domain(0.0, bound, integral=False)
 
-    def classify(self, query: tuple[float, ...], *, trace: bool = False) -> KNNPrediction:
+    def classify(self, query: tuple[float, ...]) -> KNNPrediction:
         """Predict the label of ``query`` without pooling any party's data."""
         domain = self._distance_domain(query)
         local_distances = {

@@ -13,8 +13,10 @@ Disclosure profile (documented, as the paper does for its own protocol):
 each probe publishes one aggregate count, so a full run reveals
 ``O(log |domain|)`` points of the *global* rank function around the answer —
 more aggregate information than the top-k protocol's final vector, but never
-any individual party's values.  The bench ``test_bench_kth_element``
-compares the two protocols' costs head to head.
+any individual party's values.  The EXPERIMENTS.md ablation
+``test_topk_ring_is_cheaper_than_binary_search_for_the_kth_value``
+(``tests/experiments/test_ablations.py``) compares the two protocols' costs
+head to head.
 """
 
 from __future__ import annotations

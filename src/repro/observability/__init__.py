@@ -10,7 +10,7 @@ the paper's IR/LoP exposure accounting.
 from .._lazy import lazy_exports
 
 _EXPORTS = {
-    "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry", "Summary"),
+    "metrics": ("Counter", "Gauge", "MetricsRegistry", "Summary"),
     "runtime": ("activate", "current_tracer", "deactivate", "tracing"),
     "trace": (
         "NULL_CONTEXT",

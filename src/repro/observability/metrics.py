@@ -1,4 +1,4 @@
-"""Central metrics registry: counters, gauges, histograms, summaries.
+"""Central metrics registry: counters, gauges, summaries.
 
 The repository accumulated three disjoint accounting fragments as it grew:
 ``TrafficStats`` (per-channel message/byte counts on the network layer),
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from collections.abc import Iterable, Mapping, Sequence
 from pathlib import Path
 from typing import Any
@@ -33,28 +32,11 @@ from typing import Any
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "Summary",
 ]
 
 Labels = tuple[tuple[str, str], ...]
-
-#: Default histogram buckets, tuned for simulated-seconds latencies.
-DEFAULT_BUCKETS = (
-    0.001,
-    0.005,
-    0.01,
-    0.025,
-    0.05,
-    0.1,
-    0.25,
-    0.5,
-    1.0,
-    2.5,
-    5.0,
-    10.0,
-)
 
 #: Quantiles a :class:`Summary` reports.
 SUMMARY_QUANTILES = (0.5, 0.95, 0.99)
@@ -179,80 +161,6 @@ class Gauge(_Family):
     to_json = Counter.to_json
 
 
-class _HistogramSeries:
-    __slots__ = ("bucket_counts", "count", "total")
-
-    def __init__(self, n_buckets: int) -> None:
-        self.bucket_counts = [0] * n_buckets
-        self.count = 0
-        self.total = 0.0
-
-
-class Histogram(_Family):
-    """Bucketed distribution with Prometheus cumulative-bucket exposition."""
-
-    type_name = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        help_text: str,
-        label_names: Sequence[str],
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> None:
-        super().__init__(name, help_text, label_names)
-        ordered = tuple(sorted(buckets))
-        if not ordered:
-            raise ValueError("histogram needs at least one bucket bound")
-        self.buckets = ordered
-
-    def _new_series(self) -> _HistogramSeries:
-        return _HistogramSeries(len(self.buckets))
-
-    def observe(
-        self, value: float, *, labels: Mapping[str, str] | None = None
-    ) -> None:
-        series = self._series_for(labels)
-        idx = bisect_right(self.buckets, value)
-        if idx < len(series.bucket_counts):
-            series.bucket_counts[idx] += 1
-        series.count += 1
-        series.total += value
-
-    def count(self, *, labels: Mapping[str, str] | None = None) -> int:
-        series = self._series.get(_labelset(self.label_names, labels))
-        return series.count if series else 0
-
-    def prometheus_lines(self) -> list[str]:
-        lines: list[str] = []
-        for labels, series in self._sorted_series():
-            cumulative = 0
-            for bound, in_bucket in zip(self.buckets, series.bucket_counts):
-                cumulative += in_bucket
-                le = _render_labels(labels, f'le="{_format_value(bound)}"')
-                lines.append(f"{self.name}_bucket{le} {cumulative}")
-            le = _render_labels(labels, 'le="+Inf"')
-            lines.append(f"{self.name}_bucket{le} {series.count}")
-            plain = _render_labels(labels)
-            lines.append(f"{self.name}_sum{plain} {_format_value(series.total)}")
-            lines.append(f"{self.name}_count{plain} {series.count}")
-        return lines
-
-    def to_json(self) -> list[dict[str, Any]]:
-        return [
-            {
-                "labels": dict(labels),
-                "buckets": {
-                    _format_value(bound): count
-                    for bound, count in zip(self.buckets, series.bucket_counts)
-                },
-                "count": series.count,
-                "sum": series.total,
-            }
-            for labels, series in self._sorted_series()
-        ]
-
-
 class _SummarySeries:
     __slots__ = ("samples",)
 
@@ -339,7 +247,7 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._families: dict[str, _Family] = {}
 
-    def _register(self, cls, name, help_text, label_names, **kwargs):
+    def _register(self, cls, name, help_text, label_names):
         existing = self._families.get(name)
         if existing is not None:
             if type(existing) is not cls:
@@ -353,7 +261,7 @@ class MetricsRegistry:
                     f"{existing.label_names}, not {tuple(label_names)}"
                 )
             return existing
-        family = cls(name, help_text, label_names, **kwargs)
+        family = cls(name, help_text, label_names)
         self._families[name] = family
         return family
 
@@ -366,17 +274,6 @@ class MetricsRegistry:
         self, name: str, help_text: str = "", label_names: Sequence[str] = ()
     ) -> Gauge:
         return self._register(Gauge, name, help_text, label_names)
-
-    def histogram(
-        self,
-        name: str,
-        help_text: str = "",
-        label_names: Sequence[str] = (),
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> Histogram:
-        return self._register(
-            Histogram, name, help_text, label_names, buckets=buckets
-        )
 
     def summary(
         self, name: str, help_text: str = "", label_names: Sequence[str] = ()

@@ -1,5 +1,7 @@
 """Tests for CSV import/export of private databases."""
 
+import csv
+
 import pytest
 
 from repro.database.database import PrivateDatabase
@@ -12,6 +14,7 @@ from repro.database.io import (
 from repro.database.schema import Column, Schema
 
 SCHEMA = Schema.of(("amount", "INTEGER"), ("store", "TEXT"))
+REAL_SCHEMA = Schema.of(("v", "REAL"))
 
 
 def write_csv(path, text):
@@ -73,6 +76,35 @@ class TestLoad:
         with pytest.raises(TableIOError, match="non-nullable"):
             load_csv_table(PrivateDatabase("acme"), "t", SCHEMA, path)
 
+    def test_row_longer_than_the_header_rejected(self, tmp_path):
+        path = write_csv(
+            tmp_path / "sales.csv", "amount,store\n100,east\n250,west,999,888\n"
+        )
+        db = PrivateDatabase("acme")
+        with pytest.raises(TableIOError, match=r"sales\.csv:3: 2 more cell"):
+            load_csv_table(db, "sales", SCHEMA, path)
+        assert "sales" not in db
+
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity"])
+    def test_non_finite_real_rejected(self, tmp_path, cell):
+        path = write_csv(tmp_path / "t.csv", f"v\n1.5\n{cell}\n")
+        db = PrivateDatabase("acme")
+        with pytest.raises(TableIOError, match="non-finite"):
+            load_csv_table(db, "t", REAL_SCHEMA, path)
+        assert "t" not in db
+
+    def test_undecodable_file_rejected(self, tmp_path):
+        path = tmp_path / "sales.csv"
+        path.write_bytes(b"amount,store\n100,\xff\xfe\n")
+        with pytest.raises(TableIOError, match="cannot read"):
+            load_csv_table(PrivateDatabase("acme"), "sales", SCHEMA, path)
+
+    def test_malformed_csv_rejected(self, tmp_path):
+        oversized = "x" * (csv.field_size_limit() + 1)
+        path = write_csv(tmp_path / "sales.csv", f"amount,store\n100,{oversized}\n")
+        with pytest.raises(TableIOError, match="cannot read"):
+            load_csv_table(PrivateDatabase("acme"), "sales", SCHEMA, path)
+
 
 class TestRoundTrip:
     def test_save_and_reload(self, tmp_path):
@@ -103,6 +135,23 @@ class TestDirectoryLoad:
             "acme", tmp_path, {"sales": SCHEMA, "returns": SCHEMA}
         )
         assert db.table_names == ("returns", "sales")
+
+    @pytest.mark.parametrize(
+        "cells", [("5", "nan", "7"), ("nan", "5", "7"), ("5", "7", "nan")],
+        ids=["middle", "first", "last"],
+    )
+    def test_a_nan_is_refused_wherever_its_row_sits(self, tmp_path, cells):
+        """A NaN has no order, so once loaded the answer depended on its row.
+
+        In a federation with parties ``[3, 9]`` and ``[4, 8]`` under
+        ``exact_config()``: ``MAX(v)`` answered 9.0 with the NaN in the middle
+        or last and refused (``QueryError``, outside the public domain) with
+        it first; ``TOP 2`` answered only with it last; ``SUM(v)`` was ``nan``
+        in all three.  The party never gets as far as registering now.
+        """
+        write_csv(tmp_path / "data.csv", "v\n" + "".join(f"{c}\n" for c in cells))
+        with pytest.raises(TableIOError, match="non-finite value 'nan'"):
+            database_from_csv_dir("p0", tmp_path, {"data": REAL_SCHEMA})
 
     def test_integration_with_protocol(self, tmp_path):
         from repro.core.driver import RunConfig, run_topk_query

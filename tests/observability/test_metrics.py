@@ -41,21 +41,6 @@ class TestGauge:
         assert gauge.value() == 5
 
 
-class TestHistogram:
-    def test_cumulative_bucket_exposition(self):
-        histogram = MetricsRegistry().histogram(
-            "lat_seconds", buckets=(0.1, 1.0)
-        )
-        for value in (0.05, 0.5, 0.5, 5.0):
-            histogram.observe(value)
-        lines = histogram.prometheus_lines()
-        assert 'lat_seconds_bucket{le="0.1"} 1' in lines
-        assert 'lat_seconds_bucket{le="1"} 3' in lines
-        assert 'lat_seconds_bucket{le="+Inf"} 4' in lines
-        assert "lat_seconds_count 4" in lines
-        assert histogram.count() == 4
-
-
 class TestSummary:
     def test_exact_quantiles(self):
         summary = MetricsRegistry().summary("s_seconds")

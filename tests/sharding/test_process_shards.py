@@ -195,12 +195,10 @@ def test_local_and_process_twins_run_the_same_config(config, rounds):
         (RunConfig(latency=constant_latency(0.01)), "latency=<"),
         (RunConfig(failures=FailureInjector()), "failures=FailureInjector"),
         (RunConfig(ring_builder=lambda ids, rng: None), "ring_builder=<"),
-        (RunConfig(initial_vector=(5.0,)), "initial_vector=(5.0,)"),
         (RunConfig(params=ProtocolParams(schedule=LinearSchedule())), "LinearSchedule"),
         (RunConfig(params=ProtocolParams(epsilon=0.01)), "epsilon=0.01"),
     ],
-    ids=["encrypt", "latency", "failures", "ring_builder", "initial_vector",
-         "schedule", "epsilon"],
+    ids=["encrypt", "latency", "failures", "ring_builder", "schedule", "epsilon"],
 )
 def test_a_config_the_spec_cannot_carry_is_refused_at_build(config, lost):
     topology = build_topology(shards=2, parties_per_shard=3, tables=2, seed=3)

@@ -21,9 +21,7 @@ EXPECTED_MARKERS = {
     "knn_classifier.py": "diagnosis",
     "parameter_tuning.py": "privacy/efficiency knee",
     "federated_analytics.py": "audit log",
-    "malicious_actors.py": "SPOOFING",
     "tcp_deployment.py": "all agree",
-    "continuous_monitoring.py": "warm",
     "governed_consortium.py": "exposure ledger",
 }
 

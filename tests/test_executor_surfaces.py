@@ -1,7 +1,7 @@
 """Every single-query surface runs the rule's executor and answers as the session would.
 
-``Federation.execute``, ``run_topk_query``, kNN, monitoring, grouped top-k,
-the attack helpers and ``repro-topk query`` all reach the protocol through
+``Federation.execute``, ``run_topk_query``, kNN, grouped top-k and
+``repro-topk query`` all reach the protocol through
 ``run_protocol_on_vectors``' default.  For a transport-free config that is a
 message-free kernel: no ``ProtocolSession`` is built, and the result equals
 the session's under the same seed (message ids aside).  The session twin is
@@ -26,10 +26,8 @@ from repro.core.driver import RunConfig, run_topk_query
 from repro.core.results import ProtocolResult
 from repro.database.database import database_from_values
 from repro.database.query import Domain, TopKQuery
-from repro.extensions.attacks import run_hiding_attack, run_spoofing_attack
 from repro.extensions.groups import run_grouped_topk
 from repro.extensions.knn import PrivateKNNClassifier, PrivateParty
-from repro.extensions.monitoring import ContinuousTopKMonitor
 from repro.experiments.config import TrialSetup
 from repro.experiments.runner import run_trials
 from repro.federation import Federation
@@ -48,7 +46,6 @@ VALUES = {
     "corex": [7000, 6500, 3],
     "delta": [5, 8200],
 }
-VECTORS = {owner: [float(v) for v in values] for owner, values in VALUES.items()}
 
 
 def federation_execute():
@@ -76,31 +73,13 @@ def knn():
     return [classifier.classify((1.0, 1.5)), classifier.classify((3.0, -1.0))]
 
 
-def monitoring():
-    monitor = ContinuousTopKMonitor(query=QUERY, seed=3)
-    for owner, values in VECTORS.items():
-        monitor.update(owner, values)
-    first = monitor.run_epoch()
-    monitor.append("bravo", 9500.0)
-    second = monitor.run_epoch()  # warm-started: seeds the global vector
-    return [first.result, second.result, second.warm_started]
-
-
 def grouped():
     vectors = {f"n{i:02d}": [float(37 * i % 9973 + 1), float(i + 1)] for i in range(12)}
     outcome = run_grouped_topk(vectors, QUERY, group_size=4, seed=9)
     return [*outcome.group_results, outcome.combiner_result, outcome.final_vector]
 
 
-def attacks():
-    spoof = run_spoofing_attack(VECTORS, QUERY, config=RunConfig(seed=2))
-    hide = run_hiding_attack(
-        VECTORS, QUERY, true_values=[9900.0, 12.0], config=RunConfig(seed=2)
-    )
-    return [spoof.result, hide.result, spoof.pollution(), hide.suppression()]
-
-
-SURFACES = [federation_execute, topk_query, knn, monitoring, grouped, attacks]
+SURFACES = [federation_execute, topk_query, knn, grouped]
 
 
 @pytest.fixture
