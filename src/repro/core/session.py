@@ -236,7 +236,6 @@ class ProtocolSession:
         self.ring_history: dict[int, tuple[str, ...]] = {1: ring.members}
         self.nodes[self.starter].round_hook = self._on_round_complete
         self._started = False
-        self.abandoned = False
 
     # -- wiring ---------------------------------------------------------------
 
@@ -312,8 +311,6 @@ class ProtocolSession:
 
     def start(self) -> None:
         """Emit the round-1 token; delivery is driven by the transport."""
-        if self.abandoned:
-            raise DriverError("session was abandoned")
         if self._started:
             raise DriverError("session already started")
         self._started = True
@@ -351,34 +348,6 @@ class ProtocolSession:
         """True once the starter holds the final result."""
         return self.nodes[self.starter].final_result is not None
 
-    def abandon(self) -> None:
-        """Withdraw this query from its transport mid-flight.
-
-        The serving layer (:mod:`repro.service`) sheds queries whose
-        deadline expires; an expired query pipelined with live ones must
-        stop consuming transport deliveries *without* disturbing its batch
-        mates.  Abandoning unregisters every node handler on this session's
-        channel, so any in-flight token for this query is dropped on
-        delivery (counted in ``transport.dropped``) instead of triggering
-        further computation, while other channels' traffic is untouched.
-        Idempotent; an abandoned session can never be finalized.
-        """
-        if self.abandoned:
-            return
-        self.abandoned = True
-        for node_id in self._node_ids:
-            self.transport.unregister(node_id, channel=self.query_id)
-        if self.trace is not None and self._trace_protocol_ctx is not None:
-            tracer = self.trace.tracer
-            now = self.transport.now
-            for ctx in (self._trace_round_ctx, self._trace_broadcast_ctx):
-                if ctx is not None:
-                    tracer.close_span(ctx, at=now, attrs={"abandoned": True})
-            tracer.close_span(
-                self._trace_protocol_ctx, at=now, attrs={"abandoned": True}
-            )
-            self.accounting.on_delivery = None
-
     def recover(self) -> None:
         """Ring-repair recovery (Section 3.2) and loss retransmission.
 
@@ -399,8 +368,6 @@ class ProtocolSession:
         with a bounded retry budget so a pathological loss rate still fails
         loudly.
         """
-        if self.abandoned:
-            return  # nothing to repair; the query was withdrawn
         failures = self.config.failures
         if failures is None:
             return
@@ -496,10 +463,6 @@ class ProtocolSession:
 
     def finalize(self) -> ProtocolResult:
         """Validate termination and assemble the result for this query."""
-        if self.abandoned:
-            raise DriverError(
-                "session was abandoned (deadline expired); it has no result"
-            )
         config = self.config
         final = self.nodes[self.starter].final_result
         if final is None:

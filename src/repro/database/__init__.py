@@ -21,15 +21,6 @@ _EXPORTS = {
     ),
     "generator": ("DISTRIBUTIONS", "DataGenerator", "datasets_with_known_topk"),
     "io": ("TableIOError", "database_from_csv_dir", "load_csv_table", "save_csv_table"),
-    "predicates": (
-        "And",
-        "ColumnPredicate",
-        "ColumnRef",
-        "Comparison",
-        "Not",
-        "Or",
-        "col",
-    ),
     "query": (
         "Domain",
         "PAPER_DOMAIN",

@@ -127,18 +127,6 @@ class PrivateDatabase:
                 )
         return values
 
-    def attribute_domain_check(self, query: TopKQuery) -> bool:
-        """True when every value of the queried attribute is in-domain.
-
-        Vectorized through the table's storage engine: schema validation
-        guarantees every non-null value is an int or float, so the check
-        reduces to a range test over the column.
-        """
-        table = self.table(query.table)
-        return table.values_within(
-            query.attribute, query.domain.low, query.domain.high
-        )
-
 
 def database_from_values(
     owner: str,

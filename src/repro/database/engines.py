@@ -19,16 +19,16 @@ module makes the storage layout a pluggable choice behind one
     at int8 / int16 / int32 when its range fits, a REAL run of exact
     decimals as 8- or 16-bit codes over a power of ten, anything else at
     int64 / float64) and decoded to int64 / float64 for every reader.  The
-    predicate-free reads the serving path makes of a column — ``top_k`` /
-    ``bottom_k`` (``k`` up to :data:`SUMMARY_ROWS`), ``aggregate`` and the
-    range check — are answered from one *write-maintained summary* per
-    column: its largest and smallest :data:`SUMMARY_ROWS` values, its
-    non-null count and its running sum.  The summary is built by one scan
-    on the column's first read; tables only append, so after an insert it
-    is folded forward over just the new rows on the next read (no chunk is
-    sealed for them and the column is never copied), and a spill drops it.
-    A larger ``k``, ``numeric_values`` and every ``where=`` path run as
-    ``np.partition``/reduction kernels over the whole column.  Results are
+    reads the serving path makes of a column — ``top_k`` / ``bottom_k``
+    (``k`` up to :data:`SUMMARY_ROWS`) and ``aggregate`` — are answered
+    from one *write-maintained summary* per column: its largest and
+    smallest :data:`SUMMARY_ROWS` values, its non-null count and its
+    running sum.  The summary is built by one scan on the column's first
+    read; tables only append, so after an insert it is folded forward over
+    just the new rows on the next read (no chunk is sealed for them and the
+    column is never copied), and a spill drops it.  A larger ``k`` and
+    ``numeric_values`` decode the whole column for the one read (no copy
+    is kept) and run as ``np.partition`` kernels over it.  Results are
     *bit-identical* to the row store: same values, same descending order,
     same tie behavior, same float rounding (the running sum follows
     Python's left-to-right ``sum``).  A column whose values cannot be
@@ -72,12 +72,12 @@ from typing import ClassVar
 
 import numpy as np
 
-from .predicates import ColumnPredicate, MaskUnsupported
 from .schema import Schema
 
 Row = dict[str, object]
 
 __all__ = [
+    "AGGREGATES",
     "COLUMNAR",
     "DEFAULT_ENGINE",
     "DUCKDB",
@@ -102,6 +102,9 @@ DUCKDB = "duckdb"
 ENGINES = (ROW, COLUMNAR, DUCKDB)
 #: The engine new tables use when none is requested.
 DEFAULT_ENGINE = COLUMNAR
+#: The local aggregates a table answers; ``Table.aggregate`` refuses any
+#: other name before an engine sees it.
+AGGREGATES = ("max", "min", "sum", "avg", "count")
 
 #: Rows buffered per columnar chunk before the pending tail is sealed into
 #: a contiguous array.  Large enough to amortize array construction, small
@@ -227,7 +230,7 @@ class StorageEngine(ABC):
     def column_values(self, name: str) -> list[object]:
         """One column's values (``None`` included), in insertion order."""
 
-    # -- vectorizable queries (no predicate; Table handles `where`) --
+    # -- queries --
 
     @abstractmethod
     def numeric_values(self, name: str) -> list:
@@ -244,23 +247,15 @@ class StorageEngine(ABC):
     @abstractmethod
     def aggregate(self, name: str, func: str) -> float | None:
         """``max``/``min``/``sum``/``avg`` over non-null values (``None``
-        when the column has none), or ``count`` of non-null values."""
-
-    @abstractmethod
-    def all_in_range(self, name: str, low: float, high: float) -> bool:
-        """True when every non-null value lies in ``[low, high]``."""
+        when the column has none), or ``count`` of non-null values.
+        ``func`` is one of :data:`AGGREGATES`."""
 
 
 # -- shared scalar kernels (the row store's semantics, reused by spills) -----
 
 
 def _scalar_aggregate(values: list, func: str) -> float | None:
-    """The row store's aggregate semantics over already-extracted values.
-
-    Mirrors the original ``Table.aggregate`` exactly, including the quirk
-    that an unknown function over an *empty* column returns ``None`` before
-    the function name is ever checked.
-    """
+    """The row store's aggregate semantics over already-extracted values."""
     if func == "count":
         return float(len(values))
     if not values:
@@ -269,15 +264,8 @@ def _scalar_aggregate(values: list, func: str) -> float | None:
         return max(values)
     if func == "min":
         return min(values)
-    if func == "sum":
-        return float(sum(values))
-    if func == "avg":
-        return float(sum(values)) / len(values)
-    raise ValueError(f"unknown aggregate function: {func!r}")
-
-
-def _scalar_in_range(values: list, low: float, high: float) -> bool:
-    return all(low <= v <= high for v in values)
+    total = float(sum(values))
+    return total if func == "sum" else total / len(values)
 
 
 # -- the row store -----------------------------------------------------------
@@ -327,9 +315,6 @@ class RowStoreEngine(StorageEngine):
 
     def aggregate(self, name: str, func: str) -> float | None:
         return _scalar_aggregate(self.numeric_values(name), func)
-
-    def all_in_range(self, name: str, low: float, high: float) -> bool:
-        return _scalar_in_range(self.numeric_values(name), low, high)
 
 
 # -- the columnar engine -----------------------------------------------------
@@ -392,7 +377,7 @@ def _reals_representable(values: np.ndarray) -> bool:
 
 
 class _ColumnSummary:
-    """What the predicate-free reads ask of a vectorized column, kept exact.
+    """What the serving reads ask of a vectorized column, kept exact.
 
     ``largest`` and ``smallest`` hold the (up to) :data:`SUMMARY_ROWS` most
     extreme non-null values, both ascending, and ``count`` the non-null
@@ -448,7 +433,9 @@ class _ColumnSummary:
             )
 
     def aggregate(self, func: str) -> float | None:
-        """:meth:`ColumnarEngine.aggregate_array` of the summarized values."""
+        """:func:`_scalar_aggregate` of the summarized values: ``max`` /
+        ``min`` keep the row store's type (``item()`` gives a Python int
+        for int64), ``sum`` / ``avg`` read the running total."""
         if func == "count":
             return float(self.count)
         if self.count == 0:
@@ -457,16 +444,8 @@ class _ColumnSummary:
             return self.largest[-1].item()
         if func == "min":
             return self.smallest[0].item()
-        if func in ("sum", "avg"):
-            total = float(self.total)
-            return total if func == "sum" else total / self.count
-        raise ValueError(f"unknown aggregate function: {func!r}")
-
-    def within(self, low: float, high: float) -> bool:
-        """True when every summarized value lies in ``[low, high]``."""
-        return self.count == 0 or (
-            low <= self.smallest[0].item() and self.largest[-1].item() <= high
-        )
+        total = float(self.total)
+        return total if func == "sum" else total / self.count
 
 
 class _SealedRun:
@@ -607,7 +586,8 @@ class _NumericColumn:
     loses no data: correctness never depends on the fast path being
     available.
 
-    A vectorized column answers its predicate-free reads from one
+    A vectorized column answers ``top_k`` / ``bottom_k`` (``k`` up to
+    :data:`SUMMARY_ROWS`) and ``aggregate`` from one
     :class:`_ColumnSummary`.  :meth:`summary` builds it with a single scan
     on the column's first such read and from then on folds forward only
     the rows appended since (``_folded`` is the cursor), reading a row
@@ -625,7 +605,6 @@ class _NumericColumn:
         self.masks: list[np.ndarray] | None = None
         #: Exact object storage after a spill (None while vectorized).
         self.exact: list[object] | None = None
-        self._cache: tuple[np.ndarray, np.ndarray | None] | None = None
         #: Rows held in ``chunks``.
         self._sealed = 0
         self._summary: _ColumnSummary | None = None
@@ -653,7 +632,6 @@ class _NumericColumn:
         if self.exact is not None:
             self.exact.extend(values)
             return
-        self._cache = None
         self.pending.extend(values)
         if len(self.pending) >= CHUNK_ROWS:
             self._flush()
@@ -661,7 +639,6 @@ class _NumericColumn:
     def append_array(self, values: np.ndarray) -> None:
         """Fast bulk path: a canonical-dtype, null-free array chunk."""
         if self.exact is None:
-            self._cache = None
             self._flush()  # sealing the pending tail may itself spill
         if self.exact is not None:
             self.exact.extend(values.tolist())
@@ -709,7 +686,6 @@ class _NumericColumn:
         self.exact = exact
         self.chunks = []
         self.masks = None
-        self._cache = None
         self._summary = None
 
     # -- access --
@@ -789,13 +765,10 @@ class _NumericColumn:
     def materialize(self) -> tuple[np.ndarray, np.ndarray | None]:
         """One contiguous canonical-dtype (values, validity-mask-or-None).
 
-        Decodes the chunks on first use and caches the result; any append
-        invalidates the cache.  The chunks stay as sealed, so until then a
-        column that is not one float64 / int64 run holds its decoded copy
-        beside its codes.  Callers must hold ``exact is None``.
+        Decodes the chunks for the caller's one read and keeps nothing: the
+        column holds its codes and summary only, never a decoded copy.
+        Callers must hold ``exact is None``.
         """
-        if self._cache is not None:
-            return self._cache
         self._flush()
         if self.exact is not None:  # the flush itself may have spilled
             raise RuntimeError("materialize() on a spilled column")
@@ -812,8 +785,7 @@ class _NumericColumn:
             )
         if mask is not None and bool(mask.all()):
             mask = None
-        self._cache = (values, mask)
-        return self._cache
+        return values, mask
 
     def valid_values(self) -> np.ndarray:
         values, mask = self.materialize()
@@ -831,8 +803,9 @@ class _NumericColumn:
 
 
 class ColumnarEngine(StorageEngine):
-    """Chunked numpy columns; predicate-free reads from column summaries,
-    everything else as partition/reduction kernels."""
+    """Chunked numpy columns; top-k, bottom-k and aggregates from column
+    summaries, a larger ``k`` and full-column reads as partition kernels
+    over the decoded column."""
 
     name = "columnar"
 
@@ -947,7 +920,7 @@ class ColumnarEngine(StorageEngine):
             [v for v in column.exact if v is not None], func
         )
 
-    # -- array kernels (shared by the no-predicate and masked paths) --
+    # -- array kernels (the k > SUMMARY_ROWS reads) --
 
     def top_k_array(self, values: np.ndarray, k: int) -> list:
         """Largest ``k`` of an already-extracted value array, descending."""
@@ -956,99 +929,6 @@ class ColumnarEngine(StorageEngine):
     def bottom_k_array(self, values: np.ndarray, k: int) -> list:
         """Smallest ``k`` of an already-extracted value array, ascending."""
         return self._to_list(_smallest(values, k))
-
-    def aggregate_array(self, values: np.ndarray, func: str) -> float | None:
-        """Aggregate an already-extracted value array, row-store semantics.
-
-        Keeps :func:`_scalar_aggregate`'s quirk that an unknown function
-        over an empty array returns ``None`` before the name is checked.
-        """
-        if func == "count":
-            return float(values.size)
-        if values.size == 0:
-            return None
-        if func == "max":
-            return self._reduced(values.max())
-        if func == "min":
-            return self._reduced(values.min())
-        if func in ("sum", "avg"):
-            total = self._exact_sum(values)
-            return total if func == "sum" else total / values.size
-        raise ValueError(f"unknown aggregate function: {func!r}")
-
-    def in_range_array(self, values: np.ndarray, low: float, high: float) -> bool:
-        """True when every value of an extracted array lies in [low, high]."""
-        if values.size == 0:
-            return True
-        return bool(((values >= low) & (values <= high)).all())
-
-    @staticmethod
-    def _reduced(value: "np.generic") -> float:
-        # max/min keep the row store's numeric type: Python int for int64
-        # columns (row-store max() returns the int), float otherwise.
-        return value.item()
-
-    def _exact_sum(self, values: np.ndarray) -> float:
-        """``float(sum(values))`` of the row store, bit for bit.
-
-        int64: the Python sum is exact arbitrary-precision, and so is
-        :func:`_int_sum`.  float64: Python's ``sum`` adds sequentially,
-        while ``np.sum`` is pairwise (different rounding); ``np.cumsum`` is
-        defined by the sequential recurrence, so its last element
-        reproduces the row store's rounding exactly.
-        """
-        if values.dtype.kind == "i":
-            return float(_int_sum(values))
-        return float(np.cumsum(values)[-1])
-
-    def all_in_range(self, name: str, low: float, high: float) -> bool:
-        column = self._numeric(name)
-        summary = column.summary()
-        if summary is not None:
-            return summary.within(low, high)
-        return _scalar_in_range(
-            [v for v in column.exact if v is not None], low, high
-        )
-
-    # -- structured-predicate support --
-
-    def try_mask(self, predicate: "ColumnPredicate") -> "np.ndarray | None":
-        """Compile a structured predicate to a row-selection mask.
-
-        Returns ``None`` — "use the scalar path" — whenever any referenced
-        column cannot be vectorized exactly: a TEXT column, a spilled
-        column, or a comparison the predicate itself refuses to vectorize
-        (:class:`~repro.database.predicates.MaskUnsupported`).  A returned
-        mask selects exactly the rows the predicate's scalar evaluation
-        would accept, in insertion order.
-        """
-        arrays: dict[str, tuple[np.ndarray, np.ndarray | None]] = {}
-        for name in predicate.columns():
-            column = self._columns.get(name)
-            if not isinstance(column, _NumericColumn):
-                return None
-            if column.storage() is not None:  # spilled: exact path only
-                return None
-            arrays[name] = column.materialize()
-        try:
-            return predicate.mask(arrays)
-        except MaskUnsupported:
-            return None
-
-    def masked_numeric(
-        self, name: str, row_mask: np.ndarray
-    ) -> "np.ndarray | None":
-        """Non-null values of ``name`` in mask-selected rows, in order.
-
-        ``None`` when the target column itself cannot vectorize (spilled);
-        the caller then re-evaluates the predicate on the scalar path.
-        """
-        column = self._numeric(name)
-        if column.storage() is not None:
-            return None
-        values, valid = column.materialize()
-        select = row_mask if valid is None else row_mask & valid
-        return values[select]
 
 
 # -- the optional DuckDB engine ----------------------------------------------
@@ -1188,22 +1068,14 @@ class DuckDbEngine(StorageEngine):
             return float(non_null)
         if non_null == 0:
             return None
-        if func not in ("max", "min", "sum", "avg"):
-            raise ValueError(f"unknown aggregate function: {func!r}")
+        # ``func`` is one of AGGREGATES (Table checked it), so it is safe
+        # to spell into the statement like the validated column name.
         value = self._conn.execute(
             f'SELECT {func.upper()}("{name}") FROM t'
         ).fetchone()[0]
         if func in ("sum", "avg"):
             return float(value)
         return value
-
-    def all_in_range(self, name: str, low: float, high: float) -> bool:
-        outside = self._conn.execute(
-            f'SELECT COUNT(*) FROM t WHERE "{name}" IS NOT NULL '
-            f'AND NOT ("{name}" >= ? AND "{name}" <= ?)',
-            [low, high],
-        ).fetchone()[0]
-        return outside == 0
 
 
 # -- engine construction -----------------------------------------------------

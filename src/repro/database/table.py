@@ -1,17 +1,17 @@
 """An in-memory relational table with the small query surface the protocols need.
 
-The protocols only ever ask a private database two things about a table:
-*all values of one numeric attribute* and *the local top-k of that attribute*.
-The table nevertheless supports enough of the classic relational operations
-(insert, scan, filtered select, projection, aggregation) to make the example
-applications realistic rather than toy value-lists.
+A statement asks a party's table one thing: the local top-k (or bottom-k) of
+one numeric attribute for a ranking query (Section 3.4), or its local SUM /
+COUNT for an additive one.  The table answers those, plus the plain reads
+export and the examples use (scan, projection, all values of a column) and
+the other local aggregates (MIN / MAX / AVG).  There are no predicates:
+the statement language has none (``repro.federation.sql``).
 
 Storage is delegated to a pluggable :class:`~repro.database.engines.StorageEngine`
-(the numpy columnar engine by default — see :mod:`repro.database.engines`),
-which accelerates the predicate-free query paths; validation, the ``where``
-predicate paths, and the ``version`` cache-invalidation counter live here
-and are engine-independent.  All engines answer bit-identically, so which
-one backs a table is a performance choice, never a semantic one.
+(the numpy columnar engine by default — see :mod:`repro.database.engines`);
+validation and the ``version`` cache-invalidation counter live here and are
+engine-independent.  All engines answer bit-identically, so which one backs
+a table is a performance choice, never a semantic one.
 """
 
 from __future__ import annotations
@@ -22,22 +22,16 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .engines import (
+    AGGREGATES,
     ExtractionSample,
     StorageEngine,
     _reals_representable,
-    _scalar_aggregate,
     extraction_sink,
     make_engine,
 )
-from .predicates import ColumnPredicate
 from .schema import Schema, SchemaError
 
 Row = dict[str, object]
-#: ``where=`` accepts any row callable; a structured
-#: :class:`~repro.database.predicates.ColumnPredicate` (see
-#: :func:`~repro.database.predicates.col`) additionally unlocks the
-#: vectorized filtered-query path on the columnar engine.
-Predicate = Callable[[Row], bool]
 EngineSpec = "str | Callable[[Schema], StorageEngine] | None"
 
 
@@ -209,85 +203,28 @@ class Table:
 
     # -- queries -----------------------------------------------------------
 
-    def _row_mask(self, where: Predicate) -> "np.ndarray | None":
-        """Vectorize a structured predicate, or ``None`` for the scalar path.
+    def scan(self) -> list[Row]:
+        """Return (copies of) all rows, in insertion order."""
+        return self._engine.rows()
 
-        Structured predicates are schema-checked here (on *every* engine —
-        a typo'd column name should raise, not silently match nothing),
-        then handed to the engine's ``try_mask`` hook if it has one.  A
-        ``None`` return means "evaluate ``where`` row by row instead": the
-        predicate is an opaque callable, the engine has no mask support, or
-        a referenced column cannot vectorize exactly (spilled / TEXT).
-        """
-        if not isinstance(where, ColumnPredicate):
-            return None
-        unknown = set(where.columns()) - set(self.schema.names)
-        if unknown:
-            raise SchemaError(
-                f"predicate references unknown columns: {sorted(unknown)}"
-            )
-        try_mask = getattr(self._engine, "try_mask", None)
-        if try_mask is None:
-            return None
-        return try_mask(where)
-
-    def _masked_values(
-        self, column: str, where: Predicate
-    ) -> "np.ndarray | None":
-        """Filtered non-null values of a numeric column as an array.
-
-        ``None`` means the scalar fallback must run (and will agree).
-        """
-        mask = self._row_mask(where)
-        if mask is None:
-            return None
-        return self._engine.masked_numeric(column, mask)  # type: ignore[attr-defined]
-
-    def scan(self, where: Predicate | None = None) -> list[Row]:
-        """Return (copies of) all rows matching ``where``."""
-        if where is None:
-            return self._engine.rows()
-        mask = self._row_mask(where)
-        if mask is not None:
-            # Build only the selected rows, straight from column storage.
-            names = self.schema.names
-            columns = [self._engine.column_values(name) for name in names]
-            return [
-                {name: col[i] for name, col in zip(names, columns)}
-                for i in np.flatnonzero(mask)
-            ]
-        return [r for r in self._engine.rows() if where(r)]
-
-    def project(self, column: str, where: Predicate | None = None) -> list[object]:
-        """Return the values of one column, optionally filtered."""
+    def project(self, column: str) -> list[object]:
+        """Return the values of one column, ``None`` included."""
         self.schema.column(column)  # raises on unknown column
-        if where is None:
-            return self._engine.column_values(column)
-        mask = self._row_mask(where)
-        if mask is not None:
-            values = self._engine.column_values(column)
-            return [values[i] for i in np.flatnonzero(mask)]
-        return [r.get(column) for r in self._engine.rows() if where(r)]
+        return self._engine.column_values(column)
 
-    def numeric_values(
-        self, column: str, where: Predicate | None = None
-    ) -> list[float]:
-        """Return non-null values of a numeric column.
+    def numeric_values(self, column: str) -> list[float]:
+        """Return non-null values of a numeric column, in insertion order."""
+        self._numeric(column)
+        return self._engine.numeric_values(column)
 
-        This is the attribute-value extraction step every node performs before
-        joining a protocol run.
-        """
-        col = self.schema.column(column)
-        if not col.is_numeric:
+    def _numeric(self, column: str) -> None:
+        if not self.schema.column(column).is_numeric:
             raise SchemaError(f"column {column!r} is not numeric")
-        if where is None:
-            return self._engine.numeric_values(column)
-        masked = self._masked_values(column, where)
-        if masked is not None:
-            return self._engine._to_list(masked)  # type: ignore[attr-defined]
-        return [v for v in self.project(column, where) if v is not None]  # type: ignore[list-item]
 
     def _extract(self, op: str, column: str, k: int) -> list[float]:
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        self._numeric(column)
         sink = extraction_sink()
         if sink is None:
             method = getattr(self._engine, op)
@@ -307,86 +244,31 @@ class Table:
         )
         return values
 
-    def top_k(
-        self, column: str, k: int, where: Predicate | None = None
-    ) -> list[float]:
+    def top_k(self, column: str, k: int) -> list[float]:
         """Local top-k of a numeric column, sorted descending.
 
         Returns fewer than ``k`` values when the table is small.  This is the
         node-local sort-and-truncate of Section 3.4 ("each node first sorts its
         values and takes the local set of topk values").
         """
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        col = self.schema.column(column)
-        if not col.is_numeric:
-            raise SchemaError(f"column {column!r} is not numeric")
-        if where is None:
-            return self._extract("top_k", column, k)
-        masked = self._masked_values(column, where)
-        if masked is not None:
-            return self._engine.top_k_array(masked, k)  # type: ignore[attr-defined]
-        import heapq
+        return self._extract("top_k", column, k)
 
-        return heapq.nlargest(k, self.numeric_values(column, where))
-
-    def bottom_k(
-        self, column: str, k: int, where: Predicate | None = None
-    ) -> list[float]:
+    def bottom_k(self, column: str, k: int) -> list[float]:
         """Local bottom-k (ascending) — used by min queries and kNN distances."""
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        col = self.schema.column(column)
-        if not col.is_numeric:
-            raise SchemaError(f"column {column!r} is not numeric")
-        if where is None:
-            return self._extract("bottom_k", column, k)
-        masked = self._masked_values(column, where)
-        if masked is not None:
-            return self._engine.bottom_k_array(masked, k)  # type: ignore[attr-defined]
-        import heapq
+        return self._extract("bottom_k", column, k)
 
-        return heapq.nsmallest(k, self.numeric_values(column, where))
-
-    def aggregate(
-        self,
-        column: str,
-        func: str,
-        where: Predicate | None = None,
-    ) -> float | None:
+    def aggregate(self, column: str, func: str) -> float | None:
         """Local aggregate: one of ``max``, ``min``, ``sum``, ``count``, ``avg``.
 
         ``count`` counts the column's **non-null** values — consistent with
         ``sum``/``avg``, which also exclude nulls, so ``avg == sum / count``
-        holds on every table.  (It used to count nulls too, making the three
-        disagree on nullable columns.)  Use ``len(table)`` or
-        ``len(table.scan(where))`` for a row count.
+        holds on every table; use ``len(table)`` for a row count.  Any other
+        ``func`` is a ``ValueError``, whatever the table holds.
         """
-        col = self.schema.column(column)
-        if where is None and col.is_numeric:
+        if func not in AGGREGATES:
+            raise ValueError(f"unknown aggregate function: {func!r}")
+        if self.schema.column(column).is_numeric:
             return self._engine.aggregate(column, func)
-        if where is not None and col.is_numeric:
-            masked = self._masked_values(column, where)
-            if masked is not None:
-                return self._engine.aggregate_array(masked, func)  # type: ignore[attr-defined]
         if func == "count":
-            return float(sum(1 for v in self.project(column, where) if v is not None))
-        return _scalar_aggregate(self.numeric_values(column, where), func)
-
-    def values_within(
-        self, column: str, low: float, high: float, where: Predicate | None = None
-    ) -> bool:
-        """True when every non-null value of ``column`` lies in ``[low, high]``.
-
-        The vectorized form of the per-value domain check a database performs
-        before admitting an attribute to a protocol run.
-        """
-        col = self.schema.column(column)
-        if not col.is_numeric:
-            raise SchemaError(f"column {column!r} is not numeric")
-        if where is None:
-            return self._engine.all_in_range(column, low, high)
-        masked = self._masked_values(column, where)
-        if masked is not None:
-            return self._engine.in_range_array(masked, low, high)  # type: ignore[attr-defined]
-        return all(low <= v <= high for v in self.numeric_values(column, where))
+            return float(sum(1 for v in self.project(column) if v is not None))
+        raise SchemaError(f"column {column!r} is not numeric")

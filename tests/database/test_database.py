@@ -122,12 +122,6 @@ class TestLocalTopK:
         with pytest.raises(QueryError, match="outside the public domain"):
             db.local_topk(query)
 
-    def test_domain_check(self, db: PrivateDatabase):
-        ok = TopKQuery(table="sales", attribute="amount", k=1)
-        narrow = TopKQuery(table="sales", attribute="amount", k=1, domain=Domain(1, 100))
-        assert db.attribute_domain_check(ok)
-        assert not db.attribute_domain_check(narrow)
-
 
 class TestDatabaseFromValues:
     def test_builds_integer_table(self):

@@ -15,6 +15,7 @@ duckdb = pytest.importorskip("duckdb")
 from repro.database import (  # noqa: E402
     Column,
     PrivateDatabase,
+    QueryError,
     Schema,
     StorageUnavailable,
     Table,
@@ -59,7 +60,8 @@ def test_sum_avg_close_and_empty_none():
     schema = Schema.of(("x", "REAL"))
     row, duck = make_pair(schema)
     assert duck.aggregate("x", "sum") is None
-    assert duck.aggregate("x", "median") is None  # quirk ordering preserved
+    with pytest.raises(ValueError, match="unknown aggregate"):
+        duck.aggregate("x", "median")  # refused before any engine, even empty
     values = [0.1 * i for i in range(100)]
     row.insert_many({"x": v} for v in values)
     duck.insert_many({"x": v} for v in values)
@@ -78,10 +80,10 @@ def test_domain_check_pushdown():
     db.create_table("data", Schema.of(("value", "INTEGER")))
     db.insert_many("data", [{"value": v} for v in (5, 9_000, 42)])
     q = TopKQuery(table="data", attribute="value", k=2)
-    assert db.attribute_domain_check(q)
     assert db.local_topk(q) == [9_000, 42]
     db.insert("data", {"value": 99_999})  # outside the paper domain
-    assert not db.attribute_domain_check(q)
+    with pytest.raises(QueryError, match="outside the public domain"):
+        db.local_topk(q)
 
 
 def test_tpch_on_duckdb_matches_row_store():

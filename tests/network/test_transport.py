@@ -36,15 +36,6 @@ class TestRegistration:
         transport.register("a", lambda m: None)
         assert transport.endpoints == ("a", "b")
 
-    def test_unregister_then_send_drops(self):
-        transport = InMemoryTransport()
-        transport.register("a", lambda m: None)
-        transport.register("b", lambda m: None)
-        transport.send(token_message("a", "b", 1, [1.0]))
-        transport.unregister("b")
-        assert transport.deliver_next() is None
-        assert transport.dropped == 1
-
 
 class TestDelivery:
     def test_in_order_delivery_with_constant_latency(self):

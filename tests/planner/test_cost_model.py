@@ -175,6 +175,9 @@ class TestRecordOutcome:
         assert ledger.recorded == ledger.lop_checked == 1
         assert ledger.lop_measured_sum == average_lop(outcome.trace)
         assert all(ledger.drift(metric) == 0.0 for metric in ("rounds", "messages"))
+        # Predicted as messages x hop_seconds, measured as a running sum of
+        # hop delays: the two differ by float rounding only.
+        assert ledger.drift("latency") <= 1e-12
 
     def test_cached_outcome_is_skipped(self):
         federation = self._federation()
