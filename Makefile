@@ -63,13 +63,21 @@ check-dp:
 
 # Where a fresh interpreter's start-up goes: the 20 most expensive imports
 # (cumulative microseconds, children included) on the two cold-start paths
-# the benchmark times -- a shard worker's boot and the figure registry.
+# the benchmark times -- a shard worker's boot and the figure registry --
+# and on `repro.cli`, what `repro-topk figure` pays.  Measured the way the
+# benchmark meets the program: a fresh copy of src/ without any __pycache__,
+# PYTHONDONTWRITEBYTECODE=1, so every repro module compiles on import while
+# the installed stdlib and NumPy keep their bytecode.
 import-profile:
-	@for module in repro.sharding.worker repro.experiments.figures.registry; do \
-		echo "=== import $$module: self us | cumulative us | module"; \
-		PYTHONPATH=src $(PYTHON) -X importtime -c "import $$module" 2>&1 \
+	@tree=$$(mktemp -d); \
+	tar -C src --exclude=__pycache__ -cf - repro | tar -C $$tree -xf -; \
+	for module in repro.sharding.worker repro.experiments.figures.registry repro.cli; do \
+		echo "=== import $$module (uncached): self us | cumulative us | module"; \
+		PYTHONPATH=$$tree PYTHONDONTWRITEBYTECODE=1 $(PYTHON) -X importtime \
+			-c "import $$module" 2>&1 \
 			| grep '^import time:' | sort -t'|' -k2 -n | tail -20; \
-	done
+	done; \
+	rm -rf $$tree
 
 figures:
 	$(PYTHON) -m repro.cli all --trials 100 --no-plot --out results --jobs $(JOBS)

@@ -14,15 +14,18 @@ entered, and at exit dumps the ones under ``src/repro`` to one file per
 process.  Every command runs with ``PYTHONPATH=<tmp>:src`` from inside the
 temporary directory, so subprocesses — the shard workers, ``bench/run.py``'s
 per-workload children — load the hook too and every relative default path
-lands there.  What runs:
+lands there.  ``bench/run.py`` writes beside itself (``bench/out``) and
+measures the ``src`` next to it, so it runs from a copy of ``bench/`` in the
+temporary directory with ``src`` linked beside the copy; the hook matches
+files by their real path, so code reached through that link counts.  What
+runs:
 
 * the CI ``smoke`` job's commands (``.github/workflows/ci.yml``) at small
   sizes, except its re-run of ``tests/sharding``: tests are not a front end;
 * ``repro-topk all --trials 20``: at least ``VECTOR_CROSSOVER`` trials, so
   the figures' points reach the vectorized engine (at 5 it looks dead);
 * ``bench/run.py --smoke``, as one ``--workload W --trace 0|1`` child per
-  workload and trace setting, the children ``--smoke`` itself runs (in that
-  form a child writes no result file under ``bench/out``).
+  workload and trace setting, the children ``--smoke`` itself runs.
 
 A process that ends in ``os._exit`` or a SIGKILL (the chaos sweep's victim)
 records nothing; the others cover what it ran.  Stdlib only; it imports
@@ -37,6 +40,7 @@ from __future__ import annotations
 import ast
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -65,10 +69,10 @@ def _profile(frame, event, arg):
 def _dump():
     sys.setprofile(None)
     rows = sorted({{
-        (code.co_filename, code.co_firstlineno)
+        (os.path.realpath(code.co_filename), code.co_firstlineno)
         for code in _entered.values()
-        if code.co_filename.startswith(_ROOT)
     }})
+    rows = [row for row in rows if row[0].startswith(_ROOT)]
     path = os.path.join(_RECORDS, f"entered-{{os.getpid()}}.json")
     with open(path, "w") as handle:
         json.dump(rows, handle)
@@ -93,8 +97,11 @@ WORKLOADS = (
 )
 
 
-def commands() -> list[tuple[list[str], str]]:
-    """``(argv, expected exit)`` of every run; ``"0"``, ``"2"`` or ``"nonzero"``."""
+def commands(bench_dir: Path) -> list[tuple[list[str], str]]:
+    """``(argv, expected exit)`` of every run; ``"0"``, ``"2"`` or ``"nonzero"``.
+
+    ``bench_dir`` is the copy of ``bench/`` the benchmark children run from.
+    """
     cli = [sys.executable, "-m", "repro.cli"]
     script = lambda name: [sys.executable, str(ROOT / "scripts" / name)]  # noqa: E731
     runs = [
@@ -130,7 +137,7 @@ def commands() -> list[tuple[list[str], str]]:
         (script("check_dp_accounting.py"), "0"),
         (cli + ["all", "--trials", "20", "--out", "all"], "0"),
     ]
-    bench = [sys.executable, str(ROOT / "bench" / "run.py")]
+    bench = [sys.executable, str(bench_dir / "run.py")]
     for workload in WORKLOADS:
         for trace in ("0", "1"):
             runs.append((bench + ["--workload", workload, "--smoke", "--trace", trace],
@@ -178,14 +185,19 @@ def main() -> int:
         (hook_dir / "sitecustomize.py").write_text(
             HOOK.format(root=str(PACKAGE), records=str(records))
         )
+        bench_dir = Path(tmp) / "bench"
+        shutil.copytree(ROOT / "bench", bench_dir,
+                        ignore=shutil.ignore_patterns("out", "__pycache__"))
+        (Path(tmp) / "src").symlink_to(SRC, target_is_directory=True)
         env = {
             **os.environ,
             "PYTHONPATH": os.pathsep.join([str(hook_dir), str(SRC)]),
             "PYTHONDONTWRITEBYTECODE": "1",
         }
-        runs = commands()
+        runs = commands(bench_dir)
         for index, (argv, expected) in enumerate(runs, 1):
-            shown = " ".join(Path(a).name if a.startswith(str(ROOT)) else a for a in argv[1:])
+            shown = " ".join(Path(a).name if a.startswith((str(ROOT), tmp)) else a
+                             for a in argv[1:])
             start = time.perf_counter()
             done = subprocess.run(argv, cwd=tmp, env=env, stdin=subprocess.DEVNULL,
                                   capture_output=True, text=True)

@@ -25,9 +25,10 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
-from ..database.database import PrivateDatabase, common_query
 from ..database.query import TopKQuery
+from ..database.schema import common_query
 from ..network.crypto import Keyring
 from ..network.failures import FailureInjector
 from ..network.transport import (
@@ -51,6 +52,9 @@ from .session import (
     RingBuilder,
     prepare_query_vectors,
 )
+
+if TYPE_CHECKING:
+    from ..database.database import PrivateDatabase
 
 __all__ = [
     "ANONYMOUS_NAIVE",

@@ -3,7 +3,7 @@
 from .._lazy import lazy_exports
 
 _EXPORTS = {
-    "database": ("PrivateDatabase", "common_query", "database_from_values"),
+    "database": ("PrivateDatabase", "database_from_values"),
     "engines": (
         "COLUMNAR",
         "ColumnarEngine",
@@ -29,7 +29,7 @@ _EXPORTS = {
         "max_query",
         "min_query",
     ),
-    "schema": ("COLUMN_TYPES", "Column", "Schema", "SchemaError"),
+    "schema": ("COLUMN_TYPES", "Column", "Schema", "SchemaError", "common_query"),
     "table": ("Table",),
     "tpch": (
         "LINEITEM_ROWS_PER_SF",

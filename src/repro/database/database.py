@@ -151,32 +151,3 @@ def database_from_values(
     t.insert_many({attribute: v} for v in values)
     return db
 
-
-def common_query(
-    databases: Iterable[PrivateDatabase],
-    query: TopKQuery,
-) -> TopKQuery:
-    """Validate that ``query`` is well-matched across all databases.
-
-    Implements the Section 3.2 precondition: schemas and attribute names are
-    known and well matched across the n nodes.  Returns the query unchanged on
-    success, raises :class:`SchemaError`/:class:`QueryError` otherwise.
-    """
-    dbs = list(databases)
-    if not dbs:
-        raise QueryError("no databases supplied")
-    reference: Schema | None = None
-    for db in dbs:
-        table = db.table(query.table)
-        column = table.schema.column(query.attribute)
-        if not column.is_numeric:
-            raise SchemaError(
-                f"{db.owner}: attribute {query.attribute!r} is not numeric"
-            )
-        if reference is None:
-            reference = table.schema
-        elif not table.schema.is_compatible_with(reference):
-            raise SchemaError(
-                f"{db.owner}: schema of table {query.table!r} does not match peers"
-            )
-    return query

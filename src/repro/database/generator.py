@@ -14,9 +14,12 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .database import PrivateDatabase, database_from_values
 from .query import PAPER_DOMAIN, Domain
+
+if TYPE_CHECKING:
+    from .database import PrivateDatabase
 
 #: Distribution names accepted by :class:`DataGenerator`.
 DISTRIBUTIONS = ("uniform", "normal", "zipf")
@@ -130,8 +133,12 @@ class DataGenerator:
 
         ``engine`` selects the storage engine backing each node's table
         (see :mod:`repro.database.engines`); the default is the columnar
-        engine, and all engines answer bit-identically.
+        engine, and all engines answer bit-identically.  The storage engine
+        is imported here, on this set-up call, so drawing values alone (every
+        experiment trial) never loads it.
         """
+        from .database import database_from_values
+
         return [
             database_from_values(
                 f"{owner_prefix}{i}",

@@ -9,7 +9,14 @@ spans multiple private databases.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+from .query import QueryError, TopKQuery
+
+if TYPE_CHECKING:
+    from .database import PrivateDatabase
 
 
 class SchemaError(ValueError):
@@ -128,3 +135,35 @@ class Schema:
         mine = {c.name: c.type for c in self.columns}
         theirs = {c.name: c.type for c in other.columns}
         return mine == theirs
+
+
+def common_query(
+    databases: Iterable[PrivateDatabase],
+    query: TopKQuery,
+) -> TopKQuery:
+    """Validate that ``query`` is well-matched across all databases.
+
+    Implements the Section 3.2 precondition: schemas and attribute names are
+    known and well matched across the n nodes.  Returns the query unchanged on
+    success, raises :class:`SchemaError`/:class:`QueryError` otherwise.  It
+    reads only ``db.owner`` and ``db.table(name).schema``, so it lives here
+    and its callers need not import the storage engine.
+    """
+    dbs = list(databases)
+    if not dbs:
+        raise QueryError("no databases supplied")
+    reference: Schema | None = None
+    for db in dbs:
+        table = db.table(query.table)
+        column = table.schema.column(query.attribute)
+        if not column.is_numeric:
+            raise SchemaError(
+                f"{db.owner}: attribute {query.attribute!r} is not numeric"
+            )
+        if reference is None:
+            reference = table.schema
+        elif not table.schema.is_compatible_with(reference):
+            raise SchemaError(
+                f"{db.owner}: schema of table {query.table!r} does not match peers"
+            )
+    return query

@@ -3,37 +3,25 @@
 Every table and figure of the paper's evaluation has an entry.  Figure
 runners return ``list[FigureData]`` (one per panel); the table runner
 returns rendered text.
+
+An entry names its figure module rather than holding its ``run``:
+:func:`run_experiment` imports the module the first time the figure runs,
+so importing the registry (``repro-topk list``, the first thing every
+``figure`` / ``all`` / ``validate`` / ``report`` pays) loads no figure and
+nothing only a figure uses — ``ext-dp``'s federation, planner and DP stack
+among them (DESIGN.md 4e).  The trial runner is the exception: the
+``experiments`` package loads it eagerly, and every empirical figure runs it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from importlib import import_module
 
 from .. import telemetry
 from ..runner import using_jobs
 from ..series import FigureData
-from . import (
-    ext_bayes,
-    ext_bound_check,
-    ext_collusion,
-    ext_communication,
-    ext_distributions,
-    ext_dp,
-    ext_noise,
-    ext_tpch_sweep,
-    fig3,
-    fig4,
-    fig5,
-    fig6,
-    fig7,
-    fig8,
-    fig9,
-    fig10,
-    fig11,
-    fig12,
-    table1,
-)
 
 FigureRunner = Callable[..., list[FigureData]]
 
@@ -46,7 +34,13 @@ class Experiment:
     paper_artifact: str
     kind: str  # "analytic" | "empirical" | "table"
     description: str
-    runner: Callable
+    #: Dotted name of the module whose ``run`` produces the artifact.
+    module: str
+
+    @property
+    def runner(self) -> Callable:
+        """The module's ``run``, importing the module on first use."""
+        return import_module(self.module).run
 
 
 EXPERIMENTS: dict[str, Experiment] = {
@@ -54,88 +48,99 @@ EXPERIMENTS: dict[str, Experiment] = {
     for exp in (
         Experiment(
             "table1", "Table 1", "table",
-            "experiment parameter glossary and harness defaults", table1.run,
+            "experiment parameter glossary and harness defaults",
+            "repro.experiments.figures.table1",
         ),
         Experiment(
             "fig3", "Figure 3(a,b)", "analytic",
-            "precision bound (Eq. 3) vs rounds", fig3.run,
+            "precision bound (Eq. 3) vs rounds",
+            "repro.experiments.figures.fig3",
         ),
         Experiment(
             "fig4", "Figure 4(a,b)", "analytic",
-            "minimum rounds (Eq. 4) vs error bound", fig4.run,
+            "minimum rounds (Eq. 4) vs error bound",
+            "repro.experiments.figures.fig4",
         ),
         Experiment(
             "fig5", "Figure 5(a,b)", "analytic",
-            "expected LoP bound (Eq. 6) vs rounds", fig5.run,
+            "expected LoP bound (Eq. 6) vs rounds",
+            "repro.experiments.figures.fig5",
         ),
         Experiment(
             "fig6", "Figure 6(a,b)", "empirical",
-            "measured max-selection precision vs rounds", fig6.run,
+            "measured max-selection precision vs rounds",
+            "repro.experiments.figures.fig6",
         ),
         Experiment(
             "fig7", "Figure 7(a,b)", "empirical",
-            "measured per-round LoP of max selection (n=4)", fig7.run,
+            "measured per-round LoP of max selection (n=4)",
+            "repro.experiments.figures.fig7",
         ),
         Experiment(
             "fig8", "Figure 8(a,b)", "empirical",
-            "measured LoP vs number of nodes", fig8.run,
+            "measured LoP vs number of nodes",
+            "repro.experiments.figures.fig8",
         ),
         Experiment(
             "fig9", "Figure 9", "empirical",
-            "privacy vs efficiency across (p0, d) pairs", fig9.run,
+            "privacy vs efficiency across (p0, d) pairs",
+            "repro.experiments.figures.fig9",
         ),
         Experiment(
             "fig10", "Figure 10(a,b)", "empirical",
-            "LoP vs nodes: probabilistic vs naive baselines", fig10.run,
+            "LoP vs nodes: probabilistic vs naive baselines",
+            "repro.experiments.figures.fig10",
         ),
         Experiment(
             "fig11", "Figure 11", "empirical",
-            "measured top-k precision vs rounds (varying k)", fig11.run,
+            "measured top-k precision vs rounds (varying k)",
+            "repro.experiments.figures.fig11",
         ),
         Experiment(
             "fig12", "Figure 12(a,b)", "empirical",
-            "LoP vs k: probabilistic vs naive baselines", fig12.run,
+            "LoP vs k: probabilistic vs naive baselines",
+            "repro.experiments.figures.fig12",
         ),
         Experiment(
             "ext-distributions", "Section 5.1 claim", "extension",
             "precision/LoP across uniform, normal and zipf data",
-            ext_distributions.run,
+            "repro.experiments.figures.ext_distributions",
         ),
         Experiment(
             "ext-communication", "Section 4.2 model", "extension",
             "measured messages/latency vs the analytic cost model",
-            ext_communication.run,
+            "repro.experiments.figures.ext_communication",
         ),
         Experiment(
             "ext-collusion", "Section 4.3 analysis", "extension",
             "coalition LoP and the per-round remapping countermeasure",
-            ext_collusion.run,
+            "repro.experiments.figures.ext_collusion",
         ),
         Experiment(
             "ext-bayes", "Section 7 future work", "extension",
             "multi-round Bayesian aggregation against one victim",
-            ext_bayes.run,
+            "repro.experiments.figures.ext_bayes",
         ),
         Experiment(
             "ext-noise", "Section 7 future work", "extension",
             "noise-placement strategies: precision vs LoP tradeoff",
-            ext_noise.run,
+            "repro.experiments.figures.ext_noise",
         ),
         Experiment(
             "ext-dp", "ROADMAP privacy item", "extension",
             "DP release error and distinguishing advantage vs epsilon, "
             "with the paper's LoP as reference",
-            ext_dp.run,
+            "repro.experiments.figures.ext_dp",
         ),
         Experiment(
             "ext-bound-check", "Section 5.3 claim", "extension",
             "measured per-round LoP against the Equation 6 bound",
-            ext_bound_check.run,
+            "repro.experiments.figures.ext_bound_check",
         ),
         Experiment(
             "ext-tpch-sweep", "ROADMAP scale item", "extension",
             "extraction seconds and planner drift vs TPC-H scale factor",
-            ext_tpch_sweep.run,
+            "repro.experiments.figures.ext_tpch_sweep",
         ),
     )
 }

@@ -28,9 +28,9 @@ import os
 import time
 from collections import defaultdict
 from collections.abc import Callable, Iterator, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from pickle import PicklingError
+from typing import TYPE_CHECKING
 
 from ..core.batch import execute_many as _execute_batch
 from ..core.driver import RunConfig, ambient_traces, run_protocol_on_vectors
@@ -43,6 +43,9 @@ from ..privacy.lop import node_lop, per_round_average_lop
 from . import telemetry
 from .config import TrialSetup
 from .telemetry import PointTelemetry, TrialTiming
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 
 class TrialError(RuntimeError):
@@ -179,6 +182,11 @@ atexit.register(shutdown_pool)
 
 def _shared_pool(jobs: int) -> ProcessPoolExecutor:
     global _POOL
+    # Imported here, not at module scope: ``concurrent.futures.process``
+    # brings ``multiprocessing`` with it, and only a run the pool gate
+    # admits needs either (DESIGN.md 4e).
+    from concurrent.futures import ProcessPoolExecutor
+
     if _POOL is not None and _POOL[0] != jobs:
         shutdown_pool()
     if _POOL is None:

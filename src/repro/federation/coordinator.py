@@ -37,8 +37,9 @@ from dataclasses import replace
 
 from ..core.driver import RunConfig, run_topk_queries, run_topk_query
 from ..core.results import ProtocolResult
-from ..database.database import PrivateDatabase, common_query
+from ..database.database import PrivateDatabase
 from ..database.query import Domain, TopKQuery
+from ..database.schema import common_query
 from ..extensions.ksecuresum import run_k_secure_sum
 from ..extensions.securesum import run_secure_sum
 from ..observability.trace import TraceContext, Tracer

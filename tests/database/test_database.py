@@ -2,13 +2,9 @@
 
 import pytest
 
-from repro.database.database import (
-    PrivateDatabase,
-    common_query,
-    database_from_values,
-)
+from repro.database.database import PrivateDatabase, database_from_values
 from repro.database.query import Domain, QueryError, TopKQuery
-from repro.database.schema import Schema, SchemaError
+from repro.database.schema import Schema, SchemaError, common_query
 
 
 @pytest.fixture

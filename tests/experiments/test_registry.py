@@ -1,5 +1,7 @@
 """Unit tests for the experiment registry."""
 
+import importlib
+
 import pytest
 
 from repro.experiments.figures.registry import (
@@ -44,6 +46,13 @@ class TestRegistry:
             assert EXPERIMENTS[fig].kind == "empirical"
         for ext in EXTENSION_IDS:
             assert EXPERIMENTS[ext].kind == "extension"
+
+    def test_every_entry_names_a_module_with_a_run(self):
+        # Entries resolve on first run; a typo must fail here, not there.
+        for experiment in EXPERIMENTS.values():
+            module = importlib.import_module(experiment.module)
+            assert callable(module.run), experiment.module
+            assert experiment.runner is module.run
 
     def test_unknown_id_lists_known(self):
         with pytest.raises(KeyError, match="known:"):

@@ -3,8 +3,8 @@
 Package ``__init__`` files export lazily (``repro/_lazy.py``), so importing
 a leaf loads the modules it uses and nothing else.  Each case runs in its
 own interpreter and inspects ``sys.modules``; a regression here is the shard
-worker's boot time and the gateway's set-up growing again (DESIGN.md, "Cold
-start").
+worker's boot time, the gateway's set-up or the figure path's start-up growing
+again (DESIGN.md, "Cold start").
 """
 
 import ast
@@ -56,11 +56,39 @@ def test_shard_worker_closure():
     assert len(under(modules, "repro")) <= 70
 
 
+#: What no figure-path interpreter loads: the gateway and its transports, the
+#: federation / planner / DP stack only ``ext-dp`` and ``ext-tpch-sweep`` run,
+#: the storage engines, and the trial pool a gated run never starts.
+NOT_ON_FIGURE_PATH = (
+    "repro.service", "repro.sharding", "repro.deploy", "asyncio",
+    "repro.federation", "repro.planner", "repro.privacy.dp",
+    "repro.database.engines", "multiprocessing", "concurrent.futures.process",
+)
+#: The figure package before any figure runs: the registry, no figure module.
+REGISTRY_ONLY = ["repro.experiments.figures", "repro.experiments.figures.registry"]
+
+
 def test_figure_registry_closure():
     modules = loaded_after("import repro.experiments.figures.registry")
-    assert not under(
-        modules, "repro.service", "repro.sharding", "repro.deploy", "asyncio"
+    assert not under(modules, *NOT_ON_FIGURE_PATH)
+    # 95 while the registry imported all 19 figure modules up front, 44 after.
+    assert len(under(modules, "repro")) <= 45
+    assert under(modules, "repro.experiments.figures") == REGISTRY_ONLY
+
+
+def test_running_a_paper_figure_loads_no_more_than_it_runs():
+    """The registry's saving is not deferred to the first figure's run."""
+    modules = loaded_after(
+        "from repro.experiments.figures.registry import run_experiment\n"
+        "run_experiment('fig6', trials=5)"
     )
+    assert "repro.experiments.figures.fig6" in modules
+    assert not under(modules, *NOT_ON_FIGURE_PATH)
+
+
+def test_cli_list_loads_no_figure_module():
+    modules = loaded_after("from repro.cli import main\nassert main(['list']) == 0")
+    assert under(modules, "repro.experiments.figures") == REGISTRY_ONLY
 
 
 def _bench_imports() -> str:

@@ -6,7 +6,10 @@ front ends are the three entry points the repo ships — the ``repro-topk``
 CLI, the shard worker a ``ProcessShard`` launches, the figure registry — and
 every ``repro`` import of the files under ``bench/``, ``benchmarks/`` and
 ``scripts/``.  ``examples/`` and ``tests/`` are not roots: a demonstration or
-a test of a module is not a caller of it.
+a test of a module is not a caller of it.  A string that is exactly a
+module's dotted name is an edge like an import: the figure registry names
+the figure modules it imports on first run that way, and ``bench/spans.py``
+its patch targets.
 
 Static (``ast`` only, nothing imported, no subprocess).  The comparison is
 two-sided: a new island fails it, and so does an allowlisted module that
@@ -93,14 +96,15 @@ def _with_ancestors(module: str) -> set[str]:
     return {".".join(parts[:i]) for i in range(1, len(parts) + 1)} & MODULES.keys()
 
 
-def _imports(tree: ast.AST, importer: str | None, literals: bool = False) -> set[str]:
+def _imports(tree: ast.AST, importer: str | None) -> set[str]:
     """The ``repro`` modules ``tree`` imports, at any depth of nesting.
 
     ``importer`` resolves relative imports (``None`` outside the package).
     ``from pkg import Name`` goes to the module ``pkg``'s export map names,
-    else to ``pkg.Name`` if that is a module, else to ``pkg``.  With
-    ``literals``, a string constant that is exactly a module's name counts
-    too — ``bench/spans.py`` names its patch targets that way.
+    else to ``pkg.Name`` if that is a module, else to ``pkg``.  A string
+    constant that is exactly a module's name counts too — the figure
+    registry's entries and ``bench/spans.py``'s patch targets name their
+    modules that way.
     """
     found: set[str] = set()
     for node in ast.walk(tree):
@@ -123,7 +127,7 @@ def _imports(tree: ast.AST, importer: str | None, literals: bool = False) -> set
                 found |= _with_ancestors(
                     origin or (submodule if submodule in MODULES else base)
                 )
-        elif literals and isinstance(node, ast.Constant) and node.value in MODULES:
+        elif isinstance(node, ast.Constant) and node.value in MODULES:
             found |= _with_ancestors(node.value)
     return found
 
@@ -134,7 +138,7 @@ def _roots() -> set[str]:
         roots |= _with_ancestors(entry)
     for directory in ROOT_DIRS:
         for path in sorted((ROOT / directory).rglob("*.py")):
-            roots |= _imports(ast.parse(path.read_text()), None, literals=True)
+            roots |= _imports(ast.parse(path.read_text()), None)
     return roots
 
 
