@@ -34,15 +34,13 @@ extracts again: the summary folds the one row forward, where the engine
 used to re-consolidate and re-partition the whole column.  The row-store
 floor is asserted on the scan — asserting it on the maintained read would
 be vacuous — and a second floor holds the read after a write to at least
-``READ_AFTER_WRITE_FLOOR`` times faster than that scan.  A DuckDB point is
-measured when the optional dependency is installed, recorded but never
-asserted — SQL pushdown is a portability feature, not the perf claim.
+``READ_AFTER_WRITE_FLOOR`` times faster than that scan.
 """
 
 import time
 
 from benchdoc import emit, row
-from repro.database import COLUMNAR, ROW, Table, duckdb_available
+from repro.database import COLUMNAR, ROW, Table
 from repro.database.tpch import LINEITEM_SCHEMA, TPCH_ATTRIBUTE, lineitem_arrays
 
 from conftest import BENCH_SEED
@@ -132,13 +130,6 @@ def test_bench_local_extraction():
                 at_least=SPEEDUP_FLOOR if at_floor else 1.0,
             )
         )
-        if duckdb_available():
-            duck_table = _build("duckdb", arrays)
-            assert duck_table.top_k(TPCH_ATTRIBUTE, K) == col_table.top_k(
-                TPCH_ATTRIBUTE, K
-            )
-            duck = min(_extraction_seconds(duck_table) for _ in range(REPS))
-            seconds.append(row(f"duckdb_seconds_{rows}", duck, "s"))
         if at_floor:
             after_write = _read_after_write_seconds(col_table, row_table)
             ratios.append(
@@ -166,7 +157,6 @@ def test_bench_local_extraction():
         "floored against the row store; columnar_maintained is a repeat "
         "extraction on the same table (read from the summary, recorded); "
         "read_after_write inserts one row then extracts, best of "
-        f"{WRITE_CYCLES} cycles, floored against the first scan; duckdb "
-        "recorded when installed, never floored",
+        f"{WRITE_CYCLES} cycles, floored against the first scan",
         ratios + seconds,
     )

@@ -24,13 +24,16 @@ runs:
   sizes, except its re-run of ``tests/sharding``: tests are not a front end;
 * ``repro-topk all --trials 20``: at least ``VECTOR_CROSSOVER`` trials, so
   the figures' points reach the vectorized engine (at 5 it looks dead);
+* every other ``repro-topk`` subcommand, at a small size;
 * ``bench/run.py --smoke``, as one ``--workload W --trace 0|1`` child per
   workload and trace setting, the children ``--smoke`` itself runs.
 
-A process that ends in ``os._exit`` or a SIGKILL (the chaos sweep's victim)
-records nothing; the others cover what it ran.  Stdlib only; it imports
-nothing from ``repro``, writes nothing under the repository and takes about
-a minute on two vCPUs.  Run from anywhere::
+The subcommands are read from ``python -m repro.cli --help``, not kept by
+hand: one that no command runs fails the census, by name, before anything
+runs.  A process that ends in ``os._exit`` or a SIGKILL (the chaos sweep's
+victim) records nothing; the others cover what it ran.  Stdlib only; it
+imports nothing from ``repro``, writes nothing under the repository and
+takes about a minute on two vCPUs.  Run from anywhere::
 
     python scripts/call_census.py
 """
@@ -40,6 +43,7 @@ from __future__ import annotations
 import ast
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -136,6 +140,19 @@ def commands(bench_dir: Path) -> list[tuple[list[str], str]]:
                 "--csv", "ext-dp.csv"], "0"),
         (script("check_dp_accounting.py"), "0"),
         (cli + ["all", "--trials", "20", "--out", "all"], "0"),
+        (cli + ["list"], "0"),
+        (cli + ["figure", "fig6", "--trials", "5", "--svg", "svg", "--timing",
+                "--jobs", "1"], "0"),
+        (cli + ["query", "--privacy-report"], "0"),
+        (cli + ["trace", "query", "--seed", "5", "--out", "query.json"], "0"),
+        (cli + ["analyze", "query.json"], "0"),
+        (cli + ["report", "--trials", "5", "--out", "report.md"], "0"),
+        (cli + ["validate", "--trials", "5", "--only", "fig3", "fig6"], "0"),
+        (cli + ["serve", "SELECT TOP 3 value FROM data", "SELECT MAX(value) FROM data"],
+         "0"),
+        (cli + ["metrics", "--queries", "12", "--seed", "2", "--json", "metrics.json"],
+         "0"),
+        (cli + ["tpch", "--parties", "3", "--rows", "20000", "--engine", "row"], "0"),
     ]
     bench = [sys.executable, str(bench_dir / "run.py")]
     for workload in WORKLOADS:
@@ -143,6 +160,15 @@ def commands(bench_dir: Path) -> list[tuple[list[str], str]]:
             runs.append((bench + ["--workload", workload, "--smoke", "--trace", trace],
                          "0"))
     return runs
+
+
+def unrun_subcommands(runs: list[tuple[list[str], str]], env: dict) -> list[str]:
+    """The ``repro-topk`` subcommands ``--help`` lists that no run starts."""
+    listing = subprocess.run([sys.executable, "-m", "repro.cli", "--help"], env=env,
+                             capture_output=True, text=True, check=True).stdout
+    subcommands = re.search(r"\{([\w,-]+)\}", listing).group(1).split(",")
+    run = {argv[3] for argv, _ in runs if argv[1:3] == ["-m", "repro.cli"]}
+    return [name for name in subcommands if name not in run]
 
 
 def _exit_ok(code: int, expected: str) -> bool:
@@ -195,6 +221,11 @@ def main() -> int:
             "PYTHONDONTWRITEBYTECODE": "1",
         }
         runs = commands(bench_dir)
+        missing = unrun_subcommands(runs, env)
+        if missing:
+            print(f"call_census: no command runs subcommand(s) {', '.join(missing)}",
+                  file=sys.stderr)
+            return 1
         for index, (argv, expected) in enumerate(runs, 1):
             shown = " ".join(Path(a).name if a.startswith((str(ROOT), tmp)) else a
                              for a in argv[1:])

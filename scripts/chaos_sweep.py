@@ -81,7 +81,6 @@ def run_process_kill_stage(
     from repro.sharding import (
         ShardUnavailable,
         build_topology,
-        process_shards,
         sharded_federation,
         single_federation,
         topology_workload,

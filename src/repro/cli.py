@@ -346,31 +346,19 @@ def _cmd_tpch(args: argparse.Namespace) -> int:
     import time
 
     from .core.driver import run_topk_query
-    from .database.engines import StorageUnavailable, duckdb_available
     from .database.tpch import TPCH_ATTRIBUTE, lineitem_databases, price_query
 
-    if args.engine == "duckdb" and not duckdb_available():
-        print(
-            "the duckdb engine requires the optional duckdb package "
-            "(pip install 'repro[duckdb]')",
-            file=sys.stderr,
-        )
-        return 2
     if args.rows is None and args.scale_factor is None:
         args.rows = 100_000
     build_start = time.perf_counter()
-    try:
-        databases = lineitem_databases(
-            args.parties,
-            seed=args.seed,
-            rows_per_party=args.rows,
-            scale_factor=args.scale_factor,
-            jitter=args.jitter,
-            engine=args.engine,
-        )
-    except StorageUnavailable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    databases = lineitem_databases(
+        args.parties,
+        seed=args.seed,
+        rows_per_party=args.rows,
+        scale_factor=args.scale_factor,
+        jitter=args.jitter,
+        engine=args.engine,
+    )
     build_seconds = time.perf_counter() - build_start
     rows_per_party = len(databases[0].table("lineitem"))
     print(
@@ -888,7 +876,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tpch.add_argument(
         "--engine",
-        choices=("row", "columnar", "duckdb"),
+        choices=("row", "columnar"),
         default=None,
         help=(
             "storage engine backing each party's table (default: columnar); "

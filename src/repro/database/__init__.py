@@ -8,15 +8,11 @@ _EXPORTS = {
         "COLUMNAR",
         "ColumnarEngine",
         "DEFAULT_ENGINE",
-        "DUCKDB",
-        "DuckDbEngine",
         "ENGINES",
         "ExtractionSample",
         "ROW",
         "RowStoreEngine",
         "StorageEngine",
-        "StorageUnavailable",
-        "duckdb_available",
         "make_engine",
     ),
     "generator": ("DISTRIBUTIONS", "DataGenerator", "datasets_with_known_topk"),

@@ -38,16 +38,6 @@ module makes the storage layout a pluggable choice behind one
     through the scalar path — the engine never trades correctness for
     speed, it only accelerates when acceleration is exact.
 
-``duckdb`` (optional)
-    Rows live in an in-memory DuckDB table; extraction and aggregation are
-    pushed down as SQL.  Requires the ``duckdb`` package (``pip install
-    repro[duckdb]``); constructing the engine without it raises
-    :class:`StorageUnavailable`.  DuckDB stores REAL columns as DOUBLE, so
-    integer values inserted into REAL columns read back as floats
-    (value-equal, type-normalized), and SQL ``SUM`` over doubles may differ
-    from the row store's sequential sum in the last ulp; ``top_k`` /
-    ``bottom_k`` / ``min`` / ``max`` / ``count`` are exact.
-
 Engines store *normalized* rows — every schema column present, ``None`` for
 omitted nullable values — which :class:`~repro.database.table.Table`
 guarantees at staging time.  Validation, schema checks, and the ``version``
@@ -80,16 +70,12 @@ __all__ = [
     "AGGREGATES",
     "COLUMNAR",
     "DEFAULT_ENGINE",
-    "DUCKDB",
     "ENGINES",
     "ROW",
     "ColumnarEngine",
-    "DuckDbEngine",
     "ExtractionSample",
     "RowStoreEngine",
     "StorageEngine",
-    "StorageUnavailable",
-    "duckdb_available",
     "extraction_sink",
     "make_engine",
     "set_extraction_sink",
@@ -97,9 +83,8 @@ __all__ = [
 
 ROW = "row"
 COLUMNAR = "columnar"
-DUCKDB = "duckdb"
 #: Engine names accepted by :func:`make_engine` (and everything above it).
-ENGINES = (ROW, COLUMNAR, DUCKDB)
+ENGINES = (ROW, COLUMNAR)
 #: The engine new tables use when none is requested.
 DEFAULT_ENGINE = COLUMNAR
 #: The local aggregates a table answers; ``Table.aggregate`` refuses any
@@ -135,10 +120,6 @@ _PROBE_ROWS = 32
 #: saving of int32 codes measured as a net loss in set-up time
 #: (``scripts/size_chunk_encoding.py`` re-derives it).
 _CODE_DTYPES = (np.int8, np.int16)
-
-
-class StorageUnavailable(RuntimeError):
-    """Raised when an optional engine's backing library is not installed."""
 
 
 # -- extraction telemetry ----------------------------------------------------
@@ -931,159 +912,11 @@ class ColumnarEngine(StorageEngine):
         return self._to_list(_smallest(values, k))
 
 
-# -- the optional DuckDB engine ----------------------------------------------
-
-
-def duckdb_available() -> bool:
-    """True when the optional ``duckdb`` dependency is importable."""
-    try:
-        import duckdb  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-class DuckDbEngine(StorageEngine):
-    """Rows in a DuckDB table; extraction pushed down as SQL.
-
-    Each engine owns one connection holding one table named ``t`` (engines
-    are per-:class:`~repro.database.table.Table`, so no name collisions).
-    Schema column names are validated identifiers, safe to quote into DDL.
-
-    By default the connection is in-memory.  With ``path`` the table lives
-    in an on-disk DuckDB file and *survives reopen*: constructing a new
-    engine over an existing file adopts its rows after verifying the stored
-    schema matches (column names, order, and SQL types), so a party's data
-    outlives the process.  One file backs one table — give each persistent
-    table its own path.
-    """
-
-    name = "duckdb"
-
-    _SQL_TYPES = {"INTEGER": "BIGINT", "REAL": "DOUBLE", "TEXT": "VARCHAR"}
-
-    def __init__(self, schema: Schema, *, path: "str | None" = None) -> None:
-        super().__init__(schema)
-        try:
-            import duckdb
-        except ImportError as exc:  # pragma: no cover - exercised sans duckdb
-            raise StorageUnavailable(
-                "the duckdb engine requires the optional duckdb package "
-                "(pip install 'repro[duckdb]')"
-            ) from exc
-        self.path = path
-        self._conn = duckdb.connect(str(path) if path else ":memory:")
-        stored = self._conn.execute(
-            "SELECT column_name, data_type FROM information_schema.columns "
-            "WHERE table_name = 't' ORDER BY ordinal_position"
-        ).fetchall()
-        expected = [
-            (column.name, self._SQL_TYPES[column.type])
-            for column in schema.columns
-        ]
-        if stored:
-            if [(n, t) for n, t in stored] != expected:
-                self._conn.close()
-                raise ValueError(
-                    f"duckdb file {path!r} holds a table with schema "
-                    f"{stored}, which does not match the declared schema "
-                    f"{expected}"
-                )
-            self._count = self._conn.execute(
-                "SELECT COUNT(*) FROM t"
-            ).fetchone()[0]
-        else:
-            body = ", ".join(
-                f'"{column.name}" {self._SQL_TYPES[column.type]}'
-                + ("" if column.nullable else " NOT NULL")
-                for column in schema.columns
-            )
-            self._conn.execute(f"CREATE TABLE t ({body})")
-            self._count = 0
-        self._insert = "INSERT INTO t VALUES ({})".format(
-            ", ".join("?" for _ in schema.columns)
-        )
-
-    def append_rows(self, rows: Sequence[Row]) -> None:
-        if not rows:
-            return
-        names = self.schema.names
-        self._conn.executemany(
-            self._insert, [tuple(row[name] for name in names) for row in rows]
-        )
-        self._count += len(rows)
-
-    def append_columns(
-        self, columns: dict[str, "np.ndarray | list"], count: int
-    ) -> None:
-        lists = {
-            name: (col.tolist() if isinstance(col, np.ndarray) else list(col))
-            for name, col in columns.items()
-        }
-        names = self.schema.names
-        self._conn.executemany(
-            self._insert,
-            [tuple(lists[name][i] for name in names) for i in range(count)],
-        )
-        self._count += count
-
-    def __len__(self) -> int:
-        return self._count
-
-    def rows(self) -> list[Row]:
-        names = self.schema.names
-        quoted = ", ".join(f'"{name}"' for name in names)
-        fetched = self._conn.execute(f"SELECT {quoted} FROM t").fetchall()
-        return [dict(zip(names, row)) for row in fetched]
-
-    def column_values(self, name: str) -> list[object]:
-        rows = self._conn.execute(f'SELECT "{name}" FROM t').fetchall()
-        return [row[0] for row in rows]
-
-    def numeric_values(self, name: str) -> list:
-        rows = self._conn.execute(
-            f'SELECT "{name}" FROM t WHERE "{name}" IS NOT NULL'
-        ).fetchall()
-        return [row[0] for row in rows]
-
-    def top_k(self, name: str, k: int) -> list:
-        rows = self._conn.execute(
-            f'SELECT "{name}" FROM t WHERE "{name}" IS NOT NULL '
-            f'ORDER BY "{name}" DESC LIMIT {int(k)}'
-        ).fetchall()
-        return [row[0] for row in rows]
-
-    def bottom_k(self, name: str, k: int) -> list:
-        rows = self._conn.execute(
-            f'SELECT "{name}" FROM t WHERE "{name}" IS NOT NULL '
-            f'ORDER BY "{name}" ASC LIMIT {int(k)}'
-        ).fetchall()
-        return [row[0] for row in rows]
-
-    def aggregate(self, name: str, func: str) -> float | None:
-        non_null = self._conn.execute(
-            f'SELECT COUNT("{name}") FROM t'
-        ).fetchone()[0]
-        if func == "count":
-            return float(non_null)
-        if non_null == 0:
-            return None
-        # ``func`` is one of AGGREGATES (Table checked it), so it is safe
-        # to spell into the statement like the validated column name.
-        value = self._conn.execute(
-            f'SELECT {func.upper()}("{name}") FROM t'
-        ).fetchone()[0]
-        if func in ("sum", "avg"):
-            return float(value)
-        return value
-
-
 # -- engine construction -----------------------------------------------------
 
 _ENGINE_CLASSES: dict[str, type[StorageEngine]] = {
     ROW: RowStoreEngine,
     COLUMNAR: ColumnarEngine,
-    DUCKDB: DuckDbEngine,
 }
 
 #: A factory callable is also accepted wherever an engine name is: it
@@ -1105,15 +938,6 @@ def make_engine(
                 "not a StorageEngine"
             )
         return engine
-    if isinstance(spec, str) and spec.startswith(DUCKDB + ":"):
-        # "duckdb:<path>" — a persistent on-disk party table that survives
-        # reopen (adopted, schema-checked) instead of an in-memory one.
-        path = spec[len(DUCKDB) + 1 :]
-        if not path:
-            raise ValueError(
-                "duckdb path spec is empty; expected 'duckdb:<file>'"
-            )
-        return DuckDbEngine(schema, path=path)
     if spec not in _ENGINE_CLASSES:
         raise ValueError(
             f"unknown storage engine {spec!r}; expected one of {ENGINES} "

@@ -53,9 +53,9 @@ class Table:
     """A schema-validated, append-oriented in-memory table.
 
     ``engine`` selects the storage backend: an engine name from
-    :data:`~repro.database.engines.ENGINES` (``"row"``, ``"columnar"``,
-    ``"duckdb"``), a factory callable ``Schema -> StorageEngine``, or
-    ``None`` for the default (columnar).
+    :data:`~repro.database.engines.ENGINES` (``"row"``, ``"columnar"``), a
+    factory callable ``Schema -> StorageEngine``, or ``None`` for the
+    default (columnar).
     """
 
     def __init__(
@@ -75,7 +75,7 @@ class Table:
 
     @property
     def engine_name(self) -> str:
-        """The backing storage engine's name (``row``/``columnar``/``duckdb``)."""
+        """The backing storage engine's name (``row``/``columnar``)."""
         return self._engine.name
 
     def __len__(self) -> int:
@@ -85,7 +85,7 @@ class Table:
     def nbytes(self) -> int | None:
         """Bytes of array storage the engine holds for this table (sealed
         column chunks at their stored width, validity masks, summaries), or
-        ``None`` from an engine that cannot say (``row``, ``duckdb``)."""
+        ``None`` from an engine that cannot say (``row``)."""
         return self._engine.nbytes
 
     def __iter__(self) -> Iterator[Row]:

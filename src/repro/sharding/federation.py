@@ -401,12 +401,9 @@ class ShardedFederation:
     # -- tenant admission ----------------------------------------------------
 
     def _parties_for(self, target: int) -> int:
-        try:
-            if target == ALL_SHARDS:
-                return max(len(shard.members()) for shard in self.shards)
-            return len(self.shards[target].members())
-        except ShardUnavailable:
-            return len(self.members) or 3
+        if target == ALL_SHARDS:
+            return max(len(shard.members()) for shard in self.shards)
+        return len(self.shards[target].members())
 
     def _tenant_feasibility(
         self, spec: QuerySpec, issuer: str, parties: int

@@ -109,6 +109,7 @@ class ProcessShard:
         *,
         index: int = 0,
         timeout: float = 10.0,
+        members: Sequence[str] = (),
     ) -> None:
         self.host = "127.0.0.1"
         self.port = 0  # the worker announces it: see ``handshake``
@@ -118,7 +119,10 @@ class ProcessShard:
         self._stderr = stderr
         self._sock: socket.socket | None = None
         self._lock = threading.Lock()
-        self._members: tuple[str, ...] | None = None
+        #: The worker's parties, known without a wire call (a dead worker
+        #: still has them): the spec's at launch, then moved by this
+        #: client's own successful ``register_values`` / ``deregister``.
+        self._members = tuple(sorted(members))
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -156,7 +160,8 @@ class ProcessShard:
         except BaseException:
             stderr.close()
             raise
-        return cls(process, stderr, index=index, timeout=timeout)
+        owners = [str(party["owner"]) for party in spec.get("parties", ())]
+        return cls(process, stderr, index=index, timeout=timeout, members=owners)
 
     def handshake(self, boot_timeout: float = 30.0) -> None:
         """Wait for the worker's ``PORT <n>`` line, the one synchronization
@@ -273,11 +278,6 @@ class ProcessShard:
     # -- shard surface -------------------------------------------------------
 
     def members(self) -> tuple[str, ...]:
-        if self._members is None:
-            self._members = self._request(
-                {"op": "members"},
-                lambda reply: tuple(str(m) for m in reply["members"]),
-            )
         return self._members
 
     def execute_many_settled(
@@ -345,11 +345,11 @@ class ProcessShard:
                 "values": list(values),
             }
         )
-        self._members = None
+        self._members = tuple(sorted({*self._members, owner}))
 
     def deregister(self, owner: str) -> None:
         self._request({"op": "deregister", "owner": owner})
-        self._members = None
+        self._members = tuple(m for m in self._members if m != owner)
 
 
 __all__ = ["LocalShard", "ProcessShard"]

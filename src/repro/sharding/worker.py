@@ -97,8 +97,6 @@ def _handle(federation: Federation, request: dict) -> dict:
     op = request.get("op")
     if op == "ping":
         return {"ok": True}
-    if op == "members":
-        return {"ok": True, "members": list(federation.members)}
     if op == "cache_stats":
         cache = federation.cache
         return {"ok": True, "hits": cache.hits, "misses": cache.misses}

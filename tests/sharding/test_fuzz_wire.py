@@ -191,7 +191,7 @@ def scripted_shard(reply: bytes, *, hang_up: bool = True):
 
 
 CALLS = {
-    "members": lambda shard: shard.members(),
+    "deregister": lambda shard: shard.deregister("org00"),
     "cache_stats": lambda shard: shard.cache_stats(),
     "try_cached": lambda shard: shard.try_cached("SELECT MAX(value) FROM t00"),
     "execute_many_settled": lambda shard: shard.execute_many_settled(

@@ -1,5 +1,7 @@
 """Worker processes over real sockets: parity, codec, typed degradation."""
 
+import asyncio
+
 import pytest
 
 from repro.core.driver import RunConfig
@@ -10,6 +12,7 @@ from repro.federation.sql import SqlError
 from repro.network.failures import FailureInjector
 from repro.network.transport import constant_latency
 from repro.planner.errors import PlanInfeasible
+from repro.service import QueryService
 from repro.sharding import (
     ShardError,
     ShardUnavailable,
@@ -119,25 +122,32 @@ def test_process_shard_refusals_arrive_typed(process_setup):
     assert not isinstance(result.error, ShardUnavailable)
 
 
-def test_sigkilled_worker_degrades_typed_and_local_shards_survive():
+@pytest.mark.parametrize(
+    "warm", [True, False], ids=["after-first-batch", "before-first-read"]
+)
+def test_sigkilled_worker_degrades_typed_and_local_shards_survive(warm):
     topology = build_topology(
         shards=2, parties_per_shard=3, tables=4, rows_per_table=12,
         partitioned=1, seed=21,
     )
+    statements = topology_workload(topology, 20, seed=2)
+    # An unkilled twin's answers are what the survivor must still give.
+    first = sharded_federation(topology).execute_many_settled(statements, issuer="t")
+    assert all(isinstance(r, QueryOutcome) for r in first)
+
     sharded = sharded_federation(topology, processes=True)
     try:
-        statements = topology_workload(topology, 20, seed=2)
-        first = sharded.execute_many_settled(statements, issuer="t")
-        assert all(isinstance(r, QueryOutcome) for r in first)
-
-        sharded.shards[0].kill()  # SIGKILL mid-session
+        if warm:
+            sharded.execute_many_settled(statements, issuer="t")
+        # SIGKILL mid-session, or before any statement has asked the shard
+        # anything (its membership included).
+        sharded.shards[0].kill()
         after = sharded.execute_many_settled(statements, issuer="t")
         refused = [r for r in after if isinstance(r, QueryRefused)]
         served = [r for r in after if isinstance(r, QueryOutcome)]
         assert refused, "killing a shard must refuse its statements"
         assert all(isinstance(r.error, ShardUnavailable) for r in refused)
         assert served, "surviving shards must keep serving"
-        # Cached answers from the survivor still match the first pass.
         by_statement = {r.statement: r.values for r in first}
         for outcome in served:
             assert outcome.values == by_statement[outcome.statement]
@@ -145,6 +155,28 @@ def test_sigkilled_worker_degrades_typed_and_local_shards_survive():
         # never an exception.
         for statement in statements:
             sharded.try_cached(statement, issuer="t")  # must not raise
+    finally:
+        sharded.close()
+
+
+def test_gateway_serves_an_slo_statement_beside_a_worker_killed_before_first_read():
+    topology = build_topology(
+        shards=2, parties_per_shard=3, tables=4, rows_per_table=12,
+        partitioned=1, seed=21,
+    )
+    sharded = sharded_federation(topology, processes=True)
+    try:
+        sharded.shards[1].kill()
+        live = next(t for t in topology.tables if sharded.router.route(t) == 0)
+        statement = f"SELECT TOP 3 value FROM {live} WITH SLO(deadline=5.0)"
+
+        async def submit():
+            async with QueryService(sharded) as service:
+                return await service.submit(statement, issuer="t")
+
+        outcome = asyncio.run(submit())
+        oracle = single_federation(topology).execute(statement, issuer="t")
+        assert outcome.values == oracle.values
     finally:
         sharded.close()
 
