@@ -5,7 +5,7 @@ PYTHON ?= python3
 # bit-identical at any value.
 JOBS ?= 1
 
-.PHONY: install test lint typecheck cov bench check-floors check-dp \
+.PHONY: install test lint typecheck cov bench check-floors check-dp ab-pairs \
 	import-profile figures report examples all clean
 
 install:
@@ -60,6 +60,15 @@ check-floors:
 # sharded; `make check-dp UPDATE=--update` regenerates the golden.
 check-dp:
 	PYTHONPATH=src $(PYTHON) scripts/check_dp_accounting.py $(UPDATE)
+
+# A change against its parent on the end-to-end benchmark: alternating pairs
+# of bench/run.py runs at unseen seeds (results/seeds_used.txt), the parent
+# from a temporary git worktree and the working tree from a temporary copy;
+# prints one Markdown table with medians, quartiles, wins, a sign-test p and
+# a verdict per workload and metric.  Options go in AB_ARGS, e.g.
+# make ab-pairs AB_ARGS="--workloads scan_write --pairs 10 --base HEAD~1".
+ab-pairs:
+	$(PYTHON) scripts/ab_pairs.py $(AB_ARGS)
 
 # Where a fresh interpreter's start-up goes: the 20 most expensive imports
 # (cumulative microseconds, children included) on the two cold-start paths

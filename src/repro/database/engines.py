@@ -168,9 +168,11 @@ class StorageEngine(ABC):
     answers — values, order, ties, null handling — must match the row
     store exactly (the parity property suite enforces this).  Rows arriving
     through :meth:`append_rows` are already schema-validated and normalized
-    (every column present); columns arriving through :meth:`append_columns`
-    are canonicalized numpy arrays (no nulls) or validated Python lists
-    (possibly with ``None``), one entry per schema column.
+    (every column present).  A column batch arrives in two phases: each
+    column is handed to :meth:`seal` on its own — a canonicalized numpy
+    array (no nulls) or a validated Python list (possibly with ``None``) —
+    and, once every schema column has been sealed, :meth:`append_columns`
+    stores the sealed forms together.
     """
 
     name: ClassVar[str] = "abstract"
@@ -185,10 +187,15 @@ class StorageEngine(ABC):
         """Append validated, normalized rows."""
 
     @abstractmethod
-    def append_columns(
-        self, columns: dict[str, "np.ndarray | list"], count: int
-    ) -> None:
-        """Append a column batch: every schema column, ``count`` rows each."""
+    def seal(self, name: str, values: "np.ndarray | list") -> object:
+        """Column ``name`` of a batch in the form :meth:`append_columns`
+        stores.  Changes nothing the engine holds, so a batch abandoned
+        after some of its columns were sealed leaves the rows untouched."""
+
+    @abstractmethod
+    def append_columns(self, sealed: dict[str, object], count: int) -> None:
+        """Append a batch of :meth:`seal` results: every schema column,
+        ``count`` rows each.  All or nothing: it cannot fail part way."""
 
     # -- full-row access --
 
@@ -264,16 +271,13 @@ class RowStoreEngine(StorageEngine):
     def append_rows(self, rows: Sequence[Row]) -> None:
         self._rows.extend(rows)
 
-    def append_columns(
-        self, columns: dict[str, "np.ndarray | list"], count: int
-    ) -> None:
-        lists = {
-            name: (col.tolist() if isinstance(col, np.ndarray) else list(col))
-            for name, col in columns.items()
-        }
+    def seal(self, name: str, values: "np.ndarray | list") -> list:
+        return values.tolist() if isinstance(values, np.ndarray) else values
+
+    def append_columns(self, sealed: dict[str, object], count: int) -> None:
         names = self.schema.names
         self._rows.extend(
-            {name: lists[name][i] for name in names} for i in range(count)
+            {name: sealed[name][i] for name in names} for i in range(count)
         )
 
     def __len__(self) -> int:
@@ -617,17 +621,17 @@ class _NumericColumn:
         if len(self.pending) >= CHUNK_ROWS:
             self._flush()
 
-    def append_array(self, values: np.ndarray) -> None:
-        """Fast bulk path: a canonical-dtype, null-free array chunk."""
-        if self.exact is None:
-            self._flush()  # sealing the pending tail may itself spill
-        if self.exact is not None:
-            self.exact.extend(values.tolist())
+    def append_run(self, run: _SealedRun) -> None:
+        """Bulk path: a run :func:`_seal` sealed from a null-free array
+        while the column was not spilled."""
+        self._flush()  # sealing the pending tail may itself spill
+        if self.exact is not None:  # it did: the run was sealed before that
+            self.exact.extend(run.decode().tolist())
             return
-        self.chunks.append(_seal(values))
-        self._sealed += len(values)
+        self.chunks.append(run)
+        self._sealed += len(run)
         if self.masks is not None:
-            self.masks.append(np.ones(len(values), dtype=bool))
+            self.masks.append(np.ones(len(run), dtype=bool))
 
     def _flush(self) -> None:
         if not self.pending:
@@ -811,19 +815,23 @@ class ColumnarEngine(StorageEngine):
             column.append([row[name] for row in rows])
         self._count += len(rows)
 
-    def append_columns(
-        self, columns: dict[str, "np.ndarray | list"], count: int
-    ) -> None:
+    def seal(self, name: str, values: "np.ndarray | list") -> "_SealedRun | list":
+        # Only a numeric column is handed an array (Table canonicalizes
+        # anything else to a validated list).  A column already spilled
+        # stores Python objects: no run to encode, no array to adopt.
+        if not isinstance(values, np.ndarray):
+            return values
+        if self._columns[name].exact is not None:
+            return values.tolist()
+        return _seal(values)
+
+    def append_columns(self, sealed: dict[str, object], count: int) -> None:
         for name, column in self._columns.items():
-            data = columns[name]
-            if isinstance(data, np.ndarray) and isinstance(
-                column, _NumericColumn
-            ):
-                column.append_array(data)
+            data = sealed[name]
+            if isinstance(data, _SealedRun):
+                column.append_run(data)
             else:
-                column.append(
-                    data.tolist() if isinstance(data, np.ndarray) else data
-                )
+                column.append(data)
         self._count += count
 
     def __len__(self) -> int:

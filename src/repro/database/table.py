@@ -17,7 +17,7 @@ a table is a performance choice, never a semantic one.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -29,10 +29,31 @@ from .engines import (
     extraction_sink,
     make_engine,
 )
-from .schema import Schema, SchemaError
+from .schema import Column, Schema, SchemaError
 
 Row = dict[str, object]
 EngineSpec = "str | Callable[[Schema], StorageEngine] | None"
+
+
+def _canonical(column: Column, values: Sequence | np.ndarray) -> np.ndarray | list:
+    """One batch column as an engine seals it: an INTEGER array as int64, a
+    REAL array as float64 when every value is representable (finite, never
+    ``-0.0``), anything else as a list whose every value the column has
+    validated."""
+    if isinstance(values, np.ndarray):
+        kind = values.dtype.kind
+        if column.type == "INTEGER" and kind == "i":
+            return values.astype(np.int64, copy=False)
+        if column.type == "REAL" and kind == "f":
+            reals = values.astype(np.float64, copy=False)
+            if _reals_representable(reals):
+                return reals
+        listed = values.tolist()
+    else:
+        listed = list(values)
+    for value in listed:
+        column.validate(value)
+    return listed
 
 
 class VersionCounter:
@@ -123,7 +144,13 @@ class Table:
             self._mutated()
         return len(staged)
 
-    def insert_arrays(self, columns: dict[str, "Sequence | np.ndarray"]) -> int:
+    def insert_arrays(
+        self,
+        columns: (
+            Mapping[str, Sequence | np.ndarray]
+            | Iterable[tuple[str, Sequence | np.ndarray]]
+        ),
+    ) -> int:
         """Bulk-insert one value sequence per schema column; returns the count.
 
         The fast ingestion path for dataset builders: numpy arrays for
@@ -135,55 +162,59 @@ class Table:
         input, takes the validated scalar path instead.  Counts as one
         mutation batch (one ``version`` bump), like :meth:`insert_many`.
 
-        The table owns what it stores.  Arrays must be 1-D.  A column the
-        engine keeps narrower than the input (most are) is a fresh array;
-        one kept at int64 / float64 is *adopted* when the array owns its
-        data and is C-contiguous — it becomes read-only, so a later write
-        through the caller's reference raises ``ValueError`` instead of
-        changing a stored row behind ``version`` — and copied otherwise (a
-        view, a strided slice).  Adopt-and-freeze rather than always copy
+        ``columns`` is a mapping or an iterable of ``(name, values)``
+        pairs, in any column order; a mapping is read as its ``items()``.
+        Each column is checked (known name, not repeated, 1-D, as long as
+        the first) and sealed by the engine as it arrives, so a generator
+        that yields one fresh array at a time never has two of them alive
+        here.  The rows land only once every column has arrived: a stream
+        that fails on any column — or ends with one missing — raises
+        ``SchemaError`` (or whatever the stream itself raised) and leaves
+        the table as it was.
+
+        The table owns what it stores.  A column the engine keeps narrower
+        than the input (most are) is a fresh array; one kept at int64 /
+        float64 is *adopted* when the array owns its data and is
+        C-contiguous — it becomes read-only when sealed (and stays so if
+        a later column fails), so a later write through the caller's
+        reference raises ``ValueError`` instead of changing a stored row
+        behind ``version`` — and copied otherwise (a view, a strided
+        slice).  A column already spilled to Python objects adopts
+        nothing.  Adopt-and-freeze rather than always copy
         because a second canonical-width copy of a column is exactly the
         footprint this path exists to avoid; do not keep a writable view
         taken *before* the insert.
         """
-        unknown = set(columns) - set(self.schema.names)
-        if unknown:
-            raise SchemaError(f"unknown columns in batch: {sorted(unknown)}")
-        missing = set(self.schema.names) - set(columns)
-        if missing:
-            raise SchemaError(f"missing columns in batch: {sorted(missing)}")
-        for name, values in columns.items():
+        pairs = columns.items() if isinstance(columns, Mapping) else columns
+        sealed: dict[str, object] = {}
+        count = None
+        for name, values in pairs:
+            if name not in self.schema:
+                raise SchemaError(f"unknown columns in batch: [{name!r}]")
+            if name in sealed:
+                raise SchemaError(f"column {name!r} repeated in batch")
             if isinstance(values, np.ndarray) and values.ndim != 1:
                 raise SchemaError(
                     f"column {name!r}: expected a 1-D array, got shape "
                     f"{values.shape}"
                 )
-        lengths = {len(values) for values in columns.values()}
-        if len(lengths) > 1:
-            raise SchemaError(f"ragged column batch: lengths {sorted(lengths)}")
-        count = lengths.pop() if lengths else 0
-        if count == 0:
+            if count is None:
+                count = len(values)
+            elif len(values) != count:
+                raise SchemaError(
+                    f"ragged column batch: {name!r} has {len(values)} rows, "
+                    f"expected {count}"
+                )
+            column = self.schema.column(name)
+            sealed[name] = self._engine.seal(name, _canonical(column, values))
+            # Let go of the input before the stream makes the next column.
+            del values
+        missing = set(self.schema.names) - set(sealed)
+        if missing:
+            raise SchemaError(f"missing columns in batch: {sorted(missing)}")
+        if not count:
             return 0
-
-        canonical: dict[str, np.ndarray | list] = {}
-        for column in self.schema.columns:
-            values = columns[column.name]
-            array = values if isinstance(values, np.ndarray) else None
-            if array is not None and column.type == "INTEGER" and array.dtype.kind == "i":
-                canonical[column.name] = array.astype(np.int64, copy=False)
-            elif (
-                array is not None
-                and column.type == "REAL"
-                and array.dtype.kind == "f"
-                and _reals_representable(array.astype(np.float64, copy=False))
-            ):
-                canonical[column.name] = array.astype(np.float64, copy=False)
-            else:
-                listed = array.tolist() if array is not None else list(values)
-                for value in listed:
-                    column.validate(value)
-                canonical[column.name] = listed
-        self._engine.append_columns(canonical, count)
+        self._engine.append_columns(sealed, count)
         self._mutated()
         return count
 

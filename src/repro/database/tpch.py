@@ -13,13 +13,15 @@ protocols are for.
 
 Everything is deterministic: party seeds derive from ``(seed, party)`` via
 SHA-256 (the repo-wide idiom, collision-free across parties), and
-generation is vectorized numpy feeding :meth:`Table.insert_arrays`, so a
-scale-factor-1 party (6M rows) builds in seconds rather than minutes.
+generation is vectorized numpy streamed a column at a time into
+:meth:`Table.insert_arrays`, so a scale-factor-1 party (6M rows) builds in
+seconds rather than minutes.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -74,6 +76,58 @@ def _party_seed(seed: int, party: str) -> int:
     return int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
 
 
+def _lineitem_columns(
+    rows: int, seed: int, party: str, jitter: float
+) -> Iterator[tuple[str, np.ndarray]]:
+    """One party's lineitem columns as ``(name, array)`` pairs.
+
+    Columns come in schema order as canonical numpy arrays, each drawn only
+    when asked for, so a consumer that stores each one before asking for
+    the next (:meth:`Table.insert_arrays`) never holds the whole party at
+    full width.  The arguments are checked here, at the call, not at the
+    first ``next()``.
+    """
+    if rows < 0:
+        raise ValueError("rows must be non-negative")
+    if not 0 <= jitter < _MAX_JITTER:
+        raise ValueError(
+            f"jitter must be in [0, {_MAX_JITTER}) to keep prices inside "
+            f"the public domain, got {jitter}"
+        )
+    return _drawn_columns(np.random.default_rng(_party_seed(seed, party)), rows, jitter)
+
+
+def _drawn_columns(
+    rng: np.random.Generator, rows: int, jitter: float
+) -> Iterator[tuple[str, np.ndarray]]:
+    # Drawn in this order from the one stream (the pinned output depends on
+    # it), computed in place and let go of once yielded: for a consumer that
+    # stores each column before asking for the next, computing the price is
+    # the worst moment, at three full-width arrays (quantity, unit price,
+    # factor).
+    yield "l_orderkey", rng.integers(
+        1, LINEITEM_ROWS_PER_SF * 4, size=rows, dtype=np.int64
+    )
+    yield "l_partkey", rng.integers(1, 200_001, size=rows, dtype=np.int64)
+    quantity = rng.integers(
+        _QUANTITY_LOW, _QUANTITY_HIGH + 1, size=rows, dtype=np.int64
+    )
+    yield "l_quantity", quantity
+    price = rng.uniform(_UNIT_PRICE_LOW, _UNIT_PRICE_HIGH, size=rows)
+    factor = rng.uniform(1.0 - jitter, 1.0 + jitter, size=rows)
+    np.multiply(quantity, price, out=price)
+    del quantity
+    np.multiply(price, factor, out=price)
+    del factor
+    yield "l_extendedprice", np.round(price, 2, out=price)
+    del price
+    discount = rng.uniform(0.0, 0.10, size=rows)
+    yield "l_discount", np.round(discount, 2, out=discount)
+    del discount
+    tax = rng.uniform(0.0, 0.08, size=rows)
+    yield "l_tax", np.round(tax, 2, out=tax)
+
+
 def lineitem_arrays(
     rows: int, *, seed: int, party: str = "party0", jitter: float = 0.02
 ) -> dict[str, np.ndarray]:
@@ -85,39 +139,7 @@ def lineitem_arrays(
     every party identical pricing structure (still distinct rows, since the
     whole stream is party-seeded).
     """
-    if rows < 0:
-        raise ValueError("rows must be non-negative")
-    if not 0 <= jitter < _MAX_JITTER:
-        raise ValueError(
-            f"jitter must be in [0, {_MAX_JITTER}) to keep prices inside "
-            f"the public domain, got {jitter}"
-        )
-    rng = np.random.default_rng(_party_seed(seed, party))
-    orderkey = rng.integers(1, LINEITEM_ROWS_PER_SF * 4, size=rows, dtype=np.int64)
-    partkey = rng.integers(1, 200_001, size=rows, dtype=np.int64)
-    quantity = rng.integers(
-        _QUANTITY_LOW, _QUANTITY_HIGH + 1, size=rows, dtype=np.int64
-    )
-    # Drawn in this order from the one stream, then computed in place: a
-    # million-row party is six live arrays at its worst moment, not nine.
-    price = rng.uniform(_UNIT_PRICE_LOW, _UNIT_PRICE_HIGH, size=rows)
-    factor = rng.uniform(1.0 - jitter, 1.0 + jitter, size=rows)
-    np.multiply(quantity, price, out=price)
-    np.multiply(price, factor, out=price)
-    del factor
-    np.round(price, 2, out=price)
-    discount = rng.uniform(0.0, 0.10, size=rows)
-    np.round(discount, 2, out=discount)
-    tax = rng.uniform(0.0, 0.08, size=rows)
-    np.round(tax, 2, out=tax)
-    return {
-        "l_orderkey": orderkey,
-        "l_partkey": partkey,
-        "l_quantity": quantity,
-        "l_extendedprice": price,
-        "l_discount": discount,
-        "l_tax": tax,
-    }
+    return dict(_lineitem_columns(rows, seed, party, jitter))
 
 
 def lineitem_database(
@@ -141,9 +163,9 @@ def lineitem_database(
         if scale_factor < 0:  # type: ignore[operator]
             raise ValueError("scale_factor must be non-negative")
         rows = int(scale_factor * LINEITEM_ROWS_PER_SF)  # type: ignore[operator]
+    columns = _lineitem_columns(rows, seed, owner, jitter)
     db = PrivateDatabase(owner, engine=engine)
-    table = db.create_table(TPCH_TABLE, LINEITEM_SCHEMA)
-    table.insert_arrays(lineitem_arrays(rows, seed=seed, party=owner, jitter=jitter))
+    db.create_table(TPCH_TABLE, LINEITEM_SCHEMA).insert_arrays(columns)
     return db
 
 

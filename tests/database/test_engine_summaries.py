@@ -9,7 +9,9 @@ forward.  Three things are pinned here:
   answer equal in value, type and zero-sign (``repr`` equality), across
   nulls, ties at the cut-off, spills mid-stream, sums next to the int64
   overflow guard, and runs the engine seals narrower than int64 / float64
-  (every integer width, every decimal scale, and their near-misses);
+  (every integer width, every decimal scale, and their near-misses); a
+  column batch streamed in a drawn order either stores bit for bit what
+  its mapping form stores or, failing on any column, changes nothing;
 * **the encoder** — each kind of sealed run decodes to the bits it was
   given, whole and by slice, without a floating-point warning;
 * **the mechanism** — a read after a one-row insert passes a bounded
@@ -18,6 +20,7 @@ forward.  Three things are pinned here:
 * the bugs the machine (and the issue) found, as plain regression tests.
 """
 
+import copy
 from collections import Counter
 
 import numpy as np
@@ -31,7 +34,15 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
-from repro.database import COLUMNAR, ROW, Column, Schema, Table
+from repro.database import (
+    COLUMNAR,
+    ROW,
+    Column,
+    PrivateDatabase,
+    Schema,
+    SchemaError,
+    Table,
+)
 from repro.database import engines
 
 AGG_FUNCS = ("max", "min", "sum", "avg", "count")
@@ -140,6 +151,54 @@ def _rows(ints, reals):
     )
 
 
+#: How a streamed ``insert_arrays`` batch goes wrong (``None``: it does not).
+STREAM_FAULTS = (None, None, None, "2-D", "ragged", "unknown", "repeated", "bad value", "missing")
+
+
+def _faulty(pairs, fault, at):
+    """The ``(name, values)`` stream with ``fault`` placed at position ``at``."""
+    pairs = list(pairs)
+    at = min(at, len(pairs) - 1)
+    name, values = pairs[at]
+    if fault == "2-D":
+        pairs[at] = (name, np.asarray(values).reshape(-1, 1))
+    elif fault == "ragged":
+        pairs[at] = (name, list(values) + [None])
+    elif fault == "unknown":
+        pairs.insert(at, ("z", values))
+    elif fault == "repeated":
+        pairs.insert(at + 1, pairs[at])
+    elif fault == "bad value":
+        pairs[at] = (name, ["bad"] + list(values)[1:])
+    elif fault == "missing":
+        del pairs[at]
+    return pairs
+
+
+def stored(table: Table) -> tuple:
+    """Everything a table holds, arrays as bytes: equal iff bit for bit."""
+    if table.engine_name == ROW:
+        return len(table), table.version, repr(table.scan())
+    columns = []
+    for name in table.schema.names:
+        column = table._engine._numeric(name)
+        summary = column._summary
+        columns.append((
+            [(run.encoding, run.codes.tobytes()) for run in column.chunks],
+            None if column.masks is None else [mask.tobytes() for mask in column.masks],
+            repr(column.pending),
+            repr(column.exact),
+            column._folded,
+            None if summary is None else (
+                summary.count,
+                repr(summary.total),
+                summary.largest.tobytes(),
+                summary.smallest.tobytes(),
+            ),
+        ))
+    return len(table), table.version, columns
+
+
 class SummaryParity(RuleBasedStateMachine):
     """Row store and columnar engine fed the same writes, read the same way."""
 
@@ -149,12 +208,15 @@ class SummaryParity(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.row, self.col = twins()
+        # Each twin in a database of its own, so ``data_version`` is watched.
+        self.databases = PrivateDatabase("o", engine=ROW), PrivateDatabase("o", engine=COLUMNAR)
+        self.row, self.col = (db.create_table("t", SCHEMA) for db in self.databases)
 
     def _both(self, write):
         results = [write(self.row), write(self.col)]
         assert results[0] == results[1]
         assert self.row.version == self.col.version
+        assert self.databases[0].data_version == self.databases[1].data_version
 
     @rule(row=st.fixed_dictionaries({"i": INTS, "x": REALS}))
     def insert(self, row):
@@ -196,6 +258,46 @@ class SummaryParity(RuleBasedStateMachine):
             for n, (i, x) in enumerate(rows)
         ]
         self._both(lambda table: table.insert_many(staged))
+
+    @rule(
+        rows=st.one_of(NARROW_ROWS, st.lists(st.tuples(INTS, REALS), max_size=40)),
+        order=st.permutations(["i", "x"]),
+        listed=st.sets(st.sampled_from(["i", "x"])),
+        fault=st.sampled_from(STREAM_FAULTS),
+        at=st.integers(0, 2),
+    )
+    def insert_arrays_streamed(self, rows, order, listed, fault, at):
+        # A column is an array unless drawn as a list, which may hold None
+        # (and, from INTS / REALS, values that spill); an array column's
+        # None becomes a value its dtype holds.
+        batch = {}
+        for position, (name, dtype) in enumerate((("i", np.int64), ("x", np.float64))):
+            values = [row[position] for row in rows]
+            if name not in listed:
+                values = np.array([0 if v is None else v for v in values], dtype=dtype)
+            batch[name] = values
+        stream = _faulty([(name, batch[name]) for name in order], fault, at)
+        for database, table in zip(self.databases, (self.row, self.col)):
+            before = stored(table), database.data_version
+            if fault is not None:
+                with pytest.raises(SchemaError):
+                    table.insert_arrays(iter(stream))
+                assert (stored(table), database.data_version) == before
+                continue
+            spilled = [
+                name for name in ("i", "x")
+                if table.engine_name == COLUMNAR
+                and table._engine._numeric(name).exact is not None
+            ]
+            mapping_form = copy.deepcopy(table)
+            assert table.insert_arrays(iter(stream)) == mapping_form.insert_arrays(batch)
+            assert stored(table) == stored(mapping_form)
+            for name in spilled:
+                # Stored as Python objects: the caller's array is not adopted.
+                if isinstance(batch[name], np.ndarray):
+                    assert batch[name].flags.writeable, name
+        assert self.row.version == self.col.version
+        assert self.databases[0].data_version == self.databases[1].data_version
 
     @rule(rows=_rows(st.one_of(INTS, INT_SPILLS), st.one_of(REALS, REAL_SPILLS)))
     def insert_many_spilling(self, rows):

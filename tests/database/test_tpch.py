@@ -9,6 +9,7 @@ import pytest
 from repro.database import (
     LINEITEM_ROWS_PER_SF,
     LINEITEM_SCHEMA,
+    PrivateDatabase,
     Schema,
     Table,
     TPCH_ATTRIBUTE,
@@ -177,10 +178,44 @@ def test_generator_holds_six_arrays_at_its_worst_moment():
 
 def test_building_a_party_never_holds_a_second_full_width_copy():
     peak, kept = _traced(lambda: lineitem_database("party0", seed=5, rows=COUNTED_ROWS))
-    # Six raw arrays, 11 B/row of codes and the block scratch at the peak;
-    # 19 B/row (2.375 columns) once the raw arrays are dropped.
-    assert peak <= 8.0  # parent: 9.0
-    assert kept <= 2.5  # parent: 6.0
+    # Streamed a column at a time, the peak is the price being computed
+    # (quantity, unit price, factor) beside 9 B/row of sealed keys and
+    # quantities; 19 B/row (2.375 columns) once it is all sealed.
+    assert peak <= 4.5  # parent: 7.7 (all six raw arrays alive while sealing)
+    assert kept <= 2.5
+
+
+# -- the column stream --------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "rows, jitter, match", [(10, 0.1, "jitter"), (-1, 0.02, "rows")]
+)
+def test_arguments_are_checked_before_any_table_exists(monkeypatch, rows, jitter, match):
+    """A generator body runs at its first ``next()``: checks placed there
+    would fire only after ``create_table``, from inside ``insert_arrays``."""
+    created = []
+    create_table = PrivateDatabase.create_table
+
+    def recording(self, name, *args, **kwargs):
+        created.append(name)
+        return create_table(self, name, *args, **kwargs)
+
+    monkeypatch.setattr(PrivateDatabase, "create_table", recording)
+    with pytest.raises(ValueError, match=match):
+        lineitem_database("p0", seed=0, rows=rows, jitter=jitter)
+    assert created == []
+
+
+def test_streamed_table_decodes_to_the_generated_arrays():
+    rows, seed = 3_000, 17
+    names = list(lineitem_arrays(1, seed=seed))  # in the order they stream
+    assert names == list(LINEITEM_SCHEMA.names)
+    for party in ("party0", "party1"):
+        table = lineitem_database(party, seed=seed, rows=rows).table(TPCH_TABLE)
+        expected = lineitem_arrays(rows, seed=seed, party=party)
+        for name in names:
+            assert table.project(name) == expected[name].tolist(), name
 
 
 def test_generator_output_is_pinned_bit_for_bit():
