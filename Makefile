@@ -6,7 +6,7 @@ PYTHON ?= python3
 JOBS ?= 1
 
 .PHONY: install test lint typecheck cov bench check-floors check-dp ab-pairs \
-	import-profile figures report examples all clean
+	census import-profile figures report examples all clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -69,6 +69,13 @@ check-dp:
 # make ab-pairs AB_ARGS="--workloads scan_write --pairs 10 --base HEAD~1".
 ab-pairs:
 	$(PYTHON) scripts/ab_pairs.py $(AB_ARGS)
+
+# The call census: run every front end under a profile hook and rewrite
+# results/call_census.txt with the defs none of them entered (the grouped
+# listing and totals go to stderr).  tests/test_call_census.py gates the
+# committed file; the nightly chaos workflow reruns this and diffs it.
+census:
+	$(PYTHON) scripts/call_census.py
 
 # Where a fresh interpreter's start-up goes: the 20 most expensive imports
 # (cumulative microseconds, children included) on the two cold-start paths

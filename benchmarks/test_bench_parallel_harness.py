@@ -21,6 +21,7 @@ Emits ``results/BENCH_parallel_harness.json`` (floor on the row, checked by
 runs the serial engine only, so it cannot state this ratio.
 """
 
+import dataclasses
 import os
 import time
 
@@ -58,7 +59,7 @@ def test_bench_parallel_harness():
     )
 
     # Start and warm the workers on the cheapest call the gate admits.
-    run_trials(setup.with_(n=10), jobs=JOBS)
+    run_trials(dataclasses.replace(setup, n=10), jobs=JOBS)
 
     best = {1: float("inf"), JOBS: float("inf")}
     modes = set()

@@ -52,7 +52,11 @@ def main() -> None:
     print()
 
     print("session audit log (the governance artifact):")
-    print(federation.audit.render())
+    for entry in federation.audit:
+        print(
+            f"  {entry.entry_id:>3} {entry.issuer:<15} {entry.protocol:<14} "
+            f"{entry.messages:>4} msgs  {entry.statement}"
+        )
 
 
 if __name__ == "__main__":

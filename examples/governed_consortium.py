@@ -65,10 +65,14 @@ def main() -> None:
         print()
 
         # The analyst may aggregate, not rank.
-        total = federation.sum("claims", "amount", issuer="market-analyst")
+        (total,) = federation.execute(
+            "SELECT SUM(amount) FROM claims", issuer="market-analyst"
+        ).values
         print(f"analyst: sector claims total          = {total:,.0f}")
         try:
-            federation.topk("claims", "amount", 3, issuer="market-analyst")
+            federation.execute(
+                "SELECT TOP 3 amount FROM claims", issuer="market-analyst"
+            )
         except PolicyViolation as exc:
             print(f"analyst: TOP 3 refused               -> {exc}")
         print()
@@ -77,7 +81,9 @@ def main() -> None:
         ran = 0
         try:
             for _ in range(20):
-                outcome = federation.topk("claims", "amount", 3, issuer="regulator")
+                outcome = federation.execute(
+                    "SELECT TOP 3 amount FROM claims", issuer="regulator"
+                )
                 ran += 1
         except BudgetExceededError as exc:
             print(f"regulator: ran {ran} ranking queries, then -> {exc}")
@@ -86,9 +92,13 @@ def main() -> None:
         print()
 
         print("audit log:")
-        print(federation.audit.render())
+        for entry in federation.audit:
+            print(f"  {entry.entry_id:>3} {entry.issuer:<14} {entry.statement}")
         print()
-        print(federation.ledger.render())
+        ledger = federation.ledger
+        print(f"exposure ledger after {ledger.runs_charged} runs:")
+        for party in sorted(ledger.charges):
+            print(f"  {party:<14} {ledger.charges[party]:.4f}")
 
 
 if __name__ == "__main__":

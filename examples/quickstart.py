@@ -16,6 +16,7 @@ from repro import (
     RunConfig,
     TopKQuery,
     average_lop,
+    database_from_values,
     run_topk_query,
     worst_case_lop,
 )
@@ -24,7 +25,10 @@ from repro import (
 def main() -> None:
     # 1. Ten private databases with 100 values each (uniform over [1, 10000]).
     generator = DataGenerator(rng=random.Random(7))
-    databases = generator.databases(nodes=10, values_per_node=100)
+    databases = [
+        database_from_values(f"node{i}", values)
+        for i, values in enumerate(generator.node_datasets(10, 100))
+    ]
 
     # 2. The public query: top-5 of the shared "value" attribute.
     query = TopKQuery(table="data", attribute="value", k=5)

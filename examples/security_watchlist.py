@@ -19,11 +19,11 @@ import random
 from repro import (
     ProtocolParams,
     RunConfig,
+    TopKQuery,
     database_from_values,
-    max_query,
     run_topk_query,
 )
-from repro.privacy import average_coalition_lop, average_lop
+from repro.privacy import average_lop, coalition_lop
 
 AGENCIES = ("alpha", "bravo", "customs", "dhs-x", "europol-liaison", "fincen-x")
 
@@ -42,7 +42,7 @@ def build_agencies(rng: random.Random):
 
 def run_condition(databases, *, remap: bool, trials: int = 25):
     """Mean single-adversary and coalition LoP under one ring policy."""
-    query = max_query("watchlist", "threat_score")
+    query = TopKQuery(table="watchlist", attribute="threat_score", k=1)
     params = ProtocolParams.paper_defaults(rounds=8, remap_each_round=remap)
     single = coalition = 0.0
     answer = None
@@ -51,7 +51,8 @@ def run_condition(databases, *, remap: bool, trials: int = 25):
         result = run_topk_query(databases, query, config)
         answer = result.answer()[0]
         single += average_lop(result)
-        coalition += average_coalition_lop(result)
+        nodes = result.ring_order
+        coalition += sum(coalition_lop(result, node) for node in nodes) / len(nodes)
     return answer, single / trials, coalition / trials
 
 
@@ -62,7 +63,7 @@ def main() -> None:
     truth = max(
         v
         for db in agencies
-        for v in db.table("watchlist").numeric_values("threat_score")
+        for v in db.table("watchlist").project("threat_score")
     )
     print(f"true maximum threat score (omniscient view): {truth}")
     print()

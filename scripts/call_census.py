@@ -3,10 +3,12 @@
 
 The static census (``tests/test_reachability.py``) answers which *modules*
 a front end imports.  This one answers which *functions* it calls: it runs
-the front ends under a profile hook and prints every ``def`` in
-``src/repro`` that none of them entered, grouped by module, with totals.
-A capability whose every function is listed here is reached only by tests
-(DESIGN.md 4i and 4j use it that way).
+the front ends under a profile hook and writes every ``def`` in
+``src/repro`` that none of them entered to ``results/call_census.txt``, one
+sorted ``module:qualname`` line each, and the same list grouped by module,
+with totals, to stderr.  ``tests/test_call_census.py`` gates the committed
+file: every listed def must still exist and be declared or kept by a rule
+(DESIGN.md 4k); ``make census`` regenerates it.
 
 How: a ``sitecustomize.py`` written into a temporary directory installs
 ``sys.setprofile`` and ``threading.setprofile``, records every code object
@@ -24,7 +26,13 @@ runs:
   sizes, except its re-run of ``tests/sharding``: tests are not a front end;
 * ``repro-topk all --trials 20``: at least ``VECTOR_CROSSOVER`` trials, so
   the figures' points reach the vectorized engine (at 5 it looks dead);
-* every other ``repro-topk`` subcommand, at a small size;
+* every other ``repro-topk`` subcommand, at a small size, and the paths
+  their existing flags select: ``validate`` over every figure, one
+  ``--jobs 2`` figure run large enough for the pool gate to admit it (on a
+  host with at least two cores; on one core it runs serial-gated and the
+  pool's defs read as never entered), a DP statement served twice one batch
+  apart, a sharded ``serve``, a rate-limited ``serve`` that sheds, and a
+  k = 1 naive query's privacy report;
 * ``bench/run.py --smoke``, as one ``--workload W --trace 0|1`` child per
   workload and trace setting, the children ``--smoke`` itself runs.
 
@@ -32,10 +40,12 @@ The subcommands are read from ``python -m repro.cli --help``, not kept by
 hand: one that no command runs fails the census, by name, before anything
 runs.  A process that ends in ``os._exit`` or a SIGKILL (the chaos sweep's
 victim) records nothing; the others cover what it ran.  Stdlib only; it
-imports nothing from ``repro``, writes nothing under the repository and
-takes about a minute on two vCPUs.  Run from anywhere::
+imports nothing from ``repro``, writes nothing under the repository but
+``results/call_census.txt``, and takes about a minute and a half on two
+vCPUs.  Every command is seeded, so two runs on one host write the same
+bytes.  Run from anywhere::
 
-    python scripts/call_census.py
+    python scripts/call_census.py        # or: make census
 """
 
 from __future__ import annotations
@@ -54,6 +64,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 PACKAGE = SRC / "repro"
+#: The committed list ``tests/test_call_census.py`` gates.
+OUTPUT = ROOT / "results" / "call_census.txt"
 
 #: The hook, formatted with the package root and the record directory.
 HOOK = '''\
@@ -96,6 +108,8 @@ STATEMENTS = (
     "SELECT AVG(value) FROM data WITH SLO(deadline=1.0)",
     "SELECT COUNT(value) FROM data",
 )
+#: Served twice one batch apart, so the repeat is the gateway's DP fast path.
+DP_MAX = "SELECT MAX(value) FROM data WITH SLO(dp_epsilon=1.0)"
 WORKLOADS = (
     "hot_repeat", "cold_ring", "scan_write", "sharded_proc", "slo_dp", "paper_figures",
 )
@@ -143,13 +157,21 @@ def commands(bench_dir: Path) -> list[tuple[list[str], str]]:
         (cli + ["list"], "0"),
         (cli + ["figure", "fig6", "--trials", "5", "--svg", "svg", "--timing",
                 "--jobs", "1"], "0"),
-        (cli + ["query", "--privacy-report"], "0"),
+        (cli + ["figure", "fig7", "--trials", "4000", "--jobs", "2", "--no-plot"], "0"),
+        (cli + ["query", "--k", "1", "--protocol", "naive", "--privacy-report"], "0"),
         (cli + ["trace", "query", "--seed", "5", "--out", "query.json"], "0"),
         (cli + ["analyze", "query.json"], "0"),
         (cli + ["report", "--trials", "5", "--out", "report.md"], "0"),
-        (cli + ["validate", "--trials", "5", "--only", "fig3", "fig6"], "0"),
+        (cli + ["validate", "--trials", "20"], "0"),
         (cli + ["serve", "SELECT TOP 3 value FROM data", "SELECT MAX(value) FROM data"],
          "0"),
+        (cli + ["serve", "--max-batch", "1", DP_MAX, DP_MAX], "0"),
+        (cli + ["serve", "--shards", "3", "--max-batch", "1",
+                "SELECT TOP 3 value FROM t00", "SELECT TOP 3 value FROM t00",
+                "SELECT SUM(value) FROM part00"], "0"),
+        (cli + ["serve", "--rate-limit", "0.5", "--rate-burst", "1",
+                "SELECT TOP 3 value FROM data", "SELECT MIN(value) FROM data"],
+         "nonzero"),
         (cli + ["metrics", "--queries", "12", "--seed", "2", "--json", "metrics.json"],
          "0"),
         (cli + ["tpch", "--parties", "3", "--rows", "20000", "--engine", "row"], "0"),
@@ -175,6 +197,12 @@ def _exit_ok(code: int, expected: str) -> bool:
     if expected == "nonzero":
         return code != 0
     return code == int(expected)
+
+
+def dotted(module: str) -> str:
+    """``repro/a/b.py`` -> ``repro.a.b`` (a package's ``__init__`` is the package)."""
+    parts = Path(module).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
 def defs_by_module() -> dict[str, dict[int, str]]:
@@ -249,6 +277,7 @@ def main() -> int:
 
     total = never = 0
     silent_modules = []
+    listed = set()
     for module, defs in defs_by_module().items():
         missed = sorted(line for line in defs if (module, line) not in entered)
         total += len(defs)
@@ -256,16 +285,20 @@ def main() -> int:
         if defs and len(missed) == len(defs):
             silent_modules.append(module)
         if missed:
-            print(f"{module}  ({len(missed)} of {len(defs)} defs never entered)")
+            print(f"{module}  ({len(missed)} of {len(defs)} defs never entered)",
+                  file=sys.stderr)
             for line in missed:
-                print(f"    {line:5}  {defs[line]}")
-    print()
-    print(f"{len(runs)} commands, {processes} processes recorded")
+                print(f"    {line:5}  {defs[line]}", file=sys.stderr)
+                listed.add(f"{dotted(module)}:{defs[line]}")
+    OUTPUT.write_text("".join(f"{line}\n" for line in sorted(listed)))
+    print(file=sys.stderr)
+    print(f"{len(runs)} commands, {processes} processes recorded", file=sys.stderr)
     print(f"{never} of {total} defs in src/repro never entered "
-          f"({total - never} entered)")
-    print(f"modules with no def entered: {len(silent_modules)}")
+          f"({total - never} entered)", file=sys.stderr)
+    print(f"modules with no def entered: {len(silent_modules)}", file=sys.stderr)
     for module in silent_modules:
-        print(f"    {module}")
+        print(f"    {module}", file=sys.stderr)
+    print(f"wrote {OUTPUT.relative_to(ROOT)} ({len(listed)} lines)", file=sys.stderr)
     return 0
 
 

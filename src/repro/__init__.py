@@ -10,10 +10,15 @@ that regenerates every figure of the paper's evaluation.
 Quickstart::
 
     import random
-    from repro import DataGenerator, RunConfig, TopKQuery, run_topk_query
+    from repro import (
+        DataGenerator, RunConfig, TopKQuery, database_from_values, run_topk_query,
+    )
 
     gen = DataGenerator(rng=random.Random(7))
-    databases = gen.databases(nodes=10, values_per_node=100)
+    databases = [
+        database_from_values(f"node{i}", values)
+        for i, values in enumerate(gen.node_datasets(10, 100))
+    ]
     query = TopKQuery(table="data", attribute="value", k=5)
     result = run_topk_query(databases, query, RunConfig(seed=7))
     print(result.answer(), result.precision())
@@ -53,8 +58,6 @@ _EXPORTS = {
         "Table",
         "TopKQuery",
         "database_from_values",
-        "max_query",
-        "min_query",
     ),
     "federation": ("Federation", "QueryOutcome"),
     "privacy": (

@@ -14,16 +14,14 @@ _EXPORTS = {
         "PROTOCOLS",
         "RunConfig",
         "SESSION",
-        "derived_rounds",
         "run_many_on_vectors",
         "run_protocol_on_vectors",
         "run_topk_queries",
         "run_topk_query",
-        "with_protocol",
     ),
     "kernel": ("KernelRun", "kernel_refusal"),
     "max_protocol": ("ProbabilisticMaxAlgorithm",),
-    "naive": ("NaiveMaxAlgorithm", "NaiveTopKAlgorithm"),
+    "naive": ("NaiveTopKAlgorithm",),
     "noise": ("HighBiasedNoise", "LowBiasedNoise", "NoiseStrategy", "UniformNoise"),
     "params": ("ParamError", "ProtocolParams", "minimum_rounds"),
     "results": ("ProtocolResult",),
@@ -49,7 +47,6 @@ _EXPORTS = {
         "VectorError",
         "is_sorted_desc",
         "merge_topk",
-        "multiset_contains",
         "multiset_difference",
         "multiset_intersection_size",
         "pad_to_k",

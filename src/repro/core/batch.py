@@ -57,7 +57,7 @@ from .kernel import (
     phase_sink,
     synthesize_trace,
 )
-from .noise import HighBiasedNoise, LowBiasedNoise, UniformNoise, draw_noise_batch
+from .noise import HighBiasedNoise, LowBiasedNoise, UniformNoise
 from .results import ProtocolResult
 from .sampling import MAX_HARVEST_WORDS, WordPool, words_to_unit_floats
 from .session import PROBABILISTIC, PreparedQuery, prepare_query_vectors
@@ -626,9 +626,10 @@ class _Group:
                         sel = srows[m[srows] > d]
                         if not sel.shape[0]:
                             break
-                        noise[sel, d] = draw_noise_batch(
-                            strategy, pool, streams[sel], low[sel], high[sel],
-                            integral=True,
+                        noise[sel, d] = pool.randint(
+                            streams[sel],
+                            np.ceil(low[sel]).astype(np.int64),
+                            np.ceil(high[sel]).astype(np.int64) - 1,
                         )
             else:
                 if kind == "uniform":

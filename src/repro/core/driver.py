@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..database.query import TopKQuery
@@ -40,7 +40,7 @@ from ..observability.runtime import current_tracer
 from ..observability.trace import TraceContext
 from .batch import execute_many as execute_batch
 from .kernel import KernelUnsupported, kernel_refusal
-from .params import ParamError, ProtocolParams
+from .params import ProtocolParams
 from .results import ProtocolResult
 from .session import (
     ANONYMOUS_NAIVE,
@@ -69,12 +69,10 @@ __all__ = [
     "RingBuilder",
     "RunConfig",
     "ambient_traces",
-    "derived_rounds",
     "run_many_on_vectors",
     "run_protocol_on_vectors",
     "run_topk_queries",
     "run_topk_query",
-    "with_protocol",
 ]
 
 #: Explicit executor pins; ``backend=None`` (the default everywhere) is the
@@ -374,16 +372,3 @@ def run_topk_queries(
         for query, config, trace in zip(queries, configs, extraction_traces)
     ]
     return run_many_on_vectors(jobs, traces=traces, backend=backend)
-
-
-def derived_rounds(params: ProtocolParams) -> int:
-    """Expose the Equation 4 round derivation for callers and reports."""
-    try:
-        return params.resolved_rounds()
-    except ParamError as exc:
-        raise DriverError(str(exc)) from exc
-
-
-def with_protocol(config: RunConfig, protocol: str) -> RunConfig:
-    """A copy of ``config`` running a different protocol (for comparisons)."""
-    return replace(config, protocol=protocol)

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..network.events import EventLog, Observation
-from ..network.failures import NullFailureInjector
 from ..network.message import next_message_id
 from ..network.stats import TrafficStats
 from ..observability.trace import TraceContext
@@ -317,8 +316,7 @@ def kernel_refusal(config: "RunConfig") -> str | None:
         return "encryption needs the transport's cipher round-trip"
     if config.latency is not None:
         return "custom latency models need the transport's delivery clock"
-    failures = config.failures
-    if failures is not None and not isinstance(failures, NullFailureInjector):
+    if config.failures is not None:
         return "failure injection needs transport drops and ring repair"
     return None
 

@@ -42,10 +42,3 @@ class NaiveTopKAlgorithm:
     def compute(self, incoming: list[float], round_number: int) -> list[float]:
         validate_vector(incoming, self.k)
         return merge_topk(incoming, self.local_values, self.k)
-
-
-class NaiveMaxAlgorithm(NaiveTopKAlgorithm):
-    """The k=1 special case: pass on ``max(incoming, own value)``."""
-
-    def __init__(self, local_value: float) -> None:
-        super().__init__([float(local_value)], k=1)

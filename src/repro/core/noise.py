@@ -100,57 +100,3 @@ class LowBiasedNoise:
 
 #: Anything with the ``draw`` signature above.
 NoiseStrategy = UniformNoise | HighBiasedNoise | LowBiasedNoise
-
-
-# -- vectorized batch draws ---------------------------------------------------
-#
-# The batch kernel (:mod:`repro.core.batch`) executes one noise column for a
-# subset of per-node RNG streams at a time.  These helpers replay the exact
-# word order the scalar ``draw`` methods consume from each stream — one
-# ``random()`` is two 32-bit words, one ``randint`` attempt is one word — so
-# a stream served by the vectorized path stays bit-identical to the same
-# stream served scalar.
-
-def draw_noise_batch(
-    strategy: "NoiseStrategy",
-    pool,
-    who,
-    low,
-    high,
-    *,
-    integral: bool,
-):
-    """One ``strategy.draw`` per stream in ``who``; float64 array of values.
-
-    ``pool`` is a :class:`repro.core.sampling.WordPool`; ``low``/``high``
-    are per-stream float64 arrays describing each stream's admissible
-    ``[low, high)`` range.  Callers guarantee ``low < high`` row-wise (the
-    batch kernel handles degenerate ranges before drawing) and, for
-    integral domains, that the integer range is non-empty.
-    """
-    import numpy as np
-
-    kind = type(strategy)
-    if kind is UniformNoise:
-        if integral:
-            lo = np.ceil(low).astype(np.int64)
-            hi = np.ceil(high).astype(np.int64) - 1
-            return pool.randint(who, lo, hi).astype(np.float64)
-        u = pool.random(who)
-        value = low + (high - low) * u
-        return np.where(value < high, value, low)
-    # Biased strategies: max/min of ``order`` sequential unit draws, then
-    # the same range mapping ``_map_unit_draw`` applies scalar-side.
-    u = pool.random(who)
-    if kind is HighBiasedNoise:
-        for _ in range(strategy.order - 1):
-            u = np.maximum(u, pool.random(who))
-    else:
-        for _ in range(strategy.order - 1):
-            u = np.minimum(u, pool.random(who))
-    if integral:
-        lo = np.ceil(low)
-        hi = np.ceil(high) - 1.0
-        return lo + np.floor(u * (hi - lo + 1.0))
-    value = low + u * (high - low)
-    return np.where(value < high, value, low)

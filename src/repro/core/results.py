@@ -110,5 +110,3 @@ class ProtocolResult:
         truth = self.true_topk()
         return multiset_intersection_size(vector, truth) / self.query.k
 
-    def is_exact(self) -> bool:
-        return self.precision() == 1.0

@@ -254,10 +254,11 @@ def words_to_unit_floats(w0: np.ndarray, w1: np.ndarray) -> np.ndarray:
 class WordPool:
     """Pre-harvested output words for many independent ``Random`` streams.
 
-    Serves the draw primitives the batch kernel replays — ``random()``,
-    ``randint`` — against a ``(streams, words)`` harvest, advancing a per-
-    stream cursor.  A stream that outruns its harvest demotes itself to a
-    real ``random.Random`` fast-forwarded past the consumed words (consuming
+    Serves the batch kernel its raw words (:meth:`take_block`) and, for the
+    rare row whose rejection sampling outruns its block, ``randint`` —
+    against a ``(streams, words)`` harvest, advancing a per-stream cursor.
+    A stream that outruns its harvest demotes itself to a real
+    ``random.Random`` fast-forwarded past the consumed words (consuming
     ``32 * cursor`` bits replays them exactly), so overflow costs speed, not
     correctness.
     """
@@ -340,31 +341,6 @@ class WordPool:
     def scalar_rng(self, stream: int) -> random.Random:
         """Live ``Random`` for one stream, demoting it at its current cursor."""
         return self._demote(stream, int(self.cursor[stream]))
-
-    def random(self, who: np.ndarray) -> np.ndarray:
-        """One ``random()`` draw per stream in ``who`` (2 words each)."""
-        mask, slow = self._split(who, 2)
-        if mask is None:
-            base = who * self.words + self.cursor[who]
-            w0 = self._flat[base]
-            w1 = self._flat[base + 1]
-            self.cursor[who] += 2
-            return words_to_unit_floats(w0, w1)
-        out = np.empty(who.shape[0], dtype=np.float64)
-        fast = who[mask]
-        if fast.shape[0]:
-            base = fast * self.words + self.cursor[fast]
-            w0 = self._flat[base]
-            w1 = self._flat[base + 1]
-            self.cursor[fast] += 2
-            out[mask] = words_to_unit_floats(w0, w1)
-        if slow:
-            values = {s: self._scalar[s].random() for s in slow}
-            for i, stream in enumerate(who):
-                s = int(stream)
-                if s in values:
-                    out[i] = values[s]
-        return out
 
     def randint(self, who: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
         """One ``randint(low, high)`` per stream, replaying the rejection loop.

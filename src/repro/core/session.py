@@ -343,11 +343,6 @@ class ProtocolSession:
             self.accounting.on_delivery = self._trace_delivery
         self.nodes[self.starter].start(first_input)
 
-    @property
-    def finished(self) -> bool:
-        """True once the starter holds the final result."""
-        return self.nodes[self.starter].final_result is not None
-
     def recover(self) -> None:
         """Ring-repair recovery (Section 3.2) and loss retransmission.
 

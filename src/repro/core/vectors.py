@@ -72,13 +72,6 @@ def multiset_difference(
     return result
 
 
-def multiset_contains(haystack: Sequence[float], needles: Sequence[float]) -> bool:
-    """True when ``needles`` is a sub-multiset of ``haystack``."""
-    have = Counter(haystack)
-    need = Counter(needles)
-    return all(have[value] >= count for value, count in need.items())
-
-
 def multiset_intersection_size(a: Sequence[float], b: Sequence[float]) -> int:
     """``|A ∩ B|`` with multiplicity — the numerator of the precision metric."""
     ca, cb = Counter(a), Counter(b)

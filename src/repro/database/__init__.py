@@ -15,15 +15,13 @@ _EXPORTS = {
         "StorageEngine",
         "make_engine",
     ),
-    "generator": ("DISTRIBUTIONS", "DataGenerator", "datasets_with_known_topk"),
+    "generator": ("DISTRIBUTIONS", "DataGenerator"),
     "io": ("TableIOError", "database_from_csv_dir", "load_csv_table", "save_csv_table"),
     "query": (
         "Domain",
         "PAPER_DOMAIN",
         "QueryError",
         "TopKQuery",
-        "max_query",
-        "min_query",
     ),
     "schema": ("COLUMN_TYPES", "Column", "Schema", "SchemaError", "common_query"),
     "table": ("Table",),

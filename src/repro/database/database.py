@@ -89,10 +89,6 @@ class PrivateDatabase:
         except KeyError:
             raise SchemaError(f"no such table: {name!r}") from None
 
-    @property
-    def table_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._tables))
-
     def __contains__(self, name: object) -> bool:
         return name in self._tables
 
@@ -100,9 +96,6 @@ class PrivateDatabase:
 
     def insert(self, table: str, row: Row) -> None:
         self.table(table).insert(row)
-
-    def insert_many(self, table: str, rows: Iterable[Row]) -> int:
-        return self.table(table).insert_many(rows)
 
     # -- protocol-facing interface ------------------------------------------
 

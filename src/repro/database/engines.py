@@ -26,15 +26,15 @@ module makes the storage layout a pluggable choice behind one
     running sum.  The summary is built by one scan on the column's first
     read; tables only append, so after an insert it is folded forward over
     just the new rows on the next read (no chunk is sealed for them and the
-    column is never copied), and a spill drops it.  A larger ``k`` and
-    ``numeric_values`` decode the whole column for the one read (no copy
-    is kept) and run as ``np.partition`` kernels over it.  Results are
-    *bit-identical* to the row store: same values, same descending order,
-    same tie behavior, same float rounding (the running sum follows
-    Python's left-to-right ``sum``).  A column whose values cannot be
-    represented losslessly in its typed array (an INTEGER outside int64,
-    a non-finite, negative-zero or integer-typed value in a REAL column)
-    **spills** the whole column to exact object storage and answers
+    column is never copied), and a spill drops it.  A larger ``k`` and a
+    full-column read (``scan``, ``project``) decode the whole column for the
+    one read (no copy is kept); the larger ``k`` runs as an ``np.partition``
+    kernel over it.  Results are *bit-identical* to the row store: same
+    values, same descending order, same tie behavior, same float rounding
+    (the running sum follows Python's left-to-right ``sum``).  A column
+    whose values cannot be represented losslessly in its typed array (an
+    INTEGER outside int64, a non-finite, negative-zero or integer-typed
+    value in a REAL column) **spills** the whole column to exact object storage and answers
     through the scalar path — the engine never trades correctness for
     speed, it only accelerates when acceleration is exact.
 
@@ -221,10 +221,6 @@ class StorageEngine(ABC):
     # -- queries --
 
     @abstractmethod
-    def numeric_values(self, name: str) -> list:
-        """Non-null values of a numeric column, in insertion order."""
-
-    @abstractmethod
     def top_k(self, name: str, k: int) -> list:
         """Largest ``k`` non-null values, descending."""
 
@@ -289,17 +285,17 @@ class RowStoreEngine(StorageEngine):
     def column_values(self, name: str) -> list[object]:
         return [r.get(name) for r in self._rows]
 
-    def numeric_values(self, name: str) -> list:
+    def _present(self, name: str) -> list:
         return [v for v in self.column_values(name) if v is not None]
 
     def top_k(self, name: str, k: int) -> list:
-        return heapq.nlargest(k, self.numeric_values(name))
+        return heapq.nlargest(k, self._present(name))
 
     def bottom_k(self, name: str, k: int) -> list:
-        return heapq.nsmallest(k, self.numeric_values(name))
+        return heapq.nsmallest(k, self._present(name))
 
     def aggregate(self, name: str, func: str) -> float | None:
-        return _scalar_aggregate(self.numeric_values(name), func)
+        return _scalar_aggregate(self._present(name), func)
 
 
 # -- the columnar engine -----------------------------------------------------
@@ -872,13 +868,6 @@ class ColumnarEngine(StorageEngine):
         # int64 -> Python int, float64 -> Python float: exactly the types
         # the row store holds for vectorizable columns.
         return values.tolist()
-
-    def numeric_values(self, name: str) -> list:
-        column = self._numeric(name)
-        exact = column.storage()
-        if exact is not None:
-            return [v for v in exact if v is not None]
-        return self._to_list(column.valid_values())
 
     def top_k(self, name: str, k: int) -> list:
         column = self._numeric(name)

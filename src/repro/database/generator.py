@@ -12,14 +12,9 @@ are deterministic given a seeded ``random.Random``.
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from .query import PAPER_DOMAIN, Domain
-
-if TYPE_CHECKING:
-    from .database import PrivateDatabase
 
 #: Distribution names accepted by :class:`DataGenerator`.
 DISTRIBUTIONS = ("uniform", "normal", "zipf")
@@ -118,71 +113,3 @@ class DataGenerator:
         if nodes < 1:
             raise ValueError("nodes must be >= 1")
         return [self.values(values_per_node) for _ in range(nodes)]
-
-    def databases(
-        self,
-        nodes: int,
-        values_per_node: int,
-        *,
-        table: str = "data",
-        attribute: str = "value",
-        owner_prefix: str = "node",
-        engine: str | None = None,
-    ) -> list[PrivateDatabase]:
-        """Build one single-table :class:`PrivateDatabase` per node.
-
-        ``engine`` selects the storage engine backing each node's table
-        (see :mod:`repro.database.engines`); the default is the columnar
-        engine, and all engines answer bit-identically.  The storage engine
-        is imported here, on this set-up call, so drawing values alone (every
-        experiment trial) never loads it.
-        """
-        from .database import database_from_values
-
-        return [
-            database_from_values(
-                f"{owner_prefix}{i}",
-                dataset,
-                table=table,
-                attribute=attribute,
-                engine=engine,
-            )
-            for i, dataset in enumerate(self.node_datasets(nodes, values_per_node))
-        ]
-
-
-def datasets_with_known_topk(
-    nodes: int,
-    values_per_node: int,
-    topk: Sequence[int],
-    *,
-    domain: Domain = PAPER_DOMAIN,
-    rng: random.Random | None = None,
-) -> list[list[int]]:
-    """Generate node datasets whose global top-k is exactly ``topk``.
-
-    Useful for correctness tests: the expected answer is known by
-    construction.  ``topk`` must be sorted descending and the remaining filler
-    values are drawn uniformly below ``min(topk)``.
-    """
-    rng = rng or random.Random()
-    expected = sorted(topk, reverse=True)
-    if list(topk) != expected:
-        raise ValueError("topk must be sorted descending")
-    if any(v not in domain for v in topk):
-        raise ValueError("topk values must lie inside the domain")
-    if nodes * values_per_node < len(topk):
-        raise ValueError("not enough total slots to place the topk values")
-    low = int(domain.low)
-    ceiling = int(min(topk)) - 1
-    if ceiling < low:
-        raise ValueError("min(topk) leaves no room for filler values")
-    datasets = [
-        [rng.randint(low, ceiling) for _ in range(values_per_node)]
-        for _ in range(nodes)
-    ]
-    # Scatter the planted values across random slots.
-    slots = [(i, j) for i in range(nodes) for j in range(values_per_node)]
-    for value, (i, j) in zip(topk, rng.sample(slots, len(topk))):
-        datasets[i][j] = int(value)
-    return datasets

@@ -21,8 +21,7 @@ class Domain:
 
     The protocol initialization module uses ``low`` as the identity element of
     the global max vector ("the lowest possible value in the corresponding
-    data domain", Section 3.3) and privacy analysis uses the domain size to
-    justify approximating prior probabilities with zero.
+    data domain", Section 3.3).
     """
 
     low: float
@@ -32,13 +31,6 @@ class Domain:
     def __post_init__(self) -> None:
         if self.low >= self.high:
             raise QueryError(f"empty domain [{self.low}, {self.high}]")
-
-    @property
-    def size(self) -> float:
-        """Number of distinct values (integral) or width (continuous)."""
-        if self.integral:
-            return int(self.high) - int(self.low) + 1
-        return self.high - self.low
 
     def __contains__(self, value: object) -> bool:
         return isinstance(value, (int, float)) and self.low <= value <= self.high
@@ -72,21 +64,7 @@ class TopKQuery:
         if not self.table or not self.attribute:
             raise QueryError("table and attribute must be non-empty")
 
-    @property
-    def is_max_query(self) -> bool:
-        return self.k == 1 and not self.smallest
-
     def identity_vector(self) -> list[float]:
         """The initial global vector: k copies of the domain's worst value."""
         worst = self.domain.high if self.smallest else self.domain.low
         return [worst] * self.k
-
-
-def max_query(table: str, attribute: str, domain: Domain = PAPER_DOMAIN) -> TopKQuery:
-    """Convenience constructor for the k=1 max query."""
-    return TopKQuery(table=table, attribute=attribute, k=1, domain=domain)
-
-
-def min_query(table: str, attribute: str, domain: Domain = PAPER_DOMAIN) -> TopKQuery:
-    """Convenience constructor for the k=1 min query."""
-    return TopKQuery(table=table, attribute=attribute, k=1, domain=domain, smallest=True)

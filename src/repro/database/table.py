@@ -243,11 +243,6 @@ class Table:
         self.schema.column(column)  # raises on unknown column
         return self._engine.column_values(column)
 
-    def numeric_values(self, column: str) -> list[float]:
-        """Return non-null values of a numeric column, in insertion order."""
-        self._numeric(column)
-        return self._engine.numeric_values(column)
-
     def _numeric(self, column: str) -> None:
         if not self.schema.column(column).is_numeric:
             raise SchemaError(f"column {column!r} is not numeric")

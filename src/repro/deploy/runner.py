@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from ..core.driver import RunConfig
 from ..core.params import ProtocolParams
 from ..core.session import RunSetup, initialize_run, prepare_query_vectors
-from ..core.vectors import merge_topk
 from ..database.query import TopKQuery
 from ..network.crypto import Keyring
 from .tcp_node import TcpNodeError, TcpParty
@@ -40,17 +39,6 @@ class TcpRunResult:
     observations: dict[str, list[tuple[int, str, tuple[float, ...]]]] = field(
         default_factory=dict
     )
-
-    def true_topk(self, k: int, fill: float) -> list[float]:
-        merged: list[float] = []
-        for values in self.local_vectors.values():
-            merged = merge_topk(merged, values, k)
-        return merged + [fill] * (k - len(merged))
-
-    def is_exact(self) -> bool:
-        k = len(self.final_vector)
-        truth = self.true_topk(k, self.final_vector[-1] if self.final_vector else 0.0)
-        return self.final_vector == truth
 
 
 def initialize_deployment(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .series import FigureData, Series
+from .series import FigureData
 
 #: Marker characters cycled across series.
 MARKERS = "ox+*#@%&"
@@ -79,12 +79,3 @@ def render_plot(
     )
     lines.append(f"{'':>{y_label_width}} {legend}")
     return "\n".join(lines)
-
-
-def render_series_table(series: Series, *, precision: int = 4) -> str:
-    """Two-column table of one series (debugging helper)."""
-    rows = [f"{'x':>12}  {'y':>12}"]
-    rows.extend(
-        f"{x:>12.{precision}g}  {y:>12.{precision}g}" for x, y in series.points
-    )
-    return "\n".join(rows)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..core.driver import PROBABILISTIC, PROTOCOLS
 from ..core.params import ProtocolParams
@@ -51,10 +51,6 @@ class TrialSetup:
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.distribution!r}")
 
-    def with_(self, **overrides: object) -> "TrialSetup":
-        """A modified copy — the sweep helper used by every figure module."""
-        return replace(self, **overrides)
-
     def _derived_seed(self, trial_index: int, stream: str) -> int:
         """SHA-256-derived 64-bit seed for one ``(seed, trial, stream)`` cell.
 
@@ -72,10 +68,6 @@ class TrialSetup:
             raise ValueError(f"trial_index must be >= 0, got {trial_index}")
         material = f"{self.seed}:{trial_index}:{stream}".encode()
         return int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
-
-    def trial_seed(self, trial_index: int) -> int:
-        """Deterministic per-trial seed (stable across processes)."""
-        return self._derived_seed(trial_index, "trial")
 
     def data_rng(self, trial_index: int) -> random.Random:
         return random.Random(self._derived_seed(trial_index, "data"))

@@ -77,17 +77,3 @@ def write_csv(figures: list[FigureData], path: Path | str) -> Path:
         for figure in figures:
             writer.writerows(figure.to_csv_rows())
     return path
-
-
-def load_csv(path: Path | str) -> list[tuple[str, str, float, float]]:
-    """Read back rows written by :func:`write_csv`."""
-    path = Path(path)
-    rows = []
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["figure_id", "series", "x", "y"]:
-            raise ValueError(f"{path}: unexpected CSV header {header}")
-        for figure_id, series, x, y in reader:
-            rows.append((figure_id, series, float(x), float(y)))
-    return rows

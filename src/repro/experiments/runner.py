@@ -37,7 +37,6 @@ from ..core.driver import RunConfig, ambient_traces, run_protocol_on_vectors
 from ..core.results import ProtocolResult
 from ..database.generator import DataGenerator
 from ..database.query import TopKQuery
-from ..observability.metrics import MetricsRegistry
 from ..privacy.adversary import coalition_lop
 from ..privacy.lop import node_lop, per_round_average_lop
 from . import telemetry
@@ -141,19 +140,6 @@ def resolve_jobs(jobs: int | None) -> int:
 #: serial up to 1000 ten-node trials and first wins between 1000 and 4000
 #: fifty-node ones (DESIGN.md, "Options census").
 _MIN_POOL_TRIALS = 4000
-
-_SCHEDULER_METRICS = MetricsRegistry()
-_POOL_DECISIONS = _SCHEDULER_METRICS.counter(
-    "runner_pool_decisions_total",
-    "process-pool scheduling decisions made by the trial runner",
-    ("decision", "reason"),
-)
-
-
-def scheduler_metrics() -> MetricsRegistry:
-    """The runner's scheduling-decision registry (process-wide)."""
-    return _SCHEDULER_METRICS
-
 
 def _pool_gate_reason(jobs: int, setups: Sequence[TrialSetup]) -> str | None:
     """Why the pool cannot win for this workload, or None if it might.
@@ -295,17 +281,13 @@ def run_trials_many(
     A ``jobs > 1`` request is downgraded to the serial engine (telemetry
     mode ``serial-gated``) when the pool cannot win: more workers than
     cores, or too few trials in the call to amortize the pool
-    (:func:`_pool_gate_reason`).  The decision lands on the
-    ``runner_pool_decisions_total`` counter (:func:`scheduler_metrics`).
+    (:func:`_pool_gate_reason`).
     """
     jobs = resolve_jobs(jobs)
     if jobs <= 1:
         return [_run_serial(setup, jobs) for setup in setups]
-    gate = _pool_gate_reason(jobs, setups)
-    if gate is not None:
-        _POOL_DECISIONS.inc(labels={"decision": "serial", "reason": gate})
+    if _pool_gate_reason(jobs, setups) is not None:
         return [_run_serial(setup, jobs, mode="serial-gated") for setup in setups]
-    _POOL_DECISIONS.inc(labels={"decision": "pool", "reason": "amortized"})
     wall_start = time.perf_counter()
     try:
         pool = _shared_pool(jobs)
@@ -446,36 +428,3 @@ def mean_messages(results: Sequence[ProtocolResult]) -> float:
     if not results:
         raise ValueError("no results to aggregate")
     return sum(res.stats.messages_total for res in results) / len(results)
-
-
-def mean_and_confidence(
-    samples: Sequence[float], *, z: float = 1.96
-) -> tuple[float, float]:
-    """(mean, half-width of the normal-approximation CI).
-
-    ``z = 1.96`` gives the conventional 95% interval.  Used by reports that
-    quote trial-averaged quantities with uncertainty; single samples carry
-    zero width by convention.
-    """
-    if not samples:
-        raise ValueError("no samples to aggregate")
-    n = len(samples)
-    mean = sum(samples) / n
-    if n == 1:
-        return mean, 0.0
-    variance = sum((s - mean) ** 2 for s in samples) / (n - 1)
-    return mean, z * (variance / n) ** 0.5
-
-
-def precision_confidence_by_round(
-    results: Sequence[ProtocolResult], rounds: int
-) -> list[tuple[float, float, float]]:
-    """(round, mean precision, 95% CI half-width) across trials."""
-    if not results:
-        raise ValueError("no results to aggregate")
-    points = []
-    for r in range(1, rounds + 1):
-        samples = [res.precision_at_round(r) for res in results]
-        mean, half_width = mean_and_confidence(samples)
-        points.append((float(r), mean, half_width))
-    return points

@@ -22,12 +22,6 @@ class Series:
         if not self.points:
             raise ValueError(f"series {self.label!r} has no points")
 
-    @classmethod
-    def from_lists(cls, label: str, xs: list[float], ys: list[float]) -> "Series":
-        if len(xs) != len(ys):
-            raise ValueError(f"series {label!r}: {len(xs)} xs vs {len(ys)} ys")
-        return cls(label, tuple(zip(xs, ys)))
-
     @property
     def xs(self) -> list[float]:
         return [p[0] for p in self.points]
@@ -72,10 +66,6 @@ class FigureData:
             if s.label == label:
                 return s
         raise KeyError(f"figure {self.figure_id!r} has no series {label!r}")
-
-    @property
-    def labels(self) -> list[str]:
-        return [s.label for s in self.series]
 
     def to_csv_rows(self) -> list[tuple[str, str, float, float]]:
         """Flat (figure_id, series, x, y) rows for CSV export."""

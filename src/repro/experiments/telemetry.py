@@ -174,16 +174,6 @@ class PhaseProfiler:
     def total_seconds(self) -> float:
         return sum(self._totals.values())
 
-    def summary(self) -> dict[str, object]:
-        """Per-phase totals plus run throughput, metadata-embeddable."""
-        total = self.total_seconds
-        return {
-            "runs": self.runs,
-            "rounds": self.rounds,
-            "seconds": {p: round(s, 6) for p, s in self._totals.items()},
-            "runs_per_second": round(self.runs / total, 2) if total > 0 else 0.0,
-        }
-
     def render(self) -> str:
         """Human-readable phase breakdown for ``--timing`` output."""
         if not self.runs:
@@ -266,21 +256,6 @@ class ExtractionProfiler:
     @property
     def total_seconds(self) -> float:
         return sum(stats["seconds"] for stats in self._engines.values())
-
-    def summary(self) -> dict[str, object]:
-        """Per-engine totals, metadata-embeddable."""
-        return {
-            "calls": self.calls,
-            "rows": self.rows,
-            "engines": {
-                engine: {
-                    "calls": int(stats["calls"]),
-                    "rows": int(stats["rows"]),
-                    "seconds": round(stats["seconds"], 6),
-                }
-                for engine, stats in sorted(self._engines.items())
-            },
-        }
 
     def render(self) -> str:
         """Human-readable extraction breakdown for ``--timing`` output."""
@@ -420,8 +395,3 @@ def record_point(point: PointTelemetry) -> None:
     """Report one sweep point to every active collector (runner hook)."""
     for collector in _ACTIVE:
         collector.record(point)
-
-
-def active_collectors() -> int:
-    """How many collectors are listening (0 means telemetry is off)."""
-    return len(_ACTIVE)

@@ -43,15 +43,6 @@ class GroupedRunResult:
     #: the combiner ring.
     simulated_seconds: float
 
-    @property
-    def used_combiner(self) -> bool:
-        return self.combiner_result is not None
-
-    @property
-    def final_value(self) -> float:
-        """The max-query convenience view (first element of the vector)."""
-        return self.final_vector[0]
-
 
 def partition_into_groups(
     node_ids: list[str], group_size: int, rng: random.Random

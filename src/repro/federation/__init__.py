@@ -26,7 +26,6 @@ _EXPORTS = {
         "PolicyViolation",
         "RANKING",
         "Rule",
-        "permissive_policy",
     ),
     "sql": (
         "ADDITIVE_AGGREGATES",
@@ -34,7 +33,6 @@ _EXPORTS = {
         "RANKING_AGGREGATES",
         "SqlError",
         "parse",
-        "validate_identifier",
     ),
 }
 

@@ -3,8 +3,7 @@
 Organizations running privacy-sensitive protocols need governance evidence:
 who asked what, when (in protocol time), with which parameters, and what it
 cost.  The audit log records one entry per executed query — *metadata only*,
-never data values beyond the public result — and supports the summaries a
-compliance review would ask for.
+never data values beyond the public result.
 """
 
 from __future__ import annotations
@@ -75,27 +74,3 @@ class AuditLog:
 
     def __iter__(self) -> Iterator[AuditEntry]:
         return iter(self.entries)
-
-    def by_issuer(self, issuer: str) -> list[AuditEntry]:
-        return [e for e in self.entries if e.issuer == issuer]
-
-    def total_messages(self) -> int:
-        return sum(e.messages for e in self.entries)
-
-    def render(self) -> str:
-        """Human-readable audit report."""
-        if not self.entries:
-            return "audit log: empty"
-        lines = [
-            f"{'id':>4} {'issuer':<14} {'protocol':<16} {'msgs':>6} {'rounds':>6}  statement"
-        ]
-        for e in self.entries:
-            suffix = "  [cached]" if e.cached else ""
-            lines.append(
-                f"{e.entry_id:>4} {e.issuer:<14} {e.protocol:<16} "
-                f"{e.messages:>6} {e.rounds:>6}  {e.statement}{suffix}"
-            )
-        lines.append(
-            f"total: {len(self.entries)} queries, {self.total_messages()} messages"
-        )
-        return "\n".join(lines)

@@ -2,7 +2,7 @@
 
 ``Federation`` is the highest-level API of this library: register each
 organization's :class:`~repro.database.PrivateDatabase`, then ask statistics
-questions — in the SQL-ish dialect or through typed methods.  Ranking
+questions in the SQL-ish dialect (:meth:`Federation.execute`).  Ranking
 queries (top-k/bottom-k/max/min) run the paper's probabilistic protocol;
 additive aggregates (sum/count/avg) run the additive-masking secure sum.
 Every execution is recorded in the audit log.
@@ -55,7 +55,7 @@ from .cache import CachedAnswer, CacheKey, ResultCache
 from .dp_release import DpReleasePath
 from .outcomes import FederationError, QueryOutcome, QueryRefused
 from .policy import AccessPolicy, PolicyViolation
-from .sql import FederatedStatement, SqlError, parse, validate_identifier
+from .sql import FederatedStatement, SqlError, parse
 
 
 class Federation:
@@ -582,64 +582,7 @@ class Federation:
             outcomes.append(outcome)
         return outcomes
 
-    def topk(
-        self, table: str, attribute: str, k: int, *, issuer: str = "anonymous"
-    ) -> QueryOutcome:
-        self._validate_names(table, attribute, k=k)
-        return self.execute(f"SELECT TOP {k} {attribute} FROM {table}", issuer=issuer)
-
-    def bottomk(
-        self, table: str, attribute: str, k: int, *, issuer: str = "anonymous"
-    ) -> QueryOutcome:
-        self._validate_names(table, attribute, k=k)
-        return self.execute(
-            f"SELECT BOTTOM {k} {attribute} FROM {table}", issuer=issuer
-        )
-
-    def max(self, table: str, attribute: str, *, issuer: str = "anonymous") -> float:
-        self._validate_names(table, attribute)
-        return self.execute(
-            f"SELECT MAX({attribute}) FROM {table}", issuer=issuer
-        ).scalar
-
-    def min(self, table: str, attribute: str, *, issuer: str = "anonymous") -> float:
-        self._validate_names(table, attribute)
-        return self.execute(
-            f"SELECT MIN({attribute}) FROM {table}", issuer=issuer
-        ).scalar
-
-    def sum(self, table: str, attribute: str, *, issuer: str = "anonymous") -> float:
-        self._validate_names(table, attribute)
-        return self.execute(
-            f"SELECT SUM({attribute}) FROM {table}", issuer=issuer
-        ).scalar
-
-    def count(self, table: str, attribute: str, *, issuer: str = "anonymous") -> float:
-        self._validate_names(table, attribute)
-        return self.execute(
-            f"SELECT COUNT({attribute}) FROM {table}", issuer=issuer
-        ).scalar
-
-    def avg(self, table: str, attribute: str, *, issuer: str = "anonymous") -> float:
-        self._validate_names(table, attribute)
-        return self.execute(
-            f"SELECT AVG({attribute}) FROM {table}", issuer=issuer
-        ).scalar
-
     # -- execution ---------------------------------------------------------------
-
-    @staticmethod
-    def _validate_names(table: str, attribute: str, k: int | None = None) -> None:
-        """Reject crafted identifiers before they reach statement text.
-
-        The typed helpers interpolate their arguments into dialect text; a
-        "name" containing spaces or keywords could otherwise smuggle
-        arbitrary statement text past the typed API into the parser.
-        """
-        validate_identifier(table, "table name")
-        validate_identifier(attribute, "attribute name")
-        if k is not None and (not isinstance(k, int) or isinstance(k, bool)):
-            raise SqlError(f"k must be an integer, got {k!r}")
 
     def _derive_seed(self, stream: str) -> int:
         """SHA-256-derived 64-bit seed for the next randomized step.
@@ -752,9 +695,7 @@ class Federation:
     ) -> float:
         table = db.table(statement.table)
         if statement.operation == "COUNT":
-            # count = non-null values of the attribute, engine-accelerated;
-            # identical to len(numeric_values(...)) since federated
-            # attributes are numeric by construction.
+            # count = non-null values of the attribute, engine-accelerated.
             return float(table.aggregate(statement.attribute, "count"))
         value = table.aggregate(statement.attribute, "sum")
         return float(value) if value is not None else 0.0

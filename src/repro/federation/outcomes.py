@@ -35,15 +35,6 @@ class QueryOutcome:
     #: hits and additive aggregates).
     simulated_seconds: float = 0.0
 
-    @property
-    def scalar(self) -> float:
-        """The value of a single-valued query (MAX/MIN/SUM/COUNT/AVG)."""
-        if len(self.values) != 1:
-            raise FederationError(
-                f"query returned {len(self.values)} values; use .values"
-            )
-        return self.values[0]
-
 
 @dataclass(frozen=True)
 class QueryRefused:

@@ -105,13 +105,3 @@ class AccessPolicy:
 
     def usage(self, issuer: str) -> int:
         return self._usage[issuer]
-
-    def remaining(self, issuer: str) -> int | None:
-        if self.quota_per_issuer is None:
-            return None
-        return max(0, self.quota_per_issuer - self._usage[issuer])
-
-
-def permissive_policy() -> AccessPolicy:
-    """Everyone may run everything (the default when no policy is attached)."""
-    return AccessPolicy(rules=[Rule(issuer="*", operation=ANY)])

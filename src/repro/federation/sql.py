@@ -37,29 +37,9 @@ _AGG_RE = re.compile(
 RANKING_AGGREGATES = ("TOP", "BOTTOM", "MAX", "MIN")
 ADDITIVE_AGGREGATES = ("SUM", "COUNT", "AVG")
 
-#: Legal table/attribute names — exactly what the statement grammar accepts.
-_IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
 
 class SqlError(ValueError):
     """Raised for statements outside the supported dialect."""
-
-
-def validate_identifier(name: object, role: str = "identifier") -> str:
-    """Require ``name`` to be a plain SQL identifier; return it unchanged.
-
-    The typed query helpers (``Federation.topk`` and friends) interpolate
-    attribute and table names into dialect text before parsing.  Without
-    this check a crafted "name" containing spaces or keywords could smuggle
-    arbitrary statement text past the typed API into the parser; with it,
-    the typed surface accepts exactly the identifiers the grammar does.
-    """
-    if not isinstance(name, str) or not _IDENTIFIER_RE.match(name):
-        raise SqlError(
-            f"invalid {role} {name!r}: expected a plain identifier "
-            "(letters, digits, underscores; not starting with a digit)"
-        )
-    return name
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ _EXPORTS = {
     "ring": ("RingError", "RingTopology"),
     "stats": ("TrafficStats",),
     "transport": (
-        "BandwidthLatency",
         "InMemoryTransport",
         "LatencyModel",
         "TransportError",

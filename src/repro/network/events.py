@@ -81,11 +81,6 @@ class EventLog:
             self._observations.append(Observation.from_message(message))
             self._index = None
 
-    def observe(self, observation: Observation) -> None:
-        """Append a pre-built observation."""
-        self._observations.append(observation)
-        self._index = None
-
     # -- token index ---------------------------------------------------------
 
     def token_outputs(self) -> Iterator[tuple[int, str, tuple[float, ...]]]:
@@ -121,14 +116,6 @@ class EventLog:
 
     # -- adversary views -----------------------------------------------------
 
-    def received_by(self, node: str) -> list[Observation]:
-        """Everything ``node`` saw: the basis of the semi-honest adversary view."""
-        return [o for o in self._observations if o.receiver == node]
-
-    def sent_by(self, node: str) -> list[Observation]:
-        """Everything ``node`` emitted (known to the node itself)."""
-        return [o for o in self._observations if o.sender == node]
-
     def outputs_of(self, node: str) -> dict[int, tuple[float, ...]]:
         """Map round -> token vector that ``node`` passed to its successor.
 
@@ -144,15 +131,3 @@ class EventLog:
     def rounds(self) -> list[int]:
         """Protocol rounds with token traffic (result broadcast excluded)."""
         return list(self._token_index().rounds)
-
-    def coalition_view(self, members: set[str]) -> list[Observation]:
-        """Union of views of a colluding group (Section 4.3 collusion analysis).
-
-        A coalition sees every message any member received, plus every message
-        any member sent (a sender knows its own output).
-        """
-        return [
-            o
-            for o in self._observations
-            if o.receiver in members or o.sender in members
-        ]

@@ -62,10 +62,6 @@ class FailureInjector:
     def is_crashed(self, node: str) -> bool:
         return node in self._crashed
 
-    @property
-    def crashed_nodes(self) -> frozenset[str]:
-        return frozenset(self._crashed)
-
     # -- transport hook ---------------------------------------------------------
 
     def should_drop(self, message: Message) -> bool:
@@ -83,45 +79,3 @@ class FailureInjector:
         if self.drop_probability and self.rng.random() < self.drop_probability:
             return True
         return False
-
-
-class NullFailureInjector(FailureInjector):
-    """An immutable injector that never fails anything.
-
-    :data:`NO_FAILURES` is module-level and potentially shared by every
-    transport that wants "no failure injection"; a shared *mutable*
-    :class:`FailureInjector` would be a trap — ``should_drop`` advances the
-    message counter and a stray ``crash()`` would poison every sharer.  This
-    subclass is safe to share: its observation hook mutates nothing and its
-    mutators refuse loudly, directing callers to construct their own
-    injector.
-    """
-
-    def crash(self, node: str) -> None:
-        raise TypeError(
-            "NO_FAILURES is immutable and shared; construct your own "
-            "FailureInjector to crash nodes"
-        )
-
-    def schedule_crash(self, node: str, after_messages: int) -> None:
-        raise TypeError(
-            "NO_FAILURES is immutable and shared; construct your own "
-            "FailureInjector to schedule crashes"
-        )
-
-    def recover(self, node: str) -> None:
-        raise TypeError(
-            "NO_FAILURES is immutable and shared; construct your own "
-            "FailureInjector to manage node state"
-        )
-
-    def should_drop(self, message: Message) -> bool:
-        # Deliberately does NOT call the base implementation: the base
-        # advances the shared message counter, which would make one
-        # transport's traffic visible to another through the singleton.
-        return False
-
-
-#: Shared do-nothing injector.  Immutable by construction — see
-#: :class:`NullFailureInjector`.
-NO_FAILURES = NullFailureInjector()

@@ -36,12 +36,6 @@ class TrafficStats:
         self.per_type[message.type.value] += 1
         self.per_query[message.query] += 1
 
-    def messages_for_query(self, query: str) -> int:
-        return self.per_query.get(query, 0)
-
-    def messages_in_round(self, round_number: int) -> int:
-        return self.per_round.get(round_number, 0)
-
     @property
     def rounds_seen(self) -> int:
         """Highest round number with traffic (setup round 0 excluded)."""

@@ -53,28 +53,6 @@ def constant_latency(seconds: float = 0.001) -> LatencyModel:
     return lambda _sender, _receiver: seconds
 
 
-@dataclass(frozen=True)
-class BandwidthLatency:
-    """Size-aware link delay: ``base + bytes / bytes_per_second``.
-
-    Top-k tokens grow with k, so on thin links the payload size matters;
-    this model makes the simulator's clock reflect it.  Pass as ``latency``
-    to the transport, which detects the size-aware ``delay`` method.
-    """
-
-    base_seconds: float = 0.001
-    bytes_per_second: float = 1_000_000.0
-
-    def __post_init__(self) -> None:
-        if self.base_seconds < 0:
-            raise ValueError("base latency must be non-negative")
-        if self.bytes_per_second <= 0:
-            raise ValueError("bandwidth must be positive")
-
-    def delay(self, _sender: str, _receiver: str, size_bytes: int) -> float:
-        return self.base_seconds + size_bytes / self.bytes_per_second
-
-
 class TransportError(RuntimeError):
     """Raised on misuse of the transport (unknown endpoints, etc.)."""
 
@@ -119,7 +97,7 @@ class InMemoryTransport:
     def __init__(
         self,
         *,
-        latency: "LatencyModel | BandwidthLatency | None" = None,
+        latency: LatencyModel | None = None,
         keyring: Keyring | None = None,
         failures: FailureInjector | None = None,
         event_log: EventLog | None = None,
@@ -153,10 +131,6 @@ class InMemoryTransport:
             )
         self._handlers[(channel, node_id)] = handler
 
-    @property
-    def endpoints(self) -> tuple[str, ...]:
-        return tuple(sorted({node for _channel, node in self._handlers}))
-
     # -- per-query accounting -------------------------------------------------
 
     def open_channel(self, channel: str) -> ChannelAccounting:
@@ -168,12 +142,6 @@ class InMemoryTransport:
         would have produced.
         """
         return self._channels.setdefault(channel, ChannelAccounting())
-
-    def channel(self, channel: str) -> ChannelAccounting:
-        try:
-            return self._channels[channel]
-        except KeyError:
-            raise TransportError(f"no such channel: {channel!r}") from None
 
     # -- clock ------------------------------------------------------------------
 
@@ -199,21 +167,11 @@ class InMemoryTransport:
             ciphertext = self._keyring.seal(
                 message.sender, message.receiver, message.encode()
             )
-        delay_method = getattr(self._latency, "delay", None)
-        if delay_method is not None:
-            wire_bytes = len(ciphertext) if ciphertext is not None else message.size_bytes
-            link_delay = delay_method(message.sender, message.receiver, wire_bytes)
-        else:
-            link_delay = self._latency(message.sender, message.receiver)
-        deliver_at = self._clock + link_delay
+        deliver_at = self._clock + self._latency(message.sender, message.receiver)
         heapq.heappush(
             self._queue,
             _Envelope(deliver_at, next(self._seq), message, ciphertext),
         )
-
-    @property
-    def pending(self) -> int:
-        return len(self._queue)
 
     def deliver_next(self) -> Message | None:
         """Deliver the earliest pending message; None when the queue is empty."""

@@ -10,8 +10,8 @@ the paper's IR/LoP exposure accounting.
 from .._lazy import lazy_exports
 
 _EXPORTS = {
-    "metrics": ("Counter", "Gauge", "MetricsRegistry", "Summary"),
-    "runtime": ("activate", "current_tracer", "deactivate", "tracing"),
+    "metrics": ("Counter", "Gauge", "MetricsRegistry"),
+    "runtime": ("current_tracer", "tracing"),
     "trace": (
         "NULL_CONTEXT",
         "NULL_TRACER",

@@ -1,4 +1,4 @@
-"""Central metrics registry: counters, gauges, summaries.
+"""Central metrics registry: counters and gauges.
 
 The repository accumulated three disjoint accounting fragments as it grew:
 ``TrafficStats`` (per-channel message/byte counts on the network layer),
@@ -11,10 +11,10 @@ scraping, or for eyeballs) and a JSON document (for artifacts and tests).
 The registry does not replace the fragments — they stay cheap and local to
 their layers — it *absorbs* them: the ``absorb_*`` adapters read the public
 attributes of each fragment and publish them under canonical metric names
-(``repro_network_*``, ``repro_latency_*``, ``repro_kernel_phase_*``,
-``repro_service_*``).  Adapters are duck-typed readers, so this module
-imports nothing from the rest of ``repro`` and sits at the bottom of the
-dependency graph.
+(``repro_network_*``, ``repro_kernel_phase_*``, ``repro_service_*`` — the
+service's latency histogram among them).  Adapters are duck-typed readers,
+so this module imports nothing from the rest of ``repro`` and sits at the
+bottom of the dependency graph.
 
 Determinism: exports sort families, labels, and label values, so the same
 measurements always render the same bytes — the same property the tracing
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from pathlib import Path
 from typing import Any
 
@@ -33,13 +33,17 @@ __all__ = [
     "Counter",
     "Gauge",
     "MetricsRegistry",
-    "Summary",
 ]
 
 Labels = tuple[tuple[str, str], ...]
 
-#: Quantiles a :class:`Summary` reports.
-SUMMARY_QUANTILES = (0.5, 0.95, 0.99)
+#: ``repro_service_latency_seconds``'s quantile labels and the snapshot keys
+#: (``LatencyHistogram.percentile`` values) each one publishes.
+SERVICE_LATENCY_QUANTILES = (
+    ("0.5", "latency_p50_s"),
+    ("0.95", "latency_p95_s"),
+    ("0.99", "latency_p99_s"),
+)
 
 
 def _labelset(
@@ -53,10 +57,8 @@ def _labelset(
     return tuple((name, str(given[name])) for name in sorted(label_names))
 
 
-def _render_labels(labels: Labels, extra: str = "") -> str:
+def _render_labels(labels: Labels) -> str:
     parts = [f'{name}="{value}"' for name, value in labels]
-    if extra:
-        parts.append(extra)
     return "{" + ",".join(parts) + "}" if parts else ""
 
 
@@ -81,15 +83,6 @@ class _Family:
         self.label_names = tuple(label_names)
         self._series: dict[Labels, Any] = {}
 
-    def _series_for(self, labels: Mapping[str, str] | None) -> Any:
-        key = _labelset(self.label_names, labels)
-        if key not in self._series:
-            self._series[key] = self._new_series()
-        return self._series[key]
-
-    def _new_series(self) -> Any:  # pragma: no cover - overridden
-        raise NotImplementedError
-
     def _sorted_series(self) -> list[tuple[Labels, Any]]:
         return sorted(self._series.items())
 
@@ -98,9 +91,6 @@ class Counter(_Family):
     """Monotonically increasing count (messages delivered, queries shed)."""
 
     type_name = "counter"
-
-    def _new_series(self) -> float:
-        return 0.0
 
     def inc(
         self, amount: float = 1.0, *, labels: Mapping[str, str] | None = None
@@ -140,105 +130,13 @@ class Gauge(_Family):
 
     type_name = "gauge"
 
-    def _new_series(self) -> float:
-        return 0.0
-
     def set(
         self, value: float, *, labels: Mapping[str, str] | None = None
     ) -> None:
         self._series[_labelset(self.label_names, labels)] = float(value)
 
-    def inc(
-        self, amount: float = 1.0, *, labels: Mapping[str, str] | None = None
-    ) -> None:
-        key = _labelset(self.label_names, labels)
-        self._series[key] = self._series.get(key, 0.0) + amount
-
-    def value(self, *, labels: Mapping[str, str] | None = None) -> float:
-        return float(self._series.get(_labelset(self.label_names, labels), 0.0))
-
     prometheus_lines = Counter.prometheus_lines
     to_json = Counter.to_json
-
-
-class _SummarySeries:
-    __slots__ = ("samples",)
-
-    def __init__(self) -> None:
-        self.samples: list[float] = []
-
-
-class Summary(_Family):
-    """Exact-sample quantiles — the registry form of ``LatencyHistogram``.
-
-    Keeps every observation (the workloads here are small enough), so the
-    reported quantiles are exact interpolated percentiles rather than
-    bucket approximations.
-    """
-
-    type_name = "summary"
-
-    def _new_series(self) -> _SummarySeries:
-        return _SummarySeries()
-
-    def observe(
-        self, value: float, *, labels: Mapping[str, str] | None = None
-    ) -> None:
-        self._series_for(labels).samples.append(float(value))
-
-    def observe_many(
-        self,
-        values: Iterable[float],
-        *,
-        labels: Mapping[str, str] | None = None,
-    ) -> None:
-        self._series_for(labels).samples.extend(float(v) for v in values)
-
-    @staticmethod
-    def _quantile(ordered: Sequence[float], q: float) -> float:
-        if not ordered:
-            return 0.0
-        if len(ordered) == 1:
-            return ordered[0]
-        position = q * (len(ordered) - 1)
-        lower = int(position)
-        upper = min(lower + 1, len(ordered) - 1)
-        weight = position - lower
-        return ordered[lower] * (1.0 - weight) + ordered[upper] * weight
-
-    def prometheus_lines(self) -> list[str]:
-        lines: list[str] = []
-        for labels, series in self._sorted_series():
-            ordered = sorted(series.samples)
-            for q in SUMMARY_QUANTILES:
-                tag = _render_labels(labels, f'quantile="{q}"')
-                lines.append(
-                    f"{self.name}{tag} "
-                    f"{_format_value(self._quantile(ordered, q))}"
-                )
-            plain = _render_labels(labels)
-            lines.append(
-                f"{self.name}_sum{plain} {_format_value(sum(series.samples))}"
-            )
-            lines.append(f"{self.name}_count{plain} {len(series.samples)}")
-        return lines
-
-    def to_json(self) -> list[dict[str, Any]]:
-        out = []
-        for labels, series in self._sorted_series():
-            ordered = sorted(series.samples)
-            out.append(
-                {
-                    "labels": dict(labels),
-                    "quantiles": {
-                        str(q): self._quantile(ordered, q)
-                        for q in SUMMARY_QUANTILES
-                    },
-                    "count": len(ordered),
-                    "sum": sum(ordered),
-                }
-            )
-        return out
 
 
 class MetricsRegistry:
@@ -274,11 +172,6 @@ class MetricsRegistry:
         self, name: str, help_text: str = "", label_names: Sequence[str] = ()
     ) -> Gauge:
         return self._register(Gauge, name, help_text, label_names)
-
-    def summary(
-        self, name: str, help_text: str = "", label_names: Sequence[str] = ()
-    ) -> Summary:
-        return self._register(Summary, name, help_text, label_names)
 
     @property
     def families(self) -> tuple[_Family, ...]:
@@ -358,17 +251,6 @@ class MetricsRegistry:
                 label_names,
             ).set(rounds, labels=labels)
 
-    def absorb_latency(
-        self,
-        histogram: Any,
-        *,
-        name: str = "repro_latency_seconds",
-        help_text: str = "Observed latencies (exact samples).",
-    ) -> None:
-        """Publish a ``LatencyHistogram``-shaped object (has ``.samples``)."""
-        series = self.summary(name, help_text)._series_for(None)
-        series.samples = [float(sample) for sample in histogram.samples]
-
     def absorb_phases(self, profiler: Any) -> None:
         """Publish a ``PhaseProfiler``-shaped object (``._totals`` by phase)."""
         family = self.gauge(
@@ -388,7 +270,12 @@ class MetricsRegistry:
     def absorb_service(
         self, metrics: Any, *, queue_depth: int | None = None
     ) -> None:
-        """Publish a ``ServiceMetrics``-shaped snapshot plus live gauges."""
+        """Publish a ``ServiceMetrics``-shaped snapshot plus live gauges.
+
+        Once the service has served anything, its latency histogram goes out
+        as ``repro_service_latency_seconds{quantile=...}``: the snapshot's
+        p50 / p95 / p99, which ``LatencyHistogram.percentile`` computed.
+        """
         snapshot = metrics.snapshot(queue_depth=queue_depth or 0)
         outcomes = (
             "submitted",
@@ -421,13 +308,14 @@ class MetricsRegistry:
         self.gauge(
             "repro_service_queue_high_water", "Deepest queue seen."
         ).set(snapshot.get("queue_high_water", 0))
-        latency = getattr(metrics, "latency", None)
-        if latency is not None and getattr(latency, "samples", None):
-            self.absorb_latency(
-                latency,
-                name="repro_service_latency_seconds",
-                help_text="End-to-end simulated query latency.",
+        if metrics.latency.count:
+            latency = self.gauge(
+                "repro_service_latency_seconds",
+                "End-to-end simulated query latency, exact quantiles.",
+                ("quantile",),
             )
+            for quantile, key in SERVICE_LATENCY_QUANTILES:
+                latency.set(snapshot[key], labels={"quantile": quantile})
         if queue_depth is not None:
             self.gauge(
                 "repro_service_queue_depth", "Requests waiting for a batch."

@@ -2,8 +2,8 @@
 
 Entry points that cannot thread a :class:`TraceContext` explicitly — the
 figure pipeline calls ``run_single_trial`` deep inside the experiment
-runner — activate a tracer here instead, and the driver picks it up at the
-top of each protocol run.  One module-global read per run; ``None`` (the
+runner — activate a tracer here with :func:`tracing`, and the driver picks it
+up at the top of each protocol run.  One module-global read per run; ``None`` (the
 overwhelmingly common case) costs a single ``is None`` check on the hot
 path.
 
@@ -19,7 +19,7 @@ from typing import Iterator
 
 from .trace import Tracer
 
-__all__ = ["activate", "current_tracer", "deactivate", "tracing"]
+__all__ = ["current_tracer", "tracing"]
 
 _ACTIVE: Tracer | None = None
 
@@ -27,16 +27,6 @@ _ACTIVE: Tracer | None = None
 def current_tracer() -> Tracer | None:
     """The process-wide tracer, or None when tracing is off."""
     return _ACTIVE
-
-
-def activate(tracer: Tracer) -> None:
-    global _ACTIVE
-    _ACTIVE = tracer
-
-
-def deactivate() -> None:
-    global _ACTIVE
-    _ACTIVE = None
 
 
 @contextmanager

@@ -269,12 +269,6 @@ class TraceRecorder(Tracer):
     def trace_ids(self) -> tuple[str, ...]:
         return tuple(self._trace_ids)
 
-    def baggage(self, trace_id: str) -> dict[str, str]:
-        return dict(self._baggage.get(trace_id, {}))
-
-    def spans_for(self, trace_id: str) -> list[Span]:
-        return [s for s in self._spans if s.trace_id == trace_id]
-
     def open_spans(self) -> list[Span]:
         """Spans never closed — crash diagnostics (empty on a clean run)."""
         return [s for s in self._spans if s.end is None]

@@ -19,16 +19,13 @@ Only two quantities need *measured* calibration constants, because they
 depend on encodings and hardware rather than on the protocol: bytes per
 message (wire framing + k encoded values) and wall-clock seconds per
 message (MT19937 seeding dominates; see ROADMAP).  :class:`Calibration`
-carries defaults measured on the reference container and can be refit from
-any executed :class:`~repro.core.results.ProtocolResult` via
-:meth:`Calibration.refit` — the calibration workflow documented in
-``docs/PLANNER.md``.
+carries defaults measured on the reference container; a deployment that
+measured its own passes them to the planner (``docs/PLANNER.md``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any
+from dataclasses import dataclass
 
 from ..analysis.privacy_bounds import expected_lop_bound, naive_average_lop
 from ..core.params import ProtocolParams
@@ -44,10 +41,7 @@ class Calibration:
     """Measured per-unit constants composing the analytic cost formulas.
 
     Defaults were measured on the in-memory transport with the default
-    constant-latency model; :meth:`refit` re-derives the byte constants
-    from a real run's traffic accounting, and ``wall_seconds_per_message``
-    can be refit from any wall-clocked run (e.g. the telemetry collector's
-    per-trial seconds divided by the trial's message count).
+    constant-latency model.
     """
 
     #: Per-hop simulated latency (the transport's ``constant_latency()``).
@@ -61,24 +55,6 @@ class Calibration:
     #: Wall-clock seconds per message on the session substrate (advisory;
     #: hardware-dependent, unlike everything else in this model).
     wall_seconds_per_message: float = 3e-5
-
-    def refit(self, result: Any, k: int) -> "Calibration":
-        """A copy with byte constants refit from one executed result.
-
-        ``result`` is any object with ``stats.messages_total`` /
-        ``stats.bytes_total`` (a :class:`~repro.core.results.ProtocolResult`);
-        ``k`` is the query's k.  The per-value constant is kept and the
-        overhead re-solved, which absorbs encoding drift without needing
-        two probe runs.
-        """
-        messages = result.stats.messages_total
-        if messages <= 0:
-            raise ValueError("cannot refit calibration from a run with no messages")
-        per_message = result.stats.bytes_total / messages
-        return replace(
-            self,
-            message_overhead_bytes=max(0.0, per_message - self.bytes_per_value * k),
-        )
 
 
 @dataclass(frozen=True)

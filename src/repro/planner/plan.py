@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.params import ProtocolParams
-from .cost import PROBABILISTIC, SECURE_SUM, CostEstimate
+from .cost import PROBABILISTIC, CostEstimate
 from .spec import Slo
 
 #: Planner objectives: quality-first (default) or cost-first (the
@@ -46,10 +46,6 @@ class Plan:
     mode: str
     #: How many candidate configurations were enumerated and scored.
     candidates_considered: int
-
-    @property
-    def is_ranking(self) -> bool:
-        return self.protocol != SECURE_SUM
 
     @property
     def p0(self) -> float | None:

@@ -57,7 +57,7 @@ class QueryPlanner:
     ----------
     calibration:
         Measured per-unit cost constants; defaults to the reference
-        container's.  See ``docs/PLANNER.md`` for the refit workflow.
+        container's.
     """
 
     def __init__(self, calibration: Calibration | None = None) -> None:

@@ -12,7 +12,6 @@ _EXPORTS = {
     "accounting": ("BudgetExceededError", "ExposureLedger"),
     "adversary": (
         "AdversaryError",
-        "average_coalition_lop",
         "coalition_lop",
         "coalition_round_lop",
         "naive_range_exposure",
@@ -50,15 +49,12 @@ _EXPORTS = {
         "exposure_profile",
         "item_round_lop",
         "node_lop",
-        "node_round_lop",
         "per_round_average_lop",
         "value_in",
         "worst_case_lop",
     ),
-    "precision": ("is_exact",),
     "ranges": (
         "RangeExposureError",
-        "average_range_lop",
         "node_range_lop",
         "range_claim_lop",
     ),

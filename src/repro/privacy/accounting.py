@@ -10,8 +10,7 @@ every run.)
 The accountant charges each party its measured peak LoP per run and tracks
 the cumulative total against an optional budget, in the spirit of a privacy
 budget: once a party's accumulated exposure crosses the budget, further
-queries are refused until the operator resets the ledger (e.g. after the
-underlying data has been rotated).
+queries are refused.
 
 Cumulative charging is conservative-additive: independent runs randomize
 independently, so summing per-run exposures upper-bounds what any single
@@ -73,33 +72,3 @@ class ExposureLedger:
 
     def exposure(self, party: str) -> float:
         return self.charges.get(party, 0.0)
-
-    def remaining(self, party: str) -> float | None:
-        """Budget headroom for ``party``; None when no budget is set."""
-        if self.budget is None:
-            return None
-        return max(0.0, self.budget - self.exposure(party))
-
-    def most_exposed(self) -> tuple[str, float] | None:
-        if not self.charges:
-            return None
-        party = max(self.charges, key=lambda p: self.charges[p])
-        return party, self.charges[party]
-
-    def reset(self) -> None:
-        """Clear the ledger (e.g. after the private data has been rotated)."""
-        self.charges.clear()
-        self.runs_charged = 0
-
-    def render(self) -> str:
-        """Human-readable ledger summary."""
-        if not self.charges:
-            return "exposure ledger: no runs charged"
-        lines = [f"exposure ledger after {self.runs_charged} runs:"]
-        for party in sorted(self.charges):
-            entry = f"  {party:<14} {self.charges[party]:.4f}"
-            headroom = self.remaining(party)
-            if headroom is not None:
-                entry += f"   (headroom {headroom:.4f})"
-            lines.append(entry)
-        return "\n".join(lines)

@@ -92,12 +92,6 @@ def coalition_lop(result: ProtocolResult, victim: str) -> float:
     return max(coalition_round_lop(result, victim, r) for r in rounds)
 
 
-def average_coalition_lop(result: ProtocolResult) -> float:
-    """Mean coalition LoP over all nodes (each attacked by its own neighbours)."""
-    nodes = result.ring_order
-    return sum(coalition_lop(result, node) for node in nodes) / len(nodes)
-
-
 def victim_is_sandwiched(
     result: ProtocolResult, victim: str, colluders: tuple[str, str], round_number: int
 ) -> bool:

@@ -58,13 +58,6 @@ class PosteriorReport:
         """Bits of information the adversary gained about the victim."""
         return self.prior_entropy_bits - self.posterior_entropy_bits
 
-    def credible_mass(self, radius: float) -> float:
-        """Posterior mass within ``radius`` of the true value."""
-        low = self.domain_low
-        values = np.arange(low, low + len(self.posterior))
-        window = np.abs(values - self.true_value) <= radius
-        return float(self.posterior[window].sum())
-
 
 def _entropy_bits(p: np.ndarray) -> float:
     mass = p[p > 0]

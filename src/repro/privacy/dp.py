@@ -117,9 +117,6 @@ class SpendMeter:
             raise ValueError(f"negative charge: {amount}")
         self.spent += amount
 
-    def reset(self) -> None:
-        self.spent = 0.0
-
 
 @dataclass(frozen=True)
 class DpCharge:
@@ -156,14 +153,6 @@ class PrivacyAccountant:
         self.refusals = 0
 
     # -- inspection ----------------------------------------------------------
-
-    @property
-    def epsilon_spent(self) -> float:
-        return self.epsilon.spent
-
-    @property
-    def delta_spent(self) -> float:
-        return self.delta.spent
 
     def headroom_reason(
         self, epsilon: float, delta: float, *, pending_epsilon: float = 0.0, pending_delta: float = 0.0
@@ -206,13 +195,6 @@ class PrivacyAccountant:
     def note_refusal(self) -> None:
         self.refusals += 1
 
-    def reset(self) -> None:
-        self.epsilon.reset()
-        self.delta.reset()
-        self.charges.clear()
-        self.releases = 0
-        self.free_serves = 0
-        self.refusals = 0
 
     # -- rendering -----------------------------------------------------------
 

@@ -131,11 +131,6 @@ def _build_profile(result: ProtocolResult) -> ExposureProfile:
     return ExposureProfile(rounds=rounds, by_round=by_round, peak=peak)
 
 
-def node_round_lop(result: ProtocolResult, node: str, round_number: int) -> float:
-    """Mean LoP over the node's participating items for one round."""
-    return exposure_profile(result).round_lop(node, round_number)
-
-
 def node_lop(result: ProtocolResult, node: str) -> float:
     """The node's overall LoP: its peak per-round LoP across the run."""
     return exposure_profile(result).peak[node]

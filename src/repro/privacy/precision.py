@@ -18,7 +18,3 @@ def precision(returned: Sequence[float], truth: Sequence[float], k: int) -> floa
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     return multiset_intersection_size(returned, truth) / k
-
-
-def is_exact(returned: Sequence[float], truth: Sequence[float], k: int) -> bool:
-    return precision(returned, truth, k) == 1.0

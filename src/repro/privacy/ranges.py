@@ -64,9 +64,3 @@ def node_range_lop(result: ProtocolResult, node: str) -> float:
     if claim is None:
         return 0.0
     return range_claim_lop(claim.high, result)
-
-
-def average_range_lop(result: ProtocolResult) -> float:
-    """Mean provable-range exposure across nodes."""
-    nodes = result.ring_order
-    return sum(node_range_lop(result, node) for node in nodes) / len(nodes)

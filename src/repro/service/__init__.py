@@ -8,18 +8,17 @@ slots, enforces per-client rate limits and per-request deadlines, and sheds
 load with typed errors — :class:`Overloaded`, :class:`RateLimited`,
 :class:`DeadlineExceeded` — instead of queuing unboundedly.  Operational
 state exports through :class:`ServiceMetrics` (queue depth, batch occupancy,
-latency percentiles, shed rate, cache hit rate) as a dict or JSONL.
+latency percentiles, shed rate, cache hit rate) as a dict.
 
-Everything is deterministic under the default seeded
-:class:`SimulatedClock`; swap in :class:`SystemClock` to serve in wall-clock
-time.  Entry points: ``python -m repro.cli serve`` (statements on stdin) and
+Everything is deterministic under the seeded :class:`SimulatedClock`.
+Entry points: ``python -m repro.cli serve`` (statements on stdin) and
 ``python -m repro.cli bench-serve`` (synthetic workload + metrics snapshot).
 """
 
 from .._lazy import lazy_exports
 
 _EXPORTS = {
-    "clock": ("Clock", "SimulatedClock", "SystemClock"),
+    "clock": ("Clock", "SimulatedClock"),
     "errors": (
         "DeadlineExceeded",
         "Overloaded",

@@ -1,4 +1,4 @@
-"""Service time sources: wall clock or a deterministic simulated clock.
+"""The service's time source: a deterministic simulated clock.
 
 Every time-dependent decision the service makes — deadline expiry, rate-limit
 refill, latency measurement — goes through a :class:`Clock`, never through
@@ -6,13 +6,10 @@ refill, latency measurement — goes through a :class:`Clock`, never through
 advances time itself by each batch's *simulated* protocol seconds, so a
 seeded workload produces bit-identical latency histograms, shed decisions and
 metrics on every run — the same property the protocol simulator provides for
-results.  A :class:`SystemClock` swaps in real monotonic time for wall-clock
-deployments.
+results.
 """
 
 from __future__ import annotations
-
-import time
 
 
 class Clock:
@@ -43,14 +40,4 @@ class SimulatedClock(Clock):
         return f"SimulatedClock(now={self._now})"
 
 
-class SystemClock(Clock):
-    """Real monotonic time; ``advance`` is a no-op (time passes on its own)."""
-
-    def now(self) -> float:
-        return time.monotonic()
-
-    def advance(self, seconds: float) -> None:
-        return None
-
-
-__all__ = ["Clock", "SimulatedClock", "SystemClock"]
+__all__ = ["Clock", "SimulatedClock"]

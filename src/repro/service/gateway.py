@@ -71,9 +71,8 @@ class CacheStats(Protocol):
 class FederationBackend(Protocol):
     """The surface :class:`QueryService` drives, flat or sharded.
 
-    A sharded backend may also offer ``shard_snapshot()`` and
-    ``export_shard_metrics(registry)``; those stay optional and are probed
-    where they are used.
+    A sharded backend may also offer ``shard_snapshot()``; it stays
+    optional and is probed where it is used.
     """
 
     planner: QueryPlanner
@@ -129,8 +128,7 @@ class QueryService:
     clock:
         Time source for deadlines, rate limits and latency metrics.  The
         default :class:`~repro.service.clock.SimulatedClock` advances by
-        each batch's simulated protocol time (deterministic); pass
-        :class:`~repro.service.clock.SystemClock` for wall-clock serving.
+        each batch's simulated protocol time (deterministic).
     tracer:
         When given (and enabled), every submission opens one trace —
         ``query`` span, ``admission`` event, ``queue`` span, ``batch`` span,
@@ -237,10 +235,6 @@ class QueryService:
     def closed(self) -> bool:
         return self._closed or self._draining
 
-    @property
-    def queue_depth(self) -> int:
-        return self._queue.depth
-
     def metrics_snapshot(self) -> dict[str, object]:
         """Service counters plus the federation cache's hit statistics."""
         snapshot = self.metrics.snapshot(queue_depth=self._queue.depth)
@@ -275,9 +269,6 @@ class QueryService:
         family.set_total(cache.hits, labels={"event": "hit"})
         family.set_total(cache.misses, labels={"event": "miss"})
         self.accuracy.export(registry)
-        export_shards = getattr(self.federation, "export_shard_metrics", None)
-        if export_shards is not None:
-            export_shards(registry)
         registry.absorb_dp(self.federation.dp_gate.snapshot())
         return registry
 

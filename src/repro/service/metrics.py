@@ -3,8 +3,8 @@
 The serving layer's operational questions — is the queue backing up, how full
 are the batches, what latency do clients see, how much load is being shed,
 how often does the cache absorb a query — all answer from one
-:class:`ServiceMetrics` record.  Snapshots export as a plain dict (embeddable
-in benchmark JSON) or a JSONL line (appendable time series for dashboards).
+:class:`ServiceMetrics` record, whose snapshot is a plain dict (embeddable
+in benchmark JSON, or one JSONL record of a time series).
 
 Latencies use :class:`repro.experiments.telemetry.LatencyHistogram`, so under
 the gateway's seeded simulated clock the p50/p95/p99 figures are bit-stable
@@ -13,7 +13,6 @@ across runs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from ..experiments.telemetry import LatencyHistogram
@@ -102,10 +101,6 @@ class ServiceMetrics:
             "latency_p99_s": round(quantiles["p99"], 9),
             "latency_max_s": round(quantiles["max"], 9),
         }
-
-    def jsonl_line(self, *, queue_depth: int = 0) -> str:
-        """The snapshot as one JSONL record (stable key order)."""
-        return json.dumps(self.snapshot(queue_depth=queue_depth), sort_keys=True)
 
 
 __all__ = ["ServiceMetrics"]

@@ -37,7 +37,6 @@ from dataclasses import replace
 from ..database.query import Domain
 from ..federation.dp_release import DpBatch, DpReleasePath
 from ..federation.outcomes import FederationError, QueryOutcome, QueryRefused
-from ..observability.metrics import MetricsRegistry
 from ..observability.trace import TraceContext
 from ..planner.errors import PlanInfeasible
 from ..planner.plan import Plan
@@ -610,57 +609,6 @@ class ShardedFederation:
                 for key, value in sorted(self.dp_spend_by_shard.items())
             },
         }
-
-    def export_shard_metrics(self, registry: "MetricsRegistry") -> None:
-        """Publish shard/tenant counters into a central metrics registry."""
-        queries = registry.counter(
-            "repro_shard_statements_total",
-            "Statements dispatched to each shard.",
-            ("shard",),
-        )
-        for index, count in sorted(self.shard_queries.items()):
-            queries.set_total(count, labels={"shard": str(index)})
-        refusals = registry.counter(
-            "repro_shard_refusals_total",
-            "Statements refused per shard (typed errors).",
-            ("shard",),
-        )
-        for index, count in sorted(self.shard_refusals.items()):
-            refusals.set_total(count, labels={"shard": str(index)})
-        unavailable = registry.counter(
-            "repro_shard_unavailable_total",
-            "Statements refused because the shard was unreachable.",
-            ("shard",),
-        )
-        for index, count in sorted(self.shard_unavailable.items()):
-            unavailable.set_total(count, labels={"shard": str(index)})
-        fanout = registry.counter(
-            "repro_shard_fanout_statements_total",
-            "Statements fanned out to every shard (partitioned tables).",
-        )
-        fanout.set_total(self.fanout_statements)
-        spent = registry.gauge(
-            "repro_tenant_lop_spent",
-            "Cumulative expected LoP charged per tenant.",
-            ("tenant",),
-        )
-        tenant_dp = registry.gauge(
-            "repro_tenant_dp_epsilon_spent",
-            "Cumulative DP epsilon charged per tenant.",
-            ("tenant",),
-        )
-        for issuer, account in sorted(self.router.tenant_snapshot().items()):
-            spent.set(float(account["lop_spent"] or 0.0), labels={"tenant": issuer})
-            tenant_dp.set(
-                float(account["dp_epsilon_spent"] or 0.0), labels={"tenant": issuer}
-            )
-        shard_dp = registry.gauge(
-            "repro_dp_epsilon_spent_by_shard",
-            "Fresh-release DP epsilon attributed to the shard owning the data.",
-            ("shard",),
-        )
-        for shard_key, eps in sorted(self.dp_spend_by_shard.items()):
-            shard_dp.set(round(eps, 9), labels={"shard": shard_key})
 
 
 # -- merge ---------------------------------------------------------------------

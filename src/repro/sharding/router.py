@@ -146,10 +146,6 @@ class ShardRouter:
 
     # -- placement ----------------------------------------------------------
 
-    def declare_partitioned(self, table: str) -> None:
-        """Mark ``table`` as row-partitioned across every shard."""
-        self._partitioned = self._partitioned | {table}
-
     @property
     def partitioned_tables(self) -> tuple[str, ...]:
         return tuple(sorted(self._partitioned))

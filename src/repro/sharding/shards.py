@@ -121,7 +121,7 @@ class ProcessShard:
         self._lock = threading.Lock()
         #: The worker's parties, known without a wire call (a dead worker
         #: still has them): the spec's at launch, then moved by this
-        #: client's own successful ``register_values`` / ``deregister``.
+        #: client's own successful ``deregister``.
         self._members = tuple(sorted(members))
 
     # -- lifecycle ----------------------------------------------------------
@@ -328,24 +328,8 @@ class ProcessShard:
 
     def register(self, database) -> None:
         raise ShardError(
-            "registering a live database object over the wire is not "
-            "supported; use register_values for synthetic parties"
+            "registering a live database object over the wire is not supported"
         )
-
-    def register_values(
-        self, owner: str, table: str, attribute: str, values: list[float]
-    ) -> None:
-        """Enroll a synthetic single-table party in the worker's federation."""
-        self._request(
-            {
-                "op": "register_values",
-                "owner": owner,
-                "table": table,
-                "attribute": attribute,
-                "values": list(values),
-            }
-        )
-        self._members = tuple(sorted({*self._members, owner}))
 
     def deregister(self, owner: str) -> None:
         self._request({"op": "deregister", "owner": owner})

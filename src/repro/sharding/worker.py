@@ -41,7 +41,7 @@ import sys
 from ..core.driver import RunConfig
 from ..core.params import ProtocolParams
 from ..core.schedule import ExponentialSchedule
-from ..database.database import PrivateDatabase, database_from_values
+from ..database.database import PrivateDatabase
 from ..database.query import Domain
 from ..database.schema import Schema
 from ..federation.coordinator import Federation
@@ -115,16 +115,6 @@ def _handle(federation: Federation, request: dict) -> dict:
             "ok": True,
             "outcome": None if outcome is None else encode_outcome(outcome),
         }
-    if op == "register_values":
-        federation.register(
-            database_from_values(
-                str(request["owner"]),
-                [float(v) for v in request.get("values", ())],
-                table=str(request.get("table", "data")),
-                attribute=str(request.get("attribute", "value")),
-            )
-        )
-        return {"ok": True}
     if op == "deregister":
         federation.deregister(str(request["owner"]))
         return {"ok": True}

@@ -43,7 +43,7 @@ from repro.core.params import ProtocolParams
 from repro.core.session import ProtocolSession, prepare_query_vectors
 from repro.database.generator import DISTRIBUTIONS, DataGenerator
 from repro.database.query import Domain, TopKQuery
-from repro.network.failures import NO_FAILURES, FailureInjector
+from repro.network.failures import FailureInjector
 from repro.network.message import MessageType, result_message, token_message
 from repro.network.transport import InMemoryTransport, constant_latency
 
@@ -194,15 +194,6 @@ class TestKernelRefusals:
         config = RunConfig(seed=7, failures=FailureInjector())
         with pytest.raises(KernelUnsupported, match="failure"):
             run_protocol_on_vectors(self.VECTORS, self.QUERY, config, backend=KERNEL)
-
-    def test_accepts_the_null_injector(self):
-        config = RunConfig(seed=7, failures=NO_FAILURES)
-        assert kernel_refusal(config) is None
-        result = run_protocol_on_vectors(self.VECTORS, self.QUERY, config, backend=KERNEL)
-        baseline = run_protocol_on_vectors(
-            self.VECTORS, self.QUERY, RunConfig(seed=7)
-        )
-        assert result.final_vector == baseline.final_vector
 
     def test_refusal_propagates_through_the_driver(self):
         config = RunConfig(seed=7, encrypt=True)

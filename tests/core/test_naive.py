@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.naive import NaiveMaxAlgorithm, NaiveTopKAlgorithm
+from repro.core.naive import NaiveTopKAlgorithm
 
 
 class TestNaiveTopK:
@@ -38,11 +38,11 @@ class TestNaiveTopK:
 
 class TestNaiveMax:
     def test_is_k1_special_case(self):
-        algo = NaiveMaxAlgorithm(42.0)
+        algo = NaiveTopKAlgorithm([42.0], k=1)
         assert algo.k == 1
         assert algo.compute([10.0], 1) == [42.0]
         assert algo.compute([99.0], 1) == [99.0]
 
     def test_equal_values_pass_through(self):
-        algo = NaiveMaxAlgorithm(42.0)
+        algo = NaiveTopKAlgorithm([42.0], k=1)
         assert algo.compute([42.0], 1) == [42.0]

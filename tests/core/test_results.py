@@ -43,12 +43,10 @@ class TestPrecision:
     def test_exact_result(self):
         result = make_result([99, 98], {"a": [99.0], "b": [98.0], "c": [5.0]})
         assert result.precision() == 1.0
-        assert result.is_exact()
 
     def test_half_right(self):
         result = make_result([99, 42], {"a": [99.0], "b": [98.0], "c": [5.0]})
         assert result.precision() == 0.5
-        assert not result.is_exact()
 
     def test_duplicates_counted_with_multiplicity(self):
         result = make_result([99, 99], {"a": [99.0], "b": [99.0], "c": [5.0]})

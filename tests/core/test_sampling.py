@@ -2,11 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.sampling import SamplingError, random_value_in
+from repro.core.sampling import SamplingError, WordPool, random_value_in
 
 
 class TestIntegral:
@@ -64,3 +65,37 @@ class TestContinuous:
     def test_property_in_half_open_range(self, low: float, width: float, seed: int):
         value = random_value_in(random.Random(seed), low, low + width, integral=False)
         assert low <= value < low + width
+
+
+class TestWordPoolRandint:
+    """``WordPool.randint`` (and the ``_split`` it serves streams through):
+    the batch kernel's exact fallback for a row whose rejection sampling
+    outruns its prefetched block."""
+
+    def test_replays_random_randint_through_the_harvest_and_past_it(self):
+        seeds = [3, 17, 2**40 + 5, 99]
+        pool = WordPool(seeds, words=8)  # small: every stream overflows
+        rngs = [random.Random(seed) for seed in seeds]
+        who = np.arange(len(seeds))
+        ranges = [(1, 10_000), (0, 2**31), (5, 6), (1, 3), (-50, 50)] * 4
+        for low, high in ranges:
+            got = pool.randint(
+                who,
+                np.full(len(seeds), low, dtype=np.int64),
+                np.full(len(seeds), high, dtype=np.int64),
+            )
+            assert got.tolist() == [rng.randint(low, high) for rng in rngs]
+        assert pool._demoted.all()
+
+    def test_a_subset_of_streams_keeps_the_others_in_step(self):
+        seeds = [11, 12, 13]
+        pool = WordPool(seeds, words=64)
+        rngs = [random.Random(seed) for seed in seeds]
+        for who in ([0, 2], [1], [0, 1, 2], [2]):
+            streams = np.array(who)
+            got = pool.randint(
+                streams,
+                np.full(len(who), 1, dtype=np.int64),
+                np.full(len(who), 1000, dtype=np.int64),
+            )
+            assert got.tolist() == [rngs[s].randint(1, 1000) for s in who]

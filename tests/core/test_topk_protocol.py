@@ -1,6 +1,7 @@
 """Unit and property tests for Algorithm 2 (probabilistic top-k)."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,6 @@ from repro.core.topk_protocol import ProbabilisticTopKAlgorithm
 from repro.core.vectors import (
     is_sorted_desc,
     merge_topk,
-    multiset_contains,
     multiset_difference,
 )
 from repro.database.query import Domain
@@ -181,7 +181,7 @@ def test_property_algorithm2_invariants(local, incoming_raw, p0, r, seed):
     # appears (nothing is fabricated above real data).
     assert out[0] <= real[0]
     # Own values appear only via a genuine insertion.
-    if not multiset_contains(incoming, out):
+    if Counter(out) - Counter(incoming):
         inserted_own = multiset_difference(out, incoming)
         if out == real:
-            assert multiset_contains(local, multiset_difference(real, incoming))
+            assert not Counter(multiset_difference(real, incoming)) - Counter(local)

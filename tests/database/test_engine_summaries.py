@@ -18,6 +18,10 @@ forward.  Three things are pinned here:
   number of elements through numpy, a count that repeats exactly and so can
   gate where a timing cannot;
 * the bugs the machine (and the issue) found, as plain regression tests.
+
+A ``k`` past ``SUMMARY_ROWS`` is read through the scan the summary replaces
+— ``materialize`` / ``valid_values`` and the ``top_k_array`` /
+``bottom_k_array`` kernels — and the machine compares it too.
 """
 
 import copy
@@ -316,9 +320,7 @@ class SummaryParity(RuleBasedStateMachine):
         # The scan path seals the pending tail under the summary's feet (the
         # fold cursor has to survive it) and decodes every sealed run, of
         # whatever width, to int64 / float64 in one array.
-        assert repr(self.row.numeric_values(column)) == repr(
-            self.col.numeric_values(column)
-        )
+        assert repr(self.row.project(column)) == repr(self.col.project(column))
 
     @rule()
     def read(self):
@@ -410,7 +412,7 @@ def test_signed_zeros_read_like_the_row_store(values, route):
         else:
             table.insert_arrays({"x": np.array(values, dtype=np.float64)})
     assert_twins_agree(row, col, columns=("x",))
-    assert repr(col.numeric_values("x")) == repr(values)
+    assert repr(col.project("x")) == repr(values)
     assert col._engine._numeric("x").exact is not None  # took the exact path
 
 
@@ -433,7 +435,7 @@ def test_array_batch_survives_a_spill_of_the_pending_tail():
     for table in (row, col):
         table.insert({"x": float("inf")})
         table.insert_arrays({"x": np.array([1.0, 2.0])})
-    assert col.numeric_values("x") == row.numeric_values("x") == [float("inf"), 1.0, 2.0]
+    assert col.project("x") == row.project("x") == [float("inf"), 1.0, 2.0]
     assert_twins_agree(row, col, columns=("x",))
 
 

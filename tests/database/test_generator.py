@@ -1,16 +1,11 @@
-"""Unit and property tests for repro.database.generator."""
+"""Unit tests for repro.database.generator."""
 
 import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.database.generator import (
-    DataGenerator,
-    datasets_with_known_topk,
-)
+from repro.database.generator import DataGenerator
 from repro.database.query import Domain
 
 
@@ -80,40 +75,3 @@ class TestBulk:
     def test_nodes_must_be_positive(self):
         with pytest.raises(ValueError, match="nodes"):
             DataGenerator(rng=random.Random(1)).node_datasets(0, 5)
-
-    def test_databases_builds_one_per_node(self):
-        gen = DataGenerator(rng=random.Random(1))
-        dbs = gen.databases(4, 3)
-        assert [db.owner for db in dbs] == ["node0", "node1", "node2", "node3"]
-        assert all(len(db.table("data")) == 3 for db in dbs)
-
-
-class TestKnownTopK:
-    def test_planted_topk_is_global_topk(self):
-        datasets = datasets_with_known_topk(
-            5, 10, [9000, 8999, 8500], rng=random.Random(2)
-        )
-        merged = sorted((v for d in datasets for v in d), reverse=True)
-        assert merged[:3] == [9000, 8999, 8500]
-
-    def test_requires_descending_topk(self):
-        with pytest.raises(ValueError, match="sorted descending"):
-            datasets_with_known_topk(5, 10, [1, 2], rng=random.Random(2))
-
-    def test_requires_room_for_filler(self):
-        with pytest.raises(ValueError, match="no room"):
-            datasets_with_known_topk(
-                3, 3, [1], domain=Domain(1, 10), rng=random.Random(2)
-            )
-
-    def test_requires_enough_slots(self):
-        with pytest.raises(ValueError, match="not enough total slots"):
-            datasets_with_known_topk(1, 1, [500, 400], rng=random.Random(2))
-
-    @given(st.integers(min_value=0, max_value=2**31))
-    @settings(max_examples=25, deadline=None)
-    def test_property_planted_values_always_present(self, seed: int):
-        topk = [7777, 7000]
-        datasets = datasets_with_known_topk(4, 5, topk, rng=random.Random(seed))
-        merged = sorted((v for d in datasets for v in d), reverse=True)
-        assert merged[:2] == topk

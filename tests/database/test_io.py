@@ -69,7 +69,7 @@ class TestLoad:
         path = write_csv(tmp_path / "t.csv", "amount\n5\n\n7\n")
         db = PrivateDatabase("acme")
         table = load_csv_table(db, "t", schema, path)
-        assert table.numeric_values("amount") == [5, 7]
+        assert table.project("amount") == [5, 7]
 
     def test_empty_non_nullable_rejected(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", "amount,store\n,east\n")
@@ -134,7 +134,7 @@ class TestDirectoryLoad:
         db = database_from_csv_dir(
             "acme", tmp_path, {"sales": SCHEMA, "returns": SCHEMA}
         )
-        assert db.table_names == ("returns", "sales")
+        assert "returns" in db and "sales" in db
 
     @pytest.mark.parametrize(
         "cells", [("5", "nan", "7"), ("nan", "5", "7"), ("5", "7", "nan")],

@@ -7,8 +7,6 @@ from repro.database.query import (
     Domain,
     QueryError,
     TopKQuery,
-    max_query,
-    min_query,
 )
 
 
@@ -25,12 +23,6 @@ class TestDomain:
     def test_inverted_domain_rejected(self):
         with pytest.raises(QueryError, match="empty domain"):
             Domain(10, 1)
-
-    def test_integral_size_counts_values(self):
-        assert Domain(1, 10).size == 10
-
-    def test_continuous_size_is_width(self):
-        assert Domain(0.0, 2.5, integral=False).size == 2.5
 
     def test_contains(self):
         domain = Domain(1, 10)
@@ -59,11 +51,6 @@ class TestTopKQuery:
         with pytest.raises(QueryError):
             TopKQuery(table="t", attribute="", k=1)
 
-    def test_is_max_query(self):
-        assert TopKQuery(table="t", attribute="a", k=1).is_max_query
-        assert not TopKQuery(table="t", attribute="a", k=2).is_max_query
-        assert not TopKQuery(table="t", attribute="a", k=1, smallest=True).is_max_query
-
     def test_identity_vector_topk(self):
         query = TopKQuery(table="t", attribute="a", k=3, domain=Domain(1, 10))
         assert query.identity_vector() == [1, 1, 1]
@@ -73,15 +60,3 @@ class TestTopKQuery:
             table="t", attribute="a", k=2, domain=Domain(1, 10), smallest=True
         )
         assert query.identity_vector() == [10, 10]
-
-
-class TestConvenienceConstructors:
-    def test_max_query(self):
-        query = max_query("t", "a")
-        assert query.k == 1
-        assert not query.smallest
-
-    def test_min_query(self):
-        query = min_query("t", "a")
-        assert query.k == 1
-        assert query.smallest

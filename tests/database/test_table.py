@@ -71,18 +71,6 @@ class TestQueries:
         with pytest.raises(SchemaError, match="no such column"):
             sales.project("ghost")
 
-    def test_numeric_values_rejects_text(self, sales: Table):
-        with pytest.raises(SchemaError, match="not numeric"):
-            sales.numeric_values("region")
-
-    def test_numeric_values_skips_nulls(self):
-        from repro.database.schema import Column
-
-        nullable = Table("t", Schema.of(Column("a", "REAL", nullable=True)))
-        nullable.insert_many([{"a": 1.0}, {"a": None}, {"a": 2.0}])
-        assert nullable.numeric_values("a") == [1.0, 2.0]
-
-
 class TestTopK:
     def test_top_k_descending(self, sales: Table):
         assert sales.top_k("amount", 2) == [900, 250]
@@ -177,14 +165,14 @@ class TestInsertArraysOwnership:
         frozen = adopted and engine == "columnar"
         assert (v.flags.writeable, w.flags.writeable) == (not frozen, not frozen)
         version = table.version
-        ints, reals = table.numeric_values("v"), table.numeric_values("w")
+        ints, reals = table.project("v"), table.project("w")
         top = table.top_k("v", 2)  # builds the summary the bug left stale
         self._write(v, 0, 10**6)
         self._write(w, 3, float("nan"))
         assert table.version == version
         assert table.top_k("v", 2) == top
-        assert table.numeric_values("v") == ints
-        assert table.numeric_values("w") == reals
+        assert table.project("v") == ints
+        assert table.project("w") == reals
         assert table.aggregate("w", "max") == max(reals)
 
     def test_strided_view_is_stored_contiguous_and_frees_its_base(self, engine):
@@ -195,8 +183,8 @@ class TestInsertArraysOwnership:
         expected = (base_v[::1000].tolist(), base_w[::1000].tolist())
         base_v[:] = -1
         base_w[:] = -1.0
-        assert table.numeric_values("v") == expected[0]
-        assert table.numeric_values("w") == expected[1]
+        assert table.project("v") == expected[0]
+        assert table.project("w") == expected[1]
         if engine == "columnar":
             for name in ("v", "w"):
                 (chunk,) = table._engine._numeric(name).chunks
@@ -219,7 +207,7 @@ class TestInsertArraysOwnership:
 
 
 def test_full_column_reads_keep_no_decoded_copy():
-    """A read that decodes a whole column (``numeric_values``, a ``k`` past
+    """A read that decodes a whole column (``project``, a ``k`` past
     the summary) decodes it for that read only: a coded column keeps its
     codes and its summary, never an 8 B/row copy beside them.  While a cache
     held those copies, these reads left 3.20 MB resident."""
@@ -230,7 +218,7 @@ def test_full_column_reads_keep_no_decoded_copy():
     try:
         base = tracemalloc.get_traced_memory()[0]
         for name in ("l_discount", "l_extendedprice", "l_quantity"):
-            table.numeric_values(name)
+            table.project(name)
         table.top_k("l_extendedprice", 100)
         kept = tracemalloc.get_traced_memory()[0] - base
     finally:

@@ -45,8 +45,8 @@ class TestParity:
         for party in sim.ring_order:
             sim_tokens = [
                 (o.round, o.vector)
-                for o in sim.event_log.received_by(party)
-                if o.kind == "token"
+                for o in sim.event_log
+                if o.receiver == party and o.kind == "token"
             ]
             tcp_tokens = [
                 (rnd, vec) for rnd, kind, vec in tcp.observations[party]
@@ -58,8 +58,9 @@ class TestParity:
         sim, tcp = both(2, seed=13)
         for party in sim.ring_order:
             sim_results = [
-                o.vector for o in sim.event_log.received_by(party)
-                if o.kind == "result"
+                o.vector
+                for o in sim.event_log
+                if o.receiver == party and o.kind == "result"
             ]
             tcp_results = [
                 vec for _rnd, kind, vec in tcp.observations[party]
@@ -91,7 +92,9 @@ class TestEverySubstrateHostsTheSameNode:
         )
         simulated = {
             party: [
-                (o.round, o.kind, o.vector) for o in sim.event_log.received_by(party)
+                (o.round, o.kind, o.vector)
+                for o in sim.event_log
+                if o.receiver == party
             ]
             for party in sim.ring_order
         }

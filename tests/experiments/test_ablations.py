@@ -117,7 +117,7 @@ def test_group_parallel_max_is_exact_faster_and_within_the_message_model():
     grouped = run_grouped_max(
         vectors, query, group_size=group_size, params=params, seed=SEED
     )
-    assert flat.final_vector[0] == grouped.final_value == truth
+    assert flat.final_vector[0] == grouped.final_vector[0] == truth
     assert grouped.simulated_seconds < flat.simulated_seconds / 2
     assert grouped.messages_total <= 1.05 * grouped_total_messages(
         n_nodes, group_size, 1.0, 0.5, 1e-3

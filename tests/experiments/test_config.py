@@ -37,28 +37,20 @@ class TestValidation:
             TrialSetup(n=4, distribution="cauchy")
 
 
-class TestSweepHelper:
-    def test_with_copies(self):
-        base = TrialSetup(n=4)
-        other = base.with_(n=8, k=3)
-        assert (other.n, other.k) == (8, 3)
-        assert base.n == 4
-
-
 class TestSeeding:
     def test_trial_seeds_distinct(self):
         setup = TrialSetup(n=4, seed=7)
-        seeds = {setup.trial_seed(t) for t in range(100)}
+        seeds = {setup.protocol_seed(t) for t in range(100)}
         assert len(seeds) == 100
 
     def test_trial_seed_stable(self):
-        assert TrialSetup(n=4, seed=7).trial_seed(3) == TrialSetup(
+        assert TrialSetup(n=4, seed=7).protocol_seed(3) == TrialSetup(
             n=4, seed=7
-        ).trial_seed(3)
+        ).protocol_seed(3)
 
     def test_negative_trial_rejected(self):
         with pytest.raises(ValueError, match="trial_index"):
-            TrialSetup(n=4).trial_seed(-1)
+            TrialSetup(n=4).protocol_seed(-1)
 
     def test_paired_datasets_across_protocols(self):
         # Same seed + trial -> same data regardless of protocol (paired
@@ -69,7 +61,7 @@ class TestSeeding:
 
     def test_data_and_protocol_seeds_differ(self):
         setup = TrialSetup(n=4, seed=9)
-        assert setup.protocol_seed(0) != setup.trial_seed(0) * 2 + 1
+        assert setup.protocol_seed(0) != setup._derived_seed(0, "data")
 
     def test_streams_injective_over_swept_ranges(self):
         # Regression for the 31-bit arithmetic derivation: across every
@@ -80,7 +72,7 @@ class TestSeeding:
         for seed in range(8):
             setup = TrialSetup(n=4, seed=seed)
             for trial in range(100):
-                for stream in ("trial", "data", "protocol"):
+                for stream in ("data", "protocol"):
                     value = setup._derived_seed(trial, stream)
                     key = (seed, trial, stream)
                     assert value not in seen, (key, seen.get(value))
@@ -90,12 +82,12 @@ class TestSeeding:
         # Under the old linear derivation (seed * 1_000_003 + trial * 7_919)
         # these two cells collided exactly; the hash derivation keeps them
         # apart.
-        a = TrialSetup(n=4, seed=7_919).trial_seed(0)
-        b = TrialSetup(n=4, seed=0).trial_seed(1_000_003)
+        a = TrialSetup(n=4, seed=7_919).protocol_seed(0)
+        b = TrialSetup(n=4, seed=0).protocol_seed(1_000_003)
         assert a != b
 
     def test_seeds_fit_in_64_bits(self):
         setup = TrialSetup(n=4, seed=123)
         for trial in (0, 1, 99):
-            assert 0 <= setup.trial_seed(trial) < 2**64
+            assert 0 <= setup.protocol_seed(trial) < 2**64
             assert 0 <= setup.protocol_seed(trial) < 2**64

@@ -7,6 +7,8 @@ bit-identical to the serial path — same final vectors, same ring orders,
 same per-round snapshots, same aggregates.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.kernel import _LazyKernelLog
@@ -21,7 +23,6 @@ from repro.experiments.runner import (
     resolve_jobs,
     run_trials,
     run_trials_many,
-    scheduler_metrics,
     shutdown_pool,
     using_jobs,
 )
@@ -177,7 +178,7 @@ class TestTelemetry:
     def test_summary_and_render(self):
         setup = small_setup(trials=4)
         with telemetry.collect() as tel:
-            run_trials_many([setup, setup.with_(seed=12)], jobs=2)
+            run_trials_many([setup, replace(setup, seed=12)], jobs=2)
         summary = tel.summary()
         assert summary["points"] == 2
         assert summary["trials"] == 8
@@ -189,7 +190,6 @@ class TestTelemetry:
 
     def test_no_collector_is_free(self):
         # Telemetry off: runs still work and record nowhere.
-        assert telemetry.active_collectors() == 0
         run_trials(small_setup(trials=2), jobs=1)
 
 
@@ -247,17 +247,6 @@ class TestPoolGating:
             run_trials(self.gated_setup(), jobs=2)
         (point,) = tel.points
         assert point.mode == "parallel"
-
-    def test_decision_lands_on_metrics(self, monkeypatch):
-        monkeypatch.setattr("repro.experiments.runner.os.cpu_count", lambda: 1)
-        counter = scheduler_metrics().counter(
-            "runner_pool_decisions_total", label_names=("decision", "reason")
-        )
-        labels = {"decision": "serial", "reason": "jobs_exceed_cores"}
-        before = counter.value(labels=labels)
-        run_trials(self.gated_setup(), jobs=2)
-        assert counter.value(labels=labels) == before + 1
-
 
 @real_pool
 class TestPoolLifecycle:

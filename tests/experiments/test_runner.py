@@ -92,39 +92,6 @@ class TestAggregation:
                 func()
 
 
-class TestConfidenceIntervals:
-    def test_mean_and_confidence_basics(self):
-        from repro.experiments.runner import mean_and_confidence
-
-        mean, half = mean_and_confidence([1.0, 1.0, 1.0])
-        assert (mean, half) == (1.0, 0.0)
-        mean, half = mean_and_confidence([0.0, 1.0])
-        assert mean == 0.5
-        assert half > 0.0
-
-    def test_single_sample_zero_width(self):
-        from repro.experiments.runner import mean_and_confidence
-
-        assert mean_and_confidence([0.7]) == (0.7, 0.0)
-
-    def test_empty_rejected(self):
-        from repro.experiments.runner import mean_and_confidence
-
-        with pytest.raises(ValueError, match="no samples"):
-            mean_and_confidence([])
-
-    def test_precision_confidence_by_round(self, results):
-        from repro.experiments.runner import precision_confidence_by_round
-
-        points = precision_confidence_by_round(results, 6)
-        assert [r for r, _, _ in points] == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-        # Once every trial is exact, the interval collapses.
-        assert points[-1][1] == 1.0
-        assert points[-1][2] == 0.0
-        # Mid-convergence rounds carry genuine uncertainty.
-        assert any(half > 0 for _, _, half in points)
-
-
 class TestAnalyticConvergence:
     def test_naive_average_converges_to_closed_form(self):
         # The measured naive average converges to the estimator's exact

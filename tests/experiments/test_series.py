@@ -23,14 +23,6 @@ class TestSeries:
         with pytest.raises(ValueError, match="no points"):
             Series("a", ())
 
-    def test_from_lists(self):
-        series = Series.from_lists("a", [1.0, 2.0], [3.0, 4.0])
-        assert series.points == ((1.0, 3.0), (2.0, 4.0))
-
-    def test_from_lists_length_mismatch(self):
-        with pytest.raises(ValueError, match="xs vs"):
-            Series.from_lists("a", [1.0], [2.0, 3.0])
-
     def test_xs_ys(self):
         series = Series("a", ((1.0, 3.0), (2.0, 4.0)))
         assert series.xs == [1.0, 2.0]
@@ -77,9 +69,6 @@ class TestFigureData:
         assert figure.series_by_label("b").y_at(1.0) == 0.1
         with pytest.raises(KeyError):
             figure.series_by_label("zz")
-
-    def test_labels(self):
-        assert make_figure().labels == ["a", "b"]
 
     def test_to_csv_rows(self):
         rows = make_figure().to_csv_rows()

@@ -52,14 +52,14 @@ class TestGroupedMax:
     def test_correct_with_combiner(self):
         vectors = vectors_of(30, seed=4)
         outcome = run_grouped_max(vectors, QUERY, group_size=8, seed=7)
-        assert outcome.used_combiner
-        assert outcome.final_value == max(v[0] for v in vectors.values())
+        assert outcome.combiner_result is not None
+        assert outcome.final_vector[0] == max(v[0] for v in vectors.values())
 
     def test_correct_without_combiner(self):
         vectors = vectors_of(7, seed=5)
         outcome = run_grouped_max(vectors, QUERY, group_size=4, seed=7)
-        assert not outcome.used_combiner
-        assert outcome.final_value == max(v[0] for v in vectors.values())
+        assert outcome.combiner_result is None
+        assert outcome.final_vector[0] == max(v[0] for v in vectors.values())
 
     def test_delegates_come_from_their_groups(self):
         outcome = run_grouped_max(vectors_of(24, seed=1), QUERY, group_size=6, seed=2)
@@ -81,7 +81,7 @@ class TestGroupedMax:
         vectors = vectors_of(20, seed=2)
         a = run_grouped_max(vectors, QUERY, group_size=5, seed=11)
         b = run_grouped_max(vectors, QUERY, group_size=5, seed=11)
-        assert a.final_value == b.final_value
+        assert a.final_vector[0] == b.final_vector[0]
         assert a.groups == b.groups
         assert a.delegates == b.delegates
 
@@ -101,7 +101,7 @@ class TestGroupedTopK:
         outcome = run_grouped_topk(vectors, query, group_size=6, seed=5)
         truth = sorted((v for vs in vectors.values() for v in vs), reverse=True)[:4]
         assert outcome.final_vector == truth
-        assert outcome.used_combiner
+        assert outcome.combiner_result is not None
 
     def test_grouped_topk_without_combiner(self):
         from repro.extensions.groups import run_grouped_topk
@@ -109,7 +109,7 @@ class TestGroupedTopK:
         vectors = {f"n{i}": [float(100 + i)] for i in range(6)}
         query = TopKQuery(table="t", attribute="a", k=2, domain=Domain(1, 10_000))
         outcome = run_grouped_topk(vectors, query, group_size=4, seed=6)
-        assert not outcome.used_combiner
+        assert outcome.combiner_result is None
         assert outcome.final_vector == [105.0, 104.0]
 
     def test_max_wrapper_enforces_k1(self):

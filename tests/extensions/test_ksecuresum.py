@@ -1,4 +1,7 @@
-"""The segmented, shuffled-shares k-secure-sum (Sheikh et al., arXiv:1003.4071)."""
+"""The segmented, shuffled-shares k-secure-sum (Sheikh et al., arXiv:1003.4071).
+
+``_split`` cuts each value into the shares these tests sum back exactly.
+"""
 
 import pytest
 from hypothesis import given, settings

@@ -60,7 +60,7 @@ class TestKthLargest:
         import math
 
         # One feasibility count plus ~log2(|domain|) probes.
-        assert outcome.comparisons <= 2 + math.ceil(math.log2(DOMAIN.size))
+        assert outcome.comparisons <= 2 + math.ceil(math.log2(DOMAIN.high - DOMAIN.low + 1))
 
     def test_probe_counts_monotone_in_threshold(self):
         outcome = kth_largest(PARTIES, 2, DOMAIN, seed=4)

@@ -46,38 +46,33 @@ class TestMembership:
         fed.register(database_from_values("a", [1]))
         fed.register(database_from_values("b", [2]))
         with pytest.raises(FederationError, match="n >= 3"):
-            fed.max("data", "value")
+            fed.execute("SELECT MAX(value) FROM data")
 
 
 class TestRankingQueries:
     def test_topk(self, federation):
-        outcome = federation.topk("data", "value", 3)
+        outcome = federation.execute("SELECT TOP 3 value FROM data")
         assert outcome.values == (9000.0, 7000.0, 6500.0)
         assert outcome.protocol == "probabilistic"
         assert outcome.trace is not None
 
     def test_bottomk(self, federation):
-        outcome = federation.bottomk("data", "value", 2)
+        outcome = federation.execute("SELECT BOTTOM 2 value FROM data")
         assert outcome.values == (3.0, 5.0)
 
     def test_max_min(self, federation):
-        assert federation.max("data", "value") == 9000.0
-        assert federation.min("data", "value") == 3.0
+        assert federation.execute("SELECT MAX(value) FROM data").values == (9000.0,)
+        assert federation.execute("SELECT MIN(value) FROM data").values == (3.0,)
 
     def test_execute_sql(self, federation):
         outcome = federation.execute("SELECT TOP 2 value FROM data")
         assert outcome.values == (9000.0, 7000.0)
 
-    def test_scalar_guard(self, federation):
-        outcome = federation.topk("data", "value", 2)
-        with pytest.raises(FederationError, match="use .values"):
-            outcome.scalar
-
     def test_fresh_randomness_per_query(self, federation):
         # Two identical queries must not produce identical traces (the noise
         # must differ or an observer could difference it out).
-        first = federation.topk("data", "value", 1)
-        second = federation.topk("data", "value", 1)
+        first = federation.execute("SELECT TOP 1 value FROM data")
+        second = federation.execute("SELECT TOP 1 value FROM data")
         assert first.values == second.values
         t1 = [(o.round, o.sender, o.vector) for o in first.trace.event_log]
         t2 = [(o.round, o.sender, o.vector) for o in second.trace.event_log]
@@ -86,15 +81,16 @@ class TestRankingQueries:
 
 class TestAdditiveQueries:
     def test_sum(self, federation):
-        assert federation.sum("data", "value") == pytest.approx(
-            sum(ALL_VALUES), abs=1e-3
-        )
+        outcome = federation.execute("SELECT SUM(value) FROM data")
+        assert outcome.values[0] == pytest.approx(sum(ALL_VALUES), abs=1e-3)
 
     def test_count(self, federation):
-        assert federation.count("data", "value") == len(ALL_VALUES)
+        outcome = federation.execute("SELECT COUNT(value) FROM data")
+        assert outcome.values == (len(ALL_VALUES),)
 
     def test_avg(self, federation):
-        assert federation.avg("data", "value") == pytest.approx(
+        outcome = federation.execute("SELECT AVG(value) FROM data")
+        assert outcome.values[0] == pytest.approx(
             sum(ALL_VALUES) / len(ALL_VALUES), rel=1e-6
         )
 
@@ -114,7 +110,7 @@ class TestValidation:
         from repro.database.schema import SchemaError
 
         with pytest.raises(SchemaError, match="no such table"):
-            federation.max("ghost", "value")
+            federation.execute("SELECT MAX(value) FROM ghost")
 
     def test_mismatched_schema_surfaces(self):
         fed = Federation(domain=PAPER_DOMAIN, seed=2)
@@ -124,35 +120,24 @@ class TestValidation:
         from repro.database.schema import SchemaError
 
         with pytest.raises(SchemaError):
-            fed.max("data", "value")
+            fed.execute("SELECT MAX(value) FROM data")
 
 
 class TestAudit:
     def test_every_query_audited(self, federation):
-        federation.max("data", "value", issuer="alice")
-        federation.sum("data", "value", issuer="bob")
-        federation.topk("data", "value", 2, issuer="alice")
+        federation.execute("SELECT MAX(value) FROM data", issuer="alice")
+        federation.execute("SELECT SUM(value) FROM data", issuer="bob")
+        federation.execute("SELECT TOP 2 value FROM data", issuer="alice")
         assert len(federation.audit) == 3
-        assert len(federation.audit.by_issuer("alice")) == 2
+        assert [entry.issuer for entry in federation.audit] == ["alice", "bob", "alice"]
 
     def test_audit_records_metadata_not_private_data(self, federation):
-        federation.max("data", "value", issuer="alice")
+        federation.execute("SELECT MAX(value) FROM data", issuer="alice")
         entry = federation.audit.entries[-1]
         assert entry.result_public == (9000.0,)
         assert entry.participants == federation.members
         assert entry.messages > 0
         assert entry.average_lop is not None
-
-    def test_audit_render(self, federation):
-        federation.max("data", "value", issuer="alice")
-        report = federation.audit.render()
-        assert "alice" in report
-        assert "SELECT MAX(value) FROM data" in report
-        assert "total: 1 queries" in report
-
-    def test_empty_audit_render(self):
-        fed = Federation(domain=PAPER_DOMAIN)
-        assert fed.audit.render() == "audit log: empty"
 
 
 class TestPerAttributeDomains:
@@ -161,7 +146,7 @@ class TestPerAttributeDomains:
         fed.register_domain("data", "score", Domain(1, 100))
         for name, values in (("a", [40]), ("b", [95]), ("c", [12])):
             fed.register(database_from_values(name, values, attribute="score"))
-        outcome = fed.topk("data", "score", 2)
+        outcome = fed.execute("SELECT TOP 2 score FROM data")
         assert outcome.values == (95.0, 40.0)
         # The query really carried the narrow domain.
         assert outcome.trace.query.domain.high == 100
@@ -174,7 +159,7 @@ class TestPerAttributeDomains:
         for name, values in (("a", [40]), ("b", [950]), ("c", [12])):
             fed.register(database_from_values(name, values, attribute="score"))
         with pytest.raises(QueryError, match="outside the public domain"):
-            fed.max("data", "score")
+            fed.execute("SELECT MAX(score) FROM data")
 
     def test_fallback_to_default_domain(self):
         fed = Federation(domain=PAPER_DOMAIN, seed=9)
@@ -193,6 +178,6 @@ class TestConfigInjection:
             fed.register(
                 database_from_values(name, [rng.randint(1, 9999) for _ in range(5)])
             )
-        outcome = fed.topk("data", "value", 2)
+        outcome = fed.execute("SELECT TOP 2 value FROM data")
         assert outcome.protocol == "naive"
         assert outcome.rounds == 1

@@ -32,7 +32,7 @@ class TestReleases:
         assert noisy.protocol == f"{exact.protocol}+dp"
         assert noisy.values != exact.values  # epsilon this small must perturb
         assert all(PAPER_DOMAIN.low <= v <= PAPER_DOMAIN.high for v in noisy.values)
-        assert fed.dp_gate.accountant.epsilon_spent == 0.01
+        assert fed.dp_gate.accountant.epsilon.spent == 0.01
 
     def test_dp_inherits_the_protocol_underneath(self):
         fed = fresh_federation(dp=DpPolicy(seed=1))
@@ -48,7 +48,7 @@ class TestReleases:
         # One DP statement, one ledger charge at the full declared epsilon —
         # the SUM/COUNT halves compose inside the release.
         assert fed.dp_gate.accountant.releases == 1
-        assert fed.dp_gate.accountant.epsilon_spent == 2.0
+        assert fed.dp_gate.accountant.epsilon.spent == 2.0
 
     def test_rerun_same_seed_is_byte_identical(self):
         statements = [
@@ -86,7 +86,7 @@ class TestReuse:
         assert second.values != first.values
         assert not second.cached
         assert fed.dp_gate.accountant.releases == 2
-        assert fed.dp_gate.accountant.epsilon_spent == pytest.approx(0.4)
+        assert fed.dp_gate.accountant.epsilon.spent == pytest.approx(0.4)
 
 
 class TestRefusals:
@@ -112,7 +112,7 @@ class TestRefusals:
         assert isinstance(results[1].error, BudgetExhausted)
         assert not isinstance(results[2], QueryRefused)
         # The refused statement spent nothing.
-        assert fed.dp_gate.accountant.epsilon_spent == 2.0
+        assert fed.dp_gate.accountant.epsilon.spent == 2.0
         assert fed.dp_gate.accountant.refusals == 1
 
     def test_budget_exactly_exhausted_on_the_last_round_succeeds(self):
@@ -120,7 +120,7 @@ class TestRefusals:
         fed.execute("SELECT MAX(value) FROM data WITH SLO(dp_epsilon=2.0)")
         last = fed.execute("SELECT SUM(value) FROM data WITH SLO(dp_epsilon=1.0)")
         assert not isinstance(last, QueryRefused)
-        assert fed.dp_gate.accountant.epsilon_spent == 3.0
+        assert fed.dp_gate.accountant.epsilon.spent == 3.0
         assert fed.dp_gate.accountant.epsilon.remaining() == 0.0
         with pytest.raises(BudgetExhausted):
             fed.execute("SELECT COUNT(value) FROM data WITH SLO(dp_epsilon=0.1)")

@@ -106,7 +106,7 @@ def _span_counts(tracer):
     """Per statement: how many spans of each name its trace collected."""
     counts = []
     for trace_id in tracer.trace_ids:
-        names = [span.name for span in tracer.spans_for(trace_id)]
+        names = [span.name for span in tracer.spans if span.trace_id == trace_id]
         counts.append(
             " ".join(f"{name}:{names.count(name)}" for name in sorted(set(names)))
         )

@@ -85,11 +85,11 @@ def test_repeat_is_free_and_byte_identical(backend):
     b = backend(DpPolicy(seed=2))
     text = f"SELECT MAX(value) FROM {b.table} WITH SLO(dp_epsilon=1.5)"
     first = b.federation.execute(text)
-    spent = b.accountant.epsilon_spent
+    spent = b.accountant.epsilon.spent
     again = b.federation.execute(text)
     assert again.values == first.values
     assert again.cached and again.rounds == 0 and again.messages == 0
-    assert b.accountant.epsilon_spent == spent
+    assert b.accountant.epsilon.spent == spent
     assert b.accountant.free_serves == 1
 
 
@@ -103,7 +103,7 @@ def test_try_cached_reserves_and_never_charges(backend):
     assert hit is not None and hit.cached
     assert hit.values == first.values
     assert b.accountant.releases == 1
-    assert b.accountant.epsilon_spent == 1.0
+    assert b.accountant.epsilon.spent == 1.0
 
 
 def test_recached_mutated_data_is_a_fresh_release(backend):
@@ -126,7 +126,7 @@ def test_recached_mutated_data_is_a_fresh_release(backend):
     second = b.federation.execute(text)
     assert not second.cached
     assert b.accountant.releases == 2
-    assert b.accountant.epsilon_spent == pytest.approx(1.0)
+    assert b.accountant.epsilon.spent == pytest.approx(1.0)
     assert b.accountant.free_serves == 0
     # Fresh noise: the release difference does not equal the row delta.
     assert second.values[0] - first.values[0] != 1.0
@@ -188,8 +188,8 @@ def test_raising_batch_refuses_before_it_spends(backend, refused, error):
     assert b.federation.try_cached(good_dp, issuer="t1") is None
     for federation in b.flat_federations:
         assert len(federation.audit) == 0
-        assert federation.ledger.most_exposed() is None
-    assert b.accountant.releases == 0 and b.accountant.epsilon_spent == 0.0
+        assert federation.ledger.charges == {}
+    assert b.accountant.releases == 0 and b.accountant.epsilon.spent == 0.0
     if hasattr(b.federation, "set_tenant"):
         account = b.federation.router.tenant_snapshot()["t1"]
         assert account["lop_spent"] == 0.0 and account["dp_epsilon_spent"] == 0.0

@@ -56,16 +56,14 @@ def outcome_key(outcome):
 def test_single_queries_bit_identical_across_engines(engine):
     reference = build_federation("row")
     other = build_federation(engine)
-    a = reference.topk("data", "value", 3)
-    b = other.topk("data", "value", 3)
+    a = reference.execute("SELECT TOP 3 value FROM data")
+    b = other.execute("SELECT TOP 3 value FROM data")
     assert outcome_key(a) == outcome_key(b)
-    assert outcome_key(reference.bottomk("data", "value", 2)) == outcome_key(
-        other.bottomk("data", "value", 2)
-    )
-    for scalar in ("max", "min", "sum", "count", "avg"):
-        assert getattr(reference, scalar)("data", "value") == getattr(
-            other, scalar
-        )("data", "value")
+    bottom = "SELECT BOTTOM 2 value FROM data"
+    assert outcome_key(reference.execute(bottom)) == outcome_key(other.execute(bottom))
+    for scalar in ("MAX", "MIN", "SUM", "COUNT", "AVG"):
+        statement = f"SELECT {scalar}(value) FROM data"
+        assert reference.execute(statement).values == other.execute(statement).values
 
 
 def test_execute_many_and_cache_bit_identical():
@@ -152,8 +150,14 @@ def test_inserts_between_statements_bit_identical_across_engines():
 def test_generated_workload_parity():
     gen_row = DataGenerator(rng=random.Random(5))
     gen_col = DataGenerator(rng=random.Random(5))
-    row_dbs = gen_row.databases(6, 50, engine="row")
-    col_dbs = gen_col.databases(6, 50, engine="columnar")
+    row_dbs = [
+        database_from_values(f"node{i}", values, engine="row")
+        for i, values in enumerate(gen_row.node_datasets(6, 50))
+    ]
+    col_dbs = [
+        database_from_values(f"node{i}", values, engine="columnar")
+        for i, values in enumerate(gen_col.node_datasets(6, 50))
+    ]
     query = TopKQuery(table="data", attribute="value", k=5)
     config = RunConfig(seed=11)
     a = run_topk_query(row_dbs, query, config)
@@ -175,6 +179,6 @@ def test_tpch_federation_parity():
         for db in dbs:
             fed.register(db)
         protocol_result = run_topk_query(dbs, query, config)
-        outcome = fed.topk(TPCH_TABLE, query.attribute, 5)
+        outcome = fed.execute(f"SELECT TOP 5 {query.attribute} FROM {TPCH_TABLE}")
         results[engine] = (protocol_result.final_vector, outcome_key(outcome))
     assert results["row"] == results["columnar"]

@@ -63,7 +63,7 @@ class TestExecuteWithSlo:
         outcome = federation.execute(
             "SELECT SUM(value) FROM data WITH SLO(deadline=1.0)"
         )
-        assert outcome.scalar == pytest.approx(sum(sum(v) for v in DATASETS.values()))
+        assert outcome.values[0] == pytest.approx(sum(sum(v) for v in DATASETS.values()))
         assert outcome.simulated_seconds == 0.0
 
 

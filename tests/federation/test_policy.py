@@ -14,7 +14,6 @@ from repro.federation import (
     PolicyViolation,
     Rule,
     parse,
-    permissive_policy,
 )
 
 
@@ -67,22 +66,9 @@ class TestPolicy:
         # Quotas are per issuer.
         policy.check("bob", statement)
 
-    def test_usage_and_remaining(self):
-        policy = AccessPolicy(quota_per_issuer=3).allow("*", ANY)
-        statement = parse("SELECT MAX(x) FROM t")
-        policy.check("alice", statement)
-        assert policy.usage("alice") == 1
-        assert policy.remaining("alice") == 2
-        assert AccessPolicy().remaining("alice") is None
-
     def test_quota_validated(self):
         with pytest.raises(PolicyError, match="quota"):
             AccessPolicy(quota_per_issuer=0)
-
-    def test_permissive_policy(self):
-        policy = permissive_policy()
-        policy.check("anyone", parse("SELECT BOTTOM 2 x FROM t"))
-
 
 class TestFederationIntegration:
     def _federation(self, policy):
@@ -95,23 +81,24 @@ class TestFederationIntegration:
         policy = AccessPolicy().allow("analyst", ADDITIVE)
         fed = self._federation(policy)
         with pytest.raises(PolicyViolation):
-            fed.max("data", "value", issuer="analyst")
+            fed.execute("SELECT MAX(value) FROM data", issuer="analyst")
         assert len(fed.audit) == 0
         assert fed.ledger.runs_charged == 0
 
     def test_permitted_issuer_proceeds(self):
         policy = AccessPolicy().allow("analyst", ANY)
         fed = self._federation(policy)
-        assert fed.max("data", "value", issuer="analyst") == 9000.0
+        outcome = fed.execute("SELECT MAX(value) FROM data", issuer="analyst")
+        assert outcome.values == (9000.0,)
         assert len(fed.audit) == 1
 
     def test_quota_applies_through_federation(self):
         policy = AccessPolicy(quota_per_issuer=1).allow("*", ANY)
         fed = self._federation(policy)
-        fed.sum("data", "value", issuer="analyst")
+        fed.execute("SELECT SUM(value) FROM data", issuer="analyst")
         with pytest.raises(PolicyViolation, match="quota"):
-            fed.sum("data", "value", issuer="analyst")
+            fed.execute("SELECT SUM(value) FROM data", issuer="analyst")
 
     def test_no_policy_permits_everything(self):
         fed = self._federation(None)
-        assert fed.min("data", "value") == 5.0
+        assert fed.execute("SELECT MIN(value) FROM data").values == (5.0,)

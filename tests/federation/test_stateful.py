@@ -70,7 +70,7 @@ class FederationMachine(RuleBasedStateMachine):
     @precondition(lambda self: len(self.model) >= 3)
     @rule(k=st.integers(min_value=1, max_value=4))
     def topk_matches_model(self, k: int) -> None:
-        outcome = self.federation.topk("data", "value", k)
+        outcome = self.federation.execute(f"SELECT TOP {k} value FROM data")
         pooled = sorted(self._pooled(), reverse=True)[:k]
         expected = pooled + [int(PAPER_DOMAIN.low)] * (k - len(pooled))
         assert list(outcome.values) == [float(v) for v in expected]
@@ -78,12 +78,14 @@ class FederationMachine(RuleBasedStateMachine):
     @precondition(lambda self: len(self.model) >= 3)
     @rule()
     def sum_matches_model(self) -> None:
-        assert self.federation.sum("data", "value") == sum(self._pooled())
+        outcome = self.federation.execute("SELECT SUM(value) FROM data")
+        assert outcome.values == (sum(self._pooled()),)
 
     @precondition(lambda self: len(self.model) >= 3)
     @rule()
     def min_matches_model(self) -> None:
-        assert self.federation.min("data", "value") == min(self._pooled())
+        outcome = self.federation.execute("SELECT MIN(value) FROM data")
+        assert outcome.values == (min(self._pooled()),)
 
     # -- invariants ------------------------------------------------------------------
 

@@ -1,4 +1,7 @@
-"""Unit and property tests for repro.network.crypto."""
+"""Unit and property tests for repro.network.crypto.
+
+The round trips run the whole cipher, ``_keystream`` and ``_xor`` included.
+"""
 
 import pytest
 from hypothesis import given, settings

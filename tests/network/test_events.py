@@ -31,14 +31,6 @@ class TestRecording:
 
 
 class TestViews:
-    def test_received_by(self):
-        log = make_log()
-        assert [o.round for o in log.received_by("b")] == [1, 2, 3]
-
-    def test_sent_by(self):
-        log = make_log()
-        assert [o.round for o in log.sent_by("a")] == [1, 2, 3]
-
     def test_outputs_exclude_result_broadcast(self):
         outputs = make_log().outputs_of("a")
         assert outputs == {1: (5.0,), 2: (9.0,)}
@@ -49,12 +41,6 @@ class TestViews:
 
     def test_rounds_token_only(self):
         assert make_log().rounds() == [1, 2]
-
-    def test_coalition_view_unions_send_and_receive(self):
-        log = make_log()
-        view = log.coalition_view({"c"})
-        # c received b->c and sent c->a.
-        assert {(o.sender, o.receiver) for o in view} == {("b", "c"), ("c", "a")}
 
     def test_iteration_order_is_recording_order(self):
         rounds = [o.round for o in make_log()]
@@ -70,15 +56,6 @@ class TestViews:
 
 
 class TestTokenIndex:
-    def test_observe_after_a_read_is_seen_by_the_next_read(self):
-        log = make_log()
-        assert log.outputs_of("b") == {1: (7.0,)}
-        assert log.rounds() == [1, 2]
-        log.observe(Observation.from_message(token_message("b", "c", 3, [8.0])))
-        assert log.outputs_of("b") == {1: (7.0,), 3: (8.0,)}
-        assert log.inputs_of("c") == {1: (7.0,), 3: (8.0,)}
-        assert log.rounds() == [1, 2, 3]
-
     def test_record_after_a_read_is_seen_by_the_next_read(self):
         log = make_log()
         assert log.inputs_of("a") == {1: (7.0,)}

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.network.failures import NO_FAILURES, FailureInjector, NullFailureInjector
+from repro.network.failures import FailureInjector
 from repro.network.message import token_message
 
 
@@ -15,13 +15,6 @@ class TestCrashes:
         assert injector.is_crashed("a")
         injector.recover("a")
         assert not injector.is_crashed("a")
-
-    def test_crashed_nodes_frozen_view(self):
-        injector = FailureInjector()
-        injector.crash("a")
-        snapshot = injector.crashed_nodes
-        injector.crash("b")
-        assert snapshot == frozenset({"a"})
 
     def test_messages_from_crashed_node_dropped(self):
         injector = FailureInjector()
@@ -35,31 +28,6 @@ class TestCrashes:
 
     def test_healthy_traffic_passes(self):
         assert not FailureInjector().should_drop(token_message("a", "b", 1, [1.0]))
-
-
-class TestNullInjector:
-    """NO_FAILURES is shared module-wide, so it must be immutable."""
-
-    def test_never_drops_and_never_mutates(self):
-        message = token_message("a", "b", 1, [1.0])
-        before = NO_FAILURES._messages_seen
-        for _ in range(10):
-            assert not NO_FAILURES.should_drop(message)
-        assert NO_FAILURES._messages_seen == before
-
-    def test_mutators_refuse(self):
-        with pytest.raises(TypeError, match="immutable"):
-            NO_FAILURES.crash("a")
-        with pytest.raises(TypeError, match="immutable"):
-            NO_FAILURES.schedule_crash("a", after_messages=1)
-        with pytest.raises(TypeError, match="immutable"):
-            NO_FAILURES.recover("a")
-        assert not NO_FAILURES.is_crashed("a")
-
-    def test_fresh_null_injector_equals_singleton_behaviour(self):
-        injector = NullFailureInjector()
-        assert not injector.should_drop(token_message("x", "y", 1, [2.0]))
-        assert injector.crashed_nodes == frozenset()
 
 
 class TestScheduledCrashes:
@@ -85,14 +53,14 @@ class TestScheduledCrashes:
         assert not injector.is_crashed("late")
         assert not injector.should_drop(healthy)  # message 3
         assert not injector.should_drop(healthy)  # message 4: "late" fires
-        assert injector.crashed_nodes == frozenset({"early", "late"})
+        assert injector.is_crashed("early") and injector.is_crashed("late")
 
     def test_simultaneous_schedules_all_fire(self):
         injector = FailureInjector()
         injector.schedule_crash("a", after_messages=1)
         injector.schedule_crash("b", after_messages=1)
         assert injector.should_drop(token_message("a", "b", 1, [1.0]))
-        assert injector.crashed_nodes == frozenset({"a", "b"})
+        assert injector.is_crashed("a") and injector.is_crashed("b")
 
     def test_fired_schedules_are_consumed(self):
         injector = FailureInjector()

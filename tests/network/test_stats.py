@@ -26,9 +26,9 @@ class TestRecording:
 
     def test_per_round(self):
         stats = make_stats()
-        assert stats.messages_in_round(1) == 2
-        assert stats.messages_in_round(2) == 1
-        assert stats.messages_in_round(99) == 0
+        assert stats.per_round[1] == 2
+        assert stats.per_round[2] == 1
+        assert stats.per_round[99] == 0
 
     def test_per_type(self):
         stats = make_stats()

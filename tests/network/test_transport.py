@@ -30,13 +30,6 @@ class TestRegistration:
         with pytest.raises(TransportError, match="unknown receiver"):
             transport.send(token_message("a", "ghost", 1, [1.0]))
 
-    def test_endpoints_sorted(self):
-        transport = InMemoryTransport()
-        transport.register("b", lambda m: None)
-        transport.register("a", lambda m: None)
-        assert transport.endpoints == ("a", "b")
-
-
 class TestDelivery:
     def test_in_order_delivery_with_constant_latency(self):
         transport = InMemoryTransport(latency=constant_latency(0.01))

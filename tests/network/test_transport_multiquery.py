@@ -32,7 +32,10 @@ class TestChannelRegistration:
         transport.register("alice", seen.append)
         transport.register("alice", seen.append, channel="q1")
         transport.register("alice", seen.append, channel="q2")
-        assert transport.endpoints == ("alice",)
+        for channel in ("", "q1", "q2"):
+            transport.send(make_message("bob", "alice", query=channel))
+        transport.run_until_idle()
+        assert [m.query for m in seen] == ["", "q1", "q2"]
 
     def test_duplicate_channel_registration_rejected(self):
         transport = InMemoryTransport()
@@ -48,7 +51,8 @@ class TestChannelRegistration:
         with pytest.raises(TransportError, match="unknown receiver"):
             transport.send(make_message("alice", "bob", query="q2"))
         transport.send(make_message("alice", "bob", query="q1"))
-        assert transport.pending == 1
+        transport.run_until_idle()
+        assert transport.stats.messages_total == 1
 
     def test_delivery_routed_to_channel_handler(self):
         transport = InMemoryTransport()
@@ -61,12 +65,6 @@ class TestChannelRegistration:
         assert [m.query for m in received[""]] == [""]
         assert [m.query for m in received["q1"]] == ["q1"]
 
-    def test_unknown_channel_lookup_rejected(self):
-        transport = InMemoryTransport()
-        with pytest.raises(TransportError, match="no such channel"):
-            transport.channel("ghost")
-
-
 class TestChannelAccounting:
     def test_per_channel_stats_isolated(self):
         transport = InMemoryTransport()
@@ -77,11 +75,11 @@ class TestChannelAccounting:
             transport.send(make_message("alice", "bob", query="q1"))
         transport.send(make_message("alice", "bob", query="q2"))
         transport.run_until_idle()
-        assert transport.channel("q1").stats.messages_total == 3
-        assert transport.channel("q2").stats.messages_total == 1
+        assert transport.open_channel("q1").stats.messages_total == 3
+        assert transport.open_channel("q2").stats.messages_total == 1
         # Transport-wide stats still see everything.
         assert transport.stats.messages_total == 4
-        assert transport.stats.messages_for_query("q1") == 3
+        assert transport.stats.per_query["q1"] == 3
 
     def test_per_channel_event_logs_isolated(self):
         transport = InMemoryTransport()
@@ -91,8 +89,8 @@ class TestChannelAccounting:
         transport.send(make_message("alice", "bob", query="q1", round_number=1))
         transport.send(make_message("alice", "bob", query="q2", round_number=7))
         transport.run_until_idle()
-        assert transport.channel("q1").event_log.rounds() == [1]
-        assert transport.channel("q2").event_log.rounds() == [7]
+        assert transport.open_channel("q1").event_log.rounds() == [1]
+        assert transport.open_channel("q2").event_log.rounds() == [7]
 
     def test_last_delivery_at_tracks_channel_completion(self):
         transport = InMemoryTransport(latency=constant_latency(1.0))
@@ -103,10 +101,10 @@ class TestChannelAccounting:
         transport.run_until_idle()
         transport.send(make_message("alice", "bob", query="q2"))
         transport.run_until_idle()
-        assert transport.channel("q1").last_delivery_at == pytest.approx(1.0)
-        assert transport.channel("q2").last_delivery_at == pytest.approx(2.0)
-        assert transport.channel("q1").deliveries == 1
-        assert transport.channel("q2").deliveries == 1
+        assert transport.open_channel("q1").last_delivery_at == pytest.approx(1.0)
+        assert transport.open_channel("q2").last_delivery_at == pytest.approx(2.0)
+        assert transport.open_channel("q1").deliveries == 1
+        assert transport.open_channel("q2").deliveries == 1
 
 
 class TestFairness:
@@ -181,7 +179,7 @@ class TestFairness:
             transport.send(make_message("alice", "bob", query="quiet"))
         transport.run_until_idle()
         assert counts == {"busy": rounds * 10, "quiet": rounds}
-        assert transport.channel("quiet").deliveries == rounds
+        assert transport.open_channel("quiet").deliveries == rounds
 
 
 class TestMaxDeliveries:

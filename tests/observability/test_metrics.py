@@ -33,24 +33,6 @@ class TestCounter:
             counter.inc()
 
 
-class TestGauge:
-    def test_set_and_inc(self):
-        gauge = MetricsRegistry().gauge("depth")
-        gauge.set(7)
-        gauge.inc(-2)
-        assert gauge.value() == 5
-
-
-class TestSummary:
-    def test_exact_quantiles(self):
-        summary = MetricsRegistry().summary("s_seconds")
-        summary.observe_many([1.0, 2.0, 3.0, 4.0])
-        lines = summary.prometheus_lines()
-        assert 's_seconds{quantile="0.5"} 2.5' in lines
-        assert "s_seconds_count 4" in lines
-        assert "s_seconds_sum 10" in lines
-
-
 class TestRegistry:
     def test_get_or_create_returns_same_family(self):
         registry = MetricsRegistry()
@@ -117,14 +99,6 @@ class TestAdapters:
         assert 'repro_protocol_rounds{protocol="naive"} 5' in text
         assert "repro_network_bytes_total" in text
 
-    def test_absorb_latency_reads_samples(self):
-        class FakeLatency:
-            samples = [0.1, 0.2, 0.3]
-
-        registry = MetricsRegistry()
-        registry.absorb_latency(FakeLatency())
-        assert "repro_latency_seconds_count 3" in registry.to_prometheus()
-
     def test_absorb_phases_reads_profiler(self):
         class FakeProfiler:
             _totals = {"setup": 0.25, "round_loop": 1.5}
@@ -151,6 +125,39 @@ class TestAdapters:
         assert 'repro_service_queries_total{outcome="submitted"} 5' in text
         assert 'repro_service_queries_total{outcome="completed"} 4' in text
         assert "repro_service_queue_depth 2" in text
+        # No latency recorded, so no quantiles to publish.
+        assert "repro_service_latency_seconds" not in text
+
+    def test_served_latency_quantiles_equal_the_snapshot(self):
+        """A real gateway's p50/p95/p99 reach the exposition unchanged.
+
+        ``absorb_service`` used to read ``latency.samples``, an attribute the
+        service's ``LatencyHistogram`` does not have, so the family was
+        never exported; a stand-in holder with ``samples`` hid that.
+        """
+        import asyncio
+
+        from repro.service import QueryService
+        from repro.service.workload import mixed_workload, synthetic_federation
+
+        async def serve() -> QueryService:
+            async with QueryService(synthetic_federation(seed=3)) as service:
+                await service.submit_many(mixed_workload(24, seed=3))
+            return service
+
+        service = asyncio.run(serve())
+        snapshot = service.metrics_snapshot()
+        published = {}
+        for line in service.export_metrics().to_prometheus().splitlines():
+            if line.startswith("repro_service_latency_seconds{"):
+                labels, value = line.split(" ")
+                published[labels.split('"')[1]] = float(value)
+        assert published == {
+            "0.5": snapshot["latency_p50_s"],
+            "0.95": snapshot["latency_p95_s"],
+            "0.99": snapshot["latency_p99_s"],
+        }
+        assert snapshot["latency_p50_s"] > 0
 
 
 class TestExportIsIdempotent:

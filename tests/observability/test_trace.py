@@ -76,11 +76,6 @@ class TestRecorder:
         recorder.close_span(ctx, at=1.0)
         assert recorder.open_spans() == []
 
-    def test_baggage_round_trips(self):
-        recorder = TraceRecorder()
-        trace = recorder.new_trace(name="q", baggage={"issuer": "alice"})
-        assert recorder.baggage(trace.trace_id) == {"issuer": "alice"}
-
 
 class TestExports:
     def _sample_recorder(self) -> TraceRecorder:

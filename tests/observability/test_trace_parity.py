@@ -95,7 +95,9 @@ class TestBatchParity:
         # The shared transport interleaves the sessions' spans by delivery
         # time; per trace, the records must be identical.
         return {
-            trace_id: [span.to_dict() for span in recorder.spans_for(trace_id)]
+            trace_id: [
+                span.to_dict() for span in recorder.spans if span.trace_id == trace_id
+            ]
             for trace_id in recorder.trace_ids
         }
 

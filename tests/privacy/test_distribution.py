@@ -93,15 +93,6 @@ class TestCoalitionPosterior:
                 collapsed += 1
         assert collapsed >= 8  # reveal probability is ~1 over 8 rounds
 
-    def test_credible_mass(self):
-        result = run([100, 700, 350, 220], seed=1)
-        holder = next(n for n, vs in result.local_vectors.items() if vs == [700.0])
-        report = coalition_posterior(result, holder)
-        assert report.credible_mass(0) == pytest.approx(
-            report.true_value_probability
-        )
-        assert report.credible_mass(1000) == pytest.approx(1.0)
-
     def test_k_must_be_one(self):
         query = TopKQuery(table="t", attribute="a", k=2, domain=DOMAIN)
         result = run_protocol_on_vectors(

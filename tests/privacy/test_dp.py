@@ -141,8 +141,8 @@ class TestPrivacyAccountant:
         accountant = PrivacyAccountant(epsilon_budget=10.0, delta_budget=1e-3)
         accountant.charge(2.0, 1e-6, statement="a")
         accountant.charge(3.0, 2e-6, statement="b")
-        assert accountant.epsilon_spent == 5.0
-        assert accountant.delta_spent == pytest.approx(3e-6)
+        assert accountant.epsilon.spent == 5.0
+        assert accountant.delta.spent == pytest.approx(3e-6)
         assert accountant.releases == 2
         assert accountant.ledger_lines() == [
             "a eps=2 delta=1e-06",
@@ -164,7 +164,7 @@ class TestPrivacyAccountant:
         with pytest.raises(BudgetExhausted):
             accountant.charge(0.5, 0.0, statement="over")
         # The refused charge left every meter and the ledger untouched.
-        assert accountant.epsilon_spent == 0.8
+        assert accountant.epsilon.spent == 0.8
         assert accountant.releases == 1
         assert accountant.refusals == 1
         assert accountant.ledger_lines() == ["ok eps=0.8 delta=0"]
@@ -259,7 +259,7 @@ class TestDpGate:
         assert again == first  # byte-identical replay of the same release
         assert gate.accountant.releases == 1
         assert gate.accountant.free_serves == 1
-        assert gate.accountant.epsilon_spent == 1.0
+        assert gate.accountant.epsilon.spent == 1.0
 
     def test_invalidated_inner_re_releases_with_fresh_noise(self):
         gate = DpGate(DpPolicy(seed=3))
@@ -268,7 +268,7 @@ class TestDpGate:
         second, charged = gate.finalize(request, [(7.0,)], inner_cached=False)
         assert charged
         assert second != first  # the release counter advanced the noise stream
-        assert gate.accountant.epsilon_spent == 2.0
+        assert gate.accountant.epsilon.spent == 2.0
 
     def test_noise_is_deterministic_per_policy_seed(self):
         request = self._request()
@@ -289,7 +289,7 @@ class TestDpGate:
         first, _ = gate.finalize(request, [(7.0,)], inner_cached=False)
         second, charged = gate.finalize(request, [(9.0,)], inner_cached=True)
         assert charged
-        assert gate.accountant.epsilon_spent == 2.0
+        assert gate.accountant.epsilon.spent == 2.0
         assert gate.accountant.free_serves == 0
         # Fresh noise stream: differencing the releases does not yield the
         # exact data delta.

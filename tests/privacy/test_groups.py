@@ -32,6 +32,7 @@ class TestValidation:
             group_lop(result, [])
 
     def test_unknown_member_rejected(self):
+        # ``_validate_members`` refuses a group the run never saw.
         result = run([1, 2, 3])
         with pytest.raises(GroupError, match="unknown group members"):
             group_lop(result, ["ghost"])

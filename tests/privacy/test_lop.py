@@ -23,7 +23,6 @@ from repro.privacy.lop import (
     exposure_profile,
     item_round_lop,
     node_lop,
-    node_round_lop,
     per_round_average_lop,
     value_in,
     worst_case_lop,
@@ -162,13 +161,13 @@ class TestProbabilisticLop:
 
     def test_node_round_lop_of_silent_round_is_zero(self):
         result = self._run([1, 2, 3], rounds=2)
-        assert node_round_lop(result, "node0", 99) == 0.0
+        assert exposure_profile(result).round_lop("node0", 99) == 0.0
 
     def test_node_lop_is_peak_of_rounds(self):
         result = self._run([10, 4000, 7000, 200], rounds=6, seed=3)
         for node in result.ring_order:
             rounds = result.event_log.rounds()
-            peak = max(node_round_lop(result, node, r) for r in rounds)
+            peak = max(exposure_profile(result).round_lop(node, r) for r in rounds)
             assert node_lop(result, node) == peak
 
 
@@ -260,7 +259,7 @@ def test_property_profile_equals_the_old_estimator(
     assert list(profile.rounds) == rounds
     assert profile.peak == peak
     for (node, r), expected in by_round.items():
-        assert node_round_lop(result, node, r) == expected
+        assert profile.round_lop(node, r) == expected
     assert {n: node_lop(result, n) for n in nodes} == peak
     assert average_lop(result) == sum(peak[n] for n in nodes) / len(nodes)
     assert worst_case_lop(result) == max(peak[n] for n in nodes)

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.privacy.precision import is_exact, precision
+from repro.privacy.precision import precision
 
 
 class TestPrecision:
     def test_exact(self):
         assert precision([9.0, 8.0], [9.0, 8.0], 2) == 1.0
-        assert is_exact([9.0, 8.0], [8.0, 9.0], 2)
+        assert precision([9.0, 8.0], [8.0, 9.0], 2) == 1.0
 
     def test_partial(self):
         assert precision([9.0, 1.0], [9.0, 8.0], 2) == 0.5

@@ -6,7 +6,6 @@ from repro.core.driver import NAIVE, PROBABILISTIC, RunConfig, run_protocol_on_v
 from repro.database.query import Domain, TopKQuery
 from repro.privacy.ranges import (
     RangeExposureError,
-    average_range_lop,
     node_range_lop,
     range_claim_lop,
 )
@@ -65,17 +64,22 @@ class TestNodeRangeLop:
         result = run([100, 200, 9000, 50], protocol=PROBABILISTIC)
         for node in result.ring_order:
             assert node_range_lop(result, node) == 0.0
-        assert average_range_lop(result) == 0.0
 
     def test_average_range_lop_between_bounds(self):
         result = run([100, 200, 9000, 50])
-        assert 0.0 <= average_range_lop(result) <= 1.0
+        for node in result.ring_order:
+            assert 0.0 <= node_range_lop(result, node) <= 1.0
 
     def test_naive_average_exceeds_probabilistic(self):
         values = [100, 200, 9000, 50, 777]
         naive_total = prob_total = 0.0
         for seed in range(10):
-            naive_total += average_range_lop(run(values, NAIVE, seed))
-            prob_total += average_range_lop(run(values, PROBABILISTIC, seed))
+            for protocol in (NAIVE, PROBABILISTIC):
+                result = run(values, protocol, seed)
+                total = sum(node_range_lop(result, n) for n in result.ring_order)
+                if protocol == NAIVE:
+                    naive_total += total
+                else:
+                    prob_total += total
         assert prob_total == 0.0
         assert naive_total > 0.0

@@ -61,7 +61,7 @@ class TestMidRingCrash:
         # delta's value 5 crashed out of the ring mid-protocol; the repaired
         # ring answers over the survivors.
         assert bottom.values == (3.0, 40.0)
-        assert service.queue_depth == 0
+        assert service.metrics_snapshot()["queue_depth"] == 0
         assert service.metrics.completed == 2
 
     def test_service_survives_crash_and_keeps_serving(self):
@@ -83,14 +83,14 @@ class TestMidRingCrash:
         for a, b in zip(first, second):
             assert a.values == b.values
             assert b.cached
-        assert service.queue_depth == 0
+        assert service.metrics_snapshot()["queue_depth"] == 0
         assert service.metrics.failed == 0
         assert service.metrics.completed == len(first) + len(second)
 
     def test_starter_crash_fails_typed_not_hung(self):
         # A crashed starter is unrecoverable by splicing; the whole batch
-        # must fail with QueryFailed (typed, attributable) and the service
-        # must stay open for later queries.
+        # must fail with QueryFailed (typed, attributable: the gateway's
+        # ``_fail`` path) and the service must stay open for later queries.
         injector = FailureInjector()
         injector.schedule_crash("acme", after_messages=3)
 
@@ -111,4 +111,4 @@ class TestMidRingCrash:
         assert "starting node crashed" in str(crashed.__cause__)
         assert healed.values == (9000.0, 7000.0, 6500.0)
         assert service.metrics.failed == 1
-        assert service.queue_depth == 0
+        assert service.metrics_snapshot()["queue_depth"] == 0

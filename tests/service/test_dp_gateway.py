@@ -35,7 +35,7 @@ class TestSubmission:
         federation, metrics, first, again = asyncio.run(scenario())
         assert again.cached and again.values == first.values
         assert metrics.cache_fast_hits == 1
-        assert federation.dp_gate.accountant.epsilon_spent == 1.0
+        assert federation.dp_gate.accountant.epsilon.spent == 1.0
         assert federation.dp_gate.accountant.free_serves == 1
 
     def test_exhausted_budget_refuses_at_admission(self):
@@ -57,7 +57,7 @@ class TestSubmission:
 
         federation, metrics = asyncio.run(scenario())
         assert metrics.refused == 1
-        assert federation.dp_gate.accountant.epsilon_spent == 0.8
+        assert federation.dp_gate.accountant.epsilon.spent == 0.8
 
     def test_sharded_federation_behind_the_gateway(self):
         async def scenario():
@@ -75,7 +75,7 @@ class TestSubmission:
 
         federation, outcome = asyncio.run(scenario())
         assert outcome.protocol.endswith("+dp")
-        assert federation.dp_gate.accountant.epsilon_spent == 2.0
+        assert federation.dp_gate.accountant.epsilon.spent == 2.0
 
     def test_tenant_dp_budget_refuses_at_admission_on_a_sharded_backend(self):
         # The gateway calls dp_admission_check on whichever backend it is

@@ -72,7 +72,7 @@ class TestLifecycle:
                 service.submit("SELECT TOP 3 value FROM data")
             )
             await asyncio.sleep(0)  # let submit enqueue; scheduler not yet run
-            assert service.queue_depth == 1
+            assert service.metrics_snapshot()["queue_depth"] == 1
             await service.close(drain=False)
             with pytest.raises(ServiceClosed):
                 await task

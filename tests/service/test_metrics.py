@@ -77,13 +77,6 @@ class TestServiceMetrics:
         round_tripped = json.loads(json.dumps(snapshot))
         assert round_tripped == snapshot
 
-    def test_jsonl_line_has_stable_key_order(self):
-        metrics = ServiceMetrics()
-        line = metrics.jsonl_line()
-        record = json.loads(line)
-        assert list(record) == sorted(record)
-
-
 class TestServiceSnapshot:
     def test_snapshot_accounts_for_every_submission(self):
         async def scenario():

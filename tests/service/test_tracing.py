@@ -31,8 +31,8 @@ class TestSingleQueryTrace:
             ["SELECT TOP 2 value FROM data"], recorder=recorder
         )
         assert not isinstance(results[0], BaseException)
-        assert len(recorder.trace_ids) == 1
-        spans = recorder.spans_for(recorder.trace_ids[0])
+        (trace_id,) = recorder.trace_ids
+        spans = [span for span in recorder.spans if span.trace_id == trace_id]
         assert recorder.open_spans() == []
 
         by_name = {}

@@ -56,7 +56,7 @@ class TestFlatShardedParity:
             assert isinstance(results[1], QueryRefused)
             assert isinstance(results[1].error, BudgetExhausted)
             assert isinstance(results[2], QueryOutcome)
-            assert fed.dp_gate.accountant.epsilon_spent == 3.0
+            assert fed.dp_gate.accountant.epsilon.spent == 3.0
             assert fed.dp_gate.accountant.refusals == 1
 
 

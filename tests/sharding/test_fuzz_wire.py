@@ -253,6 +253,17 @@ def test_broken_frames_are_shard_unavailable_within_the_timeout(call, reply, han
             call_within_timeout(shard, call)
 
 
+def test_a_live_database_is_refused_before_the_wire():
+    """``ProcessShard.register``: a database object cannot cross the wire, so
+    enrolling one on a process shard is a typed refusal that sends nothing."""
+    from repro.database.database import database_from_values
+
+    with scripted_shard(b"") as shard:
+        with pytest.raises(ShardError, match="not supported"):
+            shard.register(database_from_values("org99", [1.0]))
+        assert shard._sock is not None  # nothing was sent, nothing dropped
+
+
 # -- and above it: a miss on the fast path, a typed refusal on the batch path --
 
 

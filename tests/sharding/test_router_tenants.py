@@ -37,9 +37,7 @@ def test_router_routes_and_counts():
     owned = router.route("t00")
     assert 0 <= owned < 3
     assert router.routed[ALL_SHARDS] == 1
-    router.declare_partitioned("t00")
-    assert router.route("t00") == ALL_SHARDS
-    assert router.partitioned_tables == ("hot", "t00")
+    assert router.partitioned_tables == ("hot",)
 
 
 # -- tenant token bucket ------------------------------------------------------
@@ -140,7 +138,8 @@ def test_unbudgeted_tenants_still_record_lop_spend():
     assert again.cached
     assert sharded.router.tenant("carol").lop_spent == spent
 
-    # A budget installed later binds against the accrued history.
+    # A budget installed later binds against the accrued history: the
+    # TenantAccount keeps its meters and ``bind_policy`` points them at it.
     sharded.set_tenant("carol", TenantPolicy(lop_budget=spent))
     assert sharded.router.remaining_lop("carol") == 0.0
 
@@ -210,6 +209,8 @@ def test_cache_epoch_invalidation_is_per_shard():
     for table in topology.shard_tables(0):
         if table != by_shard[0]:
             db.create_table(table, db.table(by_shard[0]).schema)
+    with pytest.raises(ShardError, match="no such shard"):  # ``_shard_of``
+        sharded.register(db, shard=2)
     sharded.register(db, shard=0)
 
     # Shard 0's cache dropped: the fan-out misses (one partial is gone)...

@@ -18,7 +18,7 @@ from repro.core.schedule import (
     LinearSchedule,
 )
 from repro.database.query import Domain, TopKQuery
-from repro.network.transport import BandwidthLatency, constant_latency
+from repro.network.transport import constant_latency
 
 DOMAIN = Domain(1, 10_000)
 
@@ -39,7 +39,7 @@ noises = st.sampled_from(
     [UniformNoise(), HighBiasedNoise(order=2), LowBiasedNoise(order=3)]
 )
 latencies = st.sampled_from(
-    [None, constant_latency(0.002), BandwidthLatency(0.001, 100_000.0)]
+    [None, constant_latency(0.002), constant_latency(0.0005)]
 )
 workloads = st.dictionaries(
     st.sampled_from([f"n{i}" for i in range(7)]),

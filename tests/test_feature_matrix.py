@@ -16,7 +16,7 @@ from repro.core.params import ProtocolParams
 from repro.core.schedule import ConstantCutoffSchedule, ExponentialSchedule, LinearSchedule
 from repro.database.query import Domain, TopKQuery
 from repro.network.failures import FailureInjector
-from repro.network.transport import BandwidthLatency
+from repro.network.transport import constant_latency
 from repro.network.trust import TrustGraph, build_trusted_ring
 
 DOMAIN = Domain(1, 10_000)
@@ -35,7 +35,7 @@ def truth(vectors: dict[str, list[float]], k: int) -> list[float]:
 
 
 class TestEverythingOn:
-    def test_encrypted_remapped_bandwidth_biased_run(self):
+    def test_encrypted_remapped_latency_biased_run(self):
         vectors = workload(8, 4, seed=1)
         query = TopKQuery(table="t", attribute="v", k=3, domain=DOMAIN)
         params = ProtocolParams(
@@ -48,7 +48,7 @@ class TestEverythingOn:
             params=params,
             seed=2,
             encrypt=True,
-            latency=BandwidthLatency(base_seconds=0.002, bytes_per_second=50_000),
+            latency=constant_latency(0.003),
         )
         result = run_protocol_on_vectors(vectors, query, config)
         assert result.final_vector == truth(vectors, 3)

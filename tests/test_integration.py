@@ -20,7 +20,6 @@ from repro import (
     TopKQuery,
     average_lop,
     database_from_values,
-    max_query,
     run_topk_query,
     worst_case_lop,
 )
@@ -53,7 +52,7 @@ class TestRetailScenario:
             (
                 v
                 for db in retailers
-                for v in db.table("sales").numeric_values("revenue")
+                for v in db.table("sales").project("revenue")
             ),
             reverse=True,
         )[:5]
@@ -61,15 +60,17 @@ class TestRetailScenario:
         assert result.precision() == 1.0
 
     def test_each_retailer_learns_the_answer(self, retailers):
-        query = max_query("sales", "revenue")
+        query = TopKQuery(table="sales", attribute="revenue", k=1)
         result = run_topk_query(retailers, query, RunConfig(seed=13))
         # The RESULT broadcast reached every ring member.
         for db in retailers:
-            received = result.event_log.received_by(db.owner)
-            assert any(o.kind == "result" for o in received)
+            assert any(
+                o.kind == "result" and o.receiver == db.owner
+                for o in result.event_log
+            )
 
     def test_privacy_dominates_naive(self, retailers):
-        query = max_query("sales", "revenue")
+        query = TopKQuery(table="sales", attribute="revenue", k=1)
         lop = {}
         for protocol in (PROBABILISTIC, NAIVE):
             totals = 0.0
@@ -86,7 +87,10 @@ class TestDistributions:
     @pytest.mark.parametrize("distribution", ["uniform", "normal", "zipf"])
     def test_protocol_exact_for_all_distributions(self, distribution):
         gen = DataGenerator(distribution=distribution, rng=random.Random(5))
-        dbs = gen.databases(6, 40)
+        dbs = [
+            database_from_values(f"node{i}", values)
+            for i, values in enumerate(gen.node_datasets(6, 40))
+        ]
         query = TopKQuery(table="data", attribute="value", k=4)
         result = run_topk_query(dbs, query, RunConfig(seed=5))
         assert result.precision() == 1.0
@@ -149,7 +153,7 @@ class TestFaultTolerance:
         # An injector with no crashes and zero drop probability must not
         # perturb the protocol.
         dbs = [database_from_values(f"org{i}", [i * 100 + 1]) for i in range(4)]
-        query = max_query("data", "value")
+        query = TopKQuery(table="data", attribute="value", k=1)
         config = RunConfig(seed=2, failures=FailureInjector())
         result = run_topk_query(dbs, query, config)
         assert result.final_vector == [301.0]

@@ -34,10 +34,19 @@ class TestPublicSurface:
     def test_quickstart_from_module_docstring_runs(self):
         import random
 
-        from repro import DataGenerator, RunConfig, TopKQuery, run_topk_query
+        from repro import (
+            DataGenerator,
+            RunConfig,
+            TopKQuery,
+            database_from_values,
+            run_topk_query,
+        )
 
         gen = DataGenerator(rng=random.Random(7))
-        databases = gen.databases(nodes=10, values_per_node=100)
+        databases = [
+            database_from_values(f"node{i}", values)
+            for i, values in enumerate(gen.node_datasets(10, 100))
+        ]
         query = TopKQuery(table="data", attribute="value", k=5)
         result = run_topk_query(databases, query, RunConfig(seed=7))
         assert len(result.answer()) == 5
@@ -78,11 +87,11 @@ class TestPublicSurface:
 
         import repro.core.driver as driver
 
-        original = driver.derived_rounds
-        with mock.patch.object(driver, "derived_rounds", object()) as stand_in:
-            assert repro.core.derived_rounds is stand_in
-        assert repro.core.derived_rounds is original
-        assert "derived_rounds" not in vars(repro.core)
+        original = driver.run_topk_query
+        with mock.patch.object(driver, "run_topk_query", object()) as stand_in:
+            assert repro.core.run_topk_query is stand_in
+        assert repro.core.run_topk_query is original
+        assert "run_topk_query" not in vars(repro.core)
 
     def test_protocol_constants(self):
         assert repro.PROTOCOLS == ("probabilistic", "naive", "anonymous-naive")
