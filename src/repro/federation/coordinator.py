@@ -50,7 +50,7 @@ from ..planner.spec import Prepared, QuerySpec, prepare
 from ..privacy.accounting import BudgetExceededError, ExposureLedger
 from ..privacy.dp import BudgetExhausted, DpGate, DpPolicy
 from ..privacy.lop import average_lop
-from .audit import AuditEntry, AuditLog
+from .audit import AuditLog
 from .cache import CachedAnswer, CacheKey, ResultCache
 from .dp_release import DpReleasePath
 from .outcomes import FederationError, QueryOutcome, QueryRefused
@@ -675,19 +675,7 @@ class Federation:
         self, issuer: str, outcome: QueryOutcome, lop: float | None = None
     ) -> QueryOutcome:
         """Record ``outcome`` in the audit log and hand it back."""
-        self.audit.record(
-            AuditEntry.for_query(
-                issuer=issuer,
-                statement=outcome.statement,
-                protocol=outcome.protocol,
-                participants=self.members,
-                rounds=outcome.rounds,
-                messages=outcome.messages,
-                result_public=outcome.values,
-                average_lop=lop,
-                cached=outcome.cached,
-            )
-        )
+        self.audit.record(issuer, self.members, outcome, lop)
         return outcome
 
     def _local_aggregate(

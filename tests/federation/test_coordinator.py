@@ -133,7 +133,7 @@ class TestAudit:
 
     def test_audit_records_metadata_not_private_data(self, federation):
         federation.execute("SELECT MAX(value) FROM data", issuer="alice")
-        entry = federation.audit.entries[-1]
+        entry = federation.audit[-1]
         assert entry.result_public == (9000.0,)
         assert entry.participants == federation.members
         assert entry.messages > 0

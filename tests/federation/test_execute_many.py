@@ -139,7 +139,7 @@ class TestDedupeAndCache:
 
     def test_cache_hits_are_audited(self, federation):
         federation.execute_many(["SELECT MAX(value) FROM data"] * 2)
-        entries = federation.audit.entries[-2:]
+        entries = federation.audit[-2:]
         assert [e.cached for e in entries] == [False, True]
 
     def test_plain_execute_bypasses_cache(self, federation):
@@ -232,7 +232,7 @@ class TestSharedHitOutcome:
         assert self.hit(federation, issuer="bob") is first
         (batched,) = federation.execute_many([self.STATEMENT], issuer="carol")
         assert batched is first
-        entries = federation.audit.entries
+        entries = federation.audit
         assert [e.issuer for e in entries] == ["anonymous", "alice", "bob", "carol"]
         assert [e.cached for e in entries] == [False, True, True, True]
         assert len({e.entry_id for e in entries}) == 4
@@ -261,7 +261,7 @@ class TestSharedHitOutcome:
         renewed = self.hit(federation)
         assert renewed is not stale and renewed.values == fresh.values
         # Audit entries carry the membership of their own epoch.
-        before, *_, after = federation.audit.entries
+        before, *_, after = federation.audit
         assert before.participants == members
         assert after.participants == federation.members == tuple(
             sorted(federation._parties)
@@ -284,7 +284,7 @@ class TestSharedHitOutcome:
         assert hits[0] is hits[2] and hits[1] is hits[3]
         assert [h.statement for h in hits[:2]] == [lower, upper]
         assert hits[0].values == hits[1].values
-        assert [e.statement for e in federation.audit.entries[1:]] == [
+        assert [e.statement for e in federation.audit[1:]] == [
             lower, upper, lower, upper,
         ]
 

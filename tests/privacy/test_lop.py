@@ -296,7 +296,7 @@ class TestServingPath:
             assert isinstance(executed.trace.event_log, _LazyKernelLog)
         assert federation.ledger.runs_charged == 3
         assert set(federation.ledger.charges) == set(federation.members)
-        audited = [entry.average_lop for entry in federation.audit.entries]
+        audited = [entry.average_lop for entry in federation.audit]
         assert audited == [average_lop(o.trace) for o in (outcome, *batch)]
         assert all(0.0 <= lop <= 1.0 for lop in audited)
         with pytest.raises(AssertionError, match="materialized"):
