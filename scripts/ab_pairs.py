@@ -28,7 +28,11 @@ parent's, wins (pairs in which the change read better) out of all pairs, a
 two-sided exact sign-test p over the pairs that differ, and a verdict
 (:func:`verdict`): ``improved`` when the pairs show a gain, otherwise
 ``bench/compare.py``'s own verdict on the same runs (``regress``,
-``unresolved``, ``moved`` or ``pass``).
+``unresolved``, ``moved`` or ``pass``).  A last column names, by seed and
+side, any run further than :data:`STALL_IQRS` interquartile ranges outside
+its own side's quartiles (:func:`beyond_fences`) — a stall, such as a
+process whose first run paid for something the others did not.  It is
+there to be seen; no verdict reads it.
 
 Stdlib and git only.  Exits 1 if any metric regressed or any run was
 incorrect or failed operations, else 0.
@@ -62,6 +66,9 @@ IMPROVED = "improved"
 #: ``improved``.
 WIN_SHARE = 0.9
 ALPHA = 0.05
+#: A run this many interquartile ranges below its side's first quartile or
+#: above its third is named in the table as a stall.
+STALL_IQRS = 3.0
 
 
 # -- the rules: pure functions of the samples --------------------------------
@@ -74,6 +81,14 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
         return values[0], values[0], values[0]
     first, _middle, third = statistics.quantiles(values, n=4)
     return first, statistics.median(values), third
+
+
+def beyond_fences(values: list[float]) -> list[int]:
+    """Indices of the runs more than :data:`STALL_IQRS` interquartile ranges
+    outside ``values``' own quartiles."""
+    first, _median, third = quartiles(values)
+    reach = STALL_IQRS * (third - first)
+    return [i for i, v in enumerate(values) if v < first - reach or v > third + reach]
 
 
 def sign_test_p(wins: int, losses: int) -> float:
@@ -97,6 +112,8 @@ class Comparison:
     n: int
     p: float
     verdict: str
+    #: ``(pair index, side)`` of every run :func:`beyond_fences` names.
+    stalled: tuple[tuple[int, str], ...] = ()
 
 
 def verdict(metric: "catalog.Metric", base: list[float], change: list[float]) -> Comparison:
@@ -106,7 +123,8 @@ def verdict(metric: "catalog.Metric", base: list[float], change: list[float]) ->
     of the pairs, the sign test gives p <= :data:`ALPHA`, and the medians
     are apart by more than the parent's interquartile range.  Otherwise, and
     always for an exact metric (bound 0: a move there is behaviour, not a
-    gain), the verdict is ``bench/compare.py``'s.
+    gain), the verdict is ``bench/compare.py``'s.  Runs beyond their side's
+    fences are listed in ``stalled`` and change nothing else.
     """
     if len(base) != len(change) or not base:
         raise ValueError("need the same, non-zero number of runs on each side")
@@ -125,7 +143,9 @@ def verdict(metric: "catalog.Metric", base: list[float], change: list[float]) ->
         result = IMPROVED
     else:
         result = compare.verdict(metric, base, change)
-    return Comparison(qa, qb, wins, losses, n, p, result)
+    fenced = {"parent": beyond_fences(base), "change": beyond_fences(change)}
+    stalled = [(i, side) for i in range(n) for side in fenced if i in fenced[side]]
+    return Comparison(qa, qb, wins, losses, n, p, result, tuple(stalled))
 
 
 def next_seeds(used: set[int], count: int) -> list[int]:
@@ -186,22 +206,27 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
     return result
 
 
-def table(rows: list[tuple[str, "catalog.Metric", Comparison]], correct: dict) -> str:
-    """The Markdown table, one row per workload and metric."""
+def table(
+    rows: list[tuple[str, "catalog.Metric", Comparison]], correct: dict, seeds: list[int]
+) -> str:
+    """The Markdown table, one row per workload and metric; pair ``i`` ran
+    at ``seeds[i]``."""
     out = [
         "| workload | metric | bound | parent median [q1, q3] | change median [q1, q3] "
-        "| change / parent | wins | sign p | verdict | runs correct, 0 failed |",
-        "|---|---|---|---|---|---|---|---|---|---|",
+        "| change / parent | wins | sign p | verdict | runs correct, 0 failed "
+        f"| beyond {STALL_IQRS:g}×IQR |",
+        "|---|---|---|---|---|---|---|---|---|---|---|",
     ]
     for workload, metric, c in rows:
         ratio = f"{c.change[1] / c.base[1]:.3f}" if c.base[1] else "-"
         bound = "exact" if metric.bound == 0.0 else f"{metric.bound:.0%}"
+        stalled = ", ".join(f"seed {seeds[i]} {side}" for i, side in c.stalled) or "-"
         out.append(
             f"| {workload} | {metric.name} ({metric.unit}) | {bound} "
             f"| {c.base[1]:.4g} [{c.base[0]:.4g}, {c.base[2]:.4g}] "
             f"| {c.change[1]:.4g} [{c.change[0]:.4g}, {c.change[2]:.4g}] "
             f"| {ratio} | {c.wins}/{c.n} | {c.p:.3g} | {c.verdict} "
-            f"| {correct[workload]} |"
+            f"| {correct[workload]} | {stalled} |"
         )
     return "\n".join(out) + "\n"
 
@@ -273,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
         f"`bench/run.py` at its {catalog.RUN_SECONDS} s; parent {base_rev}, "
         f"change = the checkout's working tree.\n\n"
     )
-    document = heading + table(rows, correct)
+    document = heading + table(rows, correct, seeds)
     (out / "table.md").write_text(document)
     print(document, end="")
     print(f"\nwrote {out / 'table.md'}, {out / 'parent.json'} and {out / 'change.json'}",

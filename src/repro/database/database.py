@@ -16,8 +16,6 @@ from .query import QueryError, TopKQuery
 from .schema import Schema, SchemaError
 from .table import Row, Table, VersionCounter
 
-EngineSpec = "str | Callable[[Schema], StorageEngine] | None"
-
 
 class PrivateDatabase:
     """A named collection of tables owned by one party.

@@ -33,15 +33,16 @@ module makes the storage layout a pluggable choice behind one
     values, same descending order, same tie behavior, same float rounding
     (the running sum follows Python's left-to-right ``sum``).  A column
     whose values cannot be represented losslessly in its typed array (an
-    INTEGER outside int64, a non-finite, negative-zero or integer-typed
-    value in a REAL column) **spills** the whole column to exact object storage and answers
-    through the scalar path — the engine never trades correctness for
+    INTEGER outside int64 or of an ``int`` subclass, a non-finite,
+    negative-zero or integer-typed value in a REAL column) **spills** the
+    whole column to exact object storage and answers through the scalar path — the engine never trades correctness for
     speed, it only accelerates when acceleration is exact.
 
-Engines store *normalized* rows — every schema column present, ``None`` for
-omitted nullable values — which :class:`~repro.database.table.Table`
-guarantees at staging time.  Validation, schema checks, and the ``version``
-counter stay in ``Table``; engines only hold data and answer queries.
+Rows reach an engine as columns — every schema column, ``None`` for omitted
+nullable values — which :class:`~repro.database.table.Table` transposes and
+validates before any engine sees them.  Validation, schema checks, and the
+``version`` counter stay in ``Table``; engines only hold data and answer
+queries.
 
 The module also hosts the extraction telemetry sink: install a callback
 with :func:`set_extraction_sink` (or the higher-level
@@ -166,13 +167,13 @@ class StorageEngine(ABC):
     The contract is semantic equivalence with :class:`RowStoreEngine` on
     every method: engines may lay data out however they like, but the
     answers — values, order, ties, null handling — must match the row
-    store exactly (the parity property suite enforces this).  Rows arriving
-    through :meth:`append_rows` are already schema-validated and normalized
-    (every column present).  A column batch arrives in two phases: each
-    column is handed to :meth:`seal` on its own — a canonicalized numpy
-    array (no nulls) or a validated Python list (possibly with ``None``) —
-    and, once every schema column has been sealed, :meth:`append_columns`
-    stores the sealed forms together.
+    store exactly (the parity property suite enforces this).  Every batch —
+    ``Table.insert_arrays``' arrays and ``Table.insert_many``'s rows, which
+    the table transposes into one list per column — arrives in two phases:
+    each column is handed to :meth:`seal` on its own — a canonicalized
+    numpy array (no nulls) or a validated Python list (possibly with
+    ``None``) — and, once every schema column has been sealed,
+    :meth:`append_columns` stores the sealed forms together.
     """
 
     name: ClassVar[str] = "abstract"
@@ -181,10 +182,6 @@ class StorageEngine(ABC):
         self.schema = schema
 
     # -- mutation --
-
-    @abstractmethod
-    def append_rows(self, rows: Sequence[Row]) -> None:
-        """Append validated, normalized rows."""
 
     @abstractmethod
     def seal(self, name: str, values: "np.ndarray | list") -> object:
@@ -263,9 +260,6 @@ class RowStoreEngine(StorageEngine):
     def __init__(self, schema: Schema) -> None:
         super().__init__(schema)
         self._rows: list[Row] = []
-
-    def append_rows(self, rows: Sequence[Row]) -> None:
-        self._rows.extend(rows)
 
     def seal(self, name: str, values: "np.ndarray | list") -> list:
         return values.tolist() if isinstance(values, np.ndarray) else values
@@ -560,9 +554,10 @@ class _NumericColumn:
     back exactly, decoded to ``dtype`` (int64 for INTEGER, float64 for
     REAL) for every reader — with parallel validity masks once nulls
     appear.  If any value cannot be
-    represented losslessly — an INTEGER outside int64, a REAL column fed a
-    non-finite float, ``-0.0``, or a Python ``int`` (whose *type* the row
-    store would preserve) — the entire column spills to ``exact`` object
+    represented losslessly — an INTEGER outside int64 or of an ``int``
+    subclass, a REAL column fed a non-finite float, ``-0.0``, or a Python
+    ``int`` (whose *type* the row store would preserve) — the entire column
+    spills to ``exact`` object
     storage and every query takes the scalar path.  Spilling is one-way and
     loses no data: correctness never depends on the fast path being
     available.
@@ -596,7 +591,9 @@ class _NumericColumn:
 
     def _representable(self, value: object) -> bool:
         if self.dtype.kind == "i":
-            return -(2**63) <= value <= 2**63 - 1  # type: ignore[operator]
+            # An int subclass (an IntEnum member) would read back as a
+            # plain int: a type change the row store would not make.
+            return type(value) is int and -(2**63) <= value <= 2**63 - 1
         # float64 column: Python floats are IEEE doubles, so any finite
         # float round-trips exactly; ints would come back as floats (a
         # type change the row store would not make), non-finite values
@@ -804,13 +801,6 @@ class ColumnarEngine(StorageEngine):
                 self._columns[column.name] = _ObjectColumn()
         self._count = 0
 
-    def append_rows(self, rows: Sequence[Row]) -> None:
-        if not rows:
-            return
-        for name, column in self._columns.items():
-            column.append([row[name] for row in rows])
-        self._count += len(rows)
-
     def seal(self, name: str, values: "np.ndarray | list") -> "_SealedRun | list":
         # Only a numeric column is handed an array (Table canonicalizes
         # anything else to a validated list).  A column already spilled
@@ -916,15 +906,14 @@ _ENGINE_CLASSES: dict[str, type[StorageEngine]] = {
     COLUMNAR: ColumnarEngine,
 }
 
-#: A factory callable is also accepted wherever an engine name is: it
-#: receives the schema and must return a fresh, empty engine.
-EngineSpec = "str | Callable[[Schema], StorageEngine] | None"
-
-
 def make_engine(
     spec: "str | Callable[[Schema], StorageEngine] | None", schema: Schema
 ) -> StorageEngine:
-    """Build a fresh engine for one table from a name, factory, or None."""
+    """Build a fresh engine for one table from a name, factory, or None.
+
+    A factory callable is accepted wherever an engine name is: it receives
+    the schema and must return a fresh, empty engine.
+    """
     if spec is None:
         spec = DEFAULT_ENGINE
     if callable(spec):

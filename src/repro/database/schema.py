@@ -34,6 +34,16 @@ _PYTHON_TYPES = {
     "TEXT": (str,),
 }
 
+#: ``(type, nullable)`` -> the exact value types :meth:`Column.validate`
+#: accepts (``NoneType`` too when nullable).  A batch whose every value's
+#: ``type()`` is in the set needs no per-value check; a subclass (an
+#: ``IntEnum`` member) still gets one.
+EXACT_TYPES = {
+    (ctype, nullable): frozenset(types + (type(None),) * nullable)
+    for ctype, types in _PYTHON_TYPES.items()
+    for nullable in (False, True)
+}
+
 
 @dataclass(frozen=True)
 class Column:
@@ -81,14 +91,24 @@ class Column:
 
 @dataclass(frozen=True)
 class Schema:
-    """An ordered collection of :class:`Column` objects."""
+    """An ordered collection of :class:`Column` objects.
+
+    ``names`` (in column order), ``name_set`` and the name -> column map
+    behind :meth:`column` are derived once, here: a schema is immutable.
+    """
 
     columns: tuple[Column, ...] = field(default_factory=tuple)
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    name_set: frozenset[str] = field(init=False, repr=False, compare=False)
+    _by_name: dict[str, Column] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        names = [c.name for c in self.columns]
+        names = tuple(c.name for c in self.columns)
         if len(names) != len(set(names)):
-            raise SchemaError(f"duplicate column names in schema: {names}")
+            raise SchemaError(f"duplicate column names in schema: {list(names)}")
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "name_set", frozenset(names))
+        object.__setattr__(self, "_by_name", dict(zip(names, self.columns)))
 
     @classmethod
     def of(cls, *specs: tuple[str, str] | Column) -> "Schema":
@@ -102,25 +122,25 @@ class Schema:
                 columns.append(Column(name, ctype))
         return cls(tuple(columns))
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.columns)
-
     def column(self, name: str) -> Column:
-        for c in self.columns:
-            if c.name == name:
-                return c
-        raise SchemaError(f"no such column: {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise SchemaError(f"no such column: {name!r}") from None
 
     def __contains__(self, name: object) -> bool:
-        return any(c.name == name for c in self.columns)
+        return name in self._by_name
 
     def __len__(self) -> int:
         return len(self.columns)
 
     def validate_row(self, row: dict[str, object]) -> None:
-        """Raise :class:`SchemaError` unless ``row`` fits this schema exactly."""
-        unknown = set(row) - set(self.names)
+        """Raise :class:`SchemaError` unless ``row`` fits this schema exactly.
+
+        The rule one row at a time; ``Table.insert_many`` applies it to a
+        whole batch column by column, with the same messages.
+        """
+        unknown = set(row) - self.name_set
         if unknown:
             raise SchemaError(f"unknown columns in row: {sorted(unknown)}")
         for column in self.columns:

@@ -12,6 +12,11 @@ Storage is delegated to a pluggable :class:`~repro.database.engines.StorageEngin
 validation and the ``version`` cache-invalidation counter live here and are
 engine-independent.  All engines answer bit-identically, so which one backs
 a table is a performance choice, never a semantic one.
+
+Every write reaches the engine one way, as columns: ``insert_arrays`` takes
+them as given, ``insert_many`` (and ``insert``, a batch of one) transposes
+its rows into one list per column first.  Each column is validated and
+canonicalised here, sealed by the engine, and the batch committed whole.
 """
 
 from __future__ import annotations
@@ -29,17 +34,16 @@ from .engines import (
     extraction_sink,
     make_engine,
 )
-from .schema import Column, Schema, SchemaError
+from .schema import EXACT_TYPES, Column, Schema, SchemaError
 
 Row = dict[str, object]
-EngineSpec = "str | Callable[[Schema], StorageEngine] | None"
 
 
 def _canonical(column: Column, values: Sequence | np.ndarray) -> np.ndarray | list:
     """One batch column as an engine seals it: an INTEGER array as int64, a
     REAL array as float64 when every value is representable (finite, never
     ``-0.0``), anything else as a list whose every value the column has
-    validated."""
+    validated (:func:`_validated`)."""
     if isinstance(values, np.ndarray):
         kind = values.dtype.kind
         if column.type == "INTEGER" and kind == "i":
@@ -48,12 +52,22 @@ def _canonical(column: Column, values: Sequence | np.ndarray) -> np.ndarray | li
             reals = values.astype(np.float64, copy=False)
             if _reals_representable(reals):
                 return reals
-        listed = values.tolist()
-    else:
-        listed = list(values)
-    for value in listed:
-        column.validate(value)
-    return listed
+        return _validated(column, values.tolist())
+    return _validated(column, list(values))
+
+
+def _validated(column: Column, values: list) -> list:
+    """``values`` once the column accepts every one of them.
+
+    One pass over the value types clears a clean column; only a column that
+    pass cannot clear (a subclass such as an ``IntEnum`` member, or a value
+    the column refuses) is checked value by value, so a refusal raises
+    :meth:`Column.validate`'s message for the first value it refuses.
+    """
+    if not EXACT_TYPES[column.type, bool(column.nullable)].issuperset(map(type, values)):
+        for value in values:
+            column.validate(value)
+    return values
 
 
 class VersionCounter:
@@ -117,32 +131,40 @@ class Table:
 
     # -- mutation ----------------------------------------------------------
 
-    def _normalize(self, row: Row) -> Row:
-        # Engines store full rows: every schema column present, None where
-        # the caller omitted a nullable value (validate_row already treats
-        # a missing key as None, so this changes nothing observable).
-        return {name: row.get(name) for name in self.schema.names}
-
     def insert(self, row: Row) -> None:
         """Insert one row after validating it against the schema."""
-        self.schema.validate_row(row)
-        # Store a copy so later caller-side mutation cannot corrupt the table.
-        self._engine.append_rows([self._normalize(row)])
-        self._mutated()
+        self.insert_many((row,))
 
     def insert_many(self, rows: Iterable[Row]) -> int:
         """Insert rows, returning how many were inserted.
 
-        Validation is all-or-nothing: if any row is invalid, no row is added.
+        Rows enter as columns.  One pass over ``rows`` (a generator is
+        consumed once) checks that each row's keys are schema names and
+        appends ``row.get(name)`` — ``None`` for an omitted column — to one
+        list per schema column; no caller dict is kept, so later mutation
+        of one cannot reach the table.  The lists then take the path of
+        :meth:`insert_arrays`: each is validated as a column (one pass over
+        its value types; :meth:`Column.validate` value by value only where
+        that pass fails), sealed by the engine, and the batch is committed
+        with one ``version`` bump.
+
+        All-or-nothing: if any row is invalid, ``SchemaError`` is raised
+        with the message :meth:`Schema.validate_row` gives for that row,
+        and no row is added.  With several invalid rows, the one named may
+        differ from the first in the batch.  An empty batch is not a
+        mutation.
         """
-        staged = []
-        for row in rows:
-            self.schema.validate_row(row)
-            staged.append(self._normalize(row))
-        self._engine.append_rows(staged)
-        if staged:
-            self._mutated()
-        return len(staged)
+        known = self.schema.name_set
+        columns: list[tuple[str, list]] = [(name, []) for name in self.schema.names]
+        count = 0
+        for count, row in enumerate(rows, 1):
+            if not known.issuperset(row):
+                raise SchemaError(f"unknown columns in row: {sorted(set(row) - known)}")
+            for name, values in columns:
+                values.append(row.get(name))
+        sealed = {name: self._engine.seal(name, _validated(column, values))
+                  for column, (name, values) in zip(self.schema.columns, columns)}
+        return self._commit(sealed, count)
 
     def insert_arrays(
         self,
@@ -209,19 +231,21 @@ class Table:
             sealed[name] = self._engine.seal(name, _canonical(column, values))
             # Let go of the input before the stream makes the next column.
             del values
-        missing = set(self.schema.names) - set(sealed)
+        missing = self.schema.name_set - sealed.keys()
         if missing:
             raise SchemaError(f"missing columns in batch: {sorted(missing)}")
+        return self._commit(sealed, count)
+
+    def _commit(self, sealed: dict[str, object], count: int | None) -> int:
+        """Store a batch whose every column is sealed, as one mutation (an
+        empty batch is none); the one place both insert paths land."""
         if not count:
             return 0
         self._engine.append_columns(sealed, count)
-        self._mutated()
-        return count
-
-    def _mutated(self) -> None:
         self._version += 1
         if self._database_version is not None:
             self._database_version.value += 1
+        return count
 
     @property
     def version(self) -> int:

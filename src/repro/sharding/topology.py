@@ -163,8 +163,11 @@ def _build_party(
     attribute: str,
 ) -> PrivateDatabase:
     db = PrivateDatabase(owner)
+    # One schema for all of a party's tables: a schema is immutable, and
+    # each one holds its derived name map.
+    schema = Schema.of((attribute, "INTEGER"))
     for table_name in tables:
-        table = db.create_table(table_name, Schema.of((attribute, "INTEGER")))
+        table = db.create_table(table_name, schema)
         values = held.get(table_name, ())
         if values:
             table.insert_many({attribute: int(v)} for v in values)

@@ -8,7 +8,7 @@ and the columnar engine side by side and requires exact equality, plus the
 version/cache-invalidation semantics staying engine-independent.
 
 Both sides of every comparison are defs no front end enters: the row
-store's ``append_rows`` / ``rows`` / ``bottom_k`` / ``aggregate`` and the
+store's ``rows`` / ``bottom_k`` / ``aggregate`` and the
 ``_scalar_aggregate`` it shares with spilled columns (the reference); the
 columnar ``rows`` / ``column_values`` that ``scan`` / ``project`` read
 through ``_NumericColumn.all_values`` and the TEXT ``_ObjectColumn``; and a

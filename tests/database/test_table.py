@@ -1,9 +1,14 @@
 """Unit tests for repro.database.table."""
 
+import enum
+import inspect
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.database.schema import Column, Schema, SchemaError
 from repro.database.table import Table
@@ -225,3 +230,181 @@ def test_full_column_reads_keep_no_decoded_copy():
         tracemalloc.stop()
     assert kept <= 100_000, kept
     assert table.nbytes == nbytes == 3_801_024
+
+
+# -- rows enter as columns ------------------------------------------------------
+
+
+class Level(enum.IntEnum):
+    """An int subclass: accepted by an INTEGER or REAL column, but only
+    ``Column.validate`` (not the batch's one type pass) can say so."""
+
+    HIGH = 7
+
+
+INTS = st.one_of(st.integers(-(2**40), 2**40), st.sampled_from([Level.HIGH, 2**70]))
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=32),
+    st.sampled_from([-0.0, math.nan]),
+)
+TEXTS = st.sampled_from(["x", "", "east"])
+#: Every kind of value a caller can hand a column, valid or not for it.
+VALUES = st.one_of(INTS, FLOATS, TEXTS, st.booleans(), st.none())
+#: What a column of each type accepts (``None`` aside), so that a drawn
+#: batch is often accepted whole.
+ACCEPTED = {"INTEGER": INTS, "REAL": st.one_of(FLOATS, INTS), "TEXT": TEXTS}
+NAMES = ("a", "b", "c")
+
+
+@st.composite
+def schemas(draw) -> Schema:
+    names = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=3, unique=True))
+    return Schema(
+        tuple(
+            Column(
+                name,
+                draw(st.sampled_from(("INTEGER", "REAL", "TEXT"))),
+                nullable=draw(st.booleans()),
+            )
+            for name in names
+        )
+    )
+
+
+@st.composite
+def batches(draw, schema: Schema) -> list[dict]:
+    """Up to five rows; a key is mostly a value the column accepts, else
+    missing or any value at all, and now and then a row has a key the
+    schema lacks."""
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        row = {}
+        for column in schema.columns:
+            kind = draw(st.sampled_from(("accepted",) * 6 + ("missing", "any")))
+            if kind != "missing":
+                row[column.name] = draw(ACCEPTED[column.type] if kind == "accepted" else VALUES)
+        if draw(st.integers(0, 11)) == 0:
+            row["zz"] = draw(VALUES)
+        rows.append(row)
+    return rows
+
+
+def _model_error(schema: Schema, row: dict) -> str | None:
+    """``Schema.validate_row``'s verdict on one row: its message, or None."""
+    try:
+        schema.validate_row(row)
+    except SchemaError as error:
+        return str(error)
+    return None
+
+
+def _same(values: list, expected: list) -> bool:
+    """Equal value by value, of the same type, with NaN equal to NaN and
+    ``-0.0`` told from ``0.0``."""
+    return len(values) == len(expected) and all(
+        type(v) is type(e) and (repr(v) == repr(e) if isinstance(e, float) else v == e)
+        for v, e in zip(values, expected)
+    )
+
+
+def _first_row(schema: Schema) -> dict:
+    return {
+        c.name: {"INTEGER": 1, "REAL": 0.5, "TEXT": "first"}[c.type]
+        for c in schema.columns
+    }
+
+
+@pytest.mark.parametrize("engine", ["columnar", "row"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_insert_many_matches_validate_row_applied_row_by_row(engine, data):
+    """The batch is accepted exactly when ``Schema.validate_row`` accepts
+    every row; accepted, the table reads back the model's rows (values and
+    types); refused, it raises ``SchemaError`` — with the model's message
+    when one row is bad — and the table and its ``version`` do not move."""
+    schema = data.draw(schemas())
+    rows = data.draw(batches(schema))
+    table = Table("t", schema, engine=engine)
+    table.insert(_first_row(schema))
+    before, version = table.scan(), table.version
+    errors = [e for e in (_model_error(schema, row) for row in rows) if e]
+    consumed = []
+
+    def stream():
+        for row in rows:
+            consumed.append(row)
+            yield row
+
+    if errors:
+        with pytest.raises(SchemaError) as raised:
+            table.insert_many(stream())
+        if len(errors) == 1:
+            assert str(raised.value) == errors[0]
+        assert table.version == version
+        assert len(table) == len(before)
+        for name in schema.names:
+            assert _same(table.project(name), [row[name] for row in before])
+        return
+    assert table.insert_many(stream()) == len(rows)
+    assert consumed == rows  # one pass, every row
+    expected = before + [{name: row.get(name) for name in schema.names} for row in rows]
+    assert table.version == version + (1 if rows else 0)
+    assert len(table) == len(expected)
+    scanned = table.scan()
+    assert [list(row) for row in scanned] == [list(schema.names)] * len(expected)
+    for name in schema.names:
+        column = [row[name] for row in expected]
+        assert _same(table.project(name), column), name
+        assert _same([row[name] for row in scanned], column), name
+
+
+@pytest.mark.parametrize("engine", ["columnar", "row"])
+def test_a_clean_batch_validates_by_column_type_pass_alone(engine, monkeypatch):
+    """A clean 1,000-row batch makes no ``Column.validate`` call (one type
+    pass per column clears it) and rebuilds no ``Schema.names``."""
+    schema = Schema.of(
+        ("id", "INTEGER"), ("price", "REAL"), Column("tag", "TEXT", nullable=True)
+    )
+    table = Table("t", schema, engine=engine)
+    names = schema.names
+    calls = {"validate": 0, "schema": 0}
+    validate, post_init = Column.validate, Schema.__post_init__
+
+    def counted_validate(self, value):
+        calls["validate"] += 1
+        return validate(self, value)
+
+    def counted_post_init(self):
+        calls["schema"] += 1
+        return post_init(self)
+
+    monkeypatch.setattr(Column, "validate", counted_validate)
+    monkeypatch.setattr(Schema, "__post_init__", counted_post_init)
+    rows = [
+        {"id": i, "price": i / 4, "tag": None if i % 3 else "t"} for i in range(1_000)
+    ]
+    assert table.insert_many(rows) == 1_000
+    assert calls == {"validate": 0, "schema": 0}
+    # ``names`` is data the schema holds, not a property computed per read.
+    assert inspect.getattr_static(schema, "names") is names is schema.names
+    assert table.project("price")[-1] == 999 / 4
+
+    # An int subclass fails the type pass; only its column is then checked
+    # value by value, and it is accepted.
+    table.insert_many([{"id": Level.HIGH, "price": 1.0}, {"id": 3, "price": 2.0}])
+    assert calls["validate"] == 2
+    assert table.project("id")[-2:] == [7, 3]
+    assert type(table.project("id")[-2]) is Level
+
+
+def test_a_bad_row_in_a_large_batch_names_its_value_and_lands_nothing():
+    table = Table("t", Schema.of(("v", "INTEGER"), ("w", "REAL")))
+    rows = [{"v": i, "w": float(i)} for i in range(500)]
+    rows[321] = {"v": 321, "w": "3.21"}
+    with pytest.raises(SchemaError, match=r"column 'w' expects REAL, got '3.21'"):
+        table.insert_many(rows)
+    rows[321] = {"v": 321, "w": 3.21, "x": 0}
+    with pytest.raises(SchemaError, match=r"unknown columns in row: \['x'\]"):
+        table.insert_many(iter(rows))
+    assert (len(table), table.version) == (0, 0)
+    assert table.insert_many([]) == 0 and table.version == 0

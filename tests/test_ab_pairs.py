@@ -136,3 +136,40 @@ def test_seed_ledger_reads_ranges_and_skips_what_was_used():
 def test_the_committed_ledger_parses():
     used = ab.read_seeds(ab.SEEDS_USED.read_text())
     assert {0, 120, 1907} <= used
+
+
+def test_a_run_beyond_three_iqrs_of_its_side_is_named_and_changes_no_verdict():
+    # One slow first run on the parent side (a stall), one on the change side.
+    base = list(PARENT)
+    base[0] = 200.0
+    change = [value - 28.0 for value in PARENT]
+    change[7] = 10.0
+    assert ab.beyond_fences(base) == [0]
+    assert ab.beyond_fences(change) == [7]
+    assert ab.beyond_fences(PARENT) == []
+    result = ab.verdict(PEAK, base, change)
+    assert result.stalled == ((0, "parent"), (7, "change"))
+    assert result.verdict == ab.IMPROVED
+    # Where the verdict is not ``improved`` it is still compare.py's.
+    slower = [value * 1.2 for value in base]
+    flagged = ab.verdict(PEAK, base, slower)
+    assert flagged.stalled == ((0, "parent"), (0, "change"))
+    assert flagged.verdict == ab.compare.verdict(PEAK, base, slower)
+    # Every run on the fence or inside it: nothing named.
+    assert ab.verdict(PEAK, PARENT, PARENT).stalled == ()
+    # An exact metric that never moves has a zero IQR and no stall.
+    assert ab.beyond_fences([1.0] * 10) == []
+
+
+def test_the_table_names_a_stalled_pair_by_seed_and_side():
+    base = list(PARENT)
+    base[2] = 200.0
+    rows = [("hot_repeat", PEAK, ab.verdict(PEAK, base, PARENT))]
+    seeds = list(range(171, 181))
+    lines = ab.table(rows, {"hot_repeat": "10/10 · 10/10"}, seeds).splitlines()
+    assert lines[0].endswith("| beyond 3×IQR |")
+    assert len(lines[0].split("|")) == len(lines[1].split("|")) == len(lines[2].split("|"))
+    assert lines[2].endswith("| 10/10 · 10/10 | seed 173 parent |")
+    quiet = ab.table([("hot_repeat", PEAK, ab.verdict(PEAK, PARENT, PARENT))],
+                     {"hot_repeat": "10/10 · 10/10"}, seeds)
+    assert quiet.splitlines()[2].endswith("| - |")

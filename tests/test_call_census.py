@@ -126,10 +126,6 @@ DECLARED: dict[str, tuple[str, str, str]] = {
         "reference", "tests/database/test_engines.py",
         "the row store every engine parity suite compares against",
     ),
-    "repro.database.engines:RowStoreEngine.append_rows": (
-        "reference", "tests/database/test_engines.py",
-        "the row store every engine parity suite compares against",
-    ),
     "repro.database.engines:RowStoreEngine.bottom_k": (
         "reference", "tests/database/test_engines.py",
         "the row store every engine parity suite compares against",
@@ -173,6 +169,14 @@ DECLARED: dict[str, tuple[str, str, str]] = {
     "repro.database.engines:_scalar_aggregate": (
         "reference", "tests/database/test_engines.py",
         "the row store's aggregate semantics, which spilled columns reuse",
+    ),
+    "repro.database.schema:Column.validate": (
+        "guard", "tests/database/test_table.py",
+        "outside-input validation: a batch column its one type pass cannot clear",
+    ),
+    "repro.database.schema:Schema.validate_row": (
+        "reference", "tests/database/test_table.py",
+        "the row-at-a-time rule insert_many's column-wise check is tested against",
     ),
     "repro.database.table:Table.project": (
         "design", "tests/database/test_io.py",
