@@ -146,6 +146,7 @@ def commands(bench_dir: Path) -> list[tuple[list[str], str]]:
         (cli + ["plan", "SELECT TOP 5 value FROM data WITH SLO(deadline=5.0, "
                 "backend=session)"], "2"),
         (cli + ["tpch", "--parties", "3", "--rows", "20000", "--k", "5", "--timing"], "0"),
+        (script("size_chunk_encoding.py") + ["--rows", "20000", "--repeats", "1"], "0"),
         (script("gateway_smoke.py") + ["--queries", "60", "--shards", "3", "--out",
                                         "gateway.json"], "0"),
         (script("chaos_sweep.py") + ["--drops", "0.0", "--trials", "1", "--out-dir",

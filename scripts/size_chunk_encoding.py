@@ -5,18 +5,22 @@ Per ``lineitem`` column at ``--rows`` rows: the bytes a row takes at int64 /
 float64, the encoding ``repro.database.engines._seal`` picks and its bytes,
 the milliseconds sealing takes, and the milliseconds a full ``decode()``
 takes (what the column's first scan pays on top of reading int64 / float64).
-REAL columns are sealed twice: under the shipped rule (codes of at most 16
-bits) and with int32 codes allowed, the variant the rule rejects — forced by
+REAL columns are sealed twice: under the shipped rule (codes of at most 32
+bits) and under a 16-bit cap, the variant the rule rejects — forced by
 setting ``engines._CODE_DTYPES`` for that measurement; nothing else reaches
-it.  The totals line is the trade the 16-bit rule rests on: what the last
-bytes per row cost in sealing time.
+it.  Each rule also builds one party (``lineitem_database``, sealed a
+``CHUNK_ROWS`` block at a time) under ``tracemalloc``: its peak is what the
+rule costs in memory.  The totals lines are the trade the rule rests on:
+bytes per row and build peak against milliseconds of sealing.
 
 Methodology: the generator's own arrays (``lineitem_arrays``, seed
 ``--seed``); one untimed pass first, then the best of ``--repeats`` timed
 passes per cell, the variants alternating within each repeat so machine-speed
 drift lands on all of them; every sealed run is checked to decode to the bits
 it was given.  A run kept at full width is adopted, not copied, which is why
-it seals in microseconds.
+it seals in microseconds.  The build peak is traced once per rule (it
+repeats exactly for a given row count), relative to the memory traced before
+the build.
 
     PYTHONPATH=src python scripts/size_chunk_encoding.py [--json out.json]
 """
@@ -29,16 +33,17 @@ import os
 import platform
 import sys
 import time
+import tracemalloc
 
 import numpy
 
 from repro.database import engines
-from repro.database.tpch import lineitem_arrays
+from repro.database.tpch import TPCH_TABLE, lineitem_arrays, lineitem_database
 
 SHIPPED = engines._CODE_DTYPES
 VARIANTS = {
     "shipped": SHIPPED,
-    "int32 codes": (*SHIPPED, numpy.int32),
+    "16-bit cap": (numpy.int8, numpy.int16),
 }
 
 
@@ -80,6 +85,24 @@ def _measure(name: str, values, repeats: int) -> list[dict]:
     return list(cells.values())
 
 
+def _build_peak(rows: int, seed: int, code_dtypes) -> dict:
+    """MB traced at the peak of one party's build under the given code
+    widths, MB it keeps, and the bytes a row takes once built."""
+    engines._CODE_DTYPES = code_dtypes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        table = lineitem_database("party0", seed=seed, rows=rows).table(TPCH_TABLE)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return {
+        "build_peak_mb": (peak - base) / 1e6,
+        "build_kept_mb": (kept - base) / 1e6,
+        "built_bytes_per_row": table.nbytes / max(rows, 1),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rows", type=int, default=1_000_000)
@@ -90,6 +113,11 @@ def main(argv=None) -> int:
 
     rows = []
     try:
+        lineitem_arrays(10, seed=args.seed)  # lazy imports outside the trace
+        builds = {
+            label: _build_peak(args.rows, args.seed, code_dtypes)
+            for label, code_dtypes in VARIANTS.items()
+        }
         for name, values in lineitem_arrays(args.rows, seed=args.seed).items():
             rows.extend(_measure(name, values, args.repeats))
     finally:
@@ -121,17 +149,25 @@ def main(argv=None) -> int:
         totals[label] = {
             "bytes_per_row": sum(cell["bytes"] for cell in cells),
             "seal_ms": sum(cell["seal_ms"] for cell in cells),
+            **builds[label],
         }
+        assert totals[label]["built_bytes_per_row"] == totals[label]["bytes_per_row"], (
+            f"{label}: a built party does not store what its columns sealed to"
+        )
         print(
             f"total, {label:<12}: {totals[label]['bytes_per_row']:>3} B/row "
             f"(int64 / float64: {sum(cell['canonical_bytes'] for cell in cells)}), "
-            f"{totals[label]['seal_ms']:.2f} ms to seal"
+            f"{totals[label]['seal_ms']:.2f} ms to seal, building a party peaks at "
+            f"{totals[label]['build_peak_mb']:.2f} MB and keeps "
+            f"{totals[label]['build_kept_mb']:.2f} MB"
         )
-    shipped, wider = totals["shipped"], totals["int32 codes"]
+    shipped, capped = totals["shipped"], totals["16-bit cap"]
+    more = {key: capped[key] - shipped[key] for key in shipped}
     print(
-        f"int32 codes would save {shipped['bytes_per_row'] - wider['bytes_per_row']} "
-        f"more B/row for {wider['seal_ms'] - shipped['seal_ms']:+.2f} ms of sealing "
-        f"per {args.rows} rows, and put a decode in front of every scan of the column"
+        f"the 16-bit cap would store {more['bytes_per_row']} more B/row and peak "
+        f"{more['build_peak_mb']:+.2f} MB per party build for {more['seal_ms']:+.2f} "
+        f"ms of sealing per {args.rows} rows, and save the decode in front of "
+        f"every scan of the column"
     )
     if args.json:
         document = {

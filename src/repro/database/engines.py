@@ -17,8 +17,8 @@ module makes the storage layout a pluggable choice behind one
     Numeric columns live in chunked contiguous numpy arrays, each sealed
     chunk at the narrowest width that reads back exactly (an INTEGER run
     at int8 / int16 / int32 when its range fits, a REAL run of exact
-    decimals as 8- or 16-bit codes over a power of ten, anything else at
-    int64 / float64) and decoded to int64 / float64 for every reader.  The
+    decimals as 8-, 16- or 32-bit codes over a power of ten, anything else
+    at int64 / float64) and decoded to int64 / float64 for every reader.  The
     reads the serving path makes of a column — ``top_k`` / ``bottom_k``
     (``k`` up to :data:`SUMMARY_ROWS`) and ``aggregate`` — are answered
     from one *write-maintained summary* per column: its largest and
@@ -59,6 +59,7 @@ import math
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from typing import ClassVar
 
 import numpy as np
@@ -116,11 +117,14 @@ _SCALES = (1.0, 10.0, 100.0, 1_000.0, 10_000.0)
 #: pass.
 _PROBE_ROWS = 32
 
-#: The widths a REAL run's codes may take, narrowest first.  16 bits is
-#: where it stops: a >= 4x saving pays for the verification pass, the 2x
-#: saving of int32 codes measured as a net loss in set-up time
-#: (``scripts/size_chunk_encoding.py`` re-derives it).
-_CODE_DTYPES = (np.int8, np.int16)
+#: The widths a REAL run's codes may take, narrowest first.  int32 codes
+#: halve a column of cents (``l_extendedprice``: 8 -> 4 B/row) for a
+#: verification pass and a decode in front of each full scan; once a party
+#: is sealed block by block the stored bytes *are* a build's peak, so the 4
+#: bytes are worth that (``scripts/size_chunk_encoding.py`` prints both
+#: sides against a 16-bit cap).  Past int32 a code saves nothing a float64
+#: would not.
+_CODE_DTYPES = (np.int8, np.int16, np.int32)
 
 
 # -- extraction telemetry ----------------------------------------------------
@@ -170,10 +174,11 @@ class StorageEngine(ABC):
     store exactly (the parity property suite enforces this).  Every batch —
     ``Table.insert_arrays``' arrays and ``Table.insert_many``'s rows, which
     the table transposes into one list per column — arrives in two phases:
-    each column is handed to :meth:`seal` on its own — a canonicalized
-    numpy array (no nulls) or a validated Python list (possibly with
-    ``None``) — and, once every schema column has been sealed,
-    :meth:`append_columns` stores the sealed forms together.
+    each block of a column is handed to :meth:`seal` on its own — a
+    canonicalized numpy array (no nulls) or a validated Python list
+    (possibly with ``None``) — and, once every block of every schema column
+    has been sealed, :meth:`append_columns` stores the sealed forms
+    together.
     """
 
     name: ClassVar[str] = "abstract"
@@ -185,14 +190,15 @@ class StorageEngine(ABC):
 
     @abstractmethod
     def seal(self, name: str, values: "np.ndarray | list") -> object:
-        """Column ``name`` of a batch in the form :meth:`append_columns`
+        """One block of column ``name`` in the form :meth:`append_columns`
         stores.  Changes nothing the engine holds, so a batch abandoned
-        after some of its columns were sealed leaves the rows untouched."""
+        after some of its blocks were sealed leaves the rows untouched."""
 
     @abstractmethod
-    def append_columns(self, sealed: dict[str, object], count: int) -> None:
-        """Append a batch of :meth:`seal` results: every schema column,
-        ``count`` rows each.  All or nothing: it cannot fail part way."""
+    def append_columns(self, sealed: dict[str, list], count: int) -> None:
+        """Append a batch: for every schema column, its blocks' :meth:`seal`
+        results in order, ``count`` rows in all.  All or nothing: it cannot
+        fail part way."""
 
     # -- full-row access --
 
@@ -264,11 +270,10 @@ class RowStoreEngine(StorageEngine):
     def seal(self, name: str, values: "np.ndarray | list") -> list:
         return values.tolist() if isinstance(values, np.ndarray) else values
 
-    def append_columns(self, sealed: dict[str, object], count: int) -> None:
+    def append_columns(self, sealed: dict[str, list], count: int) -> None:
         names = self.schema.names
-        self._rows.extend(
-            {name: sealed[name][i] for name in names} for i in range(count)
-        )
+        columns = [chain.from_iterable(sealed[name]) for name in names]
+        self._rows.extend(dict(zip(names, values)) for values in zip(*columns))
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -402,7 +407,10 @@ class _ColumnSummary:
     def _add(self, block: np.ndarray) -> None:
         if block.dtype.kind == "i":
             self.total += _int_sum(block)
-        else:
+            return
+        # A sum past the largest double is ``inf``, as Python's ``sum``
+        # gives it on the row store, without numpy's overflow warning.
+        with np.errstate(over="ignore"):
             self.total = float(
                 np.cumsum(np.concatenate(([self.total], block)))[-1]
             )
@@ -431,9 +439,11 @@ class _SealedRun:
     *are* the values: an INTEGER run at the narrowest of int8 / int16 /
     int32 / int64 that holds its minimum and maximum, or a REAL run as
     float64.  Otherwise the run is REAL and its values are ``codes /
-    scale``, which :func:`_decimal_codes` has checked for every value.
-    The width is a function of the values alone; canonical width is simply
-    the widest encoding, and :meth:`decode` is the only way to read a run.
+    scale`` — int8, int16 or int32 codes, the narrowest that holds them —
+    which :func:`_decimal_codes` has checked for every value.  The width is
+    a function of the values alone; canonical width is simply the widest
+    encoding, and :meth:`decode` is the only way to read a run.  A column
+    inserted in blocks holds a run per block.
     """
 
     __slots__ = ("codes", "scale")
@@ -465,7 +475,8 @@ class _SealedRun:
 def _narrowest(dtypes: Sequence[type], low: float, high: float) -> type | None:
     """The first of ``dtypes`` (narrowest first) that holds ``[low, high]``."""
     for dtype in dtypes:
-        if np.iinfo(dtype).min <= low and high <= np.iinfo(dtype).max:
+        info = np.iinfo(dtype)
+        if info.min <= low and high <= info.max:
             return dtype
     return None
 
@@ -502,6 +513,7 @@ def _decimal_codes(values: np.ndarray) -> _SealedRun | None:
         return None
     codes = np.empty(values.size, dtype=_CODE_DTYPES[-1])
     scratch = np.empty(min(values.size, _FOLD_BLOCK))
+    same = np.empty(scratch.size, dtype=bool)
     bound = 0.0
     # A huge value outside the probe overflows the multiply to inf, which
     # the range check then refuses like any other code that does not fit.
@@ -519,7 +531,7 @@ def _decimal_codes(values: np.ndarray) -> _SealedRun | None:
             # is the slow ufunc loop.  Both hold the same integers (but for
             # a -0.0, the code of a value in (-0.5 / scale, 0): no match).
             np.divide(work, scale, out=work)
-            if not np.array_equal(work, block):
+            if not np.equal(work, block, out=same[: block.size]).all():
                 return None
     width = _narrowest(_CODE_DTYPES, -bound, bound)
     return _SealedRun(codes.astype(width, copy=False), scale)
@@ -757,7 +769,12 @@ class _NumericColumn:
             values = self.chunks[0].decode()
             mask = self.masks[0] if self.masks is not None else None
         else:
-            values = np.concatenate([chunk.decode() for chunk in self.chunks])
+            # Decoded a chunk at a time into the one array a reader gets.
+            values = np.empty(self._sealed, dtype=self.dtype)
+            low = 0
+            for chunk in self.chunks:
+                values[low : low + len(chunk)] = chunk.decode()
+                low += len(chunk)
             mask = (
                 np.concatenate(self.masks) if self.masks is not None else None
             )
@@ -811,13 +828,13 @@ class ColumnarEngine(StorageEngine):
             return values.tolist()
         return _seal(values)
 
-    def append_columns(self, sealed: dict[str, object], count: int) -> None:
+    def append_columns(self, sealed: dict[str, list], count: int) -> None:
         for name, column in self._columns.items():
-            data = sealed[name]
-            if isinstance(data, _SealedRun):
-                column.append_run(data)
-            else:
-                column.append(data)
+            for data in sealed[name]:
+                if isinstance(data, _SealedRun):
+                    column.append_run(data)
+                else:
+                    column.append(data)
         self._count += count
 
     def __len__(self) -> int:

@@ -14,9 +14,10 @@ engine-independent.  All engines answer bit-identically, so which one backs
 a table is a performance choice, never a semantic one.
 
 Every write reaches the engine one way, as columns: ``insert_arrays`` takes
-them as given, ``insert_many`` (and ``insert``, a batch of one) transposes
-its rows into one list per column first.  Each column is validated and
-canonicalised here, sealed by the engine, and the batch committed whole.
+them as given (a column whole or in blocks), ``insert_many`` (and
+``insert``, a batch of one) transposes its rows into one list per column
+first.  Each block is validated and canonicalised here, sealed by the
+engine, and the batch committed whole.
 """
 
 from __future__ import annotations
@@ -162,15 +163,15 @@ class Table:
                 raise SchemaError(f"unknown columns in row: {sorted(set(row) - known)}")
             for name, values in columns:
                 values.append(row.get(name))
-        sealed = {name: self._engine.seal(name, _validated(column, values))
+        sealed = {name: [self._engine.seal(name, _validated(column, values))]
                   for column, (name, values) in zip(self.schema.columns, columns)}
         return self._commit(sealed, count)
 
     def insert_arrays(
         self,
         columns: (
-            Mapping[str, Sequence | np.ndarray]
-            | Iterable[tuple[str, Sequence | np.ndarray]]
+            Mapping[str, Sequence | np.ndarray | Iterator[np.ndarray]]
+            | Iterable[tuple[str, Sequence | np.ndarray | Iterator[np.ndarray]]]
         ),
     ) -> int:
         """Bulk-insert one value sequence per schema column; returns the count.
@@ -186,19 +187,23 @@ class Table:
 
         ``columns`` is a mapping or an iterable of ``(name, values)``
         pairs, in any column order; a mapping is read as its ``items()``.
-        Each column is checked (known name, not repeated, 1-D, as long as
-        the first) and sealed by the engine as it arrives, so a generator
-        that yields one fresh array at a time never has two of them alive
-        here.  The rows land only once every column has arrived: a stream
-        that fails on any column — or ends with one missing — raises
-        ``SchemaError`` (or whatever the stream itself raised) and leaves
-        the table as it was.
+        ``values`` is one array, a list (or other sequence) of values, or
+        an iterator of 1-D array *blocks* — one array is a stream of one
+        block.  Each block is checked (1-D), canonicalised and sealed by
+        the engine as it arrives, and let go of before the next is drawn,
+        so a generator that yields one fresh block at a time never has two
+        of them alive here.  A column's name is checked as it arrives
+        (known, not repeated) and its total once its blocks are in (as long
+        as the first column's).  The rows land only once every column has
+        arrived: a stream that fails on any block — or ends with a column
+        missing — raises ``SchemaError`` (or whatever the stream itself
+        raised) and leaves the table as it was.
 
-        The table owns what it stores.  A column the engine keeps narrower
+        The table owns what it stores.  A block the engine keeps narrower
         than the input (most are) is a fresh array; one kept at int64 /
         float64 is *adopted* when the array owns its data and is
         C-contiguous — it becomes read-only when sealed (and stays so if
-        a later column fails), so a later write through the caller's
+        a later block fails), so a later write through the caller's
         reference raises ``ValueError`` instead of changing a stored row
         behind ``version`` — and copied otherwise (a view, a strided
         slice).  A column already spilled to Python objects adopts
@@ -208,35 +213,48 @@ class Table:
         taken *before* the insert.
         """
         pairs = columns.items() if isinstance(columns, Mapping) else columns
-        sealed: dict[str, object] = {}
+        sealed: dict[str, list] = {}
         count = None
         for name, values in pairs:
             if name not in self.schema:
                 raise SchemaError(f"unknown columns in batch: [{name!r}]")
             if name in sealed:
                 raise SchemaError(f"column {name!r} repeated in batch")
-            if isinstance(values, np.ndarray) and values.ndim != 1:
-                raise SchemaError(
-                    f"column {name!r}: expected a 1-D array, got shape "
-                    f"{values.shape}"
-                )
+            column = self.schema.column(name)
+            stream = isinstance(values, Iterator)
+            runs = []
+            rows = 0
+            for block in values if stream else (values,):
+                if isinstance(block, np.ndarray):
+                    if block.ndim != 1:
+                        raise SchemaError(
+                            f"column {name!r}: expected a 1-D array, got shape "
+                            f"{block.shape}"
+                        )
+                elif stream:
+                    raise SchemaError(
+                        f"column {name!r}: expected a stream of 1-D array "
+                        f"blocks, got a block of type {type(block).__name__!r}"
+                    )
+                rows += len(block)
+                runs.append(self._engine.seal(name, _canonical(column, block)))
+                # Let go of the input before the stream draws the next block.
+                del block
+            del values
             if count is None:
-                count = len(values)
-            elif len(values) != count:
+                count = rows
+            elif rows != count:
                 raise SchemaError(
-                    f"ragged column batch: {name!r} has {len(values)} rows, "
+                    f"ragged column batch: {name!r} has {rows} rows, "
                     f"expected {count}"
                 )
-            column = self.schema.column(name)
-            sealed[name] = self._engine.seal(name, _canonical(column, values))
-            # Let go of the input before the stream makes the next column.
-            del values
+            sealed[name] = runs
         missing = self.schema.name_set - sealed.keys()
         if missing:
             raise SchemaError(f"missing columns in batch: {sorted(missing)}")
         return self._commit(sealed, count)
 
-    def _commit(self, sealed: dict[str, object], count: int | None) -> int:
+    def _commit(self, sealed: dict[str, list], count: int | None) -> int:
         """Store a batch whose every column is sealed, as one mutation (an
         empty batch is none); the one place both insert paths land."""
         if not count:

@@ -13,19 +13,21 @@ protocols are for.
 
 Everything is deterministic: party seeds derive from ``(seed, party)`` via
 SHA-256 (the repo-wide idiom, collision-free across parties), and
-generation is vectorized numpy streamed a column at a time into
+generation is vectorized numpy streamed a block of rows at a time into
 :meth:`Table.insert_arrays`, so a scale-factor-1 party (6M rows) builds in
-seconds rather than minutes.
+seconds rather than minutes, and never holds a full-width column.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 from collections.abc import Iterator
 
 import numpy as np
 
 from .database import PrivateDatabase
+from .engines import CHUNK_ROWS
 from .query import Domain, TopKQuery
 from .schema import Schema
 
@@ -78,13 +80,16 @@ def _party_seed(seed: int, party: str) -> int:
 
 def _lineitem_columns(
     rows: int, seed: int, party: str, jitter: float
-) -> Iterator[tuple[str, np.ndarray]]:
-    """One party's lineitem columns as ``(name, array)`` pairs.
+) -> Iterator[tuple[str, Iterator[np.ndarray]]]:
+    """One party's lineitem columns as ``(name, blocks)`` pairs.
 
-    Columns come in schema order as canonical numpy arrays, each drawn only
-    when asked for, so a consumer that stores each one before asking for
-    the next (:meth:`Table.insert_arrays`) never holds the whole party at
-    full width.  The arguments are checked here, at the call, not at the
+    Columns come in schema order, each an iterator of canonical numpy
+    blocks of at most :data:`CHUNK_ROWS` rows (a 0-row column is one empty
+    block), every block drawn only when asked for: a consumer that stores
+    each block before asking for the next (:meth:`Table.insert_arrays`)
+    never holds a full-width column.  All blocks come from the party's one
+    stream, so a column must be drawn to its end before the next pair is
+    asked for.  The arguments are checked here, at the call, not at the
     first ``next()``.
     """
     if rows < 0:
@@ -99,33 +104,90 @@ def _lineitem_columns(
 
 def _drawn_columns(
     rng: np.random.Generator, rows: int, jitter: float
-) -> Iterator[tuple[str, np.ndarray]]:
+) -> Iterator[tuple[str, Iterator[np.ndarray]]]:
     # Drawn in this order from the one stream (the pinned output depends on
-    # it), computed in place and let go of once yielded: for a consumer that
-    # stores each column before asking for the next, computing the price is
-    # the worst moment, at three full-width arrays (quantity, unit price,
-    # factor).
-    yield "l_orderkey", rng.integers(
-        1, LINEITEM_ROWS_PER_SF * 4, size=rows, dtype=np.int64
+    # it): every column's rows, then the next column's.  Integer draws made
+    # a block at a time continue the stream exactly where one draw would.
+    # A price needs its row's unit price *and* factor, drawn ``rows`` doubles
+    # apart, so the factors come from a copy of the stream advanced past the
+    # unit prices (one step per double); that copy is then where the
+    # discounts continue.
+    sizes = [min(CHUNK_ROWS, rows - low) for low in range(0, rows, CHUNK_ROWS)] or [0]
+    yield "l_orderkey", (
+        rng.integers(1, LINEITEM_ROWS_PER_SF * 4, size=n, dtype=np.int64)
+        for n in sizes
     )
-    yield "l_partkey", rng.integers(1, 200_001, size=rows, dtype=np.int64)
-    quantity = rng.integers(
-        _QUANTITY_LOW, _QUANTITY_HIGH + 1, size=rows, dtype=np.int64
+    yield "l_partkey", (
+        rng.integers(1, 200_001, size=n, dtype=np.int64) for n in sizes
     )
-    yield "l_quantity", quantity
-    price = rng.uniform(_UNIT_PRICE_LOW, _UNIT_PRICE_HIGH, size=rows)
-    factor = rng.uniform(1.0 - jitter, 1.0 + jitter, size=rows)
-    np.multiply(quantity, price, out=price)
-    del quantity
-    np.multiply(price, factor, out=price)
-    del factor
-    yield "l_extendedprice", np.round(price, 2, out=price)
-    del price
-    discount = rng.uniform(0.0, 0.10, size=rows)
-    yield "l_discount", np.round(discount, 2, out=discount)
-    del discount
-    tax = rng.uniform(0.0, 0.08, size=rows)
-    yield "l_tax", np.round(tax, 2, out=tax)
+    quantities: list[np.ndarray] = []
+    yield "l_quantity", _quantities(rng, sizes, quantities)
+    factors = copy.deepcopy(rng)
+    factors.bit_generator.advance(rows)
+    yield "l_extendedprice", _prices(rng, factors, quantities, jitter)
+    del quantities
+    yield "l_discount", _cents(factors, 0.10, sizes)
+    yield "l_tax", _cents(factors, 0.08, sizes)
+
+
+def _quantities(
+    rng: np.random.Generator, sizes: list[int], kept: list[np.ndarray]
+) -> Iterator[np.ndarray]:
+    """Quantity blocks, each also kept as int8 (1 B/row) for the price."""
+    for n in sizes:
+        quantity = rng.integers(
+            _QUANTITY_LOW, _QUANTITY_HIGH + 1, size=n, dtype=np.int64
+        )
+        kept.append(quantity.astype(np.int8))
+        yield quantity
+        del quantity
+
+
+def _prices(
+    unit_prices: np.random.Generator,
+    factors: np.random.Generator,
+    quantities: list[np.ndarray],
+    jitter: float,
+) -> Iterator[np.ndarray]:
+    """``quantity x unit price x factor`` in cents, a block at a time and
+    in place: a block's worst moment is two block-sized arrays."""
+    for quantity in quantities:
+        price = unit_prices.uniform(
+            _UNIT_PRICE_LOW, _UNIT_PRICE_HIGH, size=quantity.size
+        )
+        factor = factors.uniform(1.0 - jitter, 1.0 + jitter, size=quantity.size)
+        np.multiply(quantity, price, out=price)
+        np.multiply(price, factor, out=price)
+        del factor
+        yield np.round(price, 2, out=price)
+        del price
+
+
+def _cents(
+    rng: np.random.Generator, high: float, sizes: list[int]
+) -> Iterator[np.ndarray]:
+    """Blocks of rates uniform in ``[0, high)``, rounded to cents."""
+    for n in sizes:
+        rate = rng.uniform(0.0, high, size=n)
+        yield np.round(rate, 2, out=rate)
+        del rate
+
+
+def _gathered(blocks: Iterator[np.ndarray], rows: int) -> np.ndarray:
+    """A column drawn in blocks as one array: its one block as it is, or
+    each block written into one preallocated array as it arrives (never
+    the blocks beside their concatenation)."""
+    column = next(blocks)
+    if column.size < rows:
+        first, column = column, np.empty(rows, dtype=column.dtype)
+        column[: first.size] = first
+        low = first.size
+        del first
+        for block in blocks:
+            column[low : low + block.size] = block
+            low += block.size
+            del block
+    return column
 
 
 def lineitem_arrays(
@@ -139,7 +201,10 @@ def lineitem_arrays(
     every party identical pricing structure (still distinct rows, since the
     whole stream is party-seeded).
     """
-    return dict(_lineitem_columns(rows, seed, party, jitter))
+    return {
+        name: _gathered(blocks, rows)
+        for name, blocks in _lineitem_columns(rows, seed, party, jitter)
+    }
 
 
 def lineitem_database(

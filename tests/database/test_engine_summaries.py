@@ -133,13 +133,15 @@ def _decimal_run(scale):
 
 INT_RUNS = st.sampled_from([2**7 + 1, 2**15 + 1, 2**31 + 1]).flatmap(_int_run)
 # Decimal-looking values that must stay float64: sums that are one ulp off
-# a decimal, a decimal nudged by 2**-40, codes that need 17 bits.
+# a decimal, a decimal nudged by 2**-40, codes that need 33 bits.  Beside
+# them, codes of 17 to 31 bits, which a run of int32 codes holds.
 NEAR_DECIMALS = st.one_of(
     st.integers(-30000, 30000).map(lambda c: c / 100),
     st.sampled_from([0.1 + 0.2, 1 / 3]),
     st.integers(-300, 300).map(lambda c: c / 100 + 2**-40),
     st.integers(2**15, 2**17).map(lambda c: c / 100),
-    st.integers(2**15, 2**17).map(lambda c: -c / 10),
+    st.integers(2**31, 2**33).map(lambda c: c / 100),
+    st.integers(2**31, 2**33).map(lambda c: -c / 10),
 )
 REAL_RUNS = st.one_of(
     st.sampled_from([1, 10, 100, 1000, 10000]).flatmap(_decimal_run),
@@ -269,11 +271,13 @@ class SummaryParity(RuleBasedStateMachine):
         listed=st.sets(st.sampled_from(["i", "x"])),
         fault=st.sampled_from(STREAM_FAULTS),
         at=st.integers(0, 2),
+        cuts=st.lists(st.integers(0, 40), max_size=3),
     )
-    def insert_arrays_streamed(self, rows, order, listed, fault, at):
+    def insert_arrays_streamed(self, rows, order, listed, fault, at, cuts):
         # A column is an array unless drawn as a list, which may hold None
         # (and, from INTS / REALS, values that spill); an array column's
-        # None becomes a value its dtype holds.
+        # None becomes a value its dtype holds.  With ``cuts``, every array
+        # column arrives as an iterator of the blocks they cut it into.
         batch = {}
         for position, (name, dtype) in enumerate((("i", np.int64), ("x", np.float64))):
             values = [row[position] for row in rows]
@@ -281,11 +285,18 @@ class SummaryParity(RuleBasedStateMachine):
                 values = np.array([0 if v is None else v for v in values], dtype=dtype)
             batch[name] = values
         stream = _faulty([(name, batch[name]) for name in order], fault, at)
+
+        def blocked():
+            for name, values in stream:
+                if cuts and isinstance(values, np.ndarray):
+                    values = iter(np.split(values, sorted(cuts)))
+                yield name, values
+
         for database, table in zip(self.databases, (self.row, self.col)):
             before = stored(table), database.data_version
             if fault is not None:
                 with pytest.raises(SchemaError):
-                    table.insert_arrays(iter(stream))
+                    table.insert_arrays(blocked())
                 assert (stored(table), database.data_version) == before
                 continue
             spilled = [
@@ -294,8 +305,11 @@ class SummaryParity(RuleBasedStateMachine):
                 and table._engine._numeric(name).exact is not None
             ]
             mapping_form = copy.deepcopy(table)
-            assert table.insert_arrays(iter(stream)) == mapping_form.insert_arrays(batch)
-            assert stored(table) == stored(mapping_form)
+            assert table.insert_arrays(blocked()) == mapping_form.insert_arrays(batch)
+            if cuts:  # a block is a sealed run of its own: compare the reads
+                assert repr(table.scan()) == repr(mapping_form.scan())
+            else:
+                assert stored(table) == stored(mapping_form)
             for name in spilled:
                 # Stored as Python objects: the caller's array is not adopted.
                 if isinstance(batch[name], np.ndarray):
@@ -342,8 +356,8 @@ class SummaryParity(RuleBasedStateMachine):
         assert_twins_agree(self.row, self.col)
 
 
-# A float sum past 1.8e308 is ``inf`` on both engines; numpy also warns.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+# A float sum past 1.8e308 is ``inf`` on both engines, and neither warns.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scaled_down", [True, False], ids=["small", "real"])
 def test_summary_parity_stateful(monkeypatch, scaled_down):
     if scaled_down:
@@ -520,7 +534,9 @@ REAL_RUN_CASES = {
     "int8-codes": (_cents(500, low=-127, high=127), "int8/100"),
     "past-int8-codes": ([1.28, -0.5], "int16/100"),
     "int16-code-edges": ([327.67, -327.67], "int16/100"),
-    "17-bit-codes": ([327.68, 0.5], "float64"),
+    "17-bit-codes": ([327.68, 0.5], "int32/100"),
+    "int32-code-edges": ([21474836.47, -21474836.47], "int32/100"),
+    "past-int32-codes": ([21474836.48, 0.5], "float64"),
     "scale-100000": ([0.00001, 0.5], "float64"),
     "sum-of-decimals": ([0.1 + 0.2, 0.5], "float64"),
     "third": ([1 / 3], "float64"),
@@ -579,8 +595,9 @@ def test_all_null_but_one_seals_through_the_pending_tail():
 
 
 def test_one_column_holds_runs_of_different_widths():
-    """int8 then int64, decimal codes then raw doubles, in one column: every
-    read decodes each run to the canonical dtype before it meets another."""
+    """int8 then int64, decimal codes then raw doubles then wider codes, in
+    one column: every read decodes each run to the canonical dtype before it
+    meets another."""
     row, columnar = twins()
     batches = [
         {"i": np.array([1, -2, 3]), "x": np.array([0.25, 0.5, -0.75])},
@@ -593,11 +610,11 @@ def test_one_column_holds_runs_of_different_widths():
         assert_twins_agree(row, columnar)
     assert columnar._engine.encodings() == {
         "i": "int8+int64+int16",
-        "x": "int8/100+float64",
+        "x": "int8/100+float64+int32/10",
     }
     assert repr(columnar.scan()) == repr(row.scan())
     # Codes at their stored widths, plus two 9-value summary ends per column.
-    assert columnar.nbytes == 3 * (1 + 1) + 2 * (8 + 8) + 4 * (2 + 8) + 2 * 2 * 9 * 8
+    assert columnar.nbytes == 3 * (1 + 1) + 2 * (8 + 8) + 4 * (2 + 4) + 2 * 2 * 9 * 8
     assert row.nbytes is None
 
 

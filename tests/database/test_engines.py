@@ -18,6 +18,7 @@ column that spills (``_spill``) to exact objects, read back through
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +162,22 @@ def test_property_parity_floats(values, k):
             assert math.isnan(ca)
         else:
             assert ra == ca
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_float_sum_past_the_largest_double_is_inf_on_every_engine(engine):
+    """Python's ``sum`` overflows to ``inf`` silently; the columnar running
+    sum must too, as it starts and as it folds a later insert forward."""
+    table = Table("t", Schema.of(("x", "REAL")), engine=engine)
+    table.insert_many([{"x": 1e308}, {"x": 1e308}, {"x": -1e308}])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert table.aggregate("x", "sum") == math.inf
+        assert table.aggregate("x", "avg") == math.inf
+        table.insert_arrays({"x": np.array([1e308, -1e308])})
+        assert table.aggregate("x", "sum") == math.inf
+        assert table.aggregate("x", "avg") == math.inf
+        assert table.aggregate("x", "count") == 5.0
 
 
 # -- the spill mechanism: exactness beats vectorization ----------------------

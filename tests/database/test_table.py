@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.database.database import PrivateDatabase
 from repro.database.schema import Column, Schema, SchemaError
 from repro.database.table import Table
 from repro.database.tpch import TPCH_ATTRIBUTE, TPCH_TABLE, lineitem_database
@@ -211,6 +212,131 @@ class TestInsertArraysOwnership:
         assert table.scan()[0] == {"v": 0, "w": 0.0}
 
 
+@pytest.mark.parametrize("engine", ["columnar", "row"])
+class TestInsertArraysBlocks:
+    """A column may arrive as an iterator of 1-D array blocks: each block is
+    sealed as it arrives, and the batch lands whole, with one ``version``
+    bump, or not at all."""
+
+    SCHEMA = Schema.of(("v", "INTEGER"), ("w", "REAL"))
+
+    def _party(self, engine):
+        """A table in a database (so ``data_version`` is watched) holding
+        three rows, its summaries built by reads."""
+        database = PrivateDatabase("o", engine=engine)
+        table = database.create_table("t", self.SCHEMA)
+        table.insert_arrays({"v": np.arange(3), "w": np.arange(3) / 2.0})
+        table.top_k("v", 2)
+        table.aggregate("w", "sum")
+        return database, table
+
+    @staticmethod
+    def _held(database, table):
+        """Everything the table holds, summaries and arrays as bytes."""
+        held = [len(table), table.version, database.data_version, repr(table.scan())]
+        if table.engine_name == "columnar":
+            for name in ("v", "w"):
+                column = table._engine._numeric(name)
+                summary = column._summary
+                held.append((
+                    [(run.encoding, run.codes.tobytes()) for run in column.chunks],
+                    column._folded,
+                    summary.count,
+                    repr(summary.total),
+                    summary.largest.tobytes(),
+                    summary.smallest.tobytes(),
+                ))
+        return held
+
+    def test_a_stream_that_fails_after_its_first_block_lands_nothing(self, engine):
+        database, table = self._party(engine)
+        before = self._held(database, table)
+
+        def blocks():
+            yield np.arange(4)
+            raise RuntimeError("the source went away")
+
+        with pytest.raises(RuntimeError, match="went away"):
+            table.insert_arrays({"w": iter([np.ones(2), np.ones(2)]), "v": blocks()})
+        assert self._held(database, table) == before
+
+    def test_ragged_totals_name_the_column(self, engine):
+        database, table = self._party(engine)
+        before = self._held(database, table)
+        with pytest.raises(
+            SchemaError, match=r"ragged column batch: 'w' has 5 rows, expected 4"
+        ):
+            table.insert_arrays([
+                ("v", iter([np.arange(2), np.arange(2)])),
+                ("w", iter([np.ones(3), np.ones(2)])),
+            ])
+        with pytest.raises(SchemaError, match=r"'v' has 0 rows, expected 3"):
+            table.insert_arrays([("w", np.ones(3)), ("v", iter([]))])
+        assert self._held(database, table) == before
+
+    def test_a_two_dimensional_block_is_refused(self, engine):
+        database, table = self._party(engine)
+        before = self._held(database, table)
+        with pytest.raises(SchemaError, match=r"'v': expected a 1-D array, got shape"):
+            table.insert_arrays({
+                "w": np.ones(6),
+                "v": iter([np.arange(2), np.zeros((2, 2), dtype=np.int64)]),
+            })
+        assert self._held(database, table) == before
+
+    def test_an_iterator_of_scalars_is_refused_before_any_row_lands(self, engine):
+        database, table = self._party(engine)
+        before = self._held(database, table)
+        with pytest.raises(
+            SchemaError, match=r"'v': expected a stream of 1-D array blocks.*'int'"
+        ):
+            table.insert_arrays({"w": np.ones(3), "v": (i for i in range(3))})
+        with pytest.raises(SchemaError, match=r"'w':.*a block of type 'list'"):
+            table.insert_arrays({"v": np.arange(2), "w": iter([[0.5, 1.5]])})
+        assert self._held(database, table) == before
+
+    def test_an_empty_stream_beside_empty_columns_is_a_no_op(self, engine):
+        database, table = self._party(engine)
+        before = self._held(database, table)
+        assert table.insert_arrays({"v": iter([]), "w": np.empty(0)}) == 0
+        empty_blocks = iter([np.empty(0), np.empty(0)])
+        assert table.insert_arrays({"v": [], "w": empty_blocks}) == 0
+        assert self._held(database, table) == before
+
+    def test_multi_block_columns_read_back_as_one_batch(self, engine):
+        v_blocks = [
+            np.array([1, -2, 3]),
+            np.array([2**40, -(2**62)]),
+            np.array([300, -300, 7, 7], dtype=np.int32),
+        ]
+        # Cents, then raw doubles, then a -0.0: the last block spills ``w``.
+        w_blocks = [np.array([0.25, 0.5, -0.75]), np.array([1 / 3, 2**-30, 1e6]),
+                    np.array([-0.0, 2.5, 1.5])]
+        blocked = Table("t", self.SCHEMA, engine=engine)
+        assert blocked.insert_arrays({"v": iter(v_blocks), "w": iter(w_blocks)}) == 9
+        assert blocked.version == 1
+        # The reference: the row store, fed the same rows one batch of rows.
+        whole = Table("t", self.SCHEMA, engine="row")
+        whole.insert_many(
+            {"v": v, "w": w}
+            for v, w in zip(np.concatenate(v_blocks).tolist(),
+                            np.concatenate(w_blocks).tolist())
+        )
+        for name in ("v", "w"):
+            assert repr(blocked.project(name)) == repr(whole.project(name))
+            for k in (1, 4, 100):
+                assert repr(blocked.top_k(name, k)) == repr(whole.top_k(name, k))
+                assert repr(blocked.bottom_k(name, k)) == repr(whole.bottom_k(name, k))
+            for func in ("max", "min", "sum", "avg", "count"):
+                assert repr(blocked.aggregate(name, func)) == repr(
+                    whole.aggregate(name, func)
+                )
+        assert repr(blocked.scan()) == repr(whole.scan())
+        if engine == "columnar":
+            assert blocked._engine.encodings()["v"] == "int8+int64+int16"
+            assert blocked._engine._numeric("w").exact is not None
+
+
 def test_full_column_reads_keep_no_decoded_copy():
     """A read that decodes a whole column (``project``, a ``k`` past
     the summary) decodes it for that read only: a coded column keeps its
@@ -229,7 +355,7 @@ def test_full_column_reads_keep_no_decoded_copy():
     finally:
         tracemalloc.stop()
     assert kept <= 100_000, kept
-    assert table.nbytes == nbytes == 3_801_024
+    assert table.nbytes == nbytes == 3_001_024
 
 
 # -- rows enter as columns ------------------------------------------------------

@@ -20,6 +20,7 @@ from repro.database import (
     lineitem_databases,
     price_query,
 )
+from repro.database.engines import CHUNK_ROWS
 
 REAL_COLUMNS = ("l_extendedprice", "l_discount", "l_tax")
 
@@ -117,8 +118,9 @@ def test_engine_choice_does_not_change_data():
 COUNTED_ROWS = 200_000
 
 
-def _traced(build):
-    """(peak, kept) bytes of ``build()``, in units of one 8-byte column."""
+def _traced(build, rows=COUNTED_ROWS):
+    """(peak, kept) bytes of ``build()``, in units of one 8-byte column of
+    ``rows`` rows."""
     lineitem_arrays(10, seed=0)  # lazy imports happen outside the trace
     tracemalloc.start()
     try:
@@ -128,31 +130,31 @@ def _traced(build):
     finally:
         tracemalloc.stop()
     del built
-    column = COUNTED_ROWS * 8
+    column = rows * 8
     return (peak - base) / column, (kept - base) / column
 
 
-def test_lineitem_is_stored_at_nineteen_bytes_a_row():
+def test_lineitem_is_stored_at_fifteen_bytes_a_row():
     table = lineitem_database("party0", seed=5, rows=COUNTED_ROWS).table(TPCH_TABLE)
     engine = table._engine
     widths = [
         engine._numeric(name).chunks[0].codes.dtype.itemsize
         for name in LINEITEM_SCHEMA.names
     ]
-    assert widths == [4, 4, 1, 8, 1, 1]
+    assert widths == [4, 4, 1, 4, 1, 1]
     assert engine.encodings() == {
         "l_orderkey": "int32",
         "l_partkey": "int32",
         "l_quantity": "int8",
-        "l_extendedprice": "float64",
+        "l_extendedprice": "int32/100",
         "l_discount": "int8/100",
         "l_tax": "int8/100",
     }
-    assert table.nbytes == 19 * COUNTED_ROWS  # parent: 48 B/row
-    # Reads build summaries (2 x 64 values a column): still under 20 B/row.
+    assert table.nbytes == 15 * COUNTED_ROWS  # parent: 19 B/row; 48 before that
+    # Reads build summaries (2 x 64 values a column): still under 16 B/row.
     for name in LINEITEM_SCHEMA.names:
         table.top_k(name, 5)
-    assert 19 * COUNTED_ROWS < table.nbytes <= 20 * COUNTED_ROWS
+    assert 15 * COUNTED_ROWS < table.nbytes <= 16 * COUNTED_ROWS
     row_store = lineitem_database("p", seed=5, rows=100, engine="row")
     assert row_store.table(TPCH_TABLE).nbytes is None
 
@@ -178,11 +180,31 @@ def test_generator_holds_six_arrays_at_its_worst_moment():
 
 def test_building_a_party_never_holds_a_second_full_width_copy():
     peak, kept = _traced(lambda: lineitem_database("party0", seed=5, rows=COUNTED_ROWS))
-    # Streamed a column at a time, the peak is the price being computed
-    # (quantity, unit price, factor) beside 9 B/row of sealed keys and
-    # quantities; 19 B/row (2.375 columns) once it is all sealed.
-    assert peak <= 4.5  # parent: 7.7 (all six raw arrays alive while sealing)
-    assert kept <= 2.5
+    # One block (COUNTED_ROWS < CHUNK_ROWS): the peak is the price being
+    # computed (unit price, factor) beside 9 B/row of sealed keys and
+    # quantities and a 1 B/row copy of the quantities; 15 B/row (1.875
+    # columns) once it is all sealed.
+    assert peak <= 3.5  # parent: 4.2 (an int64 quantity beside the two)
+    assert kept <= 2.0
+
+
+# Four full blocks and a remainder: the blocks a party is drawn in.
+BLOCKED_ROWS = 4 * CHUNK_ROWS + 3
+
+
+def test_building_a_blocked_party_holds_its_codes_and_one_block():
+    peak, kept = _traced(
+        lambda: lineitem_database("party0", seed=5, rows=BLOCKED_ROWS), BLOCKED_ROWS
+    )
+    # The sealed codes (1.875 columns) and the last block in flight.
+    assert peak <= 2.6  # parent: 4.13 (three full-width arrays for the price)
+    assert kept == pytest.approx(1.875, abs=0.01)
+
+
+def test_blocked_generator_holds_six_arrays_and_one_block():
+    peak, kept = _traced(lambda: lineitem_arrays(BLOCKED_ROWS, seed=5), BLOCKED_ROWS)
+    assert kept == pytest.approx(6.0, abs=0.01)
+    assert peak <= 6.5
 
 
 # -- the column stream --------------------------------------------------------
@@ -229,3 +251,28 @@ def test_generator_output_is_pinned_bit_for_bit():
     assert digest.hexdigest() == (
         "e7bfccaa9f360dd4c82b6659fd7bff9733781182516d6530f374e65ea9a7811b"
     )
+
+
+def test_blocked_generator_output_is_pinned_bit_for_bit():
+    """Four blocks and a remainder, hashed at the commit before the generator
+    drew a column a block at a time: the blocks are the one draw, cut."""
+    arrays = lineitem_arrays(BLOCKED_ROWS, seed=1, party="party3", jitter=0.05)
+    digest = hashlib.sha256()
+    for name in LINEITEM_SCHEMA.names:
+        digest.update(arrays[name].tobytes())
+    assert digest.hexdigest() == (
+        "3b305f90d05440147025de2f22f43b8d241d88fa8b99cb7d85d023fb3ae73654"
+    )
+
+
+def test_blocked_party_is_sealed_a_block_at_a_time_and_reads_back():
+    table = lineitem_database("party1", seed=2, rows=BLOCKED_ROWS).table(TPCH_TABLE)
+    expected = lineitem_arrays(BLOCKED_ROWS, seed=2, party="party1")
+    engine = table._engine
+    assert table.version == 1 and len(table) == BLOCKED_ROWS
+    for name in LINEITEM_SCHEMA.names:
+        chunks = engine._numeric(name).chunks
+        assert [len(chunk) for chunk in chunks] == [CHUNK_ROWS] * 4 + [3], name
+        values = engine._numeric(name).valid_values()
+        assert np.array_equal(values.view(np.int64), expected[name].view(np.int64))
+    assert table.nbytes == 15 * BLOCKED_ROWS

@@ -92,8 +92,8 @@ class TestCommands:
         assert main(["tpch", "--parties", "3", "--rows", "500", "--k", "2"]) == 0
         out = capsys.readouterr().out
         assert (
-            "storage: 0.0 MB (19 B/row: l_orderkey int32, l_partkey int32, "
-            "l_quantity int8, l_extendedprice float64, l_discount int8/100, "
+            "storage: 0.0 MB (15 B/row: l_orderkey int32, l_partkey int32, "
+            "l_quantity int8, l_extendedprice int32/100, l_discount int8/100, "
             "l_tax int8/100)"
         ) in out
         # The row store cannot say how many bytes it holds: no line.
