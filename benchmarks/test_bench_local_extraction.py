@@ -41,13 +41,27 @@ a loop of ``Table.insert`` against one ``Table.insert_many``, interleaved on
 fresh tables.  Rows enter as columns either way; the ratio is what a batch
 saves by transposing once and checking each column with one type pass, and
 ``insert_many_us_per_row`` is its raw cost.
+
+One build point rides along too: four 1M-row parties (``scan_write``'s
+federation) built one after another by ``lineitem_database`` against one
+``lineitem_databases`` call, which builds them side by side on a thread per
+core.  Each side holds its four parties until the last is built, as a
+federation does; reps are interleaved, best-of per side.  The floor needs a
+second core to mean anything, so on one core the row carries none.
 """
 
+import os
 import time
 
 from benchdoc import emit, row
 from repro.database import COLUMNAR, ROW, Table
-from repro.database.tpch import LINEITEM_SCHEMA, TPCH_ATTRIBUTE, lineitem_arrays
+from repro.database.tpch import (
+    LINEITEM_SCHEMA,
+    TPCH_ATTRIBUTE,
+    lineitem_arrays,
+    lineitem_database,
+    lineitem_databases,
+)
 
 from conftest import BENCH_SEED
 
@@ -78,6 +92,14 @@ INGEST_REPS = 5
 #: per row.  Measured 10-13x on a 2-vCPU VM; the per-row
 #: validating batch it replaced read ~1.6x there.
 INGEST_FLOOR = 4.0
+#: The build point: ``scan_write``'s four 1M-row parties.
+BUILD_PARTIES = 4
+BUILD_ROWS = 1_000_000
+BUILD_REPS = 5
+#: Four serial party builds over one side-by-side build of the same four.
+#: Measured ~1.5x with two cores on a 2-vCPU VM (the draws, rounding and
+#: seal passes run outside the GIL; the rest of a build does not).
+BUILD_FLOOR = 1.3
 
 
 def _build(engine: str, arrays) -> Table:
@@ -125,6 +147,27 @@ def _ingest_seconds(rows: list[dict]) -> tuple[float, float]:
         batch = min(batch, time.perf_counter() - start)
         assert len(table) == len(rows)
     return loop, batch
+
+
+def _build_seconds() -> tuple[float, float]:
+    """Best of :data:`BUILD_REPS` interleaved reps: (the sum of four serial
+    ``lineitem_database`` builds, one ``lineitem_databases`` build)."""
+    owners = [f"party{i}" for i in range(BUILD_PARTIES)]
+    serial = parallel = float("inf")
+    for _ in range(BUILD_REPS):
+        held, total = [], 0.0
+        for owner in owners:
+            start = time.perf_counter()
+            held.append(lineitem_database(owner, seed=BENCH_SEED, rows=BUILD_ROWS))
+            total += time.perf_counter() - start
+        serial = min(serial, total)
+        del held
+        start = time.perf_counter()
+        held = lineitem_databases(BUILD_PARTIES, seed=BENCH_SEED, rows_per_party=BUILD_ROWS)
+        parallel = min(parallel, time.perf_counter() - start)
+        assert [len(db.table("lineitem")) for db in held] == [BUILD_ROWS] * BUILD_PARTIES
+        del held
+    return serial, parallel
 
 
 def test_bench_local_extraction():
@@ -190,6 +233,23 @@ def test_bench_local_extraction():
     )
     seconds.append(row("insert_many_us_per_row", batch / INGEST_ROWS * 1e6, "us"))
 
+    cores = len(os.sched_getaffinity(0))
+    serial, parallel = _build_seconds()
+    build = f"{BUILD_PARTIES}x{BUILD_ROWS}"
+    ratios.append(
+        row(f"serial_over_parallel_build_{build}", serial / parallel, "x",
+            at_least=BUILD_FLOOR if cores >= 2 else None)
+    )
+    seconds += [
+        row(f"serial_build_seconds_{build}", serial, "s"),
+        row(f"parallel_build_seconds_{build}", parallel, "s"),
+    ]
+    build_floor = (
+        f"floored on {cores} usable cores" if cores >= 2 else
+        "not floored: one usable core, so the pool has one worker and the "
+        "parties cannot overlap"
+    )
+
     emit(
         "local_extraction",
         f"identical seeded lineitem arrays (seed {BENCH_SEED}, {TPCH_ATTRIBUTE}, "
@@ -203,6 +263,10 @@ def test_bench_local_extraction():
         f"{WRITE_CYCLES} cycles, floored against the first scan; "
         f"insert_loop_over_insert_many times {INGEST_ROWS} lineitem dict rows "
         "inserted one Table.insert at a time against one Table.insert_many, "
-        f"each into a fresh columnar table, interleaved, best of {INGEST_REPS}",
+        f"each into a fresh columnar table, interleaved, best of {INGEST_REPS}; "
+        f"serial_over_parallel_build times {BUILD_PARTIES} parties of "
+        f"{BUILD_ROWS} rows built one lineitem_database at a time (the sum, "
+        "all four held) against one lineitem_databases call (a thread per "
+        f"core), interleaved, best of {BUILD_REPS}, {build_floor}",
         ratios + seconds,
     )

@@ -11,7 +11,11 @@ setting ``engines._CODE_DTYPES`` for that measurement; nothing else reaches
 it.  Each rule also builds one party (``lineitem_database``, sealed a
 ``CHUNK_ROWS`` block at a time) under ``tracemalloc``: its peak is what the
 rule costs in memory.  The totals lines are the trade the rule rests on:
-bytes per row and build peak against milliseconds of sealing.
+bytes per row and build peak against milliseconds of sealing.  A last line
+times four parties of ``--rows`` rows built one ``lineitem_database`` at a
+time against one ``lineitem_databases`` call, which builds them side by
+side on a thread per core: wall milliseconds and the minor page faults
+(``ru_minflt``, all threads) of each build.
 
 Methodology: the generator's own arrays (``lineitem_arrays``, seed
 ``--seed``); one untimed pass first, then the best of ``--repeats`` timed
@@ -20,7 +24,9 @@ drift lands on all of them; every sealed run is checked to decode to the bits
 it was given.  A run kept at full width is adopted, not copied, which is why
 it seals in microseconds.  The build peak is traced once per rule (it
 repeats exactly for a given row count), relative to the memory traced before
-the build.
+the build.  The two ways of building four parties alternate within each
+repeat too, each holding its four parties until the last is built; the
+faults reported are those of each side's fastest build.
 
     PYTHONPATH=src python scripts/size_chunk_encoding.py [--json out.json]
 """
@@ -31,6 +37,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import sys
 import time
 import tracemalloc
@@ -38,7 +45,15 @@ import tracemalloc
 import numpy
 
 from repro.database import engines
-from repro.database.tpch import TPCH_TABLE, lineitem_arrays, lineitem_database
+from repro.database.tpch import (
+    TPCH_TABLE,
+    lineitem_arrays,
+    lineitem_database,
+    lineitem_databases,
+)
+
+#: Parties of the serial-against-side-by-side build (``scan_write``'s four).
+PARTIES = 4
 
 SHIPPED = engines._CODE_DTYPES
 VARIANTS = {
@@ -103,6 +118,37 @@ def _build_peak(rows: int, seed: int, code_dtypes) -> dict:
     }
 
 
+def _timed(build) -> tuple[float, int]:
+    """Wall milliseconds and minor page faults of one ``build()``; what it
+    built is dropped after the clock stops."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    began = time.perf_counter()
+    built = build()
+    ended = time.perf_counter()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    del built
+    return (ended - began) * 1e3, faults
+
+
+def _party_builds(rows: int, seed: int, repeats: int) -> dict:
+    """Four parties built one at a time against side by side: the fastest
+    build of each way, as ``(ms, minor faults)``."""
+    owners = [f"party{i}" for i in range(PARTIES)]
+    ways = {
+        "serial": lambda: [lineitem_database(o, seed=seed, rows=rows) for o in owners],
+        "parallel": lambda: lineitem_databases(PARTIES, seed=seed, rows_per_party=rows),
+    }
+    best = {way: (float("inf"), 0) for way in ways}
+    for _ in range(repeats):
+        for way, build in ways.items():
+            best[way] = min(best[way], _timed(build))
+    return {
+        f"{way}_{key}": value
+        for way, (ms, faults) in best.items()
+        for key, value in (("ms", ms), ("minflt", faults))
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rows", type=int, default=1_000_000)
@@ -122,6 +168,7 @@ def main(argv=None) -> int:
             rows.extend(_measure(name, values, args.repeats))
     finally:
         engines._CODE_DTYPES = SHIPPED
+    side_by_side = _party_builds(args.rows, args.seed, args.repeats)
 
     print(
         f"sealed-chunk encodings at {args.rows} rows "
@@ -169,6 +216,14 @@ def main(argv=None) -> int:
         f"ms of sealing per {args.rows} rows, and save the decode in front of "
         f"every scan of the column"
     )
+    threads = min(PARTIES, len(os.sched_getaffinity(0)))
+    print(
+        f"{PARTIES} parties of {args.rows} rows: one at a time "
+        f"{side_by_side['serial_ms']:.1f} ms ({side_by_side['serial_minflt']} minor "
+        f"faults), side by side on {threads} threads {side_by_side['parallel_ms']:.1f} "
+        f"ms ({side_by_side['parallel_minflt']} minor faults), "
+        f"{side_by_side['serial_ms'] / side_by_side['parallel_ms']:.2f}x"
+    )
     if args.json:
         document = {
             "env": {
@@ -182,6 +237,7 @@ def main(argv=None) -> int:
             "seed": args.seed,
             "cells": rows,
             "totals": totals,
+            "party_builds": {"parties": PARTIES, "threads": threads, **side_by_side},
         }
         with open(args.json, "w") as handle:
             json.dump(document, handle, indent=2)

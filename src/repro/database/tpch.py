@@ -16,13 +16,23 @@ SHA-256 (the repo-wide idiom, collision-free across parties), and
 generation is vectorized numpy streamed a block of rows at a time into
 :meth:`Table.insert_arrays`, so a scale-factor-1 party (6M rows) builds in
 seconds rather than minutes, and never holds a full-width column.
+
+Parties share nothing, so :func:`lineitem_databases` builds them side by
+side, one party per thread on at most one thread per core the process may
+run on (numpy releases the GIL for the draws, the rounding and the seal's
+passes).
+Each party draws from its own stream into its own database, so the result
+is bit-identical to building them one after another.
 """
 
 from __future__ import annotations
 
 import copy
 import hashlib
+import math
+import os
 from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -78,6 +88,30 @@ def _party_seed(seed: int, party: str) -> int:
     return int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
 
 
+def _party_rows(rows: int | None, scale_factor: float | None) -> int:
+    """The row count ``rows`` or ``scale_factor`` (``sf x 6M`` rows, to the
+    nearest row) asks for; exactly one must be given."""
+    if (rows is None) == (scale_factor is None):
+        raise ValueError("pass exactly one of rows= or scale_factor=")
+    if rows is not None:
+        return rows
+    if not math.isfinite(scale_factor):  # type: ignore[arg-type]
+        raise ValueError(f"scale_factor must be finite, got {scale_factor}")
+    if scale_factor < 0:  # type: ignore[operator]
+        raise ValueError("scale_factor must be non-negative")
+    return round(scale_factor * LINEITEM_ROWS_PER_SF)  # type: ignore[operator]
+
+
+def _check_arguments(rows: int, jitter: float) -> None:
+    if rows < 0:
+        raise ValueError("rows must be non-negative")
+    if not 0 <= jitter < _MAX_JITTER:
+        raise ValueError(
+            f"jitter must be in [0, {_MAX_JITTER}) to keep prices inside "
+            f"the public domain, got {jitter}"
+        )
+
+
 def _lineitem_columns(
     rows: int, seed: int, party: str, jitter: float
 ) -> Iterator[tuple[str, Iterator[np.ndarray]]]:
@@ -92,13 +126,7 @@ def _lineitem_columns(
     asked for.  The arguments are checked here, at the call, not at the
     first ``next()``.
     """
-    if rows < 0:
-        raise ValueError("rows must be non-negative")
-    if not 0 <= jitter < _MAX_JITTER:
-        raise ValueError(
-            f"jitter must be in [0, {_MAX_JITTER}) to keep prices inside "
-            f"the public domain, got {jitter}"
-        )
+    _check_arguments(rows, jitter)
     return _drawn_columns(np.random.default_rng(_party_seed(seed, party)), rows, jitter)
 
 
@@ -219,16 +247,11 @@ def lineitem_database(
     """Build one party's private database holding a lineitem table.
 
     Size the table with either ``rows`` (exact row count) or
-    ``scale_factor`` (TPC-H convention: ``sf x 6M`` rows); exactly one must
-    be given.  The party's data is fully determined by ``(seed, owner)``.
+    ``scale_factor`` (TPC-H convention: ``sf x 6M`` rows, rounded to the
+    nearest row); exactly one must be given.  The party's data is fully
+    determined by ``(seed, owner)``.
     """
-    if (rows is None) == (scale_factor is None):
-        raise ValueError("pass exactly one of rows= or scale_factor=")
-    if rows is None:
-        if scale_factor < 0:  # type: ignore[operator]
-            raise ValueError("scale_factor must be non-negative")
-        rows = int(scale_factor * LINEITEM_ROWS_PER_SF)  # type: ignore[operator]
-    columns = _lineitem_columns(rows, seed, owner, jitter)
+    columns = _lineitem_columns(_party_rows(rows, scale_factor), seed, owner, jitter)
     db = PrivateDatabase(owner, engine=engine)
     db.create_table(TPCH_TABLE, LINEITEM_SCHEMA).insert_arrays(columns)
     return db
@@ -244,20 +267,33 @@ def lineitem_databases(
     engine: str | None = None,
     owner_prefix: str = "party",
 ) -> list[PrivateDatabase]:
-    """Build one lineitem-holding database per party (perturbed per party)."""
+    """Build one lineitem-holding database per party (perturbed per party),
+    in party order.
+
+    The parties are built side by side, one per thread on at most as many
+    threads as the process may run on, each by :func:`lineitem_database`;
+    every thread is joined before this returns or raises.  The arguments are
+    checked once, before any thread starts.  A party that fails raises what
+    building it alone would (the first failing party's error, in order).
+    """
     if parties < 1:
         raise ValueError("parties must be >= 1")
-    return [
-        lineitem_database(
-            f"{owner_prefix}{i}",
-            seed=seed,
-            rows=rows_per_party,
-            scale_factor=scale_factor,
-            jitter=jitter,
-            engine=engine,
-        )
-        for i in range(parties)
-    ]
+    rows = _party_rows(rows_per_party, scale_factor)
+    _check_arguments(rows, jitter)
+    workers = min(parties, len(os.sched_getaffinity(0)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        built = [
+            pool.submit(
+                lineitem_database,
+                f"{owner_prefix}{i}",
+                seed=seed,
+                rows=rows,
+                jitter=jitter,
+                engine=engine,
+            )
+            for i in range(parties)
+        ]
+    return [party.result() for party in built]
 
 
 def price_query(k: int, *, smallest: bool = False) -> TopKQuery:

@@ -1,11 +1,16 @@
 """The TPC-H-like workload builder: determinism, perturbation, and scale."""
 
 import hashlib
+import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.database import tpch
 from repro.database import (
     LINEITEM_ROWS_PER_SF,
     LINEITEM_SCHEMA,
@@ -80,6 +85,27 @@ def test_database_sizing_rows_vs_scale_factor():
         lineitem_database("p3", seed=5, rows=10, scale_factor=1.0)
 
 
+@pytest.mark.parametrize("scale_factor", [0.29, 0.57, 0.58, 0.69])
+def test_scale_factor_rounds_to_the_nearest_row(scale_factor):
+    """``0.29 * 6M`` is 1739999.9999999998 in binary floating point: a
+    truncating conversion built a row short."""
+    expected = {0.29: 1_740_000, 0.57: 3_420_000, 0.58: 3_480_000, 0.69: 4_140_000}
+    assert tpch._party_rows(None, scale_factor) == expected[scale_factor]
+
+
+def test_scale_factor_0_29_builds_exactly_1_740_000_rows():
+    db = lineitem_database("p0", seed=5, scale_factor=0.29)
+    assert len(db.table(TPCH_TABLE)) == 1_740_000
+
+
+@pytest.mark.parametrize("scale_factor", [math.nan, math.inf, -math.inf])
+def test_non_finite_scale_factor_is_refused(scale_factor):
+    with pytest.raises(ValueError, match="scale_factor must be finite"):
+        lineitem_database("p0", seed=5, scale_factor=scale_factor)
+    with pytest.raises(ValueError, match="scale_factor must be finite"):
+        lineitem_databases(2, seed=5, scale_factor=scale_factor)
+
+
 def test_database_schema_and_domain_check():
     db = lineitem_database("p0", seed=5, rows=3_000)
     table = db.table(TPCH_TABLE)
@@ -100,6 +126,107 @@ def test_federation_builder_owner_and_determinism():
     assert [db.local_topk(q) for db in dbs] == [db.local_topk(q) for db in again]
     with pytest.raises(ValueError, match="parties"):
         lineitem_databases(0, seed=9, rows_per_party=10)
+
+
+class _NoPool:
+    """Stands in for the thread pool: any attempt to start one fails."""
+
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({}, "exactly one"),
+        ({"rows_per_party": 10, "scale_factor": 0.001}, "exactly one"),
+        ({"rows_per_party": -1}, "rows must be non-negative"),
+        ({"scale_factor": -0.5}, "scale_factor must be non-negative"),
+        ({"rows_per_party": 10, "jitter": 0.1}, "jitter"),
+        ({"rows_per_party": 10, "jitter": -0.01}, "jitter"),
+    ],
+)
+def test_federation_builder_checks_arguments_before_any_thread_starts(
+    monkeypatch, kwargs, match
+):
+    monkeypatch.setattr(tpch, "ThreadPoolExecutor", _NoPool)
+    with pytest.raises(ValueError, match=match):
+        lineitem_databases(3, seed=9, **kwargs)
+
+
+def test_federation_builder_runs_one_thread_per_party_up_to_the_cores(monkeypatch):
+    sized = []
+
+    class Recording(tpch.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sized.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(tpch, "ThreadPoolExecutor", Recording)
+    cores = len(os.sched_getaffinity(0))
+    for parties in (1, 3, 8):
+        lineitem_databases(parties, seed=9, rows_per_party=10)
+    assert sized == [min(parties, cores) for parties in (1, 3, 8)]
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    return values.view(np.int64)
+
+
+def test_parallel_build_equals_serial_party_by_party():
+    """The parties built side by side are the parties built one at a time:
+    same stored codes and encodings, same counters, same answers."""
+    rows = CHUNK_ROWS + 3
+    built = lineitem_databases(4, seed=13, rows_per_party=rows, jitter=0.04)
+    assert [db.owner for db in built] == [f"party{i}" for i in range(4)]
+    for i, parallel in enumerate(built):
+        serial = lineitem_database(f"party{i}", seed=13, rows=rows, jitter=0.04)
+        assert parallel.data_version == serial.data_version
+        got, want = parallel.table(TPCH_TABLE), serial.table(TPCH_TABLE)
+        assert got.version == want.version
+        assert got.nbytes == want.nbytes
+        assert got._engine.encodings() == want._engine.encodings()
+        for name in LINEITEM_SCHEMA.names:
+            assert np.array_equal(
+                _bits(got._engine._numeric(name).valid_values()),
+                _bits(want._engine._numeric(name).valid_values()),
+            ), (i, name)
+            assert got.top_k(name, 10) == want.top_k(name, 10), (i, name)
+            assert got.bottom_k(name, 10) == want.bottom_k(name, 10), (i, name)
+            for func in ("max", "min", "sum", "avg", "count"):
+                assert got.aggregate(name, func) == want.aggregate(name, func), (
+                    i, name, func,
+                )
+
+
+def test_more_threads_than_cores_switching_often_still_build_the_serial_parties(
+    monkeypatch,
+):
+    """Nothing is shared between parties, so no interleaving can change one."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        built = lineitem_databases(8, seed=4, rows_per_party=20_000)
+    finally:
+        sys.setswitchinterval(interval)
+    for i, parallel in enumerate(built):
+        serial = lineitem_database(f"party{i}", seed=4, rows=20_000)
+        for name in LINEITEM_SCHEMA.names:
+            assert np.array_equal(
+                _bits(parallel.table(TPCH_TABLE)._engine._numeric(name).valid_values()),
+                _bits(serial.table(TPCH_TABLE)._engine._numeric(name).valid_values()),
+            ), (i, name)
+
+
+def test_a_failing_party_raises_what_the_serial_build_raises():
+    baseline = threading.active_count()
+    with pytest.raises(ValueError) as serial:
+        lineitem_database("party0", seed=0, rows=10, engine="nope")
+    with pytest.raises(type(serial.value)) as parallel:
+        lineitem_databases(4, seed=0, rows_per_party=10, engine="nope")
+    assert str(parallel.value) == str(serial.value)
+    assert threading.active_count() == baseline
 
 
 def test_engine_choice_does_not_change_data():

@@ -44,13 +44,18 @@ def test_bare_import_loads_no_subpackage_and_no_numpy():
     assert not under(modules, "numpy")
 
 
+#: The TPC-H builder and the thread pool it builds parties on: neither is on
+#: a shard worker's or the figure registry's start-up path.
+PARTY_BUILDER = ("repro.database.tpch", "concurrent.futures.thread")
+
+
 def test_shard_worker_closure():
     modules = loaded_after("import repro.sharding.worker")
     assert not under(
         modules,
         "repro.experiments", "repro.service", "repro.cli",
         "repro.deploy.runner", "repro.deploy.async_runner",
-        "repro.deploy.tcp_node", "asyncio", "_ssl",
+        "repro.deploy.tcp_node", "asyncio", "_ssl", *PARTY_BUILDER,
     )
     # 132 before the packages went lazy, 65 after.
     assert len(under(modules, "repro")) <= 70
@@ -70,7 +75,7 @@ REGISTRY_ONLY = ["repro.experiments.figures", "repro.experiments.figures.registr
 
 def test_figure_registry_closure():
     modules = loaded_after("import repro.experiments.figures.registry")
-    assert not under(modules, *NOT_ON_FIGURE_PATH)
+    assert not under(modules, *NOT_ON_FIGURE_PATH, *PARTY_BUILDER)
     # 95 while the registry imported all 19 figure modules up front, 44 after.
     assert len(under(modules, "repro")) <= 45
     assert under(modules, "repro.experiments.figures") == REGISTRY_ONLY
