@@ -78,16 +78,17 @@ census:
 	$(PYTHON) scripts/call_census.py
 
 # Where a fresh interpreter's start-up goes: the 20 most expensive imports
-# (cumulative microseconds, children included) on the two cold-start paths
-# the benchmark times -- a shard worker's boot and the figure registry --
-# and on `repro.cli`, what `repro-topk figure` pays.  Measured the way the
+# (cumulative microseconds, children included) on the cold-start path the
+# benchmark times -- the figure registry -- and on `repro.cli`, what
+# `repro-topk figure` pays.  (Shard workers fork from their gateway and
+# import nothing.)  Measured the way the
 # benchmark meets the program: a fresh copy of src/ without any __pycache__,
 # PYTHONDONTWRITEBYTECODE=1, so every repro module compiles on import while
 # the installed stdlib and NumPy keep their bytecode.
 import-profile:
 	@tree=$$(mktemp -d); \
 	tar -C src --exclude=__pycache__ -cf - repro | tar -C $$tree -xf -; \
-	for module in repro.sharding.worker repro.experiments.figures.registry repro.cli; do \
+	for module in repro.experiments.figures.registry repro.cli; do \
 		echo "=== import $$module (uncached): self us | cumulative us | module"; \
 		PYTHONPATH=$$tree PYTHONDONTWRITEBYTECODE=1 $(PYTHON) -X importtime \
 			-c "import $$module" 2>&1 \

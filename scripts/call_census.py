@@ -13,10 +13,13 @@ file: every listed def must still exist and be declared or kept by a rule
 How: a ``sitecustomize.py`` written into a temporary directory installs
 ``sys.setprofile`` and ``threading.setprofile``, records every code object
 entered, and at exit dumps the ones under ``src/repro`` to one file per
-process.  Every command runs with ``PYTHONPATH=<tmp>:src`` from inside the
-temporary directory, so subprocesses — the shard workers, ``bench/run.py``'s
-per-workload children — load the hook too and every relative default path
-lands there.  ``bench/run.py`` writes beside itself (``bench/out``) and
+process, and wraps ``os._exit`` to dump first: a forked child — a shard
+worker, a trial-pool worker — ends that way and skips ``atexit``, and it
+inherits the hook with the rest of its parent's image.  Every command runs
+with ``PYTHONPATH=<tmp>:src`` from inside the temporary directory, so
+subprocesses — ``bench/run.py``'s per-workload children, the scripts the CI
+smoke job runs — load the hook too and every relative default path lands
+there.  ``bench/run.py`` writes beside itself (``bench/out``) and
 measures the ``src`` next to it, so it runs from a copy of ``bench/`` in the
 temporary directory with ``src`` linked beside the copy; the hook matches
 files by their real path, so code reached through that link counts.  What
@@ -38,8 +41,8 @@ runs:
 
 The subcommands are read from ``python -m repro.cli --help``, not kept by
 hand: one that no command runs fails the census, by name, before anything
-runs.  A process that ends in ``os._exit`` or a SIGKILL (the chaos sweep's
-victim) records nothing; the others cover what it ran.  Stdlib only; it
+runs.  A process killed by a signal (the chaos sweep's SIGKILLed victim)
+records nothing; the others cover what it ran.  Stdlib only; it
 imports nothing from ``repro``, writes nothing under the repository but
 ``results/call_census.txt``, and takes about a minute and a half on two
 vCPUs.  Every command is seeded, so two runs on one host write the same
@@ -94,7 +97,13 @@ def _dump():
         json.dump(rows, handle)
 
 
+def _exit(code, _os_exit=os._exit):
+    _dump()
+    _os_exit(code)
+
+
 atexit.register(_dump)
+os._exit = _exit
 sys.setprofile(_profile)
 threading.setprofile(_profile)
 '''

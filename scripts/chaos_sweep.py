@@ -7,7 +7,7 @@ several transport-simulated queries with a
 distributed tracing enabled.  A run fails if the protocol raises or
 returns anything other than the exact top-k.
 
-Stage two is not simulated: it spawns real shard worker *processes*
+Stage two is not simulated: it forks real shard worker *processes*
 (:mod:`repro.sharding.worker`), SIGKILLs one mid-stream, and drives the
 sharded gateway federation across the corpse.  The contract is typed
 degradation — statements routed to the dead shard must settle as

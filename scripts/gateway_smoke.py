@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI gateway smoke: a multi-process sharded soak over real sockets.
 
-Spawns shard *worker processes* (``repro.sharding.worker``), puts a
+Forks shard *worker processes* (``repro.sharding.worker``), puts a
 :class:`~repro.service.QueryService` gateway in front of them, and
 drives a workload through twice — once against one flat federation over
 the same parties (the oracle), once against the process shards. The

@@ -7,8 +7,9 @@ binds what :func:`lazy_exports` returns::
     _EXPORTS = {"driver": ("RunConfig", "run_topk_query"), "kernel": ("KernelRun",)}
     __getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)
 
-so ``import repro.sharding.worker`` loads the modules the worker uses and not
-every module of every package on the way (DESIGN.md, "Cold start").
+so ``import repro.experiments.figures.registry`` loads the modules the
+registry uses and not every module of every package on the way (DESIGN.md,
+"Cold start").
 """
 
 from __future__ import annotations

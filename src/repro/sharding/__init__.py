@@ -2,8 +2,8 @@
 
 The gateway-facing entry point is :class:`ShardedFederation`, which
 duck-types the single-federation query surface over a set of shard
-backends (:class:`LocalShard` in-process, :class:`ProcessShard` worker
-subprocesses).  See docs/SHARDING.md for the routing and merge-exactness
+backends (:class:`LocalShard` in-process, :class:`ProcessShard` forked
+worker processes).  See docs/SHARDING.md for the routing and merge-exactness
 story.
 """
 
@@ -25,7 +25,6 @@ _EXPORTS = {
         "exact_config",
         "local_shards",
         "process_shards",
-        "shard_spec",
         "sharded_federation",
         "single_federation",
         "topology_workload",

@@ -10,9 +10,10 @@ the same small surface (``members``, ``execute_many_settled``,
     property tests' substrate, and the default for ``serve --shards``.
 
 :class:`ProcessShard`
-    A client to a :mod:`repro.sharding.worker` subprocess speaking framed
-    JSON over TCP (the deploy layer's wire framing).  Every socket
-    operation runs under a timeout and every transport failure — refused
+    A client to a worker process forked from the gateway
+    (:mod:`repro.sharding.worker`) speaking framed JSON over TCP (the
+    deploy layer's wire framing).  Every socket operation runs under a
+    timeout and every transport failure — refused
     connection, timeout, reset, truncated frame, a reply that is not the
     JSON shape the request calls for — surfaces as a typed
     :class:`~repro.sharding.errors.ShardUnavailable`, never a hang: a
@@ -21,21 +22,21 @@ the same small surface (``members``, ``execute_many_settled``,
 
 from __future__ import annotations
 
-import json
 import os
+import select
+import signal
 import socket
-import subprocess
-import sys
 import tempfile
 import threading
-from collections.abc import Callable, Sequence
-from pathlib import Path
+import time
+from collections.abc import Callable, Iterable, Sequence
 from typing import IO, TypeVar
 
 from ..deploy.wire import WireError
 from ..federation.coordinator import Federation, QueryOutcome, QueryRefused
 from ..observability.trace import TraceContext
 from ..planner.plan import Plan
+from . import worker
 from .errors import ShardError, ShardUnavailable
 from .protocol import (
     decode_outcome,
@@ -74,9 +75,16 @@ class LocalShard:
         traces: "Sequence[TraceContext | None] | None" = None,
         plans: "Sequence[Plan | None] | None" = None,
     ) -> "list[QueryOutcome | QueryRefused]":
-        return self.federation.execute_many_settled(
-            statements, issuer=issuer, traces=traces, plans=plans
-        )
+        try:
+            return self.federation.execute_many_settled(
+                statements, issuer=issuer, traces=traces, plans=plans
+            )
+        except Exception as exc:  # noqa: BLE001 — a failed batch refuses its statements
+            error = ShardError(
+                f"shard {self.index} failed its batch: {type(exc).__name__}: {exc}"
+            )
+            error.__cause__ = exc
+            return [QueryRefused(statement=text, error=error) for text in statements]
 
     def try_cached(
         self, statement: str, *, issuer: str = "anonymous"
@@ -97,19 +105,56 @@ class LocalShard:
         return None
 
 
+class _Child:
+    """A forked worker as the gateway holds it: pid, announce pipe, exit status."""
+
+    def __init__(self, pid: int, announce: int) -> None:
+        self.pid = pid
+        #: The read end of the pipe the worker announces its port on; closed
+        #: (``None``) once the handshake has read it.
+        self.announce: int | None = announce
+        self.returncode: int | None = None
+
+    def wait(self, timeout: float) -> bool:
+        """Reap the child within ``timeout`` seconds; whether it was."""
+        deadline = time.monotonic() + timeout
+        delay = 0.0005
+        while self.returncode is None:
+            pid, status = os.waitpid(self.pid, os.WNOHANG)
+            if pid:
+                self.returncode = os.waitstatus_to_exitcode(status)
+            elif time.monotonic() >= deadline:
+                return False
+            else:
+                time.sleep(delay)
+                delay = min(delay * 2, 0.05)
+        return True
+
+    def kill(self) -> None:
+        """SIGKILL and reap."""
+        if self.returncode is None:
+            os.kill(self.pid, signal.SIGKILL)
+            self.returncode = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+
+    def close_announce(self) -> None:
+        if self.announce is not None:
+            os.close(self.announce)
+            self.announce = None
+
+
 class ProcessShard:
-    """Client to one shard worker process over framed JSON / TCP."""
+    """Client to one forked shard worker over framed JSON / TCP."""
 
     concurrent = True
 
     def __init__(
         self,
-        process: subprocess.Popen,
+        process: _Child,
         stderr: IO[bytes],
         *,
         index: int = 0,
         timeout: float = 10.0,
-        members: Sequence[str] = (),
+        members: Iterable[str] = (),
     ) -> None:
         self.host = "127.0.0.1"
         self.port = 0  # the worker announces it: see ``handshake``
@@ -120,76 +165,99 @@ class ProcessShard:
         self._sock: socket.socket | None = None
         self._lock = threading.Lock()
         #: The worker's parties, known without a wire call (a dead worker
-        #: still has them): the spec's at launch, then moved by this
-        #: client's own successful ``deregister``.
+        #: still has them): the launcher's, then moved by this client's own
+        #: successful ``deregister``.
         self._members = tuple(sorted(members))
 
     # -- lifecycle ----------------------------------------------------------
 
     @classmethod
     def launch(
-        cls, spec: dict, *, index: int = 0, timeout: float = 10.0
+        cls,
+        build: Callable[[], Federation],
+        *,
+        index: int = 0,
+        timeout: float = 10.0,
+        members: Iterable[str] = (),
     ) -> "ProcessShard":
-        """Start a :mod:`repro.sharding.worker` subprocess for ``spec``.
+        """Fork a worker that serves the federation ``build()`` returns.
 
-        Returns as soon as the process exists, so a caller booting many
-        workers starts them all before it waits for any (:meth:`handshake`):
-        the spec is the worker's stdin as a file, not a pipe the parent would
-        block on until the worker has finished importing.  The worker's
-        stderr goes to an unlinked temporary file — nobody drains a pipe
-        while the worker lives, and a full one would block it mid-request.
+        The child starts from this process's loaded image — no interpreter
+        start, no imports, nothing serialised — and runs
+        :func:`~repro.sharding.worker.run`, which never returns here.  This
+        returns as soon as the child exists, so a caller booting many
+        workers starts them all before it waits for any (:meth:`handshake`).
+        The worker's stderr goes to an unlinked temporary file: nobody
+        drains a pipe while the worker lives, and a full one would block it
+        mid-request.  A fork copies only the calling thread, so with any
+        other thread alive this raises :class:`ShardError` and forks nothing.
         """
-        src_dir = str(Path(__file__).resolve().parent.parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src_dir + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
+        if not hasattr(os, "fork"):
+            raise ShardError(
+                "process shards fork their workers and this platform has no "
+                "os.fork: run these shards in-process"
+            )
+        threads = threading.active_count()
+        if threads > 1:
+            raise ShardError(
+                f"process shards fork their workers, which is unsafe with "
+                f"{threads} threads alive: launch them before starting a thread"
+            )
         stderr = tempfile.TemporaryFile()
         try:
-            with tempfile.TemporaryFile("w+") as stdin:
-                json.dump(spec, stdin)
-                stdin.seek(0)
-                process = subprocess.Popen(
-                    [sys.executable, "-m", "repro.sharding.worker"],
-                    stdin=stdin,
-                    stdout=subprocess.PIPE,
-                    stderr=stderr,
-                    env=env,
-                    text=True,
-                )
+            announce, announced = os.pipe()
         except BaseException:
             stderr.close()
             raise
-        owners = [str(party["owner"]) for party in spec.get("parties", ())]
-        return cls(process, stderr, index=index, timeout=timeout, members=owners)
+        try:
+            pid = os.fork()
+        except BaseException:
+            os.close(announce)
+            os.close(announced)
+            stderr.close()
+            raise
+        if pid == 0:
+            worker.run(
+                lambda: LocalShard(build(), index=index), announced, stderr.fileno()
+            )
+        os.close(announced)
+        return cls(
+            _Child(pid, announce), stderr, index=index, timeout=timeout,
+            members=members,
+        )
 
     def handshake(self, boot_timeout: float = 30.0) -> None:
         """Wait for the worker's ``PORT <n>`` line, the one synchronization
         point: once it is read the worker is accepting, so no request races
-        the boot.  A worker that dies instead (bad spec, import failure)
-        closes stdout and one still silent at ``boot_timeout`` is killed;
-        either way the read returns, the worker is reaped and
-        :class:`ShardError` carries the tail of its stderr.
+        the boot.  A worker that dies instead (its build raised) closes the
+        pipe and one still silent at ``boot_timeout`` is killed; either way
+        the worker is reaped and :class:`ShardError` carries the tail of its
+        stderr.
         """
-        assert self.process.stdout is not None
-        timer = threading.Timer(boot_timeout, self.process.kill)
-        timer.start()
-        try:
-            line = self.process.stdout.readline()
-        finally:
-            timer.cancel()
-        if line.startswith("PORT "):
+        fd = self.process.announce
+        assert fd is not None
+        deadline = time.monotonic() + boot_timeout
+        line = b""
+        while not line.endswith(b"\n"):
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
+                break
+            chunk = os.read(fd, 64)
+            if not chunk:
+                break
+            line += chunk
+        self.process.close_announce()
+        if line.startswith(b"PORT "):
             self.port = int(line.split()[1])
             return
         self.process.kill()
-        self.process.wait()
         size = self._stderr.seek(0, os.SEEK_END)
         self._stderr.seek(max(0, size - _STDERR_TAIL))
         stderr = self._stderr.read().decode(errors="replace")
         self._close_pipes()
         raise ShardError(
-            f"shard {self.index} worker failed to start (got {line!r}): "
-            f"{stderr.strip()}"
+            f"shard {self.index} worker failed to start "
+            f"(got {line.decode(errors='replace')!r}): {stderr.strip()}"
         )
 
     def close(self) -> None:
@@ -199,23 +267,18 @@ class ProcessShard:
         except ShardUnavailable:
             pass
         self._drop_socket()
-        try:
-            self.process.wait(timeout=self.timeout)
-        except subprocess.TimeoutExpired:
+        if not self.process.wait(self.timeout):
             self.process.kill()
-            self.process.wait()
         self._close_pipes()
 
     def kill(self) -> None:
         """SIGKILL the worker process (the chaos sweep's failure mode)."""
         self.process.kill()
-        self.process.wait()
         self._drop_socket()
         self._close_pipes()
 
     def _close_pipes(self) -> None:
-        if self.process.stdout is not None:
-            self.process.stdout.close()
+        self.process.close_announce()
         self._stderr.close()
 
     # -- wire ---------------------------------------------------------------

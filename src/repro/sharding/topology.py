@@ -9,8 +9,9 @@ topology can be materialized three interchangeable ways:
   *all* the rows (the bit-identity oracle the property tests compare
   against);
 * :func:`local_shards` — one in-process federation per shard;
-* :func:`process_shards` — one :mod:`repro.sharding.worker` subprocess per
-  shard, speaking the wire protocol.
+* :func:`process_shards` — one worker process per shard, forked from this
+  one and building what :func:`local_shards` builds, speaking the wire
+  protocol.
 
 Row values are drawn as domain integers, so every protocol arithmetic in
 the exactness argument (docs/SHARDING.md) stays bit-exact: integer-valued
@@ -21,7 +22,8 @@ unchanged.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 
 from ..core.driver import RunConfig
 from ..core.params import ProtocolParams
@@ -34,7 +36,6 @@ from .errors import ShardError
 from .federation import ShardedFederation
 from .router import ShardRouter, shard_index
 from .shards import LocalShard, ProcessShard
-from .worker import spec_config
 
 
 @dataclass(frozen=True)
@@ -192,75 +193,37 @@ def single_federation(
     return federation
 
 
+def _shard_federation(
+    topology: ShardTopology, index: int, config: RunConfig | None = None, **kwargs
+) -> Federation:
+    """Shard ``index``'s federation: its parties, its table slice, its seed.
+
+    The one body both backends build with: :func:`local_shards` calls it in
+    this process, :func:`process_shards` in each forked worker.
+    """
+    federation = Federation(
+        domain=topology.domain,
+        config=config if config is not None else exact_config(),
+        seed=topology.seed + index,
+        **kwargs,
+    )
+    tables = topology.shard_tables(index)
+    assignment = topology.assignments[index]
+    for owner in sorted(assignment):
+        federation.register(
+            _build_party(owner, tables, assignment[owner], topology.attribute)
+        )
+    return federation
+
+
 def local_shards(
     topology: ShardTopology, *, config: RunConfig | None = None, **kwargs
 ) -> list[LocalShard]:
     """One in-process federation per shard, holding only its table slice."""
-    shards: list[LocalShard] = []
-    for index, assignment in enumerate(topology.assignments):
-        federation = Federation(
-            domain=topology.domain,
-            config=config if config is not None else exact_config(),
-            seed=topology.seed + index,
-            **kwargs,
-        )
-        tables = topology.shard_tables(index)
-        for owner in sorted(assignment):
-            federation.register(
-                _build_party(owner, tables, assignment[owner], topology.attribute)
-            )
-        shards.append(LocalShard(federation, index=index))
-    return shards
-
-
-def shard_spec(
-    topology: ShardTopology, shard: int, config: RunConfig | None = None
-) -> dict:
-    """The :mod:`repro.sharding.worker` stdin spec for one shard.
-
-    ``config`` is the one :func:`local_shards` would receive
-    (:func:`exact_config` when ``None``), so process and local twins run
-    the same protocol.  The JSON spec names a protocol, a round count and
-    an exponential schedule, nothing else; a config the worker would not
-    rebuild equal (its per-query seed aside — shards derive those from the
-    topology's) is refused here rather than silently run differently.
-    """
-    config = config if config is not None else exact_config()
-    schedule = config.params.schedule
-    assignment = topology.assignments[shard]
-    tables = topology.shard_tables(shard)
-    spec = {
-        "shard": shard,
-        "seed": topology.seed + shard,
-        "domain": {
-            "low": topology.domain.low,
-            "high": topology.domain.high,
-            "integral": topology.domain.integral,
-        },
-        "attribute": topology.attribute,
-        "schedule": {
-            "p0": getattr(schedule, "p0", 1.0),
-            "d": getattr(schedule, "d", 0.5),
-        },
-        "rounds": config.params.rounds,
-        "protocol": config.protocol,
-        "parties": [
-            {
-                "owner": owner,
-                "tables": {t: assignment[owner].get(t, []) for t in tables},
-            }
-            for owner in sorted(assignment)
-        ],
-        "types": {t: "INTEGER" for t in tables},
-    }
-    rebuilt = replace(spec_config(spec), seed=config.seed)
-    if rebuilt != config:
-        raise ShardError(
-            f"a process shard's JSON spec carries a protocol, a round count "
-            f"and an exponential (p0, d) schedule only: {config!r} would run "
-            f"as {rebuilt!r}; run these shards in-process"
-        )
-    return spec
+    return [
+        LocalShard(_shard_federation(topology, index, config, **kwargs), index=index)
+        for index in range(topology.shard_count)
+    ]
 
 
 def process_shards(
@@ -270,20 +233,27 @@ def process_shards(
     timeout: float = 10.0,
     boot_timeout: float = 30.0,
 ) -> list[ProcessShard]:
-    """One worker process per shard, booted concurrently.
+    """One worker process per shard, forked from this one, booted concurrently.
 
-    Every worker is launched before any is waited for, so the boots
-    (interpreter + imports + build, each) overlap instead of adding up;
-    handshakes are then collected in shard order.  A worker that fails to
-    boot, or is still silent at ``boot_timeout``, raises :class:`ShardError`
-    with its stderr, and every worker launched so far is killed and reaped
-    first.
+    Each worker builds its shard with :func:`_shard_federation`, as
+    :func:`local_shards` does here, so a process shard is its local twin by
+    construction, for any ``config``.  Every worker is launched before any
+    is waited for, so the builds overlap instead of adding up; handshakes
+    are then collected in shard order.  A worker that fails to boot, or is
+    still silent at ``boot_timeout``, raises :class:`ShardError` with its
+    stderr, and every worker launched so far is killed and reaped first.
     """
-    specs = [shard_spec(topology, i, config) for i in range(topology.shard_count)]
     shards: list[ProcessShard] = []
     try:
-        for index, spec in enumerate(specs):
-            shards.append(ProcessShard.launch(spec, index=index, timeout=timeout))
+        for index in range(topology.shard_count):
+            shards.append(
+                ProcessShard.launch(
+                    partial(_shard_federation, topology, index, config),
+                    index=index,
+                    timeout=timeout,
+                    members=topology.assignments[index],
+                )
+            )
         for shard in shards:
             shard.handshake(boot_timeout)
     except BaseException:
@@ -302,7 +272,7 @@ def sharded_federation(
 ) -> ShardedFederation:
     """A ready :class:`ShardedFederation` over the topology's shards.
 
-    ``processes=True`` spawns one worker subprocess per shard; otherwise
+    ``processes=True`` forks one worker process per shard; otherwise
     shards are in-process federations.  The router already knows the
     topology's partitioned tables, and DP statements calibrate against the
     topology's domain unless a ``domain=`` override is passed.
@@ -366,7 +336,6 @@ __all__ = [
     "exact_config",
     "local_shards",
     "process_shards",
-    "shard_spec",
     "sharded_federation",
     "single_federation",
     "topology_workload",

@@ -7,6 +7,7 @@ bit-identical to the serial path — same final vectors, same ring orders,
 same per-round snapshots, same aggregates.
 """
 
+import threading
 from dataclasses import replace
 
 import pytest
@@ -30,6 +31,18 @@ from repro.experiments.runner import (
 #: These classes exercise the real pool; the gate would (correctly) refuse
 #: it for workloads this small.  The gate itself is ``TestPoolGating``'s.
 real_pool = pytest.mark.usefixtures("ungated_pool")
+
+
+@pytest.fixture(scope="module", autouse=True)
+def no_pool_thread_outlives_the_module():
+    """The shared pool lives on between runs by design; its threads must not
+    outlive these tests, or every later process-shard test meets a process
+    it may not fork (``ProcessShard.launch`` refuses with a thread alive)."""
+    yield
+    shutdown_pool()
+    for thread in threading.enumerate():
+        if thread is not threading.main_thread():
+            thread.join(timeout=30)
 
 PROTOCOL_SETUPS = {
     "naive": dict(n=4, k=1, protocol="naive"),

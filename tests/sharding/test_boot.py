@@ -1,15 +1,17 @@
-"""Process-shard boot: concurrent launch, reaping on failure, no leaked fds.
+"""Process-shard boot: concurrent forks, reaping on failure, fd hygiene.
 
-Counted, not timed: the order of launches and handshakes, the liveness of
-every launched child and the parent's open-fd count are facts a slow box
-cannot blur.
+Counted, not timed: the order of forks and handshakes, the liveness of
+every forked child, the descriptors a child holds and the parent's open-fd
+count are facts a slow box cannot blur.
 """
 
+import atexit
 import dataclasses
 import gc
 import os
+import socket
 import subprocess
-import sys
+import threading
 import time
 import warnings
 
@@ -19,12 +21,30 @@ from repro.sharding import ShardError, build_topology, sharded_federation
 from repro.sharding.shards import ProcessShard
 from repro.sharding.topology import process_shards
 
-SILENT = "import time; time.sleep(60)"
-#: A real worker that first writes 1 MiB to stderr: 16 pipe buffers' worth.
-NOISY = (
-    "import sys; sys.stderr.write('x' * 2**20); sys.stderr.flush();"
-    "from repro.sharding.worker import main; sys.exit(main())"
+needs_proc = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="reads fds through /proc"
 )
+
+
+def _silent(build):
+    return lambda: time.sleep(60)
+
+
+def _noisy(build):
+    """A real build that first writes 1 MiB to stderr: 16 pipe buffers' worth."""
+
+    def flood():
+        os.write(2, b"x" * 2**20)
+        return build()
+
+    return flood
+
+
+def _failing(build):
+    def fail():
+        raise RuntimeError("boot refused on purpose")
+
+    return fail
 
 
 def _topology(shards=2, seed=5):
@@ -35,46 +55,59 @@ def _topology(shards=2, seed=5):
 
 
 @pytest.fixture
-def recorded_popen(monkeypatch):
-    """Record every ``subprocess.Popen`` and every handshake, in order.
+def recorded_fork(monkeypatch):
+    """Record every ``os.fork`` and every handshake, in order.
 
-    ``events`` is the interleaved log; ``children`` the launched processes;
-    ``programs[i]``, when set, replaces the i-th launch's ``-m`` worker by a
-    ``python -c`` program.
+    ``events`` is the interleaved log; ``children`` the forked pids;
+    ``swaps[i]``, when set, wraps the i-th launch's shard build (it is given
+    the real build and returns the one the child runs).
     """
-    events, children, programs = [], [], {}
+    events, children, swaps = [], [], {}
+    fork = os.fork
 
-    class RecordedPopen(subprocess.Popen):
-        def __init__(self, args, **kwargs):
-            program = programs.get(len(children))
-            if program is not None:
-                args = [sys.executable, "-c", program]
-            super().__init__(args, **kwargs)
+    def recorded():
+        pid = fork()
+        if pid:
             events.append("launch")
-            children.append(self)
+            children.append(pid)
+        return pid
 
-    original = ProcessShard.handshake
+    launch = ProcessShard.launch.__func__
 
-    def handshake(self, boot_timeout=30.0):
+    def swapped(cls, build, **kwargs):
+        swap = swaps.get(len(children))
+        return launch(cls, swap(build) if swap else build, **kwargs)
+
+    handshake = ProcessShard.handshake
+
+    def recorded_handshake(self, boot_timeout=30.0):
         events.append("handshake")
-        return original(self, boot_timeout)
+        return handshake(self, boot_timeout)
 
-    monkeypatch.setattr(subprocess, "Popen", RecordedPopen)
-    monkeypatch.setattr(ProcessShard, "handshake", handshake)
-    return events, children, programs
+    monkeypatch.setattr(os, "fork", recorded)
+    monkeypatch.setattr(ProcessShard, "launch", classmethod(swapped))
+    monkeypatch.setattr(ProcessShard, "handshake", recorded_handshake)
+    return events, children, swaps
 
 
 def _all_reaped(children):
-    return all(child.poll() is not None for child in children)
+    """Whether every pid was already reaped (a live or zombie child is not)."""
+    for pid in children:
+        try:
+            os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            continue
+        return False
+    return True
 
 
-def test_every_worker_is_launched_before_any_handshake(recorded_popen):
-    events, children, _programs = recorded_popen
+def test_every_worker_is_launched_before_any_handshake(recorded_fork):
+    events, children, _swaps = recorded_fork
     shards = process_shards(_topology(shards=3))
     try:
         assert events == ["launch"] * 3 + ["handshake"] * 3
         assert [shard.index for shard in shards] == [0, 1, 2]
-        assert [shard.process for shard in shards] == children
+        assert [shard.process.pid for shard in shards] == children
         assert all(shard._request({"op": "ping"})["ok"] for shard in shards)
     finally:
         for shard in shards:
@@ -83,9 +116,9 @@ def test_every_worker_is_launched_before_any_handshake(recorded_popen):
 
 
 def test_unbootable_shard_raises_with_its_stderr_and_reaps_every_worker(
-    recorded_popen,
+    recorded_fork,
 ):
-    _events, children, _programs = recorded_popen
+    _events, children, _swaps = recorded_fork
     topology = _topology(shards=3)
     # Shard 1's first party holds a row no worker can cast: its build raises.
     broken = [dict(shard) for shard in topology.assignments]
@@ -103,9 +136,9 @@ def test_unbootable_shard_raises_with_its_stderr_and_reaps_every_worker(
     assert _all_reaped(children)
 
 
-def test_silent_worker_is_killed_at_boot_timeout(recorded_popen):
-    _events, children, programs = recorded_popen
-    programs[1] = SILENT
+def test_silent_worker_is_killed_at_boot_timeout(recorded_fork):
+    _events, children, swaps = recorded_fork
+    swaps[1] = _silent
     began = time.monotonic()
     with pytest.raises(ShardError, match="shard 1 worker failed to start"):
         process_shards(_topology(shards=2), boot_timeout=1.0)
@@ -114,9 +147,9 @@ def test_silent_worker_is_killed_at_boot_timeout(recorded_popen):
     assert _all_reaped(children)
 
 
-def test_worker_that_floods_stderr_still_serves(recorded_popen):
-    _events, children, programs = recorded_popen
-    programs[0] = NOISY
+def test_worker_that_floods_stderr_still_serves(recorded_fork):
+    _events, children, swaps = recorded_fork
+    swaps[0] = _noisy
     shards = process_shards(_topology(shards=1), timeout=5.0)
     try:
         assert shards[0]._request({"op": "ping"})["ok"]
@@ -127,9 +160,97 @@ def test_worker_that_floods_stderr_still_serves(recorded_popen):
     assert _all_reaped(children)
 
 
-@pytest.mark.skipif(
-    not os.path.isdir("/proc/self/fd"), reason="counts fds through /proc"
-)
+@needs_proc
+def test_a_worker_holds_its_own_fds_only_and_frees_a_gateway_port(recorded_fork):
+    _events, children, _swaps = recorded_fork
+    gateway = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    gateway.bind(("127.0.0.1", 0))
+    gateway.listen(1)
+    port = gateway.getsockname()[1]
+    shards = process_shards(_topology(shards=1))
+    try:
+        gateway.close()
+        # A worker that kept its inherited copy would still hold the port.
+        again = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            again.bind(("127.0.0.1", port))
+            again.listen(1)
+        finally:
+            again.close()
+        pid = shards[0].process.pid
+        held = {
+            int(fd): os.readlink(f"/proc/{pid}/fd/{fd}")
+            for fd in os.listdir(f"/proc/{pid}/fd")
+        }
+        stderr = os.readlink(f"/proc/self/fd/{shards[0]._stderr.fileno()}")
+        assert held.pop(0) == held.pop(1) == os.devnull
+        assert held.pop(2) == stderr
+        # What is left is the worker's own listener: no pipe, no file, no
+        # socket of the gateway's.
+        assert len(held) == 1 and next(iter(held.values())).startswith("socket:")
+    finally:
+        for shard in shards:
+            shard.close()
+    assert _all_reaped(children)
+
+
+def test_a_failing_child_runs_no_gateway_atexit_handler_or_finally(
+    recorded_fork, tmp_path
+):
+    _events, children, swaps = recorded_fork
+    swaps[0] = _failing
+    gateway = os.getpid()
+    marker = tmp_path / "gateway-code-ran-in-a-child"
+
+    def mark():
+        if os.getpid() != gateway:
+            marker.write_text(str(os.getpid()))
+
+    atexit.register(mark)
+    try:
+        with pytest.raises(ShardError, match="boot refused on purpose"):
+            try:
+                process_shards(_topology(shards=1))
+            finally:
+                mark()
+    finally:
+        atexit.unregister(mark)
+    assert len(children) == 1 and _all_reaped(children)
+    assert not marker.exists()
+
+
+def test_process_shards_run_no_subprocess(recorded_fork, monkeypatch):
+    _events, children, _swaps = recorded_fork
+    popened = []
+
+    class RefusedPopen(subprocess.Popen):
+        def __init__(self, args, **kwargs):
+            popened.append(args)
+            raise AssertionError(f"process_shards ran a subprocess: {args!r}")
+
+    monkeypatch.setattr(subprocess, "Popen", RefusedPopen)
+    shards = process_shards(_topology(shards=2))
+    for shard in shards:
+        shard.close()
+    assert popened == []
+    assert len(children) == 2 and _all_reaped(children)
+
+
+def test_a_live_thread_refuses_the_fork(recorded_fork):
+    events, children, _swaps = recorded_fork
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        with pytest.raises(ShardError, match="unsafe with 2 threads alive"):
+            process_shards(_topology(shards=2))
+    finally:
+        release.set()
+        thread.join()
+    assert events == [] and children == []
+
+
+@needs_proc
 def test_closed_and_killed_shards_hold_no_fds_and_warn_nothing():
     def open_fds():
         return len(os.listdir("/proc/self/fd"))
@@ -139,7 +260,7 @@ def test_closed_and_killed_shards_hold_no_fds_and_warn_nothing():
     gc.collect()
     before = open_fds()
     # Keep every dead federation reachable: fds must go at close()/kill(),
-    # not whenever the collector finds the Popen objects.
+    # not whenever the collector finds the shard objects.
     dead = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

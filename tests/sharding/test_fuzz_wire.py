@@ -175,9 +175,7 @@ def test_recv_json_returns_an_object_or_wire_error(body):
 
 
 class _NoProcess:
-    """Stands in for the worker's ``Popen``: there is no worker."""
-
-    stdout = None
+    """Stands in for the forked worker's handle: there is no worker."""
 
 
 @contextmanager

@@ -2,9 +2,8 @@
 
 A module stays under ``src/repro`` only if a front end imports it
 transitively, or it sits in :data:`ALLOWED` with a one-line reason.  The
-front ends are the three entry points the repo ships — the ``repro-topk``
-CLI, the shard worker a ``ProcessShard`` launches, the figure registry — and
-every ``repro`` import of the files under ``bench/``, ``benchmarks/`` and
+front ends are the two entry points the repo ships — the ``repro-topk``
+CLI and the figure registry — and every ``repro`` import of the files under ``bench/``, ``benchmarks/`` and
 ``scripts/``.  ``examples/`` and ``tests/`` are not roots: a demonstration or
 a test of a module is not a caller of it.  A string that is exactly a
 module's dotted name is an edge like an import: the figure registry names
@@ -25,7 +24,6 @@ SRC = ROOT / "src"
 
 ENTRY_POINTS = (
     "repro.cli",
-    "repro.sharding.worker",
     "repro.experiments.figures.registry",
 )
 ROOT_DIRS = ("bench", "benchmarks", "scripts")
