@@ -23,7 +23,7 @@ test:
 DP_RELEASE = src/repro/federation/dp_release.py src/repro/federation/outcomes.py
 HIT_PATH = src/repro/federation/audit.py src/repro/federation/cache.py
 lint:
-	$(PYTHON) -m ruff check src tests benchmarks scripts
+	$(PYTHON) -m ruff check src tests benchmarks scripts examples
 	$(PYTHON) -m ruff format --check src/repro/observability src/repro/service \
 		$(DP_RELEASE) $(HIT_PATH)
 

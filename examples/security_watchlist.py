@@ -7,9 +7,9 @@ they cannot indiscriminately open up their databases to all other agencies."
 
 Six agencies each score persons of interest (a sensitive integer score over
 a public domain).  They compute the maximum score across all agencies — the
-k=1 special case — over encrypted channels, then study two hostile
-conditions: a pair of colluding neighbours on the ring, and the same query
-run with per-round ring remapping as the countermeasure (Section 4.3).
+k=1 special case — then study two hostile conditions: a pair of colluding
+neighbours on the ring, and the same query run with per-round ring
+remapping as the countermeasure (Section 4.3).
 
 Run:  python examples/security_watchlist.py
 """
@@ -47,7 +47,7 @@ def run_condition(databases, *, remap: bool, trials: int = 25):
     single = coalition = 0.0
     answer = None
     for seed in range(trials):
-        config = RunConfig(params=params, seed=seed, encrypt=True)
+        config = RunConfig(params=params, seed=seed)
         result = run_topk_query(databases, query, config)
         answer = result.answer()[0]
         single += average_lop(result)
@@ -68,8 +68,6 @@ def main() -> None:
     print(f"true maximum threat score (omniscient view): {truth}")
     print()
 
-    print("channel encryption: ON (outside observers see only ciphertext)")
-    print()
     header = f"{'ring policy':<22} {'max found':>9} {'avg LoP':>9} {'coalition LoP':>14}"
     print(header)
     print("-" * len(header))

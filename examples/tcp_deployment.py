@@ -4,8 +4,8 @@
 Everything else in this repository runs on the in-memory simulator; this
 example deploys the same local algorithms over localhost sockets — each
 organization is a server thread with its own port, tokens travel as framed
-(optionally encrypted) bytes — and cross-checks the answer against a
-simulator run on identical inputs.
+bytes — and cross-checks the answer against a simulator run on identical
+inputs.
 
 Run:  python examples/tcp_deployment.py
 """
@@ -27,9 +27,7 @@ def main() -> None:
     params = ProtocolParams.paper_defaults()
 
     print("deploying one TCP endpoint per party (localhost)...")
-    outcome = run_tcp_topk(
-        exposures, query, params=params, seed=31, encrypt=True
-    )
+    outcome = run_tcp_topk(exposures, query, params=params, seed=31)
     print(f"ring order : {' -> '.join(outcome.ring_order)}")
     for party, address in sorted(outcome.addresses.items()):
         print(f"  {party:<12} listening on {address[0]}:{address[1]}")

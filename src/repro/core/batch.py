@@ -21,7 +21,7 @@ stats, simulated clock, and every event-log observation (message ids aside,
 which are process-global).
 
 This module is also where the second half of the executor rule lives (the
-first half — transport obligations run the session — is
+first half — a failure injector runs the session — is
 :mod:`repro.core.driver`'s): :func:`execute_many` is the kernel path's one
 entry, it forms the shape groups, and a group runs here only when it has at
 least :data:`VECTOR_CROSSOVER` members.  Smaller groups run one by one on
@@ -43,9 +43,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..network.stats import TrafficStats
+from ..network.transport import LINK_SECONDS
 from .kernel import (
     _FIXED,
-    _LATENCY,
     _RESULT_LEN,
     _TOKEN_LEN,
     KernelPhaseSample,
@@ -188,9 +188,9 @@ def _vector_body_bytes(rows: np.ndarray) -> np.ndarray:
 def _config_eligible(config: "RunConfig") -> bool:
     """Config-shape gate shared by the fast probe and ``_classify``.
 
-    Refused configs (encryption, latency, failures) fall through to the
-    scalar kernel, which raises :class:`~repro.core.kernel.KernelUnsupported`
-    — the loud refusal, never a silently mis-accounted vectorized run.
+    Refused configs (failure injectors) fall through to the scalar kernel,
+    which raises :class:`~repro.core.kernel.KernelUnsupported` — the loud
+    refusal, never a silently mis-accounted vectorized run.
     """
     return (
         config.protocol == PROBABILISTIC
@@ -464,13 +464,13 @@ _CLOCK_CACHE: dict[tuple[int, int], float] = {}
 
 
 def _simulated_seconds(n: int, rounds: int) -> float:
-    """The transport clock: ``n * (rounds + 1)`` float additions of 1ms."""
+    """The transport clock: ``n * (rounds + 1)`` float additions of a hop."""
     key = (n, rounds)
     value = _CLOCK_CACHE.get(key)
     if value is None:
         clock = 0.0
         for _ in range(n * (rounds + 1)):
-            clock += _LATENCY
+            clock += LINK_SECONDS
         value = _CLOCK_CACHE[key] = clock
     return value
 

@@ -6,11 +6,10 @@ module, and the initialization module that picks the starting node and the
 randomization parameters.
 
 **Which executor runs a job is decided here and in one other place.**  A
-config with transport obligations (encryption, a latency model, a failure
-injector — :func:`~repro.core.kernel.kernel_refusal`) needs real messages
-and runs the :class:`~repro.core.session.ProtocolSession`; every other job
-goes to :func:`repro.core.batch.execute_many`, the message-free kernels'
-single entry, which runs a shape group of at least
+config carrying a failure injector (:func:`~repro.core.kernel.kernel_refusal`)
+needs real messages and runs the :class:`~repro.core.session.ProtocolSession`;
+every other job goes to :func:`repro.core.batch.execute_many`, the
+message-free kernels' single entry, which runs a shape group of at least
 :data:`~repro.core.batch.VECTOR_CROSSOVER` jobs vectorized and everything
 smaller on the scalar kernel.  Both entry points below default to that rule
 and every executor returns bit-identical results under the same seed
@@ -29,13 +28,8 @@ from typing import TYPE_CHECKING
 
 from ..database.query import TopKQuery
 from ..database.schema import common_query
-from ..network.crypto import Keyring
 from ..network.failures import FailureInjector
-from ..network.transport import (
-    DEFAULT_MAX_DELIVERIES,
-    InMemoryTransport,
-    LatencyModel,
-)
+from ..network.transport import DEFAULT_MAX_DELIVERIES, InMemoryTransport
 from ..observability.runtime import current_tracer
 from ..observability.trace import TraceContext
 from .batch import execute_many as execute_batch
@@ -77,10 +71,9 @@ __all__ = [
 
 #: Explicit executor pins; ``backend=None`` (the default everywhere) is the
 #: rule in the module docstring.  ``SESSION`` is the transport-backed
-#: simulation (encryption, latency, failures, full accounting) — the
-#: reference.  ``KERNEL`` is a message-free kernel, bit-identical on the
-#: configs it accepts and refusing the rest; *which* kernel is still decided
-#: by group size.
+#: simulation (failures, full accounting) — the reference.  ``KERNEL`` is a
+#: message-free kernel, bit-identical on the configs it accepts and refusing
+#: the rest; *which* kernel is still decided by group size.
 SESSION = "session"
 KERNEL = "kernel"
 BACKENDS = (SESSION, KERNEL)
@@ -92,8 +85,6 @@ class RunConfig:
 
     protocol: str = PROBABILISTIC
     params: ProtocolParams = field(default_factory=ProtocolParams.paper_defaults)
-    encrypt: bool = False
-    latency: LatencyModel | None = None
     failures: FailureInjector | None = None
     seed: int | None = None
     #: Custom ring construction, e.g. the Section 4.3 trust-aware layout
@@ -110,14 +101,6 @@ class RunConfig:
 
     def rng(self) -> random.Random:
         return random.Random(self.seed)
-
-
-def _transport_for(config: RunConfig) -> InMemoryTransport:
-    return InMemoryTransport(
-        latency=config.latency,
-        keyring=Keyring() if config.encrypt else None,
-        failures=config.failures,
-    )
 
 
 def run_topk_query(
@@ -232,7 +215,7 @@ def run_protocol_on_vectors(
     workloads.
 
     ``backend=None`` (default) applies the executor rule: the session when
-    the config has transport obligations, a message-free kernel otherwise.
+    the config carries a failure injector, a message-free kernel otherwise.
     :data:`SESSION` / :data:`KERNEL` pin one; a pinned kernel refuses
     configs it cannot honor exactly
     (:class:`~repro.core.kernel.KernelUnsupported`).
@@ -270,8 +253,8 @@ def run_many_on_vectors(
     privacy exposure included, on every executor.  (Byte accounting
     differs from solo runs by the few bytes of the per-message query tag.)
 
-    Transport-level settings (``encrypt``, ``latency``, ``failures``) must
-    be shared across the batch, since one transport carries all queries.
+    The failure injector must be shared across the batch, since one
+    transport carries all queries.
     """
     jobs = list(jobs)
     if not jobs:
@@ -282,14 +265,9 @@ def run_many_on_vectors(
         )
     base = jobs[0][2]
     for _vectors, _query, config in jobs:
-        if (
-            config.encrypt != base.encrypt
-            or config.latency is not base.latency
-            or config.failures is not base.failures
-        ):
+        if config.failures is not base.failures:
             raise DriverError(
-                "batched queries must share transport settings "
-                "(encrypt, latency, failures)"
+                "batched queries must share transport settings (failures)"
             )
     if traces is None:
         traces = ambient_traces(jobs)
@@ -304,8 +282,9 @@ def _run(
 ) -> list[ProtocolResult]:
     """Pick the executor for ``jobs`` and run them: both entry points end here.
 
-    The rule's first half — does this config need real messages?  Transport
-    settings are shared across a batch, so the first config answers for all.
+    The rule's first half — does this config need real messages?  The
+    failure injector is shared across a batch, so the first config answers
+    for all.
     (The second half, scalar or vectorized, is ``execute_batch``'s.)
     """
     base = jobs[0][2]
@@ -319,7 +298,7 @@ def _run(
         )
     if not on_session:
         return execute_batch(jobs, traces=traces, query_ids=query_ids)
-    transport = _transport_for(base)
+    transport = InMemoryTransport(failures=base.failures)
     sessions = [
         ProtocolSession(
             prepare_query_vectors(vectors, query),

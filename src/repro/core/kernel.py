@@ -1,17 +1,16 @@
 """Message-free fast path for the ring protocols.
 
 The transport substrate (:mod:`repro.network.transport`) earns its keep when
-a run needs what only a simulated network can provide: encryption
-round-trips, latency models, failure injection, multi-query interleaving.
-The Monte Carlo trials behind the paper's figures need none of that — they
-run thousands of failure-free, unencrypted, single-query protocols and read
-back values, rounds, counters and the event log.  On that workload the
-simulation stack is pure overhead: every hop constructs a ``Message``
-(JSON-validating its payload), pushes it through a delivery heap, serializes
+a run needs what only a simulated network can provide: failure injection and
+multi-query interleaving.  The Monte Carlo trials behind the paper's figures
+need none of that — they run thousands of failure-free, single-query
+protocols and read back values, rounds, counters and the event log.  On that
+workload the simulation stack is pure overhead: every hop constructs a
+``Message`` (JSON-validating its payload), queues it for delivery, serializes
 it for byte accounting, and records it into two stats/event-log pairs.
 
 This module executes the same protocols as a tight in-process loop over the
-ring: no ``Message`` objects, no serialization, no heap, no per-delivery
+ring: no ``Message`` objects, no serialization, no queue, no per-delivery
 double accounting.  It is not an approximation.  The kernel replays the
 exact RNG draw order of :class:`~repro.core.session.ProtocolSession` — ring
 mapping, starter selection, per-node algorithm streams in canonical node
@@ -23,10 +22,10 @@ final vector, snapshots, ring history, traffic stats, simulated clock, and
 every event-log observation (message ids aside, which are process-global).
 
 Configs the kernel cannot honor exactly are refused loudly
-(:class:`KernelUnsupported`): encryption, custom latency models, and any
-real failure injector.  The driver's executor rule sends those to the
-session (:func:`kernel_refusal` is the test it applies); only an explicit
-``backend="kernel"`` pin ever sees the refusal.
+(:class:`KernelUnsupported`): any config carrying a failure injector.  The
+driver's executor rule sends those to the session (:func:`kernel_refusal` is
+the test it applies); only an explicit ``backend="kernel"`` pin ever sees the
+refusal.
 
 Callers do not pick this module: :func:`repro.core.batch.execute_many` is
 the kernel path's one entry and runs a job here when its shape group is
@@ -45,6 +44,7 @@ from typing import TYPE_CHECKING
 from ..network.events import EventLog, Observation
 from ..network.message import next_message_id
 from ..network.stats import TrafficStats
+from ..network.transport import LINK_SECONDS
 from ..observability.trace import TraceContext
 from .results import ProtocolResult
 from .session import (
@@ -71,11 +71,6 @@ __all__ = [
 class KernelUnsupported(DriverError):
     """The config needs the transport substrate; run ``backend="session"``."""
 
-
-#: The transport's default link delay (``constant_latency()``).  The kernel
-#: advances its clock by this per hop, in the same float-addition order the
-#: transport would, so ``simulated_seconds`` stays bit-identical.
-_LATENCY = 0.001
 
 # -- wire-format arithmetic ---------------------------------------------------
 #
@@ -309,13 +304,9 @@ class KernelRun:
 def kernel_refusal(config: "RunConfig") -> str | None:
     """Why the kernel cannot run ``config`` bit-identically; None if it can.
 
-    The kernel has no wire, no delivery clock beyond the constant default,
-    and no drop/crash machinery, so it refuses rather than approximate.
+    The kernel has no wire and no drop/crash machinery, so it refuses rather
+    than approximate.
     """
-    if config.encrypt:
-        return "encryption needs the transport's cipher round-trip"
-    if config.latency is not None:
-        return "custom latency models need the transport's delivery clock"
     if config.failures is not None:
         return "failure injection needs transport drops and ring repair"
     return None
@@ -327,7 +318,7 @@ def synthesize_trace(trace: TraceContext, result: ProtocolResult) -> None:
     The kernels never deliver a message, so spans are reconstructed after
     the fact from the result's per-pass log: one protocol span, one span per
     round, one hop event per (synthetic) delivery, and a broadcast span for
-    the result circulation.  Open/close order and the ``clock += _LATENCY``
+    the result circulation.  Open/close order and the ``clock += LINK_SECONDS``
     float-addition chain both replicate the transport-backed path exactly,
     so under the same seed the two backends export byte-identical JSONL.
     """
@@ -358,7 +349,7 @@ def synthesize_trace(trace: TraceContext, result: ProtocolResult) -> None:
     for kind, round_number, order, vectors in log_passes:
         parent = broadcast_ctx if kind == "result" else round_ctx
         for j in range(n):
-            t += _LATENCY
+            t += LINK_SECONDS
             attrs = {
                 "sender": order[j],
                 "receiver": order[j + 1] if j + 1 < n else order[0],
@@ -480,7 +471,7 @@ def execute(
         # receivers order[1..n-1] compute, and the closing hop n back to the
         # starter (who already computed this round) is delivery only.
         for j in range(1, n + 1):
-            clock += _LATENCY
+            clock += LINK_SECONDS
             if changed:
                 sent = tuple(vector)
                 coerce = False
@@ -533,7 +524,7 @@ def execute(
     )
     log_pass(("result", result_round, ring.walk_from(starter), final_tuple))
     for _ in range(n):
-        clock += _LATENCY
+        clock += LINK_SECONDS
 
     t2 = time.perf_counter() if timed else 0.0
 

@@ -47,20 +47,31 @@ class _AsyncParty:
         )
         self.successor_address: tuple[str, int] | None = None
         self.finished = asyncio.Event()
+        self.error: Exception | None = None
         self.observations: list[tuple[int, str, tuple[float, ...]]] = []
         self.server: asyncio.AbstractServer | None = None
         self.address: tuple[str, int] | None = None
 
     async def handle_connection(
-        self, reader: asyncio.StreamReader, _writer: asyncio.StreamWriter
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        prefix = await reader.readexactly(PREFIX_BYTES)
-        length = int.from_bytes(prefix, "big")
-        if length > MAX_FRAME_BYTES:
-            raise DeployError(f"oversized frame: {length} bytes")
-        body = await reader.readexactly(length)
-        _writer.close()
-        await self.on_message(Message.decode(body))
+        """Serve one framed message; a failure finishes this party with it.
+
+        Raising out of a connection callback would only be logged by the
+        event loop, and the run would wait out its whole timeout.
+        """
+        try:
+            prefix = await reader.readexactly(PREFIX_BYTES)
+            length = int.from_bytes(prefix, "big")
+            if length > MAX_FRAME_BYTES:
+                raise DeployError(f"oversized frame: {length} bytes")
+            body = await reader.readexactly(length)
+            await self.on_message(Message.decode(body))
+        except Exception as exc:
+            self.error = exc
+            self.finished.set()
+        finally:
+            writer.close()
 
     async def on_message(self, message: Message) -> None:
         vector = tuple(float(v) for v in message.payload["vector"])
@@ -124,10 +135,18 @@ async def _run_async(
         await parties[starter].kick_off(
             [float(v) for v in query.identity_vector()]
         )
-        await asyncio.wait_for(
-            asyncio.gather(*(p.finished.wait() for p in parties.values())),
-            timeout=timeout,
-        )
+        # Each party finishes on its result or on its failure; the first
+        # failure ends the run, as on the thread substrate.
+        finishing = [
+            asyncio.ensure_future(p.finished.wait()) for p in parties.values()
+        ]
+        for finished in asyncio.as_completed(finishing, timeout=timeout):
+            await finished
+            for node_id, party in parties.items():
+                if party.error is not None:
+                    raise DeployError(
+                        f"party {node_id!r} failed: {party.error}"
+                    ) from party.error
     finally:
         for party in parties.values():
             if party.server is not None:
@@ -154,8 +173,7 @@ def run_async_topk(
 ) -> TcpRunResult:
     """Run one top-k query with every party as an asyncio stream server.
 
-    Same contract and result type as :func:`repro.deploy.run_tcp_topk`
-    (encryption is thread-runner-only for now).
+    Same contract and result type as :func:`repro.deploy.run_tcp_topk`.
     """
     setup = initialize_deployment(local_vectors, query, params, protocol, seed)
     return asyncio.run(_run_async(setup, query, host, timeout))

@@ -17,7 +17,6 @@ from ..core.driver import RunConfig
 from ..core.params import ProtocolParams
 from ..core.session import RunSetup, initialize_run, prepare_query_vectors
 from ..database.query import TopKQuery
-from ..network.crypto import Keyring
 from .tcp_node import TcpNodeError, TcpParty
 
 
@@ -99,7 +98,6 @@ def run_tcp_topk(
     params: ProtocolParams | None = None,
     protocol: str = "probabilistic",
     seed: int | None = None,
-    encrypt: bool = False,
     host: str = "127.0.0.1",
     timeout: float = 30.0,
     connect_timeout: float = 5.0,
@@ -112,7 +110,6 @@ def run_tcp_topk(
     """
     setup = initialize_deployment(local_vectors, query, params, protocol, seed)
     node_ids, ring, starter = setup.node_ids, setup.ring, setup.starter
-    keyring = Keyring() if encrypt else None
 
     parties: dict[str, TcpParty] = {}
     try:
@@ -123,7 +120,6 @@ def run_tcp_topk(
                 host=host,
                 is_starter=(node_id == starter),
                 total_rounds=setup.total_rounds,
-                keyring=keyring,
                 connect_timeout=connect_timeout,
                 connect_retries=connect_retries,
                 # No retry_rng from the run RNG: jitter is timing-only, and
@@ -134,7 +130,6 @@ def run_tcp_topk(
             successor = ring.successor(node_id)
             parties[node_id].successor_id = successor
             parties[node_id].successor_address = parties[successor].address
-            parties[node_id].predecessor_id = ring.predecessor(node_id)
         for party in parties.values():
             party.start_serving()
 

@@ -6,12 +6,8 @@ hosts — the same token/result state machine the simulator runs — whose
 output goes to the successor's port: exactly the node-to-successor
 communication scheme of Section 3.2, but over an actual network stack with
 real concurrency.  What lives here is what only a socket substrate has:
-framing, threads, seal/open, connect retry, the received-message log and the
+framing, threads, connect retry, the received-message log and the
 ``finished`` signal.
-
-Channel protection: when a shared :class:`~repro.network.crypto.Keyring` is
-supplied, every frame body is sealed for the (sender, receiver) link and
-opened on receipt — the same cipher the simulator exercises.
 """
 
 from __future__ import annotations
@@ -21,7 +17,6 @@ import socket
 import threading
 import time
 
-from ..network.crypto import Keyring
 from ..network.message import Message
 from ..network.node import LocalAlgorithm, ProtocolNode
 from .wire import WireError, recv_frame, send_frame
@@ -42,7 +37,6 @@ class TcpParty:
         host: str = "127.0.0.1",
         is_starter: bool = False,
         total_rounds: int = 1,
-        keyring: Keyring | None = None,
         accept_timeout: float = 0.2,
         connect_timeout: float = 5.0,
         connect_retries: int = 3,
@@ -73,16 +67,12 @@ class TcpParty:
             is_starter=is_starter,
             total_rounds=total_rounds,
         )
-        self.keyring = keyring
         self.connect_timeout = connect_timeout
         self.connect_retries = connect_retries
         self.retry_base_delay = retry_base_delay
         self.retry_max_delay = retry_max_delay
         self._retry_rng = retry_rng if retry_rng is not None else random.Random()
         self.successor_address: tuple[str, int] | None = None
-        #: Logical id of the ring predecessor; set by the runner when the
-        #: ring is wired.  Needed for per-link channel keys.
-        self.predecessor_id: str | None = None
         self.finished = threading.Event()
         self.error: Exception | None = None
         #: Local passive log: every (round, kind, vector) this party received
@@ -176,10 +166,6 @@ class TcpParty:
             raise TcpNodeError(f"{self.node_id} has no successor configured")
 
     def _handle_raw(self, body: bytes) -> None:
-        if self.keyring is not None:
-            if self.predecessor_id is None:
-                raise TcpNodeError(f"{self.node_id} has no predecessor configured")
-            body = self.keyring.open(self.predecessor_id, self.node_id, body)
         message = Message.decode(body)
         vector = tuple(float(v) for v in message.payload.get("vector", ()))
         self.observations.append((message.round, message.type.value, vector))
@@ -191,11 +177,8 @@ class TcpParty:
     def _send(self, message: Message) -> None:
         if self.successor_address is None:
             raise TcpNodeError(f"{self.node_id} has no successor address")
-        body = message.encode()
-        if self.keyring is not None:
-            body = self.keyring.seal(self.node_id, message.receiver, body)
         with self._connect_successor() as sock:
-            send_frame(sock, body)
+            send_frame(sock, message.encode())
 
     def _connect_successor(self) -> socket.socket:
         """Connect to the successor, retrying with backoff + full jitter.

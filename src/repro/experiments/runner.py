@@ -86,8 +86,8 @@ def trial_job(
 def run_single_trial(setup: TrialSetup, trial_index: int) -> ProtocolResult:
     """One protocol run on freshly drawn (per-trial-seeded) data.
 
-    Trial configs are always failure-free, unencrypted and latency-free, so
-    the driver's executor rule runs them on a message-free kernel.
+    Trial configs are always failure-free, so the driver's executor rule
+    runs them on a message-free kernel.
     """
     return run_protocol_on_vectors(*trial_job(setup, trial_index))
 

@@ -305,7 +305,7 @@ class Federation:
            are audit-logged with the ``cached`` flag.
         3. All remaining ranking queries run as one batch on the executor
            the driver's rule picks — a message-free kernel when the configs
-           carry no transport obligations (the default federation setup),
+           carry no failure injector (the default federation setup),
            else sessions *pipelined* on one shared transport, interleaving
            tokens so the batch's simulated completion time approaches the
            slowest query's rather than the sum.  Every executor is

@@ -1,9 +1,8 @@
-"""Simulated peer-to-peer network substrate: transport, ring, nodes, crypto."""
+"""Simulated peer-to-peer network substrate: transport, ring, nodes."""
 
 from .._lazy import lazy_exports
 
 _EXPORTS = {
-    "crypto": ("ChannelKey", "CryptoError", "Keyring"),
     "events": ("EventLog", "Observation"),
     "failures": ("FailureInjector",),
     "message": (
@@ -16,12 +15,7 @@ _EXPORTS = {
     "node": ("LocalAlgorithm", "NodeError", "ProtocolNode"),
     "ring": ("RingError", "RingTopology"),
     "stats": ("TrafficStats",),
-    "transport": (
-        "InMemoryTransport",
-        "LatencyModel",
-        "TransportError",
-        "constant_latency",
-    ),
+    "transport": ("InMemoryTransport", "TransportError"),
     "trust": ("TrustError", "TrustGraph", "build_trusted_ring"),
 }
 

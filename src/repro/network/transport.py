@@ -1,4 +1,4 @@
-"""In-memory message transport with simulated latency, encryption and accounting.
+"""In-memory message transport with a simulated link delay and accounting.
 
 This is the substrate substitution documented in DESIGN.md: the paper's
 protocol runs over a real network, but its correctness and privacy behaviour
@@ -6,17 +6,19 @@ depend only on message contents and ordering, which this transport reproduces
 exactly while adding per-message accounting that a real deployment could not
 observe as cheaply.
 
-Delivery model: ``send`` enqueues a message with a delivery timestamp drawn
-from a latency model; ``deliver_next`` pops messages in timestamp order and
-hands them to the registered handler.  Payloads are round-tripped through the
-channel cipher when a keyring is configured, so the encryption path is
-genuinely exercised.
+Delivery model: ``send`` enqueues a message due :data:`LINK_SECONDS` after
+the current simulated time; ``deliver_next`` pops the oldest and hands it to
+the registered handler.  Every link has the same delay and the clock never
+runs backwards, so a message sent later is never due earlier: the queue is a
+FIFO and send order *is* timestamp order.  Links carry plaintext — the
+successor who reads a token is the party the paper's privacy analysis is
+about, and it would hold any channel key.
 
 Multi-query pipelining: endpoints register under a *channel* (the message's
 ``query`` tag), so several independent protocol runs — each with the same
 party names — can interleave their tokens on one shared transport.  Delivery
-remains strictly (timestamp, seq)-ordered across channels, which is what
-makes the interleaving fair: no query can starve another, and a batch of Q
+stays strictly in send order across channels, which is what makes the
+interleaving fair: no query can starve another, and a batch of Q
 queries completes in simulated time close to the *slowest* query rather than
 the sum.  Per-channel accounting (:meth:`InMemoryTransport.open_channel`)
 gives every query its own :class:`~repro.network.stats.TrafficStats`,
@@ -26,19 +28,15 @@ what a dedicated transport would have recorded.
 
 from __future__ import annotations
 
-import heapq
-import itertools
+from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .crypto import Keyring
 from .events import EventLog
 from .failures import FailureInjector
 from .message import Message
 from .stats import TrafficStats
 
-#: Latency models map (sender, receiver) -> seconds.
-LatencyModel = Callable[[str, str], float]
 Handler = Callable[[Message], None]
 
 #: Delivery bound covering one query's worth of traffic; multi-query callers
@@ -46,11 +44,9 @@ Handler = Callable[[Message], None]
 DEFAULT_MAX_DELIVERIES = 1_000_000
 
 
-def constant_latency(seconds: float = 0.001) -> LatencyModel:
-    """Same latency on every link."""
-    if seconds < 0:
-        raise ValueError("latency must be non-negative")
-    return lambda _sender, _receiver: seconds
+#: Simulated delay of every ring link.  The message-free kernels step their
+#: clocks by the same constant, in the same float-addition order.
+LINK_SECONDS = 0.001
 
 
 class TransportError(RuntimeError):
@@ -67,7 +63,7 @@ class ChannelAccounting:
     sequential execution.
 
     ``on_delivery`` is the tracing tap: when set, it is invoked for every
-    delivery on this channel with the (decrypted) message and the simulated
+    delivery on this channel with the message and the simulated
     delivery time, after the accounting above is recorded and before the
     receiver's handler runs — so a hop span exists by the time any round
     hook fires.
@@ -80,37 +76,22 @@ class ChannelAccounting:
     on_delivery: "Callable[[Message, float], None] | None" = None
 
 
-@dataclass(frozen=True)
-class _Envelope:
-    deliver_at: float
-    seq: int
-    message: Message
-    ciphertext: bytes | None
-
-    def __lt__(self, other: "_Envelope") -> bool:
-        return (self.deliver_at, self.seq) < (other.deliver_at, other.seq)
-
-
 class InMemoryTransport:
     """Point-to-point transport among registered endpoints."""
 
     def __init__(
         self,
         *,
-        latency: LatencyModel | None = None,
-        keyring: Keyring | None = None,
         failures: FailureInjector | None = None,
         event_log: EventLog | None = None,
     ) -> None:
-        self._latency = latency or constant_latency()
-        self._keyring = keyring
         self._failures = failures
         #: Handlers keyed by (channel, node id); channel "" is the classic
         #: single-query traffic, a query id otherwise.
         self._handlers: dict[tuple[str, str], Handler] = {}
         self._channels: dict[str, ChannelAccounting] = {}
-        self._queue: list[_Envelope] = []
-        self._seq = itertools.count()
+        #: (deliver_at, message) in send order, which is deliver_at order.
+        self._queue: deque[tuple[float, Message]] = deque()
         self._clock = 0.0
         self.stats = TrafficStats()
         self.event_log = event_log if event_log is not None else EventLog()
@@ -162,29 +143,13 @@ class InMemoryTransport:
         if self._failures and self._failures.should_drop(message):
             self.dropped += 1
             return
-        ciphertext = None
-        if self._keyring is not None:
-            ciphertext = self._keyring.seal(
-                message.sender, message.receiver, message.encode()
-            )
-        deliver_at = self._clock + self._latency(message.sender, message.receiver)
-        heapq.heappush(
-            self._queue,
-            _Envelope(deliver_at, next(self._seq), message, ciphertext),
-        )
+        self._queue.append((self._clock + LINK_SECONDS, message))
 
     def deliver_next(self) -> Message | None:
         """Deliver the earliest pending message; None when the queue is empty."""
         if not self._queue:
             return None
-        envelope = heapq.heappop(self._queue)
-        self._clock = max(self._clock, envelope.deliver_at)
-        message = envelope.message
-        if self._keyring is not None and envelope.ciphertext is not None:
-            # Round-trip through the cipher: what the wire carried is the
-            # ciphertext; the receiver decrypts and re-parses.
-            raw = self._keyring.open(message.sender, message.receiver, envelope.ciphertext)
-            message = Message.decode(raw)
+        self._clock, message = self._queue.popleft()
         if self._failures and self._failures.is_crashed(message.receiver):
             self.dropped += 1
             return None

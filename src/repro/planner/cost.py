@@ -9,9 +9,9 @@ assumes:
 * **messages** — one token hop per node per round plus the termination
   round: ``n * (rounds + 1)`` (Section 4.2, confirmed by the transport's
   per-message accounting and the kernel's closed-form reconstruction);
-* **simulated latency** — the token is sequential, so simulated seconds
-  are exactly ``messages x per-hop latency`` under the default constant
-  latency model;
+* **simulated latency** — the token is sequential and every link takes
+  the same delay, so simulated seconds are exactly ``messages x per-hop
+  latency``;
 * **expected LoP** — the Equation 6 bound for the probabilistic protocol,
   the Equation 5 closed form for the naive one.
 
@@ -40,11 +40,10 @@ SECURE_SUM = "secure-sum"
 class Calibration:
     """Measured per-unit constants composing the analytic cost formulas.
 
-    Defaults were measured on the in-memory transport with the default
-    constant-latency model.
+    Defaults were measured on the in-memory transport.
     """
 
-    #: Per-hop simulated latency (the transport's ``constant_latency()``).
+    #: Per-hop simulated latency (the transport's ``LINK_SECONDS``).
     hop_seconds: float = 0.001
     #: Wire bytes per token message, excluding the k-vector payload.
     message_overhead_bytes: float = 79.0

@@ -18,6 +18,7 @@ from repro.core.driver import (
 from repro.core.params import ProtocolParams
 from repro.database.database import database_from_values
 from repro.database.query import Domain, TopKQuery
+from repro.network.failures import FailureInjector
 
 from ..conftest import make_vectors
 
@@ -103,13 +104,14 @@ class TestPipelining:
 
 class TestBatchValidation:
     def test_mixed_transport_settings_rejected(self):
-        base = config(seed=1)
-        encrypted = RunConfig(params=base.params, seed=2, encrypt=True)
+        # Two injectors, even two idle ones, are two transports' worth.
+        first = RunConfig(seed=1, failures=FailureInjector())
+        second = RunConfig(seed=2, failures=FailureInjector())
         with pytest.raises(DriverError, match="share transport settings"):
             run_many_on_vectors(
                 [
-                    (make_vectors(VALUES), query(), base),
-                    (make_vectors(VALUES), query(), encrypted),
+                    (make_vectors(VALUES), query(), first),
+                    (make_vectors(VALUES), query(), second),
                 ]
             )
 

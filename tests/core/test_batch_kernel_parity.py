@@ -53,7 +53,7 @@ from repro.core.results import TrafficStats
 from repro.core.schedule import ExponentialSchedule
 from repro.core.session import prepare_query_vectors
 from repro.database.query import Domain, TopKQuery
-from repro.network.transport import constant_latency
+from repro.network.failures import FailureInjector
 
 from ..conftest import counting_engine
 
@@ -366,18 +366,18 @@ class TestDriverRouting:
             assert_results_identical(want, got)
 
     def test_auto_falls_back_to_session_for_transport_configs(self):
-        jobs = self.jobs(latency=constant_latency(0.002))
+        jobs = self.jobs(failures=FailureInjector())
         with engine_groups(0):
             results = run_many_on_vectors(jobs)  # the rule: must not refuse
         expected = run_many_on_vectors(jobs, backend=SESSION)
         for want, got in zip(expected, results):
             assert_results_identical(want, got)
-        # The latency model actually ran: simulated time reflects it.
+        # The session actually ran: simulated time reflects its deliveries.
         assert all(r.simulated_seconds > 0.0 for r in results)
 
     def test_kernel_backend_refuses_loudly(self):
-        with pytest.raises(KernelUnsupported, match="encryption"):
-            run_many_on_vectors(self.jobs(encrypt=True), backend=KERNEL)
+        with pytest.raises(KernelUnsupported, match="failure injection"):
+            run_many_on_vectors(self.jobs(failures=FailureInjector()), backend=KERNEL)
 
     def test_unknown_backend_is_a_driver_error(self):
         with pytest.raises(DriverError, match="unknown backend"):

@@ -230,15 +230,7 @@ class TestRingBuilder:
         assert abs(i0 - i1) in (1, len(ring) - 1)  # the trusted pair is adjacent
 
 
-class TestEncryptionAndDatabases:
-    def test_encrypted_run_same_result(self, max_query_k1):
-        vectors = make_vectors([10, 9999, 30])
-        plain = run_protocol_on_vectors(vectors, max_query_k1, RunConfig(seed=8))
-        sealed = run_protocol_on_vectors(
-            vectors, max_query_k1, RunConfig(seed=8, encrypt=True)
-        )
-        assert plain.final_vector == sealed.final_vector
-
+class TestDatabases:
     def test_run_topk_query_over_databases(self, topk_query_k3):
         dbs = [
             database_from_values(f"org{i}", values)

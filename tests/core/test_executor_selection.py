@@ -28,7 +28,8 @@ from repro.core.driver import (
     run_protocol_on_vectors,
 )
 from repro.database.query import Domain, TopKQuery
-from repro.network.transport import InMemoryTransport, constant_latency
+from repro.network.failures import FailureInjector
+from repro.network.transport import InMemoryTransport
 
 from ..conftest import counting_engine
 from .test_batch_kernel_parity import assert_results_identical
@@ -118,13 +119,8 @@ class TestCountedMechanism:
             assert result.original_query == query
             assert set(result.local_vectors) == set(vectors)
 
-    @pytest.mark.parametrize(
-        "obligation",
-        [{"encrypt": True}, {"latency": constant_latency(0.002)}],
-        ids=["encrypt", "latency"],
-    )
-    def test_a_refusing_config_never_touches_a_kernel(self, obligation):
-        jobs = jobs_of_shape(6, 2, 20, **obligation)
+    def test_a_refusing_config_never_touches_a_kernel(self):
+        jobs = jobs_of_shape(6, 2, 20, failures=FailureInjector())
         with counting_executors() as counts:
             run_protocol_on_vectors(*jobs[0])
             run_many_on_vectors(jobs)

@@ -45,7 +45,7 @@ from repro.database.generator import DISTRIBUTIONS, DataGenerator
 from repro.database.query import Domain, TopKQuery
 from repro.network.failures import FailureInjector
 from repro.network.message import MessageType, result_message, token_message
-from repro.network.transport import InMemoryTransport, constant_latency
+from repro.network.transport import InMemoryTransport
 
 INTEGRAL_DOMAIN = Domain(1, 10_000)
 REAL_DOMAIN = Domain(1.0, 10_000.0, integral=False)
@@ -179,24 +179,14 @@ class TestKernelRefusals:
     VECTORS = {f"n{i}": [float(10 + i)] for i in range(4)}
     QUERY = TopKQuery(table="t", attribute="v", k=1)
 
-    def test_refuses_encryption(self):
-        config = RunConfig(seed=7, encrypt=True)
-        assert kernel_refusal(config) is not None
-        with pytest.raises(KernelUnsupported, match="encryption"):
-            run_protocol_on_vectors(self.VECTORS, self.QUERY, config, backend=KERNEL)
-
-    def test_refuses_latency_models(self):
-        config = RunConfig(seed=7, latency=constant_latency(0.002))
-        with pytest.raises(KernelUnsupported, match="latency"):
-            run_protocol_on_vectors(self.VECTORS, self.QUERY, config, backend=KERNEL)
-
     def test_refuses_real_failure_injectors(self):
         config = RunConfig(seed=7, failures=FailureInjector())
+        assert kernel_refusal(config) is not None
         with pytest.raises(KernelUnsupported, match="failure"):
             run_protocol_on_vectors(self.VECTORS, self.QUERY, config, backend=KERNEL)
 
     def test_refusal_propagates_through_the_driver(self):
-        config = RunConfig(seed=7, encrypt=True)
+        config = RunConfig(seed=7, failures=FailureInjector())
         with pytest.raises(KernelUnsupported):
             run_protocol_on_vectors(self.VECTORS, self.QUERY, config, backend=KERNEL)
         # ...and KernelUnsupported is a DriverError, so existing handlers

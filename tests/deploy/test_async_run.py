@@ -1,13 +1,15 @@
 """Tests for the asyncio deployment substrate, including 3-way parity."""
 
 import asyncio
+import logging
+import time
 
 import pytest
 
 from repro.core.driver import RunConfig, run_protocol_on_vectors
 from repro.core.params import ProtocolParams
 from repro.database.query import Domain, TopKQuery
-from repro.deploy import DeployError, run_tcp_topk
+from repro.deploy import DeployError, async_runner, run_tcp_topk
 from repro.deploy.async_runner import _AsyncParty, run_async_topk
 from repro.network.message import token_message
 from repro.network.node import NodeError
@@ -66,6 +68,42 @@ class TestGuards:
             assert party.node.final_result is None and not party.finished.is_set()
 
         asyncio.run(drive())
+
+
+def poison_third_delivery(monkeypatch):
+    handle = _AsyncParty.on_message
+    deliveries = []
+
+    async def on_message(self, message):
+        deliveries.append(message)
+        if len(deliveries) == 3:
+            raise ValueError("poisoned message")
+        await handle(self, message)
+
+    monkeypatch.setattr(_AsyncParty, "on_message", on_message)
+    return "poisoned message"
+
+
+def shrink_frames(monkeypatch):
+    monkeypatch.setattr(async_runner, "MAX_FRAME_BYTES", 8)
+    return "oversized frame"
+
+
+class TestFailsPromptly:
+    """A party's failure ends the run typed, as on the thread substrate,
+    instead of being logged by the event loop while the run waits out its
+    whole timeout."""
+
+    @pytest.mark.parametrize("fault", [poison_third_delivery, shrink_frames])
+    def test_a_party_failure_is_a_prompt_deploy_error(self, fault, monkeypatch, caplog):
+        expected = fault(monkeypatch)
+        query = TopKQuery(table="t", attribute="v", k=2, domain=DOMAIN)
+        started = time.perf_counter()
+        with caplog.at_level(logging.WARNING, logger="asyncio"):
+            with pytest.raises(DeployError, match=f"party '.+' failed: {expected}"):
+                run_async_topk(VECTORS, query, seed=4, timeout=5.0)
+        assert time.perf_counter() - started < 1.0
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
 
 
 class TestThreeWayParity:

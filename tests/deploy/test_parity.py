@@ -71,7 +71,7 @@ class TestParity:
 
 class TestEverySubstrateHostsTheSameNode:
     """One ProtocolNode, one set-up: what each party receives is the same
-    message stream on the simulator, encrypted TCP threads and asyncio."""
+    message stream on the simulator, TCP threads and asyncio."""
 
     @pytest.mark.parametrize("protocol", ["probabilistic", "naive"])
     @pytest.mark.parametrize("seed", [2, 19])
@@ -85,7 +85,7 @@ class TestEverySubstrateHostsTheSameNode:
             backend=SESSION,
         )
         threads = run_tcp_topk(
-            VECTORS, query, params=params, protocol=protocol, seed=seed, encrypt=True
+            VECTORS, query, params=params, protocol=protocol, seed=seed
         )
         loop = run_async_topk(
             VECTORS, query, params=params, protocol=protocol, seed=seed

@@ -32,10 +32,6 @@ class TestTcpRuns:
         for vec in outcome.per_party_results.values():
             assert vec == outcome.final_vector
 
-    def test_encrypted_channels(self):
-        outcome = run_tcp_topk(VECTORS, QUERY_K1, seed=6, encrypt=True)
-        assert outcome.final_vector == [9000.0]
-
     def test_naive_protocol_over_tcp(self):
         outcome = run_tcp_topk(VECTORS, QUERY_K1, seed=7, protocol="naive")
         assert outcome.final_vector == [9000.0]

@@ -1,8 +1,7 @@
 """The trial harness against the driver's pinned executors.
 
 The harness takes no executor option: every trial config is failure-free,
-unencrypted and latency-free, so the driver's rule runs it on a message-free
-kernel.  What must survive the option's retirement is the comparison the
+so the driver's rule runs it on a message-free kernel.  What must survive the option's retirement is the comparison the
 option used to make possible — harness results against the reference
 implementation, field for field — and that is made here by calling the one
 place an executor can still be pinned, ``repro.core.driver``.

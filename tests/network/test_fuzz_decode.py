@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.core.serialization import SerializationError, result_from_dict
-from repro.network.crypto import ChannelKey, CryptoError
 from repro.network.message import Message, MessageError
 
 
@@ -35,14 +34,6 @@ def test_structured_but_wrong_json_rejected(body):
         Message.decode(raw)
     except MessageError:
         pass
-
-
-@given(blob=st.binary(max_size=256))
-@settings(max_examples=100, deadline=None)
-def test_cipher_rejects_garbage(blob: bytes):
-    key = ChannelKey(b"k" * 32)
-    with pytest.raises(CryptoError):
-        key.decrypt(blob)
 
 
 @given(

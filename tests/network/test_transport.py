@@ -2,14 +2,9 @@
 
 import pytest
 
-from repro.network.crypto import Keyring
 from repro.network.failures import FailureInjector
 from repro.network.message import token_message
-from repro.network.transport import (
-    InMemoryTransport,
-    TransportError,
-    constant_latency,
-)
+from repro.network.transport import LINK_SECONDS, InMemoryTransport, TransportError
 
 
 def collector():
@@ -32,7 +27,7 @@ class TestRegistration:
 
 class TestDelivery:
     def test_in_order_delivery_with_constant_latency(self):
-        transport = InMemoryTransport(latency=constant_latency(0.01))
+        transport = InMemoryTransport()
         received, handler = collector()
         transport.register("a", lambda m: None)
         transport.register("b", handler)
@@ -41,26 +36,13 @@ class TestDelivery:
         transport.run_until_idle()
         assert [m.round for m in received] == [1, 2, 3]
 
-    def test_latency_ordering(self):
-        # Per-link latencies reorder deliveries by timestamp.
-        latencies = {("a", "c"): 0.5, ("b", "c"): 0.1}
-        transport = InMemoryTransport(latency=lambda s, r: latencies[(s, r)])
-        received, handler = collector()
-        for node in ("a", "b"):
-            transport.register(node, lambda m: None)
-        transport.register("c", handler)
-        transport.send(token_message("a", "c", 1, [1.0]))
-        transport.send(token_message("b", "c", 2, [2.0]))
-        transport.run_until_idle()
-        assert [m.sender for m in received] == ["b", "a"]
-
     def test_clock_advances(self):
-        transport = InMemoryTransport(latency=constant_latency(0.25))
+        transport = InMemoryTransport()
         transport.register("a", lambda m: None)
         transport.register("b", lambda m: None)
         transport.send(token_message("a", "b", 1, [1.0]))
         transport.run_until_idle()
-        assert transport.now == pytest.approx(0.25)
+        assert transport.now == LINK_SECONDS
 
     def test_deliver_next_empty_queue(self):
         assert InMemoryTransport().deliver_next() is None
@@ -74,10 +56,6 @@ class TestDelivery:
         assert transport.stats.messages_total == 1
         assert transport.stats.bytes_total > 0
 
-    def test_negative_latency_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            constant_latency(-1.0)
-
     def test_run_until_idle_bounds_deliveries(self):
         transport = InMemoryTransport()
         transport.register("a", lambda m: None)
@@ -89,17 +67,6 @@ class TestDelivery:
         transport.send(token_message("a", "b", 1, [1.0]))
         with pytest.raises(TransportError, match="did not quiesce"):
             transport.run_until_idle(max_deliveries=50)
-
-
-class TestEncryption:
-    def test_payload_round_trips_through_cipher(self):
-        transport = InMemoryTransport(keyring=Keyring())
-        received, handler = collector()
-        transport.register("a", lambda m: None)
-        transport.register("b", handler)
-        transport.send(token_message("a", "b", 1, [123.0, 45.5]))
-        transport.run_until_idle()
-        assert received[0].payload["vector"] == [123.0, 45.5]
 
 
 class TestFailures:

@@ -3,21 +3,24 @@
 The pipelined execution engine hangs many independent protocol runs off one
 shared :class:`InMemoryTransport`, each under its own channel (the message's
 ``query`` tag).  These tests pin down the contracts that make that safe:
-per-channel registration and accounting isolation, strictly
-(timestamp, seq)-ordered delivery across channels (fairness — no query can
-starve another), and ``max_deliveries`` semantics under multi-query load.
+per-channel registration and accounting isolation, strictly send-ordered
+delivery across channels (fairness — no query can starve another), and
+``max_deliveries`` semantics under multi-query load.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.network.failures import FailureInjector
 from repro.network.message import token_message
 from repro.network.transport import (
     DEFAULT_MAX_DELIVERIES,
+    LINK_SECONDS,
     InMemoryTransport,
     TransportError,
-    constant_latency,
 )
 
 
@@ -93,7 +96,7 @@ class TestChannelAccounting:
         assert transport.open_channel("q2").event_log.rounds() == [7]
 
     def test_last_delivery_at_tracks_channel_completion(self):
-        transport = InMemoryTransport(latency=constant_latency(1.0))
+        transport = InMemoryTransport()
         for q in ("q1", "q2"):
             transport.open_channel(q)
             transport.register("bob", lambda m: None, channel=q)
@@ -101,19 +104,19 @@ class TestChannelAccounting:
         transport.run_until_idle()
         transport.send(make_message("alice", "bob", query="q2"))
         transport.run_until_idle()
-        assert transport.open_channel("q1").last_delivery_at == pytest.approx(1.0)
-        assert transport.open_channel("q2").last_delivery_at == pytest.approx(2.0)
+        assert transport.open_channel("q1").last_delivery_at == LINK_SECONDS
+        assert transport.open_channel("q2").last_delivery_at == 2 * LINK_SECONDS
         assert transport.open_channel("q1").deliveries == 1
         assert transport.open_channel("q2").deliveries == 1
 
 
 class TestFairness:
-    """Delivery is strictly (timestamp, seq)-ordered across channels."""
+    """Delivery is strictly send-ordered across channels."""
 
     def test_equal_latency_interleaves_round_robin(self):
         # Q queries sending at the same instants deliver strictly
         # interleaved, never one query's whole run before another's.
-        transport = InMemoryTransport(latency=constant_latency(1.0))
+        transport = InMemoryTransport()
         order = []
         queries = [f"q{i}" for i in range(4)]
         for q in queries:
@@ -127,41 +130,61 @@ class TestFairness:
             transport.run_until_idle()
         assert order == queries * 3
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
-        latencies=st.lists(
-            st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
-            min_size=2,
-            max_size=12,
-        )
+        steps=st.lists(
+            st.one_of(
+                st.tuples(st.just("send"), st.integers(0, 3), st.sampled_from("bcd")),
+                st.tuples(st.just("deliver"), st.integers(1, 3)),
+                st.tuples(st.just("crash"), st.sampled_from("bcd")),
+            ),
+            max_size=60,
+        ),
+        drop_seed=st.integers(0, 2**16),
     )
-    def test_delivery_order_is_timestamp_then_seq(self, latencies):
-        # Property: whatever per-message latencies the queries see, the
-        # delivery order sorts by (deliver_at, send seq) — the shared
-        # transport never reorders beyond what timestamps dictate.
-        transport = InMemoryTransport(latency=constant_latency(0.0))
-        delivered = []
-        for i in range(len(latencies)):
-            q = f"q{i}"
-            transport.open_channel(q)
-            transport.register(
-                "bob", lambda m, q=q: delivered.append(q), channel=q
-            )
-        sent = []
-        for i, latency in enumerate(latencies):
-            transport._latency = constant_latency(latency)
-            transport.send(make_message("alice", "bob", query=f"q{i}"))
-            sent.append((latency, i, f"q{i}"))
+    def test_delivery_is_time_and_channel_ordered(self, steps, drop_seed):
+        # The queue is a FIFO because every link has the same delay: the
+        # clock never runs backwards, so a later send is never due earlier.
+        # Random interleavings of sends and deliveries across channels, with
+        # drops at send time and crashed receivers dropped at delivery, must
+        # keep delivery timestamps non-decreasing and each channel's
+        # deliveries in that channel's send order.
+        failures = FailureInjector(drop_probability=0.2, rng=random.Random(drop_seed))
+        transport = InMemoryTransport(failures=failures)
+        channels = [f"q{i}" for i in range(4)]
+        stamps, delivered = [], {q: [] for q in channels}
+        for q in channels:
+            accounting = transport.open_channel(q)
+            accounting.on_delivery = lambda message, at: stamps.append(at)
+            for node in "abcd":
+                transport.register(
+                    node, lambda m, q=q: delivered[q].append(m.round), channel=q
+                )
+        sent = {q: [] for q in channels}
+        for step in steps:
+            if step[0] == "send":
+                q = channels[step[1]]
+                sent[q].append(len(sent[q]) + 1)
+                transport.send(
+                    make_message("a", step[2], query=q, round_number=sent[q][-1])
+                )
+            elif step[0] == "deliver":
+                for _ in range(step[1]):
+                    transport.deliver_next()
+            else:
+                failures.crash(step[1])
         transport.run_until_idle()
-        expected = [q for _latency, _seq, q in sorted(sent)]
-        assert delivered == expected
+        assert stamps == sorted(stamps)
+        for q in channels:
+            assert delivered[q] == sorted(delivered[q])
+            assert set(delivered[q]) <= set(sent[q])
 
     @settings(max_examples=30, deadline=None)
     @given(rounds=st.integers(min_value=1, max_value=6))
     def test_no_starvation_under_sustained_load(self, rounds):
         # A chatty query cannot starve a quiet one: every queued message is
         # eventually delivered and each channel's count is exact.
-        transport = InMemoryTransport(latency=constant_latency(0.5))
+        transport = InMemoryTransport()
         counts = {"busy": 0, "quiet": 0}
 
         def handler_for(q):

@@ -10,7 +10,6 @@ from repro.core.schedule import LinearSchedule
 from repro.federation.coordinator import QueryOutcome, QueryRefused
 from repro.federation.sql import SqlError
 from repro.network.failures import FailureInjector
-from repro.network.transport import constant_latency
 from repro.planner.errors import PlanInfeasible
 from repro.service import QueryService
 from repro.sharding import (
@@ -203,8 +202,6 @@ def _shown(result):
         ),
         # A forked worker receives the config object itself, so what no JSON
         # spec could carry runs, or is refused, the same on both twins.
-        pytest.param(RunConfig(encrypt=True), None, id="encrypt"),
-        pytest.param(RunConfig(latency=constant_latency(0.01)), None, id="latency"),
         pytest.param(RunConfig(failures=FailureInjector()), None, id="failures"),
         pytest.param(
             RunConfig(ring_builder=lambda ids, rng: None), None, id="ring_builder"

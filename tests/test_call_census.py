@@ -242,46 +242,6 @@ DECLARED: dict[str, tuple[str, str, str]] = {
         "guard", "tests/federation/test_policy.py",
         "typed refusal: decides PolicyViolation",
     ),
-    "repro.network.crypto:ChannelKey.__post_init__": (
-        "design", "tests/network/test_crypto.py",
-        "DESIGN.md row 3: channel encryption (paper: encryption can be used)",
-    ),
-    "repro.network.crypto:ChannelKey.decrypt": (
-        "design", "tests/network/test_crypto.py",
-        "DESIGN.md row 3: channel encryption (paper: encryption can be used)",
-    ),
-    "repro.network.crypto:ChannelKey.encrypt": (
-        "design", "tests/network/test_crypto.py",
-        "DESIGN.md row 3: channel encryption (paper: encryption can be used)",
-    ),
-    "repro.network.crypto:ChannelKey.generate": (
-        "design", "tests/network/test_crypto.py",
-        "DESIGN.md row 3: channel encryption (paper: encryption can be used)",
-    ),
-    "repro.network.crypto:Keyring.__init__": (
-        "design", "tests/network/test_crypto.py",
-        "DESIGN.md row 3: channel encryption (paper: encryption can be used)",
-    ),
-    "repro.network.crypto:Keyring.key_for": (
-        "design", "tests/network/test_crypto.py",
-        "DESIGN.md row 3: channel encryption (paper: encryption can be used)",
-    ),
-    "repro.network.crypto:Keyring.open": (
-        "design", "tests/network/test_crypto.py",
-        "DESIGN.md row 3: channel encryption (paper: encryption can be used)",
-    ),
-    "repro.network.crypto:Keyring.seal": (
-        "design", "tests/network/test_crypto.py",
-        "DESIGN.md row 3: channel encryption (paper: encryption can be used)",
-    ),
-    "repro.network.crypto:_keystream": (
-        "design", "tests/network/test_crypto.py",
-        "DESIGN.md row 3: channel encryption (paper: encryption can be used)",
-    ),
-    "repro.network.crypto:_xor": (
-        "design", "tests/network/test_crypto.py",
-        "DESIGN.md row 3: channel encryption (paper: encryption can be used)",
-    ),
     "repro.network.failures:FailureInjector.crash": (
         "guard", "tests/network/test_failures.py",
         "failure path: crash-stop nodes (Section 3.2), kept by DESIGN.md 4j",

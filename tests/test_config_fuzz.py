@@ -1,8 +1,9 @@
 """Configuration fuzzing: any sensible RunConfig must stay exact.
 
 Hypothesis samples protocol configurations across every orthogonal knob —
-protocol, schedule family, noise strategy, encryption, latency model, ring
-policy — and asserts the run still returns the exact top-k.  Correctness
+protocol, schedule family, noise strategy, ring policy, and an idle failure
+injector or none, so both the session and the kernels run — and asserts the
+run still returns the exact top-k.  Correctness
 must be invariant to deployment choices; only privacy/cost may vary.
 """
 
@@ -18,7 +19,7 @@ from repro.core.schedule import (
     LinearSchedule,
 )
 from repro.database.query import Domain, TopKQuery
-from repro.network.transport import constant_latency
+from repro.network.failures import FailureInjector
 
 DOMAIN = Domain(1, 10_000)
 
@@ -38,9 +39,7 @@ schedules = st.one_of(
 noises = st.sampled_from(
     [UniformNoise(), HighBiasedNoise(order=2), LowBiasedNoise(order=3)]
 )
-latencies = st.sampled_from(
-    [None, constant_latency(0.002), constant_latency(0.0005)]
-)
+injectors = st.one_of(st.none(), st.builds(FailureInjector))
 workloads = st.dictionaries(
     st.sampled_from([f"n{i}" for i in range(7)]),
     st.lists(
@@ -56,20 +55,19 @@ workloads = st.dictionaries(
     k=st.integers(min_value=1, max_value=4),
     schedule=schedules,
     noise=noises,
-    latency=latencies,
-    encrypt=st.booleans(),
+    failures=injectors,
     remap=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**31),
 )
 @settings(max_examples=50, deadline=None)
 def test_any_configuration_is_exact(
-    vectors, k, schedule, noise, latency, encrypt, remap, seed
+    vectors, k, schedule, noise, failures, remap, seed
 ):
     query = TopKQuery(table="t", attribute="v", k=k, domain=DOMAIN)
     params = ProtocolParams(
         schedule=schedule, rounds=10, noise=noise, remap_each_round=remap
     )
-    config = RunConfig(params=params, seed=seed, encrypt=encrypt, latency=latency)
+    config = RunConfig(params=params, seed=seed, failures=failures)
     result = run_protocol_on_vectors(vectors, query, config)
 
     merged = sorted((v for vs in vectors.values() for v in vs), reverse=True)[:k]

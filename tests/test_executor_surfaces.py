@@ -11,7 +11,9 @@ to refuse everything, so the same default routes to the session.
 No surface above the driver takes an executor option: the statement
 language refuses the retired ``backend`` key before a queue slot, and a
 gateway batch of planned statements runs whatever the federation's config
-obliges — counted here by the same mechanism.
+obliges — counted here by the same mechanism.  The one obligation left is a
+failure injector: even an idle one runs the session, which then answers
+exactly as the kernel does.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from repro.experiments.config import TrialSetup
 from repro.experiments.runner import run_trials
 from repro.federation import Federation
 from repro.network.failures import FailureInjector
-from repro.network.transport import constant_latency
 from repro.planner import SloError
 from repro.service import QueryService
 
@@ -128,20 +129,23 @@ def test_cli_query_prints_the_same_report(sessions_built, monkeypatch, capsys):
     assert capsys.readouterr().out == by_rule
 
 
+def unfired_crash():
+    failures = FailureInjector()
+    failures.schedule_crash("acme", after_messages=10_000)
+    return failures
+
+
 @pytest.mark.parametrize(
-    "obligation",
-    [
-        {"encrypt": True},
-        {"latency": constant_latency(0.003)},
-        {"failures": FailureInjector()},
-    ],
-    ids=["encrypt", "latency", "failures"],
+    "injector", [FailureInjector, unfired_crash], ids=["failures", "unfired-crash"]
 )
-def test_transport_obligations_still_run_the_session(obligation, sessions_built):
+def test_transport_obligations_still_run_the_session(injector, sessions_built):
     databases = [database_from_values(o, vs) for o, vs in VALUES.items()]
-    result = run_topk_query(databases, QUERY, RunConfig(seed=11, **obligation))
+    by_kernel = run_topk_query(databases, QUERY, RunConfig(seed=11))
+    assert sessions_built == []
+    result = run_topk_query(databases, QUERY, RunConfig(seed=11, failures=injector()))
     assert len(sessions_built) == 1
     assert result.answer() == [9000.0, 8200.0]
+    assert_results_identical(by_kernel, result)
 
 
 def test_trial_harness_builds_no_session(sessions_built):
@@ -177,14 +181,19 @@ def test_gateway_batch_of_planned_statements_builds_no_session(sessions_built):
     assert sessions_built == []
 
 
-def test_gateway_batch_on_an_encrypting_federation_builds_one_session_each(
+def test_gateway_batch_with_a_failure_injector_builds_one_session_each(
     sessions_built,
 ):
     plain, _ = gateway_batch(SLO_BATCH)
     assert sessions_built == []
-    encrypted, _ = gateway_batch(SLO_BATCH, config=RunConfig(encrypt=True))
+    injected, _ = gateway_batch(
+        SLO_BATCH, config=RunConfig(failures=FailureInjector())
+    )
     assert len(sessions_built) == len(SLO_BATCH)
-    assert [o.values for o in encrypted] == [o.values for o in plain]
+    for want, got in zip(plain, injected):
+        assert got.values == want.values
+        assert got.simulated_seconds == want.simulated_seconds
+        assert got.messages == want.messages
 
 
 @pytest.mark.parametrize("value", ["session", "kernel", "auto"])

@@ -1,9 +1,9 @@
 """Cross-feature integration: the protocol with everything switched on at once.
 
-Each feature is unit-tested in isolation; these runs combine encryption,
-trust-aware rings, per-round remapping, bandwidth-aware latency, crash
-recovery, custom noise strategies and alternative schedules in single runs
-to catch interaction bugs.
+Each feature is unit-tested in isolation; these runs combine the session
+substrate (an idle failure injector obliges it), trust-aware rings,
+per-round remapping, crash recovery, custom noise strategies and
+alternative schedules in single runs to catch interaction bugs.
 """
 
 import random
@@ -16,7 +16,7 @@ from repro.core.params import ProtocolParams
 from repro.core.schedule import ConstantCutoffSchedule, ExponentialSchedule, LinearSchedule
 from repro.database.query import Domain, TopKQuery
 from repro.network.failures import FailureInjector
-from repro.network.transport import constant_latency
+from repro.network.transport import LINK_SECONDS
 from repro.network.trust import TrustGraph, build_trusted_ring
 
 DOMAIN = Domain(1, 10_000)
@@ -35,7 +35,7 @@ def truth(vectors: dict[str, list[float]], k: int) -> list[float]:
 
 
 class TestEverythingOn:
-    def test_encrypted_remapped_latency_biased_run(self):
+    def test_remapped_biased_run_on_the_session(self):
         vectors = workload(8, 4, seed=1)
         query = TopKQuery(table="t", attribute="v", k=3, domain=DOMAIN)
         params = ProtocolParams(
@@ -44,15 +44,12 @@ class TestEverythingOn:
             remap_each_round=True,
             noise=HighBiasedNoise(order=3),
         )
-        config = RunConfig(
-            params=params,
-            seed=2,
-            encrypt=True,
-            latency=constant_latency(0.003),
-        )
+        config = RunConfig(params=params, seed=2, failures=FailureInjector())
         result = run_protocol_on_vectors(vectors, query, config)
         assert result.final_vector == truth(vectors, 3)
-        assert result.simulated_seconds > 0.002 * result.stats.messages_total
+        assert result.simulated_seconds == pytest.approx(
+            result.stats.messages_total * LINK_SECONDS
+        )
         assert len({order for order in result.ring_history.values()}) > 1
 
     def test_trusted_ring_with_crash_recovery(self):
@@ -87,14 +84,14 @@ class TestEverythingOn:
         ],
         ids=lambda s: type(s).__name__,
     )
-    def test_alternative_schedules_with_encryption_and_min_query(self, schedule):
+    def test_alternative_schedules_on_the_session_with_min_query(self, schedule):
         vectors = workload(6, 3, seed=5)
         query = TopKQuery(
             table="t", attribute="v", k=2, domain=DOMAIN, smallest=True
         )
         params = ProtocolParams(schedule=schedule, rounds=9)
         result = run_protocol_on_vectors(
-            vectors, query, RunConfig(params=params, seed=6, encrypt=True)
+            vectors, query, RunConfig(params=params, seed=6, failures=FailureInjector())
         )
         expected = sorted(v for vs in vectors.values() for v in vs)[:2]
         assert result.answer() == expected
@@ -106,7 +103,7 @@ class TestEverythingOn:
         query = TopKQuery(table="t", attribute="v", k=1, domain=DOMAIN)
         params = ProtocolParams.paper_defaults(rounds=8, remap_each_round=True)
         result = run_protocol_on_vectors(
-            vectors, query, RunConfig(params=params, seed=8, encrypt=True)
+            vectors, query, RunConfig(params=params, seed=8, failures=FailureInjector())
         )
         assert 0.0 <= average_lop(result) <= worst_case_lop(result) <= 1.0
         report = privacy_report(result)
@@ -119,7 +116,7 @@ class TestEverythingOn:
         query = TopKQuery(table="t", attribute="v", k=2, domain=DOMAIN)
         params = ProtocolParams.paper_defaults(rounds=7, remap_each_round=True)
         result = run_protocol_on_vectors(
-            vectors, query, RunConfig(params=params, seed=10, encrypt=True)
+            vectors, query, RunConfig(params=params, seed=10, failures=FailureInjector())
         )
         restored = result_from_dict(result_to_dict(result))
         assert restored.final_vector == result.final_vector

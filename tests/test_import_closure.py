@@ -61,6 +61,14 @@ def test_shard_worker_closure():
     assert len(under(modules, "repro")) <= 70
 
 
+def test_driver_closure_carries_no_channel_cipher():
+    """Ring links carry plaintext: no cipher module, and no ``hmac``."""
+    modules = loaded_after("import repro.core.driver")
+    assert "repro.core.driver" in modules
+    assert "repro.network.crypto" not in modules
+    assert "hmac" not in modules
+
+
 #: What no figure-path interpreter loads: the gateway and its transports, the
 #: federation / planner / DP stack only ``ext-dp`` and ``ext-tpch-sweep`` run,
 #: the storage engines, and the trial pool a gated run never starts.

@@ -99,8 +99,8 @@ class TestDistributions:
 class TestProtocolMatrix:
     @pytest.mark.parametrize("protocol", [PROBABILISTIC, NAIVE, ANONYMOUS_NAIVE])
     @pytest.mark.parametrize("k", [1, 3])
-    @pytest.mark.parametrize("encrypt", [False, True])
-    def test_all_combinations_exact(self, protocol, k, encrypt):
+    @pytest.mark.parametrize("on_session", [False, True])
+    def test_all_combinations_exact(self, protocol, k, on_session):
         dbs = [
             database_from_values(f"org{i}", values)
             for i, values in enumerate(
@@ -108,7 +108,9 @@ class TestProtocolMatrix:
             )
         ]
         query = TopKQuery(table="data", attribute="value", k=k)
-        config = RunConfig(protocol=protocol, encrypt=encrypt, seed=31)
+        # An idle injector obliges the session; without one a kernel runs.
+        failures = FailureInjector() if on_session else None
+        config = RunConfig(protocol=protocol, failures=failures, seed=31)
         result = run_topk_query(dbs, query, config)
         assert result.precision() == 1.0
 

@@ -2,8 +2,8 @@
 
 ``pyproject.toml`` selects ``E9``, ``F63``, ``F7``, ``F82`` and ``F401``, and CI
 runs ruff on them (``make lint``).  This test reaches the same verdict on
-``src tests benchmarks scripts`` with ``compile`` and ``ast`` alone, so it
-runs where ruff is not installed:
+``src tests benchmarks scripts examples`` with ``compile`` and ``ast``
+alone, so it runs where ruff is not installed:
 
 * E9 / F7: the file does not parse (``E999``), or ``compile`` refuses a
   statement out of place: ``break`` (``F701``) or ``continue`` (``F702``)
@@ -39,7 +39,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-CHECKED_DIRS = ("src", "tests", "benchmarks", "scripts")
+CHECKED_DIRS = ("src", "tests", "benchmarks", "scripts", "examples")
 
 #: ``compile``'s refusals that ruff reports under an F7 code.
 F7_MESSAGES = {
