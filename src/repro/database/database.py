@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 
+import numpy as np
+
 from .engines import StorageEngine
 from .query import QueryError, TopKQuery
 from .schema import Schema, SchemaError
@@ -121,7 +123,7 @@ class PrivateDatabase:
 
 def database_from_values(
     owner: str,
-    values: Iterable[float],
+    values: Iterable[float] | np.ndarray,
     *,
     table: str = "data",
     attribute: str = "value",
@@ -130,15 +132,19 @@ def database_from_values(
     """Build a single-table database from a flat list of attribute values.
 
     This is the shape used throughout the paper's evaluation, where each node
-    holds values of a single sensitive attribute.
+    holds values of a single sensitive attribute.  The column is INTEGER when
+    every value is an ``int`` (an array: when its dtype is an integer or
+    boolean kind), REAL otherwise, and enters the table whole through
+    :meth:`~repro.database.table.Table.insert_arrays`.
     """
     db = PrivateDatabase(owner, engine=engine)
-    # Materialize once: ``values`` may be a one-shot iterator, and it is
-    # consumed twice below (type sniffing, then the insert).
-    values = list(values)
-    integral = all(isinstance(v, int) for v in values)
+    if isinstance(values, np.ndarray) and values.dtype.kind in "biuf":
+        integral = values.dtype.kind != "f"
+    else:
+        # Materialize once: ``values`` may be a one-shot iterator, and it
+        # is read twice below (type sniffing, then the insert).
+        values = list(values)
+        integral = all(isinstance(v, int) for v in values)
     schema = Schema.of((attribute, "INTEGER" if integral else "REAL"))
-    t = db.create_table(table, schema)
-    t.insert_many({attribute: v} for v in values)
+    db.create_table(table, schema).insert_arrays({attribute: values})
     return db
-

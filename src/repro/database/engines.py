@@ -585,8 +585,13 @@ class _NumericColumn:
     spill drops the summary with the arrays.
     """
 
+    __slots__ = (
+        "dtype", "pending", "chunks", "masks", "exact", "_sealed", "_summary",
+        "_folded",
+    )
+
     def __init__(self, dtype: "np.dtype") -> None:
-        self.dtype = np.dtype(dtype)
+        self.dtype = dtype
         self.pending: list[object] = []
         self.chunks: list[_SealedRun] = []
         #: Parallel to ``chunks`` once any null has been seen, else None.
@@ -804,18 +809,20 @@ class ColumnarEngine(StorageEngine):
 
     name = "columnar"
 
-    _DTYPES = {"INTEGER": np.int64, "REAL": np.float64}
+    #: A numeric column's dtype, built once rather than once per column.
+    _DTYPES = {"INTEGER": np.dtype(np.int64), "REAL": np.dtype(np.float64)}
 
     def __init__(self, schema: Schema) -> None:
         super().__init__(schema)
+        dtypes = self._DTYPES
+        # A loop, not a comprehension: a table is one column more often than
+        # not, and the comprehension's own frame would cost more than it.
         self._columns: dict[str, _NumericColumn | _ObjectColumn] = {}
         for column in schema.columns:
-            if column.is_numeric:
-                self._columns[column.name] = _NumericColumn(
-                    self._DTYPES[column.type]
-                )
-            else:
-                self._columns[column.name] = _ObjectColumn()
+            dtype = dtypes.get(column.type)
+            self._columns[column.name] = (
+                _ObjectColumn() if dtype is None else _NumericColumn(dtype)
+            )
         self._count = 0
 
     def seal(self, name: str, values: "np.ndarray | list") -> "_SealedRun | list":
@@ -933,7 +940,10 @@ def make_engine(
     """
     if spec is None:
         spec = DEFAULT_ENGINE
-    if callable(spec):
+    if isinstance(spec, str):
+        if spec in _ENGINE_CLASSES:
+            return _ENGINE_CLASSES[spec](schema)
+    elif callable(spec):
         engine = spec(schema)
         if not isinstance(engine, StorageEngine):
             raise TypeError(
@@ -941,9 +951,7 @@ def make_engine(
                 "not a StorageEngine"
             )
         return engine
-    if spec not in _ENGINE_CLASSES:
-        raise ValueError(
-            f"unknown storage engine {spec!r}; expected one of {ENGINES} "
-            "or a factory callable"
-        )
-    return _ENGINE_CLASSES[spec](schema)
+    raise ValueError(
+        f"unknown storage engine {spec!r}; expected one of {ENGINES} "
+        "or a factory callable"
+    )

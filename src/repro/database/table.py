@@ -45,6 +45,8 @@ def _canonical(column: Column, values: Sequence | np.ndarray) -> np.ndarray | li
     REAL array as float64 when every value is representable (finite, never
     ``-0.0``), anything else as a list whose every value the column has
     validated (:func:`_validated`)."""
+    if type(values) is list:  # a builder's column: no copy, no array checks
+        return _validated(column, values)
     if isinstance(values, np.ndarray):
         kind = values.dtype.kind
         if column.type == "INTEGER" and kind == "i":
@@ -182,8 +184,13 @@ class Table:
         canonicalized *before* any engine sees them — INTEGER to int64,
         REAL to float64 — so every engine stores identical values; a REAL
         array containing non-finite values or ``-0.0``, or any plain-list
-        input, takes the validated scalar path instead.  Counts as one
-        mutation batch (one ``version`` bump), like :meth:`insert_many`.
+        input, takes the validated scalar path instead — the path and the
+        stored form of :meth:`insert_many`'s columns, so a builder that
+        holds a column hands it over as a list rather than as one-key rows.
+        A list is validated where it lies, not copied; the engine copies
+        what it keeps, and nothing holds the list once the call returns.
+        Counts as one mutation batch (one ``version`` bump), like
+        :meth:`insert_many`.
 
         ``columns`` is a mapping or an iterable of ``(name, values)``
         pairs, in any column order; a mapping is read as its ``items()``.
@@ -212,16 +219,24 @@ class Table:
         footprint this path exists to avoid; do not keep a writable view
         taken *before* the insert.
         """
-        pairs = columns.items() if isinstance(columns, Mapping) else columns
+        if type(columns) is dict or isinstance(columns, Mapping):
+            columns = columns.items()
+        schema = self.schema
+        seal = self._engine.seal
         sealed: dict[str, list] = {}
         count = None
-        for name, values in pairs:
-            if name not in self.schema:
-                raise SchemaError(f"unknown columns in batch: [{name!r}]")
+        for name, values in columns:
+            try:
+                column = schema.column(name)
+            except SchemaError:
+                raise SchemaError(f"unknown columns in batch: [{name!r}]") from None
             if name in sealed:
                 raise SchemaError(f"column {name!r} repeated in batch")
-            column = self.schema.column(name)
-            stream = isinstance(values, Iterator)
+            stream = (
+                type(values) is not list
+                and not isinstance(values, np.ndarray)
+                and isinstance(values, Iterator)
+            )
             runs = []
             rows = 0
             for block in values if stream else (values,):
@@ -237,7 +252,7 @@ class Table:
                         f"blocks, got a block of type {type(block).__name__!r}"
                     )
                 rows += len(block)
-                runs.append(self._engine.seal(name, _canonical(column, block)))
+                runs.append(seal(name, _canonical(column, block)))
                 # Let go of the input before the stream draws the next block.
                 del block
             del values
@@ -249,8 +264,9 @@ class Table:
                     f"expected {count}"
                 )
             sealed[name] = runs
-        missing = self.schema.name_set - sealed.keys()
-        if missing:
+        # Every key is a schema name, none twice: equal sizes mean all in.
+        if len(sealed) != len(schema.columns):
+            missing = schema.name_set - sealed.keys()
             raise SchemaError(f"missing columns in batch: {sorted(missing)}")
         return self._commit(sealed, count)
 

@@ -84,7 +84,7 @@ def _build_federation(seed: int) -> tuple[Federation, dict[str, float]]:
             for _ in range(ROWS_PER_PARTY)
         ]
         rows.extend(held)
-        table.insert_many({ATTRIBUTE: value} for value in held)
+        table.insert_arrays({ATTRIBUTE: held})
         federation.register(db)
     truth = {
         "MAX": float(max(rows)),

@@ -22,7 +22,7 @@ unchanged.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 from ..core.driver import RunConfig
@@ -57,16 +57,28 @@ class ShardTopology:
     partitioned: tuple[str, ...]
     assignments: tuple[dict[str, dict[str, list[float]]], ...]
     seed: int
+    _shard_tables: tuple[tuple[str, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        # Placed once: the topology is frozen, and placing a table hashes
+        # its name (SHA-256).
+        owned: list[list[str]] = [[] for _ in range(self.shard_count)]
+        for table in self.tables:
+            if table not in self.partitioned:
+                owned[shard_index(table, self.shard_count)].append(table)
+        object.__setattr__(self, "_shard_tables", tuple(
+            tuple(sorted(names + list(self.partitioned))) for names in owned
+        ))
 
     def shard_tables(self, shard: int) -> tuple[str, ...]:
-        """Every table shard ``shard`` serves (owned + partitioned)."""
-        owned = tuple(
-            t
-            for t in self.tables
-            if t not in self.partitioned
-            and shard_index(t, self.shard_count) == shard
-        )
-        return tuple(sorted(owned + self.partitioned))
+        """Every table shard ``shard`` serves (owned + partitioned), sorted."""
+        if not 0 <= shard < self.shard_count:
+            raise ShardError(
+                f"no shard {shard} in a {self.shard_count}-shard topology"
+            )
+        return self._shard_tables[shard]
 
     def table_values(self, table: str) -> list[float]:
         """The table's full row set (union over all shards and parties)."""
@@ -171,7 +183,9 @@ def _build_party(
         table = db.create_table(table_name, schema)
         values = held.get(table_name, ())
         if values:
-            table.insert_many({attribute: int(v)} for v in values)
+            # The party's rows as the one column they are, not one dict per
+            # value for the table to take apart again.
+            table.insert_arrays({attribute: list(map(int, values))})
     return db
 
 

@@ -1,5 +1,6 @@
 """Unit tests for repro.database.database."""
 
+import numpy as np
 import pytest
 
 from repro.database.database import PrivateDatabase, database_from_values
@@ -138,6 +139,46 @@ class TestDatabaseFromValues:
         real = database_from_values("y", iter([1.5, 0.5]))
         assert real.table("data").schema.column("value").type == "REAL"
         assert len(real.table("data")) == 2
+
+    @pytest.mark.parametrize("engine", ["row", "columnar"])
+    def test_integer_array_builds_integer_table(self, engine):
+        # Regression: the type sniff asked ``isinstance(v, int)`` of NumPy
+        # ints, picked REAL, and then refused every value.
+        db = database_from_values("a", np.arange(5), engine=engine)
+        table = db.table("data")
+        assert table.schema.column("value").type == "INTEGER"
+        assert len(table) == 5 and table.version == 1 and db.data_version == 2
+        top = table.top_k("value", 2)
+        assert top == [4, 3] and all(type(v) is int for v in top)
+        assert table.aggregate("value", "sum") == 10.0
+
+    @pytest.mark.parametrize("engine", ["row", "columnar"])
+    def test_float_array_builds_real_table(self, engine):
+        db = database_from_values("a", np.array([2.5, -1.0, 0.0]), engine=engine)
+        table = db.table("data")
+        assert table.schema.column("value").type == "REAL"
+        assert table.bottom_k("value", 3) == [-1.0, 0.0, 2.5]
+        assert all(type(v) is float for v in table.top_k("value", 3))
+
+    def test_integer_array_lands_as_sealed_array_runs(self):
+        table = database_from_values("a", np.arange(-3, 300)).table("data")
+        assert table._engine.encodings() == {"value": "int16"}
+
+    def test_empty_list_builds_an_empty_table(self):
+        db = database_from_values("a", [])
+        table = db.table("data")
+        assert table.schema.column("value").type == "INTEGER"
+        assert len(table) == 0 and table.version == 0 and db.data_version == 1
+        assert table.top_k("value", 3) == []
+
+    @pytest.mark.parametrize("values", [[True, False], np.array([True, False])])
+    def test_bool_values_are_refused(self, values):
+        with pytest.raises(SchemaError, match="expects INTEGER, got True"):
+            database_from_values("a", values)
+
+    def test_two_dimensional_array_is_refused(self):
+        with pytest.raises(SchemaError, match="1-D"):
+            database_from_values("a", np.arange(6).reshape(2, 3))
 
 
 class TestCommonQuery:

@@ -31,6 +31,27 @@ def test_shard_index_is_stable_and_total():
         shard_index("t", 0)
 
 
+@pytest.mark.parametrize("shards", [1, 2, 3, 5])
+def test_shard_tables_agree_with_placement(shards):
+    """The per-shard table slices the topology derives once are the router's
+    placement: every routed table on exactly its ``shard_index`` shard,
+    every partitioned table on every shard, each slice sorted."""
+    topology = build_topology(shards=shards, tables=24, partitioned=3, seed=4)
+    slices = [topology.shard_tables(shard) for shard in range(shards)]
+    for table in topology.tables:
+        holders = [shard for shard in range(shards) if table in slices[shard]]
+        if table in topology.partitioned:
+            assert holders == list(range(shards))
+        else:
+            assert holders == [shard_index(table, shards)]
+    for shard, names in enumerate(slices):
+        assert names == tuple(sorted(names))
+        assert topology.shard_tables(shard) is names  # derived once, not per call
+    for shard in (-1, shards):
+        with pytest.raises(ShardError, match="no shard"):
+            topology.shard_tables(shard)
+
+
 def test_router_routes_and_counts():
     router = ShardRouter(3, partitioned=("hot",))
     assert router.route("hot") == ALL_SHARDS
