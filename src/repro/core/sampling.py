@@ -70,17 +70,27 @@ def random_value_in(
 # all S streams at once.  uint32 gives mod-2**32 for free.
 
 _MT_N = 624
-_MT_M1 = np.uint32(1664525)
-_MT_M2 = np.uint32(1566083941)
+# The seeding loops' constant operands are 0-d arrays, not numpy scalars:
+# those loops are ~12k ufunc calls per block, and a call on 0-d arrays skips
+# NumPy 2's scalar promotion (a 768-stream block seeds in ~5 ms instead of
+# ~10 ms, 2-vCPU Xeon, NumPy 2.4).
+_MT_M1 = np.array(1664525, dtype=np.uint32)
+_MT_M2 = np.array(1566083941, dtype=np.uint32)
+_MT_SHIFT = np.array(30, dtype=np.uint32)
 _MT_UPPER = np.uint32(0x80000000)
 _MT_LOWER = np.uint32(0x7FFFFFFF)
 _MT_MATRIX = np.uint32(0x9908B0DF)
 
-#: Streams per vectorization chunk.  The 1247 sequential ``init_by_array``
-#: steps each touch one (chunk,)-row, so the chunk trades numpy dispatch
-#: overhead (small chunks) against cache pressure from the 624 x chunk
-#: state (large chunks); ~8k is the measured sweet spot on this container.
-_MT_CHUNK = 8192
+#: Streams seeded at once: a 4 MiB state budget over 624 words x 4 B, so
+#: 1,680.  A harvest seeds its streams a block at a time into one
+#: ``(624, block)`` state, so its working set is bounded by bytes, not by
+#: how many streams it asks for.  The 1247 sequential ``init_by_array``
+#: steps each cost numpy dispatches per block, so a smaller budget pays more
+#: of them on a large harvest (6,400 streams: 4 blocks instead of 1) for a
+#: smaller peak (a 4 MiB state instead of 15.2 MiB); a harvest of at most
+#: one block is untouched by the budget.  ``scripts/size_mt_block.py``
+#: measures the trade.
+_MT_BLOCK = (4 << 20) // (_MT_N * 4)
 
 #: The maximum words obtainable from a single partial twist: ``mt[i + 397]``
 #: must stay inside the untwisted tail, so only the first 227 outputs are
@@ -99,10 +109,20 @@ def _mt_base_state() -> np.ndarray:
 
 
 _MT_INIT = _mt_base_state()
+#: ``_MT_INIT[i]`` and ``i`` as 0-d arrays, one per state index.
+_MT_INIT_0D = [np.array(word) for word in _MT_INIT]
+_MT_INDEX_0D = [np.array(i, dtype=np.uint32) for i in range(_MT_N)]
 
 
-def _mt_words_chunk(seeds: np.ndarray, words: int) -> np.ndarray:
-    """``init_by_array`` + partial twist + temper for one chunk of seeds."""
+def _mt_words_chunk(seeds: np.ndarray, words: int, mt: np.ndarray) -> np.ndarray:
+    """``init_by_array`` + partial twist + temper for one block of seeds.
+
+    ``mt`` is the block's ``(624, len(seeds))`` uint32 state, a view of a
+    buffer the caller reuses across blocks; every word is written before it
+    is read, so whatever an earlier block left there cannot leak in.
+    Returns a ``(len(seeds), words)`` view (the transpose of the block's
+    tempered words).
+    """
     count = seeds.shape[0]
     key0 = (seeds & np.uint64(0xFFFFFFFF)).astype(np.uint32)
     key1 = (seeds >> np.uint64(32)).astype(np.uint32)
@@ -112,7 +132,6 @@ def _mt_words_chunk(seeds: np.ndarray, words: int) -> np.ndarray:
     add_even = key0
     add_odd = np.where(long_key, key1 + np.uint32(1), key0)
 
-    mt = np.empty((_MT_N, count), dtype=np.uint32)
     tmp = np.empty(count, dtype=np.uint32)
 
     # init_by_array loop 1: 624 steps of
@@ -122,16 +141,16 @@ def _mt_words_chunk(seeds: np.ndarray, words: int) -> np.ndarray:
     for step in range(_MT_N - 1):
         i = step + 1
         row = mt[i]
-        np.right_shift(prev, 30, out=row)
+        np.right_shift(prev, _MT_SHIFT, out=row)
         row ^= prev
         row *= _MT_M1
-        row ^= _MT_INIT[i]
+        row ^= _MT_INIT_0D[i]
         row += add_even if step % 2 == 0 else add_odd
         prev = row
     mt[0] = mt[_MT_N - 1]
     prev = mt[0]
     row = mt[1]  # wrap step 623 writes i=1 with key index 623 % keylen
-    np.right_shift(prev, 30, out=tmp)
+    np.right_shift(prev, _MT_SHIFT, out=tmp)
     tmp ^= prev
     tmp *= _MT_M1
     row ^= tmp
@@ -143,20 +162,20 @@ def _mt_words_chunk(seeds: np.ndarray, words: int) -> np.ndarray:
     for step in range(_MT_N - 2):
         i = step + 2
         row = mt[i]
-        np.right_shift(prev, 30, out=tmp)
+        np.right_shift(prev, _MT_SHIFT, out=tmp)
         tmp ^= prev
         tmp *= _MT_M2
         row ^= tmp
-        row -= np.uint32(i)
+        row -= _MT_INDEX_0D[i]
         prev = row
     mt[0] = mt[_MT_N - 1]
     prev = mt[0]
     row = mt[1]
-    np.right_shift(prev, 30, out=tmp)
+    np.right_shift(prev, _MT_SHIFT, out=tmp)
     tmp ^= prev
     tmp *= _MT_M2
     row ^= tmp
-    row -= np.uint32(1)
+    row -= _MT_INDEX_0D[1]
     mt[0] = _MT_UPPER
 
     # Partial twist: the first ``words`` outputs only need state words up to
@@ -174,7 +193,7 @@ def _mt_words_chunk(seeds: np.ndarray, words: int) -> np.ndarray:
     out ^= (out << np.uint32(7)) & np.uint32(0x9D2C5680)
     out ^= (out << np.uint32(15)) & np.uint32(0xEFC60000)
     out ^= out >> np.uint32(18)
-    return np.ascontiguousarray(out.T)
+    return out.T
 
 
 #: LRU of harvested stream prefixes, keyed by seed.  Per-node seeds are
@@ -182,8 +201,9 @@ def _mt_words_chunk(seeds: np.ndarray, words: int) -> np.ndarray:
 #: benchmark reps, parity sweeps, a statement re-executed after a cache
 #: epoch bump — asks for exactly the same streams again; the ~1.2k-step
 #: ``init_by_array`` replay is the batch kernel's dominant setup cost, and
-#: a hit skips it entirely.  Bounded: 8192 entries of <= 227 words is
-#: under 8 MB.
+#: a hit skips it entirely.  Bounded: full with 8192 entries, it traces
+#: 8.9 MiB at the 227-word maximum and 3.8 MiB at 54 words (tracemalloc,
+#: NumPy 2.4, entry headers and the dict included).
 _PREFIX_CACHE: "OrderedDict[int, np.ndarray]" = OrderedDict()
 PREFIX_CACHE_ENTRIES = 8192
 
@@ -203,8 +223,10 @@ def mt19937_words(seeds: "np.ndarray | list[int]", words: int) -> np.ndarray:
 
     Streams seen before (same seed, same or shorter prefix) are served from
     the module's LRU prefix cache instead of re-running ``init_by_array``;
-    fresh seeds harvest exactly as before and populate it.  The cache holds
-    copies, so callers may use the returned array freely.
+    fresh seeds harvest and populate it, seeded ``_MT_BLOCK`` streams at a
+    time into one reused state, so a harvest's working set stays bounded
+    however many streams miss.  The cache holds copies, so callers may use
+    the returned array freely.
     """
     if not 0 < words <= MAX_HARVEST_WORDS:
         raise ValueError(
@@ -226,9 +248,12 @@ def mt19937_words(seeds: "np.ndarray | list[int]", words: int) -> np.ndarray:
         return out
     miss = np.asarray(miss_rows, dtype=np.int64)
     miss_seeds = seeds[miss]
-    for start in range(0, miss.shape[0], _MT_CHUNK):
-        stop = min(start + _MT_CHUNK, miss.shape[0])
-        out[miss[start:stop]] = _mt_words_chunk(miss_seeds[start:stop], words)
+    state = np.empty((_MT_N, min(_MT_BLOCK, miss.shape[0])), dtype=np.uint32)
+    for start in range(0, miss.shape[0], _MT_BLOCK):
+        stop = min(start + _MT_BLOCK, miss.shape[0])
+        out[miss[start:stop]] = _mt_words_chunk(
+            miss_seeds[start:stop], words, state[:, : stop - start]
+        )
     for row, seed in zip(miss_rows, map(int, miss_seeds.tolist())):
         existing = cache.get(seed)
         if existing is None or existing.shape[0] < words:
