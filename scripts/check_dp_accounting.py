@@ -1,13 +1,16 @@
 #!/usr/bin/env python
 """CI privacy-smoke check: the (ε, δ) accountant against its golden ledger.
 
-Runs a fixed, seeded DP workload twice — once through a flat
-``Federation``, once through a ``ShardedFederation`` over the same
-topology — and asserts:
+Runs a fixed, seeded DP workload three times — through a flat
+``Federation``, through a ``ShardedFederation`` over the same topology, and
+through a second flat ``Federation`` built from the same seeds, as a
+restarted process would be — and asserts:
 
 1. answers are byte-identical between the two deployments;
 2. the two accountants' ledgers are byte-identical, line for line;
-3. the composed (ε, δ) spend, release/free-serve/refusal counters and
+3. the restarted federation re-derives byte-identical answers and ledger
+   (noise is keyed by the answer it perturbs, not by process state);
+4. the composed (ε, δ) spend, release/free-serve/refusal counters and
    ledger match ``results/dp_accounting_golden.json``.
 
 Run with ``--update`` to regenerate the golden file after an intentional
@@ -123,6 +126,17 @@ def main() -> int:
         print("\n".join(failures))
         return 1
 
+    restarted = _run("flat")
+    for key in ("answers", "ledger"):
+        if json.dumps(restarted[key]) != json.dumps(flat[key]):
+            failures.append(f"a restarted flat federation re-derives different {key}")
+            failures.append(f"  first:     {flat[key]}")
+            failures.append(f"  restarted: {restarted[key]}")
+    if failures:
+        print("DP accounting check FAILED (restart):")
+        print("\n".join(failures))
+        return 1
+
     observed = {
         "topology_seed": TOPOLOGY_SEED,
         "dp_seed": DP_SEED,
@@ -158,7 +172,7 @@ def main() -> int:
         f"{len(observed['ledger'])} charges, "
         f"epsilon_spent={spent['epsilon_spent']}, "
         f"delta_spent={spent['delta_spent']}, "
-        f"flat == sharded, matches golden."
+        f"flat == sharded == restarted, matches golden."
     )
     return 0
 

@@ -38,7 +38,8 @@ FIGURE_ID = "ext-dp"
 
 #: Epsilons swept on the x axis (log-ish spread around the useful range).
 EPSILON_SWEEP = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
-#: Fresh releases averaged per (ε, operation) point in the utility panel.
+#: Independent releases averaged per (ε, operation) point in the utility
+#: panel, one per federation.
 RELEASES_PER_POINT = 8
 #: Federation shape: small and exact, so noise is the only error source.
 N_PARTIES = 4
@@ -54,11 +55,11 @@ OPERATIONS = (
 )
 
 
-def _build_federation(seed: int) -> tuple[Federation, dict[str, float]]:
+def _build_federation(seed: int, dp_seed: int) -> tuple[Federation, dict[str, float]]:
     """An exact federation (``p0=0``) over seeded integer rows.
 
     Returns the federation plus the true (un-noised) answer per operation,
-    computed directly from the generated rows.
+    computed directly from the generated rows.  ``dp_seed`` keys its noise.
     """
     from ...core.params import ProtocolParams
     from ...core.schedule import ExponentialSchedule
@@ -72,7 +73,7 @@ def _build_federation(seed: int) -> tuple[Federation, dict[str, float]]:
         domain=DOMAIN,
         config=config,
         seed=seed,
-        dp=DpPolicy(seed=seed),  # unmetered: the sweep needs unlimited budget
+        dp=DpPolicy(seed=dp_seed),  # unmetered: the sweep needs unlimited budget
     )
     rng = random.Random(seed)
     rows: list[int] = []
@@ -97,14 +98,18 @@ def _build_federation(seed: int) -> tuple[Federation, dict[str, float]]:
 def _utility_panel(trials: int, seed: int) -> FigureData:
     """Normalized mean absolute release error vs ε, through the federation.
 
-    Each point averages :data:`RELEASES_PER_POINT` *fresh* releases: the
-    result cache is invalidated between repeats, so the release counter
-    advances and every repeat draws new calibrated noise (a cached repeat
-    would replay the same bytes by design — that is the free-re-serve
-    guarantee, not a new sample).
+    Each point averages :data:`RELEASES_PER_POINT` independent releases,
+    one from each of as many federations over the same seeded rows, each
+    with its own DP seed derived from ``seed``.  A repeat on one federation
+    would not be a new sample: equal inner answers key equal noise, so it
+    re-serves the same bytes free — that is the free-re-serve guarantee.
     """
     releases = max(2, min(RELEASES_PER_POINT, trials))
-    federation, truth = _build_federation(seed)
+    built = [
+        _build_federation(seed, seed * RELEASES_PER_POINT + release)
+        for release in range(releases)
+    ]
+    truth = built[0][1]
     width = DOMAIN.high - DOMAIN.low
     scale = {"MAX": width, "SUM": width, "COUNT": float(N_PARTIES * ROWS_PER_PARTY)}
     series = []
@@ -113,11 +118,10 @@ def _utility_panel(trials: int, seed: int) -> FigureData:
         points = []
         for epsilon in EPSILON_SWEEP:
             text = f"{statement} WITH SLO(dp_epsilon={epsilon})"
-            errors = []
-            for _ in range(releases):
-                federation.invalidate_cache()
-                outcome = federation.execute(text)
-                errors.append(abs(outcome.values[0] - truth[operation]))
+            errors = [
+                abs(federation.execute(text).values[0] - truth[operation])
+                for federation, _truth in built
+            ]
             points.append(
                 (epsilon, sum(errors) / len(errors) / scale[operation])
             )

@@ -180,10 +180,6 @@ class Federation:
 
     # -- result cache --------------------------------------------------------
 
-    def invalidate_cache(self) -> None:
-        """Operator hook: explicitly drop all cached answers."""
-        self.cache.clear()
-
     def _data_versions(self) -> tuple[tuple[str, int], ...]:
         parties = self._parties
         return tuple([(owner, parties[owner].data_version) for owner in self.members])
@@ -227,8 +223,8 @@ class Federation:
         prepared = prepare(statement_text)
         spec = prepared.spec
         if use_cache or prepared.has_dp:
-            # DP releases are defined over the batch machinery (release
-            # counters, cached re-serves); a single statement is a batch
+            # DP releases are defined over the batch machinery (inner
+            # statements, cached re-serves); a single statement is a batch
             # of one.  A cache-valid repeat re-serves the same noisy
             # release free instead of re-executing.
             return self.execute_many([statement_text], issuer=issuer)[0]

@@ -194,9 +194,9 @@ class DpReleasePath:
         statements perturb nothing downstream (the same refusal-parity rule
         the planner follows).  The budget precheck is optimistic on reuse:
         a key that has already released is admitted without headroom, and
-        ``assemble`` still enforces the budget if the inner cache turns out
-        to have been invalidated — or re-populated over mutated data, which
-        must settle as a fresh charged release, never a noise replay.
+        ``assemble`` still enforces the budget if the inner answers turn out
+        to differ from the ones the release perturbed: that is a fresh,
+        charged release with its own noise, never a replay.
 
         With ``settle=False`` the first refusal raises instead.
         """
@@ -255,8 +255,8 @@ class DpReleasePath:
         exactly the order a sequential session would record them — that is
         what keeps flat and sharded ledgers byte-identical per seed.  One
         charge per *fresh* release; a DP statement whose inner answers are
-        all cached, and are the ones its latest release perturbed, re-serves
-        that release byte-identically and charges nothing.
+        the ones its latest release perturbed — cached or re-executed —
+        re-serves that release byte-identically and charges nothing.
         """
         gate, meters, issuer = self.gate, self._meters, batch.issuer
         for position, slot in batch.slots.items():
@@ -267,27 +267,22 @@ class DpReleasePath:
                 batch.results[position] = QueryRefused(text, refused.error)
                 continue
             outcomes: list[QueryOutcome] = inner  # type: ignore[assignment]
-            inner_cached = all(o.cached for o in outcomes)
             inner_values = [o.values for o in outcomes]
             try:
-                if meters is not None and gate.would_charge(
-                    request, inner_cached, inner_values
-                ):
+                if meters is not None and not gate.replayable(request, inner_values):
                     # Optimistic reuse admissions skipped the tenant headroom
                     # check; settle it before the gate records the charge.
                     reason = meters.dp_headroom(issuer, request.epsilon, request.delta)
                     if reason is not None:
                         raise BudgetExhausted(reason, statement=text)
-                values, charged = gate.finalize(
-                    request, inner_values, inner_cached=inner_cached
-                )
+                values, charged = gate.finalize(request, inner_values)
             except BudgetExhausted as exc:
                 if meters is not None:
                     meters.note_refusal(issuer)
                 batch.refuse(position, exc)
                 continue
             slot.charged = charged
-            slot.executed = not inner_cached
+            slot.executed = not all(o.cached for o in outcomes)
             batch.results[position] = QueryOutcome(
                 statement=slot.bare_text,
                 values=values,
@@ -318,8 +313,8 @@ class DpReleasePath:
         cache without executing (``None`` on a miss).  Serves only when a
         release already exists for the key, every inner answer is still
         cache-valid, *and* those answers are the ones the release perturbed
-        (a cache re-populated over mutated data must not replay old noise —
-        that would disclose the exact data delta); the re-served values are
+        (answers re-cached over mutated data key fresh noise — replaying the
+        old noise would disclose the exact data delta); the re-served values are
         byte-identical to that release and spend zero budget.  Anything else
         returns ``None`` so the batch path settles the statement as a fresh,
         charged release or raises its typed refusal.
@@ -344,7 +339,7 @@ class DpReleasePath:
             return None  # the data changed under the release; must re-charge
         if before_serve is not None:
             before_serve(answers)
-        values, _charged = self.gate.finalize(request, inner_values, inner_cached=True)
+        values, _charged = self.gate.finalize(request, inner_values)
         return QueryOutcome(
             statement=spec.statement.text,
             values=values,

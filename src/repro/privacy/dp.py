@@ -11,25 +11,24 @@ Laplace) for integral ones — and every release is charged against a
 
 Design invariants (shared with the rest of the stack):
 
-* **Deterministic per seed.** Noise is drawn from a ``random.Random``
-  seeded by SHA-256 over ``(dp seed, release key, inner index, release
-  counter)``.  The same seed and workload produce byte-identical noisy
-  answers, ledgers, and snapshots — flat or sharded.
-* **Cache hits spend zero budget.** A repeat of a released statement whose
-  inner (exact) answer is still cache-valid *and identical to the answer
-  the release perturbed* re-serves the *same* noisy bytes: no fresh
-  randomness, no budget charge.  This is sound — the released value is
-  already public — and mirrors the tenant LoP rule ("spent on cache hit"
-  is free on both accounting surfaces, via the shared :class:`SpendMeter`).
-  The data binding is what makes it sound: a release key excludes data
-  versions, so after a table mutation the inner statement can be re-cached
-  over *different* data; replaying the old noise against the new answer
-  would hand an observer ``new_value + old_noise`` for free — subtracting
-  the two released values cancels the noise and discloses the exact data
-  delta with zero (epsilon, delta) charged.  :class:`DpGate` therefore
-  records, per release, the exact inner answers it perturbed, and treats
-  any repeat over different inner answers as a fresh release: headroom
-  check, fresh noise, budget charged.
+* **Noise keyed by the answer it perturbs.** Noise is drawn from a
+  ``random.Random`` seeded by SHA-256 over ``(dp seed, release key, inner
+  index, the exact inner answers)``.  A release is therefore a function of
+  the data only through the answer it perturbs: the same seed and workload
+  produce byte-identical noisy answers, ledgers and snapshots — flat or
+  sharded, and across a restart.
+* **Equal inner answers give equal bytes, free.** A repeat whose inner
+  (exact) answers equal the ones its key's latest release perturbed
+  re-serves that release's bytes with no budget charge, whether the inner
+  answers came from the cache or were re-executed.  This is sound — the
+  released value is already public, and re-deriving it would give the same
+  bytes — and mirrors the tenant LoP rule ("spent on cache hit" is free on
+  both accounting surfaces, via the shared :class:`SpendMeter`).  Changed
+  inner answers key an independent draw, charged as usual: replaying one
+  draw against two answers would let an observer subtract the releases and
+  learn the exact data delta.  Because nothing in the key is process
+  state, a restarted federation over unchanged data re-derives the same
+  bytes, so a refunded budget cannot buy fresh samples to average.
 * **Typed refusals.** Budget exhaustion raises :class:`BudgetExhausted`
   (distinct from the planner's ``PlanInfeasible``); a mechanism whose
   noise would underflow to exactly zero raises :class:`DpError` instead
@@ -323,7 +322,9 @@ class DpPolicy:
     ``epsilon_budget`` / ``delta_budget`` bound the accountant (``None``
     means unmetered); ``seed`` isolates the noise stream from the
     protocol's own seed derivation so enabling DP never perturbs
-    non-DP draws.
+    non-DP draws.  The seed must stay secret: the noise is a public function
+    of it and of the exact answer, so anyone who knows it can re-derive the
+    noise and subtract it.
     """
 
     epsilon_budget: float | None = None
@@ -343,9 +344,10 @@ class DpInner:
 class DpRequest:
     """A fully-resolved DP release: inner statements, budgets, mechanisms.
 
-    ``key`` identifies the release stream — repeats of the same canonical
-    statement at the same budget advance one shared release counter, which
-    is what makes cached re-serves byte-identical and free.
+    ``key`` identifies the release: repeats of the same canonical statement
+    at the same budget share it, and with the exact inner answers it keys
+    the noise, which is what makes a repeat over equal answers
+    byte-identical and free.
     """
 
     operation: str
@@ -441,29 +443,28 @@ class _PendingBudget:
 
 @dataclass(frozen=True)
 class _ReleaseRecord:
-    """One key's latest release: counter, perturbed inputs, released bytes.
+    """One key's latest release: the inner answers it perturbed, its bytes.
 
-    ``inner_values`` binds the release to the exact inner answers its noise
-    perturbed; ``values`` are the released noisy bytes, re-servable verbatim
-    (and only) while the current inner answers still match that binding.
+    ``values`` are what re-deriving the noise from ``inner_values`` would
+    give again, kept so a free re-serve does not pay for the derivation.
     """
 
-    count: int
     inner_values: tuple[tuple[float, ...], ...]
     values: tuple[float, ...]
 
 
 def _freeze(inner_values: Sequence[Sequence[float]]) -> tuple[tuple[float, ...], ...]:
-    return tuple(tuple(float(v) for v in values) for values in inner_values)
+    # ``+ 0.0`` folds -0.0 into 0.0, so equal answers also key equal noise.
+    return tuple(tuple(float(v) + 0.0 for v in values) for values in inner_values)
 
 
 class DpGate:
     """Per-federation DP release engine.
 
-    Owns the accountant, the per-key release counters, and the
-    deterministic noise derivation.  Flat and sharded federations drive it
-    through the one release path (:mod:`repro.federation.dp_release`), so
-    both share ledger and noise byte-for-byte.
+    Owns the accountant, each key's latest release, and the deterministic
+    noise derivation.  Flat and sharded federations drive it through the
+    one release path (:mod:`repro.federation.dp_release`), so both share
+    ledger and noise byte-for-byte.
     """
 
     def __init__(self, policy: DpPolicy | None = None):
@@ -479,8 +480,8 @@ class DpGate:
         """True when this key has released before.
 
         Admission optimism only: whether a repeat actually re-serves free is
-        decided by :meth:`replayable`, which also checks that the data the
-        release perturbed has not changed underneath it.
+        decided by :meth:`replayable`, which also checks that the inner
+        answers equal the ones the release perturbed.
         """
         return request.key in self._releases
 
@@ -489,23 +490,12 @@ class DpGate:
     ) -> bool:
         """True when the latest release perturbed exactly these inner answers.
 
-        This is the only case a free re-serve is sound: the re-served bytes
-        are then identical to the already-public release.  Replaying a
-        release's noise against *changed* data would let an observer
-        subtract the two releases and recover the exact data delta
-        uncharged, so a mismatch must settle as a fresh release instead.
+        Then :meth:`finalize` re-serves it free: the bytes are the ones the
+        noise derivation would give again, and already public.  Any other
+        answers key an independent, charged draw.
         """
         record = self._releases.get(request.key)
         return record is not None and record.inner_values == _freeze(inner_values)
-
-    def would_charge(
-        self,
-        request: DpRequest,
-        inner_cached: bool,
-        inner_values: Sequence[Sequence[float]],
-    ) -> bool:
-        """Charge unless a still-valid release over these exact answers exists."""
-        return not (inner_cached and self.replayable(request, inner_values))
 
     def new_pending(self) -> _PendingBudget:
         return _PendingBudget()
@@ -519,9 +509,9 @@ class DpGate:
         """Batch-time precheck, *before* any seed draw or inner dispatch.
 
         Optimistic on reuse: a key that has released before is admitted
-        without headroom (the repeat is usually a free cached re-serve);
-        if the inner cache turns out to be invalidated, ``finalize`` still
-        enforces the budget and the statement settles as refused.
+        without headroom (the repeat is usually a free re-serve); if its
+        inner answers turn out to have changed, ``finalize`` still enforces
+        the budget and the statement settles as refused.
 
         ``tenant_headroom`` is a second meter the release must also fit,
         called like :meth:`PrivacyAccountant.headroom_reason`.  A batch's
@@ -554,64 +544,56 @@ class DpGate:
         return None
 
     def finalize(
-        self,
-        request: DpRequest,
-        inner_values: Sequence[Sequence[float]],
-        *,
-        inner_cached: bool,
+        self, request: DpRequest, inner_values: Sequence[Sequence[float]]
     ) -> tuple[tuple[float, ...], bool]:
         """Assemble the noisy release; returns ``(values, charged)``.
 
-        A free re-serve returns the latest release's stored bytes
-        (byte-identical answer, zero budget) — and only happens when the
-        current inner answers are the very ones that release perturbed.  Any
-        other repeat — inner re-executed, or re-cached over mutated data —
-        is a fresh release: it charges the accountant, refusing with
-        :class:`BudgetExhausted` before the counter or any meter moves, then
-        advances the release counter onto fresh noise.
+        When the inner answers equal the ones the key's latest release
+        perturbed, that release's bytes are re-served free.  Otherwise the
+        accountant is charged — refusing with :class:`BudgetExhausted` before
+        any meter moves — and the noise is derived from these answers.
         """
-        record = self._releases.get(request.key)
         frozen = _freeze(inner_values)
-        if inner_cached and record is not None and record.inner_values == frozen:
+        record = self._releases.get(request.key)
+        if record is not None and record.inner_values == frozen:
             self.accountant.note_free_serve()
             return record.values, False
         self.accountant.charge(request.epsilon, request.delta, statement=request.label)
-        release = (record.count if record is not None else 0) + 1
-        values = self._perturb(request, inner_values, release)
-        self._releases[request.key] = _ReleaseRecord(
-            count=release, inner_values=frozen, values=values
-        )
+        values = self._perturb(request, frozen)
+        self._releases[request.key] = _ReleaseRecord(frozen, values)
         return values, True
 
     # -- noise ---------------------------------------------------------------
 
-    def _noise_rng(self, request: DpRequest, inner_index: int, release: int) -> random.Random:
+    def _noise_rng(
+        self, request: DpRequest, inner_index: int, inner_values: tuple
+    ) -> random.Random:
+        # Every index is keyed on the whole answer tuple, so a change in any
+        # inner answer (e.g. AVG's SUM) re-draws every component; ``repr``
+        # writes each float exactly.
         material = ":".join(
             [
                 str(self.policy.seed),
                 "dp",
                 *[str(part) for part in request.key],
                 str(inner_index),
-                str(release),
+                repr(inner_values),
             ]
         ).encode()
         seed = int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
         return random.Random(seed)
 
     def _perturb(
-        self,
-        request: DpRequest,
-        inner_values: Sequence[Sequence[float]],
-        release: int,
+        self, request: DpRequest, inner_values: tuple[tuple[float, ...], ...]
     ) -> tuple[float, ...]:
         domain = request.domain
         if request.operation == "AVG":
-            sum_noise = request.inner[0].mechanism.draw(self._noise_rng(request, 0, release))
-            count_noise = request.inner[1].mechanism.draw(self._noise_rng(request, 1, release))
+            sum_noise = request.inner[0].mechanism.draw(self._noise_rng(request, 0, inner_values))
+            count_noise = request.inner[1].mechanism.draw(self._noise_rng(request, 1, inner_values))
             noisy_sum = inner_values[0][0] + sum_noise
             noisy_count = max(1.0, float(round(inner_values[1][0] + count_noise)))
             return (domain.clamp(noisy_sum / noisy_count),)
-        rng = self._noise_rng(request, 0, release)
+        rng = self._noise_rng(request, 0, inner_values)
         mechanism = request.inner[0].mechanism
         if request.operation == "SUM":
             return (float(inner_values[0][0] + mechanism.draw(rng)),)

@@ -77,16 +77,20 @@ class TestReuse:
     # never charges, mutated data is a fresh release, an exhausted budget
     # refuses — live in test_dp_release_rules.py, run flat and sharded.
 
-    def test_cache_invalidation_buys_fresh_noise_and_a_fresh_charge(self):
+    def test_cache_drop_over_unchanged_data_re_serves_free(self):
+        # Dropping the cache re-executes the inner statement, but over the
+        # same data it returns the same exact answer, which keys the same
+        # noise: the repeat is the already-public release, uncharged.
         fed = fresh_federation(dp=DpPolicy(seed=2))
         text = "SELECT COUNT(value) FROM data WITH SLO(dp_epsilon=0.2)"
         first = fed.execute(text)
-        fed.invalidate_cache()
+        fed.cache.clear()
         second = fed.execute(text)
-        assert second.values != first.values
-        assert not second.cached
-        assert fed.dp_gate.accountant.releases == 2
-        assert fed.dp_gate.accountant.epsilon.spent == pytest.approx(0.4)
+        assert second.values == first.values
+        assert second.cached
+        assert fed.dp_gate.accountant.releases == 1
+        assert fed.dp_gate.accountant.free_serves == 1
+        assert fed.dp_gate.accountant.epsilon.spent == pytest.approx(0.2)
 
 
 class TestRefusals:

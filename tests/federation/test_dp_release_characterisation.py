@@ -13,8 +13,9 @@ The batches mix DP x plain, routed x fan-out, AVG (two inner statements), a
 repeat, a zero-noise ``DpError``, an over-budget fresh release, a malformed
 statement and — sharded — a tenant rate limit and tenant DP-budget refusals at
 admission and at settlement; a second batch runs after a table mutation, so
-optimistic reuse admissions settle as fresh charges, refusals and free
-re-serves.  Regenerate the literals (after an *intentional* change only) with
+optimistic reuse admissions settle as fresh charges where an inner answer
+changed, refusals, and free re-serves where none did (cached or
+re-executed).  Regenerate the literals (after an *intentional* change only) with
 ``PYTHONPATH=src python tests/federation/test_dp_release_characterisation.py``.
 """
 
@@ -62,9 +63,10 @@ RECACHE = f"SELECT COUNT(value) FROM {R0}"
 BATCH_TWO = [
     # R0 mutated and its COUNT re-cached by a plain query: a fresh charge.
     f"SELECT COUNT(value) FROM {R0} WITH SLO(dp_epsilon=0.5)",
-    # R0's MAX must re-execute; sharded: the tenant cannot pay for it again.
+    # R0's MAX re-executes over a new maximum: a fresh release, which the
+    # sharded tenant cannot pay for.
     f"SELECT MAX(value) FROM {R0} WITH SLO(dp_epsilon=2.0)",
-    # R1 untouched: the same release, free.
+    # R1's data is untouched (flat re-executes it): the same release, free.
     f"SELECT AVG(value) FROM {R1} WITH SLO(dp_epsilon=1.5)",
 ]
 
@@ -121,8 +123,8 @@ def _try_cached(federation):
 
 
 def _mutate(federation):
-    """Insert one row into R0 at its first party (flat and shard 0 agree)."""
-    federation._parties["org00x00"].insert(R0, {"value": 4242})
+    """Insert R0's new maximum at its first party (flat and shard 0 agree)."""
+    federation._parties["org00x00"].insert(R0, {"value": 9999})
 
 
 class _RecordingShard(LocalShard):
@@ -223,18 +225,18 @@ def observe_flat():
     return seen
 
 
-EXPECTED_SHARDED: dict = {'batch_one': [('SELECT MAX(value) FROM t00', (9865.0,), 'probabilistic+dp', 8, 27, False),
+EXPECTED_SHARDED: dict = {'batch_one': [('SELECT MAX(value) FROM t00', (5019.0,), 'probabilistic+dp', 8, 27, False),
                ('SELECT TOP 3 value FROM t00', (9700.0, 8685.0, 6943.0), 'probabilistic', 8,
                 27, False),
                ('SELECT SUM(value) FROM part00', (64746.0,), 'secure-sum', 1, 12, False),
-               ('SELECT TOP 2 value FROM part00', (10000.0, 3329.0), 'probabilistic+dp', 5,
-                36, False),
-               ('SELECT AVG(value) FROM t02', (3149.7272727272725,), 'secure-sum+dp', 1, 12,
+               ('SELECT TOP 2 value FROM part00', (10000.0, 1.0), 'probabilistic+dp', 5, 36,
+                False),
+               ('SELECT AVG(value) FROM t02', (7366.083333333333,), 'secure-sum+dp', 1, 12,
                 False),
                ('SELECT MIN(value) FROM part00', (1405.0,), 'probabilistic', 5, 36, False),
-               ('SELECT AVG(value) FROM part00', (6855.909090909091,), 'secure-sum+dp', 1,
+               ('SELECT AVG(value) FROM part00', (4637.416666666667,), 'secure-sum+dp', 1,
                 12, False),
-               ('SELECT MAX(value) FROM t00', (9865.0,), 'probabilistic+dp', 0, 0, True),
+               ('SELECT MAX(value) FROM t00', (5019.0,), 'probabilistic+dp', 0, 0, True),
                ('DpError',
                 'zero-noise refusal: exp(-800/1) underflows; the geometric mechanism would '
                 'release the exact value'),
@@ -246,7 +248,7 @@ EXPECTED_SHARDED: dict = {'batch_one': [('SELECT MAX(value) FROM t00', (9865.0,)
                 False),
                ('SELECT BOTTOM 2 value FROM t02', (579.0, 943.0), 'probabilistic', 0, 0,
                 True),
-               ('SELECT COUNT(value) FROM t00', (11.0,), 'secure-sum+dp', 1, 6, False),
+               ('SELECT COUNT(value) FROM t00', (12.0,), 'secure-sum+dp', 1, 6, False),
                ('SqlError',
                 "unsupported statement: 'SELECT FROM nowhere'; the dialect supports SELECT "
                 'TOP/BOTTOM <k> <attr> FROM <table> and SELECT '
@@ -260,14 +262,14 @@ EXPECTED_SHARDED: dict = {'batch_one': [('SELECT MAX(value) FROM t00', (9865.0,)
            'batch:1 shard-route:1', 'batch:1 shard-route:1', 'batch:1 shard-route:1',
            'batch:1 broadcast:1 hop:27 local_extract:1 protocol:1 round:8 shard-route:1',
            'batch:1 shard-route:1', 'batch:1 shard-route:1', 'batch:1', 'batch:1'],
- 'try_cached_before': [((11.0,), 'secure-sum+dp', True),
-                       ((9865.0,), 'probabilistic+dp', True),
-                       ((3149.7272727272725,), 'secure-sum+dp', True)],
- 'try_cached': [None, None, ((3149.7272727272725,), 'secure-sum+dp', True)],
- 'batch_two': [('SELECT COUNT(value) FROM t00', (15.0,), 'secure-sum+dp', 0, 0, False),
+ 'try_cached_before': [((12.0,), 'secure-sum+dp', True),
+                       ((5019.0,), 'probabilistic+dp', True),
+                       ((7366.083333333333,), 'secure-sum+dp', True)],
+ 'try_cached': [None, None, ((7366.083333333333,), 'secure-sum+dp', True)],
+ 'batch_two': [('SELECT COUNT(value) FROM t00', (10.0,), 'secure-sum+dp', 0, 0, False),
                ('BudgetExhausted',
                 "tenant 'acme' epsilon budget exhausted: spent 6.75 of 7, release needs 2"),
-               ('SELECT AVG(value) FROM t02', (3149.7272727272725,), 'secure-sum+dp', 0, 0,
+               ('SELECT AVG(value) FROM t02', (7366.083333333333,), 'secure-sum+dp', 0, 0,
                 True)],
  'ledger': ['MAX k=1 t00.value dp_epsilon=2 dp_delta=0 eps=2 delta=0',
             'TOP k=2 part00.value dp_epsilon=1 dp_delta=1e-06 eps=1 delta=1e-06',
@@ -318,27 +320,27 @@ EXPECTED_SHARDED: dict = {'batch_one': [('SELECT MAX(value) FROM t00', (9865.0,)
                 (1, ['SELECT SUM(value) FROM t02', 'SELECT COUNT(value) FROM t02'],
                  ['', ''])]}
 
-EXPECTED_FLAT: dict = {'batch_one': [('SELECT MAX(value) FROM t00', (9865.0,), 'probabilistic+dp', 8, 54, False),
+EXPECTED_FLAT: dict = {'batch_one': [('SELECT MAX(value) FROM t00', (5019.0,), 'probabilistic+dp', 8, 54, False),
                ('SELECT TOP 3 value FROM t00', (9700.0, 8685.0, 6943.0), 'probabilistic', 8,
                 54, False),
                ('SELECT SUM(value) FROM part00', (64746.0,), 'secure-sum', 1, 12, False),
-               ('SELECT TOP 2 value FROM part00', (10000.0, 3329.0), 'probabilistic+dp', 8,
-                54, False),
-               ('SELECT AVG(value) FROM t02', (3149.7272727272725,), 'secure-sum+dp', 1, 24,
+               ('SELECT TOP 2 value FROM part00', (10000.0, 1.0), 'probabilistic+dp', 8, 54,
+                False),
+               ('SELECT AVG(value) FROM t02', (7366.083333333333,), 'secure-sum+dp', 1, 24,
                 False),
                ('SELECT MIN(value) FROM part00', (1405.0,), 'probabilistic', 8, 54, False),
-               ('SELECT AVG(value) FROM part00', (6855.909090909091,), 'secure-sum+dp', 1,
+               ('SELECT AVG(value) FROM part00', (4637.416666666667,), 'secure-sum+dp', 1,
                 12, False),
-               ('SELECT MAX(value) FROM t00', (9865.0,), 'probabilistic+dp', 0, 0, True),
+               ('SELECT MAX(value) FROM t00', (5019.0,), 'probabilistic+dp', 0, 0, True),
                ('DpError',
                 'zero-noise refusal: exp(-800/1) underflows; the geometric mechanism would '
                 'release the exact value'),
                ('BudgetExhausted',
                 'epsilon budget exhausted: spent 5.5 of 12, release needs 50'),
-               ('SELECT MIN(value) FROM t02', (1.0,), 'probabilistic+dp', 8, 54, False),
+               ('SELECT MIN(value) FROM t02', (1476.0,), 'probabilistic+dp', 8, 54, False),
                ('PolicyViolation', "issuer 'acme' is not permitted to run BOTTOM queries"),
                ('PolicyViolation', "issuer 'acme' is not permitted to run BOTTOM queries"),
-               ('SELECT COUNT(value) FROM t00', (11.0,), 'secure-sum+dp', 1, 12, False),
+               ('SELECT COUNT(value) FROM t00', (12.0,), 'secure-sum+dp', 1, 12, False),
                ('SqlError',
                 "unsupported statement: 'SELECT FROM nowhere'; the dialect supports SELECT "
                 'TOP/BOTTOM <k> <attr> FROM <table> and SELECT '
@@ -352,14 +354,14 @@ EXPECTED_FLAT: dict = {'batch_one': [('SELECT MAX(value) FROM t00', (9865.0,), '
            'batch:1 broadcast:1 hop:54 local_extract:1 protocol:1 round:8', 'batch:1',
            'batch:1', 'batch:1', 'batch:1',
            'batch:1 broadcast:1 hop:54 local_extract:1 protocol:1 round:8'],
- 'try_cached_before': [((11.0,), 'secure-sum+dp', True),
-                       ((9865.0,), 'probabilistic+dp', True),
-                       ((3149.7272727272725,), 'secure-sum+dp', True)],
+ 'try_cached_before': [((12.0,), 'secure-sum+dp', True),
+                       ((5019.0,), 'probabilistic+dp', True),
+                       ((7366.083333333333,), 'secure-sum+dp', True)],
  'try_cached': [None, None, None],
- 'batch_two': [('SELECT COUNT(value) FROM t00', (15.0,), 'secure-sum+dp', 0, 0, False),
-               ('SELECT MAX(value) FROM t00', (10000.0,), 'probabilistic+dp', 5, 36, False),
-               ('BudgetExhausted',
-                'epsilon budget exhausted: spent 11.5 of 12, release needs 1.5')],
+ 'batch_two': [('SELECT COUNT(value) FROM t00', (10.0,), 'secure-sum+dp', 0, 0, False),
+               ('SELECT MAX(value) FROM t00', (7969.0,), 'probabilistic+dp', 5, 36, False),
+               ('SELECT AVG(value) FROM t02', (7366.083333333333,), 'secure-sum+dp', 1, 24,
+                True)],
  'ledger': ['MAX k=1 t00.value dp_epsilon=2 dp_delta=0 eps=2 delta=0',
             'TOP k=2 part00.value dp_epsilon=1 dp_delta=1e-06 eps=1 delta=1e-06',
             'AVG k=1 t02.value dp_epsilon=1.5 dp_delta=0 eps=1.5 delta=0',
@@ -373,8 +375,8 @@ EXPECTED_FLAT: dict = {'batch_one': [('SELECT MAX(value) FROM t00', (9865.0,), '
           'delta_spent': 1e-06,
           'delta_budget': 1e-05,
           'releases': 8,
-          'free_serves': 4,
-          'refusals': 2,
+          'free_serves': 5,
+          'refusals': 1,
           'release_keys': 6},
  'policy_checks': 33,
  'cache': (7, 15),
@@ -393,13 +395,13 @@ EXPECTED_FLAT: dict = {'batch_one': [('SELECT MAX(value) FROM t00', (9865.0,), '
            ('SELECT MIN(value) FROM t02', 'probabilistic', 8, 54, (579.0,), 0.0, False),
            ('SELECT COUNT(value) FROM t00', 'secure-sum', 1, 12, (12.0,), None, False),
            ('SELECT MAX(value) FROM t02', 'probabilistic', 8, 54, (9653.0,), 0.0, False),
-           ('SELECT COUNT(value) FROM t00', 'secure-sum+dp', 0, 0, (11.0,), None, True),
-           ('SELECT MAX(value) FROM t00', 'probabilistic+dp', 0, 0, (9865.0,), None, True),
-           ('SELECT AVG(value) FROM t02', 'secure-sum+dp', 0, 0, (3149.7272727272725,),
-            None, True),
+           ('SELECT COUNT(value) FROM t00', 'secure-sum+dp', 0, 0, (12.0,), None, True),
+           ('SELECT MAX(value) FROM t00', 'probabilistic+dp', 0, 0, (5019.0,), None, True),
+           ('SELECT AVG(value) FROM t02', 'secure-sum+dp', 0, 0, (7366.083333333333,), None,
+            True),
            ('SELECT COUNT(value) FROM t00', 'secure-sum', 1, 12, (13.0,), None, False),
            ('SELECT COUNT(value) FROM t00', 'secure-sum', 0, 0, (13.0,), None, True),
-           ('SELECT MAX(value) FROM t00', 'probabilistic', 5, 36, (9700.0,),
+           ('SELECT MAX(value) FROM t00', 'probabilistic', 5, 36, (9999.0,),
             0.16666666666666666, False),
            ('SELECT SUM(value) FROM t02', 'secure-sum', 1, 12, (63455.0,), None, False),
            ('SELECT COUNT(value) FROM t02', 'secure-sum', 1, 12, (12.0,), None, False)]}

@@ -132,6 +132,62 @@ def test_recached_mutated_data_is_a_fresh_release(backend):
     assert second.values[0] - first.values[0] != 1.0
 
 
+#: A continuous public domain, so SUM and AVG's sum draw Laplace noise.
+CONTINUOUS = Domain(1, 10_000, integral=False)
+SHIFT = 5
+
+
+def _disclosures(operation: str, first: float, count: int) -> list[float]:
+    """What the shifted twin releases if it reuses ``first``'s noise draw.
+
+    The twin holds one extra row of value :data:`SHIFT`: a SUM moves by
+    SHIFT, a COUNT by 1, and an AVG ``(sum + noise) / noisy_count`` becomes
+    ``(first * noisy_count + SHIFT) / (noisy_count + 1)`` for the noisy count
+    the release drew, which an observer can try over every plausible count.
+    """
+    if operation == "SUM":
+        return [first + SHIFT]
+    if operation == "COUNT":
+        return [first + 1.0]
+    return [(first * c + SHIFT) / (c + 1) for c in range(1, 2 * count + 2)]
+
+
+@pytest.mark.parametrize(
+    "operation, epsilon", [("SUM", 0.1), ("COUNT", 0.5), ("AVG", 4.0)]
+)
+def test_a_restart_discloses_no_data_delta(backend, operation, epsilon):
+    # The restart probe: two federations built from the same seeds, the
+    # second over data with one extra row.  Each releases the statement once,
+    # as a restarted gateway would.  Noise keyed by process state (such as a
+    # count of releases) restarts with the process: both would draw the same
+    # noise, and the releases would differ by exactly the data delta.  Keyed
+    # by the answer it perturbs, the shifted data draws independent noise...
+    def build(shifted: bool) -> Backend:
+        b = backend(DpPolicy(seed=1))
+        b.federation.register_domain(b.table, "value", CONTINUOUS)
+        if shifted:
+            b.party.insert(b.table, {"value": SHIFT})
+        return b
+
+    base, shifted = build(False), build(True)
+    text = f"SELECT {operation}(value) FROM {base.table} WITH SLO(dp_epsilon={epsilon})"
+    (first,) = base.federation.execute(text).values
+    (second,) = shifted.federation.execute(text).values
+    count = base.federation.execute(f"SELECT COUNT(value) FROM {base.table}").values[0]
+    for disclosed in _disclosures(operation, first, int(count)):
+        assert second != pytest.approx(disclosed, rel=1e-9, abs=1e-9)
+
+    # ...while a twin over unchanged data re-derives the same bytes: a
+    # refunded budget buys no fresh sample to average.
+    twin = build(False)
+    again = twin.federation.execute(text)
+    assert again.values == (first,) and not again.cached
+    assert twin.federation.execute(text).values == (first,)
+    assert twin.accountant.releases == 1
+    assert twin.accountant.free_serves == 1
+    assert twin.accountant.epsilon.spent == pytest.approx(epsilon)
+
+
 def test_exhausted_budget_refuses_not_leaks(backend):
     b = backend(DpPolicy(epsilon_budget=0.5, seed=2))
     inner = f"SELECT COUNT(value) FROM {b.table}"
@@ -249,9 +305,11 @@ def test_a_statement_compiles_once_and_repeats_compile_nothing(backend, monkeypa
             hits = [await service.submit(text) for text in submitted]
             assert all(hit.cached for hit in hits)  # incl. the DP free re-serve
             for federation in b.flat_federations:
-                federation.invalidate_cache()
+                federation.cache.clear()
             again = await service.submit_many([ranking, ranking, dp_text])
-            assert [o.cached for o in again] == [False, True, False]
+            # The DP inner re-executes over unchanged data: same answer, so
+            # the same release, re-served free.
+            assert [o.cached for o in again] == [False, True, True]
             assert service.metrics.cache_fast_hits == len(submitted) + 1
             assert not compiled and built == [dp_text]
 

@@ -210,7 +210,7 @@ class TestCacheInvalidation:
 
     def test_explicit_invalidation(self, federation):
         federation.execute("SELECT MAX(value) FROM data", use_cache=True)
-        federation.invalidate_cache()
+        federation.cache.clear()
         outcome = federation.execute("SELECT MAX(value) FROM data", use_cache=True)
         assert not outcome.cached
 
@@ -244,7 +244,7 @@ class TestSharedHitOutcome:
             lambda fed: fed._parties["delta"].insert("data", {"value": 9999}),
             lambda fed: fed.register(database_from_values("echo", [8500])),
             lambda fed: fed.deregister("bravo"),
-            lambda fed: fed.invalidate_cache(),
+            lambda fed: fed.cache.clear(),
         ],
         ids=["insert", "register", "deregister", "invalidate"],
     )

@@ -252,29 +252,38 @@ class TestDpGate:
     def test_fresh_release_charges_repeat_over_cache_is_free(self):
         gate = DpGate(DpPolicy(seed=3))
         request = self._request()
-        first, charged = gate.finalize(request, [(7.0,)], inner_cached=False)
+        first, charged = gate.finalize(request, [(7.0,)])
         assert charged
-        again, charged_again = gate.finalize(request, [(7.0,)], inner_cached=True)
+        again, charged_again = gate.finalize(request, [(7.0,)])
         assert not charged_again
         assert again == first  # byte-identical replay of the same release
         assert gate.accountant.releases == 1
         assert gate.accountant.free_serves == 1
         assert gate.accountant.epsilon.spent == 1.0
 
-    def test_invalidated_inner_re_releases_with_fresh_noise(self):
+    def test_equal_inner_answers_re_serve_equal_bytes_uncharged(self):
+        # Whether the inner answer came from cache or was re-executed, equal
+        # answers key equal noise: the repeat is the already-public release.
         gate = DpGate(DpPolicy(seed=3))
         request = self._request()
-        first, _ = gate.finalize(request, [(7.0,)], inner_cached=False)
-        second, charged = gate.finalize(request, [(7.0,)], inner_cached=False)
-        assert charged
-        assert second != first  # the release counter advanced the noise stream
-        assert gate.accountant.epsilon.spent == 2.0
+        first, _ = gate.finalize(request, [(7.0,)])
+        second, charged = gate.finalize(request, [(7.0,)])
+        assert not charged
+        assert second == first
+        assert gate.accountant.epsilon.spent == 1.0
+        # A restarted gate (no record) charges again but re-derives the same
+        # bytes, so a refunded budget buys no fresh sample to average.
+        restarted, charged = DpGate(DpPolicy(seed=3)).finalize(request, [(7.0,)])
+        assert charged and restarted == first
+        # -0.0 and 0.0 are one answer, so they key one draw.
+        zero, _ = gate.finalize(request, [(0.0,)])
+        assert DpGate(DpPolicy(seed=3)).finalize(request, [(-0.0,)]) == (zero, True)
 
     def test_noise_is_deterministic_per_policy_seed(self):
         request = self._request()
-        one = DpGate(DpPolicy(seed=9)).finalize(request, [(7.0,)], inner_cached=False)
-        two = DpGate(DpPolicy(seed=9)).finalize(request, [(7.0,)], inner_cached=False)
-        other = DpGate(DpPolicy(seed=10)).finalize(request, [(7.0,)], inner_cached=False)
+        one = DpGate(DpPolicy(seed=9)).finalize(request, [(7.0,)])
+        two = DpGate(DpPolicy(seed=9)).finalize(request, [(7.0,)])
+        other = DpGate(DpPolicy(seed=10)).finalize(request, [(7.0,)])
         assert one == two
         assert one[0] != other[0]
 
@@ -286,8 +295,8 @@ class TestDpGate:
         # releases and recover the exact data delta uncharged.
         gate = DpGate(DpPolicy(seed=3))
         request = self._request()
-        first, _ = gate.finalize(request, [(7.0,)], inner_cached=False)
-        second, charged = gate.finalize(request, [(9.0,)], inner_cached=True)
+        first, _ = gate.finalize(request, [(7.0,)])
+        second, charged = gate.finalize(request, [(9.0,)])
         assert charged
         assert gate.accountant.epsilon.spent == 2.0
         assert gate.accountant.free_serves == 0
@@ -298,29 +307,27 @@ class TestDpGate:
     def test_replayable_binds_to_the_perturbed_inner_answers(self):
         gate = DpGate(DpPolicy(epsilon_budget=1.0, seed=3))
         request = self._request()
-        stored, _ = gate.finalize(request, [(7.0,)], inner_cached=False)
+        stored, _ = gate.finalize(request, [(7.0,)])
         assert gate.replayable(request, [(7.0,)])
         assert not gate.replayable(request, [(9.0,)])
-        assert gate.would_charge(request, True, [(9.0,)])
-        assert not gate.would_charge(request, True, [(7.0,)])
         # With the budget spent, a mutated repeat refuses instead of leaking.
         with pytest.raises(BudgetExhausted):
-            gate.finalize(request, [(9.0,)], inner_cached=True)
+            gate.finalize(request, [(9.0,)])
         # The refusal left the stored release intact: the original answer
         # still re-serves byte-identically and free.
-        values, charged = gate.finalize(request, [(7.0,)], inner_cached=True)
+        values, charged = gate.finalize(request, [(7.0,)])
         assert not charged
         assert values == stored
 
     def test_admit_is_optimistic_on_reuse_but_finalize_still_enforces(self):
         gate = DpGate(DpPolicy(epsilon_budget=1.0))
         request = self._request()
-        gate.finalize(request, [(7.0,)], inner_cached=False)  # spends the budget
+        gate.finalize(request, [(7.0,)])  # spends the budget
         # Reused keys are admitted without headroom...
         assert gate.admit(request, gate.new_pending()) is None
-        # ...but a fresh release (invalidated inner) still hits the wall.
+        # ...but a fresh release (a changed inner answer) still hits the wall.
         with pytest.raises(BudgetExhausted):
-            gate.finalize(request, [(7.0,)], inner_cached=False)
+            gate.finalize(request, [(9.0,)])
 
     def test_ranking_release_is_clamped_and_sorted(self):
         domain = Domain(0, 10, integral=True)
@@ -328,7 +335,7 @@ class TestDpGate:
             parse_spec("SELECT TOP 3 value FROM data WITH SLO(dp_epsilon=0.5)"), domain
         )
         gate = DpGate(DpPolicy(seed=1))
-        values, _ = gate.finalize(request, [(10.0, 9.0, 8.0)], inner_cached=False)
+        values, _ = gate.finalize(request, [(10.0, 9.0, 8.0)])
         assert len(values) == 3
         assert all(0.0 <= v <= 10.0 for v in values)
         assert list(values) == sorted(values, reverse=True)
