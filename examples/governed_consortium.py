@@ -6,6 +6,7 @@ their claims tables from CSV files, form a federation with (a) a
 deny-by-default access policy — the market analyst may only run additive
 aggregates, the regulator anything, with per-issuer quotas — and (b) a
 cumulative privacy budget that eventually refuses further ranking queries.
+A repeated statement is re-served from the result cache and costs nothing.
 Everything ends in the audit log and exposure ledger.
 
 Run:  python examples/governed_consortium.py
@@ -50,7 +51,7 @@ def main() -> None:
         csv_paths = write_claims_csvs(Path(tmp), rng)
 
         policy = (
-            AccessPolicy(quota_per_issuer=6)
+            AccessPolicy(quota_per_issuer=12)
             .allow("market-analyst", ADDITIVE)
             .allow("regulator", ANY)
         )
@@ -77,18 +78,29 @@ def main() -> None:
             print(f"analyst: TOP 3 refused               -> {exc}")
         print()
 
-        # The regulator may rank — until the privacy budget runs dry.
-        ran = 0
+        # The regulator may rank.  A repeat re-publishes the answer already
+        # released: no ring runs, so no party is exposed again.
+        top3 = "SELECT TOP 3 amount FROM claims"
+        outcome = federation.execute(top3, issuer="regulator")
+        print(f"regulator: TOP 3                     = {list(outcome.values)}")
+        runs = federation.ledger.runs_charged
+        repeat = federation.execute(top3, issuer="regulator")
+        print(
+            f"regulator: TOP 3 again               -> cached={repeat.cached}, "
+            f"rounds={repeat.rounds}, runs charged {runs} -> "
+            f"{federation.ledger.runs_charged}"
+        )
+        # Every new ranking statement runs the ring — until the budget runs dry.
+        ran = 1
         try:
-            for _ in range(20):
+            for k in range(1, 10):
                 outcome = federation.execute(
-                    "SELECT TOP 3 amount FROM claims", issuer="regulator"
+                    f"SELECT BOTTOM {k} amount FROM claims", issuer="regulator"
                 )
                 ran += 1
         except BudgetExceededError as exc:
             print(f"regulator: ran {ran} ranking queries, then -> {exc}")
-        if ran:
-            print(f"regulator: last answer               = {list(outcome.values)}")
+        print(f"regulator: last answer               = {list(outcome.values)}")
         print()
 
         print("audit log:")

@@ -1,17 +1,23 @@
 #!/usr/bin/env python
 """CI privacy-smoke check: the (ε, δ) accountant against its golden ledger.
 
-Runs a fixed, seeded DP workload three times — through a flat
-``Federation``, through a ``ShardedFederation`` over the same topology, and
-through a second flat ``Federation`` built from the same seeds, as a
-restarted process would be — and asserts:
+Runs a fixed, seeded DP workload four times — through a flat
+``Federation``, through a ``ShardedFederation`` over the same topology with
+in-process shards and again with one worker process per shard, and through
+a second flat ``Federation`` built from the same seeds, as a restarted
+process would be — and asserts:
 
-1. answers are byte-identical between the two deployments;
-2. the two accountants' ledgers are byte-identical, line for line;
+1. answers are byte-identical between the three deployments;
+2. the three accountants' ledgers are byte-identical, line for line;
 3. the restarted federation re-derives byte-identical answers and ledger
    (noise is keyed by the answer it perturbs, not by process state);
 4. the composed (ε, δ) spend, release/free-serve/refusal counters and
-   ledger match ``results/dp_accounting_golden.json``.
+   ledger match ``results/dp_accounting_golden.json``;
+5. on every deployment the workload's repeat DP statement re-serves its
+   bytes free through the ``try_cached`` fast path, and — in-process
+   deployments, where a party's rows can be changed — a DP statement whose
+   inner answer changed since its release is a fast-path miss that audits
+   nothing and counts no cache hit.
 
 Run with ``--update`` to regenerate the golden file after an intentional
 change to the DP mode (a fresh mechanism, a new composition rule); the
@@ -43,6 +49,7 @@ from repro.sharding.topology import (  # noqa: E402
 GOLDEN = REPO / "results" / "dp_accounting_golden.json"
 
 #: Everything below is pinned: changing any of it is a golden update.
+DEPLOYMENTS = ("flat", "sharded", "processes")
 TOPOLOGY_SEED = 7
 DP_SEED = 11
 EPSILON_BUDGET = 12.0
@@ -58,11 +65,15 @@ def _workload(topology) -> list[str]:
         f"SELECT TOP 3 value FROM {routed} WITH SLO(dp_epsilon=4.0)",
         f"SELECT AVG(value) FROM {routed} WITH SLO(dp_epsilon=1.0)",
         f"SELECT COUNT(value) FROM {part} WITH SLO(dp_epsilon=0.5)",
-        # Exact repeat: must re-serve the existing release for free.
+        # Exact repeat (REPEAT): must re-serve the existing release for free.
         f"SELECT MAX(value) FROM {routed} WITH SLO(dp_epsilon=2.0)",
         # Over-budget fresh release: must refuse typed, spending nothing.
         f"SELECT MIN(value) FROM {routed} WITH SLO(dp_epsilon=50.0)",
     ]
+
+
+#: The workload's position of its exact repeat, and of a fan-out SUM.
+REPEAT, PART_SUM = 5, 1
 
 
 def _run(deployment) -> dict:
@@ -72,9 +83,17 @@ def _run(deployment) -> dict:
         epsilon_budget=EPSILON_BUDGET, delta_budget=DELTA_BUDGET, seed=DP_SEED
     )
     if deployment == "flat":
-        federation = single_federation(topology, dp=policy)
-    else:
-        federation = sharded_federation(topology, dp=policy)
+        return _observe(single_federation(topology, dp=policy), topology, statements)
+    federation = sharded_federation(
+        topology, dp=policy, processes=deployment == "processes"
+    )
+    try:
+        return _observe(federation, topology, statements)
+    finally:
+        federation.close()
+
+
+def _observe(federation, topology, statements: list[str]) -> dict:
     settled = federation.execute_many_settled(statements)
     rows = []
     for result in settled:
@@ -93,11 +112,52 @@ def _run(deployment) -> dict:
                     "cached": result.cached,
                 }
             )
-    return {
+    observed = {
         "answers": rows,
         "ledger": federation.dp_gate.accountant.ledger_lines(),
         "accountant": federation.dp_gate.snapshot(),
     }
+    observed["fast_path"] = _fast_path(federation, topology, statements, rows)
+    return observed
+
+
+def _federations(federation) -> list:
+    """The in-process :class:`Federation` objects behind a deployment."""
+    shards = getattr(federation, "shards", None)
+    if shards is None:
+        return [federation]
+    return [getattr(shard, "federation", None) for shard in shards]
+
+
+def _fast_path(federation, topology, statements: list[str], rows: list) -> list[str]:
+    """What the ``try_cached`` fast path got wrong; empty when nothing."""
+    failures = []
+    spent = federation.dp_gate.accountant.epsilon.spent
+    hit = federation.try_cached(statements[REPEAT])
+    if hit is None or list(hit.values) != rows[REPEAT]["values"]:
+        failures.append(f"the repeat was not re-served its bytes: {hit}")
+    if federation.dp_gate.accountant.epsilon.spent != spent:
+        failures.append("the fast-path re-serve spent epsilon")
+    feds = _federations(federation)
+    if None in feds:
+        return failures  # worker processes: their rows are out of reach
+    # One more row under the fan-out SUM's release, re-cached by a plain SUM.
+    part = topology.partitioned[0]
+    owner = sorted(topology.assignments[0])[0]
+    next(f for f in feds if owner in f.members)._parties[owner].insert(
+        part, {"value": 1}
+    )
+    federation.execute(f"SELECT SUM(value) FROM {part}")
+
+    def books() -> tuple[int, int]:
+        return sum(len(f.audit) for f in feds), federation.cache.hits
+
+    before = books()
+    if federation.try_cached(statements[PART_SUM]) is not None:
+        failures.append("a DP statement over a changed inner answer was re-served")
+    if books() != before:
+        failures.append(f"a fast-path miss moved (audit, hits): {before} -> {books()}")
+    return failures
 
 
 def main() -> int:
@@ -107,20 +167,22 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    flat = _run("flat")
-    sharded = _run("sharded")
+    runs = {deployment: _run(deployment) for deployment in DEPLOYMENTS}
+    flat = runs["flat"]
 
     failures: list[str] = []
-    if flat["answers"] != sharded["answers"]:
-        failures.append("flat and sharded answers diverge")
-        for f, s in zip(flat["answers"], sharded["answers"]):
-            if f != s:
-                failures.append(f"  flat:    {f}")
-                failures.append(f"  sharded: {s}")
-    if flat["ledger"] != sharded["ledger"]:
-        failures.append("flat and sharded accountant ledgers diverge")
-        failures.append(f"  flat:    {flat['ledger']}")
-        failures.append(f"  sharded: {sharded['ledger']}")
+    for deployment, run in runs.items():
+        if run["answers"] != flat["answers"]:
+            failures.append(f"flat and {deployment} answers diverge")
+            for f, s in zip(flat["answers"], run["answers"]):
+                if f != s:
+                    failures.append(f"  flat:    {f}")
+                    failures.append(f"  {deployment}: {s}")
+        if run["ledger"] != flat["ledger"]:
+            failures.append(f"flat and {deployment} accountant ledgers diverge")
+            failures.append(f"  flat:    {flat['ledger']}")
+            failures.append(f"  {deployment}: {run['ledger']}")
+        failures.extend(f"{deployment} fast path: {f}" for f in run["fast_path"])
     if failures:
         print("DP accounting check FAILED (deployment parity):")
         print("\n".join(failures))
@@ -172,7 +234,8 @@ def main() -> int:
         f"{len(observed['ledger'])} charges, "
         f"epsilon_spent={spent['epsilon_spent']}, "
         f"delta_spent={spent['delta_spent']}, "
-        f"flat == sharded == restarted, matches golden."
+        f"flat == sharded == processes == restarted, fast path free, "
+        f"matches golden."
     )
     return 0
 

@@ -7,10 +7,9 @@ queries (top-k/bottom-k/max/min) run the paper's probabilistic protocol;
 additive aggregates (sum/count/avg) run the additive-masking secure sum.
 Every execution is recorded in the audit log.
 
-Throughput paths: :meth:`Federation.execute` runs one statement;
-:meth:`Federation.execute_many` serves a *batch* — statements are parsed
-and policy-checked up front, duplicates are deduped, repeats of
-already-answered statements are served from the result cache
+Serving paths: :meth:`Federation.execute_many` serves a *batch* —
+statements are parsed and policy-checked up front, duplicates are deduped,
+repeats of already-answered statements are served from the result cache
 (:mod:`repro.federation.cache`; zero protocol rounds, zero new exposure),
 and the remaining ranking queries run as one batch through
 :func:`repro.core.driver.run_many_on_vectors`.  Which executor runs them is
@@ -20,7 +19,8 @@ carries, the vectorized one from 16 same-shape queries up), otherwise
 *pipelined* sessions on one shared transport, interleaving ring tokens so
 the batch completes in simulated time close to the slowest query rather
 than the sum.  Every executor is bit-identical per statement, so the choice
-is invisible above this module.
+is invisible above this module.  :meth:`Federation.execute` is a batch of
+one, so a repeated statement is a cache hit there too.
 
 The coordinator holds no data.  It sequences protocol runs, validates the
 well-matched-schema precondition, and owns only public artifacts (results,
@@ -35,7 +35,7 @@ import random
 from collections.abc import Iterable, Sequence
 from dataclasses import replace
 
-from ..core.driver import RunConfig, run_topk_queries, run_topk_query
+from ..core.driver import RunConfig, run_topk_queries
 from ..core.results import ProtocolResult
 from ..database.database import PrivateDatabase
 from ..database.query import Domain, TopKQuery
@@ -81,11 +81,11 @@ class Federation:
         refused.  Additive aggregates flow through mask-blinded secure sums
         and are charged nothing.  ``policy`` gates execution by issuer and
         operation (deny-by-default; ``None`` permits everything).
-        ``cache_entries`` bounds the batch-path result cache.  ``tracer``
-        records a distributed trace per executed ranking query (see
-        :mod:`repro.observability`); callers that already carry a trace —
-        the query service's batch spans — pass per-statement contexts to
-        the batch methods instead.  ``planner`` resolves statements carrying
+        ``cache_entries`` bounds the result cache every statement is served
+        through.  ``tracer`` records a distributed trace per executed
+        ranking query (see :mod:`repro.observability`); callers that
+        already carry a trace — the query service's batch spans — pass
+        per-statement contexts to the batch methods instead.  ``planner`` resolves statements carrying
         ``WITH SLO(...)`` clauses (see :mod:`repro.planner`).  ``dp`` configures
         the differential-privacy release layer (see
         :mod:`repro.privacy.dp`): statements carrying
@@ -200,43 +200,20 @@ class Federation:
     # -- query API ----------------------------------------------------------------
 
     def execute(
-        self,
-        statement_text: str,
-        *,
-        issuer: str = "anonymous",
-        use_cache: bool = False,
+        self, statement_text: str, *, issuer: str = "anonymous"
     ) -> QueryOutcome:
-        """Parse and run one statement of the SQL-ish dialect.
+        """One statement as a batch of one: repeats hit the result cache.
 
-        With ``use_cache=True`` the statement flows through the batch path:
-        a repeat of an already-answered statement (same membership, same
-        data) is served from the result cache without running any protocol
-        or charging new exposure.  The default re-executes unconditionally,
-        matching the classic single-query semantics.
-
-        Statements may carry a ``WITH SLO(...)`` suffix (see
+        A repeat of an already-answered statement (same membership, same
+        data) is re-served from the cache — zero protocol rounds, zero new
+        exposure, one audit entry — exactly as :meth:`execute_many` serves
+        it.  Statements may carry a ``WITH SLO(...)`` suffix (see
         :mod:`repro.planner`): the planner resolves it to a concrete
         protocol/parameter choice, or raises
         :class:`~repro.planner.errors.PlanInfeasible` when no
         configuration can satisfy it.
         """
-        prepared = prepare(statement_text)
-        spec = prepared.spec
-        if use_cache or prepared.has_dp:
-            # DP releases are defined over the batch machinery (inner
-            # statements, cached re-serves); a single statement is a batch
-            # of one.  A cache-valid repeat re-serves the same noisy
-            # release free instead of re-executing.
-            return self.execute_many([statement_text], issuer=issuer)[0]
-        statement = spec.statement
-        if self.policy is not None:
-            self.policy.check(issuer, statement)
-        plan = None
-        if not prepared.trivial:
-            plan = self.planner.plan(spec, parties=len(self._parties))
-        if statement.is_ranking:
-            return self._run_ranking(statement, issuer, plan=plan)
-        return self._run_additive(statement, issuer)
+        return self.execute_many([statement_text], issuer=issuer)[0]
 
     def try_cached(
         self, statement_text: str, *, issuer: str = "anonymous"
@@ -260,10 +237,10 @@ class Federation:
         prepared = prepare(statement_text)
         statement = prepared.spec.statement
         if prepared.has_dp:
-            def authorize(answers: list) -> None:
+            def authorize(inner_texts: Sequence[str]) -> None:
                 if self.policy is not None:
                     self.policy.check(issuer, statement)
-                self.cache.hits += len(answers)
+                self.cache.hits += len(inner_texts)
 
             released = self._dp.try_cached(prepared.spec, self._peek_inner, authorize)
             return None if released is None else self._audited(issuer, released)
@@ -310,7 +287,7 @@ class Federation:
         4. Ledger charges, audit entries and cache population happen in
            statement order, so a batch is indistinguishable — values,
            rounds, exposure — from issuing the same statements one at a
-           time (with ``use_cache=True``) under the same session seed.
+           time through :meth:`execute` under the same session seed.
 
         A privacy-budget refusal aborts the batch at the refusing statement
         (statements before it remain charged and audited, like a sequential
@@ -551,9 +528,8 @@ class Federation:
                 )
                 self.cache.store(key, answers[key])
             elif index in additive_seeds:
-                sum_seed, count_seed = additive_seeds[index]
                 outcome = self._run_additive(
-                    statement, issuer, sum_seed=sum_seed, count_seed=count_seed
+                    statement, issuer, *additive_seeds[index]
                 )
                 self.cache.misses += 1
                 answers[key] = CachedAnswer(
@@ -608,26 +584,6 @@ class Federation:
             domain=self.domain_for(statement.table, statement.attribute),
             smallest=statement.smallest,
         )
-
-    def _run_ranking(
-        self,
-        statement: FederatedStatement,
-        issuer: str,
-        plan: "Plan | None" = None,
-    ) -> QueryOutcome:
-        databases = self._require_quorum()
-        trace = None
-        if self.tracer is not None and self.tracer.enabled:
-            trace = self.tracer.new_trace(
-                name=statement.text, baggage={"issuer": issuer}
-            )
-        config = self._next_config()
-        if plan is not None and plan.params is not None:
-            config = replace(config, protocol=plan.protocol, params=plan.params)
-        result = run_topk_query(
-            databases, self._ranking_query(statement), config, trace=trace
-        )
-        return self._finish_ranking(statement, issuer, result)
 
     def _finish_ranking(
         self, statement: FederatedStatement, issuer: str, result: ProtocolResult
@@ -700,15 +656,13 @@ class Federation:
         self,
         statement: FederatedStatement,
         issuer: str,
-        *,
-        sum_seed: int | None = None,
-        count_seed: int | None = None,
+        sum_seed: int | None,
+        count_seed: int | None,
     ) -> QueryOutcome:
         """Run a SUM/COUNT/AVG statement over mask-blinded secure sums.
 
-        ``sum_seed``/``count_seed`` let the batch path pre-draw the secure
-        sums' randomness in statement order (the parity guarantee); when
-        omitted they are drawn here, in the same stream and order.
+        ``sum_seed``/``count_seed`` are the secure sums' randomness, drawn
+        by the batch path in statement order (the parity guarantee).
         """
         databases = self._require_quorum()
         # Schema precondition applies to additive queries too.
@@ -732,13 +686,9 @@ class Federation:
                 db, replace_operation(statement, "COUNT")
             )
         if statement.operation in ("SUM", "AVG"):
-            if sum_seed is None:
-                sum_seed = self._derive_seed("secure-sum")
             sum_outcome = self._secure_sum(sums, sum_seed)
             messages += sum_outcome.stats.messages_total
         if statement.operation in ("COUNT", "AVG"):
-            if count_seed is None:
-                count_seed = self._derive_seed("secure-sum")
             count_outcome = self._secure_sum(counts, count_seed)
             messages += count_outcome.stats.messages_total
 

@@ -15,10 +15,11 @@ path, :meth:`DpReleasePath.admission_check` the gateway's refusal before the
 queue.  A federation supplies only what differs: the precheck, how an inner
 statement is peeked in its cache, and (sharded) the tenant's DP meters.
 
-**Dispatch order stays the caller's** (DESIGN.md, "One release path"): inner
-statements sit at synthetic positions past the originals, and under a
-randomised ``RunConfig`` a backend's seed draws follow sub-batch order, so
-each federation runs :meth:`DpBatch.runs` in the order it always has.
+**Dispatch order** (DESIGN.md 4b): inner statements sit at synthetic
+positions past the originals, and under a randomised ``RunConfig`` a backend's
+seed draws follow sub-batch order, so every federation runs
+:meth:`DpBatch.runs` in batch order — a DP statement's inner statements in
+its place.
 """
 
 from __future__ import annotations
@@ -305,7 +306,7 @@ class DpReleasePath:
         self,
         spec: QuerySpec,
         peek: "Callable[[str], Any]",
-        before_serve: "Callable[[list], None] | None" = None,
+        before_serve: "Callable[[Sequence[str]], None] | None" = None,
     ) -> QueryOutcome | None:
         """Admission fast path for a DP statement: a free re-serve or ``None``.
 
@@ -319,8 +320,10 @@ class DpReleasePath:
         returns ``None`` so the batch path settles the statement as a fresh,
         charged release or raises its typed refusal.
 
-        ``before_serve(answers)`` runs once a re-serve is certain and may
-        still veto it by raising (the flat federation's policy check).
+        ``peek`` must have no side effect: whatever serving a hit costs —
+        the policy check, the audit entry, the hit counter — belongs in
+        ``before_serve(inner_texts)``, which runs only once a re-serve is
+        certain and may still veto it by raising.
         """
         try:
             request = self._request(spec)
@@ -338,7 +341,7 @@ class DpReleasePath:
         if not self.gate.replayable(request, inner_values):
             return None  # the data changed under the release; must re-charge
         if before_serve is not None:
-            before_serve(answers)
+            before_serve(request.inner_texts)
         values, _charged = self.gate.finalize(request, inner_values)
         return QueryOutcome(
             statement=spec.statement.text,

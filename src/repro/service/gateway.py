@@ -13,8 +13,8 @@ the service advances time itself by each batch's simulated protocol seconds,
 so a seeded workload reproduces bit-identically — results (the federation's
 batch/sequential parity guarantee), latency percentiles, shed decisions and
 all.  Results served through the gateway are bit-identical to a sequential
-``Federation.execute(..., use_cache=True)`` session issuing the same
-statements in serve order under the same session seed.
+``Federation.execute`` session issuing the same statements in serve order
+under the same session seed.
 
 Lifecycle::
 

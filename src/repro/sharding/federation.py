@@ -35,6 +35,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from ..database.query import Domain
+from ..federation.cache import CachedAnswer
 from ..federation.dp_release import DpBatch, DpReleasePath
 from ..federation.outcomes import FederationError, QueryOutcome, QueryRefused
 from ..observability.trace import TraceContext
@@ -266,32 +267,59 @@ class ShardedFederation:
         prepared = prepare(statement_text)
         if not prepared.has_dp:
             return self._try_cached_plain(statement_text, issuer)
-        return self._dp.try_cached(
-            prepared.spec, lambda inner: self._try_cached_plain(inner, issuer)
-        )
+
+        def serve(inner_texts: Sequence[str]) -> None:
+            # Only now is the re-serve certain: audit and count the hits.
+            for inner in inner_texts:
+                self._try_cached_plain(inner, issuer)
+
+        return self._dp.try_cached(prepared.spec, self._peek, serve)
 
     def _try_cached_plain(
         self, statement_text: str, issuer: str
     ) -> QueryOutcome | None:
+        return self._on_cache(
+            statement_text,
+            lambda shard, text: shard.try_cached(text, issuer=issuer),
+            lambda statement, partials: _merge_fanout(
+                statement, statement_text, partials
+            ),
+        )
+
+    def _peek(self, statement_text: str) -> "CachedAnswer | None":
+        """A statement's cache-valid answer; serves nothing, counts nothing."""
+
+        def merge(statement, partials: "list[list[CachedAnswer]]") -> CachedAnswer:
+            values = _merged_values(statement, [[a.values for a in p] for p in partials])
+            return CachedAnswer(values=values, protocol=partials[0][0].protocol)
+
+        return self._on_cache(statement_text, lambda shard, text: shard.peek(text), merge)
+
+    def _on_cache(self, statement_text: str, look: Callable, merge: Callable):
+        """``look(shard, text)`` on the statement's shard(s); ``None`` on a miss.
+
+        A routed statement's answer is its shard's, verbatim.  A fan-out is a
+        hit only when *every* shard answers each of :func:`_fanout_texts`,
+        which ``merge(statement, partials)`` combines.  An unreachable shard
+        reads as a miss.
+        """
         statement = prepare(statement_text).spec.statement
         target = self.router.route(statement.table)
         try:
             if target != ALL_SHARDS:
-                return self.shards[target].try_cached(
-                    statement_text, issuer=issuer
-                )
-            partials: list[list[QueryOutcome]] = []
+                return look(self.shards[target], statement_text)
+            partials = []
             for shard in self.shards:
-                hits = []
+                answers = []
                 for text in _fanout_texts(statement):
-                    hit = shard.try_cached(text, issuer=issuer)
-                    if hit is None:
+                    answer = look(shard, text)
+                    if answer is None:
                         return None
-                    hits.append(hit)
-                partials.append(hits)
+                    answers.append(answer)
+                partials.append(answers)
         except ShardUnavailable:
             return None
-        return _merge_fanout(statement, statement_text, partials)
+        return merge(statement, partials)
 
     def dp_admission_check(self, spec: QuerySpec, *, issuer: str = "anonymous") -> None:
         """Gateway hook: refuse a DP statement that can neither reuse nor pay.
@@ -313,16 +341,12 @@ class ShardedFederation:
 
         Per statement, in order: parse → tenant token bucket → route →
         tenant LoP feasibility → DP admission (the shared release path, with
-        this federation's precheck).  Routed statements dispatch to their
-        shard as one sub-batch (preserving statement order, so each shard's
-        seed draws and dedupe behave exactly like an unsharded batch of that
-        sub-stream); fan-out statements dispatch to every shard and merge.
-        A DP statement's inner statements ride the same dispatch from
-        synthetic positions past ``len(statements)``: in statement order
-        within a routed sub-batch, after every plain statement within a
-        fan-out sub-batch.  A shard that fails — unreachable process,
-        poisoned batch — refuses exactly the statements routed to it, typed,
-        while the rest of the batch is served normally.
+        this federation's precheck).  Every involved shard then gets one
+        sub-batch (:meth:`_dispatch`): a routed statement runs on its shard,
+        a statement over a partitioned table on every shard, merged; a DP
+        statement's inner statements run in its place.  A shard that fails —
+        unreachable process, poisoned batch — refuses exactly the statements
+        sent to it, typed, while the rest of the batch is served normally.
         """
         return self._run_batch(list(statements), issuer, traces, plans, settle=True)
 
@@ -365,19 +389,7 @@ class ShardedFederation:
         # From here shards run protocols and charge ledgers, so a later
         # refusal settles: the accounting below must see the whole batch.
         batch.settle = True
-        #: shard index -> positions to run there, in statement order
-        routed: dict[int, list[int]] = {}
-        #: fan-out bookkeeping: position -> parsed statement
-        fanouts: dict[int, QuerySpec] = {}
-        for position, _spec, target in batch.admitted:
-            if target == ALL_SHARDS:
-                self.fanout_statements += 1
-                for p in batch.runs(position):
-                    fanouts[p] = prepare(batch.texts[p]).spec
-            else:
-                routed.setdefault(target, []).extend(batch.runs(position))
-        self._dispatch_routed(routed, batch)
-        self._dispatch_fanouts(fanouts, batch)
+        self._dispatch(batch)
         results = self._dp.assemble(batch)
 
         for position, _spec, target in batch.admitted:
@@ -514,76 +526,82 @@ class ShardedFederation:
                 return list(pool.map(run, indices))
         return [run(index) for index in indices]
 
-    def _dispatch_routed(self, routed: dict[int, list[int]], batch: DpBatch) -> None:
+    def _dispatch(self, batch: DpBatch) -> None:
+        """Run every admitted statement on its shards: one sub-batch per shard.
+
+        A routed statement is a fan-out to its one shard whose merge is the
+        identity (the shard's outcome is returned verbatim, trace and all);
+        a statement over a partitioned table runs :func:`_fanout_texts` on
+        every shard and merges by :func:`_merge_fanout`.  Each shard's
+        sub-batch holds its statements in batch order, a DP statement's
+        inner statements in its place — the order a flat batch runs them
+        in, so each shard's seed draws and dedupe behave exactly like an
+        unsharded batch of that sub-stream.  Routed statements carry their
+        trace and pre-resolved plan; fan-out texts carry neither.
+        """
+        #: shard index -> (texts, traces, plans) of its sub-batch
+        subs: dict[int, tuple[list[str], list, list]] = {}
+        #: per run position, in batch order: the statement a fan-out merges
+        #: (``None`` when routed), each shard's window start, the window width
+        jobs: list[tuple[int, object, list[tuple[int, int]], int]] = []
+        for position, _spec, target in batch.admitted:
+            fanout = target == ALL_SHARDS
+            self.fanout_statements += fanout
+            for p in batch.runs(position):
+                if fanout:
+                    statement = prepare(batch.texts[p]).spec.statement
+                    texts = _fanout_texts(statement)
+                    targets: Sequence[int] = range(len(self.shards))
+                    trace = plan = None
+                else:
+                    statement, texts, targets = None, [batch.texts[p]], (target,)
+                    trace = batch.traces[p] if batch.traces is not None else None
+                    plan = batch.plans[p] if batch.plans is not None else None
+                starts = []
+                for index in targets:
+                    sub_texts, traces, plans = subs.setdefault(index, ([], [], []))
+                    starts.append((index, len(sub_texts)))
+                    sub_texts.extend(texts)
+                    traces.extend([trace] * len(texts))
+                    plans.extend([plan] * len(texts))
+                jobs.append((p, statement, starts, len(texts)))
+
         def run_shard(index: int) -> "list[QueryOutcome | QueryRefused]":
-            jobs = routed[index]
+            texts, traces, plans = subs[index]
             return self._settle_shard(
                 index,
-                [batch.texts[p] for p in jobs],
+                texts,
                 batch.issuer,
-                [batch.traces[p] for p in jobs] if batch.traces is not None else None,
-                [batch.plans[p] for p in jobs] if batch.plans is not None else None,
+                traces if batch.traces is not None else None,
+                plans if batch.plans is not None else None,
             )
 
-        indices = sorted(routed)
-        for index, settled in zip(indices, self._on_shards(indices, run_shard)):
-            for position, result in zip(routed[index], settled):
-                if isinstance(result, QueryRefused):
-                    self.shard_refusals[index] += 1
-                batch.results[position] = result
-
-    def _dispatch_fanouts(self, fanouts: dict[int, QuerySpec], batch: DpBatch) -> None:
-        """Fan each partitioned-table statement out to every shard and merge.
-
-        Fan-out sub-batches keep the fan-out statements' relative order per
-        shard; the shards execute concurrently when all are process-backed.
-        """
-        if not fanouts:
-            return
-        positions = sorted(fanouts)
-        per_shard_texts: list[str] = []
-        slices: list[tuple[int, int]] = []  # (position, width) in batch order
-        for position in positions:
-            sub = _fanout_texts(fanouts[position].statement)
-            slices.append((position, len(sub)))
-            per_shard_texts.extend(sub)
-
-        indices = range(len(self.shards))
-        shard_settled = self._on_shards(
-            indices,
-            lambda index: self._settle_shard(index, per_shard_texts, batch.issuer),
-        )
+        indices = sorted(subs)
+        settled = dict(zip(indices, self._on_shards(indices, run_shard)))
         results, texts = batch.results, batch.texts
-
-        cursor = 0
-        for position, width in slices:
+        for p, statement, starts, width in jobs:
             partials: list[list[QueryOutcome]] = []
             refusal: QueryRefused | None = None
-            for index in indices:
-                window = shard_settled[index][cursor : cursor + width]
+            for index, start in starts:
+                window = settled[index][start : start + width]
                 refused = next(
                     (r for r in window if isinstance(r, QueryRefused)), None
                 )
                 if refused is not None:
                     self.shard_refusals[index] += 1
                     if refusal is None:
-                        refusal = QueryRefused(
-                            statement=texts[position], error=refused.error
-                        )
+                        refusal = QueryRefused(statement=texts[p], error=refused.error)
                     continue
                 partials.append(window)  # type: ignore[arg-type]
             if refusal is not None:
-                results[position] = refusal
+                results[p] = refusal
+            elif statement is None:
+                results[p] = partials[0][0]
             else:
                 try:
-                    results[position] = _merge_fanout(
-                        fanouts[position].statement, texts[position], partials
-                    )
+                    results[p] = _merge_fanout(statement, texts[p], partials)
                 except FederationError as exc:
-                    results[position] = QueryRefused(
-                        statement=texts[position], error=exc
-                    )
-            cursor += width
+                    results[p] = QueryRefused(statement=texts[p], error=exc)
 
     # -- metrics -------------------------------------------------------------
 
@@ -643,29 +661,10 @@ def _merge_fanout(
     """
     if not partials:
         raise FederationError(f"no shard answered {statement_text!r}")
-    op = statement.operation
-    if op == "AVG":
-        total = sum(p[0].values[0] for p in partials)
-        count = round(sum(p[1].values[0] for p in partials))
-        if count == 0:
-            raise FederationError("AVG over zero rows")
-        values: tuple[float, ...] = (float(total / count),)
-    elif op == "SUM":
-        values = (float(sum(p[0].values[0] for p in partials)),)
-    elif op == "COUNT":
-        values = (float(round(sum(p[0].values[0] for p in partials))),)
-    elif op in ("MAX", "TOP"):
-        pool = [v for p in partials for v in p[0].values]
-        values = tuple(sorted(pool, reverse=True)[: statement.k])
-    elif op in ("MIN", "BOTTOM"):
-        pool = [v for p in partials for v in p[0].values]
-        values = tuple(sorted(pool)[: statement.k])
-    else:  # pragma: no cover - the dialect has no other operations
-        raise FederationError(f"cannot merge operation {op!r}")
     flat = [outcome for p in partials for outcome in p]
     return QueryOutcome(
         statement=statement_text,
-        values=values,
+        values=_merged_values(statement, [[o.values for o in p] for p in partials]),
         protocol=flat[0].protocol,
         rounds=max(o.rounds for o in flat),
         messages=sum(o.messages for o in flat),
@@ -673,6 +672,30 @@ def _merge_fanout(
         cached=all(o.cached for o in flat),
         simulated_seconds=max(o.simulated_seconds for o in flat),
     )
+
+
+def _merged_values(
+    statement, partials: "list[list[tuple[float, ...]]]"
+) -> tuple[float, ...]:
+    """The statement's values from per-shard partial values (one list per
+    shard, aligned with :func:`_fanout_texts`)."""
+    op = statement.operation
+    if op == "AVG":
+        total = sum(p[0][0] for p in partials)
+        count = round(sum(p[1][0] for p in partials))
+        if count == 0:
+            raise FederationError("AVG over zero rows")
+        return (float(total / count),)
+    if op == "SUM":
+        return (float(sum(p[0][0] for p in partials)),)
+    if op == "COUNT":
+        return (float(round(sum(p[0][0] for p in partials))),)
+    pool = [v for p in partials for v in p[0]]
+    if op in ("MAX", "TOP"):
+        return tuple(sorted(pool, reverse=True)[: statement.k])
+    if op in ("MIN", "BOTTOM"):
+        return tuple(sorted(pool)[: statement.k])
+    raise FederationError(f"cannot merge operation {op!r}")  # pragma: no cover
 
 
 __all__ = ["ShardedFederation"]

@@ -30,6 +30,7 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 
 from ..deploy.wire import WireError, recv_frame, send_frame
+from ..federation.cache import CachedAnswer
 from ..federation.coordinator import QueryOutcome, QueryRefused
 from ..federation.policy import PolicyViolation
 from ..federation.sql import SqlError
@@ -121,6 +122,18 @@ def decode_outcome(payload: dict) -> QueryOutcome:
         )
 
 
+def decode_answer(payload: "dict | None") -> CachedAnswer | None:
+    """A ``peek`` reply's cached answer; ``None`` is a miss."""
+    if payload is None:
+        return None
+    with well_formed("answer"):
+        _expect(payload["values"], list, "answer values")
+        return CachedAnswer(
+            values=tuple(float(v) for v in payload["values"]),
+            protocol=str(payload["protocol"]),
+        )
+
+
 def encode_settled(results: "list[QueryOutcome | QueryRefused]") -> list[dict]:
     encoded = []
     for result in results:
@@ -164,6 +177,7 @@ def recv_json(sock: socket.socket) -> dict:
 
 
 __all__ = [
+    "decode_answer",
     "decode_error",
     "decode_outcome",
     "decode_settled",

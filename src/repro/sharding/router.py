@@ -140,9 +140,6 @@ class ShardRouter:
         self.shard_count = shard_count
         self._partitioned = frozenset(partitioned)
         self._tenants: dict[str, TenantAccount] = {}
-        #: Routing decision counters, keyed by shard index (ALL_SHARDS for
-        #: fan-outs); exported through the gateway's metrics registry.
-        self.routed: dict[int, int] = {}
 
     # -- placement ----------------------------------------------------------
 
@@ -152,13 +149,9 @@ class ShardRouter:
 
     def route(self, table: str) -> int:
         """The shard serving ``table``: an index, or :data:`ALL_SHARDS`."""
-        target = (
-            ALL_SHARDS
-            if table in self._partitioned
-            else shard_index(table, self.shard_count)
-        )
-        self.routed[target] = self.routed.get(target, 0) + 1
-        return target
+        if table in self._partitioned:
+            return ALL_SHARDS
+        return shard_index(table, self.shard_count)
 
     # -- tenants ------------------------------------------------------------
 

@@ -3,7 +3,7 @@
 A *shard* is one complete :class:`~repro.federation.coordinator.Federation`
 serving a slice of the table space.  Two interchangeable backends implement
 the same small surface (``members``, ``execute_many_settled``,
-``try_cached``, ``cache_stats``, ``close``):
+``try_cached``, ``peek``, ``cache_stats``, ``close``):
 
 :class:`LocalShard`
     Wraps a federation in this process.  Deterministic and traceable — the
@@ -33,12 +33,14 @@ from collections.abc import Callable, Iterable, Sequence
 from typing import IO, TypeVar
 
 from ..deploy.wire import WireError
+from ..federation.cache import CachedAnswer
 from ..federation.coordinator import Federation, QueryOutcome, QueryRefused
 from ..observability.trace import TraceContext
 from ..planner.plan import Plan
 from . import worker
 from .errors import ShardError, ShardUnavailable
 from .protocol import (
+    decode_answer,
     decode_outcome,
     decode_settled,
     recv_json,
@@ -90,6 +92,10 @@ class LocalShard:
         self, statement: str, *, issuer: str = "anonymous"
     ) -> QueryOutcome | None:
         return self.federation.try_cached(statement, issuer=issuer)
+
+    def peek(self, statement: str) -> CachedAnswer | None:
+        """The statement's cache-valid answer, served to nobody."""
+        return self.federation._peek_inner(statement)
 
     def cache_stats(self) -> tuple[int, int]:
         cache = self.federation.cache
@@ -381,6 +387,12 @@ class ProcessShard:
             lambda reply: (
                 None if reply["outcome"] is None else decode_outcome(reply["outcome"])
             ),
+        )
+
+    def peek(self, statement: str) -> CachedAnswer | None:
+        return self._request(
+            {"op": "peek", "statement": statement},
+            lambda reply: decode_answer(reply["answer"]),
         )
 
     def cache_stats(self) -> tuple[int, int]:

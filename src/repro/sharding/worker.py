@@ -50,6 +50,14 @@ def _handle(shard: LocalShard, request: dict) -> dict:
             "ok": True,
             "outcome": None if outcome is None else encode_outcome(outcome),
         }
+    if op == "peek":
+        answer = shard.peek(str(request.get("statement", "")))
+        return {
+            "ok": True,
+            "answer": None
+            if answer is None
+            else {"values": list(answer.values), "protocol": answer.protocol},
+        }
     if op == "deregister":
         shard.deregister(str(request["owner"]))
         return {"ok": True}

@@ -69,10 +69,14 @@ class TestRankingQueries:
         assert outcome.values == (9000.0, 7000.0)
 
     def test_fresh_randomness_per_query(self, federation):
-        # Two identical queries must not produce identical traces (the noise
-        # must differ or an observer could difference it out).
+        # A repeat is a cached re-serve and runs no ring.  Two *executions*
+        # of one statement must not produce identical traces (the noise must
+        # differ or an observer could difference it out).
         first = federation.execute("SELECT TOP 1 value FROM data")
+        assert federation.execute("SELECT TOP 1 value FROM data").cached
+        federation.cache.clear()
         second = federation.execute("SELECT TOP 1 value FROM data")
+        assert not second.cached
         assert first.values == second.values
         t1 = [(o.round, o.sender, o.vector) for o in first.trace.event_log]
         t2 = [(o.round, o.sender, o.vector) for o in second.trace.event_log]

@@ -166,6 +166,6 @@ class TestBatchParity:
         batched = fresh_federation(dp=DpPolicy(seed=4)).execute_many(statements)
         sequential_fed = fresh_federation(dp=DpPolicy(seed=4))
         sequential = [
-            sequential_fed.execute(s, use_cache=True) for s in statements
+            sequential_fed.execute(s) for s in statements
         ]
         assert [o.values for o in batched] == [o.values for o in sequential]

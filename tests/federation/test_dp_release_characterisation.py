@@ -6,8 +6,8 @@ flat == sharded identity suites use cannot see a reordered sub-batch: a
 shard's seed draws follow sub-batch order, and only a randomised protocol
 turns a different draw into a different answer).  The sharded half also pins
 the exact ``(shard, texts)`` sub-batches dispatched, through a recording
-``LocalShard``: routed sub-batches carry DP inner statements in statement
-order, fan-out sub-batches carry them *after* every plain fan-out statement.
+``LocalShard``: each involved shard gets one sub-batch per batch, its routed
+and fan-out statements in statement order with DP inner statements in place.
 
 The batches mix DP x plain, routed x fan-out, AVG (two inner statements), a
 repeat, a zero-noise ``DpError``, an over-budget fresh release, a malformed
@@ -298,22 +298,18 @@ EXPECTED_SHARDED: dict = {'batch_one': [('SELECT MAX(value) FROM t00', (5019.0,)
  'fanout_statements': 4,
  'dispatched': [(0,
                  ['SELECT MAX(value) FROM t00', 'SELECT TOP 3 value FROM t00',
-                  'SELECT MAX(value) FROM t00', 'SELECT COUNT(value) FROM t00'],
-                 ['tp', 'tp', 'tp', 'tp']),
+                  'SELECT SUM(value) FROM part00', 'SELECT TOP 2 value FROM part00',
+                  'SELECT MIN(value) FROM part00', 'SELECT SUM(value) FROM part00',
+                  'SELECT COUNT(value) FROM part00', 'SELECT MAX(value) FROM t00',
+                  'SELECT COUNT(value) FROM t00'],
+                 ['tp', 'tp', '', '', '', '', '', 'tp', 'tp']),
                 (1,
-                 ['SELECT SUM(value) FROM t02', 'SELECT COUNT(value) FROM t02',
-                  'SELECT BOTTOM 2 value FROM t02', 'SELECT BOTTOM 2 value FROM t02'],
-                 ['t', '', 'tp', 'tp']),
-                (0,
-                 ['SELECT SUM(value) FROM part00', 'SELECT MIN(value) FROM part00',
-                  'SELECT TOP 2 value FROM part00', 'SELECT SUM(value) FROM part00',
-                  'SELECT COUNT(value) FROM part00'],
-                 ['', '', '', '', '']),
-                (1,
-                 ['SELECT SUM(value) FROM part00', 'SELECT MIN(value) FROM part00',
-                  'SELECT TOP 2 value FROM part00', 'SELECT SUM(value) FROM part00',
-                  'SELECT COUNT(value) FROM part00'],
-                 ['', '', '', '', '']),
+                 ['SELECT SUM(value) FROM part00', 'SELECT TOP 2 value FROM part00',
+                  'SELECT SUM(value) FROM t02', 'SELECT COUNT(value) FROM t02',
+                  'SELECT MIN(value) FROM part00', 'SELECT SUM(value) FROM part00',
+                  'SELECT COUNT(value) FROM part00', 'SELECT BOTTOM 2 value FROM t02',
+                  'SELECT BOTTOM 2 value FROM t02'],
+                 ['', '', 't', '', '', '', '', 'tp', 'tp']),
                 (0, ['SELECT COUNT(value) FROM t00'], ['']),
                 (0, ['SELECT COUNT(value) FROM t00', 'SELECT MAX(value) FROM t00'],
                  ['', '']),

@@ -92,13 +92,13 @@ def test_cache_invalidation_tracks_data_version_on_both_engines():
         }
         for db in databases.values():
             fed.register(db)
-        first = fed.execute(statement, use_cache=True)
+        first = fed.execute(statement)
         assert not first.cached
-        assert fed.execute(statement, use_cache=True).cached
+        assert fed.execute(statement).cached
         # A row landing in one party's table bumps its data_version, which
         # must invalidate the cached answer on any engine.
         databases["acme"].insert("data", {"value": 9_999})
-        refreshed = fed.execute(statement, use_cache=True)
+        refreshed = fed.execute(statement)
         assert not refreshed.cached
         assert refreshed.values[0] == 9_999.0
 
@@ -133,8 +133,8 @@ def test_inserts_between_statements_bit_identical_across_engines():
             databases[owner].insert("data", {"value": value})
             assert databases[owner].data_version == before + 1
             for statement in statements:
-                fresh = fed.execute(statement, use_cache=True)
-                again = fed.execute(statement, use_cache=True)
+                fresh = fed.execute(statement)
+                again = fed.execute(statement)
                 # The version bump invalidated what the last round cached;
                 # nothing has been written since, so the repeat is a hit.
                 assert not fresh.cached and again.cached

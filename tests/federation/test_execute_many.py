@@ -89,7 +89,7 @@ class TestBatchSequentialParity:
         ]
         batch_fed, seq_fed = fresh_federation(), fresh_federation()
         batch = batch_fed.execute_many(statements)
-        sequential = [seq_fed.execute(s, use_cache=True) for s in statements]
+        sequential = [seq_fed.execute(s) for s in statements]
         for b, s in zip(batch, sequential):
             assert b.values == s.values
             assert b.cached == s.cached
@@ -120,12 +120,12 @@ class TestDedupeAndCache:
         assert outcomes[0].values == outcomes[1].values
 
     def test_cache_hit_runs_no_protocol_and_charges_nothing(self, federation):
-        first = federation.execute("SELECT TOP 3 value FROM data", use_cache=True)
+        first = federation.execute("SELECT TOP 3 value FROM data")
         exposure_before = {
             owner: federation.ledger.exposure(owner) for owner in DATASETS
         }
         runs_before = federation.ledger.runs_charged
-        hit = federation.execute("SELECT TOP 3 value FROM data", use_cache=True)
+        hit = federation.execute("SELECT TOP 3 value FROM data")
         assert hit.cached
         assert hit.values == first.values
         assert hit.rounds == 0
@@ -142,11 +142,12 @@ class TestDedupeAndCache:
         entries = federation.audit[-2:]
         assert [e.cached for e in entries] == [False, True]
 
-    def test_plain_execute_bypasses_cache(self, federation):
-        federation.execute("SELECT TOP 2 value FROM data", use_cache=True)
+    def test_plain_execute_reserves_from_cache(self, federation):
+        first = federation.execute("SELECT TOP 2 value FROM data")
         outcome = federation.execute("SELECT TOP 2 value FROM data")
-        assert not outcome.cached
-        assert outcome.rounds > 0
+        assert outcome.cached
+        assert outcome.rounds == 0
+        assert outcome.values == first.values
 
     def test_additive_results_cached_too(self, federation):
         outcomes = federation.execute_many(["SELECT AVG(value) FROM data"] * 2)
@@ -186,32 +187,32 @@ class TestDedupeAndCache:
 
 class TestCacheInvalidation:
     def test_membership_change_invalidates(self, federation):
-        federation.execute("SELECT TOP 2 value FROM data", use_cache=True)
+        federation.execute("SELECT TOP 2 value FROM data")
         assert len(federation.cache) == 1
         federation.register(database_from_values("echo", [8500]))
         assert len(federation.cache) == 0
-        outcome = federation.execute("SELECT TOP 2 value FROM data", use_cache=True)
+        outcome = federation.execute("SELECT TOP 2 value FROM data")
         assert not outcome.cached
         assert 8500.0 in outcome.values
 
     def test_deregister_invalidates(self, federation):
-        federation.execute("SELECT MAX(value) FROM data", use_cache=True)
+        federation.execute("SELECT MAX(value) FROM data")
         federation.deregister("bravo")  # bravo held the 9000 maximum
-        outcome = federation.execute("SELECT MAX(value) FROM data", use_cache=True)
+        outcome = federation.execute("SELECT MAX(value) FROM data")
         assert not outcome.cached
         assert outcome.values == (7000.0,)
 
     def test_data_mutation_invalidates(self, federation):
-        federation.execute("SELECT MAX(value) FROM data", use_cache=True)
+        federation.execute("SELECT MAX(value) FROM data")
         federation._parties["delta"].insert("data", {"value": 9999})
-        outcome = federation.execute("SELECT MAX(value) FROM data", use_cache=True)
+        outcome = federation.execute("SELECT MAX(value) FROM data")
         assert not outcome.cached
         assert outcome.values == (9999.0,)
 
     def test_explicit_invalidation(self, federation):
-        federation.execute("SELECT MAX(value) FROM data", use_cache=True)
+        federation.execute("SELECT MAX(value) FROM data")
         federation.cache.clear()
-        outcome = federation.execute("SELECT MAX(value) FROM data", use_cache=True)
+        outcome = federation.execute("SELECT MAX(value) FROM data")
         assert not outcome.cached
 
 
@@ -226,7 +227,7 @@ class TestSharedHitOutcome:
         return outcome
 
     def test_repeat_hits_are_one_object_audited_one_by_one(self, federation):
-        executed = federation.execute(self.STATEMENT, use_cache=True)
+        executed = federation.execute(self.STATEMENT)
         first = self.hit(federation, issuer="alice")
         assert first is not executed and first.values == executed.values
         assert self.hit(federation, issuer="bob") is first
@@ -251,12 +252,12 @@ class TestSharedHitOutcome:
     def test_any_invalidation_drops_the_outcome_with_the_answer(
         self, federation, change
     ):
-        federation.execute(self.STATEMENT, use_cache=True)
+        federation.execute(self.STATEMENT)
         stale = self.hit(federation)
         members = federation.members
         change(federation)
         assert federation.try_cached(self.STATEMENT) is None
-        fresh = federation.execute(self.STATEMENT, use_cache=True)
+        fresh = federation.execute(self.STATEMENT)
         assert not fresh.cached and fresh.rounds > 0
         renewed = self.hit(federation)
         assert renewed is not stale and renewed.values == fresh.values
@@ -269,16 +270,16 @@ class TestSharedHitOutcome:
 
     def test_fifo_eviction_drops_the_outcome_with_the_answer(self):
         fed = fresh_federation(cache_entries=2)
-        fed.execute(self.STATEMENT, use_cache=True)
+        fed.execute(self.STATEMENT)
         stale = self.hit(fed)
         fed.execute_many(["SELECT MAX(value) FROM data", "SELECT MIN(value) FROM data"])
         assert fed.try_cached(self.STATEMENT) is None  # evicted, first in
-        assert not fed.execute(self.STATEMENT, use_cache=True).cached
+        assert not fed.execute(self.STATEMENT).cached
         assert self.hit(fed) is not stale
 
     def test_spellings_share_the_entry_and_keep_their_text(self, federation):
         lower, upper = "select top 2 value from data", "SELECT TOP 2 value FROM data;"
-        federation.execute(lower, use_cache=True)
+        federation.execute(lower)
         hits = [self.hit(federation, text) for text in (lower, upper, lower, upper)]
         assert len(federation.cache) == 1
         assert hits[0] is hits[2] and hits[1] is hits[3]
@@ -293,7 +294,7 @@ class TestSharedHitOutcome:
             "bob", "TOP"
         )
         fed = fresh_federation(policy=policy)
-        fed.execute(self.STATEMENT, issuer="alice", use_cache=True)
+        fed.execute(self.STATEMENT, issuer="alice")
         self.hit(fed, issuer="alice")
         self.hit(fed, issuer="bob")
         audited = len(fed.audit)

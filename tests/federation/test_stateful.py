@@ -7,6 +7,11 @@ the machine's list of served outcomes is the audit log.  A DP release is a
 function of (statement, exact inner answer): the model keeps the bytes each
 pair released, and every later release of the pair — cached, re-executed or
 after a restart — must match them.
+
+Flat is the one-shard case: a ``ShardedFederation`` over one local shard,
+holding its own copies of the rows under the same seeds, is stepped in
+lock-step and must serve the same answers, compose the same (epsilon, delta)
+ledger and count the same cache hits and misses.
 """
 
 import random
@@ -29,6 +34,8 @@ from repro.database.database import database_from_values
 from repro.database.query import PAPER_DOMAIN
 from repro.federation import Federation, FederationError, SqlError
 from repro.privacy.dp import DpPolicy
+from repro.sharding import ShardedFederation, ShardError
+from repro.sharding.shards import LocalShard
 
 NAMES = [f"org{i}" for i in range(6)]
 #: The model predicts *exact* answers, so no party may randomise (p0 = 0).
@@ -62,15 +69,28 @@ class FederationMachine(RuleBasedStateMachine):
             self.register(NAMES[0], values)
 
     def _start(self) -> None:
-        """A fresh federation from the machine's fixed seeds, and its books."""
+        """A fresh federation and its one-shard twin from the machine's fixed
+        seeds, and their books."""
         self.federation = Federation(
             domain=PAPER_DOMAIN, config=EXACT, seed=99, dp=DpPolicy(seed=5)
         )
+        shard = Federation(domain=PAPER_DOMAIN, config=EXACT, seed=99)
+        self.twin = ShardedFederation(
+            [LocalShard(shard)], dp=DpPolicy(seed=5), domain=PAPER_DOMAIN
+        )
         self.databases: dict = {}
+        self.twin_databases: dict = {}
+        #: Inner statements with a cache-valid answer (both federations).
+        self.cached: set[str] = set()
         #: The audit entry each served statement must leave, in serve order.
         self.served: list[tuple] = []
+        #: What each federation answered, in serve order.
+        self.answers: list[tuple] = []
+        self.twin_answers: list[tuple] = []
         #: statement -> the inner answer its latest charged release perturbed.
         self.latest: dict[str, tuple] = {}
+        #: DP statement -> its operation.
+        self.operations: dict[str, str] = {}
         self.charged_epsilon = 0.0
         self.charged = 0
         self.free_serves = 0
@@ -80,11 +100,27 @@ class FederationMachine(RuleBasedStateMachine):
         database = database_from_values(name, values)
         self.federation.register(database)
         self.databases[name] = database
+        self.twin_databases[name] = database_from_values(name, values)
+        self.twin.register(self.twin_databases[name], shard=0)
         self.model[name] = list(values)
+        self.cached.clear()
 
-    def _serve(self, text: str, issuer: str = "anonymous", use_cache: bool = False):
+    @staticmethod
+    def _answer(outcome) -> tuple:
+        return (outcome.statement, outcome.values, outcome.protocol, outcome.rounds,
+                outcome.messages, outcome.cached)
+
+    def _execute(self, text: str, issuer: str = "anonymous"):
+        """Serve ``text`` on both federations; the flat outcome."""
+        outcome = self.federation.execute(text, issuer=issuer)
+        self.answers.append(self._answer(outcome))
+        self.twin_answers.append(self._answer(self.twin.execute(text, issuer=issuer)))
+        return outcome
+
+    def _serve(self, text: str, issuer: str = "anonymous"):
         members = self.federation.members
-        outcome = self.federation.execute(text, issuer=issuer, use_cache=use_cache)
+        outcome = self._execute(text, issuer=issuer)
+        self.cached.add(outcome.statement)
         self.served.append(
             (issuer, members, outcome.statement, outcome.protocol, outcome.rounds,
              outcome.messages, outcome.values, outcome.cached)
@@ -108,18 +144,24 @@ class FederationMachine(RuleBasedStateMachine):
     def deregister(self, pick: random.Random) -> None:
         name = pick.choice(sorted(self.model))
         self.federation.deregister(name)
-        del self.model[name], self.databases[name]
+        self.twin.deregister(name, shard=0)
+        del self.model[name], self.databases[name], self.twin_databases[name]
+        self.cached.clear()
 
     @precondition(lambda self: len(self.model) > 0)
     @rule(pick=st.randoms(use_true_random=False), value=st.integers(1, 10_000))
     def insert_row(self, pick: random.Random, value: int) -> None:
         name = pick.choice(sorted(self.model))
         self.databases[name].insert("data", {"value": value})
+        self.twin_databases[name].insert("data", {"value": value})
         self.model[name].append(value)
+        self.cached.clear()
 
     @rule()
     def invalidate_cache(self) -> None:
         self.federation.cache.clear()
+        self.twin.shards[0].federation.cache.clear()
+        self.cached.clear()
 
     @rule()
     def restart(self) -> None:
@@ -161,7 +203,7 @@ class FederationMachine(RuleBasedStateMachine):
     def repeat_through_the_cache(self, k: int, issuer: str) -> None:
         # The first ask of a form under this membership executes; repeats hit.
         for _ in range(2):
-            self._serve(f"SELECT TOP {k} value FROM data", issuer=issuer, use_cache=True)
+            self._serve(f"SELECT TOP {k} value FROM data", issuer=issuer)
 
     @precondition(lambda self: len(self.model) >= 3)
     @rule(
@@ -171,16 +213,13 @@ class FederationMachine(RuleBasedStateMachine):
     def dp_release_is_keyed_by_its_answer(self, operation: str, epsilon: float) -> None:
         # Six statements in all, so a session repeats some across the cache
         # drops, inserts and restarts between them.
-        if operation == "TOP":
-            inner, answer = "SELECT TOP 2 value FROM data", self._top(2)
-        else:
-            inner = f"SELECT {operation}(value) FROM data"
-            pooled = self._pooled()
-            answer = (float(sum(pooled) if operation == "SUM" else len(pooled)),)
+        inner, answer = self._inner(operation)
         text = f"{inner} WITH SLO(dp_epsilon={epsilon})"
+        self.operations[text] = operation
         members = self.federation.members
         spent = self.federation.dp_gate.accountant.epsilon.spent
-        outcome = self.federation.execute(text)
+        outcome = self._execute(text)
+        self.cached.add(inner)
         # The audit records the inner statement; it ran iff it took rounds.
         self.served.append(
             ("anonymous", members, inner, outcome.protocol.removesuffix("+dp"),
@@ -199,16 +238,64 @@ class FederationMachine(RuleBasedStateMachine):
         self.released.setdefault((text, answer), outcome.values)
         self.releases.append((text, answer, outcome.values))
 
-    @rule(use_cache=st.booleans())
-    def malformed_statement_serves_nothing(self, use_cache: bool) -> None:
-        with pytest.raises(SqlError):
-            self.federation.execute("SELECT TOP value FROM data", use_cache=use_cache)
+    def _inner(self, operation: str) -> tuple[str, tuple]:
+        """A DP operation's inner statement and the model's exact answer."""
+        if operation == "TOP":
+            return "SELECT TOP 2 value FROM data", self._top(2)
+        pooled = self._pooled()
+        answer = (float(sum(pooled) if operation == "SUM" else len(pooled)),)
+        return f"SELECT {operation}(value) FROM data", answer
+
+    @precondition(lambda self: len(self.model) >= 3 and self.latest)
+    @rule(pick=st.randoms(use_true_random=False))
+    def dp_fast_path(self, pick: random.Random) -> None:
+        # Free exactly when the latest release perturbed the current answer
+        # and that answer is still cached; a miss serves and counts nothing.
+        text = pick.choice(sorted(self.latest))
+        inner, answer = self._inner(self.operations[text])
+        hit = self.latest[text] == answer and inner in self.cached
+        members = self.federation.members
+        before = self._books()
+        outcome = self.federation.try_cached(text)
+        twin = self.twin.try_cached(text)
+        assert (outcome is not None) == (twin is not None) == hit
+        if not hit:
+            assert self._books() == before
+            return
+        assert outcome.values == twin.values == self.released[(text, answer)]
+        self.answers.append(self._answer(outcome))
+        self.twin_answers.append(self._answer(twin))
+        self.free_serves += 1
+        # The flat fast path audits the release itself.
+        self.served.append(
+            ("anonymous", members, outcome.statement, outcome.protocol, 0, 0,
+             outcome.values, True)
+        )
+
+    def _books(self) -> list[tuple[int, int, int]]:
+        """Audit length, cache hits and misses: flat, then the twin."""
+        return [
+            (len(audit), cache.hits, cache.misses)
+            for audit, cache in (
+                (self.federation.audit, self.federation.cache),
+                (self.twin.shards[0].federation.audit, self.twin.cache),
+            )
+        ]
+
+    @rule()
+    def malformed_statement_serves_nothing(self) -> None:
+        for federation in (self.federation, self.twin):
+            with pytest.raises(SqlError):
+                federation.execute("SELECT TOP value FROM data")
 
     @precondition(lambda self: len(self.model) < 3)
-    @rule(use_cache=st.booleans())
-    def below_quorum_serves_nothing(self, use_cache: bool) -> None:
+    @rule()
+    def below_quorum_serves_nothing(self) -> None:
         with pytest.raises(FederationError):
-            self.federation.execute("SELECT MAX(value) FROM data", use_cache=use_cache)
+            self.federation.execute("SELECT MAX(value) FROM data")
+        # The shard's refusal reaches the sharded caller as a shard failure.
+        with pytest.raises(ShardError, match="FederationError"):
+            self.twin.execute("SELECT MAX(value) FROM data")
 
     # -- invariants ------------------------------------------------------------------
 
@@ -239,6 +326,22 @@ class FederationMachine(RuleBasedStateMachine):
         assert spent >= self.last_spent  # monotone until a restart
         assert spent == pytest.approx(self.charged_epsilon)
         self.last_spent = spent
+
+    @invariant()
+    def one_shard_twin_answers_alike(self) -> None:
+        assert self.twin_answers == self.answers
+
+    @invariant()
+    def one_shard_twin_composes_the_same_ledger(self) -> None:
+        assert (
+            self.twin.dp_gate.accountant.ledger_lines()
+            == self.federation.dp_gate.accountant.ledger_lines()
+        )
+
+    @invariant()
+    def one_shard_twin_counts_the_same_hits(self) -> None:
+        flat, twin = self.federation.cache, self.twin.cache
+        assert (twin.hits, twin.misses) == (flat.hits, flat.misses)
 
     @invariant()
     def free_serves_charge_nothing(self) -> None:

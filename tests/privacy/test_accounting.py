@@ -87,13 +87,16 @@ class TestFederationIntegration:
         assert fed.ledger.runs_charged == 1
 
     def test_budget_blocks_and_keeps_audit_clean(self):
+        # Distinct statements: a repeat is a free cache hit, charged nothing.
         fed = self._federation(budget=1.5)
         fed.execute("SELECT MAX(value) FROM data")
         audited = len(fed.audit)
+        served = []
         with pytest.raises(BudgetExceededError):
-            for _ in range(10):
-                fed.execute("SELECT MAX(value) FROM data")
-        assert len(fed.audit) < audited + 10  # the refused query left no entry
+            for k in range(1, 11):
+                served.append(fed.execute(f"SELECT TOP {k} value FROM data"))
+        assert len(served) < 10
+        assert len(fed.audit) == audited + len(served)  # the refusal left no entry
 
     def test_additive_queries_free(self):
         fed = self._federation(budget=0.001)

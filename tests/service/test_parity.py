@@ -32,7 +32,7 @@ class TestSoloParity:
         workload = MIXED_STATEMENTS + MIXED_STATEMENTS[:2]  # with repeats
         _service, served = serve(workload, seed=41)
         reference = fresh_federation(seed=41)
-        solo = [reference.execute(s, use_cache=True) for s in workload]
+        solo = [reference.execute(s) for s in workload]
         for via_service, via_solo in zip(served, solo):
             assert via_service.values == via_solo.values
             assert via_service.rounds == via_solo.rounds
@@ -52,7 +52,7 @@ class TestSoloParity:
         service, _ = serve(MIXED_STATEMENTS, seed=41)
         reference = fresh_federation(seed=41)
         for statement in MIXED_STATEMENTS:
-            reference.execute(statement, use_cache=True)
+            reference.execute(statement)
         for owner in DATASETS:
             assert service.federation.ledger.exposure(
                 owner

@@ -192,6 +192,7 @@ CALLS = {
     "deregister": lambda shard: shard.deregister("org00"),
     "cache_stats": lambda shard: shard.cache_stats(),
     "try_cached": lambda shard: shard.try_cached("SELECT MAX(value) FROM t00"),
+    "peek": lambda shard: shard.peek("SELECT MAX(value) FROM t00"),
     "execute_many_settled": lambda shard: shard.execute_many_settled(
         ["SELECT MAX(value) FROM t00"]
     ),
@@ -217,6 +218,7 @@ def call_within_timeout(shard, call):
 @example(reply={"ok": True})
 @example(reply={"ok": True, "outcome": {}, "results": [{"ok": True, "outcome": {}}]})
 @example(reply={"ok": True, "outcome": {**VALID_OUTCOME, "values": "x"}})
+@example(reply={"ok": True, "answer": {"values": "x", "protocol": "probabilistic"}})
 @example(reply={"ok": True, "results": []})  # fewer results than statements
 @example(reply={"ok": 1})  # truthy is not True
 @settings(max_examples=60, deadline=None)

@@ -358,14 +358,6 @@ DECLARED: dict[str, tuple[str, str, str]] = {
         "design", "tests/sharding/test_router_tenants.py",
         "DESIGN.md 4g: a membership change drops the shard's cache",
     ),
-    "repro.sharding.federation:ShardedFederation.execute": (
-        "reference", "tests/federation/test_dp_release_rules.py",
-        "the sharded twin the flat == sharded rule suites compare",
-    ),
-    "repro.sharding.federation:ShardedFederation.execute_many": (
-        "reference", "tests/federation/test_dp_release_rules.py",
-        "the sharded twin the flat == sharded rule suites compare",
-    ),
     "repro.sharding.federation:ShardedFederation.register": (
         "design", "tests/sharding/test_router_tenants.py",
         "DESIGN.md 4g: a membership change drops the shard's cache",
