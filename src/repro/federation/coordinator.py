@@ -597,10 +597,10 @@ class Federation:
             protocol=result.protocol,
             rounds=result.rounds_executed,
             messages=result.stats.messages_total,
-            trace=result,
             simulated_seconds=result.simulated_seconds,
+            average_lop=average_lop(result),
         )
-        return self._audited(issuer, outcome, lop=average_lop(result))
+        return self._audited(issuer, outcome)
 
     def _serve_cached(
         self, statement: FederatedStatement, issuer: str, answer: CachedAnswer
@@ -618,16 +618,14 @@ class Federation:
                 protocol=answer.protocol,
                 rounds=0,
                 messages=0,
-                trace=None,
                 cached=True,
             )
         return self._audited(issuer, outcome)
 
-    def _audited(
-        self, issuer: str, outcome: QueryOutcome, lop: float | None = None
-    ) -> QueryOutcome:
-        """Record ``outcome`` in the audit log and hand it back."""
-        self.audit.record(issuer, self.members, outcome, lop)
+    def _audited(self, issuer: str, outcome: QueryOutcome) -> QueryOutcome:
+        """Record ``outcome`` and its ``average_lop`` in the audit log and
+        hand it back."""
+        self.audit.record(issuer, self.members, outcome, outcome.average_lop)
         return outcome
 
     def _local_aggregate(

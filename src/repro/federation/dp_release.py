@@ -290,7 +290,6 @@ class DpReleasePath:
                 protocol=f"{outcomes[0].protocol}+dp",
                 rounds=max(o.rounds for o in outcomes),
                 messages=sum(o.messages for o in outcomes),
-                trace=None,
                 cached=not charged,
                 simulated_seconds=max(o.simulated_seconds for o in outcomes),
             )
@@ -349,7 +348,6 @@ class DpReleasePath:
             protocol=f"{answers[0].protocol}+dp",
             rounds=0,
             messages=0,
-            trace=None,
             cached=True,
         )
 

@@ -25,8 +25,10 @@ class QueryOutcome:
     protocol: str
     rounds: int
     messages: int
-    #: Full protocol trace for ranking queries (None for additive ones and
-    #: for cache hits — a hit re-serves the public answer, not the trace).
+    #: Always ``None``: no federation sets it.  An outcome is the public
+    #: answer; the run's transcript dies with its batch once the ledger has
+    #: charged it and the audit has recorded its LoP.  The field stays
+    #: declared only because ``bench/layers.py`` reads ``o.trace``.
     trace: ProtocolResult | None = None
     #: True when the answer was served from the result cache: no protocol
     #: ran and no new exposure was charged.
@@ -34,6 +36,10 @@ class QueryOutcome:
     #: Simulated network time this query's protocol occupied (0.0 for cache
     #: hits and additive aggregates).
     simulated_seconds: float = 0.0
+    #: The executed ring's average LoP (Eq. 1, the Section 5.3 estimator):
+    #: the one number of the run the issuer gets beside the answer.  ``None``
+    #: for cache hits, additive aggregates, DP releases and fan-out merges.
+    average_lop: float | None = None
 
 
 @dataclass(frozen=True)

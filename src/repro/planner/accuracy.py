@@ -29,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from ..privacy.lop import average_lop
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from ..federation.outcomes import QueryOutcome
     from .plan import Plan
@@ -106,7 +104,7 @@ class PredictionLedger:
         """Record ``plan`` against the outcome it produced; False if nothing ran.
 
         Cache hits are skipped (nothing ran, nothing to audit); measured
-        LoP comes from the protocol trace when the execution kept one.
+        LoP is the outcome's ``average_lop``, set when a ring ran for it.
         """
         if outcome.cached:
             return False
@@ -115,9 +113,7 @@ class PredictionLedger:
             rounds=outcome.rounds,
             messages=outcome.messages,
             simulated_seconds=outcome.simulated_seconds,
-            measured_lop=(
-                average_lop(outcome.trace) if outcome.trace is not None else None
-            ),
+            measured_lop=outcome.average_lop,
         )
         return True
 

@@ -254,10 +254,12 @@ class ShardedFederation:
         statements are a hit only when *every* shard holds the partial —
         which is exactly what makes cross-shard epoch invalidation work:
         one shard's membership/data change misses there and forces a fresh
-        fan-out.  An unreachable shard reads as a miss, so the admission
-        fast path never throws for that; the statement is refused typed when
-        it actually executes.  A malformed statement raises its
-        :class:`~repro.federation.sql.SqlError`, like the flat federation.
+        fan-out.  Every shard is peeked before any serves, so a fan-out miss
+        audits and counts nothing anywhere.  An unreachable shard reads as a
+        miss, so the admission fast path never throws for that; the
+        statement is refused typed when it actually executes.  A malformed
+        statement raises its :class:`~repro.federation.sql.SqlError`, like
+        the flat federation.
 
         A DP statement hits only when the shared release path finds a sound
         free re-serve (see :meth:`DpReleasePath.try_cached`): every inner
@@ -271,11 +273,21 @@ class ShardedFederation:
         def serve(inner_texts: Sequence[str]) -> None:
             # Only now is the re-serve certain: audit and count the hits.
             for inner in inner_texts:
-                self._try_cached_plain(inner, issuer)
+                self._serve_cached(inner, issuer)
 
         return self._dp.try_cached(prepared.spec, self._peek, serve)
 
     def _try_cached_plain(
+        self, statement_text: str, issuer: str
+    ) -> QueryOutcome | None:
+        """A routed statement is one shard's atomic ``try_cached``; a fan-out
+        serves no shard's partial until every shard's peek has hit."""
+        target = self.router.route(prepare(statement_text).spec.statement.table)
+        if target == ALL_SHARDS and self._peek(statement_text) is None:
+            return None
+        return self._serve_cached(statement_text, issuer)
+
+    def _serve_cached(
         self, statement_text: str, issuer: str
     ) -> QueryOutcome | None:
         return self._on_cache(
@@ -530,7 +542,7 @@ class ShardedFederation:
         """Run every admitted statement on its shards: one sub-batch per shard.
 
         A routed statement is a fan-out to its one shard whose merge is the
-        identity (the shard's outcome is returned verbatim, trace and all);
+        identity (the shard's outcome is returned verbatim, LoP and all);
         a statement over a partitioned table runs :func:`_fanout_texts` on
         every shard and merges by :func:`_merge_fanout`.  Each shard's
         sub-batch holds its statements in batch order, a DP statement's
@@ -668,7 +680,6 @@ def _merge_fanout(
         protocol=flat[0].protocol,
         rounds=max(o.rounds for o in flat),
         messages=sum(o.messages for o in flat),
-        trace=None,
         cached=all(o.cached for o in flat),
         simulated_seconds=max(o.simulated_seconds for o in flat),
     )

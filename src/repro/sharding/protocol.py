@@ -9,11 +9,11 @@ and the client (:class:`repro.sharding.shards.ProcessShard`) so a refusal
 raised inside a worker process re-materializes as the *same type* in the
 gateway — the degradation contract is typed end to end.
 
-Protocol outcomes lose their :class:`~repro.core.results.ProtocolResult`
-trace across the process boundary (``trace=None``): traces are debugging
-artifacts of the executing process, while values/rounds/messages/simulated
-seconds — everything the gateway's merge, metrics and clock need — survive
-intact.
+An outcome crosses the boundary whole: it is the public answer (values,
+protocol, rounds, messages, simulated seconds, the cached flag) plus the
+executed ring's ``average_lop``, and it carries no protocol transcript on
+either side of the wire, so a routed outcome equals the flat federation's
+field for field.
 
 The decoders read bytes another process wrote, so every way a value can
 have the wrong shape — not JSON, not an object, a missing key, a number
@@ -104,6 +104,7 @@ def encode_outcome(outcome: QueryOutcome) -> dict:
         "messages": outcome.messages,
         "cached": outcome.cached,
         "simulated_seconds": outcome.simulated_seconds,
+        "average_lop": outcome.average_lop,
     }
 
 
@@ -116,10 +117,21 @@ def decode_outcome(payload: dict) -> QueryOutcome:
             protocol=str(payload["protocol"]),
             rounds=int(payload["rounds"]),
             messages=int(payload["messages"]),
-            trace=None,
             cached=bool(payload["cached"]),
             simulated_seconds=float(payload["simulated_seconds"]),
+            average_lop=_lop(payload["average_lop"]),
         )
+
+
+def _lop(value: object) -> float | None:
+    """An outcome's ``average_lop``: ``None`` or a number in [0, 1]."""
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"average_lop {value!r} is not a number")
+    if not 0 <= value <= 1:
+        raise ValueError(f"average_lop {value!r} is not in [0, 1]")
+    return float(value)
 
 
 def decode_answer(payload: "dict | None") -> CachedAnswer | None:

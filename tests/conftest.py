@@ -14,7 +14,7 @@ from repro.core.driver import RunConfig
 from repro.core.params import ProtocolParams
 from repro.database.query import Domain, TopKQuery
 from repro.experiments import runner
-from repro.federation import sql
+from repro.federation import coordinator, sql
 from repro.planner import spec as planner_spec
 
 # CI's tier-1 job selects this (``--hypothesis-profile=ci``): every property
@@ -78,6 +78,37 @@ def counting_compiles():
             yield compiled, parsed
         finally:
             planner_spec.prepared_clear()
+
+
+@contextmanager
+def capturing_transcripts(keep=lambda result: result):
+    """Yield ``keep(result)`` for every ``ProtocolResult`` a federation runs
+    inside, in run order.
+
+    An outcome is the public answer and carries no transcript, so a test that
+    compares protocol runs reads them here, through the coordinator's one
+    call into the driver.  Local shards run that coordinator too; a process
+    shard's runs stay in its worker.  ``keep=weakref.ref`` holds nothing
+    alive.
+    """
+    kept: list = []
+    run = coordinator.run_topk_queries
+
+    def captured(*args, **kwargs):
+        results = run(*args, **kwargs)
+        kept.extend(keep(result) for result in results)
+        return results
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coordinator, "run_topk_queries", captured)
+        yield kept
+
+
+@pytest.fixture
+def transcripts():
+    """The ``ProtocolResult`` of every ring a federation runs in the test."""
+    with capturing_transcripts() as results:
+        yield results
 
 
 @pytest.fixture

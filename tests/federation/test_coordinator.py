@@ -54,7 +54,10 @@ class TestRankingQueries:
         outcome = federation.execute("SELECT TOP 3 value FROM data")
         assert outcome.values == (9000.0, 7000.0, 6500.0)
         assert outcome.protocol == "probabilistic"
-        assert outcome.trace is not None
+        # The issuer gets the answer and the ring's average LoP, never the
+        # ring's transcript.
+        assert outcome.trace is None
+        assert 0.0 <= outcome.average_lop <= 1.0
 
     def test_bottomk(self, federation):
         outcome = federation.execute("SELECT BOTTOM 2 value FROM data")
@@ -68,7 +71,7 @@ class TestRankingQueries:
         outcome = federation.execute("SELECT TOP 2 value FROM data")
         assert outcome.values == (9000.0, 7000.0)
 
-    def test_fresh_randomness_per_query(self, federation):
+    def test_fresh_randomness_per_query(self, federation, transcripts):
         # A repeat is a cached re-serve and runs no ring.  Two *executions*
         # of one statement must not produce identical traces (the noise must
         # differ or an observer could difference it out).
@@ -78,8 +81,9 @@ class TestRankingQueries:
         second = federation.execute("SELECT TOP 1 value FROM data")
         assert not second.cached
         assert first.values == second.values
-        t1 = [(o.round, o.sender, o.vector) for o in first.trace.event_log]
-        t2 = [(o.round, o.sender, o.vector) for o in second.trace.event_log]
+        first_run, second_run = transcripts
+        t1 = [(o.round, o.sender, o.vector) for o in first_run.event_log]
+        t2 = [(o.round, o.sender, o.vector) for o in second_run.event_log]
         assert t1 != t2
 
 
@@ -102,6 +106,7 @@ class TestAdditiveQueries:
         outcome = federation.execute("SELECT SUM(value) FROM data")
         assert outcome.protocol == "secure-sum"
         assert outcome.trace is None
+        assert outcome.average_lop is None
         assert outcome.messages > 0
 
 
@@ -145,7 +150,7 @@ class TestAudit:
 
 
 class TestPerAttributeDomains:
-    def test_registered_domain_used_for_ranking(self):
+    def test_registered_domain_used_for_ranking(self, transcripts):
         fed = Federation(domain=PAPER_DOMAIN, seed=9)
         fed.register_domain("data", "score", Domain(1, 100))
         for name, values in (("a", [40]), ("b", [95]), ("c", [12])):
@@ -153,7 +158,8 @@ class TestPerAttributeDomains:
         outcome = fed.execute("SELECT TOP 2 score FROM data")
         assert outcome.values == (95.0, 40.0)
         # The query really carried the narrow domain.
-        assert outcome.trace.query.domain.high == 100
+        (run,) = transcripts
+        assert run.query.domain.high == 100
 
     def test_out_of_registered_domain_value_rejected(self):
         from repro.database.query import QueryError

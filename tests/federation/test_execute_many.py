@@ -61,14 +61,15 @@ class TestBatchSequentialParity:
             assert b.messages == s.messages
             assert b.protocol == s.protocol
 
-    def test_ranking_traces_identical(self):
+    def test_ranking_traces_identical(self, transcripts):
         batch_fed, seq_fed = fresh_federation(), fresh_federation()
-        (b,) = batch_fed.execute_many(["SELECT TOP 3 value FROM data"])
-        s = seq_fed.execute("SELECT TOP 3 value FROM data")
-        assert b.trace.final_vector == s.trace.final_vector
-        assert b.trace.ring_order == s.trace.ring_order
-        assert b.trace.rounds_executed == s.trace.rounds_executed
-        assert b.trace.round_snapshots == s.trace.round_snapshots
+        (batch_outcome,) = batch_fed.execute_many(["SELECT TOP 3 value FROM data"])
+        assert seq_fed.execute("SELECT TOP 3 value FROM data") == batch_outcome
+        b, s = transcripts
+        assert b.final_vector == s.final_vector
+        assert b.ring_order == s.ring_order
+        assert b.rounds_executed == s.rounds_executed
+        assert b.round_snapshots == s.round_snapshots
 
     def test_exposure_charges_identical(self):
         batch_fed, seq_fed = fresh_federation(), fresh_federation()

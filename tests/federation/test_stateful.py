@@ -10,8 +10,9 @@ after a restart — must match them.
 
 Flat is the one-shard case: a ``ShardedFederation`` over one local shard,
 holding its own copies of the rows under the same seeds, is stepped in
-lock-step and must serve the same answers, compose the same (epsilon, delta)
-ledger and count the same cache hits and misses.
+lock-step and must serve equal outcomes (answer, costs and the ring's
+average LoP), compose the same (epsilon, delta) ledger and count the same
+cache hits and misses.
 """
 
 import random
@@ -84,9 +85,9 @@ class FederationMachine(RuleBasedStateMachine):
         self.cached: set[str] = set()
         #: The audit entry each served statement must leave, in serve order.
         self.served: list[tuple] = []
-        #: What each federation answered, in serve order.
-        self.answers: list[tuple] = []
-        self.twin_answers: list[tuple] = []
+        #: What each federation served, in serve order.
+        self.outcomes: list = []
+        self.twin_outcomes: list = []
         #: statement -> the inner answer its latest charged release perturbed.
         self.latest: dict[str, tuple] = {}
         #: DP statement -> its operation.
@@ -105,16 +106,11 @@ class FederationMachine(RuleBasedStateMachine):
         self.model[name] = list(values)
         self.cached.clear()
 
-    @staticmethod
-    def _answer(outcome) -> tuple:
-        return (outcome.statement, outcome.values, outcome.protocol, outcome.rounds,
-                outcome.messages, outcome.cached)
-
     def _execute(self, text: str, issuer: str = "anonymous"):
         """Serve ``text`` on both federations; the flat outcome."""
         outcome = self.federation.execute(text, issuer=issuer)
-        self.answers.append(self._answer(outcome))
-        self.twin_answers.append(self._answer(self.twin.execute(text, issuer=issuer)))
+        self.outcomes.append(outcome)
+        self.twin_outcomes.append(self.twin.execute(text, issuer=issuer))
         return outcome
 
     def _serve(self, text: str, issuer: str = "anonymous"):
@@ -263,8 +259,8 @@ class FederationMachine(RuleBasedStateMachine):
             assert self._books() == before
             return
         assert outcome.values == twin.values == self.released[(text, answer)]
-        self.answers.append(self._answer(outcome))
-        self.twin_answers.append(self._answer(twin))
+        self.outcomes.append(outcome)
+        self.twin_outcomes.append(twin)
         self.free_serves += 1
         # The flat fast path audits the release itself.
         self.served.append(
@@ -328,8 +324,8 @@ class FederationMachine(RuleBasedStateMachine):
         self.last_spent = spent
 
     @invariant()
-    def one_shard_twin_answers_alike(self) -> None:
-        assert self.twin_answers == self.answers
+    def one_shard_twin_serves_equal_outcomes(self) -> None:
+        assert self.twin_outcomes == self.outcomes
 
     @invariant()
     def one_shard_twin_composes_the_same_ledger(self) -> None:

@@ -156,7 +156,7 @@ class TestLedgerLopScoping:
 
 
 class TestRecordOutcome:
-    """The one audit loop: skip cached, measured LoP from the trace, record."""
+    """The one audit loop: skip cached, measured LoP from the outcome, record."""
 
     @staticmethod
     def _federation():
@@ -165,7 +165,7 @@ class TestRecordOutcome:
             federation.register(database_from_values(owner, values))
         return federation
 
-    def test_executed_outcome_is_recorded_with_lop_from_its_trace(self):
+    def test_executed_outcome_is_recorded_with_lop_from_its_trace(self, transcripts):
         federation = self._federation()
         text = "SELECT MAX(value) FROM data WITH SLO(deadline=5.0)"
         plan = federation.planner.plan(text, parties=4)
@@ -173,7 +173,9 @@ class TestRecordOutcome:
         ledger = PredictionLedger()
         assert ledger.record_outcome(plan, outcome) is True
         assert ledger.recorded == ledger.lop_checked == 1
-        assert ledger.lop_measured_sum == average_lop(outcome.trace)
+        assert ledger.lop_measured_sum == outcome.average_lop
+        (run,) = transcripts
+        assert outcome.average_lop == average_lop(run)
         assert all(ledger.drift(metric) == 0.0 for metric in ("rounds", "messages"))
         # Predicted as messages x hop_seconds, measured as a running sum of
         # hop delays: the two differ by float rounding only.
@@ -191,12 +193,13 @@ class TestRecordOutcome:
         assert ledger.recorded == 0
 
     def test_outcome_without_a_trace_audits_the_point_metrics_only(self):
+        # An outcome no single ring produced (a fan-out merge) has no LoP.
         federation = self._federation()
         text = "SELECT MAX(value) FROM data WITH SLO(deadline=5.0)"
         plan = federation.planner.plan(text, parties=4)
-        remote = replace(federation.execute_many([text])[0], trace=None)
+        merged = replace(federation.execute_many([text])[0], average_lop=None)
         ledger = PredictionLedger()
-        assert ledger.record_outcome(plan, remote) is True
+        assert ledger.record_outcome(plan, merged) is True
         assert (ledger.recorded, ledger.lop_checked) == (1, 0)
 
 

@@ -272,7 +272,7 @@ class TestServingPath:
     """An executed ranking query is charged and audited from the kernels'
     pass records alone: no ``Observation`` is ever built for it."""
 
-    def test_ranking_miss_never_materializes_the_log(self, monkeypatch):
+    def test_ranking_miss_never_materializes_the_log(self, monkeypatch, transcripts):
         def refuse(self):
             raise AssertionError("the serving path materialized an event log")
 
@@ -292,12 +292,14 @@ class TestServingPath:
         )
 
         # Single statements and batches alike run the kernels.
-        for executed in (outcome, *batch):
-            assert isinstance(executed.trace.event_log, _LazyKernelLog)
+        assert len(transcripts) == 3
+        for run in transcripts:
+            assert isinstance(run.event_log, _LazyKernelLog)
         assert federation.ledger.runs_charged == 3
         assert set(federation.ledger.charges) == set(federation.members)
         audited = [entry.average_lop for entry in federation.audit]
-        assert audited == [average_lop(o.trace) for o in (outcome, *batch)]
+        assert audited == [o.average_lop for o in (outcome, *batch)]
+        assert audited == [average_lop(run) for run in transcripts]
         assert all(0.0 <= lop <= 1.0 for lop in audited)
         with pytest.raises(AssertionError, match="materialized"):
-            list(batch[0].trace.event_log)
+            list(transcripts[1].event_log)

@@ -39,14 +39,15 @@ class TestSoloParity:
             assert via_service.protocol == via_solo.protocol
             assert via_service.cached == via_solo.cached
 
-    def test_ranking_traces_identical(self):
+    def test_ranking_traces_identical(self, transcripts):
         _service, (served,) = serve(["SELECT TOP 3 value FROM data"], seed=99)
         solo = fresh_federation(seed=99).execute("SELECT TOP 3 value FROM data")
-        assert served.trace is not None
-        assert served.trace.final_vector == solo.trace.final_vector
-        assert served.trace.ring_order == solo.trace.ring_order
-        assert served.trace.rounds_executed == solo.trace.rounds_executed
-        assert served.trace.round_snapshots == solo.trace.round_snapshots
+        assert served == solo
+        served_run, solo_run = transcripts
+        assert served_run.final_vector == solo_run.final_vector
+        assert served_run.ring_order == solo_run.ring_order
+        assert served_run.rounds_executed == solo_run.rounds_executed
+        assert served_run.round_snapshots == solo_run.round_snapshots
 
     def test_ledger_exposure_matches_sequential(self):
         service, _ = serve(MIXED_STATEMENTS, seed=41)
@@ -92,7 +93,7 @@ class TestTypedRefusals:
         assert isinstance(results[1], PolicyViolation)
         assert results[2].values == (9000.0,)
 
-    def test_refused_statements_do_not_shift_survivor_seeds(self):
+    def test_refused_statements_do_not_shift_survivor_seeds(self, transcripts):
         policy = AccessPolicy().allow("anonymous", "TOP")
 
         async def scenario():
@@ -110,5 +111,6 @@ class TestTypedRefusals:
         assert isinstance(results[0], PolicyViolation)
         # Reference session that skips the refused statement entirely.
         solo = fresh_federation(seed=13).execute("SELECT TOP 3 value FROM data")
-        assert results[1].values == solo.values
-        assert results[1].trace.ring_order == solo.trace.ring_order
+        assert results[1] == solo
+        served_run, solo_run = transcripts
+        assert served_run.ring_order == solo_run.ring_order

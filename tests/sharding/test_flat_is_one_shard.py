@@ -5,20 +5,34 @@
 * A sharded batch costs each involved shard one sub-batch, routed and
   fan-out statements alike, in statement order with DP inner statements in
   place.
-* A DP statement's fast path only looks at its inner answers until the
-  re-serve is certain: a miss audits nothing and counts no hit.
+* A fan-out's or DP statement's fast path only looks at the shards' answers
+  until the re-serve is certain: a miss audits nothing and counts no hit.
+* An outcome is the public answer plus the ring's average LoP, the same
+  dataclass from a flat federation, a local shard or a worker process; the
+  run's transcript dies with its batch.
 """
 
 from __future__ import annotations
 
+import gc
+import weakref
 from functools import partial
 
 import pytest
 
+from repro.federation.outcomes import QueryOutcome
 from repro.privacy.dp import DpPolicy
-from repro.sharding import ShardedFederation, ShardRouter, build_topology
+from repro.sharding import (
+    ShardedFederation,
+    ShardRouter,
+    build_topology,
+    sharded_federation,
+    topology_workload,
+)
 from repro.sharding.shards import LocalShard
 from repro.sharding.topology import local_shards, single_federation
+
+from ..conftest import capturing_transcripts
 
 DP = DpPolicy(seed=5)
 
@@ -154,3 +168,57 @@ def test_a_dp_fast_path_miss_serves_nothing(kind, route):
     books = _books(federation)
     assert federation.try_cached(text) is None
     assert _books(federation) == books
+
+
+def test_a_plain_fanout_fast_path_miss_serves_nothing():
+    topology = build_topology(
+        shards=2, parties_per_shard=3, tables=4, partitioned=2, seed=1
+    )
+    federation = sharded_federation(topology)
+    text = f"SELECT MAX(value) FROM {topology.partitioned[0]}"
+    federation.execute(text)
+    audit, hits, runs, spent = _books(federation)
+    federation.shards[1].federation.cache.clear()
+    assert federation.try_cached(text) is None
+    assert _books(federation) == (audit, hits, runs, spent)
+    # Once every shard holds its partial again, the hit serves on each.
+    federation.execute(text)
+    audit, hits, runs, spent = _books(federation)
+    assert federation.try_cached(text).cached
+    assert _books(federation) == (audit + 2, hits + 2, runs, spent)
+
+
+def test_a_routed_outcome_is_one_outcome_flat_local_and_in_a_worker():
+    topology = build_topology(
+        shards=1, parties_per_shard=4, tables=3, rows_per_table=12,
+        partitioned=0, seed=29,
+    )
+    statements = topology_workload(topology, 24, seed=2)
+    remote = sharded_federation(topology, processes=True)
+    try:
+        by_process = remote.execute_many_settled(statements, issuer="t")
+    finally:
+        remote.close()
+    by_flat = single_federation(topology).execute_many_settled(statements, issuer="t")
+    by_local = sharded_federation(topology).execute_many_settled(statements, issuer="t")
+    assert all(isinstance(outcome, QueryOutcome) for outcome in by_flat)
+    assert by_flat == by_local == by_process
+    executed = [o for o in by_flat if not o.cached and o.protocol == "probabilistic"]
+    assert executed and all(0.0 <= o.average_lop <= 1.0 for o in executed)
+
+
+@pytest.mark.parametrize("kind", ["flat", "sharded"])
+def test_no_protocol_result_outlives_its_batch(kind):
+    topology = _topology()
+    federation = _deploy(kind, topology)
+    statements = [f"SELECT TOP 2 value FROM {table}" for table in topology.tables]
+    with capturing_transcripts(weakref.ref) as runs:
+        outcomes = federation.execute_many_settled(statements)
+    assert len(runs) >= len(statements)
+    gc.collect()
+    # The outcomes are still held; none of them holds its run alive.
+    assert [run() for run in runs] == [None] * len(runs)
+    for table, outcome in zip(topology.tables, outcomes, strict=True):
+        # A fan-out merge ran no single ring, so it carries no LoP.
+        fanout = kind == "sharded" and table in topology.partitioned
+        assert (outcome.average_lop is None) == fanout

@@ -54,7 +54,7 @@ WIRE_KEYS = st.sampled_from(
     [
         "ok", "outcome", "results", "statement", "values", "protocol", "rounds",
         "messages", "cached", "simulated_seconds", "error", "message", "members",
-        "hits", "misses",
+        "hits", "misses", "average_lop",
     ]
 )
 JSON_VALUES = st.recursive(
@@ -75,9 +75,9 @@ VALID_OUTCOME = encode_outcome(
         protocol="probabilistic",
         rounds=4,
         messages=15,
-        trace=None,
         cached=False,
         simulated_seconds=0.015,
+        average_lop=0.0625,
     )
 )
 
@@ -109,12 +109,27 @@ def reply_bytes(value: object) -> bytes:
 @example(payload={**VALID_OUTCOME, "rounds": float("inf")})  # int(inf): OverflowError
 @example(payload={**VALID_OUTCOME, "values": "12"})  # a string is not a list of floats
 @example(payload={**VALID_OUTCOME, "values": [10**400]})  # float(huge int)
+@example(payload={**VALID_OUTCOME, "average_lop": float("nan")})
 @settings(max_examples=200, deadline=None)
 def test_decode_outcome_returns_an_outcome_or_wire_error(payload):
     try:
         assert isinstance(decode_outcome(payload), QueryOutcome)
     except WireError:
         pass
+
+
+@pytest.mark.parametrize("lop", [None, 0, 0.0625, 1])
+def test_average_lop_is_none_or_in_the_unit_interval(lop):
+    outcome = decode_outcome({**VALID_OUTCOME, "average_lop": lop})
+    assert outcome.average_lop == lop
+
+
+@pytest.mark.parametrize(
+    "lop", [-0.0625, 1.5, float("nan"), float("inf"), 10**400, True, "0.5", [0.5]]
+)
+def test_average_lop_outside_the_unit_interval_is_a_wire_error(lop):
+    with pytest.raises(WireError, match="average_lop"):
+        decode_outcome({**VALID_OUTCOME, "average_lop": lop})
 
 
 @given(

@@ -104,8 +104,8 @@ def test_process_shards_match_oracle(process_setup):
     for want, have in zip(expected, got):
         assert isinstance(have, QueryOutcome)
         assert have.values == want.values
-    # Remote outcomes carry no trace object (it stays in the worker).
-    assert all(o.trace is None for o in got)
+    # No outcome carries a transcript, on either side of the wire.
+    assert all(o.trace is None for o in expected + got)
 
 
 def test_process_shard_refusals_arrive_typed(process_setup):
@@ -179,14 +179,41 @@ def test_gateway_serves_an_slo_statement_beside_a_worker_killed_before_first_rea
         sharded.close()
 
 
+def test_the_gateway_measures_lop_through_a_worker():
+    topology = build_topology(
+        shards=2, parties_per_shard=3, tables=4, rows_per_table=12,
+        partitioned=1, seed=21,
+    )
+    routed = [t for t in topology.tables if t not in topology.partitioned]
+    statements = [f"SELECT MAX(value) FROM {t} WITH SLO(deadline=5.0)" for t in routed]
+
+    def accuracy(sharded):
+        async def serve():
+            async with QueryService(sharded) as service:
+                await service.submit_many(statements, issuer="t")
+                return service.accuracy
+
+        return asyncio.run(serve())
+
+    remote = sharded_federation(topology, processes=True)
+    try:
+        by_process = accuracy(remote)
+    finally:
+        remote.close()
+    by_local = accuracy(sharded_federation(topology))
+    # Each single-extraction ring's LoP crossed the wire into the Eq. 6 audit.
+    assert by_process.recorded == by_process.lop_checked == len(routed)
+    assert by_process.snapshot() == by_local.snapshot()
+
+
 # -- one config for local and process twins ------------------------------------
 
 
 def _shown(result):
-    """What a twin must match: an outcome's numbers, or a refusal's type and text."""
+    """What a twin must match: the whole outcome, or a refusal's type and text."""
     if isinstance(result, QueryRefused):
         return type(result.error), str(result.error)
-    return result.values, result.rounds, result.messages, result.simulated_seconds
+    return result
 
 
 @pytest.mark.parametrize(

@@ -37,6 +37,7 @@ from repro.network.failures import FailureInjector
 from repro.planner import SloError
 from repro.service import QueryService
 
+from .conftest import capturing_transcripts
 from .core.test_batch_kernel_parity import assert_results_identical
 
 DOMAIN = Domain(1, 10_000)
@@ -53,9 +54,11 @@ def federation_execute():
     federation = Federation(domain=DOMAIN, seed=7)
     for owner, values in VALUES.items():
         federation.register(database_from_values(owner, values))
-    top = federation.execute("SELECT TOP 2 value FROM data")
-    low = federation.execute("SELECT MIN(value) FROM data")
-    return [top.values, low.values, top.trace, low.trace]
+    with capturing_transcripts() as runs:
+        top = federation.execute("SELECT TOP 2 value FROM data")
+        low = federation.execute("SELECT MIN(value) FROM data")
+    assert len(runs) == 2
+    return [top, low, *runs]
 
 
 def topk_query():
