@@ -45,8 +45,6 @@ def _canonical(column: Column, values: Sequence | np.ndarray) -> np.ndarray | li
     REAL array as float64 when every value is representable (finite, never
     ``-0.0``), anything else as a list whose every value the column has
     validated (:func:`_validated`)."""
-    if type(values) is list:  # a builder's column: no copy, no array checks
-        return _validated(column, values)
     if isinstance(values, np.ndarray):
         kind = values.dtype.kind
         if column.type == "INTEGER" and kind == "i":
@@ -187,8 +185,9 @@ class Table:
         input, takes the validated scalar path instead — the path and the
         stored form of :meth:`insert_many`'s columns, so a builder that
         holds a column hands it over as a list rather than as one-key rows.
-        A list is validated where it lies, not copied; the engine copies
-        what it keeps, and nothing holds the list once the call returns.
+        A list is one block, validated where it lies (one pass over its
+        value types) and sealed once, not copied; the engine copies what it
+        keeps, and nothing holds the list once the call returns.
         Counts as one mutation batch (one ``version`` bump), like
         :meth:`insert_many`.
 
@@ -232,29 +231,12 @@ class Table:
                 raise SchemaError(f"unknown columns in batch: [{name!r}]") from None
             if name in sealed:
                 raise SchemaError(f"column {name!r} repeated in batch")
-            stream = (
-                type(values) is not list
-                and not isinstance(values, np.ndarray)
-                and isinstance(values, Iterator)
-            )
-            runs = []
-            rows = 0
-            for block in values if stream else (values,):
-                if isinstance(block, np.ndarray):
-                    if block.ndim != 1:
-                        raise SchemaError(
-                            f"column {name!r}: expected a 1-D array, got shape "
-                            f"{block.shape}"
-                        )
-                elif stream:
-                    raise SchemaError(
-                        f"column {name!r}: expected a stream of 1-D array "
-                        f"blocks, got a block of type {type(block).__name__!r}"
-                    )
-                rows += len(block)
-                runs.append(seal(name, _canonical(column, block)))
-                # Let go of the input before the stream draws the next block.
-                del block
+            if type(values) is list:
+                # A builder's column is one block: one type pass, one seal.
+                rows = len(values)
+                runs = [seal(name, _validated(column, values))]
+            else:
+                rows, runs = self._seal_blocks(name, column, values)
             del values
             if count is None:
                 count = rows
@@ -269,6 +251,34 @@ class Table:
             missing = schema.name_set - sealed.keys()
             raise SchemaError(f"missing columns in batch: {sorted(missing)}")
         return self._commit(sealed, count)
+
+    def _seal_blocks(
+        self, name: str, column: Column, values: Sequence | np.ndarray | Iterator
+    ) -> tuple[int, list]:
+        """Column ``name``'s row count and sealed runs, for anything but a
+        plain list: one array or sequence is a stream of one block, and an
+        iterator's blocks are each checked, canonicalised and sealed as they
+        arrive, the input let go of before the next is drawn."""
+        stream = not isinstance(values, np.ndarray) and isinstance(values, Iterator)
+        runs = []
+        rows = 0
+        for block in values if stream else (values,):
+            if isinstance(block, np.ndarray):
+                if block.ndim != 1:
+                    raise SchemaError(
+                        f"column {name!r}: expected a 1-D array, got shape "
+                        f"{block.shape}"
+                    )
+            elif stream:
+                raise SchemaError(
+                    f"column {name!r}: expected a stream of 1-D array "
+                    f"blocks, got a block of type {type(block).__name__!r}"
+                )
+            rows += len(block)
+            runs.append(self._engine.seal(name, _canonical(column, block)))
+            # Let go of the input before the stream draws the next block.
+            del block
+        return rows, runs
 
     def _commit(self, sealed: dict[str, list], count: int | None) -> int:
         """Store a batch whose every column is sealed, as one mutation (an

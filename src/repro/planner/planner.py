@@ -27,11 +27,18 @@ the worst-case protocol.
 When nothing survives the filter, :class:`PlanInfeasible` is raised with
 one deterministic reason line per rejected candidate family — that error
 means *relax the SLO*, not *retry later*.
+
+The choice reads a statement's operation and ``k``, never its table or
+attribute, so a planner computes it once per ``(operation, k, SLO,
+parties, mode)`` and hands every statement of that shape the stored plan
+carrying its own text.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from dataclasses import replace
 
 from ..analysis.optimization import OptimizationError, optimal_parameters
 from ..core.params import ProtocolParams
@@ -49,6 +56,10 @@ DEFAULT_EPSILON = 1e-3
 P0_GRID = (0.25, 0.5, 0.75, 1.0)
 D_GRID = (0.125, 0.25, 0.5, 0.75)
 
+#: Most plan shapes one planner keeps (least recently used goes first):
+#: the bound of :func:`~repro.planner.spec.prepare`'s statement forms.
+PLAN_ENTRIES = 1024
+
 
 class QueryPlanner:
     """Choose protocol and parameters for dialect statements.
@@ -62,6 +73,10 @@ class QueryPlanner:
 
     def __init__(self, calibration: Calibration | None = None) -> None:
         self.cost_model = CostModel(calibration)
+        #: ``(operation, k, slo, parties, mode)`` -> the chosen plan, most
+        #: recently used last.  A refusal is never stored.
+        self._plans: dict[tuple, Plan] = {}
+        self._plans_lock = threading.Lock()
 
     # -- public API --------------------------------------------------------
 
@@ -72,7 +87,12 @@ class QueryPlanner:
         parties: int,
         mode: str = QUALITY,
     ) -> Plan:
-        """The chosen :class:`Plan` for ``spec`` over ``parties`` nodes."""
+        """The chosen :class:`Plan` for ``spec`` over ``parties`` nodes.
+
+        Computed once per ``(operation, k, SLO, parties, mode)`` on this
+        planner (the last :data:`PLAN_ENTRIES` shapes used); a statement of
+        a known shape gets the stored plan with its own text.
+        """
         if isinstance(spec, str):
             spec = parse_spec(spec)
         if mode not in MODES:
@@ -85,9 +105,23 @@ class QueryPlanner:
                 reasons=(f"federation has {parties} parties; the ring "
                          "protocols need n >= 3",),
             )
-        if statement.operation in ADDITIVE_AGGREGATES:
-            return self._plan_additive(spec, parties=parties, mode=mode)
-        return self._plan_ranking(spec, parties=parties, mode=mode)
+        key = (statement.operation, statement.k, spec.slo, parties, mode)
+        with self._plans_lock:
+            plan = self._plans.pop(key, None)
+            if plan is not None:
+                self._plans[key] = plan
+        if plan is None:
+            if statement.operation in ADDITIVE_AGGREGATES:
+                plan = self._plan_additive(spec, parties=parties, mode=mode)
+            else:
+                plan = self._plan_ranking(spec, parties=parties, mode=mode)
+            with self._plans_lock:
+                self._plans[key] = plan
+                if len(self._plans) > PLAN_ENTRIES:
+                    del self._plans[next(iter(self._plans))]
+        if plan.statement != statement.text:
+            plan = replace(plan, statement=statement.text)
+        return plan
 
     # -- additive ----------------------------------------------------------
 
@@ -270,4 +304,4 @@ class QueryPlanner:
         return (estimate.messages, estimate.expected_lop, -p0, -d)
 
 
-__all__ = ["DEFAULT_EPSILON", "D_GRID", "P0_GRID", "QueryPlanner"]
+__all__ = ["DEFAULT_EPSILON", "D_GRID", "P0_GRID", "PLAN_ENTRIES", "QueryPlanner"]

@@ -13,10 +13,11 @@ topology can be materialized three interchangeable ways:
   one and building what :func:`local_shards` builds, speaking the wire
   protocol.
 
-Row values are drawn as domain integers, so every protocol arithmetic in
-the exactness argument (docs/SHARDING.md) stays bit-exact: integer-valued
-doubles survive the secure-sum mask round trip and ranking comparisons
-unchanged.
+Row values are drawn as domain integers and kept as the ``int`` objects
+the parties' INTEGER columns store, so a build hands each table its rows
+as they are.  Every protocol arithmetic in the exactness argument
+(docs/SHARDING.md) stays bit-exact: integer-valued doubles survive the
+secure-sum mask round trip and ranking comparisons unchanged.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from .shards import LocalShard, ProcessShard
 class ShardTopology:
     """A fully-determined sharded data layout.
 
-    ``assignments[shard][owner][table]`` is the list of row values that
-    party (``owner``, living on ``shard``) holds for ``table``.  Every
+    ``assignments[shard][owner][table]`` is the list of ``int`` row values
+    that party (``owner``, living on ``shard``) holds for ``table``.  Every
     shard's parties share one table namespace: each party materializes
     every table its shard serves (empty where it holds no rows), so the
     federation-wide schema precondition holds per shard by construction.
@@ -55,7 +56,7 @@ class ShardTopology:
     domain: Domain
     tables: tuple[str, ...]
     partitioned: tuple[str, ...]
-    assignments: tuple[dict[str, dict[str, list[float]]], ...]
+    assignments: tuple[dict[str, dict[str, list[int]]], ...]
     seed: int
     _shard_tables: tuple[tuple[str, ...], ...] = field(
         init=False, repr=False, compare=False
@@ -80,9 +81,9 @@ class ShardTopology:
             )
         return self._shard_tables[shard]
 
-    def table_values(self, table: str) -> list[float]:
+    def table_values(self, table: str) -> list[int]:
         """The table's full row set (union over all shards and parties)."""
-        values: list[float] = []
+        values: list[int] = []
         for shard in self.assignments:
             for tables in shard.values():
                 values.extend(tables.get(table, ()))
@@ -105,7 +106,7 @@ def build_topology(
     ``tables`` routed tables named ``t00..`` place by SHA-256
     (:func:`~repro.sharding.router.shard_index`); the first ``partitioned``
     of an extra ``part00..`` family split their rows round-robin across
-    *every* party of *every* shard.  Rows are uniform domain integers.
+    *every* party of *every* shard.  Rows are uniform domain ``int`` values.
     """
     if shards < 1:
         raise ShardError(f"shards must be >= 1, got {shards}")
@@ -117,7 +118,7 @@ def build_topology(
     rng = random.Random(seed)
     routed_names = tuple(f"t{i:02d}" for i in range(tables))
     part_names = tuple(f"part{i:02d}" for i in range(partitioned))
-    assignments: list[dict[str, dict[str, list[float]]]] = [
+    assignments: list[dict[str, dict[str, list[int]]]] = [
         {
             f"org{s:02d}x{p:02d}": {}
             for p in range(parties_per_shard)
@@ -125,9 +126,9 @@ def build_topology(
         for s in range(shards)
     ]
 
-    def draw_rows() -> list[float]:
+    def draw_rows() -> list[int]:
         low, high = int(domain.low), int(domain.high)
-        return [float(rng.randint(low, high)) for _ in range(rows_per_table)]
+        return [rng.randint(low, high) for _ in range(rows_per_table)]
 
     for table in routed_names:
         owner_shard = shard_index(table, shards)
@@ -172,7 +173,7 @@ def exact_config(*, rounds: int = 4, protocol: str = "probabilistic") -> RunConf
 def _build_party(
     owner: str,
     tables: "tuple[str, ...]",
-    held: dict[str, list[float]],
+    held: dict[str, list[int]],
     attribute: str,
 ) -> PrivateDatabase:
     db = PrivateDatabase(owner)
@@ -183,9 +184,9 @@ def _build_party(
         table = db.create_table(table_name, schema)
         values = held.get(table_name, ())
         if values:
-            # The party's rows as the one column they are, not one dict per
-            # value for the table to take apart again.
-            table.insert_arrays({attribute: list(map(int, values))})
+            # The party's rows as the one column they are, already of the
+            # column's type: the table validates the list where it lies.
+            table.insert_arrays({attribute: values})
     return db
 
 

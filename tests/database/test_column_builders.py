@@ -17,7 +17,7 @@ from repro.database import engines
 from repro.database.database import PrivateDatabase, database_from_values
 from repro.database.engines import SUMMARY_ROWS
 from repro.database.schema import Schema
-from repro.sharding.topology import _build_party
+from repro.sharding.topology import _build_party, build_topology
 
 ATTRIBUTE = "value"
 TABLES = ("t00", "t01", "t02", "part00")
@@ -102,13 +102,13 @@ def assert_same_party(built, reference):
 @st.composite
 def holdings(draw):
     """A party's rows per table, as ``build_topology`` assigns them:
-    integer-valued floats, and no entry (or an empty one) for a table the
-    party holds nothing of."""
+    ``int`` values, and no entry (or an empty one) for a table the party
+    holds nothing of."""
     held = {}
     for table in TABLES:
         rows = draw(st.one_of(st.none(), st.lists(integers, max_size=2 * SUMMARY_ROWS)))
         if rows is not None:
-            held[table] = [float(v) for v in rows]
+            held[table] = rows
     return held
 
 
@@ -121,6 +121,29 @@ def test_build_party_matches_rowwise_inserts(engine, held, tables):
         built = _build_party("org00x00", tuple(tables), held, ATTRIBUTE)
         reference = _rowwise_party("org00x00", tuple(tables), held, ATTRIBUTE)
     assert_same_party(built, reference)
+
+
+@pytest.mark.parametrize("engine", ["row", "columnar"])
+def test_topology_rows_are_ints_and_build_the_rowwise_party(engine):
+    topology = build_topology(shards=2, parties_per_shard=3, partitioned=2, seed=11)
+    rows = [
+        value
+        for shard in topology.assignments
+        for held in shard.values()
+        for values in held.values()
+        for value in values
+    ]
+    assert rows and {type(value) for value in rows} == {int}
+    for table in topology.tables:
+        assert {type(value) for value in topology.table_values(table)} == {int}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engines, "DEFAULT_ENGINE", engine)
+        for index, shard in enumerate(topology.assignments):
+            tables = topology.shard_tables(index)
+            for owner, held in sorted(shard.items()):
+                built = _build_party(owner, tables, held, ATTRIBUTE)
+                reference = _rowwise_party(owner, tables, held, ATTRIBUTE)
+                assert_same_party(built, reference)
 
 
 value_lists = st.one_of(

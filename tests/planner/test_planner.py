@@ -1,5 +1,8 @@
 """Plan enumeration, selection policy, feasibility, and explain output."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.planner import (
@@ -145,3 +148,121 @@ class TestDeterminism:
         a = plan_for(self.STATEMENTS[0])
         b = plan_for(self.STATEMENTS[0])
         assert a.to_dict() == b.to_dict()
+
+
+class TestPlanOncePerShape:
+    """A planner computes its choice once per (operation, k, SLO, parties,
+    mode); table and attribute never enter it."""
+
+    SLOS = ("deadline=5.0", "max_lop=0.5", "max_rounds=12", "deadline=5.0, max_lop=0.5")
+    TEMPLATES = (
+        "SELECT TOP {k} value FROM {table} WITH SLO({slo})",
+        "SELECT BOTTOM {k} value FROM {table} WITH SLO({slo})",
+        "SELECT MAX(value) FROM {table} WITH SLO({slo})",
+        "SELECT SUM(value) FROM {table} WITH SLO({slo})",
+    )
+
+    @staticmethod
+    def counted(planner):
+        """``planner`` with its two choosers counting their calls."""
+        calls = []
+        for name in ("_plan_ranking", "_plan_additive"):
+            chooser = getattr(planner, name)
+
+            def counting(spec, *, _chooser=chooser, **kwargs):
+                calls.append(spec.statement.text)
+                return _chooser(spec, **kwargs)
+
+            setattr(planner, name, counting)
+        return calls
+
+    def stream(self):
+        return [
+            template.format(k=k, table=f"t{table:02d}", slo=slo)
+            for table in range(12)
+            for template in self.TEMPLATES
+            for k in (1, 3)
+            for slo in self.SLOS
+            if k == 1 or "{k}" in template
+        ]
+
+    def test_a_stream_over_many_tables_computes_each_shape_once(self):
+        planner = QueryPlanner()
+        calls = self.counted(planner)
+        texts = self.stream()
+        shapes = set()
+        for parties in (4, 5):
+            for text in texts + texts:
+                plan = planner.plan(text, parties=parties)
+                assert plan == QueryPlanner().plan(text, parties=parties)
+                assert plan.statement == parse_spec(text).statement.text
+                spec = parse_spec(text)
+                shapes.add(
+                    (spec.statement.operation, spec.statement.k, spec.slo, parties)
+                )
+        assert len(texts) == 12 * 24
+        assert len(calls) == len(shapes) == 2 * 24
+
+    def test_mode_is_part_of_the_shape(self):
+        planner = QueryPlanner()
+        calls = self.counted(planner)
+        text = "SELECT TOP 3 value FROM data WITH SLO(max_lop=0.5)"
+        for mode in ("quality", ECONOMY, "quality", ECONOMY):
+            assert planner.plan(text, parties=5, mode=mode) == plan_for(text, mode=mode)
+        assert len(calls) == 2
+
+    def test_a_refusal_is_recomputed_and_names_its_own_statement(self):
+        planner = QueryPlanner()
+        calls = self.counted(planner)
+        for table in ("a", "b", "a"):
+            text = f"SELECT TOP 3 value FROM {table} WITH SLO(deadline=0.004)"
+            with pytest.raises(PlanInfeasible) as caught:
+                planner.plan(text, parties=5)
+            assert caught.value.statement == f"SELECT TOP 3 value FROM {table}"
+        assert len(calls) == 3
+
+    def test_the_least_recently_used_shape_goes_first(self, monkeypatch):
+        from repro.planner import planner as planner_module
+
+        monkeypatch.setattr(planner_module, "PLAN_ENTRIES", 2)
+        planner = QueryPlanner()
+        calls = self.counted(planner)
+        first, second, third = (f"SELECT TOP {k} value FROM data" for k in (1, 2, 3))
+        for text in (first, second, first, third, first, second):
+            planner.plan(f"{text} WITH SLO(deadline=5.0)", parties=5)
+        # ``second`` was evicted by ``third``; ``first`` stayed in use.
+        assert calls == [first, second, third, second]
+
+    def test_threads_sharing_a_planner_get_fresh_plans(self, monkeypatch):
+        from repro.planner import planner as planner_module
+
+        # A bound far below the shapes in flight keeps every thread evicting.
+        monkeypatch.setattr(planner_module, "PLAN_ENTRIES", 4)
+        planner = QueryPlanner()
+        texts = self.stream()[:48]
+        expected = {text: QueryPlanner().plan(text, parties=5) for text in texts}
+        errors = []
+
+        def worker(offset):
+            try:
+                for i in range(len(texts) * 4):
+                    text = texts[(i + offset) % len(texts)]
+                    assert planner.plan(text, parties=5) == expected[text]
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(7 * n,)) for n in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(planner._plans) <= 4

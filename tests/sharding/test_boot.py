@@ -120,7 +120,8 @@ def test_unbootable_shard_raises_with_its_stderr_and_reaps_every_worker(
 ):
     _events, children, _swaps = recorded_fork
     topology = _topology(shards=3)
-    # Shard 1's first party holds a row no worker can cast: its build raises.
+    # Shard 1's first party holds a row its INTEGER column refuses: its
+    # build raises.
     broken = [dict(shard) for shard in topology.assignments]
     owner = sorted(broken[1])[0]
     table = topology.shard_tables(1)[0]
@@ -131,7 +132,10 @@ def test_unbootable_shard_raises_with_its_stderr_and_reaps_every_worker(
         process_shards(topology)
     message = str(caught.value)
     assert "shard 1" in message
-    assert "ValueError" in message and "not-a-number" in message
+    assert (
+        "SchemaError: column 'value' expects INTEGER, got 'not-a-number'"
+        in message
+    )
     assert len(children) == 3
     assert _all_reaped(children)
 
