@@ -17,7 +17,10 @@ process would be — and asserts:
    bytes free through the ``try_cached`` fast path, and — in-process
    deployments, where a party's rows can be changed — a DP statement whose
    inner answer changed since its release is a fast-path miss that audits
-   nothing and counts no cache hit.
+   nothing and counts no cache hit;
+6. the budget makes every issuer DP-governed: on every deployment the
+   repeat's exact inner statement, cached, is refused typed (``DpRequired``)
+   on the fast path and in a batch, and moves no spend, audit or cache count.
 
 Run with ``--update`` to regenerate the golden file after an intentional
 change to the DP mode (a fresh mechanism, a new composition rule); the
@@ -39,7 +42,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.federation.coordinator import QueryRefused  # noqa: E402
-from repro.privacy.dp import BudgetExhausted, DpPolicy  # noqa: E402
+from repro.privacy.dp import BudgetExhausted, DpPolicy, DpRequired  # noqa: E402
 from repro.sharding.topology import (  # noqa: E402
     build_topology,
     sharded_federation,
@@ -117,6 +120,7 @@ def _observe(federation, topology, statements: list[str]) -> dict:
         "ledger": federation.dp_gate.accountant.ledger_lines(),
         "accountant": federation.dp_gate.snapshot(),
     }
+    observed["governed"] = _governed(federation, statements)
     observed["fast_path"] = _fast_path(federation, topology, statements, rows)
     return observed
 
@@ -127,6 +131,35 @@ def _federations(federation) -> list:
     if shards is None:
         return [federation]
     return [getattr(shard, "federation", None) for shard in shards]
+
+
+def _books(federation) -> tuple:
+    """Spend, cache hits and misses, and every audit in reach."""
+    audits = [len(f.audit) for f in _federations(federation) if f is not None]
+    return (
+        federation.dp_gate.snapshot(),
+        federation.cache.hits,
+        federation.cache.misses,
+        audits,
+    )
+
+
+def _governed(federation, statements: list[str]) -> list[str]:
+    """What the issuer rule let through; empty when nothing."""
+    failures = []
+    plain = statements[REPEAT].split(" WITH ")[0]  # its inner: cached
+    before = _books(federation)
+    try:
+        hit = federation.try_cached(plain)
+        failures.append(f"the fast path answered a plain statement: {hit}")
+    except DpRequired:
+        pass
+    (settled,) = federation.execute_many_settled([plain])
+    if not isinstance(getattr(settled, "error", None), DpRequired):
+        failures.append(f"a batch answered a plain statement: {settled}")
+    if _books(federation) != before:
+        failures.append(f"a refusal moved the books: {before} -> {_books(federation)}")
+    return failures
 
 
 def _fast_path(federation, topology, statements: list[str], rows: list) -> list[str]:
@@ -141,13 +174,14 @@ def _fast_path(federation, topology, statements: list[str], rows: list) -> list[
     feds = _federations(federation)
     if None in feds:
         return failures  # worker processes: their rows are out of reach
-    # One more row under the fan-out SUM's release, re-cached by a plain SUM.
+    # One more row under the fan-out SUM's release, its inner re-cached by a
+    # DP SUM at another epsilon: the budgeted issuer gets no plain SUM.
     part = topology.partitioned[0]
     owner = sorted(topology.assignments[0])[0]
     next(f for f in feds if owner in f.members)._parties[owner].insert(
         part, {"value": 1}
     )
-    federation.execute(f"SELECT SUM(value) FROM {part}")
+    federation.execute(f"SELECT SUM(value) FROM {part} WITH SLO(dp_epsilon=0.25)")
 
     def books() -> tuple[int, int]:
         return sum(len(f.audit) for f in feds), federation.cache.hits
@@ -182,6 +216,7 @@ def main() -> int:
             failures.append(f"flat and {deployment} accountant ledgers diverge")
             failures.append(f"  flat:    {flat['ledger']}")
             failures.append(f"  {deployment}: {run['ledger']}")
+        failures.extend(f"{deployment} issuer rule: {f}" for f in run["governed"])
         failures.extend(f"{deployment} fast path: {f}" for f in run["fast_path"])
     if failures:
         print("DP accounting check FAILED (deployment parity):")
@@ -235,7 +270,7 @@ def main() -> int:
         f"epsilon_spent={spent['epsilon_spent']}, "
         f"delta_spent={spent['delta_spent']}, "
         f"flat == sharded == processes == restarted, fast path free, "
-        f"matches golden."
+        f"plain statements refused, matches golden."
     )
     return 0
 

@@ -18,15 +18,6 @@ _EXPORTS = {
         "QueryOutcome",
         "QueryRefused",
     ),
-    "policy": (
-        "ADDITIVE",
-        "ANY",
-        "AccessPolicy",
-        "PolicyError",
-        "PolicyViolation",
-        "RANKING",
-        "Rule",
-    ),
     "sql": (
         "ADDITIVE_AGGREGATES",
         "FederatedStatement",

@@ -8,7 +8,7 @@ additive aggregates (sum/count/avg) run the additive-masking secure sum.
 Every execution is recorded in the audit log.
 
 Serving paths: :meth:`Federation.execute_many` serves a *batch* —
-statements are parsed and policy-checked up front, duplicates are deduped,
+statements are parsed and checked up front, duplicates are deduped,
 repeats of already-answered statements are served from the result cache
 (:mod:`repro.federation.cache`; zero protocol rounds, zero new exposure),
 and the remaining ranking queries run as one batch through
@@ -54,7 +54,6 @@ from .audit import AuditLog
 from .cache import CachedAnswer, CacheKey, ResultCache
 from .dp_release import DpReleasePath
 from .outcomes import FederationError, QueryOutcome, QueryRefused
-from .policy import AccessPolicy, PolicyViolation
 from .sql import FederatedStatement, SqlError, parse
 
 
@@ -68,7 +67,6 @@ class Federation:
         config: RunConfig | None = None,
         seed: int | None = None,
         privacy_budget: float | None = None,
-        policy: "AccessPolicy | None" = None,
         cache_entries: int = 1024,
         tracer: "Tracer | None" = None,
         planner: "QueryPlanner | None" = None,
@@ -79,11 +77,9 @@ class Federation:
         across the session's ranking queries (see
         :mod:`repro.privacy.accounting`); queries that would breach it are
         refused.  Additive aggregates flow through mask-blinded secure sums
-        and are charged nothing.  ``policy`` gates execution by issuer and
-        operation (deny-by-default; ``None`` permits everything).
-        ``cache_entries`` bounds the result cache every statement is served
-        through.  ``tracer`` records a distributed trace per executed
-        ranking query (see :mod:`repro.observability`); callers that
+        and are charged nothing.  ``cache_entries`` bounds the result cache
+        every statement is served through.  ``tracer`` records a distributed
+        trace per executed ranking query (see :mod:`repro.observability`); callers that
         already carry a trace — the query service's batch spans — pass
         per-statement contexts to the batch methods instead.  ``planner`` resolves statements carrying
         ``WITH SLO(...)`` clauses (see :mod:`repro.planner`).  ``dp`` configures
@@ -91,7 +87,9 @@ class Federation:
         :mod:`repro.privacy.dp`): statements carrying
         ``dp_epsilon``/``dp_delta`` SLO keys release calibrated-noise
         answers charged against the gate's
-        :class:`~repro.privacy.dp.PrivacyAccountant`.
+        :class:`~repro.privacy.dp.PrivacyAccountant`; a finite budget there
+        makes every issuer DP-governed, so statements without ``dp_epsilon``
+        are refused (:class:`~repro.privacy.dp.DpRequired`).
         ``secure_sum_segments > 1`` swaps the additive aggregates onto
         the segmented/shuffled k-secure-sum
         (:mod:`repro.extensions.ksecuresum`), hardening them against
@@ -114,7 +112,6 @@ class Federation:
         self._members: tuple[str, ...] | None = None
         self.audit = AuditLog()
         self.ledger = ExposureLedger(budget=privacy_budget)
-        self.policy = policy
         self.cache = ResultCache(max_entries=cache_entries)
         self.tracer = tracer
         self.planner = planner if planner is not None else QueryPlanner()
@@ -221,11 +218,12 @@ class Federation:
         """Serve a statement from the result cache, or ``None`` on a miss.
 
         The query service's admission fast path: a hit re-publishes the
-        already-public answer immediately — audit-logged, policy-checked,
-        zero protocol rounds, zero new exposure — without occupying a batch
-        slot.  A miss returns ``None`` without counting a cache miss or
-        consuming a quota unit; the statement will be charged for both when
-        it actually executes.
+        already-public answer immediately — audit-logged, zero protocol
+        rounds, zero new exposure — without occupying a batch slot.  A miss
+        returns ``None`` without counting a cache miss; the statement is
+        counted when it actually executes.  A DP-governed issuer's statement
+        without ``dp_epsilon`` raises :class:`~repro.privacy.dp.DpRequired`,
+        hit or miss.
 
         SLO'd statements share the cache with their bare form: the cached
         answer is already public and costs zero rounds, zero messages, and
@@ -235,22 +233,18 @@ class Federation:
         is re-served, spending zero budget.
         """
         prepared = prepare(statement_text)
-        statement = prepared.spec.statement
+        self._dp.require_dp(prepared.spec, issuer)
         if prepared.has_dp:
-            def authorize(inner_texts: Sequence[str]) -> None:
-                if self.policy is not None:
-                    self.policy.check(issuer, statement)
+            def count_hits(inner_texts: Sequence[str]) -> None:
                 self.cache.hits += len(inner_texts)
 
-            released = self._dp.try_cached(prepared.spec, self._peek_inner, authorize)
+            released = self._dp.try_cached(prepared.spec, self._peek_inner, count_hits)
             return None if released is None else self._audited(issuer, released)
         answer = self.cache.peek(self._cache_key(prepared))
         if answer is None:
             return None
-        if self.policy is not None:
-            self.policy.check(issuer, statement)
         self.cache.hits += 1
-        return self._serve_cached(statement, issuer, answer)
+        return self._serve_cached(prepared.spec.statement, issuer, answer)
 
     def _peek_inner(self, inner_text: str) -> CachedAnswer | None:
         """A DP statement's inner answer, if cache-valid (never executes)."""
@@ -268,9 +262,9 @@ class Federation:
 
         Semantics, in order:
 
-        1. Every statement is parsed and policy-checked *before* anything
-           runs (a batch with an unauthorized or malformed statement does
-           not execute at all).
+        1. Every statement is parsed and checked *before* anything runs (a
+           batch with a malformed statement, or a DP-governed issuer's
+           statement without ``dp_epsilon``, does not execute at all).
         2. Statements whose canonical form was already answered — earlier in
            this batch or in a previous call, under the same membership epoch
            and data versions — are served from the result cache: zero
@@ -316,7 +310,7 @@ class Federation:
         """:meth:`execute_many`, but refusals settle per statement.
 
         The query service's batch hook: a statement that cannot be served —
-        malformed, denied by policy, refused by the privacy budget, or
+        malformed, refused by the issuer rule or the privacy budget, or
         carrying an SLO no plan can satisfy
         (:class:`~repro.planner.errors.PlanInfeasible`) — yields a
         :class:`QueryRefused` at its position while every other statement
@@ -344,24 +338,11 @@ class Federation:
         (:mod:`repro.federation.dp_release`) and run *in place* — preserving
         statement order, so seed draws match a sequential session issuing
         the inner forms — and the noisy releases are assembled from the
-        inner answers afterwards.  Malformed statements settle there too;
-        everything else reaches the exact path untouched.
+        inner answers afterwards.  Malformed statements and the issuer
+        rule's refusals settle there too; everything else reaches the exact
+        path untouched.
         """
-
-        def precheck(_position: int, spec: QuerySpec) -> "PolicyViolation | None":
-            # Policy gates the *original* DP statement; the inner forms are
-            # re-checked by the exact path (an AVG decomposition thus needs
-            # SUM and COUNT permission too), as is every plain statement.
-            if spec.slo.has_dp and self.policy is not None:
-                try:
-                    self.policy.check(issuer, spec.statement)
-                except PolicyViolation as exc:
-                    return exc
-            return None
-
-        batch = self._dp.expand(
-            statements, traces, plans, issuer=issuer, settle=settle, precheck=precheck
-        )
+        batch = self._dp.expand(statements, traces, plans, issuer=issuer, settle=settle)
         order = [p for position, _, _ in batch.admitted for p in batch.runs(position)]
         served = self._serve_batch(
             [batch.texts[p] for p in order],
@@ -392,28 +373,14 @@ class Federation:
     ) -> "list[QueryOutcome | QueryRefused]":
         if not statements:
             return []
-        # Every statement here is well-formed: the release path settles
-        # malformed ones before the exact path runs.
+        # Every statement here is well-formed and permitted: the release path
+        # settles malformed and refused ones before the exact path runs.
         refusals: dict[int, Exception] = {}
-        forms: list[Prepared | None] = []
-        for index, text in enumerate(statements):
-            form: Prepared | None = prepare(text)
-            if self.policy is not None:
-                try:
-                    self.policy.check(issuer, form.spec.statement)
-                except PolicyViolation as exc:
-                    if not settle:
-                        raise
-                    refusals[index] = exc
-                    form = None
-            forms.append(form)
-        parsed = [form.spec.statement if form is not None else None for form in forms]
+        forms = [prepare(text) for text in statements]
+        parsed: list[FederatedStatement | None] = [f.spec.statement for f in forms]
         databases = self._require_quorum()
         data_versions = self._data_versions()
-        keys = [
-            self._cache_key(form, data_versions) if form is not None else None
-            for form in forms
-        ]
+        keys = [self._cache_key(form, data_versions) for form in forms]
 
         # Plan: pick the statements that must actually execute (first
         # occurrence of each canonical form not already cached), drawing
@@ -431,9 +398,7 @@ class Federation:
         ranking_indices: list[int] = []
         ranking_configs: dict[int, RunConfig] = {}
         additive_seeds: dict[int, tuple[int | None, int | None]] = {}
-        for index, (statement, key) in enumerate(zip(parsed, keys)):
-            if statement is None or key is None:
-                continue  # refused at parse/policy time; never plans
+        for index, (form, key) in enumerate(zip(forms, keys)):
             if key in planned or key in answers:
                 continue
             cached = self.cache.peek(key)
@@ -441,8 +406,7 @@ class Federation:
                 answers[key] = cached
                 continue
             plan = plans[index] if plans is not None else None
-            form = forms[index]
-            if plan is None and form is not None and not form.trivial:
+            if plan is None and not form.trivial:
                 try:
                     plan = self.planner.plan(form.spec, parties=len(databases))
                 except PlanInfeasible as exc:
@@ -452,6 +416,7 @@ class Federation:
                     parsed[index] = None
                     continue
             planned.add(key)
+            statement = form.spec.statement
             if statement.is_ranking:
                 config = self._next_config()
                 if plan is not None and plan.params is not None:

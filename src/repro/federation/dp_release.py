@@ -3,9 +3,10 @@
 The ring protocol answers *exact* statements; ``WITH SLO(dp_epsilon=...)``
 wraps those answers, and this module is that wrapper for every topology:
 
-1. :meth:`DpReleasePath.expand` — parse, run the caller's precheck, admit DP
-   statements through :meth:`~repro.privacy.dp.DpGate.admit`, append their
-   *inner* (exact) statements to the batch;
+1. :meth:`DpReleasePath.expand` — parse, refuse a DP-governed issuer's
+   plain statements, run the caller's precheck, admit DP statements through
+   :meth:`~repro.privacy.dp.DpGate.admit`, append their *inner* (exact)
+   statements to the batch;
 2. the caller runs the expanded batch on its exact backend;
 3. :meth:`DpReleasePath.assemble` — settle each DP statement from its inner
    outcomes: free byte-identical re-serve, fresh charged release, or refusal.
@@ -14,6 +15,15 @@ wraps those answers, and this module is that wrapper for every topology:
 path, :meth:`DpReleasePath.admission_check` the gateway's refusal before the
 queue.  A federation supplies only what differs: the precheck, how an inner
 statement is peeked in its cache, and (sharded) the tenant's DP meters.
+
+**The issuer rule.**  An issuer is *DP-governed* when a finite epsilon or
+delta budget applies to it: the gate's, which covers every issuer, or its
+tenant's.  Its statements without ``dp_epsilon`` are refused with
+:class:`~repro.privacy.dp.DpRequired` (:meth:`DpReleasePath.require_dp`), in
+``expand`` and on both federations' cache fast path, before anything is
+planned, admitted, looked up or charged; an exact answer would otherwise
+walk around the budget.  Inner statements are written here, never by the
+issuer, so they are never checked.
 
 **Dispatch order** (DESIGN.md 4b): inner statements sit at synthetic
 positions past the originals, and under a randomised ``RunConfig`` a backend's
@@ -33,7 +43,14 @@ from ..database.query import Domain
 from ..observability.trace import TraceContext
 from ..planner.plan import Plan
 from ..planner.spec import PREPARED_ENTRIES, QuerySpec, prepare
-from ..privacy.dp import BudgetExhausted, DpError, DpGate, DpRequest, build_request
+from ..privacy.dp import (
+    BudgetExhausted,
+    DpError,
+    DpGate,
+    DpRequest,
+    DpRequired,
+    build_request,
+)
 from .outcomes import FederationError, QueryOutcome, QueryRefused
 from .sql import SqlError
 
@@ -60,6 +77,8 @@ class TenantMeters(Protocol):
     ) -> None: ...
 
     def note_refusal(self, issuer: str) -> None: ...
+
+    def dp_governed(self, issuer: str) -> bool: ...
 
 
 @dataclass
@@ -170,6 +189,29 @@ class DpReleasePath:
             self._requests[key] = request
         return request
 
+    # -- the issuer rule -------------------------------------------------------
+
+    def require_dp(self, spec: QuerySpec, issuer: str) -> None:
+        """Raise :class:`DpRequired` for a DP-governed issuer's plain statement.
+
+        Governed means a finite (epsilon, delta) budget applies to
+        ``issuer``: the gate's, or its tenant's.  The refusal charges
+        nothing; only the tenant's refusal count moves.
+        """
+        if spec.slo.has_dp:
+            return
+        meters = self._meters
+        if self.gate.accountant.governs or (
+            meters is not None and meters.dp_governed(issuer)
+        ):
+            if meters is not None:
+                meters.note_refusal(issuer)
+            raise DpRequired(
+                f"issuer {issuer!r} holds a DP budget: {spec.statement.text!r} "
+                "needs WITH SLO(dp_epsilon=...)",
+                statement=spec.text,
+            )
+
     # -- expand ----------------------------------------------------------------
 
     def expand(
@@ -180,14 +222,16 @@ class DpReleasePath:
         *,
         issuer: str,
         settle: bool,
-        precheck: "Callable[[int, QuerySpec], Any]",
+        precheck: "Callable[[int, QuerySpec], Any] | None" = None,
     ) -> DpBatch:
         """Expand DP statements into inner statements around the exact core.
 
-        ``precheck(position, spec)`` runs on every parsed statement, before
-        anything DP: it returns the statement's dispatch context, or the
-        typed exception refusing it — so a statement refused there never
-        touches the pending budget.
+        A DP-governed issuer's statement without ``dp_epsilon`` is refused
+        first (:meth:`require_dp`).  ``precheck(position, spec)`` then runs
+        on every parsed statement, before anything DP: it returns the
+        statement's dispatch context, or the typed exception refusing it —
+        so a statement refused there never touches the pending budget.
+        Without a precheck every context is ``None``.
 
         DP-specific refusals — a missing domain, a degenerate (zero-noise)
         mechanism, an exhausted (epsilon, delta) budget — are decided
@@ -224,11 +268,12 @@ class DpReleasePath:
         for position, text in enumerate(statements):
             try:
                 prepared = prepare(text)
-            except SqlError as exc:
+                self.require_dp(prepared.spec, issuer)
+            except (SqlError, DpRequired) as exc:
                 batch.refuse(position, exc)
                 continue
             spec = prepared.spec
-            context = precheck(position, spec)
+            context = precheck(position, spec) if precheck is not None else None
             if isinstance(context, Exception):
                 batch.refuse(position, context)
                 continue
@@ -320,9 +365,9 @@ class DpReleasePath:
         charged release or raises its typed refusal.
 
         ``peek`` must have no side effect: whatever serving a hit costs —
-        the policy check, the audit entry, the hit counter — belongs in
+        the audit entry, the hit counter — belongs in
         ``before_serve(inner_texts)``, which runs only once a re-serve is
-        certain and may still veto it by raising.
+        certain.
         """
         try:
             request = self._request(spec)

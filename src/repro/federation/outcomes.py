@@ -48,7 +48,8 @@ class QueryRefused:
 
     :meth:`Federation.execute_many_settled` returns this in place of a
     :class:`QueryOutcome` when a statement is individually unservable — a
-    parse error, a policy violation, or a privacy-budget refusal — so a
+    parse error, the issuer rule's ``DpRequired``, or a privacy-budget
+    refusal — so a
     multi-tenant batch (the query service's continuous batches) degrades
     per-statement instead of aborting whole batches.  ``error`` carries the
     original typed exception.

@@ -80,6 +80,20 @@ class BudgetExhausted(DpError):
         self.dimension = dimension
 
 
+class DpRequired(DpError):
+    """A DP-governed issuer sent a statement without ``dp_epsilon``.
+
+    An issuer is DP-governed when a finite epsilon or delta budget applies to
+    it (:attr:`PrivacyAccountant.governs`): the federation's, which covers
+    every issuer, or its tenant's.  Its exact answers would walk around that
+    budget, so it gets DP releases only.
+    """
+
+    def __init__(self, message: str, *, statement: str = ""):
+        super().__init__(message)
+        self.statement = statement
+
+
 # -- the shared accounting surface -------------------------------------------
 
 
@@ -152,6 +166,14 @@ class PrivacyAccountant:
         self.refusals = 0
 
     # -- inspection ----------------------------------------------------------
+
+    @property
+    def governs(self) -> bool:
+        """True when a finite epsilon or delta budget binds this accountant."""
+        return any(
+            meter.budget is not None and math.isfinite(meter.budget)
+            for meter in (self.epsilon, self.delta)
+        )
 
     def headroom_reason(
         self, epsilon: float, delta: float, *, pending_epsilon: float = 0.0, pending_delta: float = 0.0
@@ -623,6 +645,7 @@ __all__ = [
     "DpInner",
     "DpPolicy",
     "DpRequest",
+    "DpRequired",
     "GeometricMechanism",
     "LaplaceMechanism",
     "Mechanism",

@@ -5,8 +5,8 @@ able to distinguish "the service is saturated, back off and retry"
 (:class:`Overloaded`, :class:`RateLimited`) from "your request waited too
 long" (:class:`DeadlineExceeded`) from "the batch executing your query died"
 (:class:`QueryFailed`).  Everything the gateway raises on its own behalf
-derives from :class:`ServiceError`; per-query *federation* refusals (policy
-violations, privacy-budget refusals, parse errors) propagate as their
+derives from :class:`ServiceError`; per-query *federation* refusals (the issuer
+rule's ``DpRequired``, privacy-budget refusals, parse errors) propagate as their
 original typed exceptions so existing handlers keep working.
 """
 

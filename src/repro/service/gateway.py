@@ -401,8 +401,12 @@ class QueryService:
         both.  ``priority`` orders batch formation (higher first, FIFO
         within a level).  Service-level rejections raise
         :class:`~repro.service.errors.ServiceError` subclasses; per-query
-        federation refusals (``SqlError``, ``PolicyViolation``,
+        federation refusals (``SqlError``, ``DpRequired``, ``BudgetExhausted``,
         ``BudgetExceededError``) propagate as their original typed errors.
+        A DP-governed issuer — one a finite (ε, δ) budget applies to, the
+        federation's or its tenant's — gets ``DpRequired`` for a statement
+        without ``dp_epsilon`` from the cache fast path, hit or miss, so it
+        never takes a queue slot.
         """
         self.metrics.submitted += 1
         if self.closed:
@@ -439,7 +443,7 @@ class QueryService:
         # and never occupies a queue or batch slot.
         try:
             cached = self.federation.try_cached(statement, issuer=issuer)
-        except Exception as refusal:  # the policy denies this issuer the hit
+        except Exception as refusal:  # e.g. DpRequired for a governed issuer
             self.metrics.refused += 1
             self._trace_shed(query_ctx, "refused", now, error=type(refusal).__name__)
             raise
@@ -594,7 +598,7 @@ class QueryService:
                 cached = self.federation.try_cached(
                     request.statement, issuer=request.issuer
                 )
-            except Exception as refusal:  # e.g. quota exhausted since admission
+            except Exception as refusal:  # e.g. a DP budget installed since admission
                 self._queue.remove(request)
                 self.metrics.refused += 1
                 self._fail(request, refusal)

@@ -37,7 +37,7 @@ class ServiceMetrics:
 
     # -- completion ---------------------------------------------------------
     completed: int = 0
-    refused: int = 0  # per-query federation refusals (policy/budget/parse)
+    refused: int = 0  # per-query federation refusals (issuer rule/budget/parse)
     failed: int = 0  # batch-level execution failures
     cache_fast_hits: int = 0  # served at admission/dequeue without a slot
 

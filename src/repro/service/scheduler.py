@@ -10,7 +10,7 @@ the service (bounded queue, expiry sweep, batch selection), driven by the
 without one.
 
 Batch compatibility: ``execute_many`` runs a whole batch under one issuer
-(policy checks, quota consumption and audit attribution are per-issuer), so a
+(the issuer rule, tenant budgets and audit attribution are per-issuer), so a
 batch coalesces only same-issuer requests — the "compatible shape" rule.
 Selection order is (priority descending, admission sequence ascending): the
 head request defines the issuer, then the batch fills with that issuer's

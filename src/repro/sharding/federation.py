@@ -229,15 +229,15 @@ class ShardedFederation:
         """Serve a batch, raising the first refusal instead of settling it.
 
         Every refusal this federation decides itself — a malformed
-        statement, tenant admission, tenant LoP feasibility, DP admission —
-        raises *before* any shard is touched: nothing runs, nothing is
-        charged, nothing is cached (the flat federation's "a batch with an
-        unauthorized or malformed statement does not execute at all").
-        Refusals only a shard can decide (its access policy, its exposure
-        ledger, an unreachable worker), and a DP budget found exhausted once
-        the inner answers are in, surface after dispatch: the batch has run
-        and is fully accounted, and the first such refusal in statement
-        order is raised.
+        statement, the issuer rule, tenant admission, tenant LoP
+        feasibility, DP admission — raises *before* any shard is touched:
+        nothing runs, nothing is charged, nothing is cached (the flat
+        federation's "a batch with a malformed statement does not execute
+        at all").  Refusals only a shard can decide (its exposure ledger, an
+        unreachable worker), and a DP budget found exhausted once the inner
+        answers are in, surface after dispatch: the batch has run and is
+        fully accounted, and the first such refusal in statement order is
+        raised.
         """
         settled = self._run_batch(list(statements), issuer, traces, plans, settle=False)
         for result in settled:
@@ -265,8 +265,12 @@ class ShardedFederation:
         free re-serve (see :meth:`DpReleasePath.try_cached`): every inner
         answer still cache-valid on its shard(s) and the very one the
         release perturbed.  It spends zero budget, federation and tenant both.
+        A DP-governed issuer's statement without ``dp_epsilon`` raises
+        :class:`~repro.privacy.dp.DpRequired`, hit or miss, before any shard
+        is asked.
         """
         prepared = prepare(statement_text)
+        self._dp.require_dp(prepared.spec, issuer)
         if not prepared.has_dp:
             return self._try_cached_plain(statement_text, issuer)
 
@@ -351,12 +355,13 @@ class ShardedFederation:
     ) -> "list[QueryOutcome | QueryRefused]":
         """Serve a batch across shards; every refusal settles per statement.
 
-        Per statement, in order: parse → tenant token bucket → route →
-        tenant LoP feasibility → DP admission (the shared release path, with
-        this federation's precheck).  Every involved shard then gets one
-        sub-batch (:meth:`_dispatch`): a routed statement runs on its shard,
-        a statement over a partitioned table on every shard, merged; a DP
-        statement's inner statements run in its place.  A shard that fails —
+        Per statement, in order: parse → the issuer rule → tenant token
+        bucket → route → tenant LoP feasibility → DP admission (the shared
+        release path, with this federation's precheck).  Every involved
+        shard then gets one sub-batch (:meth:`_dispatch`): a routed
+        statement runs on its shard, a statement over a partitioned table on
+        every shard, merged; a DP statement's inner statements run in its
+        place.  A shard that fails —
         unreachable process, poisoned batch — refuses exactly the statements
         sent to it, typed, while the rest of the batch is served normally.
         """

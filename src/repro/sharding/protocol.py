@@ -32,7 +32,6 @@ from contextlib import contextmanager
 from ..deploy.wire import WireError, recv_frame, send_frame
 from ..federation.cache import CachedAnswer
 from ..federation.coordinator import QueryOutcome, QueryRefused
-from ..federation.policy import PolicyViolation
 from ..federation.sql import SqlError
 from ..planner.errors import PlanInfeasible
 from ..planner.spec import SloError
@@ -50,7 +49,6 @@ from .errors import (
 _ERROR_TYPES: dict[str, type[Exception]] = {
     "SqlError": SqlError,
     "SloError": SloError,
-    "PolicyViolation": PolicyViolation,
     "BudgetExceededError": BudgetExceededError,
     "PlanInfeasible": PlanInfeasible,
     "ShardError": ShardError,

@@ -260,6 +260,11 @@ class ShardRouter:
         if account is not None:
             account.refusals += 1
 
+    def dp_governed(self, issuer: str) -> bool:
+        """True when the tenant holds a finite epsilon or delta budget."""
+        account = self._tenants.get(issuer)
+        return account is not None and account.dp.governs
+
     def tenant_snapshot(self) -> dict[str, dict[str, float | int | None]]:
         """Per-tenant accounting for metrics/exports (deterministic order)."""
         return {

@@ -234,17 +234,18 @@ class ProcessShard:
 
     def handshake(self, boot_timeout: float = 30.0) -> None:
         """Wait for the worker's ``PORT <n>`` line, the one synchronization
-        point: once it is read the worker is accepting, so no request races
-        the boot.  A worker that dies instead (its build raised) closes the
-        pipe and one still silent at ``boot_timeout`` is killed; either way
-        the worker is reaped and :class:`ShardError` carries the tail of its
-        stderr.
+        point: the worker closes the pipe right after writing it, so once it
+        is read to its end the worker is accepting and holds no descriptor
+        but its own, and no request races the boot.  A worker that dies
+        instead (its build raised) closes the pipe and one still silent at
+        ``boot_timeout`` is killed; either way the worker is reaped and
+        :class:`ShardError` carries the tail of its stderr.
         """
         fd = self.process.announce
         assert fd is not None
         deadline = time.monotonic() + boot_timeout
         line = b""
-        while not line.endswith(b"\n"):
+        while True:
             remaining = deadline - time.monotonic()
             if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
                 break

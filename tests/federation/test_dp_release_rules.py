@@ -16,9 +16,10 @@ from repro.database.query import PAPER_DOMAIN, Domain
 from repro.federation import Federation, SqlError, dp_release
 from repro.federation.coordinator import QueryRefused
 from repro.privacy import dp
-from repro.privacy.dp import BudgetExhausted, DpPolicy
+from repro.privacy.dp import BudgetExhausted, DpPolicy, DpRequired
 from repro.service import QueryService
 from repro.sharding import TenantPolicy, build_topology, sharded_federation
+from repro.sharding.topology import single_federation
 
 from ..conftest import counting_compiles
 
@@ -50,10 +51,12 @@ class Backend:
             return [self.federation]
         return [shard.federation for shard in shards]
 
-    def mutate_then_recache(self, inner_text: str) -> None:
-        """Change the table, then re-cache ``inner_text`` by a plain query."""
+    def mutate_then_recache(self, text: str) -> None:
+        """Change the table, then re-cache ``text``'s exact answer by serving
+        it: a plain query, or (under a budget) a DP one of the same inner."""
         self.party.insert(self.table, {"value": 123})
-        self.federation.execute_many_settled([inner_text])
+        (served,) = self.federation.execute_many_settled([text])
+        assert not isinstance(served, QueryRefused), served
 
 
 def _flat(dp: DpPolicy) -> Backend:
@@ -189,21 +192,23 @@ def test_a_restart_discloses_no_data_delta(backend, operation, epsilon):
 
 
 def test_exhausted_budget_refuses_not_leaks(backend):
-    b = backend(DpPolicy(epsilon_budget=0.5, seed=2))
+    b = backend(DpPolicy(epsilon_budget=0.75, seed=2))
     inner = f"SELECT COUNT(value) FROM {b.table}"
     text = f"{inner} WITH SLO(dp_epsilon=0.5)"
-    first = b.federation.execute(text)  # spends the whole budget
+    first = b.federation.execute(text)
     repeat = b.federation.execute(text)  # unchanged data: free byte-identical
     assert repeat.cached and repeat.values == first.values
 
-    b.mutate_then_recache(inner)
+    # The budgeted issuer may not re-cache the inner answer by a plain
+    # query; a DP release of the same inner does, and spends the rest.
+    b.mutate_then_recache(f"{inner} WITH SLO(dp_epsilon=0.25)")
     assert b.federation.try_cached(text) is None
     with pytest.raises(BudgetExhausted):
         b.federation.execute(text)
     settled = b.federation.execute_many_settled([text])
     assert isinstance(settled[0], QueryRefused)
     assert isinstance(settled[0].error, BudgetExhausted)
-    assert b.accountant.releases == 1
+    assert b.accountant.releases == 2
 
 
 def test_try_cached_raises_on_malformed(backend):
@@ -234,7 +239,8 @@ def test_raising_batch_refuses_before_it_spends(backend, refused, error):
         b.federation.set_tenant(
             "t1", TenantPolicy(lop_budget=5.0, dp_epsilon_budget=4.0)
         )
-    good = f"SELECT TOP 2 value FROM {b.table}"
+    # Under a DP budget every statement the issuer may send is a DP one.
+    good = f"SELECT TOP 2 value FROM {b.table} WITH SLO(dp_epsilon=1.0)"
     good_dp = f"SELECT SUM(value) FROM {b.table} WITH SLO(dp_epsilon=1.0)"
     with pytest.raises(error):
         b.federation.execute_many(
@@ -321,3 +327,109 @@ def test_a_statement_compiles_once_and_repeats_compile_nothing(backend, monkeypa
 
     with counting_compiles() as (compiled, parsed):
         asyncio.run(scenario(compiled, parsed))
+
+
+# -- the issuer rule: a DP-governed issuer gets DP releases only ---------------
+
+#: A DP SUM spends acme's whole epsilon budget; the plain SUM it wraps is
+#: then cached — and used to be served exact, from that cache.
+GOVERNED_TOPOLOGY = dict(shards=2, parties_per_shard=3, tables=2, partitioned=1, seed=7)
+PLAIN_SUM = "SELECT SUM(value) FROM part00"
+DP_SUM = f"{PLAIN_SUM} WITH SLO(dp_epsilon=1.0)"
+DP_COUNT = "SELECT COUNT(value) FROM part00 WITH SLO(dp_epsilon=0.5)"
+
+
+@pytest.fixture(params=["flat", "local-shards", "process-shards"])
+def governed(request):
+    """``(federation, acme's epsilon spent)``: acme holds a 1.0 budget — the
+    flat federation's, which covers every issuer, or its tenant's."""
+    topology = build_topology(**GOVERNED_TOPOLOGY)
+    if request.param == "flat":
+        federation = single_federation(
+            topology, dp=DpPolicy(epsilon_budget=1.0, seed=11)
+        )
+        yield federation, lambda: federation.dp_gate.accountant.epsilon.spent
+        return
+    federation = sharded_federation(
+        topology, processes=request.param == "process-shards", dp=DpPolicy(seed=11)
+    )
+    federation.set_tenant("acme", TenantPolicy(dp_epsilon_budget=1.0))
+    try:
+        yield federation, lambda: federation.router.tenant_snapshot()["acme"][
+            "dp_epsilon_spent"
+        ]
+    finally:
+        federation.close()
+
+
+def _books(federation) -> tuple:
+    """What serving anything moves: audit entries where they are in reach,
+    cache hits and misses, and statements dispatched to each shard."""
+    feds = [getattr(s, "federation", None) for s in getattr(federation, "shards", [])]
+    audits = [len(f.audit) for f in feds or [federation] if f is not None]
+    queries = dict(getattr(federation, "shard_queries", {}))
+    return audits, federation.cache.hits, federation.cache.misses, queries
+
+
+def test_a_governed_plain_statement_is_refused_typed(governed):
+    federation, spent = governed
+    released = federation.execute(DP_SUM, issuer="acme")
+    assert released.protocol.endswith("+dp")
+    with pytest.raises(BudgetExhausted):
+        federation.execute(DP_COUNT, issuer="acme")
+    assert spent() == 1.0
+    before = _books(federation)
+    with pytest.raises(DpRequired, match="acme"):
+        federation.try_cached(PLAIN_SUM, issuer="acme")  # its inner: cached
+    with pytest.raises(DpRequired):
+        federation.execute(PLAIN_SUM, issuer="acme")
+    (settled,) = federation.execute_many_settled([PLAIN_SUM], issuer="acme")
+    assert isinstance(settled.error, DpRequired)
+    assert spent() == 1.0
+    assert _books(federation) == before
+    # The release itself still re-serves free.
+    assert federation.try_cached(DP_SUM, issuer="acme").values == released.values
+
+
+def test_a_governed_plain_submission_takes_no_queue_slot(governed):
+    federation, spent = governed
+
+    async def scenario():
+        async with QueryService(federation) as service:
+            await service.submit(DP_SUM, issuer="acme")
+            before = _books(federation), service.metrics.refused
+            with pytest.raises(DpRequired):
+                await service.submit(PLAIN_SUM, issuer="acme")
+            assert (_books(federation), service.metrics.refused) == (
+                before[0], before[1] + 1,
+            )
+            return service.metrics
+
+    metrics = asyncio.run(scenario())
+    assert (metrics.admitted, metrics.completed) == (1, 1)
+    assert spent() == 1.0
+
+
+def _exact_sum() -> tuple:
+    topology = build_topology(**GOVERNED_TOPOLOGY)
+    return single_federation(topology).execute(PLAIN_SUM).values
+
+
+@pytest.mark.parametrize(
+    "tenant, issuer",
+    [
+        (None, "anonymous"),  # an unbudgeted gate, as the slo_dp bench runs
+        (TenantPolicy(lop_budget=5.0), "acme"),  # a LoP-only tenant
+        (TenantPolicy(dp_epsilon_budget=1.0), "bravo"),  # not the tenant
+    ],
+    ids=["unbudgeted-gate", "lop-only-tenant", "non-tenant-issuer"],
+)
+def test_an_ungoverned_issuer_still_gets_exact_answers(tenant, issuer):
+    topology = build_topology(**GOVERNED_TOPOLOGY)
+    federation = sharded_federation(topology, dp=DpPolicy(seed=11))
+    if tenant is not None:
+        federation.set_tenant("acme", tenant)
+    federation.execute(DP_SUM, issuer=issuer)
+    exact = _exact_sum()
+    assert federation.try_cached(PLAIN_SUM, issuer=issuer).values == exact
+    assert federation.execute(PLAIN_SUM, issuer=issuer).values == exact

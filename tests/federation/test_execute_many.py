@@ -10,14 +10,11 @@ import pytest
 
 from repro.database.database import database_from_values
 from repro.database.query import PAPER_DOMAIN
-from repro.federation import (
-    AccessPolicy,
-    Federation,
-    FederationError,
-    PolicyViolation,
-    SqlError,
-)
+from repro.federation import Federation, FederationError, SqlError
 from repro.privacy.accounting import BudgetExceededError
+from repro.privacy.dp import DpPolicy, DpRequired
+from repro.sharding import ShardedFederation, TenantPolicy
+from repro.sharding.shards import LocalShard
 
 DATASETS = {
     "acme": [100, 900, 250],
@@ -291,36 +288,39 @@ class TestSharedHitOutcome:
         ]
 
     def test_a_denied_issuer_never_gets_the_shared_outcome(self):
-        policy = AccessPolicy(quota_per_issuer=3).allow("alice", "TOP").allow(
-            "bob", "TOP"
-        )
-        fed = fresh_federation(policy=policy)
+        # Per-issuer control lives on tenants, so a flat deployment that needs
+        # one is a one-shard ShardedFederation.  mallory holds a DP budget:
+        # the exact answer alice and bob share is never hers, hit or not.
+        shard = fresh_federation()
+        fed = ShardedFederation([LocalShard(shard)], domain=PAPER_DOMAIN)
+        fed.set_tenant("mallory", TenantPolicy(dp_epsilon_budget=1.0))
         fed.execute(self.STATEMENT, issuer="alice")
-        self.hit(fed, issuer="alice")
-        self.hit(fed, issuer="bob")
-        audited = len(fed.audit)
+        shared = self.hit(fed, issuer="alice")
+        assert self.hit(fed, issuer="bob") is shared
+        audited = len(shard.audit)
         for _ in range(2):
-            with pytest.raises(PolicyViolation, match="not permitted"):
+            with pytest.raises(DpRequired, match="mallory"):
                 fed.try_cached(self.STATEMENT, issuer="mallory")
-        assert policy.usage("mallory") == 0
-        self.hit(fed, issuer="alice")  # alice's third and last unit
-        with pytest.raises(PolicyViolation, match="quota"):
-            fed.try_cached(self.STATEMENT, issuer="alice")
-        assert (policy.usage("alice"), policy.usage("bob")) == (3, 1)
-        assert len(fed.audit) == audited + 1 and fed.cache.hits == 3
+        assert len(shard.audit) == audited and shard.cache.hits == 2
+        assert fed.router.tenant_snapshot()["mallory"]["refusals"] == 2
 
 
 class TestBatchGating:
     def test_policy_checked_before_anything_runs(self):
-        policy = AccessPolicy().allow("analyst", "SUM")
-        fed = fresh_federation(policy=policy)
-        with pytest.raises(PolicyViolation):
+        # A DP budget makes every issuer DP-governed: its plain statement
+        # refuses the whole raising batch.
+        fed = fresh_federation(dp=DpPolicy(epsilon_budget=2.0, seed=1))
+        with pytest.raises(DpRequired):
             fed.execute_many(
-                ["SELECT SUM(value) FROM data", "SELECT TOP 2 value FROM data"],
+                [
+                    "SELECT SUM(value) FROM data WITH SLO(dp_epsilon=1.0)",
+                    "SELECT TOP 2 value FROM data",
+                ],
                 issuer="analyst",
             )
         # The permitted first statement must not have run either.
         assert len(fed.audit) == 0
+        assert fed.dp_gate.accountant.epsilon.spent == 0.0
 
     def test_parse_errors_abort_whole_batch(self, federation):
         with pytest.raises(SqlError):

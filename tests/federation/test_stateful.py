@@ -12,7 +12,9 @@ Flat is the one-shard case: a ``ShardedFederation`` over one local shard,
 holding its own copies of the rows under the same seeds, is stepped in
 lock-step and must serve equal outcomes (answer, costs and the ring's
 average LoP), compose the same (epsilon, delta) ledger and count the same
-cache hits and misses.
+cache hits and misses.  The twin's tenant ``gov`` holds an epsilon budget, so
+it is DP-governed: it gets DP releases only, and its plain statements are
+refused before any book moves.
 """
 
 import random
@@ -34,8 +36,8 @@ from repro.core.schedule import ExponentialSchedule
 from repro.database.database import database_from_values
 from repro.database.query import PAPER_DOMAIN
 from repro.federation import Federation, FederationError, SqlError
-from repro.privacy.dp import DpPolicy
-from repro.sharding import ShardedFederation, ShardError
+from repro.privacy.dp import DpPolicy, DpRequired
+from repro.sharding import ShardedFederation, ShardError, ShardRouter, TenantPolicy
 from repro.sharding.shards import LocalShard
 
 NAMES = [f"org{i}" for i in range(6)]
@@ -47,6 +49,22 @@ NAMES = [f"org{i}" for i in range(6)]
 EXACT = RunConfig(
     params=ProtocolParams(schedule=ExponentialSchedule(p0=0.0), rounds=4)
 )
+#: The twin's DP-governed tenant: its budget never runs out within a session,
+#: so its DP releases stay in lock-step with the flat federation's.
+GOVERNED = TenantPolicy(rate=1.0, burst=1000, dp_epsilon_budget=100.0)
+#: A table the twin's router fans out.  It holds no rows: the issuer rule
+#: refuses before routing, so only a refused statement ever names it.
+FANOUT = "wide"
+#: Plain statements a governed issuer may try: routed ones whose answer a DP
+#: release caches (TOP 2, SUM, COUNT) or not, and fan-outs.
+GOVERNED_PLAIN = [
+    "SELECT TOP 2 value FROM data",
+    "SELECT SUM(value) FROM data",
+    "SELECT COUNT(value) FROM data",
+    "SELECT MAX(value) FROM data",
+    f"SELECT AVG(value) FROM {FANOUT}",
+    f"SELECT TOP 1 value FROM {FANOUT}",
+]
 
 
 class FederationMachine(RuleBasedStateMachine):
@@ -77,17 +95,22 @@ class FederationMachine(RuleBasedStateMachine):
         )
         shard = Federation(domain=PAPER_DOMAIN, config=EXACT, seed=99)
         self.twin = ShardedFederation(
-            [LocalShard(shard)], dp=DpPolicy(seed=5), domain=PAPER_DOMAIN
+            [LocalShard(shard)],
+            router=ShardRouter(1, partitioned=(FANOUT,)),
+            dp=DpPolicy(seed=5),
+            domain=PAPER_DOMAIN,
         )
+        self.twin.set_tenant("gov", GOVERNED)
         self.databases: dict = {}
         self.twin_databases: dict = {}
         #: Inner statements with a cache-valid answer (both federations).
         self.cached: set[str] = set()
         #: The audit entry each served statement must leave, in serve order.
         self.served: list[tuple] = []
-        #: What each federation served, in serve order.
+        #: What each federation served, in serve order, and to whom.
         self.outcomes: list = []
         self.twin_outcomes: list = []
+        self.issuers: list[str] = []
         #: statement -> the inner answer its latest charged release perturbed.
         self.latest: dict[str, tuple] = {}
         #: DP statement -> its operation.
@@ -111,6 +134,7 @@ class FederationMachine(RuleBasedStateMachine):
         outcome = self.federation.execute(text, issuer=issuer)
         self.outcomes.append(outcome)
         self.twin_outcomes.append(self.twin.execute(text, issuer=issuer))
+        self.issuers.append(issuer)
         return outcome
 
     def _serve(self, text: str, issuer: str = "anonymous"):
@@ -205,8 +229,11 @@ class FederationMachine(RuleBasedStateMachine):
     @rule(
         operation=st.sampled_from(["SUM", "COUNT", "TOP"]),
         epsilon=st.sampled_from([0.25, 1.0]),
+        issuer=st.sampled_from(["anonymous", "gov"]),
     )
-    def dp_release_is_keyed_by_its_answer(self, operation: str, epsilon: float) -> None:
+    def dp_release_is_keyed_by_its_answer(
+        self, operation: str, epsilon: float, issuer: str
+    ) -> None:
         # Six statements in all, so a session repeats some across the cache
         # drops, inserts and restarts between them.
         inner, answer = self._inner(operation)
@@ -214,11 +241,11 @@ class FederationMachine(RuleBasedStateMachine):
         self.operations[text] = operation
         members = self.federation.members
         spent = self.federation.dp_gate.accountant.epsilon.spent
-        outcome = self._execute(text)
+        outcome = self._execute(text, issuer=issuer)
         self.cached.add(inner)
         # The audit records the inner statement; it ran iff it took rounds.
         self.served.append(
-            ("anonymous", members, inner, outcome.protocol.removesuffix("+dp"),
+            (issuer, members, inner, outcome.protocol.removesuffix("+dp"),
              outcome.rounds, outcome.messages, answer, outcome.rounds == 0)
         )
         # Free exactly when the latest release perturbed this very answer,
@@ -261,6 +288,7 @@ class FederationMachine(RuleBasedStateMachine):
         assert outcome.values == twin.values == self.released[(text, answer)]
         self.outcomes.append(outcome)
         self.twin_outcomes.append(twin)
+        self.issuers.append("anonymous")
         self.free_serves += 1
         # The flat fast path audits the release itself.
         self.served.append(
@@ -277,6 +305,32 @@ class FederationMachine(RuleBasedStateMachine):
                 (self.twin.shards[0].federation.audit, self.twin.cache),
             )
         ]
+
+    @rule(statement=st.sampled_from(GOVERNED_PLAIN))
+    def governed_plain_is_refused(self, statement: str) -> None:
+        # Hit or miss, routed or fanned out: refused typed before the tenant
+        # bucket, the cache and admission, charging nothing anywhere.
+        account = self.twin.router.tenant("gov")
+
+        def books() -> tuple:
+            bucket = account.bucket
+            return (
+                self._books(),
+                self.twin.dp_gate.accountant.epsilon.spent,
+                account.dp.epsilon.spent,
+                account.lop.spent,
+                account.queries,
+                None if bucket is None else (bucket.tokens, bucket.updated),
+                dict(self.twin.shard_queries),
+            )
+
+        before, refusals = books(), account.refusals
+        with pytest.raises(DpRequired):
+            self.twin.try_cached(statement, issuer="gov")
+        with pytest.raises(DpRequired):
+            self.twin.execute(statement, issuer="gov")
+        assert books() == before
+        assert account.refusals == refusals + 2
 
     @rule()
     def malformed_statement_serves_nothing(self) -> None:
@@ -338,6 +392,13 @@ class FederationMachine(RuleBasedStateMachine):
     def one_shard_twin_counts_the_same_hits(self) -> None:
         flat, twin = self.federation.cache, self.twin.cache
         assert (twin.hits, twin.misses) == (flat.hits, flat.misses)
+
+    @invariant()
+    def governed_issuers_get_dp_releases_only(self) -> None:
+        governed = self.twin.router.dp_governed
+        for issuer, outcome in zip(self.issuers, self.twin_outcomes):
+            if governed(issuer):
+                assert outcome.protocol.endswith("+dp")
 
     @invariant()
     def free_serves_charge_nothing(self) -> None:

@@ -11,12 +11,14 @@ import pytest
 
 from repro.database.database import database_from_values
 from repro.database.query import PAPER_DOMAIN
-from repro.federation import AccessPolicy, Federation, PolicyViolation, SqlError
+from repro.federation import Federation, SqlError
 from repro.planner import PlanInfeasible
+from repro.privacy.dp import DpPolicy, DpRequired
 from repro.service import DeadlineExceeded, QueryService
 from repro.sharding import (
     ShardedFederation,
     ShardRouter,
+    TenantPolicy,
     build_topology,
     local_shards,
 )
@@ -44,53 +46,63 @@ def fresh_federation(seed: int = 7, **kwargs) -> Federation:
     return fed
 
 
-def _flat_backend(policy: AccessPolicy):
-    return fresh_federation(policy=policy), "data"
+#: Every issuer the refusal matrix below submits as.
+ISSUERS = ("alice", "bob", "mallory")
 
 
-def _sharded_local_backend(policy: AccessPolicy):
+def _flat_backend():
+    # The federation's budget covers every issuer: all are DP-governed.
+    return fresh_federation(dp=DpPolicy(epsilon_budget=8.0, seed=3)), "data"
+
+
+def _sharded_local_backend():
     topology = build_topology(shards=2, seed=7)
     federation = ShardedFederation(
-        local_shards(topology, policy=policy),
+        local_shards(topology),
         router=ShardRouter(topology.shard_count, partitioned=topology.partitioned),
+        dp=DpPolicy(seed=3),
         domain=topology.domain,
     )
+    for issuer in ISSUERS:  # each tenant's own budget governs it
+        federation.set_tenant(issuer, TenantPolicy(dp_epsilon_budget=8.0))
     return federation, topology.tables[0]
 
 
 @pytest.fixture(
     params=[_flat_backend, _sharded_local_backend], ids=["flat", "sharded-local"]
 )
-def policy_backend(request):
-    """``policy_backend(policy)`` -> ``(federation, a table it serves)``."""
+def governed_backend(request):
+    """``governed_backend()`` -> ``(federation, a table it serves)``, with
+    every issuer in :data:`ISSUERS` DP-governed."""
     return request.param
 
 
 def serve_every_way_out(build_backend, tracer=None) -> QueryService:
     """One open service, one submission per way a statement can leave it.
 
-    Served from a batch and from the cache; refused at admission (a hit the
-    policy denies the issuer, a hit past the issuer's quota, three malformed
-    statements), in the batch (a miss the policy denies) and by the planner
-    (an SLO no plan meets); shed (a deadline already expired).  Returns the
+    Served from a batch and from the cache (a DP release and its free
+    re-serve); refused at admission (two plain statements whose exact answer
+    is cached, three malformed statements, a plain miss — each governed
+    issuer's plain statement is refused hit or miss) and by the planner (an
+    SLO no plan meets); shed (a deadline already expired).  Returns the
     drained service.
     """
-    policy = AccessPolicy(quota_per_issuer=2).allow("alice", "ANY").allow("bob", "ANY")
-    federation, table = build_backend(policy)
+    federation, table = build_backend()
     service = QueryService(federation, tracer=tracer)
     top = f"SELECT TOP 2 value FROM {table}"
+    dp_top = f"{top} WITH SLO(dp_epsilon=0.5)"
     #: (statement, issuer, submit kwargs, expected outcome)
     script = [
-        (top, "alice", {}, "served"),
-        (top, "alice", {}, "hit"),
-        (top, "mallory", {}, PolicyViolation),  # a hit, but no rule for mallory
-        (top, "alice", {}, PolicyViolation),  # a hit, but alice's quota is spent
+        (dp_top, "alice", {}, "served"),
+        (dp_top, "alice", {}, "hit"),
+        (top, "mallory", {}, DpRequired),  # the exact inner answer is cached
+        (top, "alice", {}, DpRequired),  # the releasing issuer's too
         ("SELECT NOPE", "bob", {}, SqlError),
         (f"{top} WITH SLO(speed=ludicrous)", "bob", {}, SqlError),
         ("", "bob", {}, SqlError),
-        (f"SELECT MAX(value) FROM {table}", "mallory", {}, PolicyViolation),
-        (f"SELECT MIN(value) FROM {table} WITH SLO(deadline=1e-9)", "bob", {},
-         PlanInfeasible),
+        (f"SELECT MAX(value) FROM {table}", "mallory", {}, DpRequired),  # a miss
+        (f"SELECT MIN(value) FROM {table} WITH SLO(deadline=1e-9, dp_epsilon=0.5)",
+         "bob", {}, PlanInfeasible),
         (f"SELECT MIN(value) FROM {table}", "bob", {"timeout": 0.0}, DeadlineExceeded),
     ]
 

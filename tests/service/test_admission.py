@@ -206,15 +206,15 @@ class TestLoadShedding:
 
 
 class TestEverySubmissionIsCounted:
-    def test_counters_account_for_every_way_out(self, policy_backend):
-        # A refusal on the admission-time fast path (a hit the policy denies,
-        # a hit past the quota) and a malformed statement used to propagate
-        # with ``submitted`` bumped and no other counter: 10 submitted,
-        # 2 + 1 + 1 + 1 accounted for.
-        metrics = serve_every_way_out(policy_backend).metrics
+    def test_counters_account_for_every_way_out(self, governed_backend):
+        # A refusal on the admission-time fast path and a malformed statement
+        # used to propagate with ``submitted`` bumped and no other counter:
+        # 10 submitted, 2 + 1 + 1 + 1 accounted for.
+        metrics = serve_every_way_out(governed_backend).metrics
         assert metrics.submitted == 10
         assert (metrics.completed, metrics.cache_fast_hits) == (2, 1)
-        assert metrics.refused == 6  # 2 denied hits, 3 malformed, 1 denied miss
+        assert metrics.refused == 6  # 2 refused hits, 3 malformed, 1 refused miss
+        assert metrics.admitted == 1  # no plain statement took a queue slot
         assert (metrics.plan_infeasible, metrics.shed, metrics.failed) == (1, 1, 0)
         assert metrics.submitted == (
             metrics.completed

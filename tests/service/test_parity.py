@@ -9,15 +9,23 @@ which the service preserves by construction.
 
 import asyncio
 
-from repro.federation import AccessPolicy, PolicyViolation
+import pytest
+
+from repro.privacy.dp import DpPolicy, DpRequired
 from repro.service import QueryService
+from repro.sharding import ShardedFederation, TenantPolicy
+from repro.sharding.shards import LocalShard
 
 from .conftest import DATASETS, MIXED_STATEMENTS, fresh_federation
 
+#: A federation-wide budget: every issuer is DP-governed.
+GOVERNED = DpPolicy(epsilon_budget=4.0, seed=9)
+DP_TOP = "SELECT TOP 3 value FROM data WITH SLO(dp_epsilon=1.0)"
 
-def serve(statements, *, seed=41, **service_kwargs):
+
+def serve(statements, *, seed=41, dp=None, **service_kwargs):
     async def scenario():
-        service = QueryService(fresh_federation(seed=seed), **service_kwargs)
+        service = QueryService(fresh_federation(seed=seed, dp=dp), **service_kwargs)
         async with service:
             outcomes = await service.submit_many(
                 statements, return_exceptions=True
@@ -70,47 +78,43 @@ class TestSoloParity:
 
 class TestTypedRefusals:
     def test_policy_refusal_propagates_without_poisoning_the_batch(self):
-        policy = (
-            AccessPolicy()
-            .allow("anonymous", "TOP")
-            .allow("anonymous", "MAX")
+        dp_max = "SELECT MAX(value) FROM data WITH SLO(dp_epsilon=1.0)"
+        _service, results = serve(
+            [DP_TOP, "SELECT SUM(value) FROM data", dp_max], seed=5, dp=GOVERNED
         )
-
-        async def scenario():
-            service = QueryService(fresh_federation(seed=5, policy=policy))
-            async with service:
-                return await service.submit_many(
-                    [
-                        "SELECT TOP 3 value FROM data",
-                        "SELECT SUM(value) FROM data",  # denied by policy
-                        "SELECT MAX(value) FROM data",
-                    ],
-                    return_exceptions=True,
-                )
-
-        results = asyncio.run(scenario())
-        assert results[0].values == (9000.0, 7000.0, 6500.0)
-        assert isinstance(results[1], PolicyViolation)
-        assert results[2].values == (9000.0,)
+        assert isinstance(results[1], DpRequired)
+        # A session that skips the refused statement serves the same bytes.
+        _service, reference = serve([DP_TOP, dp_max], seed=5, dp=GOVERNED)
+        assert [results[0], results[2]] == reference
 
     def test_refused_statements_do_not_shift_survivor_seeds(self, transcripts):
-        policy = AccessPolicy().allow("anonymous", "TOP")
-
-        async def scenario():
-            service = QueryService(fresh_federation(seed=13, policy=policy))
-            async with service:
-                return await service.submit_many(
-                    [
-                        "SELECT SUM(value) FROM data",  # denied
-                        "SELECT TOP 3 value FROM data",
-                    ],
-                    return_exceptions=True,
-                )
-
-        results = asyncio.run(scenario())
-        assert isinstance(results[0], PolicyViolation)
+        _service, results = serve(
+            ["SELECT SUM(value) FROM data", DP_TOP], seed=13, dp=GOVERNED
+        )
+        assert isinstance(results[0], DpRequired)
         # Reference session that skips the refused statement entirely.
-        solo = fresh_federation(seed=13).execute("SELECT TOP 3 value FROM data")
+        _service, (solo,) = serve([DP_TOP], seed=13, dp=GOVERNED)
         assert results[1] == solo
         served_run, solo_run = transcripts
         assert served_run.ring_order == solo_run.ring_order
+
+    def test_a_budget_installed_after_admission_refuses_at_dequeue(self):
+        # Admitted while ungoverned, the plain statement meets the issuer
+        # rule again at the dequeue-time fast path: refused, nothing run.
+        shard = fresh_federation(seed=3)
+        federation = ShardedFederation([LocalShard(shard)], dp=DpPolicy(seed=3))
+        plain = "SELECT SUM(value) FROM data"
+
+        async def scenario():
+            async with QueryService(federation) as service:
+                task = asyncio.ensure_future(service.submit(plain, issuer="acme"))
+                await asyncio.sleep(0)
+                assert service.metrics.admitted == 1
+                federation.set_tenant("acme", TenantPolicy(dp_epsilon_budget=1.0))
+                with pytest.raises(DpRequired):
+                    await task
+            return service
+
+        metrics = asyncio.run(scenario()).metrics
+        assert (metrics.refused, metrics.batches, metrics.completed) == (1, 0, 0)
+        assert len(shard.audit) == 0 and shard.cache.misses == 0

@@ -113,18 +113,18 @@ class TestShedTraces:
         assert len(shed) == 1
         assert recorder.open_spans() == []
 
-    def test_a_refused_hit_closes_its_span_with_the_error(self, policy_backend):
-        # The admission-time fast path used to let a PolicyViolation leave
-        # the ``query`` span open for good.  (A malformed statement is
-        # refused before its trace starts and records nothing.)
+    def test_a_refused_hit_closes_its_span_with_the_error(self, governed_backend):
+        # The admission-time fast path used to let a refusal leave the
+        # ``query`` span open for good.  (A malformed statement is refused
+        # before its trace starts and records nothing.)
         recorder = TraceRecorder()
-        serve_every_way_out(policy_backend, tracer=recorder)
+        serve_every_way_out(governed_backend, tracer=recorder)
         assert recorder.open_spans() == []
         queries = [span for span in recorder.spans if span.name == "query"]
         assert len(queries) == 10 - 3
         refused = [s for s in queries if s.attrs["outcome"] == "refused"]
-        assert [s.attrs["error"] for s in refused] == ["PolicyViolation"] * 2
-        assert [s.attrs["issuer"] for s in refused] == ["mallory", "alice"]
+        assert [s.attrs["error"] for s in refused] == ["DpRequired"] * 3
+        assert [s.attrs["issuer"] for s in refused] == ["mallory", "alice", "mallory"]
 
     def test_untraced_service_records_nothing(self):
         recorder = TraceRecorder()

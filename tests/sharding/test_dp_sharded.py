@@ -168,16 +168,17 @@ class TestUnifiedAccounting:
         # answer is impossible from outside — but the converse matters:
         # a fresh noisy release whose inner answers still come from cache
         # runs no protocol, so only epsilon may move, never LoP.  We get
-        # there by first releasing the bare statement's answer into the
-        # cache via a plain query, then issuing the DP form: the inner is
-        # a cache hit, yet the release itself is fresh.
+        # there by first caching the bare statement's answer through a DP
+        # release at another epsilon (a DP-governed tenant gets no plain
+        # query), then issuing the DP form: the inner is a cache hit, yet the
+        # release itself is fresh.
         topology, _, shard = topology_twins(DpPolicy(seed=11))
         routed = next(t for t in topology.tables if t not in topology.partitioned)
         shard.set_tenant(
             "acme", TenantPolicy(lop_budget=5.0, dp_epsilon_budget=50.0)
         )
         bare = f"SELECT TOP 3 value FROM {routed}"
-        shard.execute_many_settled([bare], issuer="acme")
+        shard.execute_many_settled([f"{bare} WITH SLO(dp_epsilon=1.0)"], issuer="acme")
         lop_after_bare = shard.router.tenant_snapshot()["acme"]["lop_spent"]
         assert lop_after_bare > 0.0
 
@@ -185,7 +186,7 @@ class TestUnifiedAccounting:
         outcome = shard.execute_many_settled([dp_text], issuer="acme")[0]
         assert isinstance(outcome, QueryOutcome)
         snapshot = shard.router.tenant_snapshot()["acme"]
-        assert snapshot["dp_epsilon_spent"] == 2.0  # the release is fresh
+        assert snapshot["dp_epsilon_spent"] == 3.0  # the release is fresh
         assert snapshot["lop_spent"] == pytest.approx(lop_after_bare)  # no protocol ran
 
     def test_plain_cache_hits_stay_free_for_lop(self):

@@ -218,30 +218,6 @@ DECLARED: dict[str, tuple[str, str, str]] = {
         "design", "tests/federation/test_coordinator.py",
         "DESIGN.md 4g: an attribute's public domain (Section 2) keys its DpRequest",
     ),
-    "repro.federation.policy:AccessPolicy.__post_init__": (
-        "guard", "tests/federation/test_policy.py",
-        "outside-input validation of a quota",
-    ),
-    "repro.federation.policy:AccessPolicy.allow": (
-        "guard", "tests/federation/test_policy.py",
-        "builds the rules whose PolicyViolation is a typed refusal",
-    ),
-    "repro.federation.policy:AccessPolicy.check": (
-        "guard", "tests/federation/test_policy.py",
-        "typed refusal: PolicyViolation per issuer, rule and quota",
-    ),
-    "repro.federation.policy:AccessPolicy.usage": (
-        "guard", "tests/federation/test_execute_many.py",
-        "the quota count the PolicyViolation refusal enforces",
-    ),
-    "repro.federation.policy:Rule.__post_init__": (
-        "guard", "tests/federation/test_policy.py",
-        "outside-input validation of a rule's operation",
-    ),
-    "repro.federation.policy:Rule.permits": (
-        "guard", "tests/federation/test_policy.py",
-        "typed refusal: decides PolicyViolation",
-    ),
     "repro.network.failures:FailureInjector.crash": (
         "guard", "tests/network/test_failures.py",
         "failure path: crash-stop nodes (Section 3.2), kept by DESIGN.md 4j",
