@@ -30,9 +30,11 @@ Known floor: seeding the per-node MT19937 streams costs ~0.12 ms/trial on
 commodity hardware (the 624-word state expansion), which bounds the batch
 kernel's asymptote on *fresh* seeds — the speedup is a measurement, not a
 tuning target, and the floor below is set under the measured value with
-margin for machine noise.  The sampling module's stream-prefix LRU lifts
-that bound on repeated seeds (interleaved reps re-run identical trials),
-which is why the floor ratcheted from 20x to 26x.
+margin for machine noise.  The sampling module keeps the previous call's
+harvest, which lifts that bound on repeated seeds: interleaved kernel reps
+re-run identical trials, and the session reps between them never harvest,
+so every kernel rep after the first gathers its streams from the last one.
+That is why the floor ratcheted from 20x to 26x.
 """
 
 import gc
@@ -57,7 +59,7 @@ TRIALS = 100
 REPS = 3
 #: The ratcheted acceptance floor: kernel trials/second over session
 #: trials/second at n=50.  Measured ~32x on the reference container with
-#: the MT19937 stream-prefix cache warm (reps re-run identical seeds);
+#: the kept MT19937 harvest warm (reps re-run identical seeds);
 #: 26x leaves headroom for machine noise without ever re-admitting the
 #: uncached harvest (~23x) or the old scalar kernel (5-7x).
 SPEEDUP_FLOOR = 26.0

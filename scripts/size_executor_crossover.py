@@ -10,7 +10,7 @@ vectorised); nothing else reaches it.
 
 Methodology: paper-default probabilistic trials (``experiments.runner.
 trial_job``), k=5, 64 runs per cell (256 at B=256); one untimed pass first
-(warm MT19937 prefix cache, warm allocator), then the best of ``--repeats``
+(warm MT19937 kept harvest, warm allocator), then the best of ``--repeats``
 timed passes per kernel, the two kernels alternating so machine-speed drift
 lands on both; every pass checks that both kernels return equal answers.
 

@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Size the MT19937 replay's seeding block (DESIGN.md, "The kernel's working set").
 
-``repro.core.sampling.mt19937_words`` seeds the streams it has not cached a
-block at a time into one ``(624, block)`` uint32 state; the block is a state
-budget in bytes over 624 x 4 B.  This measures what the budget trades: for
+``repro.core.sampling.mt19937_words`` seeds the streams its kept harvest
+does not hold a block at a time into one ``(624, block)`` uint32 state; the
+block is a state budget in bytes over 624 x 4 B.  This measures what the budget trades: for
 every budget in ``BUDGETS_MIB`` and every harvest size in ``STREAMS``
-(fresh seeds, ``--words`` words each, the prefix cache cleared before every
+(fresh seeds, ``--words`` words each, the kept harvest dropped before every
 call), the best-of-``--repeats`` milliseconds of one harvest and its
 ``tracemalloc`` peak over the memory traced before it.  Every budget must
 produce the same words, bit for bit; the script checks it.  Then every

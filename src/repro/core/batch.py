@@ -12,7 +12,9 @@ It is not an approximation.  Phase A replays every trial's *run* RNG
 (``config.rng()``) — ring shuffle, starter choice, per-node stream seeds,
 remap shuffles — by harvesting raw MT19937 output words and feeding them
 through CPython's exact draw algorithms (:class:`~repro.core.sampling.
-WordPool`, :class:`_RunPool`).  Phase B then executes all trials
+WordPool`, :class:`_RunPool`); node streams the previous batch also seeded
+are gathered from its kept, read-only harvest instead of seeded again
+(:func:`~repro.core.sampling.mt19937_words`).  Phase B then executes all trials
 cell-by-cell over the ring schedule, drawing each node-stream's coins and
 noise values in the scalar draw order, so every :class:`ProtocolResult` is
 **bit-identical** to both the scalar kernel and the transport-backed

@@ -121,7 +121,11 @@ class Federation:
             )
         self._secure_segments = secure_sum_segments
         self.dp_gate = DpGate(dp)
-        self._dp = DpReleasePath(self.dp_gate, self.domain_for)
+        self._dp = DpReleasePath(
+            self.dp_gate,
+            self.domain_for,
+            lambda spec: self.planner.plan(spec, parties=len(self.members)),
+        )
 
     # -- domains ------------------------------------------------------------
 
@@ -349,7 +353,7 @@ class Federation:
             issuer,
             settle,
             [batch.traces[p] for p in order] if batch.traces is not None else None,
-            [batch.plans[p] for p in order] if batch.plans is not None else None,
+            [batch.plans[p] for p in order],
         )
         for p, result in zip(order, served):
             batch.results[p] = result

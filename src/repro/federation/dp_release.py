@@ -41,6 +41,7 @@ from typing import Any, Protocol
 
 from ..database.query import Domain
 from ..observability.trace import TraceContext
+from ..planner.errors import PlanInfeasible
 from ..planner.plan import Plan
 from ..planner.spec import PREPARED_ENTRIES, QuerySpec, prepare
 from ..privacy.dp import (
@@ -113,7 +114,7 @@ class DpBatch:
     size: int
     texts: list[str]
     traces: "list[TraceContext | None] | None"
-    plans: "list[Plan | None] | None"
+    plans: "list[Plan | None]"
     results: "list[QueryOutcome | QueryRefused | None]"
     #: ``(position, spec, context)`` per statement that passed the precheck
     #: and DP admission, in statement order; ``context`` is whatever the
@@ -134,13 +135,11 @@ class DpBatch:
             self.texts.append(inner_text)
             self.results.append(None)
             # The original statement's trace follows its first inner form;
-            # a pre-resolved plan transfers only when the inner form is the
-            # statement it was planned for (not a decomposition).
+            # its plan follows a single inner form (not a decomposition).
             if self.traces is not None:
                 self.traces.append(self.traces[position] if j == 0 else None)
-            if self.plans is not None:
-                single = j == 0 and len(request.inner) == 1
-                self.plans.append(self.plans[position] if single else None)
+            single = j == 0 and len(request.inner) == 1
+            self.plans.append(self.plans[position] if single else None)
         self.slots[position] = DpSlot(request, inner, bare_text)
 
     def refuse(self, position: int, error: Exception) -> None:
@@ -154,17 +153,20 @@ class DpReleasePath:
     """Expand, admit, assemble and re-serve DP statements for one federation.
 
     ``domain_for(table, attribute)`` supplies the public domain mechanisms
-    calibrate against; ``meters`` is the optional per-tenant DP accounting.
+    calibrate against; ``plan(spec)`` is the federation's plan for a
+    statement; ``meters`` is the optional per-tenant DP accounting.
     """
 
     def __init__(
         self,
         gate: DpGate,
         domain_for: "Callable[[str, str], Domain | None]",
+        plan: "Callable[[QuerySpec], Plan]",
         meters: "TenantMeters | None" = None,
     ) -> None:
         self.gate = gate
         self._domain_for = domain_for
+        self._plan = plan
         self._meters = meters
         #: (statement text, attribute domain) -> its resolved request.
         self._requests: "dict[tuple[str, Domain | None], DpRequest]" = {}
@@ -237,7 +239,11 @@ class DpReleasePath:
         mechanism, an exhausted (epsilon, delta) budget — are decided
         *here*, before any seed draw or inner dispatch, so refused DP
         statements perturb nothing downstream (the same refusal-parity rule
-        the planner follows).  The budget precheck is optimistic on reuse:
+        the planner follows).  A DP statement with one inner statement runs
+        that statement on its own plan, the caller's or else ``plan(spec)``'s
+        — on every path, so a statement planned at admission and the same
+        statement executed alone run the same protocol; an unsatisfiable SLO
+        refuses it here.  The budget precheck is optimistic on reuse:
         a key that has already released is admitted without headroom, and
         ``assemble`` still enforces the budget if the inner answers turn out
         to differ from the ones the release perturbed: that is a fresh,
@@ -259,7 +265,7 @@ class DpReleasePath:
             size=len(statements),
             texts=list(statements),
             traces=list(traces) if traces is not None else None,
-            plans=list(plans) if plans is not None else None,
+            plans=list(plans) if plans is not None else [None] * len(statements),
             results=[None] * len(statements),
         )
         pending = self.gate.new_pending()
@@ -280,9 +286,14 @@ class DpReleasePath:
             if prepared.has_dp:
                 try:
                     request = self._request(spec)
+                    if len(request.inner) == 1 and batch.plans[position] is None:
+                        batch.plans[position] = self._plan(spec)
                     reason = self.gate.admit(request, pending, headroom)
                     if reason is not None:
                         raise BudgetExhausted(reason, statement=text)
+                except PlanInfeasible as exc:
+                    batch.refuse(position, exc)
+                    continue
                 except DpError as exc:
                     if meters is not None:
                         meters.note_refusal(issuer)

@@ -156,7 +156,12 @@ class ShardedFederation:
         self.domain = domain
         self._attribute_domains: dict[tuple[str, str], Domain] = {}
         self.dp_gate = DpGate(dp)
-        self._dp = DpReleasePath(self.dp_gate, self.domain_for, meters=self.router)
+        self._dp = DpReleasePath(
+            self.dp_gate,
+            self.domain_for,
+            lambda spec: self.planner.plan(spec, parties=len(self.members)),
+            meters=self.router,
+        )
         #: Fresh-release epsilon attributed to the shard whose data backed
         #: it ("all" for fan-outs over partitioned tables).
         self.dp_spend_by_shard: defaultdict[str, float] = defaultdict(float)
@@ -297,6 +302,7 @@ class ShardedFederation:
         return self._on_cache(
             statement_text,
             lambda shard, text: shard.try_cached(text, issuer=issuer),
+            lambda shard, texts: shard.try_cached_many(texts, issuer=issuer),
             lambda statement, partials: _merge_fanout(
                 statement, statement_text, partials
             ),
@@ -309,31 +315,40 @@ class ShardedFederation:
             values = _merged_values(statement, [[a.values for a in p] for p in partials])
             return CachedAnswer(values=values, protocol=partials[0][0].protocol)
 
-        return self._on_cache(statement_text, lambda shard, text: shard.peek(text), merge)
+        return self._on_cache(
+            statement_text,
+            lambda shard, text: shard.peek(text),
+            lambda shard, texts: shard.peek_many(texts),
+            merge,
+        )
 
-    def _on_cache(self, statement_text: str, look: Callable, merge: Callable):
-        """``look(shard, text)`` on the statement's shard(s); ``None`` on a miss.
+    def _on_cache(
+        self,
+        statement_text: str,
+        look: Callable,
+        look_many: Callable,
+        merge: Callable,
+    ):
+        """The statement's answer from its shard(s); ``None`` on a miss.
 
-        A routed statement's answer is its shard's, verbatim.  A fan-out is a
-        hit only when *every* shard answers each of :func:`_fanout_texts`,
-        which ``merge(statement, partials)`` combines.  An unreachable shard
-        reads as a miss.
+        A routed statement's answer is ``look(shard, text)`` on its shard,
+        verbatim.  A fan-out asks every shard for all of
+        :func:`_fanout_texts` in one ``look_many(shard, texts)`` exchange
+        each, every request written before any reply is read
+        (:func:`_gather`); it is a hit only when every shard answers every
+        text, which ``merge(statement, partials)`` combines.  An unreachable
+        shard reads as a miss.
         """
         statement = prepare(statement_text).spec.statement
         target = self.router.route(statement.table)
         try:
             if target != ALL_SHARDS:
                 return look(self.shards[target], statement_text)
-            partials = []
-            for shard in self.shards:
-                answers = []
-                for text in _fanout_texts(statement):
-                    answer = look(shard, text)
-                    if answer is None:
-                        return None
-                    answers.append(answer)
-                partials.append(answers)
+            texts = _fanout_texts(statement)
+            partials = _gather(self.shards, lambda shard: look_many(shard, texts))
         except ShardUnavailable:
+            return None
+        if any(answer is None for answers in partials for answer in answers):
             return None
         return merge(statement, partials)
 
@@ -573,7 +588,7 @@ class ShardedFederation:
                 else:
                     statement, texts, targets = None, [batch.texts[p]], (target,)
                     trace = batch.traces[p] if batch.traces is not None else None
-                    plan = batch.plans[p] if batch.plans is not None else None
+                    plan = batch.plans[p]
                 starts = []
                 for index in targets:
                     sub_texts, traces, plans = subs.setdefault(index, ([], [], []))
@@ -590,7 +605,7 @@ class ShardedFederation:
                 texts,
                 batch.issuer,
                 traces if batch.traces is not None else None,
-                plans if batch.plans is not None else None,
+                plans,
             )
 
         indices = sorted(subs)
@@ -644,6 +659,33 @@ class ShardedFederation:
                 for key, value in sorted(self.dp_spend_by_shard.items())
             },
         }
+
+
+def _gather(shards: Sequence, post: Callable) -> list:
+    """``post(shard)`` on every shard in order, then each returned reply call.
+
+    A process shard writes its request frame in ``post`` and reads the reply
+    only when the call is made, so every frame is on the wire before any
+    reply is awaited.  Every posted reply is read even when another shard
+    fails, so no shard is left mid-exchange; the first failure then raises.
+    """
+    replies: list[Callable[[], object]] = []
+    failure: Exception | None = None
+    for shard in shards:
+        try:
+            replies.append(post(shard))
+        except Exception as exc:  # noqa: BLE001 — re-raised once all are read
+            failure = exc
+            break
+    answers = []
+    for reply in replies:
+        try:
+            answers.append(reply())
+        except Exception as exc:  # noqa: BLE001 — re-raised once all are read
+            failure = failure or exc
+    if failure is not None:
+        raise failure
+    return answers
 
 
 # -- merge ---------------------------------------------------------------------

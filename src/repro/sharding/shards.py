@@ -3,7 +3,8 @@
 A *shard* is one complete :class:`~repro.federation.coordinator.Federation`
 serving a slice of the table space.  Two interchangeable backends implement
 the same small surface (``members``, ``execute_many_settled``,
-``try_cached``, ``peek``, ``cache_stats``, ``close``):
+``try_cached``, ``peek``, their batched ``try_cached_many`` /
+``peek_many``, ``cache_stats``, ``close``):
 
 :class:`LocalShard`
     Wraps a federation in this process.  Deterministic and traceable — the
@@ -96,6 +97,21 @@ class LocalShard:
     def peek(self, statement: str) -> CachedAnswer | None:
         """The statement's cache-valid answer, served to nobody."""
         return self.federation._peek_inner(statement)
+
+    def try_cached_many(
+        self, statements: Sequence[str], *, issuer: str = "anonymous"
+    ) -> "Callable[[], list[QueryOutcome | None]]":
+        """:meth:`try_cached` per statement, in order; returns the call that
+        hands the outcomes back (a process shard's reads its reply)."""
+        outcomes = [self.try_cached(text, issuer=issuer) for text in statements]
+        return lambda: outcomes
+
+    def peek_many(
+        self, statements: Sequence[str]
+    ) -> "Callable[[], list[CachedAnswer | None]]":
+        """:meth:`peek` per statement; returns the call that hands them back."""
+        answers = [self.peek(text) for text in statements]
+        return lambda: answers
 
     def cache_stats(self) -> tuple[int, int]:
         cache = self.federation.cache
@@ -310,8 +326,7 @@ class ProcessShard:
     ) -> _T:
         """One request/response exchange; typed failure on any wire error.
 
-        The socket is persistent across requests; a stale socket (worker
-        restarted between calls) gets exactly one reconnect attempt, but a
+        The socket is persistent across requests and opened on first use; a
         failure *mid-exchange* does not retry — the worker may have half-
         executed the batch, and replaying it would double protocol runs and
         exposure.
@@ -320,13 +335,36 @@ class ProcessShard:
         boundary, so a reply of the wrong shape is a wire failure like a
         truncated one, not an ``AttributeError`` somewhere in the gateway.
         """
+        return self._post(payload, decode)()
+
+    def _post(
+        self, payload: dict, decode: "Callable[[dict], _T]" = lambda reply: reply
+    ) -> "Callable[[], _T]":
+        """:meth:`_request` in two halves: write the request frame now and
+        return the call that reads and decodes its reply.
+
+        The shard's lock is held from the write until that call returns, so
+        the caller must make it, whatever happens elsewhere meanwhile; a
+        caller posting to several shards posts in shard order, so two such
+        callers never wait on each other's locks.
+        """
         op = payload.get("op")
-        with self._lock:
-            fresh = self._sock is None
+        self._lock.acquire()
+        fresh = self._sock is None
+        try:
+            if self._sock is None:
+                self._sock = self._connect()
+            send_json(self._sock, payload)
+        except (OSError, WireError) as exc:
+            unavailable = self._unavailable(exc, fresh)
+            self._lock.release()
+            raise unavailable from exc
+        except BaseException:
+            self._lock.release()
+            raise
+
+        def reply() -> _T:
             try:
-                if self._sock is None:
-                    self._sock = self._connect()
-                send_json(self._sock, payload)
                 response = recv_json(self._sock)
                 accepted = response.get("ok")
                 if accepted is True:
@@ -335,14 +373,22 @@ class ProcessShard:
                 if accepted is not False:
                     raise WireError(f"malformed {op!r} reply: no boolean 'ok'")
             except (OSError, WireError) as exc:
-                self._drop_socket()
-                how = "unreachable" if fresh else "failed mid-request"
-                raise ShardUnavailable(
-                    f"shard {self.index} at {self.host}:{self.port} {how}: {exc}",
-                    shard=self.index,
-                ) from exc
-        raise ShardError(
-            f"shard {self.index} rejected {op!r}: {response.get('message')}"
+                raise self._unavailable(exc, fresh) from exc
+            finally:
+                self._lock.release()
+            raise ShardError(
+                f"shard {self.index} rejected {op!r}: {response.get('message')}"
+            )
+
+        return reply
+
+    def _unavailable(self, exc: Exception, fresh: bool) -> ShardUnavailable:
+        """Drop the socket and name the failure (the lock is held)."""
+        self._drop_socket()
+        how = "unreachable" if fresh else "failed mid-request"
+        return ShardUnavailable(
+            f"shard {self.index} at {self.host}:{self.port} {how}: {exc}",
+            shard=self.index,
         )
 
     # -- shard surface -------------------------------------------------------
@@ -396,6 +442,34 @@ class ProcessShard:
             lambda reply: decode_answer(reply["answer"]),
         )
 
+    def try_cached_many(
+        self, statements: Sequence[str], *, issuer: str = "anonymous"
+    ) -> "Callable[[], list[QueryOutcome | None]]":
+        """One ``try_cached_many`` frame for every statement, written now;
+        the returned call reads the reply (see :meth:`_post`)."""
+        return self._post(
+            {
+                "op": "try_cached_many",
+                "statements": list(statements),
+                "issuer": issuer,
+            },
+            lambda reply: _aligned(
+                reply["outcomes"],
+                statements,
+                lambda entry: None if entry is None else decode_outcome(entry),
+            ),
+        )
+
+    def peek_many(
+        self, statements: Sequence[str]
+    ) -> "Callable[[], list[CachedAnswer | None]]":
+        """One ``peek_many`` frame for every statement, written now; the
+        returned call reads the reply (see :meth:`_post`)."""
+        return self._post(
+            {"op": "peek_many", "statements": list(statements)},
+            lambda reply: _aligned(reply["answers"], statements, decode_answer),
+        )
+
     def cache_stats(self) -> tuple[int, int]:
         return self._request(
             {"op": "cache_stats"},
@@ -410,6 +484,15 @@ class ProcessShard:
     def deregister(self, owner: str) -> None:
         self._request({"op": "deregister", "owner": owner})
         self._members = tuple(m for m in self._members if m != owner)
+
+
+def _aligned(
+    entries: object, statements: Sequence[str], decode: "Callable[[object], _T]"
+) -> "list[_T]":
+    """A batched reply's per-statement entries, decoded: one per statement."""
+    if not isinstance(entries, list) or len(entries) != len(statements):
+        raise WireError(f"expected {len(statements)} entries, got {entries!r:.80}")
+    return [decode(entry) for entry in entries]
 
 
 __all__ = ["LocalShard", "ProcessShard"]

@@ -25,45 +25,53 @@ from typing import TYPE_CHECKING, NoReturn
 from .protocol import encode_outcome, encode_settled, recv_json, send_json
 
 if TYPE_CHECKING:
+    from ..federation.cache import CachedAnswer
+    from ..federation.outcomes import QueryOutcome
     from .shards import LocalShard
 
 
 def _handle(shard: LocalShard, request: dict) -> dict:
     op = request.get("op")
+    issuer = str(request.get("issuer", "anonymous"))
+    texts = [str(s) for s in request.get("statements", ())]
     if op == "ping":
         return {"ok": True}
     if op == "cache_stats":
         hits, misses = shard.cache_stats()
         return {"ok": True, "hits": hits, "misses": misses}
     if op == "execute_many_settled":
-        settled = shard.execute_many_settled(
-            [str(s) for s in request.get("statements", ())],
-            issuer=str(request.get("issuer", "anonymous")),
-        )
+        settled = shard.execute_many_settled(texts, issuer=issuer)
         return {"ok": True, "results": encode_settled(settled)}
     if op == "try_cached":
-        outcome = shard.try_cached(
-            str(request.get("statement", "")),
-            issuer=str(request.get("issuer", "anonymous")),
-        )
-        return {
-            "ok": True,
-            "outcome": None if outcome is None else encode_outcome(outcome),
-        }
+        outcome = shard.try_cached(str(request.get("statement", "")), issuer=issuer)
+        return {"ok": True, "outcome": _outcome(outcome)}
     if op == "peek":
         answer = shard.peek(str(request.get("statement", "")))
-        return {
-            "ok": True,
-            "answer": None
-            if answer is None
-            else {"values": list(answer.values), "protocol": answer.protocol},
-        }
+        return {"ok": True, "answer": _answer(answer)}
+    # The batched forms carry every text of a fan-out in one frame; each
+    # entry of the reply is exactly what the per-text reply carries.
+    if op == "try_cached_many":
+        outcomes = shard.try_cached_many(texts, issuer=issuer)()
+        return {"ok": True, "outcomes": [_outcome(o) for o in outcomes]}
+    if op == "peek_many":
+        answers = shard.peek_many(texts)()
+        return {"ok": True, "answers": [_answer(a) for a in answers]}
     if op == "deregister":
         shard.deregister(str(request["owner"]))
         return {"ok": True}
     if op == "shutdown":
         return {"ok": True, "bye": True}
     return {"ok": False, "message": f"unknown op {op!r}"}
+
+
+def _outcome(outcome: "QueryOutcome | None") -> "dict | None":
+    return None if outcome is None else encode_outcome(outcome)
+
+
+def _answer(answer: "CachedAnswer | None") -> "dict | None":
+    if answer is None:
+        return None
+    return {"values": list(answer.values), "protocol": answer.protocol}
 
 
 def serve(shard: LocalShard, listener: socket.socket) -> None:

@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 from repro.core import sampling
 from repro.core.sampling import (
     MAX_HARVEST_WORDS,
-    PREFIX_CACHE_ENTRIES,
     SamplingError,
     WordPool,
     mt19937_words,
     prefix_cache_clear,
     random_value_in,
 )
+from repro.experiments.figures.common import TrialSetup, params_with
+from repro.experiments.runner import run_trials
 
 #: Streams per seeding block (``sampling._MT_BLOCK``).
 BLOCK = sampling._MT_BLOCK
@@ -124,7 +125,7 @@ def _reference(seed: int, words: int) -> list[int]:
 
 @pytest.fixture
 def cold_cache():
-    """Every harvest below starts from (and leaves) an empty prefix cache."""
+    """Every harvest below starts from (and leaves) no kept harvest."""
     prefix_cache_clear()
     yield
     prefix_cache_clear()
@@ -193,58 +194,67 @@ class TestMt19937Words:
 
 
 @pytest.mark.usefixtures("cold_cache")
-class TestPrefixCache:
-    """The LRU of harvested prefixes: what it serves, replaces and evicts."""
+class TestKeptHarvest:
+    """The previous call's harvest: what it serves, and what replaces it."""
 
-    def test_a_hit_does_not_reharvest(self, harvests):
-        first = mt19937_words([3, 4, 5], 20)
-        assert harvests == [3]
+    def test_a_hit_equals_the_reference_and_does_not_reharvest(self, harvests):
+        mt19937_words([3, 4, 5], 20)
         again = mt19937_words([5, 3, 4], 20)
-        shorter = mt19937_words([4], 7)
         assert harvests == [3]
-        assert again.tolist() == first[[2, 0, 1]].tolist()
-        assert shorter.tolist() == [first[1, :7].tolist()]
+        for row, seed in zip(again.tolist(), [5, 3, 4]):
+            assert row == _reference(seed, 20)
+        shorter = mt19937_words([4, 4], 7)  # duplicates, a shorter prefix
+        assert harvests == [3]
+        assert shorter.tolist() == [_reference(4, 7)] * 2
 
-    def test_only_the_misses_are_harvested(self, harvests):
-        mt19937_words([3, 4], 8)
-        got = mt19937_words([4, 9, 3, 10], 8)
-        assert harvests == [2, 2]
-        for row, seed in zip(got.tolist(), [4, 9, 3, 10]):
-            assert row == _reference(seed, 8)
-
-    def test_a_longer_request_reharvests_and_replaces(self, harvests):
+    def test_a_longer_request_reharvests(self, harvests):
         mt19937_words([8], 5)
-        assert sampling._PREFIX_CACHE[8].shape == (5,)
         longer = mt19937_words([8], 30)
         assert harvests == [1, 1]
         assert longer[0].tolist() == _reference(8, 30)
-        assert sampling._PREFIX_CACHE[8].tolist() == _reference(8, 30)
-        mt19937_words([8], 12)  # served from the longer entry
+        mt19937_words([8], 12)  # served from the longer harvest
         assert harvests == [1, 1]
-        assert sampling._PREFIX_CACHE[8].shape == (30,)
 
-    def test_the_lru_evicts_past_its_bound(self, harvests):
-        seeds = list(range(PREFIX_CACHE_ENTRIES))
-        mt19937_words(seeds, 1)
-        assert len(sampling._PREFIX_CACHE) == PREFIX_CACHE_ENTRIES
-        mt19937_words([0], 1)  # a hit: seed 0 becomes the most recent
-        mt19937_words([PREFIX_CACHE_ENTRIES], 1)  # one past the bound
-        cache = sampling._PREFIX_CACHE
-        assert len(cache) == PREFIX_CACHE_ENTRIES
-        assert 0 in cache and PREFIX_CACHE_ENTRIES in cache
-        assert 1 not in cache  # the least recently used goes first
-        calls = len(harvests)
-        mt19937_words([1], 1)
-        assert len(harvests) == calls + 1
+    def test_an_overlapping_call_seeds_only_its_new_seeds(self, harvests):
+        mt19937_words([3, 4, 2**64 - 1], 8)
+        got = mt19937_words([4, 9, 2**64 - 1, 10, 2**32], 8)
+        assert harvests == [3, 3]
+        for row, seed in zip(got.tolist(), [4, 9, 2**64 - 1, 10, 2**32]):
+            assert row == _reference(seed, 8)
 
-    def test_mutating_a_returned_array_leaves_the_cache_intact(self, harvests):
+    def test_only_the_last_call_is_kept(self, harvests):
+        mt19937_words([1, 2], 4)
+        mt19937_words([3], 4)
+        mt19937_words([1, 3], 4)  # 1 was not in the last call; 3 was
+        assert harvests == [2, 1, 1]
+
+    def test_the_returned_matrix_is_read_only(self):
         got = mt19937_words([21, 22], 9)
-        got[:] = 0
-        hit = mt19937_words([21, 22], 9)
-        assert harvests == [2]
-        assert hit.tolist() == [_reference(21, 9), _reference(22, 9)]
-        hit[:] = 1
-        assert mt19937_words([22], 9)[0].tolist() == _reference(22, 9)
+        with pytest.raises(ValueError, match="read-only"):
+            got[0, 0] = 0
+        hit = mt19937_words([22], 9)
+        assert not hit.flags.writeable
+        assert hit[0].tolist() == _reference(22, 9)
+
+    def test_clearing_drops_the_harvest(self, harvests):
+        mt19937_words([5, 6], 3)
+        prefix_cache_clear()
+        assert sampling._kept is None
+        mt19937_words([5, 6], 3)
+        assert harvests == [2, 2]
+
+    def test_a_fig9_shaped_sweep_seeds_each_node_stream_once(self, harvests):
+        """Fig. 9 runs one setup's trials once per (p0, d) pair: 16 calls
+        asking for the same node streams, each seeded by the first only."""
+        trials, n = 20, 10
+        for p0 in (0.25, 0.5, 0.75, 1.0):
+            for d in (0.125, 0.25, 0.5, 0.75):
+                setup = TrialSetup(
+                    n=n, k=1, params=params_with(p0, d, rounds=12),
+                    trials=trials, seed=0,
+                )
+                run_trials(setup, jobs=1)
+        assert sum(harvests) == trials * n
 
 
 def test_a_large_harvest_stays_in_a_bounded_working_set(cold_cache):

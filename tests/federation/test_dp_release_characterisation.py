@@ -310,7 +310,7 @@ EXPECTED_SHARDED: dict = {'batch_one': [('SELECT MAX(value) FROM t00', (5019.0,)
                   'SELECT COUNT(value) FROM part00', 'SELECT BOTTOM 2 value FROM t02'],
                  ['', 't', '', '', '', 'tp']),
                 (0, ['SELECT COUNT(value) FROM t00', 'SELECT MAX(value) FROM t00'],
-                 ['', '']),
+                 ['p', 'p']),
                 (1, ['SELECT SUM(value) FROM t02', 'SELECT COUNT(value) FROM t02'],
                  ['', ''])]}
 
@@ -360,7 +360,7 @@ EXPECTED_FLAT: dict = {'batch_one': [('SELECT MAX(value) FROM t00', (5019.0,), '
                        ((7366.083333333333,), 'secure-sum+dp', True)],
  'try_cached': [None, None, None],
  'batch_two': [('SELECT COUNT(value) FROM t00', (10.0,), 'secure-sum+dp', 1, 12, False),
-               ('SELECT MAX(value) FROM t00', (7969.0,), 'probabilistic+dp', 5, 36, False),
+               ('SELECT MAX(value) FROM t00', (7969.0,), 'probabilistic+dp', 8, 54, False),
                ('SELECT AVG(value) FROM t02', (7366.083333333333,), 'secure-sum+dp', 1, 24,
                 True)],
  'ledger': ['MAX k=1 t00.value dp_epsilon=2 dp_delta=0 eps=2 delta=0',
@@ -400,7 +400,7 @@ EXPECTED_FLAT: dict = {'batch_one': [('SELECT MAX(value) FROM t00', (5019.0,), '
            ('SELECT AVG(value) FROM t02', 'secure-sum+dp', 0, 0, (7366.083333333333,), None,
             True),
            ('SELECT COUNT(value) FROM t00', 'secure-sum', 1, 12, (13.0,), None, False),
-           ('SELECT MAX(value) FROM t00', 'probabilistic', 5, 36, (9999.0,), 0.0, False),
+           ('SELECT MAX(value) FROM t00', 'probabilistic', 8, 54, (9999.0,), 0.0, False),
            ('SELECT SUM(value) FROM t02', 'secure-sum', 1, 12, (63455.0,), None, False),
            ('SELECT COUNT(value) FROM t02', 'secure-sum', 1, 12, (12.0,), None, False)]}
 

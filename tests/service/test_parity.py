@@ -47,6 +47,15 @@ class TestSoloParity:
             assert via_service.protocol == via_solo.protocol
             assert via_service.cached == via_solo.cached
 
+    def test_a_dp_statement_runs_on_its_plan_alone_as_through_the_service(self):
+        # The service plans DP_TOP at admission; executed alone it is planned
+        # by the release path, and either way its one inner statement runs
+        # on that plan.
+        _service, (served,) = serve([DP_TOP], seed=5)
+        solo = fresh_federation(seed=5).execute(DP_TOP)
+        assert served.values == solo.values
+        assert (served.rounds, served.messages) == (solo.rounds, solo.messages) == (8, 36)
+
     def test_ranking_traces_identical(self, transcripts):
         _service, (served,) = serve(["SELECT TOP 3 value FROM data"], seed=99)
         solo = fresh_federation(seed=99).execute("SELECT TOP 3 value FROM data")

@@ -43,6 +43,7 @@ from repro.sharding.protocol import (
     encode_outcome,
     recv_json,
 )
+from repro.sharding.federation import _gather
 from repro.sharding.router import ShardRouter, TenantPolicy
 from repro.sharding.shards import ProcessShard
 
@@ -54,7 +55,7 @@ WIRE_KEYS = st.sampled_from(
     [
         "ok", "outcome", "results", "statement", "values", "protocol", "rounds",
         "messages", "cached", "simulated_seconds", "error", "message", "members",
-        "hits", "misses", "average_lop",
+        "hits", "misses", "average_lop", "answer", "outcomes", "answers",
     ]
 )
 JSON_VALUES = st.recursive(
@@ -208,6 +209,12 @@ CALLS = {
     "cache_stats": lambda shard: shard.cache_stats(),
     "try_cached": lambda shard: shard.try_cached("SELECT MAX(value) FROM t00"),
     "peek": lambda shard: shard.peek("SELECT MAX(value) FROM t00"),
+    "try_cached_many": lambda shard: shard.try_cached_many(
+        ["SELECT SUM(value) FROM t00", "SELECT COUNT(value) FROM t00"]
+    )(),
+    "peek_many": lambda shard: shard.peek_many(
+        ["SELECT SUM(value) FROM t00", "SELECT COUNT(value) FROM t00"]
+    )(),
     "execute_many_settled": lambda shard: shard.execute_many_settled(
         ["SELECT MAX(value) FROM t00"]
     ),
@@ -225,6 +232,7 @@ def call_within_timeout(shard, call):
         raise
     finally:
         assert time.perf_counter() - start < TIMEOUT + 1.0
+        assert not shard._lock.locked(), "every exchange must release the shard"
 
 
 @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
@@ -235,6 +243,9 @@ def call_within_timeout(shard, call):
 @example(reply={"ok": True, "outcome": {**VALID_OUTCOME, "values": "x"}})
 @example(reply={"ok": True, "answer": {"values": "x", "protocol": "probabilistic"}})
 @example(reply={"ok": True, "results": []})  # fewer results than statements
+@example(reply={"ok": True, "outcomes": [VALID_OUTCOME], "answers": [None]})  # 1 of 2
+@example(reply={"ok": True, "outcomes": [None, {}], "answers": [None, {}]})
+@example(reply={"ok": True, "outcomes": "xy", "answers": {"a": 1, "b": 2}})
 @example(reply={"ok": 1})  # truthy is not True
 @settings(max_examples=60, deadline=None)
 def test_any_json_reply_decodes_or_is_shard_unavailable(call, reply):
@@ -266,6 +277,19 @@ def test_broken_frames_are_shard_unavailable_within_the_timeout(call, reply, han
     with scripted_shard(reply, hang_up=hang_up) as shard:
         with pytest.raises(ShardUnavailable):
             call_within_timeout(shard, call)
+
+
+def test_a_fanout_reads_every_posted_reply_before_it_raises():
+    """``_gather`` writes to every shard, then reads every reply: a shard
+    whose reply is broken still leaves the healthy one's exchange complete
+    (its socket kept, in step) and both shards released."""
+    texts = ["SELECT SUM(value) FROM t00"]
+    with scripted_shard(reply_bytes({"ok": True, "answers": [None]})) as healthy:
+        with scripted_shard(b"") as broken:
+            with pytest.raises(ShardUnavailable):
+                _gather([broken, healthy], lambda shard: shard.peek_many(texts))
+            assert broken._sock is None and healthy._sock is not None
+            assert not broken._lock.locked() and not healthy._lock.locked()
 
 
 def test_a_live_database_is_refused_before_the_wire():

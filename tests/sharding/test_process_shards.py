@@ -267,7 +267,7 @@ def test_local_and_process_twins_run_the_same_config(config, rounds):
 
 def test_a_worker_forked_from_a_warm_gateway_answers_as_its_local_twin():
     """Module state crosses the fork — the audit and message id counters, the
-    ``spec.prepare`` LRU, the sampling prefix cache — and must not bend a
+    ``spec.prepare`` LRU, the sampling module's kept harvest — and must not bend a
     worker's answers away from its in-process twin's."""
     config = RunConfig(params=ProtocolParams.with_randomization(1.0, 0.5))
     warm = build_topology(shards=1, parties_per_shard=4, tables=6, seed=31)
@@ -291,3 +291,52 @@ def test_a_worker_forked_from_a_warm_gateway_answers_as_its_local_twin():
         ]
     finally:
         remote.close()
+
+
+@pytest.mark.parametrize("shards", [2, 3])
+def test_a_fanout_hit_is_two_exchanges_per_shard(shards, monkeypatch):
+    """A fan-out hit peeks every shard for all its texts in one frame each,
+    then serves them in one frame each: every frame of a phase is written
+    before any of its replies is read, whatever the shard and text count."""
+    from repro.sharding import shards as shards_module
+
+    topology = build_topology(
+        shards=shards, parties_per_shard=3, tables=2, rows_per_table=8,
+        partitioned=1, seed=17,
+    )
+    sharded = sharded_federation(topology, processes=True)
+    port_to_shard = {shard.port: shard.index for shard in sharded.shards}
+    wire: list[tuple[str, int]] = []
+    send, recv = shards_module.send_json, shards_module.recv_json
+
+    def spy_send(sock, payload):
+        wire.append((payload["op"], port_to_shard[sock.getpeername()[1]]))
+        return send(sock, payload)
+
+    def spy_recv(sock):
+        wire.append(("reply", port_to_shard[sock.getpeername()[1]]))
+        return recv(sock)
+
+    monkeypatch.setattr(shards_module, "send_json", spy_send)
+    monkeypatch.setattr(shards_module, "recv_json", spy_recv)
+    table = topology.partitioned[0]
+    try:
+        for statement in (
+            f"SELECT AVG(value) FROM {table}",  # two texts per shard
+            f"SELECT SUM(value) FROM {table}",
+            f"SELECT TOP 2 value FROM {table}",
+        ):
+            served = sharded.execute(statement)
+            wire.clear()
+            hit = sharded.try_cached(statement, issuer="t")
+            assert hit is not None and hit.cached
+            assert hit.values == served.values
+            indices = range(shards)
+            assert wire == (
+                [("peek_many", i) for i in indices]
+                + [("reply", i) for i in indices]
+                + [("try_cached_many", i) for i in indices]
+                + [("reply", i) for i in indices]
+            ), statement
+    finally:
+        sharded.close()
