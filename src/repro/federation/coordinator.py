@@ -43,6 +43,7 @@ from ..database.schema import common_query
 from ..extensions.ksecuresum import run_k_secure_sum
 from ..extensions.securesum import run_secure_sum
 from ..observability.trace import TraceContext, Tracer
+from ..planner.cost import SECURE_SUM
 from ..planner.errors import PlanInfeasible
 from ..planner.plan import Plan
 from ..planner.planner import QueryPlanner
@@ -55,6 +56,9 @@ from .cache import CachedAnswer, CacheKey, ResultCache
 from .dp_release import DpReleasePath
 from .outcomes import FederationError, QueryOutcome, QueryRefused
 from .sql import FederatedStatement, SqlError, parse
+
+#: The additive path's protocol names: the ring secure sum, then segmented.
+SECURE_SUM_PROTOCOLS = (SECURE_SUM, f"k-{SECURE_SUM}")
 
 
 class Federation:
@@ -669,9 +673,7 @@ class Federation:
                 raise FederationError("AVG over zero rows")
             value = sum_outcome.total / total_count
 
-        protocol = (
-            "k-secure-sum" if self._secure_segments > 1 else "secure-sum"
-        )
+        protocol = SECURE_SUM_PROTOCOLS[self._secure_segments > 1]
         rounds = self._secure_segments if self._secure_segments > 1 else 1
         outcome = QueryOutcome(
             statement=statement.text,

@@ -52,8 +52,11 @@ from ..privacy.dp import (
     DpRequired,
     build_request,
 )
-from .outcomes import FederationError, QueryOutcome, QueryRefused
+from .outcomes import FederationError, QueryOutcome, QueryRefused, SharedOutcomes
 from .sql import SqlError
+
+#: What a DP release appends to the protocol name of the answers it perturbed.
+DP_SUFFIX = "+dp"
 
 
 class TenantMeters(Protocol):
@@ -170,6 +173,8 @@ class DpReleasePath:
         self._meters = meters
         #: (statement text, attribute domain) -> its resolved request.
         self._requests: "dict[tuple[str, Domain | None], DpRequest]" = {}
+        #: Each spelling's last free re-serve, handed out again while unchanged.
+        self._served = SharedOutcomes()
 
     def _request(self, spec: QuerySpec) -> DpRequest:
         """``spec``'s release request: resolved once per (statement, domain).
@@ -313,7 +318,8 @@ class DpReleasePath:
         what keeps flat and sharded ledgers byte-identical per seed.  One
         charge per *fresh* release; a DP statement whose inner answers are
         the ones its latest release perturbed — cached or re-executed —
-        re-serves that release byte-identically and charges nothing.
+        re-serves that release byte-identically and charges nothing, as the
+        spelling's one shared outcome while its fields stay the same.
         """
         gate, meters, issuer = self.gate, self._meters, batch.issuer
         for position, slot in batch.slots.items():
@@ -340,15 +346,18 @@ class DpReleasePath:
                 continue
             slot.charged = charged
             slot.executed = not all(o.cached for o in outcomes)
-            batch.results[position] = QueryOutcome(
+            outcome = QueryOutcome(
                 statement=slot.bare_text,
                 values=values,
-                protocol=f"{outcomes[0].protocol}+dp",
+                protocol=f"{outcomes[0].protocol}{DP_SUFFIX}",
                 rounds=max(o.rounds for o in outcomes),
                 messages=sum(o.messages for o in outcomes),
                 cached=not charged,
                 simulated_seconds=max(o.simulated_seconds for o in outcomes),
             )
+            if not charged:
+                outcome = self._served.share(prepare(text).spec.text, outcome)
+            batch.results[position] = outcome
             if charged and meters is not None:
                 meters.charge_dp(
                     issuer, request.epsilon, request.delta, statement=request.label
@@ -371,7 +380,9 @@ class DpReleasePath:
         cache-valid, *and* those answers are the ones the release perturbed
         (answers re-cached over mutated data key fresh noise — replaying the
         old noise would disclose the exact data delta); the re-served values are
-        byte-identical to that release and spend zero budget.  Anything else
+        byte-identical to that release and spend zero budget, and a re-serve
+        whose fields are unchanged is the spelling's last one, the same object
+        (:class:`~repro.federation.outcomes.SharedOutcomes`).  Anything else
         returns ``None`` so the batch path settles the statement as a fresh,
         charged release or raises its typed refusal.
 
@@ -398,13 +409,16 @@ class DpReleasePath:
         if before_serve is not None:
             before_serve(request.inner_texts)
         values, _charged = self.gate.finalize(request, inner_values)
-        return QueryOutcome(
-            statement=spec.statement.text,
-            values=values,
-            protocol=f"{answers[0].protocol}+dp",
-            rounds=0,
-            messages=0,
-            cached=True,
+        return self._served.share(
+            spec.text,
+            QueryOutcome(
+                statement=spec.statement.text,
+                values=values,
+                protocol=f"{answers[0].protocol}{DP_SUFFIX}",
+                rounds=0,
+                messages=0,
+                cached=True,
+            ),
         )
 
     # -- gateway admission -----------------------------------------------------
@@ -434,4 +448,4 @@ class DpReleasePath:
                 raise BudgetExhausted(reason, statement=spec.text)
 
 
-__all__ = ["DpBatch", "DpReleasePath", "DpSlot", "TenantMeters"]
+__all__ = ["DP_SUFFIX", "DpBatch", "DpReleasePath", "DpSlot", "TenantMeters"]

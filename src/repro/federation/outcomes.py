@@ -8,6 +8,8 @@ federation, which all produce these.  The public import path stays
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import copysign
+from weakref import WeakValueDictionary
 
 from ..core.results import ProtocolResult
 
@@ -16,9 +18,19 @@ class FederationError(RuntimeError):
     """Raised for invalid federation state or unanswerable queries."""
 
 
+class _WeakReferenceable:
+    # ``dataclass(weakref_slot=True)`` needs Python 3.11; a slotted base whose
+    # one slot is ``__weakref__`` gives a slotted subclass that slot on 3.10.
+    __slots__ = ("__weakref__",)
+
+
 @dataclass(frozen=True, slots=True)
-class QueryOutcome:
-    """Public outcome of one federated query."""
+class QueryOutcome(_WeakReferenceable):
+    """Public outcome of one federated query.
+
+    Treat it as an immutable value: repeat hits of one spelling may return
+    the very same object (:class:`SharedOutcomes`).
+    """
 
     statement: str
     values: tuple[float, ...]
@@ -42,6 +54,47 @@ class QueryOutcome:
     average_lop: float | None = None
 
 
+def _same_bits(a: QueryOutcome, b: QueryOutcome) -> bool:
+    """``a == b`` with every number of the answer the same bits, as the audit
+    log's hit rows are interned: ``-0.0`` and ``0.0`` differ, so do ``1`` and
+    ``1.0``, and a NaN equals nothing, not even the same NaN object."""
+    if a != b:
+        return False
+    for x, y in zip(
+        (*a.values, a.simulated_seconds, a.average_lop),
+        (*b.values, b.simulated_seconds, b.average_lop),
+    ):
+        # ``a == b`` already paired ``None`` with ``None``.
+        if x is not None and (
+            type(x) is not type(y) or x != y or copysign(1.0, x) != copysign(1.0, y)
+        ):
+            return False
+    return True
+
+
+class SharedOutcomes:
+    """Per spelling, the last hit outcome handed out, while a caller holds it.
+
+    :meth:`share` returns that outcome in place of a new one whose fields are
+    bit for bit the same, so the repeat hits of one statement text are one
+    object, as the outcomes a cache entry's ``served`` map keeps are.  The
+    outcome is held by weak reference: once no caller keeps it, its entry
+    goes too, so this holds nothing a caller has let go.
+    """
+
+    __slots__ = ("_last",)
+
+    def __init__(self) -> None:
+        self._last: WeakValueDictionary[str, QueryOutcome] = WeakValueDictionary()
+
+    def share(self, spelling: str, outcome: QueryOutcome) -> QueryOutcome:
+        held = self._last.get(spelling)
+        if held is not None and _same_bits(held, outcome):
+            return held
+        self._last[spelling] = outcome
+        return outcome
+
+
 @dataclass(frozen=True)
 class QueryRefused:
     """One statement's refusal on the settled batch path.
@@ -59,4 +112,4 @@ class QueryRefused:
     error: Exception
 
 
-__all__ = ["FederationError", "QueryOutcome", "QueryRefused"]
+__all__ = ["FederationError", "QueryOutcome", "QueryRefused", "SharedOutcomes"]

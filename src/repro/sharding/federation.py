@@ -37,7 +37,12 @@ from dataclasses import replace
 from ..database.query import Domain
 from ..federation.cache import CachedAnswer
 from ..federation.dp_release import DpBatch, DpReleasePath
-from ..federation.outcomes import FederationError, QueryOutcome, QueryRefused
+from ..federation.outcomes import (
+    FederationError,
+    QueryOutcome,
+    QueryRefused,
+    SharedOutcomes,
+)
 from ..observability.trace import TraceContext
 from ..planner.errors import PlanInfeasible
 from ..planner.plan import Plan
@@ -153,6 +158,8 @@ class ShardedFederation:
         self.shard_refusals: Counter[int] = Counter()
         self.shard_unavailable: Counter[int] = Counter()
         self.fanout_statements = 0
+        #: Per fan-out spelling, its last merged hit (see :meth:`_merged`).
+        self._fanout_hits = SharedOutcomes()
         self.domain = domain
         self._attribute_domains: dict[tuple[str, str], Domain] = {}
         self.dp_gate = DpGate(dp)
@@ -195,10 +202,12 @@ class ShardedFederation:
         """
         self.shards[self._shard_of(shard)].register(database)
         self._members = None
+        self._fanout_hits = SharedOutcomes()
 
     def deregister(self, owner: str, *, shard: int) -> None:
         self.shards[self._shard_of(shard)].deregister(owner)
         self._members = None
+        self._fanout_hits = SharedOutcomes()
 
     def _shard_of(self, index: int) -> int:
         if not 0 <= index < len(self.shards):
@@ -303,7 +312,7 @@ class ShardedFederation:
             statement_text,
             lambda shard, text: shard.try_cached(text, issuer=issuer),
             lambda shard, texts: shard.try_cached_many(texts, issuer=issuer),
-            lambda statement, partials: _merge_fanout(
+            lambda statement, partials: self._merged(
                 statement, statement_text, partials
             ),
         )
@@ -568,8 +577,10 @@ class ShardedFederation:
         sub-batch holds its statements in batch order, a DP statement's
         inner statements in its place — the order a flat batch runs them
         in, so each shard's seed draws and dedupe behave exactly like an
-        unsharded batch of that sub-stream.  Routed statements carry their
-        trace and pre-resolved plan; fan-out texts carry neither.
+        unsharded batch of that sub-stream.  Every text carries its
+        statement's pre-resolved plan (a DP statement's inner text, the DP
+        statement's), so each shard runs what a flat federation would;
+        routed texts also carry their trace.
         """
         #: shard index -> (texts, traces, plans) of its sub-batch
         subs: dict[int, tuple[list[str], list, list]] = {}
@@ -584,11 +595,11 @@ class ShardedFederation:
                     statement = prepare(batch.texts[p]).spec.statement
                     texts = _fanout_texts(statement)
                     targets: Sequence[int] = range(len(self.shards))
-                    trace = plan = None
+                    trace = None
                 else:
                     statement, texts, targets = None, [batch.texts[p]], (target,)
                     trace = batch.traces[p] if batch.traces is not None else None
-                    plan = batch.plans[p]
+                plan = batch.plans[p]
                 starts = []
                 for index in targets:
                     sub_texts, traces, plans = subs.setdefault(index, ([], [], []))
@@ -631,9 +642,20 @@ class ShardedFederation:
                 results[p] = partials[0][0]
             else:
                 try:
-                    results[p] = _merge_fanout(statement, texts[p], partials)
+                    results[p] = self._merged(statement, texts[p], partials)
                 except FederationError as exc:
                     results[p] = QueryRefused(statement=texts[p], error=exc)
+
+    def _merged(
+        self, statement, statement_text: str, partials: "list[list[QueryOutcome]]"
+    ) -> QueryOutcome:
+        """:func:`_merge_fanout`, a hit shared per spelling: a merged hit whose
+        fields are bit for bit the spelling's last one is that object, as a
+        routed hit is its shard's one cached outcome."""
+        outcome = _merge_fanout(statement, statement_text, partials)
+        if not outcome.cached:
+            return outcome
+        return self._fanout_hits.share(statement_text, outcome)
 
     # -- metrics -------------------------------------------------------------
 

@@ -15,6 +15,16 @@ executed ring's ``average_lop``, and it carries no protocol transcript on
 either side of the wire, so a routed outcome equals the flat federation's
 field for field.
 
+A reply answers its request entry by entry, and the gateway decodes each
+entry against the text it sent: an outcome's ``statement`` (and a
+refusal's) is the gateway's own text object, a reply naming another
+statement is refused, and ``protocol`` is one canonical object per name from
+the closed set the federations produce.  A decoded outcome then shares
+nothing with the JSON it came from but its numbers.
+
+A request's plans cross as the two fields the executor reads (protocol and
+ring parameters), so a worker runs a statement on the gateway's plan.
+
 The decoders read bytes another process wrote, so every way a value can
 have the wrong shape — not JSON, not an object, a missing key, a number
 where a list belongs — raises :class:`~repro.deploy.wire.WireError`, the
@@ -26,15 +36,22 @@ from __future__ import annotations
 
 import json
 import socket
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
+from dataclasses import dataclass
 
+from ..core.noise import UniformNoise
+from ..core.params import ProtocolParams
+from ..core.schedule import ExponentialSchedule
+from ..core.session import PROTOCOLS
 from ..deploy.wire import WireError, recv_frame, send_frame
 from ..federation.cache import CachedAnswer
-from ..federation.coordinator import QueryOutcome, QueryRefused
+from ..federation.coordinator import SECURE_SUM_PROTOCOLS, QueryOutcome, QueryRefused
+from ..federation.dp_release import DP_SUFFIX
 from ..federation.sql import SqlError
 from ..planner.errors import PlanInfeasible
-from ..planner.spec import SloError
+from ..planner.plan import Plan
+from ..planner.spec import SloError, prepare
 from ..privacy.accounting import BudgetExceededError
 from .errors import (
     ShardError,
@@ -55,6 +72,16 @@ _ERROR_TYPES: dict[str, type[Exception]] = {
     "ShardUnavailable": ShardUnavailable,
     "TenantRateLimited": TenantRateLimited,
     "TenantBudgetExceeded": TenantBudgetExceeded,
+}
+
+
+#: Every protocol name an outcome can carry, each mapped to its one
+#: canonical object: the ring protocols and the secure sums, bare or released
+#: under DP.
+_PROTOCOL_NAMES: dict[str, str] = {
+    name: name
+    for base in (*PROTOCOLS, *SECURE_SUM_PROTOCOLS)
+    for name in (base, base + DP_SUFFIX)
 }
 
 
@@ -106,19 +133,45 @@ def encode_outcome(outcome: QueryOutcome) -> dict:
     }
 
 
-def decode_outcome(payload: dict) -> QueryOutcome:
+def decode_outcome(payload: dict, statement: "str | None" = None) -> QueryOutcome:
+    """The outcome ``payload`` encodes, as the answer to ``statement``.
+
+    ``statement`` is the text the request entry sent; the outcome names that
+    text's bare statement and holds the gateway's own object for it: the
+    sent text itself when it carries no SLO.  A reply naming any other
+    statement is a ``WireError``.  Without ``statement`` the reply's own
+    name is taken as it stands.
+    """
     with well_formed("outcome"):
         _expect(payload["values"], list, "outcome values")
+        named = str(payload["statement"])
+        if statement is not None:
+            sent = (
+                statement
+                if named == statement
+                else prepare(statement).spec.statement.text
+            )
+            if named != sent:
+                raise WireError(f"outcome for {named!r} answers {sent!r}")
+            named = sent
         return QueryOutcome(
-            statement=str(payload["statement"]),
+            statement=named,
             values=tuple(float(v) for v in payload["values"]),
-            protocol=str(payload["protocol"]),
+            protocol=_protocol(payload["protocol"]),
             rounds=int(payload["rounds"]),
             messages=int(payload["messages"]),
             cached=bool(payload["cached"]),
             simulated_seconds=float(payload["simulated_seconds"]),
             average_lop=_lop(payload["average_lop"]),
         )
+
+
+def _protocol(name: object) -> str:
+    """The canonical object for a protocol name; an unknown one is refused."""
+    canonical = _PROTOCOL_NAMES.get(name) if isinstance(name, str) else None
+    if canonical is None:
+        raise WireError(f"unknown protocol {name!r:.80}")
+    return canonical
 
 
 def _lop(value: object) -> float | None:
@@ -140,7 +193,7 @@ def decode_answer(payload: "dict | None") -> CachedAnswer | None:
         _expect(payload["values"], list, "answer values")
         return CachedAnswer(
             values=tuple(float(v) for v in payload["values"]),
-            protocol=str(payload["protocol"]),
+            protocol=_protocol(payload["protocol"]),
         )
 
 
@@ -156,21 +209,84 @@ def encode_settled(results: "list[QueryOutcome | QueryRefused]") -> list[dict]:
     return encoded
 
 
-def decode_settled(payload: list) -> "list[QueryOutcome | QueryRefused]":
-    results: "list[QueryOutcome | QueryRefused]" = []
+def decode_settled(
+    payload: list, statements: "Sequence[str] | None" = None
+) -> "list[QueryOutcome | QueryRefused]":
+    """A settled batch; with ``statements``, the one entry answering each.
+
+    Given the request's texts, the reply must hold exactly one entry per
+    text, in order, each naming its text (see :func:`decode_outcome`); a
+    refusal's ``statement`` is then the sent text object.
+    """
     _expect(payload, list, "settled batch")
+    if statements is not None and len(payload) != len(statements):
+        raise WireError(f"{len(payload)} results for {len(statements)} statements")
+    results: "list[QueryOutcome | QueryRefused]" = []
     with well_formed("settled batch"):
-        for entry in payload:
+        for index, entry in enumerate(payload):
+            sent = None if statements is None else statements[index]
             if entry.get("ok"):
-                results.append(decode_outcome(entry["outcome"]))
-            else:
-                results.append(
-                    QueryRefused(
-                        statement=str(entry.get("statement", "")),
-                        error=decode_error(entry),
-                    )
-                )
+                results.append(decode_outcome(entry["outcome"], sent))
+                continue
+            named = str(entry.get("statement", ""))
+            if sent is not None:
+                if named != sent:
+                    raise WireError(f"refusal of {named!r} answers {sent!r}")
+                named = sent
+            results.append(QueryRefused(statement=named, error=decode_error(entry)))
     return results
+
+
+@dataclass(frozen=True)
+class WirePlan:
+    """A plan as a worker runs it: the two fields the executor reads."""
+
+    protocol: str
+    params: ProtocolParams | None
+
+
+#: The ring parameters a plan carries besides its exponential schedule.
+_PARAM_FIELDS = ("rounds", "epsilon", "delta", "remap_each_round", "insert_once")
+
+
+def encode_plan(plan: "Plan | WirePlan | None") -> "dict | None":
+    """The fields of ``plan`` a worker's executor reads, or ``None``.
+
+    Ring parameters cross as the planner writes them: an exponential
+    schedule under the default noise; any other is a ``ValueError`` (it
+    would run as something else on the far side).
+    """
+    if plan is None:
+        return None
+    params = plan.params
+    wire: dict = {"protocol": plan.protocol, "params": None}
+    if params is not None:
+        schedule = params.schedule
+        if not isinstance(schedule, ExponentialSchedule) or params.noise != UniformNoise():
+            raise ValueError(
+                f"a plan over {type(schedule).__name__} / {type(params.noise).__name__} "
+                "cannot cross the shard wire"
+            )
+        wire["params"] = {
+            "p0": schedule.p0,
+            "d": schedule.d,
+            **{name: getattr(params, name) for name in _PARAM_FIELDS},
+        }
+    return wire
+
+
+def decode_plan(payload: "dict | None") -> WirePlan | None:
+    """The plan :func:`encode_plan` wrote (read in the worker)."""
+    if payload is None:
+        return None
+    fields = payload["params"]
+    params = None
+    if fields is not None:
+        params = ProtocolParams(
+            schedule=ExponentialSchedule(p0=fields["p0"], d=fields["d"]),
+            **{name: fields[name] for name in _PARAM_FIELDS},
+        )
+    return WirePlan(protocol=payload["protocol"], params=params)
 
 
 def send_json(sock: socket.socket, payload: dict) -> None:
@@ -187,12 +303,15 @@ def recv_json(sock: socket.socket) -> dict:
 
 
 __all__ = [
+    "WirePlan",
     "decode_answer",
     "decode_error",
     "decode_outcome",
+    "decode_plan",
     "decode_settled",
     "encode_error",
     "encode_outcome",
+    "encode_plan",
     "encode_settled",
     "recv_json",
     "send_json",

@@ -16,9 +16,12 @@ the same small surface (``members``, ``execute_many_settled``,
     deploy layer's wire framing).  Every socket operation runs under a
     timeout and every transport failure — refused
     connection, timeout, reset, truncated frame, a reply that is not the
-    JSON shape the request calls for — surfaces as a typed
+    JSON shape the request calls for, a reply naming another statement than
+    the one it answers — surfaces as a typed
     :class:`~repro.sharding.errors.ShardUnavailable`, never a hang: a
-    SIGKILLed worker degrades exactly the statements routed to it.
+    SIGKILLed worker degrades exactly the statements routed to it.  Its hits
+    decode onto the gateway's own texts, and a spelling's repeat hits return
+    one shared outcome, as a local shard's cache entries do.
 """
 
 from __future__ import annotations
@@ -31,11 +34,12 @@ import tempfile
 import threading
 import time
 from collections.abc import Callable, Iterable, Sequence
-from typing import IO, TypeVar
+from typing import IO, Any, TypeVar
 
 from ..deploy.wire import WireError
 from ..federation.cache import CachedAnswer
 from ..federation.coordinator import Federation, QueryOutcome, QueryRefused
+from ..federation.outcomes import SharedOutcomes
 from ..observability.trace import TraceContext
 from ..planner.plan import Plan
 from . import worker
@@ -44,6 +48,7 @@ from .protocol import (
     decode_answer,
     decode_outcome,
     decode_settled,
+    encode_plan,
     recv_json,
     send_json,
     well_formed,
@@ -190,6 +195,8 @@ class ProcessShard:
         #: still has them): the launcher's, then moved by this client's own
         #: successful ``deregister``.
         self._members = tuple(sorted(members))
+        #: Per spelling, the last hit outcome decoded (see :meth:`_shared`).
+        self._hits = SharedOutcomes()
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -396,6 +403,15 @@ class ProcessShard:
     def members(self) -> tuple[str, ...]:
         return self._members
 
+    def _shared(self, statement: str, outcome: QueryOutcome) -> QueryOutcome:
+        """``outcome``, or the shared outcome of ``statement``'s last hit.
+
+        A hit whose fields are bit for bit those of the spelling's last hit
+        is that hit's outcome, one object per spelling, as a local shard's
+        cache entry serves it; a miss passes through.
+        """
+        return self._hits.share(statement, outcome) if outcome.cached else outcome
+
     def execute_many_settled(
         self,
         statements: Sequence[str],
@@ -404,26 +420,25 @@ class ProcessShard:
         traces: "Sequence[TraceContext | None] | None" = None,
         plans: "Sequence[Plan | None] | None" = None,
     ) -> "list[QueryOutcome | QueryRefused]":
-        # Traces and plan objects stay in the gateway process: spans for
-        # remote work are recorded by the sharded federation around this
-        # call, and workers re-plan SLO'd statements themselves.
-        del traces, plans
-
-        def decode(reply: dict) -> "list[QueryOutcome | QueryRefused]":
-            settled = decode_settled(reply["results"])
-            if len(settled) != len(statements):
-                raise WireError(
-                    f"{len(settled)} results for {len(statements)} statements"
-                )
-            return settled
-
+        # Traces stay in the gateway process: spans for remote work are
+        # recorded by the sharded federation around this call.  Plans cross
+        # as the fields the worker's executor reads.
+        del traces
+        request: dict = {
+            "op": "execute_many_settled",
+            "statements": list(statements),
+            "issuer": issuer,
+        }
+        if plans is not None and any(plan is not None for plan in plans):
+            request["plans"] = [encode_plan(plan) for plan in plans]
         return self._request(
-            {
-                "op": "execute_many_settled",
-                "statements": list(statements),
-                "issuer": issuer,
-            },
-            decode,
+            request,
+            lambda reply: [
+                self._shared(text, r) if isinstance(r, QueryOutcome) else r
+                for text, r in zip(
+                    statements, decode_settled(reply["results"], statements)
+                )
+            ],
         )
 
     def try_cached(
@@ -431,10 +446,14 @@ class ProcessShard:
     ) -> QueryOutcome | None:
         return self._request(
             {"op": "try_cached", "statement": statement, "issuer": issuer},
-            lambda reply: (
-                None if reply["outcome"] is None else decode_outcome(reply["outcome"])
-            ),
+            lambda reply: self._hit(reply["outcome"], statement),
         )
+
+    def _hit(self, entry: "dict | None", statement: str) -> QueryOutcome | None:
+        """A ``try_cached`` reply entry for ``statement``; ``None`` is a miss."""
+        if entry is None:
+            return None
+        return self._shared(statement, decode_outcome(entry, statement))
 
     def peek(self, statement: str) -> CachedAnswer | None:
         return self._request(
@@ -453,11 +472,7 @@ class ProcessShard:
                 "statements": list(statements),
                 "issuer": issuer,
             },
-            lambda reply: _aligned(
-                reply["outcomes"],
-                statements,
-                lambda entry: None if entry is None else decode_outcome(entry),
-            ),
+            lambda reply: _aligned(reply["outcomes"], statements, self._hit),
         )
 
     def peek_many(
@@ -467,7 +482,9 @@ class ProcessShard:
         returned call reads the reply (see :meth:`_post`)."""
         return self._post(
             {"op": "peek_many", "statements": list(statements)},
-            lambda reply: _aligned(reply["answers"], statements, decode_answer),
+            lambda reply: _aligned(
+                reply["answers"], statements, lambda entry, _text: decode_answer(entry)
+            ),
         )
 
     def cache_stats(self) -> tuple[int, int]:
@@ -484,15 +501,21 @@ class ProcessShard:
     def deregister(self, owner: str) -> None:
         self._request({"op": "deregister", "owner": owner})
         self._members = tuple(m for m in self._members if m != owner)
+        # The worker's cache keys moved with its membership, so its next
+        # hits are new answers, as a local shard's are.
+        self._hits = SharedOutcomes()
 
 
 def _aligned(
-    entries: object, statements: Sequence[str], decode: "Callable[[object], _T]"
+    entries: object,
+    statements: Sequence[str],
+    decode: "Callable[[Any, str], _T]",
 ) -> "list[_T]":
-    """A batched reply's per-statement entries, decoded: one per statement."""
+    """A batched reply's entries, each decoded against the statement it
+    answers: exactly one per statement."""
     if not isinstance(entries, list) or len(entries) != len(statements):
         raise WireError(f"expected {len(statements)} entries, got {entries!r:.80}")
-    return [decode(entry) for entry in entries]
+    return [decode(entry, text) for entry, text in zip(entries, statements)]
 
 
 __all__ = ["LocalShard", "ProcessShard"]

@@ -22,7 +22,13 @@ import traceback
 from collections.abc import Callable
 from typing import TYPE_CHECKING, NoReturn
 
-from .protocol import encode_outcome, encode_settled, recv_json, send_json
+from .protocol import (
+    decode_plan,
+    encode_outcome,
+    encode_settled,
+    recv_json,
+    send_json,
+)
 
 if TYPE_CHECKING:
     from ..federation.cache import CachedAnswer
@@ -40,7 +46,13 @@ def _handle(shard: LocalShard, request: dict) -> dict:
         hits, misses = shard.cache_stats()
         return {"ok": True, "hits": hits, "misses": misses}
     if op == "execute_many_settled":
-        settled = shard.execute_many_settled(texts, issuer=issuer)
+        # A statement runs on the gateway's plan when the request carries one.
+        plans = request.get("plans")
+        settled = shard.execute_many_settled(
+            texts,
+            issuer=issuer,
+            plans=None if plans is None else [decode_plan(p) for p in plans],
+        )
         return {"ok": True, "results": encode_settled(settled)}
     if op == "try_cached":
         outcome = shard.try_cached(str(request.get("statement", "")), issuer=issuer)

@@ -230,7 +230,7 @@ EXPECTED_SHARDED: dict = {'batch_one': [('SELECT MAX(value) FROM t00', (5019.0,)
                ('DpRequired',
                 "issuer 'acme' holds a DP budget: 'SELECT SUM(value) FROM part00' needs "
                 'WITH SLO(dp_epsilon=...)'),
-               ('SELECT TOP 2 value FROM part00', (10000.0, 1.0), 'probabilistic+dp', 5, 36,
+               ('SELECT TOP 2 value FROM part00', (10000.0, 1.0), 'probabilistic+dp', 8, 54,
                 False),
                ('SELECT AVG(value) FROM t02', (7366.083333333333,), 'secure-sum+dp', 1, 12,
                 False),
@@ -303,12 +303,12 @@ EXPECTED_SHARDED: dict = {'batch_one': [('SELECT MAX(value) FROM t00', (5019.0,)
                  ['SELECT MAX(value) FROM t00', 'SELECT TOP 2 value FROM part00',
                   'SELECT SUM(value) FROM part00', 'SELECT COUNT(value) FROM part00',
                   'SELECT MAX(value) FROM t00', 'SELECT COUNT(value) FROM t00'],
-                 ['tp', '', '', '', 'tp', 'tp']),
+                 ['tp', 'p', '', '', 'tp', 'tp']),
                 (1,
                  ['SELECT TOP 2 value FROM part00', 'SELECT SUM(value) FROM t02',
                   'SELECT COUNT(value) FROM t02', 'SELECT SUM(value) FROM part00',
                   'SELECT COUNT(value) FROM part00', 'SELECT BOTTOM 2 value FROM t02'],
-                 ['', 't', '', '', '', 'tp']),
+                 ['p', 't', '', '', '', 'tp']),
                 (0, ['SELECT COUNT(value) FROM t00', 'SELECT MAX(value) FROM t00'],
                  ['p', 'p']),
                 (1, ['SELECT SUM(value) FROM t02', 'SELECT COUNT(value) FROM t02'],

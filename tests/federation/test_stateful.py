@@ -14,7 +14,8 @@ lock-step and must serve equal outcomes (answer, costs and the ring's
 average LoP), compose the same (epsilon, delta) ledger and count the same
 cache hits and misses.  The twin's tenant ``gov`` holds an epsilon budget, so
 it is DP-governed: it gets DP releases only, and its plain statements are
-refused before any book moves.
+refused before any book moves.  On both, a spelling hit again with an
+unchanged answer is its last hit's very object.
 """
 
 import random
@@ -119,6 +120,11 @@ class FederationMachine(RuleBasedStateMachine):
         self.charged = 0
         self.free_serves = 0
         self.last_spent = 0.0
+        #: Spelling -> its last hit, flat and twin, while no membership change,
+        #: insert or cache drop since could have moved its answer.
+        self.last_hits: dict[str, tuple] = {}
+        #: (hit, the spelling's last hit) pairs that must be one object.
+        self.repeat_hits: list[tuple] = []
 
     def _join(self, name: str, values: list[int]) -> None:
         database = database_from_values(name, values)
@@ -127,14 +133,30 @@ class FederationMachine(RuleBasedStateMachine):
         self.twin_databases[name] = database_from_values(name, values)
         self.twin.register(self.twin_databases[name], shard=0)
         self.model[name] = list(values)
+        self._invalidate()
+
+    def _invalidate(self) -> None:
+        """Every cached answer may have moved."""
         self.cached.clear()
+        self.last_hits.clear()
+
+    def _note_hits(self, text: str, outcome, twin) -> None:
+        """Record a hit against the spelling's last one, flat and twin."""
+        if not outcome.cached:
+            return
+        last = self.last_hits.get(text)
+        if last is not None and last[0] == outcome:
+            self.repeat_hits += [(outcome, last[0]), (twin, last[1])]
+        self.last_hits[text] = (outcome, twin)
 
     def _execute(self, text: str, issuer: str = "anonymous"):
         """Serve ``text`` on both federations; the flat outcome."""
         outcome = self.federation.execute(text, issuer=issuer)
+        twin = self.twin.execute(text, issuer=issuer)
         self.outcomes.append(outcome)
-        self.twin_outcomes.append(self.twin.execute(text, issuer=issuer))
+        self.twin_outcomes.append(twin)
         self.issuers.append(issuer)
+        self._note_hits(text, outcome, twin)
         return outcome
 
     def _serve(self, text: str, issuer: str = "anonymous"):
@@ -166,7 +188,7 @@ class FederationMachine(RuleBasedStateMachine):
         self.federation.deregister(name)
         self.twin.deregister(name, shard=0)
         del self.model[name], self.databases[name], self.twin_databases[name]
-        self.cached.clear()
+        self._invalidate()
 
     @precondition(lambda self: len(self.model) > 0)
     @rule(pick=st.randoms(use_true_random=False), value=st.integers(1, 10_000))
@@ -175,13 +197,13 @@ class FederationMachine(RuleBasedStateMachine):
         self.databases[name].insert("data", {"value": value})
         self.twin_databases[name].insert("data", {"value": value})
         self.model[name].append(value)
-        self.cached.clear()
+        self._invalidate()
 
     @rule()
     def invalidate_cache(self) -> None:
         self.federation.cache.clear()
         self.twin.shards[0].federation.cache.clear()
-        self.cached.clear()
+        self._invalidate()
 
     @rule()
     def restart(self) -> None:
@@ -289,6 +311,7 @@ class FederationMachine(RuleBasedStateMachine):
         self.outcomes.append(outcome)
         self.twin_outcomes.append(twin)
         self.issuers.append("anonymous")
+        self._note_hits(text, outcome, twin)
         self.free_serves += 1
         # The flat fast path audits the release itself.
         self.served.append(
@@ -376,6 +399,13 @@ class FederationMachine(RuleBasedStateMachine):
         assert spent >= self.last_spent  # monotone until a restart
         assert spent == pytest.approx(self.charged_epsilon)
         self.last_spent = spent
+
+    @invariant()
+    def an_unchanged_hit_is_the_same_object(self) -> None:
+        # A spelling hit again, equal to its last hit with nothing since that
+        # could move its answer, is that hit's object, flat and twin: a
+        # cached answer's outcome, a DP free re-serve.
+        assert all(hit is last for hit, last in self.repeat_hits)
 
     @invariant()
     def one_shard_twin_serves_equal_outcomes(self) -> None:

@@ -38,6 +38,7 @@ from repro.sharding import (
     local_shards,
 )
 from repro.sharding.protocol import (
+    _PROTOCOL_NAMES,
     decode_outcome,
     decode_settled,
     encode_outcome,
@@ -55,7 +56,7 @@ WIRE_KEYS = st.sampled_from(
     [
         "ok", "outcome", "results", "statement", "values", "protocol", "rounds",
         "messages", "cached", "simulated_seconds", "error", "message", "members",
-        "hits", "misses", "average_lop", "answer", "outcomes", "answers",
+        "hits", "misses", "average_lop", "answer", "outcomes", "answers", "plans",
     ]
 )
 JSON_VALUES = st.recursive(
@@ -69,9 +70,10 @@ JSON_VALUES = st.recursive(
     max_leaves=12,
 )
 
+VALID_STATEMENT = "SELECT TOP 2 value FROM t00"
 VALID_OUTCOME = encode_outcome(
     QueryOutcome(
-        statement="SELECT TOP 2 value FROM t00",
+        statement=VALID_STATEMENT,
         values=(9.0, 7.0),
         protocol="probabilistic",
         rounds=4,
@@ -111,12 +113,33 @@ def reply_bytes(value: object) -> bytes:
 @example(payload={**VALID_OUTCOME, "values": "12"})  # a string is not a list of floats
 @example(payload={**VALID_OUTCOME, "values": [10**400]})  # float(huge int)
 @example(payload={**VALID_OUTCOME, "average_lop": float("nan")})
+@example(payload={**VALID_OUTCOME, "statement": "SELECT TOP 2 value FROM t01"})
+@example(payload={**VALID_OUTCOME, "protocol": "telepathy"})  # outside the set
+@example(payload={**VALID_OUTCOME, "protocol": ["probabilistic"]})  # unhashable
 @settings(max_examples=200, deadline=None)
 def test_decode_outcome_returns_an_outcome_or_wire_error(payload):
     try:
-        assert isinstance(decode_outcome(payload), QueryOutcome)
+        outcome = decode_outcome(payload, VALID_STATEMENT)
     except WireError:
-        pass
+        return
+    # Decoded onto the sent text object, answering it with a known protocol.
+    assert isinstance(outcome, QueryOutcome)
+    assert outcome.statement is VALID_STATEMENT
+    assert _PROTOCOL_NAMES[outcome.protocol] is outcome.protocol
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("statement", "SELECT TOP 2 value FROM t01"),
+        ("statement", "SELECT TOP 3 value FROM t00"),
+        ("protocol", "telepathy"),
+        ("protocol", "probabilistic+dp+dp"),
+    ],
+)
+def test_an_outcome_answering_something_else_is_a_wire_error(field, value):
+    with pytest.raises(WireError, match="answers|unknown protocol"):
+        decode_outcome({**VALID_OUTCOME, field: value}, VALID_STATEMENT)
 
 
 @pytest.mark.parametrize("lop", [None, 0, 0.0625, 1])
@@ -221,6 +244,42 @@ CALLS = {
 }
 
 
+def _answering(outcome: dict) -> dict:
+    """A reply to each call above whose every entry carries ``outcome``."""
+    return {
+        "ok": True,
+        "outcome": outcome,
+        "outcomes": [outcome, outcome],
+        "results": [{"ok": True, "outcome": outcome}],
+        "answer": {"values": outcome["values"], "protocol": outcome["protocol"]},
+        "answers": [{"values": outcome["values"], "protocol": outcome["protocol"]}] * 2,
+    }
+
+
+#: Well-formed replies that answer another statement, or name a protocol no
+#: federation produces: each yields no outcome, only ``ShardUnavailable``.
+OTHER_STATEMENT_REPLY = _answering({**VALID_OUTCOME, "statement": "SELECT MIN(value) FROM t09"})
+UNKNOWN_PROTOCOL_REPLY = _answering({**VALID_OUTCOME, "protocol": "telepathy"})
+
+
+@pytest.mark.parametrize("reply", [OTHER_STATEMENT_REPLY, UNKNOWN_PROTOCOL_REPLY])
+@pytest.mark.parametrize(
+    "call",
+    [CALLS[op] for op in ("try_cached", "try_cached_many", "execute_many_settled")],
+    ids=["try_cached", "try_cached_many", "execute_many_settled"],
+)
+def test_a_reply_answering_something_else_is_shard_unavailable(call, reply):
+    with scripted_shard(reply_bytes(reply)) as shard:
+        with pytest.raises(ShardUnavailable):
+            call_within_timeout(shard, call)
+
+
+def test_a_peek_naming_a_protocol_off_the_set_is_shard_unavailable():
+    with scripted_shard(reply_bytes(UNKNOWN_PROTOCOL_REPLY)) as shard:
+        with pytest.raises(ShardUnavailable, match="unknown protocol"):
+            call_within_timeout(shard, CALLS["peek"])
+
+
 def call_within_timeout(shard, call):
     """``call(shard)``'s value; asserts the typed, bounded failure contract."""
     start = time.perf_counter()
@@ -247,6 +306,8 @@ def call_within_timeout(shard, call):
 @example(reply={"ok": True, "outcomes": [None, {}], "answers": [None, {}]})
 @example(reply={"ok": True, "outcomes": "xy", "answers": {"a": 1, "b": 2}})
 @example(reply={"ok": 1})  # truthy is not True
+@example(reply=OTHER_STATEMENT_REPLY)  # every op's answer, naming another text
+@example(reply=UNKNOWN_PROTOCOL_REPLY)  # every op's answer, a protocol off the set
 @settings(max_examples=60, deadline=None)
 def test_any_json_reply_decodes_or_is_shard_unavailable(call, reply):
     with scripted_shard(reply_bytes(reply)) as shard:

@@ -1,6 +1,7 @@
 """Worker processes over real sockets: parity, codec, typed degradation."""
 
 import asyncio
+import json
 
 import pytest
 
@@ -11,6 +12,8 @@ from repro.federation.coordinator import QueryOutcome, QueryRefused
 from repro.federation.sql import SqlError
 from repro.network.failures import FailureInjector
 from repro.planner.errors import PlanInfeasible
+from repro.planner.planner import QueryPlanner
+from repro.planner.spec import parse_spec
 from repro.service import QueryService
 from repro.sharding import (
     ShardError,
@@ -23,11 +26,14 @@ from repro.sharding import (
     topology_workload,
 )
 from repro.sharding.protocol import (
+    WirePlan,
     decode_error,
+    decode_plan,
     decode_settled,
     encode_error,
     encode_outcome,
     decode_outcome,
+    encode_plan,
     encode_settled,
 )
 
@@ -79,6 +85,28 @@ def test_settled_codec_roundtrip():
     assert isinstance(decoded[1], QueryRefused)
     assert isinstance(decoded[1].error, SqlError)
     assert decoded[1].statement == "s2"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "SELECT TOP 3 value FROM t WITH SLO(dp_epsilon=1.0)",
+        "SELECT MAX(value) FROM t WITH SLO(deadline=5.0, max_rounds=12)",
+        "SELECT BOTTOM 2 value FROM t WITH SLO(protocol=naive)",
+        "SELECT SUM(value) FROM t WITH SLO(deadline=1.0)",
+    ],
+)
+def test_plan_codec_carries_what_the_executor_reads(text):
+    plan = QueryPlanner().plan(parse_spec(text), parties=6)
+    wired = decode_plan(json.loads(json.dumps(encode_plan(plan))))
+    assert (wired.protocol, wired.params) == (plan.protocol, plan.params)
+    assert encode_plan(None) is None and decode_plan(None) is None
+
+
+def test_a_plan_the_wire_cannot_carry_is_refused_before_sending():
+    plan = WirePlan("probabilistic", ProtocolParams(schedule=LinearSchedule(), rounds=4))
+    with pytest.raises(ValueError, match="LinearSchedule"):
+        encode_plan(plan)
 
 
 # -- live worker processes ----------------------------------------------------
@@ -155,6 +183,30 @@ def test_sigkilled_worker_degrades_typed_and_local_shards_survive(warm):
             sharded.try_cached(statement, issuer="t")  # must not raise
     finally:
         sharded.close()
+
+
+def test_process_shards_run_a_dp_statement_on_the_gateways_plan():
+    """The inner statement of a DP release carries no SLO, so a worker that
+    re-planned its text would run it unplanned; it runs the gateway's plan,
+    as a local shard does."""
+    topology = build_topology(shards=2, parties_per_shard=3, partitioned=1, seed=7)
+    table = next(t for t in topology.tables if t not in topology.partitioned)
+    text = f"SELECT TOP 3 value FROM {table} WITH SLO(dp_epsilon=1.0)"
+
+    def serve(sharded):
+        async def submit():
+            async with QueryService(sharded) as service:
+                return await service.submit(text)
+
+        try:
+            return asyncio.run(submit())
+        finally:
+            sharded.close()
+
+    by_process = serve(sharded_federation(topology, processes=True))
+    by_local = serve(sharded_federation(topology))
+    assert (by_local.rounds, by_local.messages) == (8, 27)
+    assert by_process == by_local
 
 
 def test_gateway_serves_an_slo_statement_beside_a_worker_killed_before_first_read():
