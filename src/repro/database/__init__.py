@@ -7,7 +7,6 @@ _EXPORTS = {
     "engines": (
         "COLUMNAR",
         "ColumnarEngine",
-        "DEFAULT_ENGINE",
         "ENGINES",
         "ExtractionSample",
         "ROW",

@@ -71,7 +71,6 @@ Row = dict[str, object]
 __all__ = [
     "AGGREGATES",
     "COLUMNAR",
-    "DEFAULT_ENGINE",
     "ENGINES",
     "ROW",
     "ColumnarEngine",
@@ -87,8 +86,6 @@ ROW = "row"
 COLUMNAR = "columnar"
 #: Engine names accepted by :func:`make_engine` (and everything above it).
 ENGINES = (ROW, COLUMNAR)
-#: The engine new tables use when none is requested.
-DEFAULT_ENGINE = COLUMNAR
 #: The local aggregates a table answers; ``Table.aggregate`` refuses any
 #: other name before an engine sees it.
 AGGREGATES = ("max", "min", "sum", "avg", "count")
@@ -171,34 +168,31 @@ class StorageEngine(ABC):
     The contract is semantic equivalence with :class:`RowStoreEngine` on
     every method: engines may lay data out however they like, but the
     answers — values, order, ties, null handling — must match the row
-    store exactly (the parity property suite enforces this).  Every batch —
-    ``Table.insert_arrays``' arrays and ``Table.insert_many``'s rows, which
-    the table transposes into one list per column — arrives in two phases:
-    each block of a column is handed to :meth:`seal` on its own — a
-    canonicalized numpy array (no nulls) or a validated Python list
-    (possibly with ``None``) — and, once every block of every schema column
-    has been sealed, :meth:`append_columns` stores the sealed forms
-    together.
+    store exactly (the parity property suite enforces this).  An engine is
+    built from its table's schema and keeps it as ``schema``.  A batch —
+    ``Table.insert_arrays``' columns, or ``Table.insert_many``'s rows as one
+    list per column — arrives as validated blocks: a canonicalized numpy
+    array (no nulls) is handed to :meth:`seal` as it arrives, a Python list
+    (possibly with ``None``) makes no call of its own, and one
+    :meth:`append_columns` call stores every column's blocks together.
     """
 
     name: ClassVar[str] = "abstract"
-
-    def __init__(self, schema: Schema) -> None:
-        self.schema = schema
+    schema: Schema
 
     # -- mutation --
 
     @abstractmethod
-    def seal(self, name: str, values: "np.ndarray | list") -> object:
-        """One block of column ``name`` in the form :meth:`append_columns`
+    def seal(self, name: str, values: np.ndarray) -> object:
+        """One array block of column ``name`` in the form :meth:`append_columns`
         stores.  Changes nothing the engine holds, so a batch abandoned
         after some of its blocks were sealed leaves the rows untouched."""
 
     @abstractmethod
     def append_columns(self, sealed: dict[str, list], count: int) -> None:
-        """Append a batch: for every schema column, its blocks' :meth:`seal`
-        results in order, ``count`` rows in all.  All or nothing: it cannot
-        fail part way."""
+        """Append a batch: for every schema column, its blocks in order (a
+        list as passed, an array as :meth:`seal` returned it), ``count`` rows
+        in all.  All or nothing: it cannot fail part way."""
 
     # -- full-row access --
 
@@ -264,11 +258,11 @@ class RowStoreEngine(StorageEngine):
     name = "row"
 
     def __init__(self, schema: Schema) -> None:
-        super().__init__(schema)
+        self.schema = schema
         self._rows: list[Row] = []
 
-    def seal(self, name: str, values: "np.ndarray | list") -> list:
-        return values.tolist() if isinstance(values, np.ndarray) else values
+    def seal(self, name: str, values: np.ndarray) -> list:
+        return values.tolist()
 
     def append_columns(self, sealed: dict[str, list], count: int) -> None:
         names = self.schema.names
@@ -301,16 +295,13 @@ class RowStoreEngine(StorageEngine):
 
 
 class _ObjectColumn:
-    """TEXT (or otherwise unvectorizable) column: a plain value list."""
+    """TEXT column: a plain value list, ``exact`` as a spilled column's."""
 
     def __init__(self) -> None:
-        self.values: list[object] = []
-
-    def append(self, values: Sequence[object]) -> None:
-        self.values.extend(values)
+        self.exact: list[object] = []
 
     def all_values(self) -> list[object]:
-        return list(self.values)
+        return list(self.exact)
 
 
 def _largest(values: np.ndarray, k: int) -> np.ndarray:
@@ -623,14 +614,6 @@ class _NumericColumn:
             and (value != 0.0 or math.copysign(1.0, value) > 0.0)
         )
 
-    def append(self, values: Sequence[object]) -> None:
-        if self.exact is not None:
-            self.exact.extend(values)
-            return
-        self.pending.extend(values)
-        if len(self.pending) >= CHUNK_ROWS:
-            self._flush()
-
     def append_run(self, run: _SealedRun) -> None:
         """Bulk path: a run :func:`_seal` sealed from a null-free array
         while the column was not spilled."""
@@ -813,7 +796,7 @@ class ColumnarEngine(StorageEngine):
     _DTYPES = {"INTEGER": np.dtype(np.int64), "REAL": np.dtype(np.float64)}
 
     def __init__(self, schema: Schema) -> None:
-        super().__init__(schema)
+        self.schema = schema
         dtypes = self._DTYPES
         # A loop, not a comprehension: a table is one column more often than
         # not, and the comprehension's own frame would cost more than it.
@@ -825,12 +808,9 @@ class ColumnarEngine(StorageEngine):
             )
         self._count = 0
 
-    def seal(self, name: str, values: "np.ndarray | list") -> "_SealedRun | list":
-        # Only a numeric column is handed an array (Table canonicalizes
-        # anything else to a validated list).  A column already spilled
-        # stores Python objects: no run to encode, no array to adopt.
-        if not isinstance(values, np.ndarray):
-            return values
+    def seal(self, name: str, values: np.ndarray) -> "_SealedRun | list":
+        # Only a numeric column is handed an array.  A column already
+        # spilled stores Python objects: no run to encode, no array to adopt.
         if self._columns[name].exact is not None:
             return values.tolist()
         return _seal(values)
@@ -838,10 +818,15 @@ class ColumnarEngine(StorageEngine):
     def append_columns(self, sealed: dict[str, list], count: int) -> None:
         for name, column in self._columns.items():
             for data in sealed[name]:
-                if isinstance(data, _SealedRun):
+                if type(data) is not list:
                     column.append_run(data)
+                elif column.exact is not None:  # TEXT, or a spilled column
+                    column.exact += data
                 else:
-                    column.append(data)
+                    # A list joins the pending tail (copied); a full one seals.
+                    column.pending += data
+                    if len(column.pending) >= CHUNK_ROWS:
+                        column._flush()
         self._count += count
 
     def __len__(self) -> int:
@@ -931,15 +916,14 @@ _ENGINE_CLASSES: dict[str, type[StorageEngine]] = {
 }
 
 def make_engine(
-    spec: "str | Callable[[Schema], StorageEngine] | None", schema: Schema
+    spec: "str | Callable[[Schema], StorageEngine]", schema: Schema
 ) -> StorageEngine:
-    """Build a fresh engine for one table from a name, factory, or None.
+    """Build a fresh engine for one table from a name or a factory.
 
     A factory callable is accepted wherever an engine name is: it receives
-    the schema and must return a fresh, empty engine.
+    the schema and must return a fresh, empty engine.  (A table given no
+    engine builds a :class:`ColumnarEngine` itself.)
     """
-    if spec is None:
-        spec = DEFAULT_ENGINE
     if isinstance(spec, str):
         if spec in _ENGINE_CLASSES:
             return _ENGINE_CLASSES[spec](schema)

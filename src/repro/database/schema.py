@@ -57,11 +57,16 @@ class Column:
         One of :data:`COLUMN_TYPES`.
     nullable:
         Whether ``None`` is an accepted value.
+
+    ``accepts`` (its :data:`EXACT_TYPES` entry) is derived once, here, for
+    every batch on the column; equality, hashing, ``repr``, pickling and
+    ``replace`` ignore it.
     """
 
     name: str
     type: str = "INTEGER"
     nullable: bool = False
+    accepts: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name or not self.name.replace("_", "a").isalnum():
@@ -70,6 +75,10 @@ class Column:
             raise SchemaError(
                 f"unknown column type {self.type!r}; expected one of {COLUMN_TYPES}"
             )
+        object.__setattr__(self, "accepts", EXACT_TYPES[self.type, bool(self.nullable)])
+
+    def __reduce__(self) -> tuple:
+        return Column, (self.name, self.type, self.nullable)
 
     def validate(self, value: object) -> None:
         """Raise :class:`SchemaError` unless ``value`` fits this column."""
@@ -93,14 +102,14 @@ class Column:
 class Schema:
     """An ordered collection of :class:`Column` objects.
 
-    ``names`` (in column order), ``name_set`` and the name -> column map
-    behind :meth:`column` are derived once, here: a schema is immutable.
+    ``names`` (in column order), ``name_set`` and ``by_name`` (name ->
+    column) are derived once, here, and ignored as :class:`Column`'s are.
     """
 
     columns: tuple[Column, ...] = field(default_factory=tuple)
     names: tuple[str, ...] = field(init=False, repr=False, compare=False)
     name_set: frozenset[str] = field(init=False, repr=False, compare=False)
-    _by_name: dict[str, Column] = field(init=False, repr=False, compare=False)
+    by_name: dict[str, Column] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = tuple(c.name for c in self.columns)
@@ -108,7 +117,10 @@ class Schema:
             raise SchemaError(f"duplicate column names in schema: {list(names)}")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "name_set", frozenset(names))
-        object.__setattr__(self, "_by_name", dict(zip(names, self.columns)))
+        object.__setattr__(self, "by_name", dict(zip(names, self.columns)))
+
+    def __reduce__(self) -> tuple:
+        return Schema, (self.columns,)
 
     @classmethod
     def of(cls, *specs: tuple[str, str] | Column) -> "Schema":
@@ -124,12 +136,12 @@ class Schema:
 
     def column(self, name: str) -> Column:
         try:
-            return self._by_name[name]
+            return self.by_name[name]
         except KeyError:
             raise SchemaError(f"no such column: {name!r}") from None
 
     def __contains__(self, name: object) -> bool:
-        return name in self._by_name
+        return name in self.by_name
 
     def __len__(self) -> int:
         return len(self.columns)

@@ -13,11 +13,10 @@ validation and the ``version`` cache-invalidation counter live here and are
 engine-independent.  All engines answer bit-identically, so which one backs
 a table is a performance choice, never a semantic one.
 
-Every write reaches the engine one way, as columns: ``insert_arrays`` takes
-them as given (a column whole or in blocks), ``insert_many`` (and
-``insert``, a batch of one) transposes its rows into one list per column
-first.  Each block is validated and canonicalised here, sealed by the
-engine, and the batch committed whole.
+Every write is ``insert_arrays``: it takes columns as given (whole or in
+blocks); ``insert_many`` (and ``insert``, a batch of one) hands it its rows
+as one list per column.  Each block is validated here, an array block also
+canonicalised and sealed by the engine, and the batch committed whole.
 """
 
 from __future__ import annotations
@@ -29,22 +28,22 @@ import numpy as np
 
 from .engines import (
     AGGREGATES,
+    ColumnarEngine,
     ExtractionSample,
     StorageEngine,
     _reals_representable,
     extraction_sink,
     make_engine,
 )
-from .schema import EXACT_TYPES, Column, Schema, SchemaError
+from .schema import Column, Schema, SchemaError
 
 Row = dict[str, object]
 
 
 def _canonical(column: Column, values: Sequence | np.ndarray) -> np.ndarray | list:
-    """One batch column as an engine seals it: an INTEGER array as int64, a
-    REAL array as float64 when every value is representable (finite, never
-    ``-0.0``), anything else as a list whose every value the column has
-    validated (:func:`_validated`)."""
+    """A block that is not a list as the engine takes it: an INTEGER array as
+    int64, a REAL array as float64 when every value is representable (finite,
+    never ``-0.0``), anything else as a list the column has validated."""
     if isinstance(values, np.ndarray):
         kind = values.dtype.kind
         if column.type == "INTEGER" and kind == "i":
@@ -53,19 +52,10 @@ def _canonical(column: Column, values: Sequence | np.ndarray) -> np.ndarray | li
             reals = values.astype(np.float64, copy=False)
             if _reals_representable(reals):
                 return reals
-        return _validated(column, values.tolist())
-    return _validated(column, list(values))
-
-
-def _validated(column: Column, values: list) -> list:
-    """``values`` once the column accepts every one of them.
-
-    One pass over the value types clears a clean column; only a column that
-    pass cannot clear (a subclass such as an ``IntEnum`` member, or a value
-    the column refuses) is checked value by value, so a refusal raises
-    :meth:`Column.validate`'s message for the first value it refuses.
-    """
-    if not EXACT_TYPES[column.type, bool(column.nullable)].issuperset(map(type, values)):
+        values = values.tolist()
+    else:
+        values = list(values)
+    if not column.accepts.issuperset(map(type, values)):
         for value in values:
             column.validate(value)
     return values
@@ -104,7 +94,9 @@ class Table:
             raise SchemaError("table name must be non-empty")
         self.name = name
         self.schema = schema
-        self._engine = make_engine(engine, schema)
+        self._engine = (
+            ColumnarEngine(schema) if engine is None else make_engine(engine, schema)
+        )
         self._version = 0
         #: The owning database's counter, bumped beside ``version``.
         self._database_version: VersionCounter | None = None
@@ -143,11 +135,9 @@ class Table:
         consumed once) checks that each row's keys are schema names and
         appends ``row.get(name)`` — ``None`` for an omitted column — to one
         list per schema column; no caller dict is kept, so later mutation
-        of one cannot reach the table.  The lists then take the path of
-        :meth:`insert_arrays`: each is validated as a column (one pass over
-        its value types; :meth:`Column.validate` value by value only where
-        that pass fails), sealed by the engine, and the batch is committed
-        with one ``version`` bump.
+        of one cannot reach the table.  The lists then go to
+        :meth:`insert_arrays`, which validates each as a column and commits
+        the batch with one ``version`` bump.
 
         All-or-nothing: if any row is invalid, ``SchemaError`` is raised
         with the message :meth:`Schema.validate_row` gives for that row,
@@ -156,16 +146,14 @@ class Table:
         mutation.
         """
         known = self.schema.name_set
-        columns: list[tuple[str, list]] = [(name, []) for name in self.schema.names]
-        count = 0
-        for count, row in enumerate(rows, 1):
+        columns: dict[str, list] = {name: [] for name in self.schema.names}
+        lists = columns.items()
+        for row in rows:
             if not known.issuperset(row):
                 raise SchemaError(f"unknown columns in row: {sorted(set(row) - known)}")
-            for name, values in columns:
+            for name, values in lists:
                 values.append(row.get(name))
-        sealed = {name: [self._engine.seal(name, _validated(column, values))]
-                  for column, (name, values) in zip(self.schema.columns, columns)}
-        return self._commit(sealed, count)
+        return self.insert_arrays(columns)
 
     def insert_arrays(
         self,
@@ -186,10 +174,10 @@ class Table:
         stored form of :meth:`insert_many`'s columns, so a builder that
         holds a column hands it over as a list rather than as one-key rows.
         A list is one block, validated where it lies (one pass over its
-        value types) and sealed once, not copied; the engine copies what it
-        keeps, and nothing holds the list once the call returns.
-        Counts as one mutation batch (one ``version`` bump), like
-        :meth:`insert_many`.
+        value types against ``Column.accepts``; :meth:`Column.validate`
+        value by value only where that fails) and handed over, not copied:
+        the engine copies what it keeps.  Counts as one mutation batch (one
+        ``version`` bump, one engine call), like :meth:`insert_many`.
 
         ``columns`` is a mapping or an iterable of ``(name, values)``
         pairs, in any column order; a mapping is read as its ``items()``.
@@ -221,20 +209,21 @@ class Table:
         if type(columns) is dict or isinstance(columns, Mapping):
             columns = columns.items()
         schema = self.schema
-        seal = self._engine.seal
-        sealed: dict[str, list] = {}
+        by_name = schema.by_name
+        blocks: dict[str, list] = {}
         count = None
         for name, values in columns:
-            try:
-                column = schema.column(name)
-            except SchemaError:
-                raise SchemaError(f"unknown columns in batch: [{name!r}]") from None
-            if name in sealed:
+            column = by_name.get(name)
+            if column is None:
+                raise SchemaError(f"unknown columns in batch: [{name!r}]")
+            if name in blocks:
                 raise SchemaError(f"column {name!r} repeated in batch")
             if type(values) is list:
-                # A builder's column is one block: one type pass, one seal.
+                if not column.accepts.issuperset(map(type, values)):
+                    for value in values:
+                        column.validate(value)
                 rows = len(values)
-                runs = [seal(name, _validated(column, values))]
+                runs = [values]
             else:
                 rows, runs = self._seal_blocks(name, column, values)
             del values
@@ -245,20 +234,26 @@ class Table:
                     f"ragged column batch: {name!r} has {rows} rows, "
                     f"expected {count}"
                 )
-            sealed[name] = runs
+            blocks[name] = runs
         # Every key is a schema name, none twice: equal sizes mean all in.
-        if len(sealed) != len(schema.columns):
-            missing = schema.name_set - sealed.keys()
+        if len(blocks) != len(schema.columns):
+            missing = schema.name_set - blocks.keys()
             raise SchemaError(f"missing columns in batch: {sorted(missing)}")
-        return self._commit(sealed, count)
+        if not count:  # an empty batch is not a mutation
+            return 0
+        self._engine.append_columns(blocks, count)
+        self._version += 1
+        if self._database_version is not None:
+            self._database_version.value += 1
+        return count
 
     def _seal_blocks(
         self, name: str, column: Column, values: Sequence | np.ndarray | Iterator
     ) -> tuple[int, list]:
-        """Column ``name``'s row count and sealed runs, for anything but a
-        plain list: one array or sequence is a stream of one block, and an
-        iterator's blocks are each checked, canonicalised and sealed as they
-        arrive, the input let go of before the next is drawn."""
+        """Column ``name``'s row count and blocks, for anything but a plain
+        list: one array or sequence is a stream of one block, and an
+        iterator's blocks are each checked, canonicalised and (arrays) sealed
+        as they arrive, the input let go of before the next is drawn."""
         stream = not isinstance(values, np.ndarray) and isinstance(values, Iterator)
         runs = []
         rows = 0
@@ -275,21 +270,13 @@ class Table:
                     f"blocks, got a block of type {type(block).__name__!r}"
                 )
             rows += len(block)
-            runs.append(self._engine.seal(name, _canonical(column, block)))
+            block = _canonical(column, block)
+            runs.append(
+                block if type(block) is list else self._engine.seal(name, block)
+            )
             # Let go of the input before the stream draws the next block.
             del block
         return rows, runs
-
-    def _commit(self, sealed: dict[str, list], count: int | None) -> int:
-        """Store a batch whose every column is sealed, as one mutation (an
-        empty batch is none); the one place both insert paths land."""
-        if not count:
-            return 0
-        self._engine.append_columns(sealed, count)
-        self._version += 1
-        if self._database_version is not None:
-            self._database_version.value += 1
-        return count
 
     @property
     def version(self) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import copysign
+from operator import attrgetter
 from weakref import WeakValueDictionary
 
 from ..core.results import ProtocolResult
@@ -54,16 +55,19 @@ class QueryOutcome(_WeakReferenceable):
     average_lop: float | None = None
 
 
-def _same_bits(a: QueryOutcome, b: QueryOutcome) -> bool:
-    """``a == b`` with every number of the answer the same bits, as the audit
-    log's hit rows are interned: ``-0.0`` and ``0.0`` differ, so do ``1`` and
-    ``1.0``, and a NaN equals nothing, not even the same NaN object."""
+#: An outcome's fields in declaration order: ``QueryOutcome(*_fields(o)) == o``.
+_fields = attrgetter(*QueryOutcome.__match_args__)
+
+
+def _same_bits(a: tuple, b: tuple) -> bool:
+    """Two outcomes' :func:`_fields` equal with every number of the answer the
+    same bits, as the audit log's hit rows are interned: ``-0.0`` and ``0.0``
+    differ, so do ``1`` and ``1.0``, and a NaN equals nothing, not even the
+    same NaN object.  The numbers are fields 1, 7 and 8: ``values``,
+    ``simulated_seconds`` and ``average_lop``."""
     if a != b:
         return False
-    for x, y in zip(
-        (*a.values, a.simulated_seconds, a.average_lop),
-        (*b.values, b.simulated_seconds, b.average_lop),
-    ):
+    for x, y in zip((*a[1], a[7], a[8]), (*b[1], b[7], b[8])):
         # ``a == b`` already paired ``None`` with ``None``.
         if x is not None and (
             type(x) is not type(y) or x != y or copysign(1.0, x) != copysign(1.0, y)
@@ -77,9 +81,11 @@ class SharedOutcomes:
 
     :meth:`share` returns that outcome in place of a new one whose fields are
     bit for bit the same, so the repeat hits of one statement text are one
-    object, as the outcomes a cache entry's ``served`` map keeps are.  The
-    outcome is held by weak reference: once no caller keeps it, its entry
-    goes too, so this holds nothing a caller has let go.
+    object, as the outcomes a cache entry's ``served`` map keeps are;
+    :meth:`decode` does the same for fields not yet made an outcome, and
+    makes one only when they are new.  The outcome is held by weak
+    reference: once no caller keeps it, its entry goes too, so this holds
+    nothing a caller has let go.
     """
 
     __slots__ = ("_last",)
@@ -88,10 +94,17 @@ class SharedOutcomes:
         self._last: WeakValueDictionary[str, QueryOutcome] = WeakValueDictionary()
 
     def share(self, spelling: str, outcome: QueryOutcome) -> QueryOutcome:
+        return self.decode(spelling, _fields(outcome), outcome)
+
+    def decode(
+        self, spelling: str, fields: tuple, outcome: QueryOutcome | None = None
+    ) -> QueryOutcome:
+        """The outcome of ``fields`` (an outcome's, in declaration order), as
+        :meth:`share` hands it out: built only if the held one differs."""
         held = self._last.get(spelling)
-        if held is not None and _same_bits(held, outcome):
+        if held is not None and _same_bits(_fields(held), fields):
             return held
-        self._last[spelling] = outcome
+        self._last[spelling] = outcome = outcome or QueryOutcome(*fields)
         return outcome
 
 

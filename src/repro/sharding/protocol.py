@@ -48,6 +48,7 @@ from ..deploy.wire import WireError, recv_frame, send_frame
 from ..federation.cache import CachedAnswer
 from ..federation.coordinator import SECURE_SUM_PROTOCOLS, QueryOutcome, QueryRefused
 from ..federation.dp_release import DP_SUFFIX
+from ..federation.outcomes import SharedOutcomes
 from ..federation.sql import SqlError
 from ..planner.errors import PlanInfeasible
 from ..planner.plan import Plan
@@ -133,14 +134,19 @@ def encode_outcome(outcome: QueryOutcome) -> dict:
     }
 
 
-def decode_outcome(payload: dict, statement: "str | None" = None) -> QueryOutcome:
+def decode_outcome(
+    payload: dict,
+    statement: "str | None" = None,
+    hits: "SharedOutcomes | None" = None,
+) -> QueryOutcome:
     """The outcome ``payload`` encodes, as the answer to ``statement``.
 
     ``statement`` is the text the request entry sent; the outcome names that
     text's bare statement and holds the gateway's own object for it: the
     sent text itself when it carries no SLO.  A reply naming any other
     statement is a ``WireError``.  Without ``statement`` the reply's own
-    name is taken as it stands.
+    name is taken as it stands.  A hit is shared per sent text through
+    ``hits`` (:meth:`SharedOutcomes.decode`): a repeat builds nothing.
     """
     with well_formed("outcome"):
         _expect(payload["values"], list, "outcome values")
@@ -154,16 +160,16 @@ def decode_outcome(payload: dict, statement: "str | None" = None) -> QueryOutcom
             if named != sent:
                 raise WireError(f"outcome for {named!r} answers {sent!r}")
             named = sent
-        return QueryOutcome(
-            statement=named,
-            values=tuple(float(v) for v in payload["values"]),
-            protocol=_protocol(payload["protocol"]),
-            rounds=int(payload["rounds"]),
-            messages=int(payload["messages"]),
-            cached=bool(payload["cached"]),
-            simulated_seconds=float(payload["simulated_seconds"]),
-            average_lop=_lop(payload["average_lop"]),
+        # ``QueryOutcome``'s fields in order (``trace`` never crosses).
+        fields = (
+            named, tuple(map(float, payload["values"])), _protocol(payload["protocol"]),
+            int(payload["rounds"]), int(payload["messages"]), None,
+            bool(payload["cached"]), float(payload["simulated_seconds"]),
+            _lop(payload["average_lop"]),
         )
+    if hits is not None and fields[6]:
+        return hits.decode(statement, fields)
+    return QueryOutcome(*fields)
 
 
 def _protocol(name: object) -> str:
@@ -210,13 +216,16 @@ def encode_settled(results: "list[QueryOutcome | QueryRefused]") -> list[dict]:
 
 
 def decode_settled(
-    payload: list, statements: "Sequence[str] | None" = None
+    payload: list,
+    statements: "Sequence[str] | None" = None,
+    hits: "SharedOutcomes | None" = None,
 ) -> "list[QueryOutcome | QueryRefused]":
     """A settled batch; with ``statements``, the one entry answering each.
 
     Given the request's texts, the reply must hold exactly one entry per
-    text, in order, each naming its text (see :func:`decode_outcome`); a
-    refusal's ``statement`` is then the sent text object.
+    text, in order, each naming its text (see :func:`decode_outcome`, which
+    shares hits through ``hits``); a refusal's ``statement`` is then the
+    sent text object.
     """
     _expect(payload, list, "settled batch")
     if statements is not None and len(payload) != len(statements):
@@ -226,7 +235,7 @@ def decode_settled(
         for index, entry in enumerate(payload):
             sent = None if statements is None else statements[index]
             if entry.get("ok"):
-                results.append(decode_outcome(entry["outcome"], sent))
+                results.append(decode_outcome(entry["outcome"], sent, hits))
                 continue
             named = str(entry.get("statement", ""))
             if sent is not None:

@@ -195,7 +195,9 @@ class ProcessShard:
         #: still has them): the launcher's, then moved by this client's own
         #: successful ``deregister``.
         self._members = tuple(sorted(members))
-        #: Per spelling, the last hit outcome decoded (see :meth:`_shared`).
+        #: Per spelling, the last hit outcome decoded: a hit whose fields are
+        #: bit for bit the last one's is that outcome, one object per
+        #: spelling, as a local shard's cache entry serves it.
         self._hits = SharedOutcomes()
 
     # -- lifecycle ----------------------------------------------------------
@@ -403,15 +405,6 @@ class ProcessShard:
     def members(self) -> tuple[str, ...]:
         return self._members
 
-    def _shared(self, statement: str, outcome: QueryOutcome) -> QueryOutcome:
-        """``outcome``, or the shared outcome of ``statement``'s last hit.
-
-        A hit whose fields are bit for bit those of the spelling's last hit
-        is that hit's outcome, one object per spelling, as a local shard's
-        cache entry serves it; a miss passes through.
-        """
-        return self._hits.share(statement, outcome) if outcome.cached else outcome
-
     def execute_many_settled(
         self,
         statements: Sequence[str],
@@ -433,12 +426,7 @@ class ProcessShard:
             request["plans"] = [encode_plan(plan) for plan in plans]
         return self._request(
             request,
-            lambda reply: [
-                self._shared(text, r) if isinstance(r, QueryOutcome) else r
-                for text, r in zip(
-                    statements, decode_settled(reply["results"], statements)
-                )
-            ],
+            lambda reply: decode_settled(reply["results"], statements, self._hits),
         )
 
     def try_cached(
@@ -453,7 +441,7 @@ class ProcessShard:
         """A ``try_cached`` reply entry for ``statement``; ``None`` is a miss."""
         if entry is None:
             return None
-        return self._shared(statement, decode_outcome(entry, statement))
+        return decode_outcome(entry, statement, self._hits)
 
     def peek(self, statement: str) -> CachedAnswer | None:
         return self._request(

@@ -9,6 +9,8 @@ caller or a cache can see: table names, row counts, ``Table.version``,
 (encodings, rows still pending) and every answer with its Python type.
 """
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from repro.database import engines
 from repro.database.database import PrivateDatabase, database_from_values
 from repro.database.engines import SUMMARY_ROWS
 from repro.database.schema import Schema
+from repro.sharding import topology as topology_module
 from repro.sharding.topology import _build_party, build_topology
 
 ATTRIBUTE = "value"
@@ -34,9 +37,9 @@ integers = st.one_of(
 )
 
 
-def _rowwise_party(owner, tables, held, attribute):
+def _rowwise_party(owner, tables, held, attribute, engine):
     """The party as it was built before builders passed columns."""
-    db = PrivateDatabase(owner)
+    db = PrivateDatabase(owner, engine=engine)
     schema = Schema.of((attribute, "INTEGER"))
     for table_name in tables:
         table = db.create_table(table_name, schema)
@@ -44,6 +47,12 @@ def _rowwise_party(owner, tables, held, attribute):
         if values:
             table.insert_many({attribute: int(v)} for v in values)
     return db
+
+
+def _build_on(patch, engine):
+    """Have ``_build_party`` build its party on ``engine``."""
+    build = functools.partial(PrivateDatabase, engine=engine)
+    patch.setattr(topology_module, "PrivateDatabase", build)
 
 
 def _rowwise_from_values(owner, values, engine):
@@ -82,12 +91,12 @@ def _answers(table):
     return out
 
 
-def assert_same_party(built, reference):
+def assert_same_party(built, reference, engine):
     assert list(built._tables) == list(reference._tables)
     assert built.data_version == reference.data_version
     for name in reference._tables:
         got, want = built.table(name), reference.table(name)
-        assert got.engine_name == want.engine_name
+        assert got.engine_name == want.engine_name == engine
         assert got.schema == want.schema
         assert len(got) == len(want)
         assert got.version == want.version
@@ -117,10 +126,10 @@ def holdings(draw):
 @given(held=holdings(), tables=st.lists(st.sampled_from(TABLES), min_size=1, unique=True))
 def test_build_party_matches_rowwise_inserts(engine, held, tables):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engines, "DEFAULT_ENGINE", engine)
+        _build_on(patch, engine)
         built = _build_party("org00x00", tuple(tables), held, ATTRIBUTE)
-        reference = _rowwise_party("org00x00", tuple(tables), held, ATTRIBUTE)
-    assert_same_party(built, reference)
+    reference = _rowwise_party("org00x00", tuple(tables), held, ATTRIBUTE, engine)
+    assert_same_party(built, reference, engine)
 
 
 @pytest.mark.parametrize("engine", ["row", "columnar"])
@@ -137,13 +146,13 @@ def test_topology_rows_are_ints_and_build_the_rowwise_party(engine):
     for table in topology.tables:
         assert {type(value) for value in topology.table_values(table)} == {int}
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engines, "DEFAULT_ENGINE", engine)
+        _build_on(patch, engine)
         for index, shard in enumerate(topology.assignments):
             tables = topology.shard_tables(index)
             for owner, held in sorted(shard.items()):
                 built = _build_party(owner, tables, held, ATTRIBUTE)
-                reference = _rowwise_party(owner, tables, held, ATTRIBUTE)
-                assert_same_party(built, reference)
+                reference = _rowwise_party(owner, tables, held, ATTRIBUTE, engine)
+                assert_same_party(built, reference, engine)
 
 
 value_lists = st.one_of(
@@ -165,4 +174,4 @@ value_lists = st.one_of(
 def test_database_from_values_matches_rowwise_inserts(engine, values):
     built = database_from_values("org", iter(values), engine=engine)
     reference = _rowwise_from_values("org", values, engine)
-    assert_same_party(built, reference)
+    assert_same_party(built, reference, engine)

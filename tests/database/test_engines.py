@@ -364,7 +364,7 @@ def test_make_engine_names_and_factory():
     schema = Schema.of(("v", "INTEGER"))
     assert isinstance(make_engine(ROW, schema), RowStoreEngine)
     assert isinstance(make_engine(COLUMNAR, schema), ColumnarEngine)
-    assert isinstance(make_engine(None, schema), ColumnarEngine)  # default
+    assert Table("t", schema).engine_name == COLUMNAR  # a table's default
     assert isinstance(make_engine(RowStoreEngine, schema), RowStoreEngine)
     # The retired SQL engine's name and its path spelling are unknown names
     # like any other (spelled in pieces so a grep for it over the tree

@@ -1,5 +1,9 @@
 """Unit tests for repro.database.schema."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.database.schema import Column, Schema, SchemaError
@@ -111,3 +115,50 @@ class TestSchema:
         one = Schema.of(("a", "INTEGER"))
         two = Schema.of(("b", "INTEGER"))
         assert not one.is_compatible_with(two)
+
+
+class TestDerivedFields:
+    """The value types a column accepts are derived once, and are not
+    identity: equality, hashing, ``repr``, pickling and
+    ``dataclasses.replace`` see the declared fields only."""
+
+    @pytest.mark.parametrize(
+        "column, accepts",
+        [
+            (Column("a"), {int}),
+            (Column("a", "REAL"), {int, float}),
+            (Column("a", "TEXT", nullable=True), {str, type(None)}),
+        ],
+    )
+    def test_accepted_types(self, column, accepts):
+        assert column.accepts == accepts
+
+    def test_equality_hash_and_repr_ignore_them(self):
+        one, two = Column("a", "REAL"), Column("a", "REAL")
+        object.__setattr__(two, "accepts", frozenset())
+        assert one == two and hash(one) == hash(two)
+        assert repr(one) == "Column(name='a', type='REAL', nullable=False)"
+        schema = Schema((one,))
+        assert schema == Schema((two,)) and hash(schema) == hash(Schema((two,)))
+        assert repr(schema) == f"Schema(columns=({one!r},))"
+
+    @pytest.mark.parametrize(
+        "clone", [pickle.loads, copy.deepcopy], ids=["pickle", "deepcopy"]
+    )
+    def test_a_copy_derives_them_afresh(self, clone):
+        schema = Schema.of(("a", "INTEGER"), Column("b", "TEXT", nullable=True))
+        if clone is pickle.loads:
+            payload = pickle.dumps(schema)
+            assert b"accepts" not in payload and b"by_name" not in payload
+            copied = pickle.loads(payload)
+        else:
+            copied = clone(schema)
+        assert copied == schema and copied.names == ("a", "b")
+        assert copied.column("b").accepts == {str, type(None)}
+        assert copied.by_name == {"a": copied.columns[0], "b": copied.columns[1]}
+
+    def test_replace_derives_them_from_the_new_fields(self):
+        column = dataclasses.replace(Column("a"), type="REAL", nullable=True)
+        assert column.accepts == {int, float, type(None)}
+        with pytest.raises(ValueError):
+            dataclasses.replace(column, accepts=frozenset())

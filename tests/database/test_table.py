@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.database.database import PrivateDatabase
+from repro.database.engines import ColumnarEngine
 from repro.database.schema import Column, Schema, SchemaError
 from repro.database.table import Table
 from repro.database.tpch import TPCH_ATTRIBUTE, TPCH_TABLE, lineitem_database
@@ -534,3 +535,40 @@ def test_a_bad_row_in_a_large_batch_names_its_value_and_lands_nothing():
         table.insert_many(iter(rows))
     assert (len(table), table.version) == (0, 0)
     assert table.insert_many([]) == 0 and table.version == 0
+
+
+# -- a list column's refusals: the one ingest path, every engine ---------------------
+
+
+@pytest.mark.parametrize("engine", ["row", None, lambda schema: ColumnarEngine(schema)],
+                         ids=["row", "columnar", "factory"])
+@pytest.mark.parametrize(
+    "columns, message",
+    [
+        ({"v": [1, True], "w": [0.5, 1.5]}, "column 'v' expects INTEGER, got True"),
+        ({"v": [1, 2], "w": [0.5, None]}, "column 'w' is not nullable"),
+        ({"v": [1, 2], "w": [0.5, "x"]}, "column 'w' expects REAL, got 'x'"),
+        ({"v": [1, 2], "x": [3, 4]}, r"unknown columns in batch: ['x']"),
+        ([("v", [1, 2]), ("v", [3, 4])], "column 'v' repeated in batch"),
+        ({"v": [1, 2], "w": [0.5]}, "ragged column batch: 'w' has 1 rows, expected 2"),
+        ({"v": [1, 2]}, "missing columns in batch: ['w']"),
+    ],
+    ids=["bool", "none", "text", "unknown", "repeated", "ragged", "missing"],
+)
+def test_a_refused_list_column_lands_nothing(engine, columns, message):
+    database = PrivateDatabase("org", engine=engine)
+    table = database.create_table("t", Schema.of(("v", "INTEGER"), ("w", "REAL")))
+    table.insert_arrays({"v": [9], "w": [9.5]})
+    before = (table.scan(), table.version, database.data_version)
+    with pytest.raises(SchemaError) as refused:
+        table.insert_arrays(columns)
+    assert str(refused.value) == message
+    assert (table.scan(), table.version, database.data_version) == before
+
+
+@pytest.mark.parametrize("engine", ["row", None], ids=["row", "columnar"])
+def test_an_int_enum_member_in_a_list_column_is_kept_as_itself(engine):
+    table = Table("t", Schema.of(("v", "INTEGER")), engine=engine)
+    assert table.insert_arrays({"v": [Level.HIGH, 3]}) == 2
+    assert table.project("v") == [7, 3] and type(table.project("v")[0]) is Level
+    assert table.top_k("v", 1) == [7]

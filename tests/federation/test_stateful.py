@@ -16,6 +16,11 @@ cache hits and misses.  The twin's tenant ``gov`` holds an epsilon budget, so
 it is DP-governed: it gets DP releases only, and its plain statements are
 refused before any book moves.  On both, a spelling hit again with an
 unchanged answer is its last hit's very object.
+
+Both result caches hold :data:`CACHE_ENTRIES` answers, fewer than a session
+asks for, so eviction is stepped too: the model keeps the cache's
+first-in-first-out order of stored keys and predicts from it whether each
+plain statement hits and whether a DP release's inner statement runs.
 """
 
 import random
@@ -50,6 +55,10 @@ NAMES = [f"org{i}" for i in range(6)]
 EXACT = RunConfig(
     params=ProtocolParams(schedule=ExponentialSchedule(p0=0.0), rounds=4)
 )
+#: Result-cache capacity of both federations: below the seven statements the
+#: rules serve (TOP 1..4, SUM, MIN, AVG, and COUNT inside a DP release), so
+#: stores evict.
+CACHE_ENTRIES = 4
 #: The twin's DP-governed tenant: its budget never runs out within a session,
 #: so its DP releases stay in lock-step with the flat federation's.
 GOVERNED = TenantPolicy(rate=1.0, burst=1000, dp_epsilon_budget=100.0)
@@ -92,9 +101,12 @@ class FederationMachine(RuleBasedStateMachine):
         """A fresh federation and its one-shard twin from the machine's fixed
         seeds, and their books."""
         self.federation = Federation(
-            domain=PAPER_DOMAIN, config=EXACT, seed=99, dp=DpPolicy(seed=5)
+            domain=PAPER_DOMAIN, config=EXACT, seed=99, dp=DpPolicy(seed=5),
+            cache_entries=CACHE_ENTRIES,
         )
-        shard = Federation(domain=PAPER_DOMAIN, config=EXACT, seed=99)
+        shard = Federation(
+            domain=PAPER_DOMAIN, config=EXACT, seed=99, cache_entries=CACHE_ENTRIES
+        )
         self.twin = ShardedFederation(
             [LocalShard(shard)],
             router=ShardRouter(1, partitioned=(FANOUT,)),
@@ -104,8 +116,11 @@ class FederationMachine(RuleBasedStateMachine):
         self.twin.set_tenant("gov", GOVERNED)
         self.databases: dict = {}
         self.twin_databases: dict = {}
-        #: Inner statements with a cache-valid answer (both federations).
-        self.cached: set[str] = set()
+        #: The keys both result caches hold, oldest first: (statement, the
+        #: data generation it was stored under).
+        self.entries: list[tuple[str, int]] = []
+        #: Bumped by every change that moves the parties' data versions.
+        self.generation = 0
         #: The audit entry each served statement must leave, in serve order.
         self.served: list[tuple] = []
         #: What each federation served, in serve order, and to whom.
@@ -135,10 +150,26 @@ class FederationMachine(RuleBasedStateMachine):
         self.model[name] = list(values)
         self._invalidate()
 
-    def _invalidate(self) -> None:
-        """Every cached answer may have moved."""
-        self.cached.clear()
+    def _invalidate(self, *, drop: bool = True) -> None:
+        """Every cached answer may have moved: an insert leaves the stale
+        entries in place, a membership change or a drop clears them."""
+        self.generation += 1
+        if drop:
+            self.entries.clear()
         self.last_hits.clear()
+
+    def _stored(self, statement: str) -> None:
+        """An execution of ``statement`` stored its answer, first in first out."""
+        key = (statement, self.generation)
+        if key not in self.entries:
+            if len(self.entries) >= CACHE_ENTRIES:
+                del self.entries[0]
+            self.entries.append(key)
+        # The spelling's entry is a new one: so is its next hit.
+        self.last_hits.pop(statement, None)
+
+    def _cached(self, statement: str) -> bool:
+        return (statement, self.generation) in self.entries
 
     def _note_hits(self, text: str, outcome, twin) -> None:
         """Record a hit against the spelling's last one, flat and twin."""
@@ -161,8 +192,12 @@ class FederationMachine(RuleBasedStateMachine):
 
     def _serve(self, text: str, issuer: str = "anonymous"):
         members = self.federation.members
+        hit = self._cached(text)
         outcome = self._execute(text, issuer=issuer)
-        self.cached.add(outcome.statement)
+        # A hit exactly when the model's cache still holds the key.
+        assert outcome.cached == hit
+        if not hit:
+            self._stored(text)
         self.served.append(
             (issuer, members, outcome.statement, outcome.protocol, outcome.rounds,
              outcome.messages, outcome.values, outcome.cached)
@@ -197,7 +232,7 @@ class FederationMachine(RuleBasedStateMachine):
         self.databases[name].insert("data", {"value": value})
         self.twin_databases[name].insert("data", {"value": value})
         self.model[name].append(value)
-        self._invalidate()
+        self._invalidate(drop=False)
 
     @rule()
     def invalidate_cache(self) -> None:
@@ -241,6 +276,13 @@ class FederationMachine(RuleBasedStateMachine):
         assert outcome.values == (min(self._pooled()),)
 
     @precondition(lambda self: len(self.model) >= 3)
+    @rule()
+    def avg_matches_model(self) -> None:
+        outcome = self._serve("SELECT AVG(value) FROM data")
+        pooled = self._pooled()
+        assert outcome.values == (sum(pooled) / len(pooled),)
+
+    @precondition(lambda self: len(self.model) >= 3)
     @rule(k=st.integers(min_value=1, max_value=2), issuer=st.sampled_from(["ann", "bo"]))
     def repeat_through_the_cache(self, k: int, issuer: str) -> None:
         # The first ask of a form under this membership executes; repeats hit.
@@ -264,8 +306,10 @@ class FederationMachine(RuleBasedStateMachine):
         members = self.federation.members
         spent = self.federation.dp_gate.accountant.epsilon.spent
         outcome = self._execute(text, issuer=issuer)
-        self.cached.add(inner)
         # The audit records the inner statement; it ran iff it took rounds.
+        assert (outcome.rounds == 0) == self._cached(inner)
+        if outcome.rounds:
+            self._stored(inner)
         self.served.append(
             (issuer, members, inner, outcome.protocol.removesuffix("+dp"),
              outcome.rounds, outcome.messages, answer, outcome.rounds == 0)
@@ -298,7 +342,7 @@ class FederationMachine(RuleBasedStateMachine):
         # and that answer is still cached; a miss serves and counts nothing.
         text = pick.choice(sorted(self.latest))
         inner, answer = self._inner(self.operations[text])
-        hit = self.latest[text] == answer and inner in self.cached
+        hit = self.latest[text] == answer and self._cached(inner)
         members = self.federation.members
         before = self._books()
         outcome = self.federation.try_cached(text)

@@ -183,3 +183,73 @@ def test_a_dp_free_re_serve_is_one_object_until_a_charged_re_release(deployment)
     assert federation.try_cached(text) is None  # the answer moved: must charge
     recharged = federation.execute(text)
     assert not recharged.cached and recharged is not reserves[0]
+
+
+# -- a scripted worker: a repeat builds nothing ---------------------------------------
+
+
+@pytest.fixture
+def built(monkeypatch) -> list:
+    """Every ``QueryOutcome`` constructed from here on."""
+    made: list = []
+    init = QueryOutcome.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(QueryOutcome, "__init__", counting)
+    return made
+
+
+#: A hit reply, encoded before any test counts constructions.
+HIT = _hit(7.0)
+
+
+def test_a_bit_identical_repeat_returns_the_held_outcome_and_builds_none(built):
+    entry = HIT["outcome"]
+    with _scripted(
+        {"ok": True, "outcome": entry},
+        {"ok": True, "outcome": entry},
+        {"ok": True, "outcomes": [entry]},
+        {"ok": True, "results": [{"ok": True, "outcome": entry}]},
+    ) as shard:
+        held = shard.try_cached(STATEMENT)
+        assert len(built) == 1
+        repeats = [
+            shard.try_cached(STATEMENT),
+            shard.try_cached_many([STATEMENT])()[0],
+            shard.execute_many_settled([STATEMENT])[0],  # a batch-path hit
+        ]
+    assert all(repeat is held for repeat in repeats)
+    assert built == [held]
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "first, then",
+    [
+        pytest.param(_hit(0.0), _hit(-0.0), id="zero-sign"),
+        pytest.param(HIT, _hit(8.0), id="value"),
+        pytest.param(HIT, _hit(7.0, rounds=1), id="rounds"),
+        pytest.param(HIT, _hit(7.0, messages=1), id="messages"),
+        pytest.param(HIT, _hit(7.0, average_lop=0.5), id="average_lop"),
+        pytest.param(_hit(NAN), _hit(NAN), id="nan"),
+    ],
+)
+def test_a_hit_that_differs_in_any_bit_is_a_new_outcome(built, first, then):
+    with _scripted(first, then) as shard:
+        held, repeat = shard.try_cached(STATEMENT), shard.try_cached(STATEMENT)
+    assert repeat is not held
+    assert built == [held, repeat]
+
+
+def test_a_fresh_table_after_a_deregister_builds_a_new_outcome(built):
+    with _scripted(HIT, {"ok": True}, HIT) as shard:
+        held = shard.try_cached(STATEMENT)
+        shard.deregister("org00x00")
+        after = shard.try_cached(STATEMENT)
+    assert after == held and after is not held
+    assert built == [held, after]

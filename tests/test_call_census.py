@@ -162,10 +162,6 @@ DECLARED: dict[str, tuple[str, str, str]] = {
         "design", "tests/database/test_engines.py",
         "DESIGN.md 4j: TEXT columns, which database.io loads and scan reads",
     ),
-    "repro.database.engines:_ObjectColumn.append": (
-        "design", "tests/database/test_engines.py",
-        "DESIGN.md 4j: TEXT columns, which database.io loads and scan reads",
-    ),
     "repro.database.engines:_scalar_aggregate": (
         "reference", "tests/database/test_engines.py",
         "the row store's aggregate semantics, which spilled columns reuse",
