@@ -399,7 +399,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     import json
 
     from .federation.coordinator import QueryRefused
-    from .planner import PlanInfeasible, PredictionLedger
+    from .planner import PlanInfeasible, PredictionLedger, prepare
     from .planner.accuracy import POINT_METRICS
     from .service.workload import synthetic_federation
 
@@ -412,12 +412,12 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         values_per_party=args.values_per_node,
         seed=args.seed,
     )
-    planner = federation.planner
     exit_code = 0
     plans = []
     for text in statements:
         try:
-            plan = planner.plan(text, parties=args.parties, mode=args.mode)
+            # The plan the federation runs the statement on.
+            plan = federation.plan_for(prepare(text).spec, args.mode)
         except PlanInfeasible as exc:
             print(f"INFEASIBLE: {text}")
             for reason in exc.reasons:
@@ -443,7 +443,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         ]
         ledger = PredictionLedger()
         settled = federation.execute_many_settled(
-            [text for text, _ in live], plans=[plan for _, plan in live]
+            [text for text, _ in live], modes=[args.mode] * len(live)
         )
         for (text, plan), outcome in zip(live, settled):
             if isinstance(outcome, QueryRefused):

@@ -92,7 +92,7 @@ def run(trials: int | None = None, seed: int = 0) -> list[FigureData]:
                 f"SELECT TOP {k} {TPCH_ATTRIBUTE} FROM lineitem "
                 "WITH SLO(deadline=5.0)"
             )
-            plan = federation.planner.plan(parse_spec(text), parties=PARTIES)
+            plan = federation.plan_for(parse_spec(text))
             ledger.record_outcome(plan, federation.execute(text))
         for metric in POINT_METRICS:
             drift_points[metric].append((sf, ledger.drift(metric)))

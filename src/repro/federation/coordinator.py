@@ -45,7 +45,7 @@ from ..extensions.securesum import run_secure_sum
 from ..observability.trace import TraceContext, Tracer
 from ..planner.cost import SECURE_SUM
 from ..planner.errors import PlanInfeasible
-from ..planner.plan import Plan
+from ..planner.plan import QUALITY, Plan, unplanned
 from ..planner.planner import QueryPlanner
 from ..planner.spec import Prepared, QuerySpec, prepare
 from ..privacy.accounting import BudgetExceededError, ExposureLedger
@@ -85,8 +85,9 @@ class Federation:
         every statement is served through.  ``tracer`` records a distributed
         trace per executed ranking query (see :mod:`repro.observability`); callers that
         already carry a trace — the query service's batch spans — pass
-        per-statement contexts to the batch methods instead.  ``planner`` resolves statements carrying
-        ``WITH SLO(...)`` clauses (see :mod:`repro.planner`).  ``dp`` configures
+        per-statement contexts to the batch methods instead.  ``planner``
+        resolves statements carrying ``WITH SLO(...)`` clauses (see
+        :mod:`repro.planner`), through :meth:`plan_for` only.  ``dp`` configures
         the differential-privacy release layer (see
         :mod:`repro.privacy.dp`): statements carrying
         ``dp_epsilon``/``dp_delta`` SLO keys release calibrated-noise
@@ -100,7 +101,8 @@ class Federation:
         colluding ring neighbors at ``segments``x the traffic.
         """
         self.domain = domain
-        self._base_config = config or RunConfig()
+        #: The configuration a statement without objectives runs on.
+        self.config = config or RunConfig()
         # Per-query seeds are SHA-256-derived from (session seed, draw index,
         # stream) — the parallel-harness scheme — so they are collision-free,
         # stable across processes, and identical whether statements run one
@@ -125,11 +127,7 @@ class Federation:
             )
         self._secure_segments = secure_sum_segments
         self.dp_gate = DpGate(dp)
-        self._dp = DpReleasePath(
-            self.dp_gate,
-            self.domain_for,
-            lambda spec: self.planner.plan(spec, parties=len(self.members)),
-        )
+        self._dp = DpReleasePath(self.dp_gate, self.domain_for)
 
     # -- domains ------------------------------------------------------------
 
@@ -202,6 +200,21 @@ class Federation:
             ),
         )
 
+    # -- the plan stage -------------------------------------------------------------
+
+    def plan_for(self, spec: QuerySpec, mode: str = QUALITY) -> Plan:
+        """The one plan ``spec`` runs on in this federation.
+
+        The serving path's only planner call: the gateway's cost admission
+        and downgrade, DP expansion and the batch body all ask here, over
+        ``len(members)`` parties.  A statement without objectives is not
+        chosen for in quality mode: its plan is :attr:`config`, the
+        configuration it runs on, with the cost model's estimate.
+        """
+        return self.planner.plan(
+            spec, parties=len(self.members), mode=mode, base=self.config
+        )
+
     # -- query API ----------------------------------------------------------------
 
     def execute(
@@ -264,7 +277,6 @@ class Federation:
         *,
         issuer: str = "anonymous",
         traces: "Sequence[TraceContext | None] | None" = None,
-        plans: "Sequence[Plan | None] | None" = None,
     ) -> list[QueryOutcome]:
         """Serve a batch of statements: dedupe, cache, and pipeline.
 
@@ -295,15 +307,11 @@ class Federation:
         (statements before it remain charged and audited, like a sequential
         session interrupted at the same point).  Long-running services that
         must degrade per-statement instead use
-        :meth:`execute_many_settled`.
-
-        ``plans`` optionally supplies a pre-resolved
-        :class:`~repro.planner.plan.Plan` per statement (the gateway's
-        cost-admission path, which may have downgraded); ``None`` entries
-        fall back to planning here when the statement carries an SLO.
+        :meth:`execute_many_settled`.  Every statement is planned here, by
+        :meth:`plan_for`.
         """
         outcomes = self._execute_batch(
-            list(statements), issuer, settle=False, traces=traces, plans=plans
+            list(statements), issuer, settle=False, traces=traces
         )
         return outcomes  # type: ignore[return-value]  # no refusals when raising
 
@@ -313,7 +321,7 @@ class Federation:
         *,
         issuer: str = "anonymous",
         traces: "Sequence[TraceContext | None] | None" = None,
-        plans: "Sequence[Plan | None] | None" = None,
+        modes: "Sequence[str] | None" = None,
     ) -> "list[QueryOutcome | QueryRefused]":
         """:meth:`execute_many`, but refusals settle per statement.
 
@@ -323,12 +331,16 @@ class Federation:
         (:class:`~repro.planner.errors.PlanInfeasible`) — yields a
         :class:`QueryRefused` at its position while every other statement
         in the batch is served normally.  Seed draws still happen in
-        statement order for every statement that *plans* (refused
-        statements never plan), so served statements stay bit-identical to
+        statement order for every statement that is *planned* (refused
+        statements never are), so served statements stay bit-identical to
         a sequential session that skipped the same refusals.
+
+        ``modes`` optionally names each statement's planner objective (the
+        gateway's economy downgrade), quality unless its entry says
+        otherwise.
         """
         return self._execute_batch(
-            list(statements), issuer, settle=True, traces=traces, plans=plans
+            list(statements), issuer, settle=True, traces=traces, modes=modes
         )
 
     def _execute_batch(
@@ -337,6 +349,7 @@ class Federation:
         issuer: str,
         settle: bool,
         traces: "Sequence[TraceContext | None] | None" = None,
+        modes: "Sequence[str] | None" = None,
         plans: "Sequence[Plan | None] | None" = None,
     ) -> "list[QueryOutcome | QueryRefused]":
         """Serve a batch, expanding DP statements around the exact core.
@@ -349,19 +362,54 @@ class Federation:
         inner answers afterwards.  Malformed statements and the issuer
         rule's refusals settle there too; everything else reaches the exact
         path untouched.
+
+        Each run's plan comes from :meth:`plan_for` -- a DP statement's one
+        inner statement runs the DP statement's plan, a decomposed release's
+        statements none -- unless the batch arrives over the shard boundary
+        with ``plans`` (a shard runs the plan it is handed; ``None`` is its
+        base configuration).
         """
-        batch = self._dp.expand(statements, traces, plans, issuer=issuer, settle=settle)
-        order = [p for position, _, _ in batch.admitted for p in batch.runs(position)]
+        batch = self._dp.expand(
+            statements, traces, modes, issuer=issuer, settle=settle,
+            precheck=self._plan_source if plans is None else None,
+        )
+        order: list[int] = []
+        sources: list = []
+        for position, _, source in batch.admitted:
+            runs = batch.runs(position)
+            order += runs
+            if plans is not None:
+                source = plans[position]
+            sources += [source if len(runs) == 1 else None] * len(runs)
         served = self._serve_batch(
             [batch.texts[p] for p in order],
             issuer,
             settle,
             [batch.traces[p] for p in order] if batch.traces is not None else None,
-            [batch.plans[p] for p in order],
+            sources,
         )
         for p, result in zip(order, served):
             batch.results[p] = result
         return self._dp.assemble(batch)
+
+    def _plan_source(
+        self, position: int, spec: QuerySpec, mode: str
+    ) -> "Plan | tuple[QuerySpec, str] | PlanInfeasible | None":
+        """The release path's precheck: where a statement's plan comes from.
+
+        ``None`` for the base configuration; a DP statement's plan, made
+        before its admission so an unsatisfiable SLO refuses it there; else
+        the ``(spec, mode)`` the stage is asked for if the run misses the
+        cache (a hit is never planned).
+        """
+        if unplanned(spec, mode):
+            return None
+        if not spec.slo.has_dp:
+            return spec, mode
+        try:
+            return self.plan_for(spec, mode)
+        except PlanInfeasible as exc:
+            return exc
 
     def dp_admission_check(self, spec: QuerySpec, *, issuer: str = "anonymous") -> None:
         """Gateway hook: refuse a DP statement that can neither reuse nor pay.
@@ -376,8 +424,8 @@ class Federation:
         statements: list[str],
         issuer: str,
         settle: bool,
-        traces: "Sequence[TraceContext | None] | None" = None,
-        plans: "Sequence[Plan | None] | None" = None,
+        traces: "Sequence[TraceContext | None] | None",
+        sources: list,
     ) -> "list[QueryOutcome | QueryRefused]":
         if not statements:
             return []
@@ -394,10 +442,11 @@ class Federation:
         # occurrence of each canonical form not already cached), drawing
         # their seeds in statement order — exactly the draws a sequential
         # session would make, which is what the parity guarantee rests on.
-        # SLO'd statements resolve to a Plan here (or reuse the caller's);
-        # a PlanInfeasible statement never draws a seed, exactly like any
-        # other refusal.  Cache hits skip planning entirely: a free,
-        # already-public answer satisfies any declared objective.
+        # A statement with objectives resolves to its plan here (see
+        # ``_execute_batch``); a PlanInfeasible statement never draws a seed,
+        # exactly like any other refusal.  Cache hits skip planning
+        # entirely: a free, already-public answer satisfies any declared
+        # objective.
         planned: set[CacheKey] = set()
         # Every answer this batch serves from cache, captured here and as
         # the batch stores its own: a bounded cache may evict either kind
@@ -413,10 +462,10 @@ class Federation:
             if cached is not None:
                 answers[key] = cached
                 continue
-            plan = plans[index] if plans is not None else None
-            if plan is None and not form.trivial:
+            plan = sources[index]
+            if isinstance(plan, tuple):
                 try:
-                    plan = self.planner.plan(form.spec, parties=len(databases))
+                    plan = self.plan_for(*plan)
                 except PlanInfeasible as exc:
                     if not settle:
                         raise
@@ -547,7 +596,7 @@ class Federation:
     def _next_config(self) -> RunConfig:
         # Fresh seed per query so repeated queries do not replay identical
         # randomness (which would let an observer difference-out the noise).
-        return replace(self._base_config, seed=self._derive_seed("query"))
+        return replace(self.config, seed=self._derive_seed("query"))
 
     def _ranking_query(self, statement: FederatedStatement) -> TopKQuery:
         return TopKQuery(

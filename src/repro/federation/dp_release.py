@@ -41,8 +41,7 @@ from typing import Any, Protocol
 
 from ..database.query import Domain
 from ..observability.trace import TraceContext
-from ..planner.errors import PlanInfeasible
-from ..planner.plan import Plan
+from ..planner.plan import QUALITY
 from ..planner.spec import PREPARED_ENTRIES, QuerySpec, prepare
 from ..privacy.dp import (
     BudgetExhausted,
@@ -105,7 +104,7 @@ class DpSlot:
 class DpBatch:
     """A batch expanded around its DP statements.
 
-    ``texts``/``traces``/``plans``/``results`` are indexed by *position*:
+    ``texts``/``traces``/``results`` are indexed by *position*:
     the original statements first, then every admitted DP statement's inner
     statements at synthetic positions.  The caller fills ``results`` for
     every position in :meth:`runs`; ``assemble`` fills the DP positions.
@@ -117,11 +116,11 @@ class DpBatch:
     size: int
     texts: list[str]
     traces: "list[TraceContext | None] | None"
-    plans: "list[Plan | None]"
     results: "list[QueryOutcome | QueryRefused | None]"
     #: ``(position, spec, context)`` per statement that passed the precheck
     #: and DP admission, in statement order; ``context`` is whatever the
-    #: precheck returned (the sharded federation's routing target).
+    #: precheck returned (where the statement's plan comes from; on the
+    #: sharded federation, with its routing target).
     admitted: "list[tuple[int, QuerySpec, Any]]" = field(default_factory=list)
     slots: dict[int, DpSlot] = field(default_factory=dict)
 
@@ -137,12 +136,9 @@ class DpBatch:
             inner.append(len(self.texts))
             self.texts.append(inner_text)
             self.results.append(None)
-            # The original statement's trace follows its first inner form;
-            # its plan follows a single inner form (not a decomposition).
+            # The original statement's trace follows its first inner form.
             if self.traces is not None:
                 self.traces.append(self.traces[position] if j == 0 else None)
-            single = j == 0 and len(request.inner) == 1
-            self.plans.append(self.plans[position] if single else None)
         self.slots[position] = DpSlot(request, inner, bare_text)
 
     def refuse(self, position: int, error: Exception) -> None:
@@ -156,20 +152,17 @@ class DpReleasePath:
     """Expand, admit, assemble and re-serve DP statements for one federation.
 
     ``domain_for(table, attribute)`` supplies the public domain mechanisms
-    calibrate against; ``plan(spec)`` is the federation's plan for a
-    statement; ``meters`` is the optional per-tenant DP accounting.
+    calibrate against; ``meters`` is the optional per-tenant DP accounting.
     """
 
     def __init__(
         self,
         gate: DpGate,
         domain_for: "Callable[[str, str], Domain | None]",
-        plan: "Callable[[QuerySpec], Plan]",
         meters: "TenantMeters | None" = None,
     ) -> None:
         self.gate = gate
         self._domain_for = domain_for
-        self._plan = plan
         self._meters = meters
         #: (statement text, attribute domain) -> its resolved request.
         self._requests: "dict[tuple[str, Domain | None], DpRequest]" = {}
@@ -225,30 +218,30 @@ class DpReleasePath:
         self,
         statements: list[str],
         traces: "Sequence[TraceContext | None] | None",
-        plans: "Sequence[Plan | None] | None",
+        modes: "Sequence[str] | None",
         *,
         issuer: str,
         settle: bool,
-        precheck: "Callable[[int, QuerySpec], Any] | None" = None,
+        precheck: "Callable[[int, QuerySpec, str], Any] | None" = None,
     ) -> DpBatch:
         """Expand DP statements into inner statements around the exact core.
 
         A DP-governed issuer's statement without ``dp_epsilon`` is refused
-        first (:meth:`require_dp`).  ``precheck(position, spec)`` then runs
-        on every parsed statement, before anything DP: it returns the
+        first (:meth:`require_dp`).  ``precheck(position, spec, mode)`` then
+        runs on every parsed statement, before anything DP, with the
+        statement's ``modes`` entry (quality by default): it returns the
         statement's dispatch context, or the typed exception refusing it —
         so a statement refused there never touches the pending budget.
-        Without a precheck every context is ``None``.
+        This is where a federation makes a DP statement's plan, so an
+        unsatisfiable SLO refuses it before admission; its one inner
+        statement runs that plan on every path.  Without a precheck every
+        context is ``None``.
 
         DP-specific refusals — a missing domain, a degenerate (zero-noise)
         mechanism, an exhausted (epsilon, delta) budget — are decided
         *here*, before any seed draw or inner dispatch, so refused DP
         statements perturb nothing downstream (the same refusal-parity rule
-        the planner follows).  A DP statement with one inner statement runs
-        that statement on its own plan, the caller's or else ``plan(spec)``'s
-        — on every path, so a statement planned at admission and the same
-        statement executed alone run the same protocol; an unsatisfiable SLO
-        refuses it here.  The budget precheck is optimistic on reuse:
+        the planner follows).  The budget precheck is optimistic on reuse:
         a key that has already released is admitted without headroom, and
         ``assemble`` still enforces the budget if the inner answers turn out
         to differ from the ones the release perturbed: that is a fresh,
@@ -260,17 +253,17 @@ class DpReleasePath:
             raise FederationError(
                 f"got {len(statements)} statements but {len(traces)} trace contexts"
             )
-        if plans is not None and len(plans) != len(statements):
+        if modes is not None and len(modes) != len(statements):
             raise FederationError(
-                f"got {len(statements)} statements but {len(plans)} plans"
+                f"got {len(statements)} statements but {len(modes)} modes"
             )
+        modes = modes or [QUALITY] * len(statements)
         batch = DpBatch(
             issuer=issuer,
             settle=settle,
             size=len(statements),
             texts=list(statements),
             traces=list(traces) if traces is not None else None,
-            plans=list(plans) if plans is not None else [None] * len(statements),
             results=[None] * len(statements),
         )
         pending = self.gate.new_pending()
@@ -284,21 +277,16 @@ class DpReleasePath:
                 batch.refuse(position, exc)
                 continue
             spec = prepared.spec
-            context = precheck(position, spec) if precheck is not None else None
+            context = precheck(position, spec, modes[position]) if precheck else None
             if isinstance(context, Exception):
                 batch.refuse(position, context)
                 continue
             if prepared.has_dp:
                 try:
                     request = self._request(spec)
-                    if len(request.inner) == 1 and batch.plans[position] is None:
-                        batch.plans[position] = self._plan(spec)
                     reason = self.gate.admit(request, pending, headroom)
                     if reason is not None:
                         raise BudgetExhausted(reason, statement=text)
-                except PlanInfeasible as exc:
-                    batch.refuse(position, exc)
-                    continue
                 except DpError as exc:
                     if meters is not None:
                         meters.note_refusal(issuer)

@@ -106,12 +106,13 @@ class CostModel:
             schedule = params.schedule
             p0 = getattr(schedule, "p0", None)
             d = getattr(schedule, "d", None)
-            if p0 is not None and d is not None and 0.0 < d < 1.0:
-                lop = expected_lop_bound(p0, d)
-            elif p0 is not None and p0 <= 0.0:
+            if p0 is not None and p0 <= 0.0:
                 # A never-randomizing schedule is the naive protocol in
-                # disguise: exposure follows the Eq. 5 closed form.
+                # disguise: exposure follows the Eq. 5 closed form, whatever
+                # its d.
                 lop = naive_average_lop(n_parties)
+            elif p0 is not None and d is not None and 0.0 < d < 1.0:
+                lop = expected_lop_bound(p0, d)
             else:
                 # Non-exponential schedules carry no closed-form bound;
                 # be conservative.

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from ..core.params import ProtocolParams
 from .cost import PROBABILISTIC, CostEstimate
-from .spec import Slo
+from .spec import QuerySpec, Slo
 
 #: Planner objectives: quality-first (default) or cost-first (the
 #: gateway's downgrade mode under cost pressure).
@@ -27,6 +27,12 @@ def _fmt(value: float) -> str:
     """Deterministic numeric rendering: trim trailing zeros, keep precision."""
     text = f"{value:.6f}".rstrip("0").rstrip(".")
     return text if text else "0"
+
+
+def unplanned(spec: "QuerySpec", mode: str) -> bool:
+    """True when ``spec`` runs unchosen, on its federation's base
+    configuration: it declares no objective and is served in quality mode."""
+    return mode == QUALITY and spec.slo.is_trivial
 
 
 @dataclass(frozen=True)
@@ -105,4 +111,4 @@ class Plan:
         return "\n".join(lines)
 
 
-__all__ = ["ECONOMY", "MODES", "Plan", "QUALITY"]
+__all__ = ["ECONOMY", "MODES", "Plan", "QUALITY", "unplanned"]

@@ -39,14 +39,18 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import replace
+from typing import TYPE_CHECKING
 
 from ..analysis.optimization import OptimizationError, optimal_parameters
 from ..core.params import ProtocolParams
 from ..federation.sql import ADDITIVE_AGGREGATES
 from .cost import NAIVE, PROBABILISTIC, Calibration, CostEstimate, CostModel
 from .errors import PlanInfeasible
-from .plan import MODES, QUALITY, Plan
+from .plan import MODES, QUALITY, Plan, unplanned
 from .spec import QuerySpec, Slo, parse_spec
+
+if TYPE_CHECKING:
+    from ..core.driver import RunConfig
 
 #: The paper's default error bound, used when the SLO declares none.
 DEFAULT_EPSILON = 1e-3
@@ -73,8 +77,8 @@ class QueryPlanner:
 
     def __init__(self, calibration: Calibration | None = None) -> None:
         self.cost_model = CostModel(calibration)
-        #: ``(operation, k, slo, parties, mode)`` -> the chosen plan, most
-        #: recently used last.  A refusal is never stored.
+        #: ``(operation, k, slo, parties, mode, base configuration or None)``
+        #: -> the plan, most recently used last.  A refusal is never stored.
         self._plans: dict[tuple, Plan] = {}
         self._plans_lock = threading.Lock()
 
@@ -86,12 +90,19 @@ class QueryPlanner:
         *,
         parties: int,
         mode: str = QUALITY,
+        base: "RunConfig | None" = None,
     ) -> Plan:
         """The chosen :class:`Plan` for ``spec`` over ``parties`` nodes.
 
         Computed once per ``(operation, k, SLO, parties, mode)`` on this
         planner (the last :data:`PLAN_ENTRIES` shapes used); a statement of
         a known shape gets the stored plan with its own text.
+
+        ``base`` is the configuration a statement without objectives runs
+        on.  Given it, nothing is chosen for such a statement in quality
+        mode: its plan is that configuration with the cost model's
+        estimate, so whatever reads the plan -- cost admission, the
+        prediction ledger, a tenant's LoP charge -- reads what runs.
         """
         if isinstance(spec, str):
             spec = parse_spec(spec)
@@ -105,7 +116,10 @@ class QueryPlanner:
                 reasons=(f"federation has {parties} parties; the ring "
                          "protocols need n >= 3",),
             )
-        key = (statement.operation, statement.k, spec.slo, parties, mode)
+        unchosen = None
+        if base is not None and unplanned(spec, mode):
+            unchosen = (base.protocol, base.params)
+        key = (statement.operation, statement.k, spec.slo, parties, mode, unchosen)
         with self._plans_lock:
             plan = self._plans.pop(key, None)
             if plan is not None:
@@ -113,6 +127,12 @@ class QueryPlanner:
         if plan is None:
             if statement.operation in ADDITIVE_AGGREGATES:
                 plan = self._plan_additive(spec, parties=parties, mode=mode)
+            elif unchosen is not None:
+                estimate = self.cost_model.ranking_estimate(
+                    n_parties=parties, k=statement.k, protocol=unchosen[0],
+                    params=unchosen[1],
+                )
+                plan = _chosen(spec, *unchosen, estimate, mode)
             else:
                 plan = self._plan_ranking(spec, parties=parties, mode=mode)
             with self._plans_lock:
@@ -150,16 +170,7 @@ class QueryPlanner:
         # Secure sums never advance the service clock and leak nothing the
         # masks don't hide, so any deadline / max_lop / max_rounds budget
         # is trivially satisfied.
-        return Plan(
-            statement=statement.text,
-            operation=statement.operation,
-            protocol=estimate.protocol,
-            params=None,
-            estimate=estimate,
-            slo=slo,
-            mode=mode,
-            candidates_considered=1,
-        )
+        return _chosen(spec, estimate.protocol, None, estimate, mode)
 
     # -- ranking -----------------------------------------------------------
 
@@ -223,16 +234,7 @@ class QueryPlanner:
             # The executing config still needs valid params; the session
             # ignores the schedule for naive runs but validates rounds.
             params = ProtocolParams.paper_defaults(rounds=1)
-        return Plan(
-            statement=statement.text,
-            operation=statement.operation,
-            protocol=protocol,
-            params=params,
-            estimate=estimate,
-            slo=slo,
-            mode=mode,
-            candidates_considered=considered,
-        )
+        return _chosen(spec, protocol, params, estimate, mode, considered)
 
     # -- internals ---------------------------------------------------------
 
@@ -302,6 +304,22 @@ class QueryPlanner:
         if mode == QUALITY:
             return (estimate.expected_lop, estimate.messages, -p0, -d)
         return (estimate.messages, estimate.expected_lop, -p0, -d)
+
+
+def _chosen(
+    spec: QuerySpec,
+    protocol: str,
+    params: ProtocolParams | None,
+    estimate: CostEstimate,
+    mode: str,
+    considered: int = 1,
+) -> Plan:
+    """``spec``'s plan: one configuration and the estimate behind it."""
+    statement = spec.statement
+    return Plan(
+        statement.text, statement.operation, protocol, params, estimate, spec.slo,
+        mode, considered,
+    )
 
 
 __all__ = ["DEFAULT_EPSILON", "D_GRID", "P0_GRID", "PLAN_ENTRIES", "QueryPlanner"]

@@ -38,8 +38,7 @@ from ..observability.metrics import MetricsRegistry
 from ..observability.trace import TraceContext, Tracer
 from ..planner.accuracy import PredictionLedger
 from ..planner.errors import PlanInfeasible
-from ..planner.plan import ECONOMY, Plan
-from ..planner.planner import QueryPlanner
+from ..planner.plan import ECONOMY, QUALITY, Plan
 from ..planner.spec import Prepared, QuerySpec, prepare
 from ..privacy.dp import BudgetExhausted, DpError, DpGate
 from .clock import Clock, SimulatedClock
@@ -72,17 +71,18 @@ class FederationBackend(Protocol):
     """The surface :class:`QueryService` drives, flat or sharded.
 
     A sharded backend may also offer ``shard_snapshot()``; it stays
-    optional and is probed where it is used.
+    optional and is probed where it is used.  ``plan_for`` is the backend's
+    plan stage: the gateway reads a statement's plan there and hands the
+    batch back only a downgraded statement's objective (``modes``), so what
+    admission estimated is what the backend runs.
     """
 
-    planner: QueryPlanner
     dp_gate: DpGate
 
     @property
-    def members(self) -> tuple[str, ...]: ...
-
-    @property
     def cache(self) -> CacheStats: ...
+
+    def plan_for(self, spec: QuerySpec, mode: str = QUALITY) -> Plan: ...
 
     def try_cached(
         self, statement_text: str, *, issuer: str = "anonymous"
@@ -94,7 +94,7 @@ class FederationBackend(Protocol):
         *,
         issuer: str = "anonymous",
         traces: "Sequence[TraceContext | None] | None" = None,
-        plans: "Sequence[Plan | None] | None" = None,
+        modes: "Sequence[str] | None" = None,
     ) -> "list[QueryOutcome | QueryRefused]": ...
 
     def dp_admission_check(
@@ -135,21 +135,20 @@ class QueryService:
         then the protocol/round/hop spans recorded by the execution layer —
         all timestamped on the service clock, so a seeded workload's traces
         are deterministic.  ``None`` (default) costs nothing.
-    planner:
-        Resolves statements to execution plans; defaults to the
-        federation's.  Statements carrying ``WITH SLO(...)`` clauses are
-        always planned at admission, so an unsatisfiable SLO is refused
-        *before* it occupies a queue slot
-        (:class:`~repro.planner.errors.PlanInfeasible` — never
-        satisfiable, unlike ``Overloaded``'s retry-later).
     cost_budget_seconds:
-        Cost-aware admission: when set, *every* statement is planned and
-        the queue's total estimated simulated-seconds backlog is capped at
-        this budget.  A request that would breach it is first re-planned in
-        economy mode (a cheaper plan still honoring its declared SLO — the
-        *downgrade* path), and only shed (``Overloaded``) when even the
+        Cost-aware admission: when set, *every* statement's plan is read
+        and the queue's total estimated simulated-seconds backlog is capped
+        at this budget.  A request that would breach it is first re-planned
+        in economy mode (a cheaper plan still honoring its declared SLO —
+        the *downgrade* path), and only shed (``Overloaded``) when even the
         economy plan does not fit.  ``None`` (default) preserves
         depth-only admission.
+
+    Statements carrying ``WITH SLO(...)`` clauses are always planned at
+    admission by the backend's plan stage (``plan_for``), so an
+    unsatisfiable SLO is refused *before* it occupies a queue slot
+    (:class:`~repro.planner.errors.PlanInfeasible` — never satisfiable,
+    unlike ``Overloaded``'s retry-later).
     """
 
     def __init__(
@@ -163,7 +162,6 @@ class QueryService:
         rate_burst: int = 8,
         clock: Clock | None = None,
         tracer: "Tracer | None" = None,
-        planner: "QueryPlanner | None" = None,
         cost_budget_seconds: float | None = None,
     ) -> None:
         if max_batch < 1:
@@ -184,7 +182,6 @@ class QueryService:
             raise ValueError(
                 f"cost_budget_seconds must be positive, got {cost_budget_seconds}"
             )
-        self.planner = planner if planner is not None else federation.planner
         self._cost_budget = cost_budget_seconds
         #: Summed plan estimates of the batch currently executing: popped
         #: from the queue but not yet finished, so still part of the
@@ -327,22 +324,21 @@ class QueryService:
     def _admission_plan(
         self, prepared: Prepared, query_ctx: "TraceContext | None", now: float
     ) -> "Plan | None":
-        """Resolve the statement's plan and enforce the cost budget.
+        """Read the statement's plan from the backend and enforce the cost budget.
 
         SLO'd statements are always planned, so an unsatisfiable SLO is
         refused — typed, :class:`PlanInfeasible` — before occupying a queue
-        slot.  With ``cost_budget_seconds`` set, every statement is planned
-        and the queue's estimated backlog is capped: an over-budget request
+        slot.  With ``cost_budget_seconds`` set, every statement's plan is
+        read (a plain statement's is its backend's base configuration) and
+        the queue's estimated backlog is capped: an over-budget request
         is first re-planned in economy mode (the *downgrade* path, still
         honoring its declared SLO) and shed with :class:`Overloaded` only
         when even the economy plan does not fit.
         """
         if self._cost_budget is None and prepared.trivial:
             return None
-        spec = prepared.spec
-        parties = len(self.federation.members)
         try:
-            plan = self.planner.plan(spec, parties=parties)
+            plan = self.federation.plan_for(prepared.spec)
         except PlanInfeasible:
             self.metrics.plan_infeasible += 1
             self._trace_shed(query_ctx, "plan-infeasible", now)
@@ -354,7 +350,7 @@ class QueryService:
             return plan
         # The quality plan was feasible, so the economy objective ranks the
         # same non-empty candidate set — it cannot raise.
-        economy = self.planner.plan(spec, parties=parties, mode=ECONOMY)
+        economy = self.federation.plan_for(prepared.spec, ECONOMY)
         if (
             economy.estimate.simulated_seconds < plan.estimate.simulated_seconds
             and backlog + economy.estimate.simulated_seconds <= self._cost_budget
@@ -647,7 +643,10 @@ class QueryService:
                     [request.statement for request in batch],
                     issuer=issuer,
                     traces=traces,
-                    plans=[request.plan for request in batch],
+                    modes=[
+                        QUALITY if request.plan is None else request.plan.mode
+                        for request in batch
+                    ],
                 )
             except Exception as exc:
                 # Batch-level failure (e.g. an unrecoverable ring crash):

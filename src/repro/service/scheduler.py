@@ -48,8 +48,9 @@ class QueuedRequest:
     trace: "TraceContext | None" = None
     queue_span: "TraceContext | None" = None
     batch_span: "TraceContext | None" = None
-    #: Resolved execution plan (cost-admission services); ``None`` when the
-    #: service runs without a planner or the statement carries no SLO.
+    #: The statement's plan as its backend's plan stage made it at
+    #: admission; ``None`` when no cost budget applies and the statement
+    #: carries no SLO.  Only its ``mode`` travels with the batch.
     plan: "Plan | None" = None
 
     @property

@@ -39,8 +39,8 @@ class TenantBudgetExceeded(ShardError):
 
     Unlike :class:`TenantRateLimited` this does not clear with time: the
     tenant has spent its privacy allowance for the session and further
-    ranking statements are refused up front — before any shard runs a
-    protocol — by the planner's feasibility filter.
+    ranking statements whose plan expects more LoP than is left are refused
+    up front, before any shard runs a protocol.
     """
 
 

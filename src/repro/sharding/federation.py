@@ -19,11 +19,14 @@ protocol, integer-valued aggregates) the sharded result is therefore
 
 The router's per-tenant controls run here, before any shard is touched: a
 tenant's cross-shard token bucket sheds with
-:class:`~repro.sharding.errors.TenantRateLimited`, and ranking statements
-under a tenant LoP budget are planned with ``max_lop`` tightened to the
-remaining allowance — the planner's feasibility filter refuses what the
-tenant can no longer afford (:class:`TenantBudgetExceeded`) without
-spending a protocol round.
+:class:`~repro.sharding.errors.TenantRateLimited`, and a ranking statement
+whose plan expects more LoP than the tenant has left refuses with
+:class:`TenantBudgetExceeded` without spending a protocol round.
+
+Every statement is planned here, once, by :meth:`ShardedFederation.plan_for`;
+shards never plan.  A statement with objectives travels to its shards with
+its plan in the shard frame, fan-out texts included, and a shard runs the
+plan it is handed.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import time
 from collections import Counter, defaultdict
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
 from ..database.query import Domain
 from ..federation.cache import CachedAnswer
@@ -45,7 +47,7 @@ from ..federation.outcomes import (
 )
 from ..observability.trace import TraceContext
 from ..planner.errors import PlanInfeasible
-from ..planner.plan import Plan
+from ..planner.plan import QUALITY, Plan, unplanned
 from ..planner.planner import QueryPlanner
 from ..planner.spec import QuerySpec, prepare
 from ..privacy.dp import DpGate, DpPolicy
@@ -107,8 +109,8 @@ class ShardedFederation:
         :class:`~repro.sharding.router.ShardRouter` over ``len(shards)``
         with no partitioned tables and no tenant policies.
     planner:
-        Used for the tenant LoP feasibility filter; defaults to a planner
-        with the reference calibration.
+        The planner :meth:`plan_for` asks; defaults to a planner with the
+        reference calibration.
     clock:
         Time source for tenant token buckets (a ``() -> float`` callable).
         Defaults to ``time.monotonic``; deterministic deployments pass
@@ -163,12 +165,7 @@ class ShardedFederation:
         self.domain = domain
         self._attribute_domains: dict[tuple[str, str], Domain] = {}
         self.dp_gate = DpGate(dp)
-        self._dp = DpReleasePath(
-            self.dp_gate,
-            self.domain_for,
-            lambda spec: self.planner.plan(spec, parties=len(self.members)),
-            meters=self.router,
-        )
+        self._dp = DpReleasePath(self.dp_gate, self.domain_for, meters=self.router)
         #: Fresh-release epsilon attributed to the shard whose data backed
         #: it ("all" for fan-outs over partitioned tables).
         self.dp_spend_by_shard: defaultdict[str, float] = defaultdict(float)
@@ -224,6 +221,23 @@ class ShardedFederation:
         for shard in self.shards:
             shard.close()
 
+    # -- the plan stage ------------------------------------------------------
+
+    def plan_for(self, spec: QuerySpec, mode: str = QUALITY) -> Plan:
+        """The one plan ``spec`` runs on in this deployment.
+
+        The only planner call on the sharded path: the gateway's cost
+        admission and downgrade, tenant admission, DP expansion and the
+        shard frame all read it, over ``len(members)`` parties -- every
+        party of every shard.  A statement without objectives is not chosen
+        for in quality mode: its plan is the base configuration the shards
+        run it on (one ``config``, as the topology builders give every
+        shard), with the cost model's estimate.
+        """
+        return self.planner.plan(
+            spec, parties=len(self.members), mode=mode, base=self.shards[0].config
+        )
+
     # -- query surface -------------------------------------------------------
 
     def execute(
@@ -238,13 +252,12 @@ class ShardedFederation:
         *,
         issuer: str = "anonymous",
         traces: "Sequence[TraceContext | None] | None" = None,
-        plans: "Sequence[Plan | None] | None" = None,
     ) -> list[QueryOutcome]:
         """Serve a batch, raising the first refusal instead of settling it.
 
         Every refusal this federation decides itself — a malformed
-        statement, the issuer rule, tenant admission, tenant LoP
-        feasibility, DP admission — raises *before* any shard is touched:
+        statement, the issuer rule, tenant admission, an unsatisfiable SLO,
+        the tenant's LoP charge, DP admission — raises *before* any shard is touched:
         nothing runs, nothing is charged, nothing is cached (the flat
         federation's "a batch with a malformed statement does not execute
         at all").  Refusals only a shard can decide (its exposure ledger, an
@@ -253,7 +266,7 @@ class ShardedFederation:
         fully accounted, and the first such refusal in statement order is
         raised.
         """
-        settled = self._run_batch(list(statements), issuer, traces, plans, settle=False)
+        settled = self._run_batch(list(statements), issuer, traces, None, settle=False)
         for result in settled:
             if isinstance(result, QueryRefused):
                 raise result.error
@@ -375,12 +388,13 @@ class ShardedFederation:
         *,
         issuer: str = "anonymous",
         traces: "Sequence[TraceContext | None] | None" = None,
-        plans: "Sequence[Plan | None] | None" = None,
+        modes: "Sequence[str] | None" = None,
     ) -> "list[QueryOutcome | QueryRefused]":
         """Serve a batch across shards; every refusal settles per statement.
 
         Per statement, in order: parse → the issuer rule → tenant token
-        bucket → route → tenant LoP feasibility → DP admission (the shared
+        bucket → route → its plan (:meth:`plan_for`, in its ``modes``
+        entry's objective) → tenant LoP charge → DP admission (the shared
         release path, with this federation's precheck).  Every involved
         shard then gets one sub-batch (:meth:`_dispatch`): a routed
         statement runs on its shard, a statement over a partitioned table on
@@ -389,14 +403,14 @@ class ShardedFederation:
         unreachable process, poisoned batch — refuses exactly the statements
         sent to it, typed, while the rest of the batch is served normally.
         """
-        return self._run_batch(list(statements), issuer, traces, plans, settle=True)
+        return self._run_batch(list(statements), issuer, traces, modes, settle=True)
 
     def _run_batch(
         self,
         texts: list[str],
         issuer: str,
         traces: "Sequence[TraceContext | None] | None",
-        plans: "Sequence[Plan | None] | None",
+        modes: "Sequence[str] | None",
         *,
         settle: bool,
     ) -> "list[QueryOutcome | QueryRefused]":
@@ -406,26 +420,35 @@ class ShardedFederation:
         pending_lop: dict[int, float] = {}
         now = self._clock()
 
-        def precheck(position: int, spec: QuerySpec) -> "int | Exception":
+        def precheck(
+            position: int, spec: QuerySpec, mode: str
+        ) -> "tuple[int, Plan | None] | Exception":
             try:
                 self.router.admit(issuer, now)
             except ShardError as exc:
                 return exc
             target = self.router.route(spec.statement.table)
             try:
-                charge = self._tenant_feasibility(
-                    spec, issuer, self._parties_for(target)
-                )
-            except (TenantBudgetExceeded, PlanInfeasible) as exc:
+                # A plain statement's shard runs its base configuration.
+                plan = None if unplanned(spec, mode) else self.plan_for(spec, mode)
+                charge = self._tenant_charge(spec, issuer, plan)
+            except PlanInfeasible as exc:
+                # An answer already public satisfies any objective, as on a
+                # flat federation, so a cached statement is served unplanned.
+                if spec.slo.has_dp or self._peek(spec.text) is None:
+                    self.router.note_refusal(issuer)
+                    return exc
+                plan = charge = None
+            except TenantBudgetExceeded as exc:
                 self.router.note_refusal(issuer)
                 return exc
             if charge is not None:
                 pending_lop[position] = charge
             self._trace_route(traces, position, target, spec.statement.table)
-            return target
+            return target, plan
 
         batch = self._dp.expand(
-            texts, traces, plans, issuer=issuer, settle=settle, precheck=precheck
+            texts, traces, modes, issuer=issuer, settle=settle, precheck=precheck
         )
         # From here shards run protocols and charge ledgers, so a later
         # refusal settles: the accounting below must see the whole batch.
@@ -433,7 +456,7 @@ class ShardedFederation:
         self._dispatch(batch)
         results = self._dp.assemble(batch)
 
-        for position, _spec, target in batch.admitted:
+        for position, _spec, (target, _plan) in batch.admitted:
             slot = batch.slots.get(position)
             if slot is not None and slot.charged:
                 # Fresh-release epsilon lands on the shard owning the data.
@@ -452,60 +475,32 @@ class ShardedFederation:
 
     # -- tenant admission ----------------------------------------------------
 
-    def _parties_for(self, target: int) -> int:
-        if target == ALL_SHARDS:
-            return max(len(shard.members()) for shard in self.shards)
-        return len(self.shards[target].members())
-
-    def _tenant_feasibility(
-        self, spec: QuerySpec, issuer: str, parties: int
+    def _tenant_charge(
+        self, spec: QuerySpec, issuer: str, plan: "Plan | None"
     ) -> float | None:
-        """Plan under the tenant's remaining LoP budget; return the charge.
+        """The LoP a registered tenant is charged if the statement executes.
 
-        Returns the expected-LoP charge to record if the statement
-        executes, or ``None`` when the tenant is unregistered or the
-        statement is additive (secure sums are charged nothing, exactly
-        like the federation's own ledger).  A registered tenant *without*
-        an LoP budget still gets a charge — its meter is unmetered but
+        The charge is the expected LoP of the statement's one plan --
+        ``plan``, or for a plain statement its base configuration's
+        (:meth:`plan_for`) -- so a tenant pays for what runs.  ``None`` when
+        the issuer is no registered tenant or the statement is additive
+        (secure sums are charged nothing, like the federation's own
+        ledger).  A tenant *without* an LoP budget is unmetered but
         records, so the snapshot shows real spend and a budget installed
-        later binds against history — just with no tightening and no
-        budget refusal.  Raises :class:`TenantBudgetExceeded` when only
-        the budget tightening made the plan infeasible, and lets a
-        genuinely unsatisfiable SLO propagate as :class:`PlanInfeasible`.
+        later binds against history.  Raises :class:`TenantBudgetExceeded`
+        when the charge is above the tenant's remaining budget.
         """
-        if not spec.statement.is_ranking:
+        account = self.router.tenant(issuer)
+        if account is None or not spec.statement.is_ranking:
             return None
-        remaining = self.router.remaining_lop(issuer)
-        if remaining is None:
-            if self.router.tenant(issuer) is None:
-                return None
-            try:
-                plan = self.planner.plan(spec, parties=parties)
-            except PlanInfeasible:
-                # The owning shard refuses this statement itself; keep the
-                # unbudgeted path's refusal attribution unchanged.
-                return None
-            return plan.estimate.expected_lop
-        if remaining <= 0.0:
-            raise TenantBudgetExceeded(
-                f"tenant {issuer!r} has exhausted its LoP budget; "
-                f"{spec.statement.text!r} refused"
-            )
-        slo_cap = spec.slo.max_lop
-        # Slo.max_lop lives in (0, 1] — LoP is a probability — so a budget
-        # remainder above 1.0 cannot bind a single statement and clamps.
-        tightened = min(1.0, remaining if slo_cap is None else min(slo_cap, remaining))
-        budget_spec = replace(spec, slo=replace(spec.slo, max_lop=tightened))
-        try:
-            plan = self.planner.plan(budget_spec, parties=parties)
-        except PlanInfeasible as exc:
-            if slo_cap is not None and slo_cap <= tightened:
-                raise  # the declared SLO itself is unsatisfiable
+        charge = (plan or self.plan_for(spec)).estimate.expected_lop
+        remaining = account.remaining_lop()
+        if remaining is not None and charge > remaining:
             raise TenantBudgetExceeded(
                 f"tenant {issuer!r} has {remaining:.4f} LoP budget left; "
-                f"no plan for {spec.statement.text!r} fits it: {exc}"
-            ) from exc
-        return plan.estimate.expected_lop
+                f"{spec.statement.text!r} expects {charge:.4f}"
+            )
+        return charge
 
     # -- dispatch ------------------------------------------------------------
 
@@ -537,14 +532,15 @@ class ShardedFederation:
         index: int,
         sub_texts: list[str],
         issuer: str,
-        traces: "Sequence[TraceContext | None] | None" = None,
-        plans: "Sequence[Plan | None] | None" = None,
+        traces: "Sequence[TraceContext | None] | None",
+        frame: "list[Plan | None]",
     ) -> "list[QueryOutcome | QueryRefused]":
-        """One shard's sub-batch; its failure refuses exactly these statements."""
+        """One shard's sub-batch, each text with the plan it runs; a failure
+        refuses exactly these statements."""
         self.shard_queries[index] += len(sub_texts)
         try:
             return self.shards[index].execute_many_settled(
-                sub_texts, issuer=issuer, traces=traces, plans=plans
+                sub_texts, issuer=issuer, traces=traces, plans=frame
             )
         except ShardUnavailable as exc:
             self.shard_unavailable[index] += len(sub_texts)
@@ -577,20 +573,22 @@ class ShardedFederation:
         sub-batch holds its statements in batch order, a DP statement's
         inner statements in its place — the order a flat batch runs them
         in, so each shard's seed draws and dedupe behave exactly like an
-        unsharded batch of that sub-stream.  Every text carries its
-        statement's pre-resolved plan (a DP statement's inner text, the DP
-        statement's), so each shard runs what a flat federation would;
-        routed texts also carry their trace.
+        unsharded batch of that sub-stream.  Every text of a statement
+        with objectives carries the statement's plan (a DP statement's one
+        inner text, the DP statement's; a decomposed release's texts none),
+        so each shard runs what a flat federation would; routed texts also
+        carry their trace.
         """
-        #: shard index -> (texts, traces, plans) of its sub-batch
+        #: shard index -> (texts, traces, each text's plan) of its sub-batch
         subs: dict[int, tuple[list[str], list, list]] = {}
         #: per run position, in batch order: the statement a fan-out merges
         #: (``None`` when routed), each shard's window start, the window width
         jobs: list[tuple[int, object, list[tuple[int, int]], int]] = []
-        for position, _spec, target in batch.admitted:
+        for position, _spec, (target, plan) in batch.admitted:
             fanout = target == ALL_SHARDS
             self.fanout_statements += fanout
-            for p in batch.runs(position):
+            runs = batch.runs(position)
+            for p in runs:
                 if fanout:
                     statement = prepare(batch.texts[p]).spec.statement
                     texts = _fanout_texts(statement)
@@ -599,24 +597,23 @@ class ShardedFederation:
                 else:
                     statement, texts, targets = None, [batch.texts[p]], (target,)
                     trace = batch.traces[p] if batch.traces is not None else None
-                plan = batch.plans[p]
                 starts = []
                 for index in targets:
-                    sub_texts, traces, plans = subs.setdefault(index, ([], [], []))
+                    sub_texts, traces, frame = subs.setdefault(index, ([], [], []))
                     starts.append((index, len(sub_texts)))
                     sub_texts.extend(texts)
                     traces.extend([trace] * len(texts))
-                    plans.extend([plan] * len(texts))
+                    frame.extend([plan if len(runs) == 1 else None] * len(texts))
                 jobs.append((p, statement, starts, len(texts)))
 
         def run_shard(index: int) -> "list[QueryOutcome | QueryRefused]":
-            texts, traces, plans = subs[index]
+            texts, traces, frame = subs[index]
             return self._settle_shard(
                 index,
                 texts,
                 batch.issuer,
                 traces if batch.traces is not None else None,
-                plans,
+                frame,
             )
 
         indices = sorted(subs)

@@ -9,12 +9,11 @@ sets on every shard; statements over them fan out to all shards and merge
 
 The router also owns the cross-shard tenant controls the ROADMAP's
 scale-out item asks for: a per-tenant token bucket (requests/second across
-*all* shards, not per shard) and a per-tenant LoP budget.  The budget feeds
-the planner's feasibility filter: a ranking statement is planned with its
-``max_lop`` objective tightened to the tenant's remaining allowance, so an
-unaffordable statement is refused typed and up front —
-:class:`~repro.sharding.errors.TenantBudgetExceeded` — before any shard
-spends a protocol round on it.
+*all* shards, not per shard) and a per-tenant LoP budget.  A ranking
+statement is charged the expected LoP of the plan it runs, and one whose
+charge is above the tenant's remaining allowance is refused typed and up
+front — :class:`~repro.sharding.errors.TenantBudgetExceeded` — before any
+shard spends a protocol round on it.
 """
 
 from __future__ import annotations
@@ -196,13 +195,6 @@ class ShardRouter:
                 f"tenant {issuer!r} exceeded {policy.rate}/s "
                 f"(burst {policy.burst}) across shards"
             )
-
-    def remaining_lop(self, issuer: str) -> float | None:
-        """The tenant's unspent LoP budget; ``None`` means unbudgeted."""
-        account = self._tenants.get(issuer)
-        if account is None:
-            return None
-        return account.remaining_lop()
 
     def charge_lop(self, issuer: str, expected_lop: float) -> None:
         """Record one executed ranking statement's expected LoP.

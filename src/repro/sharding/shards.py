@@ -36,6 +36,7 @@ import time
 from collections.abc import Callable, Iterable, Sequence
 from typing import IO, Any, TypeVar
 
+from ..core.driver import RunConfig
 from ..deploy.wire import WireError
 from ..federation.cache import CachedAnswer
 from ..federation.coordinator import Federation, QueryOutcome, QueryRefused
@@ -71,6 +72,8 @@ class LocalShard:
     def __init__(self, federation: Federation, *, index: int = 0) -> None:
         self.federation = federation
         self.index = index
+        #: The configuration a statement sent without a plan runs on.
+        self.config = federation.config
 
     def members(self) -> tuple[str, ...]:
         return self.federation.members
@@ -83,9 +86,12 @@ class LocalShard:
         traces: "Sequence[TraceContext | None] | None" = None,
         plans: "Sequence[Plan | None] | None" = None,
     ) -> "list[QueryOutcome | QueryRefused]":
+        """Serve a sub-batch, each statement on the plan it is handed
+        (``None``: the base configuration); handed none at all, the shard's
+        federation chooses for itself, as a flat one does."""
         try:
-            return self.federation.execute_many_settled(
-                statements, issuer=issuer, traces=traces, plans=plans
+            return self.federation._execute_batch(
+                list(statements), issuer, settle=True, traces=traces, plans=plans
             )
         except Exception as exc:  # noqa: BLE001 — a failed batch refuses its statements
             error = ShardError(
@@ -182,6 +188,7 @@ class ProcessShard:
         index: int = 0,
         timeout: float = 10.0,
         members: Iterable[str] = (),
+        config: RunConfig | None = None,
     ) -> None:
         self.host = "127.0.0.1"
         self.port = 0  # the worker announces it: see ``handshake``
@@ -195,6 +202,9 @@ class ProcessShard:
         #: still has them): the launcher's, then moved by this client's own
         #: successful ``deregister``.
         self._members = tuple(sorted(members))
+        #: The configuration the worker runs a statement sent without a plan
+        #: on (the launcher's, as ``members`` is).
+        self.config = config if config is not None else RunConfig()
         #: Per spelling, the last hit outcome decoded: a hit whose fields are
         #: bit for bit the last one's is that outcome, one object per
         #: spelling, as a local shard's cache entry serves it.
@@ -210,6 +220,7 @@ class ProcessShard:
         index: int = 0,
         timeout: float = 10.0,
         members: Iterable[str] = (),
+        config: RunConfig | None = None,
     ) -> "ProcessShard":
         """Fork a worker that serves the federation ``build()`` returns.
 
@@ -222,6 +233,8 @@ class ProcessShard:
         drains a pipe while the worker lives, and a full one would block it
         mid-request.  A fork copies only the calling thread, so with any
         other thread alive this raises :class:`ShardError` and forks nothing.
+        ``members`` and ``config`` describe what ``build()`` builds, so the
+        gateway knows them without a wire call.
         """
         if not hasattr(os, "fork"):
             raise ShardError(
@@ -254,7 +267,7 @@ class ProcessShard:
         os.close(announced)
         return cls(
             _Child(pid, announce), stderr, index=index, timeout=timeout,
-            members=members,
+            members=members, config=config,
         )
 
     def handshake(self, boot_timeout: float = 30.0) -> None:

@@ -259,6 +259,7 @@ def process_shards(
     stderr, and every worker launched so far is killed and reaped first.
     """
     shards: list[ProcessShard] = []
+    config = config if config is not None else exact_config()
     try:
         for index in range(topology.shard_count):
             shards.append(
@@ -267,6 +268,7 @@ def process_shards(
                     index=index,
                     timeout=timeout,
                     members=topology.assignments[index],
+                    config=config,
                 )
             )
         for shard in shards:

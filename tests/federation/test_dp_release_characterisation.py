@@ -28,10 +28,7 @@ import pytest
 
 from repro.core.driver import RunConfig
 from repro.federation.coordinator import QueryRefused
-from repro.federation.sql import SqlError
 from repro.observability.trace import TraceRecorder
-from repro.planner.planner import QueryPlanner
-from repro.planner.spec import parse_spec
 from repro.privacy.dp import DpError, DpPolicy
 from repro.sharding import ShardedFederation, ShardRouter, TenantPolicy, build_topology
 from repro.sharding.shards import LocalShard
@@ -92,18 +89,14 @@ def _settled(results):
     ]
 
 
-def _plans_and_traces(tracer):
-    """What the gateway hands a batch: a plan and a batch span per statement."""
-    planner = QueryPlanner()
-    plans, traces = [], []
+def _traces(tracer):
+    """What the gateway hands a batch besides its texts: a batch span per
+    statement (each federation plans every statement itself)."""
+    traces = []
     for text in BATCH_ONE:
-        try:
-            plans.append(planner.plan(parse_spec(text), parties=6))
-        except SqlError:
-            plans.append(None)
         trace = tracer.new_trace(name=text)
         traces.append(tracer.open_span(trace, "batch", at=0.0))
-    return plans, traces
+    return traces
 
 
 def _span_counts(tracer):
@@ -135,7 +128,8 @@ class _RecordingShard(LocalShard):
         self.log = log
 
     def execute_many_settled(self, statements, *, traces=None, plans=None, **kwargs):
-        # Which statements travel with the caller's trace / pre-resolved plan.
+        # Which statements travel with the caller's trace / the sharded
+        # federation's plan.
         carried = [
             "".join(
                 flag
@@ -169,11 +163,10 @@ def observe_sharded():
         ),
     )
     tracer = TraceRecorder()
-    plans, traces = _plans_and_traces(tracer)
     seen = {
         "batch_one": _settled(
             sharded.execute_many_settled(
-                BATCH_ONE, issuer="acme", traces=traces, plans=plans
+                BATCH_ONE, issuer="acme", traces=_traces(tracer)
             )
         )
     }
@@ -198,12 +191,9 @@ def observe_flat():
     topology, _router = _topology()
     flat = single_federation(topology, config=RunConfig(), dp=DP)
     tracer = TraceRecorder()
-    plans, traces = _plans_and_traces(tracer)
     seen = {
         "batch_one": _settled(
-            flat.execute_many_settled(
-                BATCH_ONE, issuer="acme", traces=traces, plans=plans
-            )
+            flat.execute_many_settled(BATCH_ONE, issuer="acme", traces=_traces(tracer))
         )
     }
     seen["spans"] = _span_counts(tracer)

@@ -10,7 +10,7 @@ from repro.federation import (
     PlanInfeasible,
     QueryRefused,
 )
-from repro.planner import parse_spec
+from repro.planner import ECONOMY, QUALITY, parse_spec
 
 DATASETS = {
     "acme": [100.0, 900.0, 250.0],
@@ -132,18 +132,38 @@ class TestCacheCanonicalization:
         assert outcome.cached
 
 
-class TestExplicitPlans:
-    def test_caller_supplied_plans_are_honored(self):
+class TestModes:
+    def test_a_downgraded_mode_runs_the_economy_plan(self):
+        # The gateway hands a downgraded statement back only its objective;
+        # the federation plans it again in that mode and runs that plan.
         federation = fresh_federation()
-        text = "SELECT TOP 3 value FROM data WITH SLO(protocol=naive)"
-        plan = federation.planner.plan(parse_spec(text), parties=4)
-        outcome = federation.execute_many_settled([text], plans=[plan])[0]
-        assert outcome.protocol == "naive"
-        assert outcome.rounds == 1
+        text = "SELECT TOP 3 value FROM data WITH SLO(deadline=5.0)"
+        quality = federation.plan_for(parse_spec(text))
+        economy = federation.plan_for(parse_spec(text), ECONOMY)
+        assert economy.estimate.rounds < quality.estimate.rounds
+        outcome = federation.execute_many_settled([text], modes=[ECONOMY])[0]
+        assert outcome.rounds == economy.estimate.rounds
+        assert outcome.messages == economy.estimate.messages
 
-    def test_plans_length_mismatch_rejected(self):
+    def test_modes_length_mismatch_rejected(self):
         federation = fresh_federation()
         with pytest.raises(FederationError):
             federation.execute_many_settled(
-                ["SELECT TOP 2 value FROM data"], plans=[None, None]
+                ["SELECT TOP 2 value FROM data"], modes=[QUALITY, QUALITY]
             )
+
+
+class TestThePlainPlan:
+    def test_a_plain_statement_plans_as_its_base_configuration(self):
+        # Nothing is chosen for a statement without objectives: its plan is
+        # the configuration it runs on, estimated exactly.
+        federation = fresh_federation()
+        text = "SELECT TOP 3 value FROM data"
+        plan = federation.plan_for(parse_spec(text))
+        assert (plan.protocol, plan.params) == (
+            federation.config.protocol, federation.config.params,
+        )
+        outcome = federation.execute(text)
+        assert (outcome.rounds, outcome.messages) == (
+            plan.estimate.rounds, plan.estimate.messages,
+        )

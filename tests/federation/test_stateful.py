@@ -17,6 +17,12 @@ it is DP-governed: it gets DP releases only, and its plain statements are
 refused before any book moves.  On both, a spelling hit again with an
 unchanged answer is its last hit's very object.
 
+The twin's tenant ``meter`` holds an LoP budget.  It is charged the cost
+model's estimate of the configuration each of its ranking statements runs
+on -- the base configuration for a plain statement, the statement's plan
+otherwise -- and only when one runs: a hit and a refusal charge nothing, and
+a statement whose charge is above what is left is refused.
+
 Both result caches hold :data:`CACHE_ENTRIES` answers, fewer than a session
 asks for, so eviction is stepped too: the model keeps the cache's
 first-in-first-out order of stored keys and predicts from it whether each
@@ -42,8 +48,15 @@ from repro.core.schedule import ExponentialSchedule
 from repro.database.database import database_from_values
 from repro.database.query import PAPER_DOMAIN
 from repro.federation import Federation, FederationError, SqlError
+from repro.planner import CostModel, QueryPlanner, parse_spec
 from repro.privacy.dp import DpPolicy, DpRequired
-from repro.sharding import ShardedFederation, ShardError, ShardRouter, TenantPolicy
+from repro.sharding import (
+    ShardedFederation,
+    ShardError,
+    ShardRouter,
+    TenantBudgetExceeded,
+    TenantPolicy,
+)
 from repro.sharding.shards import LocalShard
 
 NAMES = [f"org{i}" for i in range(6)]
@@ -75,6 +88,9 @@ GOVERNED_PLAIN = [
     f"SELECT AVG(value) FROM {FANOUT}",
     f"SELECT TOP 1 value FROM {FANOUT}",
 ]
+#: The LoP-metered tenant's objectives: none (the base configuration runs),
+#: or one its plan must meet.
+METERED_SLOS = ["", " WITH SLO(max_rounds=6)", " WITH SLO(max_lop=0.5)"]
 
 
 class FederationMachine(RuleBasedStateMachine):
@@ -83,10 +99,12 @@ class FederationMachine(RuleBasedStateMachine):
             st.lists(st.integers(min_value=1, max_value=10_000), min_size=1, max_size=6),
             min_size=3,
             max_size=3,
-        )
+        ),
+        meter_budget=st.sampled_from([0.25, 0.5, 1.0]),
     )
-    def setup(self, founders: list[list[int]]) -> None:
+    def setup(self, founders: list[list[int]], meter_budget: float) -> None:
         self._counter = 0
+        self._meter_budget = meter_budget
         self.model: dict[str, list[int]] = {}
         #: (statement, exact inner answer) -> the DP bytes it released.
         self.released: dict[tuple, tuple] = {}
@@ -114,6 +132,7 @@ class FederationMachine(RuleBasedStateMachine):
             domain=PAPER_DOMAIN,
         )
         self.twin.set_tenant("gov", GOVERNED)
+        self.twin.set_tenant("meter", TenantPolicy(lop_budget=self._meter_budget))
         self.databases: dict = {}
         self.twin_databases: dict = {}
         #: The keys both result caches hold, oldest first: (statement, the
@@ -140,6 +159,10 @@ class FederationMachine(RuleBasedStateMachine):
         self.last_hits: dict[str, tuple] = {}
         #: (hit, the spelling's last hit) pairs that must be one object.
         self.repeat_hits: list[tuple] = []
+        #: The ``meter`` tenant's LoP budget on the twin and the estimates of
+        #: what its statements ran.
+        self.meter_budget = self._meter_budget
+        self.meter_charges: list[float] = []
 
     def _join(self, name: str, values: list[int]) -> None:
         database = database_from_values(name, values)
@@ -180,24 +203,28 @@ class FederationMachine(RuleBasedStateMachine):
             self.repeat_hits += [(outcome, last[0]), (twin, last[1])]
         self.last_hits[text] = (outcome, twin)
 
-    def _execute(self, text: str, issuer: str = "anonymous"):
-        """Serve ``text`` on both federations; the flat outcome."""
+    def _execute(self, text: str, issuer: str = "anonymous", spelling=None):
+        """Serve ``text`` on both federations; the flat outcome.  A hit is
+        shared per ``spelling`` (default: the text itself)."""
         outcome = self.federation.execute(text, issuer=issuer)
         twin = self.twin.execute(text, issuer=issuer)
         self.outcomes.append(outcome)
         self.twin_outcomes.append(twin)
         self.issuers.append(issuer)
-        self._note_hits(text, outcome, twin)
+        self._note_hits(spelling or text, outcome, twin)
         return outcome
 
-    def _serve(self, text: str, issuer: str = "anonymous"):
+    def _serve(self, text: str, issuer: str = "anonymous", bare: str | None = None):
+        """Serve ``text``, whose cache key and spelling are ``bare`` (the
+        statement without its SLO clause, default: the text itself)."""
+        bare = bare or text
         members = self.federation.members
-        hit = self._cached(text)
-        outcome = self._execute(text, issuer=issuer)
+        hit = self._cached(bare)
+        outcome = self._execute(text, issuer=issuer, spelling=bare)
         # A hit exactly when the model's cache still holds the key.
         assert outcome.cached == hit
         if not hit:
-            self._stored(text)
+            self._stored(bare)
         self.served.append(
             (issuer, members, outcome.statement, outcome.protocol, outcome.rounds,
              outcome.messages, outcome.values, outcome.cached)
@@ -399,6 +426,46 @@ class FederationMachine(RuleBasedStateMachine):
         assert books() == before
         assert account.refusals == refusals + 2
 
+    @rule(budget=st.sampled_from([0.25, 0.5, 1.0]))
+    def meter_budget_is_replaced(self, budget: float) -> None:
+        # Never below the spend it binds against.
+        budget = max(budget, sum(self.meter_charges))
+        self.twin.set_tenant("meter", TenantPolicy(lop_budget=budget))
+        self.meter_budget = budget
+
+    @precondition(lambda self: len(self.model) >= 3)
+    @rule(k=st.integers(min_value=1, max_value=4), slo=st.sampled_from(METERED_SLOS))
+    def meter_pays_for_what_runs(self, k: int, slo: str) -> None:
+        bare = f"SELECT TOP {k} value FROM data"
+        text = bare + slo
+        parties = len(self.model)
+        if slo:
+            plan = QueryPlanner().plan(parse_spec(text), parties=parties)
+            protocol, params = plan.protocol, plan.params
+        else:
+            protocol, params = EXACT.protocol, EXACT.params
+        estimate = CostModel().ranking_estimate(
+            n_parties=parties, k=k, protocol=protocol, params=params
+        )
+        account = self.twin.router.tenant("meter")
+        if estimate.expected_lop > self.meter_budget - sum(self.meter_charges):
+            def books() -> tuple:
+                return self._books(), account.lop.spent, dict(self.twin.shard_queries)
+
+            before = books()
+            with pytest.raises(TenantBudgetExceeded):
+                self.twin.execute(text, issuer="meter")
+            assert books() == before
+            return
+        outcome = self._serve(text, issuer="meter", bare=bare)
+        assert outcome.values == self._top(k)
+        if not outcome.cached:
+            # It ran the configuration it is charged for.
+            assert (outcome.rounds, outcome.messages) == (
+                estimate.rounds, estimate.messages,
+            )
+            self.meter_charges.append(estimate.expected_lop)
+
     @rule()
     def malformed_statement_serves_nothing(self) -> None:
         for federation in (self.federation, self.twin):
@@ -473,6 +540,12 @@ class FederationMachine(RuleBasedStateMachine):
         for issuer, outcome in zip(self.issuers, self.twin_outcomes):
             if governed(issuer):
                 assert outcome.protocol.endswith("+dp")
+
+    @invariant()
+    def meter_is_charged_what_ran(self) -> None:
+        account = self.twin.router.tenant("meter")
+        assert account.lop.spent == pytest.approx(sum(self.meter_charges), rel=1e-12)
+        assert account.lop.spent <= self.meter_budget + 1e-12
 
     @invariant()
     def free_serves_charge_nothing(self) -> None:

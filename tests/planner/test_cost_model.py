@@ -89,6 +89,17 @@ class TestRankingParity:
         assert estimate.messages == 10  # 2n
         assert estimate.expected_lop == pytest.approx(naive_average_lop(5))
 
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_a_never_randomizing_schedule_is_estimated_by_eq5(self, n):
+        # exact_config()'s ExponentialSchedule(p0=0.0) keeps its default
+        # d=0.5, so the p0 <= 0 branch must come before the Eq. 6 one.
+        from repro.sharding.topology import exact_config
+
+        estimate = CostModel().ranking_estimate(
+            n_parties=n, k=2, protocol=PROBABILISTIC, params=exact_config().params
+        )
+        assert estimate.expected_lop == naive_average_lop(n)
+
     def test_fewer_than_three_parties_rejected(self):
         with pytest.raises(ValueError):
             CostModel().ranking_estimate(

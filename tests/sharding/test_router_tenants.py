@@ -98,8 +98,9 @@ def test_tenant_rate_limit_refuses_through_the_federation():
 
 
 def test_tenant_lop_budget_feeds_planner_feasibility():
-    """Ranking statements plan under the remaining budget; overdraft refuses
-    typed, aggregates stay free, and cache hits are never charged."""
+    """A ranking statement is charged its plan's expected LoP; one whose
+    charge is above the remaining budget refuses typed, aggregates stay
+    free, and cache hits are never charged."""
     topology = build_topology(
         shards=2, parties_per_shard=3, tables=4, rows_per_table=10, seed=2
     )
@@ -161,7 +162,7 @@ def test_unbudgeted_tenants_still_record_lop_spend():
     # A budget installed later binds against the accrued history: the
     # TenantAccount keeps its meters and ``bind_policy`` points them at it.
     sharded.set_tenant("carol", TenantPolicy(lop_budget=spent))
-    assert sharded.router.remaining_lop("carol") == 0.0
+    assert sharded.router.tenant("carol").remaining_lop() == 0.0
 
     # Tenants never registered at all still spend into the void.
     anon = sharded.execute_many_settled([ranking], issuer="nobody")[0]

@@ -535,3 +535,59 @@ def test_each_seeded_violation_is_caught(code, source, tmp_path):
 )
 def test_clean_sources_report_nothing(source):
     assert check_source(source) == []
+
+
+# -- who plans ------------------------------------------------------------------
+
+#: The serving path: the packages a statement crosses from gateway to shard.
+SERVING_PACKAGES = ("service", "federation", "sharding")
+#: Where ``plans`` were threaded from the gateway to the shards.
+PLAN_THREADED = (
+    "federation/coordinator.py",
+    "federation/dp_release.py",
+    "sharding/federation.py",
+    "sharding/shards.py",
+    "service/gateway.py",
+)
+NAMES_PLANS = re.compile(r"\bplans\b")
+
+
+def _plan_calls(path: Path) -> list[str]:
+    """``<path>:<line>`` of every ``<expr>.plan(...)`` call in ``path``."""
+    tree = ast.parse(path.read_text())
+    return [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "plan"
+    ]
+
+
+def test_each_federation_class_plans_in_one_place():
+    """A statement is planned by its federation's plan stage
+    (``plan_for``), one per federation class: everything else on the
+    serving path asks the stage, so a planner's ``.plan(`` is called at
+    most twice there (seven sites at the parent of this rule)."""
+    calls = [
+        call
+        for package in SERVING_PACKAGES
+        for path in sorted((ROOT / "src" / "repro" / package).rglob("*.py"))
+        for call in _plan_calls(path)
+    ]
+    assert len(calls) <= 2, calls
+
+
+def test_plans_travel_only_across_the_shard_boundary():
+    """Lines naming ``plans`` in the five files that used to thread them
+    (42 at the parent of this rule): what is left sits at the shard boundary
+    or in the flat federation's private batch body."""
+    lines = [
+        f"{name}:{number}"
+        for name in PLAN_THREADED
+        for number, line in enumerate(
+            (ROOT / "src" / "repro" / name).read_text().splitlines(), start=1
+        )
+        if NAMES_PLANS.search(line)
+    ]
+    assert len(lines) <= 12, lines
