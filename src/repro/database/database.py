@@ -55,7 +55,8 @@ class PrivateDatabase:
     ) -> Table:
         if name in self._tables:
             raise SchemaError(f"table {name!r} already exists in {self.owner}'s database")
-        table = Table(name, schema, engine=engine if engine is not None else self.engine)
+        # Positional: a keyword costs the call a dispatch, once per table.
+        table = Table(name, schema, engine if engine is not None else self.engine)
         table._database_version = self._data_version
         self._tables[name] = table
         self._data_version.value += 1

@@ -788,7 +788,14 @@ class _NumericColumn:
 class ColumnarEngine(StorageEngine):
     """Chunked numpy columns; top-k, bottom-k and aggregates from column
     summaries, a larger ``k`` and full-column reads as partition kernels
-    over the decoded column."""
+    over the decoded column.
+
+    An engine that holds no rows holds no column objects either: the first
+    batch builds them (``_columns`` is ``None`` until then), and every read
+    of an engine without them answers from the schema -- nothing, ``None``
+    or a count of ``0.0`` -- and builds none.  A party holds every table of
+    its federation, most of them empty on a sharded layout's flat oracle.
+    """
 
     name = "columnar"
 
@@ -797,26 +804,32 @@ class ColumnarEngine(StorageEngine):
 
     def __init__(self, schema: Schema) -> None:
         self.schema = schema
-        dtypes = self._DTYPES
-        # A loop, not a comprehension: a table is one column more often than
-        # not, and the comprehension's own frame would cost more than it.
-        self._columns: dict[str, _NumericColumn | _ObjectColumn] = {}
-        for column in schema.columns:
-            dtype = dtypes.get(column.type)
-            self._columns[column.name] = (
-                _ObjectColumn() if dtype is None else _NumericColumn(dtype)
-            )
+        self._columns: dict[str, _NumericColumn | _ObjectColumn] | None = None
         self._count = 0
 
     def seal(self, name: str, values: np.ndarray) -> "_SealedRun | list":
         # Only a numeric column is handed an array.  A column already
         # spilled stores Python objects: no run to encode, no array to adopt.
-        if self._columns[name].exact is not None:
+        # No column is built yet, so none can have spilled.
+        columns = self._columns
+        if columns is not None and columns[name].exact is not None:
             return values.tolist()
         return _seal(values)
 
     def append_columns(self, sealed: dict[str, list], count: int) -> None:
-        for name, column in self._columns.items():
+        columns = self._columns
+        if columns is None:
+            # Built here, by the first batch, and in line: a loop, not a
+            # comprehension or a helper, whose own frame would cost more
+            # than a one-column table's build.
+            dtypes = self._DTYPES
+            columns = self._columns = {}
+            for declared in self.schema.columns:
+                dtype = dtypes.get(declared.type)
+                columns[declared.name] = (
+                    _ObjectColumn() if dtype is None else _NumericColumn(dtype)
+                )
+        for name, column in columns.items():
             for data in sealed[name]:
                 if type(data) is not list:
                     column.append_run(data)
@@ -834,6 +847,8 @@ class ColumnarEngine(StorageEngine):
 
     @property
     def nbytes(self) -> int:
+        if self._columns is None:
+            return 0
         return sum(
             column.nbytes
             for column in self._columns.values()
@@ -843,7 +858,9 @@ class ColumnarEngine(StorageEngine):
     def encodings(self) -> dict[str, str]:
         """How each numeric column's sealed runs are stored, in first-seen
         order: ``int32``, ``int8/100`` (decimal codes over their scale),
-        ``int8+int64`` for runs of different widths."""
+        ``int8+int64`` for runs of different widths; ``""`` for none."""
+        if self._columns is None:
+            return {c.name: "" for c in self.schema.columns if c.is_numeric}
         return {
             name: "+".join(dict.fromkeys(c.encoding for c in column.chunks))
             for name, column in self._columns.items()
@@ -851,11 +868,15 @@ class ColumnarEngine(StorageEngine):
         }
 
     def rows(self) -> list[Row]:
+        if self._columns is None:
+            return []
         names = self.schema.names
         columns = [self._columns[name].all_values() for name in names]
         return [dict(zip(names, values)) for values in zip(*columns)]
 
     def column_values(self, name: str) -> list[object]:
+        if self._columns is None:
+            return []
         return self._columns[name].all_values()
 
     def _numeric(self, name: str) -> _NumericColumn:
@@ -869,6 +890,8 @@ class ColumnarEngine(StorageEngine):
         return values.tolist()
 
     def top_k(self, name: str, k: int) -> list:
+        if self._columns is None:
+            return []
         column = self._numeric(name)
         summary = column.summary() if k <= SUMMARY_ROWS else None
         if summary is not None:
@@ -879,6 +902,8 @@ class ColumnarEngine(StorageEngine):
         return self.top_k_array(column.valid_values(), k)
 
     def bottom_k(self, name: str, k: int) -> list:
+        if self._columns is None:
+            return []
         column = self._numeric(name)
         summary = column.summary() if k <= SUMMARY_ROWS else None
         if summary is not None:
@@ -889,6 +914,8 @@ class ColumnarEngine(StorageEngine):
         return self.bottom_k_array(column.valid_values(), k)
 
     def aggregate(self, name: str, func: str) -> float | None:
+        if self._columns is None:
+            return _scalar_aggregate([], func)
         column = self._numeric(name)
         summary = column.summary(with_total=func in ("sum", "avg"))
         if summary is not None:

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 from ..federation.cache import canonical_statement
@@ -68,7 +68,12 @@ class SloError(SqlError):
 
 @dataclass(frozen=True)
 class Slo:
-    """Declared objectives for one statement; ``None`` means unconstrained."""
+    """Declared objectives for one statement; ``None`` means unconstrained.
+
+    ``is_trivial`` -- true when no objective is declared (a bare dialect
+    statement) -- is derived once, here, for every stage that asks it;
+    equality, hashing, ``repr``, pickling and ``replace`` ignore it.
+    """
 
     epsilon: float | None = None
     max_lop: float | None = None
@@ -77,6 +82,7 @@ class Slo:
     protocol: str | None = None
     dp_epsilon: float | None = None
     dp_delta: float | None = None
+    is_trivial: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.epsilon is not None and not 0.0 < self.epsilon < 1.0:
@@ -105,25 +111,30 @@ class Slo:
                 raise SloError(
                     f"SLO dp_delta must be in [0, 1), got {self.dp_delta}"
                 )
+        trivial = all(getattr(self, name) is None for name in _OBJECTIVES)
+        object.__setattr__(self, "is_trivial", trivial)
+
+    def __reduce__(self) -> tuple:
+        return Slo, tuple([getattr(self, name) for name in _OBJECTIVES])
 
     @property
     def has_dp(self) -> bool:
         """True when the statement requests a differentially-private release."""
         return self.dp_epsilon is not None
 
-    @property
-    def is_trivial(self) -> bool:
-        """True when no objective is declared (a bare dialect statement)."""
-        return all(getattr(self, f.name) is None for f in fields(self))
-
     def describe(self) -> str:
         """Canonical one-line rendering (deterministic; used by explain)."""
         parts = [
-            f"{f.name}={getattr(self, f.name)}"
-            for f in fields(self)
-            if getattr(self, f.name) is not None
+            f"{name}={getattr(self, name)}"
+            for name in _OBJECTIVES
+            if getattr(self, name) is not None
         ]
         return ", ".join(parts) if parts else "(none)"
+
+
+#: The objectives an :class:`Slo` declares, in field order (``is_trivial``
+#: is derived from them, not declared).
+_OBJECTIVES = tuple(f.name for f in fields(Slo) if f.init)
 
 
 @dataclass(frozen=True)
@@ -142,7 +153,7 @@ class QuerySpec:
 
 #: Every key the clause accepts: the objectives themselves, plus the
 #: ``precision`` spelling of ``epsilon``.
-_SLO_KEYS = frozenset(f.name for f in fields(Slo)) | {"precision"}
+_SLO_KEYS = frozenset(_OBJECTIVES) | {"precision"}
 
 
 def _parse_value(key: str, raw: str) -> object:
@@ -261,9 +272,9 @@ def strip_dp(spec: QuerySpec) -> str:
     nothing but DP keys collapses to the bare dialect statement.
     """
     kept = [
-        (f.name, getattr(spec.slo, f.name))
-        for f in fields(spec.slo)
-        if f.name not in DP_SLO_KEYS and getattr(spec.slo, f.name) is not None
+        (name, getattr(spec.slo, name))
+        for name in _OBJECTIVES
+        if name not in DP_SLO_KEYS and getattr(spec.slo, name) is not None
     ]
     if not kept:
         return spec.statement.text

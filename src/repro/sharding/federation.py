@@ -228,14 +228,18 @@ class ShardedFederation:
 
         The only planner call on the sharded path: the gateway's cost
         admission and downgrade, tenant admission, DP expansion and the
-        shard frame all read it, over ``len(members)`` parties -- every
-        party of every shard.  A statement without objectives is not chosen
-        for in quality mode: its plan is the base configuration the shards
-        run it on (one ``config``, as the topology builders give every
-        shard), with the cost model's estimate.
+        shard frame all read it, over the parties of the ring it runs on --
+        its table's shard, or for a partitioned table the largest shard.  A
+        statement without objectives is not chosen for in quality mode: its
+        plan is the base configuration the shards run it on (one
+        ``config``, as the topology builders give every shard), with the
+        cost model's estimate.
         """
+        target = self.router.route(spec.statement.table)
+        rings = self.shards if target == ALL_SHARDS else (self.shards[target],)
+        parties = max(len(shard.members()) for shard in rings)
         return self.planner.plan(
-            spec, parties=len(self.members), mode=mode, base=self.shards[0].config
+            spec, parties=parties, mode=mode, base=self.shards[0].config
         )
 
     # -- query surface -------------------------------------------------------

@@ -174,12 +174,15 @@ def _build_party(
     owner: str,
     tables: "tuple[str, ...]",
     held: dict[str, list[int]],
-    attribute: str,
+    schema: Schema,
 ) -> PrivateDatabase:
+    """One party holding every table in ``tables``, its ``held`` rows loaded.
+
+    ``schema`` is the one-column schema of every table of the build: a
+    schema is immutable, so the parties of one federation share one.
+    """
     db = PrivateDatabase(owner)
-    # One schema for all of a party's tables: a schema is immutable, and
-    # each one holds its derived name map.
-    schema = Schema.of((attribute, "INTEGER"))
+    (attribute,) = schema.names
     for table_name in tables:
         table = db.create_table(table_name, schema)
         values = held.get(table_name, ())
@@ -200,10 +203,11 @@ def single_federation(
         seed=topology.seed,
         **kwargs,
     )
+    schema = Schema.of((topology.attribute, "INTEGER"))
     for shard in topology.assignments:
         for owner in sorted(shard):
             federation.register(
-                _build_party(owner, topology.tables, shard[owner], topology.attribute)
+                _build_party(owner, topology.tables, shard[owner], schema)
             )
     return federation
 
@@ -224,10 +228,9 @@ def _shard_federation(
     )
     tables = topology.shard_tables(index)
     assignment = topology.assignments[index]
+    schema = Schema.of((topology.attribute, "INTEGER"))
     for owner in sorted(assignment):
-        federation.register(
-            _build_party(owner, tables, assignment[owner], topology.attribute)
-        )
+        federation.register(_build_party(owner, tables, assignment[owner], schema))
     return federation
 
 

@@ -23,6 +23,7 @@ from repro.sharding import topology as topology_module
 from repro.sharding.topology import _build_party, build_topology
 
 ATTRIBUTE = "value"
+SCHEMA = Schema.of((ATTRIBUTE, "INTEGER"))
 TABLES = ("t00", "t01", "t02", "part00")
 #: ``k`` on both sides of the summary: small reads come from the column
 #: summary, a larger one scans the column.
@@ -67,15 +68,22 @@ def _rowwise_from_values(owner, values, engine):
 
 
 def _storage(table):
-    """How the engine holds the rows: encodings and the pending tail."""
+    """How the engine holds the rows: encodings and the pending tail.
+
+    An engine that has built no column (it never held a row) reads as its
+    schema's columns with no chunk and no pending row.
+    """
     engine = table._engine
     if not isinstance(engine, engines.ColumnarEngine):
         return None
-    columns = engine._columns.values()
-    return (
-        engine.encodings(),
-        [(len(c.pending), len(c.chunks), c.exact is None) for c in columns],
-    )
+    if engine._columns is None:
+        columns = [(0, 0, True)] * len(table.schema.columns)
+    else:
+        columns = [
+            (len(c.pending), len(c.chunks), c.exact is None)
+            for c in engine._columns.values()
+        ]
+    return engine.encodings(), columns
 
 
 def _answers(table):
@@ -127,7 +135,7 @@ def holdings(draw):
 def test_build_party_matches_rowwise_inserts(engine, held, tables):
     with pytest.MonkeyPatch.context() as patch:
         _build_on(patch, engine)
-        built = _build_party("org00x00", tuple(tables), held, ATTRIBUTE)
+        built = _build_party("org00x00", tuple(tables), held, SCHEMA)
     reference = _rowwise_party("org00x00", tuple(tables), held, ATTRIBUTE, engine)
     assert_same_party(built, reference, engine)
 
@@ -150,7 +158,7 @@ def test_topology_rows_are_ints_and_build_the_rowwise_party(engine):
         for index, shard in enumerate(topology.assignments):
             tables = topology.shard_tables(index)
             for owner, held in sorted(shard.items()):
-                built = _build_party(owner, tables, held, ATTRIBUTE)
+                built = _build_party(owner, tables, held, SCHEMA)
                 reference = _rowwise_party(owner, tables, held, ATTRIBUTE, engine)
                 assert_same_party(built, reference, engine)
 

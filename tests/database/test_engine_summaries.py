@@ -181,13 +181,22 @@ def _faulty(pairs, fault, at):
     return pairs
 
 
+def column_of(table: Table, name: str):
+    """A columnar table's column ``name``.  An engine that never held a row
+    has built no column, and reads as the fresh column it would build."""
+    engine = table._engine
+    if engine._columns is None:
+        return engines._NumericColumn(engine._DTYPES[table.schema.column(name).type])
+    return engine._numeric(name)
+
+
 def stored(table: Table) -> tuple:
     """Everything a table holds, arrays as bytes: equal iff bit for bit."""
     if table.engine_name == ROW:
         return len(table), table.version, repr(table.scan())
     columns = []
     for name in table.schema.names:
-        column = table._engine._numeric(name)
+        column = column_of(table, name)
         summary = column._summary
         columns.append((
             [(run.encoding, run.codes.tobytes()) for run in column.chunks],
@@ -302,7 +311,7 @@ class SummaryParity(RuleBasedStateMachine):
             spilled = [
                 name for name in ("i", "x")
                 if table.engine_name == COLUMNAR
-                and table._engine._numeric(name).exact is not None
+                and column_of(table, name).exact is not None
             ]
             mapping_form = copy.deepcopy(table)
             assert table.insert_arrays(blocked()) == mapping_form.insert_arrays(batch)
@@ -349,7 +358,7 @@ class SummaryParity(RuleBasedStateMachine):
         for name in ("i", "x"):
             SummaryParity.sealed.update(
                 (name, chunk.encoding)
-                for chunk in self.col._engine._numeric(name).chunks
+                for chunk in column_of(self.col, name).chunks
             )
 
     def teardown(self):

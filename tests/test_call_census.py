@@ -162,10 +162,6 @@ DECLARED: dict[str, tuple[str, str, str]] = {
         "design", "tests/database/test_engines.py",
         "DESIGN.md 4j: TEXT columns, which database.io loads and scan reads",
     ),
-    "repro.database.engines:_scalar_aggregate": (
-        "reference", "tests/database/test_engines.py",
-        "the row store's aggregate semantics, which spilled columns reuse",
-    ),
     "repro.database.schema:Column.validate": (
         "guard", "tests/database/test_table.py",
         "outside-input validation: a batch column its one type pass cannot clear",
@@ -329,6 +325,11 @@ DECLARED: dict[str, tuple[str, str, str]] = {
     "repro.sharding.federation:ShardedFederation.deregister": (
         "design", "tests/sharding/test_router_tenants.py",
         "DESIGN.md 4g: a membership change drops the shard's cache",
+    ),
+    "repro.sharding.federation:ShardedFederation.members": (
+        "design", "tests/sharding/test_one_plan_per_statement.py",
+        "DESIGN.md 4o: the deployment's parties, which the plan stage no "
+        "longer counts",
     ),
     "repro.sharding.federation:ShardedFederation.register": (
         "design", "tests/sharding/test_router_tenants.py",
