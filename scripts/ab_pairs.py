@@ -4,12 +4,15 @@
     python scripts/ab_pairs.py --workloads scan_write --pairs 10
     python scripts/ab_pairs.py --base HEAD~1 --pairs 3 --out /tmp/ab
 
-The *parent* is the ``--base`` revision (default ``HEAD``), checked out with
-``git worktree add --detach`` into a fresh temporary directory; the *change*
+The *parent* is the ``--base`` revision (default ``HEAD``), its files
+extracted from ``git archive`` into a fresh temporary directory; the *change*
 is the working tree as it stands (tracked files plus untracked files git does
-not ignore), copied into a second one.  Neither side runs from the checkout,
-so nothing under ``bench/out/`` is written; the worktree is removed again on
-the way out.  Both trees are byte-compiled before the first run, so no run
+not ignore), copied into a second one.  Both are plain directories of files
+with no ``.git``, as the benchmark's own checkouts are, so the two sides run
+the same code around the workload: ``bench/harness.py`` runs ``git rev-parse``
+only in a tree that has a ``.git``.  Neither side runs from the checkout, so
+nothing under ``bench/out/`` is written, and the checkout's worktree list is
+never touched.  Both trees are byte-compiled before the first run, so no run
 pays for compiling the program.
 
 Pair ``i`` runs ``bench/run.py --workload W --seed S_i`` once on each side, at
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import io
 import json
 import math
 import os
@@ -49,6 +53,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -173,20 +178,34 @@ def read_seeds(text: str) -> set[int]:
 # -- running the two trees ----------------------------------------------------
 
 
-def _git(*args: str) -> str:
+def _git(*args: str, root: Path = ROOT) -> str:
     return subprocess.run(
-        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
+        ["git", *args], cwd=root, check=True, capture_output=True, text=True
     ).stdout
 
 
-def copy_working_tree(target: Path) -> None:
+def copy_working_tree(target: Path, root: Path = ROOT) -> None:
     """Tracked files plus untracked files git does not ignore, as they are."""
-    listed = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    listed = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard",
+                  root=root)
     for name in filter(None, listed.split("\0")):
-        source = ROOT / name
+        source = root / name
         if source.is_file():  # a tracked file deleted in the change is not
             (target / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(source, target / name)
+
+
+def extract_revision(revision: str, target: Path, root: Path = ROOT) -> None:
+    """The files of ``revision``, as plain files: no ``.git``, as the copy."""
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", revision],
+        cwd=root, check=True, capture_output=True,
+    ).stdout
+    target.mkdir(parents=True, exist_ok=True)
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        # Python's safe extraction filter, where this Python has it.
+        safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+        tar.extractall(target, **safe)
 
 
 def run_once(tree: Path, workload: str, seed: int) -> dict:
@@ -251,8 +270,8 @@ def main(argv: list[str] | None = None) -> int:
     work = Path(tempfile.mkdtemp(prefix="ab-trees-"))
     trees = {"parent": work / "parent", "change": work / "change"}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    _git("worktree", "add", "--detach", str(trees["parent"]), base_rev)
     try:
+        extract_revision(base_rev, trees["parent"])
         copy_working_tree(trees["change"])
         for tree in trees.values():
             subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "bench"],
@@ -271,7 +290,6 @@ def main(argv: list[str] | None = None) -> int:
                         f"{m.name} {result['metrics'][m.name]['value']:.4g}"
                         for m in catalog.END_TO_END), file=sys.stderr)
     finally:
-        _git("worktree", "remove", "--force", str(trees["parent"]))
         shutil.rmtree(work, ignore_errors=True)
 
     # Both sides hold their runs in seed order, so run i of one pairs with

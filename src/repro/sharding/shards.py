@@ -213,19 +213,11 @@ class ProcessShard:
     # -- lifecycle ----------------------------------------------------------
 
     @classmethod
-    def launch(
-        cls,
-        build: Callable[[], Federation],
-        *,
-        index: int = 0,
-        timeout: float = 10.0,
-        members: Iterable[str] = (),
-        config: RunConfig | None = None,
-    ) -> "ProcessShard":
-        """Fork a worker that serves the federation ``build()`` returns.
+    def launch(cls, shard: LocalShard, *, timeout: float = 10.0) -> "ProcessShard":
+        """Fork a worker that serves ``shard``, built in this process.
 
         The child starts from this process's loaded image — no interpreter
-        start, no imports, nothing serialised — and runs
+        start, no imports, nothing serialised, nothing built — and runs
         :func:`~repro.sharding.worker.run`, which never returns here.  This
         returns as soon as the child exists, so a caller booting many
         workers starts them all before it waits for any (:meth:`handshake`).
@@ -233,8 +225,9 @@ class ProcessShard:
         drains a pipe while the worker lives, and a full one would block it
         mid-request.  A fork copies only the calling thread, so with any
         other thread alive this raises :class:`ShardError` and forks nothing.
-        ``members`` and ``config`` describe what ``build()`` builds, so the
-        gateway knows them without a wire call.
+        The client keeps the shard's index, members and base configuration,
+        so the gateway knows them without a wire call, and no reference to
+        the shard itself.
         """
         if not hasattr(os, "fork"):
             raise ShardError(
@@ -261,13 +254,11 @@ class ProcessShard:
             stderr.close()
             raise
         if pid == 0:
-            worker.run(
-                lambda: LocalShard(build(), index=index), announced, stderr.fileno()
-            )
+            worker.run(lambda: shard, announced, stderr.fileno())
         os.close(announced)
         return cls(
-            _Child(pid, announce), stderr, index=index, timeout=timeout,
-            members=members, config=config,
+            _Child(pid, announce), stderr, index=shard.index, timeout=timeout,
+            members=shard.members(), config=shard.config,
         )
 
     def handshake(self, boot_timeout: float = 30.0) -> None:
@@ -275,7 +266,7 @@ class ProcessShard:
         point: the worker closes the pipe right after writing it, so once it
         is read to its end the worker is accepting and holds no descriptor
         but its own, and no request races the boot.  A worker that dies
-        instead (its build raised) closes the pipe and one still silent at
+        instead (its boot raised) closes the pipe and one still silent at
         ``boot_timeout`` is killed; either way the worker is reaped and
         :class:`ShardError` carries the tail of its stderr.
         """

@@ -10,7 +10,7 @@ topology can be materialized three interchangeable ways:
   against);
 * :func:`local_shards` — one in-process federation per shard;
 * :func:`process_shards` — one worker process per shard, forked from this
-  one and building what :func:`local_shards` builds, speaking the wire
+  one around the shard :func:`local_shards` built here, speaking the wire
   protocol.
 
 Row values are drawn as domain integers and kept as the ``int`` objects
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import partial
 
 from ..core.driver import RunConfig
 from ..core.params import ProtocolParams
@@ -217,8 +216,9 @@ def _shard_federation(
 ) -> Federation:
     """Shard ``index``'s federation: its parties, its table slice, its seed.
 
-    The one body both backends build with: :func:`local_shards` calls it in
-    this process, :func:`process_shards` in each forked worker.
+    The one body every backend builds with, always in the gateway:
+    :func:`local_shards` calls it, and :func:`process_shards` forks its
+    workers around what :func:`local_shards` returns.
     """
     federation = Federation(
         domain=topology.domain,
@@ -237,11 +237,22 @@ def _shard_federation(
 def local_shards(
     topology: ShardTopology, *, config: RunConfig | None = None, **kwargs
 ) -> list[LocalShard]:
-    """One in-process federation per shard, holding only its table slice."""
-    return [
-        LocalShard(_shard_federation(topology, index, config, **kwargs), index=index)
-        for index in range(topology.shard_count)
-    ]
+    """One in-process federation per shard, holding only its table slice.
+
+    A shard whose build raises is refused as :class:`ShardError` naming
+    it, with the build's own error as the cause: one refusal type for
+    every backend, since :func:`process_shards` builds here too.
+    """
+    shards: list[LocalShard] = []
+    for index in range(topology.shard_count):
+        try:
+            federation = _shard_federation(topology, index, config, **kwargs)
+        except Exception as exc:
+            raise ShardError(
+                f"shard {index} failed to build: {type(exc).__name__}: {exc}"
+            ) from exc
+        shards.append(LocalShard(federation, index=index))
+    return shards
 
 
 def process_shards(
@@ -251,29 +262,35 @@ def process_shards(
     timeout: float = 10.0,
     boot_timeout: float = 30.0,
 ) -> list[ProcessShard]:
-    """One worker process per shard, forked from this one, booted concurrently.
+    """One worker process per shard, each serving a shard built here.
 
-    Each worker builds its shard with :func:`_shard_federation`, as
-    :func:`local_shards` does here, so a process shard is its local twin by
-    construction, for any ``config``.  Every worker is launched before any
-    is waited for, so the builds overlap instead of adding up; handshakes
-    are then collected in shard order.  A worker that fails to boot, or is
-    still silent at ``boot_timeout``, raises :class:`ShardError` with its
-    stderr, and every worker launched so far is killed and reaped first.
+    Every shard is built in this process by :func:`local_shards`, before
+    the first fork, and each worker is forked around the one it serves:
+    a process shard is its local twin by construction, for any ``config``,
+    and a worker only binds, announces and serves.  A shard whose build
+    raises is refused as :class:`ShardError` before anything is forked.
+    Every worker is launched before any is waited for; handshakes are then
+    collected in shard order.  A worker that fails to boot, or is still
+    silent at ``boot_timeout``, raises :class:`ShardError` with its stderr,
+    and every worker launched so far is killed and reaped first.
+
+    The builds run one after another here instead of side by side in the
+    workers.  A build in a freshly forked child pays a copy-on-write fault
+    on every page it touches and competes with the next fork for the CPUs,
+    so it is several times slower than here; only a shard whose build
+    costs more than a fork would boot sooner in its worker, and no layout
+    :func:`build_topology` makes is one, so there is no option for it.
+    Each worker inherits the other shards' pages as shared copy-on-write
+    memory it never writes; the gateway drops each shard as its worker is
+    forked and keeps none.
     """
+    built = local_shards(topology, config=config)
     shards: list[ProcessShard] = []
-    config = config if config is not None else exact_config()
     try:
-        for index in range(topology.shard_count):
-            shards.append(
-                ProcessShard.launch(
-                    partial(_shard_federation, topology, index, config),
-                    index=index,
-                    timeout=timeout,
-                    members=topology.assignments[index],
-                    config=config,
-                )
-            )
+        while built:
+            # Popped, so once its worker is forked the gateway holds no
+            # reference to a shard it has handed over.
+            shards.append(ProcessShard.launch(built.pop(0), timeout=timeout))
         for shard in shards:
             shard.handshake(boot_timeout)
     except BaseException:

@@ -1,14 +1,16 @@
 """Shard worker: one federation behind a TCP request loop, in a forked child.
 
 :meth:`ProcessShard.launch <repro.sharding.shards.ProcessShard.launch>`
-forks the gateway and the child runs :func:`run`: it builds its shard's
-federation with the code :func:`~repro.sharding.topology.local_shards` uses,
-binds an OS-assigned localhost port, announces ``PORT <n>`` on a pipe, and
-then serves framed-JSON requests (:mod:`repro.sharding.protocol`) until told
-to shut down.  This is the process-per-shard deployment the ROADMAP's
-scale-out item asks for: each shard is its own OS process speaking the
-deploy layer's wire framing, so the chaos sweep can SIGKILL a *real* process
-and the gateway must degrade through
+forks the gateway around a shard it has already built
+(:func:`~repro.sharding.topology.process_shards` builds every shard with
+:func:`~repro.sharding.topology.local_shards` before the first fork), and
+the child runs :func:`run`: it builds nothing, but binds an OS-assigned
+localhost port, announces ``PORT <n>`` on a pipe, and then serves
+framed-JSON requests (:mod:`repro.sharding.protocol`) until told to shut
+down.  This is the process-per-shard deployment the ROADMAP's scale-out
+item asks for: each shard is its own OS process speaking the deploy
+layer's wire framing, so the chaos sweep can SIGKILL a *real* process and
+the gateway must degrade through
 :class:`~repro.sharding.errors.ShardUnavailable` refusals.
 """
 
@@ -118,8 +120,8 @@ def serve(shard: LocalShard, listener: socket.socket) -> None:
                     return
 
 
-def run(build: Callable[[], LocalShard], announce: int, stderr: int) -> NoReturn:
-    """A forked worker's whole life: build, announce, serve, ``os._exit``.
+def run(boot: Callable[[], LocalShard], announce: int, stderr: int) -> NoReturn:
+    """A forked worker's whole life: boot, announce, serve, ``os._exit``.
 
     It never returns into the gateway's frames: every path, a
     ``BaseException`` included, ends in ``os._exit``, so no gateway
@@ -127,8 +129,11 @@ def run(build: Callable[[], LocalShard], announce: int, stderr: int) -> NoReturn
     ``close_fds=True`` would: stdin and stdout on ``/dev/null``, stderr on
     the ``stderr`` file, every other inherited one closed but the
     ``announce`` pipe.  ``gc.freeze()`` comes first, so no inherited object
-    the collector would finalize later closes an fd number reused here.  A
-    failed boot leaves its traceback on stderr, which the gateway quotes.
+    the collector would finalize later closes an fd number reused here, and
+    the collector never walks (and so never copies) the inherited shard.
+    ``boot()`` is the last step before the bind: it hands over the shard
+    the gateway built.  A boot that raises leaves its traceback on stderr,
+    which the gateway quotes.
     """
     code = 1
     try:
@@ -140,7 +145,7 @@ def run(build: Callable[[], LocalShard], announce: int, stderr: int) -> NoReturn
         os.dup2(devnull, 1)
         os.closerange(3, announce)
         os.closerange(announce + 1, os.sysconf("SC_OPEN_MAX"))
-        shard = build()
+        shard = boot()
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.bind(("127.0.0.1", 0))
         listener.listen(8)

@@ -14,10 +14,14 @@ import subprocess
 import threading
 import time
 import warnings
+import weakref
 
 import pytest
 
+from repro.database.schema import SchemaError
 from repro.sharding import ShardError, build_topology, sharded_federation
+from repro.sharding import topology as topology_module
+from repro.sharding import worker
 from repro.sharding.shards import ProcessShard
 from repro.sharding.topology import process_shards
 
@@ -26,21 +30,21 @@ needs_proc = pytest.mark.skipif(
 )
 
 
-def _silent(build):
+def _silent(boot):
     return lambda: time.sleep(60)
 
 
-def _noisy(build):
-    """A real build that first writes 1 MiB to stderr: 16 pipe buffers' worth."""
+def _noisy(boot):
+    """The real boot, after 1 MiB written to stderr: 16 pipe buffers' worth."""
 
     def flood():
         os.write(2, b"x" * 2**20)
-        return build()
+        return boot()
 
     return flood
 
 
-def _failing(build):
+def _failing(boot):
     def fail():
         raise RuntimeError("boot refused on purpose")
 
@@ -59,8 +63,8 @@ def recorded_fork(monkeypatch):
     """Record every ``os.fork`` and every handshake, in order.
 
     ``events`` is the interleaved log; ``children`` the forked pids;
-    ``swaps[i]``, when set, wraps the i-th launch's shard build (it is given
-    the real build and returns the one the child runs).
+    ``swaps[i]``, when set, wraps the i-th worker's boot in the child (it is
+    given the real boot and returns the one the worker runs).
     """
     events, children, swaps = [], [], {}
     fork = os.fork
@@ -72,11 +76,12 @@ def recorded_fork(monkeypatch):
             children.append(pid)
         return pid
 
-    launch = ProcessShard.launch.__func__
+    run = worker.run
 
-    def swapped(cls, build, **kwargs):
+    def swapped(boot, announce, stderr):
+        # In the i-th child, the gateway has recorded i forks.
         swap = swaps.get(len(children))
-        return launch(cls, swap(build) if swap else build, **kwargs)
+        return run(swap(boot) if swap else boot, announce, stderr)
 
     handshake = ProcessShard.handshake
 
@@ -85,7 +90,7 @@ def recorded_fork(monkeypatch):
         return handshake(self, boot_timeout)
 
     monkeypatch.setattr(os, "fork", recorded)
-    monkeypatch.setattr(ProcessShard, "launch", classmethod(swapped))
+    monkeypatch.setattr(worker, "run", swapped)
     monkeypatch.setattr(ProcessShard, "handshake", recorded_handshake)
     return events, children, swaps
 
@@ -115,13 +120,53 @@ def test_every_worker_is_launched_before_any_handshake(recorded_fork):
     assert _all_reaped(children)
 
 
+def test_every_shard_is_built_before_the_first_fork_and_kept_by_no_one(
+    recorded_fork, monkeypatch
+):
+    events, children, _swaps = recorded_fork
+    built = []
+    build = topology_module._shard_federation
+
+    def recorded_build(*args, **kwargs):
+        federation = build(*args, **kwargs)
+        events.append("build")
+        built.append(weakref.ref(federation))
+        return federation
+
+    monkeypatch.setattr(topology_module, "_shard_federation", recorded_build)
+    shards = process_shards(_topology(shards=3))
+    try:
+        assert events == ["build"] * 3 + ["launch"] * 3 + ["handshake"] * 3
+        gc.collect()
+        assert len(built) == 3
+        assert [ref() for ref in built] == [None] * 3
+        assert all(shard._request({"op": "ping"})["ok"] for shard in shards)
+    finally:
+        for shard in shards:
+            shard.close()
+    assert _all_reaped(children)
+
+
 def test_unbootable_shard_raises_with_its_stderr_and_reaps_every_worker(
     recorded_fork,
 ):
-    _events, children, _swaps = recorded_fork
+    _events, children, swaps = recorded_fork
+    # Shard 1's worker raises in the child, after every worker is forked.
+    swaps[1] = _failing
+    with pytest.raises(ShardError) as caught:
+        process_shards(_topology(shards=3))
+    message = str(caught.value)
+    assert "shard 1 worker failed to start" in message
+    assert "RuntimeError: boot refused on purpose" in message
+    assert len(children) == 3
+    assert _all_reaped(children)
+
+
+def test_unbuildable_shard_is_refused_before_anything_is_forked(recorded_fork):
+    events, children, _swaps = recorded_fork
     topology = _topology(shards=3)
     # Shard 1's first party holds a row its INTEGER column refuses: its
-    # build raises.
+    # build raises, in the gateway.
     broken = [dict(shard) for shard in topology.assignments]
     owner = sorted(broken[1])[0]
     table = topology.shard_tables(1)[0]
@@ -136,8 +181,8 @@ def test_unbootable_shard_raises_with_its_stderr_and_reaps_every_worker(
         "SchemaError: column 'value' expects INTEGER, got 'not-a-number'"
         in message
     )
-    assert len(children) == 3
-    assert _all_reaped(children)
+    assert isinstance(caught.value.__cause__, SchemaError)
+    assert events == [] and children == []
 
 
 def test_silent_worker_is_killed_at_boot_timeout(recorded_fork):

@@ -1,11 +1,13 @@
 """The pair-measurement tool's rules (``scripts/ab_pairs.py``) on synthetic samples.
 
-Only the pure functions are exercised: the verdict, the sign test, the
-quartiles and the seed ledger.  Running the two trees is the tool's job, not
-tier-1's.
+The pure functions are exercised: the verdict, the sign test, the quartiles
+and the seed ledger; and so is how the two trees are materialised, on a
+throwaway repository.  Running them is the tool's job, not tier-1's.
 """
 
 import importlib.util
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -173,3 +175,41 @@ def test_the_table_names_a_stalled_pair_by_seed_and_side():
     quiet = ab.table([("hot_repeat", PEAK, ab.verdict(PEAK, PARENT, PARENT))],
                      {"hot_repeat": "10/10 · 10/10"}, seeds)
     assert quiet.splitlines()[2].endswith("| - |")
+
+
+def _entries(tree: Path) -> dict[str, "bytes | None"]:
+    """Every entry under ``tree``, dot-entries included: a file's bytes,
+    ``None`` for a directory."""
+    return {
+        str(path.relative_to(tree)): path.read_bytes() if path.is_file() else None
+        for path in tree.rglob("*")
+    }
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_both_trees_are_materialised_alike(tmp_path):
+    repo = tmp_path / "repo"
+    (repo / "src" / "pkg").mkdir(parents=True)
+    (repo / "src" / "pkg" / "mod.py").write_text("VALUE = 1\n")
+    (repo / "README.md").write_text("readme\n")
+    (repo / ".gitignore").write_text("out/\n")
+
+    def git(*args):
+        subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            cwd=repo, check=True, capture_output=True,
+        )
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "one")
+    (repo / "out").mkdir()
+    (repo / "out" / "run.json").write_text("{}")  # ignored: copied by neither
+
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    ab.extract_revision("HEAD", parent, root=repo)
+    ab.copy_working_tree(change, root=repo)
+    assert _entries(parent) == _entries(change)
+    assert set(_entries(parent)) == {
+        "src", "src/pkg", "src/pkg/mod.py", "README.md", ".gitignore"
+    }
