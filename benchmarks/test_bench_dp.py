@@ -73,9 +73,12 @@ def _timed(fn) -> float:
 
 def test_bench_dp_overhead():
     # -- fresh-release overhead vs the identical plain batch --------------
-    plain_outcomes = fresh_federation(dp=False).execute_many(PLAIN_STATEMENTS)
+    def serve(dp: bool, statements: list[str]) -> list:
+        return fresh_federation(dp=dp).execute_many_settled(statements)
+
+    plain_outcomes = serve(False, PLAIN_STATEMENTS)
     dp_fed = fresh_federation(dp=True)
-    dp_outcomes = dp_fed.execute_many(DP_STATEMENTS)
+    dp_outcomes = dp_fed.execute_many_settled(DP_STATEMENTS)
 
     # The noise layer must not change what the protocol does underneath.
     # (AVG's inner SUM/COUNT are batch-cache hits of the earlier statements,
@@ -89,11 +92,11 @@ def test_bench_dp_overhead():
     for _ in range(WALL_PASSES):
         plain_wall = min(
             plain_wall,
-            _timed(lambda: fresh_federation(dp=False).execute_many(PLAIN_STATEMENTS)),
+            _timed(lambda: serve(False, PLAIN_STATEMENTS)),
         )
         dp_wall = min(
             dp_wall,
-            _timed(lambda: fresh_federation(dp=True).execute_many(DP_STATEMENTS)),
+            _timed(lambda: serve(True, DP_STATEMENTS)),
         )
 
     # -- free re-serve: byte-identical, zero budget ------------------------
@@ -101,7 +104,7 @@ def test_bench_dp_overhead():
     spent_before = dp_fed.dp_gate.accountant.epsilon.spent
     start = time.perf_counter()
     for _ in range(REPEATS):
-        repeats = dp_fed.execute_many(DP_STATEMENTS)
+        repeats = dp_fed.execute_many_settled(DP_STATEMENTS)
         for first, again in zip(dp_outcomes, repeats):
             assert again.values == first.values
             assert again.cached and again.rounds == 0 and again.messages == 0
@@ -113,13 +116,13 @@ def test_bench_dp_overhead():
     emit(
         "dp_overhead",
         f"{len(DP_STATEMENTS)} statements (TOP, MAX, SUM, COUNT, AVG, BOTTOM) as "
-        "one execute_many batch on a fresh 5-party federation per run, once "
-        f"plain and once WITH SLO(dp_epsilon=2.0); {WALL_PASSES} passes per side, "
-        "interleaved in one process, fastest of each; the DP side adds "
+        "one execute_many_settled batch on a fresh 5-party federation per run, "
+        f"once plain and once WITH SLO(dp_epsilon=2.0); {WALL_PASSES} passes per "
+        "side, interleaved in one process, fastest of each; the DP side adds "
         "mechanism calibration, seeded noise draws and accountant updates over "
         "the same inner protocol runs.  The re-serve row is "
-        f"{REPEATS} waves of the released batch through execute_many, each "
-        "answer checked byte-identical and free inside the timed loop",
+        f"{REPEATS} waves of the released batch through execute_many_settled, "
+        "each answer checked byte-identical and free inside the timed loop",
         [
             row(
                 "fresh_dp_batch_over_plain_batch",

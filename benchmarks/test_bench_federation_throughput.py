@@ -1,6 +1,7 @@
 """Bench: federated query throughput — a batch vs one statement at a time.
 
-Measured end to end through ``Federation.execute_many`` on the wall clock:
+Measured end to end through ``Federation.execute_many_settled`` on the wall
+clock:
 
 * **Batch vs sequential**: 8 distinct ranking statements served as one
   batch against the same 8 served one ``execute`` at a time.  A batch of 8
@@ -76,7 +77,7 @@ def test_bench_federation_throughput():
 
         batch_fed = fresh_federation()
         start = time.perf_counter()
-        batch = batch_fed.execute_many(STATEMENTS)
+        batch = batch_fed.execute_many_settled(STATEMENTS)
         batch_wall = min(batch_wall, time.perf_counter() - start)
     seq_sim = sum(o.simulated_seconds for o in sequential)
     batch_sim = max(o.simulated_seconds for o in batch)
@@ -91,7 +92,7 @@ def test_bench_federation_throughput():
     # -- cache: repeats are O(1), zero protocol, zero new exposure ---------
     cache_fed = fresh_federation()
     repeated = [STATEMENTS[0]] * CACHE_REPEATS
-    outcomes = cache_fed.execute_many(repeated)
+    outcomes = cache_fed.execute_many_settled(repeated)
     assert not outcomes[0].cached
     hits = outcomes[1:]
     assert all(o.cached for o in hits)
@@ -102,7 +103,7 @@ def test_bench_federation_throughput():
     }
     # One more wave of repeats: the ledger must not move at all.
     start = time.perf_counter()
-    cache_fed.execute_many(repeated)
+    cache_fed.execute_many_settled(repeated)
     repeat_wall = time.perf_counter() - start
     for owner in PARTIES:
         assert cache_fed.ledger.exposure(owner) == exposure_after_first[owner]
@@ -111,8 +112,8 @@ def test_bench_federation_throughput():
     emit(
         "federation_throughput",
         f"{BATCH_QUERIES} distinct ranking statements over 5 parties: one "
-        "execute_many batch vs one execute() per statement, each pass on a "
-        f"fresh federation, {WALL_PASSES} passes per side interleaved in one "
+        "execute_many_settled batch vs one execute() per statement, each pass "
+        f"on a fresh federation, {WALL_PASSES} passes per side interleaved in one "
         "process, fastest pass of each; values, rounds and ledger exposure "
         "asserted identical first.  Cache rows: one statement repeated "
         f"{CACHE_REPEATS} times twice over; the second wave is timed.  The sim "

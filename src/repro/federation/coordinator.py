@@ -7,7 +7,7 @@ queries (top-k/bottom-k/max/min) run the paper's probabilistic protocol;
 additive aggregates (sum/count/avg) run the additive-masking secure sum.
 Every execution is recorded in the audit log.
 
-Serving paths: :meth:`Federation.execute_many` serves a *batch* —
+Serving paths: :meth:`Federation.execute_many_settled` serves a *batch* —
 statements are parsed and checked up front, duplicates are deduped,
 repeats of already-answered statements are served from the result cache
 (:mod:`repro.federation.cache`; zero protocol rounds, zero new exposure),
@@ -19,8 +19,9 @@ carries, the vectorized one from 16 same-shape queries up), otherwise
 *pipelined* sessions on one shared transport, interleaving ring tokens so
 the batch completes in simulated time close to the slowest query rather
 than the sum.  Every executor is bit-identical per statement, so the choice
-is invisible above this module.  :meth:`Federation.execute` is a batch of
-one, so a repeated statement is a cache hit there too.
+is invisible above this module.  Every refusal settles at its statement's
+position; :meth:`Federation.execute` is a batch of one that raises what it
+settled, so a repeated statement is a cache hit there too.
 
 The coordinator holds no data.  It sequences protocol runs, validates the
 well-matched-schema precondition, and owns only public artifacts (results,
@@ -39,10 +40,10 @@ from ..core.driver import RunConfig, run_topk_queries
 from ..core.results import ProtocolResult
 from ..database.database import PrivateDatabase
 from ..database.query import Domain, TopKQuery
-from ..database.schema import common_query
+from ..database.schema import SchemaError, common_query
 from ..extensions.ksecuresum import run_k_secure_sum
 from ..extensions.securesum import run_secure_sum
-from ..observability.trace import TraceContext, Tracer
+from ..observability.trace import TraceContext
 from ..planner.cost import SECURE_SUM
 from ..planner.errors import PlanInfeasible
 from ..planner.plan import QUALITY, Plan, unplanned
@@ -72,7 +73,6 @@ class Federation:
         seed: int | None = None,
         privacy_budget: float | None = None,
         cache_entries: int = 1024,
-        tracer: "Tracer | None" = None,
         planner: "QueryPlanner | None" = None,
         dp: "DpPolicy | None" = None,
         secure_sum_segments: int = 1,
@@ -82,10 +82,9 @@ class Federation:
         :mod:`repro.privacy.accounting`); queries that would breach it are
         refused.  Additive aggregates flow through mask-blinded secure sums
         and are charged nothing.  ``cache_entries`` bounds the result cache
-        every statement is served through.  ``tracer`` records a distributed
-        trace per executed ranking query (see :mod:`repro.observability`); callers that
-        already carry a trace — the query service's batch spans — pass
-        per-statement contexts to the batch methods instead.  ``planner``
+        every statement is served through.  Per-statement traces arrive with
+        the batch (``traces=``, the query service's batch spans; see
+        :mod:`repro.observability`).  ``planner``
         resolves statements carrying ``WITH SLO(...)`` clauses (see
         :mod:`repro.planner`), through :meth:`plan_for` only.  ``dp`` configures
         the differential-privacy release layer (see
@@ -119,7 +118,6 @@ class Federation:
         self.audit = AuditLog()
         self.ledger = ExposureLedger(budget=privacy_budget)
         self.cache = ResultCache(max_entries=cache_entries)
-        self.tracer = tracer
         self.planner = planner if planner is not None else QueryPlanner()
         if secure_sum_segments < 1:
             raise FederationError(
@@ -224,14 +222,16 @@ class Federation:
 
         A repeat of an already-answered statement (same membership, same
         data) is re-served from the cache — zero protocol rounds, zero new
-        exposure, one audit entry — exactly as :meth:`execute_many` serves
-        it.  Statements may carry a ``WITH SLO(...)`` suffix (see
-        :mod:`repro.planner`): the planner resolves it to a concrete
-        protocol/parameter choice, or raises
-        :class:`~repro.planner.errors.PlanInfeasible` when no
-        configuration can satisfy it.
+        exposure, one audit entry — exactly as :meth:`execute_many_settled`
+        serves it.  A refusal is raised as its typed error (the
+        :class:`QueryRefused` ``error`` its batch of one settled), e.g.
+        :class:`~repro.planner.errors.PlanInfeasible` for a ``WITH SLO(...)``
+        suffix no configuration can satisfy.
         """
-        return self.execute_many([statement_text], issuer=issuer)[0]
+        (result,) = self.execute_many_settled([statement_text], issuer=issuer)
+        if isinstance(result, QueryRefused):
+            raise result.error
+        return result
 
     def try_cached(
         self, statement_text: str, *, issuer: str = "anonymous"
@@ -271,20 +271,19 @@ class Federation:
         """A DP statement's inner answer, if cache-valid (never executes)."""
         return self.cache.peek(self._cache_key(prepare(inner_text)))
 
-    def execute_many(
+    def execute_many_settled(
         self,
         statements: Iterable[str],
         *,
         issuer: str = "anonymous",
         traces: "Sequence[TraceContext | None] | None" = None,
-    ) -> list[QueryOutcome]:
+        modes: "Sequence[str] | None" = None,
+    ) -> "list[QueryOutcome | QueryRefused]":
         """Serve a batch of statements: dedupe, cache, and pipeline.
 
         Semantics, in order:
 
-        1. Every statement is parsed and checked *before* anything runs (a
-           batch with a malformed statement, or a DP-governed issuer's
-           statement without ``dp_epsilon``, does not execute at all).
+        1. Every statement is parsed and checked *before* anything runs.
         2. Statements whose canonical form was already answered — earlier in
            this batch or in a previous call, under the same membership epoch
            and data versions — are served from the result cache: zero
@@ -303,51 +302,29 @@ class Federation:
            rounds, exposure — from issuing the same statements one at a
            time through :meth:`execute` under the same session seed.
 
-        A privacy-budget refusal aborts the batch at the refusing statement
-        (statements before it remain charged and audited, like a sequential
-        session interrupted at the same point).  Long-running services that
-        must degrade per-statement instead use
-        :meth:`execute_many_settled`.  Every statement is planned here, by
+        A statement that cannot be served — malformed, refused by the issuer
+        rule or the privacy budget, carrying an SLO no plan can satisfy
+        (:class:`~repro.planner.errors.PlanInfeasible`), an additive statement
+        over a missing table or an AVG over zero rows — yields a :class:`QueryRefused` at its
+        position (its in-batch duplicates too) while every other statement
+        is served normally.  Seed draws happen in statement order for every
+        statement that is *planned* (refused statements never are), so
+        served statements stay bit-identical to a sequential session that
+        skipped the same refusals.  Every statement is planned here, by
         :meth:`plan_for`.
-        """
-        outcomes = self._execute_batch(
-            list(statements), issuer, settle=False, traces=traces
-        )
-        return outcomes  # type: ignore[return-value]  # no refusals when raising
-
-    def execute_many_settled(
-        self,
-        statements: Iterable[str],
-        *,
-        issuer: str = "anonymous",
-        traces: "Sequence[TraceContext | None] | None" = None,
-        modes: "Sequence[str] | None" = None,
-    ) -> "list[QueryOutcome | QueryRefused]":
-        """:meth:`execute_many`, but refusals settle per statement.
-
-        The query service's batch hook: a statement that cannot be served —
-        malformed, refused by the issuer rule or the privacy budget, or
-        carrying an SLO no plan can satisfy
-        (:class:`~repro.planner.errors.PlanInfeasible`) — yields a
-        :class:`QueryRefused` at its position while every other statement
-        in the batch is served normally.  Seed draws still happen in
-        statement order for every statement that is *planned* (refused
-        statements never are), so served statements stay bit-identical to
-        a sequential session that skipped the same refusals.
 
         ``modes`` optionally names each statement's planner objective (the
         gateway's economy downgrade), quality unless its entry says
         otherwise.
         """
         return self._execute_batch(
-            list(statements), issuer, settle=True, traces=traces, modes=modes
+            list(statements), issuer, traces=traces, modes=modes
         )
 
     def _execute_batch(
         self,
         statements: list[str],
         issuer: str,
-        settle: bool,
         traces: "Sequence[TraceContext | None] | None" = None,
         modes: "Sequence[str] | None" = None,
         plans: "Sequence[Plan | None] | None" = None,
@@ -370,7 +347,7 @@ class Federation:
         base configuration).
         """
         batch = self._dp.expand(
-            statements, traces, modes, issuer=issuer, settle=settle,
+            statements, traces, modes, issuer=issuer,
             precheck=self._plan_source if plans is None else None,
         )
         order: list[int] = []
@@ -384,7 +361,6 @@ class Federation:
         served = self._serve_batch(
             [batch.texts[p] for p in order],
             issuer,
-            settle,
             [batch.traces[p] for p in order] if batch.traces is not None else None,
             sources,
         )
@@ -423,7 +399,6 @@ class Federation:
         self,
         statements: list[str],
         issuer: str,
-        settle: bool,
         traces: "Sequence[TraceContext | None] | None",
         sources: list,
     ) -> "list[QueryOutcome | QueryRefused]":
@@ -467,8 +442,6 @@ class Federation:
                 try:
                     plan = self.plan_for(*plan)
                 except PlanInfeasible as exc:
-                    if not settle:
-                        raise
                     refusals[index] = exc
                     parsed[index] = None
                     continue
@@ -498,26 +471,15 @@ class Federation:
         # Pipeline all ranking misses on one shared transport.
         ranking_results: dict[int, ProtocolResult] = {}
         if ranking_indices:
-            ranking_traces: "list[TraceContext | None] | None"
-            if traces is not None:
-                ranking_traces = [traces[i] for i in ranking_indices]
-            elif self.tracer is not None and self.tracer.enabled:
-                # Standalone traced federation: one trace per executed
-                # ranking statement (cache hits and additive aggregates run
-                # no ring protocol and record no protocol spans).
-                ranking_traces = [
-                    self.tracer.new_trace(
-                        name=statements[i], baggage={"issuer": issuer}
-                    )
-                    for i in ranking_indices
-                ]
-            else:
-                ranking_traces = None
             results = run_topk_queries(
                 databases,
                 [self._ranking_query(parsed[i]) for i in ranking_indices],
                 [ranking_configs[i] for i in ranking_indices],
-                traces=ranking_traces,
+                traces=(
+                    [traces[i] for i in ranking_indices]
+                    if traces is not None
+                    else None
+                ),
             )
             ranking_results = dict(zip(ranking_indices, results))
 
@@ -531,14 +493,20 @@ class Federation:
                     QueryRefused(statement=statements[index], error=refusals[index])
                 )
                 continue
-            if index in ranking_results:
+            if index in ranking_results or index in additive_seeds:
                 try:
-                    outcome = self._finish_ranking(
-                        statement, issuer, ranking_results[index]
-                    )
-                except BudgetExceededError as exc:
-                    if not settle:
-                        raise
+                    if index in ranking_results:
+                        outcome = self._finish_ranking(
+                            statement, issuer, ranking_results[index]
+                        )
+                    else:
+                        outcome = self._run_additive(
+                            statement, issuer, *additive_seeds[index]
+                        )
+                except (BudgetExceededError, FederationError, SchemaError) as exc:
+                    # This statement alone cannot be answered (a budget
+                    # refusal, a missing table, an AVG over zero rows): it
+                    # and its duplicates below settle refused.
                     refused_keys[key] = exc
                     outcomes.append(
                         QueryRefused(statement=statements[index], error=exc)
@@ -549,21 +517,11 @@ class Federation:
                     values=outcome.values, protocol=outcome.protocol
                 )
                 self.cache.store(key, answers[key])
-            elif index in additive_seeds:
-                outcome = self._run_additive(
-                    statement, issuer, *additive_seeds[index]
-                )
-                self.cache.misses += 1
-                answers[key] = CachedAnswer(
-                    values=outcome.values, protocol=outcome.protocol
-                )
-                self.cache.store(key, answers[key])
             else:
                 answer = answers.get(key)
                 if answer is None:
                     # A duplicate of a statement whose execution was refused
-                    # in this very batch (only a settling batch gets this
-                    # far): settle it with the same error.
+                    # in this very batch: settle it with the same error.
                     self.cache.misses += 1
                     outcomes.append(
                         QueryRefused(

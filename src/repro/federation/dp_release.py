@@ -111,7 +111,6 @@ class DpBatch:
     """
 
     issuer: str
-    settle: bool
     #: How many original statements the batch holds (the rest are inner).
     size: int
     texts: list[str]
@@ -142,9 +141,7 @@ class DpBatch:
         self.slots[position] = DpSlot(request, inner, bare_text)
 
     def refuse(self, position: int, error: Exception) -> None:
-        """Settle one statement as refused — or abort a raising batch."""
-        if not self.settle:
-            raise error
+        """Settle one statement as refused."""
         self.results[position] = QueryRefused(self.texts[position], error)
 
 
@@ -221,7 +218,6 @@ class DpReleasePath:
         modes: "Sequence[str] | None",
         *,
         issuer: str,
-        settle: bool,
         precheck: "Callable[[int, QuerySpec, str], Any] | None" = None,
     ) -> DpBatch:
         """Expand DP statements into inner statements around the exact core.
@@ -246,8 +242,6 @@ class DpReleasePath:
         ``assemble`` still enforces the budget if the inner answers turn out
         to differ from the ones the release perturbed: that is a fresh,
         charged release with its own noise, never a replay.
-
-        With ``settle=False`` the first refusal raises instead.
         """
         if traces is not None and len(traces) != len(statements):
             raise FederationError(
@@ -260,7 +254,6 @@ class DpReleasePath:
         modes = modes or [QUALITY] * len(statements)
         batch = DpBatch(
             issuer=issuer,
-            settle=settle,
             size=len(statements),
             texts=list(statements),
             traces=list(traces) if traces is not None else None,
@@ -372,7 +365,7 @@ class DpReleasePath:
         whose fields are unchanged is the spelling's last one, the same object
         (:class:`~repro.federation.outcomes.SharedOutcomes`).  Anything else
         returns ``None`` so the batch path settles the statement as a fresh,
-        charged release or raises its typed refusal.
+        charged release or as its typed refusal.
 
         ``peek`` must have no side effect: whatever serving a hit costs —
         the audit entry, the hit counter — belongs in

@@ -110,12 +110,13 @@ class SharedOutcomes:
 
 @dataclass(frozen=True)
 class QueryRefused:
-    """One statement's refusal on the settled batch path.
+    """One statement's refusal in a batch.
 
     :meth:`Federation.execute_many_settled` returns this in place of a
     :class:`QueryOutcome` when a statement is individually unservable — a
-    parse error, the issuer rule's ``DpRequired``, or a privacy-budget
-    refusal — so a
+    parse error, the issuer rule's ``DpRequired``, a privacy-budget
+    refusal, a SUM / COUNT / AVG over a missing table or an AVG over zero
+    rows — so a
     multi-tenant batch (the query service's continuous batches) degrades
     per-statement instead of aborting whole batches.  ``error`` carries the
     original typed exception.

@@ -4,7 +4,7 @@ The planner's refusal is different in kind from the service's load shedding:
 ``Overloaded`` means *retry later*; :class:`PlanInfeasible` means *no
 protocol configuration this library knows can satisfy the declared SLO* —
 retrying will never help, the caller must relax the SLO.  Gateways and the
-federation's settled batch path surface it as its own type (alongside
+federation's batch path surface it as its own type (alongside
 ``QueryRefused``) so clients can tell the two apart.
 
 It subclasses :class:`ValueError` so pre-planner callers that caught broad

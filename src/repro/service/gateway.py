@@ -1,10 +1,10 @@
 """The asyncio query gateway: a long-running service over a ``Federation``.
 
 The paper's protocols answer one query per ring traversal;
-``Federation.execute_many`` amortizes cost across a batch; this gateway adds
+``Federation.execute_many_settled`` amortizes cost across a batch; this gateway adds
 the missing layer for *continuous* traffic — the same shape modern inference
 servers use.  Clients ``await submit(statement)``; a background scheduler
-coalesces whatever is queued into ``execute_many`` batches (continuous
+coalesces whatever is queued into ``execute_many_settled`` batches (continuous
 batching), serves repeats from the result cache without spending a batch
 slot, and sheds load with typed errors instead of queuing unboundedly.
 
@@ -116,7 +116,7 @@ class QueryService:
         Admission-queue bound; a full queue rejects new requests with
         :class:`~repro.service.errors.Overloaded`.
     max_batch:
-        Most queries coalesced into one ``execute_many`` call.
+        Most queries coalesced into one ``execute_many_settled`` call.
     batch_window:
         Real seconds the scheduler lingers after waking so concurrent
         submitters can join the forming batch; 0 yields to the event loop

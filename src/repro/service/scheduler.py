@@ -1,7 +1,8 @@
 """Admission queue and continuous-batch formation.
 
 The scheduling problem: a stream of independently-submitted statements must
-be coalesced into :meth:`~repro.federation.coordinator.Federation.execute_many`
+be coalesced into
+:meth:`~repro.federation.coordinator.Federation.execute_many_settled`
 batches that amortize secure-computation cost, while per-request priorities
 and deadlines are honored and the queue never grows without bound.  This
 module is deliberately free of asyncio: it is the pure data-structure half of
@@ -9,9 +10,10 @@ the service (bounded queue, expiry sweep, batch selection), driven by the
 :mod:`gateway <repro.service.gateway>`'s event loop and therefore unit-testable
 without one.
 
-Batch compatibility: ``execute_many`` runs a whole batch under one issuer
-(the issuer rule, tenant budgets and audit attribution are per-issuer), so a
-batch coalesces only same-issuer requests — the "compatible shape" rule.
+Batch compatibility: ``execute_many_settled`` runs a whole batch under one
+issuer (the issuer rule, tenant budgets and audit attribution are
+per-issuer), so a batch coalesces only same-issuer requests — the
+"compatible shape" rule.
 Selection order is (priority descending, admission sequence ascending): the
 head request defines the issuer, then the batch fills with that issuer's
 queued requests in the same order, up to the batch capacity.

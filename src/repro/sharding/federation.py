@@ -247,34 +247,15 @@ class ShardedFederation:
     def execute(
         self, statement_text: str, *, issuer: str = "anonymous"
     ) -> QueryOutcome:
-        """One statement as a batch of one: repeats hit the shard caches."""
-        return self.execute_many([statement_text], issuer=issuer)[0]
+        """One statement as a batch of one: repeats hit the shard caches.
 
-    def execute_many(
-        self,
-        statements: Iterable[str],
-        *,
-        issuer: str = "anonymous",
-        traces: "Sequence[TraceContext | None] | None" = None,
-    ) -> list[QueryOutcome]:
-        """Serve a batch, raising the first refusal instead of settling it.
-
-        Every refusal this federation decides itself — a malformed
-        statement, the issuer rule, tenant admission, an unsatisfiable SLO,
-        the tenant's LoP charge, DP admission — raises *before* any shard is touched:
-        nothing runs, nothing is charged, nothing is cached (the flat
-        federation's "a batch with a malformed statement does not execute
-        at all").  Refusals only a shard can decide (its exposure ledger, an
-        unreachable worker), and a DP budget found exhausted once the inner
-        answers are in, surface after dispatch: the batch has run and is
-        fully accounted, and the first such refusal in statement order is
-        raised.
+        A refusal is raised as its typed error, the one its batch of one
+        settled (see :meth:`execute_many_settled`).
         """
-        settled = self._run_batch(list(statements), issuer, traces, None, settle=False)
-        for result in settled:
-            if isinstance(result, QueryRefused):
-                raise result.error
-        return settled  # type: ignore[return-value]  # no refusal left
+        (result,) = self.execute_many_settled([statement_text], issuer=issuer)
+        if isinstance(result, QueryRefused):
+            raise result.error
+        return result
 
     def try_cached(
         self, statement_text: str, *, issuer: str = "anonymous"
@@ -407,18 +388,7 @@ class ShardedFederation:
         unreachable process, poisoned batch — refuses exactly the statements
         sent to it, typed, while the rest of the batch is served normally.
         """
-        return self._run_batch(list(statements), issuer, traces, modes, settle=True)
-
-    def _run_batch(
-        self,
-        texts: list[str],
-        issuer: str,
-        traces: "Sequence[TraceContext | None] | None",
-        modes: "Sequence[str] | None",
-        *,
-        settle: bool,
-    ) -> "list[QueryOutcome | QueryRefused]":
-        """The batch body; ``settle=False`` raises a pre-dispatch refusal."""
+        texts = list(statements)
         if not texts:
             return []
         pending_lop: dict[int, float] = {}
@@ -452,11 +422,8 @@ class ShardedFederation:
             return target, plan
 
         batch = self._dp.expand(
-            texts, traces, modes, issuer=issuer, settle=settle, precheck=precheck
+            texts, traces, modes, issuer=issuer, precheck=precheck
         )
-        # From here shards run protocols and charge ledgers, so a later
-        # refusal settles: the accounting below must see the whole batch.
-        batch.settle = True
         self._dispatch(batch)
         results = self._dp.assemble(batch)
 

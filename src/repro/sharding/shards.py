@@ -91,7 +91,7 @@ class LocalShard:
         federation chooses for itself, as a flat one does."""
         try:
             return self.federation._execute_batch(
-                list(statements), issuer, settle=True, traces=traces, plans=plans
+                list(statements), issuer, traces=traces, plans=plans
             )
         except Exception as exc:  # noqa: BLE001 — a failed batch refuses its statements
             error = ShardError(

@@ -56,10 +56,10 @@ class TestReleases:
             "SELECT SUM(value) FROM data WITH SLO(dp_epsilon=0.5, dp_delta=1e-6)",
             "SELECT AVG(value) FROM data WITH SLO(dp_epsilon=2.0)",
         ]
-        one = fresh_federation(dp=DpPolicy(seed=5)).execute_many(statements)
-        two = fresh_federation(dp=DpPolicy(seed=5)).execute_many(statements)
+        one = fresh_federation(dp=DpPolicy(seed=5)).execute_many_settled(statements)
+        two = fresh_federation(dp=DpPolicy(seed=5)).execute_many_settled(statements)
         assert [o.values for o in one] == [o.values for o in two]
-        other = fresh_federation(dp=DpPolicy(seed=6)).execute_many(statements)
+        other = fresh_federation(dp=DpPolicy(seed=6)).execute_many_settled(statements)
         assert [o.values for o in one] != [o.values for o in other]
 
     def test_dp_noise_stream_does_not_perturb_plain_draws(self):
@@ -163,7 +163,7 @@ class TestBatchParity:
             "SELECT SUM(value) FROM data",
             "SELECT AVG(value) FROM data WITH SLO(dp_epsilon=2.0)",
         ]
-        batched = fresh_federation(dp=DpPolicy(seed=4)).execute_many(statements)
+        batched = fresh_federation(dp=DpPolicy(seed=4)).execute_many_settled(statements)
         sequential_fed = fresh_federation(dp=DpPolicy(seed=4))
         sequential = [
             sequential_fed.execute(s) for s in statements

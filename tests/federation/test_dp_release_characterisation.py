@@ -29,7 +29,7 @@ import pytest
 from repro.core.driver import RunConfig
 from repro.federation.coordinator import QueryRefused
 from repro.observability.trace import TraceRecorder
-from repro.privacy.dp import DpError, DpPolicy
+from repro.privacy.dp import DpPolicy
 from repro.sharding import ShardedFederation, ShardRouter, TenantPolicy, build_topology
 from repro.sharding.shards import LocalShard
 from repro.sharding.topology import local_shards, single_federation
@@ -405,18 +405,6 @@ def test_release_path_is_pinned(observe, expected):
     assert sorted(seen) == sorted(expected)
     for key in expected:
         assert seen[key] == expected[key], key
-
-
-def test_raising_batch_aborts_at_first_dp_refusal():
-    # execute_many (no settling) raises out of the DP precheck before any
-    # inner statement runs: nothing is charged, audited or cached.  (The DP
-    # statements only: under the budget a plain one would refuse first.)
-    topology, _router = _topology()
-    flat = single_federation(topology, config=RunConfig(), dp=DP)
-    with pytest.raises(DpError, match="zero-noise"):
-        flat.execute_many([text for text in BATCH_ONE[:9] if "dp_epsilon" in text])
-    assert flat.dp_gate.snapshot()["releases"] == 0
-    assert len(flat.audit) == 0 and flat.cache.misses == 0
 
 
 if __name__ == "__main__":

@@ -16,7 +16,8 @@ from repro.database.query import PAPER_DOMAIN, Domain
 from repro.federation import Federation, SqlError, dp_release
 from repro.federation.coordinator import QueryRefused
 from repro.privacy import dp
-from repro.privacy.dp import BudgetExhausted, DpPolicy, DpRequired
+from repro.planner.errors import PlanInfeasible
+from repro.privacy.dp import BudgetExhausted, DpError, DpPolicy, DpRequired
 from repro.service import QueryService
 from repro.sharding import TenantPolicy, build_topology, sharded_federation
 from repro.sharding.topology import single_federation
@@ -222,34 +223,33 @@ def test_try_cached_raises_on_malformed(backend):
 
 
 @pytest.mark.parametrize(
-    "refused, error",
+    "refused, error, budget",
     [
-        ("SELECT NOPE", SqlError),
-        ("SELECT MAX(value) FROM {table} WITH SLO(dp_epsilon=9.0)", BudgetExhausted),
+        ("SELECT NOPE", SqlError, 4.0),
+        ("SELECT TOP 2 value FROM {table}", DpRequired, 4.0),
+        (
+            "SELECT TOP 2 value FROM {table} WITH SLO(dp_epsilon=1.0, deadline=0.004)",
+            PlanInfeasible,
+            4.0,
+        ),
+        ("SELECT MAX(value) FROM {table} WITH SLO(dp_epsilon=9.0)", BudgetExhausted, 4.0),
+        ("SELECT COUNT(value) FROM {table} WITH SLO(dp_epsilon=800.0)", DpError, 900.0),
     ],
-    ids=["malformed", "dp-admission"],
+    ids=["malformed", "dp-required", "plan-infeasible", "dp-admission", "dp-zero-noise"],
 )
-def test_raising_batch_refuses_before_it_spends(backend, refused, error):
-    # ``execute_many`` promises that a batch holding a statement the
-    # federation itself refuses does not execute at all.  The sharded batch
-    # used to settle first and raise afterwards: the good statements had run
-    # their protocols, charged their shard's ledger and filled its cache.
-    b = backend(DpPolicy(epsilon_budget=4.0, seed=2))
+def test_a_refused_statement_spends_nothing(backend, refused, error, budget):
+    # ``execute`` raises what its batch of one settled.  A statement the
+    # federation itself refuses runs nothing: no audit entry, no ledger or
+    # tenant charge, no release, nothing cached on any shard.
+    b = backend(DpPolicy(epsilon_budget=budget, seed=2))
     if hasattr(b.federation, "set_tenant"):
         b.federation.set_tenant(
-            "t1", TenantPolicy(lop_budget=5.0, dp_epsilon_budget=4.0)
+            "t1", TenantPolicy(lop_budget=5.0, dp_epsilon_budget=budget)
         )
-    # Under a DP budget every statement the issuer may send is a DP one.
-    good = f"SELECT TOP 2 value FROM {b.table} WITH SLO(dp_epsilon=1.0)"
-    good_dp = f"SELECT SUM(value) FROM {b.table} WITH SLO(dp_epsilon=1.0)"
     with pytest.raises(error):
-        b.federation.execute_many(
-            [good, good_dp, refused.format(table=b.table)], issuer="t1"
-        )
-    assert b.federation.try_cached(good, issuer="t1") is None
-    assert b.federation.try_cached(good_dp, issuer="t1") is None
+        b.federation.execute(refused.format(table=b.table), issuer="t1")
     for federation in b.flat_federations:
-        assert len(federation.audit) == 0
+        assert len(federation.audit) == 0 and len(federation.cache) == 0
         assert federation.ledger.charges == {}
     assert b.accountant.releases == 0 and b.accountant.epsilon.spent == 0.0
     if hasattr(b.federation, "set_tenant"):

@@ -76,8 +76,8 @@ def test_execute_many_and_cache_bit_identical():
     ]
     row_fed = build_federation("row")
     col_fed = build_federation("columnar")
-    row_out = row_fed.execute_many(statements)
-    col_out = col_fed.execute_many(statements)
+    row_out = row_fed.execute_many_settled(statements)
+    col_out = col_fed.execute_many_settled(statements)
     assert [outcome_key(o) for o in row_out] == [outcome_key(o) for o in col_out]
     assert row_out[2].cached and col_out[2].cached
 

@@ -1,18 +1,18 @@
 """Tests for the batch execution path: dedupe, result cache, parity.
 
-Covers the throughput engine's federation layer: ``Federation.execute_many``
-must be indistinguishable from sequential execution (values, rounds,
-exposure), serve repeats from the result cache at zero protocol cost, and
-invalidate that cache on membership or data changes.
+Covers the throughput engine's federation layer:
+``Federation.execute_many_settled`` must be indistinguishable from sequential
+execution (values, rounds, exposure), serve repeats from the result cache at
+zero protocol cost, and invalidate that cache on membership or data changes.
 """
 
 import pytest
 
 from repro.database.database import database_from_values
 from repro.database.query import PAPER_DOMAIN
-from repro.federation import Federation, FederationError, SqlError
+from repro.federation import Federation, FederationError
 from repro.privacy.accounting import BudgetExceededError
-from repro.privacy.dp import DpPolicy, DpRequired
+from repro.privacy.dp import DpRequired
 from repro.sharding import ShardedFederation, TenantPolicy
 from repro.sharding.shards import LocalShard
 
@@ -50,7 +50,7 @@ class TestBatchSequentialParity:
 
     def test_unique_statements_match_sequential_execute(self):
         batch_fed, seq_fed = fresh_federation(), fresh_federation()
-        batch = batch_fed.execute_many(MIXED_STATEMENTS)
+        batch = batch_fed.execute_many_settled(MIXED_STATEMENTS)
         sequential = [seq_fed.execute(s) for s in MIXED_STATEMENTS]
         for b, s in zip(batch, sequential):
             assert b.values == s.values
@@ -60,7 +60,7 @@ class TestBatchSequentialParity:
 
     def test_ranking_traces_identical(self, transcripts):
         batch_fed, seq_fed = fresh_federation(), fresh_federation()
-        (batch_outcome,) = batch_fed.execute_many(["SELECT TOP 3 value FROM data"])
+        (batch_outcome,) = batch_fed.execute_many_settled(["SELECT TOP 3 value FROM data"])
         assert seq_fed.execute("SELECT TOP 3 value FROM data") == batch_outcome
         b, s = transcripts
         assert b.final_vector == s.final_vector
@@ -70,7 +70,7 @@ class TestBatchSequentialParity:
 
     def test_exposure_charges_identical(self):
         batch_fed, seq_fed = fresh_federation(), fresh_federation()
-        batch_fed.execute_many(MIXED_STATEMENTS)
+        batch_fed.execute_many_settled(MIXED_STATEMENTS)
         for s in MIXED_STATEMENTS:
             seq_fed.execute(s)
         for owner in DATASETS:
@@ -86,7 +86,7 @@ class TestBatchSequentialParity:
             "SELECT TOP 2 value FROM data",
         ]
         batch_fed, seq_fed = fresh_federation(), fresh_federation()
-        batch = batch_fed.execute_many(statements)
+        batch = batch_fed.execute_many_settled(statements)
         sequential = [seq_fed.execute(s) for s in statements]
         for b, s in zip(batch, sequential):
             assert b.values == s.values
@@ -98,19 +98,19 @@ class TestBatchSequentialParity:
             )
 
     def test_empty_batch(self, federation):
-        assert federation.execute_many([]) == []
+        assert federation.execute_many_settled([]) == []
 
 
 class TestDedupeAndCache:
     def test_duplicates_deduped_within_batch(self, federation):
-        outcomes = federation.execute_many(["SELECT TOP 2 value FROM data"] * 5)
+        outcomes = federation.execute_many_settled(["SELECT TOP 2 value FROM data"] * 5)
         assert [o.cached for o in outcomes] == [False, True, True, True, True]
         assert len({o.values for o in outcomes}) == 1
         assert federation.cache.hits == 4
         assert federation.cache.misses == 1
 
     def test_canonicalization_merges_formatting_variants(self, federation):
-        outcomes = federation.execute_many(
+        outcomes = federation.execute_many_settled(
             ["SELECT TOP 2 value FROM data", "select top 2 value from data;"]
         )
         assert not outcomes[0].cached
@@ -136,7 +136,7 @@ class TestDedupeAndCache:
             assert federation.ledger.exposure(owner) == exposure_before[owner]
 
     def test_cache_hits_are_audited(self, federation):
-        federation.execute_many(["SELECT MAX(value) FROM data"] * 2)
+        federation.execute_many_settled(["SELECT MAX(value) FROM data"] * 2)
         entries = federation.audit[-2:]
         assert [e.cached for e in entries] == [False, True]
 
@@ -148,7 +148,7 @@ class TestDedupeAndCache:
         assert outcome.values == first.values
 
     def test_additive_results_cached_too(self, federation):
-        outcomes = federation.execute_many(["SELECT AVG(value) FROM data"] * 2)
+        outcomes = federation.execute_many_settled(["SELECT AVG(value) FROM data"] * 2)
         assert not outcomes[0].cached
         assert outcomes[1].cached
         assert outcomes[1].values == outcomes[0].values
@@ -229,7 +229,7 @@ class TestSharedHitOutcome:
         first = self.hit(federation, issuer="alice")
         assert first is not executed and first.values == executed.values
         assert self.hit(federation, issuer="bob") is first
-        (batched,) = federation.execute_many([self.STATEMENT], issuer="carol")
+        (batched,) = federation.execute_many_settled([self.STATEMENT], issuer="carol")
         assert batched is first
         entries = federation.audit
         assert [e.issuer for e in entries] == ["anonymous", "alice", "bob", "carol"]
@@ -270,7 +270,7 @@ class TestSharedHitOutcome:
         fed = fresh_federation(cache_entries=2)
         fed.execute(self.STATEMENT)
         stale = self.hit(fed)
-        fed.execute_many(["SELECT MAX(value) FROM data", "SELECT MIN(value) FROM data"])
+        fed.execute_many_settled(["SELECT MAX(value) FROM data", "SELECT MIN(value) FROM data"])
         assert fed.try_cached(self.STATEMENT) is None  # evicted, first in
         assert not fed.execute(self.STATEMENT).cached
         assert self.hit(fed) is not stale
@@ -306,36 +306,13 @@ class TestSharedHitOutcome:
 
 
 class TestBatchGating:
-    def test_policy_checked_before_anything_runs(self):
-        # A DP budget makes every issuer DP-governed: its plain statement
-        # refuses the whole raising batch.
-        fed = fresh_federation(dp=DpPolicy(epsilon_budget=2.0, seed=1))
-        with pytest.raises(DpRequired):
-            fed.execute_many(
-                [
-                    "SELECT SUM(value) FROM data WITH SLO(dp_epsilon=1.0)",
-                    "SELECT TOP 2 value FROM data",
-                ],
-                issuer="analyst",
-            )
-        # The permitted first statement must not have run either.
-        assert len(fed.audit) == 0
-        assert fed.dp_gate.accountant.epsilon.spent == 0.0
-
-    def test_parse_errors_abort_whole_batch(self, federation):
-        with pytest.raises(SqlError):
-            federation.execute_many(
-                ["SELECT TOP 2 value FROM data", "DROP TABLE data"]
-            )
-        assert len(federation.audit) == 0
-
     def test_budget_refusal_aborts_at_refusing_statement(self):
         # Seed 0 is known to charge acme exposure 1.0 on this query, which a
         # tiny budget refuses.  The refused statement must leave no trace:
         # no audit entry, no cached answer an issuer could still read.
         fed = fresh_federation(seed=0, privacy_budget=1e-9)
         with pytest.raises(BudgetExceededError):
-            fed.execute_many(["SELECT TOP 3 value FROM data"])
+            fed.execute("SELECT TOP 3 value FROM data")
         assert len(fed.audit) == 0
         assert len(fed.cache) == 0
 
@@ -343,7 +320,7 @@ class TestBatchGating:
         fed = Federation(domain=PAPER_DOMAIN, seed=3)
         fed.register(database_from_values("a", [1]))
         with pytest.raises(FederationError, match="n >= 3"):
-            fed.execute_many(["SELECT MAX(value) FROM data"])
+            fed.execute("SELECT MAX(value) FROM data")
 
 
 class TestIdentifierValidation:

@@ -82,20 +82,11 @@ class TestSettledBatchPath:
         assert isinstance(outcomes[1].error, PlanInfeasible)
         assert outcomes[2].values == (9000.0,)
 
-    def test_unsettled_batch_raises_plan_infeasible(self):
-        federation = fresh_federation()
-        with pytest.raises(PlanInfeasible):
-            federation.execute_many(
-                ["SELECT TOP 3 value FROM data WITH SLO(deadline=0.004)"]
-            )
-
     def test_refused_statements_never_draw_seeds(self):
         # Batch/sequential parity: an infeasible statement must not consume
         # a per-query seed, or surviving statements would change answers
         # relative to running them alone.
-        alone = fresh_federation().execute_many(
-            ["SELECT TOP 3 value FROM data"]
-        )[0]
+        alone = fresh_federation().execute("SELECT TOP 3 value FROM data")
         federation = fresh_federation()
         outcomes = federation.execute_many_settled(
             [
@@ -111,10 +102,10 @@ class TestSettledBatchPath:
 class TestCacheCanonicalization:
     def test_slo_statement_shares_cache_with_bare_form(self):
         federation = fresh_federation()
-        first = federation.execute_many(["SELECT TOP 3 value FROM data"])[0]
-        second = federation.execute_many(
-            ["SELECT TOP 3 value FROM data WITH SLO(deadline=5.0)"]
-        )[0]
+        first = federation.execute("SELECT TOP 3 value FROM data")
+        second = federation.execute(
+            "SELECT TOP 3 value FROM data WITH SLO(deadline=5.0)"
+        )
         assert second.cached
         assert second.values == first.values
         assert second.rounds == 0 and second.messages == 0
@@ -124,7 +115,7 @@ class TestCacheCanonicalization:
         # public answer satisfies any declared objective, so planning is
         # skipped entirely.
         federation = fresh_federation()
-        federation.execute_many(["SELECT TOP 3 value FROM data"])
+        federation.execute("SELECT TOP 3 value FROM data")
         outcome = federation.execute_many_settled(
             ["SELECT TOP 3 value FROM data WITH SLO(deadline=0.004)"]
         )[0]

@@ -180,7 +180,7 @@ class TestRecordOutcome:
         federation = self._federation()
         text = "SELECT MAX(value) FROM data WITH SLO(deadline=5.0)"
         plan = federation.planner.plan(text, parties=4)
-        outcome = federation.execute_many([text])[0]
+        outcome = federation.execute(text)
         ledger = PredictionLedger()
         assert ledger.record_outcome(plan, outcome) is True
         assert ledger.recorded == ledger.lop_checked == 1
@@ -196,8 +196,8 @@ class TestRecordOutcome:
         federation = self._federation()
         text = "SELECT MAX(value) FROM data WITH SLO(deadline=5.0)"
         plan = federation.planner.plan(text, parties=4)
-        federation.execute_many([text])
-        repeat = federation.execute_many([text])[0]
+        federation.execute(text)
+        repeat = federation.execute(text)
         assert repeat.cached
         ledger = PredictionLedger()
         assert ledger.record_outcome(plan, repeat) is False
@@ -208,7 +208,7 @@ class TestRecordOutcome:
         federation = self._federation()
         text = "SELECT MAX(value) FROM data WITH SLO(deadline=5.0)"
         plan = federation.planner.plan(text, parties=4)
-        merged = replace(federation.execute_many([text])[0], average_lop=None)
+        merged = replace(federation.execute(text), average_lop=None)
         ledger = PredictionLedger()
         assert ledger.record_outcome(plan, merged) is True
         assert (ledger.recorded, ledger.lop_checked) == (1, 0)

@@ -109,7 +109,7 @@ class TestContinuousBatching:
         assert service.metrics.completed == len(MIXED_STATEMENTS)
 
     def test_different_issuers_never_share_a_batch(self):
-        # execute_many charges policy/quota per issuer, so a batch must be
+        # execute_many_settled charges policy/quota per issuer, so a batch must be
         # issuer-homogeneous; two issuers' bursts become two batches.
         async def scenario():
             service = QueryService(fresh_federation(), max_batch=8)

@@ -1,7 +1,8 @@
 """Flat is the one-shard case: one serving path, one dispatch, one fast path.
 
 * ``execute`` is a batch of one on both deployments, so a repeat is a cached
-  re-serve: no ring, no LoP charge, no epsilon, one audit entry.
+  re-serve: no ring, no LoP charge, no epsilon, one audit entry.  Every batch
+  settles: there is no raising ``execute_many`` beside it.
 * A sharded batch costs each involved shard one sub-batch, routed and
   fan-out statements alike, in statement order with DP inner statements in
   place.
@@ -20,6 +21,7 @@ from functools import partial
 
 import pytest
 
+from repro.federation import Federation
 from repro.federation.outcomes import QueryOutcome
 from repro.privacy.dp import DpPolicy
 from repro.sharding import (
@@ -103,6 +105,15 @@ def test_execute_is_a_batch_of_one(kind, dp):
     assert (again.rounds, again.messages) == (0, 0)
     assert again.values == first.values
     assert _books(federation) == (audit + 1, hits + 1, runs, spent)
+
+
+@pytest.mark.parametrize("kind", ["flat", "sharded"])
+def test_every_batch_settles(kind):
+    federation = _deploy(kind, _topology())
+    assert not hasattr(federation, "execute_many")
+    # Traces arrive with the batch; a federation holds no tracer of its own.
+    with pytest.raises(TypeError, match="tracer"):
+        Federation(domain=federation.domain, tracer=None)
 
 
 class _RecordingShard(LocalShard):
