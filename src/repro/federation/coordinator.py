@@ -23,8 +23,9 @@ is invisible above this module.  Every refusal settles at its statement's
 position; :meth:`Federation.execute` is a batch of one that raises what it
 settled, so a repeated statement is a cache hit there too.
 
-The coordinator holds no data.  It sequences protocol runs, validates the
-well-matched-schema precondition, and owns only public artifacts (results,
+The coordinator holds no data.  It sequences protocol runs, resolves each
+statement against the quorum and the well-matched-schema precondition before
+anything else, and owns only public artifacts (results,
 costs, the audit trail) — it is *not* the trusted third party the paper
 rejects, because nothing private ever reaches it.
 """
@@ -172,12 +173,28 @@ class Federation:
             self._members = tuple(sorted(self._parties))
         return self._members
 
-    def _require_quorum(self) -> list[PrivateDatabase]:
+    def _ring(self) -> list[PrivateDatabase]:
+        """The members' databases in ring order."""
+        return [self._parties[name] for name in self.members]
+
+    def _resolve(self, statement: FederatedStatement) -> Exception | None:
+        """Why ``statement`` cannot run here at all, or ``None`` if it can.
+
+        Decided on public metadata only: the quorum (n >= 3), then the
+        well-matched-schema precondition of Section 3.2 over the members in
+        ring order (:func:`~repro.database.schema.common_query`).  The
+        refusal is returned, never raised, so the batch settles it at its
+        statement's position before anything is planned, admitted or drawn.
+        """
         if len(self._parties) < 3:
-            raise FederationError(
+            return FederationError(
                 f"the protocols require n >= 3 parties; have {len(self._parties)}"
             )
-        return [self._parties[name] for name in self.members]
+        try:
+            common_query(self._ring(), self._ranking_query(statement))
+        except SchemaError as exc:
+            return exc
+        return None
 
     # -- result cache --------------------------------------------------------
 
@@ -284,6 +301,13 @@ class Federation:
         Semantics, in order:
 
         1. Every statement is parsed and checked *before* anything runs.
+           The first check is the *resolve* step (:meth:`_resolve`), on
+           public metadata only: a statement refuses with
+           :class:`FederationError` below the quorum of three parties, and
+           with :class:`~repro.database.schema.SchemaError` over a missing
+           table or attribute, a non-numeric attribute, or a table whose
+           schema differs between members.  Then come its plan, its DP
+           admission, the cache and the run.
         2. Statements whose canonical form was already answered — earlier in
            this batch or in a previous call, under the same membership epoch
            and data versions — are served from the result cache: zero
@@ -303,14 +327,15 @@ class Federation:
            time through :meth:`execute` under the same session seed.
 
         A statement that cannot be served — malformed, refused by the issuer
-        rule or the privacy budget, carrying an SLO no plan can satisfy
-        (:class:`~repro.planner.errors.PlanInfeasible`), an additive statement
-        over a missing table or an AVG over zero rows — yields a :class:`QueryRefused` at its
+        rule, by the resolve step or by the privacy budget, carrying an SLO no
+        plan can satisfy (:class:`~repro.planner.errors.PlanInfeasible`), or
+        an AVG over zero rows — yields a :class:`QueryRefused` at its
         position (its in-batch duplicates too) while every other statement
         is served normally.  Seed draws happen in statement order for every
         statement that is *planned* (refused statements never are), so
         served statements stay bit-identical to a sequential session that
-        skipped the same refusals.  Every statement is planned here, by
+        skipped the same refusals; a statement refused at resolve also
+        reserves no DP budget.  Every statement is planned here, by
         :meth:`plan_for`.
 
         ``modes`` optionally names each statement's planner objective (the
@@ -336,9 +361,9 @@ class Federation:
         (:mod:`repro.federation.dp_release`) and run *in place* — preserving
         statement order, so seed draws match a sequential session issuing
         the inner forms — and the noisy releases are assembled from the
-        inner answers afterwards.  Malformed statements and the issuer
-        rule's refusals settle there too; everything else reaches the exact
-        path untouched.
+        inner answers afterwards.  Malformed statements, the issuer rule's
+        refusals and the resolve step's (:meth:`_resolve`) settle there too;
+        everything else reaches the exact path untouched.
 
         Each run's plan comes from :meth:`plan_for` -- a DP statement's one
         inner statement runs the DP statement's plan, a decomposed release's
@@ -346,17 +371,22 @@ class Federation:
         with ``plans`` (a shard runs the plan it is handed; ``None`` is its
         base configuration).
         """
+
+        def precheck(position: int, spec: QuerySpec, mode: str):
+            # Resolve first; a shard then runs the plan it was handed.
+            error = self._resolve(spec.statement)
+            if error is not None:
+                return error
+            return self._plan_source(spec, mode) if plans is None else plans[position]
+
         batch = self._dp.expand(
-            statements, traces, modes, issuer=issuer,
-            precheck=self._plan_source if plans is None else None,
+            statements, traces, modes, issuer=issuer, precheck=precheck
         )
         order: list[int] = []
         sources: list = []
         for position, _, source in batch.admitted:
             runs = batch.runs(position)
             order += runs
-            if plans is not None:
-                source = plans[position]
             sources += [source if len(runs) == 1 else None] * len(runs)
         served = self._serve_batch(
             [batch.texts[p] for p in order],
@@ -369,9 +399,9 @@ class Federation:
         return self._dp.assemble(batch)
 
     def _plan_source(
-        self, position: int, spec: QuerySpec, mode: str
+        self, spec: QuerySpec, mode: str
     ) -> "Plan | tuple[QuerySpec, str] | PlanInfeasible | None":
-        """The release path's precheck: where a statement's plan comes from.
+        """Where a resolved statement's plan comes from (the precheck's tail).
 
         ``None`` for the base configuration; a DP statement's plan, made
         before its admission so an unsatisfiable SLO refuses it there; else
@@ -404,12 +434,12 @@ class Federation:
     ) -> "list[QueryOutcome | QueryRefused]":
         if not statements:
             return []
-        # Every statement here is well-formed and permitted: the release path
-        # settles malformed and refused ones before the exact path runs.
+        # Every statement here is well-formed, permitted and resolved (quorum
+        # and schema): the release path settles the rest before this runs.
         refusals: dict[int, Exception] = {}
         forms = [prepare(text) for text in statements]
         parsed: list[FederatedStatement | None] = [f.spec.statement for f in forms]
-        databases = self._require_quorum()
+        databases = self._ring()
         data_versions = self._data_versions()
         keys = [self._cache_key(form, data_versions) for form in forms]
 
@@ -501,12 +531,12 @@ class Federation:
                         )
                     else:
                         outcome = self._run_additive(
-                            statement, issuer, *additive_seeds[index]
+                            statement, issuer, databases, *additive_seeds[index]
                         )
-                except (BudgetExceededError, FederationError, SchemaError) as exc:
+                except (BudgetExceededError, FederationError) as exc:
                     # This statement alone cannot be answered (a budget
-                    # refusal, a missing table, an AVG over zero rows): it
-                    # and its duplicates below settle refused.
+                    # refusal, an AVG over zero rows): it and its duplicates
+                    # below settle refused.
                     refused_keys[key] = exc
                     outcomes.append(
                         QueryRefused(statement=statements[index], error=exc)
@@ -609,13 +639,11 @@ class Federation:
         return outcome
 
     def _local_aggregate(
-        self, db: PrivateDatabase, statement: FederatedStatement
+        self, db: PrivateDatabase, statement: FederatedStatement, how: str
     ) -> float:
-        table = db.table(statement.table)
-        if statement.operation == "COUNT":
-            # count = non-null values of the attribute, engine-accelerated.
-            return float(table.aggregate(statement.attribute, "count"))
-        value = table.aggregate(statement.attribute, "sum")
+        """One party's ``"sum"`` or ``"count"`` (of non-null values) of the
+        statement's attribute, engine-accelerated; an empty sum is 0."""
+        value = db.table(statement.table).aggregate(statement.attribute, how)
         return float(value) if value is not None else 0.0
 
     def _secure_sum(self, values: dict[str, float], seed: int | None):
@@ -634,35 +662,20 @@ class Federation:
         self,
         statement: FederatedStatement,
         issuer: str,
+        databases: list[PrivateDatabase],
         sum_seed: int | None,
         count_seed: int | None,
     ) -> QueryOutcome:
-        """Run a SUM/COUNT/AVG statement over mask-blinded secure sums.
+        """Run a resolved SUM/COUNT/AVG statement over mask-blinded secure sums.
 
         ``sum_seed``/``count_seed`` are the secure sums' randomness, drawn
         by the batch path in statement order (the parity guarantee).
         """
-        databases = self._require_quorum()
-        # Schema precondition applies to additive queries too.
-        common_query(
-            databases,
-            TopKQuery(
-                table=statement.table,
-                attribute=statement.attribute,
-                k=1,
-                domain=self.domain_for(statement.table, statement.attribute),
-            ),
-        )
         messages = 0
-        sums: dict[str, float] = {}
-        counts: dict[str, float] = {}
-        for db in databases:
-            sums[db.owner] = self._local_aggregate(
-                db, replace_operation(statement, "SUM")
-            )
-            counts[db.owner] = self._local_aggregate(
-                db, replace_operation(statement, "COUNT")
-            )
+        sums, counts = (
+            {db.owner: self._local_aggregate(db, statement, how) for db in databases}
+            for how in ("sum", "count")
+        )
         if statement.operation in ("SUM", "AVG"):
             sum_outcome = self._secure_sum(sums, sum_seed)
             messages += sum_outcome.stats.messages_total
@@ -690,19 +703,6 @@ class Federation:
             messages=messages,
         )
         return self._audited(issuer, outcome)
-
-
-def replace_operation(
-    statement: FederatedStatement, operation: str
-) -> FederatedStatement:
-    """A copy of ``statement`` with a different operation (internal helper)."""
-    return FederatedStatement(
-        operation=operation,
-        k=statement.k,
-        attribute=statement.attribute,
-        table=statement.table,
-        text=statement.text,
-    )
 
 
 __all__ = [

@@ -4,7 +4,8 @@ The ring protocol answers *exact* statements; ``WITH SLO(dp_epsilon=...)``
 wraps those answers, and this module is that wrapper for every topology:
 
 1. :meth:`DpReleasePath.expand` — parse, refuse a DP-governed issuer's
-   plain statements, run the caller's precheck, admit DP statements through
+   plain statements, run the caller's precheck (a flat federation's resolves
+   quorum and schema there), admit DP statements through
    :meth:`~repro.privacy.dp.DpGate.admit`, append their *inner* (exact)
    statements to the batch;
 2. the caller runs the expanded batch on its exact backend;
@@ -218,7 +219,7 @@ class DpReleasePath:
         modes: "Sequence[str] | None",
         *,
         issuer: str,
-        precheck: "Callable[[int, QuerySpec, str], Any] | None" = None,
+        precheck: "Callable[[int, QuerySpec, str], Any]",
     ) -> DpBatch:
         """Expand DP statements into inner statements around the exact core.
 
@@ -228,10 +229,10 @@ class DpReleasePath:
         statement's ``modes`` entry (quality by default): it returns the
         statement's dispatch context, or the typed exception refusing it —
         so a statement refused there never touches the pending budget.
-        This is where a federation makes a DP statement's plan, so an
-        unsatisfiable SLO refuses it before admission; its one inner
-        statement runs that plan on every path.  Without a precheck every
-        context is ``None``.
+        This is where a federation resolves a statement (quorum and schema)
+        and makes a DP statement's plan, so an unsatisfiable SLO refuses it
+        before admission; its one inner statement runs that plan on every
+        path.
 
         DP-specific refusals — a missing domain, a degenerate (zero-noise)
         mechanism, an exhausted (epsilon, delta) budget — are decided
@@ -270,7 +271,7 @@ class DpReleasePath:
                 batch.refuse(position, exc)
                 continue
             spec = prepared.spec
-            context = precheck(position, spec, modes[position]) if precheck else None
+            context = precheck(position, spec, modes[position])
             if isinstance(context, Exception):
                 batch.refuse(position, context)
                 continue

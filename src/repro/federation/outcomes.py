@@ -114,9 +114,9 @@ class QueryRefused:
 
     :meth:`Federation.execute_many_settled` returns this in place of a
     :class:`QueryOutcome` when a statement is individually unservable — a
-    parse error, the issuer rule's ``DpRequired``, a privacy-budget
-    refusal, a SUM / COUNT / AVG over a missing table or an AVG over zero
-    rows — so a
+    parse error, the issuer rule's ``DpRequired``, a quorum or schema
+    refusal (a statement over a missing table or attribute), a
+    privacy-budget refusal or an AVG over zero rows — so a
     multi-tenant batch (the query service's continuous batches) degrades
     per-statement instead of aborting whole batches.  ``error`` carries the
     original typed exception.

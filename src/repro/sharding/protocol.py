@@ -44,11 +44,12 @@ from ..core.noise import UniformNoise
 from ..core.params import ProtocolParams
 from ..core.schedule import ExponentialSchedule
 from ..core.session import PROTOCOLS
+from ..database.schema import SchemaError
 from ..deploy.wire import WireError, recv_frame, send_frame
 from ..federation.cache import CachedAnswer
 from ..federation.coordinator import SECURE_SUM_PROTOCOLS, QueryOutcome, QueryRefused
 from ..federation.dp_release import DP_SUFFIX
-from ..federation.outcomes import SharedOutcomes
+from ..federation.outcomes import FederationError, SharedOutcomes
 from ..federation.sql import SqlError
 from ..planner.errors import PlanInfeasible
 from ..planner.plan import Plan
@@ -67,6 +68,8 @@ from .errors import (
 _ERROR_TYPES: dict[str, type[Exception]] = {
     "SqlError": SqlError,
     "SloError": SloError,
+    "SchemaError": SchemaError,
+    "FederationError": FederationError,
     "BudgetExceededError": BudgetExceededError,
     "PlanInfeasible": PlanInfeasible,
     "ShardError": ShardError,

@@ -26,6 +26,7 @@ from repro.sharding import (
     topology_workload,
 )
 from repro.sharding.protocol import (
+    _ERROR_TYPES,
     WirePlan,
     decode_error,
     decode_plan,
@@ -70,6 +71,18 @@ def test_error_codec_keeps_types_and_never_untyped():
     decoded = decode_error(encode_error(KeyError("boom")))
     assert isinstance(decoded, ShardError)
     assert "KeyError" in str(decoded)
+
+
+@pytest.mark.parametrize(
+    "error_type", list(_ERROR_TYPES.values()), ids=list(_ERROR_TYPES)
+)
+def test_every_wire_error_type_decodes_as_the_type_sent(error_type):
+    # A shard's schema, quorum or AVG-over-zero refusal among them: each
+    # reaches the gateway as itself, as a local shard's does.
+    sent = error_type("refused on the shard")
+    decoded = decode_error(encode_error(sent))
+    assert type(decoded) is error_type
+    assert str(decoded) == str(sent)
 
 
 def test_settled_codec_roundtrip():
