@@ -26,7 +26,7 @@ from repro import PAPER_DOMAIN
 from repro.database import PrivateDatabase, Schema, load_csv_table
 from repro.federation import Federation
 from repro.privacy.dp import BudgetExhausted, DpPolicy, DpRequired
-from repro.sharding import ShardedFederation, TenantBudgetExceeded, TenantPolicy
+from repro.sharding import ShardedFederation, TenantPolicy
 from repro.sharding.shards import LocalShard
 
 INSURERS = ("meridian", "atlas-mutual", "keystone", "northcape")
@@ -109,7 +109,7 @@ def main() -> None:
                     f"SELECT BOTTOM {k} amount FROM claims", issuer="regulator"
                 )
                 ran += 1
-        except TenantBudgetExceeded as exc:
+        except BudgetExhausted as exc:
             print(f"regulator: ran {ran} ranking queries, then -> {exc}")
         print(f"regulator: last answer               = {list(outcome.values)}")
         print()
@@ -127,8 +127,8 @@ def main() -> None:
             print(f"  {entry.entry_id:>3} {entry.issuer:<14} {entry.statement}")
         print()
         print(f"exposure ledger after {ledger.runs_charged} runs:")
-        for party in sorted(ledger.charges):
-            print(f"  {party:<14} {ledger.charges[party]:.4f}")
+        for party in sorted(ledger.meters):
+            print(f"  {party:<14} {ledger.exposure(party):.4f}")
 
 
 if __name__ == "__main__":

@@ -9,7 +9,12 @@ that measures it and nowhere else, so this reader knows no bench by name.
 It fails on a floor that does not hold, a floored value that is missing, a
 floor on a ``sim``/``count`` row (a seed-deterministic number is a tier-1
 equality, not a benchmark), a document with no floored ``wall`` row, and any
-shape it does not know.  Stdlib only: it runs on a bare checkout.
+shape it does not know.  Because a ``sim``/``count`` row is seed-deterministic,
+it also fails when a freshly written document's such row differs from the
+committed one (``git show HEAD:<path>``), so a stale committed number cannot
+outlive the code that computes it; a document ``HEAD`` does not hold, or a
+checkout without git, is compared with nothing.  Stdlib only: it runs on a
+bare checkout.
 
 Usage::
 
@@ -19,6 +24,7 @@ Usage::
 from __future__ import annotations
 
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -71,6 +77,39 @@ def check(document: object) -> tuple[list[str], list[str]]:
     return lines, problems
 
 
+def committed(path: Path) -> object | None:
+    """The document as ``HEAD`` holds it; ``None`` when it holds none."""
+    try:
+        shown = subprocess.run(
+            ["git", "show", f"HEAD:./{path.name}"],
+            cwd=path.parent, capture_output=True, check=True, timeout=60,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return json.loads(shown.stdout)
+
+
+def drift(document: object, before: object) -> list[str]:
+    """Each ``sim``/``count`` row of ``before`` that ``document`` does not
+    write again, value for value."""
+    if not (isinstance(document, dict) and isinstance(before, dict)):
+        return []
+    fresh = {
+        row.get("metric"): row for row in document.get("rows", [])
+        if isinstance(row, dict)
+    }
+    problems = []
+    for row in before.get("rows", []):
+        if isinstance(row, dict) and row.get("clock") in ("sim", "count"):
+            now = fresh.get(row["metric"], {}).get("value")
+            if now != row["value"]:
+                problems.append(
+                    f"{row['metric']}: a {row['clock']!r} row reads {now!r}, "
+                    f"committed {row['value']!r}"
+                )
+    return problems
+
+
 def main(arguments: list[str]) -> int:
     targets = [Path(argument) for argument in arguments] or [
         Path(__file__).resolve().parent.parent / "results"
@@ -83,7 +122,9 @@ def main(arguments: list[str]) -> int:
     failures = 0
     for path in documents:
         try:
-            lines, problems = check(json.loads(path.read_text()))
+            document = json.loads(path.read_text())
+            lines, problems = check(document)
+            problems += drift(document, committed(path))
         except (OSError, json.JSONDecodeError) as exc:
             lines, problems = [], [f"unreadable: {exc}"]
         print("\n".join([path.name, *lines, *(f"  FAIL {p}" for p in problems)]))

@@ -102,14 +102,18 @@ class Column:
 class Schema:
     """An ordered collection of :class:`Column` objects.
 
-    ``names`` (in column order), ``name_set`` and ``by_name`` (name ->
-    column) are derived once, here, and ignored as :class:`Column`'s are.
+    ``names`` (in column order), ``name_set``, ``by_name`` (name -> column)
+    and ``signature`` (the ``(name, type)`` pairs, in no order) are derived
+    once, here, and ignored as :class:`Column`'s are.
     """
 
     columns: tuple[Column, ...] = field(default_factory=tuple)
     names: tuple[str, ...] = field(init=False, repr=False, compare=False)
     name_set: frozenset[str] = field(init=False, repr=False, compare=False)
     by_name: dict[str, Column] = field(init=False, repr=False, compare=False)
+    signature: frozenset[tuple[str, str]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         names = tuple(c.name for c in self.columns)
@@ -118,6 +122,9 @@ class Schema:
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "name_set", frozenset(names))
         object.__setattr__(self, "by_name", dict(zip(names, self.columns)))
+        object.__setattr__(
+            self, "signature", frozenset((c.name, c.type) for c in self.columns)
+        )
 
     def __reduce__(self) -> tuple:
         return Schema, (self.columns,)
@@ -162,11 +169,11 @@ class Schema:
         """True when both schemas agree on names and types (order-insensitive).
 
         This is the well-matched-schema precondition of Section 3.2; the
-        protocol driver checks it before running a multi-database query.
+        protocol driver checks it before running a multi-database query, and
+        every resolve step once per party, so it compares the derived
+        ``signature`` rather than building anything.
         """
-        mine = {c.name: c.type for c in self.columns}
-        theirs = {c.name: c.type for c in other.columns}
-        return mine == theirs
+        return self.signature == other.signature
 
 
 def common_query(

@@ -50,7 +50,7 @@ from ..planner.errors import PlanInfeasible
 from ..planner.plan import QUALITY, Plan, unplanned
 from ..planner.planner import QueryPlanner
 from ..planner.spec import Prepared, QuerySpec, prepare
-from ..privacy.accounting import BudgetExceededError, ExposureLedger
+from ..privacy.accounting import ExposureLedger
 from ..privacy.dp import BudgetExhausted, DpGate, DpPolicy
 from ..privacy.lop import average_lop
 from .audit import AuditLog
@@ -61,6 +61,30 @@ from .sql import FederatedStatement, SqlError, parse
 
 #: The additive path's protocol names: the ring secure sum, then segmented.
 SECURE_SUM_PROTOCOLS = (SECURE_SUM, f"k-{SECURE_SUM}")
+
+
+def resolve(databases: Sequence, statement: FederatedStatement) -> Exception | None:
+    """Why ``statement`` cannot run over ``databases`` at all, or ``None``.
+
+    Decided on public metadata only: the quorum (n >= 3), then the
+    well-matched-schema precondition of Section 3.2 over the parties in ring
+    order (:func:`~repro.database.schema.common_query`, which reads only
+    ``db.owner`` and ``db.table(name).schema``, so a shard's kept schemas
+    answer it too).  The refusal is returned, never raised, so a batch
+    settles it at its statement's position before anything is planned,
+    admitted or drawn.
+    """
+    if len(databases) < 3:
+        return FederationError(
+            f"the protocols require n >= 3 parties; have {len(databases)}"
+        )
+    try:
+        common_query(
+            databases, TopKQuery(statement.table, statement.attribute, statement.k)
+        )
+    except SchemaError as exc:
+        return exc
+    return None
 
 
 class Federation:
@@ -177,25 +201,6 @@ class Federation:
         """The members' databases in ring order."""
         return [self._parties[name] for name in self.members]
 
-    def _resolve(self, statement: FederatedStatement) -> Exception | None:
-        """Why ``statement`` cannot run here at all, or ``None`` if it can.
-
-        Decided on public metadata only: the quorum (n >= 3), then the
-        well-matched-schema precondition of Section 3.2 over the members in
-        ring order (:func:`~repro.database.schema.common_query`).  The
-        refusal is returned, never raised, so the batch settles it at its
-        statement's position before anything is planned, admitted or drawn.
-        """
-        if len(self._parties) < 3:
-            return FederationError(
-                f"the protocols require n >= 3 parties; have {len(self._parties)}"
-            )
-        try:
-            common_query(self._ring(), self._ranking_query(statement))
-        except SchemaError as exc:
-            return exc
-        return None
-
     # -- result cache --------------------------------------------------------
 
     def _data_versions(self) -> tuple[tuple[str, int], ...]:
@@ -301,7 +306,7 @@ class Federation:
         Semantics, in order:
 
         1. Every statement is parsed and checked *before* anything runs.
-           The first check is the *resolve* step (:meth:`_resolve`), on
+           The first check is the *resolve* step (:func:`resolve`), on
            public metadata only: a statement refuses with
            :class:`FederationError` below the quorum of three parties, and
            with :class:`~repro.database.schema.SchemaError` over a missing
@@ -362,7 +367,7 @@ class Federation:
         statement order, so seed draws match a sequential session issuing
         the inner forms — and the noisy releases are assembled from the
         inner answers afterwards.  Malformed statements, the issuer rule's
-        refusals and the resolve step's (:meth:`_resolve`) settle there too;
+        refusals and the resolve step's (:func:`resolve`) settle there too;
         everything else reaches the exact path untouched.
 
         Each run's plan comes from :meth:`plan_for` -- a DP statement's one
@@ -374,10 +379,13 @@ class Federation:
 
         def precheck(position: int, spec: QuerySpec, mode: str):
             # Resolve first; a shard then runs the plan it was handed.
-            error = self._resolve(spec.statement)
+            error = resolve(self._ring(), spec.statement)
             if error is not None:
                 return error
-            return self._plan_source(spec, mode) if plans is None else plans[position]
+            source = self._plan_source(spec, mode) if plans is None else plans[position]
+            # No budget is drawn here but (epsilon, delta): the party ledger
+            # charges measured exposure after the run.
+            return source if isinstance(source, PlanInfeasible) else (source, ())
 
         batch = self._dp.expand(
             statements, traces, modes, issuer=issuer, precheck=precheck
@@ -533,7 +541,7 @@ class Federation:
                         outcome = self._run_additive(
                             statement, issuer, databases, *additive_seeds[index]
                         )
-                except (BudgetExceededError, FederationError) as exc:
+                except (BudgetExhausted, FederationError) as exc:
                     # This statement alone cannot be answered (a budget
                     # refusal, an AVG over zero rows): it and its duplicates
                     # below settle refused.
@@ -715,4 +723,5 @@ __all__ = [
     "QueryRefused",
     "SqlError",
     "parse",
+    "resolve",
 ]

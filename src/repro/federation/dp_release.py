@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Protocol
 
 from ..database.query import Domain
@@ -50,6 +49,7 @@ from ..privacy.dp import (
     DpGate,
     DpRequest,
     DpRequired,
+    PrivacyAccountant,
     build_request,
 )
 from .outcomes import FederationError, QueryOutcome, QueryRefused, SharedOutcomes
@@ -60,29 +60,15 @@ DP_SUFFIX = "+dp"
 
 
 class TenantMeters(Protocol):
-    """Per-issuer DP meters a release must fit beside the gate's accountant.
+    """Per-issuer DP accounting a release must fit beside the gate's.
 
     :class:`~repro.sharding.router.ShardRouter` has this shape; a federation
     without tenants passes ``None``.
     """
 
-    def dp_headroom(
-        self,
-        issuer: str,
-        epsilon: float,
-        delta: float,
-        *,
-        pending_epsilon: float = 0.0,
-        pending_delta: float = 0.0,
-    ) -> str | None: ...
-
-    def charge_dp(
-        self, issuer: str, epsilon: float, delta: float, *, statement: str
-    ) -> None: ...
+    def dp_accountant(self, issuer: str) -> PrivacyAccountant | None: ...
 
     def note_refusal(self, issuer: str) -> None: ...
-
-    def dp_governed(self, issuer: str) -> bool: ...
 
 
 @dataclass
@@ -187,6 +173,10 @@ class DpReleasePath:
             self._requests[key] = request
         return request
 
+    def _tenant(self, issuer: str) -> PrivacyAccountant | None:
+        """``issuer``'s own (epsilon, delta) accountant, if it has one."""
+        return self._meters.dp_accountant(issuer) if self._meters is not None else None
+
     # -- the issuer rule -------------------------------------------------------
 
     def require_dp(self, spec: QuerySpec, issuer: str) -> None:
@@ -198,10 +188,8 @@ class DpReleasePath:
         """
         if spec.slo.has_dp:
             return
-        meters = self._meters
-        if self.gate.accountant.governs or (
-            meters is not None and meters.dp_governed(issuer)
-        ):
+        meters, tenant = self._meters, self._tenant(issuer)
+        if self.gate.accountant.governs or (tenant is not None and tenant.governs):
             if meters is not None:
                 meters.note_refusal(issuer)
             raise DpRequired(
@@ -225,23 +213,25 @@ class DpReleasePath:
 
         A DP-governed issuer's statement without ``dp_epsilon`` is refused
         first (:meth:`require_dp`).  ``precheck(position, spec, mode)`` then
-        runs on every parsed statement, before anything DP, with the
+        runs on every parsed statement, before any budget, with the
         statement's ``modes`` entry (quality by default): it returns the
-        statement's dispatch context, or the typed exception refusing it —
-        so a statement refused there never touches the pending budget.
-        This is where a federation resolves a statement (quorum and schema)
-        and makes a DP statement's plan, so an unsatisfiable SLO refuses it
-        before admission; its one inner statement runs that plan on every
-        path.
+        statement's dispatch context and the draws it makes besides DP (a
+        tenant's LoP), or the typed exception refusing it — so a statement
+        refused there never touches the pending budget.  This is where a
+        federation resolves a statement (quorum and schema) and makes its
+        plan, so an unsatisfiable SLO refuses it before admission; a DP
+        statement's one inner statement runs that plan on every path.
 
-        DP-specific refusals — a missing domain, a degenerate (zero-noise)
-        mechanism, an exhausted (epsilon, delta) budget — are decided
-        *here*, before any seed draw or inner dispatch, so refused DP
-        statements perturb nothing downstream (the same refusal-parity rule
-        the planner follows).  The budget precheck is optimistic on reuse:
-        a key that has already released is admitted without headroom, and
-        ``assemble`` still enforces the budget if the inner answers turn out
-        to differ from the ones the release perturbed: that is a fresh,
+        Admission (:meth:`~repro.privacy.dp.DpGate.admit`) then decides
+        every budget refusal — tenant LoP, the gate's and the tenant's
+        (epsilon, delta) — as one :class:`~repro.privacy.dp.BudgetExhausted`,
+        beside the DP-specific ones (a missing domain, a degenerate
+        zero-noise mechanism), *here*, before any seed draw or inner
+        dispatch, so refused statements perturb nothing downstream (the same
+        refusal-parity rule the planner follows).  It is optimistic on DP
+        reuse: a key that has already released draws no (epsilon, delta),
+        and ``assemble`` still enforces the budget if the inner answers turn
+        out to differ from the ones the release perturbed: that is a fresh,
         charged release with its own noise, never a replay.
         """
         if traces is not None and len(traces) != len(statements):
@@ -261,8 +251,7 @@ class DpReleasePath:
             results=[None] * len(statements),
         )
         pending = self.gate.new_pending()
-        meters = self._meters
-        headroom = partial(meters.dp_headroom, issuer) if meters is not None else None
+        meters, tenant = self._meters, self._tenant(issuer)
         for position, text in enumerate(statements):
             try:
                 prepared = prepare(text)
@@ -271,21 +260,22 @@ class DpReleasePath:
                 batch.refuse(position, exc)
                 continue
             spec = prepared.spec
-            context = precheck(position, spec, modes[position])
-            if isinstance(context, Exception):
-                batch.refuse(position, context)
+            checked = precheck(position, spec, modes[position])
+            if isinstance(checked, Exception):
+                batch.refuse(position, checked)
                 continue
-            if prepared.has_dp:
-                try:
-                    request = self._request(spec)
-                    reason = self.gate.admit(request, pending, headroom)
-                    if reason is not None:
-                        raise BudgetExhausted(reason, statement=text)
-                except DpError as exc:
-                    if meters is not None:
-                        meters.note_refusal(issuer)
-                    batch.refuse(position, exc)
-                    continue
+            context, draws = checked
+            try:
+                request = self._request(spec) if prepared.has_dp else None
+                refusal = self.gate.admit(request, pending, draws, tenant)
+                if refusal is not None:
+                    raise refusal
+            except (DpError, BudgetExhausted) as exc:
+                if meters is not None:
+                    meters.note_refusal(issuer)
+                batch.refuse(position, exc)
+                continue
+            if request is not None:
                 batch.add_slot(position, request, spec.statement.text)
             batch.admitted.append((position, spec, context))
         return batch
@@ -304,6 +294,7 @@ class DpReleasePath:
         spelling's one shared outcome while its fields stay the same.
         """
         gate, meters, issuer = self.gate, self._meters, batch.issuer
+        tenant = self._tenant(issuer)
         for position, slot in batch.slots.items():
             request, text = slot.request, batch.texts[position]
             inner = [batch.results[p] for p in slot.inner]
@@ -314,12 +305,12 @@ class DpReleasePath:
             outcomes: list[QueryOutcome] = inner  # type: ignore[assignment]
             inner_values = [o.values for o in outcomes]
             try:
-                if meters is not None and not gate.replayable(request, inner_values):
-                    # Optimistic reuse admissions skipped the tenant headroom
-                    # check; settle it before the gate records the charge.
-                    reason = meters.dp_headroom(issuer, request.epsilon, request.delta)
-                    if reason is not None:
-                        raise BudgetExhausted(reason, statement=text)
+                if tenant is not None and not gate.replayable(request, inner_values):
+                    # Optimistic reuse admissions skipped the tenant's meters;
+                    # settle them before the gate records the charge.
+                    refusal = tenant.refusal(request.epsilon, request.delta)
+                    if refusal is not None:
+                        raise refusal
                 values, charged = gate.finalize(request, inner_values)
             except BudgetExhausted as exc:
                 if meters is not None:
@@ -340,10 +331,8 @@ class DpReleasePath:
             if not charged:
                 outcome = self._served.share(prepare(text).spec.text, outcome)
             batch.results[position] = outcome
-            if charged and meters is not None:
-                meters.charge_dp(
-                    issuer, request.epsilon, request.delta, statement=request.label
-                )
+            if charged and tenant is not None:
+                tenant.charge(request.epsilon, request.delta, statement=request.label)
         return batch.results[: batch.size]  # type: ignore[return-value]  # all filled
 
     # -- free re-serve ---------------------------------------------------------
@@ -408,26 +397,22 @@ class DpReleasePath:
     def admission_check(self, spec: QuerySpec, *, issuer: str) -> None:
         """Refuse a DP statement that can neither reuse a release nor pay.
 
-        Raises :class:`~repro.privacy.dp.DpError` for unresolvable requests
-        (missing domain, zero-noise calibration) and
+        :meth:`~repro.privacy.dp.DpGate.admit` against a fresh pending
+        budget: raises :class:`~repro.privacy.dp.DpError` for unresolvable
+        requests (missing domain, zero-noise calibration) and
         :class:`~repro.privacy.dp.BudgetExhausted` when no release exists
         and the gate's — or the tenant's — budget has no headroom, so the
         refusal happens before the statement consumes a queue slot.
         """
         if not spec.slo.has_dp:
             return
-        request = self._request(spec)
-        if self.gate.reusable(request):
-            return
-        reason = self.gate.accountant.headroom_reason(request.epsilon, request.delta)
-        if reason is not None:
-            self.gate.accountant.note_refusal()
-            raise BudgetExhausted(reason, statement=spec.text)
-        if self._meters is not None:
-            reason = self._meters.dp_headroom(issuer, request.epsilon, request.delta)
-            if reason is not None:
+        refusal = self.gate.admit(
+            self._request(spec), self.gate.new_pending(), tenant=self._tenant(issuer)
+        )
+        if refusal is not None:
+            if self._meters is not None:
                 self._meters.note_refusal(issuer)
-                raise BudgetExhausted(reason, statement=spec.text)
+            raise refusal
 
 
 __all__ = ["DP_SUFFIX", "DpBatch", "DpReleasePath", "DpSlot", "TenantMeters"]

@@ -9,7 +9,7 @@ from .._lazy import lazy_exports
 from .precision import precision as precision
 
 _EXPORTS = {
-    "accounting": ("BudgetExceededError", "ExposureLedger"),
+    "accounting": ("ExposureLedger",),
     "adversary": (
         "AdversaryError",
         "coalition_lop",

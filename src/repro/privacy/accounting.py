@@ -23,12 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..core.results import ProtocolResult
-from .dp import SpendMeter
+from .dp import BudgetExhausted, SpendMeter
 from .lop import exposure_profile
-
-
-class BudgetExceededError(RuntimeError):
-    """Raised when a query would push a party past its privacy budget."""
 
 
 @dataclass
@@ -37,7 +33,8 @@ class ExposureLedger:
 
     #: Optional ceiling on any single party's accumulated exposure.
     budget: float | None = None
-    charges: dict[str, float] = field(default_factory=dict)
+    #: One LoP meter per party charged so far.
+    meters: dict[str, SpendMeter] = field(default_factory=dict)
     runs_charged: int = 0
 
     def __post_init__(self) -> None:
@@ -47,28 +44,31 @@ class ExposureLedger:
     def charge(self, result: ProtocolResult) -> dict[str, float]:
         """Charge one finished run; returns the per-party charges applied.
 
-        Raises :class:`BudgetExceededError` — *before* recording anything —
-        if the charge would push any party past the budget, so a refused
-        query leaves the ledger unchanged.  Landing exactly on the budget is
-        admitted by the one rule every budget shares
-        (:meth:`SpendMeter.would_exceed`).
+        Raises :class:`~repro.privacy.dp.BudgetExhausted` (``dimension``
+        ``"lop"``) — *before* recording anything — if the charge would push
+        any party past the budget, so a refused query leaves the ledger
+        unchanged.  Landing exactly on the budget is admitted by the one
+        rule every budget shares (:class:`SpendMeter`).
         """
         increments = dict(exposure_profile(result).peak)
-        if self.budget is not None:
-            over = [
-                node
-                for node, inc in increments.items()
-                if SpendMeter(self.budget, self.exposure(node)).would_exceed(inc)
-            ]
-            if over:
-                raise BudgetExceededError(
-                    f"query refused: parties {sorted(over)} would exceed the "
-                    f"privacy budget of {self.budget}"
-                )
+        meters = {
+            node: self.meters.get(node) or SpendMeter(self.budget)
+            for node in increments
+        }
+        over = sorted(
+            node for node, inc in increments.items() if meters[node].refusal(inc)
+        )
+        if over:
+            raise BudgetExhausted(
+                f"query refused: parties {over} would exceed the "
+                f"privacy budget of {self.budget}"
+            )
         for node, increment in increments.items():
-            self.charges[node] = self.charges.get(node, 0.0) + increment
+            meters[node].charge(increment)
+        self.meters.update(meters)
         self.runs_charged += 1
         return increments
 
     def exposure(self, party: str) -> float:
-        return self.charges.get(party, 0.0)
+        meter = self.meters.get(party)
+        return meter.spent if meter is not None else 0.0

@@ -29,8 +29,9 @@ Design invariants (shared with the rest of the stack):
   learn the exact data delta.  Because nothing in the key is process
   state, a restarted federation over unchanged data re-derives the same
   bytes, so a refunded budget cannot buy fresh samples to average.
-* **Typed refusals.** Budget exhaustion raises :class:`BudgetExhausted`
-  (distinct from the planner's ``PlanInfeasible``); a mechanism whose
+* **Typed refusals.** Budget exhaustion raises :class:`BudgetExhausted`,
+  the one refusal of every budget, LoP included (distinct from the
+  planner's ``PlanInfeasible`` and from :class:`DpError`); a mechanism whose
   noise would underflow to exactly zero raises :class:`DpError` instead
   of silently releasing the exact value.
 * **Refuse before recording.** Like :class:`~repro.privacy.accounting.ExposureLedger`,
@@ -50,7 +51,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # typing only: keeps privacy <- federation import edges acyclic
     from ..database.query import Domain
@@ -66,17 +67,18 @@ class DpError(RuntimeError):
     """A differential-privacy release cannot be constructed as requested."""
 
 
-class BudgetExhausted(DpError):
-    """The composed (epsilon, delta) budget cannot absorb this release.
+class BudgetExhausted(RuntimeError):
+    """A budget cannot absorb this charge: the one budget refusal.
 
-    Deliberately distinct from the planner's ``PlanInfeasible``: the plan
-    may be perfectly executable — the *tenant or federation privacy
-    allowance* is what ran out.
+    ``dimension`` names the meter that refused: ``"lop"`` (a tenant's or a
+    party's loss of privacy, Eq. 1), ``"epsilon"`` or ``"delta"``.
+    Deliberately distinct from the planner's ``PlanInfeasible`` and from
+    :class:`DpError`: the plan may be perfectly executable and the release
+    constructible — the *allowance* is what ran out.
     """
 
-    def __init__(self, message: str, *, statement: str = "", dimension: str = "epsilon"):
+    def __init__(self, message: str, *, dimension: str = "lop"):
         super().__init__(message)
-        self.statement = statement
         self.dimension = dimension
 
 
@@ -99,21 +101,20 @@ class DpRequired(DpError):
 
 @dataclass
 class SpendMeter:
-    """One budgeted quantity: LoP for a tenant, epsilon or delta for DP.
+    """One budgeted quantity and the one rule that admits a charge to it.
 
-    ``budget=None`` means unmetered (infinite headroom).  Both the tenant
-    LoP accounting (:mod:`repro.sharding.router`) and the DP accountant
-    spend through this single surface, so the "cache hits are free" rule
-    is enforced in exactly one place for both.
+    A tenant's LoP (:mod:`repro.sharding.router`), each party's LoP in a
+    flat federation's exposure ledger, and epsilon and delta for DP all
+    meter through this surface, so exhaustion is decided in exactly one
+    place.  ``budget=None`` means unmetered (infinite headroom);
+    ``dimension`` names the quantity and ``holder`` whose it is, as a
+    refusal reads them.
     """
 
     budget: float | None = None
     spent: float = 0.0
-
-    def remaining(self) -> float:
-        if self.budget is None:
-            return math.inf
-        return max(0.0, self.budget - self.spent)
+    dimension: str = "lop"
+    holder: str = ""
 
     def would_exceed(self, amount: float) -> bool:
         """True when charging ``amount`` would overshoot the budget.
@@ -125,10 +126,57 @@ class SpendMeter:
             return False
         return self.spent + amount > self.budget + SPEND_TOLERANCE
 
+    def refusal(self, amount: float, pending: float = 0.0) -> "BudgetExhausted | None":
+        """The refusal charging ``amount`` on top of ``pending`` (admitted
+        earlier in the same batch, not charged yet) earns, or ``None``."""
+        if not self.would_exceed(pending + amount):
+            return None
+        holder = f"{self.holder} " if self.holder else ""
+        return BudgetExhausted(
+            f"{holder}{self.dimension} budget exhausted: spent "
+            f"{self.spent + pending:.9g} of {self.budget:.9g}, release needs {amount:.9g}",
+            dimension=self.dimension,
+        )
+
     def charge(self, amount: float) -> None:
         if amount < 0.0:
             raise ValueError(f"negative charge: {amount}")
         self.spent += amount
+
+
+#: One statement's draw on one meter: the meter, the amount, and the key
+#: admitting it (a release's key; a ranking statement's canonical form).
+Draw = tuple[SpendMeter, float, tuple]
+
+
+@dataclass
+class PendingBudget:
+    """What one batch admitted but has not charged yet.
+
+    A batch is one issuer's, so its pending amount is one per dimension:
+    the gate's and the tenant's epsilon meters see the same pending
+    epsilon.  A draw under a key admitted earlier in the batch is free: it
+    is a duplicate, and runs (and charges) once.
+    """
+
+    amounts: dict[str, float] = field(default_factory=dict)
+    keys: set = field(default_factory=set)
+
+    def refusal(self, draws: "Sequence[Draw]") -> "BudgetExhausted | None":
+        """The first refusal among ``draws`` on top of what is pending."""
+        for meter, amount, key in draws:
+            if key not in self.keys:
+                refusal = meter.refusal(amount, self.amounts.get(meter.dimension, 0.0))
+                if refusal is not None:
+                    return refusal
+        return None
+
+    def join(self, draws: "Sequence[Draw]") -> None:
+        """Admit ``draws``: each new (dimension, key) joins the pending amount once."""
+        fresh = {(m.dimension, key): amount for m, amount, key in draws if key not in self.keys}
+        for (dimension, _key), amount in fresh.items():
+            self.amounts[dimension] = self.amounts.get(dimension, 0.0) + amount
+        self.keys.update(key for _dimension, key in fresh)
 
 
 @dataclass(frozen=True)
@@ -158,8 +206,8 @@ class PrivacyAccountant:
             raise DpError(f"epsilon budget must be >= 0, got {epsilon_budget}")
         if delta_budget is not None and not 0.0 <= delta_budget < 1.0:
             raise DpError(f"delta budget must be in [0, 1), got {delta_budget}")
-        self.epsilon = SpendMeter(budget=epsilon_budget)
-        self.delta = SpendMeter(budget=delta_budget)
+        self.epsilon = SpendMeter(budget=epsilon_budget, dimension="epsilon")
+        self.delta = SpendMeter(budget=delta_budget, dimension="delta")
         self.charges: list[DpCharge] = []
         self.releases = 0
         self.free_serves = 0
@@ -175,36 +223,25 @@ class PrivacyAccountant:
             for meter in (self.epsilon, self.delta)
         )
 
-    def headroom_reason(
-        self, epsilon: float, delta: float, *, pending_epsilon: float = 0.0, pending_delta: float = 0.0
-    ) -> str | None:
-        """Why a (epsilon, delta) charge would refuse, or ``None`` if it fits.
+    def refusal(self, epsilon: float, delta: float) -> BudgetExhausted | None:
+        """The refusal an (epsilon, delta) charge earns now: one per meter."""
+        return self.epsilon.refusal(epsilon) or self.delta.refusal(delta)
 
-        ``pending_*`` folds in charges admitted earlier in the same batch
-        that have not landed on the meters yet, so refusal decisions are
-        order-consistent with sequential execution.
-        """
-        if self.epsilon.would_exceed(pending_epsilon + epsilon):
-            return (
-                f"epsilon budget exhausted: spent {self.epsilon.spent + pending_epsilon:.9g} "
-                f"of {self.epsilon.budget:.9g}, release needs {epsilon:.9g}"
-            )
-        if self.delta.would_exceed(pending_delta + delta):
-            return (
-                f"delta budget exhausted: spent {self.delta.spent + pending_delta:.9g} "
-                f"of {self.delta.budget:.9g}, release needs {delta:.9g}"
-            )
-        return None
+    def draws(self, request: "DpRequest") -> "list[Draw]":
+        """What ``request`` draws from this accountant's two meters."""
+        return [
+            (self.epsilon, request.epsilon, request.key),
+            (self.delta, request.delta, request.key),
+        ]
 
     # -- mutation ------------------------------------------------------------
 
     def charge(self, epsilon: float, delta: float, *, statement: str) -> None:
         """Record one release, refusing (before any mutation) on overshoot."""
-        reason = self.headroom_reason(epsilon, delta)
-        if reason is not None:
+        refusal = self.refusal(epsilon, delta)
+        if refusal is not None:
             self.refusals += 1
-            dimension = "epsilon" if reason.startswith("epsilon") else "delta"
-            raise BudgetExhausted(reason, statement=statement, dimension=dimension)
+            raise refusal
         self.epsilon.charge(epsilon)
         self.delta.charge(delta)
         self.charges.append(DpCharge(statement=statement, epsilon=epsilon, delta=delta))
@@ -454,15 +491,6 @@ def build_request(spec, domain: Domain | None) -> DpRequest | None:
 # -- the gate ----------------------------------------------------------------
 
 
-@dataclass
-class _PendingBudget:
-    """Batch-scoped budget already admitted but not yet charged."""
-
-    epsilon: float = 0.0
-    delta: float = 0.0
-    keys: set = field(default_factory=set)
-
-
 @dataclass(frozen=True)
 class _ReleaseRecord:
     """One key's latest release: the inner answers it perturbed, its bytes.
@@ -519,51 +547,46 @@ class DpGate:
         record = self._releases.get(request.key)
         return record is not None and record.inner_values == _freeze(inner_values)
 
-    def new_pending(self) -> _PendingBudget:
-        return _PendingBudget()
+    def new_pending(self) -> PendingBudget:
+        return PendingBudget()
 
     def admit(
         self,
-        request: DpRequest,
-        pending: _PendingBudget,
-        tenant_headroom: "Callable[..., str | None] | None" = None,
-    ) -> str | None:
-        """Batch-time precheck, *before* any seed draw or inner dispatch.
+        request: DpRequest | None,
+        pending: PendingBudget,
+        draws: "Sequence[Draw]" = (),
+        tenant: PrivacyAccountant | None = None,
+    ) -> BudgetExhausted | None:
+        """The one admission rule, before any seed draw or inner dispatch.
 
-        Optimistic on reuse: a key that has released before is admitted
-        without headroom (the repeat is usually a free re-serve); if its
-        inner answers turn out to have changed, ``finalize`` still enforces
-        the budget and the statement settles as refused.
+        In order, ``draws`` (what the statement draws besides DP: a
+        tenant's LoP), the gate's and then the ``tenant``'s (epsilon,
+        delta) meters must each pass :class:`SpendMeter`'s test on top of
+        ``pending``; only then do all of them join it, so admission does not
+        depend on how a workload was batched.  A refusal by the gate's own
+        meters is counted as the gate's.
 
-        ``tenant_headroom`` is a second meter the release must also fit,
-        called like :meth:`PrivacyAccountant.headroom_reason`.  A batch's
-        fresh releases are pending on both meters, so one ``pending`` serves
-        both and admission does not depend on how a workload was batched.
+        Optimistic on reuse: a release whose key has released before draws
+        no DP budget (the repeat is usually a free re-serve); if its inner
+        answers turn out to have changed, ``finalize`` still enforces the
+        budget and the statement settles as refused.
         """
-        if self.reusable(request) or request.key in pending.keys:
-            return None
-        reason = self.accountant.headroom_reason(
-            request.epsilon,
-            request.delta,
-            pending_epsilon=pending.epsilon,
-            pending_delta=pending.delta,
-        )
-        if reason is not None:
+        own: list[Draw] = []
+        theirs: list[Draw] = []
+        if request is not None and not self.reusable(request):
+            own = self.accountant.draws(request)
+            theirs = tenant.draws(request) if tenant is not None else []
+        refusal = pending.refusal(draws)
+        if refusal is not None:
+            return refusal
+        refusal = pending.refusal(own)
+        if refusal is not None:
             self.accountant.note_refusal()
-            return reason
-        if tenant_headroom is not None:
-            reason = tenant_headroom(
-                request.epsilon,
-                request.delta,
-                pending_epsilon=pending.epsilon,
-                pending_delta=pending.delta,
-            )
-            if reason is not None:
-                return reason
-        pending.epsilon += request.epsilon
-        pending.delta += request.delta
-        pending.keys.add(request.key)
-        return None
+            return refusal
+        refusal = pending.refusal(theirs)
+        if refusal is None:
+            pending.join([*draws, *own, *theirs])
+        return refusal
 
     def finalize(
         self, request: DpRequest, inner_values: Sequence[Sequence[float]]
@@ -646,9 +669,11 @@ __all__ = [
     "DpPolicy",
     "DpRequest",
     "DpRequired",
+    "Draw",
     "GeometricMechanism",
     "LaplaceMechanism",
     "Mechanism",
+    "PendingBudget",
     "PrivacyAccountant",
     "SpendMeter",
     "build_request",

@@ -397,8 +397,13 @@ class QueryService:
         both.  ``priority`` orders batch formation (higher first, FIFO
         within a level).  Service-level rejections raise
         :class:`~repro.service.errors.ServiceError` subclasses; per-query
-        federation refusals (``SqlError``, ``DpRequired``, ``BudgetExhausted``,
-        ``BudgetExceededError``) propagate as their original typed errors.
+        federation refusals (``SqlError``, ``SchemaError``, ``DpRequired``,
+        ``PlanInfeasible``) propagate as their original typed errors, and
+        every budget refusal — a party's or a tenant's LoP, the federation's
+        or a tenant's (ε, δ) — as one ``BudgetExhausted`` whose
+        ``dimension`` names the meter (``"lop"``, ``"epsilon"`` or
+        ``"delta"``).  Only (ε, δ) is checked before the queue; LoP is
+        admitted with the batch, against what the batch already admitted.
         A DP-governed issuer — one a finite (ε, δ) budget applies to, the
         federation's or its tenant's — gets ``DpRequired`` for a statement
         without ``dp_epsilon`` from the cache fast path, hit or miss, so it

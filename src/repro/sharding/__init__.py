@@ -13,7 +13,6 @@ _EXPORTS = {
     "errors": (
         "ShardError",
         "ShardUnavailable",
-        "TenantBudgetExceeded",
         "TenantRateLimited",
     ),
     "federation": ("ShardedFederation",),

@@ -3,11 +3,13 @@
 Shard failures must be *typed* for the same reason service failures are
 (:mod:`repro.service.errors`): a multi-tenant gateway has to distinguish
 "this shard's process is gone, the statement is refusable right now"
-(:class:`ShardUnavailable`) from "this tenant exhausted its own allowance"
-(:class:`TenantRateLimited`, :class:`TenantBudgetExceeded`) from a plain
-misconfiguration (:class:`ShardError`).  Every one of them settles as a
-:class:`~repro.federation.coordinator.QueryRefused` on the batch path, so a
-dead shard degrades the statements routed to it and nothing else.
+(:class:`ShardUnavailable`) from "this tenant is over its rate"
+(:class:`TenantRateLimited`) from a plain misconfiguration
+(:class:`ShardError`).  A tenant whose budget ran out gets the one budget
+refusal, :class:`~repro.privacy.dp.BudgetExhausted`.  Every one of them
+settles as a :class:`~repro.federation.coordinator.QueryRefused` on the
+batch path, so a dead shard degrades the statements routed to it and
+nothing else.
 """
 
 from __future__ import annotations
@@ -34,19 +36,8 @@ class TenantRateLimited(ShardError):
     """The tenant's cross-shard token bucket is empty; retry later."""
 
 
-class TenantBudgetExceeded(ShardError):
-    """The tenant's cumulative LoP budget cannot cover this statement.
-
-    Unlike :class:`TenantRateLimited` this does not clear with time: the
-    tenant has spent its privacy allowance for the session and further
-    ranking statements whose plan expects more LoP than is left are refused
-    up front, before any shard runs a protocol.
-    """
-
-
 __all__ = [
     "ShardError",
     "ShardUnavailable",
-    "TenantBudgetExceeded",
     "TenantRateLimited",
 ]

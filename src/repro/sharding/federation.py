@@ -20,8 +20,8 @@ protocol, integer-valued aggregates) the sharded result is therefore
 The router's per-tenant controls run here, before any shard is touched: a
 tenant's cross-shard token bucket sheds with
 :class:`~repro.sharding.errors.TenantRateLimited`, and a ranking statement
-whose plan expects more LoP than the tenant has left refuses with
-:class:`TenantBudgetExceeded` without spending a protocol round.
+whose plan expects more LoP than the tenant's meter can absorb refuses with
+:class:`~repro.privacy.dp.BudgetExhausted` without spending a protocol round.
 
 Every statement is planned here, once, by :meth:`ShardedFederation.plan_for`;
 shards never plan.  A statement with objectives travels to its shards with
@@ -37,7 +37,7 @@ from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 
 from ..database.query import Domain
-from ..federation.cache import CachedAnswer
+from ..federation.cache import CachedAnswer, canonical_statement
 from ..federation.dp_release import DpBatch, DpReleasePath
 from ..federation.outcomes import (
     FederationError,
@@ -50,8 +50,8 @@ from ..planner.errors import PlanInfeasible
 from ..planner.plan import QUALITY, Plan, unplanned
 from ..planner.planner import QueryPlanner
 from ..planner.spec import QuerySpec, prepare
-from ..privacy.dp import DpGate, DpPolicy
-from .errors import ShardError, ShardUnavailable, TenantBudgetExceeded
+from ..privacy.dp import DpGate, DpPolicy, Draw
+from .errors import ShardError, ShardUnavailable
 from .router import ALL_SHARDS, ShardRouter, TenantPolicy
 
 
@@ -378,48 +378,63 @@ class ShardedFederation:
         """Serve a batch across shards; every refusal settles per statement.
 
         Per statement, in order: parse → the issuer rule → tenant token
-        bucket → route → its plan (:meth:`plan_for`, in its ``modes``
-        entry's objective) → tenant LoP charge → DP admission (the shared
-        release path, with this federation's precheck).  Every involved
-        shard then gets one sub-batch (:meth:`_dispatch`): a routed
-        statement runs on its shard, a statement over a partitioned table on
-        every shard, merged; a DP statement's inner statements run in its
-        place.  A shard that fails —
+        bucket → route → resolve (:meth:`_resolve`: the quorum and public
+        schemas of its shard(s)) → its plan (:meth:`plan_for`, in its ``modes``
+        entry's objective) → admission of every budget it draws from, tenant
+        LoP first, then (epsilon, delta) (the shared release path, with this
+        federation's precheck).  Every involved shard then gets one
+        sub-batch (:meth:`_dispatch`): a routed statement runs on its shard,
+        a statement over a partitioned table on every shard, merged; a DP
+        statement's inner statements run in its place.  A shard that fails —
         unreachable process, poisoned batch — refuses exactly the statements
         sent to it, typed, while the rest of the batch is served normally.
+
+        A registered tenant's ranking statement draws the expected LoP of
+        its one plan (for a plain statement, its base configuration), keyed
+        by its canonical form, so an in-batch duplicate draws nothing; so
+        does a statement whose answer (a DP statement's inner answer) is
+        cache-valid, which will not run (peeked only when a budget binds).
+        The charge lands only for a statement that ran a protocol.
         """
         texts = list(statements)
         if not texts:
             return []
-        pending_lop: dict[int, float] = {}
+        account = self.router.tenant(issuer)
+        lop_charges: dict[int, float] = {}
         now = self._clock()
 
         def precheck(
             position: int, spec: QuerySpec, mode: str
-        ) -> "tuple[int, Plan | None] | Exception":
+        ) -> "tuple[tuple[int, Plan | None], list[Draw]] | Exception":
             try:
                 self.router.admit(issuer, now)
             except ShardError as exc:
                 return exc
             target = self.router.route(spec.statement.table)
+            error = self._resolve(spec.statement, target)
+            if error is not None:
+                return error
             try:
                 # A plain statement's shard runs its base configuration.
                 plan = None if unplanned(spec, mode) else self.plan_for(spec, mode)
-                charge = self._tenant_charge(spec, issuer, plan)
+                if account is not None and spec.statement.is_ranking:
+                    lop_charges[position] = (plan or self.plan_for(spec)).estimate.expected_lop
             except PlanInfeasible as exc:
                 # An answer already public satisfies any objective, as on a
                 # flat federation, so a cached statement is served unplanned.
                 if spec.slo.has_dp or self._peek(spec.text) is None:
                     self.router.note_refusal(issuer)
                     return exc
-                plan = charge = None
-            except TenantBudgetExceeded as exc:
-                self.router.note_refusal(issuer)
-                return exc
-            if charge is not None:
-                pending_lop[position] = charge
+                plan = None
+            charge = lop_charges.get(position)
+            # A statement whose (inner) answer is cache-valid will not run and
+            # draws nothing; peeked only where a budget binds.
+            binds = charge is not None and account.lop.budget is not None
+            draws: list[Draw] = []
+            if binds and self._peek(spec.text) is None:
+                draws = [(account.lop, charge, canonical_statement(spec.statement))]
             self._trace_route(traces, position, target, spec.statement.table)
-            return target, plan
+            return (target, plan), draws
 
         batch = self._dp.expand(
             texts, traces, modes, issuer=issuer, precheck=precheck
@@ -438,40 +453,24 @@ class ShardedFederation:
             # statements that is decided by the *inner* executions — a fresh
             # noisy release over still-cached inner answers runs no protocol.
             outcome = results[position]
-            if position in pending_lop and isinstance(outcome, QueryOutcome):
+            if position in lop_charges and isinstance(outcome, QueryOutcome):
                 ran = slot.executed if slot is not None else not outcome.cached
                 if ran:
-                    self.router.charge_lop(issuer, pending_lop[position])
+                    self.router.charge_lop(issuer, lop_charges[position])
         return results
 
-    # -- tenant admission ----------------------------------------------------
+    # -- admission -----------------------------------------------------------
 
-    def _tenant_charge(
-        self, spec: QuerySpec, issuer: str, plan: "Plan | None"
-    ) -> float | None:
-        """The LoP a registered tenant is charged if the statement executes.
-
-        The charge is the expected LoP of the statement's one plan --
-        ``plan``, or for a plain statement its base configuration's
-        (:meth:`plan_for`) -- so a tenant pays for what runs.  ``None`` when
-        the issuer is no registered tenant or the statement is additive
-        (secure sums are charged nothing, like the federation's own
-        ledger).  A tenant *without* an LoP budget is unmetered but
-        records, so the snapshot shows real spend and a budget installed
-        later binds against history.  Raises :class:`TenantBudgetExceeded`
-        when the charge is above the tenant's remaining budget.
-        """
-        account = self.router.tenant(issuer)
-        if account is None or not spec.statement.is_ranking:
-            return None
-        charge = (plan or self.plan_for(spec)).estimate.expected_lop
-        remaining = account.remaining_lop()
-        if remaining is not None and charge > remaining:
-            raise TenantBudgetExceeded(
-                f"tenant {issuer!r} has {remaining:.4f} LoP budget left; "
-                f"{spec.statement.text!r} expects {charge:.4f}"
-            )
-        return charge
+    def _resolve(self, statement, target: int) -> Exception | None:
+        """The first refusal of ``statement`` by the shard(s) it targets, on
+        their quorum and public schemas: the flat rule, asked of each shard
+        without running anything (:func:`~repro.federation.coordinator.resolve`)."""
+        rings = self.shards if target == ALL_SHARDS else (self.shards[target],)
+        for shard in rings:
+            error = shard.resolve(statement)
+            if error is not None:
+                return error
+        return None
 
     # -- dispatch ------------------------------------------------------------
 

@@ -54,13 +54,8 @@ from ..federation.sql import SqlError
 from ..planner.errors import PlanInfeasible
 from ..planner.plan import Plan
 from ..planner.spec import SloError, prepare
-from ..privacy.accounting import BudgetExceededError
-from .errors import (
-    ShardError,
-    ShardUnavailable,
-    TenantBudgetExceeded,
-    TenantRateLimited,
-)
+from ..privacy.dp import BudgetExhausted
+from .errors import ShardError, ShardUnavailable, TenantRateLimited
 
 #: Typed refusals that cross the wire by name.  Anything not listed decodes
 #: as a plain :class:`ShardError` carrying the original type in its message
@@ -70,12 +65,11 @@ _ERROR_TYPES: dict[str, type[Exception]] = {
     "SloError": SloError,
     "SchemaError": SchemaError,
     "FederationError": FederationError,
-    "BudgetExceededError": BudgetExceededError,
+    "BudgetExhausted": BudgetExhausted,
     "PlanInfeasible": PlanInfeasible,
     "ShardError": ShardError,
     "ShardUnavailable": ShardUnavailable,
     "TenantRateLimited": TenantRateLimited,
-    "TenantBudgetExceeded": TenantBudgetExceeded,
 }
 
 
@@ -93,12 +87,18 @@ def encode_error(error: Exception) -> dict:
     name = type(error).__name__
     if name not in _ERROR_TYPES:
         return {"error": "ShardError", "message": f"{name}: {error}"}
-    return {"error": name, "message": str(error)}
+    payload = {"error": name, "message": str(error)}
+    if isinstance(error, BudgetExhausted):
+        payload["dimension"] = error.dimension
+    return payload
 
 
 def decode_error(payload: dict) -> Exception:
     cls = _ERROR_TYPES.get(str(payload.get("error")), ShardError)
-    return cls(str(payload.get("message", "shard error")))
+    error = cls(str(payload.get("message", "shard error")))
+    if isinstance(error, BudgetExhausted):
+        error.dimension = str(payload.get("dimension", error.dimension))
+    return error
 
 
 def _expect(value: object, kind: type, what: str) -> None:

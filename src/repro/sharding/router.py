@@ -11,9 +11,9 @@ The router also owns the cross-shard tenant controls the ROADMAP's
 scale-out item asks for: a per-tenant token bucket (requests/second across
 *all* shards, not per shard) and a per-tenant LoP budget.  A ranking
 statement is charged the expected LoP of the plan it runs, and one whose
-charge is above the tenant's remaining allowance is refused typed and up
-front — :class:`~repro.sharding.errors.TenantBudgetExceeded` — before any
-shard spends a protocol round on it.
+charge its meter cannot absorb — on top of what its batch already admitted —
+is refused up front as :class:`~repro.privacy.dp.BudgetExhausted`
+(``dimension == "lop"``), before any shard spends a protocol round on it.
 """
 
 from __future__ import annotations
@@ -94,9 +94,13 @@ class TenantAccount:
     queries: int = 0
     refusals: int = 0
     dp: PrivacyAccountant = field(default_factory=PrivacyAccountant)
+    #: The tenant, as its meters' refusals name it.
+    issuer: str = ""
 
     def __post_init__(self) -> None:
         self.bind_policy(self.policy)
+        for meter in (self.lop, self.dp.epsilon, self.dp.delta):
+            meter.holder = f"tenant {self.issuer!r}"
 
     def bind_policy(self, policy: TenantPolicy) -> None:
         """Point the meters at ``policy``'s budgets, keeping spent history."""
@@ -108,11 +112,6 @@ class TenantAccount:
     @property
     def lop_spent(self) -> float:
         return self.lop.spent
-
-    def remaining_lop(self) -> float | None:
-        if self.policy.lop_budget is None:
-            return None
-        return self.lop.remaining()
 
 
 #: Sentinel routing target: the statement fans out to every shard.
@@ -163,7 +162,7 @@ class ShardRouter:
         """
         account = self._tenants.get(issuer)
         if account is None:
-            self._tenants[issuer] = TenantAccount(policy=policy)
+            self._tenants[issuer] = TenantAccount(policy=policy, issuer=issuer)
         else:
             account.bind_policy(policy)
             account.bucket = None  # rebuilt lazily against the new rate
@@ -199,8 +198,8 @@ class ShardRouter:
     def charge_lop(self, issuer: str, expected_lop: float) -> None:
         """Record one executed ranking statement's expected LoP.
 
-        Like :meth:`charge_dp`, budgeted and unbudgeted accounts both
-        record — the :class:`~repro.privacy.dp.SpendMeter` treats
+        Like a tenant's DP accountant, budgeted and unbudgeted accounts
+        both record — the :class:`~repro.privacy.dp.SpendMeter` treats
         ``budget=None`` as unmetered — so the snapshot shows every tenant's
         cumulative spend and a budget installed later via :meth:`set_tenant`
         binds against the history already accrued.
@@ -211,51 +210,16 @@ class ShardRouter:
 
     # -- differential privacy -----------------------------------------------
 
-    def dp_headroom(
-        self,
-        issuer: str,
-        epsilon: float,
-        delta: float,
-        *,
-        pending_epsilon: float = 0.0,
-        pending_delta: float = 0.0,
-    ) -> str | None:
-        """Why a tenant DP charge would refuse, or ``None`` when it fits."""
+    def dp_accountant(self, issuer: str) -> PrivacyAccountant | None:
+        """The tenant's (epsilon, delta) accountant; ``None`` for an issuer
+        with no account, whose releases spend into the void."""
         account = self._tenants.get(issuer)
-        if account is None:
-            return None
-        reason = account.dp.headroom_reason(
-            epsilon,
-            delta,
-            pending_epsilon=pending_epsilon,
-            pending_delta=pending_delta,
-        )
-        if reason is not None:
-            return f"tenant {issuer!r} {reason}"
-        return None
-
-    def charge_dp(
-        self, issuer: str, epsilon: float, delta: float, *, statement: str
-    ) -> None:
-        """Record one fresh DP release against the tenant's accountant.
-
-        Tenants without an account spend into the void (there is nothing to
-        meter); budgeted and unbudgeted accounts both record, so the
-        snapshot shows every tenant's composed spend.
-        """
-        account = self._tenants.get(issuer)
-        if account is not None:
-            account.dp.charge(epsilon, delta, statement=statement)
+        return account.dp if account is not None else None
 
     def note_refusal(self, issuer: str) -> None:
         account = self._tenants.get(issuer)
         if account is not None:
             account.refusals += 1
-
-    def dp_governed(self, issuer: str) -> bool:
-        """True when the tenant holds a finite epsilon or delta budget."""
-        account = self._tenants.get(issuer)
-        return account is not None and account.dp.governs
 
     def tenant_snapshot(self) -> dict[str, dict[str, float | int | None]]:
         """Per-tenant accounting for metrics/exports (deterministic order)."""

@@ -34,12 +34,14 @@ import tempfile
 import threading
 import time
 from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass
 from typing import IO, Any, TypeVar
 
 from ..core.driver import RunConfig
+from ..database.schema import Schema, SchemaError
 from ..deploy.wire import WireError
 from ..federation.cache import CachedAnswer
-from ..federation.coordinator import Federation, QueryOutcome, QueryRefused
+from ..federation.coordinator import Federation, QueryOutcome, QueryRefused, resolve
 from ..federation.outcomes import SharedOutcomes
 from ..observability.trace import TraceContext
 from ..planner.plan import Plan
@@ -77,6 +79,10 @@ class LocalShard:
 
     def members(self) -> tuple[str, ...]:
         return self.federation.members
+
+    def resolve(self, statement) -> Exception | None:
+        """Why ``statement`` cannot run on this shard at all, or ``None``."""
+        return resolve(self.federation._ring(), statement)
 
     def execute_many_settled(
         self,
@@ -175,6 +181,35 @@ class _Child:
             self.announce = None
 
 
+@dataclass(frozen=True)
+class _PublicTable:
+    """A table as Section 3.2 makes it public: its schema, no rows."""
+
+    schema: Schema
+
+
+@dataclass(frozen=True)
+class _PublicParty:
+    """A party as Section 3.2 makes it public: its name and its tables'
+    schemas, read as :func:`~repro.federation.coordinator.resolve` reads a
+    database (``owner``, ``table(name).schema``)."""
+
+    owner: str
+    tables: dict[str, _PublicTable]
+
+    @classmethod
+    def of(cls, database) -> "_PublicParty":
+        return cls(database.owner, {
+            name: _PublicTable(table.schema) for name, table in database._tables.items()
+        })
+
+    def table(self, name: str) -> _PublicTable:
+        try:
+            return self.tables[name]
+        except KeyError:
+            raise SchemaError(f"no such table: {name!r}") from None
+
+
 class ProcessShard:
     """Client to one forked shard worker over framed JSON / TCP."""
 
@@ -187,7 +222,7 @@ class ProcessShard:
         *,
         index: int = 0,
         timeout: float = 10.0,
-        members: Iterable[str] = (),
+        parties: Iterable[_PublicParty] = (),
         config: RunConfig | None = None,
     ) -> None:
         self.host = "127.0.0.1"
@@ -198,10 +233,11 @@ class ProcessShard:
         self._stderr = stderr
         self._sock: socket.socket | None = None
         self._lock = threading.Lock()
-        #: The worker's parties, known without a wire call (a dead worker
-        #: still has them): the launcher's, then moved by this client's own
-        #: successful ``deregister``.
-        self._members = tuple(sorted(members))
+        #: The worker's parties in ring order, each with its public schemas,
+        #: known without a wire call (a dead worker still has them): the
+        #: launcher's, then moved by this client's own successful
+        #: ``deregister``.
+        self._parties = tuple(sorted(parties, key=lambda party: party.owner))
         #: The configuration the worker runs a statement sent without a plan
         #: on (the launcher's, as ``members`` is).
         self.config = config if config is not None else RunConfig()
@@ -225,9 +261,9 @@ class ProcessShard:
         drains a pipe while the worker lives, and a full one would block it
         mid-request.  A fork copies only the calling thread, so with any
         other thread alive this raises :class:`ShardError` and forks nothing.
-        The client keeps the shard's index, members and base configuration,
-        so the gateway knows them without a wire call, and no reference to
-        the shard itself.
+        The client keeps the shard's index, its parties' names and public
+        schemas and its base configuration, so the gateway knows them
+        without a wire call, and no reference to the shard itself.
         """
         if not hasattr(os, "fork"):
             raise ShardError(
@@ -258,7 +294,8 @@ class ProcessShard:
         os.close(announced)
         return cls(
             _Child(pid, announce), stderr, index=shard.index, timeout=timeout,
-            members=shard.members(), config=shard.config,
+            parties=[_PublicParty.of(db) for db in shard.federation._ring()],
+            config=shard.config,
         )
 
     def handshake(self, boot_timeout: float = 30.0) -> None:
@@ -407,7 +444,12 @@ class ProcessShard:
     # -- shard surface -------------------------------------------------------
 
     def members(self) -> tuple[str, ...]:
-        return self._members
+        return tuple(party.owner for party in self._parties)
+
+    def resolve(self, statement) -> Exception | None:
+        """Why ``statement`` cannot run on this shard at all, or ``None``:
+        decided on the kept public schemas, with no wire call."""
+        return resolve(self._parties, statement)
 
     def execute_many_settled(
         self,
@@ -492,7 +534,7 @@ class ProcessShard:
 
     def deregister(self, owner: str) -> None:
         self._request({"op": "deregister", "owner": owner})
-        self._members = tuple(m for m in self._members if m != owner)
+        self._parties = tuple(p for p in self._parties if p.owner != owner)
         # The worker's cache keys moved with its membership, so its next
         # hits are new answers, as a local shard's are.
         self._hits = SharedOutcomes()

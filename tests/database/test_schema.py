@@ -150,12 +150,24 @@ class TestDerivedFields:
         if clone is pickle.loads:
             payload = pickle.dumps(schema)
             assert b"accepts" not in payload and b"by_name" not in payload
+            assert b"signature" not in payload
             copied = pickle.loads(payload)
         else:
             copied = clone(schema)
         assert copied == schema and copied.names == ("a", "b")
         assert copied.column("b").accepts == {str, type(None)}
         assert copied.by_name == {"a": copied.columns[0], "b": copied.columns[1]}
+        assert copied.signature == {("a", "INTEGER"), ("b", "TEXT")}
+
+    def test_compatibility_compares_the_derived_signature(self):
+        # Reordering the columns keeps the signature; retyping one moves it.
+        one = Schema.of(("a", "INTEGER"), ("b", "TEXT"))
+        reordered = Schema.of(("b", "TEXT"), ("a", "INTEGER"))
+        retyped = Schema.of(("a", "REAL"), ("b", "TEXT"))
+        assert one.signature == reordered.signature
+        assert one.is_compatible_with(reordered)
+        assert one.signature != retyped.signature
+        assert not one.is_compatible_with(retyped)
 
     def test_replace_derives_them_from_the_new_fields(self):
         column = dataclasses.replace(Column("a"), type="REAL", nullable=True)

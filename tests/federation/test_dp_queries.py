@@ -125,7 +125,7 @@ class TestRefusals:
         last = fed.execute("SELECT SUM(value) FROM data WITH SLO(dp_epsilon=1.0)")
         assert not isinstance(last, QueryRefused)
         assert fed.dp_gate.accountant.epsilon.spent == 3.0
-        assert fed.dp_gate.accountant.epsilon.remaining() == 0.0
+        assert fed.dp_gate.accountant.epsilon.refusal(0.0) is None
         with pytest.raises(BudgetExhausted):
             fed.execute("SELECT COUNT(value) FROM data WITH SLO(dp_epsilon=0.1)")
 

@@ -250,7 +250,7 @@ def test_a_refused_statement_spends_nothing(backend, refused, error, budget):
         b.federation.execute(refused.format(table=b.table), issuer="t1")
     for federation in b.flat_federations:
         assert len(federation.audit) == 0 and len(federation.cache) == 0
-        assert federation.ledger.charges == {}
+        assert federation.ledger.meters == {}
     assert b.accountant.releases == 0 and b.accountant.epsilon.spent == 0.0
     if hasattr(b.federation, "set_tenant"):
         account = b.federation.router.tenant_snapshot()["t1"]

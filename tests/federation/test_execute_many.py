@@ -11,8 +11,7 @@ import pytest
 from repro.database.database import database_from_values
 from repro.database.query import PAPER_DOMAIN
 from repro.federation import Federation, FederationError
-from repro.privacy.accounting import BudgetExceededError
-from repro.privacy.dp import DpRequired
+from repro.privacy.dp import BudgetExhausted, DpRequired
 from repro.sharding import ShardedFederation, TenantPolicy
 from repro.sharding.shards import LocalShard
 
@@ -311,7 +310,7 @@ class TestBatchGating:
         # tiny budget refuses.  The refused statement must leave no trace:
         # no audit entry, no cached answer an issuer could still read.
         fed = fresh_federation(seed=0, privacy_budget=1e-9)
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExhausted):
             fed.execute("SELECT TOP 3 value FROM data")
         assert len(fed.audit) == 0
         assert len(fed.cache) == 0

@@ -7,7 +7,8 @@ audited and cached as usual: on a flat federation, behind a local shard,
 behind a worker process, and through the query service, which then counts no
 failed batch.  Every refusal reaches the caller as its own type, never
 wrapped as a shard failure, and one decided before planning (quorum and
-schema) draws no seed and reserves no privacy budget.
+schema, on a sharded front against its shards' public schemas) draws no seed
+and reserves no privacy budget.
 """
 
 import asyncio
@@ -52,18 +53,18 @@ def flat(federation: Federation):
 
 
 @contextmanager
-def local_shard(federation: Federation):
-    yield ShardedFederation([LocalShard(federation)], domain=PAPER_DOMAIN)
+def local_shard(federation: Federation, **options):
+    yield ShardedFederation([LocalShard(federation)], domain=PAPER_DOMAIN, **options)
 
 
 @contextmanager
-def process_shard(federation: Federation):
+def process_shard(federation: Federation, **options):
     """The federation served by a worker forked around it: from here on the
     worker's copy answers, so only the front's view of it can be checked."""
     shard = ProcessShard.launch(LocalShard(federation))
     try:
         shard.handshake()
-        yield ShardedFederation([shard], domain=PAPER_DOMAIN)
+        yield ShardedFederation([shard], domain=PAPER_DOMAIN, **options)
     finally:
         shard.close()
 
@@ -167,3 +168,21 @@ def test_a_refused_dp_statement_reserves_no_budget():
     assert type(missing) is SchemaError
     assert isinstance(released, QueryOutcome)
     assert federation.dp_gate.accountant.epsilon.spent == pytest.approx(0.6)
+
+
+@pytest.mark.parametrize("deploy", [local_shard, process_shard])
+def test_a_refused_dp_statement_reserves_no_budget_behind_a_shard(deploy):
+    # The sharded front resolves against its shard's public schemas before
+    # DP admission, so the missing table reserves no epsilon there either.
+    with deploy(empty_federation(), dp=DpPolicy(epsilon_budget=1.0)) as front:
+        missing, released = errors(
+            front.execute_many_settled(
+                [
+                    "SELECT SUM(value) FROM nowhere WITH SLO(dp_epsilon=0.6)",
+                    "SELECT SUM(value) FROM data WITH SLO(dp_epsilon=0.6)",
+                ]
+            )
+        )
+        assert type(missing) is SchemaError
+        assert isinstance(released, QueryOutcome)
+        assert front.dp_gate.accountant.epsilon.spent == pytest.approx(0.6)

@@ -21,7 +21,9 @@ The twin's tenant ``meter`` holds an LoP budget.  It is charged the cost
 model's estimate of the configuration each of its ranking statements runs
 on -- the base configuration for a plain statement, the statement's plan
 otherwise -- and only when one runs: a hit and a refusal charge nothing, and
-a statement whose charge is above what is left is refused.
+a statement whose charge would overshoot what is left (``SpendMeter``'s
+test) is refused as ``BudgetExhausted``.  A batch of its statements is
+admitted as the same statements sent one at a time would be.
 
 Both result caches hold :data:`CACHE_ENTRIES` answers, fewer than a session
 asks for, so eviction is stepped too: the model keeps the cache's
@@ -50,13 +52,8 @@ from repro.database.query import PAPER_DOMAIN
 from repro.database.schema import SchemaError
 from repro.federation import Federation, FederationError, QueryRefused, SqlError
 from repro.planner import CostModel, QueryPlanner, parse_spec
-from repro.privacy.dp import DpPolicy, DpRequired
-from repro.sharding import (
-    ShardedFederation,
-    ShardRouter,
-    TenantBudgetExceeded,
-    TenantPolicy,
-)
+from repro.privacy.dp import BudgetExhausted, DpPolicy, DpRequired, SpendMeter
+from repro.sharding import ShardedFederation, ShardRouter, TenantPolicy
 from repro.sharding.shards import LocalShard
 
 NAMES = [f"org{i}" for i in range(6)]
@@ -482,8 +479,12 @@ class FederationMachine(RuleBasedStateMachine):
             n_parties=parties, k=k, protocol=protocol, params=params
         )
 
-    def _meter_affords(self, estimate) -> bool:
-        return estimate.expected_lop <= self.meter_budget - sum(self.meter_charges)
+    def _meter_affords(self, estimate, hit: bool = False) -> bool:
+        """The twin's LoP admission of one ``meter`` statement: a hit will
+        not run and is free; any other charge must pass ``SpendMeter``'s test
+        on top of what the meter has spent."""
+        meter = SpendMeter(self.meter_budget, sum(self.meter_charges))
+        return hit or not meter.would_exceed(estimate.expected_lop)
 
     @precondition(lambda self: len(self.model) >= 3)
     @rule(k=st.integers(min_value=1, max_value=4), slo=st.sampled_from(METERED_SLOS))
@@ -492,13 +493,14 @@ class FederationMachine(RuleBasedStateMachine):
         text = bare + slo
         estimate = self._estimate(k, slo)
         account = self.twin.router.tenant("meter")
-        if not self._meter_affords(estimate):
+        if not self._meter_affords(estimate, self._cached(bare)):
             def books() -> tuple:
                 return self._books(), account.lop.spent, dict(self.twin.shard_queries)
 
             before = books()
-            with pytest.raises(TenantBudgetExceeded):
+            with pytest.raises(BudgetExhausted) as refused:
                 self.twin.execute(text, issuer="meter")
+            assert refused.value.dimension == "lop"
             assert books() == before
             return
         outcome = self._serve(text, issuer="meter", bare=bare)
@@ -524,11 +526,58 @@ class FederationMachine(RuleBasedStateMachine):
         # the valid one served as if alone, and the meter pays for that only.
         text = f"SELECT TOP {k} value FROM data"
         estimate = self._estimate(k)
-        issuer = "meter" if self._meter_affords(estimate) else "anonymous"
+        affords = self._meter_affords(estimate, self._cached(text))
+        issuer = "meter" if affords else "anonymous"
         outcome = self._serve(text, issuer=issuer, beside=missing.format(k=k))
         assert outcome.values == self._top(k)
         if issuer == "meter" and not outcome.cached:
             self.meter_charges.append(estimate.expected_lop)
+
+    @precondition(lambda self: len(self.model) >= 3)
+    @rule(ks=st.lists(st.integers(min_value=1, max_value=4), min_size=2, max_size=4))
+    def meter_batch_is_admitted_as_if_sequential(self, ks: list[int]) -> None:
+        # One batch of the meter's TOP k statements, duplicates and all, is
+        # admitted as a sequential replay admits them: in order, a hit or a
+        # duplicate of a statement served earlier in the batch free, every
+        # other charge against what was spent plus what the batch admitted
+        # before it.  The flat federation serves just the admitted ones.
+        texts = [f"SELECT TOP {k} value FROM data" for k in ks]
+        members = self.federation.members
+        verdicts: list[tuple[bool, bool]] = []  # (admitted, served cached)
+        seen: set[str] = set()
+        for k, text in zip(ks, texts):
+            cached = self._cached(text) or text in seen
+            estimate = self._estimate(k)
+            admitted = self._meter_affords(estimate, cached)
+            if admitted and not cached:
+                self.meter_charges.append(estimate.expected_lop)
+            if admitted:
+                seen.add(text)
+            verdicts.append((admitted, cached))
+        results = self.twin.execute_many_settled(texts, issuer="meter")
+        flat = iter(self.federation.execute_many_settled(
+            [text for text, (admitted, _) in zip(texts, verdicts) if admitted],
+            issuer="meter",
+        ))
+        for k, text, (admitted, cached), twin in zip(ks, texts, verdicts, results):
+            if not admitted:
+                assert isinstance(twin, QueryRefused)
+                assert type(twin.error) is BudgetExhausted
+                assert twin.error.dimension == "lop"
+                continue
+            outcome = next(flat)
+            assert outcome.cached == cached
+            assert outcome.values == self._top(k)
+            self.outcomes.append(outcome)
+            self.twin_outcomes.append(twin)
+            self.issuers.append("meter")
+            self._note_hits(text, outcome, twin)
+            if not cached:
+                self._stored(text)
+            self.served.append(
+                ("meter", members, outcome.statement, outcome.protocol,
+                 outcome.rounds, outcome.messages, outcome.values, outcome.cached)
+            )
 
     @rule()
     def malformed_statement_serves_nothing(self) -> None:
@@ -599,9 +648,9 @@ class FederationMachine(RuleBasedStateMachine):
 
     @invariant()
     def governed_issuers_get_dp_releases_only(self) -> None:
-        governed = self.twin.router.dp_governed
         for issuer, outcome in zip(self.issuers, self.twin_outcomes):
-            if governed(issuer):
+            accountant = self.twin.router.dp_accountant(issuer)
+            if accountant is not None and accountant.governs:
                 assert outcome.protocol.endswith("+dp")
 
     @invariant()

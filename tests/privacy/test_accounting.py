@@ -6,8 +6,8 @@ from repro.core.driver import NAIVE, RunConfig, run_protocol_on_vectors
 from repro.database.database import database_from_values
 from repro.database.query import Domain, PAPER_DOMAIN, TopKQuery
 from repro.federation import Federation
-from repro.privacy.accounting import BudgetExceededError, ExposureLedger
-from repro.privacy.dp import SpendMeter
+from repro.privacy.accounting import ExposureLedger
+from repro.privacy.dp import BudgetExhausted, SpendMeter
 
 from ..conftest import make_vectors
 
@@ -40,10 +40,14 @@ class TestLedger:
     def test_budget_refusal_is_atomic(self):
         ledger = ExposureLedger(budget=1.5)
         ledger.charge(naive_run(seed=1))  # starter charged 1.0
-        before = dict(ledger.charges)
-        with pytest.raises(BudgetExceededError, match="exceed"):
+        def exposures():
+            return {node: ledger.exposure(node) for node in ledger.meters}
+
+        before = exposures()
+        with pytest.raises(BudgetExhausted, match="exceed") as excinfo:
             ledger.charge(naive_run(seed=1))  # would push starter to 2.0
-        assert ledger.charges == before
+        assert excinfo.value.dimension == "lop"
+        assert exposures() == before
         assert ledger.runs_charged == 1
 
     def test_landing_exactly_on_the_budget_is_admitted_like_every_meter(
@@ -63,9 +67,9 @@ class TestLedger:
             meter.charge(0.1)
             ledger.charge(None)
         assert ledger.exposure("node0") == meter.spent > 0.3
-        assert meter.remaining() == 0.0
+        assert meter.refusal(0.0) is None
         assert meter.would_exceed(0.1)
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExhausted):
             ledger.charge(None)
         assert ledger.runs_charged == 3
 
@@ -92,7 +96,7 @@ class TestFederationIntegration:
         fed.execute("SELECT MAX(value) FROM data")
         audited = len(fed.audit)
         served = []
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExhausted):
             for k in range(1, 11):
                 served.append(fed.execute(f"SELECT TOP {k} value FROM data"))
         assert len(served) < 10

@@ -120,7 +120,7 @@ class TestSpendMeter:
         assert not meter.would_exceed(1.5)
         meter.charge(1.5)
         assert meter.spent == 3.0
-        assert meter.remaining() == 0.0
+        assert meter.refusal(0.0) is None
         assert meter.would_exceed(SPEND_TOLERANCE * 10)
 
     def test_overshoot_beyond_tolerance_refuses(self):
@@ -170,9 +170,10 @@ class TestPrivacyAccountant:
         assert accountant.ledger_lines() == ["ok eps=0.8 delta=0"]
 
     def test_budget_exhausted_is_not_plan_infeasible(self):
-        # The typed refusal contract: budget exhaustion is a DpError,
-        # never a planner infeasibility.
-        assert issubclass(BudgetExhausted, DpError)
+        # The typed refusal contract: budget exhaustion is the root of its
+        # own family (LoP refuses with it too), never a DpError or a planner
+        # infeasibility.
+        assert not issubclass(BudgetExhausted, DpError)
         assert not issubclass(BudgetExhausted, PlanInfeasible)
         with pytest.raises(BudgetExhausted):
             PrivacyAccountant(epsilon_budget=0.5).charge(1.0, 0.0, statement="s")

@@ -46,7 +46,7 @@ from repro.sharding.protocol import (
 )
 from repro.sharding.federation import _gather
 from repro.sharding.router import ShardRouter, TenantPolicy
-from repro.sharding.shards import ProcessShard
+from repro.sharding.shards import ProcessShard, _PublicParty
 
 SHARD_INDEX = 3
 TIMEOUT = 0.2
@@ -387,10 +387,13 @@ def federation_with_scripted_shard(reply: object):
     topology = build_topology(
         shards=2, parties_per_shard=3, tables=4, rows_per_table=8, partitioned=0, seed=5
     )
-    healthy = local_shards(topology)[0]
+    healthy, stand_in = local_shards(topology)
     with scripted_shard(reply_bytes(reply)) as scripted:
         scripted.index = 1
-        scripted._members = ("a", "b", "c")
+        # The parties and public schemas a launch would have kept.
+        scripted._parties = tuple(
+            _PublicParty.of(db) for db in stand_in.federation._ring()
+        )
         federation = ShardedFederation(
             [healthy, scripted], router=ShardRouter(2), domain=topology.domain
         )

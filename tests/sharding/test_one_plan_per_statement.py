@@ -23,10 +23,9 @@ from repro.core.driver import RunConfig
 from repro.federation.outcomes import QueryOutcome, QueryRefused
 from repro.planner import CostModel, PlanInfeasible, QueryPlanner, parse_spec
 from repro.planner.spec import Slo, parse_slo_clauses
-from repro.privacy.dp import DpPolicy
+from repro.privacy.dp import BudgetExhausted, DpPolicy
 from repro.service import QueryService
 from repro.sharding import (
-    TenantBudgetExceeded,
     TenantPolicy,
     build_topology,
     sharded_federation,
@@ -146,7 +145,8 @@ def test_a_plain_statement_is_charged_its_base_configuration(processes):
         federation.set_tenant("poor", TenantPolicy(lop_budget=0.3))
         refused = federation.execute_many_settled([plain], issuer="poor")[0]
         assert isinstance(refused, QueryRefused)
-        assert isinstance(refused.error, TenantBudgetExceeded)
+        assert isinstance(refused.error, BudgetExhausted)
+        assert refused.error.dimension == "lop"
         assert federation.router.tenant("poor").lop_spent == 0.0
 
         federation.set_tenant("rich", TenantPolicy(lop_budget=1.0))

@@ -5,11 +5,11 @@ import pytest
 from repro.database.database import database_from_values
 from repro.federation.coordinator import QueryOutcome, QueryRefused
 from repro.planner.errors import PlanInfeasible
+from repro.privacy.dp import BudgetExhausted
 from repro.sharding import (
     ALL_SHARDS,
     ShardError,
     ShardRouter,
-    TenantBudgetExceeded,
     TenantPolicy,
     TenantRateLimited,
     build_topology,
@@ -131,7 +131,8 @@ def test_tenant_lop_budget_feeds_planner_feasibility():
     fresh = f"SELECT TOP 2 value FROM {topology.tables[2]}"
     refused = sharded.execute_many_settled([fresh], issuer="alice")[0]
     assert isinstance(refused, QueryRefused)
-    assert isinstance(refused.error, TenantBudgetExceeded)
+    assert isinstance(refused.error, BudgetExhausted)
+    assert refused.error.dimension == "lop"
 
     # Unbudgeted tenants are untouched by alice's exhaustion.
     other = sharded.execute_many_settled([fresh], issuer="bob")[0]
@@ -162,7 +163,7 @@ def test_unbudgeted_tenants_still_record_lop_spend():
     # A budget installed later binds against the accrued history: the
     # TenantAccount keeps its meters and ``bind_policy`` points them at it.
     sharded.set_tenant("carol", TenantPolicy(lop_budget=spent))
-    assert sharded.router.tenant("carol").remaining_lop() == 0.0
+    assert sharded.router.tenant("carol").lop.refusal(0.01) is not None
 
     # Tenants never registered at all still spend into the void.
     anon = sharded.execute_many_settled([ranking], issuer="nobody")[0]
@@ -185,7 +186,7 @@ def test_tenant_budget_does_not_mask_unsatisfiable_slo():
     result = sharded.execute_many_settled([statement], issuer="alice")[0]
     assert isinstance(result, QueryRefused)
     assert isinstance(result.error, PlanInfeasible)
-    assert not isinstance(result.error, TenantBudgetExceeded)
+    assert not isinstance(result.error, BudgetExhausted)
 
 
 # -- cross-shard cache epochs (regression) ------------------------------------

@@ -106,3 +106,25 @@ def test_committed_results_hold_their_floors():
         [sys.executable, str(GATE)], capture_output=True, text=True, timeout=60
     )
     assert gate.returncode == 0, gate.stdout
+
+
+def test_a_count_row_that_moved_from_its_committed_value_fails(tmp_path):
+    # A seed-deterministic row a fresh run writes differently from the one
+    # HEAD holds is stale on one side: the gate refuses it.
+    def git(*args):
+        subprocess.run(
+            ["git", "-c", "user.name=gate", "-c", "user.email=gate@example.org",
+             *args],
+            cwd=tmp_path, check=True, capture_output=True, timeout=60,
+        )
+
+    git("init", "-q")
+    run_gate(tmp_path, GOOD)
+    git("add", "BENCH_example.json")
+    git("commit", "-q", "-m", "committed rows")
+    assert run_gate(tmp_path, GOOD).returncode == 0
+    moved = copy.deepcopy(GOOD)
+    moved["rows"][4]["value"] = 50
+    gate = run_gate(tmp_path, moved)
+    assert gate.returncode == 1, gate.stdout
+    assert "hits: a 'count' row reads 50, committed 49" in gate.stdout

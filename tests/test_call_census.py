@@ -256,7 +256,7 @@ DECLARED: dict[str, tuple[str, str, str]] = {
     ),
     "repro.privacy.accounting:ExposureLedger.exposure": (
         "guard", "tests/privacy/test_accounting.py",
-        "typed refusal: BudgetExceededError reads a party's accrued exposure",
+        "typed refusal: a party's accrued exposure, which its LoP meter refuses on",
     ),
     "repro.privacy.claims:RangeClaim.holds_for": (
         "design", "tests/privacy/test_claims.py",
@@ -281,10 +281,6 @@ DECLARED: dict[str, tuple[str, str, str]] = {
     "repro.privacy.dp:LaplaceMechanism.draw": (
         "design", "tests/privacy/test_dp.py",
         "DESIGN.md 4b: the mechanism calibrate_mechanism picks for REAL domains",
-    ),
-    "repro.privacy.dp:SpendMeter.remaining": (
-        "guard", "tests/privacy/test_dp.py",
-        "typed refusal: a tenant's unspent LoP budget (TenantBudgetExceeded)",
     ),
     "repro.privacy.groups:_validate_members": (
         "guard", "tests/privacy/test_groups.py",
@@ -353,7 +349,7 @@ DECLARED: dict[str, tuple[str, str, str]] = {
     ),
     "repro.sharding.router:ShardRouter.charge_lop": (
         "guard", "tests/sharding/test_router_tenants.py",
-        "meters the LoP budget TenantBudgetExceeded enforces",
+        "meters the tenant LoP budget BudgetExhausted enforces",
     ),
     "repro.sharding.router:ShardRouter.set_tenant": (
         "guard", "tests/sharding/test_router_tenants.py",
@@ -369,11 +365,7 @@ DECLARED: dict[str, tuple[str, str, str]] = {
     ),
     "repro.sharding.router:TenantAccount.lop_spent": (
         "guard", "tests/sharding/test_router_tenants.py",
-        "the LoP TenantBudgetExceeded weighs",
-    ),
-    "repro.sharding.router:TenantAccount.remaining_lop": (
-        "guard", "tests/sharding/test_router_tenants.py",
-        "the headroom TenantBudgetExceeded weighs",
+        "the tenant LoP BudgetExhausted weighs",
     ),
     "repro.sharding.router:TenantPolicy.__post_init__": (
         "guard", "tests/sharding/test_router_tenants.py",
