@@ -127,7 +127,7 @@ def main() -> None:
             print(f"  {entry.entry_id:>3} {entry.issuer:<14} {entry.statement}")
         print()
         print(f"exposure ledger after {ledger.runs_charged} runs:")
-        for party in sorted(ledger.meters):
+        for party in sorted(ledger.exposures):
             print(f"  {party:<14} {ledger.exposure(party):.4f}")
 
 

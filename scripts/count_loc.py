@@ -14,6 +14,8 @@ Usage::
 
 prints one line per argument (``<path>: <code> code lines, <raw> raw, in
 <files> files``), a directory counting every ``*.py`` file below it.
+``--help`` prints the usage line; a path that does not exist is an error.
+Both exit 2.
 """
 
 from __future__ import annotations
@@ -73,8 +75,19 @@ def count(path: Path) -> tuple[int, int, int]:
     return code, raw, len(files)
 
 
+USAGE = "usage: count_loc.py [FILE_OR_DIRECTORY ...]   (default: src/repro)"
+
+
 def main(argv: list[str]) -> int:
-    for name in argv or ["src/repro"]:
+    names = argv or ["src/repro"]
+    if any(name in ("-h", "--help") for name in names):
+        print(USAGE)
+        return 2
+    missing = [name for name in names if not Path(name).exists()]
+    if missing:
+        print(f"count_loc.py: no such file or directory: {missing[0]}", file=sys.stderr)
+        return 2
+    for name in names:
         code, raw, files = count(Path(name))
         print(f"{name}: {code:,} code lines, {raw:,} raw, in {files} files")
     return 0

@@ -47,11 +47,11 @@ from ..extensions.securesum import run_secure_sum
 from ..observability.trace import TraceContext
 from ..planner.cost import SECURE_SUM
 from ..planner.errors import PlanInfeasible
-from ..planner.plan import QUALITY, Plan, unplanned
+from ..planner.plan import QUALITY, Plan, expected_lop, plan_or_refusal
 from ..planner.planner import QueryPlanner
 from ..planner.spec import Prepared, QuerySpec, prepare
 from ..privacy.accounting import ExposureLedger
-from ..privacy.dp import BudgetExhausted, DpGate, DpPolicy
+from ..privacy.dp import BudgetExhausted, DpGate, DpPolicy, Draw
 from ..privacy.lop import average_lop
 from .audit import AuditLog
 from .cache import CachedAnswer, CacheKey, ResultCache
@@ -102,12 +102,15 @@ class Federation:
         dp: "DpPolicy | None" = None,
         secure_sum_segments: int = 1,
     ) -> None:
-        """``privacy_budget`` caps any party's *cumulative* measured exposure
+        """``privacy_budget`` caps any party's *cumulative expected* LoP
         across the session's ranking queries (see
-        :mod:`repro.privacy.accounting`); queries that would breach it are
-        refused.  Additive aggregates flow through mask-blinded secure sums
-        and are charged nothing.  ``cache_entries`` bounds the result cache
-        every statement is served through.  Per-statement traces arrive with
+        :mod:`repro.privacy.accounting`): a statement is admitted before its
+        ring runs only if its plan's expected LoP fits every member's meter,
+        which the run then charges; each party's measured exposure is
+        recorded apart and may end past the budget.  Additive aggregates flow through
+        mask-blinded secure sums and are charged nothing.
+        ``cache_entries`` bounds the result cache every statement is served
+        through.  Per-statement traces arrive with
         the batch (``traces=``, the query service's batch spans; see
         :mod:`repro.observability`).  ``planner``
         resolves statements carrying ``WITH SLO(...)`` clauses (see
@@ -281,7 +284,7 @@ class Federation:
             def count_hits(inner_texts: Sequence[str]) -> None:
                 self.cache.hits += len(inner_texts)
 
-            released = self._dp.try_cached(prepared.spec, self._peek_inner, count_hits)
+            released = self._dp.try_cached(prepared.spec, self._peek, count_hits)
             return None if released is None else self._audited(issuer, released)
         answer = self.cache.peek(self._cache_key(prepared))
         if answer is None:
@@ -289,9 +292,10 @@ class Federation:
         self.cache.hits += 1
         return self._serve_cached(prepared.spec.statement, issuer, answer)
 
-    def _peek_inner(self, inner_text: str) -> CachedAnswer | None:
-        """A DP statement's inner answer, if cache-valid (never executes)."""
-        return self.cache.peek(self._cache_key(prepare(inner_text)))
+    def _peek(self, statement_text: str) -> CachedAnswer | None:
+        """A statement's cache-valid answer, or ``None`` (never executes); a
+        DP statement's is its one inner statement's."""
+        return self.cache.peek(self._cache_key(prepare(statement_text)))
 
     def execute_many_settled(
         self,
@@ -311,8 +315,9 @@ class Federation:
            :class:`FederationError` below the quorum of three parties, and
            with :class:`~repro.database.schema.SchemaError` over a missing
            table or attribute, a non-numeric attribute, or a table whose
-           schema differs between members.  Then come its plan, its DP
-           admission, the cache and the run.
+           schema differs between members.  Then come its plan, its
+           admission by every budget it draws from (each party's LoP,
+           then (epsilon, delta)), the cache and the run.
         2. Statements whose canonical form was already answered — earlier in
            this batch or in a previous call, under the same membership epoch
            and data versions — are served from the result cache: zero
@@ -332,15 +337,15 @@ class Federation:
            time through :meth:`execute` under the same session seed.
 
         A statement that cannot be served — malformed, refused by the issuer
-        rule, by the resolve step or by the privacy budget, carrying an SLO no
-        plan can satisfy (:class:`~repro.planner.errors.PlanInfeasible`), or
-        an AVG over zero rows — yields a :class:`QueryRefused` at its
-        position (its in-batch duplicates too) while every other statement
-        is served normally.  Seed draws happen in statement order for every
-        statement that is *planned* (refused statements never are), so
-        served statements stay bit-identical to a sequential session that
-        skipped the same refusals; a statement refused at resolve also
-        reserves no DP budget.  Every statement is planned here, by
+        rule, by the resolve step or by a budget, carrying an SLO no plan
+        can satisfy (:class:`~repro.planner.errors.PlanInfeasible`, unless
+        its answer is public by its turn:
+        :func:`~repro.planner.plan.plan_or_refusal`), or an AVG over zero
+        rows — yields a :class:`QueryRefused` at its position (its in-batch
+        duplicates too) while every other statement is served normally.
+        All but the last refuse before any seed is drawn, so served
+        statements stay bit-identical to a sequential session that skipped
+        the same refusals.  Every statement is planned here, by
         :meth:`plan_for`.
 
         ``modes`` optionally names each statement's planner objective (the
@@ -366,64 +371,59 @@ class Federation:
         (:mod:`repro.federation.dp_release`) and run *in place* — preserving
         statement order, so seed draws match a sequential session issuing
         the inner forms — and the noisy releases are assembled from the
-        inner answers afterwards.  Malformed statements, the issuer rule's
-        refusals and the resolve step's (:func:`resolve`) settle there too;
-        everything else reaches the exact path untouched.
+        inner answers afterwards.  Malformed statements and the issuer
+        rule's, the resolve step's (:func:`resolve`), the plan's and every
+        budget's refusals settle there too; everything else reaches the
+        exact path untouched.
 
-        Each run's plan comes from :meth:`plan_for` -- a DP statement's one
+        Each run's plan is made in the precheck, by :meth:`plan_for` under
+        :func:`~repro.planner.plan.plan_or_refusal` -- a DP statement's one
         inner statement runs the DP statement's plan, a decomposed release's
         statements none -- unless the batch arrives over the shard boundary
         with ``plans`` (a shard runs the plan it is handed; ``None`` is its
-        base configuration).
+        base configuration).  With a ``privacy_budget``, a ranking statement
+        that will run draws its plan's expected LoP from every member's meter
+        there too (the run charges those draws), so everything but an AVG
+        over zero rows refuses before any seed is drawn.
         """
 
-        def precheck(position: int, spec: QuerySpec, mode: str):
-            # Resolve first; a shard then runs the plan it was handed.
+        def precheck(position: int, spec: QuerySpec, mode: str, forms: set):
             error = resolve(self._ring(), spec.statement)
             if error is not None:
                 return error
-            source = self._plan_source(spec, mode) if plans is None else plans[position]
-            # No budget is drawn here but (epsilon, delta): the party ledger
-            # charges measured exposure after the run.
-            return source if isinstance(source, PlanInfeasible) else (source, ())
+            plan = plans[position] if plans is not None else plan_or_refusal(
+                spec, mode, self.plan_for, forms, self._peek
+            )
+            if isinstance(plan, PlanInfeasible):
+                return plan
+            # A statement whose (inner) answer is cache-valid will not run
+            # and draws nothing.  The run charges what it was drawn.
+            draws: list[Draw] = []
+            ranks = spec.statement.is_ranking and self.ledger.budget is not None
+            if ranks and self._peek(spec.text) is None:
+                lop = expected_lop(spec, plan, self.plan_for)
+                key = prepare(spec.text).canonical
+                draws = [(self.ledger.meter(p), lop, key) for p in self.members]
+            return (plan, draws), draws
 
         batch = self._dp.expand(
             statements, traces, modes, issuer=issuer, precheck=precheck
         )
         order: list[int] = []
-        sources: list = []
-        for position, _, source in batch.admitted:
+        chosen: "list[tuple[Plan | None, list[Draw]]]" = []
+        for position, _, context in batch.admitted:
             runs = batch.runs(position)
             order += runs
-            sources += [source if len(runs) == 1 else None] * len(runs)
+            chosen += [context if len(runs) == 1 else (None, [])] * len(runs)
         served = self._serve_batch(
             [batch.texts[p] for p in order],
             issuer,
             [batch.traces[p] for p in order] if batch.traces is not None else None,
-            sources,
+            chosen,
         )
         for p, result in zip(order, served):
             batch.results[p] = result
         return self._dp.assemble(batch)
-
-    def _plan_source(
-        self, spec: QuerySpec, mode: str
-    ) -> "Plan | tuple[QuerySpec, str] | PlanInfeasible | None":
-        """Where a resolved statement's plan comes from (the precheck's tail).
-
-        ``None`` for the base configuration; a DP statement's plan, made
-        before its admission so an unsatisfiable SLO refuses it there; else
-        the ``(spec, mode)`` the stage is asked for if the run misses the
-        cache (a hit is never planned).
-        """
-        if unplanned(spec, mode):
-            return None
-        if not spec.slo.has_dp:
-            return spec, mode
-        try:
-            return self.plan_for(spec, mode)
-        except PlanInfeasible as exc:
-            return exc
 
     def dp_admission_check(self, spec: QuerySpec, *, issuer: str = "anonymous") -> None:
         """Gateway hook: refuse a DP statement that can neither reuse nor pay.
@@ -438,28 +438,23 @@ class Federation:
         statements: list[str],
         issuer: str,
         traces: "Sequence[TraceContext | None] | None",
-        sources: list,
+        admitted: "list[tuple[Plan | None, list[Draw]]]",
     ) -> "list[QueryOutcome | QueryRefused]":
         if not statements:
             return []
-        # Every statement here is well-formed, permitted and resolved (quorum
-        # and schema): the release path settles the rest before this runs.
-        refusals: dict[int, Exception] = {}
+        # Every statement here is admitted: resolved, planned and drawn from
+        # every budget by the precheck.  Only an AVG over zero rows, which a
+        # run alone can know, still refuses.
         forms = [prepare(text) for text in statements]
-        parsed: list[FederatedStatement | None] = [f.spec.statement for f in forms]
         databases = self._ring()
         data_versions = self._data_versions()
         keys = [self._cache_key(form, data_versions) for form in forms]
 
-        # Plan: pick the statements that must actually execute (first
-        # occurrence of each canonical form not already cached), drawing
-        # their seeds in statement order — exactly the draws a sequential
-        # session would make, which is what the parity guarantee rests on.
-        # A statement with objectives resolves to its plan here (see
-        # ``_execute_batch``); a PlanInfeasible statement never draws a seed,
-        # exactly like any other refusal.  Cache hits skip planning
-        # entirely: a free, already-public answer satisfies any declared
-        # objective.
+        # Pick the statements that must actually execute (first occurrence
+        # of each canonical form not already cached), drawing their seeds in
+        # statement order — exactly the draws a sequential session would
+        # make, which is what the parity guarantee rests on.  A hit runs
+        # nothing, whatever its plan.
         planned: set[CacheKey] = set()
         # Every answer this batch serves from cache, captured here and as
         # the batch stores its own: a bounded cache may evict either kind
@@ -475,18 +470,11 @@ class Federation:
             if cached is not None:
                 answers[key] = cached
                 continue
-            plan = sources[index]
-            if isinstance(plan, tuple):
-                try:
-                    plan = self.plan_for(*plan)
-                except PlanInfeasible as exc:
-                    refusals[index] = exc
-                    parsed[index] = None
-                    continue
             planned.add(key)
             statement = form.spec.statement
             if statement.is_ranking:
                 config = self._next_config()
+                plan = admitted[index][0]
                 if plan is not None and plan.params is not None:
                     config = replace(
                         config, protocol=plan.protocol, params=plan.params
@@ -511,7 +499,7 @@ class Federation:
         if ranking_indices:
             results = run_topk_queries(
                 databases,
-                [self._ranking_query(parsed[i]) for i in ranking_indices],
+                [self._ranking_query(forms[i].spec.statement) for i in ranking_indices],
                 [ranking_configs[i] for i in ranking_indices],
                 traces=(
                     [traces[i] for i in ranking_indices]
@@ -525,36 +513,27 @@ class Federation:
         # land exactly where a sequential session would put them.
         outcomes: list[QueryOutcome | QueryRefused] = []
         refused_keys: dict[CacheKey, Exception] = {}
-        for index, (statement, key) in enumerate(zip(parsed, keys)):
-            if statement is None:
-                outcomes.append(
-                    QueryRefused(statement=statements[index], error=refusals[index])
-                )
-                continue
-            if index in ranking_results or index in additive_seeds:
+        for index, (form, key) in enumerate(zip(forms, keys)):
+            statement = form.spec.statement
+            if index in ranking_results:
+                # Charge each party's meter what the run was admitted on,
+                # and record what it measured.
+                result = ranking_results[index]
+                self.ledger.charge(result, admitted[index][1])
+                outcome = self._finish_ranking(statement, issuer, result)
+            elif index in additive_seeds:
                 try:
-                    if index in ranking_results:
-                        outcome = self._finish_ranking(
-                            statement, issuer, ranking_results[index]
-                        )
-                    else:
-                        outcome = self._run_additive(
-                            statement, issuer, databases, *additive_seeds[index]
-                        )
-                except (BudgetExhausted, FederationError) as exc:
-                    # This statement alone cannot be answered (a budget
-                    # refusal, an AVG over zero rows): it and its duplicates
-                    # below settle refused.
+                    outcome = self._run_additive(
+                        statement, issuer, databases, *additive_seeds[index]
+                    )
+                except FederationError as exc:
+                    # An AVG over zero rows: it and its duplicates below
+                    # settle refused.
                     refused_keys[key] = exc
                     outcomes.append(
                         QueryRefused(statement=statements[index], error=exc)
                     )
                     continue
-                self.cache.misses += 1
-                answers[key] = CachedAnswer(
-                    values=outcome.values, protocol=outcome.protocol
-                )
-                self.cache.store(key, answers[key])
             else:
                 answer = answers.get(key)
                 if answer is None:
@@ -568,7 +547,11 @@ class Federation:
                     )
                     continue
                 self.cache.hits += 1
-                outcome = self._serve_cached(statement, issuer, answer)
+                outcomes.append(self._serve_cached(statement, issuer, answer))
+                continue
+            self.cache.misses += 1
+            answers[key] = CachedAnswer(outcome.values, outcome.protocol)
+            self.cache.store(key, answers[key])
             outcomes.append(outcome)
         return outcomes
 
@@ -606,9 +589,6 @@ class Federation:
     def _finish_ranking(
         self, statement: FederatedStatement, issuer: str, result: ProtocolResult
     ) -> QueryOutcome:
-        # Charge the session ledger first: a budget refusal must leave no
-        # trace in the audit log and return nothing to the issuer.
-        self.ledger.charge(result)
         outcome = QueryOutcome(
             statement=statement.text,
             values=tuple(result.answer()),

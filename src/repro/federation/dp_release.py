@@ -105,10 +105,14 @@ class DpBatch:
     results: "list[QueryOutcome | QueryRefused | None]"
     #: ``(position, spec, context)`` per statement that passed the precheck
     #: and DP admission, in statement order; ``context`` is whatever the
-    #: precheck returned (where the statement's plan comes from; on the
-    #: sharded federation, with its routing target).
+    #: precheck returned (the statement's plan; on the sharded federation,
+    #: with its routing target).
     admitted: "list[tuple[int, QuerySpec, Any]]" = field(default_factory=list)
     slots: dict[int, DpSlot] = field(default_factory=dict)
+    #: The canonical form of every statement admitted to run so far, a DP
+    #: statement's inner ones included: their answers are public by the
+    #: turn of any later statement.
+    forms: set = field(default_factory=set)
 
     def runs(self, position: int) -> list[int]:
         """The positions the exact backend runs for one admitted statement."""
@@ -207,23 +211,25 @@ class DpReleasePath:
         modes: "Sequence[str] | None",
         *,
         issuer: str,
-        precheck: "Callable[[int, QuerySpec, str], Any]",
+        precheck: "Callable[[int, QuerySpec, str, set], Any]",
     ) -> DpBatch:
         """Expand DP statements into inner statements around the exact core.
 
         A DP-governed issuer's statement without ``dp_epsilon`` is refused
-        first (:meth:`require_dp`).  ``precheck(position, spec, mode)`` then
-        runs on every parsed statement, before any budget, with the
-        statement's ``modes`` entry (quality by default): it returns the
-        statement's dispatch context and the draws it makes besides DP (a
-        tenant's LoP), or the typed exception refusing it — so a statement
+        first (:meth:`require_dp`).  ``precheck(position, spec, mode, forms)``
+        then runs on every parsed statement, before any budget, with the
+        statement's ``modes`` entry (quality by default) and
+        :attr:`DpBatch.forms` so far: it returns the statement's dispatch
+        context and the draws it makes besides DP (a tenant's or each
+        party's LoP), or the typed exception refusing it — so a statement
         refused there never touches the pending budget.  This is where a
         federation resolves a statement (quorum and schema) and makes its
-        plan, so an unsatisfiable SLO refuses it before admission; a DP
-        statement's one inner statement runs that plan on every path.
+        plan (:func:`~repro.planner.plan.plan_or_refusal`), so an
+        unsatisfiable SLO refuses it before admission; a DP statement's one
+        inner statement runs that plan on every path.
 
         Admission (:meth:`~repro.privacy.dp.DpGate.admit`) then decides
-        every budget refusal — tenant LoP, the gate's and the tenant's
+        every budget refusal — LoP, the gate's and the tenant's
         (epsilon, delta) — as one :class:`~repro.privacy.dp.BudgetExhausted`,
         beside the DP-specific ones (a missing domain, a degenerate
         zero-noise mechanism), *here*, before any seed draw or inner
@@ -260,7 +266,7 @@ class DpReleasePath:
                 batch.refuse(position, exc)
                 continue
             spec = prepared.spec
-            checked = precheck(position, spec, modes[position])
+            checked = precheck(position, spec, modes[position], batch.forms)
             if isinstance(checked, Exception):
                 batch.refuse(position, checked)
                 continue
@@ -277,6 +283,8 @@ class DpReleasePath:
                 continue
             if request is not None:
                 batch.add_slot(position, request, spec.statement.text)
+            runs = batch.runs(position)
+            batch.forms.update(prepare(batch.texts[p]).canonical for p in runs)
             batch.admitted.append((position, spec, context))
         return batch
 

@@ -10,11 +10,13 @@ bytes — which is what lets CI diff plans as golden artifacts.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from ..core.params import ProtocolParams
 from .cost import PROBABILISTIC, CostEstimate
-from .spec import QuerySpec, Slo
+from .errors import PlanInfeasible
+from .spec import QuerySpec, Slo, prepare
 
 #: Planner objectives: quality-first (default) or cost-first (the
 #: gateway's downgrade mode under cost pressure).
@@ -33,6 +35,38 @@ def unplanned(spec: "QuerySpec", mode: str) -> bool:
     """True when ``spec`` runs unchosen, on its federation's base
     configuration: it declares no objective and is served in quality mode."""
     return mode == QUALITY and spec.slo.is_trivial
+
+
+def plan_or_refusal(
+    spec: "QuerySpec", mode: str, plan_for: Callable, forms: set, peek: Callable
+) -> "Plan | PlanInfeasible | None":
+    """The plan ``spec`` runs on, ``None`` for its base configuration, or
+    the :class:`PlanInfeasible` refusing it: the one rule both federations'
+    prechecks apply, asking ``plan_for(spec, mode)``.
+
+    Nothing is chosen for an :func:`unplanned` statement.  One whose SLO no
+    plan meets is served unplanned only when it is not a DP statement and
+    its answer is public by its turn -- cache-valid now (``peek``), or its
+    canonical form among ``forms``, those its batch admitted to run so far:
+    an already-public answer costs no round, message or exposure, which
+    meets any objective.
+    """
+    if unplanned(spec, mode):
+        return None
+    try:
+        return plan_for(spec, mode)
+    except PlanInfeasible as exc:
+        if spec.slo.has_dp:
+            return exc
+        public = prepare(spec.text).canonical in forms or peek(spec.text) is not None
+        return None if public else exc
+
+
+def expected_lop(spec: "QuerySpec", plan: "Plan | None", plan_for: Callable) -> float:
+    """What a ranking statement is drawn from every LoP budget before it
+    runs -- a tenant's or each party's alike: its plan's expected LoP, or
+    for one run unplanned, its base configuration's."""
+    return (plan or plan_for(prepare(spec.statement.text).spec)).estimate.expected_lop
 
 
 @dataclass(frozen=True)
@@ -111,4 +145,7 @@ class Plan:
         return "\n".join(lines)
 
 
-__all__ = ["ECONOMY", "MODES", "Plan", "QUALITY", "unplanned"]
+__all__ = [
+    "ECONOMY", "MODES", "Plan", "QUALITY", "expected_lop", "plan_or_refusal",
+    "unplanned",
+]

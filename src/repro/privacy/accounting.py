@@ -7,10 +7,15 @@ single queries; accumulation is the natural operational concern once the
 protocol is deployed, and the reason the federation layer re-randomizes
 every run.)
 
-The accountant charges each party its measured peak LoP per run and tracks
-the cumulative total against an optional budget, in the spirit of a privacy
-budget: once a party's accumulated exposure crosses the budget, further
-queries are refused.
+The ledger keeps two books per party.  Its LoP meter admits: a flat
+federation draws a ranking statement's expected LoP (its plan's, as a
+tenant is drawn) from every member's meter before the ring runs, by the
+rule every budget shares (:class:`~repro.privacy.dp.SpendMeter`), and
+charges the meter that same amount once the run is done -- so the budget
+caps each party's cumulative *expected* LoP, and a batch is admitted as its
+statements would be one at a time.  Its exposure record keeps what each run
+*measured* (the peak LoP per party), after the run; it refuses nothing, and
+can end past the budget, since the ring successors have seen the run.
 
 Cumulative charging is conservative-additive: independent runs randomize
 independently, so summing per-run exposures upper-bounds what any single
@@ -20,55 +25,54 @@ adversary got.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from ..core.results import ProtocolResult
-from .dp import BudgetExhausted, SpendMeter
+from .dp import Draw, SpendMeter
 from .lop import exposure_profile
 
 
 @dataclass
 class ExposureLedger:
-    """Per-party cumulative exposure for one federation session."""
+    """Per-party LoP admission meters and measured exposure for one
+    federation session."""
 
-    #: Optional ceiling on any single party's accumulated exposure.
+    #: Optional ceiling on any single party's accumulated expected LoP.
     budget: float | None = None
-    #: One LoP meter per party charged so far.
+    #: One LoP meter per party drawn from so far: the expected LoP of every
+    #: run it was admitted for.
     meters: dict[str, SpendMeter] = field(default_factory=dict)
+    #: Each party's cumulative measured peak exposure.
+    exposures: dict[str, float] = field(default_factory=dict)
     runs_charged: int = 0
 
     def __post_init__(self) -> None:
         if self.budget is not None and self.budget <= 0:
             raise ValueError(f"budget must be positive, got {self.budget}")
 
-    def charge(self, result: ProtocolResult) -> dict[str, float]:
-        """Charge one finished run; returns the per-party charges applied.
+    def meter(self, party: str) -> SpendMeter:
+        """``party``'s LoP meter, made on its first draw."""
+        if party not in self.meters:
+            self.meters[party] = SpendMeter(self.budget, holder=f"party {party!r}")
+        return self.meters[party]
 
-        Raises :class:`~repro.privacy.dp.BudgetExhausted` (``dimension``
-        ``"lop"``) — *before* recording anything — if the charge would push
-        any party past the budget, so a refused query leaves the ledger
-        unchanged.  Landing exactly on the budget is admitted by the one
-        rule every budget shares (:class:`SpendMeter`).
+    def charge(
+        self, result: ProtocolResult, draws: "Sequence[Draw]" = ()
+    ) -> dict[str, float]:
+        """Record one finished run; returns its per-party measured exposure.
+
+        Each meter is charged the amount ``draws`` admitted the run on, and
+        each party's measured peak exposure joins its record.  Never
+        refuses: admission happened before the ring ran.
         """
+        for meter, amount, _key in draws:
+            meter.charge(amount)
         increments = dict(exposure_profile(result).peak)
-        meters = {
-            node: self.meters.get(node) or SpendMeter(self.budget)
-            for node in increments
-        }
-        over = sorted(
-            node for node, inc in increments.items() if meters[node].refusal(inc)
-        )
-        if over:
-            raise BudgetExhausted(
-                f"query refused: parties {over} would exceed the "
-                f"privacy budget of {self.budget}"
-            )
         for node, increment in increments.items():
-            meters[node].charge(increment)
-        self.meters.update(meters)
+            self.exposures[node] = self.exposures.get(node, 0.0) + increment
         self.runs_charged += 1
         return increments
 
     def exposure(self, party: str) -> float:
-        meter = self.meters.get(party)
-        return meter.spent if meter is not None else 0.0
+        return self.exposures.get(party, 0.0)

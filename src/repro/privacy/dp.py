@@ -99,7 +99,7 @@ class DpRequired(DpError):
 # -- the shared accounting surface -------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class SpendMeter:
     """One budgeted quantity and the one rule that admits a charge to it.
 
@@ -108,7 +108,8 @@ class SpendMeter:
     meter through this surface, so exhaustion is decided in exactly one
     place.  ``budget=None`` means unmetered (infinite headroom);
     ``dimension`` names the quantity and ``holder`` whose it is, as a
-    refusal reads them.
+    refusal reads them.  A meter is its own identity: a batch's pending
+    amounts are kept per meter.
     """
 
     budget: float | None = None
@@ -151,32 +152,33 @@ Draw = tuple[SpendMeter, float, tuple]
 
 @dataclass
 class PendingBudget:
-    """What one batch admitted but has not charged yet.
+    """What one batch admitted but has not charged yet, per meter.
 
-    A batch is one issuer's, so its pending amount is one per dimension:
-    the gate's and the tenant's epsilon meters see the same pending
-    epsilon.  A draw under a key admitted earlier in the batch is free: it
-    is a duplicate, and runs (and charges) once.
+    A batch is one issuer's, so the gate's and the tenant's epsilon meters
+    see the same pending epsilon, and each party's LoP meter its own share
+    of the batch's ranking statements.  A draw under a key admitted earlier
+    in the batch is free: it is a duplicate, and runs (and charges) once.
     """
 
-    amounts: dict[str, float] = field(default_factory=dict)
+    amounts: dict[SpendMeter, float] = field(default_factory=dict)
     keys: set = field(default_factory=set)
 
     def refusal(self, draws: "Sequence[Draw]") -> "BudgetExhausted | None":
         """The first refusal among ``draws`` on top of what is pending."""
         for meter, amount, key in draws:
             if key not in self.keys:
-                refusal = meter.refusal(amount, self.amounts.get(meter.dimension, 0.0))
+                refusal = meter.refusal(amount, self.amounts.get(meter, 0.0))
                 if refusal is not None:
                     return refusal
         return None
 
     def join(self, draws: "Sequence[Draw]") -> None:
-        """Admit ``draws``: each new (dimension, key) joins the pending amount once."""
-        fresh = {(m.dimension, key): amount for m, amount, key in draws if key not in self.keys}
-        for (dimension, _key), amount in fresh.items():
-            self.amounts[dimension] = self.amounts.get(dimension, 0.0) + amount
-        self.keys.update(key for _dimension, key in fresh)
+        """Admit ``draws``: each one under a new key joins its meter's
+        pending amount."""
+        fresh = [(meter, amount, key) for meter, amount, key in draws if key not in self.keys]
+        for meter, amount, _key in fresh:
+            self.amounts[meter] = self.amounts.get(meter, 0.0) + amount
+        self.keys.update(key for _meter, _amount, key in fresh)
 
 
 @dataclass(frozen=True)

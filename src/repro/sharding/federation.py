@@ -47,7 +47,7 @@ from ..federation.outcomes import (
 )
 from ..observability.trace import TraceContext
 from ..planner.errors import PlanInfeasible
-from ..planner.plan import QUALITY, Plan, unplanned
+from ..planner.plan import QUALITY, Plan, expected_lop, plan_or_refusal
 from ..planner.planner import QueryPlanner
 from ..planner.spec import QuerySpec, prepare
 from ..privacy.dp import DpGate, DpPolicy, Draw
@@ -380,17 +380,19 @@ class ShardedFederation:
         Per statement, in order: parse → the issuer rule → tenant token
         bucket → route → resolve (:meth:`_resolve`: the quorum and public
         schemas of its shard(s)) → its plan (:meth:`plan_for`, in its ``modes``
-        entry's objective) → admission of every budget it draws from, tenant
-        LoP first, then (epsilon, delta) (the shared release path, with this
-        federation's precheck).  Every involved shard then gets one
-        sub-batch (:meth:`_dispatch`): a routed statement runs on its shard,
-        a statement over a partitioned table on every shard, merged; a DP
-        statement's inner statements run in its place.  A shard that fails —
+        entry's objective, under the flat federation's rule,
+        :func:`~repro.planner.plan.plan_or_refusal`) → admission of every
+        budget it draws from, tenant LoP first, then (epsilon, delta) (the
+        shared release path, with this federation's precheck).  Every
+        involved shard then gets one sub-batch (:meth:`_dispatch`): a routed
+        statement runs on its shard, a statement over a partitioned table on
+        every shard, merged; a DP statement's inner statements run in its
+        place.  A shard that fails —
         unreachable process, poisoned batch — refuses exactly the statements
         sent to it, typed, while the rest of the batch is served normally.
 
         A registered tenant's ranking statement draws the expected LoP of
-        its one plan (for a plain statement, its base configuration), keyed
+        its one plan (for one run unplanned, its base configuration), keyed
         by its canonical form, so an in-batch duplicate draws nothing; so
         does a statement whose answer (a DP statement's inner answer) is
         cache-valid, which will not run (peeked only when a budget binds).
@@ -404,7 +406,7 @@ class ShardedFederation:
         now = self._clock()
 
         def precheck(
-            position: int, spec: QuerySpec, mode: str
+            position: int, spec: QuerySpec, mode: str, forms: set
         ) -> "tuple[tuple[int, Plan | None], list[Draw]] | Exception":
             try:
                 self.router.admit(issuer, now)
@@ -414,25 +416,17 @@ class ShardedFederation:
             error = self._resolve(spec.statement, target)
             if error is not None:
                 return error
-            try:
-                # A plain statement's shard runs its base configuration.
-                plan = None if unplanned(spec, mode) else self.plan_for(spec, mode)
-                if account is not None and spec.statement.is_ranking:
-                    lop_charges[position] = (plan or self.plan_for(spec)).estimate.expected_lop
-            except PlanInfeasible as exc:
-                # An answer already public satisfies any objective, as on a
-                # flat federation, so a cached statement is served unplanned.
-                if spec.slo.has_dp or self._peek(spec.text) is None:
-                    self.router.note_refusal(issuer)
-                    return exc
-                plan = None
-            charge = lop_charges.get(position)
-            # A statement whose (inner) answer is cache-valid will not run and
-            # draws nothing; peeked only where a budget binds.
-            binds = charge is not None and account.lop.budget is not None
+            plan = plan_or_refusal(spec, mode, self.plan_for, forms, self._peek)
+            if isinstance(plan, PlanInfeasible):
+                self.router.note_refusal(issuer)
+                return plan
             draws: list[Draw] = []
-            if binds and self._peek(spec.text) is None:
-                draws = [(account.lop, charge, canonical_statement(spec.statement))]
+            if account is not None and spec.statement.is_ranking:
+                charge = lop_charges[position] = expected_lop(spec, plan, self.plan_for)
+                # A statement whose (inner) answer is cache-valid will not run
+                # and draws nothing; peeked only where a budget binds.
+                if account.lop.budget is not None and self._peek(spec.text) is None:
+                    draws = [(account.lop, charge, canonical_statement(spec.statement))]
             self._trace_route(traces, position, target, spec.statement.table)
             return (target, plan), draws
 

@@ -113,7 +113,7 @@ class LocalShard:
 
     def peek(self, statement: str) -> CachedAnswer | None:
         """The statement's cache-valid answer, served to nobody."""
-        return self.federation._peek_inner(statement)
+        return self.federation._peek(statement)
 
     def try_cached_many(
         self, statements: Sequence[str], *, issuer: str = "anonymous"

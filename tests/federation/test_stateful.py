@@ -23,7 +23,9 @@ on -- the base configuration for a plain statement, the statement's plan
 otherwise -- and only when one runs: a hit and a refusal charge nothing, and
 a statement whose charge would overshoot what is left (``SpendMeter``'s
 test) is refused as ``BudgetExhausted``.  A batch of its statements is
-admitted as the same statements sent one at a time would be.
+admitted as the same statements sent one at a time would be.  So is a batch
+holding a statement whose SLO no plan meets beside its plain form: it is
+served only an answer public by its turn.
 
 Both result caches hold :data:`CACHE_ENTRIES` answers, fewer than a session
 asks for, so eviction is stepped too: the model keeps the cache's
@@ -51,7 +53,7 @@ from repro.database.database import database_from_values
 from repro.database.query import PAPER_DOMAIN
 from repro.database.schema import SchemaError
 from repro.federation import Federation, FederationError, QueryRefused, SqlError
-from repro.planner import CostModel, QueryPlanner, parse_spec
+from repro.planner import CostModel, PlanInfeasible, QueryPlanner, parse_spec
 from repro.privacy.dp import BudgetExhausted, DpPolicy, DpRequired, SpendMeter
 from repro.sharding import ShardedFederation, ShardRouter, TenantPolicy
 from repro.sharding.shards import LocalShard
@@ -576,6 +578,47 @@ class FederationMachine(RuleBasedStateMachine):
                 self._stored(text)
             self.served.append(
                 ("meter", members, outcome.statement, outcome.protocol,
+                 outcome.rounds, outcome.messages, outcome.values, outcome.cached)
+            )
+
+    @precondition(lambda self: len(self.model) >= 3)
+    @rule(k=st.integers(min_value=1, max_value=4), twin_first=st.booleans())
+    def an_infeasible_twin_is_served_only_a_public_answer(
+        self, k: int, twin_first: bool
+    ) -> None:
+        # No plan meets ``max_rounds=1``.  In one batch with its plain form,
+        # in either order, the twin is served the plain answer when that is
+        # public by its turn -- cached, or run earlier in the batch -- and
+        # refused PlanInfeasible otherwise, as a sequential replay serves
+        # them, flat and twin alike.
+        bare = f"SELECT TOP {k} value FROM data"
+        texts = [bare, f"{bare} WITH SLO(max_rounds=1)"]
+        if twin_first:
+            texts.reverse()
+        members = self.federation.members
+        verdicts: list[bool | None] = []  # served cached, or None: refused
+        public = self._cached(bare)
+        for text in texts:
+            verdicts.append(public if public or text == bare else None)
+            public = public or text == bare
+        flat = self.federation.execute_many_settled(texts)
+        sharded = self.twin.execute_many_settled(texts)
+        for cached, outcome, twin in zip(verdicts, flat, sharded):
+            if cached is None:
+                for result in (outcome, twin):
+                    assert isinstance(result, QueryRefused)
+                    assert type(result.error) is PlanInfeasible
+                continue
+            assert outcome.cached == cached
+            assert outcome.values == self._top(k)
+            self.outcomes.append(outcome)
+            self.twin_outcomes.append(twin)
+            self.issuers.append("anonymous")
+            self._note_hits(bare, outcome, twin)
+            if not cached:
+                self._stored(bare)
+            self.served.append(
+                ("anonymous", members, outcome.statement, outcome.protocol,
                  outcome.rounds, outcome.messages, outcome.values, outcome.cached)
             )
 

@@ -296,7 +296,7 @@ class TestServingPath:
         for run in transcripts:
             assert isinstance(run.event_log, _LazyKernelLog)
         assert federation.ledger.runs_charged == 3
-        assert set(federation.ledger.meters) == set(federation.members)
+        assert set(federation.ledger.exposures) == set(federation.members)
         audited = [entry.average_lop for entry in federation.audit]
         assert audited == [o.average_lop for o in (outcome, *batch)]
         assert audited == [average_lop(run) for run in transcripts]

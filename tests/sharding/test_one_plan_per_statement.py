@@ -81,10 +81,41 @@ def test_a_planned_fanout_runs_one_plan_on_every_path(kind, way):
     assert (outcome.rounds, outcome.messages) == (12, 78)
 
 
+#: A statement whose SLO no plan meets, and the two that answer its form: the
+#: plain statement and a DP release whose one inner statement is that form.
+PLAIN = "SELECT TOP 2 value FROM t00"
+TWIN = f"{PLAIN} WITH SLO(deadline=0.004)"
+RELEASE = f"{PLAIN} WITH SLO(dp_epsilon=1.0)"
+
+
+def _settled(kind: str, batch: list[str], issuer: str = "anonymous", **kwargs):
+    """``batch`` settled on a fresh deployment, after checking it against a
+    sequential replay on another fresh one from the same seed."""
+    results = []
+    for texts in ([batch], [[text] for text in batch]):
+        federation = _deploy(kind, _partitioned(), **kwargs)
+        if kind != "flat":
+            federation.set_tenant("poor", TenantPolicy(lop_budget=0.3))
+        try:
+            results.append(
+                [r for t in texts for r in federation.execute_many_settled(t, issuer=issuer)]
+            )
+        finally:
+            _close(federation)
+    settled, replayed = results
+
+    def view(results):
+        return [r if isinstance(r, QueryOutcome) else type(r.error) for r in results]
+
+    assert view(settled) == view(replayed)
+    return settled
+
+
 @pytest.mark.parametrize("kind", ["flat", "local", "processes"])
 def test_a_cached_answer_satisfies_an_unsatisfiable_slo(kind):
-    # A hit is never planned: its already-public answer meets any objective,
-    # on a sharded deployment as on a flat one.
+    # An answer public by the statement's turn meets any objective, on a
+    # sharded deployment as on a flat one: cache-valid now, or run by a
+    # statement its batch admitted earlier.
     federation = _deploy(kind, _partitioned())
     try:
         federation.execute("SELECT TOP 2 value FROM t00")
@@ -98,6 +129,40 @@ def test_a_cached_answer_satisfies_an_unsatisfiable_slo(kind):
         _close(federation)
     assert isinstance(hit, QueryOutcome) and hit.cached
     assert isinstance(miss, QueryRefused) and isinstance(miss.error, PlanInfeasible)
+
+    plain, twin = _settled(kind, [PLAIN, TWIN])
+    assert isinstance(twin, QueryOutcome) and twin.cached
+    assert twin.values == plain.values and not plain.cached
+    refused, plain = _settled(kind, [TWIN, PLAIN])
+    assert isinstance(refused, QueryRefused) and isinstance(refused.error, PlanInfeasible)
+    assert isinstance(plain, QueryOutcome) and not plain.cached
+    release, twin = _settled(kind, [RELEASE, TWIN])
+    assert isinstance(release, QueryOutcome) and release.protocol.endswith("+dp")
+    assert isinstance(twin, QueryOutcome) and twin.cached
+
+
+@pytest.mark.parametrize("kind", ["flat", "local", "processes"])
+def test_the_twin_of_a_refused_statement_is_refused_and_runs_nothing(kind):
+    # The plain statement's expected LoP (0.311 over the flat six parties,
+    # 0.389 over a shard's three) is more than a 0.3 budget pays, so no
+    # statement of the batch runs its form: the twin refuses PlanInfeasible
+    # instead of running on the base configuration.
+    kwargs = {"privacy_budget": 0.3} if kind == "flat" else {}
+    federation = _deploy(kind, _partitioned(), **kwargs)
+    if kind != "flat":
+        federation.set_tenant("poor", TenantPolicy(lop_budget=0.3))
+    try:
+        settled = federation.execute_many_settled([PLAIN, TWIN], issuer="poor")
+        ran = (federation.cache.hits, federation.cache.misses)
+    finally:
+        _close(federation)
+    plain, twin = settled
+    assert isinstance(plain, QueryRefused) and isinstance(plain.error, BudgetExhausted)
+    assert plain.error.dimension == "lop"
+    assert isinstance(twin, QueryRefused) and isinstance(twin.error, PlanInfeasible)
+    assert ran == (0, 0)
+    # A sequential replay refuses both the same way.
+    _settled(kind, [PLAIN, TWIN], issuer="poor", **kwargs)
 
 
 def test_shards_never_plan():

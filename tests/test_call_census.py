@@ -250,13 +250,21 @@ DECLARED: dict[str, tuple[str, str, str]] = {
         "reference", "tests/observability/test_trace.py",
         "the disabled tracer benchmarks/ measures the recorder against",
     ),
+    "repro.planner.plan:expected_lop": (
+        "guard", "tests/privacy/test_accounting.py",
+        "typed refusal: the LoP a party or tenant budget draws, BudgetExhausted weighs it",
+    ),
     "repro.planner.spec:prepared_clear": (
         "design", "tests/planner/test_spec.py",
         "DESIGN.md 4g: empties the prepared-form memo; compile counts start there",
     ),
     "repro.privacy.accounting:ExposureLedger.exposure": (
+        "design", "tests/privacy/test_accounting.py",
+        "a party's measured peak LoP (Eq. 1) summed over runs, kept apart from its meter",
+    ),
+    "repro.privacy.accounting:ExposureLedger.meter": (
         "guard", "tests/privacy/test_accounting.py",
-        "typed refusal: a party's accrued exposure, which its LoP meter refuses on",
+        "typed refusal: a party's LoP meter, the one a party budget's refusal names",
     ),
     "repro.privacy.claims:RangeClaim.holds_for": (
         "design", "tests/privacy/test_claims.py",

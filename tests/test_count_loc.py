@@ -42,3 +42,14 @@ def test_counts_lines_holding_a_token_less_docstrings_and_comments(tmp_path):
         assert result.stdout == (
             f"{target}: {CODE} code lines, {RAW} raw, in 1 files\n"
         )
+
+
+def test_help_and_a_missing_path_print_one_line_and_exit_2(tmp_path):
+    for args, stream in ((["--help"], "stdout"), ([str(tmp_path / "nowhere")], "stderr")):
+        result = subprocess.run(
+            [sys.executable, str(SCRIPT), *args], capture_output=True, text=True
+        )
+        assert result.returncode == 2
+        out = getattr(result, stream)
+        assert len(out.splitlines()) == 1 and "Traceback" not in out
+    assert "nowhere" in result.stderr
