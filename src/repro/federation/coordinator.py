@@ -383,8 +383,8 @@ class Federation:
         with ``plans`` (a shard runs the plan it is handed; ``None`` is its
         base configuration).  With a ``privacy_budget``, a ranking statement
         that will run draws its plan's expected LoP from every member's meter
-        there too (the run charges those draws), so everything but an AVG
-        over zero rows refuses before any seed is drawn.
+        there too, and the release path charges those draws once it ran, so
+        everything but an AVG over zero rows refuses before any seed is drawn.
         """
 
         def precheck(position: int, spec: QuerySpec, mode: str, forms: set):
@@ -397,24 +397,24 @@ class Federation:
             if isinstance(plan, PlanInfeasible):
                 return plan
             # A statement whose (inner) answer is cache-valid will not run
-            # and draws nothing.  The run charges what it was drawn.
+            # and draws nothing.
             draws: list[Draw] = []
             ranks = spec.statement.is_ranking and self.ledger.budget is not None
             if ranks and self._peek(spec.text) is None:
                 lop = expected_lop(spec, plan, self.plan_for)
                 key = prepare(spec.text).canonical
                 draws = [(self.ledger.meter(p), lop, key) for p in self.members]
-            return (plan, draws), draws
+            return plan, draws
 
         batch = self._dp.expand(
             statements, traces, modes, issuer=issuer, precheck=precheck
         )
         order: list[int] = []
-        chosen: "list[tuple[Plan | None, list[Draw]]]" = []
-        for position, _, context in batch.admitted:
+        chosen: "list[Plan | None]" = []
+        for position, _, plan in batch.admitted:
             runs = batch.runs(position)
             order += runs
-            chosen += [context if len(runs) == 1 else (None, [])] * len(runs)
+            chosen += [plan if len(runs) == 1 else None] * len(runs)
         served = self._serve_batch(
             [batch.texts[p] for p in order],
             issuer,
@@ -425,26 +425,19 @@ class Federation:
             batch.results[p] = result
         return self._dp.assemble(batch)
 
-    def dp_admission_check(self, spec: QuerySpec, *, issuer: str = "anonymous") -> None:
-        """Gateway hook: refuse a DP statement that can neither reuse nor pay.
-
-        :meth:`DpReleasePath.admission_check` with no tenant meters: the
-        flat federation has one shared accountant, whoever the issuer is.
-        """
-        self._dp.admission_check(spec, issuer=issuer)
-
     def _serve_batch(
         self,
         statements: list[str],
         issuer: str,
         traces: "Sequence[TraceContext | None] | None",
-        admitted: "list[tuple[Plan | None, list[Draw]]]",
+        plans: "list[Plan | None]",
     ) -> "list[QueryOutcome | QueryRefused]":
         if not statements:
             return []
         # Every statement here is admitted: resolved, planned and drawn from
-        # every budget by the precheck.  Only an AVG over zero rows, which a
-        # run alone can know, still refuses.
+        # every budget by the precheck, and charged by the release path.
+        # Only an AVG over zero rows, which a run alone can know, still
+        # refuses.
         forms = [prepare(text) for text in statements]
         databases = self._ring()
         data_versions = self._data_versions()
@@ -474,7 +467,7 @@ class Federation:
             statement = form.spec.statement
             if statement.is_ranking:
                 config = self._next_config()
-                plan = admitted[index][0]
+                plan = plans[index]
                 if plan is not None and plan.params is not None:
                     config = replace(
                         config, protocol=plan.protocol, params=plan.params
@@ -516,10 +509,9 @@ class Federation:
         for index, (form, key) in enumerate(zip(forms, keys)):
             statement = form.spec.statement
             if index in ranking_results:
-                # Charge each party's meter what the run was admitted on,
-                # and record what it measured.
+                # Record each party's measured exposure.
                 result = ranking_results[index]
-                self.ledger.charge(result, admitted[index][1])
+                self.ledger.charge(result)
                 outcome = self._finish_ranking(statement, issuer, result)
             elif index in additive_seeds:
                 try:

@@ -10,12 +10,16 @@ wraps those answers, and this module is that wrapper for every topology:
    statements to the batch;
 2. the caller runs the expanded batch on its exact backend;
 3. :meth:`DpReleasePath.assemble` — settle each DP statement from its inner
-   outcomes: free byte-identical re-serve, fresh charged release, or refusal.
+   outcomes: free byte-identical re-serve, fresh charged release, or refusal;
+   then charge every budget an admitted statement drew from, once it ran.
 
-:meth:`DpReleasePath.try_cached` is the same free re-serve on the cache fast
-path, :meth:`DpReleasePath.admission_check` the gateway's refusal before the
-queue.  A federation supplies only what differs: the precheck, how an inner
-statement is peeked in its cache, and (sharded) the tenant's DP meters.
+``expand`` is the one place a statement is admitted and ``assemble`` the one
+place a budget is charged, on every deployment and behind the gateway alike:
+the gateway refuses nothing on a budget's or a plan's account before its
+queue.  :meth:`DpReleasePath.try_cached` is the same free re-serve on the
+cache fast path.  A federation supplies only what differs: the precheck, how
+an inner statement is peeked in its cache, and (sharded) the tenant's DP
+meters.
 
 **The issuer rule.**  An issuer is *DP-governed* when a finite epsilon or
 delta budget applies to it: the gate's, which covers every issuer, or its
@@ -49,6 +53,7 @@ from ..privacy.dp import (
     DpGate,
     DpRequest,
     DpRequired,
+    Draw,
     PrivacyAccountant,
     build_request,
 )
@@ -80,11 +85,9 @@ class DpSlot:
     inner: list[int]
     #: The statement without its SLO clause — what the outcome reports.
     bare_text: str
-    #: Set by ``assemble``: the release was fresh (budget spent), and an inner
-    #: statement actually ran a protocol (LoP exposure happened; cached inner
-    #: answers expose nothing).
+    #: Set by ``assemble`` for a settled release that was fresh (budget
+    #: spent).
     charged: bool = False
-    executed: bool = False
 
 
 @dataclass
@@ -108,6 +111,9 @@ class DpBatch:
     #: precheck returned (the statement's plan; on the sharded federation,
     #: with its routing target).
     admitted: "list[tuple[int, QuerySpec, Any]]" = field(default_factory=list)
+    #: Per admitted position, the draws its precheck made besides DP (a
+    #: tenant's or each party's LoP): ``assemble`` charges them if it ran.
+    draws: "dict[int, list[Draw]]" = field(default_factory=dict)
     slots: dict[int, DpSlot] = field(default_factory=dict)
     #: The canonical form of every statement admitted to run so far, a DP
     #: statement's inner ones included: their answers are public by the
@@ -160,10 +166,10 @@ class DpReleasePath:
     def _request(self, spec: QuerySpec) -> DpRequest:
         """``spec``'s release request: resolved once per (statement, domain).
 
-        The admission check, ``expand`` and every free re-serve of one
-        statement share it; a domain registered later is a new key.  A spec
-        that cannot resolve raises its :class:`DpError` each time and is never
-        stored; the memo is bounded like the prepared forms it is keyed by.
+        ``expand`` and every free re-serve of one statement share it; a
+        domain registered later is a new key.  A spec that cannot resolve
+        raises its :class:`DpError` each time and is never stored; the memo
+        is bounded like the prepared forms it is keyed by.
         """
         statement = spec.statement
         domain = self._domain_for(statement.table, statement.attribute)
@@ -221,7 +227,8 @@ class DpReleasePath:
         statement's ``modes`` entry (quality by default) and
         :attr:`DpBatch.forms` so far: it returns the statement's dispatch
         context and the draws it makes besides DP (a tenant's or each
-        party's LoP), or the typed exception refusing it — so a statement
+        party's LoP, kept in :attr:`DpBatch.draws` for ``assemble`` to
+        charge), or the typed exception refusing it — so a statement
         refused there never touches the pending budget.  This is where a
         federation resolves a statement (quorum and schema) and makes its
         plan (:func:`~repro.planner.plan.plan_or_refusal`), so an
@@ -286,12 +293,14 @@ class DpReleasePath:
             runs = batch.runs(position)
             batch.forms.update(prepare(batch.texts[p]).canonical for p in runs)
             batch.admitted.append((position, spec, context))
+            batch.draws[position] = draws
         return batch
 
     # -- assemble --------------------------------------------------------------
 
     def assemble(self, batch: DpBatch) -> "list[QueryOutcome | QueryRefused]":
-        """Settle each admitted DP statement from its inner outcomes.
+        """Settle each admitted DP statement from its inner outcomes, and
+        charge every admitted statement that ran what its precheck drew.
 
         Statements settle in batch order, so gate and tenant charges land in
         exactly the order a sequential session would record them — that is
@@ -300,48 +309,68 @@ class DpReleasePath:
         the ones its latest release perturbed — cached or re-executed —
         re-serves that release byte-identically and charges nothing, as the
         spelling's one shared outcome while its fields stay the same.
+
+        A statement ran a protocol when any position the backend ran for it
+        (:meth:`DpBatch.runs`) holds an outcome that is not ``cached``; only
+        then is each meter it drew from (a tenant's or each party's LoP)
+        charged its draw — whatever its release then settles as, since the
+        ring's successors saw the vectors.  A hit, a refusal and an in-batch
+        duplicate charge nothing.
         """
+        for position, _spec, _context in batch.admitted:
+            ran = any(
+                isinstance(result, QueryOutcome) and not result.cached
+                for result in (batch.results[p] for p in batch.runs(position))
+            )
+            slot = batch.slots.get(position)
+            if slot is not None:
+                self._release(batch, position, slot)
+            if ran:
+                for meter, amount, _key in batch.draws[position]:
+                    meter.charge(amount)
+        return batch.results[: batch.size]  # type: ignore[return-value]  # all filled
+
+    def _release(self, batch: DpBatch, position: int, slot: DpSlot) -> None:
+        """Settle one DP statement: a free re-serve, a fresh charged release,
+        or its refusal."""
         gate, meters, issuer = self.gate, self._meters, batch.issuer
         tenant = self._tenant(issuer)
-        for position, slot in batch.slots.items():
-            request, text = slot.request, batch.texts[position]
-            inner = [batch.results[p] for p in slot.inner]
-            refused = next((r for r in inner if isinstance(r, QueryRefused)), None)
-            if refused is not None:
-                batch.results[position] = QueryRefused(text, refused.error)
-                continue
-            outcomes: list[QueryOutcome] = inner  # type: ignore[assignment]
-            inner_values = [o.values for o in outcomes]
-            try:
-                if tenant is not None and not gate.replayable(request, inner_values):
-                    # Optimistic reuse admissions skipped the tenant's meters;
-                    # settle them before the gate records the charge.
-                    refusal = tenant.refusal(request.epsilon, request.delta)
-                    if refusal is not None:
-                        raise refusal
-                values, charged = gate.finalize(request, inner_values)
-            except BudgetExhausted as exc:
-                if meters is not None:
-                    meters.note_refusal(issuer)
-                batch.refuse(position, exc)
-                continue
-            slot.charged = charged
-            slot.executed = not all(o.cached for o in outcomes)
-            outcome = QueryOutcome(
-                statement=slot.bare_text,
-                values=values,
-                protocol=f"{outcomes[0].protocol}{DP_SUFFIX}",
-                rounds=max(o.rounds for o in outcomes),
-                messages=sum(o.messages for o in outcomes),
-                cached=not charged,
-                simulated_seconds=max(o.simulated_seconds for o in outcomes),
-            )
-            if not charged:
-                outcome = self._served.share(prepare(text).spec.text, outcome)
-            batch.results[position] = outcome
-            if charged and tenant is not None:
-                tenant.charge(request.epsilon, request.delta, statement=request.label)
-        return batch.results[: batch.size]  # type: ignore[return-value]  # all filled
+        request, text = slot.request, batch.texts[position]
+        inner = [batch.results[p] for p in slot.inner]
+        refused = next((r for r in inner if isinstance(r, QueryRefused)), None)
+        if refused is not None:
+            batch.results[position] = QueryRefused(text, refused.error)
+            return
+        outcomes: list[QueryOutcome] = inner  # type: ignore[assignment]
+        inner_values = [o.values for o in outcomes]
+        try:
+            if tenant is not None and not gate.replayable(request, inner_values):
+                # Optimistic reuse admissions skipped the tenant's meters;
+                # settle them before the gate records the charge.
+                refusal = tenant.refusal(request.epsilon, request.delta)
+                if refusal is not None:
+                    raise refusal
+            values, charged = gate.finalize(request, inner_values)
+        except BudgetExhausted as exc:
+            if meters is not None:
+                meters.note_refusal(issuer)
+            batch.refuse(position, exc)
+            return
+        slot.charged = charged
+        outcome = QueryOutcome(
+            statement=slot.bare_text,
+            values=values,
+            protocol=f"{outcomes[0].protocol}{DP_SUFFIX}",
+            rounds=max(o.rounds for o in outcomes),
+            messages=sum(o.messages for o in outcomes),
+            cached=not charged,
+            simulated_seconds=max(o.simulated_seconds for o in outcomes),
+        )
+        if not charged:
+            outcome = self._served.share(prepare(text).spec.text, outcome)
+        batch.results[position] = outcome
+        if charged and tenant is not None:
+            tenant.charge(request.epsilon, request.delta, statement=request.label)
 
     # -- free re-serve ---------------------------------------------------------
 
@@ -399,28 +428,6 @@ class DpReleasePath:
                 cached=True,
             ),
         )
-
-    # -- gateway admission -----------------------------------------------------
-
-    def admission_check(self, spec: QuerySpec, *, issuer: str) -> None:
-        """Refuse a DP statement that can neither reuse a release nor pay.
-
-        :meth:`~repro.privacy.dp.DpGate.admit` against a fresh pending
-        budget: raises :class:`~repro.privacy.dp.DpError` for unresolvable
-        requests (missing domain, zero-noise calibration) and
-        :class:`~repro.privacy.dp.BudgetExhausted` when no release exists
-        and the gate's — or the tenant's — budget has no headroom, so the
-        refusal happens before the statement consumes a queue slot.
-        """
-        if not spec.slo.has_dp:
-            return
-        refusal = self.gate.admit(
-            self._request(spec), self.gate.new_pending(), tenant=self._tenant(issuer)
-        )
-        if refusal is not None:
-            if self._meters is not None:
-                self._meters.note_refusal(issuer)
-            raise refusal
 
 
 __all__ = ["DP_SUFFIX", "DpBatch", "DpReleasePath", "DpSlot", "TenantMeters"]

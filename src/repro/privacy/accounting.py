@@ -10,12 +10,14 @@ every run.)
 The ledger keeps two books per party.  Its LoP meter admits: a flat
 federation draws a ranking statement's expected LoP (its plan's, as a
 tenant is drawn) from every member's meter before the ring runs, by the
-rule every budget shares (:class:`~repro.privacy.dp.SpendMeter`), and
+rule every budget shares (:class:`~repro.privacy.dp.SpendMeter`), and the
+release path (:meth:`~repro.federation.dp_release.DpReleasePath.assemble`)
 charges the meter that same amount once the run is done -- so the budget
 caps each party's cumulative *expected* LoP, and a batch is admitted as its
 statements would be one at a time.  Its exposure record keeps what each run
-*measured* (the peak LoP per party), after the run; it refuses nothing, and
-can end past the budget, since the ring successors have seen the run.
+*measured* (the peak LoP per party), after the run
+(:meth:`ExposureLedger.charge`); it refuses nothing, and can end past the
+budget, since the ring successors have seen the run.
 
 Cumulative charging is conservative-additive: independent runs randomize
 independently, so summing per-run exposures upper-bounds what any single
@@ -25,11 +27,10 @@ adversary got.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from ..core.results import ProtocolResult
-from .dp import Draw, SpendMeter
+from .dp import SpendMeter
 from .lop import exposure_profile
 
 
@@ -57,17 +58,13 @@ class ExposureLedger:
             self.meters[party] = SpendMeter(self.budget, holder=f"party {party!r}")
         return self.meters[party]
 
-    def charge(
-        self, result: ProtocolResult, draws: "Sequence[Draw]" = ()
-    ) -> dict[str, float]:
+    def charge(self, result: ProtocolResult) -> dict[str, float]:
         """Record one finished run; returns its per-party measured exposure.
 
-        Each meter is charged the amount ``draws`` admitted the run on, and
-        each party's measured peak exposure joins its record.  Never
-        refuses: admission happened before the ring ran.
+        Each party's measured peak exposure joins its record.  Never
+        refuses and moves no meter: admission happened before the ring ran,
+        and the release path charges the meters what they admitted.
         """
-        for meter, amount, _key in draws:
-            meter.charge(amount)
         increments = dict(exposure_profile(result).peak)
         for node, increment in increments.items():
             self.exposures[node] = self.exposures.get(node, 0.0) + increment

@@ -40,7 +40,7 @@ from ..planner.accuracy import PredictionLedger
 from ..planner.errors import PlanInfeasible
 from ..planner.plan import ECONOMY, QUALITY, Plan
 from ..planner.spec import Prepared, QuerySpec, prepare
-from ..privacy.dp import BudgetExhausted, DpError, DpGate
+from ..privacy.dp import DpGate
 from .clock import Clock, SimulatedClock
 from .errors import (
     DeadlineExceeded,
@@ -97,10 +97,6 @@ class FederationBackend(Protocol):
         modes: "Sequence[str] | None" = None,
     ) -> "list[QueryOutcome | QueryRefused]": ...
 
-    def dp_admission_check(
-        self, spec: QuerySpec, *, issuer: str = "anonymous"
-    ) -> None: ...
-
 
 class QueryService:
     """Async gateway serving a continuous stream of federated queries.
@@ -145,10 +141,17 @@ class QueryService:
         depth-only admission.
 
     Statements carrying ``WITH SLO(...)`` clauses are always planned at
-    admission by the backend's plan stage (``plan_for``), so an
-    unsatisfiable SLO is refused *before* it occupies a queue slot
-    (:class:`~repro.planner.errors.PlanInfeasible` — never satisfiable,
-    unlike ``Overloaded``'s retry-later).
+    admission by the backend's plan stage (``plan_for``), for cost
+    admission and the accuracy ledger.  Nothing is refused there on a
+    plan's or a budget's account: every statement that passes the cache
+    fast path is queued, and its batch (the backend's
+    ``execute_many_settled``) is the one place it is admitted.  So an SLO no
+    plan meets is served when an earlier statement of its batch makes its
+    answer public, as a sequential session would serve it, and refused
+    :class:`~repro.planner.errors.PlanInfeasible` otherwise (never
+    satisfiable, unlike ``Overloaded``'s retry-later).  With the queue full,
+    such a statement — or one over its budget — is shed ``Overloaded``
+    before it is refused.
     """
 
     def __init__(
@@ -326,9 +329,10 @@ class QueryService:
     ) -> "Plan | None":
         """Read the statement's plan from the backend and enforce the cost budget.
 
-        SLO'd statements are always planned, so an unsatisfiable SLO is
-        refused — typed, :class:`PlanInfeasible` — before occupying a queue
-        slot.  With ``cost_budget_seconds`` set, every statement's plan is
+        SLO'd statements are always planned.  One whose SLO no plan meets is
+        queued unplanned (``None``, quality mode): its batch decides it, and
+        serves it if an earlier statement there makes its answer public.
+        With ``cost_budget_seconds`` set, every statement's plan is
         read (a plain statement's is its backend's base configuration) and
         the queue's estimated backlog is capped: an over-budget request
         is first re-planned in economy mode (the *downgrade* path, still
@@ -340,9 +344,7 @@ class QueryService:
         try:
             plan = self.federation.plan_for(prepared.spec)
         except PlanInfeasible:
-            self.metrics.plan_infeasible += 1
-            self._trace_shed(query_ctx, "plan-infeasible", now)
-            raise
+            return None
         if self._cost_budget is None:
             return plan
         backlog = self._cost_backlog()
@@ -402,12 +404,13 @@ class QueryService:
         every budget refusal — a party's or a tenant's LoP, the federation's
         or a tenant's (ε, δ) — as one ``BudgetExhausted`` whose
         ``dimension`` names the meter (``"lop"``, ``"epsilon"`` or
-        ``"delta"``).  Only (ε, δ) is checked before the queue; LoP is
-        admitted with the batch, against what the batch already admitted.
-        A DP-governed issuer — one a finite (ε, δ) budget applies to, the
-        federation's or its tenant's — gets ``DpRequired`` for a statement
-        without ``dp_epsilon`` from the cache fast path, hit or miss, so it
-        never takes a queue slot.
+        ``"delta"``).  Only a malformed statement and the issuer rule refuse
+        before the queue: a DP-governed issuer — one a finite (ε, δ) budget
+        applies to, the federation's or its tenant's — gets ``DpRequired``
+        for a statement without ``dp_epsilon`` from the cache fast path, hit
+        or miss, so it never takes a queue slot.  Every other refusal, a
+        plan's and every budget's, is the batch's, against what the batch
+        already admitted.
         """
         self.metrics.submitted += 1
         if self.closed:
@@ -463,17 +466,6 @@ class QueryService:
                 )
             return cached
         plan = self._admission_plan(prepared, query_ctx, now)
-        # DP admission: a statement whose release can neither reuse an
-        # existing answer nor fit its remaining (ε, δ) budget is refused
-        # typed — BudgetExhausted, permanent like PlanInfeasible, unlike
-        # Overloaded's retry-later — before it occupies a queue slot.
-        if prepared.has_dp:
-            try:
-                self.federation.dp_admission_check(prepared.spec, issuer=issuer)
-            except (BudgetExhausted, DpError):
-                self.metrics.refused += 1
-                self._trace_shed(query_ctx, "budget-exhausted", now)
-                raise
         request = QueuedRequest(
             statement=statement,
             issuer=issuer,
@@ -679,7 +671,10 @@ class QueryService:
             now = self.clock.now()
             for request, outcome in zip(batch, settled):
                 if isinstance(outcome, QueryRefused):
-                    self.metrics.refused += 1
+                    if isinstance(outcome.error, PlanInfeasible):
+                        self.metrics.plan_infeasible += 1
+                    else:
+                        self.metrics.refused += 1
                     self._fail(request, outcome.error)
                 else:
                     self._record_accuracy(request, outcome)

@@ -33,7 +33,7 @@ class ServiceMetrics:
     shed_deadline: int = 0
     shed_cost: int = 0  # estimated cost over budget, economy replan failed
     downgraded: int = 0  # admitted after an economy replan under cost pressure
-    plan_infeasible: int = 0  # SLO no configuration can satisfy (typed refusal)
+    plan_infeasible: int = 0  # batch-settled PlanInfeasible (typed refusal)
 
     # -- completion ---------------------------------------------------------
     completed: int = 0

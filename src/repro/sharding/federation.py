@@ -22,6 +22,7 @@ tenant's cross-shard token bucket sheds with
 :class:`~repro.sharding.errors.TenantRateLimited`, and a ranking statement
 whose plan expects more LoP than the tenant's meter can absorb refuses with
 :class:`~repro.privacy.dp.BudgetExhausted` without spending a protocol round.
+The shared release path charges the tenant's meter once the statement ran.
 
 Every statement is planned here, once, by :meth:`ShardedFederation.plan_for`;
 shards never plan.  A statement with objectives travels to its shards with
@@ -359,14 +360,6 @@ class ShardedFederation:
             return None
         return merge(statement, partials)
 
-    def dp_admission_check(self, spec: QuerySpec, *, issuer: str = "anonymous") -> None:
-        """Gateway hook: refuse a DP statement that can neither reuse nor pay.
-
-        :meth:`DpReleasePath.admission_check` against the federation-wide
-        accountant *and* the tenant's DP meters.
-        """
-        self._dp.admission_check(spec, issuer=issuer)
-
     def execute_many_settled(
         self,
         statements: Iterable[str],
@@ -393,23 +386,23 @@ class ShardedFederation:
 
         A registered tenant's ranking statement draws the expected LoP of
         its one plan (for one run unplanned, its base configuration), keyed
-        by its canonical form, so an in-batch duplicate draws nothing; so
-        does a statement whose answer (a DP statement's inner answer) is
-        cache-valid, which will not run (peeked only when a budget binds).
-        The charge lands only for a statement that ran a protocol.
+        by its canonical form, so an in-batch duplicate draws nothing.  Where
+        its budget binds, a statement whose answer (a DP statement's inner
+        answer) is cache-valid will not run and draws nothing either.  The
+        release path charges a draw only for a statement that ran a
+        protocol, so an unbudgeted tenant records its spend too.
         """
         texts = list(statements)
         if not texts:
             return []
         account = self.router.tenant(issuer)
-        lop_charges: dict[int, float] = {}
         now = self._clock()
 
         def precheck(
             position: int, spec: QuerySpec, mode: str, forms: set
         ) -> "tuple[tuple[int, Plan | None], list[Draw]] | Exception":
             try:
-                self.router.admit(issuer, now)
+                self.router.take_token(issuer, now)
             except ShardError as exc:
                 return exc
             target = self.router.route(spec.statement.table)
@@ -421,12 +414,11 @@ class ShardedFederation:
                 self.router.note_refusal(issuer)
                 return plan
             draws: list[Draw] = []
-            if account is not None and spec.statement.is_ranking:
-                charge = lop_charges[position] = expected_lop(spec, plan, self.plan_for)
-                # A statement whose (inner) answer is cache-valid will not run
-                # and draws nothing; peeked only where a budget binds.
-                if account.lop.budget is not None and self._peek(spec.text) is None:
-                    draws = [(account.lop, charge, canonical_statement(spec.statement))]
+            if account is not None and spec.statement.is_ranking and (
+                account.lop.budget is None or self._peek(spec.text) is None
+            ):
+                lop = expected_lop(spec, plan, self.plan_for)
+                draws = [(account.lop, lop, canonical_statement(spec.statement))]
             self._trace_route(traces, position, target, spec.statement.table)
             return (target, plan), draws
 
@@ -435,22 +427,12 @@ class ShardedFederation:
         )
         self._dispatch(batch)
         results = self._dp.assemble(batch)
-
         for position, _spec, (target, _plan) in batch.admitted:
             slot = batch.slots.get(position)
             if slot is not None and slot.charged:
                 # Fresh-release epsilon lands on the shard owning the data.
                 shard_key = "all" if target == ALL_SHARDS else str(target)
                 self.dp_spend_by_shard[shard_key] += slot.request.epsilon
-            # Tenant LoP charges land only for statements that actually ran
-            # a protocol: cache hits and refusals spend nothing.  For DP
-            # statements that is decided by the *inner* executions — a fresh
-            # noisy release over still-cached inner answers runs no protocol.
-            outcome = results[position]
-            if position in lop_charges and isinstance(outcome, QueryOutcome):
-                ran = slot.executed if slot is not None else not outcome.cached
-                if ran:
-                    self.router.charge_lop(issuer, lop_charges[position])
         return results
 
     # -- admission -----------------------------------------------------------

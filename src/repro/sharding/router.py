@@ -84,8 +84,12 @@ class TenantAccount:
 
     LoP and DP spend through the same accounting surface
     (:class:`~repro.privacy.dp.SpendMeter`), which is what pins the shared
-    "spent on a cache hit is free" rule: the sharded federation charges
-    *both* only for outcomes whose ``cached`` flag is false.
+    "spent on a cache hit is free" rule: the release path
+    (:meth:`~repro.federation.dp_release.DpReleasePath.assemble`) charges
+    *both* only for statements that ran.  Budgeted and unbudgeted accounts
+    both record, so the snapshot shows every tenant's cumulative spend and a
+    budget installed later by :meth:`ShardRouter.set_tenant` binds against
+    the history already accrued.
     """
 
     policy: TenantPolicy
@@ -170,7 +174,7 @@ class ShardRouter:
     def tenant(self, issuer: str) -> TenantAccount | None:
         return self._tenants.get(issuer)
 
-    def admit(self, issuer: str, now: float) -> None:
+    def take_token(self, issuer: str, now: float) -> None:
         """Charge one request against the tenant's token bucket.
 
         Tenants without a policy (or without a rate) are unrestricted — the
@@ -194,19 +198,6 @@ class ShardRouter:
                 f"tenant {issuer!r} exceeded {policy.rate}/s "
                 f"(burst {policy.burst}) across shards"
             )
-
-    def charge_lop(self, issuer: str, expected_lop: float) -> None:
-        """Record one executed ranking statement's expected LoP.
-
-        Like a tenant's DP accountant, budgeted and unbudgeted accounts
-        both record — the :class:`~repro.privacy.dp.SpendMeter` treats
-        ``budget=None`` as unmetered — so the snapshot shows every tenant's
-        cumulative spend and a budget installed later via :meth:`set_tenant`
-        binds against the history already accrued.
-        """
-        account = self._tenants.get(issuer)
-        if account is not None:
-            account.lop.charge(expected_lop)
 
     # -- differential privacy -----------------------------------------------
 

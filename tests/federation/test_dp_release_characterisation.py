@@ -281,7 +281,7 @@ EXPECTED_SHARDED: dict = {'batch_one': [('SELECT MAX(value) FROM t00', (5019.0,)
           'release_keys': 6},
  'tenants': {'acme': {'queries': 14,
                       'refusals': 10,
-                      'lop_spent': 0.375,
+                      'lop_spent': 0.5,
                       'lop_budget': 40.0,
                       'dp_epsilon_spent': 6.75,
                       'dp_epsilon_budget': 7.0,

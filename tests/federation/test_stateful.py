@@ -25,7 +25,11 @@ a statement whose charge would overshoot what is left (``SpendMeter``'s
 test) is refused as ``BudgetExhausted``.  A batch of its statements is
 admitted as the same statements sent one at a time would be.  So is a batch
 holding a statement whose SLO no plan meets beside its plain form: it is
-served only an answer public by its turn.
+served only an answer public by its turn.  The twin's tenant ``thrifty``
+holds a small epsilon budget that runs out part way through a session: a
+fresh release it cannot pay for is refused by the batch's one admission
+before anything runs, and its epsilon spent is the sum of its charged
+releases.
 
 Both result caches hold :data:`CACHE_ENTRIES` answers, fewer than a session
 asks for, so eviction is stepped too: the model keeps the cache's
@@ -74,6 +78,10 @@ CACHE_ENTRIES = 4
 #: The twin's DP-governed tenant: its budget never runs out within a session,
 #: so its DP releases stay in lock-step with the flat federation's.
 GOVERNED = TenantPolicy(rate=1.0, burst=1000, dp_epsilon_budget=100.0)
+#: The twin's tenant whose epsilon budget (drawn per session from
+#: :data:`THRIFTY_BUDGETS`) runs out part way through.
+THRIFTY = "thrifty"
+THRIFTY_BUDGETS = [0.5, 1.0]
 #: A table the twin's router fans out.  It holds no rows: the issuer rule
 #: refuses before routing, so only a refused statement ever names it.
 FANOUT = "wide"
@@ -117,10 +125,14 @@ class FederationMachine(RuleBasedStateMachine):
             max_size=3,
         ),
         meter_budget=st.sampled_from([0.25, 0.5, 1.0]),
+        thrifty_budget=st.sampled_from(THRIFTY_BUDGETS),
     )
-    def setup(self, founders: list[list[int]], meter_budget: float) -> None:
+    def setup(
+        self, founders: list[list[int]], meter_budget: float, thrifty_budget: float
+    ) -> None:
         self._counter = 0
         self._meter_budget = meter_budget
+        self._thrifty_budget = thrifty_budget
         self.model: dict[str, list[int]] = {}
         #: (statement, exact inner answer) -> the DP bytes it released.
         self.released: dict[tuple, tuple] = {}
@@ -149,6 +161,9 @@ class FederationMachine(RuleBasedStateMachine):
         )
         self.twin.set_tenant("gov", GOVERNED)
         self.twin.set_tenant("meter", TenantPolicy(lop_budget=self._meter_budget))
+        self.twin.set_tenant(
+            THRIFTY, TenantPolicy(dp_epsilon_budget=self._thrifty_budget)
+        )
         self.databases: dict = {}
         self.twin_databases: dict = {}
         #: The keys both result caches hold, oldest first: (statement, the
@@ -179,6 +194,8 @@ class FederationMachine(RuleBasedStateMachine):
         #: what its statements ran.
         self.meter_budget = self._meter_budget
         self.meter_charges: list[float] = []
+        #: The epsilon of each release the ``thrifty`` tenant was charged.
+        self.thrifty_charges: list[float] = []
 
     def _join(self, name: str, values: list[int]) -> None:
         database = database_from_values(name, values)
@@ -362,6 +379,11 @@ class FederationMachine(RuleBasedStateMachine):
     ) -> None:
         # Six statements in all, so a session repeats some across the cache
         # drops, inserts and restarts between them.
+        self._release(operation, epsilon, issuer)
+
+    def _release(self, operation: str, epsilon: float, issuer: str):
+        """Serve one DP release of ``operation`` on both federations, as the
+        model predicts it; the flat outcome."""
         inner, answer = self._inner(operation)
         text = f"{inner} WITH SLO(dp_epsilon={epsilon})"
         self.operations[text] = operation
@@ -388,6 +410,47 @@ class FederationMachine(RuleBasedStateMachine):
             self.latest[text] = answer
         self.released.setdefault((text, answer), outcome.values)
         self.releases.append((text, answer, outcome.values))
+        return outcome
+
+    @precondition(lambda self: len(self.model) >= 3)
+    @rule(
+        operation=st.sampled_from(["SUM", "COUNT", "TOP"]),
+        epsilon=st.sampled_from([0.25, 0.5]),
+    )
+    def tenant_epsilon_runs_out(self, operation: str, epsilon: float) -> None:
+        # The twin's ``thrifty`` tenant holds a small epsilon budget that a
+        # session spends part way through.  A release it can pay for, or a
+        # free re-serve, is served on both federations; a fresh release it
+        # cannot pay for is refused BudgetExhausted("epsilon") by the batch's
+        # one admission, before anything runs: no spend, audit entry, cache
+        # count or shard dispatch moves.
+        inner, answer = self._inner(operation)
+        text = f"{inner} WITH SLO(dp_epsilon={epsilon})"
+        account = self.twin.router.tenant(THRIFTY)
+        free = self.latest.get(text) == answer
+        meter = SpendMeter(account.policy.dp_epsilon_budget, sum(self.thrifty_charges))
+        if free or not meter.would_exceed(epsilon):
+            if not self._release(operation, epsilon, THRIFTY).cached:
+                self.thrifty_charges.append(epsilon)
+            return
+        if text in self.latest:
+            # Released before over other data: admitted on optimistic reuse,
+            # so the refusal comes only once its inner statement has run.
+            return
+
+        def books() -> tuple:
+            return (
+                self._books(),
+                account.dp.epsilon.spent,
+                self.twin.dp_gate.accountant.epsilon.spent,
+                dict(self.twin.shard_queries),
+            )
+
+        before = books()
+        with pytest.raises(BudgetExhausted) as refused:
+            self.twin.execute(text, issuer=THRIFTY)
+        assert refused.value.dimension == "epsilon"
+        assert books() == before
 
     def _inner(self, operation: str) -> tuple[str, tuple]:
         """A DP operation's inner statement and the model's exact answer."""
@@ -665,6 +728,14 @@ class FederationMachine(RuleBasedStateMachine):
         assert spent >= self.last_spent  # monotone until a restart
         assert spent == pytest.approx(self.charged_epsilon)
         self.last_spent = spent
+
+    @invariant()
+    def tenant_epsilon_is_the_sum_of_its_charged_releases(self) -> None:
+        accountant = self.twin.router.dp_accountant(THRIFTY)
+        spent = accountant.epsilon.spent
+        assert spent == pytest.approx(sum(self.thrifty_charges), rel=1e-12)
+        assert [c.epsilon for c in accountant.charges] == self.thrifty_charges
+        assert spent <= self._thrifty_budget + 1e-12
 
     @invariant()
     def an_unchanged_hit_is_the_same_object(self) -> None:

@@ -13,7 +13,7 @@ from repro.federation import Federation, QueryRefused
 from repro.planner.plan import expected_lop
 from repro.planner.spec import prepare
 from repro.privacy.accounting import ExposureLedger
-from repro.privacy.dp import BudgetExhausted, PendingBudget, SpendMeter
+from repro.privacy.dp import BudgetExhausted, DpPolicy, PendingBudget, SpendMeter
 
 from ..conftest import make_vectors
 
@@ -46,13 +46,15 @@ class TestLedger:
     def test_budget_refusal_is_atomic(self):
         # The ledger refuses at admission, through its meters: a draw that
         # does not fit moves no meter and records nothing.  An admitted run
-        # charges each meter what it was drawn, and its measured exposure is
-        # recorded in full, even when that ends past the budget.
+        # has each meter charged what it was drawn (the release path's
+        # charge), and its measured exposure is recorded in full, even when
+        # that ends past the budget.
         ledger = ExposureLedger(budget=1.5)
         run = naive_run(seed=1)
         parties = sorted(run.local_vectors)
-        drawn = [(ledger.meter(node), 1.0, ("TOP", 1)) for node in parties]
-        first = ledger.charge(run, drawn)
+        for node in parties:
+            ledger.meter(node).charge(1.0)
+        first = ledger.charge(run)
         (starter,) = [node for node, spent in first.items() if spent == 1.0]
 
         def books():
@@ -85,11 +87,12 @@ class TestLedger:
             "repro.privacy.accounting.exposure_profile", lambda result: Profile
         )
         ledger, meter = ExposureLedger(budget=0.3), SpendMeter(budget=0.3)
-        for k in range(3):
+        for _ in range(3):
             assert not meter.would_exceed(0.1)
             assert ledger.meter("node0").refusal(0.1) is None
             meter.charge(0.1)
-            ledger.charge(None, [(ledger.meter("node0"), 0.1, ("TOP", k))])
+            ledger.meter("node0").charge(0.1)
+            ledger.charge(None)
         assert ledger.exposure("node0") == meter.spent > 0.3
         assert ledger.meter("node0").spent == meter.spent
         assert meter.refusal(0.0) is None
@@ -142,9 +145,9 @@ class TestAdmittedBeforeTheRing:
     the base configuration), charges each party's meter that amount after
     the run, and records each party's measured exposure beside it."""
 
-    def _federation(self, budget):
+    def _federation(self, budget, dp=None):
         rng = random.Random(3)
-        fed = Federation(domain=PAPER_DOMAIN, seed=1, privacy_budget=budget)
+        fed = Federation(domain=PAPER_DOMAIN, seed=1, privacy_budget=budget, dp=dp)
         for name in ("p0", "p1", "p2", "p3"):
             values = [rng.randint(1, 10_000) for _ in range(20)]
             fed.register(database_from_values(name, values))
@@ -210,6 +213,23 @@ class TestAdmittedBeforeTheRing:
         nothing = dict.fromkeys(fed.members, 0.0)
         assert self._books(fed) == (0, 0, [], 0, nothing, nothing)
         assert rings == []
+
+    def test_a_ring_whose_release_is_refused_is_charged(self, rings):
+        # A DP release admitted on optimistic reuse runs its ring over changed
+        # data, then cannot pay for the fresh release: the ring's successors
+        # saw the vectors, so every party's meter is charged its draw anyway.
+        fed = self._federation(1.0, dp=DpPolicy(epsilon_budget=3.0, seed=5))
+        text = "SELECT MAX(value) FROM data WITH SLO(dp_epsilon=2.0)"
+        assert not fed.execute(text).cached
+        draw = fed.ledger.meter("p0").spent
+        assert draw > 0 and self._books(fed)[-1] == dict.fromkeys(fed.members, draw)
+        fed._parties["p0"].insert("data", {"value": 10_000})
+        refused = fed.execute_many_settled([text])[0]
+        assert type(refused.error) is BudgetExhausted
+        assert refused.error.dimension == "epsilon"
+        assert len(rings) == 2
+        assert fed.dp_gate.snapshot()["epsilon_spent"] == 2.0
+        assert self._books(fed)[-1] == dict.fromkeys(fed.members, 2 * draw)
 
     def test_landing_exactly_on_the_expected_lop_is_admitted(self, rings):
         fed = self._federation(0.25)

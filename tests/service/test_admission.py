@@ -214,7 +214,9 @@ class TestEverySubmissionIsCounted:
         assert metrics.submitted == 10
         assert (metrics.completed, metrics.cache_fast_hits) == (2, 1)
         assert metrics.refused == 6  # 2 refused hits, 3 malformed, 1 refused miss
-        assert metrics.admitted == 1  # no plain statement took a queue slot
+        # The DP release and the infeasible statement took a queue slot: the
+        # batch is where a plan refuses.  No plain statement did.
+        assert metrics.admitted == 2
         assert (metrics.plan_infeasible, metrics.shed, metrics.failed) == (1, 1, 0)
         assert metrics.submitted == (
             metrics.completed

@@ -78,8 +78,9 @@ class TestSubmission:
         assert federation.dp_gate.accountant.epsilon.spent == 2.0
 
     def test_tenant_dp_budget_refuses_at_admission_on_a_sharded_backend(self):
-        # The gateway calls dp_admission_check on whichever backend it is
-        # handed; behind shards that check also covers the tenant's meters.
+        # The gateway queues the statement; its batch admits it on whichever
+        # backend it is handed, and behind shards that admission covers the
+        # tenant's meters as well as the federation's.
         async def scenario():
             topology = build_topology(shards=3, seed=7)
             federation = sharded_federation(topology, dp=DpPolicy(seed=11))

@@ -66,12 +66,12 @@ def test_router_routes_and_counts():
 def test_tenant_rate_limit_is_cross_shard_and_typed():
     router = ShardRouter(2)
     router.set_tenant("alice", TenantPolicy(rate=1.0, burst=2))
-    router.admit("alice", now=0.0)
-    router.admit("alice", now=0.0)
+    router.take_token("alice", now=0.0)
+    router.take_token("alice", now=0.0)
     with pytest.raises(TenantRateLimited):
-        router.admit("alice", now=0.0)
-    router.admit("alice", now=5.0)  # refilled
-    router.admit("bob", now=0.0)  # un-policied tenants are unrestricted
+        router.take_token("alice", now=0.0)
+    router.take_token("alice", now=5.0)  # refilled
+    router.take_token("bob", now=0.0)  # un-policied tenants are unrestricted
     snapshot = router.tenant_snapshot()
     assert snapshot["alice"]["refusals"] == 1
     assert snapshot["alice"]["queries"] == 4
@@ -127,7 +127,7 @@ def test_tenant_lop_budget_feeds_planner_feasibility():
     assert sharded.router.tenant("alice").lop_spent == spent
 
     # Exhaust the budget: fresh ranking statements now refuse typed.
-    sharded.router.charge_lop("alice", 1.0)
+    sharded.router.tenant("alice").lop.charge(1.0)
     fresh = f"SELECT TOP 2 value FROM {topology.tables[2]}"
     refused = sharded.execute_many_settled([fresh], issuer="alice")[0]
     assert isinstance(refused, QueryRefused)

@@ -355,10 +355,6 @@ DECLARED: dict[str, tuple[str, str, str]] = {
         "guard", "tests/sharding/test_process_shards.py",
         "typed refusal: a worker's error leaves as its own type",
     ),
-    "repro.sharding.router:ShardRouter.charge_lop": (
-        "guard", "tests/sharding/test_router_tenants.py",
-        "meters the tenant LoP budget BudgetExhausted enforces",
-    ),
     "repro.sharding.router:ShardRouter.set_tenant": (
         "guard", "tests/sharding/test_router_tenants.py",
         "installs the tenant budgets whose refusals are typed",
